@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-json fabric-bench loadgen-smoke lint race-lanes race-lanes-mailbox1 race-shards race-churn race-coded race-resize
+.PHONY: all build vet test race bench bench-smoke bench-json fabric-bench loadgen-smoke lint race-lanes race-lanes-mailbox1 race-routes race-shards race-churn race-coded race-resize
 
 all: vet build test
 
@@ -69,6 +69,14 @@ race-lanes:
 # suite.
 race-lanes-mailbox1:
 	REPRO_LANE_MAILBOX=1 $(GO) test -race -count 1 -run $(LANE_TESTS) ./internal/fabric ./internal/lanenet ./internal/runner
+
+# Route-table suite under the race detector, repeated and at three
+# GOMAXPROCS settings: chunk-boundary round-trips, the linear first-touch
+# and re-resolution allocation bounds, and resolvers racing two rolling
+# Replaces (one epoch bump per moved object). Selected by package and the
+# TestRouteTable name prefix, so new table tests join without a list edit.
+race-routes:
+	$(GO) test -race -count 20 -cpu 1,2,8 -run 'TestRouteTable' ./internal/fabric
 
 # Sharded-store suite under the race detector: deterministic shard
 # routing, the multi-engine frontend (client identity, key affinity,

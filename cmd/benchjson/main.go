@@ -33,8 +33,10 @@ import (
 // trajectoryBenches is the default benchmark set: the numbers the ROADMAP
 // tracks PR over PR. BenchmarkFabricLaneTrigger records in-process vs
 // latency-lane trigger-to-completion throughput side by side, so the cost
-// of real asynchrony is part of every snapshot.
-const trajectoryBenches = "BenchmarkFabricParallelTrigger|BenchmarkFabricLaneTrigger|BenchmarkLanenetPipeline|BenchmarkExhaustiveParallel|BenchmarkExhaustiveSearch|BenchmarkCheckers|BenchmarkCheckLinearizable"
+// of real asynchrony is part of every snapshot. The two route-table sweeps
+// (first touch, re-resolution after an epoch bump) are the cold path; their
+// per-object figures are also lifted into the first_touch section.
+const trajectoryBenches = "BenchmarkFabricParallelTrigger|BenchmarkFabricLaneTrigger|BenchmarkFabricFirstTouch|BenchmarkFabricReresolveAfterEpoch|BenchmarkLanenetPipeline|BenchmarkExhaustiveParallel|BenchmarkExhaustiveSearch|BenchmarkCheckers|BenchmarkCheckLinearizable"
 
 // Result is one parsed benchmark line.
 type Result struct {
@@ -56,6 +58,10 @@ type Snapshot struct {
 	Bench      string   `json:"bench"`
 	Benchtime  string   `json:"benchtime"`
 	Results    []Result `json:"results"`
+	// FirstTouch is the cost of resolving a base object for the first time,
+	// per object, at each size BenchmarkFabricFirstTouch ran: flat figures
+	// across sizes are what linear set-up looks like.
+	FirstTouch []FirstTouchPoint `json:"first_touch,omitempty"`
 	// Loadgen records the end-to-end numbers: high-level ops/sec and
 	// latency percentiles through the async client engine, one entry per
 	// lane backend, correctness-gated (a run with violations fails the
@@ -81,6 +87,29 @@ type Snapshot struct {
 	// on a live abd-max register (state transfer and quorum re-derivation
 	// included).
 	Reconfig []*ReconfigPoint `json:"reconfig,omitempty"`
+}
+
+// FirstTouchPoint is one size of BenchmarkFabricFirstTouch.
+type FirstTouchPoint struct {
+	Objects        int     `json:"objects"`
+	NSPerObject    float64 `json:"ns_per_object"`
+	BytesPerObject float64 `json:"bytes_per_object"`
+}
+
+// firstTouchPoints lifts the first-touch benchmark's per-object metrics out
+// of the parsed results.
+func firstTouchPoints(results []Result) []FirstTouchPoint {
+	var out []FirstTouchPoint
+	for _, r := range results {
+		if strings.HasPrefix(r.Name, "BenchmarkFabricFirstTouch/") {
+			out = append(out, FirstTouchPoint{
+				Objects:        int(r.Metrics["objects"]),
+				NSPerObject:    r.Metrics["ns/object"],
+				BytesPerObject: r.Metrics["B/object"],
+			})
+		}
+	}
+	return out
 }
 
 // ReconfigPoint is one delta size: Joins servers join and Leaves servers
@@ -153,6 +182,7 @@ func run() error {
 		Bench:      *bench,
 		Benchtime:  *benchtime,
 		Results:    results,
+		FirstTouch: firstTouchPoints(results),
 	}
 	if *withLoadgen {
 		lg, err := runLoadgen(*loadgenDur)

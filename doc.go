@@ -128,6 +128,26 @@
 //     exhaustive schedule search, chaos runs — plus data-driven JSON
 //     scenarios (internal/scenario/testdata).
 //
+// # Route resolution
+//
+// The fabric resolves an object — cluster lookup of delta(obj), the
+// server's lane, placement mirroring on backends that host objects
+// remotely — once per object per view epoch and caches the result in a
+// two-level lock-free table: a small directory of fixed 512-slot chunks,
+// every slot an atomic pointer, the directory republished only when it
+// doubles. A lookup is a bounds check and two dependent loads; publishing
+// a route is one atomic store (plus a 4 KiB chunk per 512 object IDs), so
+// first-touching n objects costs O(n) — a store's set-up is linear in its
+// keys — and nothing on the trigger path ever copies the table. A cached route is valid only
+// while its epoch stamp matches the cluster's: any view change
+// (AddServer, MoveObject, CommitView, a failure-budget change) bumps the
+// epoch and thereby invalidates every route at once, without touching
+// the table. The next operation on each object re-resolves it, again in
+// O(1), overwriting the stale slot and inheriting its "used" latch, so
+// the first sweep over a shard after a reconfiguration costs one route
+// allocation per object rather than a stall proportional to the shard
+// squared (E29).
+//
 // # Sweep engine
 //
 // The bounded model-checking experiments run on a parallel sweep engine

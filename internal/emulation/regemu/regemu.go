@@ -43,7 +43,7 @@ type Emulation struct {
 	fab       *fabric.Fabric
 	placement *layout.Placement
 	hist      *spec.History
-	k, f, n   int
+	k, f      int
 	scan      []rounds.Target // reads on every register, server-major order
 	writers   []*Writer
 	readers   emulation.ReaderIDs
@@ -89,7 +89,6 @@ func New(fab *fabric.Fabric, k, f int, opts Options) (*Emulation, error) {
 		hist:      hist,
 		k:         k,
 		f:         f,
-		n:         c.N(),
 	}
 	// Precompute the collect scan — a read on every register, in
 	// deterministic server-major order — once; every collect scatters it
@@ -167,11 +166,15 @@ func (e *Emulation) NewReader() emulation.Reader {
 
 // collect implements lines 13–26 of Algorithm 2: scatter a read on every
 // register of every server as one batch and wait until, for n-f servers,
-// every register of the server has responded (n-f complete scans). It
-// returns the highest timestamped value observed.
+// every register of the server has responded (n-f complete scans). A
+// server the layout left empty has nothing to answer and counts as
+// responded, so the round engine waits for all but f of the servers that
+// do host registers — with the n the layout was planned for, a layout
+// spanning fewer than n servers would wait for crashed ones, or for more
+// servers than exist. It returns the highest timestamped value observed.
 func (e *Emulation) collect(ctx context.Context, client types.ClientID) (types.TSValue, error) {
 	max, err := fabric.RetryView(ctx, func() (types.TSValue, error) {
-		return rounds.ScatterScan(e.fab, client, e.scan).AwaitServers(ctx, e.n-e.f)
+		return rounds.ScatterScan(e.fab, client, e.scan).AwaitServers(ctx, e.f)
 	})
 	if err != nil {
 		return max, fmt.Errorf("regemu: collect: %w", err)
@@ -363,7 +366,7 @@ func (w *Writer) startWrite(v types.Value, done func(error)) *writeOp {
 	// Lines 20–26: collect until n-f complete server scans responded, then
 	// (lines 6–10) scatter one batch over every register of R_j not
 	// currently covered by our own previous writes.
-	rounds.ScatterFoldServersScan(w.em.fab, w.client, w.em.scan, w.em.n-w.em.f, func(cur types.TSValue, err error) {
+	rounds.ScatterFoldServersScan(w.em.fab, w.client, w.em.scan, w.em.f, func(cur types.TSValue, err error) {
 		if err != nil {
 			w.fail(op, fmt.Errorf("regemu: collect: %w", err))
 			return
@@ -478,7 +481,7 @@ func (r *Reader) Client() types.ClientID { return r.client }
 // scans responded.
 func (r *Reader) StartRead(done func(types.Value, error)) {
 	pr := r.em.hist.BeginRead(r.client)
-	rounds.ScatterFoldServersScan(r.em.fab, r.client, r.em.scan, r.em.n-r.em.f, func(cur types.TSValue, err error) {
+	rounds.ScatterFoldServersScan(r.em.fab, r.client, r.em.scan, r.em.f, func(cur types.TSValue, err error) {
 		if err != nil {
 			done(types.InitialValue, fmt.Errorf("regemu: collect: %w", err))
 			return

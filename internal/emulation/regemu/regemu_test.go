@@ -132,3 +132,59 @@ func TestSurvivesFServerCrashes(t *testing.T) {
 		t.Fatalf("Read = %d, want 8", got)
 	}
 }
+
+// TestToleratesCrashOfAnyHostingServer is the f-tolerance table over layouts
+// that span fewer than n servers (and, as controls, ones that span all of
+// them): a server the layout left empty has vacuously answered the scan, so
+// the collect waits for all but f of the hosting servers — not for n-f of
+// them, which at (4,7) is every hosting server and at (2,7) and (1,5) is
+// more servers than host anything. With any one hosting server crashed,
+// every writer's write and both read paths (the blocking collect and the
+// completion-based StartRead) must complete, and the history must stay
+// WS-Regular.
+func TestToleratesCrashOfAnyHostingServer(t *testing.T) {
+	const f = 1
+	for _, tc := range []struct{ k, n int }{{1, 5}, {2, 7}, {4, 7}, {5, 7}, {1, 3}} {
+		probe, _ := newEmulation(t, tc.k, f, tc.n)
+		hosting := probe.Placement().ObjectsByServer()
+		for crashed := range hosting {
+			em, fab := newEmulation(t, tc.k, f, tc.n)
+			ctx := testCtx(t)
+			w0, _ := em.Writer(0)
+			if err := w0.Write(ctx, 1); err != nil {
+				t.Fatalf("k=%d n=%d: write before the crash: %v", tc.k, tc.n, err)
+			}
+			if err := fab.Crash(crashed); err != nil {
+				t.Fatal(err)
+			}
+			last := types.Value(1)
+			for i := 0; i < tc.k; i++ {
+				w, _ := em.Writer(i)
+				last = types.Value(10 + i)
+				if err := w.Write(ctx, last); err != nil {
+					t.Fatalf("k=%d n=%d (%d hosting), server %d crashed: writer %d: %v",
+						tc.k, tc.n, len(hosting), crashed, i, err)
+				}
+			}
+			got, err := em.NewReader().Read(ctx)
+			if err != nil || got != last {
+				t.Fatalf("k=%d n=%d, server %d crashed: Read = %d, %v; want %d", tc.k, tc.n, crashed, got, err, last)
+			}
+			// The in-process lane completes inline, so a StartRead that does
+			// not fire before returning is one that would hang.
+			fired := false
+			em.NewReader().(*Reader).StartRead(func(v types.Value, err error) {
+				fired = true
+				if err != nil || v != last {
+					t.Errorf("k=%d n=%d, server %d crashed: StartRead = %d, %v; want %d", tc.k, tc.n, crashed, v, err, last)
+				}
+			})
+			if !fired {
+				t.Fatalf("k=%d n=%d, server %d crashed: StartRead never completed", tc.k, tc.n, crashed)
+			}
+			if err := spec.CheckWSRegularity(em.History().Snapshot(), types.InitialValue); err != nil {
+				t.Fatalf("k=%d n=%d, server %d crashed: WS-Regularity: %v", tc.k, tc.n, crashed, err)
+			}
+		}
+	}
+}

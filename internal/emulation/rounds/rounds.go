@@ -12,8 +12,9 @@
 //
 //   - Round.AwaitMax: block until `need` responses arrived (the ABD
 //     collect/push phases of abdmax, casmax, aacmax, naiveabd).
-//   - Round.AwaitServers: block until every operation of `need` distinct
-//     servers responded (Algorithm 2's complete per-server scans in regemu).
+//   - Round.AwaitServers: block until all but f of the servers the round
+//     targets responded to every operation aimed at them (Algorithm 2's
+//     complete per-server scans in regemu).
 //   - ScatterFold / ScatterFoldServers: non-blocking; invoke a report
 //     callback when the quorum condition holds (count-based or complete
 //     per-server scans). These carry the asynchronous store starts (such
@@ -184,15 +185,36 @@ func (r *Round) AwaitMax(ctx context.Context, need int) (types.TSValue, error) {
 	return Gather(ctx, r.ch, need)
 }
 
-// AwaitServers blocks until, for need distinct servers, every operation of
-// the round targeting that server has responded — Algorithm 2's "n-f
-// complete scans" condition — folding the maximum timestamped value.
-func (r *Round) AwaitServers(ctx context.Context, need int) (types.TSValue, error) {
-	remaining := make(map[types.ServerID]int, need)
+// AwaitServers blocks until all but f of the servers the round targets have
+// delivered complete scans — every operation of the round on that server
+// responded — folding the maximum timestamped value. This is Algorithm 2's
+// "n-f complete scans" condition: a server hosting none of the round's
+// registers has vacuously completed its scan, so of the n-f servers the
+// paper waits for, exactly (hosting servers)-f have anything to say. The
+// threshold is derived from the round's own resolved targets, never from a
+// caller's remembered n, so it stays right when a layout spans fewer than n
+// servers and when a reconfiguration re-homes registers between attempts.
+func (r *Round) AwaitServers(ctx context.Context, f int) (types.TSValue, error) {
+	remaining := make(map[types.ServerID]int)
 	for _, call := range r.calls {
 		remaining[call.Event().Server]++
 	}
+	need, err := scanQuorum(remaining, f)
+	if err != nil {
+		return types.ZeroTSValue, err
+	}
 	return awaitServers(ctx, r.ch, remaining, need)
+}
+
+// scanQuorum derives a server-scan round's threshold from its per-server
+// countdown: all but f of the servers hosting a target. It rejects an f
+// that leaves no server to wait for.
+func scanQuorum(remaining map[types.ServerID]int, f int) (int, error) {
+	need := len(remaining) - f
+	if f < 0 || need <= 0 {
+		return 0, fmt.Errorf("rounds: scan gather tolerating %d of %d hosting servers", f, len(remaining))
+	}
+	return need, nil
 }
 
 // awaitServers is AwaitServers on an explicit report stream and per-server
@@ -418,45 +440,44 @@ func (j *serverFold) complete(server types.ServerID, v types.TSValue, err error)
 
 // ScatterFoldServers is the non-blocking counterpart of
 // Scatter+AwaitServers: it triggers every target in one batch and invokes
-// report exactly once — when, for need distinct servers, every operation
-// targeting that server responded (Algorithm 2's "n-f complete scans"), or
-// on the first error. Completions run on fabric goroutines and never
-// block; a partially-scanned crashed server never counts, because its
-// remaining operations never respond.
-func ScatterFoldServers(fab *fabric.Fabric, client types.ClientID, targets []Target, need int, report func(types.TSValue, error)) {
-	scatterFoldServers(fab, client, targets, need, report, false)
+// report exactly once — when all but f of the servers hosting a target
+// delivered complete scans (Algorithm 2's "n-f complete scans"; see
+// AwaitServers for why the count is over hosting servers), or on the first
+// error. Completions run on fabric goroutines and never block; a
+// partially-scanned crashed server never counts, because its remaining
+// operations never respond.
+func ScatterFoldServers(fab *fabric.Fabric, client types.ClientID, targets []Target, f int, report func(types.TSValue, error)) {
+	scatterFoldServersAttempt(fab, client, targets, f, report, false, 0)
 }
 
 // ScatterFoldServersScan is ScatterFoldServers dispatched via TriggerScan:
 // the non-blocking snapshot collect (see ScatterScan).
-func ScatterFoldServersScan(fab *fabric.Fabric, client types.ClientID, targets []Target, need int, report func(types.TSValue, error)) {
-	scatterFoldServers(fab, client, targets, need, report, true)
+func ScatterFoldServersScan(fab *fabric.Fabric, client types.ClientID, targets []Target, f int, report func(types.TSValue, error)) {
+	scatterFoldServersAttempt(fab, client, targets, f, report, true, 0)
 }
 
-func scatterFoldServers(fab *fabric.Fabric, client types.ClientID, targets []Target, need int, report func(types.TSValue, error), scan bool) {
-	scatterFoldServersAttempt(fab, client, targets, need, report, scan, 0)
-}
-
-func scatterFoldServersAttempt(fab *fabric.Fabric, client types.ClientID, targets []Target, need int, report func(types.TSValue, error), scan bool, attempt int) {
+func scatterFoldServersAttempt(fab *fabric.Fabric, client types.ClientID, targets []Target, f int, report func(types.TSValue, error), scan bool, attempt int) {
 	// The per-server countdown must exist before the batch fires: with
 	// trigger-time callbacks, the in-process lane completes ops inside the
 	// TriggerBatch call itself. Unroutable targets count under server 0 and
 	// report their routing error through their call's completion, as before.
-	// A retry rebuilds the countdown from scratch: ServerFor re-resolves
-	// under the new epoch, so migrated objects count under their new server.
-	remaining := make(map[types.ServerID]int, need)
+	// A retry rebuilds the countdown — and the threshold derived from it —
+	// from scratch: ServerFor re-resolves under the new epoch, so migrated
+	// objects count under their new server.
+	remaining := make(map[types.ServerID]int)
 	servers := make([]types.ServerID, len(targets))
 	for i, t := range targets {
 		srv, _ := fab.ServerFor(t.Object)
 		servers[i] = srv
 		remaining[srv]++
 	}
-	if need <= 0 || need > len(remaining) {
-		report(types.ZeroTSValue, fmt.Errorf("rounds: scan fold needs %d of %d servers", need, len(remaining)))
+	need, err := scanQuorum(remaining, f)
+	if err != nil {
+		report(types.ZeroTSValue, err)
 		return
 	}
 	j := &serverFold{remaining: remaining, need: need, report: ViewRetry(attempt, report, func(next int) {
-		scatterFoldServersAttempt(fab, client, targets, need, report, scan, next)
+		scatterFoldServersAttempt(fab, client, targets, f, report, scan, next)
 	})}
 	batch := make([]fabric.BatchOp, len(targets))
 	for i, t := range targets {

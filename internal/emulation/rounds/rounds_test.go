@@ -147,7 +147,7 @@ func TestAwaitServers(t *testing.T) {
 	if _, err := Scatter(fab, 1, targets).AwaitServers(context.Background(), 1); err != nil {
 		t.Fatalf("one full scan: %v", err)
 	}
-	if _, err := Scatter(fab, 1, targets).AwaitServers(shortCtx(t), 2); err == nil {
+	if _, err := Scatter(fab, 1, targets).AwaitServers(shortCtx(t), 0); err == nil {
 		t.Fatal("two full scans succeeded with a held register response")
 	}
 }
@@ -332,7 +332,7 @@ func TestScatterFoldServersCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make(chan types.TSValue, 1)
-	ScatterFoldServers(fab, 1, scan, 3, func(max types.TSValue, err error) {
+	ScatterFoldServers(fab, 1, scan, 0, func(max types.TSValue, err error) {
 		if err != nil {
 			t.Errorf("scan fold: %v", err)
 		}
@@ -362,7 +362,7 @@ func TestScatterFoldServersPartialScanDoesNotCount(t *testing.T) {
 	fab, scan, byServer := multiEnv(t, 3, 2, gate)
 	heldObj = byServer[0][0]
 	fired := make(chan types.TSValue, 1)
-	ScatterFoldServers(fab, 1, scan, 3, func(max types.TSValue, err error) {
+	ScatterFoldServers(fab, 1, scan, 0, func(max types.TSValue, err error) {
 		if err != nil {
 			t.Errorf("scan fold: %v", err)
 		}

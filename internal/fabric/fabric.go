@@ -25,8 +25,9 @@
 // exactly that boundary. There is no global fabric lock. Each server gets a
 // dispatch lane owning the server's held-op, in-flight, and crash-drop
 // indexes; token allocation and the trigger counter are lock-free atomics;
-// and object-to-server routing is resolved once per object and then served
-// from a lock-free route cache. Operations on different servers therefore
+// and object-to-server routing is resolved once per object per view epoch,
+// published in O(1), and then served from a lock-free route cache (see
+// routeTable). Operations on different servers therefore
 // never contend inside the fabric — throughput scales with the number of
 // servers, not with the number of clients. Aggregate views (Pending,
 // CoveredObjects, UsedObjects) are merge-over-lane reads; the global token
@@ -343,7 +344,7 @@ func (h *heldOp) completeOp(resp baseobj.Response, err error) {
 		return // a crash drain claimed the op: it is dropped
 	}
 	if errors.Is(err, errCrashedDrop) || h.rt.srv.Crashed() {
-		h.f.drop(h)
+		h.f.drop(h.rt.lane, &h.ev)
 		return
 	}
 	h.f.respond(h.rt, h.call, resp, err)
@@ -446,59 +447,123 @@ func (r *route) markUsed() {
 	}
 }
 
+// routeChunkSize is the number of routes per chunk of the route table: 512
+// pointers are one 4 KiB allocation, and an emulated register's handful of
+// consecutively allocated base objects almost always share a chunk.
+const routeChunkSize = 512
+
+// routeChunk is one fixed block of route slots. A chunk is allocated once
+// and never moves, so a slot can be stored into while readers load it.
+type routeChunk [routeChunkSize]atomic.Pointer[route]
+
 // routeTable is a lock-free object-indexed route cache. Object IDs are
 // small dense integers (the cluster allocates them sequentially), so the
-// table is a grow-only slice published atomically; reads are a bounds
-// check and an index.
+// table is two levels: a directory of fixed-size chunks, and per-slot
+// atomic pointers inside each chunk. A read is a bounds check and two
+// dependent loads with no lock; publishing a route is one atomic store into
+// its slot. Nothing proportional to the table is ever copied per route: a
+// chunk is allocated once per routeChunkSize object IDs, and the directory
+// — one pointer per chunk — is republished only when it doubles. Resolving
+// n objects therefore costs O(n) however large n grows, and so does
+// re-resolving them after an epoch bump.
 type routeTable struct {
-	p  atomic.Pointer[[]*route]
-	mu sync.Mutex // serializes growth only
+	dir atomic.Pointer[[]atomic.Pointer[routeChunk]]
+	mu  sync.Mutex // serializes writers (put); readers never take it
+}
+
+// chunk returns the chunk holding obj's slot, or nil when there is none
+// yet (or obj is negative).
+func (t *routeTable) chunk(obj types.ObjectID) *routeChunk {
+	dir := t.dir.Load()
+	if dir == nil || obj < 0 || int(obj)/routeChunkSize >= len(*dir) {
+		return nil
+	}
+	return (*dir)[int(obj)/routeChunkSize].Load()
 }
 
 // get returns the cached route, or nil.
 func (t *routeTable) get(obj types.ObjectID) *route {
-	tab := t.p.Load()
-	if tab == nil || int(obj) < 0 || int(obj) >= len(*tab) {
+	c := t.chunk(obj)
+	if c == nil {
 		return nil
 	}
-	return (*tab)[obj]
+	return c[int(obj)%routeChunkSize].Load()
 }
 
-// put caches a route copy-on-write: a published table is never mutated, so
-// readers stay lock-free. Resolution happens once per object per epoch, so
-// the copy cost is setup- and reconfiguration-time only. A same-or-newer
-// cached entry wins the benign resolver race; a stale-epoch entry is
-// overwritten (never resurrected), inheriting the used latch so resource
-// accounting survives migration.
-func (t *routeTable) put(obj types.ObjectID, rt *route) {
+// put publishes a route in O(1): one atomic store into the object's slot,
+// preceded — the first time an ID lands in a fresh block of routeChunkSize
+// — by installing a chunk. Chunks and directories are only ever stored into
+// slot-wise, so readers stay lock-free; writers serialize on mu, which
+// makes the epoch comparison below race-free. A same-or-newer cached entry
+// wins the benign resolver race; a stale-epoch entry is overwritten (never
+// resurrected), and hands its used latch to its successor so resource
+// accounting survives migration. put returns the route the slot holds
+// afterwards, so the loser of the race dispatches through the published
+// route — and latches used on it — rather than through a private copy
+// UsedObjects never sees. obj must be non-negative: route() only publishes
+// IDs the cluster resolved.
+func (t *routeTable) put(obj types.ObjectID, rt *route) *route {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var cur []*route
-	if p := t.p.Load(); p != nil {
-		cur = *p
+	c := t.chunk(obj)
+	if c == nil {
+		c = t.addChunk(int(obj) / routeChunkSize)
 	}
-	if int(obj) < len(cur) {
-		if old := cur[obj]; old != nil {
-			if old.epoch >= rt.epoch {
-				return // lost a benign race with a same-or-newer resolver
-			}
-			if old.used.Load() {
-				rt.used.Store(true)
+	slot := &c[int(obj)%routeChunkSize]
+	if old := slot.Load(); old != nil {
+		if old.epoch >= rt.epoch {
+			return old // lost a benign race with a same-or-newer resolver
+		}
+		if old.used.Load() {
+			rt.used.Store(true)
+		}
+	}
+	slot.Store(rt)
+	return rt
+}
+
+// addChunk installs a fresh chunk at directory index ci. A directory too
+// short for ci is first replaced by one at least twice as long (so the
+// copying amortizes to O(1) per chunk); a reader still holding the old one
+// merely misses the new chunk and re-resolves into put, which finds it.
+// Directory entries short of ci stay nil until an object lands in them, so
+// a sparse high ID costs one chunk plus directory pointers, not a dense run
+// of chunks. Called with mu held.
+func (t *routeTable) addChunk(ci int) *routeChunk {
+	var dir []atomic.Pointer[routeChunk]
+	if p := t.dir.Load(); p != nil {
+		dir = *p
+	}
+	if ci >= len(dir) {
+		grown := make([]atomic.Pointer[routeChunk], max(ci+1, 2*len(dir)))
+		for i := range dir {
+			grown[i].Store(dir[i].Load())
+		}
+		dir = grown
+		t.dir.Store(&dir)
+	}
+	c := new(routeChunk)
+	dir[ci].Store(c)
+	return c
+}
+
+// each visits every cached route in ascending object order.
+func (t *routeTable) each(visit func(obj types.ObjectID, rt *route)) {
+	dir := t.dir.Load()
+	if dir == nil {
+		return
+	}
+	for ci := range *dir {
+		c := (*dir)[ci].Load()
+		if c == nil {
+			continue
+		}
+		for i := range c {
+			if rt := c[i].Load(); rt != nil {
+				visit(types.ObjectID(ci*routeChunkSize+i), rt)
 			}
 		}
 	}
-	grown := make([]*route, max(int(obj)+1, len(cur)))
-	copy(grown, cur)
-	grown[obj] = rt
-	t.p.Store(&grown)
-}
-
-// snapshot returns the current table (nil entries for unresolved objects).
-func (t *routeTable) snapshot() []*route {
-	if p := t.p.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // Fabric routes low-level operations from clients to base objects through
@@ -648,9 +713,6 @@ func (f *Fabric) Close() error {
 // Cluster returns the underlying cluster.
 func (f *Fabric) Cluster() *cluster.Cluster { return f.cluster }
 
-// route resolves an object to its lane, caching the result: after the
-// first operation on an object, triggering never touches the cluster-wide
-// tables again.
 // ServerFor resolves the server hosting an object without dispatching
 // anything — the read-only face of the route table. Round engines use it to
 // build per-server accounting before a scatter, so completion callbacks
@@ -664,6 +726,11 @@ func (f *Fabric) ServerFor(obj types.ObjectID) (types.ServerID, error) {
 	return rt.server, nil
 }
 
+// route resolves an object to its lane, caching the result: after the
+// first operation on an object in a view epoch, triggering never touches
+// the cluster-wide tables again until the epoch moves. A miss costs one
+// cluster lookup, one route allocation and an O(1) publication, whether it
+// is the object's first touch or a re-resolution after a view change.
 func (f *Fabric) route(obj types.ObjectID) (*route, error) {
 	// The epoch is captured BEFORE the delta lookup: a concurrent
 	// migration that publishes a new mapping then bumps the epoch can at
@@ -698,8 +765,7 @@ func (f *Fabric) route(obj types.ObjectID) (*route, error) {
 		// (transferred) value — see lanenet's stateful place frames.
 		m.MirrorObject(o)
 	}
-	f.routes.put(obj, rt)
-	return rt, nil
+	return f.routes.put(obj, rt), nil
 }
 
 // Trigger issues a low-level operation asynchronously and returns its call
@@ -835,7 +901,7 @@ func (f *Fabric) triggerGroup(client types.ClientID, ops []BatchOp, scan bool) [
 		calls[i] = c
 		f.emit(TraceTrigger, &c.ev, rt.server)
 		if rt.srv.Crashed() {
-			f.drop(&heldOp{ev: c.ev, rt: rt, phase: PhaseDropped, call: c})
+			f.drop(rt.lane, &c.ev)
 			continue
 		}
 		if rt.srv.Departing() {
@@ -968,7 +1034,7 @@ func (f *Fabric) trigger(client types.ClientID, obj types.ObjectID, inv baseobj.
 	f.emit(TraceTrigger, &call.ev, rt.server)
 
 	if rt.srv.Crashed() {
-		f.drop(&heldOp{ev: call.ev, rt: rt, phase: PhaseDropped, call: call})
+		f.drop(rt.lane, &call.ev)
 		return call
 	}
 	if rt.srv.Departing() {
@@ -1018,7 +1084,7 @@ func (f *Fabric) applyInline(rt *route, call *Call) {
 func (f *Fabric) deliver(rt *route, call *Call) {
 	if rt.srv.Crashed() {
 		// A crashed object never responds.
-		f.drop(&heldOp{ev: call.ev, rt: rt, phase: PhaseDropped, call: call})
+		f.drop(rt.lane, &call.ev)
 		return
 	}
 	if rt.srv.Departing() {
@@ -1061,7 +1127,7 @@ func (f *Fabric) prepInflight(rt *route, call *Call) (LaneOp, bool) {
 		// The server crashed between the caller's check and the in-flight
 		// insert; the crash drain may already have run past this token.
 		if l.takeInflight(h.ev.Token) {
-			f.drop(h)
+			f.drop(l, &h.ev)
 		}
 		return LaneOp{}, false
 	}
@@ -1093,13 +1159,14 @@ func (f *Fabric) park(h *heldOp) {
 	l.mu.Unlock()
 }
 
-// drop records an operation that will never respond.
-func (f *Fabric) drop(h *heldOp) {
-	h.phase = PhaseDropped
-	f.emit(TraceDrop, &h.ev, h.ev.Server)
-	l := h.rt.lane
+// drop records an operation that will never respond. Only its trigger
+// event is kept — all Pending ever reports of a dropped op — so the op's
+// Call, route and completion closures are not pinned for the life of the
+// fabric by a server that will never answer.
+func (f *Fabric) drop(l *lane, ev *TriggerEvent) {
+	f.emit(TraceDrop, ev, ev.Server)
 	l.mu.Lock()
-	l.dropped[h.ev.Token] = h
+	l.dropped[ev.Token] = *ev
 	l.mu.Unlock()
 }
 
@@ -1136,7 +1203,7 @@ func (f *Fabric) Release(token uint64) error {
 // release lets a taken held op proceed.
 func (f *Fabric) release(h *heldOp) error {
 	if h.rt.srv.Crashed() {
-		f.drop(h)
+		f.drop(h.rt.lane, &h.ev)
 		return nil
 	}
 	if h.rt.srv.Departing() {
@@ -1214,16 +1281,14 @@ func (f *Fabric) Crash(server types.ServerID) error {
 	l.mu.Lock()
 	for token, h := range l.held {
 		delete(l.held, token)
-		h.phase = PhaseDropped
-		l.dropped[token] = h
+		l.dropped[token] = h.ev
 	}
 	// In-flight ops (on the wire of an asynchronous lane) are dropped too:
 	// removing them from the in-flight index makes any late completion a
 	// no-op, so the op stays pending forever like every crashed-server op.
 	for token, h := range l.inflight {
 		delete(l.inflight, token)
-		h.phase = PhaseDropped
-		l.dropped[token] = h
+		l.dropped[token] = h.ev
 	}
 	l.mu.Unlock()
 	return nil
@@ -1242,8 +1307,8 @@ func (f *Fabric) Pending() []PendingOp {
 		for _, h := range l.inflight {
 			ops = append(ops, PendingOp{Event: h.ev, Phase: h.phase})
 		}
-		for _, h := range l.dropped {
-			ops = append(ops, PendingOp{Event: h.ev, Phase: h.phase})
+		for _, ev := range l.dropped {
+			ops = append(ops, PendingOp{Event: ev, Phase: PhaseDropped})
 		}
 		l.mu.Unlock()
 	}
@@ -1274,14 +1339,14 @@ func (f *Fabric) Triggers() uint64 { return f.nextToken.Load() }
 // UsedObjects returns the set of base objects that had at least one
 // operation triggered on them — the paper's resource consumption of the
 // run — in ascending object order. The route table is object-indexed, so
-// the scan is already ordered.
+// the visit is already ordered.
 func (f *Fabric) UsedObjects() []types.ObjectID {
 	var ids []types.ObjectID
-	for obj, rt := range f.routes.snapshot() {
-		if rt != nil && rt.used.Load() {
-			ids = append(ids, types.ObjectID(obj))
+	f.routes.each(func(obj types.ObjectID, rt *route) {
+		if rt.used.Load() {
+			ids = append(ids, obj)
 		}
-	}
+	})
 	return ids
 }
 

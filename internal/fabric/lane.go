@@ -149,7 +149,10 @@ type lane struct {
 	mu       sync.Mutex
 	held     map[uint64]*heldOp
 	inflight map[uint64]*heldOp
-	dropped  map[uint64]*heldOp
+	// dropped holds the trigger events of ops lost to a crash — events, not
+	// *heldOp records: a dropped op is never released or completed, so
+	// keeping its Call and closures would only pin them forever.
+	dropped map[uint64]TriggerEvent
 	// departing freezes the lane for a view change. It lives under mu —
 	// not in an atomic — deliberately: putInflight checks it under the
 	// same lock the coordinator sets it under, so after setDeparting
@@ -168,7 +171,7 @@ func newLane(server types.ServerID, backend Lane) *lane {
 		inproc:   inproc,
 		held:     make(map[uint64]*heldOp),
 		inflight: make(map[uint64]*heldOp),
-		dropped:  make(map[uint64]*heldOp),
+		dropped:  make(map[uint64]TriggerEvent),
 	}
 }
 

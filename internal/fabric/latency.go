@@ -480,11 +480,11 @@ func (l *LatencyLane) fire(h *pendingHeap, t int64) {
 		}
 		h.put(idx)
 	}
-	l.scratch = out[:0:cap(out)]
-
 	l.cmu.Lock()
 	l.cq = append(l.cq, out...)
 	l.cmu.Unlock()
+	clear(out) // release op closures for GC, as put does for the heap's slots
+	l.scratch = out[:0]
 	select {
 	case l.csig <- struct{}{}:
 	default:

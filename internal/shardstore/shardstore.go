@@ -320,6 +320,15 @@ func (st *Store) Reconfigure(ctx context.Context, s int) error {
 		return fmt.Errorf("shardstore: shard %d outside [0, %d)", s, len(st.shards))
 	}
 	sh := st.shards[s]
+	// Like Resize, hold the shard's register table for the whole roll: a key
+	// materializing mid-Replace would place a base object on the leaver
+	// after its objects were enumerated for transfer and strand it there,
+	// and one materializing afterwards must pin to the live member set, not
+	// to the Open-time IDs that just left. (A stopgap: placement that is
+	// atomic with the view, for any caller, is ROADMAP item 1.)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.resized = true
 	view := sh.env.Cluster.View()
 	for _, old := range view.Members {
 		maker, err := st.joinerMakerAt(s, st.Env(s).Cluster.N())
