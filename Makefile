@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-json fabric-bench loadgen-smoke lint race-lanes race-lanes-mailbox1 race-routes race-shards race-churn race-coded race-resize
+.PHONY: all build vet test race bench bench-smoke bench-json fabric-bench loadgen-smoke lint loc race-sweep race-rounds race-lanes race-lanes-mailbox1 race-routes race-shards race-churn race-coded race-resize
 
 all: vet build test
 
@@ -18,6 +18,13 @@ lint: vet
 	else \
 		echo "staticcheck not installed; ran go vet only"; \
 	fi
+
+# The size ledger ROADMAP item 3 is judged by: total and non-blank,
+# non-comment lines of non-test Go outside bench/.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | sort | xargs cat | \
+		awk '{ total++ } !/^[[:space:]]*($$|\/\/)/ { code++ } \
+		END { printf "non-test Go outside bench/: %d lines, %d non-blank non-comment\n", total, code }'
 
 test:
 	$(GO) test ./...
@@ -54,6 +61,22 @@ loadgen-smoke:
 # The fabric dispatch throughput number tracked in the perf trajectory.
 fabric-bench:
 	$(GO) test -run xxx -bench BenchmarkFabricParallelTrigger -benchtime 2s .
+
+# Sweep-engine suite under the race detector: the exhaustive f=1 schedule
+# class over every construction and the parallel-vs-sequential parity test,
+# which doubles as the engine's data-race probe. Selected by package and the
+# TestExhaustive / TestSweep name prefixes, so new sweep tests join without
+# a list edit.
+race-sweep:
+	$(GO) test -race -count 1 -run 'TestExhaustive|TestSweep' ./internal/runner
+
+# The round engine, the blocking adapter and the collect/push chain under
+# the race detector, repeated and at three GOMAXPROCS settings: every
+# quorum condition and reducer of the one scatter, the cancellation
+# contract on all six constructions and both lanes, and view-change retries
+# through a Replace. Selected by package — no name list to rot.
+race-rounds:
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/emulation ./internal/emulation/rounds ./internal/emulation/abdcore
 
 # Lane-backend suite under the race detector: latency lanes (event loop,
 # snapshot scans, coalescing, crash windows), the TCP protocol/node/client

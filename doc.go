@@ -53,20 +53,39 @@
 //     (reconnect-as-crash), so killing a node process is exactly the
 //     paper's server crash: in-flight and future ops become pending
 //     forever and quorums over surviving nodes keep completing.
-//   - internal/emulation/rounds: the shared quorum round engine — scatter
-//     a round over the lanes, await a quorum of responses (count-based,
-//     or Algorithm 2's complete-per-server scans), adaptive to crashes.
-//     All-read collect rounds use the scan variants (ScatterScan,
-//     ScatterFoldServersScan), so every construction's collect phase rides
-//     the snapshot path.
-//   - internal/emulation/...: the five constructions of Table 1 (abdmax,
-//     casmax, aacmax, regemu, and the under-provisioned naiveabd
-//     baseline), all built on the round engine; a new construction is the
-//     store layer plus ~50 lines of wiring. Every construction offers the
-//     blocking Writer/Reader handles and completion-based
-//     StartWrite/StartRead handles (emulation.AsyncWriter/AsyncReader):
-//     high-level operations run as callback chains over the non-blocking
-//     rounds.ScatterFold* gathers, so an in-flight op costs no goroutine.
+//   - internal/emulation/rounds: the one quorum round engine. Scatter
+//     takes a Round — per-attempt geometry (a Plan, re-run before every
+//     attempt so a retry across a resize epoch uses the new placement and
+//     the new n−f), dispatch (TriggerBatch, or TriggerScan for all-read
+//     collects, which ride the snapshot path), a completion condition (a
+//     response count, or Algorithm 2's all-but-f complete per-server scans
+//     with the over-delivery guard) and a reducer (fold the maximum
+//     timestamp, or hand over the raw reports) — triggers the round in one
+//     call and reports exactly once from whatever goroutine completes it.
+//     Nothing blocks and there are no report channels; crashed or held
+//     operations just leave the round pending. Retry is the one place a
+//     view-change retry is decided and scheduled: a completion that raced
+//     a reconfiguration never applied, so the round (Scatter, abdcore's
+//     store-start rounds) or the single low-level write (regemu's
+//     re-trigger) runs again through fresh routes after a short backoff —
+//     unless the operation's context ended, in which case it reports that
+//     instead and triggers nothing.
+//   - internal/emulation/...: the constructions of Table 1 (abdmax,
+//     casmax, aacmax, regemu, and the under-provisioned naiveabd baseline)
+//     plus coded, each written once, as a completion-based chain of rounds:
+//     the four quorum constructions are store layers under abdcore's one
+//     collect and one push (a store's operation is either a direct fabric
+//     target scattered with the round or a chain the store starts itself),
+//     wired up by quorumreg; a new one is the store layer plus ~50 lines.
+//     Handles come from package emulation: StartWrite/StartRead run the
+//     chain under the caller's context (an in-flight op costs no
+//     goroutine), and Write/Read are one blocking adapter over the same
+//     chain, which owns the cancellation contract — an already-cancelled
+//     context fails before any trigger; an operation cancelled mid-flight
+//     is abandoned: it starts no further round, its history entry stays
+//     pending (completion and abandonment race on a single latch, so the
+//     entry closes before the call returns or never), and the handle is
+//     reusable.
 //   - internal/emulation/coded: the sixth construction opens the
 //     bytes-per-server axis — a systematic Reed–Solomon GF(2^8) coder
 //     stripes each write's payload into n timestamped fragments (any
@@ -86,7 +105,8 @@
 //     single event-loop goroutine (mailbox, freestore-style) multiplexing
 //     thousands of logical clients over one construction, with per-client
 //     op serialization (the paper's well-formed histories), queueing, and
-//     close/cancellation propagation onto every in-flight op.
+//     close/cancellation propagation onto every in-flight op (chains run
+//     under the engine's context, so a closed engine retries nothing).
 //   - internal/shardstore: the horizontal-composition layer — a large
 //     register key-space partitioned across S independent fabrics (each a
 //     complete vertical slice: cluster, fabric, lane group; shards share

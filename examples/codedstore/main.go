@@ -17,7 +17,6 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/emulation"
 	"repro/internal/emulation/coded"
 	"repro/internal/fabric"
 	"repro/internal/lanenet"
@@ -99,7 +98,7 @@ func main() {
 	// write needs n-f=4 fragment acks and any reader needs kData=3
 	// fragments, so losing a node mid-stripe costs nothing but its share.
 	done := make(chan error, 1)
-	w.(emulation.AsyncWriter).StartWrite(2, func(err error) { done <- err })
+	w.StartWrite(ctx, 2, func(err error) { done <- err })
 	nodes[4].kill()
 	fmt.Println("killed node 4 mid-write (connections dropped, lane crashed)")
 	select {

@@ -15,6 +15,7 @@
 package aacmax
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -38,16 +39,19 @@ type store struct {
 	last map[types.ClientID]types.TSValue // client-side write-max floor
 }
 
-// Compile-time interface compliance check.
-var _ abdcore.MaxStore = (*store)(nil)
+// Compile-time interface compliance checks.
+var (
+	_ abdcore.ReadStarter  = (*store)(nil)
+	_ abdcore.WriteStarter = (*store)(nil)
+)
 
 // Server implements abdcore.MaxStore.
 func (s *store) Server() types.ServerID { return s.server }
 
-// StartWriteMax implements abdcore.MaxStore: writer i writes its own base
+// StartWriteMax implements abdcore.WriteStarter: writer i writes its own base
 // register, skipping values no larger than what it already wrote there
 // (which makes the cell monotone, i.e. a genuine single-writer max).
-func (s *store) StartWriteMax(client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
+func (s *store) StartWriteMax(_ context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
 	if int(client) < 0 || int(client) >= len(s.regs) {
 		report(types.ZeroTSValue, fmt.Errorf("aacmax: client %d is not a writer (k=%d)", client, len(s.regs)))
 		return
@@ -76,13 +80,15 @@ func (s *store) StartWriteMax(client types.ClientID, v types.TSValue, report fun
 	})
 }
 
-// StartReadMax implements abdcore.MaxStore: scatter a read over all k
+// StartReadMax implements abdcore.ReadStarter: scatter a read over all k
 // registers of the server in one batch and report their maximum once all
 // have responded. The registers live on the same server, so they crash
 // together: the fold either completes in full or stalls like any faulty
 // base object.
-func (s *store) StartReadMax(client types.ClientID, report func(types.TSValue, error)) {
-	rounds.ScatterFold(s.fab, client, s.scan, len(s.scan), report)
+func (s *store) StartReadMax(ctx context.Context, client types.ClientID, report func(types.TSValue, error)) {
+	rounds.Scatter(ctx, s.fab, client, rounds.Round{Max: report, Plan: func() ([]rounds.Target, int) {
+		return s.scan, len(s.scan)
+	}})
 }
 
 // storeReshaper re-places per-server k-register stores across a view

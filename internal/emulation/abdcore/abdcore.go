@@ -12,12 +12,9 @@
 // the fabric's trigger/respond model. Plugging in different stores yields
 // the different rows of Table 1.
 //
-// The round mechanics (scatter, quorum gather, crash adaptivity) live in
-// the shared internal/emulation/rounds engine. Stores whose operations are
-// single low-level ops additionally implement rounds.DirectReader /
-// rounds.DirectWriter, and the engine then scatters whole quorum rounds
-// through fabric.TriggerBatch in one call instead of starting each store
-// individually.
+// The round mechanics (scatter, quorum threshold, crash adaptivity,
+// view-change retry) live in the shared internal/emulation/rounds engine;
+// this package is the collect/push chain on top of it.
 package abdcore
 
 import (
@@ -32,16 +29,29 @@ import (
 )
 
 // MaxStore is the per-server storage abstraction: an asynchronous
-// max-register. Start calls must not block; report must be invoked at most
-// once, when (and if) the operation completes. A store whose server crashed
-// simply never reports, like any faulty base object.
+// max-register. Each of its two operations is either direct — a single
+// low-level op, exposed as a rounds.DirectReader / rounds.DirectWriter
+// target that the engine batch-scatters with the rest of the round — or
+// started: a multi-step chain the store runs itself (ReadStarter /
+// WriteStarter). A store whose server crashed simply never reports, like
+// any faulty base object.
 type MaxStore interface {
 	// Server returns the hosting server.
 	Server() types.ServerID
-	// StartWriteMax asynchronously applies write-max(v) for client.
-	StartWriteMax(client types.ClientID, v types.TSValue, report func(types.TSValue, error))
-	// StartReadMax asynchronously applies read-max() for client.
-	StartReadMax(client types.ClientID, report func(types.TSValue, error))
+}
+
+// ReadStarter is a store whose read-max is a chain of low-level operations
+// (aacmax's per-server scan). The start must not block and must start
+// nothing once ctx is done; report must be invoked at most once, when (and
+// if) the operation completes.
+type ReadStarter interface {
+	StartReadMax(ctx context.Context, client types.ClientID, report func(types.TSValue, error))
+}
+
+// WriteStarter is the write-max analogue of ReadStarter (casmax's
+// Algorithm 1 loop, aacmax's floor-checked register write).
+type WriteStarter interface {
+	StartWriteMax(ctx context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error))
 }
 
 // Errors reported by the engine.
@@ -63,7 +73,7 @@ type placement struct {
 	// readTargets is non-nil when every store is a rounds.DirectReader
 	// (the per-store read-max invocations, precomputed — they are constant
 	// for a placement), and directWriters is non-nil when every store is a
-	// rounds.DirectWriter.
+	// rounds.DirectWriter; otherwise every store is a starter for that side.
 	readTargets   []rounds.Target
 	directWriters []rounds.DirectWriter
 }
@@ -76,9 +86,7 @@ func (p *placement) quorum() int { return len(p.stores) - p.f }
 type Engine struct {
 	p             atomic.Pointer[placement]
 	readWriteBack bool
-
-	// fab enables the batch-scatter fast path for direct stores.
-	fab *fabric.Fabric
+	fab           *fabric.Fabric
 }
 
 // Option configures an Engine.
@@ -93,20 +101,14 @@ func WithReadWriteBack() Option {
 	return func(e *Engine) { e.readWriteBack = true }
 }
 
-// WithFabric tells the engine which fabric its stores trigger on, enabling
-// whole-round TriggerBatch scatters for direct stores. Without it the
-// engine falls back to starting each store individually.
-func WithFabric(fab *fabric.Fabric) Option {
-	return func(e *Engine) { e.fab = fab }
-}
-
-// New creates an engine over the given stores with failure threshold f.
-func New(stores []MaxStore, f int, opts ...Option) (*Engine, error) {
-	e := &Engine{}
+// New creates an engine over the given stores, which trigger on fab, with
+// failure threshold f.
+func New(fab *fabric.Fabric, stores []MaxStore, f int, opts ...Option) (*Engine, error) {
+	e := &Engine{fab: fab}
 	for _, opt := range opts {
 		opt(e)
 	}
-	p, err := e.buildPlacement(stores, f)
+	p, err := buildPlacement(stores, f)
 	if err != nil {
 		return nil, err
 	}
@@ -116,30 +118,43 @@ func New(stores []MaxStore, f int, opts ...Option) (*Engine, error) {
 
 // buildPlacement validates a store set + budget pair and precomputes its
 // direct-dispatch artifacts.
-func (e *Engine) buildPlacement(stores []MaxStore, f int) (*placement, error) {
+func buildPlacement(stores []MaxStore, f int) (*placement, error) {
 	if f <= 0 {
 		return nil, fmt.Errorf("abdcore: f must be positive, got %d", f)
 	}
 	if len(stores) < 2*f+1 {
 		return nil, fmt.Errorf("%w: have %d, f=%d", ErrTooFewStores, len(stores), f)
 	}
-	p := &placement{stores: stores, f: f}
-	if e.fab != nil {
-		readTargets := make([]rounds.Target, 0, len(stores))
-		writers := make([]rounds.DirectWriter, 0, len(stores))
+	p := &placement{
+		stores:        stores,
+		f:             f,
+		readTargets:   make([]rounds.Target, 0, len(stores)),
+		directWriters: make([]rounds.DirectWriter, 0, len(stores)),
+	}
+	for _, s := range stores {
+		if dr, ok := s.(rounds.DirectReader); ok {
+			p.readTargets = append(p.readTargets, dr.ReadTarget())
+		}
+		if dw, ok := s.(rounds.DirectWriter); ok {
+			p.directWriters = append(p.directWriters, dw)
+		}
+	}
+	// A side is scattered directly only when every store offers it;
+	// otherwise each store is started, which all must then support.
+	if len(p.readTargets) != len(stores) {
+		p.readTargets = nil
 		for _, s := range stores {
-			if dr, ok := s.(rounds.DirectReader); ok {
-				readTargets = append(readTargets, dr.ReadTarget())
-			}
-			if dw, ok := s.(rounds.DirectWriter); ok {
-				writers = append(writers, dw)
+			if _, ok := s.(ReadStarter); !ok {
+				return nil, fmt.Errorf("abdcore: store on server %d cannot start a read-max", s.Server())
 			}
 		}
-		if len(readTargets) == len(stores) {
-			p.readTargets = readTargets
-		}
-		if len(writers) == len(stores) {
-			p.directWriters = writers
+	}
+	if len(p.directWriters) != len(stores) {
+		p.directWriters = nil
+		for _, s := range stores {
+			if _, ok := s.(WriteStarter); !ok {
+				return nil, fmt.Errorf("abdcore: store on server %d cannot start a write-max", s.Server())
+			}
 		}
 	}
 	return p, nil
@@ -152,7 +167,7 @@ func (e *Engine) buildPlacement(stores []MaxStore, f int) (*placement, error) {
 // placement. Callers resize inside a frozen fabric transition, where old
 // rounds can only bounce with retryable view-change errors.
 func (e *Engine) Resize(stores []MaxStore, f int) error {
-	p, err := e.buildPlacement(stores, f)
+	p, err := buildPlacement(stores, f)
 	if err != nil {
 		return err
 	}
@@ -171,154 +186,88 @@ func (e *Engine) F() int { return e.p.Load().f }
 // placement snapshot, never from a caller's remembered f.
 func (e *Engine) Quorum() int { return e.p.Load().quorum() }
 
-// Collect reads the highest timestamped value from a quorum of stores. A
-// round that races a reconfiguration (some member completed with a
-// view-change error, so it never applied) retries whole under the new view:
-// routes re-resolve, the quorum re-forms, and the blocking shape makes
-// fabric.RetryView the natural retry loop.
-func (e *Engine) Collect(ctx context.Context, client types.ClientID) (types.TSValue, error) {
-	return fabric.RetryView(ctx, func() (types.TSValue, error) {
-		return e.collectOnce(ctx, client)
-	})
-}
-
-func (e *Engine) collectOnce(ctx context.Context, client types.ClientID) (types.TSValue, error) {
-	// One snapshot per attempt: a retry after a resize re-enters here and
-	// loads the new placement — targets and threshold together.
-	p := e.p.Load()
-	if p.readTargets != nil {
-		v, err := rounds.Scatter(e.fab, client, p.readTargets).AwaitMax(ctx, p.quorum())
-		if err != nil {
-			return v, fmt.Errorf("abdcore: %w", err)
-		}
-		return v, nil
-	}
-	// The channel is sized for one report per store; Deliver keeps a
-	// misbehaving store (or a late report after this gather was abandoned
-	// on ctx cancellation) from ever blocking a fabric goroutine.
-	ch := make(chan rounds.Report, len(p.stores))
-	for i, s := range p.stores {
-		i := i
-		s.StartReadMax(client, func(v types.TSValue, err error) {
-			rounds.Deliver(ch, rounds.Report{Index: i, Val: v, Err: err})
+// collect reads the highest timestamped value from a quorum of stores.
+// report fires exactly once, on the quorum'th response, the first error, or
+// ctx's end before an attempt — possibly inline. If fewer than a quorum of
+// stores ever respond, report never fires: a pending op. Each attempt —
+// including view-change retries — snapshots the placement afresh, so a
+// retry that crosses a resize gathers against the new targets at the new
+// n−f, never a mixed view.
+func (e *Engine) collect(ctx context.Context, client types.ClientID, report func(types.TSValue, error)) {
+	if e.p.Load().readTargets == nil {
+		e.startStores(ctx, report, func(s MaxStore, rep func(types.TSValue, error)) {
+			s.(ReadStarter).StartReadMax(ctx, client, rep)
 		})
+		return
 	}
-	v, err := rounds.Gather(ctx, ch, p.quorum())
-	if err != nil {
-		return v, fmt.Errorf("abdcore: %w", err)
-	}
-	return v, nil
+	rounds.Scatter(ctx, e.fab, client, rounds.Round{Max: report, Plan: func() ([]rounds.Target, int) {
+		p := e.p.Load()
+		return p.readTargets, p.quorum()
+	}})
 }
 
-// WriteMax pushes v to a quorum of stores, retrying the round under a new
-// view if it raced a reconfiguration (write-max is idempotent, so the
-// already-acknowledged members absorb the replay).
-func (e *Engine) WriteMax(ctx context.Context, client types.ClientID, v types.TSValue) error {
-	_, err := fabric.RetryView(ctx, func() (types.TSValue, error) {
-		return types.ZeroTSValue, e.writeMaxOnce(ctx, client, v)
-	})
-	return err
-}
-
-func (e *Engine) writeMaxOnce(ctx context.Context, client types.ClientID, v types.TSValue) error {
-	p := e.p.Load()
-	if p.directWriters != nil {
+// push writes v to a quorum of stores, with collect's contract. Write-max
+// is idempotent, so on a view-change retry the already-acknowledged members
+// absorb the replay.
+func (e *Engine) push(ctx context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
+	if e.p.Load().directWriters == nil {
+		e.startStores(ctx, report, func(s MaxStore, rep func(types.TSValue, error)) {
+			s.(WriteStarter).StartWriteMax(ctx, client, v, rep)
+		})
+		return
+	}
+	rounds.Scatter(ctx, e.fab, client, rounds.Round{Max: report, Plan: func() ([]rounds.Target, int) {
+		p := e.p.Load()
 		targets := make([]rounds.Target, len(p.directWriters))
 		for i, dw := range p.directWriters {
 			targets[i] = dw.WriteTarget(v)
 		}
-		if _, err := rounds.Scatter(e.fab, client, targets).AwaitMax(ctx, p.quorum()); err != nil {
-			return fmt.Errorf("abdcore: %w", err)
+		return targets, p.quorum()
+	}})
+}
+
+// startStores is the round over started stores: every store of the live
+// placement runs its own chain (start), the quorum'th report completes the
+// round, and a view-change completion re-starts every store under the new
+// view through rounds.Retry.
+func (e *Engine) startStores(ctx context.Context, report func(types.TSValue, error), start func(MaxStore, func(types.TSValue, error))) {
+	if err := ctx.Err(); err != nil {
+		report(types.ZeroTSValue, err)
+		return
+	}
+	e.startStoresAttempt(ctx, report, start, 0)
+}
+
+func (e *Engine) startStoresAttempt(ctx context.Context, report func(types.TSValue, error), start func(MaxStore, func(types.TSValue, error)), attempt int) {
+	p := e.p.Load()
+	j := rounds.NewFold(p.quorum(), func(v types.TSValue, err error) {
+		if err != nil && rounds.Retry(ctx, attempt, err,
+			func(next int) { e.startStoresAttempt(ctx, report, start, next) },
+			func(err error) { report(types.ZeroTSValue, err) }) {
+			return
 		}
-		return nil
-	}
-	// One report per store fits the buffer even if this gather is
-	// abandoned: casmax's multi-step Algorithm 1 chains keep running on
-	// fabric goroutines after a ctx cancellation and report here late.
-	ch := make(chan rounds.Report, len(p.stores))
-	for i, s := range p.stores {
-		i := i
-		s.StartWriteMax(client, v, func(got types.TSValue, err error) {
-			rounds.Deliver(ch, rounds.Report{Index: i, Val: got, Err: err})
-		})
-	}
-	if _, err := rounds.Gather(ctx, ch, p.quorum()); err != nil {
-		return fmt.Errorf("abdcore: %w", err)
-	}
-	return nil
-}
-
-// startCollect is the non-blocking Collect: report fires exactly once, on
-// the quorum'th response or the first error, possibly inline. If fewer
-// than a quorum of stores ever respond, report never fires — a pending op.
-// View-change completions retry transparently: the direct path inherits
-// ScatterFold's built-in re-scatter; the store-start path (casmax chains)
-// re-starts every store under the new view via rounds.ViewRetry.
-func (e *Engine) startCollect(client types.ClientID, report func(types.TSValue, error)) {
-	e.startCollectAttempt(client, report, 0)
-}
-
-func (e *Engine) startCollectAttempt(client types.ClientID, report func(types.TSValue, error), attempt int) {
-	// Each attempt — including view-change rescatters — snapshots the
-	// placement afresh, so a retry that crosses a resize gathers against
-	// the new targets at the new n−f, never a mixed view.
-	p := e.p.Load()
-	if p.readTargets != nil {
-		rounds.ScatterFoldDyn(e.fab, client, func() ([]rounds.Target, int) {
-			p := e.p.Load()
-			return p.readTargets, p.quorum()
-		}, report)
-		return
-	}
-	j := rounds.NewFold(p.quorum(), rounds.ViewRetry(attempt, report, func(next int) {
-		e.startCollectAttempt(client, report, next)
-	}))
+		report(v, err)
+	})
 	for _, s := range p.stores {
-		s.StartReadMax(client, j.Complete)
+		start(s, j.Complete)
 	}
 }
 
-// startPush is the non-blocking WriteMax, with the same view-change retry
-// split as startCollect.
-func (e *Engine) startPush(client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
-	e.startPushAttempt(client, v, report, 0)
-}
-
-func (e *Engine) startPushAttempt(client types.ClientID, v types.TSValue, report func(types.TSValue, error), attempt int) {
-	p := e.p.Load()
-	if p.directWriters != nil {
-		rounds.ScatterFoldDyn(e.fab, client, func() ([]rounds.Target, int) {
-			p := e.p.Load()
-			targets := make([]rounds.Target, len(p.directWriters))
-			for i, dw := range p.directWriters {
-				targets[i] = dw.WriteTarget(v)
-			}
-			return targets, p.quorum()
-		}, report)
-		return
-	}
-	j := rounds.NewFold(p.quorum(), rounds.ViewRetry(attempt, report, func(next int) {
-		e.startPushAttempt(client, v, report, next)
-	}))
-	for _, s := range p.stores {
-		s.StartWriteMax(client, v, j.Complete)
-	}
-}
-
-// StartWrite is the completion-based high-level write: the collect and push
-// phases run as a callback chain on whatever goroutines complete the
+// StartWrite is the high-level write: collect, bump the timestamp, push.
+// The phases run as a callback chain on whatever goroutines complete the
 // low-level operations, so nothing ever blocks — one caller goroutine can
 // keep thousands of writes in flight. done fires exactly once, when the
-// push quorum acknowledged (or on the first protocol error); it never
-// fires if the failure assumption is violated, like any pending op.
-func (e *Engine) StartWrite(client types.ClientID, v types.Value, done func(error)) {
-	e.startCollect(client, func(cur types.TSValue, err error) {
+// push quorum acknowledged (or on the first protocol error, or when ctx
+// ended before a round); it never fires if the failure assumption is
+// violated, like any pending op.
+func (e *Engine) StartWrite(ctx context.Context, client types.ClientID, v types.Value, done func(error)) {
+	e.collect(ctx, client, func(cur types.TSValue, err error) {
 		if err != nil {
 			done(fmt.Errorf("abdcore: write collect: %w", err))
 			return
 		}
 		next := types.TSValue{TS: cur.TS + 1, Writer: client, Val: v}
-		e.startPush(client, next, func(_ types.TSValue, err error) {
+		e.push(ctx, client, next, func(_ types.TSValue, err error) {
 			if err != nil {
 				done(fmt.Errorf("abdcore: write push: %w", err))
 				return
@@ -328,10 +277,11 @@ func (e *Engine) StartWrite(client types.ClientID, v types.Value, done func(erro
 	})
 }
 
-// StartRead is the completion-based high-level read; with WithReadWriteBack
-// the write-back phase chains in before done fires.
-func (e *Engine) StartRead(client types.ClientID, done func(types.Value, error)) {
-	e.startCollect(client, func(cur types.TSValue, err error) {
+// StartRead is the high-level read: collect, optionally write back (with
+// WithReadWriteBack the push chains in before done fires), return the
+// freshest value.
+func (e *Engine) StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error)) {
+	e.collect(ctx, client, func(cur types.TSValue, err error) {
 		if err != nil {
 			done(types.InitialValue, fmt.Errorf("abdcore: read collect: %w", err))
 			return
@@ -340,7 +290,7 @@ func (e *Engine) StartRead(client types.ClientID, done func(types.Value, error))
 			done(cur.Val, nil)
 			return
 		}
-		e.startPush(client, cur, func(_ types.TSValue, err error) {
+		e.push(ctx, client, cur, func(_ types.TSValue, err error) {
 			if err != nil {
 				done(types.InitialValue, fmt.Errorf("abdcore: read write-back: %w", err))
 				return
@@ -348,32 +298,4 @@ func (e *Engine) StartRead(client types.ClientID, done func(types.Value, error))
 			done(cur.Val, nil)
 		})
 	})
-}
-
-// Write performs the high-level write: collect, bump the timestamp, push.
-func (e *Engine) Write(ctx context.Context, client types.ClientID, v types.Value) error {
-	cur, err := e.Collect(ctx, client)
-	if err != nil {
-		return fmt.Errorf("abdcore: write collect: %w", err)
-	}
-	next := types.TSValue{TS: cur.TS + 1, Writer: client, Val: v}
-	if err := e.WriteMax(ctx, client, next); err != nil {
-		return fmt.Errorf("abdcore: write push: %w", err)
-	}
-	return nil
-}
-
-// Read performs the high-level read: collect, optionally write back, return
-// the freshest value.
-func (e *Engine) Read(ctx context.Context, client types.ClientID) (types.Value, error) {
-	cur, err := e.Collect(ctx, client)
-	if err != nil {
-		return types.InitialValue, fmt.Errorf("abdcore: read collect: %w", err)
-	}
-	if e.readWriteBack {
-		if err := e.WriteMax(ctx, client, cur); err != nil {
-			return types.InitialValue, fmt.Errorf("abdcore: read write-back: %w", err)
-		}
-	}
-	return cur.Val, nil
 }

@@ -5,14 +5,16 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/fabric"
 	"repro/internal/types"
 )
 
-// fakeStore is an in-memory max-store with controllable delivery: silent
-// stores never report (like crashed or held base objects), failing stores
-// report an error.
+// fakeStore is an in-memory started max-store with controllable delivery:
+// silent stores never report (like crashed or held base objects), failing
+// stores report an error. It reports inline, so a chain over fake stores
+// has completed — or is pending forever — by the time its Start returns.
 type fakeStore struct {
 	server types.ServerID
 
@@ -25,11 +27,14 @@ type fakeStore struct {
 	readMaxCalls  int
 }
 
-var _ MaxStore = (*fakeStore)(nil)
+var (
+	_ ReadStarter  = (*fakeStore)(nil)
+	_ WriteStarter = (*fakeStore)(nil)
+)
 
 func (s *fakeStore) Server() types.ServerID { return s.server }
 
-func (s *fakeStore) StartWriteMax(_ types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
+func (s *fakeStore) StartWriteMax(_ context.Context, _ types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
 	s.mu.Lock()
 	s.writeMaxCalls++
 	if s.silent {
@@ -48,7 +53,7 @@ func (s *fakeStore) StartWriteMax(_ types.ClientID, v types.TSValue, report func
 	report(got, nil)
 }
 
-func (s *fakeStore) StartReadMax(_ types.ClientID, report func(types.TSValue, error)) {
+func (s *fakeStore) StartReadMax(_ context.Context, _ types.ClientID, report func(types.TSValue, error)) {
 	s.mu.Lock()
 	s.readMaxCalls++
 	if s.silent {
@@ -77,60 +82,80 @@ func newFakes(n int) ([]*fakeStore, []MaxStore) {
 	return fakes, stores
 }
 
-func TestEngineValidation(t *testing.T) {
-	_, stores := newFakes(3)
-	if _, err := New(stores, 0); err == nil {
-		t.Error("f=0 accepted")
+// newEngine builds an engine over the stores; fake stores never touch the
+// fabric, which only carries direct rounds.
+func newEngine(t *testing.T, stores []MaxStore, f int, opts ...Option) *Engine {
+	t.Helper()
+	c, err := cluster.New(len(stores))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(stores[:2], 1); !errors.Is(err, ErrTooFewStores) {
-		t.Errorf("2 stores for f=1 err = %v, want ErrTooFewStores", err)
-	}
-	e, err := New(stores, 1)
+	e, err := New(fabric.New(c), stores, f, opts...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if e.Quorum() != 2 {
+	return e
+}
+
+// errPending marks a chain that did not complete inline: over fake stores,
+// one that never will.
+var errPending = errors.New("operation pending")
+
+func write(ctx context.Context, e *Engine, client types.ClientID, v types.Value) error {
+	err := errPending
+	e.StartWrite(ctx, client, v, func(got error) { err = got })
+	return err
+}
+
+func read(ctx context.Context, e *Engine, client types.ClientID) (types.Value, error) {
+	v, err := types.InitialValue, errPending
+	e.StartRead(ctx, client, func(got types.Value, gotErr error) { v, err = got, gotErr })
+	return v, err
+}
+
+func TestEngineValidation(t *testing.T) {
+	_, stores := newFakes(3)
+	if _, err := New(nil, stores, 0); err == nil {
+		t.Error("f=0 accepted")
+	}
+	if _, err := New(nil, stores[:2], 1); !errors.Is(err, ErrTooFewStores) {
+		t.Errorf("2 stores for f=1 err = %v, want ErrTooFewStores", err)
+	}
+	type bare struct{ MaxStore }
+	if _, err := New(nil, []MaxStore{stores[0], stores[1], bare{stores[2]}}, 1); err == nil {
+		t.Error("a store with neither a direct nor a started read-max was accepted")
+	}
+	if e := newEngine(t, stores, 1); e.Quorum() != 2 {
 		t.Errorf("Quorum = %d, want 2", e.Quorum())
 	}
 }
 
+// TestWriteThenRead drives the chain over synchronous stores: the whole
+// collect/push chain completes inline, so done has fired by the time
+// StartWrite returns.
 func TestWriteThenRead(t *testing.T) {
 	_, stores := newFakes(3)
-	e, err := New(stores, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, stores, 1)
 	ctx := context.Background()
-	if err := e.Write(ctx, 0, 42); err != nil {
-		t.Fatalf("Write: %v", err)
+	if err := write(ctx, e, 0, 42); err != nil {
+		t.Fatalf("write: %v", err)
 	}
-	got, err := e.Read(ctx, 100)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got != 42 {
-		t.Fatalf("Read = %d, want 42", got)
+	if got, err := read(ctx, e, 100); err != nil || got != 42 {
+		t.Fatalf("read = %d, %v; want 42", got, err)
 	}
 }
 
 func TestTimestampsIncrease(t *testing.T) {
 	fakes, stores := newFakes(3)
-	e, err := New(stores, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
+	e := newEngine(t, stores, 1)
 	for i := 1; i <= 5; i++ {
-		if err := e.Write(ctx, types.ClientID(i%2), types.Value(i)); err != nil {
+		if err := write(context.Background(), e, types.ClientID(i%2), types.Value(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, s := range fakes {
-		if s.val.TS != 5 {
-			t.Errorf("store %d ts = %d, want 5", i, s.val.TS)
-		}
-		if s.val.Val != 5 {
-			t.Errorf("store %d val = %d, want 5", i, s.val.Val)
+		if s.val.TS != 5 || s.val.Val != 5 {
+			t.Errorf("store %d holds %v, want ts 5 val 5", i, s.val)
 		}
 	}
 }
@@ -139,70 +164,55 @@ func TestToleratesFSilentStores(t *testing.T) {
 	fakes, stores := newFakes(5)
 	fakes[0].silent = true
 	fakes[3].silent = true // f = 2 silent stores
-	e, err := New(stores, 2)
-	if err != nil {
-		t.Fatal(err)
+	e := newEngine(t, stores, 2)
+	ctx := context.Background()
+	if err := write(ctx, e, 0, 7); err != nil {
+		t.Fatalf("write with f silent stores: %v", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := e.Write(ctx, 0, 7); err != nil {
-		t.Fatalf("Write with f silent stores: %v", err)
-	}
-	got, err := e.Read(ctx, 100)
-	if err != nil {
-		t.Fatalf("Read with f silent stores: %v", err)
-	}
-	if got != 7 {
-		t.Fatalf("Read = %d, want 7", got)
+	if got, err := read(ctx, e, 100); err != nil || got != 7 {
+		t.Fatalf("read with f silent stores = %d, %v; want 7", got, err)
 	}
 }
 
-func TestBlocksBeyondFSilentStores(t *testing.T) {
+// TestPendingBeyondFSilentStores checks the pending-op semantics: with f+1
+// silent stores done must never fire.
+func TestPendingBeyondFSilentStores(t *testing.T) {
 	fakes, stores := newFakes(3)
 	fakes[0].silent = true
 	fakes[1].silent = true // more than f = 1
-	e, err := New(stores, 1)
-	if err != nil {
-		t.Fatal(err)
+	e := newEngine(t, stores, 1)
+	if err := write(context.Background(), e, 0, 7); err != errPending {
+		t.Fatalf("write with f+1 silent stores completed (%v), want pending forever", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if err := e.Write(ctx, 0, 7); err == nil {
-		t.Fatal("Write with f+1 silent stores succeeded")
-	} else if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline", err)
+	if _, err := read(context.Background(), e, 100); err != errPending {
+		t.Fatalf("read with f+1 silent stores completed (%v), want pending forever", err)
 	}
 }
 
+// TestStoreErrorFailsFast: stores report inline in order, so a failing
+// store's error is seen before the quorum and fails the operation at once.
 func TestStoreErrorFailsFast(t *testing.T) {
 	fakes, stores := newFakes(3)
 	boom := errors.New("boom")
-	fakes[1].failErr = boom
-	e, err := New(stores, 1)
-	if err != nil {
-		t.Fatal(err)
+	fakes[0].failErr = boom
+	e := newEngine(t, stores, 1)
+	if err := write(context.Background(), e, 0, 7); !errors.Is(err, boom) {
+		t.Fatalf("write err = %v, want boom", err)
 	}
-	ctx := context.Background()
-	// The error may or may not be in the first quorum-many reports;
-	// retry until it is observed (delivery order is deterministic here:
-	// stores report inline in order, so store 1's error is always seen).
-	if err := e.Write(ctx, 0, 7); !errors.Is(err, boom) {
-		t.Fatalf("Write err = %v, want boom", err)
+	if _, err := read(context.Background(), e, 100); !errors.Is(err, boom) {
+		t.Fatalf("read err = %v, want boom", err)
 	}
 }
 
 func TestReadWriteBack(t *testing.T) {
 	fakes, stores := newFakes(3)
-	e, err := New(stores, 1, WithReadWriteBack())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEngine(t, stores, 1, WithReadWriteBack())
 	ctx := context.Background()
-	if err := e.Write(ctx, 0, 9); err != nil {
+	if err := write(ctx, e, 0, 9); err != nil {
 		t.Fatal(err)
 	}
 	before := fakes[0].writeMaxCalls
-	if _, err := e.Read(ctx, 100); err != nil {
+	if _, err := read(ctx, e, 100); err != nil {
 		t.Fatal(err)
 	}
 	if fakes[0].writeMaxCalls <= before {
@@ -210,16 +220,12 @@ func TestReadWriteBack(t *testing.T) {
 	}
 
 	// Without write-back, reads never write.
-	_, stores2 := newFakes(3)
-	e2, err := New(stores2, 1)
-	if err != nil {
+	fakes2, stores2 := newFakes(3)
+	if _, err := read(ctx, newEngine(t, stores2, 1), 100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e2.Read(ctx, 100); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range stores2 {
-		if s.(*fakeStore).writeMaxCalls != 0 {
+	for i, s := range fakes2 {
+		if s.writeMaxCalls != 0 {
 			t.Errorf("store %d: reader wrote without write-back", i)
 		}
 	}
@@ -230,94 +236,54 @@ func TestCollectReturnsMaximum(t *testing.T) {
 	fakes[0].val = types.TSValue{TS: 3, Writer: 0, Val: 30}
 	fakes[1].val = types.TSValue{TS: 7, Writer: 1, Val: 70}
 	fakes[2].val = types.TSValue{TS: 5, Writer: 2, Val: 50}
-	e, err := New(stores, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Collect waits for quorum (2) reports; stores report inline in
-	// order, so it sees stores 0 and 1.
-	got, err := e.Collect(context.Background(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TS != 7 {
-		t.Fatalf("Collect ts = %d, want 7", got.TS)
-	}
-}
-
-// TestStartWriteStartRead drives the completion-based chain over fake
-// stores: on synchronous stores the whole collect/push chain completes
-// inline, so done must have fired by the time StartWrite returns.
-func TestStartWriteStartRead(t *testing.T) {
-	_, stores := newFakes(3)
-	e, err := New(stores, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrote := make(chan error, 1)
-	e.StartWrite(1, 42, func(err error) { wrote <- err })
-	select {
-	case err := <-wrote:
+	e := newEngine(t, stores, 1)
+	// The collect completes on the quorum'th (2nd) report; stores report
+	// inline in order, so it folds stores 0 and 1.
+	var got types.TSValue
+	e.collect(context.Background(), 0, func(v types.TSValue, err error) {
 		if err != nil {
-			t.Fatalf("StartWrite: %v", err)
+			t.Errorf("collect: %v", err)
 		}
-	default:
-		t.Fatal("StartWrite chain did not complete inline on synchronous stores")
-	}
-	read := make(chan types.Value, 1)
-	e.StartRead(2, func(v types.Value, err error) {
-		if err != nil {
-			t.Errorf("StartRead: %v", err)
-		}
-		read <- v
+		got = v
 	})
-	select {
-	case v := <-read:
-		if v != 42 {
-			t.Fatalf("StartRead = %d, want 42", v)
-		}
-	default:
-		t.Fatal("StartRead chain did not complete inline")
+	if got.TS != 7 {
+		t.Fatalf("collect ts = %d, want 7", got.TS)
 	}
 }
 
-// TestStartWritePendingBeyondF checks the pending-op semantics of the async
-// chain: with f+1 silent stores the done callback must never fire.
-func TestStartWritePendingBeyondF(t *testing.T) {
+// TestCancelledContextStartsNoRound: an operation whose context is done
+// reports the context's error without starting a store, and one cancelled
+// between its collect and its push never pushes.
+func TestCancelledContextStartsNoRound(t *testing.T) {
 	fakes, stores := newFakes(3)
-	fakes[0].silent = true
-	fakes[1].silent = true
-	e, err := New(stores, 1)
-	if err != nil {
-		t.Fatal(err)
+	e := newEngine(t, stores, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := write(ctx, e, 0, 7); !errors.Is(err, context.Canceled) {
+		t.Fatalf("write on a cancelled context: %v", err)
 	}
-	done := make(chan error, 1)
-	e.StartWrite(1, 7, func(err error) { done <- err })
-	select {
-	case err := <-done:
-		t.Fatalf("write with f+1 silent stores completed (%v), want pending forever", err)
-	case <-time.After(20 * time.Millisecond):
+	if _, err := read(ctx, e, 100); !errors.Is(err, context.Canceled) {
+		t.Fatalf("read on a cancelled context: %v", err)
 	}
-}
-
-// TestStartReadStoreErrorFailsFast mirrors TestStoreErrorFailsFast on the
-// async chain.
-func TestStartReadStoreErrorFailsFast(t *testing.T) {
-	fakes, stores := newFakes(3)
-	boom := errors.New("boom")
-	fakes[0].failErr = boom
-	e, err := New(stores, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	e.StartRead(1, func(_ types.Value, err error) { done <- err })
-	select {
-	case err := <-done:
-		if !errors.Is(err, boom) {
-			t.Fatalf("StartRead error = %v, want %v", err, boom)
+	for i, s := range fakes {
+		if s.readMaxCalls != 0 || s.writeMaxCalls != 0 {
+			t.Fatalf("store %d was started on a cancelled context", i)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("StartRead did not report the store error")
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	var err error
+	e.collect(ctx, 0, func(cur types.TSValue, _ error) {
+		cancel() // the caller gives up while the collect completes
+		e.push(ctx, 0, types.TSValue{TS: cur.TS + 1, Val: 7}, func(_ types.TSValue, pushErr error) { err = pushErr })
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("push after cancel: %v", err)
+	}
+	for i, s := range fakes {
+		if s.writeMaxCalls != 0 {
+			t.Fatalf("store %d: push started after its context was cancelled", i)
+		}
 	}
 }

@@ -64,18 +64,6 @@ func (s *store) WriteTarget(v types.TSValue) rounds.Target {
 	return rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v, Data: s.payload(v)}}
 }
 
-// StartWriteMax implements abdcore.MaxStore with a single write-max trigger.
-func (s *store) StartWriteMax(client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
-	call := s.fab.Trigger(client, s.obj, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v, Data: s.payload(v)})
-	call.OnComplete(func(o fabric.Outcome) { report(o.Resp.Val, o.Err) })
-}
-
-// StartReadMax implements abdcore.MaxStore with a single read-max trigger.
-func (s *store) StartReadMax(client types.ClientID, report func(types.TSValue, error)) {
-	call := s.fab.Trigger(client, s.obj, baseobj.Invocation{Op: baseobj.OpReadMax})
-	call.OnComplete(func(o fabric.Outcome) { report(o.Resp.Val, o.Err) })
-}
-
 // storeReshaper re-places max-register stores across a view resize: a fresh
 // store is one max-register seeded with a write-max of the folded maximum —
 // the monotone write-max also makes re-seeding survivors idempotent.

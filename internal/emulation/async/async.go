@@ -5,21 +5,18 @@
 //
 // The paper's clients are deterministic state machines — an operation is an
 // invocation, a stretch of low-level triggers and responses, and a return —
-// and nothing in the model ties one client to one OS thread. The blocking
-// Writer/Reader handles do exactly that, though: every in-flight high-level
-// op parks a goroutine in a quorum gather. This engine removes the
-// goroutine: constructions expose their operations as callback chains
-// (emulation.AsyncWriter / emulation.AsyncReader, built on the non-blocking
-// rounds.ScatterFold* gathers), and the engine multiplexes any number of
-// logical clients over one event loop, freestore-style.
+// and nothing in the model ties one client to one OS thread. Every
+// construction is written that way, as a callback chain behind its handles'
+// StartWrite/StartRead (a blocking Write/Read is an adapter over the same
+// chain), and the engine multiplexes any number of logical clients over one
+// event loop, freestore-style.
 //
 // # Event loop and mailbox
 //
 // All engine state is owned by a single loop goroutine. Client calls
 // (Client.StartWrite / Client.StartRead) and construction completions post
-// events into an unbounded mutex-guarded mailbox and never block — the same
-// discipline as rounds.Deliver, extended to producers whose event volume is
-// not statically bounded. The loop drains the mailbox, starts operations on
+// events into an unbounded mutex-guarded mailbox and never block. The loop
+// drains the mailbox, starts operations on
 // the underlying construction, and fires user completion callbacks.
 // Callbacks run on the loop goroutine and may immediately start the
 // client's next operation (the closed-loop pattern), which enqueues rather
@@ -41,9 +38,11 @@
 // the paper's pending ops. The engine's context bounds that wait: Close —
 // or the context's own cancellation — fails every queued and in-flight
 // operation with ErrClosed, fires their callbacks, and stops the loop.
-// Construction chains cannot be recalled (their low-level ops stay pending
-// in the fabric), but their late completions are dropped at the mailbox, so
-// nothing ever blocks or fires twice.
+// Every chain runs under the engine's context, so a closed engine's
+// operations start no further round and schedule no further view-change
+// retry; the low-level ops already triggered stay pending in the fabric,
+// and their late completions are dropped at the mailbox, so nothing ever
+// blocks or fires twice.
 package async
 
 import (
@@ -189,8 +188,8 @@ type event struct {
 type Client struct {
 	eng *Engine
 	id  types.ClientID
-	aw  emulation.AsyncWriter
-	ar  emulation.AsyncReader
+	w   emulation.Writer
+	r   emulation.Reader
 
 	// queue and active are owned by the engine loop.
 	queue  []*op
@@ -199,28 +198,6 @@ type Client struct {
 
 // Client returns the logical client's ID.
 func (c *Client) Client() types.ClientID { return c.id }
-
-// goWriter adapts a blocking-only writer handle: the compatibility path
-// for constructions outside this repository, at the classic cost of one
-// goroutine per in-flight op.
-type goWriter struct {
-	w   emulation.Writer
-	ctx context.Context
-}
-
-func (g goWriter) StartWrite(v types.Value, done func(error)) {
-	go func() { done(g.w.Write(g.ctx, v)) }()
-}
-
-// goReader is the read-side analogue of goWriter.
-type goReader struct {
-	r   emulation.Reader
-	ctx context.Context
-}
-
-func (g goReader) StartRead(done func(types.Value, error)) {
-	go func() { done(g.r.Read(g.ctx)) }()
-}
 
 // Writer returns the engine client for writer i of the engine's own
 // register. Repeated calls return the same client: the underlying
@@ -247,11 +224,7 @@ func (e *Engine) WriterOn(reg emulation.Register, i int) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	aw, ok := w.(emulation.AsyncWriter)
-	if !ok {
-		aw = goWriter{w: w, ctx: e.ctx}
-	}
-	c := &Client{eng: e, id: w.Client(), aw: aw}
+	c := &Client{eng: e, id: w.Client(), w: w}
 	e.writers[key] = c
 	e.clients = append(e.clients, c)
 	return c, nil
@@ -270,11 +243,7 @@ func (e *Engine) NewReader() *Client {
 // not be the engine's own register.
 func (e *Engine) ReaderOn(reg emulation.Register) *Client {
 	r := reg.NewReader()
-	ar, ok := r.(emulation.AsyncReader)
-	if !ok {
-		ar = goReader{r: r, ctx: e.ctx}
-	}
-	c := &Client{eng: e, id: r.Client(), ar: ar}
+	c := &Client{eng: e, id: r.Client(), r: r}
 	e.mu.Lock()
 	e.clients = append(e.clients, c)
 	e.mu.Unlock()
@@ -285,7 +254,7 @@ func (e *Engine) ReaderOn(reg emulation.Register) *Client {
 // exactly once, on the engine loop, when the write completes or the engine
 // closes. done must not block; it may start the client's next operation.
 func (c *Client) StartWrite(v types.Value, done func(error)) {
-	if c.aw == nil {
+	if c.w == nil {
 		done(fmt.Errorf("async: client %d is a reader", c.id))
 		return
 	}
@@ -294,7 +263,7 @@ func (c *Client) StartWrite(v types.Value, done func(error)) {
 
 // StartRead enqueues a high-level read; the same contract as StartWrite.
 func (c *Client) StartRead(done func(types.Value, error)) {
-	if c.ar == nil {
+	if c.r == nil {
 		done(types.InitialValue, fmt.Errorf("async: client %d is a writer", c.id))
 		return
 	}
@@ -421,9 +390,9 @@ func (e *Engine) begin(o *op) {
 		e.maxInFlight.Store(cur)
 	}
 	if o.write {
-		o.c.aw.StartWrite(o.v, func(err error) { e.postDone(o, types.InitialValue, err) })
+		o.c.w.StartWrite(e.ctx, o.v, func(err error) { e.postDone(o, types.InitialValue, err) })
 	} else {
-		o.c.ar.StartRead(func(v types.Value, err error) { e.postDone(o, v, err) })
+		o.c.r.StartRead(e.ctx, func(v types.Value, err error) { e.postDone(o, v, err) })
 	}
 }
 

@@ -382,62 +382,6 @@ func TestAsyncCrashDuringInFlight(t *testing.T) {
 	}
 }
 
-// blockingReg wraps a Register hiding its async interfaces, to exercise the
-// goroutine-per-op compatibility path.
-type blockingReg struct{ emulation.Register }
-
-type blockingWriter struct{ emulation.Writer }
-type blockingReader struct{ emulation.Reader }
-
-func (b blockingReg) Writer(i int) (emulation.Writer, error) {
-	w, err := b.Register.Writer(i)
-	if err != nil {
-		return nil, err
-	}
-	return blockingWriter{w}, nil
-}
-
-func (b blockingReg) NewReader() emulation.Reader { return blockingReader{b.Register.NewReader()} }
-
-// TestAsyncBlockingFallback drives a construction that only offers the
-// blocking handles: the engine falls back to one goroutine per op and the
-// results still serialize per client.
-func TestAsyncBlockingFallback(t *testing.T) {
-	reg, _ := buildEnv(t, runner.KindABDMax, 2, 1, 3)
-	eng := async.New(blockingReg{reg})
-	defer eng.Close()
-	w, err := eng.Writer(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	w.StartWrite(5, func(err error) { done <- err })
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("fallback write: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("fallback write never completed")
-	}
-	r := eng.NewReader()
-	got := make(chan types.Value, 1)
-	r.StartRead(func(v types.Value, err error) {
-		if err != nil {
-			t.Errorf("fallback read: %v", err)
-		}
-		got <- v
-	})
-	select {
-	case v := <-got:
-		if v != 5 {
-			t.Fatalf("fallback read = %d, want 5", v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("fallback read never completed")
-	}
-}
-
 // TestAsyncContextCancellation closes the engine through its context.
 func TestAsyncContextCancellation(t *testing.T) {
 	gate := fabric.GateFuncs{Apply: func(fabric.TriggerEvent) fabric.Decision { return fabric.Hold }}

@@ -17,6 +17,7 @@
 package casmax
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -64,8 +65,8 @@ type store struct {
 
 // Compile-time interface compliance checks.
 var (
-	_ abdcore.MaxStore    = (*store)(nil)
-	_ rounds.DirectReader = (*store)(nil)
+	_ abdcore.WriteStarter = (*store)(nil)
+	_ rounds.DirectReader  = (*store)(nil)
 )
 
 // Server implements abdcore.MaxStore.
@@ -81,19 +82,16 @@ func (s *store) ReadTarget() rounds.Target {
 	return rounds.Target{Object: s.obj, Inv: readInv()}
 }
 
-// StartReadMax implements abdcore.MaxStore: read-max is one no-op CAS whose
-// returned previous value is the register content.
-func (s *store) StartReadMax(client types.ClientID, report func(types.TSValue, error)) {
-	call := s.fab.Trigger(client, s.obj, readInv())
-	call.OnComplete(func(o fabric.Outcome) { report(o.Resp.Val, o.Err) })
-}
-
-// StartWriteMax implements abdcore.MaxStore with the Algorithm 1 loop as a
-// callback chain.
-func (s *store) StartWriteMax(client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
+// StartWriteMax implements abdcore.WriteStarter with the Algorithm 1 loop as
+// a callback chain; an abandoned write (ctx done) stops at its next step.
+func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
 	s.metrics.WriteMaxCalls.Add(1)
 	var attempt func()
 	attempt = func() {
+		if err := ctx.Err(); err != nil {
+			report(types.ZeroTSValue, err)
+			return
+		}
 		read := s.fab.Trigger(client, s.obj, readInv())
 		read.OnComplete(func(o fabric.Outcome) {
 			if o.Err != nil {
@@ -105,6 +103,10 @@ func (s *store) StartWriteMax(client types.ClientID, v types.TSValue, report fun
 				// tmp >= v: the register already holds a value at
 				// least as large; write-max is done (line 4-5).
 				report(tmp, nil)
+				return
+			}
+			if err := ctx.Err(); err != nil {
+				report(types.ZeroTSValue, err)
 				return
 			}
 			s.metrics.CASAttempts.Add(1)

@@ -195,12 +195,12 @@ func (r *Register) Writer(i int) (emulation.Writer, error) {
 	if i < 0 || i >= r.k {
 		return nil, fmt.Errorf("coded: writer %d out of range (k=%d)", i, r.k)
 	}
-	return &writerHandle{reg: r, client: types.ClientID(i)}, nil
+	return emulation.NewWriter(types.ClientID(i), r.hist, (*chain)(r)), nil
 }
 
 // NewReader implements emulation.Register.
 func (r *Register) NewReader() emulation.Reader {
-	return &readerHandle{reg: r, client: r.readers.Next()}
+	return emulation.NewReader(r.readers.Next(), r.hist, (*chain)(r))
 }
 
 // tsTargets builds the collect round: the max stripe timestamp of each store.
@@ -246,70 +246,77 @@ func (p *placement) commitTargets(ts types.TSValue) []rounds.Target {
 	return targets
 }
 
-// startWrite runs the three-round write as a completion chain: collect the
+// chain is the Register seen as its handles' emulation.WriteChain and
+// ReadChain: the same pointer under another method set, so the raw,
+// history-less chains stay off the Register's public surface.
+type chain Register
+
+// StartWrite runs the three-round write as a completion chain: collect the
 // max timestamp, stripe the payload across the put quorum, commit. done
 // fires exactly once; it never fires if the failure assumption is violated,
 // like any pending op.
-func (r *Register) startWrite(client types.ClientID, v types.Value, done func(error)) {
-	rounds.ScatterFoldDyn(r.fab, client, func() ([]rounds.Target, int) {
+func (c *chain) StartWrite(ctx context.Context, client types.ClientID, v types.Value, done func(error)) {
+	r := (*Register)(c)
+	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func() ([]rounds.Target, int) {
 		p := r.p.Load()
 		return p.tsTargets(), p.need()
-	}, func(cur types.TSValue, err error) {
+	}, Max: func(cur types.TSValue, err error) {
 		if err != nil {
 			done(fmt.Errorf("coded: write collect: %w", err))
 			return
 		}
 		ts := types.TSValue{TS: cur.TS + 1, Writer: client, Val: v}
 		payload := types.PayloadFor(v, r.valueSize)
-		r.startPut(client, ts, payload, func(err error) {
+		r.startPut(ctx, client, ts, payload, func(err error) {
 			if err != nil {
 				done(fmt.Errorf("coded: write: %w", err))
 				return
 			}
 			done(nil)
 		})
-	})
+	}})
 }
 
 // startPut stripes payload at timestamp ts across the stores and commits:
 // rounds 2 and 3 of a write, also the write-back of an atomic read. Each
 // attempt re-encodes against the placement it scatters over, so a put
 // retried across a resize epoch stripes with the new coder's kData.
-func (r *Register) startPut(client types.ClientID, ts types.TSValue, payload types.Payload, done func(error)) {
-	rounds.ScatterFoldReportsDyn(r.fab, client, func() ([]rounds.Target, int) {
+func (r *Register) startPut(ctx context.Context, client types.ClientID, ts types.TSValue, payload types.Payload, done func(error)) {
+	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func() ([]rounds.Target, int) {
 		p := r.p.Load()
 		return p.putTargets(ts, len(payload), p.coder.Encode(payload)), p.need()
-	}, func(_ []rounds.Report, err error) {
+	}, Max: func(_ types.TSValue, err error) {
 		if err != nil {
 			done(fmt.Errorf("stripe put: %w", err))
 			return
 		}
-		rounds.ScatterFoldDyn(r.fab, client, func() ([]rounds.Target, int) {
+		rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func() ([]rounds.Target, int) {
 			p := r.p.Load()
 			return p.commitTargets(ts), p.need()
-		}, func(_ types.TSValue, err error) {
+		}, Max: func(_ types.TSValue, err error) {
 			if err != nil {
 				done(fmt.Errorf("stripe commit: %w", err))
 				return
 			}
 			done(nil)
-		})
-	})
+		}})
+	}})
 }
 
-// startRead gathers n−f fragment snapshots, reconstructs the newest
+// StartRead gathers n−f fragment snapshots, reconstructs the newest
 // reconstructible stripe, and (atomic mode) writes it back before
 // returning.
-func (r *Register) startRead(client types.ClientID, done func(types.Value, error)) {
+func (c *chain) StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error)) {
+	r := (*Register)(c)
 	// gathered pins the placement the final gather attempt scattered over:
 	// reconstruct must use that attempt's coder, not whatever r.p holds by
 	// the time the fold callback runs (a resize may swap it in between).
 	var gathered atomic.Pointer[placement]
-	rounds.ScatterFoldReportsDyn(r.fab, client, func() ([]rounds.Target, int) {
+	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func() ([]rounds.Target, int) {
 		p := r.p.Load()
 		gathered.Store(p)
 		return p.getTargets(), p.need()
-	}, func(reps []rounds.Report, err error) {
+	}, Reports: func(reps []rounds.Report, err error) {
 		if err != nil {
 			done(types.InitialValue, fmt.Errorf("coded: read gather: %w", err))
 			return
@@ -340,14 +347,14 @@ func (r *Register) startRead(client types.ClientID, done func(types.Value, error
 		// later reader cannot observe an older value (the ABD new/old
 		// inversion). Re-encoding regenerates the fragments the gather
 		// didn't see.
-		r.startPut(client, ts, payload, func(err error) {
+		r.startPut(ctx, client, ts, payload, func(err error) {
 			if err != nil {
 				done(types.InitialValue, fmt.Errorf("coded: read write-back: %w", err))
 				return
 			}
 			done(v, nil)
 		})
-	})
+	}})
 }
 
 // reconstruct decodes the newest stripe with ≥ kData distinct fragments
@@ -478,93 +485,4 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 		}
 	}
 	return nil
-}
-
-// writerHandle is the per-writer handle.
-type writerHandle struct {
-	reg    *Register
-	client types.ClientID
-}
-
-// Compile-time interface compliance checks: the handles serve both the
-// blocking and the completion-based client paths.
-var (
-	_ emulation.Writer      = (*writerHandle)(nil)
-	_ emulation.AsyncWriter = (*writerHandle)(nil)
-	_ emulation.Reader      = (*readerHandle)(nil)
-	_ emulation.AsyncReader = (*readerHandle)(nil)
-)
-
-// Client implements emulation.Writer.
-func (w *writerHandle) Client() types.ClientID { return w.client }
-
-// StartWrite implements emulation.AsyncWriter.
-func (w *writerHandle) StartWrite(v types.Value, done func(error)) {
-	pw := w.reg.hist.BeginWrite(w.client, v)
-	w.reg.startWrite(w.client, v, func(err error) {
-		if err == nil {
-			pw.End()
-		}
-		done(err)
-	})
-}
-
-// Write implements emulation.Writer.
-func (w *writerHandle) Write(ctx context.Context, v types.Value) error {
-	pw := w.reg.hist.BeginWrite(w.client, v)
-	errc := make(chan error, 1)
-	w.reg.startWrite(w.client, v, func(err error) { errc <- err })
-	select {
-	case <-ctx.Done():
-		return fmt.Errorf("coded: write: %w", ctx.Err())
-	case err := <-errc:
-		if err != nil {
-			return err
-		}
-		pw.End()
-		return nil
-	}
-}
-
-// readerHandle is the per-reader handle.
-type readerHandle struct {
-	reg    *Register
-	client types.ClientID
-}
-
-// Client implements emulation.Reader.
-func (r *readerHandle) Client() types.ClientID { return r.client }
-
-// StartRead implements emulation.AsyncReader.
-func (r *readerHandle) StartRead(done func(types.Value, error)) {
-	pr := r.reg.hist.BeginRead(r.client)
-	r.reg.startRead(r.client, func(v types.Value, err error) {
-		if err != nil {
-			done(types.InitialValue, err)
-			return
-		}
-		pr.End(v)
-		done(v, nil)
-	})
-}
-
-// Read implements emulation.Reader.
-func (r *readerHandle) Read(ctx context.Context) (types.Value, error) {
-	pr := r.reg.hist.BeginRead(r.client)
-	type result struct {
-		v   types.Value
-		err error
-	}
-	resc := make(chan result, 1)
-	r.reg.startRead(r.client, func(v types.Value, err error) { resc <- result{v, err} })
-	select {
-	case <-ctx.Done():
-		return types.InitialValue, fmt.Errorf("coded: read: %w", ctx.Err())
-	case res := <-resc:
-		if res.err != nil {
-			return types.InitialValue, res.err
-		}
-		pr.End(res.v)
-		return res.v, nil
-	}
 }

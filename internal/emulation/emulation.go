@@ -3,20 +3,12 @@
 // for an a-priori known set of k writers (the paper's k-register), exposed
 // through per-client handles.
 //
-// Five constructions implement this interface, one per sub-package:
-//
-//   - abdmax:   multi-writer ABD over one max-register per server (2f+1
-//     base objects — Table 1, row "max-register").
-//   - casmax:   the same quorum engine over per-server max-registers each
-//     emulated from a single CAS cell via Algorithm 1 (2f+1 base objects —
-//     Table 1, row "CAS").
-//   - regemu:   Algorithm 2, the paper's main upper-bound construction from
-//     plain registers (kf + ceil(k/z)(f+1) base objects — Table 1, row
-//     "register").
-//   - aacmax:   the n = 2f+1 special case: per-server k-writer max-registers
-//     built from k plain registers each ((2f+1)k base objects).
-//   - naiveabd: a deliberately under-provisioned baseline (one plain
-//     register per server) that the lower-bound adversary breaks.
+// Six constructions implement this interface, one per sub-package (abdmax,
+// casmax, aacmax, naiveabd — thin store layers under quorumreg — regemu and
+// coded; doc.go maps each to its row of the paper). Every one is written
+// once, as a completion-based chain (WriteChain / ReadChain), and hands out
+// the handles of this package (NewWriter / NewReader), which record the
+// history and turn the chain into the blocking Write / Read.
 //
 // Handles are not safe for concurrent use; each client runs its own handle,
 // mirroring the paper's per-client deterministic state machines.
@@ -82,39 +74,35 @@ func (r *ReaderIDs) Next() types.ClientID {
 type Writer interface {
 	// Write performs a high-level write of v. It blocks until the write
 	// returns or ctx is done; a ctx error means the operation could not
-	// complete (e.g. too many servers crashed for the failure threshold).
+	// complete (e.g. too many servers crashed for the failure threshold) and
+	// was abandoned: it triggers nothing further and stays pending in the
+	// history, like the paper's incomplete high-level ops.
 	Write(ctx context.Context, v types.Value) error
+	// StartWrite is the completion-based write: it triggers the high-level
+	// write and returns immediately; done fires exactly once when (and if)
+	// the write completes — possibly inline, on the in-process lane, or
+	// later on a fabric goroutine. If the failure assumption is violated
+	// (more than f servers crash, or the environment holds responses
+	// forever) done never fires, exactly like a pending high-level op;
+	// callers bound the wait with ctx or their own clocks. Once ctx is done
+	// the operation starts no further round. done must not block. A handle
+	// serializes: the caller must not start a second operation before the
+	// previous one completed or its ctx ended (the paper's well-formed
+	// histories); internal/emulation/async enforces this per logical client.
+	StartWrite(ctx context.Context, v types.Value, done func(error))
 	// Client returns the writer's client ID.
 	Client() types.ClientID
 }
 
-// Reader is the read-side handle of an emulated register for one client.
+// Reader is the read-side handle of an emulated register for one client;
+// the same contracts as Writer apply.
 type Reader interface {
 	// Read performs a high-level read.
 	Read(ctx context.Context) (types.Value, error)
+	// StartRead is the completion-based read.
+	StartRead(ctx context.Context, done func(types.Value, error))
 	// Client returns the reader's client ID.
 	Client() types.ClientID
-}
-
-// AsyncWriter is the completion-based write-side handle: StartWrite
-// triggers the high-level write and returns immediately; done fires exactly
-// once when (and if) the write completes — possibly inline, on the
-// in-process lane, or later on a fabric goroutine. If the failure
-// assumption is violated (more than f servers crash, or the environment
-// holds responses forever) done never fires, exactly like a pending
-// high-level op; callers bound the wait with their own clocks. done must
-// not block. Like the blocking handles, an AsyncWriter serializes: the
-// caller must not start a second operation before the previous done fired
-// (the paper's well-formed histories); internal/emulation/async enforces
-// this per logical client.
-type AsyncWriter interface {
-	StartWrite(v types.Value, done func(error))
-}
-
-// AsyncReader is the completion-based read-side handle; the same contract
-// as AsyncWriter applies.
-type AsyncReader interface {
-	StartRead(done func(types.Value, error))
 }
 
 // Register is an emulated fault-tolerant k-register.

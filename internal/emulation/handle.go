@@ -1,0 +1,137 @@
+package emulation
+
+import (
+	"context"
+	"fmt"
+	"sync/atomic"
+
+	"repro/internal/spec"
+	"repro/internal/types"
+)
+
+// WriteChain is a construction's high-level write: a completion-based chain
+// of quorum rounds that never blocks and fires done exactly once when (and
+// if) the write completes. It must check ctx before starting each round
+// (rounds.Scatter does) and record nothing — the handle owns the history.
+// It is an interface over the construction's own state, not a func, so the
+// thousands of handles of a large store carry no closure each.
+type WriteChain interface {
+	StartWrite(ctx context.Context, client types.ClientID, v types.Value, done func(error))
+}
+
+// ReadChain is the read-side analogue of WriteChain.
+type ReadChain interface {
+	StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error))
+}
+
+// NewWriter returns client's write handle over a construction's chain,
+// recording every operation into hist.
+func NewWriter(client types.ClientID, hist *spec.History, chain WriteChain) Writer {
+	return &writer{client: client, hist: hist, chain: chain}
+}
+
+// NewReader returns client's read handle over a construction's chain.
+func NewReader(client types.ClientID, hist *spec.History, chain ReadChain) Reader {
+	return &reader{client: client, hist: hist, chain: chain}
+}
+
+type writer struct {
+	client types.ClientID
+	hist   *spec.History
+	chain  WriteChain
+}
+
+func (w *writer) Client() types.ClientID { return w.client }
+
+func (w *writer) StartWrite(ctx context.Context, v types.Value, done func(error)) {
+	pw := w.hist.BeginWrite(w.client, v)
+	w.chain.StartWrite(ctx, w.client, v, func(err error) {
+		if err == nil {
+			pw.End()
+		}
+		done(err)
+	})
+}
+
+func (w *writer) Write(ctx context.Context, v types.Value) error {
+	b := &blocked{pw: w.hist.BeginWrite(w.client, v)}
+	_, err := b.wait(ctx, func() {
+		w.chain.StartWrite(ctx, w.client, v, func(err error) { b.done(v, err) })
+	})
+	return err
+}
+
+type reader struct {
+	client types.ClientID
+	hist   *spec.History
+	chain  ReadChain
+}
+
+func (r *reader) Client() types.ClientID { return r.client }
+
+func (r *reader) StartRead(ctx context.Context, done func(types.Value, error)) {
+	pr := r.hist.BeginRead(r.client)
+	r.chain.StartRead(ctx, r.client, func(v types.Value, err error) {
+		if err == nil {
+			pr.End(v)
+		}
+		done(v, err)
+	})
+}
+
+func (r *reader) Read(ctx context.Context) (types.Value, error) {
+	b := &blocked{pr: r.hist.BeginRead(r.client)}
+	return b.wait(ctx, func() { r.chain.StartRead(ctx, r.client, b.done) })
+}
+
+// blocked is one blocking call over a chain — the one blocking adapter: its
+// history entry (pw or pr), its result slot and the one cancellation latch.
+// The chain's completion and the caller's abandonment race on settled, and
+// only the winner acts — so an operation either closes its history entry
+// before the call returns, or never.
+type blocked struct {
+	pw      *spec.PendingWrite
+	pr      *spec.PendingRead
+	settled atomic.Bool
+	fired   chan struct{}
+	v       types.Value
+	err     error
+}
+
+func (b *blocked) done(v types.Value, err error) {
+	if !b.settled.CompareAndSwap(false, true) {
+		return // abandoned: nobody is listening, the entry stays pending
+	}
+	switch {
+	case err != nil:
+	case b.pw != nil:
+		b.pw.End()
+	default:
+		b.pr.End(v)
+	}
+	b.v, b.err = v, err
+	close(b.fired)
+}
+
+// wait runs the operation that start triggers to its end or to ctx's,
+// whichever comes first. A context that is already done fails the operation
+// before start runs, so nothing is triggered. On cancellation mid-flight
+// the operation is abandoned: its history entry is never closed after wait
+// returned, the chain — which watches the same ctx — starts no further
+// round, and late low-level completions are absorbed where they land.
+func (b *blocked) wait(ctx context.Context, start func()) (types.Value, error) {
+	if err := ctx.Err(); err != nil {
+		return types.InitialValue, fmt.Errorf("emulation: operation not started: %w", err)
+	}
+	b.fired = make(chan struct{})
+	start()
+	select {
+	case <-b.fired:
+	case <-ctx.Done():
+		if b.settled.CompareAndSwap(false, true) {
+			return types.InitialValue, fmt.Errorf("emulation: operation abandoned: %w", ctx.Err())
+		}
+		<-b.fired // the completion won the latch; its verdict is being published
+	}
+	return b.v, b.err
+}

@@ -55,18 +55,6 @@ func (s *store) WriteTarget(v types.TSValue) rounds.Target {
 	return rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: v}}
 }
 
-// StartWriteMax implements abdcore.MaxStore with an unconditional write.
-func (s *store) StartWriteMax(client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
-	call := s.fab.Trigger(client, s.obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: v})
-	call.OnComplete(func(o fabric.Outcome) { report(o.Resp.Val, o.Err) })
-}
-
-// StartReadMax implements abdcore.MaxStore with a plain read.
-func (s *store) StartReadMax(client types.ClientID, report func(types.TSValue, error)) {
-	call := s.fab.Trigger(client, s.obj, baseobj.Invocation{Op: baseobj.OpRead})
-	call.OnComplete(func(o fabric.Outcome) { report(o.Resp.Val, o.Err) })
-}
-
 // storeReshaper re-places plain-register stores across a view resize. The
 // seed is an unconditional overwrite of the folded maximum — faithful to
 // the baseline's (flawed) write-max, and sound here because the window is

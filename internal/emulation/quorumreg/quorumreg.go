@@ -6,7 +6,6 @@
 package quorumreg
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -45,8 +44,8 @@ type Config struct {
 	K, F int
 	// Stores are the per-server max-stores, at least 2f+1 of them.
 	Stores []abdcore.MaxStore
-	// Fabric is the fabric the stores trigger on; when set, the engine
-	// batch-scatters whole quorum rounds for direct (single-op) stores.
+	// Fabric is the fabric the stores trigger on; the engine batch-scatters
+	// whole quorum rounds over it for direct (single-op) stores.
 	Fabric *fabric.Fabric
 	// Resources is the number of base objects the construction placed.
 	Resources int
@@ -87,11 +86,7 @@ func New(cfg Config) (*Register, error) {
 	if err := emulation.ValidateWriters(cfg.K); err != nil {
 		return nil, fmt.Errorf("quorumreg: %w", err)
 	}
-	opts := cfg.EngineOpts
-	if cfg.Fabric != nil {
-		opts = append(opts[:len(opts):len(opts)], abdcore.WithFabric(cfg.Fabric))
-	}
-	engine, err := abdcore.New(cfg.Stores, cfg.F, opts...)
+	engine, err := abdcore.New(cfg.Fabric, cfg.Stores, cfg.F, cfg.EngineOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -99,11 +94,9 @@ func New(cfg Config) (*Register, error) {
 	if hist == nil {
 		hist = &spec.History{}
 	}
-	if cfg.Fabric != nil {
-		// Record the failure budget on the view: resize coordinators default
-		// their new threshold to it, and churn drivers guard shrinks with it.
-		cfg.Fabric.Cluster().SetF(cfg.F)
-	}
+	// Record the failure budget on the view: resize coordinators default
+	// their new threshold to it, and churn drivers guard shrinks with it.
+	cfg.Fabric.Cluster().SetF(cfg.F)
 	return &Register{
 		name:      cfg.Name,
 		k:         cfg.K,
@@ -138,82 +131,19 @@ func (r *Register) ResourceComplexity() int {
 // History returns the recorded high-level history.
 func (r *Register) History() *spec.History { return r.hist }
 
-// Writer implements emulation.Register.
+// Writer implements emulation.Register: the engine's collect/push chain
+// behind the shared handle.
 func (r *Register) Writer(i int) (emulation.Writer, error) {
 	if i < 0 || i >= r.k {
 		return nil, fmt.Errorf("quorumreg: writer %d out of range (k=%d)", i, r.k)
 	}
-	return &writerHandle{reg: r, client: types.ClientID(i)}, nil
+	return emulation.NewWriter(types.ClientID(i), r.hist, r.engine), nil
 }
 
 // NewReader implements emulation.Register. It is safe for concurrent
 // callers: reader IDs come from a shared atomic allocator.
 func (r *Register) NewReader() emulation.Reader {
-	return &readerHandle{reg: r, client: r.readers.Next()}
-}
-
-// writerHandle is the per-writer handle.
-type writerHandle struct {
-	reg    *Register
-	client types.ClientID
-}
-
-// Compile-time interface compliance checks: the handles serve both the
-// blocking and the completion-based client paths.
-var (
-	_ emulation.Writer      = (*writerHandle)(nil)
-	_ emulation.AsyncWriter = (*writerHandle)(nil)
-	_ emulation.Reader      = (*readerHandle)(nil)
-	_ emulation.AsyncReader = (*readerHandle)(nil)
-)
-
-// Client implements emulation.Writer.
-func (w *writerHandle) Client() types.ClientID { return w.client }
-
-// Write implements emulation.Writer. Incomplete operations (ctx expiry)
-// stay pending in the history, like the paper's pending high-level ops.
-func (w *writerHandle) Write(ctx context.Context, v types.Value) error {
-	pw := w.reg.hist.BeginWrite(w.client, v)
-	if err := w.reg.engine.Write(ctx, w.client, v); err != nil {
-		return err
-	}
-	pw.End()
-	return nil
-}
-
-// StartWrite implements emulation.AsyncWriter: the engine's collect/push
-// callback chain, with the history op opened now and closed when (and if)
-// the chain completes.
-func (w *writerHandle) StartWrite(v types.Value, done func(error)) {
-	pw := w.reg.hist.BeginWrite(w.client, v)
-	w.reg.engine.StartWrite(w.client, v, func(err error) {
-		if err == nil {
-			pw.End()
-		}
-		done(err)
-	})
-}
-
-// readerHandle is the per-reader handle.
-type readerHandle struct {
-	reg    *Register
-	client types.ClientID
-}
-
-// Client implements emulation.Reader.
-func (r *readerHandle) Client() types.ClientID { return r.client }
-
-// StartRead implements emulation.AsyncReader.
-func (r *readerHandle) StartRead(done func(types.Value, error)) {
-	pr := r.reg.hist.BeginRead(r.client)
-	r.reg.engine.StartRead(r.client, func(v types.Value, err error) {
-		if err != nil {
-			done(types.InitialValue, err)
-			return
-		}
-		pr.End(v)
-		done(v, nil)
-	})
+	return emulation.NewReader(r.readers.Next(), r.hist, r.engine)
 }
 
 // Reshape implements emulation.ViewResizable: it re-places the register's
@@ -320,15 +250,4 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 	r.resources += placed - retired
 	r.mu.Unlock()
 	return nil
-}
-
-// Read implements emulation.Reader.
-func (r *readerHandle) Read(ctx context.Context) (types.Value, error) {
-	pr := r.reg.hist.BeginRead(r.client)
-	v, err := r.reg.engine.Read(ctx, r.client)
-	if err != nil {
-		return types.InitialValue, err
-	}
-	pr.End(v)
-	return v, nil
 }

@@ -5,13 +5,15 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
+	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-// memStore is a minimal in-memory max-store.
+// memStore is a minimal in-memory max-store whose both sides are started.
 type memStore struct {
 	server types.ServerID
 
@@ -19,11 +21,14 @@ type memStore struct {
 	val types.TSValue
 }
 
-var _ abdcore.MaxStore = (*memStore)(nil)
+var (
+	_ abdcore.ReadStarter  = (*memStore)(nil)
+	_ abdcore.WriteStarter = (*memStore)(nil)
+)
 
 func (s *memStore) Server() types.ServerID { return s.server }
 
-func (s *memStore) StartWriteMax(_ types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
+func (s *memStore) StartWriteMax(_ context.Context, _ types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
 	s.mu.Lock()
 	s.val = types.MaxTSValue(s.val, v)
 	got := s.val
@@ -31,7 +36,7 @@ func (s *memStore) StartWriteMax(_ types.ClientID, v types.TSValue, report func(
 	report(got, nil)
 }
 
-func (s *memStore) StartReadMax(_ types.ClientID, report func(types.TSValue, error)) {
+func (s *memStore) StartReadMax(_ context.Context, _ types.ClientID, report func(types.TSValue, error)) {
 	s.mu.Lock()
 	got := s.val
 	s.mu.Unlock()
@@ -44,11 +49,16 @@ func newTestRegister(t *testing.T, k, f int, hist *spec.History) *Register {
 	for i := range stores {
 		stores[i] = &memStore{server: types.ServerID(i)}
 	}
+	c, err := cluster.New(len(stores))
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := New(Config{
 		Name:      "test-reg",
 		K:         k,
 		F:         f,
 		Stores:    stores,
+		Fabric:    fabric.New(c),
 		Resources: len(stores),
 		History:   hist,
 	})

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/cluster"
+	"repro/internal/emulation"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
@@ -290,7 +291,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		rd := em.NewReader()
 		wg.Add(1)
-		go func(rd *Reader) {
+		go func(rd emulation.Reader) {
 			defer wg.Done()
 			for op := 0; op < 15; op++ {
 				if _, err := rd.Read(ctx); err != nil {
@@ -298,7 +299,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 					return
 				}
 			}
-		}(rd.(*Reader))
+		}(rd)
 	}
 	wg.Wait()
 	close(errs)

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/baseobj"
 	"repro/internal/emulation"
@@ -118,13 +117,15 @@ func New(fab *fabric.Fabric, k, f int, opts Options) (*Emulation, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.writers[w] = &Writer{
+		wr := &Writer{
 			em:      e,
 			client:  types.ClientID(w),
 			set:     set,
 			quorum:  quorum,
 			pending: make(map[types.ObjectID]bool, len(set)),
 		}
+		wr.Writer = emulation.NewWriter(wr.client, hist, (*writeChain)(wr))
+		e.writers[w] = wr
 	}
 	return e, nil
 }
@@ -159,33 +160,50 @@ func (e *Emulation) Writer(i int) (emulation.Writer, error) {
 }
 
 // NewReader implements emulation.Register. It is safe for concurrent
-// callers: reader IDs come from a shared atomic allocator.
+// callers: reader IDs come from a shared atomic allocator. A read is one
+// collect returning the freshest value (lines 17–19); readers never write.
 func (e *Emulation) NewReader() emulation.Reader {
-	return &Reader{em: e, client: e.readers.Next()}
+	return emulation.NewReader(e.readers.Next(), e.hist, (*readChain)(e))
+}
+
+// readChain is the Emulation seen as its readers' emulation.ReadChain.
+type readChain Emulation
+
+func (c *readChain) StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error)) {
+	e := (*Emulation)(c)
+	e.collect(ctx, client, func(cur types.TSValue, err error) {
+		if err != nil {
+			done(types.InitialValue, fmt.Errorf("regemu: collect: %w", err))
+			return
+		}
+		done(cur.Val, nil)
+	})
 }
 
 // collect implements lines 13–26 of Algorithm 2: scatter a read on every
-// register of every server as one batch and wait until, for n-f servers,
-// every register of the server has responded (n-f complete scans). A
-// server the layout left empty has nothing to answer and counts as
-// responded, so the round engine waits for all but f of the servers that
-// do host registers — with the n the layout was planned for, a layout
-// spanning fewer than n servers would wait for crashed ones, or for more
-// servers than exist. It returns the highest timestamped value observed.
-func (e *Emulation) collect(ctx context.Context, client types.ClientID) (types.TSValue, error) {
-	max, err := fabric.RetryView(ctx, func() (types.TSValue, error) {
-		return rounds.ScatterScan(e.fab, client, e.scan).AwaitServers(ctx, e.f)
+// register of every server as one snapshot scan and report the highest
+// timestamped value once, for n-f servers, every register of the server
+// has responded (n-f complete scans). A server the layout left empty has
+// nothing to answer and counts as responded, so the round engine waits for
+// all but f of the servers that do host registers — with the n the layout
+// was planned for, a layout spanning fewer than n servers would wait for
+// crashed ones, or for more servers than exist.
+func (e *Emulation) collect(ctx context.Context, client types.ClientID, report func(types.TSValue, error)) {
+	rounds.Scatter(ctx, e.fab, client, rounds.Round{
+		Plan:    func() ([]rounds.Target, int) { return e.scan, e.f },
+		Scan:    true,
+		Servers: true,
+		Max:     report,
 	})
-	if err != nil {
-		return max, fmt.Errorf("regemu: collect: %w", err)
-	}
-	return max, nil
 }
 
 // writeOp is one in-flight high-level write driven by the writer's state
 // machine: the Statei of the pseudo-code for one invocation. It is guarded
 // by the writer's mutex.
 type writeOp struct {
+	// ctx is the caller's context: once it is done the op is abandoned — it
+	// no longer owns the machine and triggers nothing further.
+	ctx context.Context
 	// ts is the write's timestamp, assigned when the collect phase
 	// completed; scattered reports that the push phase has started (only
 	// then do freed registers re-trigger with ts — during the collect the
@@ -198,11 +216,22 @@ type writeOp struct {
 	// viewRetries counts per-op low-level re-triggers after view-change
 	// completions, bounding transparent reconfiguration retries.
 	viewRetries int
-	// finished latches completion (or detachment): the op no longer owns
-	// the machine and its done must not fire (again).
-	finished bool
-	pw       *spec.PendingWrite
-	done     func(error)
+	done        func(error)
+}
+
+// live reports whether op still owns the writer's machine; callers hold
+// the writer's mutex.
+func (w *Writer) live(op *writeOp) bool {
+	return op != nil && w.cur == op && op.ctx.Err() == nil
+}
+
+// reap is the step an abandoned op takes instead of its next one: it
+// reports its context's error (to whoever still listens) and frees the
+// machine. Called without the mutex, on an op that was found not live.
+func (w *Writer) reap(op *writeOp) {
+	if op != nil && op.ctx.Err() != nil {
+		w.finish(op, fmt.Errorf("regemu: write: %w", op.ctx.Err()))
+	}
 }
 
 // Writer is the Algorithm 2 per-writer state machine. pending[b] plays the
@@ -210,12 +239,15 @@ type writeOp struct {
 // without a response. The machine is event-driven — low-level completions
 // call onEvent on whatever goroutine completes them (fabric, timer, or the
 // caller's own for synchronous lanes) — so one high-level write costs no
-// goroutine: the blocking Write is a thin wrapper over StartWrite, and the
-// completion-based path (internal/emulation/async) drives thousands of
-// writers from one event loop. Per the emulation contract a writer carries
-// at most one in-flight high-level write; starting a second before the
-// previous done fired is rejected loudly.
+// goroutine, and internal/emulation/async drives thousands of writers from
+// one event loop. Per the emulation contract a writer carries at most one
+// in-flight high-level write; starting a second while the previous one is
+// live (not completed, its context not done) is rejected loudly.
 type Writer struct {
+	// Writer is the shared handle (history, blocking adapter) over the
+	// machine's writeChain.
+	emulation.Writer
+
 	em     *Emulation
 	client types.ClientID
 	set    []types.ObjectID
@@ -225,15 +257,6 @@ type Writer struct {
 	pending map[types.ObjectID]bool
 	cur     *writeOp // the in-flight high-level write, nil when idle
 }
-
-// Compile-time interface compliance checks.
-var (
-	_ emulation.Writer      = (*Writer)(nil)
-	_ emulation.AsyncWriter = (*Writer)(nil)
-)
-
-// Client implements emulation.Writer.
-func (w *Writer) Client() types.ClientID { return w.client }
 
 // triggerLocked issues a low-level write of ts on register b and marks it
 // pending. The trigger itself runs after the caller released the mutex
@@ -264,116 +287,94 @@ func (w *Writer) scatter(objs []types.ObjectID, ts types.TSValue) {
 // register is freed, and — when a push is in flight — a response for the
 // current timestamp counts toward the quorum (line 11) while a response
 // for an older one immediately re-covers the register with the current
-// value (lines 29–34). Events arriving while the writer is idle (the op
-// was cancelled and detached, or the machine is between writes) just free
-// the register: the next write's push batch picks it up. onEvent never
-// blocks beyond the writer mutex, so it is safe on fabric goroutines.
+// value (lines 29–34). Events arriving while no live op owns the machine
+// (the op was abandoned, or the machine is between writes) just free the
+// register: the next write's push batch picks it up. Before the push phase
+// there is nothing to count or retry either — during the collect the
+// timestamp does not exist yet, so the freed register simply joins the push
+// batch. onEvent never blocks beyond the writer mutex, so it is safe on
+// fabric goroutines.
 func (w *Writer) onEvent(b types.ObjectID, ts types.TSValue, err error) {
 	w.mu.Lock()
 	w.pending[b] = false
 	op := w.cur
-	if op == nil || op.finished {
+	if !w.live(op) || !op.scattered {
 		w.mu.Unlock()
+		w.reap(op)
 		return
 	}
 	if err != nil {
-		if fabric.IsViewChange(err) {
-			// The low-level write raced a reconfiguration and never applied
-			// (the view-change contract), so it retries instead of failing
-			// the high-level write. Before the push phase there is nothing
-			// to retry — the freed register simply joins the push batch once
-			// the timestamp exists.
-			if !op.scattered {
+		// A low-level write that raced a reconfiguration never applied (the
+		// view-change contract), so it retries instead of failing the
+		// high-level write — re-checking ownership first: if the op finished
+		// or was abandoned meanwhile, the register stays free.
+		attempt := op.viewRetries
+		op.viewRetries++
+		w.mu.Unlock()
+		if !rounds.Retry(op.ctx, attempt, err, func(int) {
+			w.mu.Lock()
+			if !w.live(op) {
 				w.mu.Unlock()
 				return
 			}
-			if op.viewRetries < fabric.MaxViewRetries {
-				attempt := op.viewRetries
-				op.viewRetries++
-				w.mu.Unlock()
-				// The re-trigger runs from a timer goroutine so the backoff
-				// never blocks a fabric completion, re-checking ownership:
-				// if the op finished meanwhile, the register stays free.
-				time.AfterFunc(fabric.ViewRetryDelay(attempt), func() {
-					w.mu.Lock()
-					if w.cur != op || op.finished {
-						w.mu.Unlock()
-						return
-					}
-					retrigger := w.triggerLocked(b, op.ts)
-					w.mu.Unlock()
-					retrigger()
-				})
-				return
-			}
-		}
-		op.finished = true
-		w.cur = nil
-		done := op.done
-		w.mu.Unlock()
-		done(fmt.Errorf("regemu: write: %w", err))
-		return
-	}
-	if !op.scattered {
-		// Collect still running: the freed register joins the push batch
-		// once the timestamp exists.
-		w.mu.Unlock()
-		return
-	}
-	if ts == op.ts {
-		op.acked++
-		if op.acked >= w.quorum {
-			op.finished = true
-			w.cur = nil
-			pw, done := op.pw, op.done
+			retrigger := w.triggerLocked(b, op.ts)
 			w.mu.Unlock()
-			pw.End()
-			done(nil)
-			return
+			retrigger()
+		}, func(err error) { w.finish(op, err) }) {
+			w.finish(op, fmt.Errorf("regemu: write: %w", err))
 		}
-		w.mu.Unlock()
 		return
 	}
-	retrigger := w.triggerLocked(b, op.ts)
+	if ts != op.ts {
+		retrigger := w.triggerLocked(b, op.ts)
+		w.mu.Unlock()
+		retrigger()
+		return
+	}
+	op.acked++
+	done := op.acked >= w.quorum
 	w.mu.Unlock()
-	retrigger()
+	if done {
+		w.finish(op, nil)
+	}
 }
 
-// StartWrite implements emulation.AsyncWriter: collect, pick a higher
+// writeChain is the Writer seen as its own handle's emulation.WriteChain
+// (the handle's StartWrite, promoted onto Writer, takes no client).
+type writeChain Writer
+
+// StartWrite is the write chain behind the handle: collect, pick a higher
 // timestamp, push to the writer's register set avoiding self-covered
 // registers, and fire done after |R_j| - f acknowledgements. The whole
 // operation is a callback chain — nothing blocks, and done may fire inline
 // on a synchronous lane. If the failure assumption is violated, done never
-// fires (a pending high-level op); the blocking wrapper bounds that wait
-// with its context, and detaches on cancellation.
-func (w *Writer) StartWrite(v types.Value, done func(error)) {
-	w.startWrite(v, done)
-}
-
-// startWrite is StartWrite returning the op handle for detach.
-func (w *Writer) startWrite(v types.Value, done func(error)) *writeOp {
-	op := &writeOp{done: done}
+// fires (a pending high-level op); a caller that gives up cancels ctx, and
+// the abandoned op's already-triggered low-level writes keep covering their
+// registers until they respond, as in any abandoned write.
+func (c *writeChain) StartWrite(ctx context.Context, _ types.ClientID, v types.Value, done func(error)) {
+	w := (*Writer)(c)
+	op := &writeOp{ctx: ctx, done: done}
 	w.mu.Lock()
-	if w.cur != nil {
+	if w.live(w.cur) {
 		w.mu.Unlock()
 		done(fmt.Errorf("regemu: writer %d already has a write in flight", w.client))
-		return nil
+		return
 	}
 	w.cur = op
 	w.mu.Unlock()
-	op.pw = w.em.hist.BeginWrite(w.client, v)
 
 	// Lines 20–26: collect until n-f complete server scans responded, then
 	// (lines 6–10) scatter one batch over every register of R_j not
 	// currently covered by our own previous writes.
-	rounds.ScatterFoldServersScan(w.em.fab, w.client, w.em.scan, w.em.f, func(cur types.TSValue, err error) {
+	w.em.collect(ctx, w.client, func(cur types.TSValue, err error) {
 		if err != nil {
-			w.fail(op, fmt.Errorf("regemu: collect: %w", err))
+			w.finish(op, fmt.Errorf("regemu: collect: %w", err))
 			return
 		}
 		w.mu.Lock()
-		if w.cur != op || op.finished {
-			w.mu.Unlock() // detached by a cancelled blocking wrapper
+		if !w.live(op) {
+			w.mu.Unlock()
+			w.reap(op)
 			return
 		}
 		op.ts = types.TSValue{TS: cur.TS + 1, Writer: w.client, Val: v}
@@ -389,61 +390,19 @@ func (w *Writer) startWrite(v types.Value, done func(error)) *writeOp {
 		w.mu.Unlock()
 		w.scatter(fresh, ts)
 	})
-	return op
 }
 
-// fail completes op with err, unless it already finished or detached.
-func (w *Writer) fail(op *writeOp, err error) {
+// finish completes op with err (nil: acknowledged by its quorum), exactly
+// once and only while it still owns the machine.
+func (w *Writer) finish(op *writeOp, err error) {
 	w.mu.Lock()
-	if w.cur != op || op.finished {
+	if w.cur != op {
 		w.mu.Unlock()
 		return
 	}
-	op.finished = true
 	w.cur = nil
-	done := op.done
 	w.mu.Unlock()
-	done(err)
-}
-
-// detach abandons op: its done will never fire, late completions for its
-// low-level writes just free their registers, and the writer may start a
-// new write — the cancelled op stays pending in the history, exactly like
-// the paper's incomplete high-level ops.
-func (w *Writer) detach(op *writeOp) {
-	if op == nil {
-		return
-	}
-	w.mu.Lock()
-	if w.cur == op {
-		op.finished = true
-		w.cur = nil
-	}
-	w.mu.Unlock()
-}
-
-// Write implements emulation.Writer: the blocking wrapper over StartWrite.
-// On ctx expiry the in-flight op is detached; its already-triggered
-// low-level writes keep covering their registers until they respond, as in
-// any abandoned write.
-func (w *Writer) Write(ctx context.Context, v types.Value) error {
-	done := make(chan error, 1)
-	op := w.startWrite(v, func(err error) { done <- err })
-	select {
-	case err := <-done:
-		return err
-	case <-ctx.Done():
-		w.detach(op)
-		// The op may have completed between the ctx firing and the
-		// detach; prefer its verdict, matching the blocking loop's
-		// drain-before-ctx discipline.
-		select {
-		case err := <-done:
-			return err
-		default:
-			return fmt.Errorf("regemu: write: %w", ctx.Err())
-		}
-	}
+	op.done(err)
 }
 
 // CoveredByMe returns the registers of the writer's set that currently
@@ -459,46 +418,4 @@ func (w *Writer) CoveredByMe() []types.ObjectID {
 		}
 	}
 	return covered
-}
-
-// Reader is the Algorithm 2 read-side handle.
-type Reader struct {
-	em     *Emulation
-	client types.ClientID
-}
-
-// Compile-time interface compliance checks.
-var (
-	_ emulation.Reader      = (*Reader)(nil)
-	_ emulation.AsyncReader = (*Reader)(nil)
-)
-
-// Client implements emulation.Reader.
-func (r *Reader) Client() types.ClientID { return r.client }
-
-// StartRead implements emulation.AsyncReader: the collect as a callback
-// chain, firing done with the freshest value once n-f complete server
-// scans responded.
-func (r *Reader) StartRead(done func(types.Value, error)) {
-	pr := r.em.hist.BeginRead(r.client)
-	rounds.ScatterFoldServersScan(r.em.fab, r.client, r.em.scan, r.em.f, func(cur types.TSValue, err error) {
-		if err != nil {
-			done(types.InitialValue, fmt.Errorf("regemu: collect: %w", err))
-			return
-		}
-		pr.End(cur.Val)
-		done(cur.Val, nil)
-	})
-}
-
-// Read implements emulation.Reader: collect and return the freshest value
-// (lines 17–19).
-func (r *Reader) Read(ctx context.Context) (types.Value, error) {
-	pr := r.em.hist.BeginRead(r.client)
-	cur, err := r.em.collect(ctx, r.client)
-	if err != nil {
-		return types.InitialValue, err
-	}
-	pr.End(cur.Val)
-	return cur.Val, nil
 }

@@ -139,7 +139,7 @@ func TestSurvivesFServerCrashes(t *testing.T) {
 // the collect waits for all but f of the hosting servers — not for n-f of
 // them, which at (4,7) is every hosting server and at (2,7) and (1,5) is
 // more servers than host anything. With any one hosting server crashed,
-// every writer's write and both read paths (the blocking collect and the
+// every writer's write and both read forms (the blocking Read and the
 // completion-based StartRead) must complete, and the history must stay
 // WS-Regular.
 func TestToleratesCrashOfAnyHostingServer(t *testing.T) {
@@ -173,7 +173,7 @@ func TestToleratesCrashOfAnyHostingServer(t *testing.T) {
 			// The in-process lane completes inline, so a StartRead that does
 			// not fire before returning is one that would hang.
 			fired := false
-			em.NewReader().(*Reader).StartRead(func(v types.Value, err error) {
+			em.NewReader().StartRead(ctx, func(v types.Value, err error) {
 				fired = true
 				if err != nil || v != last {
 					t.Errorf("k=%d n=%d, server %d crashed: StartRead = %d, %v; want %d", tc.k, tc.n, crashed, v, err, last)

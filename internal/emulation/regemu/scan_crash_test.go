@@ -50,7 +50,7 @@ func gateHoldObjects(objs ...types.ObjectID) fabric.Gate {
 	}}
 }
 
-// TestCrashDuringScanNeverCompletesServer is the AwaitServers crash
+// TestCrashDuringScanNeverCompletesServer is the server-scan round's crash
 // semantics test: a server that crashes after SOME but not ALL of its scan
 // operations responded must never be counted as a complete scan. With one
 // partially-scanned crashed server the n-f=3 quorum still completes from

@@ -12,301 +12,14 @@ import (
 	"repro/internal/types"
 )
 
-// testEnv builds an n-server cluster with one max-register per server.
-func testEnv(t *testing.T, n int, gate fabric.Gate) (*fabric.Fabric, []types.ObjectID) {
-	t.Helper()
-	c, err := cluster.New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	objs := make([]types.ObjectID, n)
-	for s := 0; s < n; s++ {
-		obj, err := c.PlaceMaxRegister(types.ServerID(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		objs[s] = obj
-	}
-	var opts []fabric.Option
-	if gate != nil {
-		opts = append(opts, fabric.WithGate(gate))
-	}
-	return fabric.New(c, opts...), objs
-}
-
-func readTargets(objs []types.ObjectID) []Target {
-	ts := make([]Target, len(objs))
-	for i, obj := range objs {
-		ts[i] = Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpReadMax}}
-	}
-	return ts
-}
-
-func writeTargets(objs []types.ObjectID, v types.TSValue) []Target {
-	ts := make([]Target, len(objs))
-	for i, obj := range objs {
-		ts[i] = Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}}
-	}
-	return ts
-}
-
-func shortCtx(t *testing.T) context.Context {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	t.Cleanup(cancel)
-	return ctx
-}
-
-func TestScatterAwaitMax(t *testing.T) {
-	fab, objs := testEnv(t, 3, nil)
-	v := types.TSValue{TS: 7, Writer: 1, Val: 42}
-	if _, err := Scatter(fab, 1, writeTargets(objs, v)).AwaitMax(context.Background(), 3); err != nil {
-		t.Fatalf("write round: %v", err)
-	}
-	got, err := Scatter(fab, 2, readTargets(objs)).AwaitMax(context.Background(), 2)
-	if err != nil {
-		t.Fatalf("read round: %v", err)
-	}
-	if got != v {
-		t.Fatalf("AwaitMax = %v, want %v", got, v)
-	}
-}
-
-func TestAwaitMaxAdaptsToCrash(t *testing.T) {
-	fab, objs := testEnv(t, 3, nil)
-	if err := fab.Crash(0); err != nil {
-		t.Fatal(err)
-	}
-	// n-f = 2 responses still arrive from the two live servers.
-	if _, err := Scatter(fab, 1, readTargets(objs)).AwaitMax(context.Background(), 2); err != nil {
-		t.Fatalf("quorum round with crash: %v", err)
-	}
-	// All 3 can never respond: the gather must fail via ctx, not hang.
-	if _, err := Scatter(fab, 1, readTargets(objs)).AwaitMax(shortCtx(t), 3); err == nil {
-		t.Fatal("full round over a crashed server succeeded")
-	}
-}
-
-func TestAwaitMaxHeldResponses(t *testing.T) {
-	gate := fabric.GateFuncs{Respond: func(ev fabric.TriggerEvent, _ baseobj.Response) fabric.Decision {
-		if ev.Server == 2 {
-			return fabric.Hold
-		}
-		return fabric.Pass
-	}}
-	fab, objs := testEnv(t, 3, gate)
-	if _, err := Scatter(fab, 1, readTargets(objs)).AwaitMax(context.Background(), 2); err != nil {
-		t.Fatalf("quorum with one held response: %v", err)
-	}
-	if _, err := Scatter(fab, 1, readTargets(objs)).AwaitMax(shortCtx(t), 3); err == nil {
-		t.Fatal("await of a held response succeeded")
-	}
-}
-
-func TestGatherFailsFastOnStoreError(t *testing.T) {
-	ch := make(chan Report, 2)
-	ch <- Report{Err: context.DeadlineExceeded}
-	if _, err := Gather(context.Background(), ch, 2); err == nil {
-		t.Fatal("Gather swallowed a store error")
-	}
-}
-
-// TestAwaitServers exercises the Algorithm 2 scan condition: a server
-// counts only when every one of its operations responded.
-func TestAwaitServers(t *testing.T) {
-	c, err := cluster.New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two registers per server.
-	var objs []types.ObjectID
-	for s := 0; s < 2; s++ {
-		for i := 0; i < 2; i++ {
-			obj, err := c.PlaceRegister(types.ServerID(s))
-			if err != nil {
-				t.Fatal(err)
-			}
-			objs = append(objs, obj)
-		}
-	}
-	// Hold the response of one register of server 1: server 1 never
-	// completes a scan, server 0 does.
-	heldObj := objs[3]
-	gate := fabric.GateFuncs{Respond: func(ev fabric.TriggerEvent, _ baseobj.Response) fabric.Decision {
-		if ev.Object == heldObj {
-			return fabric.Hold
-		}
-		return fabric.Pass
-	}}
-	fab := fabric.New(c, fabric.WithGate(gate))
-
-	targets := make([]Target, len(objs))
-	for i, obj := range objs {
-		targets[i] = Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}}
-	}
-	if _, err := Scatter(fab, 1, targets).AwaitServers(context.Background(), 1); err != nil {
-		t.Fatalf("one full scan: %v", err)
-	}
-	if _, err := Scatter(fab, 1, targets).AwaitServers(shortCtx(t), 0); err == nil {
-		t.Fatal("two full scans succeeded with a held register response")
-	}
-}
-
-// TestAwaitServersOverDeliveryIsAProtocolError forges the duplicate-report
-// scenario the countdown must survive: a server that produces more reports
-// than the round scattered to it. Before the guard, the countdown passed
-// through zero (0 -> -1 -> ...) and a server whose count re-reached zero
-// was counted as a second complete scan; now any report beyond a server's
-// scattered quota fails the gather with ErrOverDelivery.
-func TestAwaitServersOverDeliveryIsAProtocolError(t *testing.T) {
-	ch := make(chan Report, 4)
-	// Server 0 scattered one op but reports twice; server 1 never reports.
-	ch <- Report{Server: 0, Val: types.TSValue{TS: 1}}
-	ch <- Report{Server: 0, Val: types.TSValue{TS: 2}}
-	remaining := map[types.ServerID]int{0: 1, 1: 1}
-	_, err := awaitServers(context.Background(), ch, remaining, 2)
-	if !errors.Is(err, ErrOverDelivery) {
-		t.Fatalf("err = %v, want ErrOverDelivery", err)
-	}
-
-	// A report from a server the round never scattered to is equally
-	// over-delivered (zero quota).
-	ch = make(chan Report, 4)
-	ch <- Report{Server: 7, Val: types.TSValue{TS: 1}}
-	_, err = awaitServers(context.Background(), ch, map[types.ServerID]int{0: 1}, 1)
-	if !errors.Is(err, ErrOverDelivery) {
-		t.Fatalf("unknown-server err = %v, want ErrOverDelivery", err)
-	}
-}
-
-// TestAwaitServersExactDeliveryStillCompletes pins the guard against
-// false positives: a server delivering exactly its quota completes.
-func TestAwaitServersExactDeliveryStillCompletes(t *testing.T) {
-	ch := make(chan Report, 4)
-	ch <- Report{Server: 0, Val: types.TSValue{TS: 1}}
-	ch <- Report{Server: 0, Val: types.TSValue{TS: 3}}
-	ch <- Report{Server: 1, Val: types.TSValue{TS: 2}}
-	max, err := awaitServers(context.Background(), ch, map[types.ServerID]int{0: 2, 1: 1}, 2)
-	if err != nil {
-		t.Fatalf("awaitServers: %v", err)
-	}
-	if max.TS != 3 {
-		t.Fatalf("max = %v, want ts 3", max)
-	}
-}
-
-// TestDeliverNeverBlocks pins the guaranteed-capacity discipline: a send
-// within capacity succeeds, a send beyond it panics loudly instead of
-// blocking the (would-be fabric) goroutine forever.
-func TestDeliverNeverBlocks(t *testing.T) {
-	ch := make(chan Report, 1)
-	Deliver(ch, Report{Index: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("over-capacity Deliver did not panic")
-		}
-	}()
-	Deliver(ch, Report{Index: 2})
-}
-
-// TestAbandonedRoundReleaseCannotBlock is the cancellation-leak regression
-// test: a gather abandoned by ctx cancellation leaves held ops behind;
-// when the environment later releases every one of them, the late
-// completions land in the abandoned round's buffer on the releasing
-// goroutine. The capacity invariant (one slot per scattered call) means
-// none of those sends can block — the release loop below would deadlock
-// (and -race/timeout would catch it) if they could.
-func TestAbandonedRoundReleaseCannotBlock(t *testing.T) {
-	gate := fabric.GateFuncs{Respond: func(fabric.TriggerEvent, baseobj.Response) fabric.Decision {
-		return fabric.Hold // hold every response
-	}}
-	fab, objs := testEnv(t, 3, gate)
-	for round := 0; round < 4; round++ {
-		r := Scatter(fab, 1, readTargets(objs))
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel() // abandon the gather before any response arrives
-		if _, err := r.AwaitMax(ctx, len(objs)); err == nil {
-			t.Fatal("cancelled gather succeeded")
-		}
-		// Release everything: each completion sends into the abandoned
-		// round's channel, inline on this goroutine.
-		if released := fab.ReleaseWhere(func(fabric.PendingOp) bool { return true }); released != len(objs) {
-			t.Fatalf("round %d: released %d, want %d", round, released, len(objs))
-		}
-		for i, call := range r.Calls() {
-			if _, ok := call.Outcome(); !ok {
-				t.Fatalf("round %d: call %d did not complete after release", round, i)
-			}
-		}
-	}
-}
-
-func TestScatterFold(t *testing.T) {
-	fab, objs := testEnv(t, 3, nil)
-	v := types.TSValue{TS: 3, Writer: 0, Val: 9}
-	if _, err := Scatter(fab, 0, writeTargets(objs, v)).AwaitMax(context.Background(), 3); err != nil {
-		t.Fatal(err)
-	}
-
-	fired := 0
-	var got types.TSValue
-	ScatterFold(fab, 1, readTargets(objs), len(objs), func(max types.TSValue, err error) {
-		if err != nil {
-			t.Fatalf("fold: %v", err)
-		}
-		fired++
-		got = max
-	})
-	if fired != 1 || got != v {
-		t.Fatalf("fold fired=%d max=%v, want 1 fire of %v", fired, got, v)
-	}
-
-	// Degenerate need reports an error instead of never firing.
-	errFired := false
-	ScatterFold(fab, 1, readTargets(objs), len(objs)+1, func(_ types.TSValue, err error) {
-		if err == nil {
-			t.Fatal("fold with need > targets reported no error")
-		}
-		errFired = true
-	})
-	if !errFired {
-		t.Fatal("degenerate fold never reported")
-	}
-}
-
-func TestScatterFoldReportsProtocolError(t *testing.T) {
-	c, err := cluster.New(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A single-writer register: client 5 is not authorized.
-	obj, err := c.PlaceRegister(0, baseobj.WithWriters([]types.ClientID{0}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab := fabric.New(c)
-	fired := false
-	ScatterFold(fab, 5, []Target{{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Writer: 5}}}}, 1,
-		func(_ types.TSValue, err error) {
-			if err == nil {
-				t.Fatal("unauthorized write folded without error")
-			}
-			fired = true
-		})
-	if !fired {
-		t.Fatal("fold never reported")
-	}
-}
-
 // multiEnv builds an n-server cluster with regs max-registers per server,
-// returning read targets in server-major order (a scan).
-func multiEnv(t *testing.T, n, regs int, gate fabric.Gate) (*fabric.Fabric, []Target, [][]types.ObjectID) {
+// returning the objects server-major (a scan order).
+func multiEnv(t *testing.T, n, regs int, gate fabric.Gate) (*fabric.Fabric, [][]types.ObjectID) {
 	t.Helper()
 	c, err := cluster.New(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var scan []Target
 	byServer := make([][]types.ObjectID, n)
 	for s := 0; s < n; s++ {
 		for r := 0; r < regs; r++ {
@@ -315,90 +28,288 @@ func multiEnv(t *testing.T, n, regs int, gate fabric.Gate) (*fabric.Fabric, []Ta
 				t.Fatal(err)
 			}
 			byServer[s] = append(byServer[s], obj)
-			scan = append(scan, Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpReadMax}})
 		}
 	}
 	var opts []fabric.Option
 	if gate != nil {
 		opts = append(opts, fabric.WithGate(gate))
 	}
-	return fabric.New(c, opts...), scan, byServer
+	return fabric.New(c, opts...), byServer
 }
 
-func TestScatterFoldServersCompletes(t *testing.T) {
-	fab, scan, byServer := multiEnv(t, 3, 2, nil)
-	v := types.TSValue{TS: 3, Writer: 0, Val: 9}
-	if _, err := Scatter(fab, 0, writeTargets([]types.ObjectID{byServer[1][1]}, v)).AwaitMax(context.Background(), 1); err != nil {
+// testEnv is multiEnv with one max-register per server.
+func testEnv(t *testing.T, n int, gate fabric.Gate) (*fabric.Fabric, []types.ObjectID) {
+	t.Helper()
+	fab, byServer := multiEnv(t, n, 1, gate)
+	objs := make([]types.ObjectID, n)
+	for s := range byServer {
+		objs[s] = byServer[s][0]
+	}
+	return fab, objs
+}
+
+func readTargets(objs ...types.ObjectID) []Target {
+	ts := make([]Target, len(objs))
+	for i, obj := range objs {
+		ts[i] = Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpReadMax}}
+	}
+	return ts
+}
+
+func writeTargets(v types.TSValue, objs ...types.ObjectID) []Target {
+	ts := make([]Target, len(objs))
+	for i, obj := range objs {
+		ts[i] = Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}}
+	}
+	return ts
+}
+
+func fixed(targets []Target, need int) Plan {
+	return func() ([]Target, int) { return targets, need }
+}
+
+// outcome is a round's report, recorded; fired counts reports.
+type outcome struct {
+	fired int
+	max   types.TSValue
+	reps  []Report
+	err   error
+}
+
+// scatter runs a max-fold round on the in-process lane, where everything
+// that can complete completes inline, and returns what was reported so far.
+func scatter(fab *fabric.Fabric, client types.ClientID, r Round) *outcome {
+	out := &outcome{}
+	r.Max = func(v types.TSValue, err error) { out.fired++; out.max, out.err = v, err }
+	Scatter(context.Background(), fab, client, r)
+	return out
+}
+
+func releaseAll(fab *fabric.Fabric) int {
+	return fab.ReleaseWhere(func(fabric.PendingOp) bool { return true })
+}
+
+// TestScatterMaxFold: a write round at need n, then a read round at the
+// quorum folds the written maximum; a degenerate threshold reports an error
+// instead of never firing.
+func TestScatterMaxFold(t *testing.T) {
+	fab, objs := testEnv(t, 3, nil)
+	v := types.TSValue{TS: 7, Writer: 1, Val: 42}
+	if w := scatter(fab, 1, Round{Plan: fixed(writeTargets(v, objs...), 3)}); w.fired != 1 || w.err != nil {
+		t.Fatalf("write round: fired=%d err=%v", w.fired, w.err)
+	}
+	if r := scatter(fab, 2, Round{Plan: fixed(readTargets(objs...), 2)}); r.fired != 1 || r.err != nil || r.max != v {
+		t.Fatalf("read round: fired=%d max=%v err=%v, want one report of %v", r.fired, r.max, r.err, v)
+	}
+	for _, need := range []int{0, -1, len(objs) + 1} {
+		before := fab.Triggers()
+		if r := scatter(fab, 2, Round{Plan: fixed(readTargets(objs...), need)}); r.fired != 1 || r.err == nil {
+			t.Fatalf("need=%d: fired=%d err=%v, want one error report", need, r.fired, r.err)
+		}
+		if fab.Triggers() != before {
+			t.Fatalf("need=%d: a rejected round triggered operations", need)
+		}
+	}
+}
+
+// TestScatterAdaptsToCrash: n-f responses still arrive from the live
+// servers; a threshold that needs the crashed one never reports — a pending
+// op, not an error and not a hang of the caller.
+func TestScatterAdaptsToCrash(t *testing.T) {
+	fab, objs := testEnv(t, 3, nil)
+	if err := fab.Crash(0); err != nil {
 		t.Fatal(err)
 	}
-	got := make(chan types.TSValue, 1)
-	ScatterFoldServers(fab, 1, scan, 0, func(max types.TSValue, err error) {
-		if err != nil {
-			t.Errorf("scan fold: %v", err)
-		}
-		got <- max
-	})
-	select {
-	case max := <-got:
-		if max != v {
-			t.Fatalf("scan fold max = %v, want %v", max, v)
-		}
-	default:
-		t.Fatal("scan fold did not fire synchronously on the in-process lane")
+	if r := scatter(fab, 1, Round{Plan: fixed(readTargets(objs...), 2)}); r.fired != 1 || r.err != nil {
+		t.Fatalf("quorum round with a crash: fired=%d err=%v", r.fired, r.err)
+	}
+	if r := scatter(fab, 1, Round{Plan: fixed(readTargets(objs...), 3)}); r.fired != 0 {
+		t.Fatalf("full round over a crashed server reported (%v)", r.err)
 	}
 }
 
-// TestScatterFoldServersPartialScanDoesNotCount holds one register response
-// per gated server: its scan stays partial and must not count toward the
-// quorum until released.
-func TestScatterFoldServersPartialScanDoesNotCount(t *testing.T) {
-	var heldObj types.ObjectID = -1
+// TestScatterHeldResponses: a held response does not count until released.
+func TestScatterHeldResponses(t *testing.T) {
 	gate := fabric.GateFuncs{Respond: func(ev fabric.TriggerEvent, _ baseobj.Response) fabric.Decision {
-		if ev.Object == heldObj {
+		if ev.Server == 2 {
 			return fabric.Hold
 		}
 		return fabric.Pass
 	}}
-	fab, scan, byServer := multiEnv(t, 3, 2, gate)
-	heldObj = byServer[0][0]
-	fired := make(chan types.TSValue, 1)
-	ScatterFoldServers(fab, 1, scan, 0, func(max types.TSValue, err error) {
-		if err != nil {
-			t.Errorf("scan fold: %v", err)
-		}
-		fired <- max
-	})
-	select {
-	case <-fired:
-		t.Fatal("scan fold fired with server 0's scan still partial")
-	default:
+	fab, objs := testEnv(t, 3, gate)
+	if r := scatter(fab, 1, Round{Plan: fixed(readTargets(objs...), 2)}); r.fired != 1 || r.err != nil {
+		t.Fatalf("quorum with one held response: fired=%d err=%v", r.fired, r.err)
 	}
-	fab.ReleaseWhere(func(fabric.PendingOp) bool { return true })
-	select {
-	case <-fired:
-	default:
-		t.Fatal("scan fold did not fire after releasing the held response")
+	r := scatter(fab, 1, Round{Plan: fixed(readTargets(objs...), 3)})
+	if r.fired != 0 {
+		t.Fatal("round counted a held response")
+	}
+	releaseAll(fab)
+	if r.fired != 1 || r.err != nil {
+		t.Fatalf("after release: fired=%d err=%v", r.fired, r.err)
 	}
 }
 
-// TestServerFoldOverDelivery feeds the accumulator a duplicate report for an
-// exhausted server: the same protocol violation AwaitServers rejects.
-func TestServerFoldOverDelivery(t *testing.T) {
-	errs := make(chan error, 1)
-	j := &serverFold{
-		remaining: map[types.ServerID]int{0: 1, 1: 1},
-		need:      2,
-		report:    func(_ types.TSValue, err error) { errs <- err },
+// TestScatterFailsFastOnProtocolError: an unauthorized write reports its
+// error at once, on every reducer, however many responses were still needed.
+func TestScatterFailsFastOnProtocolError(t *testing.T) {
+	c, err := cluster.New(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	j.complete(0, types.ZeroTSValue, nil)
-	j.complete(0, types.ZeroTSValue, nil)
-	select {
-	case err := <-errs:
-		if !errors.Is(err, ErrOverDelivery) {
-			t.Fatalf("duplicate report error = %v, want ErrOverDelivery", err)
+	obj, err := c.PlaceRegister(0, baseobj.WithWriters([]types.ClientID{0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := fabric.New(c)
+	targets := []Target{{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Writer: 5}}}}
+	if r := scatter(fab, 5, Round{Plan: fixed(targets, 1)}); r.fired != 1 || r.err == nil {
+		t.Fatalf("max fold: fired=%d err=%v, want the protocol error", r.fired, r.err)
+	}
+	if r := scatter(fab, 5, Round{Plan: fixed(targets, 0), Servers: true}); r.fired != 1 || r.err == nil {
+		t.Fatalf("server scan: fired=%d err=%v, want the protocol error", r.fired, r.err)
+	}
+	fired := 0
+	Scatter(context.Background(), fab, 5, Round{Plan: fixed(targets, 1), Reports: func(reps []Report, err error) {
+		fired++
+		if err == nil || reps != nil {
+			t.Errorf("reports: reps=%v err=%v, want the protocol error alone", reps, err)
 		}
-	default:
-		t.Fatal("duplicate report for an exhausted server did not fire the fold")
+	}})
+	if fired != 1 {
+		t.Fatalf("reports reducer fired %d times", fired)
+	}
+}
+
+// TestScatterReports: the report reducer hands over exactly the need
+// responses that completed the round, in arrival order, each naming its
+// target and server.
+func TestScatterReports(t *testing.T) {
+	fab, objs := testEnv(t, 3, nil)
+	v := types.TSValue{TS: 2, Writer: 0, Val: 5}
+	scatter(fab, 0, Round{Plan: fixed(writeTargets(v, objs[1]), 1)})
+	var got []Report
+	Scatter(context.Background(), fab, 1, Round{Plan: fixed(readTargets(objs...), 2), Reports: func(reps []Report, err error) {
+		if err != nil {
+			t.Errorf("reports: %v", err)
+		}
+		got = reps
+	}})
+	if len(got) != 2 {
+		t.Fatalf("got %d reports, want the 2 that completed the round", len(got))
+	}
+	for i, rep := range got {
+		if rep.Index != i || rep.Object != objs[i] || rep.Server != types.ServerID(i) {
+			t.Errorf("report %d = %+v, want index/object/server of target %d", i, rep, i)
+		}
+	}
+	if got[1].Val != v {
+		t.Errorf("report 1 carries %v, want %v", got[1].Val, v)
+	}
+}
+
+// TestScatterServers exercises Algorithm 2's condition on both dispatch
+// forms: a server counts only when every one of its operations responded,
+// and the threshold is all but f of the hosting servers.
+func TestScatterServers(t *testing.T) {
+	for _, scan := range []bool{false, true} {
+		var heldObj types.ObjectID = -1
+		gate := fabric.GateFuncs{Respond: func(ev fabric.TriggerEvent, _ baseobj.Response) fabric.Decision {
+			if ev.Object == heldObj {
+				return fabric.Hold
+			}
+			return fabric.Pass
+		}}
+		fab, byServer := multiEnv(t, 3, 2, gate)
+		var all []types.ObjectID
+		for _, objs := range byServer {
+			all = append(all, objs...)
+		}
+		v := types.TSValue{TS: 3, Writer: 0, Val: 9}
+		scatter(fab, 0, Round{Plan: fixed(writeTargets(v, byServer[1][1]), 1)})
+
+		if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 0), Scan: scan, Servers: true}); r.fired != 1 || r.err != nil || r.max != v {
+			t.Fatalf("scan=%v: three complete scans: fired=%d max=%v err=%v", scan, r.fired, r.max, r.err)
+		}
+		// Server 0's scan stays partial while one of its registers is held.
+		heldObj = byServer[0][0]
+		if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 1), Scan: scan, Servers: true}); r.fired != 1 || r.err != nil {
+			t.Fatalf("scan=%v: two of three scans, f=1: fired=%d err=%v", scan, r.fired, r.err)
+		}
+		r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 0), Scan: scan, Servers: true})
+		if r.fired != 0 {
+			t.Fatalf("scan=%v: round fired with server 0's scan still partial", scan)
+		}
+		releaseAll(fab)
+		if r.fired != 1 || r.err != nil {
+			t.Fatalf("scan=%v: after release: fired=%d err=%v", scan, r.fired, r.err)
+		}
+		// An f that leaves no hosting server to wait for is rejected.
+		for _, f := range []int{3, -1} {
+			if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), f), Scan: scan, Servers: true}); r.fired != 1 || r.err == nil {
+				t.Fatalf("scan=%v f=%d: fired=%d err=%v, want an error", scan, f, r.fired, r.err)
+			}
+		}
+	}
+}
+
+// TestScatterServersCrashedPartialScanNeverCounts: a crashed server's
+// remaining operations never respond, so with f=0 the round stays pending.
+func TestScatterServersCrashedPartialScanNeverCounts(t *testing.T) {
+	fab, byServer := multiEnv(t, 2, 2, nil)
+	if err := fab.Crash(1); err != nil {
+		t.Fatal(err)
+	}
+	all := append(append([]types.ObjectID{}, byServer[0]...), byServer[1]...)
+	if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 0), Servers: true}); r.fired != 0 {
+		t.Fatalf("round over a crashed server reported (%v)", r.err)
+	}
+	if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 1), Servers: true}); r.fired != 1 || r.err != nil {
+		t.Fatalf("f=1 round: fired=%d err=%v", r.fired, r.err)
+	}
+}
+
+// TestFoldOverDelivery forges the duplicate-report scenario the per-server
+// countdown must survive: a server producing more reports than the round
+// scattered to it (or one the round never scattered to). Without the guard
+// the countdown passed through zero and a server whose count re-reached
+// zero was counted as a second complete scan.
+func TestFoldOverDelivery(t *testing.T) {
+	for name, reports := range map[string][]types.ServerID{
+		"duplicate":      {0, 0},
+		"unknown server": {7},
+	} {
+		var errs []error
+		j := &Fold{left: 2, owed: map[types.ServerID]int{0: 1, 1: 1}, report: func(_ types.TSValue, err error) { errs = append(errs, err) }}
+		for _, srv := range reports {
+			j.add(&Report{Server: srv})
+		}
+		if len(errs) != 1 || !errors.Is(errs[0], ErrOverDelivery) {
+			t.Fatalf("%s: reports = %v, want one ErrOverDelivery", name, errs)
+		}
+	}
+}
+
+// TestFoldExactDeliveryCompletes pins the guard against false positives: a
+// server delivering exactly its quota completes its scan.
+func TestFoldExactDeliveryCompletes(t *testing.T) {
+	var got types.TSValue
+	fired := 0
+	j := &Fold{left: 2, owed: map[types.ServerID]int{0: 2, 1: 1}, report: func(v types.TSValue, err error) {
+		if err != nil {
+			t.Errorf("fold: %v", err)
+		}
+		fired++
+		got = v
+	}}
+	j.add(&Report{Server: 0, Val: types.TSValue{TS: 1}})
+	j.add(&Report{Server: 0, Val: types.TSValue{TS: 3}})
+	if fired != 0 {
+		t.Fatal("fold fired on one complete scan of two")
+	}
+	j.add(&Report{Server: 1, Val: types.TSValue{TS: 2}})
+	if fired != 1 || got.TS != 3 {
+		t.Fatalf("fired=%d max=%v, want one report of ts 3", fired, got)
 	}
 }
 
@@ -412,5 +323,80 @@ func TestFoldLateCompletionsAbsorbed(t *testing.T) {
 	j.Complete(types.ZeroTSValue, errors.New("late error"))
 	if fired != 1 {
 		t.Fatalf("fold fired %d times, want 1", fired)
+	}
+}
+
+// TestAbandonedRoundReleaseCannotBlock is the cancellation-leak regression
+// test: a round whose caller gave up leaves held ops behind; when the
+// environment later releases every one of them, the late completions land
+// in the abandoned round's fold inline on the releasing goroutine. Nothing
+// there can block — the release below would deadlock if it could — and the
+// cancelled context starts no new round.
+func TestAbandonedRoundReleaseCannotBlock(t *testing.T) {
+	gate := fabric.GateFuncs{Respond: func(fabric.TriggerEvent, baseobj.Response) fabric.Decision {
+		return fabric.Hold
+	}}
+	fab, objs := testEnv(t, 3, gate)
+	for round := 0; round < 4; round++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		fired := 0
+		Scatter(ctx, fab, 1, Round{Plan: fixed(readTargets(objs...), len(objs)), Max: func(types.TSValue, error) { fired++ }})
+		cancel() // abandon the round before any response arrives
+		if released := releaseAll(fab); released != len(objs) {
+			t.Fatalf("round %d: released %d, want %d", round, released, len(objs))
+		}
+		if fired != 1 {
+			t.Fatalf("round %d: the abandoned round's fold fired %d times on release", round, fired)
+		}
+		before := fab.Triggers()
+		var got error
+		Scatter(ctx, fab, 1, Round{Plan: fixed(readTargets(objs...), 1), Max: func(_ types.TSValue, err error) { got = err }})
+		if !errors.Is(got, context.Canceled) || fab.Triggers() != before {
+			t.Fatalf("round %d: scatter on a cancelled context: err=%v, triggers %d -> %d", round, got, before, fab.Triggers())
+		}
+	}
+}
+
+// TestRetryDecision pins the one retry function's contract without a
+// fabric: only view-change errors inside the budget are taken over; the
+// next attempt number is attempt+1; a context that ended during the backoff
+// turns the retry into a failure with the context's error.
+func TestRetryDecision(t *testing.T) {
+	ctx := context.Background()
+	unreachable := func(int) { t.Error("again called") }
+	unfailed := func(error) { t.Error("fail called") }
+	if Retry(ctx, 0, errors.New("protocol error"), unreachable, unfailed) {
+		t.Fatal("a non-view-change error was retried")
+	}
+	if Retry(ctx, fabric.MaxViewRetries, fabric.ErrViewChanged, unreachable, unfailed) {
+		t.Fatal("retried past MaxViewRetries")
+	}
+
+	next := make(chan int, 1)
+	if !Retry(ctx, 4, fabric.ErrViewChanged, func(a int) { next <- a }, unfailed) {
+		t.Fatal("a view-change error inside the budget was not retried")
+	}
+	select {
+	case a := <-next:
+		if a != 5 {
+			t.Fatalf("again(%d), want 5", a)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("retry never ran")
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	failed := make(chan error, 1)
+	if !Retry(cancelled, 0, fabric.ErrViewChanged, unreachable, func(err error) { failed <- err }) {
+		t.Fatal("a view-change error inside the budget was not taken over")
+	}
+	select {
+	case err := <-failed:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("fail(%v), want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled retry never reported")
 	}
 }

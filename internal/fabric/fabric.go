@@ -51,7 +51,7 @@
 // server's objects — state included — onto a joiner without stopping
 // clients. An operation caught in a view change completes with
 // ErrViewChanged, which guarantees it never applied in the old view, so
-// retrying it (RetryView) is exactly-once safe even for CAS. A server
+// retrying it (rounds.Retry) is exactly-once safe even for CAS. A server
 // that leaves through Replace is a leave, not a crash: it never shows up
 // in crash accounting, and the paper's f budget is spent only on real
 // fail-stops.
@@ -393,30 +393,6 @@ func ViewRetryDelay(attempt int) time.Duration {
 	}
 	d := 50 * time.Microsecond << uint(min(attempt-2, 6))
 	return min(d, 2*time.Millisecond)
-}
-
-// RetryView runs attempt until it stops failing with a view-change error,
-// sleeping ViewRetryDelay between tries — the blocking-path analogue of
-// the round engine's built-in re-scatter. Any other outcome (success or a
-// real error) returns immediately.
-func RetryView(ctx context.Context, attempt func() (types.TSValue, error)) (types.TSValue, error) {
-	for i := 0; ; i++ {
-		v, err := attempt()
-		if err == nil || !IsViewChange(err) || i >= MaxViewRetries {
-			return v, err
-		}
-		if d := ViewRetryDelay(i); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return v, ctx.Err()
-			case <-t.C:
-			}
-		} else if ctx.Err() != nil {
-			return v, ctx.Err()
-		}
-	}
 }
 
 // errCrashedDrop is the internal sentinel an ApplyFunc returns when the
@@ -838,8 +814,8 @@ func (f *Fabric) TriggerBatch(client types.ClientID, ops []BatchOp) []*Call {
 // A scan is still semantically a set of independent low-level reads — the
 // snapshot only *restricts* the interleavings to ones where each server's
 // reads happen at a single point — so every caller of TriggerBatch over
-// reads may use it; Algorithm 2's collects (internal/emulation/rounds
-// ScatterScan) are the intended user. Non-read invocations complete with an
+// reads may use it; Algorithm 2's collects (a rounds.Round with Scan set)
+// are the intended user. Non-read invocations complete with an
 // error. Under a holding gate, held members degrade to individually
 // released reads and only the gate-passed remainder is snapshotted.
 func (f *Fabric) TriggerScan(client types.ClientID, ops []BatchOp) []*Call {

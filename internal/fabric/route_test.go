@@ -235,7 +235,7 @@ func TestRouteTableConcurrentResolveDuringReplace(t *testing.T) {
 						t.Errorf("route(%d) at epoch %d lost its used latch", obj, rt.epoch)
 						return
 					}
-					// Retry through the freeze by yielding, not RetryView: its
+					// Retry through the freeze by yielding, not retryView: its
 					// wall-clock budget says nothing about how long a transition
 					// sharing one core with 8 spinning resolvers may take.
 					inv := writeMaxInv(ts, types.Value(g))

@@ -44,7 +44,7 @@ func readMaxInv() baseobj.Invocation {
 	return baseobj.Invocation{Op: baseobj.OpReadMax}
 }
 
-// startRetryWriters launches writers hammering objs through RetryView.
+// startRetryWriters launches writers hammering objs through retryView.
 // Each failure lands on errs; close stop and call wait to finish.
 func startRetryWriters(ctx context.Context, t *testing.T, fab *Fabric, objs []types.ObjectID, writers int) (chan struct{}, chan error, func()) {
 	t.Helper()
@@ -64,7 +64,7 @@ func startRetryWriters(ctx context.Context, t *testing.T, fab *Fabric, objs []ty
 				}
 				obj := objs[int(ts)%len(objs)]
 				inv := baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: types.TSValue{TS: ts, Writer: types.ClientID(w), Val: types.Value(ts)}}
-				if _, err := RetryView(ctx, func() (types.TSValue, error) {
+				if _, err := retryView(ctx, func() (types.TSValue, error) {
 					o := waitOutcome(t, fab.Trigger(types.ClientID(w), obj, inv))
 					return o.Resp.Val, o.Err
 				}); err != nil {
@@ -273,7 +273,7 @@ func testTransferTargetCrash(t *testing.T, fab *Fabric, objs []types.ObjectID) {
 }
 
 // TestResizeAbortUnderLatencyLaneLoad drives the mid-drain abort with real
-// in-flight operations on the latency lane: concurrent RetryView writers
+// in-flight operations on the latency lane: concurrent retryView writers
 // keep running through the aborted transition, and none of their ops may
 // fail — an op caught by the freeze or the rollback retries transparently.
 func TestResizeAbortUnderLatencyLaneLoad(t *testing.T) {

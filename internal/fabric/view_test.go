@@ -181,7 +181,7 @@ func TestTriggerOnDepartingServerRetries(t *testing.T) {
 
 // TestReplaceUnderLatencyLaneLoad replaces every original server of a
 // latency-lane fabric while seeded concurrent clients keep writing and
-// reading through RetryView. Zero operations may fail: ops caught in freeze
+// reading through retryView. Zero operations may fail: ops caught in freeze
 // windows must retry transparently into the new view.
 func TestReplaceUnderLatencyLaneLoad(t *testing.T) {
 	c, err := cluster.New(3)
@@ -216,7 +216,7 @@ func TestReplaceUnderLatencyLaneLoad(t *testing.T) {
 				}
 				obj := objs[int(ts)%len(objs)]
 				inv := baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: types.TSValue{TS: ts, Writer: types.ClientID(w), Val: types.Value(ts)}}
-				if _, err := RetryView(ctx, func() (types.TSValue, error) {
+				if _, err := retryView(ctx, func() (types.TSValue, error) {
 					o := waitOutcome(t, fab.Trigger(types.ClientID(w), obj, inv))
 					return o.Resp.Val, o.Err
 				}); err != nil {
@@ -246,6 +246,23 @@ func TestReplaceUnderLatencyLaneLoad(t *testing.T) {
 	for _, m := range view.Members {
 		if m < 3 {
 			t.Fatalf("original server %d still in the view %v", m, view.Members)
+		}
+	}
+}
+
+// retryView runs attempt until it stops failing with a view-change error,
+// sleeping ViewRetryDelay between tries: the test-local blocking retry loop
+// for single low-level ops (production retries go through rounds.Retry).
+func retryView(ctx context.Context, attempt func() (types.TSValue, error)) (types.TSValue, error) {
+	for i := 0; ; i++ {
+		v, err := attempt()
+		if err == nil || !IsViewChange(err) || i >= MaxViewRetries {
+			return v, err
+		}
+		select {
+		case <-ctx.Done():
+			return v, ctx.Err()
+		case <-time.After(ViewRetryDelay(i)):
 		}
 	}
 }

@@ -184,7 +184,7 @@ func RunTorn(ctx context.Context, cfg TornConfig) (*TornReport, error) {
 	}
 	var tornDone atomic.Bool
 	tornErr := make(chan error, 1)
-	w1.(emulation.AsyncWriter).StartWrite(torn, func(err error) {
+	w1.StartWrite(ctx, torn, func(err error) {
 		tornDone.Store(true)
 		tornErr <- err
 	})
