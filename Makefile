@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-json fabric-bench loadgen-smoke lint loc race-sweep race-rounds race-lanes race-lanes-mailbox1 race-routes race-shards race-churn race-coded race-resize
+.PHONY: all build vet test race bench bench-smoke bench-json fabric-bench loadgen-smoke lint loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-lanes-mailbox1 race-routes race-shards race-churn race-coded race-resize
 
 all: vet build test
 
@@ -78,20 +78,33 @@ race-sweep:
 race-rounds:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/emulation ./internal/emulation/rounds ./internal/emulation/abdcore
 
+# The TCP lane under the race detector, repeated and at three GOMAXPROCS
+# settings: frame reader and codecs (golden wire bytes, aliasing, hostile
+# peers on both ends), the slot table, the pipelined client and the node,
+# reconnect-as-crash and the drain. Selected by package — no name list to
+# rot.
+race-lanenet:
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/lanenet
+
+# Ten seconds of coverage-guided fuzzing over the frame reader and every
+# wire decoder.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime 10s ./internal/lanenet
+
 # Lane-backend suite under the race detector: latency lanes (event loop,
-# snapshot scans, coalescing, crash windows), the TCP protocol/node/client
-# with pipelined frames, and the chaos suites over both (the TCP chaos
-# suite spawns real cmd/lanenode processes).
-LANE_TESTS = 'TestLatencyLane|TestCustomLaneBackend|TestScanSnapshot|TestProto|TestNetworkLane|TestDisconnectIsCrash|TestCrashDuringRemoteScan|TestChaosLatencyLaneSweep|TestTCPLane'
+# snapshot scans, coalescing, crash windows) and the chaos suites over the
+# latency and TCP lanes (the TCP chaos suite spawns real cmd/lanenode
+# processes). The TCP lane's own package runs under race-lanenet.
+LANE_TESTS = 'TestLatencyLane|TestCustomLaneBackend|TestScanSnapshot|TestChaosLatencyLaneSweep|TestTCPLane'
 race-lanes:
-	$(GO) test -race -count 1 -run $(LANE_TESTS) ./internal/fabric ./internal/lanenet ./internal/runner
+	$(GO) test -race -count 1 -run $(LANE_TESTS) ./internal/fabric ./internal/runner
 
 # The same suite with every lane mailbox clamped to capacity 1: each
 # delivery blocks until the event loop dequeues the previous group, so the
 # backpressure path (instead of the buffered fast path) carries the whole
 # suite.
 race-lanes-mailbox1:
-	REPRO_LANE_MAILBOX=1 $(GO) test -race -count 1 -run $(LANE_TESTS) ./internal/fabric ./internal/lanenet ./internal/runner
+	REPRO_LANE_MAILBOX=1 $(GO) test -race -count 1 -run $(LANE_TESTS) ./internal/fabric ./internal/runner
 
 # Route-table suite under the race detector, repeated and at three
 # GOMAXPROCS settings: chunk-boundary round-trips, the linear first-touch

@@ -649,7 +649,8 @@ func BenchmarkFabricLaneTrigger(b *testing.B) {
 // next is queued — while deeper pipelines keep many request IDs in flight,
 // so queued frames coalesce into single writes, the node decodes them as
 // one burst, and identical queued reads collapse onto one wire request
-// (reported as coalesced/op).
+// (reported as coalesced/op). Allocations and bytes per round trip — client
+// and in-process node together — sit beside the rate at every depth.
 func BenchmarkLanenetPipeline(b *testing.B) {
 	for _, depth := range []int{1, 16, 256} {
 		depth := depth
@@ -689,6 +690,7 @@ func BenchmarkLanenetPipeline(b *testing.B) {
 			sem := make(chan struct{}, depth)
 			var wg sync.WaitGroup
 			complete := func(fabric.Outcome) { <-sem; wg.Done() }
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sem <- struct{}{}

@@ -43,7 +43,6 @@ func main() {
 
 func run() error {
 	listen := flag.String("listen", "127.0.0.1:0", "TCP address to listen on (port 0 picks an ephemeral port)")
-	readBatch := flag.Int("readbatch", 0, "max already-buffered frames decoded per batch before responses flush (0 = default)")
 	flag.Parse()
 
 	l, err := net.Listen("tcp", *listen)
@@ -51,11 +50,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("listening %s\n", l.Addr())
-	var opts []lanenet.NodeOption
-	if *readBatch > 0 {
-		opts = append(opts, lanenet.WithReadBatch(*readBatch))
-	}
-	node := lanenet.NewNode(opts...)
+	node := lanenet.NewNode()
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)

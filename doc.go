@@ -43,15 +43,26 @@
 //     length-prefixed TCP protocol between a lane and a per-server storage
 //     node process holding the authoritative base objects. The connection
 //     is fully pipelined: the client queues frames and a flusher goroutine
-//     coalesces everything queued into one deadline-bounded write
-//     (identical queued reads collapse onto one request; a scan group
-//     travels as one msgScan frame answered under the node's exclusive
-//     lock), the node decodes each already-buffered burst before flushing
-//     its responses (WithReadBatch / lanenode -readbatch), and responses
-//     are matched by request id, so many ops share the socket without a
-//     round-trip each. A broken connection crashes the lane's server
-//     (reconnect-as-crash), so killing a node process is exactly the
-//     paper's server crash: in-flight and future ops become pending
+//     coalesces everything queued into one deadline-bounded write as soon
+//     as the queue is non-empty — no linger, no timer (identical queued
+//     reads collapse onto one request; a scan group travels as one msgScan
+//     frame answered under the node's exclusive lock) — and the node
+//     handles each already-buffered burst before writing its responses in
+//     one go. Both ends read through the same 64 KiB buffered frame reader,
+//     so a burst of frames costs one read(2), and decode each frame in
+//     place from the buffer; the view-lifetime rule is "a decoder copies
+//     what it keeps" — a frame's bytes are gone once the next frame is
+//     read (a frame larger than the buffer is copied out instead).
+//     Encoders append straight into the outgoing buffer behind a
+//     back-patched length prefix; an invocation too large for a frame
+//     completes with lanenet.ErrFrameTooLarge instead of reaching the wire
+//     (a bad client input must not cost a server crash). Responses are
+//     matched by request id through a slot table — ids are sequential per
+//     connection, so a power-of-two ring indexed by id, each slot recording
+//     the id it holds, replaces a map — and many ops share the socket
+//     without a round-trip each. A broken connection crashes the lane's
+//     server (reconnect-as-crash), so killing a node process is exactly
+//     the paper's server crash: in-flight and future ops become pending
 //     forever and quorums over surviving nodes keep completing.
 //   - internal/emulation/rounds: the one quorum round engine. Scatter
 //     takes a Round — per-attempt geometry (a Plan, re-run before every

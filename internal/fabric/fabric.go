@@ -317,14 +317,18 @@ type PendingOp struct {
 // heldOp is the fabric-internal record of a parked or in-flight operation.
 // For in-flight ops (prepInflight) it doubles as the receiver of the lane
 // hand-off's apply/complete methods, so one allocation carries the whole
-// delivery instead of a record plus two capture-heavy closures.
+// delivery instead of a record plus two capture-heavy closures. The op's
+// trigger event is its call's (call.ev, immutable once triggered), not a
+// second copy.
 type heldOp struct {
-	ev    TriggerEvent
 	rt    *route
 	phase Phase
 	resp  baseobj.Response // valid when phase == PhaseRespond
 	call  *Call
 	f     *Fabric // set for in-flight ops (lane hand-off methods)
+	// prev and next thread the op through its lane's in-flight index
+	// (lane.inflight); both are nil whenever the op is not in it.
+	prev, next *heldOp
 }
 
 // applyOp is the in-flight op's ApplyFunc: linearize against the server's
@@ -333,18 +337,18 @@ func (h *heldOp) applyOp() (baseobj.Response, error) {
 	if h.rt.srv.Crashed() {
 		return baseobj.Response{}, errCrashedDrop
 	}
-	return h.rt.obj.Apply(h.ev.Client, h.ev.Inv)
+	return h.rt.obj.Apply(h.call.ev.Client, h.call.ev.Inv)
 }
 
 // completeOp is the in-flight op's CompleteFunc: claim the in-flight entry
 // (crash drains race this claim; exactly one side wins) and route the
 // response through the respond gate.
 func (h *heldOp) completeOp(resp baseobj.Response, err error) {
-	if !h.rt.lane.takeInflight(h.ev.Token) {
+	if !h.rt.lane.takeInflight(h) {
 		return // a crash drain claimed the op: it is dropped
 	}
 	if errors.Is(err, errCrashedDrop) || h.rt.srv.Crashed() {
-		h.f.drop(h.rt.lane, &h.ev)
+		h.f.drop(h.rt.lane, &h.call.ev)
 		return
 	}
 	h.f.respond(h.rt, h.call, resp, err)
@@ -888,7 +892,7 @@ func (f *Fabric) triggerGroup(client types.ClientID, ops []BatchOp, scan bool) [
 		}
 		if !f.benign && f.gate.BeforeApply(c.ev) == Hold {
 			f.emit(TraceHoldApply, &c.ev, rt.server)
-			f.park(&heldOp{ev: c.ev, rt: rt, phase: PhaseApply, call: c})
+			f.park(&heldOp{rt: rt, phase: PhaseApply, call: c})
 			continue
 		}
 		l := rt.lane
@@ -1031,7 +1035,7 @@ func (f *Fabric) trigger(client types.ClientID, obj types.ObjectID, inv baseobj.
 
 	if !f.benign && f.gate.BeforeApply(call.ev) == Hold {
 		f.emit(TraceHoldApply, &call.ev, rt.server)
-		f.park(&heldOp{ev: call.ev, rt: rt, phase: PhaseApply, call: call})
+		f.park(&heldOp{rt: rt, phase: PhaseApply, call: call})
 		return call
 	}
 	f.deliver(rt, call)
@@ -1090,7 +1094,7 @@ func (f *Fabric) deliver(rt *route, call *Call) {
 // around the in-flight insert and the op was dropped instead.
 func (f *Fabric) prepInflight(rt *route, call *Call) (LaneOp, bool) {
 	l := rt.lane
-	h := &heldOp{ev: call.ev, rt: rt, phase: PhaseInFlight, call: call, f: f}
+	h := &heldOp{rt: rt, phase: PhaseInFlight, call: call, f: f}
 	if !l.putInflight(h) {
 		// The lane froze for a view change before the insert: the op was
 		// never handed to the backend, so it completes retryably. This check
@@ -1102,12 +1106,12 @@ func (f *Fabric) prepInflight(rt *route, call *Call) (LaneOp, bool) {
 	if rt.srv.Crashed() {
 		// The server crashed between the caller's check and the in-flight
 		// insert; the crash drain may already have run past this token.
-		if l.takeInflight(h.ev.Token) {
-			f.drop(l, &h.ev)
+		if l.takeInflight(h) {
+			f.drop(l, &h.call.ev)
 		}
 		return LaneOp{}, false
 	}
-	return LaneOp{Ev: h.ev, Apply: h.applyOp, Complete: h.completeOp}, true
+	return LaneOp{Ev: h.call.ev, Apply: h.applyOp, Complete: h.completeOp}, true
 }
 
 // respond routes a delivered response through the respond gate and
@@ -1120,7 +1124,7 @@ func (f *Fabric) respond(rt *route, call *Call, resp baseobj.Response, err error
 	f.emit(TraceApply, &call.ev, call.ev.Server)
 	if !f.benign && f.gate.BeforeRespond(call.ev, resp) == Hold {
 		f.emit(TraceHoldRespond, &call.ev, call.ev.Server)
-		f.park(&heldOp{ev: call.ev, rt: rt, phase: PhaseRespond, resp: resp, call: call})
+		f.park(&heldOp{rt: rt, phase: PhaseRespond, resp: resp, call: call})
 		return
 	}
 	f.emit(TraceRespond, &call.ev, call.ev.Server)
@@ -1131,7 +1135,7 @@ func (f *Fabric) respond(rt *route, call *Call, resp baseobj.Response, err error
 func (f *Fabric) park(h *heldOp) {
 	l := h.rt.lane
 	l.mu.Lock()
-	l.held[h.ev.Token] = h
+	l.held[h.call.ev.Token] = h
 	l.mu.Unlock()
 }
 
@@ -1179,7 +1183,7 @@ func (f *Fabric) Release(token uint64) error {
 // release lets a taken held op proceed.
 func (f *Fabric) release(h *heldOp) error {
 	if h.rt.srv.Crashed() {
-		f.drop(h.rt.lane, &h.ev)
+		f.drop(h.rt.lane, &h.call.ev)
 		return nil
 	}
 	if h.rt.srv.Departing() {
@@ -1190,19 +1194,19 @@ func (f *Fabric) release(h *heldOp) error {
 		// freeze, so its effect is in the transferred state and it must
 		// complete with its real response — a view-change error would make
 		// the client re-apply an op that already happened.
-		f.emit(TraceRelease, &h.ev, h.ev.Server)
+		f.emit(TraceRelease, &h.call.ev, h.call.ev.Server)
 		switch h.phase {
 		case PhaseApply:
-			h.call.complete(Outcome{Err: viewChangedErr(h.ev.Server)})
+			h.call.complete(Outcome{Err: viewChangedErr(h.call.ev.Server)})
 		case PhaseRespond:
-			f.emit(TraceRespond, &h.ev, h.ev.Server)
+			f.emit(TraceRespond, &h.call.ev, h.call.ev.Server)
 			h.call.complete(Outcome{Resp: h.resp})
 		default:
 			return fmt.Errorf("fabric: cannot release op in phase %v", h.phase)
 		}
 		return nil
 	}
-	f.emit(TraceRelease, &h.ev, h.ev.Server)
+	f.emit(TraceRelease, &h.call.ev, h.call.ev.Server)
 	switch h.phase {
 	case PhaseApply:
 		// The apply gate already held (and now released) the op, so it
@@ -1211,7 +1215,7 @@ func (f *Fabric) release(h *heldOp) error {
 		// again so the environment may keep delaying the response.
 		f.deliver(h.rt, h.call)
 	case PhaseRespond:
-		f.emit(TraceRespond, &h.ev, h.ev.Server)
+		f.emit(TraceRespond, &h.call.ev, h.call.ev.Server)
 		h.call.complete(Outcome{Resp: h.resp})
 	default:
 		return fmt.Errorf("fabric: cannot release op in phase %v", h.phase)
@@ -1226,7 +1230,7 @@ func (f *Fabric) ReleaseWhere(pred func(PendingOp) bool) int {
 	for _, l := range f.laneList() {
 		l.mu.Lock()
 		for token, h := range l.held {
-			if pred(PendingOp{Event: h.ev, Phase: h.phase}) {
+			if pred(PendingOp{Event: h.call.ev, Phase: h.phase}) {
 				tokens = append(tokens, token)
 			}
 		}
@@ -1257,14 +1261,14 @@ func (f *Fabric) Crash(server types.ServerID) error {
 	l.mu.Lock()
 	for token, h := range l.held {
 		delete(l.held, token)
-		l.dropped[token] = h.ev
+		l.dropped[token] = h.call.ev
 	}
 	// In-flight ops (on the wire of an asynchronous lane) are dropped too:
 	// removing them from the in-flight index makes any late completion a
 	// no-op, so the op stays pending forever like every crashed-server op.
-	for token, h := range l.inflight {
-		delete(l.inflight, token)
-		l.dropped[token] = h.ev
+	for h := l.inflight.next; h != &l.inflight; h = l.inflight.next {
+		l.unlinkInflight(h)
+		l.dropped[h.call.ev.Token] = h.call.ev
 	}
 	l.mu.Unlock()
 	return nil
@@ -1278,10 +1282,10 @@ func (f *Fabric) Pending() []PendingOp {
 	for _, l := range f.laneList() {
 		l.mu.Lock()
 		for _, h := range l.held {
-			ops = append(ops, PendingOp{Event: h.ev, Phase: h.phase})
+			ops = append(ops, PendingOp{Event: h.call.ev, Phase: h.phase})
 		}
-		for _, h := range l.inflight {
-			ops = append(ops, PendingOp{Event: h.ev, Phase: h.phase})
+		for h := l.inflight.next; h != &l.inflight; h = h.next {
+			ops = append(ops, PendingOp{Event: h.call.ev, Phase: h.phase})
 		}
 		for _, ev := range l.dropped {
 			ops = append(ops, PendingOp{Event: ev, Phase: PhaseDropped})

@@ -142,13 +142,26 @@ type lane struct {
 	server  types.ServerID
 	backend Lane
 	// inproc short-circuits the generic delivery path for the default
-	// backend: InProcLane completes inline, so no in-flight bookkeeping
-	// (one map insert + delete per op) is needed.
+	// backend: InProcLane completes inline, so no in-flight bookkeeping is
+	// needed.
 	inproc bool
 
-	mu       sync.Mutex
-	held     map[uint64]*heldOp
-	inflight map[uint64]*heldOp
+	mu   sync.Mutex
+	held map[uint64]*heldOp
+	// inflight is the index of ops handed to an asynchronous backend: a
+	// circular doubly linked list threaded through the ops themselves
+	// (heldOp.prev/next; inflight is the sentinel, oldest op first) plus a
+	// count, so indexing an op costs two pointer writes and no lookup. An op
+	// is linked exactly when its next is non-nil. Three rules, all under mu:
+	//   - an op is linked only after the departing check (putInflight), so
+	//     a frozen lane admits nothing;
+	//   - completion and the crash drain race for one unlink-if-linked
+	//     claim (takeInflight / Fabric.Crash): whoever unlinks the op owns
+	//     its outcome, the other sees it unlinked and does nothing;
+	//   - Pending walks the list, awaitQuiesce reads the count, and the
+	//     crash drain empties it.
+	inflight  heldOp
+	inflightN int
 	// dropped holds the trigger events of ops lost to a crash — events, not
 	// *heldOp records: a dropped op is never released or completed, so
 	// keeping its Call and closures would only pin them forever.
@@ -165,14 +178,15 @@ type lane struct {
 // newLane builds one server's dispatch shard.
 func newLane(server types.ServerID, backend Lane) *lane {
 	_, inproc := backend.(InProcLane)
-	return &lane{
-		server:   server,
-		backend:  backend,
-		inproc:   inproc,
-		held:     make(map[uint64]*heldOp),
-		inflight: make(map[uint64]*heldOp),
-		dropped:  make(map[uint64]TriggerEvent),
+	l := &lane{
+		server:  server,
+		backend: backend,
+		inproc:  inproc,
+		held:    make(map[uint64]*heldOp),
+		dropped: make(map[uint64]TriggerEvent),
 	}
+	l.inflight.prev, l.inflight.next = &l.inflight, &l.inflight
+	return l
 }
 
 // putInflight records an op handed to an asynchronous backend. It returns
@@ -184,8 +198,23 @@ func (l *lane) putInflight(h *heldOp) bool {
 		l.mu.Unlock()
 		return false
 	}
-	l.inflight[h.ev.Token] = h
+	tail := l.inflight.prev
+	h.prev, h.next = tail, &l.inflight
+	tail.next, l.inflight.prev = h, h
+	l.inflightN++
 	l.mu.Unlock()
+	return true
+}
+
+// unlinkInflight removes h from the in-flight index if it is still there
+// and reports whether it was. The caller holds mu.
+func (l *lane) unlinkInflight(h *heldOp) bool {
+	if h.next == nil {
+		return false
+	}
+	h.prev.next, h.next.prev = h.next, h.prev
+	h.prev, h.next = nil, nil
+	l.inflightN--
 	return true
 }
 
@@ -215,21 +244,18 @@ func (l *lane) clearDeparting() {
 // inflightCount reports how many ops are on the wire.
 func (l *lane) inflightCount() int {
 	l.mu.Lock()
-	n := len(l.inflight)
+	n := l.inflightN
 	l.mu.Unlock()
 	return n
 }
 
-// takeInflight claims the in-flight op with the given token. It returns
-// false when the op is gone — a crash drain already moved it to dropped —
-// in which case the caller must discard the completion: the claim is what
-// makes completion and crash-drop mutually exclusive.
-func (l *lane) takeInflight(token uint64) bool {
+// takeInflight claims an in-flight op. It returns false when the op is
+// gone — a crash drain already moved it to dropped — in which case the
+// caller must discard the completion: the claim is what makes completion
+// and crash-drop mutually exclusive.
+func (l *lane) takeInflight(h *heldOp) bool {
 	l.mu.Lock()
-	_, ok := l.inflight[token]
-	if ok {
-		delete(l.inflight, token)
-	}
+	ok := l.unlinkInflight(h)
 	l.mu.Unlock()
 	return ok
 }

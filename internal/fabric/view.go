@@ -480,14 +480,14 @@ func (f *Fabric) directApply(ctx context.Context, rt *route, client types.Client
 // release: a PhaseApply op never linearized (retryable error), a
 // PhaseRespond op did (its real response).
 func (f *Fabric) drainParked(parked []*heldOp) {
-	sort.Slice(parked, func(i, j int) bool { return parked[i].ev.Token < parked[j].ev.Token })
+	sort.Slice(parked, func(i, j int) bool { return parked[i].call.ev.Token < parked[j].call.ev.Token })
 	for _, h := range parked {
-		f.emit(TraceRelease, &h.ev, h.ev.Server)
+		f.emit(TraceRelease, &h.call.ev, h.call.ev.Server)
 		switch h.phase {
 		case PhaseApply:
-			h.call.complete(Outcome{Err: viewChangedErr(h.ev.Server)})
+			h.call.complete(Outcome{Err: viewChangedErr(h.call.ev.Server)})
 		case PhaseRespond:
-			f.emit(TraceRespond, &h.ev, h.ev.Server)
+			f.emit(TraceRespond, &h.call.ev, h.call.ev.Server)
 			h.call.complete(Outcome{Resp: h.resp})
 		}
 	}

@@ -1,7 +1,6 @@
 package lanenet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -13,35 +12,14 @@ import (
 	"repro/internal/types"
 )
 
-// defaultWriteTimeout bounds one flush against a stalled peer: a node that
-// stops draining its socket long enough to back pressure all the way into a
+// writeTimeout bounds one flush against a stalled peer: a node that stops
+// draining its socket long enough to back pressure all the way into a
 // blocked Write is indistinguishable from a dead node, and reconnect-as-
 // crash handles it the same way.
-const defaultWriteTimeout = 10 * time.Second
+const writeTimeout = 10 * time.Second
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// WithWriteTimeout bounds each flusher write; a write that exceeds it fails
-// the connection (reconnect-as-crash).
-func WithWriteTimeout(d time.Duration) ClientOption {
-	return func(c *Client) {
-		if d > 0 {
-			c.writeTimeout = d
-		}
-	}
-}
-
-// WithFlushWindow makes the flusher linger up to w after the first queued
-// frame before flushing, trading per-op latency for bigger coalesced
-// batches. Zero (the default) flushes as soon as the queue is non-empty.
-func WithFlushWindow(w time.Duration) ClientOption {
-	return func(c *Client) {
-		if w > 0 {
-			c.flushWindow = w
-		}
-	}
-}
 
 // WithTable binds the connection onto the node's named object table: the
 // bind frame is queued before anything else, so every placement and
@@ -56,7 +34,7 @@ func WithTable(name string) ClientOption {
 type outKind uint8
 
 const (
-	outPlace outKind = iota // pre-encoded no-reply frame (placement, table bind)
+	outPlace outKind = iota // pre-encoded no-reply frame body (placement, table bind)
 	outApply                // one invocation
 	outScan                 // an all-read snapshot group
 )
@@ -64,18 +42,83 @@ const (
 // outItem is one queued frame awaiting the flusher.
 type outItem struct {
 	kind     outKind
-	payload  []byte // outPlace
+	body     []byte // outPlace
 	ev       fabric.TriggerEvent
 	complete fabric.CompleteFunc // outApply
 	ops      []fabric.LaneOp     // outScan
 }
 
-// pendingEntry matches a response to its waiting completions: one for a
-// plain apply, several when identical reads were coalesced into one wire
-// request, per-member (request-order) for scans.
-type pendingEntry struct {
-	completes []fabric.CompleteFunc
-	scan      bool
+// slot is one request awaiting its response. A plain apply keeps its
+// completion inline in first; more holds only the extra callers of reads
+// coalesced onto the request, or — for a scan, whose first is nil — every
+// member's completion in request order.
+type slot struct {
+	req   uint64 // 0: the slot is free (ids start at 1)
+	first fabric.CompleteFunc
+	more  []fabric.CompleteFunc
+	scan  bool
+}
+
+// slotTable matches responses to requests. Request ids are dense and
+// sequential per connection and the node answers in order, so the requests
+// in flight occupy a short window of consecutive ids: a power-of-two ring
+// indexed by id & mask holds them without hashing. Each slot records the id
+// it holds, so a response for any other id — never issued, already taken,
+// or discarded by fail — misses, exactly like an unknown map key. The ring
+// doubles when a new id lands on an occupied slot. The caller serializes
+// access (Client.mu).
+type slotTable struct {
+	slots []slot
+}
+
+// initialSlots is the ring's starting size; it grows to the deepest
+// pipeline the connection has carried.
+const initialSlots = 64
+
+// put records a request, doubling the ring until the request's slot is
+// free. Distinct ids that did not collide before a doubling do not collide
+// after it, so only the new id can force another round.
+func (t *slotTable) put(s slot) {
+	if t.slots == nil {
+		t.slots = make([]slot, initialSlots)
+	}
+	for t.home(s.req).req != 0 {
+		old := t.slots
+		t.slots = make([]slot, 2*len(old))
+		for _, o := range old {
+			if o.req != 0 {
+				*t.home(o.req) = o
+			}
+		}
+	}
+	*t.home(s.req) = s
+}
+
+// home returns the slot req maps to in the (non-empty) ring.
+func (t *slotTable) home(req uint64) *slot {
+	return &t.slots[req&uint64(len(t.slots)-1)]
+}
+
+// at returns the live slot holding req, or nil.
+func (t *slotTable) at(req uint64) *slot {
+	if t.slots == nil || req == 0 {
+		return nil
+	}
+	if s := t.home(req); s.req == req {
+		return s
+	}
+	return nil
+}
+
+// take claims the request's slot and frees it.
+func (t *slotTable) take(req uint64) (slot, bool) {
+	s := t.at(req)
+	if s == nil {
+		return slot{}, false
+	}
+	claimed := *s
+	*s = slot{}
+	return claimed, true
 }
 
 // Client is the fabric side of a network lane: one pooled, multiplexed TCP
@@ -94,9 +137,7 @@ type pendingEntry struct {
 type Client struct {
 	conn net.Conn
 
-	writeTimeout time.Duration
-	flushWindow  time.Duration
-	table        string
+	table string
 
 	// Outbound queue, drained by the flusher.
 	qmu   sync.Mutex
@@ -104,10 +145,13 @@ type Client struct {
 	qsig  chan struct{}
 
 	mu      sync.Mutex
-	pending map[uint64]pendingEntry
+	pending slotTable
 	hook    func() // crash hook installed by the fabric
 
-	nextReq  atomic.Uint64
+	// Owned by the flusher goroutine.
+	nextReq uint64      // last request id issued
+	scanBuf []scanEntry // reused msgScan member list
+
 	crashed  atomic.Bool
 	closing  atomic.Bool
 	stop     chan struct{}
@@ -147,12 +191,15 @@ func Dial(addr string, timeout time.Duration, opts ...ClientOption) (*Client, er
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true) // the flusher already batches; don't add Nagle on top
 	}
+	return newClient(conn, opts), nil
+}
+
+// newClient starts a client over an established connection.
+func newClient(conn net.Conn, opts []ClientOption) *Client {
 	c := &Client{
-		conn:         conn,
-		writeTimeout: defaultWriteTimeout,
-		pending:      make(map[uint64]pendingEntry),
-		qsig:         make(chan struct{}, 1),
-		stop:         make(chan struct{}),
+		conn: conn,
+		qsig: make(chan struct{}, 1),
+		stop: make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(c)
@@ -161,11 +208,11 @@ func Dial(addr string, timeout time.Duration, opts ...ClientOption) (*Client, er
 		// Queued before the goroutines start, so the bind is the first
 		// frame on the wire: every later placement and invocation of this
 		// lane operates on the bound table.
-		c.enqueue(outItem{kind: outPlace, payload: encodeBind(c.table)})
+		c.enqueue(outItem{kind: outPlace, body: appendBind(nil, c.table)})
 	}
 	go c.readLoop()
 	go c.flusher()
-	return c, nil
+	return c
 }
 
 // Lanes dials one node per server and returns the fabric lane maker plus
@@ -261,7 +308,7 @@ func (c *Client) MirrorObject(obj baseobj.Object) {
 	if reg, ok := obj.(*baseobj.Register); ok {
 		p.writers = reg.Writers()
 	}
-	c.enqueue(outItem{kind: outPlace, payload: encodePlace(p)})
+	c.enqueue(outItem{kind: outPlace, body: appendPlace(nil, p)})
 }
 
 // Deliver implements fabric.Lane. A crashed lane never delivers and never
@@ -316,20 +363,6 @@ func (c *Client) flusher() {
 			return
 		case <-c.qsig:
 		}
-		if c.flushWindow > 0 {
-			// Linger: give the round's remaining frames time to queue, then
-			// swallow the signals they raised (their items drain below).
-			select {
-			case <-c.stop:
-				return
-			case <-time.After(c.flushWindow):
-			}
-			select {
-			case <-c.qsig:
-			default:
-			}
-		}
-
 		c.qmu.Lock()
 		batch, c.queue = c.queue, batch[:0]
 		c.qmu.Unlock()
@@ -339,11 +372,15 @@ func (c *Client) flusher() {
 		if c.testHook != nil {
 			c.testHook()
 		}
-		buf = c.encodeBatch(buf[:0], batch)
+		var ok bool
+		if buf, ok = c.encodeBatch(buf[:0], batch); !ok {
+			c.fail()
+			return
+		}
 		if len(buf) == 0 {
 			continue
 		}
-		_ = c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+		_ = c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if _, err := c.conn.Write(buf); err != nil {
 			c.fail()
 			return
@@ -352,141 +389,158 @@ func (c *Client) flusher() {
 	}
 }
 
-// encodeBatch encodes one drained queue into a single write buffer,
-// registering pending completions as it goes. Identical reads (same object,
-// same read op) queued in the same batch collapse onto one wire request:
-// none of them has been sent yet, so all their invocations precede the
-// shared apply and one response answers every caller.
-func (c *Client) encodeBatch(buf []byte, batch []outItem) []byte {
+// encodeBatch encodes one drained queue into a single write buffer, each
+// frame written in place behind its back-patched length prefix, registering
+// pending completions as it goes. Identical reads (same object, same read
+// op) queued in the same batch collapse onto one wire request: none of them
+// has been sent yet, so all their invocations precede the shared apply and
+// one response answers every caller.
+//
+// An invocation whose encoding exceeds maxFrame completes on the spot with
+// ErrFrameTooLarge — it is the caller's input that is at fault, not the
+// server, so it must not cost a crash. ok is false only when a no-reply
+// frame (a placement) is too large: the node cannot host that object, which
+// leaves the lane as useless as a dead node.
+func (c *Client) encodeBatch(buf []byte, batch []outItem) (_ []byte, ok bool) {
 	type readKey struct {
 		obj types.ObjectID
 		op  baseobj.OpCode
 	}
 	var readReq map[readKey]uint64
+	var frames uint64
 
 	for i := range batch {
 		it := &batch[i]
+		var start int
+		var err error
 		switch it.kind {
 		case outPlace:
-			buf = c.countFrame(buf, it.payload)
+			buf, start = beginFrame(buf)
+			if buf, err = endFrame(append(buf, it.body...), start); err != nil {
+				return buf, false
+			}
 		case outApply:
-			if it.ev.Inv.Op.IsRead() {
-				k := readKey{obj: it.ev.Object, op: it.ev.Inv.Op}
-				if req, ok := readReq[k]; ok {
+			isRead := it.ev.Inv.Op.IsRead()
+			k := readKey{obj: it.ev.Object, op: it.ev.Inv.Op}
+			if isRead {
+				if req, dup := readReq[k]; dup {
 					c.coalesced.Add(1)
 					c.mu.Lock()
-					e := c.pending[req]
-					e.completes = append(e.completes, it.complete)
-					c.pending[req] = e
+					if s := c.pending.at(req); s != nil {
+						s.more = append(s.more, it.complete)
+					}
 					c.mu.Unlock()
 					continue
 				}
-				req := c.nextReq.Add(1)
+			}
+			req := c.nextReq + 1
+			buf, start = beginFrame(buf)
+			buf = appendApply(buf, applyReq{req: req, obj: it.ev.Object, client: it.ev.Client, inv: it.ev.Inv})
+			if buf, err = endFrame(buf, start); err != nil {
+				it.complete(baseobj.Response{}, err)
+				continue
+			}
+			c.nextReq = req
+			if isRead {
 				if readReq == nil {
 					readReq = make(map[readKey]uint64, 8)
 				}
 				readReq[k] = req
-				c.register(req, pendingEntry{completes: []fabric.CompleteFunc{it.complete}})
-				buf = c.countFrame(buf, encodeApply(applyReq{req: req, obj: it.ev.Object, client: it.ev.Client, inv: it.ev.Inv}))
-				continue
 			}
-			req := c.nextReq.Add(1)
-			c.register(req, pendingEntry{completes: []fabric.CompleteFunc{it.complete}})
-			buf = c.countFrame(buf, encodeApply(applyReq{req: req, obj: it.ev.Object, client: it.ev.Client, inv: it.ev.Inv}))
+			c.register(slot{req: req, first: it.complete})
 		case outScan:
-			req := c.nextReq.Add(1)
-			entries := make([]scanEntry, len(it.ops))
+			req := c.nextReq + 1
+			entries := c.scanBuf[:0]
 			completes := make([]fabric.CompleteFunc, len(it.ops))
 			for j, op := range it.ops {
-				entries[j] = scanEntry{obj: op.Ev.Object, client: op.Ev.Client, op: op.Ev.Inv.Op}
+				entries = append(entries, scanEntry{obj: op.Ev.Object, client: op.Ev.Client, op: op.Ev.Inv.Op})
 				completes[j] = op.Complete
 			}
-			c.register(req, pendingEntry{completes: completes, scan: true})
-			buf = c.countFrame(buf, encodeScan(nil, req, entries))
+			c.scanBuf = entries
+			buf, start = beginFrame(buf)
+			// 11 bytes plus 9 per member of a u16 count: always in bounds.
+			buf, _ = endFrame(appendScan(buf, req, entries), start)
+			c.nextReq = req
+			c.register(slot{req: req, more: completes, scan: true})
 		}
-		// Release references so the reused batch slice doesn't retain them.
-		*it = outItem{}
+		frames++
 	}
-	return buf
-}
-
-// appendFrame appends one length-prefixed frame to the write buffer.
-func appendFrame(buf, payload []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
-}
-
-// countFrame is appendFrame plus the outbound frame counter; encodeBatch
-// routes every frame through it so Stats reflects what hit the wire.
-func (c *Client) countFrame(buf, payload []byte) []byte {
-	c.framesOut.Add(1)
-	return appendFrame(buf, payload)
+	// Release references so the reused batch slice doesn't retain them.
+	clear(batch)
+	c.framesOut.Add(frames)
+	return buf, true
 }
 
 // register records a pending request.
-func (c *Client) register(req uint64, e pendingEntry) {
+func (c *Client) register(s slot) {
 	c.mu.Lock()
-	c.pending[req] = e
+	c.pending.put(s)
 	c.mu.Unlock()
 }
 
 // take claims a pending request.
-func (c *Client) take(req uint64) (pendingEntry, bool) {
+func (c *Client) take(req uint64) (slot, bool) {
 	c.mu.Lock()
-	e, ok := c.pending[req]
-	if ok {
-		delete(c.pending, req)
-	}
+	s, ok := c.pending.take(req)
 	c.mu.Unlock()
-	return e, ok
+	return s, ok
 }
 
 // readLoop matches responses to pending deliveries until the connection
-// breaks.
+// breaks. It reads through the frame reader's buffer, so one socket read
+// takes in the node's whole response burst, and decodes each frame in place:
+// frame is a view that the next iteration invalidates, and nothing below
+// keeps a reference into it (the decoders copy).
 func (c *Client) readLoop() {
+	fr := newFrameReader(c.conn)
 	for {
-		payload, err := readFrame(c.conn)
+		frame, err := fr.next()
 		if err != nil {
 			c.fail()
 			return
 		}
-		if len(payload) == 0 {
+		if len(frame) == 0 {
 			c.fail()
 			return
 		}
 		c.framesIn.Add(1)
-		c.bytesIn.Add(uint64(len(payload)) + 4) // + the frame header
-		switch payload[0] {
+		c.bytesIn.Add(uint64(len(frame)) + 4) // + the frame header
+		switch frame[0] {
 		case msgResp:
-			r, err := decodeResp(payload[1:])
+			r, err := decodeResp(frame[1:])
 			if err != nil {
 				c.fail()
 				return
 			}
-			e, ok := c.take(r.req)
+			s, ok := c.take(r.req)
 			if !ok {
 				continue // response to an op a crash already discarded
 			}
+			if s.scan {
+				c.fail()
+				return // protocol violation: a plain response to a scan
+			}
 			rerr := respError(r)
-			for _, complete := range e.completes {
+			s.first(r.resp, rerr)
+			for _, complete := range s.more {
 				complete(r.resp, rerr)
 			}
 		case msgScanResp:
-			req, results, err := decodeScanResp(payload[1:])
+			req, results, err := decodeScanResp(frame[1:])
 			if err != nil {
 				c.fail()
 				return
 			}
-			e, ok := c.take(req)
+			s, ok := c.take(req)
 			if !ok {
 				continue
 			}
-			if !e.scan || len(results) != len(e.completes) {
+			if !s.scan || len(results) != len(s.more) {
 				c.fail()
 				return // protocol violation: member count mismatch
 			}
 			for i, r := range results {
-				e.completes[i](r.resp, respError(r))
+				s.more[i](r.resp, respError(r))
 			}
 		default:
 			c.fail()
@@ -523,7 +577,7 @@ func (c *Client) fail() {
 	}
 	_ = c.conn.Close()
 	c.mu.Lock()
-	c.pending = make(map[uint64]pendingEntry)
+	c.pending = slotTable{}
 	hook := c.hook
 	c.mu.Unlock()
 	if hook != nil && !c.closing.Load() {

@@ -79,7 +79,7 @@ func await(t *testing.T, call *fabric.Call) fabric.Outcome {
 // TestProtoRoundTrip pins the wire encoding of every message type.
 func TestProtoRoundTrip(t *testing.T) {
 	p := placeReq{obj: 7, kind: baseobj.KindRegister, writers: []types.ClientID{0, 3}}
-	pd, err := decodePlace(encodePlace(p)[1:])
+	pd, err := decodePlace(appendPlace(nil, p)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestProtoRoundTrip(t *testing.T) {
 			New: types.TSValue{TS: 5, Writer: 0, Val: 11},
 		},
 	}
-	ad, err := decodeApply(encodeApply(a)[1:])
+	ad, err := decodeApply(appendApply(nil, a)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestProtoRoundTrip(t *testing.T) {
 	}
 
 	r := applyResp{req: 42, status: statusOther, resp: baseobj.Response{Op: baseobj.OpCAS, Val: a.inv.Exp}, msg: "boom"}
-	rd, err := decodeResp(encodeResp(r)[1:])
+	rd, err := decodeResp(appendResp(nil, r)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestProtoPayloadRoundTrip(t *testing.T) {
 			Data: types.PayloadFor(44, 64),
 		},
 	}
-	ad, err := decodeApply(encodeApply(a)[1:])
+	ad, err := decodeApply(appendApply(nil, a)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestProtoPayloadRoundTrip(t *testing.T) {
 		req: 2, obj: 5, client: 2,
 		inv: baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: &frag},
 	}
-	afd, err := decodeApply(encodeApply(af)[1:])
+	afd, err := decodeApply(appendApply(nil, af)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestProtoPayloadRoundTrip(t *testing.T) {
 			Frags: []baseobj.Fragment{frag, pending},
 		},
 	}
-	rd, err := decodeResp(encodeResp(r)[1:])
+	rd, err := decodeResp(appendResp(nil, r)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestProtoPayloadRoundTrip(t *testing.T) {
 			Frags: []baseobj.Fragment{frag},
 		},
 	}
-	pd, err := decodePlace(encodePlace(p)[1:])
+	pd, err := decodePlace(appendPlace(nil, p)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestMultiTableNode(t *testing.T) {
 // TestBindRoundTrip pins the msgBind wire encoding.
 func TestBindRoundTrip(t *testing.T) {
 	for _, name := range []string{"", "s0", "shard-17"} {
-		got, err := decodeBind(encodeBind(name)[1:])
+		got, err := decodeBind(appendBind(nil, name)[1:])
 		if err != nil {
 			t.Fatal(err)
 		}

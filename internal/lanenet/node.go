@@ -1,11 +1,8 @@
 package lanenet
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -15,22 +12,10 @@ import (
 	"repro/internal/types"
 )
 
-// defaultReadBatch caps how many already-buffered frames one ServeConn pass
+// readBatch caps how many already-buffered frames one ServeConn pass
 // decodes before flushing responses: batching amortizes syscalls, the cap
 // bounds how long the first request of a burst waits for its response.
-const defaultReadBatch = 256
-
-// NodeOption configures a Node.
-type NodeOption func(*Node)
-
-// WithReadBatch caps the frames decoded per batch before responses flush.
-func WithReadBatch(n int) NodeOption {
-	return func(nd *Node) {
-		if n > 0 {
-			nd.readBatch = n
-		}
-	}
-}
+const readBatch = 256
 
 // Node is a storage process hosting one or more named object tables. Each
 // table holds base objects keyed by their cluster-wide id and applies
@@ -48,8 +33,6 @@ func WithReadBatch(n int) NodeOption {
 // in-process snapshot scan. Tables lock independently: traffic on one
 // shard's table never contends with another's.
 type Node struct {
-	readBatch int
-
 	mu     sync.RWMutex
 	tables map[string]*nodeTable
 
@@ -69,16 +52,11 @@ type nodeTable struct {
 }
 
 // NewNode creates an empty storage node with just the default table.
-func NewNode(opts ...NodeOption) *Node {
-	n := &Node{
-		tables:    map[string]*nodeTable{"": {objects: make(map[types.ObjectID]baseobj.Object)}},
-		readBatch: defaultReadBatch,
-		conns:     make(map[net.Conn]struct{}),
+func NewNode() *Node {
+	return &Node{
+		tables: map[string]*nodeTable{"": {objects: make(map[types.ObjectID]baseobj.Object)}},
+		conns:  make(map[net.Conn]struct{}),
 	}
-	for _, o := range opts {
-		o(n)
-	}
-	return n
 }
 
 // table returns the named table, creating it on first bind.
@@ -198,120 +176,121 @@ func (n *Node) Drain() {
 // ServeConn serves one connection until EOF or error, processing frames in
 // arrival order: a placement is therefore always applied before any
 // invocation the client sent after it. After the first (blocking) frame of
-// a burst, every further frame the kernel already delivered is decoded and
+// a burst, every further frame already in the read buffer is decoded and
 // handled in the same pass — the pipelined client's coalesced flush arrives
-// as one such burst — and the batched responses go out in one flush once
-// the input is momentarily dry or the batch cap is reached.
+// as one such burst — and the batched responses go out in one write once
+// the input is momentarily dry or the batch cap is reached. Frames are
+// decoded in place from the reader's buffer and responses encoded in place
+// into the connection's response buffer.
 func (n *Node) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	if !n.addConn(conn) {
 		return
 	}
 	defer n.removeConn(conn)
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	// The connection's current table: the default until a msgBind switches
-	// it. Frames are handled in arrival order, so a bind sent first governs
-	// everything after it.
-	tbl := n.table("")
+	sc := servedConn{node: n, conn: conn, tbl: n.table("")}
+	fr := newFrameReader(conn)
 	for {
-		payload, err := readFrame(br)
+		frame, err := fr.next()
 		if err != nil {
 			// EOF or broken pipe: the client is gone. During a drain the
 			// error is the deadline that woke this goroutine; what was
 			// already handled has been flushed, so exiting here is the
 			// "finish in-flight work, then leave" half of the drain.
-			bw.Flush()
 			return
 		}
-		if tbl = n.handleFrame(bw, tbl, payload); tbl == nil {
+		if !sc.handleFrame(frame) {
 			return
 		}
 		// Drain whatever the kernel already delivered before flushing.
-		for batched := 1; batched < n.readBatch; batched++ {
-			payload, ok := bufferedFrame(br)
-			if !ok {
-				break
-			}
-			if tbl = n.handleFrame(bw, tbl, payload); tbl == nil {
+		for batched := 1; batched < readBatch && fr.ready(); batched++ {
+			if frame, err = fr.next(); err != nil || !sc.handleFrame(frame) {
 				return
 			}
 		}
-		if bw.Flush() != nil {
-			return
-		}
-		if n.draining.Load() {
+		if !sc.flush() || n.draining.Load() {
 			return
 		}
 	}
 }
 
-// bufferedFrame decodes the next frame only if it is already fully
-// buffered, never blocking on the socket (Peek would block for the header,
-// so it is guarded by Buffered).
-func bufferedFrame(br *bufio.Reader) ([]byte, bool) {
-	if br.Buffered() < 4 {
-		return nil, false
-	}
-	hdr, err := br.Peek(4)
-	if err != nil {
-		return nil, false
-	}
-	m := binary.BigEndian.Uint32(hdr)
-	if m > maxFrame || br.Buffered() < 4+int(m) {
-		return nil, false
-	}
-	if _, err := br.Discard(4); err != nil {
-		return nil, false
-	}
-	payload := make([]byte, m)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, false
-	}
-	return payload, true
+// servedConn is one connection's serving state.
+type servedConn struct {
+	node *Node
+	conn net.Conn
+	// tbl is the connection's current table: the default until a msgBind
+	// switches it. Frames are handled in arrival order, so a bind sent first
+	// governs everything after it.
+	tbl *nodeTable
+	// out collects encoded response frames until the next flush.
+	out []byte
 }
 
-// handleFrame dispatches one decoded frame against the connection's current
-// table and returns the table governing the next frame (a msgBind switches
-// it); nil drops the connection.
-func (n *Node) handleFrame(bw *bufio.Writer, tbl *nodeTable, payload []byte) *nodeTable {
-	if len(payload) == 0 {
-		return nil
+// flush writes the collected responses in one Write; false drops the
+// connection.
+func (sc *servedConn) flush() bool {
+	if len(sc.out) == 0 {
+		return true
 	}
-	switch payload[0] {
+	_, err := sc.conn.Write(sc.out)
+	sc.out = sc.out[:0]
+	return err == nil
+}
+
+// respond closes the response frame begun at start and flushes early once a
+// buffer's worth has collected, so a burst of large responses cannot grow
+// the buffer without bound.
+func (sc *servedConn) respond(start int) bool {
+	var err error
+	if sc.out, err = endFrame(sc.out, start); err != nil {
+		return false
+	}
+	return len(sc.out) < frameBufSize || sc.flush()
+}
+
+// handleFrame dispatches one frame against the connection's current table;
+// false drops the connection. frame is a view into the read buffer: it is
+// decoded (the decoders copy what the table keeps) and done with before the
+// next frame is read.
+func (sc *servedConn) handleFrame(frame []byte) bool {
+	if len(frame) == 0 {
+		return false
+	}
+	switch frame[0] {
 	case msgBind:
-		name, err := decodeBind(payload[1:])
+		name, err := decodeBind(frame[1:])
 		if err != nil {
-			return nil
+			return false
 		}
-		return n.table(name)
+		sc.tbl = sc.node.table(name)
+		return true
 	case msgPlace:
-		p, err := decodePlace(payload[1:])
+		p, err := decodePlace(frame[1:])
 		if err != nil {
-			return nil
+			return false
 		}
-		tbl.place(p)
-		return tbl
+		sc.tbl.place(p)
+		return true
 	case msgApply:
-		a, err := decodeApply(payload[1:])
+		a, err := decodeApply(frame[1:])
 		if err != nil {
-			return nil
+			return false
 		}
-		if writeFrame(bw, encodeResp(tbl.apply(a))) != nil {
-			return nil
-		}
-		return tbl
+		var start int
+		sc.out, start = beginFrame(sc.out)
+		sc.out = appendResp(sc.out, sc.tbl.apply(a))
+		return sc.respond(start)
 	case msgScan:
-		req, ops, err := decodeScan(payload[1:])
+		req, ops, err := decodeScan(frame[1:])
 		if err != nil {
-			return nil
+			return false
 		}
-		if writeFrame(bw, encodeScanResp(req, tbl.scan(req, ops))) != nil {
-			return nil
-		}
-		return tbl
+		var start int
+		sc.out, start = beginFrame(sc.out)
+		sc.out = appendScanResp(sc.out, req, sc.tbl.scan(req, ops))
+		return sc.respond(start)
 	default:
-		return nil // protocol violation: drop the connection
+		return false // protocol violation: drop the connection
 	}
 }
 

@@ -17,10 +17,24 @@
 // arrival order per connection. All adversarial behaviour (holds, releases,
 // crashes) stays on the fabric side, where the Gate lives; the network
 // contributes only genuine asynchrony.
+//
+// Framing. A frame is a u32 big-endian length followed by that many body
+// bytes, the first of which is the message type. Both ends read through one
+// frameReader — a frameBufSize buffered reader, so a burst of frames costs
+// one read(2) — and write through the beginFrame/endFrame pair, which
+// back-patches the length behind a body that an appendX encoder wrote
+// straight into the destination buffer. The reader's contract: the slice
+// next returns is a view into the read buffer, valid only until the
+// following next or ready call. Every decodeX therefore copies what it
+// keeps (payloadAt, string conversions, freshly made slices) and retains no
+// sub-slice of its input; a decoder that breaks this rule corrupts the
+// values of earlier frames (TestDecodeDoesNotAliasWindow).
 package lanenet
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -94,35 +108,96 @@ type applyResp struct {
 	msg    string
 }
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
-		return fmt.Errorf("lanenet: frame too large (%d bytes)", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// frameBufSize is the read-buffer size of both ends: one socket read
+// collects up to this many bytes of queued frames, and a frame that fits is
+// decoded in place. The node's response buffer flushes at the same size.
+const frameBufSize = 64 << 10
+
+// ErrFrameTooLarge completes an invocation whose encoding exceeds maxFrame.
+// The frame was never written, so the op never applied; the connection and
+// every other operation on it are unaffected.
+var ErrFrameTooLarge = errors.New("lanenet: frame too large")
+
+// beginFrame reserves a frame's length prefix at the end of b and returns
+// the grown buffer plus the frame's start offset for endFrame.
+func beginFrame(b []byte) ([]byte, int) {
+	return append(b, 0, 0, 0, 0), len(b)
 }
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// endFrame back-patches the length prefix of the frame begun at start. A
+// body beyond maxFrame is cut back out of the buffer and reported as
+// ErrFrameTooLarge: the peer's reader would reject it and drop the
+// connection, so it must not reach the wire.
+func endFrame(b []byte, start int) ([]byte, error) {
+	n := len(b) - start - 4
+	if n > maxFrame {
+		return b[:start], fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
+	}
+	binary.BigEndian.PutUint32(b[start:], uint32(n))
+	return b, nil
+}
+
+// frameReader reads length-prefixed frames through a frameBufSize buffer.
+type frameReader struct {
+	br *bufio.Reader
+	// held is the buffered length of the frame last returned as a view; it
+	// is discarded when the next frame is asked for, which is what keeps
+	// the view valid in between.
+	held int
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{br: bufio.NewReaderSize(r, frameBufSize)}
+}
+
+// release discards the frame the previous next returned.
+func (fr *frameReader) release() {
+	if fr.held > 0 {
+		_, _ = fr.br.Discard(fr.held) // cannot fail: held bytes are buffered
+		fr.held = 0
+	}
+}
+
+// next blocks for one frame and returns its body. A frame that fits the
+// buffer is returned as a view into it, valid until the following next or
+// ready call; a larger one (up to maxFrame) is copied out into a fresh
+// slice.
+func (fr *frameReader) next() ([]byte, error) {
+	fr.release()
+	hdr, err := fr.br.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > maxFrame {
 		return nil, fmt.Errorf("lanenet: oversized frame (%d bytes)", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if 4+n <= fr.br.Size() {
+		frame, err := fr.br.Peek(4 + n)
+		if err != nil {
+			return nil, err
+		}
+		fr.held = 4 + n
+		return frame[4:], nil
+	}
+	_, _ = fr.br.Discard(4) // cannot fail: the header was just peeked
+	body := make([]byte, n)
+	if _, err := io.ReadFull(fr.br, body); err != nil {
 		return nil, err
 	}
-	return payload, nil
+	return body, nil
+}
+
+// ready reports whether a whole frame is already buffered, so that next
+// returns it without touching the socket. A frame larger than the buffer is
+// never ready; the blocking next handles it (and rejects oversized ones).
+func (fr *frameReader) ready() bool {
+	fr.release()
+	if fr.br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := fr.br.Peek(4)
+	return fr.br.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
 }
 
 // appendTSValue encodes a timestamped value (20 bytes).
@@ -170,6 +245,9 @@ func payloadAt(b []byte, off int) (types.Payload, int, error) {
 	copy(p, b[off:off+n])
 	return p, off + n, nil
 }
+
+// minFragmentSize is the encoding of a fragment with an empty payload.
+const minFragmentSize = 20 + 9 + 4
 
 // appendFragment encodes one erasure-coded fragment: TSValue (20) +
 // index u16 + k u16 + stripe length u32 + committed flag + payload.
@@ -225,6 +303,11 @@ func fragListAt(b []byte, off int) ([]baseobj.Fragment, int, error) {
 	if n == 0 {
 		return nil, off, nil
 	}
+	// The count is the peer's claim: check the bytes can hold it before it
+	// sizes an allocation.
+	if len(b)-off < n*minFragmentSize {
+		return nil, 0, fmt.Errorf("lanenet: fragment list claims %d fragments in %d bytes", n, len(b)-off)
+	}
 	frags := make([]baseobj.Fragment, n)
 	var err error
 	for i := 0; i < n; i++ {
@@ -235,9 +318,8 @@ func fragListAt(b []byte, off int) ([]baseobj.Fragment, int, error) {
 	return frags, off, nil
 }
 
-// encodePlace encodes a msgPlace payload.
-func encodePlace(p placeReq) []byte {
-	b := make([]byte, 0, 8+4*len(p.writers)+20+8+len(p.state.Data))
+// appendPlace encodes a msgPlace body.
+func appendPlace(b []byte, p placeReq) []byte {
 	b = append(b, msgPlace)
 	b = binary.BigEndian.AppendUint32(b, uint32(p.obj))
 	b = append(b, byte(p.kind))
@@ -250,7 +332,7 @@ func encodePlace(p placeReq) []byte {
 	return appendFragList(b, p.state.Frags)
 }
 
-// decodePlace decodes a msgPlace payload (after the type byte).
+// decodePlace decodes a msgPlace body (after the type byte).
 func decodePlace(b []byte) (placeReq, error) {
 	if len(b) < 7 {
 		return placeReq{}, fmt.Errorf("lanenet: truncated place")
@@ -280,15 +362,10 @@ func decodePlace(b []byte) (placeReq, error) {
 	return p, nil
 }
 
-// encodeApply encodes a msgApply payload: the fixed header and TSValue
+// appendApply encodes a msgApply body: the fixed header and TSValue
 // arguments, the invocation payload, and (for OpPutFrag) the fragment,
 // flagged by a presence byte.
-func encodeApply(a applyReq) []byte {
-	size := 1 + 8 + 4 + 4 + 1 + 3*20 + 4 + len(a.inv.Data) + 1
-	if a.inv.Frag != nil {
-		size += 33 + len(a.inv.Frag.Data)
-	}
-	b := make([]byte, 0, size)
+func appendApply(b []byte, a applyReq) []byte {
 	b = append(b, msgApply)
 	b = binary.BigEndian.AppendUint64(b, a.req)
 	b = binary.BigEndian.AppendUint32(b, uint32(a.obj))
@@ -305,7 +382,7 @@ func encodeApply(a applyReq) []byte {
 	return appendFragment(b, *a.inv.Frag)
 }
 
-// decodeApply decodes a msgApply payload (after the type byte).
+// decodeApply decodes a msgApply body (after the type byte).
 func decodeApply(b []byte) (applyReq, error) {
 	if len(b) < 8+4+4+1+3*20 {
 		return applyReq{}, fmt.Errorf("lanenet: truncated apply")
@@ -343,33 +420,33 @@ func decodeApply(b []byte) (applyReq, error) {
 	return a, nil
 }
 
-// respBodySize returns the encoded size of one response body (shared by
-// msgResp and msgScanResp members), after clipping the diagnostic text.
-func respBodySize(r *applyResp) int {
-	if len(r.msg) > 1024 {
-		r.msg = r.msg[:1024]
-	}
-	size := 1 + 1 + 20 + 2 + len(r.msg) + 4 + len(r.resp.Data) + 2
-	for _, f := range r.resp.Frags {
-		size += 33 + len(f.Data)
-	}
-	return size
-}
+// minRespBodySize is the encoding of a response body with no message, no
+// payload and no fragments.
+const minRespBodySize = 2 + 20 + 2 + 4 + 2
 
-// appendRespBody encodes one response body: status, op, TSValue, message,
-// payload bytes, fragment list.
+// maxRespMsg clips a response's error text: it is diagnostic only, and a
+// pathological message must not blow the frame bound.
+const maxRespMsg = 1024
+
+// appendRespBody encodes one response body (shared by msgResp and
+// msgScanResp members): status, op, TSValue, message, payload bytes,
+// fragment list.
 func appendRespBody(b []byte, r applyResp) []byte {
+	msg := r.msg
+	if len(msg) > maxRespMsg {
+		msg = msg[:maxRespMsg]
+	}
 	b = append(b, r.status, byte(r.resp.Op))
 	b = appendTSValue(b, r.resp.Val)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(r.msg)))
-	b = append(b, r.msg...)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(msg)))
+	b = append(b, msg...)
 	b = appendPayload(b, r.resp.Data)
 	return appendFragList(b, r.resp.Frags)
 }
 
 // respBodyAt decodes one response body at offset off.
 func respBodyAt(b []byte, off int) (applyResp, int, error) {
-	if len(b) < off+2+20+2 {
+	if len(b) < off+minRespBodySize {
 		return applyResp{}, 0, fmt.Errorf("lanenet: truncated response body")
 	}
 	r := applyResp{status: b[off]}
@@ -396,10 +473,8 @@ func respBodyAt(b []byte, off int) (applyResp, int, error) {
 	return r, off, nil
 }
 
-// encodeResp encodes a msgResp payload. Error text is diagnostic only and
-// is clipped so a pathological message cannot blow the frame bound.
-func encodeResp(r applyResp) []byte {
-	b := make([]byte, 0, 1+8+respBodySize(&r))
+// appendResp encodes a msgResp body.
+func appendResp(b []byte, r applyResp) []byte {
 	b = append(b, msgResp)
 	b = binary.BigEndian.AppendUint64(b, r.req)
 	return appendRespBody(b, r)
@@ -414,10 +489,9 @@ type scanEntry struct {
 	op     baseobj.OpCode
 }
 
-// encodeScan encodes a msgScan payload: one request id for the whole group
-// plus 9 bytes per member. b, when non-nil, is the reused destination
-// buffer.
-func encodeScan(b []byte, req uint64, ops []scanEntry) []byte {
+// appendScan encodes a msgScan body: one request id for the whole group
+// plus 9 bytes per member.
+func appendScan(b []byte, req uint64, ops []scanEntry) []byte {
 	b = append(b, msgScan)
 	b = binary.BigEndian.AppendUint64(b, req)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(ops)))
@@ -429,7 +503,7 @@ func encodeScan(b []byte, req uint64, ops []scanEntry) []byte {
 	return b
 }
 
-// decodeScan decodes a msgScan payload (after the type byte).
+// decodeScan decodes a msgScan body (after the type byte).
 func decodeScan(b []byte) (uint64, []scanEntry, error) {
 	if len(b) < 10 {
 		return 0, nil, fmt.Errorf("lanenet: truncated scan")
@@ -451,14 +525,9 @@ func decodeScan(b []byte) (uint64, []scanEntry, error) {
 	return req, ops, nil
 }
 
-// encodeScanResp encodes a msgScanResp payload: the group's request id plus
+// appendScanResp encodes a msgScanResp body: the group's request id plus
 // per-member results in request order.
-func encodeScanResp(req uint64, results []applyResp) []byte {
-	size := 1 + 8 + 2
-	for i := range results {
-		size += respBodySize(&results[i])
-	}
-	b := make([]byte, 0, size)
+func appendScanResp(b []byte, req uint64, results []applyResp) []byte {
 	b = append(b, msgScanResp)
 	b = binary.BigEndian.AppendUint64(b, req)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(results)))
@@ -468,13 +537,17 @@ func encodeScanResp(req uint64, results []applyResp) []byte {
 	return b
 }
 
-// decodeScanResp decodes a msgScanResp payload (after the type byte).
+// decodeScanResp decodes a msgScanResp body (after the type byte).
 func decodeScanResp(b []byte) (uint64, []applyResp, error) {
 	if len(b) < 10 {
 		return 0, nil, fmt.Errorf("lanenet: truncated scan response")
 	}
 	req := binary.BigEndian.Uint64(b)
 	n := int(binary.BigEndian.Uint16(b[8:]))
+	// As in fragListAt: the claimed count must fit before it allocates.
+	if len(b)-10 < n*minRespBodySize {
+		return 0, nil, fmt.Errorf("lanenet: scan response claims %d results in %d bytes", n, len(b)-10)
+	}
 	results := make([]applyResp, 0, n)
 	off := 10
 	for i := 0; i < n; i++ {
@@ -489,15 +562,14 @@ func decodeScanResp(b []byte) (uint64, []applyResp, error) {
 	return req, results, nil
 }
 
-// encodeBind encodes a msgBind payload.
-func encodeBind(table string) []byte {
-	b := make([]byte, 0, 3+len(table))
+// appendBind encodes a msgBind body.
+func appendBind(b []byte, table string) []byte {
 	b = append(b, msgBind)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(table)))
 	return append(b, table...)
 }
 
-// decodeBind decodes a msgBind payload (after the type byte).
+// decodeBind decodes a msgBind body (after the type byte).
 func decodeBind(b []byte) (string, error) {
 	if len(b) < 2 {
 		return "", fmt.Errorf("lanenet: truncated bind")
@@ -509,7 +581,7 @@ func decodeBind(b []byte) (string, error) {
 	return string(b[2 : 2+n]), nil
 }
 
-// decodeResp decodes a msgResp payload (after the type byte).
+// decodeResp decodes a msgResp body (after the type byte).
 func decodeResp(b []byte) (applyResp, error) {
 	if len(b) < 8 {
 		return applyResp{}, fmt.Errorf("lanenet: truncated response")

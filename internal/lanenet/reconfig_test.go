@@ -18,7 +18,7 @@ import (
 // ignores the state — the node's copy is authoritative.
 func TestPlaceFrameCarriesState(t *testing.T) {
 	p := placeReq{obj: 7, kind: baseobj.KindMaxRegister, state: baseobj.State{Val: types.TSValue{TS: 3, Writer: 1, Val: 42}}}
-	pd, err := decodePlace(encodePlace(p)[1:])
+	pd, err := decodePlace(appendPlace(nil, p)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}

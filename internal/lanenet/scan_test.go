@@ -14,10 +14,10 @@ import (
 
 // scanNetEnv builds a single-node cluster hosting k registers behind TCP
 // lanes — the shape a remote snapshot scan must read as one consistent cut.
-func scanNetEnv(t *testing.T, k int, opts ...ClientOption) (*fabric.Fabric, []types.ObjectID, []*Client) {
+func scanNetEnv(t *testing.T, k int) (*fabric.Fabric, []types.ObjectID, []*Client) {
 	t.Helper()
 	addrs, _ := startNodes(t, 1)
-	maker, clients, err := Lanes(addrs, time.Second, opts...)
+	maker, clients, err := Lanes(addrs, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +182,12 @@ func TestTCPLaneCrashBetweenDequeueAndWrite(t *testing.T) {
 	}
 }
 
-// TestTCPLanePipelinedReadsCoalesce: reads of the same object queued within
-// the flush window collapse onto one wire request, and the single response
-// answers every caller correctly.
+// TestTCPLanePipelinedReadsCoalesce: reads of the same object drained in
+// one flusher batch collapse onto one wire request, and the single response
+// answers every caller correctly. The reads enter through DeliverGroup — one
+// queue append under qmu, hence one drain — so the batch is deterministic.
 func TestTCPLanePipelinedReadsCoalesce(t *testing.T) {
-	fab, objs, clients := scanNetEnv(t, 1, WithFlushWindow(2*time.Millisecond))
+	fab, objs, clients := scanNetEnv(t, 1)
 	o := await(t, fab.Trigger(0, objs[0], baseobj.Invocation{
 		Op:  baseobj.OpWrite,
 		Arg: types.TSValue{TS: 1, Writer: 0, Val: 42},
@@ -199,14 +200,19 @@ func TestTCPLanePipelinedReadsCoalesce(t *testing.T) {
 	var wg sync.WaitGroup
 	var bad atomic.Int64
 	wg.Add(readers)
-	for i := 0; i < readers; i++ {
-		fab.TriggerFn(types.ClientID(i+1), objs[0], baseobj.Invocation{Op: baseobj.OpRead}, func(o fabric.Outcome) {
-			if o.Err != nil || o.Resp.Val.Val != 42 {
-				bad.Add(1)
-			}
-			wg.Done()
-		})
+	ops := make([]fabric.LaneOp, readers)
+	for i := range ops {
+		ops[i] = fabric.LaneOp{
+			Ev: fabric.TriggerEvent{Client: types.ClientID(i + 1), Object: objs[0], Inv: baseobj.Invocation{Op: baseobj.OpRead}},
+			Complete: func(resp baseobj.Response, err error) {
+				if err != nil || resp.Val.Val != 42 {
+					bad.Add(1)
+				}
+				wg.Done()
+			},
+		}
 	}
+	clients[0].DeliverGroup(ops)
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -217,10 +223,9 @@ func TestTCPLanePipelinedReadsCoalesce(t *testing.T) {
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d coalesced reads returned the wrong value", n)
 	}
-	if clients[0].CoalescedReads() == 0 {
-		t.Fatal("no reads coalesced: 16 same-object reads in one flush window should share a request")
+	if got := clients[0].CoalescedReads(); got != readers-1 {
+		t.Fatalf("coalesced %d reads, want %d: %d same-object reads in one batch share one request", got, readers-1, readers)
 	}
-	t.Logf("coalesced %d of %d reads", clients[0].CoalescedReads(), readers)
 }
 
 // TestTCPLanePipelineManyInFlight floods one connection with concurrent
