@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke bench-json fabric-bench loadgen-smoke lint loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-lanes-mailbox1 race-routes race-shards race-churn race-coded race-resize
+.PHONY: all build vet test race bench bench-smoke fabric-bench loadgen-smoke lint loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-lanes-mailbox1 race-routes race-shards race-churn race-coded race-resize
 
 all: vet build test
 
@@ -39,16 +39,6 @@ bench:
 # One-iteration smoke run, as in CI.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
-
-# Perf trajectory snapshot: triggers/sec (in-process and latency lanes,
-# side by side), sweep wall-clock, checker ns/op, the end-to-end loadgen
-# numbers (high-level ops/sec + latency percentiles through the async
-# client engine on both lanes), the shard-count sweep (aggregate ops/sec
-# at 1/2/4/8 shards), the open-loop latency-vs-rate curve with its knee,
-# and the replicated-vs-coded bytes-per-server space grid (E25) —
-# recorded as BENCH_<date>.json so future PRs have a baseline.
-bench-json:
-	$(GO) run ./cmd/benchjson -benchtime 100ms
 
 # End-to-end smoke: a short closed-loop run on the latency lane through
 # the async client engine — 1000 logical clients on one engine goroutine,
@@ -91,20 +81,26 @@ race-lanenet:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime 10s ./internal/lanenet
 
-# Lane-backend suite under the race detector: latency lanes (event loop,
-# snapshot scans, coalescing, crash windows) and the chaos suites over the
-# latency and TCP lanes (the TCP chaos suite spawns real cmd/lanenode
-# processes). The TCP lane's own package runs under race-lanenet.
-LANE_TESTS = 'TestLatencyLane|TestCustomLaneBackend|TestScanSnapshot|TestChaosLatencyLaneSweep|TestTCPLane'
+# The five suites below select by package, or by the topic word a test
+# carries in its name (an unanchored -run pattern), so a new test joins its
+# suite by being named for what it tests — there is no name list to edit.
+
+# Lane-backend suite under the race detector: every fabric and runner test
+# with "Lane" in its name — latency lanes (event loop, coalescing, crash
+# windows, mailbox), the custom-backend seam, view changes under latency-lane
+# load, the chaos suites over the latency and TCP lanes (the TCP chaos suite
+# spawns real cmd/lanenode processes) — plus the snapshot-scan family. The
+# TCP lane's own package runs under race-lanenet.
+LANE_SUITE = -run 'Lane|TestScanSnapshot' ./internal/fabric ./internal/runner
 race-lanes:
-	$(GO) test -race -count 1 -run $(LANE_TESTS) ./internal/fabric ./internal/runner
+	$(GO) test -race -count 1 $(LANE_SUITE)
 
 # The same suite with every lane mailbox clamped to capacity 1: each
 # delivery blocks until the event loop dequeues the previous group, so the
 # backpressure path (instead of the buffered fast path) carries the whole
 # suite.
 race-lanes-mailbox1:
-	REPRO_LANE_MAILBOX=1 $(GO) test -race -count 1 -run $(LANE_TESTS) ./internal/fabric ./internal/runner
+	REPRO_LANE_MAILBOX=1 $(GO) test -race -count 1 $(LANE_SUITE)
 
 # Route-table suite under the race detector, repeated and at three
 # GOMAXPROCS settings: chunk-boundary round-trips, the linear first-touch
@@ -114,47 +110,49 @@ race-lanes-mailbox1:
 race-routes:
 	$(GO) test -race -count 20 -cpu 1,2,8 -run 'TestRouteTable' ./internal/fabric
 
-# Sharded-store suite under the race detector: deterministic shard
-# routing, the multi-engine frontend (client identity, key affinity,
-# per-client serialization), crash-per-shard end-to-end runs, the
-# multi-table lanenet node, the sharded loadgen paths, and the TCP-lane
-# smoke — 2 shards x 3 servers multiplexed over 2 real cmd/lanenode
-# processes, plus the 3-process variant that kills a node mid-run.
-SHARD_TESTS = 'TestShard|TestBalancedKeys|TestClientIdentity|TestMultiTableNode|TestBindRoundTrip|TestShardedRun|TestOpenLoopCoordinatedOmission|TestRateSweepKnee'
+# Sharded-store suite under the race detector, selected by package: all of
+# internal/shardstore (deterministic shard routing, the multi-engine
+# frontend, crash-per-shard end-to-end runs, reconfiguration and resizing,
+# and the TCP-lane smokes over real cmd/lanenode processes, one of which
+# kills a node mid-run) and all of internal/loadgen (sharded, open-loop and
+# rate-sweep paths, the coded space axis). The multi-table lanenet node runs
+# under race-lanenet.
 race-shards:
-	$(GO) test -race -count 1 -run $(SHARD_TESTS) ./internal/shardstore ./internal/lanenet ./internal/loadgen
+	$(GO) test -race -count 1 ./internal/shardstore ./internal/loadgen
 
-# Reconfiguration suite under the race detector: the Replace protocol
-# (freeze/drain/transfer/activate, parked-op outcomes, refusals), live
-# rolling replacement of every server of every construction under client
-# load, the churn chaos net on its pinned seeds (E24), membership
-# accounting, the stateful place frames and node drain on the TCP lane,
-# and whole-shard reconfiguration through the sharded store (in-process
-# and over real cmd/lanenode processes).
-CHURN_TESTS = 'TestReplace|TestTriggerOnDepartingServer|TestViewRetryDelay|TestAccounting|TestReconfigureMidFlight|TestChurn|TestLanenodeGracefulDrain|TestPlaceFrameCarriesState|TestDrainFinishesInFlight|TestShardStoreReconfigure|TestShardStoreTCPReconfigure'
+# Reconfiguration suite under the race detector: membership accounting (all
+# of internal/cluster), and every fabric, runner and shardstore test named
+# for a reconfiguration topic — Replace (freeze/drain/transfer/activate,
+# parked-op outcomes, refusals, rolling replacement under load), Reconfigure
+# (every server of every construction mid-flight; whole shards, in-process
+# and over real cmd/lanenode processes), Churn (the chaos net on its pinned
+# seeds, E24), Drain, Departing, ViewRetry. The stateful place frames and the
+# node drain on the TCP lane run under race-lanenet.
 race-churn:
-	$(GO) test -race -count 1 -run $(CHURN_TESTS) ./internal/fabric ./internal/cluster ./internal/runner ./internal/lanenet ./internal/shardstore
+	$(GO) test -race -count 1 ./internal/cluster
+	$(GO) test -race -count 1 -run 'Replace|Reconfigure|Churn|Drain|Departing|ViewRetry' ./internal/fabric ./internal/runner ./internal/shardstore
 
-# Erasure-coded suite under the race detector: the GF(2^8) coder and the
-# coded construction (concurrent writers/readers, crash tolerance, space
-# accounting, live replacement), the torn-stripe adversary on all three
-# lane backends (the TCP variant spawns real cmd/lanenode processes), the
-# coded chaos net on its pinned seeds (E26), and the end-to-end space axis
-# through the sharded store.
-CODED_TESTS = 'TestGF|TestCoder|TestCoded|TestFragStore|TestTornStripe|TestChaosCoded|TestCodedSpaceAxis'
+# Erasure-coded suite under the race detector: all of the coded construction
+# (the GF(2^8) coder, concurrent writers/readers, crash tolerance, space
+# accounting, live replacement and restripe) and of internal/baseobj (the
+# fragment store), then the runner and loadgen tests named for it — the
+# torn-stripe adversary on all three lane backends (the TCP variant spawns
+# real cmd/lanenode processes), the coded chaos net on its pinned seeds
+# (E26), and the end-to-end space axis through the sharded store.
 race-coded:
-	$(GO) test -race -count 1 -run $(CODED_TESTS) ./internal/emulation/coded ./internal/baseobj ./internal/runner ./internal/loadgen
+	$(GO) test -race -count 1 ./internal/emulation/coded ./internal/baseobj
+	$(GO) test -race -count 1 -run 'Coded|TestTornStripe' ./internal/runner ./internal/loadgen
 
-# Live view-resizing suite under the race detector: batched transitions
-# (grow, shrink, f change) as single epoch bumps — the fabric coordinator
-# and its abort path (a leaver or transfer target crashing inside the
-# sealed-but-not-activated window must roll the old view back intact, on
+# Live view-resizing suite under the race detector: every test with
+# "Resize" in its name, plus the transition-crash family — batched
+# transitions (grow, shrink, f change) as single epoch bumps, the fabric
+# coordinator and its abort path (a leaver or transfer target crashing inside
+# the sealed-but-not-activated window must roll the old view back intact, on
 # all three lane backends), grow/shrink under open client load with zero
-# failed ops, the coded construction's restripe-or-reject on kData change,
-# the resize chaos net on its pinned seeds (E27: sound constructions clean,
-# naive caught), the transition-crash matrix (E28), and per-shard resizing
-# through the sharded store (in-process and over real cmd/lanenode
-# processes).
-RESIZE_TESTS = 'TestResize|TestCodedResize|TestTransitionCrash|TestShardStoreResize|TestShardStoreTCPResize'
+# failed ops, the quorum family's store recipe through a grow and a shrink,
+# the coded construction's restripe-or-reject on kData change, the resize
+# chaos net on its pinned seeds (E27: sound constructions clean, naive
+# caught), the transition-crash matrix (E28), and per-shard resizing through
+# the sharded store (in-process and over real cmd/lanenode processes).
 race-resize:
-	$(GO) test -race -count 1 -run $(RESIZE_TESTS) ./internal/fabric ./internal/runner ./internal/emulation/coded ./internal/shardstore
+	$(GO) test -race -count 1 -run 'Resize|TestTransitionCrash' ./internal/fabric ./internal/runner ./internal/emulation/quorumreg ./internal/emulation/coded ./internal/shardstore

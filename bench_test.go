@@ -577,6 +577,61 @@ func BenchmarkFabricReresolveAfterEpoch(b *testing.B) {
 	b.Run("objects=16k", func(b *testing.B) { benchRouteSweep(b, 16<<10, false) })
 }
 
+// BenchmarkResizeTransition measures the freeze-to-activate wall-clock of
+// batched view transitions per membership delta (experiment E27's timing
+// axis): a live atomic abd-max register at n=5, f=1 is grown or swapped, and
+// the forward transition's ResizeResult.Duration — the window concurrent
+// clients retry through — is reported as ns/transition. A grow is undone by
+// an unmeasured shrink so every iteration starts from n=5. No client load
+// runs: this is the floor cost of the transition itself (freeze, drain,
+// reshape seeding, transfer, activation).
+func BenchmarkResizeTransition(b *testing.B) {
+	for _, d := range []struct {
+		name          string
+		joins, leaves int
+	}{{"join1", 1, 0}, {"join2", 2, 0}, {"swap1", 1, 1}, {"swap2", 2, 2}} {
+		b.Run(d.name, func(b *testing.B) {
+			ctx := context.Background()
+			env, err := runner.NewEnv(5, nil)
+			if err != nil {
+				b.Fatalf("env: %v", err)
+			}
+			defer env.Fabric.Close()
+			reg, _, err := runner.BuildWith(runner.KindABDMax, env.Fabric, 1, 1, runner.BuildOpts{Atomic: true})
+			if err != nil {
+				b.Fatalf("build: %v", err)
+			}
+			w, err := reg.Writer(0)
+			if err != nil {
+				b.Fatalf("writer: %v", err)
+			}
+			if err := w.Write(ctx, 7); err != nil {
+				b.Fatalf("seeding write: %v", err)
+			}
+			var frozen time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				spec := fabric.ResizeSpec{
+					Join:  make([]fabric.LaneMaker, d.joins),
+					Leave: env.Cluster.View().Members[:d.leaves],
+				}
+				res, err := runner.ResizeRegister(ctx, env, reg, spec)
+				if err != nil {
+					b.Fatalf("transition %d: %v", i, err)
+				}
+				frozen += res.Duration
+				if d.joins > d.leaves {
+					if _, err := runner.ResizeRegister(ctx, env, reg, fabric.ResizeSpec{Leave: res.Joined}); err != nil {
+						b.Fatalf("restore %d: %v", i, err)
+					}
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(frozen.Nanoseconds())/float64(b.N), "ns/transition")
+		})
+	}
+}
+
 // BenchmarkFabricLaneTrigger measures trigger-to-completion throughput on
 // the in-process lane vs the latency lane, side by side: the price of real
 // asynchrony (timer dispatch, cross-goroutine completion) relative to the
@@ -626,11 +681,10 @@ func BenchmarkFabricLaneTrigger(b *testing.B) {
 				for pb.Next() {
 					i++
 					wg.Add(1)
-					call := fab.Trigger(client, obj, baseobj.Invocation{
+					fab.TriggerFn(client, obj, baseobj.Invocation{
 						Op:  baseobj.OpWrite,
 						Arg: types.TSValue{TS: uint64(i), Writer: client},
-					})
-					call.OnComplete(complete)
+					}, complete)
 					if i%256 == 0 {
 						wg.Wait()
 					}

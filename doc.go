@@ -20,8 +20,14 @@
 //     Token allocation is lock-free, object routing is served from a
 //     lock-free route cache, each lane owns its held-op, in-flight, and
 //     crash-drop state, and TriggerBatch scatters a whole quorum round in
-//     one call. The environment plugs in as a Gate (hold/release/crash),
-//     which is how the covering adversary of Lemma 1 is realized. Each
+//     one call. A completion is heard in exactly one way: through the
+//     callback handed over with the trigger (TriggerFn, BatchOp.Done),
+//     which fires once, on whatever goroutine completes the operation —
+//     inline on the in-process lane — and never for an operation that
+//     stays pending; a Call is otherwise just the operation's token and,
+//     once complete, its outcome. The environment plugs in as a Gate
+//     (hold/release/crash), which is how the covering adversary of Lemma 1
+//     is realized. Each
 //     lane's transport is a pluggable backend (the Lane interface): the
 //     in-process lane (default, synchronous, zero-regression hot path),
 //     the latency lane, and the network lane below. TriggerScan scatters
@@ -87,7 +93,14 @@
 //     the four quorum constructions are store layers under abdcore's one
 //     collect and one push (a store's operation is either a direct fabric
 //     target scattered with the round or a chain the store starts itself),
-//     wired up by quorumreg; a new one is the store layer plus ~50 lines.
+//     wired up by quorumreg from one store recipe per construction:
+//     Config.Place creates one server's store together with its base
+//     objects, quorumreg.New validates f and the 2f+1 hosts and calls it
+//     for each of them, and a view resize calls the same recipe for the
+//     servers it adds; a store names its base objects (Objects — the
+//     register's resource complexity is their count over the live
+//     placement) and folds a resize's maximum into itself (Seed). A new
+//     row of Table 1 is the store type and its recipe.
 //     Handles come from package emulation: StartWrite/StartRead run the
 //     chain under the caller's context (an in-flight op costs no
 //     goroutine), and Write/Read are one blocking adapter over the same
@@ -194,8 +207,9 @@
 // the latency lane (the same gate adversary composed with real timing),
 // with every per-run generator derived as an independent splitmix
 // sub-stream of the seed (internal/seed). cmd/sweep exposes the engine via
-// -f, -workers, -lane, and -json; cmd/benchjson records the perf
-// trajectory (EXPERIMENTS.md).
+// -f, -workers, -lane, and -json. Performance is measured by one ruler,
+// bench/ (go run ./bench, BENCHMARK.json), with the go test -bench rungs of
+// bench_test.go underneath it (EXPERIMENTS.md).
 //
 // The root package anchors the module documentation and the
 // repository-level benchmark suite (bench_test.go); runnable entry points

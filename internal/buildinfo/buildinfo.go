@@ -1,7 +1,7 @@
 // Package buildinfo identifies the build that produced a result artifact —
-// toolchain version and git commit — so dated JSON snapshots
-// (BENCH_<date>.json, sweep -json envelopes) stay attributable to the exact
-// tree that made them.
+// toolchain version and git commit — so JSON results (bench/ envelopes,
+// sweep -json envelopes) stay attributable to the exact tree that made
+// them.
 package buildinfo
 
 import (
@@ -18,7 +18,9 @@ func GoVersion() string { return runtime.Version() }
 // the VCS stamp when the binary carries one (a plain `go build` in a git
 // checkout), else `git rev-parse HEAD` in the working directory (the
 // `go run` / `go test` path, where the toolchain omits the stamp), else
-// "unknown". A stamped-but-dirty tree is marked with a "-dirty" suffix.
+// "unknown". A tree with uncommitted changes is marked with a "-dirty"
+// suffix on both paths: from the stamp's vcs.modified, or — since rev-parse
+// cannot see the working tree — from a non-empty `git status --porcelain`.
 func GitCommit() string {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		var rev, modified string
@@ -39,6 +41,9 @@ func GitCommit() string {
 	}
 	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
 		if rev := strings.TrimSpace(string(out)); rev != "" {
+			if st, err := exec.Command("git", "status", "--porcelain").Output(); err == nil && len(strings.TrimSpace(string(st))) > 0 {
+				return rev + "-dirty"
+			}
 			return rev
 		}
 	}

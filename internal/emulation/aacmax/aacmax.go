@@ -41,12 +41,36 @@ type store struct {
 
 // Compile-time interface compliance checks.
 var (
+	_ abdcore.MaxStore     = (*store)(nil)
 	_ abdcore.ReadStarter  = (*store)(nil)
 	_ abdcore.WriteStarter = (*store)(nil)
 )
 
+// place creates the store of one server: k single-writer registers, with
+// their read targets precomputed for the per-server scan.
+func place(fab *fabric.Fabric, k int, server types.ServerID) (abdcore.MaxStore, error) {
+	st := &store{
+		fab:    fab,
+		server: server,
+		regs:   make([]types.ObjectID, 0, k),
+		last:   make(map[types.ClientID]types.TSValue, k),
+	}
+	for w := 0; w < k; w++ {
+		obj, err := fab.Cluster().PlaceRegister(server, baseobj.WithWriters([]types.ClientID{types.ClientID(w)}))
+		if err != nil {
+			return nil, err
+		}
+		st.regs = append(st.regs, obj)
+		st.scan = append(st.scan, rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}})
+	}
+	return st, nil
+}
+
 // Server implements abdcore.MaxStore.
 func (s *store) Server() types.ServerID { return s.server }
+
+// Objects implements abdcore.MaxStore.
+func (s *store) Objects() []types.ObjectID { return s.regs }
 
 // StartWriteMax implements abdcore.WriteStarter: writer i writes its own base
 // register, skipping values no larger than what it already wrote there
@@ -63,8 +87,7 @@ func (s *store) StartWriteMax(_ context.Context, client types.ClientID, v types.
 		report(prev, nil)
 		return
 	}
-	call := s.fab.Trigger(client, s.regs[client], baseobj.Invocation{Op: baseobj.OpWrite, Arg: v})
-	call.OnComplete(func(o fabric.Outcome) {
+	s.fab.TriggerFn(client, s.regs[client], baseobj.Invocation{Op: baseobj.OpWrite, Arg: v}, func(o fabric.Outcome) {
 		if o.Err == nil {
 			// The floor advances only once the write took effect: advancing
 			// it at trigger time would make a retried round (after a
@@ -91,60 +114,22 @@ func (s *store) StartReadMax(ctx context.Context, client types.ClientID, report 
 	}})
 }
 
-// storeReshaper re-places per-server k-register stores across a view
-// resize. The folded maximum is seeded into its own writer's register —
-// carrying the writer's identity, since the base registers are
-// single-writer — and the store's client-side floor advances with it so a
-// later write-max by that writer still skips stale values.
-type storeReshaper struct {
-	fab *fabric.Fabric
-	k   int
-}
-
-var _ quorumreg.StoreReshaper = (*storeReshaper)(nil)
-
-func (sr *storeReshaper) StoreObjects(s abdcore.MaxStore) []types.ObjectID {
-	return s.(*store).regs
-}
-
-func (sr *storeReshaper) NewStore(rs *fabric.Reshaper, server types.ServerID, m types.TSValue) (abdcore.MaxStore, int, error) {
-	c := sr.fab.Cluster()
-	st := &store{
-		fab:    sr.fab,
-		server: server,
-		regs:   make([]types.ObjectID, 0, sr.k),
-		last:   make(map[types.ClientID]types.TSValue, sr.k),
+// Seed implements abdcore.MaxStore: the folded maximum goes into its own
+// writer's register — carrying the writer's identity, since the base
+// registers are single-writer — and the store's client-side floor advances
+// with it so a later write-max by that writer still skips stale values.
+func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
+	if int(m.Writer) < 0 || int(m.Writer) >= len(s.regs) {
+		return fmt.Errorf("aacmax: folded maximum written by client %d, not a writer (k=%d)", m.Writer, len(s.regs))
 	}
-	for w := 0; w < sr.k; w++ {
-		obj, err := c.PlaceRegister(server, baseobj.WithWriters([]types.ClientID{types.ClientID(w)}))
-		if err != nil {
-			return nil, 0, err
-		}
-		st.regs = append(st.regs, obj)
-		st.scan = append(st.scan, rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}})
-	}
-	if err := sr.ReseedStore(rs, st, m); err != nil {
-		return nil, 0, err
-	}
-	return st, sr.k, nil
-}
-
-func (sr *storeReshaper) ReseedStore(rs *fabric.Reshaper, s abdcore.MaxStore, m types.TSValue) error {
-	if !types.ZeroTSValue.Less(m) {
-		return nil
-	}
-	st := s.(*store)
-	if int(m.Writer) < 0 || int(m.Writer) >= len(st.regs) {
-		return fmt.Errorf("aacmax: folded maximum written by client %d, not a writer (k=%d)", m.Writer, len(st.regs))
-	}
-	if _, err := rs.ApplyAs(m.Writer, st.regs[m.Writer], baseobj.Invocation{Op: baseobj.OpWrite, Arg: m}); err != nil {
+	if _, err := rs.ApplyAs(m.Writer, s.regs[m.Writer], baseobj.Invocation{Op: baseobj.OpWrite, Arg: m}); err != nil {
 		return err
 	}
-	st.mu.Lock()
-	if st.last[m.Writer].Less(m) {
-		st.last[m.Writer] = m
+	s.mu.Lock()
+	if s.last[m.Writer].Less(m) {
+		s.last[m.Writer] = m
 	}
-	st.mu.Unlock()
+	s.mu.Unlock()
 	return nil
 }
 
@@ -161,50 +146,15 @@ type Options struct {
 // write, so only the regular (non-write-back) protocol is offered: the
 // k-register per-server max has no cell a reader could write.
 func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, error) {
-	if f <= 0 {
-		return nil, fmt.Errorf("aacmax: f must be positive, got %d", f)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("aacmax: k must be positive, got %d", k)
-	}
-	servers := opts.Servers
-	if servers == nil {
-		for s := 0; s < 2*f+1; s++ {
-			servers = append(servers, types.ServerID(s))
-		}
-	}
-	if len(servers) != 2*f+1 {
-		return nil, fmt.Errorf("aacmax: need exactly 2f+1=%d servers, got %d", 2*f+1, len(servers))
-	}
-	c := fab.Cluster()
-	stores := make([]abdcore.MaxStore, 0, len(servers))
-	total := 0
-	for _, server := range servers {
-		st := &store{
-			fab:    fab,
-			server: server,
-			regs:   make([]types.ObjectID, 0, k),
-			last:   make(map[types.ClientID]types.TSValue, k),
-		}
-		for w := 0; w < k; w++ {
-			obj, err := c.PlaceRegister(server, baseobj.WithWriters([]types.ClientID{types.ClientID(w)}))
-			if err != nil {
-				return nil, fmt.Errorf("aacmax: placing register: %w", err)
-			}
-			st.regs = append(st.regs, obj)
-			st.scan = append(st.scan, rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}})
-			total++
-		}
-		stores = append(stores, st)
-	}
 	return quorumreg.New(quorumreg.Config{
-		Name:      "aac-max",
-		K:         k,
-		F:         f,
-		Stores:    stores,
-		Fabric:    fab,
-		Resources: total,
-		History:   opts.History,
-		Reshaper:  &storeReshaper{fab: fab, k: k},
+		Name:    "aac-max",
+		K:       k,
+		F:       f,
+		Servers: opts.Servers,
+		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
+			return place(fab, k, server)
+		},
+		Fabric:  fab,
+		History: opts.History,
 	})
 }

@@ -38,6 +38,16 @@ import (
 type MaxStore interface {
 	// Server returns the hosting server.
 	Server() types.ServerID
+	// Objects returns the base objects backing the store — its share of
+	// the construction's resource complexity, read when a view resize folds
+	// the old placement's state and retired with a store the new one drops.
+	Objects() []types.ObjectID
+	// Seed folds m, the non-zero maximum over the old placement, into the
+	// store, so that every member of a resized placement holds at least
+	// the last committed value. It runs only inside a fabric transition's
+	// frozen window, where applying directly through rs cannot race client
+	// operations.
+	Seed(rs *fabric.Reshaper, m types.TSValue) error
 }
 
 // ReadStarter is a store whose read-max is a chain of low-level operations

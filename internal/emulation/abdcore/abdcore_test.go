@@ -34,6 +34,10 @@ var (
 
 func (s *fakeStore) Server() types.ServerID { return s.server }
 
+// Fake stores own no base objects and are never resized.
+func (s *fakeStore) Objects() []types.ObjectID                  { return nil }
+func (s *fakeStore) Seed(*fabric.Reshaper, types.TSValue) error { return nil }
+
 func (s *fakeStore) StartWriteMax(_ context.Context, _ types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
 	s.mu.Lock()
 	s.writeMaxCalls++

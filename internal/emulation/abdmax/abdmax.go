@@ -11,8 +11,6 @@
 package abdmax
 
 import (
-	"fmt"
-
 	"repro/internal/baseobj"
 	"repro/internal/emulation/abdcore"
 	"repro/internal/emulation/quorumreg"
@@ -26,7 +24,6 @@ import (
 // operations are single low-level ops, so it is a direct store: the quorum
 // engine scatters whole rounds over all stores in one TriggerBatch.
 type store struct {
-	fab    *fabric.Fabric
 	obj    types.ObjectID
 	server types.ServerID
 	// valueSize, when positive, attaches a payload of that many bytes to
@@ -34,14 +31,6 @@ type store struct {
 	// axis: each of the 2f+1 servers stores the full payload, where the
 	// coded construction stores a 1/kData fragment.
 	valueSize int
-}
-
-// payload derives the write's payload rider when the store is sized.
-func (s *store) payload(v types.TSValue) types.Payload {
-	if s.valueSize <= 0 {
-		return nil
-	}
-	return types.PayloadFor(v.Val, s.valueSize)
 }
 
 // Compile-time interface compliance checks.
@@ -54,48 +43,28 @@ var (
 // Server implements abdcore.MaxStore.
 func (s *store) Server() types.ServerID { return s.server }
 
+// Objects implements abdcore.MaxStore.
+func (s *store) Objects() []types.ObjectID { return []types.ObjectID{s.obj} }
+
 // ReadTarget implements rounds.DirectReader.
 func (s *store) ReadTarget() rounds.Target {
 	return rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpReadMax}}
 }
 
-// WriteTarget implements rounds.DirectWriter.
+// WriteTarget implements rounds.DirectWriter. When the store is sized the
+// write carries its payload rider.
 func (s *store) WriteTarget(v types.TSValue) rounds.Target {
-	return rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v, Data: s.payload(v)}}
-}
-
-// storeReshaper re-places max-register stores across a view resize: a fresh
-// store is one max-register seeded with a write-max of the folded maximum —
-// the monotone write-max also makes re-seeding survivors idempotent.
-type storeReshaper struct {
-	fab       *fabric.Fabric
-	valueSize int
-}
-
-var _ quorumreg.StoreReshaper = (*storeReshaper)(nil)
-
-func (sr *storeReshaper) StoreObjects(s abdcore.MaxStore) []types.ObjectID {
-	return []types.ObjectID{s.(*store).obj}
-}
-
-func (sr *storeReshaper) NewStore(rs *fabric.Reshaper, server types.ServerID, m types.TSValue) (abdcore.MaxStore, int, error) {
-	obj, err := sr.fab.Cluster().PlaceMaxRegister(server)
-	if err != nil {
-		return nil, 0, err
+	inv := baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}
+	if s.valueSize > 0 {
+		inv.Data = types.PayloadFor(v.Val, s.valueSize)
 	}
-	st := &store{fab: sr.fab, obj: obj, server: server, valueSize: sr.valueSize}
-	if err := sr.ReseedStore(rs, st, m); err != nil {
-		return nil, 0, err
-	}
-	return st, 1, nil
+	return rounds.Target{Object: s.obj, Inv: inv}
 }
 
-func (sr *storeReshaper) ReseedStore(rs *fabric.Reshaper, s abdcore.MaxStore, m types.TSValue) error {
-	if !types.ZeroTSValue.Less(m) {
-		return nil
-	}
-	st := s.(*store)
-	_, err := rs.Apply(st.obj, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: m, Data: st.payload(m)})
+// Seed implements abdcore.MaxStore: a write-max of the folded maximum,
+// whose monotonicity makes re-seeding a survivor idempotent.
+func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
+	_, err := rs.Apply(s.obj, s.WriteTarget(m).Inv)
 	return err
 }
 
@@ -118,40 +87,25 @@ type Options struct {
 // New places one max-register on each of 2f+1 servers of the fabric's
 // cluster and returns the emulated k-register.
 func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, error) {
-	if f <= 0 {
-		return nil, fmt.Errorf("abdmax: f must be positive, got %d", f)
-	}
-	servers := opts.Servers
-	if servers == nil {
-		for s := 0; s < 2*f+1; s++ {
-			servers = append(servers, types.ServerID(s))
-		}
-	}
-	if len(servers) != 2*f+1 {
-		return nil, fmt.Errorf("abdmax: need exactly 2f+1=%d servers, got %d", 2*f+1, len(servers))
-	}
-	c := fab.Cluster()
-	stores := make([]abdcore.MaxStore, 0, len(servers))
-	for _, server := range servers {
-		obj, err := c.PlaceMaxRegister(server)
-		if err != nil {
-			return nil, fmt.Errorf("abdmax: placing max-register: %w", err)
-		}
-		stores = append(stores, &store{fab: fab, obj: obj, server: server, valueSize: opts.ValueSize})
-	}
+	c, valueSize := fab.Cluster(), opts.ValueSize
 	var engineOpts []abdcore.Option
 	if opts.ReadWriteBack {
 		engineOpts = append(engineOpts, abdcore.WithReadWriteBack())
 	}
 	return quorumreg.New(quorumreg.Config{
-		Name:       "abd-max",
-		K:          k,
-		F:          f,
-		Stores:     stores,
+		Name:    "abd-max",
+		K:       k,
+		F:       f,
+		Servers: opts.Servers,
+		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
+			obj, err := c.PlaceMaxRegister(server)
+			if err != nil {
+				return nil, err
+			}
+			return &store{obj: obj, server: server, valueSize: valueSize}, nil
+		},
 		Fabric:     fab,
-		Resources:  len(stores),
 		History:    opts.History,
 		EngineOpts: engineOpts,
-		Reshaper:   &storeReshaper{fab: fab, valueSize: opts.ValueSize},
 	})
 }

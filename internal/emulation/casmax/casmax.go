@@ -18,7 +18,6 @@ package casmax
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 
 	"repro/internal/baseobj"
@@ -65,12 +64,16 @@ type store struct {
 
 // Compile-time interface compliance checks.
 var (
+	_ abdcore.MaxStore     = (*store)(nil)
 	_ abdcore.WriteStarter = (*store)(nil)
 	_ rounds.DirectReader  = (*store)(nil)
 )
 
 // Server implements abdcore.MaxStore.
 func (s *store) Server() types.ServerID { return s.server }
+
+// Objects implements abdcore.MaxStore.
+func (s *store) Objects() []types.ObjectID { return []types.ObjectID{s.obj} }
 
 // readInv is the no-op CAS(v0, v0) used as a read (Algorithm 1, lines 3/8).
 func readInv() baseobj.Invocation {
@@ -92,8 +95,7 @@ func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v type
 			report(types.ZeroTSValue, err)
 			return
 		}
-		read := s.fab.Trigger(client, s.obj, readInv())
-		read.OnComplete(func(o fabric.Outcome) {
+		s.fab.TriggerFn(client, s.obj, readInv(), func(o fabric.Outcome) {
 			if o.Err != nil {
 				report(types.ZeroTSValue, o.Err)
 				return
@@ -110,8 +112,7 @@ func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v type
 				return
 			}
 			s.metrics.CASAttempts.Add(1)
-			cas := s.fab.Trigger(client, s.obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: tmp, New: v})
-			cas.OnComplete(func(o2 fabric.Outcome) {
+			s.fab.TriggerFn(client, s.obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: tmp, New: v}, func(o2 fabric.Outcome) {
 				if o2.Err != nil {
 					report(types.ZeroTSValue, o2.Err)
 					return
@@ -126,46 +127,18 @@ func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v type
 	attempt()
 }
 
-// storeReshaper re-places CAS-cell stores across a view resize. Seeding is
-// one frozen-window compare-and-swap from the cell's current content to the
-// folded maximum — sound because nothing else can touch the cell between
-// the read and the swap.
-type storeReshaper struct {
-	fab     *fabric.Fabric
-	metrics *Metrics
-}
-
-var _ quorumreg.StoreReshaper = (*storeReshaper)(nil)
-
-func (sr *storeReshaper) StoreObjects(s abdcore.MaxStore) []types.ObjectID {
-	return []types.ObjectID{s.(*store).obj}
-}
-
-func (sr *storeReshaper) NewStore(rs *fabric.Reshaper, server types.ServerID, m types.TSValue) (abdcore.MaxStore, int, error) {
-	obj, err := sr.fab.Cluster().PlaceCASCell(server)
-	if err != nil {
-		return nil, 0, err
-	}
-	st := &store{fab: sr.fab, obj: obj, server: server, metrics: sr.metrics}
-	if err := sr.ReseedStore(rs, st, m); err != nil {
-		return nil, 0, err
-	}
-	return st, 1, nil
-}
-
-func (sr *storeReshaper) ReseedStore(rs *fabric.Reshaper, s abdcore.MaxStore, m types.TSValue) error {
-	if !types.ZeroTSValue.Less(m) {
-		return nil
-	}
-	st := s.(*store)
-	state, err := rs.State(st.obj)
+// Seed implements abdcore.MaxStore with one frozen-window compare-and-swap
+// from the cell's current content to the folded maximum — sound because
+// nothing else can touch the cell between the read and the swap.
+func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
+	state, err := rs.State(s.obj)
 	if err != nil {
 		return err
 	}
 	if !state.Val.Less(m) {
 		return nil
 	}
-	_, err = rs.Apply(st.obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: state.Val, New: m})
+	_, err = rs.Apply(s.obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: state.Val, New: m})
 	return err
 }
 
@@ -182,42 +155,26 @@ type Options struct {
 // New places one CAS cell on each of 2f+1 servers and returns the emulated
 // k-register together with its retry metrics.
 func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, *Metrics, error) {
-	if f <= 0 {
-		return nil, nil, fmt.Errorf("casmax: f must be positive, got %d", f)
-	}
-	servers := opts.Servers
-	if servers == nil {
-		for s := 0; s < 2*f+1; s++ {
-			servers = append(servers, types.ServerID(s))
-		}
-	}
-	if len(servers) != 2*f+1 {
-		return nil, nil, fmt.Errorf("casmax: need exactly 2f+1=%d servers, got %d", 2*f+1, len(servers))
-	}
 	metrics := &Metrics{}
-	c := fab.Cluster()
-	stores := make([]abdcore.MaxStore, 0, len(servers))
-	for _, server := range servers {
-		obj, err := c.PlaceCASCell(server)
-		if err != nil {
-			return nil, nil, fmt.Errorf("casmax: placing cas cell: %w", err)
-		}
-		stores = append(stores, &store{fab: fab, obj: obj, server: server, metrics: metrics})
-	}
 	var engineOpts []abdcore.Option
 	if opts.ReadWriteBack {
 		engineOpts = append(engineOpts, abdcore.WithReadWriteBack())
 	}
 	reg, err := quorumreg.New(quorumreg.Config{
-		Name:       "abd-cas",
-		K:          k,
-		F:          f,
-		Stores:     stores,
+		Name:    "abd-cas",
+		K:       k,
+		F:       f,
+		Servers: opts.Servers,
+		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
+			obj, err := fab.Cluster().PlaceCASCell(server)
+			if err != nil {
+				return nil, err
+			}
+			return &store{fab: fab, obj: obj, server: server, metrics: metrics}, nil
+		},
 		Fabric:     fab,
-		Resources:  len(stores),
 		History:    opts.History,
 		EngineOpts: engineOpts,
-		Reshaper:   &storeReshaper{fab: fab, metrics: metrics},
 	})
 	if err != nil {
 		return nil, nil, err

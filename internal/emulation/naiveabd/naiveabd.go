@@ -14,8 +14,6 @@
 package naiveabd
 
 import (
-	"fmt"
-
 	"repro/internal/baseobj"
 	"repro/internal/emulation/abdcore"
 	"repro/internal/emulation/quorumreg"
@@ -30,7 +28,6 @@ import (
 // operations are single low-level ops, so the store is direct and the
 // engine batch-scatters its rounds.
 type store struct {
-	fab    *fabric.Fabric
 	obj    types.ObjectID
 	server types.ServerID
 }
@@ -45,6 +42,9 @@ var (
 // Server implements abdcore.MaxStore.
 func (s *store) Server() types.ServerID { return s.server }
 
+// Objects implements abdcore.MaxStore.
+func (s *store) Objects() []types.ObjectID { return []types.ObjectID{s.obj} }
+
 // ReadTarget implements rounds.DirectReader.
 func (s *store) ReadTarget() rounds.Target {
 	return rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}}
@@ -55,38 +55,12 @@ func (s *store) WriteTarget(v types.TSValue) rounds.Target {
 	return rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: v}}
 }
 
-// storeReshaper re-places plain-register stores across a view resize. The
-// seed is an unconditional overwrite of the folded maximum — faithful to
-// the baseline's (flawed) write-max, and sound here because the window is
-// frozen: the resize itself never loses a value, only the construction's
-// normal operation can.
-type storeReshaper struct {
-	fab *fabric.Fabric
-}
-
-var _ quorumreg.StoreReshaper = (*storeReshaper)(nil)
-
-func (sr *storeReshaper) StoreObjects(s abdcore.MaxStore) []types.ObjectID {
-	return []types.ObjectID{s.(*store).obj}
-}
-
-func (sr *storeReshaper) NewStore(rs *fabric.Reshaper, server types.ServerID, m types.TSValue) (abdcore.MaxStore, int, error) {
-	obj, err := sr.fab.Cluster().PlaceRegister(server)
-	if err != nil {
-		return nil, 0, err
-	}
-	st := &store{fab: sr.fab, obj: obj, server: server}
-	if err := sr.ReseedStore(rs, st, m); err != nil {
-		return nil, 0, err
-	}
-	return st, 1, nil
-}
-
-func (sr *storeReshaper) ReseedStore(rs *fabric.Reshaper, s abdcore.MaxStore, m types.TSValue) error {
-	if !types.ZeroTSValue.Less(m) {
-		return nil
-	}
-	_, err := rs.Apply(s.(*store).obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: m})
+// Seed implements abdcore.MaxStore with an unconditional overwrite —
+// faithful to the baseline's (flawed) write-max, and sound here because the
+// window is frozen: the resize itself never loses a value, only the
+// construction's normal operation can.
+func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
+	_, err := rs.Apply(s.obj, s.WriteTarget(m).Inv)
 	return err
 }
 
@@ -101,35 +75,20 @@ type Options struct {
 // New places one plain register on each of 2f+1 servers and returns the
 // (unsound) emulated k-register.
 func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, error) {
-	if f <= 0 {
-		return nil, fmt.Errorf("naiveabd: f must be positive, got %d", f)
-	}
-	servers := opts.Servers
-	if servers == nil {
-		for s := 0; s < 2*f+1; s++ {
-			servers = append(servers, types.ServerID(s))
-		}
-	}
-	if len(servers) != 2*f+1 {
-		return nil, fmt.Errorf("naiveabd: need exactly 2f+1=%d servers, got %d", 2*f+1, len(servers))
-	}
 	c := fab.Cluster()
-	stores := make([]abdcore.MaxStore, 0, len(servers))
-	for _, server := range servers {
-		obj, err := c.PlaceRegister(server)
-		if err != nil {
-			return nil, fmt.Errorf("naiveabd: placing register: %w", err)
-		}
-		stores = append(stores, &store{fab: fab, obj: obj, server: server})
-	}
 	return quorumreg.New(quorumreg.Config{
-		Name:      "naive-abd",
-		K:         k,
-		F:         f,
-		Stores:    stores,
-		Fabric:    fab,
-		Resources: len(stores),
-		History:   opts.History,
-		Reshaper:  &storeReshaper{fab: fab},
+		Name:    "naive-abd",
+		K:       k,
+		F:       f,
+		Servers: opts.Servers,
+		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
+			obj, err := c.PlaceRegister(server)
+			if err != nil {
+				return nil, err
+			}
+			return &store{obj: obj, server: server}, nil
+		},
+		Fabric:  fab,
+		History: opts.History,
 	})
 }

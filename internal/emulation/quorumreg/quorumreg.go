@@ -1,13 +1,16 @@
 // Package quorumreg adapts an abdcore.Engine into the emulation.Register
 // interface: it owns the per-client handles, records every high-level
 // operation into a spec.History, and reports the construction's resource
-// complexity. The abdmax, casmax, aacmax, and naiveabd constructions are
-// thin store layers underneath this adapter.
+// complexity. It also owns everything about a quorum construction that is
+// ABD rather than a row of Table 1 — which 2f+1 servers host a store, when
+// a store is placed, and how a view resize re-places them. The abdmax,
+// casmax, aacmax, and naiveabd constructions supply only how one server
+// realises a max-register: a store type and the recipe that places it
+// (Config.Place).
 package quorumreg
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
@@ -16,63 +19,40 @@ import (
 	"repro/internal/types"
 )
 
-// StoreReshaper is the per-construction hook the generic Reshape flow uses
-// to re-place a register's quorum sets across a view resize. The three
-// methods run only inside a fabric transition's frozen window, so direct
-// seeding through the fabric.Reshaper cannot race client operations.
-//
-// The folded maximum m passed to NewStore and ReseedStore may be the zero
-// TSValue when no write ever committed; implementations must skip seeding
-// in that case.
-type StoreReshaper interface {
-	// StoreObjects returns the base objects backing s, for state folding
-	// and for retirement when the store is dropped by the new placement.
-	StoreObjects(s abdcore.MaxStore) []types.ObjectID
-	// NewStore places a fresh store on server and seeds it with m. It
-	// returns the store and the number of base objects placed.
-	NewStore(rs *fabric.Reshaper, server types.ServerID, m types.TSValue) (abdcore.MaxStore, int, error)
-	// ReseedStore folds m into a surviving store so every member of the
-	// new placement holds at least the last committed value.
-	ReseedStore(rs *fabric.Reshaper, s abdcore.MaxStore, m types.TSValue) error
-}
-
 // Config assembles a quorum-backed register.
 type Config struct {
 	// Name identifies the construction.
 	Name string
 	// K is the number of writers; F the failure threshold.
 	K, F int
-	// Stores are the per-server max-stores, at least 2f+1 of them.
-	Stores []abdcore.MaxStore
+	// Servers optionally pins the 2f+1 hosting servers; nil places on
+	// servers 0..2f.
+	Servers []types.ServerID
+	// Place is the construction's store recipe: it creates one server's
+	// max-store together with its base objects. New calls it for each of
+	// the 2f+1 hosts, Reshape for every server a view resize adds to the
+	// placement.
+	Place func(server types.ServerID) (abdcore.MaxStore, error)
 	// Fabric is the fabric the stores trigger on; the engine batch-scatters
 	// whole quorum rounds over it for direct (single-op) stores.
 	Fabric *fabric.Fabric
-	// Resources is the number of base objects the construction placed.
-	Resources int
 	// History receives the high-level operations; a fresh history is
 	// created when nil.
 	History *spec.History
 	// EngineOpts configure the underlying quorum engine.
 	EngineOpts []abdcore.Option
-	// Reshaper enables live view resizing; nil registers reject Reshape
-	// with emulation.ErrResizeUnsupported.
-	Reshaper StoreReshaper
 }
 
-// Register implements emulation.Register over an abdcore.Engine.
+// Register implements emulation.Register over an abdcore.Engine. Its
+// view-dependent state — the store set and the failure budget — lives in
+// the engine's atomically swapped placement.
 type Register struct {
-	name     string
-	k        int
-	engine   *abdcore.Engine
-	hist     *spec.History
-	readers  emulation.ReaderIDs
-	reshaper StoreReshaper
-
-	// mu guards the view-dependent fields; the engine swaps its own
-	// placement atomically, these track the adapter-level bookkeeping.
-	mu        sync.Mutex
-	f         int
-	resources int
+	name    string
+	k       int
+	engine  *abdcore.Engine
+	hist    *spec.History
+	readers emulation.ReaderIDs
+	place   func(server types.ServerID) (abdcore.MaxStore, error)
 }
 
 // Compile-time interface compliance checks.
@@ -81,12 +61,32 @@ var (
 	_ emulation.ViewResizable = (*Register)(nil)
 )
 
-// New builds the adapter.
+// New places one store on each of the 2f+1 hosting servers and builds the
+// adapter over them.
 func New(cfg Config) (*Register, error) {
 	if err := emulation.ValidateWriters(cfg.K); err != nil {
-		return nil, fmt.Errorf("quorumreg: %w", err)
+		return nil, fmt.Errorf("quorumreg: %s: %w", cfg.Name, err)
 	}
-	engine, err := abdcore.New(cfg.Fabric, cfg.Stores, cfg.F, cfg.EngineOpts...)
+	if cfg.F <= 0 {
+		return nil, fmt.Errorf("quorumreg: %s: f must be positive, got %d", cfg.Name, cfg.F)
+	}
+	need := 2*cfg.F + 1
+	if cfg.Servers != nil && len(cfg.Servers) != need {
+		return nil, fmt.Errorf("quorumreg: %s: need exactly 2f+1=%d servers, got %d", cfg.Name, need, len(cfg.Servers))
+	}
+	stores := make([]abdcore.MaxStore, need)
+	for i := range stores {
+		server := types.ServerID(i)
+		if cfg.Servers != nil {
+			server = cfg.Servers[i]
+		}
+		st, err := cfg.Place(server)
+		if err != nil {
+			return nil, fmt.Errorf("quorumreg: %s: placing store on server %d: %w", cfg.Name, server, err)
+		}
+		stores[i] = st
+	}
+	engine, err := abdcore.New(cfg.Fabric, stores, cfg.F, cfg.EngineOpts...)
 	if err != nil {
 		return nil, err
 	}
@@ -98,13 +98,11 @@ func New(cfg Config) (*Register, error) {
 	// their new threshold to it, and churn drivers guard shrinks with it.
 	cfg.Fabric.Cluster().SetF(cfg.F)
 	return &Register{
-		name:      cfg.Name,
-		k:         cfg.K,
-		f:         cfg.F,
-		resources: cfg.Resources,
-		engine:    engine,
-		hist:      hist,
-		reshaper:  cfg.Reshaper,
+		name:   cfg.Name,
+		k:      cfg.K,
+		engine: engine,
+		hist:   hist,
+		place:  cfg.Place,
 	}, nil
 }
 
@@ -115,17 +113,16 @@ func (r *Register) Name() string { return r.name }
 func (r *Register) K() int { return r.k }
 
 // F implements emulation.Register.
-func (r *Register) F() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.f
-}
+func (r *Register) F() int { return r.engine.F() }
 
-// ResourceComplexity implements emulation.Register.
+// ResourceComplexity implements emulation.Register: the base objects of
+// the live placement's stores.
 func (r *Register) ResourceComplexity() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.resources
+	total := 0
+	for _, s := range r.engine.Stores() {
+		total += len(s.Objects())
+	}
+	return total
 }
 
 // History returns the recorded high-level history.
@@ -154,8 +151,9 @@ func (r *Register) NewReader() emulation.Reader {
 //  1. Fold the maximum timestamped value over every old store's
 //     authoritative state — the last committed write is ≤ m, and m is a
 //     committed or in-flight write, so seeding m is always linearizable.
-//  2. Create stores on new servers, seeded with m at creation, so a
-//     quorum gathered purely from joiners already holds the last write.
+//  2. Place stores on new servers — the recipe that built the register —
+//     each seeded with m before the next is placed, so a quorum gathered
+//     purely from joiners already holds the last write.
 //  3. Re-seed surviving stores (a shrink can drop the very servers that
 //     held m).
 //  4. Swap the engine placement — from here every round uses the new
@@ -163,9 +161,6 @@ func (r *Register) NewReader() emulation.Reader {
 //  5. Retire dropped stores' objects LAST: retiring before the swap would
 //     expose in-window retries to a non-retryable missing-object error.
 func (r *Register) Reshape(rs *fabric.Reshaper) error {
-	if r.reshaper == nil {
-		return fmt.Errorf("quorumreg: %s: %w", r.name, emulation.ErrResizeUnsupported)
-	}
 	members := rs.Members()
 	newF := rs.F()
 	need := 2*newF + 1
@@ -179,7 +174,7 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 
 	var m types.TSValue
 	for _, s := range old {
-		for _, obj := range r.reshaper.StoreObjects(s) {
+		for _, obj := range s.Objects() {
 			st, err := rs.State(obj)
 			if err != nil {
 				return fmt.Errorf("quorumreg: %s: reading state on server %d: %w", r.name, s.Server(), err)
@@ -189,6 +184,8 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 			}
 		}
 	}
+	// No write ever committed: there is nothing to seed.
+	seed := types.ZeroTSValue.Less(m)
 
 	// Placement: keep surviving stores (ascending engine order) up to
 	// 2f+1, fill with fresh stores on members not already hosting one.
@@ -210,7 +207,6 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 		}
 	}
 	kept := len(newStores)
-	placed := 0
 	for _, sid := range members {
 		if len(newStores) >= need {
 			break
@@ -218,36 +214,36 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 		if hosting[sid] {
 			continue
 		}
-		st, n, err := r.reshaper.NewStore(rs, sid, m)
+		st, err := r.place(sid)
 		if err != nil {
 			return fmt.Errorf("quorumreg: %s: placing store on server %d: %w", r.name, sid, err)
 		}
+		if seed {
+			if err := st.Seed(rs, m); err != nil {
+				return fmt.Errorf("quorumreg: %s: seeding fresh store on server %d: %w", r.name, sid, err)
+			}
+		}
 		newStores = append(newStores, st)
-		placed += n
 	}
 	if len(newStores) < need {
 		return fmt.Errorf("quorumreg: %s: only %d of %d stores placeable on members %v", r.name, len(newStores), need, members)
 	}
-	for _, s := range newStores[:kept] {
-		if err := r.reshaper.ReseedStore(rs, s, m); err != nil {
-			return fmt.Errorf("quorumreg: %s: reseeding server %d: %w", r.name, s.Server(), err)
+	if seed {
+		for _, s := range newStores[:kept] {
+			if err := s.Seed(rs, m); err != nil {
+				return fmt.Errorf("quorumreg: %s: reseeding server %d: %w", r.name, s.Server(), err)
+			}
 		}
 	}
 	if err := r.engine.Resize(newStores, newF); err != nil {
 		return fmt.Errorf("quorumreg: %s: %w", r.name, err)
 	}
-	retired := 0
 	for _, s := range dropped {
-		for _, obj := range r.reshaper.StoreObjects(s) {
+		for _, obj := range s.Objects() {
 			if err := rs.Retire(obj); err != nil {
 				return fmt.Errorf("quorumreg: %s: retiring object %d: %w", r.name, obj, err)
 			}
-			retired++
 		}
 	}
-	r.mu.Lock()
-	r.f = newF
-	r.resources += placed - retired
-	r.mu.Unlock()
 	return nil
 }

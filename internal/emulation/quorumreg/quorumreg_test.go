@@ -2,6 +2,7 @@ package quorumreg
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -14,8 +15,12 @@ import (
 )
 
 // memStore is a minimal in-memory max-store whose both sides are started.
+// Its value lives in the struct; the base object it names exists only to be
+// counted, folded over (it stays at the zero value, so nothing is ever
+// seeded) and retired.
 type memStore struct {
 	server types.ServerID
+	obj    types.ObjectID
 
 	mu  sync.Mutex
 	val types.TSValue
@@ -27,6 +32,10 @@ var (
 )
 
 func (s *memStore) Server() types.ServerID { return s.server }
+
+func (s *memStore) Objects() []types.ObjectID { return []types.ObjectID{s.obj} }
+
+func (s *memStore) Seed(*fabric.Reshaper, types.TSValue) error { return nil }
 
 func (s *memStore) StartWriteMax(_ context.Context, _ types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
 	s.mu.Lock()
@@ -43,24 +52,30 @@ func (s *memStore) StartReadMax(_ context.Context, _ types.ClientID, report func
 	report(got, nil)
 }
 
+// placeMem is the memStore recipe on cluster c.
+func placeMem(c *cluster.Cluster) func(types.ServerID) (abdcore.MaxStore, error) {
+	return func(server types.ServerID) (abdcore.MaxStore, error) {
+		obj, err := c.PlaceMaxRegister(server)
+		if err != nil {
+			return nil, err
+		}
+		return &memStore{server: server, obj: obj}, nil
+	}
+}
+
 func newTestRegister(t *testing.T, k, f int, hist *spec.History) *Register {
 	t.Helper()
-	stores := make([]abdcore.MaxStore, 2*f+1)
-	for i := range stores {
-		stores[i] = &memStore{server: types.ServerID(i)}
-	}
-	c, err := cluster.New(len(stores))
+	c, err := cluster.New(2*f + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r, err := New(Config{
-		Name:      "test-reg",
-		K:         k,
-		F:         f,
-		Stores:    stores,
-		Fabric:    fabric.New(c),
-		Resources: len(stores),
-		History:   hist,
+		Name:    "test-reg",
+		K:       k,
+		F:       f,
+		Place:   placeMem(c),
+		Fabric:  fabric.New(c),
+		History: hist,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -79,11 +94,92 @@ func TestMetadata(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(Config{K: 0, F: 1}); err == nil {
-		t.Error("k=0 accepted")
+	c, err := cluster.New(3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(Config{K: 1, F: 1, Stores: nil}); err == nil {
-		t.Error("no stores accepted")
+	fab := fabric.New(c)
+	for _, cfg := range []Config{
+		{Name: "k=0", K: 0, F: 1},
+		{Name: "f=0", K: 1, F: 0},
+		{Name: "no pinned servers", K: 1, F: 1, Servers: []types.ServerID{}},
+		{Name: "2 pinned servers for f=1", K: 1, F: 1, Servers: []types.ServerID{0, 1}},
+		{Name: "4 pinned servers for f=1", K: 1, F: 1, Servers: []types.ServerID{0, 1, 2, 3}},
+	} {
+		cfg.Fabric, cfg.Place = fab, placeMem(c)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s accepted", cfg.Name)
+		}
+	}
+	if got := c.ResourceComplexity(); got != 0 {
+		t.Errorf("rejected configurations placed %d base objects", got)
+	}
+	// A failing recipe fails the build with its cause, naming the server.
+	noRoom := errors.New("no room")
+	_, err = New(Config{Name: "failing", K: 1, F: 1, Fabric: fab, Place: func(server types.ServerID) (abdcore.MaxStore, error) {
+		if server == 1 {
+			return nil, noRoom
+		}
+		return placeMem(c)(server)
+	}})
+	if !errors.Is(err, noRoom) {
+		t.Errorf("failing Place: err = %v, want it to wrap the recipe's error", err)
+	}
+}
+
+// TestResizeAbortsOnPlaceError: when the store recipe fails for the second
+// joiner of a grow, Reshape reports it, the fabric rolls the transition
+// back, and the register still runs on its old placement — same stores,
+// same failure budget, same resource count — and still serves.
+func TestResizeAbortsOnPlaceError(t *testing.T) {
+	c, err := cluster.New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := fabric.New(c)
+	noRoom := errors.New("no room")
+	failOn := types.ServerID(-1)
+	r, err := New(Config{Name: "test-reg", K: 1, F: 1, Fabric: fab, Place: func(server types.ServerID) (abdcore.MaxStore, error) {
+		if server == failOn {
+			return nil, noRoom
+		}
+		return placeMem(c)(server)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	w, err := r.Writer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(ctx, 11); err != nil {
+		t.Fatal(err)
+	}
+	before := r.engine.Stores()
+
+	failOn = 4 // servers 3 and 4 join; the recipe fails on the second
+	_, err = fab.Resize(ctx, fabric.ResizeSpec{Join: make([]fabric.LaneMaker, 2), F: 2}, r.Reshape)
+	if !fabric.IsResizeAborted(err) || !errors.Is(err, noRoom) {
+		t.Fatalf("Resize err = %v, want an aborted transition wrapping the recipe's error", err)
+	}
+	after := r.engine.Stores()
+	if len(after) != len(before) {
+		t.Fatalf("placement has %d stores after the abort, want the old %d", len(after), len(before))
+	}
+	for i := range before {
+		if after[i] != before[i] {
+			t.Errorf("store %d replaced by the aborted resize", i)
+		}
+	}
+	if r.F() != 1 || r.ResourceComplexity() != 3 {
+		t.Errorf("f=%d resources=%d after the abort, want 1 and 3", r.F(), r.ResourceComplexity())
+	}
+	if err := w.Write(ctx, 12); err != nil {
+		t.Fatalf("write after the abort: %v", err)
+	}
+	if v, err := r.NewReader().Read(ctx); err != nil || v != 12 {
+		t.Fatalf("read after the abort = %d, %v, want 12", v, err)
 	}
 }
 

@@ -265,22 +265,25 @@ type Writer struct {
 func (w *Writer) triggerLocked(b types.ObjectID, ts types.TSValue) func() {
 	w.pending[b] = true
 	return func() {
-		call := w.em.fab.Trigger(w.client, b, baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts})
-		call.OnComplete(func(o fabric.Outcome) { w.onEvent(b, ts, o.Err) })
+		w.em.fab.TriggerFn(w.client, b, baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts},
+			func(o fabric.Outcome) { w.onEvent(b, ts, o.Err) })
 	}
 }
 
 // scatter batch-triggers a write of ts on every given register; the
-// registers must already be marked pending. Completions re-enter onEvent.
+// registers must already be marked pending. Completions re-enter onEvent —
+// on a synchronous lane at the op's position in the batch, before the
+// registers after it are triggered.
 func (w *Writer) scatter(objs []types.ObjectID, ts types.TSValue) {
 	batch := make([]fabric.BatchOp, len(objs))
 	for i, b := range objs {
-		batch[i] = fabric.BatchOp{Object: b, Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts}}
+		batch[i] = fabric.BatchOp{
+			Object: b,
+			Inv:    baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts},
+			Done:   func(o fabric.Outcome) { w.onEvent(b, ts, o.Err) },
+		}
 	}
-	for i, call := range w.em.fab.TriggerBatch(w.client, batch) {
-		b := objs[i]
-		call.OnComplete(func(o fabric.Outcome) { w.onEvent(b, ts, o.Err) })
-	}
+	w.em.fab.TriggerBatch(w.client, batch)
 }
 
 // onEvent lands one low-level write completion in the state machine: the

@@ -8,9 +8,10 @@
 // taking effect for arbitrarily long" [Aguilera, Englert, Gafni 2003]. The
 // fabric realizes both powers:
 //
-//   - Trigger returns a *Call immediately; the response arrives later (or
-//     never) through Call.OnComplete. TriggerBatch scatters a whole quorum
-//     round in one dispatch pass.
+//   - TriggerFn returns a *Call immediately; the response arrives later (or
+//     never) at the callback handed over with the trigger — the one way to
+//     hear a completion. TriggerBatch scatters a whole quorum round in one
+//     dispatch pass, each op carrying its own callback (BatchOp.Done).
 //   - A Gate — the environment — may Hold any operation either before it
 //     takes effect (phase apply: the op has NOT linearized; releasing it
 //     later applies it then, possibly erasing a newer value) or before its
@@ -62,7 +63,6 @@
 package fabric
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -197,26 +197,20 @@ const (
 	callDone
 )
 
-// consumedCallback marks a call's callback slot as closed: the call
-// completed and any armed callback has fired.
-var consumedCallback = new(func(Outcome))
-
 // Call is the client-side handle of a triggered low-level operation. It is
-// lock-free: completion and callback hand-off are a small atomic state
-// machine, so completing calls never serializes concurrent quorum rounds.
+// lock-free: completion is one atomic claim, so completing calls never
+// serializes concurrent quorum rounds.
 type Call struct {
 	ev  TriggerEvent
 	out Outcome // written once by the completer, published by state
 
-	// fn is the pre-registered completion callback (TriggerFn,
+	// fn is the completion callback registered at trigger time (TriggerFn,
 	// BatchOp.Done): written before the op is handed to any lane, read by
 	// the completer after the hand-off's happens-before edge, so it needs
-	// no atomics and no per-registration allocation — the big win over
-	// OnComplete on high-rate paths.
+	// no atomics and no allocation of its own.
 	fn func(Outcome)
 
 	state atomic.Uint32
-	done  atomic.Pointer[func(Outcome)]
 }
 
 // Event returns the call's trigger event.
@@ -233,49 +227,6 @@ func (c *Call) Outcome() (Outcome, bool) {
 	return c.out, true
 }
 
-// OnComplete registers fn to run exactly once when the call completes; if
-// the call already completed, fn runs immediately in the caller's
-// goroutine. Exactly one callback may be registered per pending call:
-// registering a second callback while the first is still armed panics,
-// because the first caller's completion would be silently lost. Callbacks
-// must be non-blocking (typically a send into a buffered channel).
-func (c *Call) OnComplete(fn func(Outcome)) {
-	if c.done.Load() == consumedCallback {
-		// Already completed and the slot is closed (the common case on the
-		// synchronous in-process lane, where the call completed inside
-		// Trigger): fire inline without forcing fn onto the heap.
-		fn(c.out)
-		return
-	}
-	c.onCompleteSlow(fn)
-}
-
-// onCompleteSlow is the pending-call path of OnComplete, split out so the
-// fast path above never forces fn onto the heap (escape analysis is static:
-// keeping the &fn below in the same function body would heap-allocate the
-// callback even when the inline branch fires).
-func (c *Call) onCompleteSlow(fn func(Outcome)) {
-	p := &fn
-	for {
-		cur := c.done.Load()
-		switch cur {
-		case nil:
-			if c.done.CompareAndSwap(nil, p) {
-				// The completer's swap (which runs after the state is
-				// published) will observe p and fire it.
-				return
-			}
-		case consumedCallback:
-			// Already completed and the slot is closed: the done load
-			// ordered after the completer's swap, so out is visible.
-			fn(c.out)
-			return
-		default:
-			panic(fmt.Sprintf("fabric: OnComplete registered twice on pending call %d", c.ev.Token))
-		}
-	}
-}
-
 // complete delivers the outcome, firing the callback at most once.
 func (c *Call) complete(o Outcome) {
 	if !c.state.CompareAndSwap(callPending, callWriting) {
@@ -283,9 +234,6 @@ func (c *Call) complete(o Outcome) {
 	}
 	c.out = o
 	c.state.Store(callDone)
-	if fn := c.done.Swap(consumedCallback); fn != nil && fn != consumedCallback {
-		(*fn)(o)
-	}
 	if c.fn != nil {
 		c.fn(o)
 	}
@@ -293,14 +241,12 @@ func (c *Call) complete(o Outcome) {
 
 // completeUnshared delivers the outcome of a call that has not escaped the
 // triggering goroutine yet (the synchronous in-process fast path completes
-// the call before Trigger returns it). No completer can race it and no
-// callback can be armed, so the pending→writing claim and the callback
-// hand-off collapse to two plain publishes — the claim CAS the generic
-// complete pays is pure overhead here.
+// the call before Trigger returns it). No completer can race it, so the
+// pending→writing claim the generic complete pays collapses to a plain
+// publish.
 func (c *Call) completeUnshared(o Outcome) {
 	c.out = o
 	c.state.Store(callDone)
-	c.done.Store(consumedCallback)
 	if c.fn != nil {
 		c.fn(o)
 	}
@@ -764,12 +710,13 @@ func (f *Fabric) Trigger(client types.ClientID, obj types.ObjectID, inv baseobj.
 	return f.trigger(client, obj, inv, rt, nil)
 }
 
-// TriggerFn is Trigger with the completion callback registered before
-// dispatch, the single-op analogue of BatchOp.Done: fn fires exactly once
-// when the call completes, without OnComplete's per-registration heap
-// allocation and atomic hand-off. fn must be non-blocking; on the
-// in-process lane it runs inline before TriggerFn returns. Do not also call
-// OnComplete on the returned call.
+// TriggerFn is Trigger with a completion callback, the single-op analogue
+// of BatchOp.Done: fn fires exactly once when the call completes — with the
+// operation's response, its protocol error, or a view-change error when the
+// server is departing — and never if the operation stays pending. fn must
+// be non-blocking; it runs on whatever goroutine completes the operation (a
+// lane's, a releaser's), and on the in-process lane inline before TriggerFn
+// returns.
 func (f *Fabric) TriggerFn(client types.ClientID, obj types.ObjectID, inv baseobj.Invocation, fn func(Outcome)) *Call {
 	rt, err := f.route(obj)
 	if err != nil {
@@ -786,12 +733,10 @@ type BatchOp struct {
 	Object types.ObjectID
 	// Inv is the invocation.
 	Inv baseobj.Invocation
-	// Done, when non-nil, is the op's completion callback, registered
-	// before dispatch — equivalent to calling OnComplete on the returned
-	// call, minus the per-op heap allocation and atomic hand-off. Like
-	// OnComplete callbacks it must be non-blocking and may fire from a lane
-	// goroutine (or inline, on the in-process lane, before TriggerBatch
-	// returns).
+	// Done, when non-nil, is the op's completion callback, with TriggerFn's
+	// contract: non-blocking, fired exactly once from a lane goroutine — or
+	// inline, on the in-process lane, at the op's position in the batch,
+	// before the ops after it are dispatched.
 	Done func(Outcome)
 }
 
@@ -1328,41 +1273,4 @@ func (f *Fabric) UsedObjects() []types.ObjectID {
 		}
 	})
 	return ids
-}
-
-// Completion pairs a completed call with its outcome, for quorum waits.
-type Completion struct {
-	Call    *Call
-	Outcome Outcome
-}
-
-// AwaitN registers completion callbacks on every call and blocks until n of
-// them complete or ctx is done. The returned slice holds the first n
-// completions in completion order. AwaitN must be used with fresh calls
-// that have no callback registered yet: Call.OnComplete enforces single
-// registration.
-func AwaitN(ctx context.Context, calls []*Call, n int) ([]Completion, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if n > len(calls) {
-		return nil, fmt.Errorf("fabric: await %d of %d calls", n, len(calls))
-	}
-	ch := make(chan Completion, len(calls))
-	for _, call := range calls {
-		call := call
-		call.OnComplete(func(o Outcome) {
-			ch <- Completion{Call: call, Outcome: o}
-		})
-	}
-	done := make([]Completion, 0, n)
-	for len(done) < n {
-		select {
-		case <-ctx.Done():
-			return done, fmt.Errorf("fabric: quorum wait (%d/%d): %w", len(done), n, ctx.Err())
-		case c := <-ch:
-			done = append(done, c)
-		}
-	}
-	return done, nil
 }

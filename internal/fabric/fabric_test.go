@@ -1,8 +1,8 @@
 package fabric
 
 import (
-	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -238,84 +238,79 @@ func TestTriggerUnknownObject(t *testing.T) {
 	}
 }
 
-func TestOnCompleteAfterCompletion(t *testing.T) {
+// TestTriggerFnFiresInlineOnInProcLane: the in-process lane applies
+// synchronously, so the callback has run by the time TriggerFn returns.
+func TestTriggerFnFiresInlineOnInProcLane(t *testing.T) {
 	fab, objs := testEnv(t, nil)
-	call := fab.Trigger(0, objs[0], writeInv(1, 10))
-	fired := false
-	call.OnComplete(func(Outcome) { fired = true })
-	if !fired {
-		t.Fatal("OnComplete on a completed call must fire immediately")
+	var got []Outcome
+	call := fab.TriggerFn(0, objs[0], writeInv(1, 10), func(o Outcome) { got = append(got, o) })
+	if len(got) != 1 || got[0].Err != nil {
+		t.Fatalf("callback outcomes at return = %+v, want exactly one success", got)
+	}
+	if o, ok := call.Outcome(); !ok || o.Err != nil || o.Resp.Val != got[0].Resp.Val {
+		t.Fatalf("Outcome = %+v ok=%v, want the callback's %+v", o, ok, got[0])
 	}
 }
 
-func TestAwaitN(t *testing.T) {
-	gate := GateFuncs{Apply: func(ev TriggerEvent) Decision {
-		if ev.Server == 2 && ev.Inv.Op.IsWrite() {
-			return Hold
-		}
-		return Pass
-	}}
-	fab, objs := testEnv(t, gate)
-	calls := []*Call{
-		fab.Trigger(0, objs[0], writeInv(1, 10)),
-		fab.Trigger(0, objs[1], writeInv(1, 10)),
-		fab.Trigger(0, objs[2], writeInv(1, 10)), // held
-	}
-	done, err := AwaitN(context.Background(), calls, 2)
-	if err != nil {
-		t.Fatalf("AwaitN: %v", err)
-	}
-	if len(done) != 2 {
-		t.Fatalf("got %d completions, want 2", len(done))
-	}
-
-	// Waiting for a fresh held call must time out. (calls[2] already has
-	// AwaitN's callback armed, and OnComplete enforces single
-	// registration, so a fresh held call is needed here.)
-	held := fab.Trigger(0, objs[2], writeInv(2, 11))
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := AwaitN(ctx, []*Call{held}, 1); err == nil {
-		t.Fatal("AwaitN on held call succeeded, want ctx error")
-	}
-
-	// Degenerate arguments. Completed calls re-fire immediately, so using
-	// calls[:2] again is legal.
-	if _, err := AwaitN(context.Background(), calls, 0); err != nil {
-		t.Errorf("AwaitN(0): %v", err)
-	}
-	if _, err := AwaitN(context.Background(), calls[:2], 3); err == nil {
-		t.Error("AwaitN(3 of 2) succeeded, want error")
-	}
-}
-
-func TestOnCompleteDoubleRegistrationPanics(t *testing.T) {
-	gate := GateFuncs{Apply: func(ev TriggerEvent) Decision {
+// TestTriggerFnFiresExactlyOnce: a held op's callback stays silent while the
+// op is parked, fires once on release, and nothing that happens to the
+// completed op afterwards — a second release, a crash of its server — fires
+// it again.
+func TestTriggerFnFiresExactlyOnce(t *testing.T) {
+	gate := GateFuncs{Respond: func(ev TriggerEvent, _ baseobj.Response) Decision {
 		if ev.Inv.Op.IsWrite() {
 			return Hold
 		}
 		return Pass
 	}}
 	fab, objs := testEnv(t, gate)
-	held := fab.Trigger(0, objs[0], writeInv(1, 10))
-	held.OnComplete(func(Outcome) {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second OnComplete on a pending call did not panic")
-		}
-	}()
-	held.OnComplete(func(Outcome) {})
+	fired := 0
+	held := fab.TriggerFn(0, objs[0], writeInv(1, 10), func(Outcome) { fired++ })
+	if fired != 0 {
+		t.Fatalf("callback fired %d times while the op is held", fired)
+	}
+	if err := fab.Release(held.Token()); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1 {
+		t.Fatalf("callback fired %d times after release, want 1", fired)
+	}
+	if err := fab.Release(held.Token()); !errors.Is(err, ErrNotHeld) {
+		t.Fatalf("second release err = %v, want ErrNotHeld", err)
+	}
+	if err := fab.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1 {
+		t.Fatalf("callback fired %d times in total, want 1", fired)
+	}
 }
 
-func TestOnCompleteAfterCompletionMayReRegister(t *testing.T) {
-	fab, objs := testEnv(t, nil)
-	call := fab.Trigger(0, objs[0], writeInv(1, 10))
-	for i := 0; i < 2; i++ {
-		fired := false
-		call.OnComplete(func(Outcome) { fired = true })
-		if !fired {
-			t.Fatalf("OnComplete registration %d on completed call did not fire", i)
+// TestTriggerFnFiresFromLaneGoroutine: on the latency lane TriggerFn returns
+// before the delivery delay elapsed, and the callback then runs on the
+// lane's goroutine — the triggering goroutine does nothing but wait.
+func TestTriggerFnFiresFromLaneGoroutine(t *testing.T) {
+	slow := LatencyProfile{Base: 20 * time.Millisecond}
+	fab, objs := laneEnv(t, LatencyLanes(1, slow), nil)
+	var fired atomic.Int32
+	done := make(chan Outcome, 1)
+	fab.TriggerFn(0, objs[0], writeInv(1, 10), func(o Outcome) {
+		fired.Add(1)
+		done <- o
+	})
+	if n := fired.Load(); n != 0 {
+		t.Fatalf("callback fired %d times before TriggerFn returned, %v ahead of its delivery", n, slow.Base)
+	}
+	select {
+	case o := <-done:
+		if o.Err != nil {
+			t.Fatal(o.Err)
 		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("callback never fired")
+	}
+	if n := fired.Load(); n != 1 {
+		t.Fatalf("callback fired %d times, want 1", n)
 	}
 }
 

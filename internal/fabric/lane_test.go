@@ -35,20 +35,6 @@ func laneEnv(t *testing.T, maker LaneMaker, gate Gate) (*Fabric, []types.ObjectI
 	return fab, objs
 }
 
-// awaitOutcome blocks until the call completes or the deadline passes.
-func awaitOutcome(t *testing.T, call *Call) Outcome {
-	t.Helper()
-	done := make(chan Outcome, 1)
-	call.OnComplete(func(o Outcome) { done <- o })
-	select {
-	case o := <-done:
-		return o
-	case <-time.After(5 * time.Second):
-		t.Fatalf("call %d never completed", call.Token())
-		return Outcome{}
-	}
-}
-
 var testProfile = LatencyProfile{
 	Base:      10 * time.Microsecond,
 	Jitter:    200 * time.Microsecond,
@@ -60,12 +46,10 @@ var testProfile = LatencyProfile{
 // with full read-your-write semantics, just later.
 func TestLatencyLaneDeliversAsynchronously(t *testing.T) {
 	fab, objs := laneEnv(t, LatencyLanes(1, testProfile), nil)
-	w := fab.Trigger(0, objs[0], writeInv(1, 10))
-	if o := awaitOutcome(t, w); o.Err != nil {
+	if o := waitOutcome(t, fab, 0, objs[0], writeInv(1, 10)); o.Err != nil {
 		t.Fatalf("write: %v", o.Err)
 	}
-	r := fab.Trigger(1, objs[0], readInv())
-	if o := awaitOutcome(t, r); o.Err != nil || o.Resp.Val.Val != 10 {
+	if o := waitOutcome(t, fab, 1, objs[0], readInv()); o.Err != nil || o.Resp.Val.Val != 10 {
 		t.Fatalf("read = %+v, want val 10", o)
 	}
 }
@@ -76,7 +60,7 @@ func TestLatencyLaneDeliversAsynchronously(t *testing.T) {
 func TestLatencyLaneInFlightPending(t *testing.T) {
 	slow := LatencyProfile{Base: 200 * time.Millisecond}
 	fab, objs := laneEnv(t, LatencyLanes(1, slow), nil)
-	call := fab.Trigger(0, objs[0], writeInv(1, 10))
+	call := triggerAwaited(fab, 0, objs[0], writeInv(1, 10))
 	pending := fab.Pending()
 	if len(pending) != 1 || pending[0].Phase != PhaseInFlight {
 		t.Fatalf("Pending = %+v, want one in-flight op", pending)
@@ -84,7 +68,7 @@ func TestLatencyLaneInFlightPending(t *testing.T) {
 	if covered := fab.CoveredObjects(); len(covered) != 1 || covered[0] != objs[0] {
 		t.Fatalf("CoveredObjects = %v, want [%d]", covered, objs[0])
 	}
-	if o := awaitOutcome(t, call); o.Err != nil {
+	if o := call.wait(t); o.Err != nil {
 		t.Fatal(o.Err)
 	}
 	if pending := fab.Pending(); len(pending) != 0 {
@@ -137,7 +121,7 @@ func TestLatencyLaneComposesWithGate(t *testing.T) {
 		return Pass
 	}}
 	fab, objs := laneEnv(t, LatencyLanes(7, testProfile), gate)
-	held := fab.Trigger(0, objs[0], writeInv(1, 10))
+	held := triggerAwaited(fab, 0, objs[0], writeInv(1, 10))
 	if _, ok := held.Outcome(); ok {
 		t.Fatal("held write completed")
 	}
@@ -147,11 +131,10 @@ func TestLatencyLaneComposesWithGate(t *testing.T) {
 	if err := fab.Release(held.Token()); err != nil {
 		t.Fatal(err)
 	}
-	if o := awaitOutcome(t, held); o.Err != nil {
+	if o := held.wait(t); o.Err != nil {
 		t.Fatalf("released write: %v", o.Err)
 	}
-	r := fab.Trigger(1, objs[0], readInv())
-	if o := awaitOutcome(t, r); o.Resp.Val.Val != 10 {
+	if o := waitOutcome(t, fab, 1, objs[0], readInv()); o.Resp.Val.Val != 10 {
 		t.Fatalf("read = %v, want 10", o.Resp.Val)
 	}
 }
@@ -199,9 +182,8 @@ func TestLatencyLaneParallelClients(t *testing.T) {
 				} else {
 					inv = readInv()
 				}
-				call := fab.Trigger(types.ClientID(cl), obj, inv)
 				done := make(chan struct{})
-				call.OnComplete(func(Outcome) { close(done) })
+				fab.TriggerFn(types.ClientID(cl), obj, inv, func(Outcome) { close(done) })
 				<-done
 			}
 		}(cl)

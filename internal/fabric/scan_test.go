@@ -90,7 +90,7 @@ func TestScanSnapshotNoTornReads(t *testing.T) {
 				defer close(writerDone)
 				for r := 1; r <= rounds; r++ {
 					for _, obj := range objs {
-						if o := awaitOutcome(t, fab.Trigger(0, obj, writeInv(uint64(r), types.Value(r)))); o.Err != nil {
+						if o := waitOutcome(t, fab, 0, obj, writeInv(uint64(r), types.Value(r))); o.Err != nil {
 							t.Errorf("write round %d: %v", r, o.Err)
 							return
 						}
@@ -186,12 +186,12 @@ func TestLatencyLaneMailboxCapacityOne(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				switch i % 3 {
 				case 0:
-					if o := awaitOutcome(t, fab.Trigger(client, objs[cl%len(objs)], writeInv(uint64(cl*100+i+1), types.Value(i)))); o.Err != nil {
+					if o := waitOutcome(t, fab, client, objs[cl%len(objs)], writeInv(uint64(cl*100+i+1), types.Value(i))); o.Err != nil {
 						t.Errorf("write: %v", o.Err)
 						return
 					}
 				case 1:
-					if o := awaitOutcome(t, fab.Trigger(client, objs[(cl+i)%len(objs)], readInv())); o.Err != nil {
+					if o := waitOutcome(t, fab, client, objs[(cl+i)%len(objs)], readInv()); o.Err != nil {
 						t.Errorf("read: %v", o.Err)
 						return
 					}
@@ -212,7 +212,7 @@ func TestLatencyLaneCoalescesReads(t *testing.T) {
 		WithCoalesceWindow(2*time.Millisecond))
 	fab, objs := scanEnv(t, 1, func(types.ServerID) Lane { return lane })
 
-	if o := awaitOutcome(t, fab.Trigger(0, objs[0], writeInv(1, 42))); o.Err != nil {
+	if o := waitOutcome(t, fab, 0, objs[0], writeInv(1, 42)); o.Err != nil {
 		t.Fatalf("write: %v", o.Err)
 	}
 

@@ -394,15 +394,7 @@ func (rs *Reshaper) State(obj types.ObjectID) (baseobj.State, error) {
 	if err != nil {
 		return baseobj.State{}, err
 	}
-	inv, err := stateReadInv(rt.obj.Kind())
-	if err != nil {
-		return baseobj.State{}, err
-	}
-	resp, err := rs.f.directApply(rs.ctx, rt, types.ClientID(-1), inv)
-	if err != nil {
-		return baseobj.State{}, err
-	}
-	return baseobj.State{Val: resp.Val, Data: resp.Data, Frags: resp.Frags}, nil
+	return rs.f.readState(rs.ctx, rt)
 }
 
 // Apply applies an invocation directly to an object's authoritative copy,
@@ -430,6 +422,20 @@ func (rs *Reshaper) ApplyAs(client types.ClientID, obj types.ObjectID, inv baseo
 // resolving them to the retired copy.
 func (rs *Reshaper) Retire(obj types.ObjectID) error {
 	return rs.f.cluster.RemoveObject(obj)
+}
+
+// readState reads the full state of rt's object, without mutating it, as
+// one frozen-window operation under the coordinator's synthetic identity.
+func (f *Fabric) readState(ctx context.Context, rt *route) (baseobj.State, error) {
+	inv, err := stateReadInv(rt.obj.Kind())
+	if err != nil {
+		return baseobj.State{}, err
+	}
+	resp, err := f.directApply(ctx, rt, types.ClientID(-1), inv)
+	if err != nil {
+		return baseobj.State{}, err
+	}
+	return baseobj.State{Val: resp.Val, Data: resp.Data, Frags: resp.Frags}, nil
 }
 
 // directApply performs one frozen-window operation against an object's
@@ -543,46 +549,14 @@ func (f *Fabric) fetchState(ctx context.Context, l *lane, srv *cluster.Server, o
 	if _, remote := l.backend.(ObjectMirror); !remote {
 		return local, nil
 	}
-	inv, err := stateReadInv(o.Kind())
+	// The fetch is a frozen-window wire read like the reshaper's: no
+	// routing, gating or in-flight bookkeeping, crash-polled. On failure the
+	// caller needs the pre-seal state to roll the seal back.
+	state, err := f.readState(ctx, &route{server: l.server, srv: srv, lane: l, obj: o})
 	if err != nil {
 		return local, err
 	}
-	// The fetch is a real wire delivery with a synthetic client identity —
-	// it bypasses routing, gating, and in-flight bookkeeping because the
-	// lane is frozen for everyone else.
-	ev := TriggerEvent{
-		Token:  f.nextToken.Add(1),
-		Client: types.ClientID(-1),
-		Object: o.ID(),
-		Server: l.server,
-		Inv:    inv,
-	}
-	done := make(chan Outcome, 1)
-	l.backend.Deliver(ev,
-		func() (baseobj.Response, error) {
-			return baseobj.Response{}, fmt.Errorf("fabric: state fetch for object %d applied locally on a remote-state backend", o.ID())
-		},
-		func(resp baseobj.Response, err error) {
-			done <- Outcome{Resp: resp, Err: err}
-		})
-	for {
-		t := time.NewTimer(quiescePoll)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return local, ctx.Err()
-		case out := <-done:
-			t.Stop()
-			if out.Err != nil {
-				return local, out.Err
-			}
-			return baseobj.State{Val: out.Resp.Val, Data: out.Resp.Data, Frags: out.Resp.Frags}, nil
-		case <-t.C:
-			if srv.Crashed() {
-				return local, fmt.Errorf("server %d crashed mid-fetch (object %d)", l.server, o.ID())
-			}
-		}
-	}
+	return state, nil
 }
 
 // stateReadInv builds the invocation that reads an object's full state

@@ -65,7 +65,7 @@ func startRetryWriters(ctx context.Context, t *testing.T, fab *Fabric, objs []ty
 				obj := objs[int(ts)%len(objs)]
 				inv := baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: types.TSValue{TS: ts, Writer: types.ClientID(w), Val: types.Value(ts)}}
 				if _, err := retryView(ctx, func() (types.TSValue, error) {
-					o := waitOutcome(t, fab.Trigger(types.ClientID(w), obj, inv))
+					o := waitOutcome(t, fab, types.ClientID(w), obj, inv)
 					return o.Resp.Val, o.Err
 				}); err != nil {
 					errs <- err
@@ -226,7 +226,7 @@ func TestResizeAbortsWhenTransferTargetCrashes(t *testing.T) {
 
 func testTransferTargetCrash(t *testing.T, fab *Fabric, objs []types.ObjectID) {
 	c := fab.Cluster()
-	if o := waitOutcome(t, fab.Trigger(0, objs[0], writeMaxInv(5, 42))); o.Err != nil {
+	if o := waitOutcome(t, fab, 0, objs[0], writeMaxInv(5, 42)); o.Err != nil {
 		t.Fatalf("seed write: %v", o.Err)
 	}
 	fired := false
@@ -261,13 +261,13 @@ func testTransferTargetCrash(t *testing.T, fab *Fabric, objs []types.ObjectID) {
 	if s, err := c.Delta(objs[0]); err != nil || s != 0 {
 		t.Fatalf("Delta(%d) = %d, %v; want 0 (object stayed put)", objs[0], s, err)
 	}
-	if o := waitOutcome(t, fab.Trigger(1, objs[0], readMaxInv())); o.Err != nil || o.Resp.Val.Val != 42 {
+	if o := waitOutcome(t, fab, 1, objs[0], readMaxInv()); o.Err != nil || o.Resp.Val.Val != 42 {
 		t.Fatalf("read after abort = %+v, want the sealed-then-restored val 42", o)
 	}
-	if o := waitOutcome(t, fab.Trigger(0, objs[0], writeMaxInv(6, 43))); o.Err != nil {
+	if o := waitOutcome(t, fab, 0, objs[0], writeMaxInv(6, 43)); o.Err != nil {
 		t.Fatalf("write after abort: %v", o.Err)
 	}
-	if o := waitOutcome(t, fab.Trigger(1, objs[0], readMaxInv())); o.Err != nil || o.Resp.Val.Val != 43 {
+	if o := waitOutcome(t, fab, 1, objs[0], readMaxInv()); o.Err != nil || o.Resp.Val.Val != 43 {
 		t.Fatalf("read after post-abort write = %+v, want val 43", o)
 	}
 }

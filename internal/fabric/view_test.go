@@ -11,19 +11,35 @@ import (
 	"repro/internal/types"
 )
 
-// waitOutcome blocks until a call completes (the latency lane and frozen
-// lanes complete asynchronously).
-func waitOutcome(t *testing.T, call *Call) Outcome {
-	t.Helper()
+// awaited is a triggered op together with the channel its completion
+// callback feeds: the way a test waits for an op that completes
+// asynchronously (latency lane, frozen lane, a later release).
+type awaited struct {
+	*Call
+	ch chan Outcome
+}
+
+func triggerAwaited(fab *Fabric, client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) awaited {
 	ch := make(chan Outcome, 1)
-	call.OnComplete(func(o Outcome) { ch <- o })
+	return awaited{Call: fab.TriggerFn(client, obj, inv, func(o Outcome) { ch <- o }), ch: ch}
+}
+
+// wait blocks until the op completes.
+func (a awaited) wait(t *testing.T) Outcome {
+	t.Helper()
 	select {
-	case o := <-ch:
+	case o := <-a.ch:
 		return o
 	case <-time.After(10 * time.Second):
-		t.Fatalf("call %d never completed", call.Token())
+		t.Fatalf("call %d never completed", a.Token())
 		return Outcome{}
 	}
+}
+
+// waitOutcome triggers an op and blocks until it completes.
+func waitOutcome(t *testing.T, fab *Fabric, client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) Outcome {
+	t.Helper()
+	return triggerAwaited(fab, client, obj, inv).wait(t)
 }
 
 // TestReplaceTransfersState pins the full freeze → drain → transfer →
@@ -102,8 +118,8 @@ func TestReplaceDrainsParkedOps(t *testing.T) {
 		},
 	}
 	fab, objs := testEnv(t, gate)
-	applyHeld := fab.Trigger(0, objs[0], writeInv(1, 10))
-	respondHeld := fab.Trigger(1, objs[0], writeInv(2, 11))
+	applyHeld := triggerAwaited(fab, 0, objs[0], writeInv(1, 10))
+	respondHeld := triggerAwaited(fab, 1, objs[0], writeInv(2, 11))
 	if _, done := applyHeld.Outcome(); done {
 		t.Fatal("apply-held op completed before the drain")
 	}
@@ -113,11 +129,11 @@ func TestReplaceDrainsParkedOps(t *testing.T) {
 		t.Fatalf("Replace: %v", err)
 	}
 
-	o := waitOutcome(t, applyHeld)
+	o := applyHeld.wait(t)
 	if !IsViewChange(o.Err) {
 		t.Fatalf("apply-held op completed with %v, want a view-change error", o.Err)
 	}
-	o = waitOutcome(t, respondHeld)
+	o = respondHeld.wait(t)
 	if o.Err != nil {
 		t.Fatalf("respond-held op completed with %v, want its real response", o.Err)
 	}
@@ -165,9 +181,12 @@ func TestTriggerOnDepartingServerRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Depart()
-	o := waitOutcome(t, fab.Trigger(0, objs[0], writeInv(1, 7)))
-	if !IsViewChange(o.Err) {
-		t.Fatalf("trigger on departing server = %v, want a view-change error", o.Err)
+	// The callback hears the error inline and exactly once: the op neither
+	// pends nor reaches a lane.
+	var got []Outcome
+	fab.TriggerFn(0, objs[0], writeInv(1, 7), func(o Outcome) { got = append(got, o) })
+	if len(got) != 1 || !IsViewChange(got[0].Err) {
+		t.Fatalf("trigger on departing server = %+v, want exactly one view-change error", got)
 	}
 	// The guarantee behind exactly-once retries: the op never applied.
 	obj, err := fab.Cluster().Object(objs[0])
@@ -217,7 +236,7 @@ func TestReplaceUnderLatencyLaneLoad(t *testing.T) {
 				obj := objs[int(ts)%len(objs)]
 				inv := baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: types.TSValue{TS: ts, Writer: types.ClientID(w), Val: types.Value(ts)}}
 				if _, err := retryView(ctx, func() (types.TSValue, error) {
-					o := waitOutcome(t, fab.Trigger(types.ClientID(w), obj, inv))
+					o := waitOutcome(t, fab, types.ClientID(w), obj, inv)
 					return o.Resp.Val, o.Err
 				}); err != nil {
 					errs <- err

@@ -295,10 +295,10 @@ func TestLargeValuesOverTCPLane(t *testing.T) {
 
 	value := types.PayloadFor(7, 64<<10)
 	ts := types.TSValue{TS: 1, Writer: 0, Val: 7}
-	if o := await(t, fab.Trigger(0, reg, baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts, Data: value})); o.Err != nil {
+	if o := await(t, fab, 0, reg, baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts, Data: value}); o.Err != nil {
 		t.Fatalf("64 KiB write: %v", o.Err)
 	}
-	if o := await(t, fab.Trigger(1, reg, baseobj.Invocation{Op: baseobj.OpRead})); o.Err != nil || !bytes.Equal(o.Resp.Data, value) {
+	if o := await(t, fab, 1, reg, baseobj.Invocation{Op: baseobj.OpRead}); o.Err != nil || !bytes.Equal(o.Resp.Data, value) {
 		t.Fatalf("64 KiB read: err=%v, %d bytes back, equal=%v", o.Err, len(o.Resp.Data), bytes.Equal(o.Resp.Data, value))
 	}
 
@@ -308,10 +308,10 @@ func TestLargeValuesOverTCPLane(t *testing.T) {
 	}
 	sent := frag
 	sent.Data = frag.Data.Clone()
-	if o := await(t, fab.Trigger(0, store, baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: &sent})); o.Err != nil {
+	if o := await(t, fab, 0, store, baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: &sent}); o.Err != nil {
 		t.Fatalf("put-frag: %v", o.Err)
 	}
-	o := await(t, fab.Trigger(1, store, baseobj.Invocation{Op: baseobj.OpGetFrags}))
+	o := await(t, fab, 1, store, baseobj.Invocation{Op: baseobj.OpGetFrags})
 	if o.Err != nil || len(o.Resp.Frags) != 1 || !reflect.DeepEqual(o.Resp.Frags[0], frag) {
 		t.Fatalf("get-frags: err=%v, %d fragments, want the stored one back", o.Err, len(o.Resp.Frags))
 	}

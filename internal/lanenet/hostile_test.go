@@ -274,14 +274,14 @@ func TestUnknownRequestIDIsIgnored(t *testing.T) {
 func TestOversizedInvocationFailsOnlyItself(t *testing.T) {
 	fab, objs, clients, _ := netEnv(t, 1)
 	huge := baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Val: 1}, Data: make(types.Payload, maxFrame+1)}
-	if o := await(t, fab.Trigger(0, objs[0], huge)); !errors.Is(o.Err, ErrFrameTooLarge) {
+	if o := await(t, fab, 0, objs[0], huge); !errors.Is(o.Err, ErrFrameTooLarge) {
 		t.Fatalf("oversized write completed with %v, want ErrFrameTooLarge", o.Err)
 	}
 	ok := baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 2, Val: 5}}
-	if o := await(t, fab.Trigger(0, objs[0], ok)); o.Err != nil {
+	if o := await(t, fab, 0, objs[0], ok); o.Err != nil {
 		t.Fatalf("write after the oversized one: %v", o.Err)
 	}
-	if o := await(t, fab.Trigger(1, objs[0], baseobj.Invocation{Op: baseobj.OpRead})); o.Err != nil || o.Resp.Val.Val != 5 {
+	if o := await(t, fab, 1, objs[0], baseobj.Invocation{Op: baseobj.OpRead}); o.Err != nil || o.Resp.Val.Val != 5 {
 		t.Fatalf("read = %+v, want the second write (the oversized one never applied)", o)
 	}
 	if clients[0].Crashed() || fab.Cluster().Crashes() != 0 {

@@ -62,11 +62,17 @@ func netEnv(t *testing.T, n int) (*fabric.Fabric, []types.ObjectID, []*Client, [
 	return fab, objs, clients, nodes
 }
 
-// await blocks until the call completes or times out.
-func await(t *testing.T, call *fabric.Call) fabric.Outcome {
+// await triggers an op and blocks until it completes or times out.
+func await(t *testing.T, fab *fabric.Fabric, client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) fabric.Outcome {
 	t.Helper()
 	done := make(chan fabric.Outcome, 1)
-	call.OnComplete(func(o fabric.Outcome) { done <- o })
+	call := fab.TriggerFn(client, obj, inv, func(o fabric.Outcome) { done <- o })
+	return awaitDone(t, call, done)
+}
+
+// awaitDone blocks until call's completion callback fed done.
+func awaitDone(t *testing.T, call *fabric.Call, done <-chan fabric.Outcome) fabric.Outcome {
+	t.Helper()
 	select {
 	case o := <-done:
 		return o
@@ -199,12 +205,10 @@ func TestProtoPayloadRoundTrip(t *testing.T) {
 // lanes: state lives in the nodes, not the local cluster objects.
 func TestNetworkLaneReadYourWrite(t *testing.T) {
 	fab, objs, _, nodes := netEnv(t, 3)
-	w := fab.Trigger(0, objs[1], baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Writer: 0, Val: 10}})
-	if o := await(t, w); o.Err != nil {
+	if o := await(t, fab, 0, objs[1], baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Writer: 0, Val: 10}}); o.Err != nil {
 		t.Fatalf("write: %v", o.Err)
 	}
-	r := fab.Trigger(1, objs[1], baseobj.Invocation{Op: baseobj.OpRead})
-	if o := await(t, r); o.Err != nil || o.Resp.Val.Val != 10 {
+	if o := await(t, fab, 1, objs[1], baseobj.Invocation{Op: baseobj.OpRead}); o.Err != nil || o.Resp.Val.Val != 10 {
 		t.Fatalf("read = %+v, want 10", o)
 	}
 	// The authoritative object lives remotely: exactly one object was
@@ -244,12 +248,12 @@ func TestNetworkLaneProtocolErrorsRoundTrip(t *testing.T) {
 
 	// Client 5 is not in the writer set: the remote register must enforce
 	// the mirrored bound.
-	o := await(t, fab.Trigger(5, obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Writer: 5}}))
+	o := await(t, fab, 5, obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Writer: 5}})
 	if !errors.Is(o.Err, baseobj.ErrUnauthorizedWriter) {
 		t.Fatalf("unauthorized write err = %v, want ErrUnauthorizedWriter", o.Err)
 	}
 	// Wrong op kind round-trips too.
-	o = await(t, fab.Trigger(0, obj, baseobj.Invocation{Op: baseobj.OpCAS}))
+	o = await(t, fab, 0, obj, baseobj.Invocation{Op: baseobj.OpCAS})
 	if !errors.Is(o.Err, baseobj.ErrWrongOp) {
 		t.Fatalf("wrong-op err = %v, want ErrWrongOp", o.Err)
 	}
@@ -263,7 +267,7 @@ func TestDisconnectIsCrash(t *testing.T) {
 	fab, objs, clients, _ := netEnv(t, 3)
 	// Warm every route (mirrors objects) with one read per server.
 	for _, obj := range objs {
-		if o := await(t, fab.Trigger(0, obj, baseobj.Invocation{Op: baseobj.OpRead})); o.Err != nil {
+		if o := await(t, fab, 0, obj, baseobj.Invocation{Op: baseobj.OpRead}); o.Err != nil {
 			t.Fatal(o.Err)
 		}
 	}
@@ -296,7 +300,7 @@ func TestDisconnectIsCrash(t *testing.T) {
 
 	// The other servers still serve a quorum.
 	for _, obj := range objs[:2] {
-		if o := await(t, fab.Trigger(1, obj, baseobj.Invocation{Op: baseobj.OpRead})); o.Err != nil {
+		if o := await(t, fab, 1, obj, baseobj.Invocation{Op: baseobj.OpRead}); o.Err != nil {
 			t.Fatalf("surviving server read: %v", o.Err)
 		}
 	}
@@ -339,23 +343,25 @@ func TestNodeDeathBeforeHookInstallStillCrashes(t *testing.T) {
 func TestCrashDuringRemoteScan(t *testing.T) {
 	fab, objs, clients, _ := netEnv(t, 3)
 	for _, obj := range objs {
-		if o := await(t, fab.Trigger(0, obj, baseobj.Invocation{Op: baseobj.OpRead})); o.Err != nil {
+		if o := await(t, fab, 0, obj, baseobj.Invocation{Op: baseobj.OpRead}); o.Err != nil {
 			t.Fatal(o.Err)
 		}
 	}
 	// Kill server 0's transport and immediately scatter reads everywhere:
 	// server 0's reads must stay pending, others must respond.
 	clients[0].conn.Close()
-	calls := fab.TriggerBatch(1, []fabric.BatchOp{
-		{Object: objs[0], Inv: baseobj.Invocation{Op: baseobj.OpRead}},
-		{Object: objs[1], Inv: baseobj.Invocation{Op: baseobj.OpRead}},
-		{Object: objs[2], Inv: baseobj.Invocation{Op: baseobj.OpRead}},
-	})
-	if o := await(t, calls[1]); o.Err != nil {
-		t.Fatal(o.Err)
+	batch := make([]fabric.BatchOp, len(objs))
+	done := make([]chan fabric.Outcome, len(objs))
+	for i, obj := range objs {
+		ch := make(chan fabric.Outcome, 1)
+		done[i] = ch
+		batch[i] = fabric.BatchOp{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}, Done: func(o fabric.Outcome) { ch <- o }}
 	}
-	if o := await(t, calls[2]); o.Err != nil {
-		t.Fatal(o.Err)
+	calls := fab.TriggerBatch(1, batch)
+	for _, i := range []int{1, 2} {
+		if o := awaitDone(t, calls[i], done[i]); o.Err != nil {
+			t.Fatal(o.Err)
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for fab.Cluster().Crashes() == 0 {
@@ -397,10 +403,10 @@ func TestMultiTableNode(t *testing.T) {
 		fab := fabric.New(c, fabric.WithLanes(func(types.ServerID) fabric.Lane { return client }))
 		t.Cleanup(func() { fab.Close() })
 		v := types.TSValue{TS: 1, Writer: 0, Val: vals[shard]}
-		if o := await(t, fab.Trigger(0, obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: v})); o.Err != nil {
+		if o := await(t, fab, 0, obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: v}); o.Err != nil {
 			t.Fatalf("shard %d write: %v", shard, o.Err)
 		}
-		if o := await(t, fab.Trigger(0, obj, baseobj.Invocation{Op: baseobj.OpRead})); o.Err != nil || o.Resp.Val.Val != vals[shard] {
+		if o := await(t, fab, 0, obj, baseobj.Invocation{Op: baseobj.OpRead}); o.Err != nil || o.Resp.Val.Val != vals[shard] {
 			t.Fatalf("shard %d read = %+v, want %d", shard, o, vals[shard])
 		}
 	}

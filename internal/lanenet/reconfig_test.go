@@ -48,7 +48,7 @@ func TestPlaceFrameCarriesState(t *testing.T) {
 // client. The new session identity is the join.
 func TestReplaceMigratesToFreshNode(t *testing.T) {
 	fab, objs, _, oldNodes := netEnv(t, 3)
-	if o := await(t, fab.Trigger(0, objs[0], baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 4, Writer: 0, Val: 77}})); o.Err != nil {
+	if o := await(t, fab, 0, objs[0], baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 4, Writer: 0, Val: 77}}); o.Err != nil {
 		t.Fatalf("write: %v", o.Err)
 	}
 
@@ -66,7 +66,7 @@ func TestReplaceMigratesToFreshNode(t *testing.T) {
 	if s, err := fab.Cluster().Delta(objs[0]); err != nil || s != newID {
 		t.Fatalf("Delta = %d, %v; want joiner %d", s, err, newID)
 	}
-	if o := await(t, fab.Trigger(1, objs[0], baseobj.Invocation{Op: baseobj.OpRead})); o.Err != nil || o.Resp.Val.Val != 77 {
+	if o := await(t, fab, 1, objs[0], baseobj.Invocation{Op: baseobj.OpRead}); o.Err != nil || o.Resp.Val.Val != 77 {
 		t.Fatalf("read after migration = %+v, want val 77 from the fresh node", o)
 	}
 	// The first routed op mirrored the object — with its transferred state —
@@ -74,7 +74,7 @@ func TestReplaceMigratesToFreshNode(t *testing.T) {
 	if got := freshNodes[0].NumObjects(); got != 1 {
 		t.Fatalf("fresh node hosts %d objects after the migration, want 1", got)
 	}
-	if o := await(t, fab.Trigger(0, objs[0], baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 5, Writer: 0, Val: 78}})); o.Err != nil {
+	if o := await(t, fab, 0, objs[0], baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 5, Writer: 0, Val: 78}}); o.Err != nil {
 		t.Fatalf("write after migration: %v", o.Err)
 	}
 	// The leave was clean: no server crashed, and the departed node's

@@ -82,10 +82,10 @@ func TestTCPLaneScanSnapshotNoTornReads(t *testing.T) {
 		defer close(writerDone)
 		for r := 1; r <= rounds; r++ {
 			for _, obj := range objs {
-				o := await(t, fab.Trigger(0, obj, baseobj.Invocation{
+				o := await(t, fab, 0, obj, baseobj.Invocation{
 					Op:  baseobj.OpWrite,
 					Arg: types.TSValue{TS: uint64(r), Writer: 0, Val: types.Value(r)},
-				}))
+				})
 				if o.Err != nil {
 					t.Errorf("write round %d: %v", r, o.Err)
 					return
@@ -155,7 +155,7 @@ func TestTCPLaneCrashBetweenDequeueAndWrite(t *testing.T) {
 
 	// Warm every route so the scan batch holds no placements.
 	for _, obj := range objs {
-		if o := await(t, fab.Trigger(0, obj, baseobj.Invocation{Op: baseobj.OpRead})); o.Err != nil {
+		if o := await(t, fab, 0, obj, baseobj.Invocation{Op: baseobj.OpRead}); o.Err != nil {
 			t.Fatal(o.Err)
 		}
 	}
@@ -188,10 +188,10 @@ func TestTCPLaneCrashBetweenDequeueAndWrite(t *testing.T) {
 // queue append under qmu, hence one drain — so the batch is deterministic.
 func TestTCPLanePipelinedReadsCoalesce(t *testing.T) {
 	fab, objs, clients := scanNetEnv(t, 1)
-	o := await(t, fab.Trigger(0, objs[0], baseobj.Invocation{
+	o := await(t, fab, 0, objs[0], baseobj.Invocation{
 		Op:  baseobj.OpWrite,
 		Arg: types.TSValue{TS: 1, Writer: 0, Val: 42},
-	}))
+	})
 	if o.Err != nil {
 		t.Fatalf("write: %v", o.Err)
 	}
@@ -258,7 +258,7 @@ func TestTCPLanePipelineManyInFlight(t *testing.T) {
 	if n := failed.Load(); n != 0 {
 		t.Fatalf("%d pipelined writes failed", n)
 	}
-	o := await(t, fab.Trigger(1, objs[0], baseobj.Invocation{Op: baseobj.OpRead}))
+	o := await(t, fab, 1, objs[0], baseobj.Invocation{Op: baseobj.OpRead})
 	if o.Err != nil || o.Resp.Val.TS != writers {
 		t.Fatalf("read after %d pipelined writes = %+v, want TS %d", writers, o, writers)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/bounds"
-	"repro/internal/fabric"
 	"repro/internal/types"
 	"repro/internal/workload"
 )
@@ -43,24 +42,12 @@ type CoveringReport struct {
 	Checks CheckResult
 }
 
-// CoveringOptions are optional knobs for RunCoveringOpts.
-type CoveringOptions struct {
-	// Tracer, when set, observes every low-level event of the run (used
-	// by cmd/covering -trace to render Figure 2 style timelines).
-	Tracer fabric.Tracer
-}
-
 // RunCovering executes the covering experiment for one construction. All
 // constructions stay safe under pure covering (no releases); the point is
 // the covered-register count: register-based constructions accumulate ~f
 // newly covered registers per write (forcing the Theorem 1 space), while
 // max-register/CAS constructions saturate at a k-independent count.
 func RunCovering(ctx context.Context, kind Kind, k, f, n int) (*CoveringReport, error) {
-	return RunCoveringOpts(ctx, kind, k, f, n, CoveringOptions{})
-}
-
-// RunCoveringOpts is RunCovering with options.
-func RunCoveringOpts(ctx context.Context, kind Kind, k, f, n int, copts CoveringOptions) (*CoveringReport, error) {
 	if err := bounds.Validate(k, f, n); err != nil {
 		return nil, err
 	}
@@ -70,11 +57,7 @@ func RunCoveringOpts(ctx context.Context, kind Kind, k, f, n int, copts Covering
 		protected = append(protected, types.ServerID(s))
 	}
 	adv := adversary.NewCovering(protected, f)
-	var extra []fabric.Option
-	if copts.Tracer != nil {
-		extra = append(extra, fabric.WithTracer(copts.Tracer))
-	}
-	env, err := NewEnv(n, adv, extra...)
+	env, err := NewEnv(n, adv)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baseobj"
 	"repro/internal/emulation"
+	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
@@ -52,19 +53,39 @@ func RunTheorem5(ctx context.Context, f int) (*Theorem5Report, error) {
 	}
 	hist := &spec.History{}
 
+	// quorumMax runs one round over every register and waits for n-f = f
+	// responses, returning the highest timestamped one.
+	quorumMax := func(stage string, client types.ClientID, inv baseobj.Invocation) (types.TSValue, error) {
+		targets := make([]rounds.Target, n)
+		for i, obj := range objs {
+			targets[i] = rounds.Target{Object: obj, Inv: inv}
+		}
+		type result struct {
+			max types.TSValue
+			err error
+		}
+		done := make(chan result, 1)
+		rounds.Scatter(ctx, env.Fabric, client, rounds.Round{
+			Plan: func() ([]rounds.Target, int) { return targets, n - f },
+			Max:  func(max types.TSValue, err error) { done <- result{max, err} },
+		})
+		select {
+		case r := <-done:
+			return r.max, ctxErr(ctx, stage, r.err)
+		case <-ctx.Done():
+			return types.ZeroTSValue, ctxErr(ctx, stage, ctx.Err())
+		}
+	}
+
 	// The write: push to all, wait for n-f = f responses. The gate holds
-	// responses from the second half, so they come from the first half.
+	// the second half's writes, so they come from the first half.
 	const v = types.Value(77)
 	pw := hist.BeginWrite(0, v)
-	calls := make([]*fabric.Call, 0, n)
-	for _, obj := range objs {
-		calls = append(calls, env.Fabric.Trigger(0, obj, baseobj.Invocation{
-			Op:  baseobj.OpWrite,
-			Arg: types.TSValue{TS: 1, Writer: 0, Val: v},
-		}))
-	}
-	if _, err := fabric.AwaitN(ctx, calls, n-f); err != nil {
-		return nil, ctxErr(ctx, "theorem5 write", err)
+	if _, err := quorumMax("theorem5 write", 0, baseobj.Invocation{
+		Op:  baseobj.OpWrite,
+		Arg: types.TSValue{TS: 1, Writer: 0, Val: v},
+	}); err != nil {
+		return nil, err
 	}
 	pw.End()
 
@@ -73,17 +94,9 @@ func RunTheorem5(ctx context.Context, f int) (*Theorem5Report, error) {
 	// second half — which the write never reached.
 	script.flip()
 	pr := hist.BeginRead(emulation.ReaderIDBase)
-	reads := make([]*fabric.Call, 0, n)
-	for _, obj := range objs {
-		reads = append(reads, env.Fabric.Trigger(emulation.ReaderIDBase, obj, baseobj.Invocation{Op: baseobj.OpRead}))
-	}
-	done, err := fabric.AwaitN(ctx, reads, n-f)
+	max, err := quorumMax("theorem5 read", emulation.ReaderIDBase, baseobj.Invocation{Op: baseobj.OpRead})
 	if err != nil {
-		return nil, ctxErr(ctx, "theorem5 read", err)
-	}
-	max := types.ZeroTSValue
-	for _, c := range done {
-		max = types.MaxTSValue(max, c.Outcome.Resp.Val)
+		return nil, err
 	}
 	pr.End(max.Val)
 

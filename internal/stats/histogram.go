@@ -1,3 +1,5 @@
+// Package stats provides the log-linear latency histogram internal/loadgen
+// records its per-operation samples in.
 package stats
 
 import (

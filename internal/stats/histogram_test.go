@@ -42,7 +42,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	sort.Float64s(sample)
 	for _, p := range []float64{0.5, 0.9, 0.99} {
-		exact := Percentile(sample, p)
+		exact := sample[int(p*float64(len(sample)-1))] // the order statistic at rank p(n-1)
 		got := float64(h.Quantile(p))
 		if rel := math.Abs(got-exact) / exact; rel > 0.08 {
 			t.Fatalf("p%.0f: histogram %v vs exact %v (%.1f%% off)", p*100, got, exact, rel*100)
