@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke fabric-bench loadgen-smoke lint loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-lanes-mailbox1 race-routes race-shards race-churn race-coded race-resize
+.PHONY: all build vet test race bench bench-smoke allocs fabric-bench loadgen-smoke lint loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-lanes-mailbox1 race-routes race-shards race-churn race-coded race-resize
 
 all: vet build test
 
@@ -40,6 +40,15 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
+# Allocation ceilings, as plain tests — NOT under -race, where sync.Pool
+# drops items on purpose and every pooled path would read as a regression:
+# every test with "Alloc" in its name (the per-op ceiling of an abd-max
+# write+read pair over recycled quorum rounds, the TCP lane's in-place codecs
+# and slot table). A round, a codec or a table that starts allocating again
+# fails here by name.
+allocs:
+	$(GO) test -count 1 -run 'Alloc' ./...
+
 # End-to-end smoke: a short closed-loop run on the latency lane through
 # the async client engine — 1000 logical clients on one engine goroutine,
 # peak in-flight gated at >= 1000, read validity + sampled linearizability
@@ -62,9 +71,12 @@ race-sweep:
 
 # The round engine, the blocking adapter and the collect/push chain under
 # the race detector, repeated and at three GOMAXPROCS settings: every
-# quorum condition and reducer of the one scatter, the cancellation
-# contract on all six constructions and both lanes, and view-change retries
-# through a Replace. Selected by package — no name list to rot.
+# quorum condition and reducer of the one scatter, the recycled round's
+# lifetime (thousands of rounds with one responder delayed past the quorum
+# and a Replace mid-run: no report twice, none with another round's value),
+# the cancellation contract on all six constructions and both lanes, and
+# view-change retries through a Replace. Selected by package — no name list
+# to rot.
 race-rounds:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/emulation ./internal/emulation/rounds ./internal/emulation/abdcore
 

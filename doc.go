@@ -20,8 +20,9 @@
 //     Token allocation is lock-free, object routing is served from a
 //     lock-free route cache, each lane owns its held-op, in-flight, and
 //     crash-drop state, and TriggerBatch scatters a whole quorum round in
-//     one call. A completion is heard in exactly one way: through the
-//     callback handed over with the trigger (TriggerFn, BatchOp.Done),
+//     one call, over storage the caller owns (a Group: ops, call slab,
+//     routes). A completion is heard in exactly one way: through the
+//     callback handed over with the trigger (TriggerFn, Group.Done),
 //     which fires once, on whatever goroutine completes the operation —
 //     inline on the in-process lane — and never for an operation that
 //     stays pending; a Call is otherwise just the operation's token and,
@@ -80,7 +81,16 @@
 //     timestamp, or hand over the raw reports) — triggers the round in one
 //     call and reports exactly once from whatever goroutine completes it.
 //     Nothing blocks and there are no report channels; crashed or held
-//     operations just leave the round pending. Retry is the one place a
+//     operations just leave the round pending. A round in steady state
+//     allocates nothing: one pooled object per attempt carries the fold,
+//     the fabric Group its plan appends targets into, and completion funcs
+//     bound once. The fabric holds a reference on the group per op (dropped
+//     after the op's completion returned) plus one for its dispatch pass,
+//     and the last one out recycles the object — so a straggler lands in its
+//     own round's spent fold, an attempt with an op on a crashed server is
+//     never recycled (it is garbage), and a Reports round gives its report
+//     slice away for good.
+//     Retry is the one place a
 //     view-change retry is decided and scheduled: a completion that raced
 //     a reconfiguration never applied, so the round (Scatter, abdcore's
 //     store-start rounds) or the single low-level write (regemu's

@@ -109,8 +109,8 @@ func (s *store) StartWriteMax(_ context.Context, client types.ClientID, v types.
 // together: the fold either completes in full or stalls like any faulty
 // base object.
 func (s *store) StartReadMax(ctx context.Context, client types.ClientID, report func(types.TSValue, error)) {
-	rounds.Scatter(ctx, s.fab, client, rounds.Round{Max: report, Plan: func() ([]rounds.Target, int) {
-		return s.scan, len(s.scan)
+	rounds.Scatter(ctx, s.fab, client, rounds.Round{Max: report, Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
+		return append(buf, s.scan...), len(s.scan)
 	}})
 }
 

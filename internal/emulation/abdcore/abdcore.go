@@ -97,6 +97,7 @@ type Engine struct {
 	p             atomic.Pointer[placement]
 	readWriteBack bool
 	fab           *fabric.Fabric
+	readPlan      rounds.Plan // planRead, bound once: a direct collect allocates no plan
 }
 
 // Option configures an Engine.
@@ -115,6 +116,7 @@ func WithReadWriteBack() Option {
 // failure threshold f.
 func New(fab *fabric.Fabric, stores []MaxStore, f int, opts ...Option) (*Engine, error) {
 	e := &Engine{fab: fab}
+	e.readPlan = e.planRead
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -210,10 +212,14 @@ func (e *Engine) collect(ctx context.Context, client types.ClientID, report func
 		})
 		return
 	}
-	rounds.Scatter(ctx, e.fab, client, rounds.Round{Max: report, Plan: func() ([]rounds.Target, int) {
-		p := e.p.Load()
-		return p.readTargets, p.quorum()
-	}})
+	rounds.Scatter(ctx, e.fab, client, rounds.Round{Max: report, Plan: e.readPlan})
+}
+
+// planRead is the direct collect's plan: the live placement's precomputed
+// read-max targets at its quorum.
+func (e *Engine) planRead(buf []rounds.Target) ([]rounds.Target, int) {
+	p := e.p.Load()
+	return append(buf, p.readTargets...), p.quorum()
 }
 
 // push writes v to a quorum of stores, with collect's contract. Write-max
@@ -226,13 +232,12 @@ func (e *Engine) push(ctx context.Context, client types.ClientID, v types.TSValu
 		})
 		return
 	}
-	rounds.Scatter(ctx, e.fab, client, rounds.Round{Max: report, Plan: func() ([]rounds.Target, int) {
+	rounds.Scatter(ctx, e.fab, client, rounds.Round{Max: report, Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
 		p := e.p.Load()
-		targets := make([]rounds.Target, len(p.directWriters))
-		for i, dw := range p.directWriters {
-			targets[i] = dw.WriteTarget(v)
+		for _, dw := range p.directWriters {
+			buf = append(buf, dw.WriteTarget(v))
 		}
-		return targets, p.quorum()
+		return buf, p.quorum()
 	}})
 }
 

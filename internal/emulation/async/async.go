@@ -70,13 +70,15 @@ type Engine struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu          sync.Mutex
-	inbox       []event
-	closed      bool
-	outstanding int64
-	waiters     []chan struct{}
-	clients     []*Client
-	writers     map[writerKey]*Client
+	mu sync.Mutex
+	// inbox collects posted events; spare is the previous drain's buffer,
+	// handled and cleared, which the next takeInbox swaps back in.
+	inbox, spare []event
+	closed       bool
+	outstanding  int64
+	waiters      []chan struct{}
+	clients      []*Client
+	writers      map[writerKey]*Client
 
 	notify   chan struct{}
 	loopDone chan struct{}
@@ -191,8 +193,10 @@ type Client struct {
 	w   emulation.Writer
 	r   emulation.Reader
 
-	// queue and active are owned by the engine loop.
+	// active and the queue are owned by the engine loop; queue[head:] are
+	// the ops waiting behind active, in invocation order.
 	queue  []*op
+	head   int
 	active *op
 }
 
@@ -306,11 +310,13 @@ func (e *Engine) wake() {
 	}
 }
 
-// takeInbox claims the mailbox contents.
+// takeInbox claims the mailbox contents, swapping in the buffer of the
+// previous drain so that a steady mailbox regrows neither. The loop clears
+// what it took once handled, so the idle buffer pins no op.
 func (e *Engine) takeInbox() []event {
 	e.mu.Lock()
 	evs := e.inbox
-	e.inbox = nil
+	e.inbox, e.spare = e.spare[:0], evs
 	e.mu.Unlock()
 	return evs
 }
@@ -336,6 +342,7 @@ func (e *Engine) loop() {
 				for i := range evs {
 					e.handle(&evs[i])
 				}
+				clear(evs)
 			}
 			e.checkIdle()
 		}
@@ -372,9 +379,14 @@ func (e *Engine) handle(ev *event) {
 		ev.op.onRead(ev.val, ev.err)
 	}
 	e.settle(1)
-	if c.active == nil && len(c.queue) > 0 {
-		next := c.queue[0]
-		c.queue = c.queue[1:]
+	if c.active == nil && c.head < len(c.queue) {
+		// Pop without pinning the started op in the backing array, and
+		// rewind an emptied queue to the array's front.
+		next := c.queue[c.head]
+		c.queue[c.head] = nil
+		if c.head++; c.head == len(c.queue) {
+			c.queue, c.head = c.queue[:0], 0
+		}
 		e.begin(next)
 	}
 }
@@ -445,10 +457,10 @@ func (e *Engine) shutdown() {
 			c.active.fail(err)
 			c.active = nil
 		}
-		for _, o := range c.queue {
+		for _, o := range c.queue[c.head:] {
 			o.fail(err)
 		}
-		c.queue = nil
+		c.queue, c.head = nil, 0
 	}
 	for _, w := range waiters {
 		close(w)

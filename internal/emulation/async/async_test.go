@@ -243,11 +243,13 @@ func TestAsyncThousandInFlight(t *testing.T) {
 	}
 }
 
-// TestAsyncPerClientSerialization back-pressures one client with a burst of
+// TestAsyncPerClientSerialization back-pressures one client with bursts of
 // queued writes: completions must fire in issue order and the recorded ops
-// of the client must never overlap (the paper's well-formed histories).
+// of the client must never overlap (the paper's well-formed histories). The
+// engine drains between bursts, so the client's queue empties, rewinds and
+// fills again, and the mailbox swaps its two buffers many times over.
 func TestAsyncPerClientSerialization(t *testing.T) {
-	const burst = 50
+	const waves, burst = 3, 50
 	reg, hist := buildEnv(t, runner.KindRegEmu, 2, 1, 4,
 		fabric.WithLanes(fabric.LatencyLanes(3, testProfile)))
 	eng := async.New(reg)
@@ -256,8 +258,8 @@ func TestAsyncPerClientSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := make(chan int, burst)
-	for i := 0; i < burst; i++ {
+	order := make(chan int, waves*burst)
+	for i := 0; i < waves*burst; i++ {
 		i := i
 		c.StartWrite(types.Value(i+1), func(err error) {
 			if err != nil {
@@ -265,8 +267,10 @@ func TestAsyncPerClientSerialization(t *testing.T) {
 			}
 			order <- i
 		})
+		if (i+1)%burst == 0 {
+			drain(t, eng)
+		}
 	}
-	drain(t, eng)
 	close(order)
 	want := 0
 	for got := range order {
@@ -276,8 +280,8 @@ func TestAsyncPerClientSerialization(t *testing.T) {
 		want++
 	}
 	ops := hist.Snapshot()
-	if len(ops) != burst {
-		t.Fatalf("history has %d ops, want %d", len(ops), burst)
+	if len(ops) != waves*burst {
+		t.Fatalf("history has %d ops, want %d", len(ops), waves*burst)
 	}
 	for i := 1; i < len(ops); i++ {
 		if !ops[i-1].Precedes(ops[i]) {

@@ -203,27 +203,18 @@ func (r *Register) NewReader() emulation.Reader {
 	return emulation.NewReader(r.readers.Next(), r.hist, (*chain)(r))
 }
 
-// tsTargets builds the collect round: the max stripe timestamp of each store.
-func (p *placement) tsTargets() []rounds.Target {
-	ts := make([]rounds.Target, len(p.objs))
-	for i, obj := range p.objs {
-		ts[i] = rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpFragTS}}
+// targets appends (see rounds.Plan) a round that sends every store the same
+// invocation: the timestamp collect (OpFragTS), the gather (OpGetFrags), the
+// commit (OpCommitFrag).
+func (p *placement) targets(buf []rounds.Target, inv baseobj.Invocation) []rounds.Target {
+	for _, obj := range p.objs {
+		buf = append(buf, rounds.Target{Object: obj, Inv: inv})
 	}
-	return ts
+	return buf
 }
 
-// getTargets builds the gather round: every store's fragment snapshot.
-func (p *placement) getTargets() []rounds.Target {
-	ts := make([]rounds.Target, len(p.objs))
-	for i, obj := range p.objs {
-		ts[i] = rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpGetFrags}}
-	}
-	return ts
-}
-
-// putTargets builds the striped put round: fragment i goes to store i.
-func (p *placement) putTargets(ts types.TSValue, length int, shards [][]byte) []rounds.Target {
-	targets := make([]rounds.Target, len(p.objs))
+// putTargets appends the striped put round: fragment i goes to store i.
+func (p *placement) putTargets(buf []rounds.Target, ts types.TSValue, length int, shards [][]byte) []rounds.Target {
 	for i, obj := range p.objs {
 		frag := &baseobj.Fragment{
 			TS:     ts,
@@ -232,18 +223,9 @@ func (p *placement) putTargets(ts types.TSValue, length int, shards [][]byte) []
 			Length: length,
 			Data:   shards[i],
 		}
-		targets[i] = rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: frag}}
+		buf = append(buf, rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: frag}})
 	}
-	return targets
-}
-
-// commitTargets builds the commit round.
-func (p *placement) commitTargets(ts types.TSValue) []rounds.Target {
-	targets := make([]rounds.Target, len(p.objs))
-	for i, obj := range p.objs {
-		targets[i] = rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpCommitFrag, Arg: ts}}
-	}
-	return targets
+	return buf
 }
 
 // chain is the Register seen as its handles' emulation.WriteChain and
@@ -257,9 +239,9 @@ type chain Register
 // like any pending op.
 func (c *chain) StartWrite(ctx context.Context, client types.ClientID, v types.Value, done func(error)) {
 	r := (*Register)(c)
-	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func() ([]rounds.Target, int) {
+	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
 		p := r.p.Load()
-		return p.tsTargets(), p.need()
+		return p.targets(buf, baseobj.Invocation{Op: baseobj.OpFragTS}), p.need()
 	}, Max: func(cur types.TSValue, err error) {
 		if err != nil {
 			done(fmt.Errorf("coded: write collect: %w", err))
@@ -282,17 +264,17 @@ func (c *chain) StartWrite(ctx context.Context, client types.ClientID, v types.V
 // attempt re-encodes against the placement it scatters over, so a put
 // retried across a resize epoch stripes with the new coder's kData.
 func (r *Register) startPut(ctx context.Context, client types.ClientID, ts types.TSValue, payload types.Payload, done func(error)) {
-	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func() ([]rounds.Target, int) {
+	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
 		p := r.p.Load()
-		return p.putTargets(ts, len(payload), p.coder.Encode(payload)), p.need()
+		return p.putTargets(buf, ts, len(payload), p.coder.Encode(payload)), p.need()
 	}, Max: func(_ types.TSValue, err error) {
 		if err != nil {
 			done(fmt.Errorf("stripe put: %w", err))
 			return
 		}
-		rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func() ([]rounds.Target, int) {
+		rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
 			p := r.p.Load()
-			return p.commitTargets(ts), p.need()
+			return p.targets(buf, baseobj.Invocation{Op: baseobj.OpCommitFrag, Arg: ts}), p.need()
 		}, Max: func(_ types.TSValue, err error) {
 			if err != nil {
 				done(fmt.Errorf("stripe commit: %w", err))
@@ -312,10 +294,10 @@ func (c *chain) StartRead(ctx context.Context, client types.ClientID, done func(
 	// reconstruct must use that attempt's coder, not whatever r.p holds by
 	// the time the fold callback runs (a resize may swap it in between).
 	var gathered atomic.Pointer[placement]
-	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func() ([]rounds.Target, int) {
+	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
 		p := r.p.Load()
 		gathered.Store(p)
-		return p.getTargets(), p.need()
+		return p.targets(buf, baseobj.Invocation{Op: baseobj.OpGetFrags}), p.need()
 	}, Reports: func(reps []rounds.Report, err error) {
 		if err != nil {
 			done(types.InitialValue, fmt.Errorf("coded: read gather: %w", err))

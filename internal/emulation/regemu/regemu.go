@@ -190,7 +190,7 @@ func (c *readChain) StartRead(ctx context.Context, client types.ClientID, done f
 // crashed ones, or for more servers than exist.
 func (e *Emulation) collect(ctx context.Context, client types.ClientID, report func(types.TSValue, error)) {
 	rounds.Scatter(ctx, e.fab, client, rounds.Round{
-		Plan:    func() ([]rounds.Target, int) { return e.scan, e.f },
+		Plan:    func(buf []rounds.Target) ([]rounds.Target, int) { return append(buf, e.scan...), e.f },
 		Scan:    true,
 		Servers: true,
 		Max:     report,
@@ -275,15 +275,14 @@ func (w *Writer) triggerLocked(b types.ObjectID, ts types.TSValue) func() {
 // on a synchronous lane at the op's position in the batch, before the
 // registers after it are triggered.
 func (w *Writer) scatter(objs []types.ObjectID, ts types.TSValue) {
-	batch := make([]fabric.BatchOp, len(objs))
-	for i, b := range objs {
-		batch[i] = fabric.BatchOp{
-			Object: b,
-			Inv:    baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts},
-			Done:   func(o fabric.Outcome) { w.onEvent(b, ts, o.Err) },
-		}
+	g := &fabric.Group{
+		Ops:  make([]fabric.BatchOp, len(objs)),
+		Done: func(i int, o fabric.Outcome) { w.onEvent(objs[i], ts, o.Err) },
 	}
-	w.em.fab.TriggerBatch(w.client, batch)
+	for i, b := range objs {
+		g.Ops[i] = fabric.BatchOp{Object: b, Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts}}
+	}
+	w.em.fab.TriggerBatch(w.client, g)
 }
 
 // onEvent lands one low-level write completion in the state machine: the

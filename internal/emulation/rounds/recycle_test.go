@@ -1,0 +1,291 @@
+package rounds
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/baseobj"
+	"repro/internal/fabric"
+	"repro/internal/types"
+)
+
+// lateServer2 is the chaos gate of the recycling tests: every response of
+// server 2 is parked, so it reaches its round only when the releaser gets to
+// it — after the quorum of the other two completed and reported.
+var lateServer2 = fabric.GateFuncs{Respond: func(ev fabric.TriggerEvent, _ baseobj.Response) fabric.Decision {
+	if ev.Server == 2 {
+		return fabric.Hold
+	}
+	return fabric.Pass
+}}
+
+// streamEnv builds a 3-server latency-lane fabric behind the lateServer2
+// gate with one max-register per server for each of the streams, and starts
+// the releaser that lets server 2's parked responses go, late. stop ends the
+// releaser once nothing is pending any more.
+func streamEnv(t *testing.T, streams int) (fab *fabric.Fabric, objs [][]types.ObjectID, stop func()) {
+	t.Helper()
+	lanes := fabric.LatencyLanes(3, fabric.LatencyProfile{Base: 2 * time.Microsecond, Jitter: 20 * time.Microsecond})
+	fab, byServer := multiEnv(t, 3, streams, lateServer2, fabric.WithLanes(lanes))
+	t.Cleanup(func() { fab.Close() })
+	objs = make([][]types.ObjectID, streams)
+	for s := range objs {
+		for srv := range byServer {
+			objs[s] = append(objs[s], byServer[srv][s])
+		}
+	}
+
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+				fab.ReleaseWhere(func(fabric.PendingOp) bool { return true })
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+	}()
+	return fab, objs, func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for len(fab.Pending()) != 0 && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		close(quit)
+		<-done
+		if n := len(fab.Pending()); n != 0 {
+			t.Errorf("%d operations still pending after the run", n)
+		}
+	}
+}
+
+// result is one round's report as its reducer saw it.
+type result struct {
+	max  types.TSValue
+	reps []Report
+	err  error
+}
+
+// TestRoundRecyclingLateResponders runs thousands of back-to-back rounds from
+// concurrent streams on the latency lane while one responder of every round
+// is delayed past its quorum, so each attempt object is recycled with a
+// straggler only just in — and a Replace of server 1 lands in the middle, so
+// rounds caught by it retry on fresh objects. Every stream owns its
+// registers and raises their value by one before each read, so a response
+// folded into the wrong round — another stream's, or this stream's previous
+// one — shows as a wrong maximum, a wrong report, or a second firing.
+func TestRoundRecyclingLateResponders(t *testing.T) {
+	const streams, pairs = 4, 400
+	fab, objs, stop := streamEnv(t, streams)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	// fired[s][r] counts the reports of stream s's r-th round.
+	fired := make([][]atomic.Int32, streams)
+	var past atomic.Int32 // streams past the halfway mark
+	var wg sync.WaitGroup
+	for s := 0; s < streams; s++ {
+		fired[s] = make([]atomic.Int32, 2*pairs)
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			client := types.ClientID(s)
+			results := make(chan result, 2*pairs) // room for every firing, so a double one cannot block
+			// run scatters round n of the stream and waits for its report.
+			// flavour: 0 max-fold, 1 reports, 2 server scans (tolerating 1).
+			run := func(n int, targets []Target, flavour int) (result, bool) {
+				count := func(res result) { fired[s][n].Add(1); results <- res }
+				r := Round{Plan: fixed(targets, 2)}
+				switch flavour {
+				case 0:
+					r.Max = func(v types.TSValue, err error) { count(result{max: v, err: err}) }
+				case 1:
+					r.Reports = func(reps []Report, err error) { count(result{reps: reps, err: err}) }
+				case 2:
+					r.Plan, r.Servers = fixed(targets, 1), true
+					r.Max = func(v types.TSValue, err error) { count(result{max: v, err: err}) }
+				}
+				Scatter(ctx, fab, client, r)
+				select {
+				case res := <-results:
+					if res.err != nil {
+						t.Errorf("stream %d round %d: %v", s, n, res.err)
+					}
+					return res, res.err == nil
+				case <-ctx.Done():
+					t.Errorf("stream %d round %d never reported", s, n)
+					return result{}, false
+				}
+			}
+			for p := 0; p < pairs; p++ {
+				if p == pairs/2 {
+					past.Add(1)
+				}
+				want := types.TSValue{TS: uint64(p + 1), Writer: client, Val: types.Value(1000*s + p)}
+				if _, ok := run(2*p, writeTargets(want, objs[s]...), 0); !ok {
+					return
+				}
+				res, ok := run(2*p+1, readTargets(objs[s]...), p%3)
+				if !ok {
+					return
+				}
+				if p%3 != 1 {
+					if res.max != want {
+						t.Errorf("stream %d pair %d: read max %v, want %v", s, p, res.max, want)
+						return
+					}
+					continue
+				}
+				if len(res.reps) != 2 {
+					t.Errorf("stream %d pair %d: %d reports, want 2", s, p, len(res.reps))
+					return
+				}
+				seen := types.ZeroTSValue
+				for _, rep := range res.reps {
+					if rep.Index < 0 || rep.Index > 2 || rep.Object != objs[s][rep.Index] || rep.Val.Writer != client && rep.Val != types.ZeroTSValue {
+						t.Errorf("stream %d pair %d: foreign report %+v", s, p, rep)
+						return
+					}
+					seen = types.MaxTSValue(seen, rep.Val)
+				}
+				if seen != want {
+					t.Errorf("stream %d pair %d: reports fold to %v, want %v", s, p, seen, want)
+					return
+				}
+			}
+		}(s)
+	}
+
+	// Replace server 1 once every stream is in full swing.
+	for past.Load() < streams && ctx.Err() == nil {
+		time.Sleep(100 * time.Microsecond)
+	}
+	joiner, err := fab.Replace(ctx, 1, nil)
+	if err != nil {
+		t.Fatalf("Replace(1): %v", err)
+	}
+	wg.Wait()
+	stop()
+	for s := range fired {
+		if srv, err := fab.ServerFor(objs[s][1]); err != nil || srv != joiner {
+			t.Errorf("stream %d: object %d on server %d (%v), want the joiner %d", s, objs[s][1], srv, err, joiner)
+		}
+		for n := range fired[s] {
+			if got := fired[s][n].Load(); got != 1 && !t.Failed() {
+				t.Errorf("stream %d round %d reported %d times", s, n, got)
+			}
+		}
+	}
+}
+
+// TestRoundReplaceMidRoundRescatters pins the view-change retry on the
+// recycled path: a round stalled on a parked operation is caught by a
+// Replace of that operation's server; its retry must plan afresh and resolve
+// the moved object under the new view, on an attempt object of its own while
+// the first one is recycled.
+func TestRoundReplaceMidRoundRescatters(t *testing.T) {
+	var armed atomic.Bool
+	armed.Store(true)
+	gate := fabric.GateFuncs{Apply: func(ev fabric.TriggerEvent) fabric.Decision {
+		if armed.Load() && ev.Server == 0 {
+			return fabric.Hold
+		}
+		return fabric.Pass
+	}}
+	fab, objs := testEnv(t, 3, gate)
+	v := types.TSValue{TS: 4, Writer: 1, Val: 44}
+	var plans atomic.Int32
+	done := make(chan result, 2)
+	Scatter(context.Background(), fab, 1, Round{
+		Plan: func(buf []Target) ([]Target, int) {
+			plans.Add(1)
+			return append(buf, writeTargets(v, objs...)...), 3
+		},
+		Reports: func(reps []Report, err error) { done <- result{reps: reps, err: err} },
+	})
+	if n := len(fab.Pending()); n != 1 {
+		t.Fatalf("%d operations parked, want the round stalled on server 0's", n)
+	}
+	armed.Store(false)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	joiner, err := fab.Replace(ctx, 0, nil)
+	if err != nil {
+		t.Fatalf("Replace(0): %v", err)
+	}
+	var res result
+	select {
+	case res = <-done:
+	case <-ctx.Done():
+		t.Fatal("round never reported after the replacement")
+	}
+	if res.err != nil || len(res.reps) != 3 {
+		t.Fatalf("round across the replacement: %d reports, err %v", len(res.reps), res.err)
+	}
+	// One plan per attempt; retries that land while the transition is still
+	// in progress bounce again, so there may be more than two.
+	if got := plans.Load(); got < 2 {
+		t.Fatalf("plan ran %d times, want one per attempt (at least 2)", got)
+	}
+	for _, rep := range res.reps {
+		want := types.ServerID(rep.Index)
+		if rep.Index == 0 {
+			want = joiner
+		}
+		if rep.Server != want || rep.Object != objs[rep.Index] {
+			t.Errorf("report %+v, want object %d on server %d", rep, objs[rep.Index], want)
+		}
+	}
+	select {
+	case extra := <-done:
+		t.Fatalf("round reported twice: %+v", extra)
+	case <-time.After(5 * time.Millisecond):
+	}
+	if r := scatter(fab, 2, Round{Plan: fixed(readTargets(objs...), 3)}); r.fired != 1 || r.err != nil || r.max != v {
+		t.Fatalf("read after the replacement: fired=%d max=%v err=%v, want %v", r.fired, r.max, r.err, v)
+	}
+}
+
+// TestReportsSliceIsTheReducers: the slice a Reports reducer receives is its
+// own — 1,000 further rounds through the same pool, of every flavour, leave
+// a retained one exactly as it was handed over.
+func TestReportsSliceIsTheReducers(t *testing.T) {
+	fab, byServer := multiEnv(t, 3, 2, nil)
+	var all []types.ObjectID
+	for s, objs := range byServer {
+		all = append(all, objs...)
+		v := types.TSValue{TS: uint64(s + 1), Writer: types.ClientID(s), Val: types.Value(10 + s)}
+		scatter(fab, types.ClientID(s), Round{Plan: fixed(writeTargets(v, objs...), len(objs))})
+	}
+	var kept, snapshot []Report
+	Scatter(context.Background(), fab, 1, Round{Plan: fixed(readTargets(all...), len(all)), Reports: func(reps []Report, err error) {
+		if err != nil {
+			t.Errorf("reports: %v", err)
+		}
+		kept, snapshot = reps, append([]Report(nil), reps...)
+	}})
+	if len(kept) != len(all) {
+		t.Fatalf("kept %d reports, want %d", len(kept), len(all))
+	}
+	for i := 0; i < 1000; i++ {
+		v := types.TSValue{TS: uint64(100 + i), Writer: 0, Val: types.Value(i)}
+		switch i % 3 {
+		case 0:
+			scatter(fab, 0, Round{Plan: fixed(writeTargets(v, all...), len(all))})
+		case 1:
+			Scatter(context.Background(), fab, 2, Round{Plan: fixed(readTargets(all...), 2), Reports: func([]Report, error) {}})
+		case 2:
+			scatter(fab, 2, Round{Plan: fixed(readTargets(all...), 1), Scan: true, Servers: true})
+		}
+	}
+	if !reflect.DeepEqual(kept, snapshot) {
+		t.Fatalf("retained reports changed under later rounds:\n%s\nwant\n%s", fmt.Sprint(kept), fmt.Sprint(snapshot))
+	}
+}

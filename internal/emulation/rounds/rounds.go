@@ -33,13 +33,9 @@ import (
 var ErrOverDelivery = errors.New("rounds: server delivered more reports than its scattered operations")
 
 // Target is one low-level operation of a round: an invocation on a base
-// object.
-type Target struct {
-	// Object is the target base object.
-	Object types.ObjectID
-	// Inv is the invocation.
-	Inv baseobj.Invocation
-}
+// object — the fabric's batch op itself, so a plan writes its targets once,
+// into the storage the fabric dispatches from.
+type Target = fabric.BatchOp
 
 // Report is one completed operation of a round.
 type Report struct {
@@ -74,13 +70,16 @@ type DirectWriter interface {
 	WriteTarget(v types.TSValue) Target
 }
 
-// Plan supplies one attempt's round geometry: the targets to scatter and
-// the threshold to complete at. It runs afresh before every attempt, so a
+// Plan supplies one attempt's round geometry: it appends the targets to
+// scatter to buf — the round's recycled buffer, handed over empty — and
+// returns it with the threshold to complete at. The round keeps the result
+// as its buffer, so a plan must append, never return a slice of its own. It
+// runs afresh before every attempt, so a
 // retry that crosses a resize epoch re-scatters against the NEW placement
 // and the NEW n−f — a plan captured at first call would pin a round
 // spanning the epoch to the old, possibly retired, object set and the old
 // threshold.
-type Plan func() (targets []Target, need int)
+type Plan func(buf []Target) (targets []Target, need int)
 
 // Round describes one quorum round: its geometry, how it is dispatched,
 // when it is complete, and how its responses are reduced. Exactly one of
@@ -109,7 +108,7 @@ type Round struct {
 	Max func(types.TSValue, error)
 	// Reports hands over the raw responses that completed the round, in
 	// arrival order (the coded construction needs fragment lists and
-	// payload bytes, not a fold).
+	// payload bytes, not a fold). The slice is the reducer's to keep.
 	Reports func([]Report, error)
 }
 
@@ -125,10 +124,10 @@ func Scatter(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r R
 		r.report(nil, types.ZeroTSValue, err)
 		return
 	}
-	r.attempt(ctx, fab, client, 0)
+	start(ctx, fab, client, r, 0)
 }
 
-func (r Round) report(j *Fold, v types.TSValue, err error) {
+func (r *Round) report(j *Fold, v types.TSValue, err error) {
 	if err != nil {
 		err = fmt.Errorf("rounds: %w", err)
 	}
@@ -143,66 +142,114 @@ func (r Round) report(j *Fold, v types.TSValue, err error) {
 	r.Reports(reps, err)
 }
 
-func (r Round) attempt(ctx context.Context, fab *fabric.Fabric, client types.ClientID, attempt int) {
-	targets, need := r.Plan()
-	j := &Fold{left: need}
+// attempt is everything one attempt of a round needs, pooled so that a round
+// in steady state allocates nothing: the fold, the fabric group (op batch,
+// call slab, routes), the per-op server table, completion funcs bound once.
+// The fabric's reference count on the group decides the lifetime (recycle is
+// the group's Released), so a response after the report fired still finds its
+// own round's fold, and an attempt with an op that never responds is never
+// recycled: the collector takes it.
+type attempt struct {
+	Fold
+	group   fabric.Group
+	servers []types.ServerID // each op's hosting server (report and server-scan rounds)
+
+	ctx    context.Context
+	fab    *fabric.Fabric
+	client types.ClientID
+	round  Round
+	try    int // 0-based attempt number (Retry)
+}
+
+// attempts has no New: it would close an initialization cycle through finish.
+var attempts sync.Pool
+
+// start plans and triggers attempt number try of r on a pooled attempt.
+func start(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Round, try int) {
+	s, _ := attempts.Get().(*attempt)
+	if s == nil {
+		s = new(attempt)
+		s.Fold.report, s.group.Done, s.group.Released = s.finish, s.complete, s.recycle
+	}
+	s.ctx, s.fab, s.client, s.round, s.try = ctx, fab, client, r, try
+	targets, need := r.Plan(s.group.Ops[:0])
+	s.group.Ops = targets
+	s.left, s.max, s.done = need, types.ZeroTSValue, false
 	if r.Reports != nil {
-		j.reports = make([]Report, 0, len(targets))
+		s.reports = make([]Report, 0, len(targets))
 	}
-	j.report = func(v types.TSValue, err error) {
-		if err != nil && Retry(ctx, attempt, err,
-			func(next int) { r.attempt(ctx, fab, client, next) },
-			func(err error) { r.report(j, types.ZeroTSValue, err) }) {
-			return
-		}
-		r.report(j, v, err)
-	}
-	batch := make([]fabric.BatchOp, len(targets))
-	if r.Servers || j.reports != nil {
+	if r.Servers || r.Reports != nil {
 		// Reports name their server, and the per-server countdown must exist
-		// before the batch fires: with trigger-time callbacks the in-process
-		// lane completes ops inside the dispatch call itself. ServerFor
-		// resolves under the current epoch, so on a retry migrated objects
-		// count under their new server. An unroutable target counts under
-		// server 0 and reports its routing error through its completion.
-		if r.Servers {
-			j.owed = make(map[types.ServerID]int)
+		// before the batch fires: the in-process lane completes ops inside
+		// the dispatch call. ServerFor resolves under the current epoch, so
+		// on a retry migrated objects count under their new server; an
+		// unroutable target counts under server 0 and reports its routing
+		// error through its completion.
+		if r.Servers && s.owed == nil {
+			s.owed = make(map[types.ServerID]int)
 		}
-		for i, t := range targets {
-			srv, _ := fab.ServerFor(t.Object)
+		for i := range targets {
+			srv, _ := fab.ServerFor(targets[i].Object)
+			s.servers = append(s.servers, srv)
 			if r.Servers {
-				j.owed[srv]++
+				s.owed[srv]++
 			}
-			batch[i] = fabric.BatchOp{Object: t.Object, Inv: t.Inv, Done: func(o fabric.Outcome) {
-				rep := Report{Index: i, Object: t.Object, Server: srv, Val: o.Resp.Val, Data: o.Resp.Data, Frags: o.Resp.Frags, Err: o.Err}
-				j.add(&rep)
-			}}
-		}
-	} else {
-		// The count-threshold max-fold — every ABD collect and push — shares
-		// one completion closure across the round and resolves no servers.
-		done := func(o fabric.Outcome) { j.Complete(o.Resp.Val, o.Err) }
-		for i, t := range targets {
-			batch[i] = fabric.BatchOp{Object: t.Object, Inv: t.Inv, Done: done}
 		}
 	}
+	var err error
 	if r.Servers {
 		// need is f: wait for all but f of the hosting servers, and reject
 		// an f that leaves no server to wait for.
-		j.left = len(j.owed) - need
-		if need < 0 || j.left <= 0 {
-			r.report(j, types.ZeroTSValue, fmt.Errorf("scan round tolerating %d of %d hosting servers", need, len(j.owed)))
-			return
+		s.left = len(s.owed) - need
+		if need < 0 || s.left <= 0 {
+			err = fmt.Errorf("scan round tolerating %d of %d hosting servers", need, len(s.owed))
 		}
 	} else if need <= 0 || need > len(targets) {
-		r.report(j, types.ZeroTSValue, fmt.Errorf("round needs %d of %d targets", need, len(targets)))
+		err = fmt.Errorf("round needs %d of %d targets", need, len(targets))
+	}
+	if err != nil { // nothing was triggered, so no reference is out
+		r.report(&s.Fold, types.ZeroTSValue, err)
+		s.recycle()
 		return
 	}
 	if r.Scan {
-		fab.TriggerScan(client, batch)
+		fab.TriggerScan(client, &s.group)
 	} else {
-		fab.TriggerBatch(client, batch)
+		fab.TriggerBatch(client, &s.group)
 	}
+}
+
+// complete is the group's Done: one response into the fold.
+func (s *attempt) complete(i int, o fabric.Outcome) {
+	if len(s.servers) == 0 { // the count-threshold max-fold: every ABD collect and push
+		s.Complete(o.Resp.Val, o.Err)
+		return
+	}
+	s.add(&Report{Index: i, Object: s.group.Ops[i].Object, Server: s.servers[i], Val: o.Resp.Val, Data: o.Resp.Data, Frags: o.Resp.Frags, Err: o.Err})
+}
+
+// finish is the fold's report, fired inside a completion (s is alive): retry
+// the whole round on a view change, otherwise reduce. The next attempt
+// outlives s, so a retry runs on copies of the parameters.
+func (s *attempt) finish(v types.TSValue, err error) {
+	if err != nil {
+		ctx, fab, client, r := s.ctx, s.fab, s.client, s.round
+		if Retry(ctx, s.try, err,
+			func(next int) { start(ctx, fab, client, r, next) },
+			func(err error) { r.report(nil, types.ZeroTSValue, err) }) {
+			return
+		}
+	}
+	s.round.report(&s.Fold, v, err)
+}
+
+// recycle is the group's Released: nothing can reach s any more. The report
+// slice went to the reducer for good.
+func (s *attempt) recycle() {
+	s.ctx, s.fab, s.round = nil, nil, Round{}
+	s.reports, s.servers = nil, s.servers[:0]
+	clear(s.owed)
+	attempts.Put(s)
 }
 
 // Retry is the one place a view-change retry is decided and scheduled, for
@@ -249,7 +296,7 @@ type Fold struct {
 	done   bool
 	report func(types.TSValue, error)
 
-	// Set by Scatter for the rounds that need them, nil otherwise.
+	// Set by Scatter for the rounds that need them, empty otherwise.
 	owed    map[types.ServerID]int // responses each hosting server still owes (server-scan rounds)
 	reports []Report               // the raw responses so far (report rounds)
 }
@@ -278,7 +325,7 @@ func (j *Fold) add(rep *Report) {
 		return
 	}
 	err, counts := rep.Err, true
-	if err == nil && j.owed != nil {
+	if err == nil && len(j.owed) > 0 {
 		owes := j.owed[rep.Server]
 		if owes <= 0 {
 			err = fmt.Errorf("%w: server %d with %d scans outstanding", ErrOverDelivery, rep.Server, j.left)

@@ -14,7 +14,7 @@ import (
 
 // multiEnv builds an n-server cluster with regs max-registers per server,
 // returning the objects server-major (a scan order).
-func multiEnv(t *testing.T, n, regs int, gate fabric.Gate) (*fabric.Fabric, [][]types.ObjectID) {
+func multiEnv(t *testing.T, n, regs int, gate fabric.Gate, opts ...fabric.Option) (*fabric.Fabric, [][]types.ObjectID) {
 	t.Helper()
 	c, err := cluster.New(n)
 	if err != nil {
@@ -30,7 +30,6 @@ func multiEnv(t *testing.T, n, regs int, gate fabric.Gate) (*fabric.Fabric, [][]
 			byServer[s] = append(byServer[s], obj)
 		}
 	}
-	var opts []fabric.Option
 	if gate != nil {
 		opts = append(opts, fabric.WithGate(gate))
 	}
@@ -65,7 +64,7 @@ func writeTargets(v types.TSValue, objs ...types.ObjectID) []Target {
 }
 
 func fixed(targets []Target, need int) Plan {
-	return func() ([]Target, int) { return targets, need }
+	return func(buf []Target) ([]Target, int) { return append(buf, targets...), need }
 }
 
 // outcome is a round's report, recorded; fired counts reports.

@@ -11,7 +11,8 @@
 //   - TriggerFn returns a *Call immediately; the response arrives later (or
 //     never) at the callback handed over with the trigger — the one way to
 //     hear a completion. TriggerBatch scatters a whole quorum round in one
-//     dispatch pass, each op carrying its own callback (BatchOp.Done).
+//     dispatch pass over caller-owned, recyclable storage (Group), every
+//     completion landing at the group's one callback (Group.Done).
 //   - A Gate — the environment — may Hold any operation either before it
 //     takes effect (phase apply: the op has NOT linearized; releasing it
 //     later applies it then, possibly erasing a newer value) or before its
@@ -204,11 +205,14 @@ type Call struct {
 	ev  TriggerEvent
 	out Outcome // written once by the completer, published by state
 
-	// fn is the completion callback registered at trigger time (TriggerFn,
-	// BatchOp.Done): written before the op is handed to any lane, read by
-	// the completer after the hand-off's happens-before edge, so it needs
-	// no atomics and no allocation of its own.
-	fn func(Outcome)
+	// fn is the completion callback registered at trigger time (TriggerFn);
+	// a group's call (TriggerBatch, TriggerScan) completes into g.Done at
+	// index idx instead. All three are written before the op is handed to
+	// any lane and read by the completer after the hand-off's
+	// happens-before edge, so they need no atomics.
+	fn  func(Outcome)
+	g   *Group
+	idx int32
 
 	state atomic.Uint32
 }
@@ -229,22 +233,26 @@ func (c *Call) Outcome() (Outcome, bool) {
 
 // complete delivers the outcome, firing the callback at most once.
 func (c *Call) complete(o Outcome) {
-	if !c.state.CompareAndSwap(callPending, callWriting) {
-		return
-	}
-	c.out = o
-	c.state.Store(callDone)
-	if c.fn != nil {
-		c.fn(o)
+	if c.state.CompareAndSwap(callPending, callWriting) {
+		c.completeUnshared(o)
 	}
 }
 
-// completeUnshared delivers the outcome of a call that has not escaped the
-// triggering goroutine yet (the synchronous in-process fast path completes
-// the call before Trigger returns it). No completer can race it, so the
-// pending→writing claim the generic complete pays collapses to a plain
-// publish.
+// completeUnshared delivers the outcome of a call no other completer can
+// race: one that has not escaped the triggering goroutine yet (the
+// synchronous in-process fast path completes the call before Trigger returns
+// it), or one whose claim complete just won. A group's call is never handed
+// out, so its outcome goes straight to the group's Done; the op's reference
+// is dropped only after Done returned, and the call — recycled with its
+// group — must not be touched past that point.
 func (c *Call) completeUnshared(o Outcome) {
+	if g := c.g; g != nil {
+		if g.Done != nil {
+			g.Done(int(c.idx), o)
+		}
+		g.unref()
+		return
+	}
 	c.out = o
 	c.state.Store(callDone)
 	if c.fn != nil {
@@ -642,7 +650,7 @@ func (f *Fabric) Cluster() *cluster.Cluster { return f.cluster }
 // ServerFor resolves the server hosting an object without dispatching
 // anything — the read-only face of the route table. Round engines use it to
 // build per-server accounting before a scatter, so completion callbacks
-// registered at trigger time (BatchOp.Done) find it ready even when the
+// registered at trigger time (Group.Done) find it ready even when the
 // in-process lane completes inside the TriggerBatch call itself.
 func (f *Fabric) ServerFor(obj types.ObjectID) (types.ServerID, error) {
 	rt, err := f.route(obj)
@@ -699,19 +707,11 @@ func (f *Fabric) route(obj types.ObjectID) (*route, error) {
 // operation take effect and respond; operations on crashed servers remain
 // pending forever, exactly like the paper's faulty base objects.
 func (f *Fabric) Trigger(client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) *Call {
-	rt, err := f.route(obj)
-	if err != nil {
-		// Unknown object: a programming error, delivered as an error
-		// response so tests can catch it.
-		call := &Call{ev: TriggerEvent{Client: client, Object: obj, Inv: inv}}
-		call.completeUnshared(Outcome{Err: err})
-		return call
-	}
-	return f.trigger(client, obj, inv, rt, nil)
+	return f.TriggerFn(client, obj, inv, nil)
 }
 
 // TriggerFn is Trigger with a completion callback, the single-op analogue
-// of BatchOp.Done: fn fires exactly once when the call completes — with the
+// of Group.Done: fn fires exactly once when the call completes — with the
 // operation's response, its protocol error, or a view-change error when the
 // server is departing — and never if the operation stays pending. fn must
 // be non-blocking; it runs on whatever goroutine completes the operation (a
@@ -720,39 +720,110 @@ func (f *Fabric) Trigger(client types.ClientID, obj types.ObjectID, inv baseobj.
 func (f *Fabric) TriggerFn(client types.ClientID, obj types.ObjectID, inv baseobj.Invocation, fn func(Outcome)) *Call {
 	rt, err := f.route(obj)
 	if err != nil {
+		// Unknown object: a programming error, delivered as an error
+		// response so tests can catch it.
 		call := &Call{ev: TriggerEvent{Client: client, Object: obj, Inv: inv}, fn: fn}
 		call.completeUnshared(Outcome{Err: err})
 		return call
 	}
-	return f.trigger(client, obj, inv, rt, fn)
+	token := f.nextToken.Add(1)
+	rt.markUsed()
+
+	call := &Call{ev: TriggerEvent{Token: token, Client: client, Object: obj, Server: rt.server, Inv: inv}, fn: fn}
+	f.emit(TraceTrigger, &call.ev, rt.server)
+
+	if rt.srv.Crashed() {
+		f.drop(rt.lane, &call.ev)
+		return call
+	}
+	if rt.srv.Departing() {
+		// Frozen for a view change: the op never reaches the object, so it
+		// completes retryably instead of pending forever (unlike a crash).
+		call.completeUnshared(Outcome{Err: viewChangedErr(rt.server)})
+		return call
+	}
+
+	if f.benign && rt.lane.inproc {
+		// Benign in-process fast path: the gate never holds and the apply
+		// is the linearization point, so the op runs to completion inside
+		// Trigger — and since the call has not escaped yet, completion
+		// needs no claim CAS.
+		f.applyInline(rt, call)
+		return call
+	}
+
+	if !f.benign && f.gate.BeforeApply(call.ev) == Hold {
+		f.emit(TraceHoldApply, &call.ev, rt.server)
+		f.park(&heldOp{rt: rt, phase: PhaseApply, call: call})
+		return call
+	}
+	f.deliver(rt, call)
+	return call
 }
 
-// BatchOp is one operation of a TriggerBatch scatter.
+// BatchOp is one operation of a Group.
 type BatchOp struct {
 	// Object is the target base object.
 	Object types.ObjectID
 	// Inv is the invocation.
 	Inv baseobj.Invocation
-	// Done, when non-nil, is the op's completion callback, with TriggerFn's
-	// contract: non-blocking, fired exactly once from a lane goroutine — or
-	// inline, on the in-process lane, at the op's position in the batch,
-	// before the ops after it are dispatched.
-	Done func(Outcome)
+}
+
+// Group is the caller-owned storage of one TriggerBatch / TriggerScan
+// scatter: the operations, their one completion callback and — unexported —
+// the dispatch pass's call slab and routes. A zero Group works; owning the
+// storage is what lets a round engine recycle it.
+//
+// Lifetime is a reference count held by the fabric: one per op, dropped after
+// the op's Done returned, plus one for the dispatch pass, dropped when it
+// stopped walking the slabs. The last one out zeroes the storage (a pooled
+// group pins no payload) and fires Released, after which the group may be
+// refilled and triggered again; until then only Done may touch it. A late
+// response therefore always finds its group alive, and a group with an op
+// that never completes — held forever, or dropped with a crashed server — is
+// never released: it is ordinary garbage, like any Group without a Released.
+type Group struct {
+	// Ops are the round's operations, filled by the caller.
+	Ops []BatchOp
+	// Done, when non-nil, hears every completion with TriggerFn's contract
+	// per op (i is the op's index in Ops): non-blocking, exactly once, from
+	// a lane goroutine — or inline, on the in-process lane, at the op's
+	// position in the batch, before the ops after it are dispatched.
+	Done func(i int, o Outcome)
+	// Released, when non-nil, fires once when the last reference is gone.
+	Released func()
+
+	calls  []Call
+	routes []*route
+	refs   atomic.Int32
+}
+
+// unref drops one reference; the last one zeroes and releases the group.
+func (g *Group) unref() {
+	if g.refs.Add(-1) != 0 {
+		return
+	}
+	clear(g.Ops)
+	clear(g.calls)
+	clear(g.routes)
+	if g.Released != nil {
+		g.Released()
+	}
 }
 
 // TriggerBatch scatters a whole round of low-level operations in one
-// dispatch pass and returns the calls in input order. It is semantically
-// identical to calling Trigger once per op — each op gets its own token,
-// gate decisions (consulted in input order), and lifecycle — but the batch
-// shape lets the fabric amortize the machinery: one token-block allocation
-// instead of n atomic increments, one call-slab allocation instead of n,
-// and one hand-off per lane to backends that accept groups (GroupLane), so
-// an event-loop lane sees a whole round in one mailbox message. In-process
+// dispatch pass. It is semantically identical to calling TriggerFn once per
+// op — each op gets its own token, gate decisions (consulted in input
+// order), and lifecycle — but the batch shape lets the fabric amortize the
+// machinery: one token-block allocation instead of n atomic increments, a
+// caller-owned (and so recyclable) call slab instead of n calls, and one
+// hand-off per lane to backends that accept groups (GroupLane), so an
+// event-loop lane sees a whole round in one mailbox message. In-process
 // operations still apply synchronously at their input position, exactly as
 // a loop of Trigger calls would — the exhaustive sweeps depend on that
 // order.
-func (f *Fabric) TriggerBatch(client types.ClientID, ops []BatchOp) []*Call {
-	return f.triggerGroup(client, ops, false)
+func (f *Fabric) TriggerBatch(client types.ClientID, g *Group) {
+	f.triggerGroup(client, g, false)
 }
 
 // TriggerScan scatters an all-read batch whose per-server groups are each
@@ -767,38 +838,39 @@ func (f *Fabric) TriggerBatch(client types.ClientID, ops []BatchOp) []*Call {
 // are the intended user. Non-read invocations complete with an
 // error. Under a holding gate, held members degrade to individually
 // released reads and only the gate-passed remainder is snapshotted.
-func (f *Fabric) TriggerScan(client types.ClientID, ops []BatchOp) []*Call {
-	return f.triggerGroup(client, ops, true)
+func (f *Fabric) TriggerScan(client types.ClientID, g *Group) {
+	f.triggerGroup(client, g, true)
 }
 
 // triggerGroup is the shared TriggerBatch/TriggerScan dispatch pass.
-func (f *Fabric) triggerGroup(client types.ClientID, ops []BatchOp, scan bool) []*Call {
-	n := len(ops)
-	if n == 0 {
-		return nil
+func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
+	n := len(g.Ops)
+	if cap(g.calls) < n {
+		g.calls, g.routes = make([]Call, n), make([]*route, n)
 	}
-	calls := make([]*Call, n)
-	slab := make([]Call, n)
-	routes := make([]*route, n)
+	calls, routes := g.calls[:n], g.routes[:n]
+	g.calls, g.routes = calls, routes
+	// The pass's own reference outlives ops that complete inline below.
+	g.refs.Store(int32(n) + 1)
+	defer g.unref()
 	routed := 0
-	for i, op := range ops {
+	for i := range calls {
+		op, c := &g.Ops[i], &calls[i]
+		c.g, c.idx = g, int32(i)
 		rt, err := f.route(op.Object)
 		if err == nil && scan && !op.Inv.Op.IsRead() {
 			err = fmt.Errorf("fabric: scan op %v on object %d is not a read", op.Inv.Op, op.Object)
 		}
 		if err != nil {
-			c := &slab[i]
 			c.ev = TriggerEvent{Client: client, Object: op.Object, Inv: op.Inv}
-			c.fn = op.Done
 			c.completeUnshared(Outcome{Err: err})
-			calls[i] = c
 			continue
 		}
 		routes[i] = rt
 		routed++
 	}
 	if routed == 0 {
-		return calls
+		return
 	}
 	// One token-block allocation orders the whole batch: the tokens are
 	// consecutive in input order — the exact sequence a loop of per-op
@@ -813,17 +885,14 @@ func (f *Fabric) triggerGroup(client types.ClientID, ops []BatchOp, scan bool) [
 	lanes := f.laneList()
 	var groups [][]LaneOp
 	var scanGroups [][]scanOp
-	for i, op := range ops {
-		rt := routes[i]
+	for i, rt := range routes {
 		if rt == nil {
 			continue
 		}
 		token++
 		rt.markUsed()
-		c := &slab[i]
+		op, c := &g.Ops[i], &calls[i]
 		c.ev = TriggerEvent{Token: token, Client: client, Object: op.Object, Server: rt.server, Inv: op.Inv}
-		c.fn = op.Done
-		calls[i] = c
 		f.emit(TraceTrigger, &c.ev, rt.server)
 		if rt.srv.Crashed() {
 			f.drop(rt.lane, &c.ev)
@@ -864,31 +933,30 @@ func (f *Fabric) triggerGroup(client types.ClientID, ops []BatchOp, scan bool) [
 			groups[l.server] = append(groups[l.server], lop)
 		}
 	}
-	for _, g := range scanGroups {
-		if len(g) > 0 {
-			f.applyScanInline(g)
+	for _, sg := range scanGroups {
+		if len(sg) > 0 {
+			f.applyScanInline(sg)
 		}
 	}
-	for s, g := range groups {
-		if len(g) == 0 {
+	for s, lg := range groups {
+		if len(lg) == 0 {
 			continue
 		}
 		backend := lanes[s].backend
 		if scan {
 			if sl, ok := backend.(ScanLane); ok {
-				sl.DeliverScan(g)
+				sl.DeliverScan(lg)
 				continue
 			}
 		}
 		if gl, ok := backend.(GroupLane); ok {
-			gl.DeliverGroup(g)
+			gl.DeliverGroup(lg)
 			continue
 		}
-		for _, lop := range g {
-			backend.Deliver(lop.Ev, lop.Apply, lop.Complete)
+		for i := range lg {
+			backend.Deliver(lg[i].Ev, lg[i].Apply, lg[i].Complete)
 		}
 	}
-	return calls
 }
 
 // scanOp is one in-process member of a snapshot scan group.
@@ -948,43 +1016,6 @@ func (f *Fabric) applyScanInline(group []scanOp) {
 		f.emit(TraceRespond, &s.call.ev, s.call.ev.Server)
 		s.call.completeUnshared(Outcome{Resp: outs[i].Resp})
 	}
-}
-
-// trigger dispatches one routed operation.
-func (f *Fabric) trigger(client types.ClientID, obj types.ObjectID, inv baseobj.Invocation, rt *route, fn func(Outcome)) *Call {
-	token := f.nextToken.Add(1)
-	rt.markUsed()
-
-	call := &Call{ev: TriggerEvent{Token: token, Client: client, Object: obj, Server: rt.server, Inv: inv}, fn: fn}
-	f.emit(TraceTrigger, &call.ev, rt.server)
-
-	if rt.srv.Crashed() {
-		f.drop(rt.lane, &call.ev)
-		return call
-	}
-	if rt.srv.Departing() {
-		// Frozen for a view change: the op never reaches the object, so it
-		// completes retryably instead of pending forever (unlike a crash).
-		call.completeUnshared(Outcome{Err: viewChangedErr(rt.server)})
-		return call
-	}
-
-	if f.benign && rt.lane.inproc {
-		// Benign in-process fast path: the gate never holds and the apply
-		// is the linearization point, so the op runs to completion inside
-		// Trigger — and since the call has not escaped yet, completion
-		// needs no claim CAS.
-		f.applyInline(rt, call)
-		return call
-	}
-
-	if !f.benign && f.gate.BeforeApply(call.ev) == Hold {
-		f.emit(TraceHoldApply, &call.ev, rt.server)
-		f.park(&heldOp{rt: rt, phase: PhaseApply, call: call})
-		return call
-	}
-	f.deliver(rt, call)
-	return call
 }
 
 // applyInline runs a benign in-process op to completion on the triggering

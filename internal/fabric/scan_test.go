@@ -42,18 +42,17 @@ func awaitScan(t *testing.T, fab *Fabric, client types.ClientID, objs []types.Ob
 	ts := make([]uint64, len(objs))
 	var wg sync.WaitGroup
 	wg.Add(len(objs))
-	ops := make([]BatchOp, len(objs))
+	g := &Group{Ops: make([]BatchOp, len(objs)), Done: func(i int, o Outcome) {
+		if o.Err != nil {
+			t.Errorf("scan read: %v", o.Err)
+		}
+		ts[i] = o.Resp.Val.TS
+		wg.Done()
+	}}
 	for i, obj := range objs {
-		i := i
-		ops[i] = BatchOp{Object: obj, Inv: readInv(), Done: func(o Outcome) {
-			if o.Err != nil {
-				t.Errorf("scan read: %v", o.Err)
-			}
-			ts[i] = o.Resp.Val.TS
-			wg.Done()
-		}}
+		g.Ops[i] = BatchOp{Object: obj, Inv: readInv()}
 	}
-	fab.TriggerScan(client, ops)
+	fab.TriggerScan(client, g)
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
@@ -143,21 +142,20 @@ func TestLatencyLaneCrashBetweenDequeueAndSnapshot(t *testing.T) {
 		})
 	}
 
-	ops := make([]BatchOp, len(objs))
+	var completed atomic.Int32
+	g := &Group{Ops: make([]BatchOp, len(objs)), Done: func(int, Outcome) { completed.Add(1) }}
 	for i, obj := range objs {
-		ops[i] = BatchOp{Object: obj, Inv: readInv()}
+		g.Ops[i] = BatchOp{Object: obj, Inv: readInv()}
 	}
-	calls := fab.TriggerScan(1, ops)
+	fab.TriggerScan(1, g)
 
 	// Wait well past the delivery delay: nothing may complete.
 	time.Sleep(20 * time.Millisecond)
 	if got := fab.Cluster().Crashes(); got != 1 {
 		t.Fatalf("crashes = %d, want 1", got)
 	}
-	for i, call := range calls {
-		if o, ok := call.Outcome(); ok {
-			t.Fatalf("scan op %d completed %+v after crash in the dequeue window", i, o)
-		}
+	if n := completed.Load(); n != 0 {
+		t.Fatalf("%d scan ops completed after crash in the dequeue window", n)
 	}
 	var dropped int
 	for _, p := range fab.Pending() {

@@ -350,17 +350,21 @@ func TestCrashDuringRemoteScan(t *testing.T) {
 	// Kill server 0's transport and immediately scatter reads everywhere:
 	// server 0's reads must stay pending, others must respond.
 	clients[0].conn.Close()
-	batch := make([]fabric.BatchOp, len(objs))
 	done := make([]chan fabric.Outcome, len(objs))
+	g := &fabric.Group{Ops: make([]fabric.BatchOp, len(objs)), Done: func(i int, o fabric.Outcome) { done[i] <- o }}
 	for i, obj := range objs {
-		ch := make(chan fabric.Outcome, 1)
-		done[i] = ch
-		batch[i] = fabric.BatchOp{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}, Done: func(o fabric.Outcome) { ch <- o }}
+		done[i] = make(chan fabric.Outcome, 1)
+		g.Ops[i] = fabric.BatchOp{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}}
 	}
-	calls := fab.TriggerBatch(1, batch)
+	fab.TriggerBatch(1, g)
 	for _, i := range []int{1, 2} {
-		if o := awaitDone(t, calls[i], done[i]); o.Err != nil {
-			t.Fatal(o.Err)
+		select {
+		case o := <-done[i]:
+			if o.Err != nil {
+				t.Fatal(o.Err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("batch op %d never completed over the network lane", i)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -371,8 +375,10 @@ func TestCrashDuringRemoteScan(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(10 * time.Millisecond)
-	if _, ok := calls[0].Outcome(); ok {
+	select {
+	case <-done[0]:
 		t.Fatal("scan op on dead server completed")
+	default:
 	}
 }
 

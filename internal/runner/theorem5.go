@@ -56,18 +56,19 @@ func RunTheorem5(ctx context.Context, f int) (*Theorem5Report, error) {
 	// quorumMax runs one round over every register and waits for n-f = f
 	// responses, returning the highest timestamped one.
 	quorumMax := func(stage string, client types.ClientID, inv baseobj.Invocation) (types.TSValue, error) {
-		targets := make([]rounds.Target, n)
-		for i, obj := range objs {
-			targets[i] = rounds.Target{Object: obj, Inv: inv}
-		}
 		type result struct {
 			max types.TSValue
 			err error
 		}
 		done := make(chan result, 1)
 		rounds.Scatter(ctx, env.Fabric, client, rounds.Round{
-			Plan: func() ([]rounds.Target, int) { return targets, n - f },
-			Max:  func(max types.TSValue, err error) { done <- result{max, err} },
+			Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
+				for _, obj := range objs {
+					buf = append(buf, rounds.Target{Object: obj, Inv: inv})
+				}
+				return buf, n - f
+			},
+			Max: func(max types.TSValue, err error) { done <- result{max, err} },
 		})
 		select {
 		case r := <-done:

@@ -167,8 +167,10 @@ type keyreg struct {
 	reg  emulation.Register
 	hist *spec.History
 
+	// clients caches the key's engine clients — writer slots first, reader
+	// slots after them — so a steady-state op never takes the engine's mutex.
 	mu      sync.Mutex
-	readers []*async.Client
+	clients []*async.Client
 }
 
 // Open builds the store: S fabrics with their lane groups and M detached
@@ -473,11 +475,10 @@ func (st *Store) keyreg(key uint64) (*keyreg, error) {
 // calls return the same client — ops through it serialize in invocation
 // order on the key's engine loop.
 func (st *Store) Writer(key uint64, slot int) (*async.Client, error) {
-	kr, err := st.keyreg(key)
-	if err != nil {
-		return nil, err
+	if slot < 0 || slot >= st.cfg.WritersPerKey {
+		return nil, fmt.Errorf("shardstore: writer slot %d outside [0, %d)", slot, st.cfg.WritersPerKey)
 	}
-	return st.engines[st.EngineOf(key)].WriterOn(kr.reg, slot)
+	return st.client(key, slot)
 }
 
 // Reader returns the engine client for reader slot i of key's register
@@ -487,19 +488,30 @@ func (st *Store) Reader(key uint64, slot int) (*async.Client, error) {
 	if slot < 0 {
 		return nil, fmt.Errorf("shardstore: negative reader slot %d", slot)
 	}
+	return st.client(key, st.cfg.WritersPerKey+slot)
+}
+
+// client returns entry i of key's client cache, creating the engine client
+// on first use: same (key, i) ⇒ same client.
+func (st *Store) client(key uint64, i int) (*async.Client, error) {
 	kr, err := st.keyreg(key)
 	if err != nil {
 		return nil, err
 	}
 	kr.mu.Lock()
 	defer kr.mu.Unlock()
-	for len(kr.readers) <= slot {
-		kr.readers = append(kr.readers, nil)
+	for len(kr.clients) <= i {
+		kr.clients = append(kr.clients, nil)
 	}
-	if kr.readers[slot] == nil {
-		kr.readers[slot] = st.engines[st.EngineOf(key)].ReaderOn(kr.reg)
+	if kr.clients[i] == nil {
+		eng := st.engines[st.EngineOf(key)]
+		if i >= st.cfg.WritersPerKey {
+			kr.clients[i] = eng.ReaderOn(kr.reg)
+		} else if kr.clients[i], err = eng.WriterOn(kr.reg, i); err != nil {
+			return nil, err
+		}
 	}
-	return kr.readers[slot], nil
+	return kr.clients[i], nil
 }
 
 // StartWrite routes one high-level write through the frontend: key to

@@ -155,6 +155,13 @@ func TestClientIdentity(t *testing.T) {
 	if r3, _ := st.Reader(7, 3); r3 == r0 {
 		t.Fatal("reader slots 0 and 3 of key 7 share a client")
 	}
+	// Writers and readers share one per-key cache: slots must not collide.
+	if w1, _ := st.Writer(7, 1); r0 == w0 || r0 == w1 {
+		t.Fatal("reader slot 0 of key 7 shares a client with a writer slot")
+	}
+	if w0c, _ := st.Writer(7, 0); w0c != w0 {
+		t.Fatal("Writer(7,0) changed once reader slots were cached")
+	}
 	if _, err := st.Writer(64, 0); err == nil {
 		t.Fatal("key outside key-space materialized")
 	}
