@@ -90,13 +90,25 @@
 //     own round's spent fold, an attempt with an op on a crashed server is
 //     never recycled (it is garbage), and a Reports round gives its report
 //     slice away for good.
-//     Retry is the one place a
-//     view-change retry is decided and scheduled: a completion that raced
-//     a reconfiguration never applied, so the round (Scatter, abdcore's
-//     store-start rounds) or the single low-level write (regemu's
-//     re-trigger) runs again through fresh routes after a short backoff —
-//     unless the operation's context ended, in which case it reports that
-//     instead and triggers nothing.
+//     Retry is the one place a view-change retry is decided: a completion
+//     that raced a reconfiguration never applied, so the round (Scatter,
+//     abdcore's store-start rounds) or the single low-level write (regemu's
+//     re-trigger) runs again through fresh routes — not after a delay but
+//     when the fabric's view stamp has moved past the value the attempt read
+//     before it resolved its routes. The stamp counts ended transitions:
+//     Resize advances it on both exits, commit and abort, after the
+//     surviving frozen lanes are back in service. A bounced attempt whose
+//     stamp is already stale (a stale route, a sealed or retired object)
+//     retries at once; one whose stamp is current parks (Fabric.AwaitView)
+//     and is woken by the transition's end, so a wait of any length costs
+//     one re-scatter, there is no backoff ladder or retry budget to tune,
+//     and a view-change error cannot reach a client. The wait ends
+//     otherwise only with the operation's own context, in which case it
+//     reports that instead and triggers nothing. The coordinator is
+//     event-driven the same way: the drain waits on the frozen lane's
+//     "in-flight reached zero" signal and a frozen-window wire read on its
+//     completion, the context, or the server's crash channel — the
+//     non-test code of these layers holds no timer (make no-timers).
 //   - internal/emulation/...: the constructions of Table 1 (abdmax,
 //     casmax, aacmax, regemu, and the under-provisioned naiveabd baseline)
 //     plus coded, each written once, as a completion-based chain of rounds:

@@ -187,8 +187,7 @@ func (f Fragment) Clone() Fragment {
 // State is the full transferable state of a base object: the TSValue
 // every kind stores, the replicated payload bytes (registers in payload
 // mode), and the fragment set (fragment stores, where Val is the commit
-// watermark). Reconfiguration moves State between servers; the classic
-// TSValue-only Sealer path stays for objects without payload.
+// watermark). Reconfiguration moves State between servers.
 type State struct {
 	Val   types.TSValue
 	Data  types.Payload
@@ -247,24 +246,14 @@ type Locker interface {
 	ApplyLocked(client types.ClientID, inv Invocation) (Response, error)
 }
 
-// Sealer is implemented by objects that support state transfer: Seal
-// atomically snapshots the current state and rejects every later mutating
-// operation with ErrSealed, and Restore loads transferred state into a
-// fresh copy. All three base-object types implement it.
-type Sealer interface {
-	// Seal marks the object sealed and returns the state at the seal point.
-	Seal() types.TSValue
-	// Restore overwrites the object's state (setup/transfer only — never
-	// concurrent with Apply traffic on an unsealed object's writers).
-	Restore(v types.TSValue)
-}
-
-// StateSealer extends Sealer with full-state transfer: SealState seals
-// the object and snapshots everything it stores (TSValue, payload bytes,
-// fragments), RestoreState loads it into a fresh copy. All base-object
-// types implement it; reconfiguration prefers it over the TSValue-only
-// Sealer so payload-carrying objects migrate losslessly.
+// StateSealer is a base object that supports state transfer: SealState
+// atomically snapshots everything the object stores (TSValue, payload bytes,
+// fragments) and rejects every later mutating operation with ErrSealed;
+// RestoreState loads transferred state into a fresh copy (setup/transfer
+// only — never concurrent with Apply traffic). All base-object types
+// implement it, so payload-carrying objects migrate losslessly.
 type StateSealer interface {
+	Object
 	SealState() State
 	RestoreState(State)
 }
@@ -294,10 +283,6 @@ var (
 	_ Locker      = (*MaxRegister)(nil)
 	_ Locker      = (*CASCell)(nil)
 	_ Locker      = (*FragStore)(nil)
-	_ Sealer      = (*Register)(nil)
-	_ Sealer      = (*MaxRegister)(nil)
-	_ Sealer      = (*CASCell)(nil)
-	_ Sealer      = (*FragStore)(nil)
 	_ StateSealer = (*Register)(nil)
 	_ StateSealer = (*MaxRegister)(nil)
 	_ StateSealer = (*CASCell)(nil)
@@ -310,43 +295,26 @@ var (
 	_ Sizer       = (*FragStore)(nil)
 )
 
-// CloneAt builds a fresh, unsealed object of the same identity (ID, kind,
-// and — for registers — writer set) holding the given TSValue state. It is
-// CloneAtState without payload; callers migrating payload-carrying
-// objects must use CloneAtState.
-func CloneAt(o Object, v types.TSValue) (Object, error) {
-	return CloneAtState(o, State{Val: v})
-}
-
-// CloneAtState builds a fresh, unsealed object of the same identity
-// holding the given full state. Reconfiguration uses it to materialize a
-// migrated object on its new server while the sealed original keeps
-// answering stale-route reads.
+// CloneAtState builds a fresh, unsealed object of the same identity (ID,
+// kind, and — for registers — writer set) holding the given full state.
+// Reconfiguration uses it to materialize a migrated object on its new server
+// while the sealed original keeps answering stale-route reads.
 func CloneAtState(o Object, st State) (Object, error) {
+	var clone StateSealer
 	switch src := o.(type) {
 	case *Register:
-		var opts []RegisterOption
-		if ws := src.Writers(); ws != nil {
-			opts = append(opts, WithWriters(ws))
-		}
-		r := NewRegister(src.id, opts...)
-		r.RestoreState(st)
-		return r, nil
+		clone = NewRegister(src.id, WithWriters(src.Writers()))
 	case *MaxRegister:
-		m := NewMaxRegister(src.id)
-		m.RestoreState(st)
-		return m, nil
+		clone = NewMaxRegister(src.id)
 	case *CASCell:
-		c := NewCASCell(src.id)
-		c.RestoreState(st)
-		return c, nil
+		clone = NewCASCell(src.id)
 	case *FragStore:
-		f := NewFragStore(src.id)
-		f.RestoreState(st)
-		return f, nil
+		clone = NewFragStore(src.id)
 	default:
 		return nil, fmt.Errorf("baseobj: cannot clone object %d of type %T", o.ID(), o)
 	}
+	clone.RestoreState(st)
+	return clone, nil
 }
 
 // Register is a multi-writer/multi-reader atomic read/write register,
@@ -416,31 +384,11 @@ func (r *Register) Writers() []types.ClientID {
 // Apply implements Object. Writes overwrite unconditionally (last write
 // wins): this is precisely the weakness the lower bound exploits, because a
 // delayed old write can erase a newer value.
-func (r *Register) Apply(client types.ClientID, inv Invocation) (Response, error) {
-	switch inv.Op {
-	case OpRead:
-		r.mu.Lock()
-		v, d := r.val, r.data
-		r.mu.Unlock()
-		return Response{Op: OpRead, Val: v, Data: d}, nil
-	case OpWrite:
-		if r.writers != nil {
-			if _, ok := r.writers[client]; !ok {
-				return Response{}, fmt.Errorf("%w: client %d, register %d", ErrUnauthorizedWriter, client, r.id)
-			}
-		}
-		r.mu.Lock()
-		if r.sealed {
-			r.mu.Unlock()
-			return Response{}, fmt.Errorf("%w: register %d", ErrSealed, r.id)
-		}
-		r.val = inv.Arg
-		r.data = inv.Data
-		r.mu.Unlock()
-		return Response{Op: OpWrite}, nil
-	default:
-		return Response{}, fmt.Errorf("%w: %v on register %d", ErrWrongOp, inv.Op, r.id)
-	}
+func (r *Register) Apply(client types.ClientID, inv Invocation) (resp Response, err error) {
+	r.mu.Lock()
+	err = r.apply(client, &inv, &resp)
+	r.mu.Unlock()
+	return
 }
 
 // LockState implements Locker.
@@ -450,25 +398,34 @@ func (r *Register) LockState() { r.mu.Lock() }
 func (r *Register) UnlockState() { r.mu.Unlock() }
 
 // ApplyLocked implements Locker.
-func (r *Register) ApplyLocked(client types.ClientID, inv Invocation) (Response, error) {
+func (r *Register) ApplyLocked(client types.ClientID, inv Invocation) (resp Response, err error) {
+	err = r.apply(client, &inv, &resp)
+	return
+}
+
+// apply is the one body of both: the caller holds mu. Invocation and response
+// travel by pointer — they are a dozen words each, and a by-value hop through
+// a second frame costs the hot path a third of an uncontended apply.
+func (r *Register) apply(client types.ClientID, inv *Invocation, resp *Response) error {
 	switch inv.Op {
 	case OpRead:
-		return Response{Op: OpRead, Val: r.val, Data: r.data}, nil
+		*resp = Response{Op: OpRead, Val: r.val, Data: r.data}
 	case OpWrite:
 		if r.writers != nil {
 			if _, ok := r.writers[client]; !ok {
-				return Response{}, fmt.Errorf("%w: client %d, register %d", ErrUnauthorizedWriter, client, r.id)
+				return fmt.Errorf("%w: client %d, register %d", ErrUnauthorizedWriter, client, r.id)
 			}
 		}
 		if r.sealed {
-			return Response{}, fmt.Errorf("%w: register %d", ErrSealed, r.id)
+			return fmt.Errorf("%w: register %d", ErrSealed, r.id)
 		}
 		r.val = inv.Arg
 		r.data = inv.Data
-		return Response{Op: OpWrite}, nil
+		resp.Op = OpWrite
 	default:
-		return Response{}, fmt.Errorf("%w: %v on register %d", ErrWrongOp, inv.Op, r.id)
+		return fmt.Errorf("%w: %v on register %d", ErrWrongOp, inv.Op, r.id)
 	}
+	return nil
 }
 
 // Peek implements Object.
@@ -476,19 +433,6 @@ func (r *Register) Peek() types.TSValue {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.val
-}
-
-// Seal implements Sealer.
-func (r *Register) Seal() types.TSValue {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sealed = true
-	return r.val
-}
-
-// Restore implements Sealer.
-func (r *Register) Restore(v types.TSValue) {
-	r.RestoreState(State{Val: v})
 }
 
 // SealState implements StateSealer.
@@ -546,28 +490,11 @@ func (m *MaxRegister) ID() types.ObjectID { return m.id }
 func (m *MaxRegister) Kind() Kind { return KindMaxRegister }
 
 // Apply implements Object.
-func (m *MaxRegister) Apply(_ types.ClientID, inv Invocation) (Response, error) {
-	switch inv.Op {
-	case OpReadMax:
-		m.mu.Lock()
-		v, d := m.val, m.data
-		m.mu.Unlock()
-		return Response{Op: OpReadMax, Val: v, Data: d}, nil
-	case OpWriteMax:
-		m.mu.Lock()
-		if m.sealed {
-			m.mu.Unlock()
-			return Response{}, fmt.Errorf("%w: max-register %d", ErrSealed, m.id)
-		}
-		if m.val.Less(inv.Arg) {
-			m.val = inv.Arg
-			m.data = inv.Data
-		}
-		m.mu.Unlock()
-		return Response{Op: OpWriteMax}, nil
-	default:
-		return Response{}, fmt.Errorf("%w: %v on max-register %d", ErrWrongOp, inv.Op, m.id)
-	}
+func (m *MaxRegister) Apply(_ types.ClientID, inv Invocation) (resp Response, err error) {
+	m.mu.Lock()
+	err = m.apply(&inv, &resp)
+	m.mu.Unlock()
+	return
 }
 
 // LockState implements Locker.
@@ -577,22 +504,29 @@ func (m *MaxRegister) LockState() { m.mu.Lock() }
 func (m *MaxRegister) UnlockState() { m.mu.Unlock() }
 
 // ApplyLocked implements Locker.
-func (m *MaxRegister) ApplyLocked(_ types.ClientID, inv Invocation) (Response, error) {
+func (m *MaxRegister) ApplyLocked(_ types.ClientID, inv Invocation) (resp Response, err error) {
+	err = m.apply(&inv, &resp)
+	return
+}
+
+// apply is the one body of both (see Register.apply); the caller holds mu.
+func (m *MaxRegister) apply(inv *Invocation, resp *Response) error {
 	switch inv.Op {
 	case OpReadMax:
-		return Response{Op: OpReadMax, Val: m.val, Data: m.data}, nil
+		*resp = Response{Op: OpReadMax, Val: m.val, Data: m.data}
 	case OpWriteMax:
 		if m.sealed {
-			return Response{}, fmt.Errorf("%w: max-register %d", ErrSealed, m.id)
+			return fmt.Errorf("%w: max-register %d", ErrSealed, m.id)
 		}
 		if m.val.Less(inv.Arg) {
 			m.val = inv.Arg
 			m.data = inv.Data
 		}
-		return Response{Op: OpWriteMax}, nil
+		resp.Op = OpWriteMax
 	default:
-		return Response{}, fmt.Errorf("%w: %v on max-register %d", ErrWrongOp, inv.Op, m.id)
+		return fmt.Errorf("%w: %v on max-register %d", ErrWrongOp, inv.Op, m.id)
 	}
+	return nil
 }
 
 // Peek implements Object.
@@ -600,19 +534,6 @@ func (m *MaxRegister) Peek() types.TSValue {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.val
-}
-
-// Seal implements Sealer.
-func (m *MaxRegister) Seal() types.TSValue {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sealed = true
-	return m.val
-}
-
-// Restore implements Sealer.
-func (m *MaxRegister) Restore(v types.TSValue) {
-	m.RestoreState(State{Val: v})
 }
 
 // SealState implements StateSealer.
@@ -668,21 +589,11 @@ func (c *CASCell) ID() types.ObjectID { return c.id }
 func (c *CASCell) Kind() Kind { return KindCAS }
 
 // Apply implements Object.
-func (c *CASCell) Apply(_ types.ClientID, inv Invocation) (Response, error) {
-	if inv.Op != OpCAS {
-		return Response{}, fmt.Errorf("%w: %v on cas cell %d", ErrWrongOp, inv.Op, c.id)
-	}
+func (c *CASCell) Apply(_ types.ClientID, inv Invocation) (resp Response, err error) {
 	c.mu.Lock()
-	if c.sealed {
-		c.mu.Unlock()
-		return Response{}, fmt.Errorf("%w: cas cell %d", ErrSealed, c.id)
-	}
-	prev := c.val
-	if c.val == inv.Exp {
-		c.val = inv.New
-	}
+	err = c.apply(&inv, &resp)
 	c.mu.Unlock()
-	return Response{Op: OpCAS, Val: prev}, nil
+	return
 }
 
 // LockState implements Locker.
@@ -692,18 +603,24 @@ func (c *CASCell) LockState() { c.mu.Lock() }
 func (c *CASCell) UnlockState() { c.mu.Unlock() }
 
 // ApplyLocked implements Locker.
-func (c *CASCell) ApplyLocked(_ types.ClientID, inv Invocation) (Response, error) {
+func (c *CASCell) ApplyLocked(_ types.ClientID, inv Invocation) (resp Response, err error) {
+	err = c.apply(&inv, &resp)
+	return
+}
+
+// apply is the one body of both (see Register.apply); the caller holds mu.
+func (c *CASCell) apply(inv *Invocation, resp *Response) error {
 	if inv.Op != OpCAS {
-		return Response{}, fmt.Errorf("%w: %v on cas cell %d", ErrWrongOp, inv.Op, c.id)
+		return fmt.Errorf("%w: %v on cas cell %d", ErrWrongOp, inv.Op, c.id)
 	}
 	if c.sealed {
-		return Response{}, fmt.Errorf("%w: cas cell %d", ErrSealed, c.id)
+		return fmt.Errorf("%w: cas cell %d", ErrSealed, c.id)
 	}
-	prev := c.val
+	*resp = Response{Op: OpCAS, Val: c.val}
 	if c.val == inv.Exp {
 		c.val = inv.New
 	}
-	return Response{Op: OpCAS, Val: prev}, nil
+	return nil
 }
 
 // Peek implements Object.
@@ -713,25 +630,19 @@ func (c *CASCell) Peek() types.TSValue {
 	return c.val
 }
 
-// Seal implements Sealer.
-func (c *CASCell) Seal() types.TSValue {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sealed = true
-	return c.val
-}
-
-// Restore implements Sealer.
-func (c *CASCell) Restore(v types.TSValue) {
-	c.mu.Lock()
-	c.val = v
-	c.mu.Unlock()
-}
-
 // SealState implements StateSealer. CAS cells carry no payload — their
 // comparability requirement (Apply compares TSValues with ==) keeps the
 // stored state a bare TSValue.
-func (c *CASCell) SealState() State { return State{Val: c.Seal()} }
+func (c *CASCell) SealState() State {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sealed = true
+	return State{Val: c.val}
+}
 
 // RestoreState implements StateSealer.
-func (c *CASCell) RestoreState(st State) { c.Restore(st.Val) }
+func (c *CASCell) RestoreState(st State) {
+	c.mu.Lock()
+	c.val = st.Val
+	c.mu.Unlock()
+}

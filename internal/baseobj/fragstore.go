@@ -60,7 +60,7 @@ func (s *FragStore) Kind() Kind { return KindFragStore }
 func (s *FragStore) Apply(client types.ClientID, inv Invocation) (Response, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.apply(client, inv)
+	return s.ApplyLocked(client, inv)
 }
 
 // LockState implements Locker.
@@ -70,11 +70,7 @@ func (s *FragStore) LockState() { s.mu.Lock() }
 func (s *FragStore) UnlockState() { s.mu.Unlock() }
 
 // ApplyLocked implements Locker.
-func (s *FragStore) ApplyLocked(client types.ClientID, inv Invocation) (Response, error) {
-	return s.apply(client, inv)
-}
-
-func (s *FragStore) apply(_ types.ClientID, inv Invocation) (Response, error) {
+func (s *FragStore) ApplyLocked(_ types.ClientID, inv Invocation) (Response, error) {
 	switch inv.Op {
 	case OpPutFrag:
 		if inv.Frag == nil {
@@ -166,17 +162,6 @@ func (s *FragStore) Peek() types.TSValue {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.watermark
-}
-
-// Seal implements Sealer (watermark only — reconfiguration uses
-// SealState).
-func (s *FragStore) Seal() types.TSValue {
-	return s.SealState().Val
-}
-
-// Restore implements Sealer.
-func (s *FragStore) Restore(v types.TSValue) {
-	s.RestoreState(State{Val: v})
 }
 
 // SealState implements StateSealer.

@@ -52,6 +52,7 @@ var (
 type Server struct {
 	id        types.ServerID
 	crashed   atomic.Bool
+	crashC    chan struct{} // closed by the crash
 	departing atomic.Bool
 
 	mu      sync.RWMutex
@@ -63,6 +64,10 @@ func (s *Server) ID() types.ServerID { return s.id }
 
 // Crashed reports whether the server has crashed.
 func (s *Server) Crashed() bool { return s.crashed.Load() }
+
+// CrashC returns a channel closed when the server crashes, for callers that
+// wait on a response a crashed server will never send.
+func (s *Server) CrashC() <-chan struct{} { return s.crashC }
 
 // Departing reports whether the server is leaving the view: a
 // reconfiguration froze it for state transfer. Unlike a crash it does not
@@ -78,6 +83,10 @@ func (s *Server) Depart() { s.departing.Store(true) }
 // server to service. It never resurrects a crashed server — the crash flag
 // is checked before the departing flag on every fabric path.
 func (s *Server) Undepart() { s.departing.Store(false) }
+
+func newServer(id types.ServerID) *Server {
+	return &Server{id: id, crashC: make(chan struct{})}
+}
 
 // NumObjects returns |delta^-1({s})|, the number of base objects stored on
 // the server.
@@ -207,7 +216,7 @@ func New(n int) (*Cluster, error) {
 	servers := make([]*Server, n)
 	c.members = make([]types.ServerID, n)
 	for i := range servers {
-		servers[i] = &Server{id: types.ServerID(i)}
+		servers[i] = newServer(types.ServerID(i))
 		c.members[i] = types.ServerID(i)
 	}
 	c.servers.Store(&servers)
@@ -271,7 +280,7 @@ func (c *Cluster) Members() []types.ServerID { return c.View().Members }
 func (c *Cluster) AddServer() *Server {
 	c.mu.Lock()
 	old := c.serverList()
-	s := &Server{id: types.ServerID(len(old))}
+	s := newServer(types.ServerID(len(old)))
 	grown := make([]*Server, len(old)+1)
 	copy(grown, old)
 	grown[len(old)] = s
@@ -581,6 +590,7 @@ func (c *Cluster) Crash(server types.ServerID) error {
 	}
 	if s.crashed.CompareAndSwap(false, true) {
 		c.crashes.Add(1)
+		close(s.crashC)
 	}
 	return nil
 }

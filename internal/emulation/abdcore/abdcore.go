@@ -243,21 +243,19 @@ func (e *Engine) push(ctx context.Context, client types.ClientID, v types.TSValu
 
 // startStores is the round over started stores: every store of the live
 // placement runs its own chain (start), the quorum'th report completes the
-// round, and a view-change completion re-starts every store under the new
-// view through rounds.Retry.
+// round, and a view-change completion re-starts every store once the
+// transition ended, through rounds.Retry — the view stamp is read before the
+// placement, so it is older than every route the chains resolve.
 func (e *Engine) startStores(ctx context.Context, report func(types.TSValue, error), start func(MaxStore, func(types.TSValue, error))) {
 	if err := ctx.Err(); err != nil {
 		report(types.ZeroTSValue, err)
 		return
 	}
-	e.startStoresAttempt(ctx, report, start, 0)
-}
-
-func (e *Engine) startStoresAttempt(ctx context.Context, report func(types.TSValue, error), start func(MaxStore, func(types.TSValue, error)), attempt int) {
+	seen := e.fab.ViewStamp()
 	p := e.p.Load()
 	j := rounds.NewFold(p.quorum(), func(v types.TSValue, err error) {
-		if err != nil && rounds.Retry(ctx, attempt, err,
-			func(next int) { e.startStoresAttempt(ctx, report, start, next) },
+		if err != nil && rounds.Retry(ctx, e.fab, seen, err,
+			func() { e.startStores(ctx, report, start) },
 			func(err error) { report(types.ZeroTSValue, err) }) {
 			return
 		}

@@ -213,10 +213,7 @@ type writeOp struct {
 	scattered bool
 	// acked counts responses carrying ts (line 11).
 	acked int
-	// viewRetries counts per-op low-level re-triggers after view-change
-	// completions, bounding transparent reconfiguration retries.
-	viewRetries int
-	done        func(error)
+	done  func(error)
 }
 
 // live reports whether op still owns the writer's machine; callers hold
@@ -237,7 +234,7 @@ func (w *Writer) reap(op *writeOp) {
 // Writer is the Algorithm 2 per-writer state machine. pending[b] plays the
 // role of coverSet: it is true while b has a low-level write of ours
 // without a response. The machine is event-driven — low-level completions
-// call onEvent on whatever goroutine completes them (fabric, timer, or the
+// call onEvent on whatever goroutine completes them (fabric, a retry's, or the
 // caller's own for synchronous lanes) — so one high-level write costs no
 // goroutine, and internal/emulation/async drives thousands of writers from
 // one event loop. Per the emulation contract a writer carries at most one
@@ -261,12 +258,14 @@ type Writer struct {
 // triggerLocked issues a low-level write of ts on register b and marks it
 // pending. The trigger itself runs after the caller released the mutex
 // (returned as a thunk), because on a synchronous lane the completion runs
-// inline and re-enters onEvent.
+// inline and re-enters onEvent. The view stamp a completion reports is the
+// one read right before its own trigger resolved a route (rounds.Retry).
 func (w *Writer) triggerLocked(b types.ObjectID, ts types.TSValue) func() {
 	w.pending[b] = true
 	return func() {
+		seen := w.em.fab.ViewStamp()
 		w.em.fab.TriggerFn(w.client, b, baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts},
-			func(o fabric.Outcome) { w.onEvent(b, ts, o.Err) })
+			func(o fabric.Outcome) { w.onEvent(b, ts, seen, o.Err) })
 	}
 }
 
@@ -275,9 +274,10 @@ func (w *Writer) triggerLocked(b types.ObjectID, ts types.TSValue) func() {
 // on a synchronous lane at the op's position in the batch, before the
 // registers after it are triggered.
 func (w *Writer) scatter(objs []types.ObjectID, ts types.TSValue) {
+	seen := w.em.fab.ViewStamp()
 	g := &fabric.Group{
 		Ops:  make([]fabric.BatchOp, len(objs)),
-		Done: func(i int, o fabric.Outcome) { w.onEvent(objs[i], ts, o.Err) },
+		Done: func(i int, o fabric.Outcome) { w.onEvent(objs[i], ts, seen, o.Err) },
 	}
 	for i, b := range objs {
 		g.Ops[i] = fabric.BatchOp{Object: b, Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts}}
@@ -296,7 +296,7 @@ func (w *Writer) scatter(objs []types.ObjectID, ts types.TSValue) {
 // timestamp does not exist yet, so the freed register simply joins the push
 // batch. onEvent never blocks beyond the writer mutex, so it is safe on
 // fabric goroutines.
-func (w *Writer) onEvent(b types.ObjectID, ts types.TSValue, err error) {
+func (w *Writer) onEvent(b types.ObjectID, ts types.TSValue, seen uint64, err error) {
 	w.mu.Lock()
 	w.pending[b] = false
 	op := w.cur
@@ -307,13 +307,12 @@ func (w *Writer) onEvent(b types.ObjectID, ts types.TSValue, err error) {
 	}
 	if err != nil {
 		// A low-level write that raced a reconfiguration never applied (the
-		// view-change contract), so it retries instead of failing the
-		// high-level write — re-checking ownership first: if the op finished
-		// or was abandoned meanwhile, the register stays free.
-		attempt := op.viewRetries
-		op.viewRetries++
+		// view-change contract), so it retries once the transition ended
+		// instead of failing the high-level write — re-checking ownership
+		// first: if the op finished or was abandoned meanwhile, the register
+		// stays free.
 		w.mu.Unlock()
-		if !rounds.Retry(op.ctx, attempt, err, func(int) {
+		if !rounds.Retry(op.ctx, w.em.fab, seen, err, func() {
 			w.mu.Lock()
 			if !w.live(op) {
 				w.mu.Unlock()

@@ -1,8 +1,10 @@
 // Package rounds is the quorum round engine underneath every emulation: one
 // completion-based Scatter that triggers a round of low-level operations
 // across the fabric's lanes and reports exactly once when its quorum
-// condition holds, and Retry, the one place a view-change retry is decided
-// and scheduled. Nothing here blocks or parks a goroutine; the architecture
+// condition holds, and Retry, the one place a view-change retry is decided:
+// it parks the op on the fabric's view stamp until the transition that
+// bounced it has ended — no backoff, no budget, no clock. Nothing here
+// blocks or parks a goroutine; the architecture
 // narrative (what the constructions scatter, how blocking callers ride the
 // same path) lives in the module's doc.go.
 //
@@ -18,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/baseobj"
 	"repro/internal/fabric"
@@ -124,7 +125,7 @@ func Scatter(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r R
 		r.report(nil, types.ZeroTSValue, err)
 		return
 	}
-	start(ctx, fab, client, r, 0)
+	start(ctx, fab, client, r)
 }
 
 func (r *Round) report(j *Fold, v types.TSValue, err error) {
@@ -158,20 +159,20 @@ type attempt struct {
 	fab    *fabric.Fabric
 	client types.ClientID
 	round  Round
-	try    int // 0-based attempt number (Retry)
+	stamp  uint64 // fab.ViewStamp() before the plan and its routes (Retry)
 }
 
 // attempts has no New: it would close an initialization cycle through finish.
 var attempts sync.Pool
 
-// start plans and triggers attempt number try of r on a pooled attempt.
-func start(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Round, try int) {
+// start plans and triggers one attempt of r on a pooled attempt.
+func start(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Round) {
 	s, _ := attempts.Get().(*attempt)
 	if s == nil {
 		s = new(attempt)
 		s.Fold.report, s.group.Done, s.group.Released = s.finish, s.complete, s.recycle
 	}
-	s.ctx, s.fab, s.client, s.round, s.try = ctx, fab, client, r, try
+	s.ctx, s.fab, s.client, s.round, s.stamp = ctx, fab, client, r, fab.ViewStamp()
 	targets, need := r.Plan(s.group.Ops[:0])
 	s.group.Ops = targets
 	s.left, s.max, s.done = need, types.ZeroTSValue, false
@@ -234,8 +235,8 @@ func (s *attempt) complete(i int, o fabric.Outcome) {
 func (s *attempt) finish(v types.TSValue, err error) {
 	if err != nil {
 		ctx, fab, client, r := s.ctx, s.fab, s.client, s.round
-		if Retry(ctx, s.try, err,
-			func(next int) { start(ctx, fab, client, r, next) },
+		if Retry(ctx, fab, s.stamp, err,
+			func() { start(ctx, fab, client, r) },
 			func(err error) { r.report(nil, types.ZeroTSValue, err) }) {
 			return
 		}
@@ -252,33 +253,30 @@ func (s *attempt) recycle() {
 	attempts.Put(s)
 }
 
-// Retry is the one place a view-change retry is decided and scheduled, for
-// whole rounds (Scatter, abdcore's store-start rounds) and for single
-// low-level operations (regemu's per-register re-trigger) alike. It returns
-// false when err is not a view change or attempt (0-based) has spent
-// fabric.MaxViewRetries: the caller reports err. Otherwise it takes the
-// outcome over: after fabric.ViewRetryDelay(attempt) it calls
-// again(attempt+1) — or, when ctx ended meanwhile, fail with ctx's error,
-// so nothing is re-triggered for a caller that gave up or an engine that
-// closed.
+// Retry is the one place a view-change retry is decided, for whole rounds
+// (Scatter, abdcore's store-start rounds) and for single low-level operations
+// (regemu's per-register re-trigger) alike. It returns false when err is not
+// a view change: the caller reports err. Otherwise it takes the outcome over
+// through fab.AwaitView: again runs once the view stamp differs from seen —
+// the stamp read before the failed attempt resolved any route — which is at
+// once when the transition that bounced the attempt is already over (a stale
+// route, a sealed or retired object) and at that transition's end otherwise;
+// fail runs instead, with ctx's error, if ctx ends first, so nothing is
+// re-triggered for a caller that gave up or an engine that closed. Nothing
+// re-triggers without a stamp advance, so there is no hot loop to guard and no
+// budget to exhaust: a view-change error never reaches a client.
 //
 // Retrying is sound because a view-change completion guarantees the failed
 // op never applied (fabric.IsViewChange), and every other member of a
 // quorum round is an idempotent read / (re)write of the same timestamped
-// value. again runs from a timer goroutine, never from the completing
+// value. again runs on a goroutine of its own, never on the completing
 // fabric goroutine, so retries cannot recurse into the dispatch path
 // mid-completion; it re-resolves routes — the re-resolution is the point.
-func Retry(ctx context.Context, attempt int, err error, again func(attempt int), fail func(error)) bool {
-	if !fabric.IsViewChange(err) || attempt >= fabric.MaxViewRetries {
+func Retry(ctx context.Context, fab *fabric.Fabric, seen uint64, err error, again func(), fail func(error)) bool {
+	if !fabric.IsViewChange(err) {
 		return false
 	}
-	time.AfterFunc(fabric.ViewRetryDelay(attempt), func() {
-		if err := ctx.Err(); err != nil {
-			fail(err)
-			return
-		}
-		again(attempt + 1)
-	})
+	fab.AwaitView(ctx, seen, again, fail)
 	return true
 }
 

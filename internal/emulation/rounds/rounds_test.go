@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/baseobj"
 	"repro/internal/cluster"
@@ -356,46 +355,62 @@ func TestAbandonedRoundReleaseCannotBlock(t *testing.T) {
 	}
 }
 
-// TestRetryDecision pins the one retry function's contract without a
-// fabric: only view-change errors inside the budget are taken over; the
-// next attempt number is attempt+1; a context that ended during the backoff
-// turns the retry into a failure with the context's error.
+// TestRetryDecision pins the one retry function's contract: a non-view-change
+// error is not taken over; under a stale stamp again runs promptly; under the
+// current stamp nothing runs until a transition ends, then again, once; an
+// ended context turns the parked retry into one fail with the context's error,
+// which a later transition does not repeat.
 func TestRetryDecision(t *testing.T) {
+	fab, _ := testEnv(t, 3, nil)
 	ctx := context.Background()
-	unreachable := func(int) { t.Error("again called") }
+	endTransition := func() {
+		t.Helper()
+		if _, err := fab.Resize(ctx, fabric.ResizeSpec{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unreachable := func() { t.Error("again called") }
 	unfailed := func(error) { t.Error("fail called") }
-	if Retry(ctx, 0, errors.New("protocol error"), unreachable, unfailed) {
+	if Retry(ctx, fab, fab.ViewStamp(), errors.New("protocol error"), unreachable, unfailed) {
 		t.Fatal("a non-view-change error was retried")
 	}
-	if Retry(ctx, fabric.MaxViewRetries, fabric.ErrViewChanged, unreachable, unfailed) {
-		t.Fatal("retried past MaxViewRetries")
-	}
 
-	next := make(chan int, 1)
-	if !Retry(ctx, 4, fabric.ErrViewChanged, func(a int) { next <- a }, unfailed) {
-		t.Fatal("a view-change error inside the budget was not retried")
+	stale := fab.ViewStamp()
+	endTransition()
+	ran := make(chan struct{}, 2)
+	again := func() { ran <- struct{}{} }
+	if !Retry(ctx, fab, stale, fabric.ErrViewChanged, again, unfailed) {
+		t.Fatal("a view-change error under a stale stamp was not taken over")
 	}
-	select {
-	case a := <-next:
-		if a != 5 {
-			t.Fatalf("again(%d), want 5", a)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("retry never ran")
+	<-ran
+
+	if !Retry(ctx, fab, fab.ViewStamp(), fabric.ErrViewChanged, again, unfailed) {
+		t.Fatal("a view-change error under the current stamp was not taken over")
+	}
+	if fab.ViewWaiters() != 1 || len(ran) != 0 {
+		t.Fatalf("%d parked, %d retries ran; want the retry parked until a transition ends", fab.ViewWaiters(), len(ran))
+	}
+	endTransition()
+	<-ran
+	endTransition() // the woken retry is gone: nothing left to run twice
+	if fab.ViewWaiters() != 0 || len(ran) != 0 {
+		t.Fatalf("%d parked, %d more retries after the wake-up; want none", fab.ViewWaiters(), len(ran))
 	}
 
 	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	failed := make(chan error, 1)
-	if !Retry(cancelled, 0, fabric.ErrViewChanged, unreachable, func(err error) { failed <- err }) {
-		t.Fatal("a view-change error inside the budget was not taken over")
+	failed := make(chan error, 2)
+	if !Retry(cancelled, fab, fab.ViewStamp(), fabric.ErrViewChanged, unreachable, func(err error) { failed <- err }) {
+		t.Fatal("a view-change error under the current stamp was not taken over")
 	}
-	select {
-	case err := <-failed:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("fail(%v), want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled retry never reported")
+	cancel()
+	if err := <-failed; !errors.Is(err, context.Canceled) {
+		t.Fatalf("fail(%v), want context.Canceled", err)
+	}
+	if fab.ViewWaiters() != 0 {
+		t.Fatalf("%d waiters left behind by an ended context", fab.ViewWaiters())
+	}
+	endTransition()
+	if len(failed) != 0 {
+		t.Fatal("fail ran a second time")
 	}
 }

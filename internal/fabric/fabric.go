@@ -53,7 +53,10 @@
 // server's objects — state included — onto a joiner without stopping
 // clients. An operation caught in a view change completes with
 // ErrViewChanged, which guarantees it never applied in the old view, so
-// retrying it (rounds.Retry) is exactly-once safe even for CAS. A server
+// retrying it is exactly-once safe even for CAS; the retry (rounds.Retry)
+// waits on the view stamp — the count of ended transitions — never on a
+// clock, so it costs one re-scatter however long the transition takes and
+// ends only with the transition or with the op's own context. A server
 // that leaves through Replace is a leave, not a crash: it never shows up
 // in crash accounting, and the paper's f budget is spent only on real
 // fail-stops.
@@ -69,7 +72,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/baseobj"
 	"repro/internal/cluster"
@@ -335,24 +337,6 @@ func viewChangedErr(server types.ServerID) error {
 	return fmt.Errorf("%w: server %d departing", ErrViewChanged, server)
 }
 
-// MaxViewRetries bounds transparent per-operation view-change retries. A
-// reconfiguration transfers state in a handful of delivery round-trips;
-// with the backoff below the retry budget covers hundreds of milliseconds
-// of coordinator work before an op surfaces the error.
-const MaxViewRetries = 100
-
-// ViewRetryDelay returns the backoff before retry attempt `attempt`
-// (0-based): the first two retries are immediate — the route re-resolves
-// on the spot once the epoch advanced — then exponential from 50µs capped
-// at 2ms, so retry storms never saturate a mid-transfer coordinator.
-func ViewRetryDelay(attempt int) time.Duration {
-	if attempt < 2 {
-		return 0
-	}
-	d := 50 * time.Microsecond << uint(min(attempt-2, 6))
-	return min(d, 2*time.Millisecond)
-}
-
 // errCrashedDrop is the internal sentinel an ApplyFunc returns when the
 // op's server crashed before delivery: the fabric maps it to the dropped
 // (pending forever) state instead of completing the call with an error.
@@ -527,6 +511,12 @@ type Fabric struct {
 	// reconfMu serializes view changes (Replace/Resize/AddServer
 	// coordination).
 	reconfMu sync.Mutex
+
+	// viewStamp counts ended transitions (ViewStamp); viewMu orders its
+	// advance against the ops parking on it (AwaitView).
+	viewStamp   atomic.Uint64
+	viewMu      sync.Mutex
+	viewWaiters map[*viewWaiter]struct{}
 
 	// Transition test hooks (nil outside tests): crash-injection points at
 	// the two windows where real systems lose data. See HookTransition.

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -88,4 +90,83 @@ func TestInflightCompletionsRaceCrashDrain(t *testing.T) {
 		t.Fatal("in-flight list not empty after the race")
 	}
 	t.Logf("%d completed, %d dropped", completed, len(dropped))
+}
+
+// TestDrainEndsOnTheLaneIdleSignal pins the three exits of the coordinator's
+// quiesce wait, none of which is a poll: the last in-flight op of the frozen
+// lane completing (the transition commits, both ops applied in the old view),
+// the leaver crashing (its in-flight op is dropped, the transition aborts),
+// and the transition's context ending (abort, the lane back in service).
+func TestDrainEndsOnTheLaneIdleSignal(t *testing.T) {
+	// held opens a Replace of server 0 with n reads in flight on it and
+	// returns once every departing lane froze.
+	held := func(t *testing.T, ctx context.Context, n int) (*Fabric, *parkingLane, []awaited, <-chan error) {
+		parked := &parkingLane{}
+		fab, objs := laneEnv(t, func(types.ServerID) Lane { return parked }, nil)
+		ops := make([]awaited, n)
+		for i := range ops {
+			ops[i] = triggerAwaited(fab, types.ClientID(i), objs[0], readInv())
+		}
+		frozen := make(chan struct{})
+		fab.HookTransition(func() { close(frozen) }, nil)
+		replaced := make(chan error, 1)
+		go func() {
+			_, err := fab.Replace(ctx, 0, nil)
+			replaced <- err
+		}()
+		<-frozen
+		return fab, parked, ops, replaced
+	}
+
+	t.Run("last completion", func(t *testing.T) {
+		fab, parked, ops, replaced := held(t, context.Background(), 2)
+		parked.ops[0].Complete(parked.ops[0].Apply())
+		select {
+		case err := <-replaced:
+			t.Fatalf("Replace returned (%v) with an op still on the wire", err)
+		default:
+		}
+		parked.ops[1].Complete(parked.ops[1].Apply())
+		if err := <-replaced; err != nil {
+			t.Fatalf("Replace: %v", err)
+		}
+		for _, op := range ops {
+			if o := op.wait(t); o.Err != nil {
+				t.Fatalf("op %d admitted before the freeze completed with %v, want its response", op.Token(), o.Err)
+			}
+		}
+		if got := fab.ViewStamp(); got != 1 {
+			t.Fatalf("view stamp = %d after one committed transition, want 1", got)
+		}
+	})
+	t.Run("crash", func(t *testing.T) {
+		fab, _, _, replaced := held(t, context.Background(), 1)
+		if err := fab.Crash(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-replaced; !IsResizeAborted(err) {
+			t.Fatalf("Replace with the leaver crashed mid-drain returned %v, want ErrResizeAborted", err)
+		}
+		if got := fab.Pending(); len(got) != 1 || got[0].Phase != PhaseDropped {
+			t.Fatalf("pending after the crash = %+v, want the in-flight op dropped", got)
+		}
+		if got := fab.ViewStamp(); got != 1 {
+			t.Fatalf("view stamp = %d after one aborted transition, want 1", got)
+		}
+	})
+	t.Run("context", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		fab, _, _, replaced := held(t, ctx, 1)
+		cancel()
+		if err := <-replaced; !IsResizeAborted(err) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("Replace cancelled mid-drain returned %v, want ErrResizeAborted wrapping the context's error", err)
+		}
+		srv, err := fab.Cluster().Server(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv.Departing() || fab.ViewStamp() != 1 {
+			t.Fatalf("after the abort: departing=%v stamp=%d, want the lane back in service and the stamp advanced", srv.Departing(), fab.ViewStamp())
+		}
+	})
 }

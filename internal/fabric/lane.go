@@ -158,10 +158,12 @@ type lane struct {
 	//   - completion and the crash drain race for one unlink-if-linked
 	//     claim (takeInflight / Fabric.Crash): whoever unlinks the op owns
 	//     its outcome, the other sees it unlinked and does nothing;
-	//   - Pending walks the list, awaitQuiesce reads the count, and the
-	//     crash drain empties it.
+	//   - Pending walks the list, and the crash drain empties it through
+	//     unlinkInflight like any completion, so whoever takes the last op
+	//     out closes idle — the signal awaitQuiesce parks on.
 	inflight  heldOp
 	inflightN int
+	idle      chan struct{} // non-nil while a coordinator waits for inflightN == 0
 	// dropped holds the trigger events of ops lost to a crash — events, not
 	// *heldOp records: a dropped op is never released or completed, so
 	// keeping its Call and closures would only pin them forever.
@@ -215,6 +217,10 @@ func (l *lane) unlinkInflight(h *heldOp) bool {
 	h.prev.next, h.next.prev = h.next, h.prev
 	h.prev, h.next = nil, nil
 	l.inflightN--
+	if l.inflightN == 0 && l.idle != nil {
+		close(l.idle)
+		l.idle = nil
+	}
 	return true
 }
 
@@ -247,6 +253,21 @@ func (l *lane) inflightCount() int {
 	n := l.inflightN
 	l.mu.Unlock()
 	return n
+}
+
+// whenIdle returns a channel closed once no op is on the wire, or nil when
+// none is now. Only the coordinator of a frozen lane calls it: a freeze admits
+// nothing new, so the count only falls and one wait is enough.
+func (l *lane) whenIdle() <-chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.inflightN == 0 {
+		return nil
+	}
+	if l.idle == nil {
+		l.idle = make(chan struct{})
+	}
+	return l.idle
 }
 
 // takeInflight claims an in-flight op. It returns false when the op is

@@ -235,9 +235,9 @@ func TestRouteTableConcurrentResolveDuringReplace(t *testing.T) {
 						t.Errorf("route(%d) at epoch %d lost its used latch", obj, rt.epoch)
 						return
 					}
-					// Retry through the freeze by yielding, not retryView: its
-					// wall-clock budget says nothing about how long a transition
-					// sharing one core with 8 spinning resolvers may take.
+					// Retry through the freeze by yielding, not retryView: parked
+					// on the view stamp a resolver would sit the transition out,
+					// and resolving between its epoch bumps is the test.
 					inv := writeMaxInv(ts, types.Value(g))
 					for {
 						// The in-process lane completes inside Trigger.

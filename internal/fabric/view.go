@@ -31,13 +31,14 @@
 //
 // Clients never stop: ops caught in a freeze window complete with a
 // retryable ErrViewChanged (the error guarantees the op never applied, so
-// the retry is exactly-once safe even for CAS) and re-execute against the
-// new view once it activates. An aborted transition (ErrResizeAborted)
-// restores the old view: sealed-but-unmoved objects are rolled back via
-// fresh unsealed clones, frozen survivors unfreeze, and empty joiners are
-// retired. A leave is not a crash; a crash mid-transfer is — the abort
-// spends nothing from the fail-stop budget beyond the crash that caused
-// it.
+// the retry is exactly-once safe even for CAS), park on the view stamp
+// (AwaitView) and re-execute once the transition has ended — committed or
+// aborted — and its surviving frozen lanes serve again. An aborted
+// transition (ErrResizeAborted) restores the old view: sealed-but-unmoved
+// objects are rolled back via fresh unsealed clones, frozen survivors
+// unfreeze, and empty joiners are retired. A leave is not a crash; a crash
+// mid-transfer is — the abort spends nothing from the fail-stop budget
+// beyond the crash that caused it.
 package fabric
 
 import (
@@ -52,12 +53,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/types"
 )
-
-// quiescePoll is the interval at which the coordinator re-checks a draining
-// lane's in-flight count. Drains complete in a few delivery round-trips, so
-// a sub-millisecond poll keeps reconfiguration latency dominated by the
-// transport, not the coordinator.
-const quiescePoll = 200 * time.Microsecond
 
 // ErrResizeAborted marks a transition that was rolled back — typically
 // because a frozen server crashed mid-drain or a transfer target crashed
@@ -246,6 +241,7 @@ func (f *Fabric) Resize(ctx context.Context, spec ResizeSpec, reshape ReshapeFun
 				}
 			}
 		}
+		f.advanceView()
 		// Both the abort marker and the cause stay matchable: callers branch
 		// on IsResizeAborted, constructions' typed rejections (e.g. a pinned
 		// coder refusing a restripe) stay reachable through errors.Is.
@@ -304,20 +300,17 @@ func (f *Fabric) Resize(ctx context.Context, spec ResizeSpec, reshape ReshapeFun
 			if err != nil {
 				return nil, abort(err)
 			}
-			state, err := f.fetchState(ctx, fr.l, fr.srv, o)
-			_, canSeal := o.(baseobj.StateSealer)
-			if !canSeal {
-				_, canSeal = o.(baseobj.Sealer)
+			ss, ok := o.(baseobj.StateSealer)
+			if !ok {
+				return nil, abort(fmt.Errorf("object %d (%T) does not support state transfer", obj, o))
 			}
+			// fetchState seals before it can fail, so the rollback must
+			// restore the pre-seal state either way.
+			state, err := f.fetchState(ctx, fr.l, fr.srv, ss)
+			sealed[obj] = state
 			if err != nil {
-				if canSeal {
-					// fetchState seals before it can fail, so the rollback
-					// must restore the pre-seal state.
-					sealed[obj] = state
-				}
 				return nil, abort(fmt.Errorf("state fetch for object %d on server %d: %w", obj, old, err))
 			}
-			sealed[obj] = state
 			to := targets[moved%len(targets)]
 			if f.testBeforeMove != nil {
 				f.testBeforeMove(obj, to)
@@ -346,6 +339,7 @@ func (f *Fabric) Resize(ctx context.Context, spec ResizeSpec, reshape ReshapeFun
 		fr.srv.Undepart()
 		fr.l.clearDeparting()
 	}
+	f.advanceView()
 	var closeErr error
 	for _, fr := range leavers {
 		if err := fr.l.backend.Close(); err != nil && closeErr == nil {
@@ -440,8 +434,8 @@ func (f *Fabric) readState(ctx context.Context, rt *route) (baseobj.State, error
 
 // directApply performs one frozen-window operation against an object's
 // authoritative copy: a direct local apply for local-state backends, a
-// real wire delivery (with a synthetic client identity, crash-polled) for
-// external-store backends.
+// real wire delivery (with a synthetic client identity; a crash of the
+// server ends the wait) for external-store backends.
 func (f *Fabric) directApply(ctx context.Context, rt *route, client types.ClientID, inv baseobj.Invocation) (baseobj.Response, error) {
 	if rt.srv.Crashed() {
 		return baseobj.Response{}, fmt.Errorf("fabric: server %d crashed", rt.server)
@@ -464,20 +458,96 @@ func (f *Fabric) directApply(ctx context.Context, rt *route, client types.Client
 		func(resp baseobj.Response, err error) {
 			done <- Outcome{Resp: resp, Err: err}
 		})
-	for {
-		t := time.NewTimer(quiescePoll)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return baseobj.Response{}, ctx.Err()
-		case out := <-done:
-			t.Stop()
-			return out.Resp, out.Err
-		case <-t.C:
-			if rt.srv.Crashed() {
-				return baseobj.Response{}, fmt.Errorf("fabric: server %d crashed mid-delivery", rt.server)
-			}
+	select {
+	case <-ctx.Done():
+		return baseobj.Response{}, ctx.Err()
+	case out := <-done:
+		return out.Resp, out.Err
+	case <-rt.srv.CrashC():
+		return baseobj.Response{}, fmt.Errorf("fabric: server %d crashed mid-delivery", rt.server)
+	}
+}
+
+// ViewStamp returns the fabric's view stamp: a counter advanced exactly when
+// a transition has ended — committed or aborted — and its surviving frozen
+// lanes are back in service. Every view-change completion is caused by a
+// transition, so an op that read the stamp before resolving its routes and
+// then completed with a view-change error either finds the stamp moved (that
+// transition is over: retry now) or will see it move (AwaitView). The cluster
+// epoch cannot stand in: CommitView bumps it before the survivors unfreeze —
+// a retry woken then would bounce off them again — and an abort with nothing
+// sealed and no joiner bumps nothing. The stamp moves at a transition's end
+// only, never per moved object: a per-object wake re-fails every waiter whose
+// object has not moved yet. The price is that an op bounced once during a
+// long Replace waits for that server's whole roll, not for its own object.
+func (f *Fabric) ViewStamp() uint64 { return f.viewStamp.Load() }
+
+// ViewWaiters reports how many ops are parked on the view stamp: zero
+// whenever no transition is in progress.
+func (f *Fabric) ViewWaiters() int {
+	f.viewMu.Lock()
+	defer f.viewMu.Unlock()
+	return len(f.viewWaiters)
+}
+
+// viewWaiter is one op parked by AwaitView.
+type viewWaiter struct {
+	ctx   context.Context
+	again func()
+	fail  func(error)
+	stop  func() bool // detaches the waiter from ctx
+}
+
+// resume is a retry's own goroutine: again, unless the op's context ended.
+func (w *viewWaiter) resume() {
+	if err := w.ctx.Err(); err != nil {
+		w.fail(err)
+		return
+	}
+	w.again()
+}
+
+// AwaitView runs again once the view stamp differs from seen — at once if it
+// already does — or fail with ctx's error if ctx ends first: exactly one of
+// the two, on a goroutine of its own, never the caller's (a completer, which
+// must not recurse into the dispatch path) nor the coordinator's. It never
+// blocks and keeps nothing once either ran.
+func (f *Fabric) AwaitView(ctx context.Context, seen uint64, again func(), fail func(error)) {
+	w := &viewWaiter{ctx: ctx, again: again, fail: fail}
+	f.viewMu.Lock()
+	defer f.viewMu.Unlock()
+	if f.viewStamp.Load() != seen {
+		go w.resume()
+		return
+	}
+	if f.viewWaiters == nil {
+		f.viewWaiters = make(map[*viewWaiter]struct{})
+	}
+	f.viewWaiters[w] = struct{}{}
+	// The callback runs on its own goroutine (right away for an ended ctx) and
+	// takes viewMu, so it cannot observe the waiter half-registered; leaving
+	// the set under viewMu is the claim that keeps again and fail exclusive.
+	w.stop = context.AfterFunc(ctx, func() {
+		f.viewMu.Lock()
+		_, parked := f.viewWaiters[w]
+		delete(f.viewWaiters, w)
+		f.viewMu.Unlock()
+		if parked {
+			fail(ctx.Err())
 		}
+	})
+}
+
+// advanceView ends a transition: the stamp moves and every parked op resumes.
+func (f *Fabric) advanceView() {
+	f.viewMu.Lock()
+	f.viewStamp.Add(1)
+	woken := f.viewWaiters
+	f.viewWaiters = nil
+	f.viewMu.Unlock()
+	for w := range woken {
+		w.stop()
+		go w.resume()
 	}
 }
 
@@ -502,24 +572,19 @@ func (f *Fabric) drainParked(parked []*heldOp) {
 // awaitQuiesce waits until the frozen lane has no operation on the wire.
 // Every such op was admitted before the freeze, so it completes in the old
 // view — unless the server crashes, which moves its in-flight ops to
-// dropped (not completed): the count still reaches zero, so the crash is
-// detected explicitly, before and after the wait, and reported as an
-// error the coordinator turns into a clean abort.
+// dropped (not completed): the lane goes idle all the same, so the crash is
+// checked for explicitly after the wait and reported as an error the
+// coordinator turns into a clean abort.
 func (f *Fabric) awaitQuiesce(ctx context.Context, l *lane, srv *cluster.Server) error {
-	for l.inflightCount() > 0 {
-		if srv.Crashed() {
-			return fmt.Errorf("server %d crashed mid-drain (its in-flight ops are dropped, not completed)", l.server)
-		}
-		t := time.NewTimer(quiescePoll)
+	if idle := l.whenIdle(); idle != nil {
 		select {
+		case <-idle:
 		case <-ctx.Done():
-			t.Stop()
 			return fmt.Errorf("quiesce (%d in flight): %w", l.inflightCount(), ctx.Err())
-		case <-t.C:
 		}
 	}
 	if srv.Crashed() {
-		return fmt.Errorf("server %d crashed mid-drain (its state is lost)", l.server)
+		return fmt.Errorf("server %d crashed mid-drain (its in-flight ops are dropped, not completed; its state is lost)", l.server)
 	}
 	return nil
 }
@@ -536,22 +601,14 @@ func (f *Fabric) awaitQuiesce(ctx context.Context, l *lane, srv *cluster.Server)
 // the node can receive no further write for this fabric's objects before
 // the connection closes. A server crashing mid-fetch fails the read
 // instead of hanging it — the caller rolls the seal back.
-func (f *Fabric) fetchState(ctx context.Context, l *lane, srv *cluster.Server, o baseobj.Object) (baseobj.State, error) {
-	var local baseobj.State
-	switch sealer := o.(type) {
-	case baseobj.StateSealer:
-		local = sealer.SealState()
-	case baseobj.Sealer:
-		local = baseobj.State{Val: sealer.Seal()}
-	default:
-		return baseobj.State{}, fmt.Errorf("object %d (%T) does not support state transfer", o.ID(), o)
-	}
+func (f *Fabric) fetchState(ctx context.Context, l *lane, srv *cluster.Server, o baseobj.StateSealer) (baseobj.State, error) {
+	local := o.SealState()
 	if _, remote := l.backend.(ObjectMirror); !remote {
 		return local, nil
 	}
 	// The fetch is a frozen-window wire read like the reshaper's: no
-	// routing, gating or in-flight bookkeeping, crash-polled. On failure the
-	// caller needs the pre-seal state to roll the seal back.
+	// routing, gating or in-flight bookkeeping. On failure the caller needs
+	// the pre-seal state to roll the seal back.
 	state, err := f.readState(ctx, &route{server: l.server, srv: srv, lane: l, obj: o})
 	if err != nil {
 		return local, err

@@ -64,7 +64,7 @@ func startRetryWriters(ctx context.Context, t *testing.T, fab *Fabric, objs []ty
 				}
 				obj := objs[int(ts)%len(objs)]
 				inv := baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: types.TSValue{TS: ts, Writer: types.ClientID(w), Val: types.Value(ts)}}
-				if _, err := retryView(ctx, func() (types.TSValue, error) {
+				if _, err := retryView(ctx, fab, func() (types.TSValue, error) {
 					o := waitOutcome(t, fab, types.ClientID(w), obj, inv)
 					return o.Resp.Val, o.Err
 				}); err != nil {

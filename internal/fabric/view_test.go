@@ -235,7 +235,7 @@ func TestReplaceUnderLatencyLaneLoad(t *testing.T) {
 				}
 				obj := objs[int(ts)%len(objs)]
 				inv := baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: types.TSValue{TS: ts, Writer: types.ClientID(w), Val: types.Value(ts)}}
-				if _, err := retryView(ctx, func() (types.TSValue, error) {
+				if _, err := retryView(ctx, fab, func() (types.TSValue, error) {
 					o := waitOutcome(t, fab, types.ClientID(w), obj, inv)
 					return o.Resp.Val, o.Err
 				}); err != nil {
@@ -270,43 +270,19 @@ func TestReplaceUnderLatencyLaneLoad(t *testing.T) {
 }
 
 // retryView runs attempt until it stops failing with a view-change error,
-// sleeping ViewRetryDelay between tries: the test-local blocking retry loop
-// for single low-level ops (production retries go through rounds.Retry).
-func retryView(ctx context.Context, attempt func() (types.TSValue, error)) (types.TSValue, error) {
-	for i := 0; ; i++ {
+// parking on the view stamp between tries like rounds.Retry does: the
+// test-local blocking retry loop for single low-level ops.
+func retryView(ctx context.Context, fab *Fabric, attempt func() (types.TSValue, error)) (types.TSValue, error) {
+	for {
+		seen := fab.ViewStamp()
 		v, err := attempt()
-		if err == nil || !IsViewChange(err) || i >= MaxViewRetries {
+		if !IsViewChange(err) {
 			return v, err
 		}
-		select {
-		case <-ctx.Done():
-			return v, ctx.Err()
-		case <-time.After(ViewRetryDelay(i)):
+		woke := make(chan error, 1)
+		fab.AwaitView(ctx, seen, func() { woke <- nil }, func(err error) { woke <- err })
+		if err := <-woke; err != nil {
+			return v, err
 		}
-	}
-}
-
-// TestViewRetryDelay pins the backoff shape: immediate for the first two
-// attempts (the common one-epoch race), exponential after, capped.
-func TestViewRetryDelay(t *testing.T) {
-	if d := ViewRetryDelay(0); d != 0 {
-		t.Errorf("delay(0) = %v, want 0", d)
-	}
-	if d := ViewRetryDelay(1); d != 0 {
-		t.Errorf("delay(1) = %v, want 0", d)
-	}
-	if d := ViewRetryDelay(2); d <= 0 {
-		t.Errorf("delay(2) = %v, want > 0", d)
-	}
-	prev := time.Duration(0)
-	for a := 2; a < 40; a++ {
-		d := ViewRetryDelay(a)
-		if d < prev {
-			t.Fatalf("delay(%d) = %v < delay(%d) = %v — not monotone", a, d, a-1, prev)
-		}
-		if d > 2*time.Millisecond {
-			t.Fatalf("delay(%d) = %v exceeds the cap", a, d)
-		}
-		prev = d
 	}
 }

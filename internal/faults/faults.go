@@ -69,17 +69,3 @@ func (p *Plan) Step(fab *fabric.Fabric, completedOps int) ([]types.ServerID, err
 
 // Remaining returns how many crashes have not fired yet.
 func (p *Plan) Remaining() int { return len(p.crashes) - p.applied }
-
-// SpreadCrashes builds a plan crashing the first `count` servers evenly
-// across `totalOps` operations.
-func SpreadCrashes(count, totalOps int) *Plan {
-	crashes := make([]Crash, 0, count)
-	for i := 0; i < count; i++ {
-		after := 0
-		if count > 0 && totalOps > 0 {
-			after = (i + 1) * totalOps / (count + 1)
-		}
-		crashes = append(crashes, Crash{AfterOp: after, Server: types.ServerID(i)})
-	}
-	return NewPlan(crashes...)
-}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
-	"repro/internal/types"
 )
 
 func testFabric(t *testing.T, n int) *fabric.Fabric {
@@ -68,33 +67,5 @@ func TestStepFiresInOrder(t *testing.T) {
 	}
 	if got := fab.Cluster().Crashes(); got != 3 {
 		t.Fatalf("cluster crashes = %d, want 3", got)
-	}
-}
-
-func TestSpreadCrashes(t *testing.T) {
-	p := SpreadCrashes(2, 10)
-	if err := p.Validate(2, 5); err != nil {
-		t.Fatalf("spread plan invalid: %v", err)
-	}
-	if p.Remaining() != 2 {
-		t.Fatalf("Remaining = %d, want 2", p.Remaining())
-	}
-	fab := testFabric(t, 5)
-	if _, err := p.Step(fab, 10); err != nil {
-		t.Fatal(err)
-	}
-	if got := fab.Cluster().Crashes(); got != 2 {
-		t.Fatalf("crashes = %d, want 2", got)
-	}
-	// Degenerate spread.
-	if SpreadCrashes(0, 10).Remaining() != 0 {
-		t.Error("empty spread has crashes")
-	}
-	crashed := map[types.ServerID]bool{}
-	for _, c := range SpreadCrashes(3, 0).crashes {
-		if crashed[c.Server] {
-			t.Error("duplicate server in spread")
-		}
-		crashed[c.Server] = true
 	}
 }

@@ -302,7 +302,7 @@ func (t *nodeTable) place(p placeReq) {
 	if _, ok := t.objects[p.obj]; ok {
 		return
 	}
-	var obj baseobj.Object
+	var obj baseobj.StateSealer
 	switch p.kind {
 	case baseobj.KindRegister:
 		var opts []baseobj.RegisterOption
@@ -319,16 +319,10 @@ func (t *nodeTable) place(p placeReq) {
 	default:
 		return
 	}
-	// A fresh placement materializes at the mirrored state: for migrated
-	// objects this IS the state transfer onto the replacement node. The
-	// full-state path carries payload bytes and fragments; the TSValue
-	// fallback keeps exotic Sealer-only objects placeable.
-	switch s := obj.(type) {
-	case baseobj.StateSealer:
-		s.RestoreState(p.state)
-	case baseobj.Sealer:
-		s.Restore(p.state.Val)
-	}
+	// A fresh placement materializes at the mirrored state — payload bytes
+	// and fragments included: for migrated objects this IS the state
+	// transfer onto the replacement node.
+	obj.RestoreState(p.state)
 	t.objects[p.obj] = obj
 }
 

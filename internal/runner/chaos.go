@@ -106,21 +106,23 @@ type ChaosConfig struct {
 	LaneMaker fabric.LaneMaker `json:"-"`
 }
 
-// laneOptions resolves the config's lane selection into fabric options.
-func (cfg ChaosConfig) laneOptions() ([]fabric.Option, error) {
-	if cfg.LaneMaker != nil {
-		return []fabric.Option{fabric.WithLanes(cfg.LaneMaker)}, nil
+// laneOptions resolves a run's lane selection — caller-dialed backends first,
+// then the named lane, its delays seeded from the run's seed — into fabric
+// options.
+func laneOptions(lane Lane, maker fabric.LaneMaker, runSeed int64) ([]fabric.Option, error) {
+	if maker != nil {
+		return []fabric.Option{fabric.WithLanes(maker)}, nil
 	}
-	switch cfg.Lane {
+	switch lane {
 	case "", LaneInProc:
 		return nil, nil
 	case LaneLatency:
-		maker := fabric.LatencyLanes(seed.Sub(cfg.Seed, chaosStreamLane), chaosLatencyProfile)
+		maker := fabric.LatencyLanes(seed.Sub(runSeed, chaosStreamLane), chaosLatencyProfile)
 		return []fabric.Option{fabric.WithLanes(maker)}, nil
 	case LaneTCP:
-		return nil, fmt.Errorf("runner: chaos lane %q needs endpoints; dial the nodes and set LaneMaker", cfg.Lane)
+		return nil, fmt.Errorf("runner: lane %q needs endpoints; dial the nodes and set LaneMaker", lane)
 	default:
-		return nil, fmt.Errorf("runner: unknown chaos lane %q", cfg.Lane)
+		return nil, fmt.Errorf("runner: unknown lane %q", lane)
 	}
 }
 
@@ -168,7 +170,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	if releaseProb == 0 {
 		releaseProb = 0.3
 	}
-	laneOpts, err := cfg.laneOptions()
+	laneOpts, err := laneOptions(cfg.Lane, cfg.LaneMaker, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

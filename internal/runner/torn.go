@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/baseobj"
 	"repro/internal/emulation"
 	"repro/internal/emulation/coded"
 	"repro/internal/fabric"
-	"repro/internal/seed"
 	"repro/internal/types"
 )
 
@@ -28,6 +26,10 @@ type TornGate struct {
 	allow  int
 	passed int
 	held   int
+	// want and reached are WhenHeld's pending request: reached closes when
+	// held gets to want.
+	want    int
+	reached chan struct{}
 }
 
 // Compile-time interface compliance check.
@@ -58,6 +60,27 @@ func (g *TornGate) Held() int {
 	return g.held
 }
 
+// WhenHeld returns a channel closed once the gate has parked n operations
+// (at once if it already has). One request is outstanding at a time.
+func (g *TornGate) WhenHeld(n int) <-chan struct{} {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.want, g.reached = n, make(chan struct{})
+	if g.held >= n {
+		close(g.reached)
+	}
+	return g.reached
+}
+
+// hold counts one parked operation; the caller holds mu.
+func (g *TornGate) hold() fabric.Decision {
+	g.held++
+	if g.held == g.want { // want is 0 — never matched — until WhenHeld asks
+		close(g.reached)
+	}
+	return fabric.Hold
+}
+
 // BeforeApply implements fabric.Gate.
 func (g *TornGate) BeforeApply(ev fabric.TriggerEvent) fabric.Decision {
 	g.mu.Lock()
@@ -71,11 +94,9 @@ func (g *TornGate) BeforeApply(ev fabric.TriggerEvent) fabric.Decision {
 			g.passed++
 			return fabric.Pass
 		}
-		g.held++
-		return fabric.Hold
+		return g.hold()
 	case baseobj.OpCommitFrag:
-		g.held++
-		return fabric.Hold
+		return g.hold()
 	default:
 		return fabric.Pass
 	}
@@ -135,14 +156,9 @@ func RunTorn(ctx context.Context, cfg TornConfig) (*TornReport, error) {
 	if cfg.ReadsPerReader == 0 {
 		cfg.ReadsPerReader = 4
 	}
-	var laneOpts []fabric.Option
-	switch {
-	case cfg.LaneMaker != nil:
-		laneOpts = []fabric.Option{fabric.WithLanes(cfg.LaneMaker)}
-	case cfg.Lane == LaneLatency:
-		laneOpts = []fabric.Option{fabric.WithLanes(fabric.LatencyLanes(seed.Sub(cfg.Seed, chaosStreamLane), chaosLatencyProfile))}
-	case cfg.Lane == LaneTCP:
-		return nil, fmt.Errorf("runner: torn lane %q needs endpoints; dial the nodes and set LaneMaker", cfg.Lane)
+	laneOpts, err := laneOptions(cfg.Lane, cfg.LaneMaker, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 	gate := &TornGate{}
 	env, err := NewEnv(cfg.N, gate, laneOpts...)
@@ -191,11 +207,10 @@ func RunTorn(ctx context.Context, cfg TornConfig) (*TornReport, error) {
 	// Wait for the stripe to actually tear: all n puts reached the gate
 	// (allow passed, the rest parked). On asynchronous lanes the put round
 	// trails the collect round.
-	for gate.Held() < cfg.N-allow {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("runner: torn stripe never formed (%d/%d held): %w", gate.Held(), cfg.N-allow, err)
-		}
-		time.Sleep(200 * time.Microsecond)
+	select {
+	case <-gate.WhenHeld(cfg.N - allow):
+	case <-ctx.Done():
+		return nil, fmt.Errorf("runner: torn stripe never formed (%d/%d held): %w", gate.Held(), cfg.N-allow, ctx.Err())
 	}
 
 	// Phase 3: concurrent readers against the torn stripe.

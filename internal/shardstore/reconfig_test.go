@@ -2,10 +2,13 @@ package shardstore
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/runner"
+	"repro/internal/types"
 )
 
 // assertFreshView fails unless shard s's view consists entirely of
@@ -346,5 +349,106 @@ func TestShardStoreTCPReconfigure(t *testing.T) {
 	}
 	if rep := st.CheckAll(3, 31); len(rep.Violations) > 0 {
 		t.Fatalf("violations after TCP reconfiguration: %v", rep.Violations)
+	}
+}
+
+// TestShardStoreViewRetryOutlastsTheOldBudget holds a quorum-reshaping resize
+// (n=3,f=1 → n=5,f=2: every member frozen) open for longer than the 187 ms
+// the retired retry ladder covered, under 32 closed-loop clients driving
+// their engine handles directly, as the load generators do. Every client's
+// next op bounces off the freeze and parks on the view stamp; while the
+// window is open nothing triggers, and once it closes every op completes in
+// the new view: zero failed client ops, where the ladder failed all 32 with
+// the internal view-change error after thousands of wasted triggers; clean
+// histories.
+func TestShardStoreViewRetryOutlastsTheOldBudget(t *testing.T) {
+	const clients = 32
+	ctx := testCtx(t)
+	st, err := Open(ctx, Config{
+		Shards: 1, Engines: 2, Keys: 1 << 12, N: 3, F: 1,
+		Kind: runner.KindABDMax, Atomic: true, Seed: 37,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fab := st.Env(0).Fabric
+	frozen, release := make(chan struct{}), make(chan struct{})
+	fab.HookTransition(func() {
+		close(frozen)
+		<-release
+	}, nil)
+
+	var warm, wg sync.WaitGroup
+	stop := make(chan struct{})
+	for _, key := range st.BalancedKeys(clients) {
+		w, err := st.Writer(key, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := st.Reader(key, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errc := make(chan error, 1)
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				w.StartWrite(types.Value(int64(key)*1000+int64(i)), func(err error) { errc <- err })
+				if err := <-errc; err != nil {
+					t.Errorf("key %d write %d: %v", key, i, err)
+				}
+				r.StartRead(func(_ types.Value, err error) { errc <- err })
+				if err := <-errc; err != nil {
+					t.Errorf("key %d read %d: %v", key, i, err)
+				}
+				if i == 1 {
+					warm.Done() // every client is mid-run when the resize starts
+				}
+			}
+		}()
+	}
+	warm.Wait()
+	resized := make(chan error, 1)
+	go func() {
+		_, err := st.Resize(ctx, 0, ResizeSpec{Grow: 2, F: 2})
+		resized <- err
+	}()
+	<-frozen
+	// Closed loop: each client has one op out, and it parks.
+	for fab.ViewWaiters() < clients {
+		if ctx.Err() != nil {
+			t.Fatalf("%d of %d clients parked on the view stamp: %v", fab.ViewWaiters(), clients, ctx.Err())
+		}
+		runtime.Gosched()
+	}
+	parkedAt := fab.Triggers()
+	// The wall-clock length is the point here: the window must outlast what
+	// the old backoff budget could sit out.
+	<-time.After(250 * time.Millisecond)
+	if burned := fab.Triggers() - parkedAt; burned != 0 || fab.ViewWaiters() != clients {
+		t.Errorf("inside the held window: %d triggers burned, %d ops parked; want 0 and %d", burned, fab.ViewWaiters(), clients)
+	}
+	close(release)
+	if err := <-resized; err != nil {
+		t.Fatalf("Resize: %v", err)
+	}
+	close(stop) // each client's parked op, and the pair it belongs to, still complete
+	wg.Wait()
+	if view := st.Env(0).Cluster.View(); view.N() != 5 || view.F != 2 {
+		t.Fatalf("view after the resize: n=%d f=%d, want n=5 f=2", view.N(), view.F)
+	}
+	if err := st.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rep := st.CheckAll(4, 41); len(rep.Violations) > 0 || rep.Keys != clients {
+		t.Fatalf("after the held resize: %d keys checked, violations %v", rep.Keys, rep.Violations)
 	}
 }
