@@ -129,13 +129,15 @@ race-lanes:
 race-lanes-mailbox1:
 	REPRO_LANE_MAILBOX=1 $(GO) test -race -count 1 $(LANE_SUITE)
 
-# Route-table suite under the race detector, repeated and at three
-# GOMAXPROCS settings: chunk-boundary round-trips, the linear first-touch
-# and re-resolution allocation bounds, and resolvers racing two rolling
-# Replaces (one epoch bump per moved object). Selected by package and the
-# TestRouteTable name prefix, so new table tests join without a list edit.
+# Object-table suite under the race detector, repeated and at three
+# GOMAXPROCS settings: chunk-edge round-trips, tombstones and the used latch
+# across a move in the cluster's table, the linear placement bound, the
+# fabric's zero-allocation first-touch and post-transition sweeps, and
+# lookups racing two rolling Replaces (one slot store per moved object).
+# Selected by package and the TestObjectTable name prefix, so new table
+# tests join without a list edit.
 race-routes:
-	$(GO) test -race -count 20 -cpu 1,2,8 -run 'TestRouteTable' ./internal/fabric
+	$(GO) test -race -count 20 -cpu 1,2,8 -run 'TestObjectTable' ./internal/cluster ./internal/fabric
 
 # Sharded-store suite under the race detector, selected by package: all of
 # internal/shardstore (deterministic shard routing, the multi-engine

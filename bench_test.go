@@ -501,80 +501,47 @@ func BenchmarkFabricParallelTrigger(b *testing.B) {
 	}
 }
 
-// benchRouteSweep times resolving every one of `objects` base objects once
-// through the fabric's route table and reports the cost per object (time
-// and allocated bytes), so a publication cost that grows with the table
-// shows as ns/object and B/object rising across sizes. Each iteration
-// starts cold: firstTouch builds a fresh fabric over the shared cluster;
-// otherwise one warmed fabric has every route invalidated by an epoch bump
-// (a failure-budget change — the cheapest view change there is).
-func benchRouteSweep(b *testing.B, objects int, firstTouch bool) {
-	c, err := cluster.New(3)
-	if err != nil {
-		b.Fatalf("cluster: %v", err)
-	}
-	objs := make([]types.ObjectID, objects)
-	for i := range objs {
-		if objs[i], err = c.PlaceMaxRegister(types.ServerID(i % 3)); err != nil {
-			b.Fatalf("place: %v", err)
-		}
-	}
-	sweep := func(fab *fabric.Fabric) {
-		for _, obj := range objs {
-			if _, err := fab.ServerFor(obj); err != nil {
-				b.Fatalf("ServerFor(%d): %v", obj, err)
-			}
-		}
-	}
-	fab := fabric.New(c)
-	if !firstTouch {
-		sweep(fab)
-	}
-	var bytes uint64
-	var before, after runtime.MemStats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if firstTouch {
-			fab = fabric.New(c)
-		} else {
-			c.SetF(1 + i%2)
-		}
-		runtime.ReadMemStats(&before)
-		b.StartTimer()
-		sweep(fab)
-		b.StopTimer()
-		runtime.ReadMemStats(&after)
-		bytes += after.TotalAlloc - before.TotalAlloc
-		b.StartTimer()
-	}
-	b.StopTimer()
-	swept := float64(b.N) * float64(objects)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/swept, "ns/object")
-	b.ReportMetric(float64(bytes)/swept, "B/object")
-	b.ReportMetric(float64(objects), "objects")
-}
-
-// BenchmarkFabricFirstTouch is the cold-path rung of the cost ladder: the
-// first resolution of every object of a shard, which is what a store's
-// set-up pays per base object. Flat ns/object and B/object across the three
-// sizes — two chunks, about the benchmark store's shard, and a shard an
-// order of magnitude past it — is the O(1) publication of the chunked route
-// table.
-func BenchmarkFabricFirstTouch(b *testing.B) {
+// BenchmarkObjectTablePlace is the cold-path rung of the cost ladder: placing
+// a shard's base objects into the cluster's object table and looking each up
+// once through the fabric — what a store's set-up pays per base object — as
+// cost per object (time and allocated bytes). Flat ns/object and B/object
+// across the three sizes — two chunks, about the benchmark store's shard, and
+// a shard an order of magnitude past it — is the O(1) slot store of the
+// chunked table; the fabric's share of the bytes is zero (it keeps no
+// placement of its own, so there is nothing to resolve, and nothing to
+// re-resolve after a view change).
+func BenchmarkObjectTablePlace(b *testing.B) {
 	for _, size := range []struct {
 		name    string
 		objects int
 	}{{"1k", 1 << 10}, {"16k", 16 << 10}, {"128k", 128 << 10}} {
-		b.Run("objects="+size.name, func(b *testing.B) { benchRouteSweep(b, size.objects, true) })
+		b.Run("objects="+size.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				c, err := cluster.New(3)
+				if err != nil {
+					b.Fatalf("cluster: %v", err)
+				}
+				fab := fabric.New(c)
+				for o := 0; o < size.objects; o++ {
+					obj, err := c.PlaceMaxRegister(types.ServerID(o % 3))
+					if err != nil {
+						b.Fatalf("place: %v", err)
+					}
+					if _, err := fab.ServerFor(obj); err != nil {
+						b.Fatalf("ServerFor(%d): %v", obj, err)
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			placed := float64(b.N) * float64(size.objects)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/placed, "ns/object")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/placed, "B/object")
+			b.ReportMetric(float64(size.objects), "objects")
+		})
 	}
-}
-
-// BenchmarkFabricReresolveAfterEpoch is the same sweep after a view change
-// invalidated every cached route: what the first op on each object pays
-// after a reconfiguration.
-func BenchmarkFabricReresolveAfterEpoch(b *testing.B) {
-	b.Run("objects=16k", func(b *testing.B) { benchRouteSweep(b, 16<<10, false) })
 }
 
 // BenchmarkResizeTransition measures the freeze-to-activate wall-clock of

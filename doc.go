@@ -12,16 +12,18 @@
 //
 //   - internal/baseobj: the base-object types (register, max-register, CAS
 //     cell) with their sequential specifications.
-//   - internal/cluster: the server set S and the delta: B -> S placement
-//     mapping. Every server guards its own object table; cluster-wide
-//     lookups are read-mostly and never contend with Apply traffic.
+//   - internal/cluster: the server set S, the membership View (epoch,
+//     members, f) and the delta: B -> S placement mapping, stored once: a
+//     dense, lock-free-read object table (see "The object table" below).
+//     Which servers may take an object is read from the view — a departed
+//     server refuses placement — so no other layer keeps a server list.
 //   - internal/fabric: the asynchronous trigger/respond fabric between
 //     clients and base objects, sharded into per-server dispatch lanes.
-//     Token allocation is lock-free, object routing is served from a
-//     lock-free route cache, each lane owns its held-op, in-flight, and
-//     crash-drop state, and TriggerBatch scatters a whole quorum round in
-//     one call, over storage the caller owns (a Group: ops, call slab,
-//     routes). A completion is heard in exactly one way: through the
+//     Token allocation is lock-free, where an object lives is read from
+//     the cluster's table on every trigger (nothing is cached), each lane
+//     owns its held-op, in-flight, and crash-drop state, and TriggerBatch
+//     scatters a whole quorum round in one call, over storage the caller
+//     owns (a Group: ops, call slab, table entries). A completion is heard in exactly one way: through the
 //     callback handed over with the trigger (TriggerFn, Group.Done),
 //     which fires once, on whatever goroutine completes the operation —
 //     inline on the in-process lane — and never for an operation that
@@ -93,12 +95,12 @@
 //     Retry is the one place a view-change retry is decided: a completion
 //     that raced a reconfiguration never applied, so the round (Scatter,
 //     abdcore's store-start rounds) or the single low-level write (regemu's
-//     re-trigger) runs again through fresh routes — not after a delay but
-//     when the fabric's view stamp has moved past the value the attempt read
-//     before it resolved its routes. The stamp counts ended transitions:
+//     re-trigger) runs again against the current placement — not after a
+//     delay but when the fabric's view stamp has moved past the value the
+//     attempt read before it planned. The stamp counts ended transitions:
 //     Resize advances it on both exits, commit and abort, after the
 //     surviving frozen lanes are back in service. A bounced attempt whose
-//     stamp is already stale (a stale route, a sealed or retired object)
+//     stamp is already stale (a sealed or retired object)
 //     retries at once; one whose stamp is current parks (Fabric.AwaitView)
 //     and is woken by the transition's end, so a wait of any length costs
 //     one re-scatter, there is no backoff ladder or retry budget to tune,
@@ -194,25 +196,28 @@
 //     exhaustive schedule search, chaos runs — plus data-driven JSON
 //     scenarios (internal/scenario/testdata).
 //
-// # Route resolution
+// # The object table
 //
-// The fabric resolves an object — cluster lookup of delta(obj), the
-// server's lane, placement mirroring on backends that host objects
-// remotely — once per object per view epoch and caches the result in a
-// two-level lock-free table: a small directory of fixed 512-slot chunks,
-// every slot an atomic pointer, the directory republished only when it
-// doubles. A lookup is a bounds check and two dependent loads; publishing
-// a route is one atomic store (plus a 4 KiB chunk per 512 object IDs), so
-// first-touching n objects costs O(n) — a store's set-up is linear in its
-// keys — and nothing on the trigger path ever copies the table. A cached route is valid only
-// while its epoch stamp matches the cluster's: any view change
-// (AddServer, MoveObject, CommitView, a failure-budget change) bumps the
-// epoch and thereby invalidates every route at once, without touching
-// the table. The next operation on each object re-resolves it, again in
-// O(1), overwriting the stale slot and inheriting its "used" latch, so
-// the first sweep over a shard after a reconfiguration costs one route
-// allocation per object rather than a stall proportional to the shard
-// squared (E29).
+// delta is stored exactly once, in internal/cluster: a small directory of
+// fixed 512-slot chunks, every slot an atomic pointer to an immutable entry
+// (the object, its hosting server, and two per-copy latches: "had an
+// operation triggered", "hosted on its lane's external store"). Object IDs
+// are dense, so a lookup is a bounds check and two dependent loads with no
+// lock, and the fabric does one on every trigger — it keeps no route, so
+// there is nothing to resolve on an object's first touch and nothing to
+// re-resolve after a view change. Writers — placement, MoveObject,
+// ReplaceObject, RemoveObject — store one slot each under the cluster's one
+// mutex, the same critical section that checks the target is a member of
+// the current view; a retired ID's slot holds one shared tombstone, which
+// reads as a retryable view-change completion and is never reclaimed. A
+// move needs no invalidation: a reader gets either the old entry — a sealed
+// copy on a frozen server, which answers with the same retryable error — or
+// the new one. The view epoch still names every membership or placement
+// change (AddServer, MoveObject, CommitView, a failure-budget change); it is
+// not a cache-coherence protocol. Placing n objects costs O(n) — a store's
+// set-up is linear in its keys (E29) — and per-server counts and the
+// ascending scans (ObjectsOn, AllObjects, UsedObjects, PerServerBytes) read
+// the same table.
 //
 // # Sweep engine
 //

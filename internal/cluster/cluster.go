@@ -7,18 +7,20 @@
 // paper's resource-complexity accounting: the number of base objects
 // |delta^-1(S)| and the per-server object counts |delta^-1({s})|.
 //
-// Servers are independent fault domains, and the locking mirrors that:
-// every server guards its own object table, the cluster-wide delta mapping
-// is read-mostly (placement writes, everything else reads), and crash flags
-// are lock-free atomics. Read-path lookups (Delta, Object, Route, Crashed)
-// therefore never contend with Apply traffic on other servers — the
-// property package fabric's per-server dispatch lanes build on.
+// delta is stored exactly once, in the object table: a dense, ID-indexed
+// directory of fixed-size chunks whose slots each hold one immutable Entry
+// (the object and its hosting server). Reading a slot is lock-free — a
+// bounds check and two dependent loads — so package fabric reads placement
+// from the table on every trigger and caches nothing; placing, moving,
+// replacing and retiring an object are one slot store each, serialized with
+// membership changes by the cluster's one mutex. Which servers may host an
+// object is read from the same place: the current View.
 package cluster
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -39,11 +41,12 @@ var (
 	// hosts objects: state must be transferred off first (MoveObject).
 	ErrServerNotEmpty = errors.New("cluster: server still hosts objects")
 	// ErrNotMember is returned when removing a server that is not in the
-	// current view.
+	// current view, or placing an object on one: a departed server takes
+	// no new objects.
 	ErrNotMember = errors.New("cluster: server is not a view member")
-	// ErrObjectRetired is returned when routing to an object a view
+	// ErrObjectRetired is returned when looking up an object a view
 	// transition removed. Unlike ErrNoSuchObject (an ID that never
-	// existed) it marks a stale route: the operation never applied and
+	// existed) it marks a stale placement: the operation never applied and
 	// may safely retry against the construction's new placement.
 	ErrObjectRetired = errors.New("cluster: object retired by a view transition")
 )
@@ -54,9 +57,7 @@ type Server struct {
 	crashed   atomic.Bool
 	crashC    chan struct{} // closed by the crash
 	departing atomic.Bool
-
-	mu      sync.RWMutex
-	objects map[types.ObjectID]baseobj.Object
+	objects   atomic.Int32 // |delta^-1({s})|, moved with the table's slot stores
 }
 
 // ID returns the server's identifier.
@@ -90,73 +91,59 @@ func newServer(id types.ServerID) *Server {
 
 // NumObjects returns |delta^-1({s})|, the number of base objects stored on
 // the server.
-func (s *Server) NumObjects() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.objects)
+func (s *Server) NumObjects() int { return int(s.objects.Load()) }
+
+// Entry is one slot of the object table: a base object and the server
+// hosting it — delta(obj) — immutable once stored. A move or a rollback
+// stores a fresh Entry (base objects have no unseal, so the new copy is a
+// clone); whoever still holds the old one keeps a sealed copy on a frozen
+// server, which answers with a retryable view-change error. The two latches
+// are per copy: used survives a move (resource accounting is about the
+// object), mirrored does not (the new copy lives behind another lane).
+type Entry struct {
+	obj      baseobj.Object
+	srv      *Server
+	used     atomic.Bool // had at least one operation triggered
+	mirrored atomic.Bool // hosted on its lane's external store (fabric.ObjectMirror)
 }
 
-// BytesStored returns the payload bytes currently held in the server's
-// object table: the sum of baseobj.Sizer over objects implementing it.
-// Objects without payload (CAS cells, plain TSValue registers) count 0 —
-// the metric is the *value bytes* axis the space bounds are about, not
-// per-object bookkeeping overhead.
-func (s *Server) BytesStored() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, o := range s.objects {
-		if sz, ok := o.(baseobj.Sizer); ok {
-			n += int64(sz.SizeBytes())
-		}
+// Object returns the hosted copy.
+func (e *Entry) Object() baseobj.Object { return e.obj }
+
+// Server returns the hosting server, delta(obj).
+func (e *Entry) Server() *Server { return e.srv }
+
+// MarkUsed latches the used flag (idempotent, a plain load on the
+// overwhelmingly common already-marked path).
+func (e *Entry) MarkUsed() {
+	if !e.used.Load() {
+		e.used.Store(true)
 	}
-	return n
 }
 
-// place registers an object on the server.
-func (s *Server) place(obj baseobj.Object) {
-	s.mu.Lock()
-	if s.objects == nil {
-		s.objects = make(map[types.ObjectID]baseobj.Object)
-	}
-	s.objects[obj.ID()] = obj
-	s.mu.Unlock()
-}
+// Mirrored reports whether SetMirrored ran for this copy.
+func (e *Entry) Mirrored() bool { return e.mirrored.Load() }
 
-// remove drops an object from the server's table (state transfer).
-func (s *Server) remove(obj types.ObjectID) {
-	s.mu.Lock()
-	delete(s.objects, obj)
-	s.mu.Unlock()
-}
+// SetMirrored records that the copy's lane hosts a matching object.
+func (e *Entry) SetMirrored() { e.mirrored.Store(true) }
 
-// object returns the hosted object, if any.
-func (s *Server) object(obj types.ObjectID) (baseobj.Object, bool) {
-	s.mu.RLock()
-	o, ok := s.objects[obj]
-	s.mu.RUnlock()
-	return o, ok
-}
+// tombstone is the one Entry every retired ID's slot points at.
+var tombstone = new(Entry)
 
-// apply applies inv to the hosted object, or fails if the server crashed.
-func (s *Server) apply(obj types.ObjectID, client types.ClientID, inv baseobj.Invocation) (baseobj.Response, error) {
-	if s.crashed.Load() {
-		return baseobj.Response{}, fmt.Errorf("%w: server %d", ErrServerCrashed, s.id)
-	}
-	o, ok := s.object(obj)
-	if !ok {
-		return baseobj.Response{}, fmt.Errorf("%w: object %d on server %d", ErrNoSuchObject, obj, s.id)
-	}
-	// The object's own mutex is the linearization point; holding a
-	// server-wide lock across Apply would serialize unrelated objects.
-	return o.Apply(client, inv)
-}
+// TableChunkSize is the number of slots per chunk of the object table: 512
+// pointers are one 4 KiB allocation, and an emulated register's handful of
+// consecutively allocated base objects almost always share a chunk.
+const TableChunkSize = 512
+
+// tableChunk is one fixed block of slots. A chunk is allocated once and
+// never moves, so a slot can be stored into while readers load it.
+type tableChunk [TableChunkSize]atomic.Pointer[Entry]
 
 // View is one membership epoch: the ordered set of servers currently
 // eligible for placement and quorums. Epochs advance on every membership
-// or placement change (AddServer, MoveObject, RemoveServer); package
-// fabric validates its cached routes against the current epoch, so a
-// bumped epoch is exactly "every stale route must re-resolve".
+// or placement change (AddServer, MoveObject, RemoveServer, CommitView):
+// the epoch names a view, it is not a cache-coherence protocol — nothing
+// caches placement, so nothing is invalidated by a bump.
 type View struct {
 	// Epoch is the view's activation number, strictly increasing.
 	Epoch uint64
@@ -179,26 +166,32 @@ func (v View) Quorum() int { return len(v.Members) - v.F }
 // Cluster is the set of servers plus the delta mapping.
 type Cluster struct {
 	// servers is the append-only server list, published copy-on-write so
-	// the hot lock-free readers (Server, Route, Apply) stay safe while
-	// AddServer grows it. Server IDs are slice indexes and never reused —
-	// a removed member keeps its slot, so stale routes still resolve to
-	// its (sealed, empty) shell instead of a neighbour's objects.
+	// the hot lock-free readers (Server, Apply) stay safe while AddServer
+	// grows it. Server IDs are slice indexes and never reused — a removed
+	// member keeps its slot, so an Entry read before the move still names
+	// its (sealed, empty) shell instead of a neighbour.
 	servers atomic.Pointer[[]*Server]
 	crashes atomic.Int32
 
-	// epoch is the current view's activation number, read lock-free on
-	// the fabric's route hot path.
+	// epoch is the current view's activation number.
 	epoch atomic.Uint64
 
-	// mu guards the delta and object tables plus the membership list and
-	// the view's failure budget. Placement and membership changes are
-	// rare; every hot-path access is a read, hence the RWMutex.
+	// chunks is the object table's directory, one pointer per
+	// TableChunkSize object IDs. A slot is nil until its ID is handed out,
+	// then an Entry, or the tombstone once the object was retired; IDs are
+	// dense, so the first nil slot ends the table. The published slice only
+	// ever grows by appending past its own length, so readers holding an
+	// older header never see a slot move.
+	chunks atomic.Pointer[[]*tableChunk]
+	live   atomic.Int64 // |delta^-1(S)|: entries that are not tombstones
+
+	// mu guards the membership list and the view's failure budget, and
+	// serializes the table's writers: a placement checks membership and
+	// publishes its entry in one critical section. Table readers never take
+	// it.
 	mu      sync.RWMutex
 	members []types.ServerID
 	f       int
-	delta   map[types.ObjectID]types.ServerID
-	objects map[types.ObjectID]baseobj.Object
-	retired map[types.ObjectID]struct{}
 	nextID  types.ObjectID
 }
 
@@ -208,11 +201,7 @@ func New(n int) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: n must be positive, got %d", n)
 	}
-	c := &Cluster{
-		delta:   make(map[types.ObjectID]types.ServerID),
-		objects: make(map[types.ObjectID]baseobj.Object),
-		retired: make(map[types.ObjectID]struct{}),
-	}
+	c := &Cluster{}
 	servers := make([]*Server, n)
 	c.members = make([]types.ServerID, n)
 	for i := range servers {
@@ -220,6 +209,7 @@ func New(n int) (*Cluster, error) {
 		c.members[i] = types.ServerID(i)
 	}
 	c.servers.Store(&servers)
+	c.chunks.Store(new([]*tableChunk))
 	return c, nil
 }
 
@@ -240,8 +230,7 @@ func (c *Cluster) View() View {
 	for {
 		e := c.epoch.Load()
 		c.mu.RLock()
-		members := make([]types.ServerID, len(c.members))
-		copy(members, c.members)
+		members := slices.Clone(c.members)
 		f := c.f
 		c.mu.RUnlock()
 		if c.epoch.Load() == e {
@@ -259,8 +248,8 @@ func (c *Cluster) F() int {
 
 // SetF records the view's failure budget, activating a new epoch when the
 // budget actually changes: new quorum thresholds are a view change even
-// when the member set is untouched. Constructions set it at build time;
-// resizes change it atomically through CommitView instead.
+// when the member set is untouched. Whoever builds the view's registers sets
+// it once; resizes change it atomically through CommitView instead.
 func (c *Cluster) SetF(f int) {
 	c.mu.Lock()
 	changed := c.f != f
@@ -276,49 +265,27 @@ func (c *Cluster) Members() []types.ServerID { return c.View().Members }
 
 // AddServer appends a fresh server (the next unused ID) to the server list
 // and admits it to the view, activating a new epoch. The joiner starts with
-// an empty object table; state transfer (MoveObject) makes it useful.
+// no objects; state transfer (MoveObject) makes it useful.
 func (c *Cluster) AddServer() *Server {
 	c.mu.Lock()
 	old := c.serverList()
 	s := newServer(types.ServerID(len(old)))
-	grown := make([]*Server, len(old)+1)
-	copy(grown, old)
-	grown[len(old)] = s
+	grown := append(old[:len(old):len(old)], s)
 	c.servers.Store(&grown)
+	// IDs only grow, so appending keeps the member list ascending.
 	c.members = append(c.members, s.id)
-	sort.Slice(c.members, func(i, j int) bool { return c.members[i] < c.members[j] })
 	c.mu.Unlock()
 	c.epoch.Add(1)
 	return s
 }
 
 // RemoveServer retires a member from the view, activating a new epoch. The
-// server must be empty (every object moved off) and keeps its ID slot so
-// stale routes still resolve; it never counts as a crash.
+// server must be empty (every object moved off) and keeps its ID slot; it
+// never counts as a crash.
 func (c *Cluster) RemoveServer(id types.ServerID) error {
-	s, err := c.Server(id)
-	if err != nil {
-		return err
-	}
-	if n := s.NumObjects(); n != 0 {
-		return fmt.Errorf("%w: server %d has %d objects", ErrServerNotEmpty, id, n)
-	}
 	c.mu.Lock()
-	idx := -1
-	for i, m := range c.members {
-		if m == id {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrNotMember, id)
-	}
-	c.members = append(c.members[:idx], c.members[idx+1:]...)
-	c.mu.Unlock()
-	c.epoch.Add(1)
-	return nil
+	defer c.mu.Unlock()
+	return c.commitLocked([]types.ServerID{id}, c.f)
 }
 
 // CommitView atomically activates a resized view: every server in leave is
@@ -329,8 +296,15 @@ func (c *Cluster) RemoveServer(id types.ServerID) error {
 // member and must be empty (state moved off first); on any validation
 // failure nothing changes.
 func (c *Cluster) CommitView(leave []types.ServerID, f int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.commitLocked(leave, f)
+}
+
+// commitLocked is CommitView with mu held.
+func (c *Cluster) commitLocked(leave []types.ServerID, f int) error {
 	for _, id := range leave {
-		s, err := c.Server(id)
+		s, err := c.memberLocked(id)
 		if err != nil {
 			return err
 		}
@@ -338,123 +312,11 @@ func (c *Cluster) CommitView(leave []types.ServerID, f int) error {
 			return fmt.Errorf("%w: server %d has %d objects", ErrServerNotEmpty, id, n)
 		}
 	}
-	c.mu.Lock()
-	kept := c.members[:0:0]
-	for _, m := range c.members {
-		retired := false
-		for _, id := range leave {
-			if m == id {
-				retired = true
-				break
-			}
-		}
-		if !retired {
-			kept = append(kept, m)
-		}
-	}
+	kept := slices.DeleteFunc(slices.Clone(c.members), func(m types.ServerID) bool { return slices.Contains(leave, m) })
 	if len(kept) != len(c.members)-len(leave) {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: leave set %v not all members of %v", ErrNotMember, leave, c.members)
+		return fmt.Errorf("cluster: leave set %v lists a server twice", leave)
 	}
-	c.members = kept
-	c.f = f
-	c.mu.Unlock()
-	c.epoch.Add(1)
-	return nil
-}
-
-// MoveObject transfers an object to a new hosting server: a fresh unsealed
-// clone holding the transferred state is placed on the target, delta is
-// repointed, and the epoch advances so every cached route to the old copy
-// re-resolves. The caller (the fabric's reconfiguration coordinator) must
-// have sealed the source copy first — the clone's state is then final — and
-// removes nothing until the new mapping is published, so there is no window
-// where the object is unreachable.
-func (c *Cluster) MoveObject(obj types.ObjectID, to types.ServerID, state baseobj.State) error {
-	target, err := c.Server(to)
-	if err != nil {
-		return err
-	}
-	if target.Crashed() {
-		return fmt.Errorf("%w: cannot move object %d to crashed server %d", ErrServerCrashed, obj, to)
-	}
-	c.mu.RLock()
-	from, ok := c.delta[obj]
-	o := c.objects[obj]
-	c.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchObject, obj)
-	}
-	if from == to {
-		return nil
-	}
-	clone, err := baseobj.CloneAtState(o, state)
-	if err != nil {
-		return err
-	}
-	target.place(clone)
-	c.mu.Lock()
-	c.delta[obj] = to
-	c.objects[obj] = clone
-	c.mu.Unlock()
-	c.epoch.Add(1)
-	if src, err := c.Server(from); err == nil {
-		src.remove(obj)
-	}
-	return nil
-}
-
-// ReplaceObject swaps an object's hosted copy for a fresh unsealed clone
-// holding the given state, on the same server, activating a new epoch so
-// cached routes re-resolve to the clone. The reconfiguration coordinator
-// uses it to roll back a sealed-but-unmoved object when a transition
-// aborts: base objects have no unseal, so the rollback is a clone.
-func (c *Cluster) ReplaceObject(obj types.ObjectID, state baseobj.State) error {
-	c.mu.RLock()
-	server, ok := c.delta[obj]
-	o := c.objects[obj]
-	c.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchObject, obj)
-	}
-	clone, err := baseobj.CloneAtState(o, state)
-	if err != nil {
-		return err
-	}
-	s, err := c.Server(server)
-	if err != nil {
-		return err
-	}
-	s.place(clone)
-	c.mu.Lock()
-	c.objects[obj] = clone
-	c.mu.Unlock()
-	c.epoch.Add(1)
-	return nil
-}
-
-// RemoveObject retires a base object from the cluster: delta forgets it,
-// the hosting server drops it, and the epoch advances so stale routes fail
-// instead of resolving to the retired copy. Constructions call it when a
-// resize shrinks their base-object set (the inverse of Place*); retiring
-// an unknown object is an error.
-func (c *Cluster) RemoveObject(obj types.ObjectID) error {
-	c.mu.Lock()
-	server, ok := c.delta[obj]
-	if !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrNoSuchObject, obj)
-	}
-	delete(c.delta, obj)
-	delete(c.objects, obj)
-	// Tombstone the ID: an operation that snapshotted the old placement
-	// before the transition may still route here afterwards, and it must
-	// see a retryable stale-route error, not a hard unknown-object one.
-	c.retired[obj] = struct{}{}
-	c.mu.Unlock()
-	if s, err := c.Server(server); err == nil {
-		s.remove(obj)
-	}
+	c.members, c.f = kept, f
 	c.epoch.Add(1)
 	return nil
 }
@@ -468,118 +330,217 @@ func (c *Cluster) Server(id types.ServerID) (*Server, error) {
 	return servers[id], nil
 }
 
-// allocID hands out the next object ID.
-func (c *Cluster) allocID() types.ObjectID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := c.nextID
-	c.nextID++
-	return id
+// memberLocked returns the server if it is a member of the current view:
+// the only servers that may take an object. The caller holds mu.
+func (c *Cluster) memberLocked(id types.ServerID) (*Server, error) {
+	s, err := c.Server(id)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := slices.BinarySearch(c.members, id); !ok {
+		return nil, fmt.Errorf("%w: %d (members %v)", ErrNotMember, id, c.members)
+	}
+	return s, nil
 }
 
-// placeObject records delta(obj) = server and hosts the object.
-func (c *Cluster) placeObject(obj baseobj.Object, server types.ServerID) error {
-	s, err := c.Server(server)
-	if err != nil {
-		return err
+// slot returns obj's table slot, or nil when the table has no chunk for it
+// (or obj is negative).
+func (c *Cluster) slot(obj types.ObjectID) *atomic.Pointer[Entry] {
+	chunks := *c.chunks.Load()
+	if ci := uint(obj) / TableChunkSize; ci < uint(len(chunks)) {
+		return &chunks[ci][uint(obj)%TableChunkSize]
 	}
-	s.place(obj)
-	c.mu.Lock()
-	c.delta[obj.ID()] = server
-	c.objects[obj.ID()] = obj
-	c.mu.Unlock()
 	return nil
+}
+
+// Lookup reads delta(obj) and the object from the table, lock-free. A
+// retired ID reports ErrObjectRetired, one never handed out ErrNoSuchObject.
+func (c *Cluster) Lookup(obj types.ObjectID) (*Entry, error) {
+	var e *Entry
+	if s := c.slot(obj); s != nil {
+		e = s.Load()
+	}
+	switch e {
+	case nil:
+		return nil, fmt.Errorf("%w: %d", ErrNoSuchObject, obj)
+	case tombstone:
+		return nil, fmt.Errorf("%w: %d", ErrObjectRetired, obj)
+	}
+	return e, nil
+}
+
+// each visits every live entry in ascending object order.
+func (c *Cluster) each(visit func(obj types.ObjectID, e *Entry)) {
+	for ci, chunk := range *c.chunks.Load() {
+		for i := range chunk {
+			e := chunk[i].Load()
+			if e == nil {
+				return
+			}
+			if e != tombstone {
+				visit(types.ObjectID(ci*TableChunkSize+i), e)
+			}
+		}
+	}
+}
+
+// place hands out the next object ID and publishes build(id) on the given
+// server — which must be a member of the current view — in one critical
+// section: no placement can land on a server a concurrent CommitView just
+// retired.
+func (c *Cluster) place(server types.ServerID, build func(id types.ObjectID) baseobj.Object) (types.ObjectID, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	srv, err := c.memberLocked(server)
+	if err != nil {
+		return 0, err
+	}
+	id := c.nextID
+	c.nextID++
+	if c.slot(id) == nil {
+		grown := append(*c.chunks.Load(), new(tableChunk))
+		c.chunks.Store(&grown)
+	}
+	c.slot(id).Store(&Entry{obj: build(id), srv: srv})
+	srv.objects.Add(1)
+	c.live.Add(1)
+	return id, nil
 }
 
 // PlaceRegister creates a read/write register on the given server and
 // returns its ID. Options restrict the writer set (z-writer registers).
 func (c *Cluster) PlaceRegister(server types.ServerID, opts ...baseobj.RegisterOption) (types.ObjectID, error) {
-	id := c.allocID()
-	if err := c.placeObject(baseobj.NewRegister(id, opts...), server); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return c.place(server, func(id types.ObjectID) baseobj.Object { return baseobj.NewRegister(id, opts...) })
 }
 
 // PlaceMaxRegister creates a max-register on the given server.
 func (c *Cluster) PlaceMaxRegister(server types.ServerID) (types.ObjectID, error) {
-	id := c.allocID()
-	if err := c.placeObject(baseobj.NewMaxRegister(id), server); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return c.place(server, func(id types.ObjectID) baseobj.Object { return baseobj.NewMaxRegister(id) })
 }
 
 // PlaceCASCell creates a CAS cell on the given server.
 func (c *Cluster) PlaceCASCell(server types.ServerID) (types.ObjectID, error) {
-	id := c.allocID()
-	if err := c.placeObject(baseobj.NewCASCell(id), server); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return c.place(server, func(id types.ObjectID) baseobj.Object { return baseobj.NewCASCell(id) })
 }
 
 // PlaceFragStore creates an erasure-coded fragment store on the given
 // server.
 func (c *Cluster) PlaceFragStore(server types.ServerID) (types.ObjectID, error) {
-	id := c.allocID()
-	if err := c.placeObject(baseobj.NewFragStore(id), server); err != nil {
-		return 0, err
+	return c.place(server, func(id types.ObjectID) baseobj.Object { return baseobj.NewFragStore(id) })
+}
+
+// recloneLocked publishes a fresh unsealed clone of obj holding state on
+// target — on the object's current server when target is nil — and
+// activates a new epoch. The clone inherits the used latch. The caller
+// holds mu.
+func (c *Cluster) recloneLocked(obj types.ObjectID, target *Server, state baseobj.State) error {
+	old, err := c.Lookup(obj)
+	if err != nil {
+		return err
 	}
-	return id, nil
+	if target == old.srv {
+		return nil
+	}
+	if target == nil {
+		target = old.srv
+	}
+	clone, err := baseobj.CloneAtState(old.obj, state)
+	if err != nil {
+		return err
+	}
+	e := &Entry{obj: clone, srv: target}
+	e.used.Store(old.used.Load())
+	c.slot(obj).Store(e)
+	old.srv.objects.Add(-1)
+	target.objects.Add(1)
+	c.epoch.Add(1)
+	return nil
+}
+
+// MoveObject transfers an object to a new hosting server, a member of the
+// view: one slot store publishes a fresh unsealed clone holding the
+// transferred state there, and the epoch advances. The caller (the fabric's
+// reconfiguration coordinator) must have sealed the source copy first — the
+// clone's state is then final. There is no window where the object is
+// unreachable and nothing to invalidate: a reader gets the old entry (a
+// sealed copy on a frozen server: a retryable error) or the new one.
+func (c *Cluster) MoveObject(obj types.ObjectID, to types.ServerID, state baseobj.State) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	target, err := c.memberLocked(to)
+	if err != nil {
+		return err
+	}
+	if target.Crashed() {
+		return fmt.Errorf("%w: cannot move object %d to crashed server %d", ErrServerCrashed, obj, to)
+	}
+	return c.recloneLocked(obj, target, state)
+}
+
+// ReplaceObject swaps an object's hosted copy for a fresh unsealed clone
+// holding the given state, on the same server, activating a new epoch. The
+// reconfiguration coordinator uses it to roll back a sealed-but-unmoved
+// object when a transition aborts: base objects have no unseal, so the
+// rollback is a clone.
+func (c *Cluster) ReplaceObject(obj types.ObjectID, state baseobj.State) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.recloneLocked(obj, nil, state)
+}
+
+// RemoveObject retires a base object from the cluster: its slot becomes the
+// tombstone and the epoch advances. An operation that snapshotted the old
+// placement before the transition may still look the ID up afterwards, and
+// it must see a retryable stale-placement error (ErrObjectRetired), not a
+// hard unknown-object one — so a retired slot is never reclaimed.
+// Constructions call it when a resize shrinks their base-object set (the
+// inverse of Place*); retiring an unknown object is an error.
+func (c *Cluster) RemoveObject(obj types.ObjectID) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, err := c.Lookup(obj)
+	if err != nil {
+		return err
+	}
+	c.slot(obj).Store(tombstone)
+	e.srv.objects.Add(-1)
+	c.live.Add(-1)
+	c.epoch.Add(1)
+	return nil
 }
 
 // Delta returns delta(obj), the server storing the object.
 func (c *Cluster) Delta(obj types.ObjectID) (types.ServerID, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	s, ok := c.delta[obj]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrNoSuchObject, obj)
+	e, err := c.Lookup(obj)
+	if err != nil {
+		return 0, err
 	}
-	return s, nil
+	return e.srv.id, nil
 }
 
 // Object returns the base object with the given ID.
 func (c *Cluster) Object(obj types.ObjectID) (baseobj.Object, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	o, ok := c.objects[obj]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchObject, obj)
+	e, err := c.Lookup(obj)
+	if err != nil {
+		return nil, err
 	}
-	return o, nil
-}
-
-// Route resolves an object to its hosting server and the object itself in
-// one read-locked lookup. Package fabric caches routes so repeated
-// operations on an object never touch the cluster-wide tables again.
-func (c *Cluster) Route(obj types.ObjectID) (*Server, baseobj.Object, error) {
-	c.mu.RLock()
-	server, ok := c.delta[obj]
-	o := c.objects[obj]
-	_, wasRetired := c.retired[obj]
-	c.mu.RUnlock()
-	if !ok {
-		if wasRetired {
-			return nil, nil, fmt.Errorf("%w: %d", ErrObjectRetired, obj)
-		}
-		return nil, nil, fmt.Errorf("%w: %d", ErrNoSuchObject, obj)
-	}
-	return c.serverList()[server], o, nil
+	return e.obj, nil
 }
 
 // Apply routes a low-level invocation to the server hosting the object and
-// applies it atomically. It is a direct testing/tooling entry point: the
-// fabric resolves a Route once and applies through it instead, and (unlike
-// this method, which returns ErrServerCrashed) silently drops operations on
-// crashed servers so they stay pending forever.
+// applies it atomically. It is a direct testing/tooling entry point: unlike
+// the fabric, which silently drops operations on crashed servers so they
+// stay pending forever, it returns ErrServerCrashed.
 func (c *Cluster) Apply(obj types.ObjectID, client types.ClientID, inv baseobj.Invocation) (baseobj.Response, error) {
-	server, err := c.Delta(obj)
+	e, err := c.Lookup(obj)
 	if err != nil {
 		return baseobj.Response{}, err
 	}
-	return c.serverList()[server].apply(obj, client, inv)
+	if e.srv.Crashed() {
+		return baseobj.Response{}, fmt.Errorf("%w: server %d", ErrServerCrashed, e.srv.id)
+	}
+	// The object's own mutex is the linearization point.
+	return e.obj.Apply(client, inv)
 }
 
 // Crash crashes the given server and all objects mapped to it.
@@ -600,11 +561,7 @@ func (c *Cluster) Crashes() int { return int(c.crashes.Load()) }
 
 // ResourceComplexity returns |delta^-1(S)|: the total number of base
 // objects placed in the cluster. This is the paper's space measure.
-func (c *Cluster) ResourceComplexity() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.objects)
-}
+func (c *Cluster) ResourceComplexity() int { return int(c.live.Load()) }
 
 // PerServerCounts returns |delta^-1({s})| for every server, indexed by
 // server ID.
@@ -617,15 +574,19 @@ func (c *Cluster) PerServerCounts() []int {
 	return counts
 }
 
-// PerServerBytes returns BytesStored for every server, indexed by server
-// ID — the bytes-per-server space axis measured against the replication
-// and coding bounds.
+// PerServerBytes returns the payload bytes held by every server, indexed by
+// server ID — the bytes-per-server space axis measured against the
+// replication and coding bounds: the sum of baseobj.Sizer over the objects
+// implementing it. Objects without payload (CAS cells, plain TSValue
+// registers) count 0 — the metric is the *value bytes* axis the space
+// bounds are about, not per-object bookkeeping overhead.
 func (c *Cluster) PerServerBytes() []int64 {
-	servers := c.serverList()
-	bytes := make([]int64, len(servers))
-	for i, s := range servers {
-		bytes[i] = s.BytesStored()
-	}
+	bytes := make([]int64, c.N())
+	c.each(func(_ types.ObjectID, e *Entry) {
+		if sz, ok := e.obj.(baseobj.Sizer); ok {
+			bytes[e.srv.id] += int64(sz.SizeBytes())
+		}
+	})
 	return bytes
 }
 
@@ -641,26 +602,31 @@ func (c *Cluster) TotalBytes() int64 {
 // ObjectsOn returns the IDs of all objects mapped to the given server, in
 // ascending order.
 func (c *Cluster) ObjectsOn(server types.ServerID) []types.ObjectID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	var ids []types.ObjectID
-	for obj, s := range c.delta {
-		if s == server {
+	c.each(func(obj types.ObjectID, e *Entry) {
+		if e.srv.id == server {
 			ids = append(ids, obj)
 		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	})
 	return ids
 }
 
 // AllObjects returns the IDs of every placed object in ascending order.
 func (c *Cluster) AllObjects() []types.ObjectID {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ids := make([]types.ObjectID, 0, len(c.objects))
-	for obj := range c.objects {
-		ids = append(ids, obj)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := make([]types.ObjectID, 0, c.ResourceComplexity())
+	c.each(func(obj types.ObjectID, _ *Entry) { ids = append(ids, obj) })
+	return ids
+}
+
+// UsedObjects returns the objects that had at least one operation
+// triggered on them — the paper's resource consumption of the run — in
+// ascending order.
+func (c *Cluster) UsedObjects() []types.ObjectID {
+	var ids []types.ObjectID
+	c.each(func(obj types.ObjectID, e *Entry) {
+		if e.used.Load() {
+			ids = append(ids, obj)
+		}
+	})
 	return ids
 }

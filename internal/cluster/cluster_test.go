@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/baseobj"
@@ -180,5 +181,53 @@ func TestObjectIDsAreUniqueAcrossServers(t *testing.T) {
 			}
 			seen[id] = true
 		}
+	}
+}
+
+// TestPlacementRefusesDepartedServer: a server that left the view takes no
+// new objects — not a fresh placement, not a moved one — while its ID stays
+// in the ID space; a refused placement hands out no ID and moves no count.
+func TestPlacementRefusesDepartedServer(t *testing.T) {
+	c := mustCluster(t, 3)
+	kept, err := c.PlaceMaxRegister(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joiner := c.AddServer().ID()
+	if err := c.CommitView([]types.ServerID{0}, 1); err != nil {
+		t.Fatal(err)
+	}
+	epoch := c.Epoch()
+	for name, place := range map[string]func() (types.ObjectID, error){
+		"register":     func() (types.ObjectID, error) { return c.PlaceRegister(0) },
+		"max-register": func() (types.ObjectID, error) { return c.PlaceMaxRegister(0) },
+		"cas":          func() (types.ObjectID, error) { return c.PlaceCASCell(0) },
+		"frag-store":   func() (types.ObjectID, error) { return c.PlaceFragStore(0) },
+	} {
+		if _, err := place(); !errors.Is(err, ErrNotMember) {
+			t.Errorf("placing a %s on the departed server: %v, want ErrNotMember", name, err)
+		}
+	}
+	if err := c.MoveObject(kept, 0, baseobj.State{}); !errors.Is(err, ErrNotMember) {
+		t.Errorf("moving an object onto the departed server: %v, want ErrNotMember", err)
+	}
+	if _, err := c.PlaceMaxRegister(9); !errors.Is(err, ErrNoSuchServer) {
+		t.Errorf("placing on an ID never issued: %v, want ErrNoSuchServer", err)
+	}
+	if got := c.ResourceComplexity(); got != 1 {
+		t.Errorf("ResourceComplexity = %d after refused placements, want 1", got)
+	}
+	if got, want := c.PerServerCounts(), []int{0, 1, 0, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("PerServerCounts = %v, want %v", got, want)
+	}
+	if got := c.AllObjects(); len(got) != 1 || got[0] != kept {
+		t.Errorf("AllObjects = %v, want only %d", got, kept)
+	}
+	if c.Epoch() != epoch {
+		t.Errorf("refused placements moved the epoch %d -> %d", epoch, c.Epoch())
+	}
+	// The next accepted placement gets the next ID: the refusals consumed none.
+	if id, err := c.PlaceMaxRegister(joiner); err != nil || id != kept+1 {
+		t.Errorf("placement on the joiner = %d, %v; want ID %d", id, err, kept+1)
 	}
 }

@@ -137,8 +137,6 @@ func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
 type Options struct {
 	// History receives the high-level operations (optional).
 	History *spec.History
-	// Servers optionally pins the 2f+1 hosting servers.
-	Servers []types.ServerID
 }
 
 // New places k single-writer registers on each of 2f+1 servers ((2f+1)k
@@ -147,10 +145,9 @@ type Options struct {
 // k-register per-server max has no cell a reader could write.
 func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, error) {
 	return quorumreg.New(quorumreg.Config{
-		Name:    "aac-max",
-		K:       k,
-		F:       f,
-		Servers: opts.Servers,
+		Name: "aac-max",
+		K:    k,
+		F:    f,
 		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
 			return place(fab, k, server)
 		},

@@ -245,7 +245,7 @@ func (e *Engine) push(ctx context.Context, client types.ClientID, v types.TSValu
 // placement runs its own chain (start), the quorum'th report completes the
 // round, and a view-change completion re-starts every store once the
 // transition ended, through rounds.Retry — the view stamp is read before the
-// placement, so it is older than every route the chains resolve.
+// placement, so it is older than every table lookup the chains make.
 func (e *Engine) startStores(ctx context.Context, report func(types.TSValue, error), start func(MaxStore, func(types.TSValue, error))) {
 	if err := ctx.Err(); err != nil {
 		report(types.ZeroTSValue, err)

@@ -75,9 +75,6 @@ type Options struct {
 	// ReadWriteBack upgrades reads to the atomic (linearizable) protocol
 	// at the cost of readers writing.
 	ReadWriteBack bool
-	// Servers optionally pins the 2f+1 hosting servers; defaults to
-	// servers 0..2f.
-	Servers []types.ServerID
 	// ValueSize, when positive, makes every write carry a payload of that
 	// many bytes into each replica — the replicated bytes-per-server
 	// baseline the coded construction is measured against.
@@ -93,10 +90,9 @@ func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, error
 		engineOpts = append(engineOpts, abdcore.WithReadWriteBack())
 	}
 	return quorumreg.New(quorumreg.Config{
-		Name:    "abd-max",
-		K:       k,
-		F:       f,
-		Servers: opts.Servers,
+		Name: "abd-max",
+		K:    k,
+		F:    f,
 		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
 			obj, err := c.PlaceMaxRegister(server)
 			if err != nil {

@@ -79,11 +79,18 @@ func TestValidation(t *testing.T) {
 	if _, err := New(fab, 1, 0, Options{}); err == nil {
 		t.Error("f=0 accepted")
 	}
-	if _, err := New(fab, 1, 1, Options{Servers: []types.ServerID{0, 1}}); err == nil {
-		t.Error("2 servers for f=1 accepted")
+	two, err := cluster.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(fabric.New(two), 1, 1, Options{}); err == nil {
+		t.Error("a 2-member view accepted for f=1")
 	}
 	if _, err := New(fab, 1, 3, Options{}); err == nil {
-		t.Error("f=3 on a 5-server cluster accepted (needs 7 default servers)")
+		t.Error("f=3 on a 5-member view accepted (needs 7)")
+	}
+	if got := c.ResourceComplexity(); got != 0 {
+		t.Errorf("rejected builds placed %d base objects", got)
 	}
 }
 

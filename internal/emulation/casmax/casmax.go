@@ -148,8 +148,6 @@ type Options struct {
 	History *spec.History
 	// ReadWriteBack upgrades reads to the atomic protocol.
 	ReadWriteBack bool
-	// Servers optionally pins the 2f+1 hosting servers.
-	Servers []types.ServerID
 }
 
 // New places one CAS cell on each of 2f+1 servers and returns the emulated
@@ -161,10 +159,9 @@ func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, *Metr
 		engineOpts = append(engineOpts, abdcore.WithReadWriteBack())
 	}
 	reg, err := quorumreg.New(quorumreg.Config{
-		Name:    "abd-cas",
-		K:       k,
-		F:       f,
-		Servers: opts.Servers,
+		Name: "abd-cas",
+		K:    k,
+		F:    f,
 		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
 			obj, err := fab.Cluster().PlaceCASCell(server)
 			if err != nil {

@@ -79,8 +79,12 @@ func TestValidation(t *testing.T) {
 	if _, _, err := New(fab, 1, 0, Options{}); err == nil {
 		t.Error("f=0 accepted")
 	}
-	if _, _, err := New(fab, 1, 1, Options{Servers: []types.ServerID{0}}); err == nil {
-		t.Error("1 server for f=1 accepted")
+	two, err := cluster.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := New(fabric.New(two), 1, 1, Options{}); err == nil {
+		t.Error("a 2-member view accepted for f=1")
 	}
 }
 

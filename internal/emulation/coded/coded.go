@@ -63,9 +63,6 @@ type Options struct {
 	// Atomic upgrades reads to the linearizable protocol at the cost of
 	// readers writing the stripe back.
 	Atomic bool
-	// Servers optionally pins the n hosting servers; defaults to every
-	// server of the fabric's cluster.
-	Servers []types.ServerID
 }
 
 // placement is one immutable striping geometry: the fragment stores, the
@@ -103,8 +100,8 @@ var (
 	_ emulation.ViewResizable = (*Register)(nil)
 )
 
-// New places one fragment store on each hosting server and returns the
-// emulated k-writer register.
+// New places one fragment store on every member of the cluster's current
+// view and returns the emulated k-writer register.
 func New(fab *fabric.Fabric, k, f int, opts Options) (*Register, error) {
 	if err := emulation.ValidateWriters(k); err != nil {
 		return nil, fmt.Errorf("coded: %w", err)
@@ -113,10 +110,7 @@ func New(fab *fabric.Fabric, k, f int, opts Options) (*Register, error) {
 		return nil, fmt.Errorf("coded: f must be positive, got %d", f)
 	}
 	c := fab.Cluster()
-	servers := opts.Servers
-	if servers == nil {
-		servers = c.Members()
-	}
+	servers := c.Members()
 	n := len(servers)
 	if n < 2*f+1 {
 		return nil, fmt.Errorf("coded: need n ≥ 2f+1 = %d servers, got %d", 2*f+1, n)

@@ -68,8 +68,6 @@ func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
 type Options struct {
 	// History receives the high-level operations (optional).
 	History *spec.History
-	// Servers optionally pins the 2f+1 hosting servers.
-	Servers []types.ServerID
 }
 
 // New places one plain register on each of 2f+1 servers and returns the
@@ -77,10 +75,9 @@ type Options struct {
 func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, error) {
 	c := fab.Cluster()
 	return quorumreg.New(quorumreg.Config{
-		Name:    "naive-abd",
-		K:       k,
-		F:       f,
-		Servers: opts.Servers,
+		Name: "naive-abd",
+		K:    k,
+		F:    f,
 		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
 			obj, err := c.PlaceRegister(server)
 			if err != nil {

@@ -25,9 +25,6 @@ type Config struct {
 	Name string
 	// K is the number of writers; F the failure threshold.
 	K, F int
-	// Servers optionally pins the 2f+1 hosting servers; nil places on
-	// servers 0..2f.
-	Servers []types.ServerID
 	// Place is the construction's store recipe: it creates one server's
 	// max-store together with its base objects. New calls it for each of
 	// the 2f+1 hosts, Reshape for every server a view resize adds to the
@@ -61,8 +58,9 @@ var (
 	_ emulation.ViewResizable = (*Register)(nil)
 )
 
-// New places one store on each of the 2f+1 hosting servers and builds the
-// adapter over them.
+// New places one store on each of the first 2f+1 members of the cluster's
+// current view — servers 0..2f on an initial view, live members by
+// construction after any transition — and builds the adapter over them.
 func New(cfg Config) (*Register, error) {
 	if err := emulation.ValidateWriters(cfg.K); err != nil {
 		return nil, fmt.Errorf("quorumreg: %s: %w", cfg.Name, err)
@@ -71,15 +69,12 @@ func New(cfg Config) (*Register, error) {
 		return nil, fmt.Errorf("quorumreg: %s: f must be positive, got %d", cfg.Name, cfg.F)
 	}
 	need := 2*cfg.F + 1
-	if cfg.Servers != nil && len(cfg.Servers) != need {
-		return nil, fmt.Errorf("quorumreg: %s: need exactly 2f+1=%d servers, got %d", cfg.Name, need, len(cfg.Servers))
+	members := cfg.Fabric.Cluster().Members()
+	if len(members) < need {
+		return nil, fmt.Errorf("quorumreg: %s: %d members cannot host 2f+1=%d stores", cfg.Name, len(members), need)
 	}
 	stores := make([]abdcore.MaxStore, need)
-	for i := range stores {
-		server := types.ServerID(i)
-		if cfg.Servers != nil {
-			server = cfg.Servers[i]
-		}
+	for i, server := range members[:need] {
 		st, err := cfg.Place(server)
 		if err != nil {
 			return nil, fmt.Errorf("quorumreg: %s: placing store on server %d: %w", cfg.Name, server, err)

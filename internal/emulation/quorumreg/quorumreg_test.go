@@ -102,9 +102,7 @@ func TestConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{Name: "k=0", K: 0, F: 1},
 		{Name: "f=0", K: 1, F: 0},
-		{Name: "no pinned servers", K: 1, F: 1, Servers: []types.ServerID{}},
-		{Name: "2 pinned servers for f=1", K: 1, F: 1, Servers: []types.ServerID{0, 1}},
-		{Name: "4 pinned servers for f=1", K: 1, F: 1, Servers: []types.ServerID{0, 1, 2, 3}},
+		{Name: "f=2 on a 3-member view", K: 1, F: 2},
 	} {
 		cfg.Fabric, cfg.Place = fab, placeMem(c)
 		if _, err := New(cfg); err == nil {

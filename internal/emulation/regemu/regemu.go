@@ -57,11 +57,11 @@ type Options struct {
 	History *spec.History
 }
 
-// New builds the register-set layout on the fabric's cluster (all n of its
-// servers) and returns the emulated k-register.
+// New builds the register-set layout over the members of the cluster's
+// current view (all n of them) and returns the emulated k-register.
 func New(fab *fabric.Fabric, k, f int, opts Options) (*Emulation, error) {
 	c := fab.Cluster()
-	plan, err := layout.NewPlan(k, f, c.N())
+	plan, err := layout.NewPlan(k, f, c.View().N())
 	if err != nil {
 		return nil, fmt.Errorf("regemu: planning layout: %w", err)
 	}
@@ -259,7 +259,7 @@ type Writer struct {
 // pending. The trigger itself runs after the caller released the mutex
 // (returned as a thunk), because on a synchronous lane the completion runs
 // inline and re-enters onEvent. The view stamp a completion reports is the
-// one read right before its own trigger resolved a route (rounds.Retry).
+// one read right before its own trigger looked the register up (rounds.Retry).
 func (w *Writer) triggerLocked(b types.ObjectID, ts types.TSValue) func() {
 	w.pending[b] = true
 	return func() {

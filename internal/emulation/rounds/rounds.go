@@ -145,7 +145,7 @@ func (r *Round) report(j *Fold, v types.TSValue, err error) {
 
 // attempt is everything one attempt of a round needs, pooled so that a round
 // in steady state allocates nothing: the fold, the fabric group (op batch,
-// call slab, routes), the per-op server table, completion funcs bound once.
+// call slab, table entries), the per-op server table, completion funcs bound once.
 // The fabric's reference count on the group decides the lifetime (recycle is
 // the group's Released), so a response after the report fired still finds its
 // own round's fold, and an attempt with an op that never responds is never
@@ -159,7 +159,7 @@ type attempt struct {
 	fab    *fabric.Fabric
 	client types.ClientID
 	round  Round
-	stamp  uint64 // fab.ViewStamp() before the plan and its routes (Retry)
+	stamp  uint64 // fab.ViewStamp() before the plan and its lookups (Retry)
 }
 
 // attempts has no New: it would close an initialization cycle through finish.
@@ -258,9 +258,9 @@ func (s *attempt) recycle() {
 // (regemu's per-register re-trigger) alike. It returns false when err is not
 // a view change: the caller reports err. Otherwise it takes the outcome over
 // through fab.AwaitView: again runs once the view stamp differs from seen —
-// the stamp read before the failed attempt resolved any route — which is at
-// once when the transition that bounced the attempt is already over (a stale
-// route, a sealed or retired object) and at that transition's end otherwise;
+// the stamp read before the failed attempt looked any object up — which is at
+// once when the transition that bounced the attempt is already over (a sealed
+// or retired object) and at that transition's end otherwise;
 // fail runs instead, with ctx's error, if ctx ends first, so nothing is
 // re-triggered for a caller that gave up or an engine that closed. Nothing
 // re-triggers without a stamp advance, so there is no hot loop to guard and no
@@ -271,7 +271,7 @@ func (s *attempt) recycle() {
 // quorum round is an idempotent read / (re)write of the same timestamped
 // value. again runs on a goroutine of its own, never on the completing
 // fabric goroutine, so retries cannot recurse into the dispatch path
-// mid-completion; it re-resolves routes — the re-resolution is the point.
+// mid-completion; it plans and looks its objects up afresh — that is the point.
 func Retry(ctx context.Context, fab *fabric.Fabric, seen uint64, err error, again func(), fail func(error)) bool {
 	if !fabric.IsViewChange(err) {
 		return false

@@ -27,11 +27,11 @@
 // exactly that boundary. There is no global fabric lock. Each server gets a
 // dispatch lane owning the server's held-op, in-flight, and crash-drop
 // indexes; token allocation and the trigger counter are lock-free atomics;
-// and object-to-server routing is resolved once per object per view epoch,
-// published in O(1), and then served from a lock-free route cache (see
-// routeTable). Operations on different servers therefore
-// never contend inside the fabric — throughput scales with the number of
-// servers, not with the number of clients. Aggregate views (Pending,
+// and where an object lives is read from the cluster's object table on
+// every trigger (cluster.Lookup: two dependent loads, no lock) — the fabric
+// keeps no copy of it, so a move needs no invalidation. Operations on
+// different servers therefore never contend inside the fabric — throughput
+// scales with the number of servers, not with the number of clients. Aggregate views (Pending,
 // CoveredObjects, UsedObjects) are merge-over-lane reads; the global token
 // order makes the merged snapshots deterministic.
 //
@@ -275,10 +275,12 @@ type PendingOp struct {
 // hand-off's apply/complete methods, so one allocation carries the whole
 // delivery instead of a record plus two capture-heavy closures. The op's
 // trigger event is its call's (call.ev, immutable once triggered), not a
-// second copy.
+// second copy; where it runs is the table entry it was triggered through
+// and that entry's lane, never a copy of either.
 type heldOp struct {
-	rt    *route
-	phase Phase
+	e     *cluster.Entry
+	lane  *lane
+	phase Phase            // guarded by lane.mu once the op is listed
 	resp  baseobj.Response // valid when phase == PhaseRespond
 	call  *Call
 	f     *Fabric // set for in-flight ops (lane hand-off methods)
@@ -290,24 +292,40 @@ type heldOp struct {
 // applyOp is the in-flight op's ApplyFunc: linearize against the server's
 // base object unless the server crashed while the op was on the wire.
 func (h *heldOp) applyOp() (baseobj.Response, error) {
-	if h.rt.srv.Crashed() {
+	if h.e.Server().Crashed() {
 		return baseobj.Response{}, errCrashedDrop
 	}
-	return h.rt.obj.Apply(h.call.ev.Client, h.call.ev.Inv)
+	return h.e.Object().Apply(h.call.ev.Client, h.call.ev.Inv)
 }
 
-// completeOp is the in-flight op's CompleteFunc: claim the in-flight entry
-// (crash drains race this claim; exactly one side wins) and route the
-// response through the respond gate.
+// completeOp is the in-flight op's CompleteFunc. The respond gate is asked
+// while the op is still listed in flight, and its verdict is carried out in
+// the critical section that unlists the op (lane.settle), so Pending never
+// loses an op between the two lists. The crash drain races that claim;
+// exactly one side wins, and an op the drain took is dropped whatever the
+// gate said. Once parked the op is its releaser's — and its call, recycled
+// with its group, anyone's — so a held op is traced before it is settled.
 func (h *heldOp) completeOp(resp baseobj.Response, err error) {
-	if !h.rt.lane.takeInflight(h) {
-		return // a crash drain claimed the op: it is dropped
+	f, l, ev := h.f, h.lane, &h.call.ev
+	switch {
+	case errors.Is(err, errCrashedDrop) || h.e.Server().Crashed():
+		if l.settle(h, PhaseDropped) {
+			f.emit(TraceDrop, ev, ev.Server)
+		}
+	case err != nil:
+		if l.settle(h, PhaseInFlight) {
+			h.call.complete(Outcome{Err: err})
+		}
+	case !f.benign && f.gate.BeforeRespond(*ev, resp) == Hold:
+		f.emit(TraceApply, ev, ev.Server)
+		f.emit(TraceHoldRespond, ev, ev.Server)
+		h.resp = resp
+		l.settle(h, PhaseRespond)
+	case l.settle(h, PhaseInFlight):
+		f.emit(TraceApply, ev, ev.Server)
+		f.emit(TraceRespond, ev, ev.Server)
+		h.call.complete(Outcome{Resp: resp})
 	}
-	if errors.Is(err, errCrashedDrop) || h.rt.srv.Crashed() {
-		h.f.drop(h.rt.lane, &h.call.ev)
-		return
-	}
-	h.f.respond(h.rt, h.call, resp, err)
 }
 
 // Errors reported by fabric operations.
@@ -325,7 +343,7 @@ var (
 )
 
 // IsViewChange reports whether err is a retryable view-change completion:
-// the op never took effect and should re-trigger through a fresh route.
+// the op never took effect and should re-trigger against the new placement.
 // baseobj.ErrSealed counts — a sealed object rejected the write before it
 // applied, the synchronous-lane face of the same freeze.
 func IsViewChange(err error) bool {
@@ -341,148 +359,6 @@ func viewChangedErr(server types.ServerID) error {
 // op's server crashed before delivery: the fabric maps it to the dropped
 // (pending forever) state instead of completing the call with an error.
 var errCrashedDrop = errors.New("fabric: server crashed before delivery")
-
-// route is a resolved object: its server, lane, and the object itself,
-// stamped with the view epoch it was resolved under. A route is immutable
-// once cached — except for the used flag, which latches to true on the
-// first trigger — but it is only *valid* while the cluster's epoch still
-// matches: a reconfiguration bumps the epoch, every lookup notices the
-// mismatch, and the object re-resolves to its (possibly new) server.
-type route struct {
-	epoch  uint64
-	server types.ServerID
-	srv    *cluster.Server
-	lane   *lane
-	obj    baseobj.Object
-	used   atomic.Bool // had at least one operation triggered
-}
-
-// markUsed latches the route's used flag (idempotent, lock-free on the
-// overwhelmingly common already-marked path).
-func (r *route) markUsed() {
-	if !r.used.Load() {
-		r.used.Store(true)
-	}
-}
-
-// routeChunkSize is the number of routes per chunk of the route table: 512
-// pointers are one 4 KiB allocation, and an emulated register's handful of
-// consecutively allocated base objects almost always share a chunk.
-const routeChunkSize = 512
-
-// routeChunk is one fixed block of route slots. A chunk is allocated once
-// and never moves, so a slot can be stored into while readers load it.
-type routeChunk [routeChunkSize]atomic.Pointer[route]
-
-// routeTable is a lock-free object-indexed route cache. Object IDs are
-// small dense integers (the cluster allocates them sequentially), so the
-// table is two levels: a directory of fixed-size chunks, and per-slot
-// atomic pointers inside each chunk. A read is a bounds check and two
-// dependent loads with no lock; publishing a route is one atomic store into
-// its slot. Nothing proportional to the table is ever copied per route: a
-// chunk is allocated once per routeChunkSize object IDs, and the directory
-// — one pointer per chunk — is republished only when it doubles. Resolving
-// n objects therefore costs O(n) however large n grows, and so does
-// re-resolving them after an epoch bump.
-type routeTable struct {
-	dir atomic.Pointer[[]atomic.Pointer[routeChunk]]
-	mu  sync.Mutex // serializes writers (put); readers never take it
-}
-
-// chunk returns the chunk holding obj's slot, or nil when there is none
-// yet (or obj is negative).
-func (t *routeTable) chunk(obj types.ObjectID) *routeChunk {
-	dir := t.dir.Load()
-	if dir == nil || obj < 0 || int(obj)/routeChunkSize >= len(*dir) {
-		return nil
-	}
-	return (*dir)[int(obj)/routeChunkSize].Load()
-}
-
-// get returns the cached route, or nil.
-func (t *routeTable) get(obj types.ObjectID) *route {
-	c := t.chunk(obj)
-	if c == nil {
-		return nil
-	}
-	return c[int(obj)%routeChunkSize].Load()
-}
-
-// put publishes a route in O(1): one atomic store into the object's slot,
-// preceded — the first time an ID lands in a fresh block of routeChunkSize
-// — by installing a chunk. Chunks and directories are only ever stored into
-// slot-wise, so readers stay lock-free; writers serialize on mu, which
-// makes the epoch comparison below race-free. A same-or-newer cached entry
-// wins the benign resolver race; a stale-epoch entry is overwritten (never
-// resurrected), and hands its used latch to its successor so resource
-// accounting survives migration. put returns the route the slot holds
-// afterwards, so the loser of the race dispatches through the published
-// route — and latches used on it — rather than through a private copy
-// UsedObjects never sees. obj must be non-negative: route() only publishes
-// IDs the cluster resolved.
-func (t *routeTable) put(obj types.ObjectID, rt *route) *route {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := t.chunk(obj)
-	if c == nil {
-		c = t.addChunk(int(obj) / routeChunkSize)
-	}
-	slot := &c[int(obj)%routeChunkSize]
-	if old := slot.Load(); old != nil {
-		if old.epoch >= rt.epoch {
-			return old // lost a benign race with a same-or-newer resolver
-		}
-		if old.used.Load() {
-			rt.used.Store(true)
-		}
-	}
-	slot.Store(rt)
-	return rt
-}
-
-// addChunk installs a fresh chunk at directory index ci. A directory too
-// short for ci is first replaced by one at least twice as long (so the
-// copying amortizes to O(1) per chunk); a reader still holding the old one
-// merely misses the new chunk and re-resolves into put, which finds it.
-// Directory entries short of ci stay nil until an object lands in them, so
-// a sparse high ID costs one chunk plus directory pointers, not a dense run
-// of chunks. Called with mu held.
-func (t *routeTable) addChunk(ci int) *routeChunk {
-	var dir []atomic.Pointer[routeChunk]
-	if p := t.dir.Load(); p != nil {
-		dir = *p
-	}
-	if ci >= len(dir) {
-		grown := make([]atomic.Pointer[routeChunk], max(ci+1, 2*len(dir)))
-		for i := range dir {
-			grown[i].Store(dir[i].Load())
-		}
-		dir = grown
-		t.dir.Store(&dir)
-	}
-	c := new(routeChunk)
-	dir[ci].Store(c)
-	return c
-}
-
-// each visits every cached route in ascending object order.
-func (t *routeTable) each(visit func(obj types.ObjectID, rt *route)) {
-	dir := t.dir.Load()
-	if dir == nil {
-		return
-	}
-	for ci := range *dir {
-		c := (*dir)[ci].Load()
-		if c == nil {
-			continue
-		}
-		for i := range c {
-			if rt := c[i].Load(); rt != nil {
-				visit(types.ObjectID(ci*routeChunkSize+i), rt)
-			}
-		}
-	}
-}
 
 // Fabric routes low-level operations from clients to base objects through
 // the gate.
@@ -506,7 +382,6 @@ type Fabric struct {
 	// path reads the published snapshot lock-free.
 	lanes  atomic.Pointer[[]*lane]
 	laneMu sync.Mutex
-	routes routeTable
 
 	// reconfMu serializes view changes (Replace/Resize/AddServer
 	// coordination).
@@ -637,59 +512,48 @@ func (f *Fabric) Close() error {
 // Cluster returns the underlying cluster.
 func (f *Fabric) Cluster() *cluster.Cluster { return f.cluster }
 
-// ServerFor resolves the server hosting an object without dispatching
-// anything — the read-only face of the route table. Round engines use it to
-// build per-server accounting before a scatter, so completion callbacks
-// registered at trigger time (Group.Done) find it ready even when the
-// in-process lane completes inside the TriggerBatch call itself.
+// ServerFor reads the server hosting an object without dispatching
+// anything. Round engines use it to build per-server accounting before a
+// scatter, so completion callbacks registered at trigger time (Group.Done)
+// find it ready even when the in-process lane completes inside the
+// TriggerBatch call itself.
 func (f *Fabric) ServerFor(obj types.ObjectID) (types.ServerID, error) {
-	rt, err := f.route(obj)
+	e, _, err := f.lookup(obj)
 	if err != nil {
 		return 0, err
 	}
-	return rt.server, nil
+	return e.Server().ID(), nil
 }
 
-// route resolves an object to its lane, caching the result: after the
-// first operation on an object in a view epoch, triggering never touches
-// the cluster-wide tables again until the epoch moves. A miss costs one
-// cluster lookup, one route allocation and an O(1) publication, whether it
-// is the object's first touch or a re-resolution after a view change.
-func (f *Fabric) route(obj types.ObjectID) (*route, error) {
-	// The epoch is captured BEFORE the delta lookup: a concurrent
-	// migration that publishes a new mapping then bumps the epoch can at
-	// worst produce a (new mapping, old epoch) cache entry — which the
-	// next lookup re-resolves — never a stale mapping stamped current.
-	epoch := f.cluster.Epoch()
-	if rt := f.routes.get(obj); rt != nil && rt.epoch == epoch {
-		return rt, nil
-	}
-	srv, o, err := f.cluster.Route(obj)
+// lookup reads where an object lives — its table entry and that server's
+// lane — from the cluster, on every call: the fabric remembers no placement,
+// so there is nothing a view change could leave stale here. The one thing
+// done on an entry's first use is hosting the object on an external-store
+// lane (ObjectMirror), before any operation on it is delivered; the entry
+// carries that latch per copy, and the benign double mirror of two racing
+// first users is absorbed by idempotent placement on the store side. For a
+// migrated object the mirrored state is the copy's current (transferred)
+// value — see lanenet's stateful place frames.
+func (f *Fabric) lookup(obj types.ObjectID) (*cluster.Entry, *lane, error) {
+	e, err := f.cluster.Lookup(obj)
 	if err != nil {
 		if errors.Is(err, cluster.ErrObjectRetired) {
-			// A stale route to an object a transition retired: the op never
-			// applied, so it may retry against the construction's new
-			// placement like any other view-change completion.
-			return nil, fmt.Errorf("%w: %v", ErrViewChanged, err)
+			// An object a transition retired: the op never applied, so it may
+			// retry against the construction's new placement like any other
+			// view-change completion.
+			err = fmt.Errorf("%w: %v", ErrViewChanged, err)
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	l := f.laneFor(srv.ID())
+	l := f.laneFor(e.Server().ID())
 	if l == nil {
-		return nil, fmt.Errorf("fabric: no dispatch lane for server %d (cluster grown behind the fabric's back?)", srv.ID())
+		return nil, nil, fmt.Errorf("fabric: no dispatch lane for server %d (cluster grown behind the fabric's back?)", e.Server().ID())
 	}
-	rt := &route{epoch: epoch, server: srv.ID(), srv: srv, lane: l, obj: o}
-	if m, ok := rt.lane.backend.(ObjectMirror); ok {
-		// Let external-store backends host a matching object before any
-		// operation on it is delivered. Mirroring happens before the route
-		// is published, so every dispatch uses an already-mirrored route;
-		// the benign double-mirror race with a concurrent resolver is
-		// absorbed by idempotent placement on the store side. For a
-		// migrated object the mirrored state is the object's current
-		// (transferred) value — see lanenet's stateful place frames.
-		m.MirrorObject(o)
+	if l.mirror != nil && !e.Mirrored() {
+		l.mirror.MirrorObject(e.Object())
+		e.SetMirrored()
 	}
-	return f.routes.put(obj, rt), nil
+	return e, l, nil
 }
 
 // Trigger issues a low-level operation asynchronously and returns its call
@@ -708,7 +572,7 @@ func (f *Fabric) Trigger(client types.ClientID, obj types.ObjectID, inv baseobj.
 // lane's, a releaser's), and on the in-process lane inline before TriggerFn
 // returns.
 func (f *Fabric) TriggerFn(client types.ClientID, obj types.ObjectID, inv baseobj.Invocation, fn func(Outcome)) *Call {
-	rt, err := f.route(obj)
+	e, l, err := f.lookup(obj)
 	if err != nil {
 		// Unknown object: a programming error, delivered as an error
 		// response so tests can catch it.
@@ -716,38 +580,39 @@ func (f *Fabric) TriggerFn(client types.ClientID, obj types.ObjectID, inv baseob
 		call.completeUnshared(Outcome{Err: err})
 		return call
 	}
-	token := f.nextToken.Add(1)
-	rt.markUsed()
+	e.MarkUsed()
+	call := &Call{ev: TriggerEvent{Token: f.nextToken.Add(1), Client: client, Object: obj, Server: l.server, Inv: inv}, fn: fn}
+	f.emit(TraceTrigger, &call.ev, l.server)
 
-	call := &Call{ev: TriggerEvent{Token: token, Client: client, Object: obj, Server: rt.server, Inv: inv}, fn: fn}
-	f.emit(TraceTrigger, &call.ev, rt.server)
-
-	if rt.srv.Crashed() {
-		f.drop(rt.lane, &call.ev)
+	if e.Server().Crashed() {
+		f.drop(l, &call.ev)
 		return call
 	}
-	if rt.srv.Departing() {
+	if e.Server().Departing() {
 		// Frozen for a view change: the op never reaches the object, so it
 		// completes retryably instead of pending forever (unlike a crash).
-		call.completeUnshared(Outcome{Err: viewChangedErr(rt.server)})
+		call.completeUnshared(Outcome{Err: viewChangedErr(l.server)})
 		return call
 	}
-
-	if f.benign && rt.lane.inproc {
+	if !l.inproc {
+		if op, ok := f.prepInflight(e, l, call, true); ok {
+			l.backend.Deliver(op.Ev, op.Apply, op.Complete)
+		}
+		return call
+	}
+	switch {
+	case f.benign:
 		// Benign in-process fast path: the gate never holds and the apply
 		// is the linearization point, so the op runs to completion inside
 		// Trigger — and since the call has not escaped yet, completion
 		// needs no claim CAS.
-		f.applyInline(rt, call)
-		return call
+		f.applyInline(e, call)
+	case f.gate.BeforeApply(call.ev) == Hold:
+		f.emit(TraceHoldApply, &call.ev, l.server)
+		f.park(&heldOp{e: e, lane: l, phase: PhaseApply, call: call})
+	default:
+		f.deliver(e, l, call)
 	}
-
-	if !f.benign && f.gate.BeforeApply(call.ev) == Hold {
-		f.emit(TraceHoldApply, &call.ev, rt.server)
-		f.park(&heldOp{rt: rt, phase: PhaseApply, call: call})
-		return call
-	}
-	f.deliver(rt, call)
 	return call
 }
 
@@ -761,8 +626,8 @@ type BatchOp struct {
 
 // Group is the caller-owned storage of one TriggerBatch / TriggerScan
 // scatter: the operations, their one completion callback and — unexported —
-// the dispatch pass's call slab and routes. A zero Group works; owning the
-// storage is what lets a round engine recycle it.
+// the dispatch pass's call slab and table entries. A zero Group works; owning
+// the storage is what lets a round engine recycle it.
 //
 // Lifetime is a reference count held by the fabric: one per op, dropped after
 // the op's Done returned, plus one for the dispatch pass, dropped when it
@@ -783,9 +648,9 @@ type Group struct {
 	// Released, when non-nil, fires once when the last reference is gone.
 	Released func()
 
-	calls  []Call
-	routes []*route
-	refs   atomic.Int32
+	calls   []Call
+	entries []*cluster.Entry // shared table entries, never a per-trigger copy
+	refs    atomic.Int32
 }
 
 // unref drops one reference; the last one zeroes and releases the group.
@@ -795,7 +660,7 @@ func (g *Group) unref() {
 	}
 	clear(g.Ops)
 	clear(g.calls)
-	clear(g.routes)
+	clear(g.entries)
 	if g.Released != nil {
 		g.Released()
 	}
@@ -836,18 +701,18 @@ func (f *Fabric) TriggerScan(client types.ClientID, g *Group) {
 func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 	n := len(g.Ops)
 	if cap(g.calls) < n {
-		g.calls, g.routes = make([]Call, n), make([]*route, n)
+		g.calls, g.entries = make([]Call, n), make([]*cluster.Entry, n)
 	}
-	calls, routes := g.calls[:n], g.routes[:n]
-	g.calls, g.routes = calls, routes
+	calls, entries := g.calls[:n], g.entries[:n]
+	g.calls, g.entries = calls, entries
 	// The pass's own reference outlives ops that complete inline below.
 	g.refs.Store(int32(n) + 1)
 	defer g.unref()
-	routed := 0
+	found := 0
 	for i := range calls {
 		op, c := &g.Ops[i], &calls[i]
 		c.g, c.idx = g, int32(i)
-		rt, err := f.route(op.Object)
+		e, _, err := f.lookup(op.Object)
 		if err == nil && scan && !op.Inv.Op.IsRead() {
 			err = fmt.Errorf("fabric: scan op %v on object %d is not a read", op.Inv.Op, op.Object)
 		}
@@ -856,76 +721,77 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 			c.completeUnshared(Outcome{Err: err})
 			continue
 		}
-		routes[i] = rt
-		routed++
+		entries[i] = e
+		found++
 	}
-	if routed == 0 {
+	if found == 0 {
 		return
 	}
 	// One token-block allocation orders the whole batch: the tokens are
 	// consecutive in input order — the exact sequence a loop of per-op
-	// Add(1) calls produces — for one atomic RMW instead of `routed`.
-	token := f.nextToken.Add(uint64(routed)) - uint64(routed)
+	// Add(1) calls produces — for one atomic RMW instead of `found`.
+	token := f.nextToken.Add(uint64(found)) - uint64(found)
 
 	// Gate-passed ops for asynchronous backends are staged per lane and
 	// handed off after the pass; both slices are lazily allocated so the
 	// all-in-process batch (the sweep hot path) never pays for them. The
-	// lane snapshot is taken after routing: lanes grow append-only, so
-	// every routed server's index is within it.
+	// lane snapshot is taken after the lookups: lanes grow append-only, so
+	// every looked-up server's index is within it.
 	lanes := f.laneList()
 	var groups [][]LaneOp
 	var scanGroups [][]scanOp
-	for i, rt := range routes {
-		if rt == nil {
+	for i, e := range entries {
+		if e == nil {
 			continue
 		}
 		token++
-		rt.markUsed()
+		e.MarkUsed()
+		srv := e.Server()
+		l := lanes[srv.ID()]
 		op, c := &g.Ops[i], &calls[i]
-		c.ev = TriggerEvent{Token: token, Client: client, Object: op.Object, Server: rt.server, Inv: op.Inv}
-		f.emit(TraceTrigger, &c.ev, rt.server)
-		if rt.srv.Crashed() {
-			f.drop(rt.lane, &c.ev)
+		c.ev = TriggerEvent{Token: token, Client: client, Object: op.Object, Server: l.server, Inv: op.Inv}
+		f.emit(TraceTrigger, &c.ev, l.server)
+		if srv.Crashed() {
+			f.drop(l, &c.ev)
 			continue
 		}
-		if rt.srv.Departing() {
+		if srv.Departing() {
 			// The server is frozen for a view change: complete retryably
 			// (the op never reaches the object) instead of pending forever.
-			c.completeUnshared(Outcome{Err: viewChangedErr(rt.server)})
+			c.completeUnshared(Outcome{Err: viewChangedErr(l.server)})
+			continue
+		}
+		if !l.inproc {
+			if lop, ok := f.prepInflight(e, l, c, true); ok {
+				if groups == nil {
+					groups = make([][]LaneOp, len(lanes))
+				}
+				groups[l.server] = append(groups[l.server], lop)
+			}
 			continue
 		}
 		if !f.benign && f.gate.BeforeApply(c.ev) == Hold {
-			f.emit(TraceHoldApply, &c.ev, rt.server)
-			f.park(&heldOp{rt: rt, phase: PhaseApply, call: c})
+			f.emit(TraceHoldApply, &c.ev, l.server)
+			f.park(&heldOp{e: e, lane: l, phase: PhaseApply, call: c})
 			continue
 		}
-		l := rt.lane
-		if l.inproc {
-			if scan {
-				if scanGroups == nil {
-					scanGroups = make([][]scanOp, len(lanes))
-				}
-				scanGroups[l.server] = append(scanGroups[l.server], scanOp{rt: rt, call: c})
-				continue
+		if scan {
+			if scanGroups == nil {
+				scanGroups = make([][]scanOp, len(lanes))
 			}
-			if f.benign {
-				f.applyInline(rt, c)
-			} else {
-				resp, err := rt.obj.Apply(c.ev.Client, c.ev.Inv)
-				f.respond(rt, c, resp, err)
-			}
+			scanGroups[l.server] = append(scanGroups[l.server], scanOp{e: e, call: c})
 			continue
 		}
-		if lop, ok := f.prepInflight(rt, c); ok {
-			if groups == nil {
-				groups = make([][]LaneOp, len(lanes))
-			}
-			groups[l.server] = append(groups[l.server], lop)
+		if f.benign {
+			f.applyInline(e, c)
+		} else {
+			resp, err := e.Object().Apply(c.ev.Client, c.ev.Inv)
+			f.respond(e, l, c, resp, err)
 		}
 	}
-	for _, sg := range scanGroups {
+	for s, sg := range scanGroups {
 		if len(sg) > 0 {
-			f.applyScanInline(sg)
+			f.applyScanInline(lanes[s], sg)
 		}
 	}
 	for s, lg := range groups {
@@ -951,7 +817,7 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 
 // scanOp is one in-process member of a snapshot scan group.
 type scanOp struct {
-	rt   *route
+	e    *cluster.Entry
 	call *Call
 }
 
@@ -963,7 +829,7 @@ type scanOp struct {
 // whole cut, so no scan can observe object j's newer write but miss the
 // same writer's earlier write to object i — the torn read that per-object
 // locking allows.
-func (f *Fabric) applyScanInline(group []scanOp) {
+func (f *Fabric) applyScanInline(l *lane, group []scanOp) {
 	byObj := make([]scanOp, len(group))
 	copy(byObj, group)
 	sort.Slice(byObj, func(i, j int) bool { return byObj[i].call.ev.Object < byObj[j].call.ev.Object })
@@ -972,7 +838,7 @@ func (f *Fabric) applyScanInline(group []scanOp) {
 		if i > 0 && s.call.ev.Object == byObj[i-1].call.ev.Object {
 			continue
 		}
-		if lk, ok := s.rt.obj.(baseobj.Locker); ok {
+		if lk, ok := s.e.Object().(baseobj.Locker); ok {
 			lk.LockState()
 			locked = append(locked, lk)
 		}
@@ -981,12 +847,12 @@ func (f *Fabric) applyScanInline(group []scanOp) {
 	for i, s := range group {
 		var resp baseobj.Response
 		var err error
-		if lk, ok := s.rt.obj.(baseobj.Locker); ok {
+		if lk, ok := s.e.Object().(baseobj.Locker); ok {
 			resp, err = lk.ApplyLocked(s.call.ev.Client, s.call.ev.Inv)
 		} else {
 			// Non-Locker custom objects read under their own locking; they
 			// join the pass but not the snapshot guarantee.
-			resp, err = s.rt.obj.Apply(s.call.ev.Client, s.call.ev.Inv)
+			resp, err = s.e.Object().Apply(s.call.ev.Client, s.call.ev.Inv)
 		}
 		outs[i] = Outcome{Resp: resp, Err: err}
 	}
@@ -995,7 +861,7 @@ func (f *Fabric) applyScanInline(group []scanOp) {
 	}
 	for i, s := range group {
 		if !f.benign {
-			f.respond(s.rt, s.call, outs[i].Resp, outs[i].Err)
+			f.respond(s.e, l, s.call, outs[i].Resp, outs[i].Err)
 			continue
 		}
 		if outs[i].Err != nil {
@@ -1010,8 +876,8 @@ func (f *Fabric) applyScanInline(group []scanOp) {
 
 // applyInline runs a benign in-process op to completion on the triggering
 // goroutine. The call must not have escaped yet (completeUnshared).
-func (f *Fabric) applyInline(rt *route, call *Call) {
-	resp, err := rt.obj.Apply(call.ev.Client, call.ev.Inv)
+func (f *Fabric) applyInline(e *cluster.Entry, call *Call) {
+	resp, err := e.Object().Apply(call.ev.Client, call.ev.Inv)
 	if err != nil {
 		call.completeUnshared(Outcome{Err: err})
 		return
@@ -1021,68 +887,76 @@ func (f *Fabric) applyInline(rt *route, call *Call) {
 	call.completeUnshared(Outcome{Resp: resp})
 }
 
-// deliver hands a gate-passed op to its server's lane backend and routes
-// the response through the respond gate. The in-process backend completes
-// inline (the object's own mutex is the linearization point, exactly the
-// pre-lane-interface hot path); asynchronous backends get the op recorded
-// in-flight first, so a crash while the op is on the wire moves it to the
-// dropped state instead of racing its completion.
-func (f *Fabric) deliver(rt *route, call *Call) {
-	if rt.srv.Crashed() {
+// deliver hands an op the apply gate let through — at once, or held and now
+// released — to its server's lane backend and routes the response through
+// the respond gate. The in-process backend completes inline (the object's
+// own mutex is the linearization point); asynchronous backends get the op
+// listed in flight first, so a crash while the op is on the wire moves it to
+// the dropped state instead of racing its completion.
+func (f *Fabric) deliver(e *cluster.Entry, l *lane, call *Call) {
+	if e.Server().Crashed() {
 		// A crashed object never responds.
-		f.drop(rt.lane, &call.ev)
+		f.drop(l, &call.ev)
 		return
 	}
-	if rt.srv.Departing() {
+	if e.Server().Departing() {
 		// The server froze for a view change after the op passed the gate
 		// (this path also catches released covering writes aimed at a
 		// departing server): the op must NOT apply — its effect would be
 		// invisible to the transferred state — so it completes retryably.
-		call.complete(Outcome{Err: viewChangedErr(rt.server)})
+		call.complete(Outcome{Err: viewChangedErr(l.server)})
 		return
 	}
-	l := rt.lane
 	if l.inproc {
-		resp, err := rt.obj.Apply(call.ev.Client, call.ev.Inv)
-		f.respond(rt, call, resp, err)
+		resp, err := e.Object().Apply(call.ev.Client, call.ev.Inv)
+		f.respond(e, l, call, resp, err)
 		return
 	}
-	if op, ok := f.prepInflight(rt, call); ok {
+	if op, ok := f.prepInflight(e, l, call, false); ok {
 		l.backend.Deliver(op.Ev, op.Apply, op.Complete)
 	}
 }
 
-// prepInflight records an op handed to an asynchronous backend and builds
-// the backend hand-off with the fault model folded in: the apply closure
-// drops ops whose server crashed before delivery, and the completion
-// closure claims the in-flight entry (takeInflight) so completion and
-// crash-drop stay mutually exclusive. ok is false when the server crashed
-// around the in-flight insert and the op was dropped instead.
-func (f *Fabric) prepInflight(rt *route, call *Call) (LaneOp, bool) {
-	l := rt.lane
-	h := &heldOp{rt: rt, phase: PhaseInFlight, call: call, f: f}
+// prepInflight lists an op bound for an asynchronous backend in flight and
+// builds the backend hand-off with the fault model folded in: the apply
+// closure drops ops whose server crashed before delivery, and the completion
+// closure settles the in-flight entry (lane.settle) so completion and
+// crash-drop stay mutually exclusive. With gated set — a fresh trigger, not
+// a release — the apply gate is asked once the op is listed, and a Hold moves
+// it from one list to the other in one critical section: from its trigger on,
+// Pending always reports the op. ok is false when the op goes no further now:
+// the lane froze, the server crashed around the insert, or the gate holds it.
+func (f *Fabric) prepInflight(e *cluster.Entry, l *lane, call *Call, gated bool) (LaneOp, bool) {
+	h := &heldOp{e: e, lane: l, phase: PhaseInFlight, call: call, f: f}
 	if !l.putInflight(h) {
 		// The lane froze for a view change before the insert: the op was
 		// never handed to the backend, so it completes retryably. This check
 		// runs under the same lock the coordinator's freeze takes, which is
 		// what keeps the op from writing a frame behind the state fetch.
-		call.complete(Outcome{Err: viewChangedErr(rt.server)})
+		call.complete(Outcome{Err: viewChangedErr(l.server)})
 		return LaneOp{}, false
 	}
-	if rt.srv.Crashed() {
+	if e.Server().Crashed() {
 		// The server crashed between the caller's check and the in-flight
 		// insert; the crash drain may already have run past this token.
-		if l.takeInflight(h) {
-			f.drop(l, &h.call.ev)
+		if l.settle(h, PhaseDropped) {
+			f.emit(TraceDrop, &call.ev, l.server)
 		}
 		return LaneOp{}, false
 	}
-	return LaneOp{Ev: h.call.ev, Apply: h.applyOp, Complete: h.completeOp}, true
+	if gated && !f.benign && f.gate.BeforeApply(call.ev) == Hold {
+		// Traced first: once parked, the op is its releaser's.
+		f.emit(TraceHoldApply, &call.ev, l.server)
+		l.settle(h, PhaseApply)
+		return LaneOp{}, false
+	}
+	return LaneOp{Ev: call.ev, Apply: h.applyOp, Complete: h.completeOp}, true
 }
 
-// respond routes a delivered response through the respond gate and
-// completes the call.
-func (f *Fabric) respond(rt *route, call *Call, resp baseobj.Response, err error) {
+// respond routes an in-process op's response through the respond gate and
+// completes the call. (An asynchronous lane's completion does the same from
+// its in-flight entry: heldOp.completeOp.)
+func (f *Fabric) respond(e *cluster.Entry, l *lane, call *Call, resp baseobj.Response, err error) {
 	if err != nil {
 		call.complete(Outcome{Err: err})
 		return
@@ -1090,7 +964,7 @@ func (f *Fabric) respond(rt *route, call *Call, resp baseobj.Response, err error
 	f.emit(TraceApply, &call.ev, call.ev.Server)
 	if !f.benign && f.gate.BeforeRespond(call.ev, resp) == Hold {
 		f.emit(TraceHoldRespond, &call.ev, call.ev.Server)
-		f.park(&heldOp{rt: rt, phase: PhaseRespond, resp: resp, call: call})
+		f.park(&heldOp{e: e, lane: l, phase: PhaseRespond, resp: resp, call: call})
 		return
 	}
 	f.emit(TraceRespond, &call.ev, call.ev.Server)
@@ -1099,7 +973,7 @@ func (f *Fabric) respond(rt *route, call *Call, resp baseobj.Response, err error
 
 // park records a held operation in its server's lane.
 func (f *Fabric) park(h *heldOp) {
-	l := h.rt.lane
+	l := h.lane
 	l.mu.Lock()
 	l.held[h.call.ev.Token] = h
 	l.mu.Unlock()
@@ -1107,7 +981,7 @@ func (f *Fabric) park(h *heldOp) {
 
 // drop records an operation that will never respond. Only its trigger
 // event is kept — all Pending ever reports of a dropped op — so the op's
-// Call, route and completion closures are not pinned for the life of the
+// Call and completion closures are not pinned for the life of the
 // fabric by a server that will never answer.
 func (f *Fabric) drop(l *lane, ev *TriggerEvent) {
 	f.emit(TraceDrop, ev, ev.Server)
@@ -1148,11 +1022,11 @@ func (f *Fabric) Release(token uint64) error {
 
 // release lets a taken held op proceed.
 func (f *Fabric) release(h *heldOp) error {
-	if h.rt.srv.Crashed() {
-		f.drop(h.rt.lane, &h.call.ev)
+	if h.e.Server().Crashed() {
+		f.drop(h.lane, &h.call.ev)
 		return nil
 	}
-	if h.rt.srv.Departing() {
+	if h.e.Server().Departing() {
 		// The op's server froze for a view change while the op was parked.
 		// The two phases MUST diverge: a PhaseApply op never took effect (it
 		// completes retryably — applying it now would mutate state behind the
@@ -1176,10 +1050,8 @@ func (f *Fabric) release(h *heldOp) error {
 	switch h.phase {
 	case PhaseApply:
 		// The apply gate already held (and now released) the op, so it
-		// re-enters the delivery path past the gate: the lane backend
-		// carries it to the server, and the respond gate is consulted
-		// again so the environment may keep delaying the response.
-		f.deliver(h.rt, h.call)
+		// re-enters the delivery path past the gate.
+		f.deliver(h.e, h.lane, h.call)
 	case PhaseRespond:
 		f.emit(TraceRespond, &h.call.ev, h.call.ev.Server)
 		h.call.complete(Outcome{Resp: h.resp})
@@ -1284,14 +1156,5 @@ func (f *Fabric) Triggers() uint64 { return f.nextToken.Load() }
 
 // UsedObjects returns the set of base objects that had at least one
 // operation triggered on them — the paper's resource consumption of the
-// run — in ascending object order. The route table is object-indexed, so
-// the visit is already ordered.
-func (f *Fabric) UsedObjects() []types.ObjectID {
-	var ids []types.ObjectID
-	f.routes.each(func(obj types.ObjectID, rt *route) {
-		if rt.used.Load() {
-			ids = append(ids, obj)
-		}
-	})
-	return ids
-}
+// run — in ascending object order: the used latches of the cluster's table.
+func (f *Fabric) UsedObjects() []types.ObjectID { return f.cluster.UsedObjects() }

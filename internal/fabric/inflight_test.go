@@ -3,9 +3,12 @@ package fabric
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/baseobj"
 	"repro/internal/types"
 )
 
@@ -169,4 +172,90 @@ func TestDrainEndsOnTheLaneIdleSignal(t *testing.T) {
 			t.Fatalf("after the abort: departing=%v stamp=%d, want the lane back in service and the stamp advanced", srv.Departing(), fab.ViewStamp())
 		}
 	})
+}
+
+// TestLanePendingSeesAnOpWhileItsGateDecides blocks the gate inside its
+// decision on a latency-lane op — the respond gate on the lane's goroutine,
+// the apply gate inside the trigger — and requires Pending to list the op
+// at that moment and at every moment after: in flight while the gate
+// decides, then parked in the phase the gate held it in, with no stretch
+// in neither list (a poller that saw Pending() == 0 there would take a
+// still-owed op for done). A crash drain that claims the op while the gate
+// decides wins: the Hold verdict is discarded and the op is dropped, once.
+func TestLanePendingSeesAnOpWhileItsGateDecides(t *testing.T) {
+	for _, phase := range []Phase{PhaseRespond, PhaseApply} {
+		// blocked runs one write up to the gate's decision and returns with
+		// the gate blocked inside it.
+		blocked := func(t *testing.T) (fab *Fabric, obj types.ObjectID, verdict chan<- Decision, op func() awaited) {
+			entered, decide := make(chan struct{}), make(chan Decision)
+			ask := func() Decision { entered <- struct{}{}; return <-decide }
+			var gate GateFuncs
+			if phase == PhaseApply {
+				gate.Apply = func(TriggerEvent) Decision { return ask() }
+			} else {
+				gate.Respond = func(TriggerEvent, baseobj.Response) Decision { return ask() }
+			}
+			fab, objs := laneEnv(t, LatencyLanes(1, LatencyProfile{Base: 10 * time.Microsecond}), gate)
+			triggered := make(chan awaited, 1)
+			go func() { triggered <- triggerAwaited(fab, 0, objs[0], writeInv(1, 7)) }()
+			<-entered
+			if got := fab.Pending(); len(got) != 1 || got[0].Phase != PhaseInFlight || got[0].Event.Object != objs[0] {
+				t.Fatalf("Pending while the %v gate decides = %+v, want the op listed in flight", phase, got)
+			}
+			if got := fab.CoveredObjects(); len(got) != 1 || got[0] != objs[0] {
+				t.Fatalf("CoveredObjects while the %v gate decides = %v, want [%d]", phase, got, objs[0])
+			}
+			return fab, objs[0], decide, func() awaited { return <-triggered }
+		}
+
+		t.Run(phase.String()+"/held", func(t *testing.T) {
+			fab, _, verdict, triggered := blocked(t)
+			verdict <- Hold
+			for {
+				got := fab.Pending()
+				if len(got) != 1 {
+					t.Fatalf("Pending after the Hold verdict = %+v, want the op in one list at every moment", got)
+				}
+				if got[0].Phase == phase {
+					break
+				}
+				if got[0].Phase != PhaseInFlight {
+					t.Fatalf("op passed through phase %v on its way to %v", got[0].Phase, phase)
+				}
+				runtime.Gosched()
+			}
+			op := triggered()
+			if err := fab.Release(op.Token()); err != nil {
+				t.Fatal(err)
+			}
+			if o := op.wait(t); o.Err != nil {
+				t.Fatalf("released op completed with %v", o.Err)
+			}
+			if got := fab.Pending(); len(got) != 0 {
+				t.Fatalf("Pending after the release = %+v, want none", got)
+			}
+		})
+		t.Run(phase.String()+"/crash drain wins", func(t *testing.T) {
+			fab, _, verdict, triggered := blocked(t)
+			if err := fab.Crash(0); err != nil {
+				t.Fatal(err)
+			}
+			verdict <- Hold
+			op := triggered()
+			// The lane goroutine discards the verdict some time after taking
+			// it; whenever that is, the op stays listed exactly once, dropped.
+			for i := 0; i < 100; i++ {
+				if got := fab.Pending(); len(got) != 1 || got[0].Phase != PhaseDropped || got[0].Event.Token != op.Token() {
+					t.Fatalf("Pending after the crash = %+v, want the op dropped once", got)
+				}
+				runtime.Gosched()
+			}
+			if err := fab.Release(op.Token()); !errors.Is(err, ErrNotHeld) {
+				t.Fatalf("Release of an op the crash drain took: %v, want ErrNotHeld", err)
+			}
+			if _, done := op.Outcome(); done {
+				t.Fatal("an op dropped with its server completed")
+			}
+		})
+	}
 }

@@ -145,6 +145,10 @@ type lane struct {
 	// backend: InProcLane completes inline, so no in-flight bookkeeping is
 	// needed.
 	inproc bool
+	// mirror is the backend as an ObjectMirror, nil for local-state
+	// backends: an external store must host an object before any operation
+	// on it is delivered, and holds the object's authoritative state.
+	mirror ObjectMirror
 
 	mu   sync.Mutex
 	held map[uint64]*heldOp
@@ -156,11 +160,14 @@ type lane struct {
 	//   - an op is linked only after the departing check (putInflight), so
 	//     a frozen lane admits nothing;
 	//   - completion and the crash drain race for one unlink-if-linked
-	//     claim (takeInflight / Fabric.Crash): whoever unlinks the op owns
-	//     its outcome, the other sees it unlinked and does nothing;
-	//   - Pending walks the list, and the crash drain empties it through
-	//     unlinkInflight like any completion, so whoever takes the last op
-	//     out closes idle — the signal awaitQuiesce parks on.
+	//     claim (settle / Fabric.Crash): whoever unlinks the op owns its
+	//     outcome, the other sees it unlinked and does nothing;
+	//   - an op a gate verdict moves to the held index leaves this one in the
+	//     same critical section (settle), so Pending — which walks both —
+	//     never loses it between the two;
+	//   - the crash drain empties the list through unlinkInflight like any
+	//     completion, so whoever takes the last op out closes idle — the
+	//     signal awaitQuiesce parks on.
 	inflight  heldOp
 	inflightN int
 	idle      chan struct{} // non-nil while a coordinator waits for inflightN == 0
@@ -180,10 +187,12 @@ type lane struct {
 // newLane builds one server's dispatch shard.
 func newLane(server types.ServerID, backend Lane) *lane {
 	_, inproc := backend.(InProcLane)
+	mirror, _ := backend.(ObjectMirror)
 	l := &lane{
 		server:  server,
 		backend: backend,
 		inproc:  inproc,
+		mirror:  mirror,
 		held:    make(map[uint64]*heldOp),
 		dropped: make(map[uint64]TriggerEvent),
 	}
@@ -270,13 +279,25 @@ func (l *lane) whenIdle() <-chan struct{} {
 	return l.idle
 }
 
-// takeInflight claims an in-flight op. It returns false when the op is
+// settle claims an in-flight op and files it where its verdict says, in one
+// critical section: the dropped index (PhaseDropped), the held index in the
+// phase a gate parked it in (PhaseApply, PhaseRespond), or nowhere
+// (PhaseInFlight: the caller completes it). It returns false when the op is
 // gone — a crash drain already moved it to dropped — in which case the
-// caller must discard the completion: the claim is what makes completion
-// and crash-drop mutually exclusive.
-func (l *lane) takeInflight(h *heldOp) bool {
+// caller must discard the completion and whatever the gate said: the claim
+// is what makes completion and crash-drop mutually exclusive.
+func (l *lane) settle(h *heldOp, to Phase) bool {
 	l.mu.Lock()
-	ok := l.unlinkInflight(h)
-	l.mu.Unlock()
-	return ok
+	defer l.mu.Unlock()
+	if !l.unlinkInflight(h) {
+		return false
+	}
+	switch to {
+	case PhaseDropped:
+		l.dropped[h.call.ev.Token] = h.call.ev
+	case PhaseApply, PhaseRespond:
+		h.phase = to
+		l.held[h.call.ev.Token] = h
+	}
+	return true
 }

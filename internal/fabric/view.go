@@ -6,8 +6,8 @@
 // committed as ONE activation:
 //
 //  1. Admit every joiner (Fabric.AddServer): fresh server IDs, empty
-//     object tables, new dispatch lanes. Joiners receive no traffic yet —
-//     routes still resolve to the old placement.
+//     of objects, new dispatch lanes. Joiners receive no traffic yet — the
+//     object table still holds the old placement.
 //  2. Freeze the departing servers together (Server.Depart +
 //     lane.setDeparting). A transition that reshapes quorum sets (a
 //     construction-level resize) freezes EVERY old member: thresholds
@@ -384,11 +384,11 @@ func (rs *Reshaper) Fabric() *Fabric { return rs.f }
 // external-store backends. It fails — rather than hanging — if the hosting
 // server has crashed.
 func (rs *Reshaper) State(obj types.ObjectID) (baseobj.State, error) {
-	rt, err := rs.f.route(obj)
+	e, l, err := rs.f.lookup(obj)
 	if err != nil {
 		return baseobj.State{}, err
 	}
-	return rs.f.readState(rs.ctx, rt)
+	return rs.f.readState(rs.ctx, l, e.Server(), e.Object())
 }
 
 // Apply applies an invocation directly to an object's authoritative copy,
@@ -404,28 +404,30 @@ func (rs *Reshaper) Apply(obj types.ObjectID, inv baseobj.Invocation) (baseobj.R
 // owner, so the seed must carry the owning writer's ID rather than the
 // synthetic coordinator identity.
 func (rs *Reshaper) ApplyAs(client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) (baseobj.Response, error) {
-	rt, err := rs.f.route(obj)
+	e, l, err := rs.f.lookup(obj)
 	if err != nil {
 		return baseobj.Response{}, err
 	}
-	return rs.f.directApply(rs.ctx, rt, client, inv)
+	return rs.f.directApply(rs.ctx, l, e.Server(), e.Object(), client, inv)
 }
 
 // Retire removes a base object the construction no longer places (a store
-// dropped by a shrink). The epoch bump fails stale routes instead of
-// resolving them to the retired copy.
+// dropped by a shrink). Its table slot becomes a tombstone, so an op that
+// planned over the old placement completes retryably instead of reaching the
+// retired copy.
 func (rs *Reshaper) Retire(obj types.ObjectID) error {
 	return rs.f.cluster.RemoveObject(obj)
 }
 
-// readState reads the full state of rt's object, without mutating it, as
-// one frozen-window operation under the coordinator's synthetic identity.
-func (f *Fabric) readState(ctx context.Context, rt *route) (baseobj.State, error) {
-	inv, err := stateReadInv(rt.obj.Kind())
+// readState reads the full state of srv's copy of obj behind lane l, without
+// mutating it, as one frozen-window operation under the coordinator's
+// synthetic identity.
+func (f *Fabric) readState(ctx context.Context, l *lane, srv *cluster.Server, obj baseobj.Object) (baseobj.State, error) {
+	inv, err := stateReadInv(obj.Kind())
 	if err != nil {
 		return baseobj.State{}, err
 	}
-	resp, err := f.directApply(ctx, rt, types.ClientID(-1), inv)
+	resp, err := f.directApply(ctx, l, srv, obj, types.ClientID(-1), inv)
 	if err != nil {
 		return baseobj.State{}, err
 	}
@@ -436,24 +438,24 @@ func (f *Fabric) readState(ctx context.Context, rt *route) (baseobj.State, error
 // authoritative copy: a direct local apply for local-state backends, a
 // real wire delivery (with a synthetic client identity; a crash of the
 // server ends the wait) for external-store backends.
-func (f *Fabric) directApply(ctx context.Context, rt *route, client types.ClientID, inv baseobj.Invocation) (baseobj.Response, error) {
-	if rt.srv.Crashed() {
-		return baseobj.Response{}, fmt.Errorf("fabric: server %d crashed", rt.server)
+func (f *Fabric) directApply(ctx context.Context, l *lane, srv *cluster.Server, obj baseobj.Object, client types.ClientID, inv baseobj.Invocation) (baseobj.Response, error) {
+	if srv.Crashed() {
+		return baseobj.Response{}, fmt.Errorf("fabric: server %d crashed", l.server)
 	}
-	if _, remote := rt.lane.backend.(ObjectMirror); !remote {
-		return rt.obj.Apply(client, inv)
+	if l.mirror == nil {
+		return obj.Apply(client, inv)
 	}
 	ev := TriggerEvent{
 		Token:  f.nextToken.Add(1),
 		Client: client,
-		Object: rt.obj.ID(),
-		Server: rt.server,
+		Object: obj.ID(),
+		Server: l.server,
 		Inv:    inv,
 	}
 	done := make(chan Outcome, 1)
-	rt.lane.backend.Deliver(ev,
+	l.backend.Deliver(ev,
 		func() (baseobj.Response, error) {
-			return baseobj.Response{}, fmt.Errorf("fabric: direct apply for object %d applied locally on a remote-state backend", rt.obj.ID())
+			return baseobj.Response{}, fmt.Errorf("fabric: direct apply for object %d applied locally on a remote-state backend", obj.ID())
 		},
 		func(resp baseobj.Response, err error) {
 			done <- Outcome{Resp: resp, Err: err}
@@ -463,15 +465,15 @@ func (f *Fabric) directApply(ctx context.Context, rt *route, client types.Client
 		return baseobj.Response{}, ctx.Err()
 	case out := <-done:
 		return out.Resp, out.Err
-	case <-rt.srv.CrashC():
-		return baseobj.Response{}, fmt.Errorf("fabric: server %d crashed mid-delivery", rt.server)
+	case <-srv.CrashC():
+		return baseobj.Response{}, fmt.Errorf("fabric: server %d crashed mid-delivery", l.server)
 	}
 }
 
 // ViewStamp returns the fabric's view stamp: a counter advanced exactly when
 // a transition has ended — committed or aborted — and its surviving frozen
 // lanes are back in service. Every view-change completion is caused by a
-// transition, so an op that read the stamp before resolving its routes and
+// transition, so an op that read the stamp before looking its objects up and
 // then completed with a view-change error either finds the stamp moved (that
 // transition is over: retry now) or will see it move (AwaitView). The cluster
 // epoch cannot stand in: CommitView bumps it before the survivors unfreeze —
@@ -603,13 +605,13 @@ func (f *Fabric) awaitQuiesce(ctx context.Context, l *lane, srv *cluster.Server)
 // instead of hanging it — the caller rolls the seal back.
 func (f *Fabric) fetchState(ctx context.Context, l *lane, srv *cluster.Server, o baseobj.StateSealer) (baseobj.State, error) {
 	local := o.SealState()
-	if _, remote := l.backend.(ObjectMirror); !remote {
+	if l.mirror == nil {
 		return local, nil
 	}
 	// The fetch is a frozen-window wire read like the reshaper's: no
-	// routing, gating or in-flight bookkeeping. On failure the caller needs
-	// the pre-seal state to roll the seal back.
-	state, err := f.readState(ctx, &route{server: l.server, srv: srv, lane: l, obj: o})
+	// gating or in-flight bookkeeping. On failure the caller needs the
+	// pre-seal state to roll the seal back.
+	state, err := f.readState(ctx, l, srv, o)
 	if err != nil {
 		return local, err
 	}

@@ -295,7 +295,7 @@ func (sc *servedConn) handleFrame(frame []byte) bool {
 }
 
 // place hosts an object. Placement is idempotent: the fabric may mirror an
-// object twice when two clients race to resolve its route.
+// object twice when two clients race to be the first to use it.
 func (t *nodeTable) place(p placeReq) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

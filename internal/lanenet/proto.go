@@ -3,7 +3,7 @@
 // storage nodes (cmd/lanenode), plus the node itself.
 //
 // The fabric side (Client) implements fabric.Lane: object placement is
-// mirrored to the node on first route resolution (fabric.ObjectMirror),
+// mirrored to the node on an object copy's first use (fabric.ObjectMirror),
 // low-level invocations are framed requests matched to responses by a
 // request id, and a broken connection is mapped onto the paper's fail-stop
 // model through fabric.CrashReporter — the lane's server crashes, every

@@ -210,13 +210,15 @@ type Placement struct {
 	ServerOf map[types.ObjectID]types.ServerID
 }
 
-// Materialize creates the plan's registers on the cluster. Each register of
-// set j is restricted to the writers of set j (the z-writer registers of
-// Theorem 3), so any write by a foreign client is a detectable protocol
-// violation.
+// Materialize creates the plan's registers on the cluster, plan server i
+// being the i-th member of the current view — so a layout built after a
+// transition lands on live servers. Each register of set j is restricted to
+// the writers of set j (the z-writer registers of Theorem 3), so any write
+// by a foreign client is a detectable protocol violation.
 func Materialize(c *cluster.Cluster, p *Plan) (*Placement, error) {
-	if c.N() != p.N {
-		return nil, fmt.Errorf("layout: cluster has %d servers, plan wants %d", c.N(), p.N)
+	members := c.Members()
+	if len(members) != p.N {
+		return nil, fmt.Errorf("layout: view has %d members, plan wants %d", len(members), p.N)
 	}
 	pl := &Placement{
 		Plan:     p,
@@ -234,10 +236,11 @@ func Materialize(c *cluster.Cluster, p *Plan) (*Placement, error) {
 		}
 		pl.Sets[j] = make([]types.ObjectID, 0, sz)
 		for idx := 0; idx < sz; idx++ {
-			server, err := p.ServerFor(j, idx)
+			i, err := p.ServerFor(j, idx)
 			if err != nil {
 				return nil, err
 			}
+			server := members[i]
 			obj, err := c.PlaceRegister(server, baseobj.WithWriters(clientIDs))
 			if err != nil {
 				return nil, err

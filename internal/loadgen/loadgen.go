@@ -135,12 +135,10 @@ type Config struct {
 	// check per key on atomic builds (default 4).
 	SampleChecks int
 
-	// Mailbox overrides the latency lanes' event-loop mailbox capacity
-	// (0 = fabric default); Coalesce widens their fire window so more
-	// queued reads merge per pass (0 = fire exactly on schedule). Both
-	// only apply to LaneLatency — the knobs loadgen sweeps use to find
-	// the batching knee.
-	Mailbox  int
+	// Coalesce widens the latency lanes' event-loop fire window so more
+	// queued reads merge per pass (0 = fire exactly on schedule). It only
+	// applies to LaneLatency — the knob loadgen sweeps use to find the
+	// batching knee.
 	Coalesce time.Duration
 }
 
@@ -321,7 +319,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Lane: cfg.Lane, Profile: cfg.Profile,
 		NodeAddrs: cfg.NodeAddrs, DialTimeout: cfg.DialTimeout,
 		Seed: cfg.Seed, NoHistory: cfg.NoHistory,
-		Mailbox: cfg.Mailbox, Coalesce: cfg.Coalesce,
+		Coalesce: cfg.Coalesce,
 	})
 	if err != nil {
 		return nil, err

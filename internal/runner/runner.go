@@ -18,7 +18,6 @@ import (
 	"repro/internal/emulation/regemu"
 	"repro/internal/fabric"
 	"repro/internal/spec"
-	"repro/internal/types"
 )
 
 // Kind selects an emulation construction.
@@ -87,24 +86,6 @@ type BuildOpts struct {
 	// Atomic upgrades reads to the linearizable protocol where supported
 	// (abd-max, abd-cas, coded).
 	Atomic bool
-	// Servers optionally pins the hosting servers: the 2f+1 quorum
-	// constructions place on the first 2f+1 of the list, coded on all of
-	// them. Nil keeps each construction's default (servers 0..2f, or the
-	// whole cluster). Layers that materialize registers after a view resize
-	// pass the live member set here — the default IDs may have left.
-	// Ignored by regemu, whose covering-proof placement is derived, not
-	// pinned.
-	Servers []types.ServerID
-}
-
-// quorumServers trims a pinned member list to the 2f+1 hosts a quorum
-// construction places on; a list too short passes through so the
-// construction reports the real error.
-func (o BuildOpts) quorumServers(f int) []types.ServerID {
-	if o.Servers == nil || len(o.Servers) < 2*f+1 {
-		return o.Servers
-	}
-	return o.Servers[:2*f+1]
 }
 
 // Build constructs the chosen emulation on the environment's fabric, wiring
@@ -125,25 +106,25 @@ func BuildWith(kind Kind, fab *fabric.Fabric, k, f int, opts BuildOpts) (emulati
 		reg, err := regemu.New(fab, k, f, regemu.Options{History: hist})
 		return reg, hist, err
 	case KindABDMax:
-		reg, err := abdmax.New(fab, k, f, abdmax.Options{History: hist, ReadWriteBack: opts.Atomic, ValueSize: opts.ValueSize, Servers: opts.quorumServers(f)})
+		reg, err := abdmax.New(fab, k, f, abdmax.Options{History: hist, ReadWriteBack: opts.Atomic, ValueSize: opts.ValueSize})
 		return reg, hist, err
 	case KindCASMax:
-		reg, _, err := casmax.New(fab, k, f, casmax.Options{History: hist, ReadWriteBack: opts.Atomic, Servers: opts.quorumServers(f)})
+		reg, _, err := casmax.New(fab, k, f, casmax.Options{History: hist, ReadWriteBack: opts.Atomic})
 		return reg, hist, err
 	case KindAACMax:
 		if opts.Atomic {
 			return nil, nil, fmt.Errorf("runner: %q has no atomic read mode (readers cannot write)", kind)
 		}
-		reg, err := aacmax.New(fab, k, f, aacmax.Options{History: hist, Servers: opts.quorumServers(f)})
+		reg, err := aacmax.New(fab, k, f, aacmax.Options{History: hist})
 		return reg, hist, err
 	case KindNaive:
 		if opts.Atomic {
 			return nil, nil, fmt.Errorf("runner: %q has no atomic read mode (readers cannot write)", kind)
 		}
-		reg, err := naiveabd.New(fab, k, f, naiveabd.Options{History: hist, Servers: opts.quorumServers(f)})
+		reg, err := naiveabd.New(fab, k, f, naiveabd.Options{History: hist})
 		return reg, hist, err
 	case KindCoded:
-		reg, err := coded.New(fab, k, f, coded.Options{History: hist, Atomic: opts.Atomic, ValueSize: opts.ValueSize, Servers: opts.Servers})
+		reg, err := coded.New(fab, k, f, coded.Options{History: hist, Atomic: opts.Atomic, ValueSize: opts.ValueSize})
 		return reg, hist, err
 	default:
 		return nil, nil, fmt.Errorf("runner: unknown emulation kind %q", kind)

@@ -344,6 +344,13 @@ func TestShardStoreTCPReconfigure(t *testing.T) {
 	for s := 0; s < st.NumShards(); s++ {
 		assertFreshView(t, st, s, 3)
 	}
+	// A key of shard 0 first touched only now lands on the joiners'
+	// connections (TestLateKeyAfterTransitionReconfigure, over the wire).
+	late := uint64(0)
+	for st.ShardOf(late) != 0 || containsKey(keys, late) {
+		late++
+	}
+	lateKey(ctx, t, st, late, "Reconfigure")
 	if err := st.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}

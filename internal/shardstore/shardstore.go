@@ -131,9 +131,8 @@ type Config struct {
 	// NoHistory disables history recording (and therefore CheckAll).
 	NoHistory bool
 
-	// Mailbox and Coalesce are the latency-lane event-loop knobs
-	// (fabric.WithMailboxCapacity / WithCoalesceWindow); 0 keeps defaults.
-	Mailbox  int
+	// Coalesce is the latency lanes' event-loop fire window
+	// (fabric.WithCoalesceWindow); 0 keeps the default.
 	Coalesce time.Duration
 }
 
@@ -154,12 +153,6 @@ type shard struct {
 
 	mu   sync.RWMutex
 	keys map[uint64]*keyreg
-	// f is the shard's live failure budget — it starts at cfg.F and moves
-	// with Resize. resized marks that the view no longer matches the
-	// Open-time geometry, so registers materializing later must pin their
-	// placement to the live member set instead of the default IDs 0..2f.
-	f       int
-	resized bool
 }
 
 // keyreg is one key's materialized register.
@@ -223,7 +216,10 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.shards = append(st.shards, &shard{env: env, keys: make(map[uint64]*keyreg), f: cfg.F})
+		// The view carries the shard's failure budget from here on: Resize
+		// moves it, and a register materializing later reads it back.
+		env.Cluster.SetF(cfg.F)
+		st.shards = append(st.shards, &shard{env: env, keys: make(map[uint64]*keyreg)})
 	}
 	ok = true
 	return st, nil
@@ -240,9 +236,6 @@ func laneOptions(cfg Config, s int) ([]fabric.Option, error) {
 			profile = *cfg.Profile
 		}
 		var latOpts []fabric.LatencyOption
-		if cfg.Mailbox > 0 {
-			latOpts = append(latOpts, fabric.WithMailboxCapacity(cfg.Mailbox))
-		}
 		if cfg.Coalesce > 0 {
 			latOpts = append(latOpts, fabric.WithCoalesceWindow(cfg.Coalesce))
 		}
@@ -324,13 +317,11 @@ func (st *Store) Reconfigure(ctx context.Context, s int) error {
 	sh := st.shards[s]
 	// Like Resize, hold the shard's register table for the whole roll: a key
 	// materializing mid-Replace would place a base object on the leaver
-	// after its objects were enumerated for transfer and strand it there,
-	// and one materializing afterwards must pin to the live member set, not
-	// to the Open-time IDs that just left. (A stopgap: placement that is
-	// atomic with the view, for any caller, is ROADMAP item 1.)
+	// after its objects were enumerated for transfer and strand it there —
+	// the cluster refuses a departed server, not yet a frozen one (ROADMAP
+	// item 1c). One materializing afterwards reads the live view.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.resized = true
 	view := sh.env.Cluster.View()
 	for _, old := range view.Members {
 		maker, err := st.joinerMakerAt(s, st.Env(s).Cluster.N())
@@ -366,8 +357,9 @@ type ResizeSpec struct {
 //
 // The shard's register table is locked for the whole transition: a
 // quorum-reshaping transition freezes every member anyway, so ops queue
-// behind the freeze rather than racing a half-moved placement, and keys
-// materializing afterwards pin to the new member set with the new f.
+// behind the freeze rather than racing a half-moved placement; keys
+// materializing afterwards read the new member set and the new f from the
+// view.
 func (st *Store) Resize(ctx context.Context, s int, spec ResizeSpec) (*fabric.ResizeResult, error) {
 	if s < 0 || s >= len(st.shards) {
 		return nil, fmt.Errorf("shardstore: shard %d outside [0, %d)", s, len(st.shards))
@@ -406,8 +398,6 @@ func (st *Store) Resize(ctx context.Context, s int, spec ResizeSpec) (*fabric.Re
 	if err != nil {
 		return nil, fmt.Errorf("shardstore: shard %d resize: %w", s, err)
 	}
-	sh.f = sh.env.Cluster.F()
-	sh.resized = true
 	return res, nil
 }
 
@@ -453,12 +443,8 @@ func (st *Store) keyreg(key uint64) (*keyreg, error) {
 	if kr, hit := sh.keys[key]; hit {
 		return kr, nil
 	}
-	var servers []types.ServerID
-	if sh.resized {
-		servers = sh.env.Cluster.View().Members
-	}
-	reg, hist, err := runner.BuildWith(st.cfg.Kind, sh.env.Fabric, st.cfg.WritersPerKey, sh.f,
-		runner.BuildOpts{ValueSize: st.cfg.ValueSize, Atomic: st.cfg.Atomic, Servers: servers})
+	reg, hist, err := runner.BuildWith(st.cfg.Kind, sh.env.Fabric, st.cfg.WritersPerKey, sh.env.Cluster.F(),
+		runner.BuildOpts{ValueSize: st.cfg.ValueSize, Atomic: st.cfg.Atomic})
 	if err != nil {
 		return nil, fmt.Errorf("shardstore: materializing key %d: %w", key, err)
 	}
