@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke allocs fabric-bench loadgen-smoke lint no-timers stress loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-lanes-mailbox1 race-routes race-shards race-churn race-coded race-resize
+.PHONY: all build vet test race bench bench-smoke pairs allocs fabric-bench loadgen-smoke lint no-timers stress loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-lanes-mailbox1 race-routes race-shards race-churn race-coded race-resize
 
 all: vet build test
 
@@ -55,12 +55,20 @@ bench:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
+# Interleaved parent/change pairs of one bench/ workload — the form every
+# performance claim is judged in: make pairs PARENT=/path/to/parent-checkout
+# W=tcp-closed [N=10]. Prints every run, medians, quartiles, wins and ties.
+pairs:
+	scripts/pairs.sh $(PARENT) $(W) $(N)
+
 # Allocation ceilings, as plain tests — NOT under -race, where sync.Pool
 # drops items on purpose and every pooled path would read as a regression:
 # every test with "Alloc" in its name (the per-op ceiling of an abd-max
-# write+read pair over recycled quorum rounds, the TCP lane's in-place codecs
-# and slot table). A round, a codec or a table that starts allocating again
-# fails here by name.
+# write+read pair over recycled quorum rounds, in process and across the
+# latency lane; the fabric's hand-off of a recycled batch to an asynchronous
+# lane, its release path and its single-op trigger; the TCP lane's in-place
+# codecs, slot table and pipelined client). A round, a hand-off, a codec or a
+# table that starts allocating again fails here by name.
 allocs:
 	$(GO) test -count 1 -run 'Alloc' ./...
 

@@ -23,7 +23,18 @@
 //     the cluster's table on every trigger (nothing is cached), each lane
 //     owns its held-op, in-flight, and crash-drop state, and TriggerBatch
 //     scatters a whole quorum round in one call, over storage the caller
-//     owns (a Group: ops, call slab, table entries). A completion is heard in exactly one way: through the
+//     owns (a Group: ops, call slab, table entries). The hand-off to an
+//     asynchronous lane lives in that storage too: op i's in-flight record
+//     is slot i of a slab in the group, its apply and completion callbacks
+//     bound once when the slab is made, and the []LaneOp a lane is handed is
+//     a window of the group's own staging, the lanes' windows laid end to
+//     end — so from Scatter to the lane a recycled round allocates nothing,
+//     and a record (listed in flight, parked by a gate, unlisted by a crash)
+//     lives exactly as long as its round. What that asks of a backend: at
+//     most one completion per delivery, and no reading of a handed slice
+//     after its last op completed (fabric.GroupLane). A single TriggerFn op
+//     on such a lane is one object, the Call and its record together.
+//     A completion is heard in exactly one way: through the
 //     callback handed over with the trigger (TriggerFn, Group.Done),
 //     which fires once, on whatever goroutine completes the operation —
 //     inline on the in-process lane — and never for an operation that
@@ -84,9 +95,10 @@
 //     call and reports exactly once from whatever goroutine completes it.
 //     Nothing blocks and there are no report channels; crashed or held
 //     operations just leave the round pending. A round in steady state
-//     allocates nothing: one pooled object per attempt carries the fold,
-//     the fabric Group its plan appends targets into, and completion funcs
-//     bound once. The fabric holds a reference on the group per op (dropped
+//     allocates nothing, on any lane: one pooled object per attempt carries
+//     the fold, the fabric Group its plan appends targets into (and with it
+//     the in-flight records and lane staging), and completion funcs bound
+//     once. The fabric holds a reference on the group per op (dropped
 //     after the op's completion returned) plus one for its dispatch pass,
 //     and the last one out recycles the object — so a straggler lands in its
 //     own round's spent fold, an attempt with an op on a crashed server is

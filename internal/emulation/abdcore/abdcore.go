@@ -247,7 +247,7 @@ func (e *Engine) push(ctx context.Context, client types.ClientID, v types.TSValu
 // transition ended, through rounds.Retry — the view stamp is read before the
 // placement, so it is older than every table lookup the chains make.
 func (e *Engine) startStores(ctx context.Context, report func(types.TSValue, error), start func(MaxStore, func(types.TSValue, error))) {
-	if err := ctx.Err(); err != nil {
+	if err := types.CtxErr(ctx); err != nil {
 		report(types.ZeroTSValue, err)
 		return
 	}

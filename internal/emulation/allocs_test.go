@@ -4,8 +4,12 @@ package emulation_test
 
 import (
 	"context"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/baseobj"
+	"repro/internal/fabric"
 	"repro/internal/runner"
 	"repro/internal/types"
 )
@@ -66,5 +70,78 @@ func TestRoundAllocsCeiling(t *testing.T) {
 	}
 	if completed != 2*1002 {
 		t.Fatalf("%d operations completed inline on the in-process lane, want %d", completed, 2*1002)
+	}
+}
+
+// TestRoundAllocsCeilingLatencyLane is the same pair across an asynchronous
+// lane: a zero-delay latency lane, each operation awaited. The three rounds'
+// nine triggers are listed in flight on the round's own records, staged in its
+// own storage and completed through callbacks bound when the slab was made,
+// and the lane's event loop reuses its heap, completion buffers and read
+// cache, so the hand-off adds nothing to the chain state's 8; at the parent
+// commit the pair cost 66 (a record and two method values per trigger, the
+// per-lane staging, the lanes' regrown completion queues).
+//
+// An operation completes at its quorum, one response early, and a round with
+// a response outstanding cannot be recycled — the next one would take a fresh
+// attempt from the allocator (AllocsPerRun measures on one P, where a lane's
+// goroutine can go unscheduled for a whole time slice while the others
+// ping-pong). So the pair also waits, spinning on a passing gate's count,
+// until every low-level response is in: what is pinned is the steady state.
+func TestRoundAllocsCeilingLatencyLane(t *testing.T) {
+	const ceiling = 8
+	var responses atomic.Int64
+	counting := fabric.GateFuncs{Respond: func(fabric.TriggerEvent, baseobj.Response) fabric.Decision {
+		responses.Add(1)
+		return fabric.Pass
+	}}
+	env, err := runner.NewEnv(runner.ChaosServers(runner.KindABDMax), counting,
+		fabric.WithLanes(fabric.LatencyLanes(1, fabric.LatencyProfile{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Fabric.Close()
+	reg, hist, err := runner.Build(runner.KindABDMax, env.Fabric, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist.SetDiscard(true)
+	w, err := reg.Writer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := reg.NewReader()
+	ctx := context.Background()
+	var v types.Value
+	done := make(chan struct{}, 1)
+	writeDone := func(err error) {
+		if err != nil {
+			t.Errorf("write %d: %v", v, err)
+		}
+		done <- struct{}{}
+	}
+	readDone := func(got types.Value, err error) {
+		if err != nil || got != v {
+			t.Errorf("read = %d, %v; want %d", got, err, v)
+		}
+		done <- struct{}{}
+	}
+	pair := func() {
+		v++
+		w.StartWrite(ctx, v, writeDone)
+		<-done
+		r.StartRead(ctx, readDone)
+		<-done
+		for want := env.Fabric.Triggers(); uint64(responses.Load()) != want; {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 10; i++ { // warm the pool, the lanes' heaps and their buffers
+		pair()
+	}
+	if got := testing.AllocsPerRun(1000, pair); got > ceiling {
+		t.Fatalf("abd-max write+read pair on the latency lane allocates %.1f objects, ceiling %d: the lane hand-off is allocating again", got, ceiling)
+	} else {
+		t.Logf("abd-max write+read pair on the latency lane: %.1f allocations", got)
 	}
 }

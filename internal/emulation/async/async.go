@@ -334,7 +334,7 @@ func (e *Engine) loop() {
 			// lane a closed-loop caller refills the mailbox from inside
 			// handle(), so without the check a cancelled engine would spin
 			// here forever and Close() would never return.
-			for e.ctx.Err() == nil {
+			for types.CtxErr(e.ctx) == nil {
 				evs := e.takeInbox()
 				if len(evs) == 0 {
 					break

@@ -120,7 +120,7 @@ func (b *blocked) done(v types.Value, err error) {
 // returned, the chain — which watches the same ctx — starts no further
 // round, and late low-level completions are absorbed where they land.
 func (b *blocked) wait(ctx context.Context, start func()) (types.Value, error) {
-	if err := ctx.Err(); err != nil {
+	if err := types.CtxErr(ctx); err != nil {
 		return types.InitialValue, fmt.Errorf("emulation: operation not started: %w", err)
 	}
 	b.fired = make(chan struct{})

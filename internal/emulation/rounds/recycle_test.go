@@ -39,7 +39,12 @@ func streamEnv(t *testing.T, streams int) (fab *fabric.Fabric, objs [][]types.Ob
 			objs[s] = append(objs[s], byServer[srv][s])
 		}
 	}
+	return fab, objs, lateReleaser(t, fab)
+}
 
+// lateReleaser starts the goroutine that lets parked responses go, late; the
+// returned stop ends it once nothing is pending any more.
+func lateReleaser(t *testing.T, fab *fabric.Fabric) (stop func()) {
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
@@ -53,7 +58,7 @@ func streamEnv(t *testing.T, streams int) (fab *fabric.Fabric, objs [][]types.Ob
 			}
 		}
 	}()
-	return fab, objs, func() {
+	return func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for len(fab.Pending()) != 0 && time.Now().Before(deadline) {
 			time.Sleep(100 * time.Microsecond)
@@ -287,5 +292,228 @@ func TestReportsSliceIsTheReducers(t *testing.T) {
 	}
 	if !reflect.DeepEqual(kept, snapshot) {
 		t.Fatalf("retained reports changed under later rounds:\n%s\nwant\n%s", fmt.Sprint(kept), fmt.Sprint(snapshot))
+	}
+}
+
+// awaitPending polls until Pending is exactly one op in the given phase on
+// server 2, and returns it.
+func awaitPending(t *testing.T, fab *fabric.Fabric, phase fabric.Phase) fabric.PendingOp {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+		p := fab.Pending()
+		if len(p) == 1 && p[0].Phase == phase && p[0].Event.Server == 2 {
+			return p[0]
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Pending = %+v, want one op of server 2 in phase %v", p, phase)
+		}
+	}
+}
+
+// awaitRound scatters a 2-of-3 max-fold round over targets, counting its
+// reports in fired, and returns the first one.
+func awaitRound(t *testing.T, fab *fabric.Fabric, fired *atomic.Int32, plan Plan) types.TSValue {
+	t.Helper()
+	results := make(chan result, 2) // room for a second firing, so it cannot block its lane
+	Scatter(context.Background(), fab, 1, Round{Plan: plan, Max: func(v types.TSValue, err error) {
+		fired.Add(1)
+		results <- result{max: v, err: err}
+	}})
+	select {
+	case res := <-results:
+		if res.err != nil {
+			t.Fatalf("round: %v", res.err)
+		}
+		return res.max
+	case <-time.After(10 * time.Second):
+		t.Fatal("round never reported")
+		return types.ZeroTSValue
+	}
+}
+
+// writeReadPairs runs pairs write-then-read rounds at quorum 2 of 3 and checks
+// that every read folds exactly the value just written and every round
+// reported once. plan wraps each round's targets (nil: fixed).
+func writeReadPairs(t *testing.T, fab *fabric.Fabric, objs []types.ObjectID, pairs int, plan func([]Target) Plan) {
+	t.Helper()
+	if plan == nil {
+		plan = func(targets []Target) Plan { return fixed(targets, 2) }
+	}
+	fired := make([]atomic.Int32, 2*pairs)
+	for p := 0; p < pairs; p++ {
+		want := types.TSValue{TS: uint64(p + 2), Writer: 1, Val: types.Value(7000 + p)}
+		awaitRound(t, fab, &fired[2*p], plan(writeTargets(want, objs...)))
+		if got := awaitRound(t, fab, &fired[2*p+1], plan(readTargets(objs...))); got != want {
+			t.Fatalf("pair %d: read max %v, want %v", p, got, want)
+		}
+	}
+	for n := range fired {
+		if got := fired[n].Load(); got != 1 {
+			t.Fatalf("round %d reported %d times", n, got)
+		}
+	}
+}
+
+// TestRoundRespondHeldRecordLifetime follows one straggler through the slab:
+// on the latency lane a round's quorum reports while server 2's response sits
+// at the respond gate, parked on the attempt's own in-flight record and listed
+// as held-respond; releasing it folds it into its own spent round — no second
+// report — and only then is the attempt recycled. Over 5,000 further rounds on
+// the pool, each leaving a straggler of its own to a late releaser, no round
+// reports twice and none reads another round's value.
+func TestRoundRespondHeldRecordLifetime(t *testing.T) {
+	lanes := fabric.LatencyLanes(5, fabric.LatencyProfile{Jitter: 2 * time.Microsecond})
+	fab, byServer := multiEnv(t, 3, 1, lateServer2, fabric.WithLanes(lanes))
+	t.Cleanup(func() { fab.Close() })
+	objs := []types.ObjectID{byServer[0][0], byServer[1][0], byServer[2][0]}
+
+	var fired atomic.Int32
+	first := types.TSValue{TS: 1, Writer: 1, Val: 1}
+	awaitRound(t, fab, &fired, fixed(writeTargets(first, objs...), 2))
+	held := awaitPending(t, fab, fabric.PhaseRespond)
+	if held.Event.Inv.Arg != first || fired.Load() != 1 {
+		t.Fatalf("held op %+v after %d reports, want the first round's write parked after its one report", held.Event, fired.Load())
+	}
+	if err := fab.Release(held.Event.Token); err != nil {
+		t.Fatal(err)
+	}
+	if err := fab.Release(held.Event.Token); err == nil {
+		t.Fatal("the same held response released twice")
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(fab.Pending()) != 0; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("released response never completed")
+		}
+	}
+
+	stop := lateReleaser(t, fab)
+	writeReadPairs(t, fab, objs, 2500, nil)
+	stop()
+	if got := fired.Load(); got != 1 {
+		t.Fatalf("the first round reported %d times", got)
+	}
+}
+
+// TestRoundCrashOnTheWireLeavesItsAttempt: server 2 crashes with a round's op
+// on its (slow) wire. The record is unlisted and Pending keeps the event; the
+// attempt is never recycled — no later round's plan is handed its op buffer —
+// so when the lane delivers the lost op after all, the completion finds its
+// own record, loses the claim and is discarded, while a thousand later rounds
+// run on slabs of their own.
+func TestRoundCrashOnTheWireLeavesItsAttempt(t *testing.T) {
+	quick := fabric.LatencyProfile{Jitter: 2 * time.Microsecond}
+	const wire = 30 * time.Millisecond // server 2's delivery delay: the crash beats it
+	fab, byServer := multiEnv(t, 3, 1, nil, fabric.WithLanes(func(s types.ServerID) fabric.Lane {
+		if s == 2 {
+			return fabric.NewLatencyLane(2, fabric.LatencyProfile{Base: wire})
+		}
+		return fabric.NewLatencyLane(int64(s), quick)
+	}))
+	t.Cleanup(func() { fab.Close() })
+	objs := []types.ObjectID{byServer[0][0], byServer[1][0], byServer[2][0]}
+
+	var fired atomic.Int32
+	var slab *Target // the crashed round's op buffer
+	first := types.TSValue{TS: 1, Writer: 1, Val: 1}
+	triggered := time.Now()
+	awaitRound(t, fab, &fired, func(buf []Target) ([]Target, int) {
+		buf = append(buf, writeTargets(first, objs...)...)
+		slab = &buf[0]
+		return buf, 2
+	})
+	onWire := awaitPending(t, fab, fabric.PhaseInFlight)
+	if err := fab.Crash(2); err != nil {
+		t.Fatal(err)
+	}
+	if p := fab.Pending(); len(p) != 1 || p[0].Phase != fabric.PhaseDropped || p[0].Event.Token != onWire.Event.Token {
+		t.Fatalf("Pending after the crash = %+v, want %+v dropped", p, onWire.Event)
+	}
+
+	writeReadPairs(t, fab, objs, 500, func(targets []Target) Plan {
+		return func(buf []Target) ([]Target, int) {
+			if cap(buf) > 0 && &buf[:1][0] == slab {
+				t.Error("a later round runs on the slabs of the round whose op was dropped")
+			}
+			return append(buf, targets...), 2
+		}
+	})
+	time.Sleep(time.Until(triggered.Add(2 * wire))) // the lane has delivered the lost op by now
+	if got := fired.Load(); got != 1 {
+		t.Fatalf("the crashed round reported %d times", got)
+	}
+	if p := fab.Pending(); len(p) == 0 || p[0].Phase != fabric.PhaseDropped || p[0].Event.Token != onWire.Event.Token {
+		t.Fatalf("oldest pending op after the late delivery = %+v, want %+v still dropped", p[:min(len(p), 1)], onWire.Event)
+	}
+}
+
+// TestRoundReplaceMidRoundRescattersLatencyLane is
+// TestRoundReplaceMidRoundRescatters across the asynchronous hand-off: the
+// stalled op is parked on its attempt's slab record, the Replace completes it
+// with a view-change error without it ever reaching the lane, and the retry
+// re-scatters on an attempt of its own under the new view.
+func TestRoundReplaceMidRoundRescattersLatencyLane(t *testing.T) {
+	var armed atomic.Bool
+	armed.Store(true)
+	gate := fabric.GateFuncs{Apply: func(ev fabric.TriggerEvent) fabric.Decision {
+		if armed.Load() && ev.Server == 0 {
+			return fabric.Hold
+		}
+		return fabric.Pass
+	}}
+	lanes := fabric.LatencyLanes(9, fabric.LatencyProfile{Base: 2 * time.Microsecond, Jitter: 20 * time.Microsecond})
+	fab, byServer := multiEnv(t, 3, 1, gate, fabric.WithLanes(lanes))
+	t.Cleanup(func() { fab.Close() })
+	objs := []types.ObjectID{byServer[0][0], byServer[1][0], byServer[2][0]}
+	v := types.TSValue{TS: 4, Writer: 1, Val: 44}
+	var plans atomic.Int32
+	done := make(chan result, 2)
+	Scatter(context.Background(), fab, 1, Round{
+		Plan: func(buf []Target) ([]Target, int) {
+			plans.Add(1)
+			return append(buf, writeTargets(v, objs...)...), 3
+		},
+		Reports: func(reps []Report, err error) { done <- result{reps: reps, err: err} },
+	})
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+		if p := fab.Pending(); len(p) == 1 && p[0].Phase == fabric.PhaseApply && p[0].Event.Server == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Pending = %+v, want the round stalled on server 0's held write", fab.Pending())
+		}
+	}
+	armed.Store(false)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	joiner, err := fab.Replace(ctx, 0, nil)
+	if err != nil {
+		t.Fatalf("Replace(0): %v", err)
+	}
+	var res result
+	select {
+	case res = <-done:
+	case <-ctx.Done():
+		t.Fatal("round never reported after the replacement")
+	}
+	if res.err != nil || len(res.reps) != 3 || plans.Load() < 2 {
+		t.Fatalf("round across the replacement: %d reports, err %v, %d plans; want 3, none, one plan per attempt", len(res.reps), res.err, plans.Load())
+	}
+	for _, rep := range res.reps {
+		want := types.ServerID(rep.Index)
+		if rep.Index == 0 {
+			want = joiner
+		}
+		if rep.Server != want || rep.Object != objs[rep.Index] {
+			t.Errorf("report %+v, want object %d on server %d", rep, objs[rep.Index], want)
+		}
+	}
+	select {
+	case extra := <-done:
+		t.Fatalf("round reported twice: %+v", extra)
+	case <-time.After(5 * time.Millisecond):
+	}
+	var fired atomic.Int32
+	if got := awaitRound(t, fab, &fired, fixed(readTargets(objs...), 3)); got != v {
+		t.Fatalf("read after the replacement: max %v, want %v", got, v)
 	}
 }

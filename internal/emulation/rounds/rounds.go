@@ -121,7 +121,7 @@ type Round struct {
 // the report fired are absorbed silently, and a round that races a
 // reconfiguration re-scatters whole through Retry.
 func Scatter(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Round) {
-	if err := ctx.Err(); err != nil {
+	if err := types.CtxErr(ctx); err != nil {
 		r.report(nil, types.ZeroTSValue, err)
 		return
 	}

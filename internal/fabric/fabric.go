@@ -271,12 +271,20 @@ type PendingOp struct {
 }
 
 // heldOp is the fabric-internal record of a parked or in-flight operation.
-// For in-flight ops (prepInflight) it doubles as the receiver of the lane
-// hand-off's apply/complete methods, so one allocation carries the whole
-// delivery instead of a record plus two capture-heavy closures. The op's
-// trigger event is its call's (call.ev, immutable once triggered), not a
-// second copy; where it runs is the table entry it was triggered through
-// and that entry's lane, never a copy of either.
+// On an asynchronous lane it doubles as the receiver of the lane hand-off's
+// apply/complete methods, and it is never allocated per trigger: a batch op's
+// record is slot i of its group's slab (Group.recs), a single op's is part of
+// the object that carries its Call (asyncCall), and either way apply and
+// complete are bound once, when that storage is made. The op's trigger event
+// is its call's (call.ev, immutable once triggered), not a second copy; where
+// it runs is the table entry it was triggered through and that entry's lane,
+// never a copy of either.
+//
+// A slab record lives exactly as long as its group: listed in flight, parked
+// by a gate or unlisted by a crash drain, its op has not completed, so the
+// op's reference pins the group and nobody reuses the record. The op's
+// completion (call.complete) drops that reference, so nothing here touches a
+// record after it — the Call rule, extended to the record.
 type heldOp struct {
 	e     *cluster.Entry
 	lane  *lane
@@ -287,6 +295,21 @@ type heldOp struct {
 	// prev and next thread the op through its lane's in-flight index
 	// (lane.inflight); both are nil whenever the op is not in it.
 	prev, next *heldOp
+	// apply and complete are h.applyOp and h.completeOp as func values,
+	// nil on a record an in-process gate parked (park).
+	apply    ApplyFunc
+	complete CompleteFunc
+}
+
+// bind makes the record's two lane callbacks. It runs once per record — the
+// two method values are the only allocations the record ever causes.
+func (h *heldOp) bind() { h.apply, h.complete = h.applyOp, h.completeOp }
+
+// asyncCall is a single operation triggered on an asynchronous lane: the call
+// handed back and its in-flight record, one object.
+type asyncCall struct {
+	call Call
+	rec  heldOp
 }
 
 // applyOp is the in-flight op's ApplyFunc: linearize against the server's
@@ -303,8 +326,9 @@ func (h *heldOp) applyOp() (baseobj.Response, error) {
 // the critical section that unlists the op (lane.settle), so Pending never
 // loses an op between the two lists. The crash drain races that claim;
 // exactly one side wins, and an op the drain took is dropped whatever the
-// gate said. Once parked the op is its releaser's — and its call, recycled
-// with its group, anyone's — so a held op is traced before it is settled.
+// gate said. Once parked the op is its releaser's — and its call and this
+// record, recycled with their group, anyone's — so a held op is traced before
+// it is settled, and nothing of h is touched after call.complete returned.
 func (h *heldOp) completeOp(resp baseobj.Response, err error) {
 	f, l, ev := h.f, h.lane, &h.call.ev
 	switch {
@@ -581,7 +605,17 @@ func (f *Fabric) TriggerFn(client types.ClientID, obj types.ObjectID, inv baseob
 		return call
 	}
 	e.MarkUsed()
-	call := &Call{ev: TriggerEvent{Token: f.nextToken.Add(1), Client: client, Object: obj, Server: l.server, Inv: inv}, fn: fn}
+	var call *Call
+	var h *heldOp // the op's in-flight record, on an asynchronous lane
+	if l.inproc {
+		call = new(Call)
+	} else {
+		ac := new(asyncCall)
+		call, h = &ac.call, &ac.rec
+		h.e, h.lane, h.call, h.f = e, l, call, f
+		h.bind()
+	}
+	call.ev, call.fn = TriggerEvent{Token: f.nextToken.Add(1), Client: client, Object: obj, Server: l.server, Inv: inv}, fn
 	f.emit(TraceTrigger, &call.ev, l.server)
 
 	if e.Server().Crashed() {
@@ -594,9 +628,9 @@ func (f *Fabric) TriggerFn(client types.ClientID, obj types.ObjectID, inv baseob
 		call.completeUnshared(Outcome{Err: viewChangedErr(l.server)})
 		return call
 	}
-	if !l.inproc {
-		if op, ok := f.prepInflight(e, l, call, true); ok {
-			l.backend.Deliver(op.Ev, op.Apply, op.Complete)
+	if h != nil {
+		if f.admit(h, true) {
+			l.backend.Deliver(call.ev, h.apply, h.complete)
 		}
 		return call
 	}
@@ -609,7 +643,7 @@ func (f *Fabric) TriggerFn(client types.ClientID, obj types.ObjectID, inv baseob
 		f.applyInline(e, call)
 	case f.gate.BeforeApply(call.ev) == Hold:
 		f.emit(TraceHoldApply, &call.ev, l.server)
-		f.park(&heldOp{e: e, lane: l, phase: PhaseApply, call: call})
+		f.park(e, l, call, PhaseApply, baseobj.Response{})
 	default:
 		f.deliver(e, l, call)
 	}
@@ -626,8 +660,13 @@ type BatchOp struct {
 
 // Group is the caller-owned storage of one TriggerBatch / TriggerScan
 // scatter: the operations, their one completion callback and — unexported —
-// the dispatch pass's call slab and table entries. A zero Group works; owning
-// the storage is what lets a round engine recycle it.
+// the dispatch pass's slabs: the calls and table entries of every op, and,
+// made at the group's first op bound for an asynchronous lane, the in-flight
+// records (record i is op i's, its two lane callbacks bound when the slab is
+// made), the []LaneOp the lanes are handed — laid out lane by lane, each
+// lane's ops contiguous — and each lane's window of it. A zero Group works;
+// owning the storage is what lets a round engine recycle it, and recycled, a
+// scatter allocates nothing on any lane.
 //
 // Lifetime is a reference count held by the fabric: one per op, dropped after
 // the op's Done returned, plus one for the dispatch pass, dropped when it
@@ -637,6 +676,9 @@ type BatchOp struct {
 // response therefore always finds its group alive, and a group with an op
 // that never completes — held forever, or dropped with a crashed server — is
 // never released: it is ordinary garbage, like any Group without a Released.
+// That one rule covers the record and the staging too: an op listed in flight,
+// parked by a gate or unlisted by a crash drain has not completed, and a lane
+// reads the window it was handed only until its last op completed (GroupLane).
 type Group struct {
 	// Ops are the round's operations, filled by the caller.
 	Ops []BatchOp
@@ -650,8 +692,14 @@ type Group struct {
 
 	calls   []Call
 	entries []*cluster.Entry // shared table entries, never a per-trigger copy
+	recs    []heldOp         // asynchronous rounds only, like the two below
+	staging []LaneOp
+	windows []laneWindow // indexed by server
 	refs    atomic.Int32
 }
+
+// laneWindow is one lane's share of a group's staging: staging[start:end].
+type laneWindow struct{ start, end int32 }
 
 // unref drops one reference; the last one zeroes and releases the group.
 func (g *Group) unref() {
@@ -661,6 +709,11 @@ func (g *Group) unref() {
 	clear(g.Ops)
 	clear(g.calls)
 	clear(g.entries)
+	for i := range g.recs {
+		g.recs[i] = heldOp{apply: g.recs[i].apply, complete: g.recs[i].complete}
+	}
+	clear(g.staging)
+	g.recs, g.staging = g.recs[:0], g.staging[:0]
 	if g.Released != nil {
 		g.Released()
 	}
@@ -708,11 +761,11 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 	// The pass's own reference outlives ops that complete inline below.
 	g.refs.Store(int32(n) + 1)
 	defer g.unref()
-	found := 0
+	found, async := 0, false
 	for i := range calls {
 		op, c := &g.Ops[i], &calls[i]
 		c.g, c.idx = g, int32(i)
-		e, _, err := f.lookup(op.Object)
+		e, l, err := f.lookup(op.Object)
 		if err == nil && scan && !op.Inv.Op.IsRead() {
 			err = fmt.Errorf("fabric: scan op %v on object %d is not a read", op.Inv.Op, op.Object)
 		}
@@ -723,6 +776,7 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 		}
 		entries[i] = e
 		found++
+		async = async || !l.inproc
 	}
 	if found == 0 {
 		return
@@ -732,13 +786,16 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 	// Add(1) calls produces — for one atomic RMW instead of `found`.
 	token := f.nextToken.Add(uint64(found)) - uint64(found)
 
-	// Gate-passed ops for asynchronous backends are staged per lane and
-	// handed off after the pass; both slices are lazily allocated so the
-	// all-in-process batch (the sweep hot path) never pays for them. The
-	// lane snapshot is taken after the lookups: lanes grow append-only, so
-	// every looked-up server's index is within it.
+	// Gate-passed ops for asynchronous backends are staged in the group's own
+	// storage, each lane's in one window, and handed off after the pass; the
+	// all-in-process batch (the sweep hot path) stages nothing and makes no
+	// slab. The lane snapshot is taken after the lookups: lanes grow
+	// append-only, so every looked-up server's index is within it.
 	lanes := f.laneList()
-	var groups [][]LaneOp
+	var windows []laneWindow
+	if async {
+		windows = g.stage(lanes)
+	}
 	var scanGroups [][]scanOp
 	for i, e := range entries {
 		if e == nil {
@@ -762,17 +819,19 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 			continue
 		}
 		if !l.inproc {
-			if lop, ok := f.prepInflight(e, l, c, true); ok {
-				if groups == nil {
-					groups = make([][]LaneOp, len(lanes))
-				}
-				groups[l.server] = append(groups[l.server], lop)
+			h := &g.recs[i]
+			h.e, h.lane, h.call, h.f = e, l, c, f
+			if f.admit(h, true) {
+				w := &windows[l.server]
+				lop := &g.staging[w.end]
+				lop.Ev, lop.Apply, lop.Complete = c.ev, h.apply, h.complete
+				w.end++
 			}
 			continue
 		}
 		if !f.benign && f.gate.BeforeApply(c.ev) == Hold {
 			f.emit(TraceHoldApply, &c.ev, l.server)
-			f.park(&heldOp{e: e, lane: l, phase: PhaseApply, call: c})
+			f.park(e, l, c, PhaseApply, baseobj.Response{})
 			continue
 		}
 		if scan {
@@ -794,7 +853,8 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 			f.applyScanInline(lanes[s], sg)
 		}
 	}
-	for s, lg := range groups {
+	for s, w := range windows {
+		lg := g.staging[w.start:w.end]
 		if len(lg) == 0 {
 			continue
 		}
@@ -813,6 +873,39 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 			backend.Deliver(lg[i].Ev, lg[i].Apply, lg[i].Complete)
 		}
 	}
+}
+
+// stage readies the group's asynchronous-lane storage for a pass that found
+// ops bound for asynchronous lanes: a record and a staging slot per op, the
+// staging split into one empty window per lane, sized by counting the
+// looked-up entries — an upper bound, since an op may yet be dropped, bounced
+// or held; the pass fills each window from its start. The slabs are made, and
+// the records' callbacks bound, only when the group has none large enough.
+func (g *Group) stage(lanes []*lane) []laneWindow {
+	n := len(g.entries)
+	if cap(g.recs) < n {
+		g.recs, g.staging = make([]heldOp, n), make([]LaneOp, n)
+		for i := range g.recs {
+			g.recs[i].bind()
+		}
+	}
+	if cap(g.windows) < len(lanes) {
+		g.windows = make([]laneWindow, len(lanes))
+	}
+	g.recs, g.staging = g.recs[:n], g.staging[:n]
+	windows := g.windows[:len(lanes)]
+	clear(windows)
+	for _, e := range g.entries {
+		if e != nil && !lanes[e.Server().ID()].inproc {
+			windows[e.Server().ID()].end++
+		}
+	}
+	var start int32
+	for s := range windows {
+		w := &windows[s]
+		start, w.start, w.end = start+w.end, start, start
+	}
+	return windows
 }
 
 // scanOp is one in-process member of a snapshot scan group.
@@ -887,12 +980,9 @@ func (f *Fabric) applyInline(e *cluster.Entry, call *Call) {
 	call.completeUnshared(Outcome{Resp: resp})
 }
 
-// deliver hands an op the apply gate let through — at once, or held and now
-// released — to its server's lane backend and routes the response through
-// the respond gate. The in-process backend completes inline (the object's
-// own mutex is the linearization point); asynchronous backends get the op
-// listed in flight first, so a crash while the op is on the wire moves it to
-// the dropped state instead of racing its completion.
+// deliver applies an in-process op the apply gate let through — at once, or
+// held and now released — and routes the response through the respond gate.
+// The object's own mutex is the linearization point.
 func (f *Fabric) deliver(e *cluster.Entry, l *lane, call *Call) {
 	if e.Server().Crashed() {
 		// A crashed object never responds.
@@ -907,50 +997,46 @@ func (f *Fabric) deliver(e *cluster.Entry, l *lane, call *Call) {
 		call.complete(Outcome{Err: viewChangedErr(l.server)})
 		return
 	}
-	if l.inproc {
-		resp, err := e.Object().Apply(call.ev.Client, call.ev.Inv)
-		f.respond(e, l, call, resp, err)
-		return
-	}
-	if op, ok := f.prepInflight(e, l, call, false); ok {
-		l.backend.Deliver(op.Ev, op.Apply, op.Complete)
-	}
+	resp, err := e.Object().Apply(call.ev.Client, call.ev.Inv)
+	f.respond(e, l, call, resp, err)
 }
 
-// prepInflight lists an op bound for an asynchronous backend in flight and
-// builds the backend hand-off with the fault model folded in: the apply
-// closure drops ops whose server crashed before delivery, and the completion
-// closure settles the in-flight entry (lane.settle) so completion and
-// crash-drop stay mutually exclusive. With gated set — a fresh trigger, not
-// a release — the apply gate is asked once the op is listed, and a Hold moves
-// it from one list to the other in one critical section: from its trigger on,
-// Pending always reports the op. ok is false when the op goes no further now:
-// the lane froze, the server crashed around the insert, or the gate holds it.
-func (f *Fabric) prepInflight(e *cluster.Entry, l *lane, call *Call, gated bool) (LaneOp, bool) {
-	h := &heldOp{e: e, lane: l, phase: PhaseInFlight, call: call, f: f}
+// admit lists a record bound for its asynchronous lane in flight, so a crash
+// while the op is on the wire moves it to the dropped state instead of racing
+// its completion; the fault model is folded into the record's callbacks:
+// applyOp drops an op whose server crashed before delivery, and completeOp
+// settles the in-flight entry (lane.settle) so completion and crash-drop stay
+// mutually exclusive. With gated set — a fresh trigger, not a release — the
+// apply gate is asked once the op is listed, and a Hold moves it from one list
+// to the other in one critical section: from its trigger on, Pending always
+// reports the op. It returns false when the op goes no further now: the lane
+// froze, the server crashed around the insert, or the gate holds it.
+func (f *Fabric) admit(h *heldOp, gated bool) bool {
+	l, call := h.lane, h.call
+	h.phase = PhaseInFlight // h is its caller's alone until it is listed
 	if !l.putInflight(h) {
 		// The lane froze for a view change before the insert: the op was
 		// never handed to the backend, so it completes retryably. This check
 		// runs under the same lock the coordinator's freeze takes, which is
 		// what keeps the op from writing a frame behind the state fetch.
 		call.complete(Outcome{Err: viewChangedErr(l.server)})
-		return LaneOp{}, false
+		return false
 	}
-	if e.Server().Crashed() {
+	if h.e.Server().Crashed() {
 		// The server crashed between the caller's check and the in-flight
 		// insert; the crash drain may already have run past this token.
 		if l.settle(h, PhaseDropped) {
 			f.emit(TraceDrop, &call.ev, l.server)
 		}
-		return LaneOp{}, false
+		return false
 	}
 	if gated && !f.benign && f.gate.BeforeApply(call.ev) == Hold {
 		// Traced first: once parked, the op is its releaser's.
 		f.emit(TraceHoldApply, &call.ev, l.server)
 		l.settle(h, PhaseApply)
-		return LaneOp{}, false
+		return false
 	}
-	return LaneOp{Ev: call.ev, Apply: h.applyOp, Complete: h.completeOp}, true
+	return true
 }
 
 // respond routes an in-process op's response through the respond gate and
@@ -964,18 +1050,19 @@ func (f *Fabric) respond(e *cluster.Entry, l *lane, call *Call, resp baseobj.Res
 	f.emit(TraceApply, &call.ev, call.ev.Server)
 	if !f.benign && f.gate.BeforeRespond(call.ev, resp) == Hold {
 		f.emit(TraceHoldRespond, &call.ev, call.ev.Server)
-		f.park(&heldOp{e: e, lane: l, phase: PhaseRespond, resp: resp, call: call})
+		f.park(e, l, call, PhaseRespond, resp)
 		return
 	}
 	f.emit(TraceRespond, &call.ev, call.ev.Server)
 	call.complete(Outcome{Resp: resp})
 }
 
-// park records a held operation in its server's lane.
-func (f *Fabric) park(h *heldOp) {
-	l := h.lane
+// park records an in-process operation a gate held in its server's lane. (An
+// asynchronous lane's op is parked where it is listed: lane.settle.)
+func (f *Fabric) park(e *cluster.Entry, l *lane, call *Call, phase Phase, resp baseobj.Response) {
+	h := &heldOp{e: e, lane: l, phase: phase, resp: resp, call: call}
 	l.mu.Lock()
-	l.held[h.call.ev.Token] = h
+	l.held[call.ev.Token] = h
 	l.mu.Unlock()
 }
 
@@ -1050,8 +1137,13 @@ func (f *Fabric) release(h *heldOp) error {
 	switch h.phase {
 	case PhaseApply:
 		// The apply gate already held (and now released) the op, so it
-		// re-enters the delivery path past the gate.
-		f.deliver(h.e, h.lane, h.call)
+		// re-enters the delivery path past the gate — on an asynchronous lane
+		// by listing the record it already has in flight again.
+		if h.lane.inproc {
+			f.deliver(h.e, h.lane, h.call)
+		} else if f.admit(h, false) {
+			h.lane.backend.Deliver(h.call.ev, h.apply, h.complete)
+		}
 	case PhaseRespond:
 		f.emit(TraceRespond, &h.call.ev, h.call.ev.Server)
 		h.call.complete(Outcome{Resp: h.resp})

@@ -23,7 +23,9 @@ import (
 // the transport the crash is observed on.
 type Lane interface {
 	// Deliver carries one operation to the server and invokes complete
-	// exactly once with its response — either by calling apply at the
+	// exactly once per delivery with its response — never a second time: the
+	// op's record is recycled with its round once it completed, so a repeated
+	// call would land on another round's op — either by calling apply at the
 	// moment the operation reaches the server (local-state backends: that
 	// call is the linearization point) or by obtaining the response
 	// elsewhere (network backends apply remotely and relay it). Deliver
@@ -38,7 +40,7 @@ type Lane interface {
 }
 
 // LaneOp is one prepared delivery: the trigger event plus the fabric-built
-// apply and completion closures (crash checks and in-flight claim folded
+// apply and completion callbacks (crash checks and in-flight claim folded
 // in). Group-capable backends receive whole rounds as []LaneOp.
 type LaneOp struct {
 	// Ev is the trigger event.
@@ -59,6 +61,15 @@ type GroupLane interface {
 	// DeliverGroup delivers every op of the group. Like Deliver it must
 	// not block indefinitely on op completion; bounded-mailbox backends may
 	// block briefly for backpressure.
+	//
+	// ops is the triggering round's own storage, not a copy made for the
+	// lane. The lane may rewrite it in place until DeliverGroup returns (a
+	// decorator swapping in its own callbacks), and may go on reading it
+	// until the last op of the slice has completed — forever, if one never
+	// does: an uncompleted op keeps its round from being recycled. Past that
+	// completion the slice is another round's, so a backend that retains it
+	// (a mailbox message, a queued frame) reads all of it before it completes
+	// any member.
 	DeliverGroup(ops []LaneOp)
 }
 
@@ -71,7 +82,8 @@ type GroupLane interface {
 // correctness — a scan is still a set of independent reads).
 type ScanLane interface {
 	Lane
-	// DeliverScan delivers an all-read group atomically.
+	// DeliverScan delivers an all-read group atomically. ops is lent on
+	// DeliverGroup's terms.
 	DeliverScan(ops []LaneOp)
 }
 
@@ -82,7 +94,10 @@ type ScanLane interface {
 type ApplyFunc func() (baseobj.Response, error)
 
 // CompleteFunc delivers an operation's response back into the fabric, which
-// routes it through the respond gate. It must be invoked at most once.
+// routes it through the respond gate. It must be invoked at most once per
+// delivery: it is a method value of the op's in-flight record, which lives in
+// recycled round storage — once it ran and the op completed, the same func
+// belongs to whatever op that record carries next.
 type CompleteFunc func(resp baseobj.Response, err error)
 
 // LaneMaker builds the dispatch backend for one server. The fabric calls it

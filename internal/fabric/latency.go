@@ -153,8 +153,10 @@ type LatencyLane struct {
 	cq   []completion
 	csig chan struct{}
 
-	// scratch is fire's reusable completion-staging buffer (loop-only).
+	// scratch is fire's reusable completion-staging buffer and cache its
+	// read-coalescing cache, emptied after every pass (both loop-only).
 	scratch []completion
+	cache   map[types.ObjectID]cachedRead
 
 	coalesced atomic.Uint64
 
@@ -182,6 +184,7 @@ func NewLatencyLane(laneSeed int64, p LatencyProfile, opts ...LatencyOption) *La
 		mailboxCap: defaultMailboxCapacity(),
 		stop:       make(chan struct{}),
 		csig:       make(chan struct{}, 1),
+		cache:      make(map[types.ObjectID]cachedRead),
 	}
 	for _, o := range opts {
 		o(l)
@@ -440,7 +443,7 @@ func (l *LatencyLane) fire(h *pendingHeap, t int64) {
 
 	// Read-coalescing cache: object → outcome of the last apply on that
 	// object in this pass, kept only while it stays a read.
-	var cache map[types.ObjectID]cachedRead
+	cache := l.cache
 
 	out := l.scratch[:0]
 	for h.len() > 0 && h.nodes[0].due <= horizon {
@@ -472,9 +475,6 @@ func (l *LatencyLane) fire(h *pendingHeap, t int64) {
 				break
 			}
 			resp, err := op.Apply()
-			if cache == nil {
-				cache = make(map[types.ObjectID]cachedRead, 8)
-			}
 			cache[op.Ev.Object] = cachedRead{op: code, resp: resp, err: err}
 			out = append(out, completion{complete: op.Complete, resp: resp, err: err})
 		}
@@ -484,6 +484,7 @@ func (l *LatencyLane) fire(h *pendingHeap, t int64) {
 	l.cq = append(l.cq, out...)
 	l.cmu.Unlock()
 	clear(out) // release op closures for GC, as put does for the heap's slots
+	clear(cache)
 	l.scratch = out[:0]
 	select {
 	case l.csig <- struct{}{}:
@@ -496,10 +497,10 @@ func (l *LatencyLane) fire(h *pendingHeap, t int64) {
 // new op on this very lane blocks (at worst) on the mailbox, which the loop
 // is always able to drain.
 func (l *LatencyLane) completer() {
+	var q []completion // the drained buffer, swapped with cq every pass
 	for {
 		l.cmu.Lock()
-		q := l.cq
-		l.cq = nil
+		q, l.cq = l.cq, q[:0]
 		l.cmu.Unlock()
 		if len(q) == 0 {
 			select {
@@ -512,5 +513,6 @@ func (l *LatencyLane) completer() {
 		for _, c := range q {
 			c.complete(c.resp, c.err)
 		}
+		clear(q) // release op callbacks and responses for GC
 	}
 }

@@ -51,7 +51,8 @@ type outItem struct {
 // slot is one request awaiting its response. A plain apply keeps its
 // completion inline in first; more holds only the extra callers of reads
 // coalesced onto the request, or — for a scan, whose first is nil — every
-// member's completion in request order.
+// member's completion in request order. more's backing array is on loan from
+// the connection's free list (Client.spare) and goes back after the fan-out.
 type slot struct {
 	req   uint64 // 0: the slot is free (ids start at 1)
 	first fabric.CompleteFunc
@@ -146,11 +147,17 @@ type Client struct {
 
 	mu      sync.Mutex
 	pending slotTable
-	hook    func() // crash hook installed by the fabric
+	spare   [][]fabric.CompleteFunc // emptied slot.more arrays, from the read loop to the flusher
+	hook    func()                  // crash hook installed by the fabric
 
 	// Owned by the flusher goroutine.
-	nextReq uint64      // last request id issued
-	scanBuf []scanEntry // reused msgScan member list
+	nextReq uint64                  // last request id issued
+	scanBuf []scanEntry             // reused msgScan member list
+	slots   []slot                  // the batch's requests, registered together before the write
+	reads   map[readKey]int         // the batch's wire reads, by index in slots
+	more    [][]fabric.CompleteFunc // spare arrays taken over at the last registration
+
+	spent []fabric.CompleteFunc // owned by the read loop: the last claimed slot's more
 
 	crashed  atomic.Bool
 	closing  atomic.Bool
@@ -197,9 +204,10 @@ func Dial(addr string, timeout time.Duration, opts ...ClientOption) (*Client, er
 // newClient starts a client over an established connection.
 func newClient(conn net.Conn, opts []ClientOption) *Client {
 	c := &Client{
-		conn: conn,
-		qsig: make(chan struct{}, 1),
-		stop: make(chan struct{}),
+		conn:  conn,
+		qsig:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+		reads: make(map[readKey]int),
 	}
 	for _, o := range opts {
 		o(c)
@@ -389,12 +397,19 @@ func (c *Client) flusher() {
 	}
 }
 
+// readKey identifies the reads one wire request can answer.
+type readKey struct {
+	obj types.ObjectID
+	op  baseobj.OpCode
+}
+
 // encodeBatch encodes one drained queue into a single write buffer, each
-// frame written in place behind its back-patched length prefix, registering
-// pending completions as it goes. Identical reads (same object, same read
-// op) queued in the same batch collapse onto one wire request: none of them
-// has been sent yet, so all their invocations precede the shared apply and
-// one response answers every caller.
+// frame written in place behind its back-patched length prefix, and registers
+// the batch's pending completions in one critical section at the end — before
+// the flusher writes, so no response can precede its registration. Identical
+// reads (same object, same read op) queued in the same batch collapse onto one
+// wire request: none of them has been sent yet, so all their invocations
+// precede the shared apply and one response answers every caller.
 //
 // An invocation whose encoding exceeds maxFrame completes on the spot with
 // ErrFrameTooLarge — it is the caller's input that is at fault, not the
@@ -402,11 +417,7 @@ func (c *Client) flusher() {
 // frame (a placement) is too large: the node cannot host that object, which
 // leaves the lane as useless as a dead node.
 func (c *Client) encodeBatch(buf []byte, batch []outItem) (_ []byte, ok bool) {
-	type readKey struct {
-		obj types.ObjectID
-		op  baseobj.OpCode
-	}
-	var readReq map[readKey]uint64
+	slots := c.slots[:0]
 	var frames uint64
 
 	for i := range batch {
@@ -423,13 +434,13 @@ func (c *Client) encodeBatch(buf []byte, batch []outItem) (_ []byte, ok bool) {
 			isRead := it.ev.Inv.Op.IsRead()
 			k := readKey{obj: it.ev.Object, op: it.ev.Inv.Op}
 			if isRead {
-				if req, dup := readReq[k]; dup {
+				if j, dup := c.reads[k]; dup {
 					c.coalesced.Add(1)
-					c.mu.Lock()
-					if s := c.pending.at(req); s != nil {
-						s.more = append(s.more, it.complete)
+					s := &slots[j]
+					if s.more == nil {
+						s.more = c.spareMore()
 					}
-					c.mu.Unlock()
+					s.more = append(s.more, it.complete)
 					continue
 				}
 			}
@@ -442,47 +453,62 @@ func (c *Client) encodeBatch(buf []byte, batch []outItem) (_ []byte, ok bool) {
 			}
 			c.nextReq = req
 			if isRead {
-				if readReq == nil {
-					readReq = make(map[readKey]uint64, 8)
-				}
-				readReq[k] = req
+				c.reads[k] = len(slots)
 			}
-			c.register(slot{req: req, first: it.complete})
+			slots = append(slots, slot{req: req, first: it.complete})
 		case outScan:
 			req := c.nextReq + 1
-			entries := c.scanBuf[:0]
-			completes := make([]fabric.CompleteFunc, len(it.ops))
-			for j, op := range it.ops {
+			entries, completes := c.scanBuf[:0], c.spareMore()
+			for j := range it.ops {
+				op := &it.ops[j]
 				entries = append(entries, scanEntry{obj: op.Ev.Object, client: op.Ev.Client, op: op.Ev.Inv.Op})
-				completes[j] = op.Complete
+				completes = append(completes, op.Complete)
 			}
 			c.scanBuf = entries
 			buf, start = beginFrame(buf)
 			// 11 bytes plus 9 per member of a u16 count: always in bounds.
 			buf, _ = endFrame(appendScan(buf, req, entries), start)
 			c.nextReq = req
-			c.register(slot{req: req, more: completes, scan: true})
+			slots = append(slots, slot{req: req, more: completes, scan: true})
 		}
 		frames++
 	}
-	// Release references so the reused batch slice doesn't retain them.
+	c.mu.Lock()
+	for i := range slots {
+		c.pending.put(slots[i])
+	}
+	c.more, c.spare = append(c.more, c.spare...), c.spare[:0]
+	c.mu.Unlock()
+	// Release references so the reused slices don't retain them.
 	clear(batch)
+	clear(slots)
+	clear(c.reads)
+	c.slots = slots[:0]
 	c.framesOut.Add(frames)
 	return buf, true
 }
 
-// register records a pending request.
-func (c *Client) register(s slot) {
-	c.mu.Lock()
-	c.pending.put(s)
-	c.mu.Unlock()
+// spareMore returns an empty slot.more array: a recycled one when the flusher
+// holds any, else nil for append to grow.
+func (c *Client) spareMore() (more []fabric.CompleteFunc) {
+	if n := len(c.more); n > 0 {
+		more, c.more = c.more[n-1], c.more[:n-1]
+	}
+	return more
 }
 
-// take claims a pending request.
+// take claims a pending request for the read loop. The slot's more array is
+// the loop's to fan out from until its next take, which files it — emptied —
+// for the flusher to lend out again, in the critical section it takes anyway.
 func (c *Client) take(req uint64) (slot, bool) {
 	c.mu.Lock()
+	if cap(c.spent) > 0 {
+		clear(c.spent)
+		c.spare = append(c.spare, c.spent[:0])
+	}
 	s, ok := c.pending.take(req)
 	c.mu.Unlock()
+	c.spent = s.more
 	return s, ok
 }
 
