@@ -23,17 +23,19 @@
 //     the cluster's table on every trigger (nothing is cached), each lane
 //     owns its held-op, in-flight, and crash-drop state, and TriggerBatch
 //     scatters a whole quorum round in one call, over storage the caller
-//     owns (a Group: ops, call slab, table entries). The hand-off to an
-//     asynchronous lane lives in that storage too: op i's in-flight record
-//     is slot i of a slab in the group, its apply and completion callbacks
-//     bound once when the slab is made, and the []LaneOp a lane is handed is
-//     a window of the group's own staging, the lanes' windows laid end to
-//     end — so from Scatter to the lane a recycled round allocates nothing,
-//     and a record (listed in flight, parked by a gate, unlisted by a crash)
-//     lives exactly as long as its round. What that asks of a backend: at
-//     most one completion per delivery, and no reading of a handed slice
-//     after its last op completed (fabric.GroupLane). A single TriggerFn op
-//     on such a lane is one object, the Call and its record together.
+//     owns (a Group: ops and one slab of Calls). A Call is the operation's
+//     one record from trigger to completion, on every lane: listed in
+//     flight, asked both gates while listed, parked or dropped in the
+//     critical section that unlists it — so Pending is exact at every
+//     moment (only an in-process op under the benign gate, which nothing
+//     can hold, runs inline and unrecorded). Op i's record is call i of the
+//     slab, its apply and completion callbacks bound once per slot, and the
+//     []LaneOp an asynchronous lane is handed is a window of the group's
+//     own staging, the lanes' windows laid end to end — so from Scatter to
+//     the lane a recycled round allocates nothing, and a record lives
+//     exactly as long as its round. What that asks of a backend: at most
+//     one completion per delivery, and no reading of a handed slice after
+//     its last op completed (fabric.GroupLane).
 //     A completion is heard in exactly one way: through the
 //     callback handed over with the trigger (TriggerFn, Group.Done),
 //     which fires once, on whatever goroutine completes the operation —
@@ -97,8 +99,7 @@
 //     operations just leave the round pending. A round in steady state
 //     allocates nothing, on any lane: one pooled object per attempt carries
 //     the fold, the fabric Group its plan appends targets into (and with it
-//     the in-flight records and lane staging), and completion funcs bound
-//     once. The fabric holds a reference on the group per op (dropped
+//     the call slab and lane staging), and completion funcs bound once. The fabric holds a reference on the group per op (dropped
 //     after the op's completion returned) plus one for its dispatch pass,
 //     and the last one out recycles the object — so a straggler lands in its
 //     own round's spent fold, an attempt with an op on a crashed server is
@@ -153,11 +154,13 @@
 //     (baseobj.FragStore), so each server holds ceil(size/kData) bytes
 //     where replication holds the full value. Writes put fragments at
 //     n−f then commit at n−f; a fragment store retires a pending stripe
-//     only on a higher-timestamped commit, so a reader's n−f gather
-//     intersects every committed stripe's put quorum in >= kData live
-//     fragments and a torn stripe (a crashed or gated writer's partial
-//     put) is simply never reconstructible — readers fall back to the
-//     newest committed stripe, verified byte-for-byte against the
+//     only on a higher-timestamped commit, so at any one instant n−f
+//     stores hold >= kData fragments of the newest committed stripe and a
+//     torn stripe (a crashed or gated writer's partial put) is simply never
+//     reconstructible. A gather is not instantaneous: one whose answers
+//     straddle commits may reconstruct nothing as new as a commit it
+//     saw, and is repeated — reads are FW-terminating (they finish once
+//     writes pause), never wrong. The stripe is verified against the
 //     payload's self-describing fill. At f=2, n=5 the safe shard count
 //     collapses to 1 and the construction degenerates to replication,
 //     exactly where the paper's lower bound says coding cannot help.

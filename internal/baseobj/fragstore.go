@@ -17,9 +17,13 @@ import (
 // pending fragment is only discarded when a commit with a higher
 // timestamp arrives, and a commit is only issued after the stripe
 // reached n−f servers. So any fragment this store acked remains
-// available until it is provably superseded, and a reader gathering n−f
-// stores always finds ≥ k = n−2f fragments of the newest committed
-// stripe — a torn (partially overwritten) stripe can never hide it.
+// available until it is provably superseded, and at any one instant n−f
+// stores hold ≥ k = n−2f fragments of the newest committed stripe — a
+// torn (partially overwritten) stripe can never hide it. A reader's
+// gather is not instantaneous: answers that straddle commits may hold no
+// k fragments of one stripe, which the reader detects from the commit
+// watermarks and answers by gathering again (coded reads are
+// FW-terminating).
 type FragStore struct {
 	id types.ObjectID
 

@@ -16,10 +16,16 @@
 // writes the stripe back (re-encoded put + commit) before returning, unless
 // every gathered store already committed it.
 //
-// Safety needs kData ≤ n−2f: a reader's n−f stores intersect the put
+// Safety needs kData ≤ n−2f: at any one instant n−f stores intersect the put
 // quorum of the newest committed stripe in ≥ n−2f stores, and the
 // fragment-store retention rule (baseobj.FragStore) guarantees each of
-// those still holds its fragment. That is exactly the register-emulation
+// those still holds its fragment. A gather is not instantaneous — its answers
+// may straddle commits and then hold no kData fragments of any one stripe —
+// so a read checks what it reconstructed against the commit watermarks it
+// saw and gathers again when it is behind them (errStraddled): reads are
+// FW-terminating, they return once writes pause, which is what
+// Spiegelman–Cassuto–Chockler show a coded register storing less than
+// Ω(min(f, c)·D) must settle for. That is exactly the register-emulation
 // space tension the paper quantifies: tolerating more failures at fixed n
 // forces kData down, and at n = 2f+1 the construction degenerates to
 // kData = 1 — full replication, the Ω(f·D) per-value regime of the SCC
@@ -281,70 +287,108 @@ func (r *Register) startPut(ctx context.Context, client types.ClientID, ts types
 
 // StartRead gathers n−f fragment snapshots, reconstructs the newest
 // reconstructible stripe, and (atomic mode) writes it back before
-// returning.
+// returning. A gather that straddled commits (errStraddled) is repeated until
+// one does not — or ctx ends.
 func (c *chain) StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error)) {
 	r := (*Register)(c)
 	// gathered pins the placement the final gather attempt scattered over:
 	// reconstruct must use that attempt's coder, not whatever r.p holds by
 	// the time the fold callback runs (a resize may swap it in between).
 	var gathered atomic.Pointer[placement]
-	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
-		p := r.p.Load()
-		gathered.Store(p)
-		return p.targets(buf, baseobj.Invocation{Op: baseobj.OpGetFrags}), p.need()
-	}, Reports: func(reps []rounds.Report, err error) {
-		if err != nil {
-			done(types.InitialValue, fmt.Errorf("coded: read gather: %w", err))
-			return
-		}
-		ts, payload, committed, err := gathered.Load().reconstruct(reps)
-		if err != nil {
-			done(types.InitialValue, fmt.Errorf("coded: read: %w", err))
-			return
-		}
-		if ts == types.ZeroTSValue {
-			done(types.InitialValue, nil)
-			return
-		}
-		v, err := payload.Value()
-		if err != nil {
-			done(types.InitialValue, fmt.Errorf("coded: read: %w", err))
-			return
-		}
-		if v != ts.Val {
-			done(types.InitialValue, fmt.Errorf("coded: read: stripe %v decodes to value %d", ts, v))
-			return
-		}
-		if !r.atomic || committed {
-			done(v, nil)
-			return
-		}
-		// Write-back: make the stripe as stable as a completed write, so a
-		// later reader cannot observe an older value (the ABD new/old
-		// inversion). Re-encoding regenerates the fragments the gather
-		// didn't see.
-		r.startPut(ctx, client, ts, payload, func(err error) {
-			if err != nil {
-				done(types.InitialValue, fmt.Errorf("coded: read write-back: %w", err))
-				return
+	// On the in-process lane a gather reports inside Scatter, so a report that
+	// gathered again itself would recurse once per straddle. While Scatter is
+	// on the stack (inScatter) the report hands the repeat back to the loop
+	// around it instead; only a report arriving after Scatter returned — an
+	// asynchronous lane's, on a stack of its own — runs the next gather.
+	var inScatter atomic.Bool
+	var gather func()
+	gather = func() {
+		for {
+			inScatter.Store(true)
+			rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
+				p := r.p.Load()
+				gathered.Store(p)
+				return p.targets(buf, baseobj.Invocation{Op: baseobj.OpGetFrags}), p.need()
+			}, Reports: func(reps []rounds.Report, err error) {
+				if err != nil {
+					done(types.InitialValue, fmt.Errorf("coded: read gather: %w", err))
+					return
+				}
+				ts, payload, committed, err := gathered.Load().reconstruct(reps)
+				switch {
+				case errors.Is(err, errStraddled):
+					if !inScatter.CompareAndSwap(true, false) {
+						gather()
+					}
+				case err != nil:
+					done(types.InitialValue, fmt.Errorf("coded: read: %w", err))
+				default:
+					r.finishRead(ctx, client, ts, payload, committed, done)
+				}
+			}})
+			if inScatter.CompareAndSwap(true, false) {
+				return // no report claimed the repeat
 			}
-			done(v, nil)
-		})
-	}})
+		}
+	}
+	gather()
 }
+
+// finishRead turns a reconstructed stripe into the read's result.
+func (r *Register) finishRead(ctx context.Context, client types.ClientID, ts types.TSValue, payload types.Payload, committed bool, done func(types.Value, error)) {
+	if ts == types.ZeroTSValue {
+		done(types.InitialValue, nil)
+		return
+	}
+	v, err := payload.Value()
+	if err != nil {
+		done(types.InitialValue, fmt.Errorf("coded: read: %w", err))
+		return
+	}
+	if v != ts.Val {
+		done(types.InitialValue, fmt.Errorf("coded: read: stripe %v decodes to value %d", ts, v))
+		return
+	}
+	if !r.atomic || committed {
+		done(v, nil)
+		return
+	}
+	// Write-back: make the stripe as stable as a completed write, so a
+	// later reader cannot observe an older value (the ABD new/old
+	// inversion). Re-encoding regenerates the fragments the gather
+	// didn't see.
+	r.startPut(ctx, client, ts, payload, func(err error) {
+		if err != nil {
+			done(types.InitialValue, fmt.Errorf("coded: read write-back: %w", err))
+			return
+		}
+		done(v, nil)
+	})
+}
+
+// errStraddled reports a gather whose answers span commits: some report's
+// commit watermark is newer than every stripe the gathered fragments can
+// reconstruct. That watermark's write reached n−f stores, so a value at least
+// that new exists; the reports just caught the stores at different moments —
+// each keeps one committed fragment and drops pending ones at every higher
+// commit. Returning the older stripe (or the initial value, when none
+// reconstructs) could miss a completed write.
+var errStraddled = errors.New("gather straddled a commit")
 
 // reconstruct decodes the newest stripe with ≥ kData distinct fragments
 // among the gathered reports. committed reports whether every gathered
 // store's commit watermark already covers that stripe — the atomic-mode
 // fast path that skips the write-back. A zero timestamp means the register
-// is in its initial state.
+// is in its initial state: no report carries a commit.
 //
-// The newest *committed* stripe is always reconstructible here (retention
-// rule + quorum intersection, see the package comment), so the chosen
-// stripe is never older than a completed write. A newer pending stripe
-// that happens to be reconstructible may win instead; its write is
-// concurrent, so returning it is regular — and the write-back makes it
-// stable before an atomic read returns.
+// At any one instant the newest committed stripe is reconstructible from n−f
+// stores (retention rule + quorum intersection, see the package comment); a
+// gather is not instantaneous, so that is checked, not assumed: a chosen
+// stripe older than the highest reported watermark is errStraddled. Otherwise
+// the stripe is never older than a write completed before the gather began. A
+// newer pending stripe that happens to be reconstructible may win instead;
+// its write is concurrent, so returning it is regular — and the write-back
+// makes it stable before an atomic read returns.
 func (p *placement) reconstruct(reps []rounds.Report) (types.TSValue, types.Payload, bool, error) {
 	type stripe struct {
 		length int
@@ -370,19 +414,19 @@ func (p *placement) reconstruct(reps []rounds.Report) (types.TSValue, types.Payl
 			best = ts
 		}
 	}
+	committed := true
+	for _, rep := range reps {
+		if best.Less(rep.Val) {
+			return types.ZeroTSValue, nil, false, errStraddled
+		}
+		committed = committed && !rep.Val.Less(best) // a watermark below the stripe: not yet committed there
+	}
 	if best == types.ZeroTSValue {
 		return types.ZeroTSValue, nil, true, nil
 	}
 	data, err := p.coder.Decode(stripes[best].length, stripes[best].frags)
 	if err != nil {
 		return types.ZeroTSValue, nil, false, fmt.Errorf("decoding stripe %v: %w", best, err)
-	}
-	committed := true
-	for _, rep := range reps {
-		if rep.Val.Less(best) { // watermark below the stripe: not yet committed there
-			committed = false
-			break
-		}
 	}
 	return best, types.Payload(data), committed, nil
 }

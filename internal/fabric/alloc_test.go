@@ -79,12 +79,7 @@ func TestGroupHandoffAllocCeiling(t *testing.T) {
 // commit the release made a second record and two more method values.
 func TestGroupReleaseAllocCeiling(t *testing.T) {
 	lane := newLoopLane()
-	fab, objs := laneEnv(t, func(types.ServerID) Lane { return lane }, GateFuncs{Apply: func(ev TriggerEvent) Decision {
-		if ev.Server == 2 {
-			return Hold
-		}
-		return Pass
-	}})
+	fab, objs := laneEnv(t, func(types.ServerID) Lane { return lane }, holdServer2Apply)
 	released := make(chan struct{}, 1)
 	g := &Group{Released: func() { released <- struct{}{} }}
 	cycle := func() {
@@ -99,6 +94,28 @@ func TestGroupReleaseAllocCeiling(t *testing.T) {
 	cycle()
 	if got := testing.AllocsPerRun(1000, cycle); got != 0 {
 		t.Fatalf("scatter, hold and release of a recycled batch allocates %.1f objects, want 0", got)
+	}
+}
+
+// TestGroupInProcHoldAllocCeiling: a gate hold on the in-process lane rides
+// the op's own call like everywhere else, so scatter, hold, release and
+// completion of a recycled batch allocate nothing, whichever gate held. At
+// the parent commit every hold made a record of its own.
+func TestGroupInProcHoldAllocCeiling(t *testing.T) {
+	for phase, gate := range map[Phase]Gate{PhaseApply: holdServer2Apply, PhaseRespond: holdServer2} {
+		fab, objs := laneEnv(t, groupLanes["inproc"], gate)
+		g := new(Group)
+		cycle := func() {
+			fillReads(g, objs)
+			fab.TriggerBatch(1, g)
+			if err := fab.Release(g.calls[2].ev.Token); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle()
+		if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+			t.Fatalf("scatter, %v hold and release of a recycled in-process batch allocates %.1f objects, want 0", phase, got)
+		}
 	}
 }
 

@@ -37,14 +37,21 @@
 //
 // The lane is also the transport seam: each lane delegates the actual
 // carriage of an operation to a Lane backend (WithLanes). InProcLane (the
-// default) applies synchronously and keeps the zero-overhead hot path;
-// LatencyLane injects seeded per-op delay/jitter/straggler distributions,
-// so quorum protocols face genuinely reordered asynchrony; and the network
+// default) applies synchronously; LatencyLane injects seeded per-op
+// delay/jitter/straggler distributions, so quorum protocols face genuinely
+// reordered asynchrony; and the network
 // lane (internal/lanenet) speaks a length-prefixed protocol to a
 // per-server TCP storage node, with transport failure mapped onto the
 // fail-stop model via CrashReporter (reconnect-as-crash). The Gate
 // adversary, held/release/drop accounting, and everything above the fabric
 // compose with any backend.
+//
+// A triggered operation is one record — its Call — with one lifecycle on
+// every lane: listed in flight (admit), both gates asked while it is listed,
+// filed by its verdict in the critical section that unlists it (lane.settle),
+// so Pending reports it at every moment from trigger to completion. The one
+// exception is an in-process op under the benign gate, which nothing can
+// hold, reorder or observe half-way: it applies inline, unrecorded.
 //
 // Membership is dynamic: the fabric serves the cluster's current View
 // (epoch + ordered server set), AddServer admits a joiner as a brand-new
@@ -200,9 +207,18 @@ const (
 	callDone
 )
 
-// Call is the client-side handle of a triggered low-level operation. It is
-// lock-free: completion is one atomic claim, so completing calls never
-// serializes concurrent quorum rounds.
+// Call is a triggered low-level operation: the handle its client holds and,
+// from trigger to completion, the fabric's one record of it — what Pending
+// reports, what a gate parks, what a lane's hand-off calls back into. It is
+// never allocated per batch op: a batch op's Call is slot i of its group's
+// slab, a single op's the object TriggerFn returns.
+//
+// Completion is one atomic claim, so completing calls never serializes
+// concurrent quorum rounds. A group's call lives exactly as long as its group:
+// listed in flight, parked by a gate or unlisted by a crash drain, its op has
+// not completed, so the op's reference pins the group and nobody reuses the
+// slot. Completion drops that reference, so nothing touches a call after
+// complete returned.
 type Call struct {
 	ev  TriggerEvent
 	out Outcome // written once by the completer, published by state
@@ -217,6 +233,25 @@ type Call struct {
 	idx int32
 
 	state atomic.Uint32
+
+	// Where the op runs: the table entry it was triggered through and that
+	// entry's lane, never a copy of either. f is set once the op is recorded
+	// (admit), for the lane callbacks.
+	e    *cluster.Entry
+	lane *lane
+	f    *Fabric
+	// phase is guarded by lane.mu once the op is listed. A respond-held op's
+	// response waits in out.Resp, which nothing else uses before completion.
+	phase Phase
+	// prev and next thread the op through its lane's in-flight index
+	// (lane.inflight); both are nil whenever the op is not in it.
+	prev, next *Call
+	// applyFn and completeFn are c.applyOp and c.completeOp as func values —
+	// what a lane is handed. They are bound once per slot, at the slot's first
+	// admission (the only allocations a recorded op ever causes), and outlive
+	// the ops the slot carries.
+	applyFn    ApplyFunc
+	completeFn CompleteFunc
 }
 
 // Event returns the call's trigger event.
@@ -270,85 +305,43 @@ type PendingOp struct {
 	Phase Phase
 }
 
-// heldOp is the fabric-internal record of a parked or in-flight operation.
-// On an asynchronous lane it doubles as the receiver of the lane hand-off's
-// apply/complete methods, and it is never allocated per trigger: a batch op's
-// record is slot i of its group's slab (Group.recs), a single op's is part of
-// the object that carries its Call (asyncCall), and either way apply and
-// complete are bound once, when that storage is made. The op's trigger event
-// is its call's (call.ev, immutable once triggered), not a second copy; where
-// it runs is the table entry it was triggered through and that entry's lane,
-// never a copy of either.
-//
-// A slab record lives exactly as long as its group: listed in flight, parked
-// by a gate or unlisted by a crash drain, its op has not completed, so the
-// op's reference pins the group and nobody reuses the record. The op's
-// completion (call.complete) drops that reference, so nothing here touches a
-// record after it — the Call rule, extended to the record.
-type heldOp struct {
-	e     *cluster.Entry
-	lane  *lane
-	phase Phase            // guarded by lane.mu once the op is listed
-	resp  baseobj.Response // valid when phase == PhaseRespond
-	call  *Call
-	f     *Fabric // set for in-flight ops (lane hand-off methods)
-	// prev and next thread the op through its lane's in-flight index
-	// (lane.inflight); both are nil whenever the op is not in it.
-	prev, next *heldOp
-	// apply and complete are h.applyOp and h.completeOp as func values,
-	// nil on a record an in-process gate parked (park).
-	apply    ApplyFunc
-	complete CompleteFunc
-}
-
-// bind makes the record's two lane callbacks. It runs once per record — the
-// two method values are the only allocations the record ever causes.
-func (h *heldOp) bind() { h.apply, h.complete = h.applyOp, h.completeOp }
-
-// asyncCall is a single operation triggered on an asynchronous lane: the call
-// handed back and its in-flight record, one object.
-type asyncCall struct {
-	call Call
-	rec  heldOp
-}
-
-// applyOp is the in-flight op's ApplyFunc: linearize against the server's
-// base object unless the server crashed while the op was on the wire.
-func (h *heldOp) applyOp() (baseobj.Response, error) {
-	if h.e.Server().Crashed() {
+// applyOp is the op's ApplyFunc: linearize against the server's base object
+// unless the server crashed while the op was on its way.
+func (c *Call) applyOp() (baseobj.Response, error) {
+	if c.e.Server().Crashed() {
 		return baseobj.Response{}, errCrashedDrop
 	}
-	return h.e.Object().Apply(h.call.ev.Client, h.call.ev.Inv)
+	return c.e.Object().Apply(c.ev.Client, c.ev.Inv)
 }
 
-// completeOp is the in-flight op's CompleteFunc. The respond gate is asked
-// while the op is still listed in flight, and its verdict is carried out in
-// the critical section that unlists the op (lane.settle), so Pending never
-// loses an op between the two lists. The crash drain races that claim;
-// exactly one side wins, and an op the drain took is dropped whatever the
-// gate said. Once parked the op is its releaser's — and its call and this
-// record, recycled with their group, anyone's — so a held op is traced before
-// it is settled, and nothing of h is touched after call.complete returned.
-func (h *heldOp) completeOp(resp baseobj.Response, err error) {
-	f, l, ev := h.f, h.lane, &h.call.ev
+// completeOp is the op's CompleteFunc. The respond gate is asked while the op
+// is still listed in flight, and its verdict is carried out in the critical
+// section that unlists the op (lane.settle), so Pending never loses an op
+// between the two lists. The crash drain races that claim; exactly one side
+// wins, and an op the drain took is dropped whatever the gate said. Once
+// parked the op is its releaser's — and, recycled with its group, anyone's —
+// so a held op is traced before it is settled, and nothing of c is touched
+// after complete returned.
+func (c *Call) completeOp(resp baseobj.Response, err error) {
+	f, l, ev := c.f, c.lane, &c.ev
 	switch {
-	case errors.Is(err, errCrashedDrop) || h.e.Server().Crashed():
-		if l.settle(h, PhaseDropped) {
+	case errors.Is(err, errCrashedDrop) || c.e.Server().Crashed():
+		if l.settle(c, PhaseDropped) {
 			f.emit(TraceDrop, ev, ev.Server)
 		}
 	case err != nil:
-		if l.settle(h, PhaseInFlight) {
-			h.call.complete(Outcome{Err: err})
+		if l.settle(c, PhaseInFlight) {
+			c.complete(Outcome{Err: err})
 		}
 	case !f.benign && f.gate.BeforeRespond(*ev, resp) == Hold:
 		f.emit(TraceApply, ev, ev.Server)
 		f.emit(TraceHoldRespond, ev, ev.Server)
-		h.resp = resp
-		l.settle(h, PhaseRespond)
-	case l.settle(h, PhaseInFlight):
+		c.out.Resp = resp
+		l.settle(c, PhaseRespond)
+	case l.settle(c, PhaseInFlight):
 		f.emit(TraceApply, ev, ev.Server)
 		f.emit(TraceRespond, ev, ev.Server)
-		h.call.complete(Outcome{Resp: resp})
+		c.complete(Outcome{Resp: resp})
 	}
 }
 
@@ -604,50 +597,41 @@ func (f *Fabric) TriggerFn(client types.ClientID, obj types.ObjectID, inv baseob
 		call.completeUnshared(Outcome{Err: err})
 		return call
 	}
-	e.MarkUsed()
-	var call *Call
-	var h *heldOp // the op's in-flight record, on an asynchronous lane
-	if l.inproc {
-		call = new(Call)
-	} else {
-		ac := new(asyncCall)
-		call, h = &ac.call, &ac.rec
-		h.e, h.lane, h.call, h.f = e, l, call, f
-		h.bind()
-	}
-	call.ev, call.fn = TriggerEvent{Token: f.nextToken.Add(1), Client: client, Object: obj, Server: l.server, Inv: inv}, fn
-	f.emit(TraceTrigger, &call.ev, l.server)
-
-	if e.Server().Crashed() {
-		f.drop(l, &call.ev)
-		return call
-	}
-	if e.Server().Departing() {
-		// Frozen for a view change: the op never reaches the object, so it
-		// completes retryably instead of pending forever (unlike a crash).
-		call.completeUnshared(Outcome{Err: viewChangedErr(l.server)})
-		return call
-	}
-	if h != nil {
-		if f.admit(h, true) {
-			l.backend.Deliver(call.ev, h.apply, h.complete)
-		}
-		return call
-	}
-	switch {
-	case f.benign:
-		// Benign in-process fast path: the gate never holds and the apply
-		// is the linearization point, so the op runs to completion inside
-		// Trigger — and since the call has not escaped yet, completion
-		// needs no claim CAS.
-		f.applyInline(e, call)
-	case f.gate.BeforeApply(call.ev) == Hold:
-		f.emit(TraceHoldApply, &call.ev, l.server)
-		f.park(e, l, call, PhaseApply, baseobj.Response{})
-	default:
-		f.deliver(e, l, call)
+	call := &Call{e: e, lane: l, fn: fn}
+	call.ev = TriggerEvent{Token: f.nextToken.Add(1), Client: client, Object: obj, Server: l.server, Inv: inv}
+	if f.start(call, false) {
+		l.backend.Deliver(call.ev, call.applyFn, call.completeFn)
 	}
 	return call
+}
+
+// start takes a triggered op — event, entry and lane filled in — up to its
+// lane, the one step TriggerFn and a batch's dispatch pass share. It reports
+// whether the caller is to hand the op on now: to its lane's backend, or, a
+// member of an in-process scan, to its server's snapshot. Only a benign
+// in-process op runs inline — the gate never holds and the apply is the
+// linearization point, so it runs to completion here with no record and no
+// lock, and since its call has not escaped yet, with no claim CAS either.
+// Every other op is recorded from here to its completion (admit).
+func (f *Fabric) start(c *Call, scan bool) bool {
+	l, srv := c.lane, c.e.Server()
+	c.e.MarkUsed()
+	f.emit(TraceTrigger, &c.ev, l.server)
+	switch {
+	case srv.Crashed():
+		f.drop(l, &c.ev)
+	case srv.Departing():
+		// Frozen for a view change: the op never reaches the object, so it
+		// completes retryably instead of pending forever (unlike a crash).
+		c.completeUnshared(Outcome{Err: viewChangedErr(l.server)})
+	case !l.inproc || !f.benign:
+		return f.admit(c, true)
+	case scan:
+		return true
+	default:
+		f.applyInline(c)
+	}
+	return false
 }
 
 // BatchOp is one operation of a Group.
@@ -660,25 +644,23 @@ type BatchOp struct {
 
 // Group is the caller-owned storage of one TriggerBatch / TriggerScan
 // scatter: the operations, their one completion callback and — unexported —
-// the dispatch pass's slabs: the calls and table entries of every op, and,
-// made at the group's first op bound for an asynchronous lane, the in-flight
-// records (record i is op i's, its two lane callbacks bound when the slab is
-// made), the []LaneOp the lanes are handed — laid out lane by lane, each
-// lane's ops contiguous — and each lane's window of it. A zero Group works;
-// owning the storage is what lets a round engine recycle it, and recycled, a
-// scatter allocates nothing on any lane.
+// the dispatch pass's storage: one slab of calls (call i is op i's only
+// record) and, made at the group's first op bound for an asynchronous lane,
+// the []LaneOp the lanes are handed — laid out lane by lane, each lane's ops
+// contiguous — and each lane's window of it. A zero Group works; owning the
+// storage is what lets a round engine recycle it, and recycled, a scatter
+// allocates nothing on any lane.
 //
 // Lifetime is a reference count held by the fabric: one per op, dropped after
 // the op's Done returned, plus one for the dispatch pass, dropped when it
-// stopped walking the slabs. The last one out zeroes the storage (a pooled
+// stopped walking the slab. The last one out zeroes the storage (a pooled
 // group pins no payload) and fires Released, after which the group may be
 // refilled and triggered again; until then only Done may touch it. A late
 // response therefore always finds its group alive, and a group with an op
 // that never completes — held forever, or dropped with a crashed server — is
 // never released: it is ordinary garbage, like any Group without a Released.
-// That one rule covers the record and the staging too: an op listed in flight,
-// parked by a gate or unlisted by a crash drain has not completed, and a lane
-// reads the window it was handed only until its last op completed (GroupLane).
+// That one rule covers the staging too: a lane reads the window it was handed
+// only until its last op completed (GroupLane).
 type Group struct {
 	// Ops are the round's operations, filled by the caller.
 	Ops []BatchOp
@@ -691,9 +673,7 @@ type Group struct {
 	Released func()
 
 	calls   []Call
-	entries []*cluster.Entry // shared table entries, never a per-trigger copy
-	recs    []heldOp         // asynchronous rounds only, like the two below
-	staging []LaneOp
+	staging []LaneOp     // asynchronous rounds only, like windows
 	windows []laneWindow // indexed by server
 	refs    atomic.Int32
 }
@@ -707,13 +687,12 @@ func (g *Group) unref() {
 		return
 	}
 	clear(g.Ops)
-	clear(g.calls)
-	clear(g.entries)
-	for i := range g.recs {
-		g.recs[i] = heldOp{apply: g.recs[i].apply, complete: g.recs[i].complete}
+	for i := range g.calls {
+		c := &g.calls[i]
+		*c = Call{applyFn: c.applyFn, completeFn: c.completeFn}
 	}
 	clear(g.staging)
-	g.recs, g.staging = g.recs[:0], g.staging[:0]
+	g.staging = g.staging[:0]
 	if g.Released != nil {
 		g.Released()
 	}
@@ -754,10 +733,10 @@ func (f *Fabric) TriggerScan(client types.ClientID, g *Group) {
 func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 	n := len(g.Ops)
 	if cap(g.calls) < n {
-		g.calls, g.entries = make([]Call, n), make([]*cluster.Entry, n)
+		g.calls = make([]Call, n)
 	}
-	calls, entries := g.calls[:n], g.entries[:n]
-	g.calls, g.entries = calls, entries
+	calls := g.calls[:n]
+	g.calls = calls
 	// The pass's own reference outlives ops that complete inline below.
 	g.refs.Store(int32(n) + 1)
 	defer g.unref()
@@ -774,7 +753,7 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 			c.completeUnshared(Outcome{Err: err})
 			continue
 		}
-		entries[i] = e
+		c.e, c.lane = e, l
 		found++
 		async = async || !l.inproc
 	}
@@ -786,71 +765,47 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 	// Add(1) calls produces — for one atomic RMW instead of `found`.
 	token := f.nextToken.Add(uint64(found)) - uint64(found)
 
-	// Gate-passed ops for asynchronous backends are staged in the group's own
-	// storage, each lane's in one window, and handed off after the pass; the
-	// all-in-process batch (the sweep hot path) stages nothing and makes no
-	// slab. The lane snapshot is taken after the lookups: lanes grow
-	// append-only, so every looked-up server's index is within it.
+	// An in-process op is handed to its backend at its position in the batch;
+	// ops for asynchronous backends are staged in the group's own storage, each
+	// lane's in one window, and handed off after the pass — the all-in-process
+	// batch (the sweep hot path) stages nothing. The lane snapshot is taken
+	// after the lookups: lanes grow append-only, so every looked-up server's
+	// index is within it.
 	lanes := f.laneList()
 	var windows []laneWindow
 	if async {
 		windows = g.stage(lanes)
 	}
-	var scanGroups [][]scanOp
-	for i, e := range entries {
-		if e == nil {
+	var scanGroups [][]*Call
+	for i := range calls {
+		c := &calls[i]
+		if c.e == nil {
 			continue
 		}
 		token++
-		e.MarkUsed()
-		srv := e.Server()
-		l := lanes[srv.ID()]
-		op, c := &g.Ops[i], &calls[i]
+		l, op := c.lane, &g.Ops[i]
 		c.ev = TriggerEvent{Token: token, Client: client, Object: op.Object, Server: l.server, Inv: op.Inv}
-		f.emit(TraceTrigger, &c.ev, l.server)
-		if srv.Crashed() {
-			f.drop(l, &c.ev)
+		if !f.start(c, scan) {
 			continue
 		}
-		if srv.Departing() {
-			// The server is frozen for a view change: complete retryably
-			// (the op never reaches the object) instead of pending forever.
-			c.completeUnshared(Outcome{Err: viewChangedErr(l.server)})
-			continue
-		}
-		if !l.inproc {
-			h := &g.recs[i]
-			h.e, h.lane, h.call, h.f = e, l, c, f
-			if f.admit(h, true) {
-				w := &windows[l.server]
-				lop := &g.staging[w.end]
-				lop.Ev, lop.Apply, lop.Complete = c.ev, h.apply, h.complete
-				w.end++
-			}
-			continue
-		}
-		if !f.benign && f.gate.BeforeApply(c.ev) == Hold {
-			f.emit(TraceHoldApply, &c.ev, l.server)
-			f.park(e, l, c, PhaseApply, baseobj.Response{})
-			continue
-		}
-		if scan {
+		switch {
+		case !l.inproc:
+			w := &windows[l.server]
+			lop := &g.staging[w.end]
+			lop.Ev, lop.Apply, lop.Complete = c.ev, c.applyFn, c.completeFn
+			w.end++
+		case scan:
 			if scanGroups == nil {
-				scanGroups = make([][]scanOp, len(lanes))
+				scanGroups = make([][]*Call, len(lanes))
 			}
-			scanGroups[l.server] = append(scanGroups[l.server], scanOp{e: e, call: c})
-			continue
-		}
-		if f.benign {
-			f.applyInline(e, c)
-		} else {
-			resp, err := e.Object().Apply(c.ev.Client, c.ev.Inv)
-			f.respond(e, l, c, resp, err)
+			scanGroups[l.server] = append(scanGroups[l.server], c)
+		default:
+			l.backend.Deliver(c.ev, c.applyFn, c.completeFn)
 		}
 	}
-	for s, sg := range scanGroups {
+	for _, sg := range scanGroups {
 		if len(sg) > 0 {
-			f.applyScanInline(lanes[s], sg)
+			f.applyScanInline(sg)
 		}
 	}
 	for s, w := range windows {
@@ -875,29 +830,25 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 	}
 }
 
-// stage readies the group's asynchronous-lane storage for a pass that found
-// ops bound for asynchronous lanes: a record and a staging slot per op, the
-// staging split into one empty window per lane, sized by counting the
-// looked-up entries — an upper bound, since an op may yet be dropped, bounced
-// or held; the pass fills each window from its start. The slabs are made, and
-// the records' callbacks bound, only when the group has none large enough.
+// stage readies the group's staging for a pass that found ops bound for
+// asynchronous lanes: a slot per op, split into one empty window per lane,
+// sized by counting the looked-up calls — an upper bound, since an op may yet
+// be dropped, bounced or held; the pass fills each window from its start. The
+// storage is made only when the group has none large enough.
 func (g *Group) stage(lanes []*lane) []laneWindow {
-	n := len(g.entries)
-	if cap(g.recs) < n {
-		g.recs, g.staging = make([]heldOp, n), make([]LaneOp, n)
-		for i := range g.recs {
-			g.recs[i].bind()
-		}
+	n := len(g.calls)
+	if cap(g.staging) < n {
+		g.staging = make([]LaneOp, n)
 	}
 	if cap(g.windows) < len(lanes) {
 		g.windows = make([]laneWindow, len(lanes))
 	}
-	g.recs, g.staging = g.recs[:n], g.staging[:n]
+	g.staging = g.staging[:n]
 	windows := g.windows[:len(lanes)]
 	clear(windows)
-	for _, e := range g.entries {
-		if e != nil && !lanes[e.Server().ID()].inproc {
-			windows[e.Server().ID()].end++
+	for i := range g.calls {
+		if c := &g.calls[i]; c.e != nil && !c.lane.inproc {
+			windows[c.lane.server].end++
 		}
 	}
 	var start int32
@@ -908,162 +859,111 @@ func (g *Group) stage(lanes []*lane) []laneWindow {
 	return windows
 }
 
-// scanOp is one in-process member of a snapshot scan group.
-type scanOp struct {
-	e    *cluster.Entry
-	call *Call
-}
-
-// applyScanInline answers one server's all-read scan group from a single
-// consistent snapshot: every distinct target object's state lock is taken
-// in ascending object order (the package-wide lock order — concurrent scans
-// cannot deadlock), all reads apply under the locks, the locks drop, and
+// applyScanInline answers one in-process server's all-read scan group from a
+// single consistent snapshot: every distinct target object's state lock is
+// taken in ascending object order (the package-wide lock order — concurrent
+// scans cannot deadlock), all reads apply under the locks, the locks drop, and
 // only then do responses flow. A concurrent writer serializes against the
 // whole cut, so no scan can observe object j's newer write but miss the
 // same writer's earlier write to object i — the torn read that per-object
 // locking allows.
-func (f *Fabric) applyScanInline(l *lane, group []scanOp) {
-	byObj := make([]scanOp, len(group))
+func (f *Fabric) applyScanInline(group []*Call) {
+	byObj := make([]*Call, len(group))
 	copy(byObj, group)
-	sort.Slice(byObj, func(i, j int) bool { return byObj[i].call.ev.Object < byObj[j].call.ev.Object })
+	sort.Slice(byObj, func(i, j int) bool { return byObj[i].ev.Object < byObj[j].ev.Object })
 	locked := make([]baseobj.Locker, 0, len(byObj))
-	for i, s := range byObj {
-		if i > 0 && s.call.ev.Object == byObj[i-1].call.ev.Object {
+	for i, c := range byObj {
+		if i > 0 && c.ev.Object == byObj[i-1].ev.Object {
 			continue
 		}
-		if lk, ok := s.e.Object().(baseobj.Locker); ok {
+		if lk, ok := c.e.Object().(baseobj.Locker); ok {
 			lk.LockState()
 			locked = append(locked, lk)
 		}
 	}
 	outs := make([]Outcome, len(group))
-	for i, s := range group {
+	for i, c := range group {
 		var resp baseobj.Response
 		var err error
-		if lk, ok := s.e.Object().(baseobj.Locker); ok {
-			resp, err = lk.ApplyLocked(s.call.ev.Client, s.call.ev.Inv)
+		if lk, ok := c.e.Object().(baseobj.Locker); ok {
+			resp, err = lk.ApplyLocked(c.ev.Client, c.ev.Inv)
 		} else {
 			// Non-Locker custom objects read under their own locking; they
 			// join the pass but not the snapshot guarantee.
-			resp, err = s.e.Object().Apply(s.call.ev.Client, s.call.ev.Inv)
+			resp, err = c.e.Object().Apply(c.ev.Client, c.ev.Inv)
 		}
 		outs[i] = Outcome{Resp: resp, Err: err}
 	}
 	for _, lk := range locked {
 		lk.UnlockState()
 	}
-	for i, s := range group {
+	for i, c := range group {
 		if !f.benign {
-			f.respond(s.e, l, s.call, outs[i].Resp, outs[i].Err)
+			c.completeOp(outs[i].Resp, outs[i].Err) // a gated member is listed in flight
 			continue
 		}
 		if outs[i].Err != nil {
-			s.call.completeUnshared(Outcome{Err: outs[i].Err})
+			c.completeUnshared(Outcome{Err: outs[i].Err})
 			continue
 		}
-		f.emit(TraceApply, &s.call.ev, s.call.ev.Server)
-		f.emit(TraceRespond, &s.call.ev, s.call.ev.Server)
-		s.call.completeUnshared(Outcome{Resp: outs[i].Resp})
+		f.emit(TraceApply, &c.ev, c.ev.Server)
+		f.emit(TraceRespond, &c.ev, c.ev.Server)
+		c.completeUnshared(Outcome{Resp: outs[i].Resp})
 	}
 }
 
 // applyInline runs a benign in-process op to completion on the triggering
 // goroutine. The call must not have escaped yet (completeUnshared).
-func (f *Fabric) applyInline(e *cluster.Entry, call *Call) {
-	resp, err := e.Object().Apply(call.ev.Client, call.ev.Inv)
+func (f *Fabric) applyInline(c *Call) {
+	resp, err := c.e.Object().Apply(c.ev.Client, c.ev.Inv)
 	if err != nil {
-		call.completeUnshared(Outcome{Err: err})
+		c.completeUnshared(Outcome{Err: err})
 		return
 	}
-	f.emit(TraceApply, &call.ev, call.ev.Server)
-	f.emit(TraceRespond, &call.ev, call.ev.Server)
-	call.completeUnshared(Outcome{Resp: resp})
+	f.emit(TraceApply, &c.ev, c.ev.Server)
+	f.emit(TraceRespond, &c.ev, c.ev.Server)
+	c.completeUnshared(Outcome{Resp: resp})
 }
 
-// deliver applies an in-process op the apply gate let through — at once, or
-// held and now released — and routes the response through the respond gate.
-// The object's own mutex is the linearization point.
-func (f *Fabric) deliver(e *cluster.Entry, l *lane, call *Call) {
-	if e.Server().Crashed() {
-		// A crashed object never responds.
-		f.drop(l, &call.ev)
-		return
-	}
-	if e.Server().Departing() {
-		// The server froze for a view change after the op passed the gate
-		// (this path also catches released covering writes aimed at a
-		// departing server): the op must NOT apply — its effect would be
-		// invisible to the transferred state — so it completes retryably.
-		call.complete(Outcome{Err: viewChangedErr(l.server)})
-		return
-	}
-	resp, err := e.Object().Apply(call.ev.Client, call.ev.Inv)
-	f.respond(e, l, call, resp, err)
-}
-
-// admit lists a record bound for its asynchronous lane in flight, so a crash
-// while the op is on the wire moves it to the dropped state instead of racing
-// its completion; the fault model is folded into the record's callbacks:
+// admit lists an op in flight on its lane — from here to its completion
+// Pending reports it, and a crash moves it to the dropped state instead of
+// racing its completion. The fault model is folded into the op's callbacks:
 // applyOp drops an op whose server crashed before delivery, and completeOp
 // settles the in-flight entry (lane.settle) so completion and crash-drop stay
 // mutually exclusive. With gated set — a fresh trigger, not a release — the
 // apply gate is asked once the op is listed, and a Hold moves it from one list
-// to the other in one critical section: from its trigger on, Pending always
-// reports the op. It returns false when the op goes no further now: the lane
-// froze, the server crashed around the insert, or the gate holds it.
-func (f *Fabric) admit(h *heldOp, gated bool) bool {
-	l, call := h.lane, h.call
-	h.phase = PhaseInFlight // h is its caller's alone until it is listed
-	if !l.putInflight(h) {
+// to the other in one critical section. It returns false when the op goes no
+// further now: the lane froze, the server crashed around the insert, or the
+// gate holds it.
+func (f *Fabric) admit(c *Call, gated bool) bool {
+	l := c.lane
+	if c.applyFn == nil {
+		c.applyFn, c.completeFn = c.applyOp, c.completeOp
+	}
+	c.f, c.phase = f, PhaseInFlight // c is its caller's alone until it is listed
+	if !l.putInflight(c) {
 		// The lane froze for a view change before the insert: the op was
 		// never handed to the backend, so it completes retryably. This check
 		// runs under the same lock the coordinator's freeze takes, which is
 		// what keeps the op from writing a frame behind the state fetch.
-		call.complete(Outcome{Err: viewChangedErr(l.server)})
+		c.complete(Outcome{Err: viewChangedErr(l.server)})
 		return false
 	}
-	if h.e.Server().Crashed() {
+	if c.e.Server().Crashed() {
 		// The server crashed between the caller's check and the in-flight
 		// insert; the crash drain may already have run past this token.
-		if l.settle(h, PhaseDropped) {
-			f.emit(TraceDrop, &call.ev, l.server)
+		if l.settle(c, PhaseDropped) {
+			f.emit(TraceDrop, &c.ev, l.server)
 		}
 		return false
 	}
-	if gated && !f.benign && f.gate.BeforeApply(call.ev) == Hold {
+	if gated && !f.benign && f.gate.BeforeApply(c.ev) == Hold {
 		// Traced first: once parked, the op is its releaser's.
-		f.emit(TraceHoldApply, &call.ev, l.server)
-		l.settle(h, PhaseApply)
+		f.emit(TraceHoldApply, &c.ev, l.server)
+		l.settle(c, PhaseApply)
 		return false
 	}
 	return true
-}
-
-// respond routes an in-process op's response through the respond gate and
-// completes the call. (An asynchronous lane's completion does the same from
-// its in-flight entry: heldOp.completeOp.)
-func (f *Fabric) respond(e *cluster.Entry, l *lane, call *Call, resp baseobj.Response, err error) {
-	if err != nil {
-		call.complete(Outcome{Err: err})
-		return
-	}
-	f.emit(TraceApply, &call.ev, call.ev.Server)
-	if !f.benign && f.gate.BeforeRespond(call.ev, resp) == Hold {
-		f.emit(TraceHoldRespond, &call.ev, call.ev.Server)
-		f.park(e, l, call, PhaseRespond, resp)
-		return
-	}
-	f.emit(TraceRespond, &call.ev, call.ev.Server)
-	call.complete(Outcome{Resp: resp})
-}
-
-// park records an in-process operation a gate held in its server's lane. (An
-// asynchronous lane's op is parked where it is listed: lane.settle.)
-func (f *Fabric) park(e *cluster.Entry, l *lane, call *Call, phase Phase, resp baseobj.Response) {
-	h := &heldOp{e: e, lane: l, phase: phase, resp: resp, call: call}
-	l.mu.Lock()
-	l.held[call.ev.Token] = h
-	l.mu.Unlock()
 }
 
 // drop records an operation that will never respond. Only its trigger
@@ -1080,7 +980,7 @@ func (f *Fabric) drop(l *lane, ev *TriggerEvent) {
 // take removes and returns the held op with the given token, if any lane
 // holds it. Tokens do not encode their lane, so this scans the (small,
 // fixed) lane set; Release is an adversary-path operation, never a hot one.
-func (f *Fabric) take(token uint64) (*heldOp, bool) {
+func (f *Fabric) take(token uint64) (*Call, bool) {
 	for _, l := range f.laneList() {
 		l.mu.Lock()
 		h, ok := l.held[token]
@@ -1104,53 +1004,40 @@ func (f *Fabric) Release(token uint64) error {
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrNotHeld, token)
 	}
-	return f.release(h)
-}
-
-// release lets a taken held op proceed.
-func (f *Fabric) release(h *heldOp) error {
-	if h.e.Server().Crashed() {
-		f.drop(h.lane, &h.call.ev)
-		return nil
-	}
-	if h.e.Server().Departing() {
-		// The op's server froze for a view change while the op was parked.
-		// The two phases MUST diverge: a PhaseApply op never took effect (it
-		// completes retryably — applying it now would mutate state behind the
-		// transfer), while a PhaseRespond op already linearized before the
-		// freeze, so its effect is in the transferred state and it must
-		// complete with its real response — a view-change error would make
-		// the client re-apply an op that already happened.
-		f.emit(TraceRelease, &h.call.ev, h.call.ev.Server)
-		switch h.phase {
-		case PhaseApply:
-			h.call.complete(Outcome{Err: viewChangedErr(h.call.ev.Server)})
-		case PhaseRespond:
-			f.emit(TraceRespond, &h.call.ev, h.call.ev.Server)
-			h.call.complete(Outcome{Resp: h.resp})
-		default:
-			return fmt.Errorf("fabric: cannot release op in phase %v", h.phase)
-		}
-		return nil
-	}
-	f.emit(TraceRelease, &h.call.ev, h.call.ev.Server)
-	switch h.phase {
-	case PhaseApply:
-		// The apply gate already held (and now released) the op, so it
-		// re-enters the delivery path past the gate — on an asynchronous lane
-		// by listing the record it already has in flight again.
-		if h.lane.inproc {
-			f.deliver(h.e, h.lane, h.call)
-		} else if f.admit(h, false) {
-			h.lane.backend.Deliver(h.call.ev, h.apply, h.complete)
-		}
-	case PhaseRespond:
-		f.emit(TraceRespond, &h.call.ev, h.call.ev.Server)
-		h.call.complete(Outcome{Resp: h.resp})
+	switch srv := h.e.Server(); {
+	case srv.Crashed():
+		f.drop(h.lane, &h.ev)
+	case srv.Departing() || h.phase == PhaseRespond:
+		f.bounce(h)
 	default:
-		return fmt.Errorf("fabric: cannot release op in phase %v", h.phase)
+		// The apply gate already held (and now released) the op, so it
+		// re-enters the delivery path past the gate: listed in flight again,
+		// handed to its lane through the callbacks it already has.
+		f.emit(TraceRelease, &h.ev, h.ev.Server)
+		if f.admit(h, false) {
+			h.lane.backend.Deliver(h.ev, h.applyFn, h.completeFn)
+		}
 	}
 	return nil
+}
+
+// bounce completes a taken held op without handing it to its lane: a released
+// respond-held op, or either kind on a server that froze for a view change
+// while the op was parked (Release, drainParked). On a frozen server the two
+// phases MUST diverge: a PhaseApply op never took effect (it completes
+// retryably — applying it now would mutate state behind the transfer), while
+// a PhaseRespond op already linearized before the freeze, so its effect is in
+// the transferred state and it must complete with its real response — a
+// view-change error would make the client re-apply an op that already
+// happened.
+func (f *Fabric) bounce(h *Call) {
+	f.emit(TraceRelease, &h.ev, h.ev.Server)
+	if h.phase == PhaseApply {
+		h.complete(Outcome{Err: viewChangedErr(h.ev.Server)})
+		return
+	}
+	f.emit(TraceRespond, &h.ev, h.ev.Server)
+	h.complete(Outcome{Resp: h.out.Resp})
 }
 
 // ReleaseWhere releases every held op matching pred, in ascending token
@@ -1160,7 +1047,7 @@ func (f *Fabric) ReleaseWhere(pred func(PendingOp) bool) int {
 	for _, l := range f.laneList() {
 		l.mu.Lock()
 		for token, h := range l.held {
-			if pred(PendingOp{Event: h.call.ev, Phase: h.phase}) {
+			if pred(PendingOp{Event: h.ev, Phase: h.phase}) {
 				tokens = append(tokens, token)
 			}
 		}
@@ -1191,14 +1078,14 @@ func (f *Fabric) Crash(server types.ServerID) error {
 	l.mu.Lock()
 	for token, h := range l.held {
 		delete(l.held, token)
-		l.dropped[token] = h.call.ev
+		l.dropped[token] = h.ev
 	}
 	// In-flight ops (on the wire of an asynchronous lane) are dropped too:
 	// removing them from the in-flight index makes any late completion a
 	// no-op, so the op stays pending forever like every crashed-server op.
 	for h := l.inflight.next; h != &l.inflight; h = l.inflight.next {
 		l.unlinkInflight(h)
-		l.dropped[h.call.ev.Token] = h.call.ev
+		l.dropped[h.ev.Token] = h.ev
 	}
 	l.mu.Unlock()
 	return nil
@@ -1212,10 +1099,10 @@ func (f *Fabric) Pending() []PendingOp {
 	for _, l := range f.laneList() {
 		l.mu.Lock()
 		for _, h := range l.held {
-			ops = append(ops, PendingOp{Event: h.call.ev, Phase: h.phase})
+			ops = append(ops, PendingOp{Event: h.ev, Phase: h.phase})
 		}
 		for h := l.inflight.next; h != &l.inflight; h = h.next {
-			ops = append(ops, PendingOp{Event: h.call.ev, Phase: h.phase})
+			ops = append(ops, PendingOp{Event: h.ev, Phase: h.phase})
 		}
 		for _, ev := range l.dropped {
 			ops = append(ops, PendingOp{Event: ev, Phase: PhaseDropped})

@@ -28,6 +28,14 @@ var holdServer2 = GateFuncs{Respond: func(ev TriggerEvent, _ baseobj.Response) D
 	return Pass
 }}
 
+// holdServer2Apply holds every op of server 2 at the apply gate.
+var holdServer2Apply = GateFuncs{Apply: func(ev TriggerEvent) Decision {
+	if ev.Server == 2 {
+		return Hold
+	}
+	return Pass
+}}
+
 // countedGroup is a read group over objs that counts completions and
 // releases.
 func countedGroup(objs []types.ObjectID) (g *Group, done, released *atomic.Int32) {
@@ -231,7 +239,7 @@ func newRecordedGroup() *recordedGroup {
 }
 
 // heldRecord returns the record lane server holds under token, nil if none.
-func heldRecord(fab *Fabric, server types.ServerID, token uint64) *heldOp {
+func heldRecord(fab *Fabric, server types.ServerID, token uint64) *Call {
 	l := fab.laneFor(server)
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -277,16 +285,16 @@ func TestGroupLaneRespondHeldRecordLifetime(t *testing.T) {
 	}
 
 	token := round(func(i int) baseobj.Invocation { return writeInv(1, types.Value(i)) })
-	if h := heldRecord(fab, 2, token); h != &g.recs[2] || h.call != &g.calls[2] {
-		t.Fatalf("server 2's held response is parked on %p, want the group's record %p", h, &g.recs[2])
+	if h := heldRecord(fab, 2, token); h != &g.calls[2] {
+		t.Fatalf("server 2's held response is parked on %p, want the group's record %p", h, &g.calls[2])
 	}
 	if n := g.released.Load(); n != 0 {
 		t.Fatalf("group released %d times with a record parked", n)
 	}
-	recs, staging := g.recs, g.staging
+	recs, staging := g.calls, g.staging
 	finish(token)
 	for i := range recs {
-		if h := &recs[i]; h.e != nil || h.lane != nil || h.call != nil || h.f != nil || h.next != nil || h.resp.Op != 0 || h.apply == nil || h.complete == nil {
+		if h := &recs[i]; h.e != nil || h.lane != nil || h.g != nil || h.f != nil || h.next != nil || h.out.Resp.Op != 0 || h.applyFn == nil || h.completeFn == nil {
 			t.Fatalf("record %d at release: %+v, want it zeroed but for its bound callbacks", i, h)
 		}
 		if op := &staging[i]; op.Ev.Token != 0 || op.Apply != nil || op.Complete != nil {
@@ -302,7 +310,7 @@ func TestGroupLaneRespondHeldRecordLifetime(t *testing.T) {
 				t.Fatalf("round %d: op %d read %+v, want value %d", r, i, o, 10*r+i)
 			}
 		}
-		if &g.recs[:1][0] != &recs[0] || &g.staging[:1][0] != &staging[0] {
+		if &g.calls[:1][0] != &recs[0] || &g.staging[:1][0] != &staging[0] {
 			t.Fatalf("round %d left the slabs the first round made", r)
 		}
 	}
@@ -336,7 +344,7 @@ func TestGroupLaneCrashOnTheWireNeverReleased(t *testing.T) {
 		if d, r := done.Load(), released.Load(); d != 2 || r != 0 {
 			t.Fatalf("%s: %d completions, %d releases; want 2 and 0", when, d, r)
 		}
-		if h := &g.recs[2]; h.call != &g.calls[2] || h.next != nil {
+		if h := &g.calls[2]; h.g != g || h.next != nil {
 			t.Fatalf("%s: record 2 = %+v, want the dropped op's, unlisted", when, h)
 		}
 	}
@@ -455,15 +463,10 @@ func TestGroupLaneResizeFreezesBetweenStagingAndHandoff(t *testing.T) {
 // same record in flight again and hands the lane its bound callbacks — no
 // second record.
 func TestGroupLaneApplyHeldReleaseRelistsItsRecord(t *testing.T) {
-	fab, objs, wires := wireEnv(t, GateFuncs{Apply: func(ev TriggerEvent) Decision {
-		if ev.Server == 2 {
-			return Hold
-		}
-		return Pass
-	}})
+	fab, objs, wires := wireEnv(t, holdServer2Apply)
 	g, done, released := countedGroup(objs)
 	fab.TriggerBatch(1, g)
-	token, rec := g.calls[2].ev.Token, &g.recs[2]
+	token, rec := g.calls[2].ev.Token, &g.calls[2]
 	if h := heldRecord(fab, 2, token); h != rec || h.phase != PhaseApply {
 		t.Fatalf("apply-held op parked on %p, want the group's record %p in phase held-apply", h, rec)
 	}
@@ -485,5 +488,43 @@ func TestGroupLaneApplyHeldReleaseRelistsItsRecord(t *testing.T) {
 	}
 	if d, r := done.Load(), released.Load(); d != 3 || r != 1 {
 		t.Fatalf("%d completions, %d releases; want 3 and 1", d, r)
+	}
+}
+
+// TestGroupInProcHoldRidesItsCall: the in-process lane keeps the same one
+// record per op as the others. An op either gate holds is parked on its own
+// slot of the group's call slab — nothing is made for the hold — and pins the
+// group until it is released; recycled, the group parks its next straggler on
+// the same slot.
+func TestGroupInProcHoldRidesItsCall(t *testing.T) {
+	for phase, gate := range map[Phase]Gate{PhaseApply: holdServer2Apply, PhaseRespond: holdServer2} {
+		t.Run(phase.String(), func(t *testing.T) {
+			fab, objs := laneEnv(t, groupLanes["inproc"], gate)
+			g, done, released := countedGroup(objs)
+			var slot *Call
+			for round := int32(1); round <= 3; round++ {
+				fillReads(g, objs)
+				fab.TriggerBatch(1, g)
+				if slot == nil {
+					slot = &g.calls[2]
+				}
+				token := g.calls[2].ev.Token
+				if h := heldRecord(fab, 2, token); h != slot || h.phase != phase {
+					t.Fatalf("round %d: held op parked on %p, want the group's call %p in phase %v", round, h, slot, phase)
+				}
+				if d, r := done.Load(), released.Load(); d != 3*round-1 || r != round-1 {
+					t.Fatalf("round %d with op 2 held: %d completions, %d releases", round, d, r)
+				}
+				if err := fab.Release(token); err != nil {
+					t.Fatal(err)
+				}
+				if d, r := done.Load(), released.Load(); d != 3*round || r != round {
+					t.Fatalf("round %d after the release: %d completions, %d releases", round, d, r)
+				}
+				if slot.g != nil || slot.e != nil || slot.next != nil || slot.applyFn == nil {
+					t.Fatalf("round %d: released slot = %+v, want it zeroed but for its bound callbacks", round, slot)
+				}
+			}
+		})
 	}
 }

@@ -175,14 +175,22 @@ func TestDrainEndsOnTheLaneIdleSignal(t *testing.T) {
 }
 
 // TestLanePendingSeesAnOpWhileItsGateDecides blocks the gate inside its
-// decision on a latency-lane op — the respond gate on the lane's goroutine,
-// the apply gate inside the trigger — and requires Pending to list the op
-// at that moment and at every moment after: in flight while the gate
-// decides, then parked in the phase the gate held it in, with no stretch
-// in neither list (a poller that saw Pending() == 0 there would take a
-// still-owed op for done). A crash drain that claims the op while the gate
-// decides wins: the Hold verdict is discarded and the op is dropped, once.
+// decision on a gated op — the respond gate on the lane's goroutine (on the
+// in-process lane, the triggering one), the apply gate inside the trigger —
+// and requires Pending to list the op at that moment and at every moment
+// after: in flight while the gate decides, then parked in the phase the gate
+// held it in, with no stretch in neither list (a poller that saw
+// Pending() == 0 there would take a still-owed op for done). A crash drain
+// that claims the op while the gate decides wins: the Hold verdict is
+// discarded and the op is dropped, once. Both lanes keep one record per op
+// from trigger to completion, so both run it; the latency lane's subtests
+// keep the names they had when it ran alone.
 func TestLanePendingSeesAnOpWhileItsGateDecides(t *testing.T) {
+	pendingWhileGateDecides(t, "", LatencyLanes(1, LatencyProfile{Base: 10 * time.Microsecond}))
+	pendingWhileGateDecides(t, "inproc/", func(types.ServerID) Lane { return InProcLane{} })
+}
+
+func pendingWhileGateDecides(t *testing.T, prefix string, maker LaneMaker) {
 	for _, phase := range []Phase{PhaseRespond, PhaseApply} {
 		// blocked runs one write up to the gate's decision and returns with
 		// the gate blocked inside it.
@@ -195,7 +203,7 @@ func TestLanePendingSeesAnOpWhileItsGateDecides(t *testing.T) {
 			} else {
 				gate.Respond = func(TriggerEvent, baseobj.Response) Decision { return ask() }
 			}
-			fab, objs := laneEnv(t, LatencyLanes(1, LatencyProfile{Base: 10 * time.Microsecond}), gate)
+			fab, objs := laneEnv(t, maker, gate)
 			triggered := make(chan awaited, 1)
 			go func() { triggered <- triggerAwaited(fab, 0, objs[0], writeInv(1, 7)) }()
 			<-entered
@@ -208,7 +216,7 @@ func TestLanePendingSeesAnOpWhileItsGateDecides(t *testing.T) {
 			return fab, objs[0], decide, func() awaited { return <-triggered }
 		}
 
-		t.Run(phase.String()+"/held", func(t *testing.T) {
+		t.Run(prefix+phase.String()+"/held", func(t *testing.T) {
 			fab, _, verdict, triggered := blocked(t)
 			verdict <- Hold
 			for {
@@ -235,7 +243,7 @@ func TestLanePendingSeesAnOpWhileItsGateDecides(t *testing.T) {
 				t.Fatalf("Pending after the release = %+v, want none", got)
 			}
 		})
-		t.Run(phase.String()+"/crash drain wins", func(t *testing.T) {
+		t.Run(prefix+phase.String()+"/crash drain wins", func(t *testing.T) {
 			fab, _, verdict, triggered := blocked(t)
 			if err := fab.Crash(0); err != nil {
 				t.Fatal(err)

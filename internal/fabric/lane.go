@@ -95,9 +95,9 @@ type ApplyFunc func() (baseobj.Response, error)
 
 // CompleteFunc delivers an operation's response back into the fabric, which
 // routes it through the respond gate. It must be invoked at most once per
-// delivery: it is a method value of the op's in-flight record, which lives in
-// recycled round storage — once it ran and the op completed, the same func
-// belongs to whatever op that record carries next.
+// delivery: it is a method value of the op's Call, which lives in recycled
+// round storage — once it ran and the op completed, the same func belongs to
+// whatever op that slot carries next.
 type CompleteFunc func(resp baseobj.Response, err error)
 
 // LaneMaker builds the dispatch backend for one server. The fabric calls it
@@ -135,11 +135,12 @@ func WithLanes(maker LaneMaker) Option {
 }
 
 // InProcLane is the default backend: the operation reaches the base object
-// by a function call, synchronously inside Trigger. It is the
-// zero-overhead, zero-regression backend the exhaustive sweeps and the
-// dispatch-throughput benchmarks run on; the fabric short-circuits its
-// in-flight bookkeeping for this backend, so the hot path is identical to
-// a direct Apply.
+// by a function call, synchronously inside Trigger. It is the backend the
+// exhaustive sweeps and the dispatch-throughput benchmarks run on. Under the
+// benign gate the fabric does not even call it — nothing can hold or reorder
+// the op, so it applies inline with no record and no lock, identical to a
+// direct Apply; under any other gate an op is listed, gated and filed exactly
+// as on every other lane, and Deliver runs it at its position in the batch.
 type InProcLane struct{}
 
 // Deliver implements Lane.
@@ -156,9 +157,9 @@ func (InProcLane) Close() error { return nil }
 type lane struct {
 	server  types.ServerID
 	backend Lane
-	// inproc short-circuits the generic delivery path for the default
-	// backend: InProcLane completes inline, so no in-flight bookkeeping is
-	// needed.
+	// inproc marks the default backend: InProcLane completes inside Deliver,
+	// so its ops are handed over at their position in a batch instead of
+	// staged, and under the benign gate run inline with no record at all.
 	inproc bool
 	// mirror is the backend as an ObjectMirror, nil for local-state
 	// backends: an external store must host an object before any operation
@@ -166,12 +167,14 @@ type lane struct {
 	mirror ObjectMirror
 
 	mu   sync.Mutex
-	held map[uint64]*heldOp
-	// inflight is the index of ops handed to an asynchronous backend: a
-	// circular doubly linked list threaded through the ops themselves
-	// (heldOp.prev/next; inflight is the sentinel, oldest op first) plus a
-	// count, so indexing an op costs two pointer writes and no lookup. An op
-	// is linked exactly when its next is non-nil. Three rules, all under mu:
+	held map[uint64]*Call
+	// inflight is the index of recorded ops between their trigger and their
+	// completion, on every backend (only a benign in-process op is never
+	// recorded): a circular doubly linked list threaded through the ops
+	// themselves (Call.prev/next; inflight is the sentinel, oldest op first)
+	// plus a count, so indexing an op costs two pointer writes and no lookup.
+	// An op is linked exactly when its next is non-nil. Four rules, all under
+	// mu:
 	//   - an op is linked only after the departing check (putInflight), so
 	//     a frozen lane admits nothing;
 	//   - completion and the crash drain race for one unlink-if-linked
@@ -183,12 +186,12 @@ type lane struct {
 	//   - the crash drain empties the list through unlinkInflight like any
 	//     completion, so whoever takes the last op out closes idle — the
 	//     signal awaitQuiesce parks on.
-	inflight  heldOp
+	inflight  Call
 	inflightN int
 	idle      chan struct{} // non-nil while a coordinator waits for inflightN == 0
 	// dropped holds the trigger events of ops lost to a crash — events, not
-	// *heldOp records: a dropped op is never released or completed, so
-	// keeping its Call and closures would only pin them forever.
+	// *Call records: a dropped op is never released or completed, so
+	// keeping its Call would only pin it forever.
 	dropped map[uint64]TriggerEvent
 	// departing freezes the lane for a view change. It lives under mu —
 	// not in an atomic — deliberately: putInflight checks it under the
@@ -208,17 +211,17 @@ func newLane(server types.ServerID, backend Lane) *lane {
 		backend: backend,
 		inproc:  inproc,
 		mirror:  mirror,
-		held:    make(map[uint64]*heldOp),
+		held:    make(map[uint64]*Call),
 		dropped: make(map[uint64]TriggerEvent),
 	}
 	l.inflight.prev, l.inflight.next = &l.inflight, &l.inflight
 	return l
 }
 
-// putInflight records an op handed to an asynchronous backend. It returns
-// false when the lane is frozen for a view change: the op was not recorded
-// and must complete as a retryable view-change error instead.
-func (l *lane) putInflight(h *heldOp) bool {
+// putInflight lists an op in flight. It returns false when the lane is frozen
+// for a view change: the op was not recorded and must complete as a retryable
+// view-change error instead.
+func (l *lane) putInflight(h *Call) bool {
 	l.mu.Lock()
 	if l.departing {
 		l.mu.Unlock()
@@ -234,7 +237,7 @@ func (l *lane) putInflight(h *heldOp) bool {
 
 // unlinkInflight removes h from the in-flight index if it is still there
 // and reports whether it was. The caller holds mu.
-func (l *lane) unlinkInflight(h *heldOp) bool {
+func (l *lane) unlinkInflight(h *Call) bool {
 	if h.next == nil {
 		return false
 	}
@@ -250,10 +253,10 @@ func (l *lane) unlinkInflight(h *heldOp) bool {
 
 // setDeparting freezes the lane for a view change and returns the ops
 // parked by the gate (held) for the coordinator to force-complete.
-func (l *lane) setDeparting() []*heldOp {
+func (l *lane) setDeparting() []*Call {
 	l.mu.Lock()
 	l.departing = true
-	parked := make([]*heldOp, 0, len(l.held))
+	parked := make([]*Call, 0, len(l.held))
 	for token, h := range l.held {
 		delete(l.held, token)
 		parked = append(parked, h)
@@ -301,7 +304,7 @@ func (l *lane) whenIdle() <-chan struct{} {
 // gone — a crash drain already moved it to dropped — in which case the
 // caller must discard the completion and whatever the gate said: the claim
 // is what makes completion and crash-drop mutually exclusive.
-func (l *lane) settle(h *heldOp, to Phase) bool {
+func (l *lane) settle(h *Call, to Phase) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.unlinkInflight(h) {
@@ -309,10 +312,10 @@ func (l *lane) settle(h *heldOp, to Phase) bool {
 	}
 	switch to {
 	case PhaseDropped:
-		l.dropped[h.call.ev.Token] = h.call.ev
+		l.dropped[h.ev.Token] = h.ev
 	case PhaseApply, PhaseRespond:
 		h.phase = to
-		l.held[h.call.ev.Token] = h
+		l.held[h.ev.Token] = h
 	}
 	return true
 }

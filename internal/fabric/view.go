@@ -554,20 +554,11 @@ func (f *Fabric) advanceView() {
 }
 
 // drainParked force-completes the ops the gate had parked on a now-frozen
-// lane, in ascending token order. The two phases must diverge — see
-// release: a PhaseApply op never linearized (retryable error), a
-// PhaseRespond op did (its real response).
-func (f *Fabric) drainParked(parked []*heldOp) {
-	sort.Slice(parked, func(i, j int) bool { return parked[i].call.ev.Token < parked[j].call.ev.Token })
+// lane, in ascending token order.
+func (f *Fabric) drainParked(parked []*Call) {
+	sort.Slice(parked, func(i, j int) bool { return parked[i].ev.Token < parked[j].ev.Token })
 	for _, h := range parked {
-		f.emit(TraceRelease, &h.call.ev, h.call.ev.Server)
-		switch h.phase {
-		case PhaseApply:
-			h.call.complete(Outcome{Err: viewChangedErr(h.call.ev.Server)})
-		case PhaseRespond:
-			f.emit(TraceRespond, &h.call.ev, h.call.ev.Server)
-			h.call.complete(Outcome{Resp: h.resp})
-		}
+		f.bounce(h)
 	}
 }
 
