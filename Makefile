@@ -63,11 +63,13 @@ pairs:
 
 # Allocation ceilings, as plain tests — NOT under -race, where sync.Pool
 # drops items on purpose and every pooled path would read as a regression:
-# every test with "Alloc" in its name (the per-op ceiling of an abd-max
-# write+read pair over recycled quorum rounds, in process and across the
-# latency lane; the fabric's hand-off of a recycled batch to an asynchronous
-# lane, its release path and its single-op trigger; the TCP lane's in-place
-# codecs, slot table and pipelined client). A round, a hand-off, a codec or a
+# every test with "Alloc" in its name (an abd-max write+read pair at 0
+# allocations through the handles — in process and across the latency lane —
+# through one async engine, and through the sharded store's frontend on
+# materialized keys; a materialized key's live heap objects and bytes; the
+# fabric's hand-off of a recycled batch to an asynchronous lane, its release
+# path and its single-op trigger; the TCP lane's in-place codecs, slot table
+# and pipelined client). A round, an op record, a hand-off, a codec or a
 # table that starts allocating again fails here by name.
 allocs:
 	$(GO) test -count 1 -run 'Alloc' ./...
@@ -92,16 +94,19 @@ fabric-bench:
 race-sweep:
 	$(GO) test -race -count 1 -run 'TestExhaustive|TestSweep' ./internal/runner
 
-# The round engine, the blocking adapter and the collect/push chain under
-# the race detector, repeated and at three GOMAXPROCS settings: every
-# quorum condition and reducer of the one scatter, the recycled round's
-# lifetime (thousands of rounds with one responder delayed past the quorum
-# and a Replace mid-run: no report twice, none with another round's value),
-# the cancellation contract on all six constructions and both lanes, and
-# view-change retries through a Replace. Selected by package — no name list
-# to rot.
+# The round engine, the blocking adapter, the collect/push chain and the
+# async engine under the race detector, repeated and at three GOMAXPROCS
+# settings: every quorum condition and reducer of the one scatter, the
+# recycled round's lifetime (thousands of rounds with one responder delayed
+# past the quorum and a Replace mid-run: no report twice, none with another
+# round's value) and, one layer up, the recycled op, handle and chain records'
+# (the same run through one engine: every completion once, with its own op's
+# value; an engine closed with ops in flight never recycles them), the
+# cancellation contract on all six constructions and both lanes, the reused
+# writer handle after an abandoned write, and view-change retries through a
+# Replace. Selected by package — no name list to rot.
 race-rounds:
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/emulation ./internal/emulation/rounds ./internal/emulation/abdcore
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/emulation ./internal/emulation/rounds ./internal/emulation/abdcore ./internal/emulation/async
 
 # The TCP lane under the race detector, repeated and at three GOMAXPROCS
 # settings: frame reader and codecs (golden wire bytes, aliasing, hostile

@@ -52,7 +52,7 @@ func run() error {
 	clients := flag.Int("clients", 100, "logical client population")
 	readFrac := flag.Float64("read-frac", 0.5, "fraction of clients that read")
 	registers := flag.Int("registers", 1, "keys the population spreads over")
-	keyspace := flag.Uint64("keyspace", 0, "addressable key-space size (0 = 2^20)")
+	keyspace := flag.Uint64("keyspace", 0, "addressable key-space size (0 = 2^20, at most 2^30)")
 	shards := flag.Int("shards", 1, "independent fabrics the key-space partitions across")
 	engines := flag.Int("engines", 0, "shared async engine loops (0 = one per shard)")
 	mode := flag.String("mode", string(loadgen.ModeClosed), "closed | open")

@@ -143,10 +143,20 @@
 //     goroutine), and Write/Read are one blocking adapter over the same
 //     chain, which owns the cancellation contract — an already-cancelled
 //     context fails before any trigger; an operation cancelled mid-flight
-//     is abandoned: it starts no further round, its history entry stays
-//     pending (completion and abandonment race on a single latch, so the
-//     entry closes before the call returns or never), and the handle is
-//     reusable.
+//     is abandoned: it starts no further round (a per-store loop already
+//     past its check, abd-cas's, takes that one step), its history entry
+//     stays pending (completion and abandonment race on a single latch, so
+//     the entry closes before the call returns or never), and the handle is
+//     reusable: a quorum register starts every timestamp above the last one
+//     the writer proposed, so an abandoned write cannot tie its next one.
+//     Above the round an operation is three records — the engine's op, the
+//     handle's call (history entry and the caller's completion), abdcore's
+//     chain (context, value, what to push) — each pooled where it is born
+//     with its callbacks bound once, and each returned in one place: the
+//     step that fires its layer's single completion. An operation that
+//     never completes, or that a closing engine failed while its chain was
+//     still out, keeps its records for the collector ("Op storage
+//     lifetime", ROADMAP.md). So a whole abd-max op allocates nothing.
 //   - internal/emulation/coded: the sixth construction opens the
 //     bytes-per-server axis — a systematic Reed–Solomon GF(2^8) coder
 //     stripes each write's payload into n timestamped fragments (any
@@ -180,7 +190,11 @@
 //     ServerFor — and a second independent hash pins every key's clients
 //     to one engine loop, so per-client op serialization (well-formed
 //     histories) survives any number of calling goroutines. Registers
-//     materialize lazily on first touch. On the TCP lane, shards multiplex
+//     materialize lazily on first touch, into the store's one key table in
+//     the object table's idiom (512-slot chunks of atomic pointers to
+//     immutable entries): an op on a materialized key takes no lock, only a
+//     first touch takes its shard's lock, which a transition holds. On the
+//     TCP lane, shards multiplex
 //     onto a flat pool of lanenode processes via per-connection named
 //     tables (msgBind / lanenet.WithTable): one process hosts many shards'
 //     object tables over one listener without id collisions, and killing

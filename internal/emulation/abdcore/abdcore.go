@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/emulation/rounds"
@@ -97,7 +98,14 @@ type Engine struct {
 	p             atomic.Pointer[placement]
 	readWriteBack bool
 	fab           *fabric.Fabric
-	readPlan      rounds.Plan // planRead, bound once: a direct collect allocates no plan
+
+	// proposed[i] is the highest timestamp writer i ever proposed. A write
+	// abandoned with its push on at most f servers can be missed by the
+	// writer's next collect, and types.TSValue.Less cannot order two values
+	// with the same (timestamp, writer) pair: every proposal starts above the
+	// last. Atomic, because an abandoned write's collect may still complete
+	// beside the next write's.
+	proposed []atomic.Uint64
 }
 
 // Option configures an Engine.
@@ -112,11 +120,10 @@ func WithReadWriteBack() Option {
 	return func(e *Engine) { e.readWriteBack = true }
 }
 
-// New creates an engine over the given stores, which trigger on fab, with
-// failure threshold f.
-func New(fab *fabric.Fabric, stores []MaxStore, f int, opts ...Option) (*Engine, error) {
-	e := &Engine{fab: fab}
-	e.readPlan = e.planRead
+// New creates an engine for writers 0..k-1 over the given stores, which
+// trigger on fab, with failure threshold f.
+func New(fab *fabric.Fabric, stores []MaxStore, k, f int, opts ...Option) (*Engine, error) {
+	e := &Engine{fab: fab, proposed: make([]atomic.Uint64, k)}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -198,71 +205,160 @@ func (e *Engine) F() int { return e.p.Load().f }
 // placement snapshot, never from a caller's remembered f.
 func (e *Engine) Quorum() int { return e.p.Load().quorum() }
 
+// chain is one high-level operation above its rounds — collect, push, done
+// as methods on one pooled record, reducers and plans bound once, so an
+// operation allocates nothing of its own. The record returns to the pool in
+// one place, finish; a chain whose quorum never forms keeps its record, which
+// becomes ordinary garbage (ROADMAP, Op storage lifetime).
+type chain struct {
+	e       *Engine
+	ctx     context.Context
+	client  types.ClientID
+	v       types.TSValue // what the push carries; until the collect, a write's value
+	onWrite func(error)
+	onRead  func(types.Value, error)
+
+	onCollect, onPush     func(types.TSValue, error) // c.collected, c.pushed
+	collectPlan, pushPlan rounds.Plan                // c.planCollect, c.planPush
+}
+
+// chains has no New: it would close an initialization cycle through finish.
+var chains sync.Pool
+
+func (e *Engine) newChain(ctx context.Context, client types.ClientID) *chain {
+	c, _ := chains.Get().(*chain)
+	if c == nil {
+		c = new(chain)
+		c.onCollect, c.onPush, c.collectPlan, c.pushPlan = c.collected, c.pushed, c.planCollect, c.planPush
+	}
+	c.e, c.ctx, c.client = e, ctx, client
+	return c
+}
+
 // collect reads the highest timestamped value from a quorum of stores.
-// report fires exactly once, on the quorum'th response, the first error, or
-// ctx's end before an attempt — possibly inline. If fewer than a quorum of
-// stores ever respond, report never fires: a pending op. Each attempt —
+// onCollect fires exactly once, on the quorum'th response, the first error,
+// or ctx's end before an attempt — possibly inline. If fewer than a quorum of
+// stores ever respond, it never fires: a pending op. Each attempt —
 // including view-change retries — snapshots the placement afresh, so a
 // retry that crosses a resize gathers against the new targets at the new
 // n−f, never a mixed view.
-func (e *Engine) collect(ctx context.Context, client types.ClientID, report func(types.TSValue, error)) {
-	if e.p.Load().readTargets == nil {
-		e.startStores(ctx, report, func(s MaxStore, rep func(types.TSValue, error)) {
-			s.(ReadStarter).StartReadMax(ctx, client, rep)
-		})
+func (c *chain) collect() {
+	if c.e.p.Load().readTargets == nil {
+		c.startStores(false)
 		return
 	}
-	rounds.Scatter(ctx, e.fab, client, rounds.Round{Max: report, Plan: e.readPlan})
+	rounds.Scatter(c.ctx, c.e.fab, c.client, rounds.Round{Max: c.onCollect, Plan: c.collectPlan})
 }
 
-// planRead is the direct collect's plan: the live placement's precomputed
-// read-max targets at its quorum.
-func (e *Engine) planRead(buf []rounds.Target) ([]rounds.Target, int) {
-	p := e.p.Load()
+// planCollect is the direct collect's plan: the live placement's
+// precomputed read-max targets at its quorum.
+func (c *chain) planCollect(buf []rounds.Target) ([]rounds.Target, int) {
+	p := c.e.p.Load()
 	return append(buf, p.readTargets...), p.quorum()
 }
 
-// push writes v to a quorum of stores, with collect's contract. Write-max
+// push writes c.v to a quorum of stores, with collect's contract. Write-max
 // is idempotent, so on a view-change retry the already-acknowledged members
 // absorb the replay.
-func (e *Engine) push(ctx context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
-	if e.p.Load().directWriters == nil {
-		e.startStores(ctx, report, func(s MaxStore, rep func(types.TSValue, error)) {
-			s.(WriteStarter).StartWriteMax(ctx, client, v, rep)
-		})
+func (c *chain) push() {
+	if c.e.p.Load().directWriters == nil {
+		c.startStores(true)
 		return
 	}
-	rounds.Scatter(ctx, e.fab, client, rounds.Round{Max: report, Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
-		p := e.p.Load()
-		for _, dw := range p.directWriters {
-			buf = append(buf, dw.WriteTarget(v))
-		}
-		return buf, p.quorum()
-	}})
+	rounds.Scatter(c.ctx, c.e.fab, c.client, rounds.Round{Max: c.onPush, Plan: c.pushPlan})
+}
+
+func (c *chain) planPush(buf []rounds.Target) ([]rounds.Target, int) {
+	p := c.e.p.Load()
+	for _, dw := range p.directWriters {
+		buf = append(buf, dw.WriteTarget(c.v))
+	}
+	return buf, p.quorum()
 }
 
 // startStores is the round over started stores: every store of the live
-// placement runs its own chain (start), the quorum'th report completes the
-// round, and a view-change completion re-starts every store once the
-// transition ended, through rounds.Retry — the view stamp is read before the
-// placement, so it is older than every table lookup the chains make.
-func (e *Engine) startStores(ctx context.Context, report func(types.TSValue, error), start func(MaxStore, func(types.TSValue, error))) {
+// placement runs its own chain (a write-max of c.v, or a read-max), the
+// quorum'th report completes the round into the phase's bound reducer, and a
+// view-change completion re-starts every store once the transition ended,
+// through rounds.Retry — the view stamp is read before the placement, so it
+// is older than every table lookup the chains make.
+func (c *chain) startStores(write bool) {
+	// The quorum'th store may report inline and recycle c while the loop
+	// below still has stores to start: they run on copies.
+	report, ctx, fab, client, v := c.onCollect, c.ctx, c.e.fab, c.client, c.v
+	if write {
+		report = c.onPush
+	}
 	if err := types.CtxErr(ctx); err != nil {
 		report(types.ZeroTSValue, err)
 		return
 	}
-	seen := e.fab.ViewStamp()
-	p := e.p.Load()
+	seen := fab.ViewStamp()
+	p := c.e.p.Load()
 	j := rounds.NewFold(p.quorum(), func(v types.TSValue, err error) {
-		if err != nil && rounds.Retry(ctx, e.fab, seen, err,
-			func() { e.startStores(ctx, report, start) },
+		if err != nil && rounds.Retry(ctx, fab, seen, err,
+			func() { c.startStores(write) },
 			func(err error) { report(types.ZeroTSValue, err) }) {
 			return
 		}
 		report(v, err)
 	})
 	for _, s := range p.stores {
-		start(s, j.Complete)
+		if write {
+			s.(WriteStarter).StartWriteMax(ctx, client, v, j.Complete)
+		} else {
+			s.(ReadStarter).StartReadMax(ctx, client, j.Complete)
+		}
+	}
+}
+
+// collected is the collect's reducer: a write stamps its value above the
+// collected maximum and above everything its writer ever proposed, and
+// pushes; a read returns the maximum, written back first on an atomic build.
+func (c *chain) collected(cur types.TSValue, err error) {
+	switch {
+	case err != nil:
+		c.finish("collect", err)
+	case c.onWrite != nil:
+		c.v.TS, c.v.Writer = c.e.propose(c.client, cur.TS), c.client
+		c.push()
+	case c.e.readWriteBack:
+		c.v = cur
+		c.push()
+	default:
+		c.v = cur
+		c.finish("", nil)
+	}
+}
+
+// pushed is the push's reducer.
+func (c *chain) pushed(_ types.TSValue, err error) { c.finish("push", err) }
+
+// finish fires the operation's one completion (a read returns c.v's value)
+// and is the one place a record returns to the pool: copy out what the
+// completion needs, clear the rest, put, then call.
+func (c *chain) finish(phase string, err error) {
+	onWrite, onRead, v := c.onWrite, c.onRead, c.v.Val
+	c.e, c.ctx, c.onWrite, c.onRead = nil, nil, nil, nil
+	chains.Put(c)
+	if err != nil {
+		err, v = fmt.Errorf("abdcore: %s: %w", phase, err), types.InitialValue
+	}
+	if onWrite != nil {
+		onWrite(err)
+	} else {
+		onRead(v, err)
+	}
+}
+
+// propose returns writer's next timestamp and records it.
+func (e *Engine) propose(writer types.ClientID, collected uint64) uint64 {
+	floor := &e.proposed[writer]
+	for {
+		last := floor.Load()
+		if ts := max(collected, last) + 1; floor.CompareAndSwap(last, ts) {
+			return ts
+		}
 	}
 }
 
@@ -274,41 +370,16 @@ func (e *Engine) startStores(ctx context.Context, report func(types.TSValue, err
 // ended before a round); it never fires if the failure assumption is
 // violated, like any pending op.
 func (e *Engine) StartWrite(ctx context.Context, client types.ClientID, v types.Value, done func(error)) {
-	e.collect(ctx, client, func(cur types.TSValue, err error) {
-		if err != nil {
-			done(fmt.Errorf("abdcore: write collect: %w", err))
-			return
-		}
-		next := types.TSValue{TS: cur.TS + 1, Writer: client, Val: v}
-		e.push(ctx, client, next, func(_ types.TSValue, err error) {
-			if err != nil {
-				done(fmt.Errorf("abdcore: write push: %w", err))
-				return
-			}
-			done(nil)
-		})
-	})
+	c := e.newChain(ctx, client)
+	c.v, c.onWrite = types.TSValue{Val: v}, done
+	c.collect()
 }
 
 // StartRead is the high-level read: collect, optionally write back (with
 // WithReadWriteBack the push chains in before done fires), return the
 // freshest value.
 func (e *Engine) StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error)) {
-	e.collect(ctx, client, func(cur types.TSValue, err error) {
-		if err != nil {
-			done(types.InitialValue, fmt.Errorf("abdcore: read collect: %w", err))
-			return
-		}
-		if !e.readWriteBack {
-			done(cur.Val, nil)
-			return
-		}
-		e.push(ctx, client, cur, func(_ types.TSValue, err error) {
-			if err != nil {
-				done(types.InitialValue, fmt.Errorf("abdcore: read write-back: %w", err))
-				return
-			}
-			done(cur.Val, nil)
-		})
-	})
+	c := e.newChain(ctx, client)
+	c.onRead = done
+	c.collect()
 }

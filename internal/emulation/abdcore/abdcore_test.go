@@ -94,7 +94,7 @@ func newEngine(t *testing.T, stores []MaxStore, f int, opts ...Option) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(fabric.New(c), stores, f, opts...)
+	e, err := New(fabric.New(c), stores, 2, f, opts...)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -119,14 +119,14 @@ func read(ctx context.Context, e *Engine, client types.ClientID) (types.Value, e
 
 func TestEngineValidation(t *testing.T) {
 	_, stores := newFakes(3)
-	if _, err := New(nil, stores, 0); err == nil {
+	if _, err := New(nil, stores, 1, 0); err == nil {
 		t.Error("f=0 accepted")
 	}
-	if _, err := New(nil, stores[:2], 1); !errors.Is(err, ErrTooFewStores) {
+	if _, err := New(nil, stores[:2], 1, 1); !errors.Is(err, ErrTooFewStores) {
 		t.Errorf("2 stores for f=1 err = %v, want ErrTooFewStores", err)
 	}
 	type bare struct{ MaxStore }
-	if _, err := New(nil, []MaxStore{stores[0], stores[1], bare{stores[2]}}, 1); err == nil {
+	if _, err := New(nil, []MaxStore{stores[0], stores[1], bare{stores[2]}}, 1, 1); err == nil {
 		t.Error("a store with neither a direct nor a started read-max was accepted")
 	}
 	if e := newEngine(t, stores, 1); e.Quorum() != 2 {
@@ -244,12 +244,14 @@ func TestCollectReturnsMaximum(t *testing.T) {
 	// The collect completes on the quorum'th (2nd) report; stores report
 	// inline in order, so it folds stores 0 and 1.
 	var got types.TSValue
-	e.collect(context.Background(), 0, func(v types.TSValue, err error) {
+	c := e.newChain(context.Background(), 0)
+	c.onCollect = func(v types.TSValue, err error) {
 		if err != nil {
 			t.Errorf("collect: %v", err)
 		}
 		got = v
-	})
+	}
+	c.collect()
 	if got.TS != 7 {
 		t.Fatalf("collect ts = %d, want 7", got.TS)
 	}
@@ -278,10 +280,14 @@ func TestCancelledContextStartsNoRound(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	var err error
-	e.collect(ctx, 0, func(cur types.TSValue, _ error) {
+	c := e.newChain(ctx, 0)
+	c.onCollect = func(cur types.TSValue, _ error) {
 		cancel() // the caller gives up while the collect completes
-		e.push(ctx, 0, types.TSValue{TS: cur.TS + 1, Val: 7}, func(_ types.TSValue, pushErr error) { err = pushErr })
-	})
+		c.v = types.TSValue{TS: cur.TS + 1, Val: 7}
+		c.push()
+	}
+	c.onPush = func(_ types.TSValue, pushErr error) { err = pushErr }
+	c.collect()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("push after cancel: %v", err)
 	}

@@ -20,7 +20,9 @@
 // the underlying construction, and fires user completion callbacks.
 // Callbacks run on the loop goroutine and may immediately start the
 // client's next operation (the closed-loop pattern), which enqueues rather
-// than recurses.
+// than recurses. Operation records are recycled once their callback
+// returned, so an operation in steady state allocates nothing; nothing
+// changes for callers, who never see a record.
 //
 // # Per-client serialization
 //
@@ -155,21 +157,37 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// op is one queued or in-flight high-level operation.
+// op is one queued or in-flight high-level operation. Ops are recycled: the
+// completions the construction is handed are method values bound once, when
+// the op was made, and the op returns to the pool in one place — handle,
+// after its user callback ran. An op whose chain never completes, and one
+// the shutdown sweep failed, are never recycled: the latter's chain may still
+// fire, and its late completion must find its own dead op and be dropped at
+// the closed mailbox, never the op's next tenant on another engine (ROADMAP,
+// Op storage lifetime).
 type op struct {
 	c       *Client
-	write   bool
 	v       types.Value
 	onWrite func(error)
 	onRead  func(types.Value, error)
+
+	writeDone func(error)              // o.wrote
+	readDone  func(types.Value, error) // o.read
 }
 
-// fail fires the op's callback with err.
-func (o *op) fail(err error) {
-	if o.write {
+// ops has no New: it would close an initialization cycle through wrote.
+var ops sync.Pool
+
+func (o *op) wrote(err error) { o.c.eng.postDone(o, types.InitialValue, err) }
+
+func (o *op) read(v types.Value, err error) { o.c.eng.postDone(o, v, err) }
+
+// fire runs the op's callback: a read's with v, a write's without.
+func (o *op) fire(v types.Value, err error) {
+	if o.onWrite != nil {
 		o.onWrite(err)
 	} else {
-		o.onRead(types.InitialValue, err)
+		o.onRead(v, err)
 	}
 }
 
@@ -262,7 +280,7 @@ func (c *Client) StartWrite(v types.Value, done func(error)) {
 		done(fmt.Errorf("async: client %d is a reader", c.id))
 		return
 	}
-	c.eng.post(&op{c: c, write: true, v: v, onWrite: done})
+	c.start(v, done, nil)
 }
 
 // StartRead enqueues a high-level read; the same contract as StartWrite.
@@ -271,7 +289,18 @@ func (c *Client) StartRead(done func(types.Value, error)) {
 		done(types.InitialValue, fmt.Errorf("async: client %d is a writer", c.id))
 		return
 	}
-	c.eng.post(&op{c: c, onRead: done})
+	c.start(types.InitialValue, nil, done)
+}
+
+// start posts one operation on a recycled op.
+func (c *Client) start(v types.Value, onWrite func(error), onRead func(types.Value, error)) {
+	o, _ := ops.Get().(*op)
+	if o == nil {
+		o = new(op)
+		o.writeDone, o.readDone = o.wrote, o.read
+	}
+	o.c, o.v, o.onWrite, o.onRead = c, v, onWrite, onRead
+	c.eng.post(o)
 }
 
 // post enqueues a start request, failing it immediately when the engine is
@@ -280,7 +309,7 @@ func (e *Engine) post(o *op) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		o.fail(ErrClosed)
+		o.fire(types.InitialValue, ErrClosed)
 		return
 	}
 	e.outstanding++
@@ -351,16 +380,16 @@ func (e *Engine) loop() {
 
 // handle processes one mailbox event on the loop goroutine.
 func (e *Engine) handle(ev *event) {
-	c := ev.op.c
+	o, c := ev.op, ev.op.c
 	if !ev.done {
 		if c.active == nil {
-			e.begin(ev.op)
+			e.begin(o)
 		} else {
-			c.queue = append(c.queue, ev.op)
+			c.queue = append(c.queue, o)
 		}
 		return
 	}
-	if c.active != ev.op {
+	if c.active != o {
 		return // stale completion for an op the shutdown sweep failed
 	}
 	c.active = nil
@@ -373,11 +402,10 @@ func (e *Engine) handle(ev *event) {
 	// The callback runs before the client's next queued op starts, so a
 	// closed-loop caller that issues from the callback stays ahead of its
 	// own queue — invocation order is preserved either way.
-	if ev.op.write {
-		ev.op.onWrite(ev.err)
-	} else {
-		ev.op.onRead(ev.val, ev.err)
-	}
+	o.fire(ev.val, ev.err)
+	// Its one completion consumed, its callback run: nothing can reach o.
+	o.c, o.onWrite, o.onRead = nil, nil, nil
+	ops.Put(o)
 	e.settle(1)
 	if c.active == nil && c.head < len(c.queue) {
 		// Pop without pinning the started op in the backing array, and
@@ -401,10 +429,10 @@ func (e *Engine) begin(o *op) {
 	if cur > e.maxInFlight.Load() {
 		e.maxInFlight.Store(cur)
 	}
-	if o.write {
-		o.c.w.StartWrite(e.ctx, o.v, func(err error) { e.postDone(o, types.InitialValue, err) })
+	if o.onWrite != nil {
+		o.c.w.StartWrite(e.ctx, o.v, o.writeDone)
 	} else {
-		o.c.r.StartRead(e.ctx, func(v types.Value, err error) { e.postDone(o, v, err) })
+		o.c.r.StartRead(e.ctx, o.readDone)
 	}
 }
 
@@ -447,18 +475,18 @@ func (e *Engine) shutdown() {
 	}
 	for i := range inbox {
 		if !inbox[i].done {
-			inbox[i].op.fail(err)
+			inbox[i].op.fire(types.InitialValue, err)
 		}
 	}
 	for _, c := range clients {
 		if c.active != nil {
 			e.inFlight.Add(-1)
 			e.failed.Add(1)
-			c.active.fail(err)
+			c.active.fire(types.InitialValue, err)
 			c.active = nil
 		}
 		for _, o := range c.queue[c.head:] {
-			o.fail(err)
+			o.fire(types.InitialValue, err)
 		}
 		c.queue, c.head = nil, 0
 	}

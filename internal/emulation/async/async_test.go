@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseobj"
 	"repro/internal/emulation"
 	"repro/internal/emulation/async"
 	"repro/internal/fabric"
@@ -184,15 +185,31 @@ func TestAsyncAtomicLinearizable(t *testing.T) {
 
 // TestAsyncThousandInFlight is the subsystem's concurrency claim: one
 // engine goroutine holds >= 1000 high-level ops in flight across >= 1000
-// logical clients, closed-loop, with every op completing.
+// logical clients, closed-loop, with every op completing. The claim is about
+// the engine, not about how fast the box starts a thousand rounds: a respond
+// gate holds every response until the engine reports all thousand first ops
+// in flight, then lets everything through.
 func TestAsyncThousandInFlight(t *testing.T) {
 	const (
 		writers = 500
 		readers = 500
 		rounds  = 3
 	)
-	reg, hist := buildEnv(t, runner.KindABDMax, writers, 1, 3,
-		fabric.WithLanes(fabric.LatencyLanes(7, fabric.LatencyProfile{Base: 2 * time.Millisecond, Jitter: time.Millisecond})))
+	var open atomic.Bool
+	gate := fabric.GateFuncs{Respond: func(fabric.TriggerEvent, baseobj.Response) fabric.Decision {
+		if open.Load() {
+			return fabric.Pass
+		}
+		return fabric.Hold
+	}}
+	env, err := runner.NewEnv(3, gate, fabric.WithLanes(fabric.LatencyLanes(7, testProfile)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, hist, err := runner.Build(runner.KindABDMax, env.Fabric, writers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := async.New(reg)
 	defer eng.Close()
 
@@ -230,9 +247,25 @@ func TestAsyncThousandInFlight(t *testing.T) {
 	for i := 0; i < readers; i++ {
 		spin(eng.NewReader(), false, rounds)
 	}
+	want := int64((writers + readers) * rounds)
+	// Released repeatedly: an op the gate decided to hold just before it
+	// opened may park just after a release pass.
+	deadline := time.Now().Add(30 * time.Second)
+	for st := eng.Stats(); st.Completed+st.Failed < want; st = eng.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out with %+v", st)
+		}
+		if st.InFlight == writers+readers {
+			open.Store(true)
+		}
+		if open.Load() {
+			env.Fabric.ReleaseWhere(func(fabric.PendingOp) bool { return true })
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	drain(t, eng)
 	st := eng.Stats()
-	if want := int64((writers + readers) * rounds); st.Completed != want {
+	if st.Completed != want {
 		t.Fatalf("completed %d ops, want %d (stats %+v)", st.Completed, want, st)
 	}
 	if st.MaxInFlight < writers+readers {

@@ -168,3 +168,65 @@ func TestCancellationContract(t *testing.T) {
 		}
 	}
 }
+
+// TestAbandonedWriteCannotTieTheHandlesNextWrite is ROADMAP item 1(b) made
+// deterministic. A write is abandoned with its push applied on one server
+// only (the other two held before they take effect); the same handle's next
+// write collects from the two servers that never saw it. Without the
+// writer's memory of what it proposed, both writes carry the same
+// (timestamp, writer) pair, types.TSValue.Less cannot order them, and a read
+// whose quorum includes the first server returns the abandoned value.
+func TestAbandonedWriteCannotTieTheHandlesNextWrite(t *testing.T) {
+	const abandoned, fresh types.Value = 7, 8
+	for _, kind := range []runner.Kind{runner.KindABDMax, runner.KindCASMax, runner.KindAACMax} {
+		t.Run(string(kind), func(t *testing.T) {
+			// Stage 1: writer 0's mutating ops take effect on server 0 only.
+			// Stage 2: server 0 answers writer 0 nothing, so the fresh write's
+			// collect and push run on servers 1 and 2.
+			var stage atomic.Int32
+			gate := fabric.GateFuncs{Apply: func(ev fabric.TriggerEvent) fabric.Decision {
+				switch {
+				case ev.Client != 0:
+				case stage.Load() == 1 && ev.Server != 0 && adversary.IsMutating(ev.Inv),
+					stage.Load() == 2 && ev.Server == 0:
+					return fabric.Hold
+				}
+				return fabric.Pass
+			}}
+			env, err := runner.NewEnv(runner.ChaosServers(kind), gate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Fabric.Close()
+			reg, _, err := runner.Build(kind, env.Fabric, 2, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := reg.Writer(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			stage.Store(1)
+			ctx, cancel := context.WithCancel(context.Background())
+			// Nobody listens to the abandoned write any more; it may still
+			// complete once its held operations are released, not before.
+			w.StartWrite(ctx, abandoned, func(err error) {
+				if stage.Load() != 0 {
+					t.Errorf("the abandoned write completed with two of its three pushes held: %v", err)
+				}
+			})
+			cancel()
+
+			stage.Store(2)
+			if err := w.Write(context.Background(), fresh); err != nil {
+				t.Fatalf("fresh write on the same handle: %v", err)
+			}
+			stage.Store(0)
+			env.Fabric.ReleaseWhere(func(fabric.PendingOp) bool { return true })
+			if got, err := reg.NewReader().Read(context.Background()); err != nil || got != fresh {
+				t.Fatalf("read after the fresh write = %d, %v; want %d", got, err, fresh)
+			}
+		})
+	}
+}

@@ -91,7 +91,7 @@ func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v type
 	s.metrics.WriteMaxCalls.Add(1)
 	var attempt func()
 	attempt = func() {
-		if err := ctx.Err(); err != nil {
+		if err := types.CtxErr(ctx); err != nil {
 			report(types.ZeroTSValue, err)
 			return
 		}
@@ -107,7 +107,7 @@ func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v type
 				report(tmp, nil)
 				return
 			}
-			if err := ctx.Err(); err != nil {
+			if err := types.CtxErr(ctx); err != nil {
 				report(types.ZeroTSValue, err)
 				return
 			}

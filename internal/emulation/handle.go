@@ -3,6 +3,7 @@ package emulation
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/spec"
@@ -44,13 +45,9 @@ type writer struct {
 func (w *writer) Client() types.ClientID { return w.client }
 
 func (w *writer) StartWrite(ctx context.Context, v types.Value, done func(error)) {
-	pw := w.hist.BeginWrite(w.client, v)
-	w.chain.StartWrite(ctx, w.client, v, func(err error) {
-		if err == nil {
-			pw.End()
-		}
-		done(err)
-	})
+	c := newCall()
+	c.pw, c.onWrite = w.hist.BeginWrite(w.client, v), done
+	w.chain.StartWrite(ctx, w.client, v, c.writeDone)
 }
 
 func (w *writer) Write(ctx context.Context, v types.Value) error {
@@ -70,18 +67,63 @@ type reader struct {
 func (r *reader) Client() types.ClientID { return r.client }
 
 func (r *reader) StartRead(ctx context.Context, done func(types.Value, error)) {
-	pr := r.hist.BeginRead(r.client)
-	r.chain.StartRead(ctx, r.client, func(v types.Value, err error) {
-		if err == nil {
-			pr.End(v)
-		}
-		done(v, err)
-	})
+	c := newCall()
+	c.pr, c.onRead = r.hist.BeginRead(r.client), done
+	r.chain.StartRead(ctx, r.client, c.readDone)
 }
 
 func (r *reader) Read(ctx context.Context) (types.Value, error) {
 	b := &blocked{pr: r.hist.BeginRead(r.client)}
 	return b.wait(ctx, func() { r.chain.StartRead(ctx, r.client, b.done) })
+}
+
+// call is one completion-based operation through a handle: its history
+// entry, the caller's completion, and the two completions the chain is
+// handed, bound once when the record was made. Records are recycled: a chain
+// fires exactly once, and that firing is the one place the record returns to
+// the pool — after copying out what it still needs. An operation whose chain
+// never fires keeps its record, which becomes ordinary garbage (ROADMAP, Op
+// storage lifetime).
+type call struct {
+	pw      spec.PendingWrite
+	pr      spec.PendingRead
+	onWrite func(error)
+	onRead  func(types.Value, error)
+
+	writeDone func(error)              // c.endWrite
+	readDone  func(types.Value, error) // c.endRead
+}
+
+// calls has no New: it would close an initialization cycle through endWrite.
+var calls sync.Pool
+
+func newCall() *call {
+	c, _ := calls.Get().(*call)
+	if c == nil {
+		c = new(call)
+		c.writeDone, c.readDone = c.endWrite, c.endRead
+	}
+	return c
+}
+
+func (c *call) endWrite(err error) {
+	pw, done := c.pw, c.onWrite
+	c.pw, c.onWrite = spec.PendingWrite{}, nil
+	calls.Put(c)
+	if err == nil {
+		pw.End()
+	}
+	done(err)
+}
+
+func (c *call) endRead(v types.Value, err error) {
+	pr, done := c.pr, c.onRead
+	c.pr, c.onRead = spec.PendingRead{}, nil
+	calls.Put(c)
+	if err == nil {
+		pr.End(v)
+	}
+	done(v, err)
 }
 
 // blocked is one blocking call over a chain — the one blocking adapter: its
@@ -90,8 +132,8 @@ func (r *reader) Read(ctx context.Context) (types.Value, error) {
 // only the winner acts — so an operation either closes its history entry
 // before the call returns, or never.
 type blocked struct {
-	pw      *spec.PendingWrite
-	pr      *spec.PendingRead
+	pw      spec.PendingWrite
+	pr      spec.PendingRead
 	settled atomic.Bool
 	fired   chan struct{}
 	v       types.Value
@@ -104,7 +146,7 @@ func (b *blocked) done(v types.Value, err error) {
 	}
 	switch {
 	case err != nil:
-	case b.pw != nil:
+	case b.pw != (spec.PendingWrite{}):
 		b.pw.End()
 	default:
 		b.pr.End(v)
@@ -118,7 +160,8 @@ func (b *blocked) done(v types.Value, err error) {
 // before start runs, so nothing is triggered. On cancellation mid-flight
 // the operation is abandoned: its history entry is never closed after wait
 // returned, the chain — which watches the same ctx — starts no further
-// round, and late low-level completions are absorbed where they land.
+// round (a per-store loop already past its check takes that one step), and
+// late low-level completions are absorbed where they land.
 func (b *blocked) wait(ctx context.Context, start func()) (types.Value, error) {
 	if err := types.CtxErr(ctx); err != nil {
 		return types.InitialValue, fmt.Errorf("emulation: operation not started: %w", err)

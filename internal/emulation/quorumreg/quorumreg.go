@@ -81,7 +81,7 @@ func New(cfg Config) (*Register, error) {
 		}
 		stores[i] = st
 	}
-	engine, err := abdcore.New(cfg.Fabric, stores, cfg.F, cfg.EngineOpts...)
+	engine, err := abdcore.New(cfg.Fabric, stores, cfg.K, cfg.F, cfg.EngineOpts...)
 	if err != nil {
 		return nil, err
 	}

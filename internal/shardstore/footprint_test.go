@@ -21,12 +21,16 @@ import (
 // collections. With delta stored five times (PR 19) this read 24.05 objects
 // and 1,970 B per key; with the one object table 24.02 and 1,603–1,617 B (a
 // 32-byte table entry per base object where there were a 64-byte route and
-// three map entries). The object ceiling is the old reading, the byte ceiling
-// the new one plus slack for size-class drift.
+// three map entries). PR 27 reads 23.52 and 1,554–1,594 B: the key map's
+// buckets became table chunks, and the engine's bound read plan became the
+// register's per-writer timestamp floors (8 pointer-free bytes for the one
+// writer here, which share a tiny-allocator block). The object ceiling is
+// that reading plus slack, the byte ceiling PR 20's plus slack for size-class
+// drift.
 func TestKeyFootprintAllocCeiling(t *testing.T) {
 	const (
 		keys       = 4096
-		maxObjects = 24.05
+		maxObjects = 23.60
 		maxBytes   = 1700
 	)
 	ctx := testCtx(t)
@@ -66,4 +70,48 @@ func TestKeyFootprintAllocCeiling(t *testing.T) {
 		t.Errorf("%.0f live bytes per key, ceiling %d", perKeyBytes, maxBytes)
 	}
 	runtime.KeepAlive(st)
+}
+
+// TestStorePairAllocCeiling pins the whole op path through the frontend: a
+// write and a read through Store.StartWrite / StartRead on materialized keys
+// of a 2-shard, 2-engine in-process store, each awaited, allocate nothing —
+// the key is two loads away, and the engine's op, the handle's record and the
+// chain's are recycled. With a closure, a pending-op record and an op object
+// per layer the pair cost 14.
+func TestStorePairAllocCeiling(t *testing.T) {
+	const keys = 64
+	ctx := testCtx(t)
+	st, err := Open(ctx, Config{Shards: 2, Engines: 2, Keys: keys, Kind: runner.KindABDMax, Atomic: true, NoHistory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var key uint64
+	var v types.Value
+	done := make(chan struct{}, 1)
+	writeDone := func(err error) {
+		if err != nil {
+			t.Errorf("key %d write %d: %v", key, v, err)
+		}
+		done <- struct{}{}
+	}
+	readDone := func(got types.Value, err error) {
+		if err != nil || got != v {
+			t.Errorf("key %d read = %d, %v; want %d", key, got, err, v)
+		}
+		done <- struct{}{}
+	}
+	pair := func() {
+		key, v = (key+1)%keys, v+1
+		st.StartWrite(key, 0, v, writeDone)
+		<-done
+		st.StartRead(key, 0, readDone)
+		<-done
+	}
+	for i := 0; i < 4*keys; i++ { // materialize every key and both client slots, warm the pools
+		pair()
+	}
+	if got := testing.AllocsPerRun(1000, pair); got > 0 {
+		t.Fatalf("write+read pair through the store allocates %.1f objects, want 0", got)
+	}
 }

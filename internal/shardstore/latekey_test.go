@@ -131,9 +131,9 @@ func TestLateKeyAfterTransitionResize(t *testing.T) {
 					}
 					key := uint64(1 + i)
 					lateKey(ctx, t, st, key, fmt.Sprintf("Resize%+v", spec))
-					kr, err := st.keyreg(key)
-					if err != nil {
-						t.Fatal(err)
+					kr := st.lookup(key)
+					if kr == nil {
+						t.Fatalf("key %d is not in the key table after its first touch", key)
 					}
 					if got := kr.reg.F(); got != spec.F {
 						t.Fatalf("key %d built after Resize%+v tolerates f=%d, want the view's %d", key, spec, got, spec.F)

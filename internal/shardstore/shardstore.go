@@ -30,8 +30,16 @@
 // A key's emulated register (construction, base objects on the shard's
 // servers, history) is materialized on first touch and cached; a store
 // "serving a million keys" allocates per-register state only for keys that
-// actually see traffic. Materialization is idempotent and safe from any
-// goroutine.
+// actually see traffic (plus one 4 KiB chunk per touched 512-key range).
+// The store has one key table, in the cluster's object-table idiom: a
+// directory of 512-slot chunks indexed by key, one atomic pointer per slot to
+// an immutable entry (register, history, engine clients). An op on a
+// materialized key and client slot takes no lock — a bounds check and two
+// loads; a miss (the first touch of a key, or of a client slot) takes the
+// key's shard lock and republishes the slot. Resize and
+// Reconfigure hold that lock across their transition, so no register
+// materializes inside one, while ops on existing keys park on the fabric's
+// view stamp like any op caught by a freeze.
 //
 // # TCP shards over shared node processes
 //
@@ -48,6 +56,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,8 +109,10 @@ type Config struct {
 	Shards  int
 	Engines int
 
-	// Keys is the key-space size: keys 0..Keys-1 are addressable
-	// (default 1). Registers materialize lazily on first touch.
+	// Keys is the key-space size: keys 0..Keys-1 are addressable (default 1,
+	// at most 1<<30 — Open allocates the key table's directory, one pointer
+	// per 512 keys, and rejects more). Registers materialize lazily on first
+	// touch.
 	Keys uint64
 
 	// Kind is the construction; WritersPerKey the writer slots per key's
@@ -144,26 +155,62 @@ type Store struct {
 	engines []*async.Engine
 	cancel  context.CancelFunc
 	closed  atomic.Bool
+
+	// dir is the key table's directory, one pointer per keyChunkSize
+	// addressable keys, sized at Open. A slot is written under its key's shard
+	// lock and read without one.
+	dir []atomic.Pointer[keyChunk]
 }
 
-// shard is one vertical slice: a fabric with its own lane group plus the
+// keyChunk is one block of the key table (the cluster's TableChunkSize: 512
+// pointers are one 4 KiB allocation), allocated with the first key in its
+// range and never moved; maxKeys bounds the directory Open allocates (16 MiB).
+const keyChunkSize, maxKeys = 512, 1 << 30
+
+type keyChunk [keyChunkSize]atomic.Pointer[keyreg]
+
+// shard is one vertical slice: a fabric with its own lane group, serving the
 // materialized registers of the keys routed here.
 type shard struct {
 	env *runner.Env
 
-	mu   sync.RWMutex
-	keys map[uint64]*keyreg
+	// mu serializes the materialization of the shard's keys and is held
+	// across a whole Resize / Reconfigure; readers of the table never take it.
+	mu sync.Mutex
 }
 
-// keyreg is one key's materialized register.
+// keyreg is one key's materialized register, immutable once published: a
+// new client slot republishes a copy with the grown cache.
 type keyreg struct {
 	reg  emulation.Register
 	hist *spec.History
 
 	// clients caches the key's engine clients — writer slots first, reader
-	// slots after them — so a steady-state op never takes the engine's mutex.
-	mu      sync.Mutex
+	// slots after them; nil where a slot has not been used yet.
 	clients []*async.Client
+}
+
+// lookup reads key's table slot, lock-free: nil until the key materialized.
+func (st *Store) lookup(key uint64) *keyreg {
+	if ch := st.dir[key/keyChunkSize].Load(); ch != nil {
+		return ch[key%keyChunkSize].Load()
+	}
+	return nil
+}
+
+// all ranges over the materialized keys of every shard in ascending order,
+// lock-free.
+func (st *Store) all() iter.Seq2[uint64, *keyreg] {
+	return func(yield func(uint64, *keyreg) bool) {
+		for ci := range st.dir {
+			ch := st.dir[ci].Load()
+			for i := 0; ch != nil && i < keyChunkSize; i++ {
+				if kr := ch[i].Load(); kr != nil && !yield(uint64(ci*keyChunkSize+i), kr) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Open builds the store: S fabrics with their lane groups and M detached
@@ -176,8 +223,8 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 	if cfg.Engines <= 0 {
 		cfg.Engines = cfg.Shards
 	}
-	if cfg.Keys == 0 {
-		cfg.Keys = 1
+	if cfg.Keys = max(cfg.Keys, 1); cfg.Keys > maxKeys {
+		return nil, fmt.Errorf("shardstore: key-space %d above the maximum %d", cfg.Keys, uint64(maxKeys))
 	}
 	if cfg.WritersPerKey <= 0 {
 		cfg.WritersPerKey = 1
@@ -195,7 +242,7 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 		cfg.Lane = runner.LaneInProc
 	}
 
-	st := &Store{cfg: cfg}
+	st := &Store{cfg: cfg, dir: make([]atomic.Pointer[keyChunk], (cfg.Keys+keyChunkSize-1)/keyChunkSize)}
 	engCtx, cancel := context.WithCancel(ctx)
 	st.cancel = cancel
 	ok := false
@@ -219,7 +266,7 @@ func Open(ctx context.Context, cfg Config) (*Store, error) {
 		// The view carries the shard's failure budget from here on: Resize
 		// moves it, and a register materializing later reads it back.
 		env.Cluster.SetF(cfg.F)
-		st.shards = append(st.shards, &shard{env: env, keys: make(map[uint64]*keyreg)})
+		st.shards = append(st.shards, &shard{env: env})
 	}
 	ok = true
 	return st, nil
@@ -315,11 +362,12 @@ func (st *Store) Reconfigure(ctx context.Context, s int) error {
 		return fmt.Errorf("shardstore: shard %d outside [0, %d)", s, len(st.shards))
 	}
 	sh := st.shards[s]
-	// Like Resize, hold the shard's register table for the whole roll: a key
+	// Like Resize, hold the shard lock for the whole roll: a key
 	// materializing mid-Replace would place a base object on the leaver
 	// after its objects were enumerated for transfer and strand it there —
 	// the cluster refuses a departed server, not yet a frozen one (ROADMAP
-	// item 1c). One materializing afterwards reads the live view.
+	// item 2). One materializing afterwards reads the live view; ops on
+	// materialized keys never take the lock.
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	view := sh.env.Cluster.View()
@@ -355,11 +403,11 @@ type ResizeSpec struct {
 // Constructions without a reshape path (regemu) reject the resize before
 // the view is disturbed.
 //
-// The shard's register table is locked for the whole transition: a
-// quorum-reshaping transition freezes every member anyway, so ops queue
-// behind the freeze rather than racing a half-moved placement; keys
-// materializing afterwards read the new member set and the new f from the
-// view.
+// The shard lock is held for the whole transition, so no key materializes
+// inside it; keys materializing afterwards read the new member set and the
+// new f from the view. Ops on materialized keys do not take the lock: a
+// quorum-reshaping transition freezes every member, so they bounce and park
+// on the view stamp until it ends.
 func (st *Store) Resize(ctx context.Context, s int, spec ResizeSpec) (*fabric.ResizeResult, error) {
 	if s < 0 || s >= len(st.shards) {
 		return nil, fmt.Errorf("shardstore: shard %d outside [0, %d)", s, len(st.shards))
@@ -384,7 +432,10 @@ func (st *Store) Resize(ctx context.Context, s int, spec ResizeSpec) (*fabric.Re
 		fspec.Join = append(fspec.Join, maker)
 	}
 	res, err := sh.env.Fabric.Resize(ctx, fspec, func(rs *fabric.Reshaper) error {
-		for key, kr := range sh.keys {
+		for key, kr := range st.all() {
+			if st.ShardOf(key) != s {
+				continue
+			}
 			vr, ok := kr.reg.(emulation.ViewResizable)
 			if !ok {
 				return fmt.Errorf("shardstore: key %d (%s): %w", key, kr.reg.Name(), emulation.ErrResizeUnsupported)
@@ -426,36 +477,6 @@ func (st *Store) joinerMakerAt(s, next int) (fabric.LaneMaker, error) {
 	return func(types.ServerID) fabric.Lane { return c }, nil
 }
 
-// keyreg materializes (or returns) a key's register on its shard.
-func (st *Store) keyreg(key uint64) (*keyreg, error) {
-	if key >= st.cfg.Keys {
-		return nil, fmt.Errorf("shardstore: key %d outside key-space [0, %d)", key, st.cfg.Keys)
-	}
-	sh := st.shards[st.ShardOf(key)]
-	sh.mu.RLock()
-	kr, hit := sh.keys[key]
-	sh.mu.RUnlock()
-	if hit {
-		return kr, nil
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if kr, hit := sh.keys[key]; hit {
-		return kr, nil
-	}
-	reg, hist, err := runner.BuildWith(st.cfg.Kind, sh.env.Fabric, st.cfg.WritersPerKey, sh.env.Cluster.F(),
-		runner.BuildOpts{ValueSize: st.cfg.ValueSize, Atomic: st.cfg.Atomic})
-	if err != nil {
-		return nil, fmt.Errorf("shardstore: materializing key %d: %w", key, err)
-	}
-	if st.cfg.NoHistory {
-		hist.SetDiscard(true)
-	}
-	kr = &keyreg{reg: reg, hist: hist}
-	sh.keys[key] = kr
-	return kr, nil
-}
-
 // Writer returns the engine client for writer slot i (in [0, WritersPerKey))
 // of key's register, materializing the register on first touch. Repeated
 // calls return the same client — ops through it serialize in invocation
@@ -477,27 +498,59 @@ func (st *Store) Reader(key uint64, slot int) (*async.Client, error) {
 	return st.client(key, st.cfg.WritersPerKey+slot)
 }
 
-// client returns entry i of key's client cache, creating the engine client
-// on first use: same (key, i) ⇒ same client.
+// client returns entry i of key's client cache: same (key, i) ⇒ same
+// client. A hit takes no lock.
 func (st *Store) client(key uint64, i int) (*async.Client, error) {
-	kr, err := st.keyreg(key)
-	if err != nil {
-		return nil, err
+	if key >= st.cfg.Keys {
+		return nil, fmt.Errorf("shardstore: key %d outside key-space [0, %d)", key, st.cfg.Keys)
 	}
-	kr.mu.Lock()
-	defer kr.mu.Unlock()
-	for len(kr.clients) <= i {
-		kr.clients = append(kr.clients, nil)
+	if kr := st.lookup(key); kr != nil && i < len(kr.clients) && kr.clients[i] != nil {
+		return kr.clients[i], nil
 	}
-	if kr.clients[i] == nil {
-		eng := st.engines[st.EngineOf(key)]
-		if i >= st.cfg.WritersPerKey {
-			kr.clients[i] = eng.ReaderOn(kr.reg)
-		} else if kr.clients[i], err = eng.WriterOn(kr.reg, i); err != nil {
-			return nil, err
+	return st.materialize(key, i)
+}
+
+// materialize is the miss path, under the key's shard lock: it builds key's
+// register on first touch, creates engine client i, and republishes the
+// key's slot with a fresh immutable entry.
+func (st *Store) materialize(key uint64, i int) (*async.Client, error) {
+	sh := st.shards[st.ShardOf(key)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	var err error
+	kr := new(keyreg)
+	if old := st.lookup(key); old != nil {
+		*kr = *old
+	} else {
+		kr.reg, kr.hist, err = runner.BuildWith(st.cfg.Kind, sh.env.Fabric, st.cfg.WritersPerKey, sh.env.Cluster.F(),
+			runner.BuildOpts{ValueSize: st.cfg.ValueSize, Atomic: st.cfg.Atomic})
+		if err != nil {
+			return nil, fmt.Errorf("shardstore: materializing key %d: %w", key, err)
+		}
+		if st.cfg.NoHistory {
+			kr.hist.SetDiscard(true)
 		}
 	}
-	return kr.clients[i], nil
+	if i < len(kr.clients) && kr.clients[i] != nil {
+		return kr.clients[i], nil // a racing miss published it first
+	}
+	// kr.clients is still the published entry's cache: grow a copy.
+	clients := make([]*async.Client, max(i+1, len(kr.clients)))
+	copy(clients, kr.clients)
+	kr.clients = clients
+	eng := st.engines[st.EngineOf(key)]
+	if i >= st.cfg.WritersPerKey {
+		clients[i] = eng.ReaderOn(kr.reg)
+	} else if clients[i], err = eng.WriterOn(kr.reg, i); err != nil {
+		return nil, err
+	}
+	// Another shard's miss may be installing the same chunk: first one wins.
+	ch := &st.dir[key/keyChunkSize]
+	if ch.Load() == nil {
+		ch.CompareAndSwap(nil, new(keyChunk))
+	}
+	ch.Load()[key%keyChunkSize].Store(kr)
+	return clients[i], nil
 }
 
 // StartWrite routes one high-level write through the frontend: key to
@@ -525,10 +578,8 @@ func (st *Store) StartRead(key uint64, slot int, done func(types.Value, error)) 
 // MaterializedKeys returns how many keys have registers built, per shard.
 func (st *Store) MaterializedKeys() []int {
 	counts := make([]int, len(st.shards))
-	for i, sh := range st.shards {
-		sh.mu.RLock()
-		counts[i] = len(sh.keys)
-		sh.mu.RUnlock()
+	for key := range st.all() {
+		counts[st.ShardOf(key)]++
 	}
 	return counts
 }
@@ -641,30 +692,22 @@ func (st *Store) CheckAll(sampleChecks int, checkSeed int64) CheckReport {
 	if sampleChecks <= 0 {
 		sampleChecks = 4
 	}
-	for _, sh := range st.shards {
-		sh.mu.RLock()
-		keys := make(map[uint64]*keyreg, len(sh.keys))
-		for k, kr := range sh.keys {
-			keys[k] = kr
+	for key, kr := range st.all() {
+		rep.Keys++
+		ops := kr.hist.Snapshot()
+		rep.HistoryOps += len(ops)
+		if err := spec.CheckReadValidity(ops, types.InitialValue); err != nil {
+			rep.Violations = append(rep.Violations, fmt.Sprintf("key %d: %v", key, err))
 		}
-		sh.mu.RUnlock()
-		for key, kr := range keys {
-			rep.Keys++
-			ops := kr.hist.Snapshot()
-			rep.HistoryOps += len(ops)
-			if err := spec.CheckReadValidity(ops, types.InitialValue); err != nil {
+		if !st.cfg.Atomic {
+			continue
+		}
+		keySeed := seed.Sub(checkSeed, key)
+		for chk := 0; chk < sampleChecks; chk++ {
+			sample := spec.SampleLinearizable(ops, 1024, seed.Sub(keySeed, uint64(chk+1)))
+			rep.SampledOps += len(sample)
+			if err := spec.CheckLinearizable(sample, types.InitialValue); err != nil {
 				rep.Violations = append(rep.Violations, fmt.Sprintf("key %d: %v", key, err))
-			}
-			if !st.cfg.Atomic {
-				continue
-			}
-			keySeed := seed.Sub(checkSeed, key)
-			for chk := 0; chk < sampleChecks; chk++ {
-				sample := spec.SampleLinearizable(ops, 1024, seed.Sub(keySeed, uint64(chk+1)))
-				rep.SampledOps += len(sample)
-				if err := spec.CheckLinearizable(sample, types.InitialValue); err != nil {
-					rep.Violations = append(rep.Violations, fmt.Sprintf("key %d: %v", key, err))
-				}
 			}
 		}
 	}

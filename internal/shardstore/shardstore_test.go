@@ -173,6 +173,26 @@ func TestClientIdentity(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsAnOversizedKeySpace pins the bound on Config.Keys: Open
+// sizes the key table's directory from it, so a value past the maximum — up
+// to the ones whose chunk count would wrap — is an error, not an allocation.
+func TestOpenRejectsAnOversizedKeySpace(t *testing.T) {
+	for _, keys := range []uint64{maxKeys + 1, 1 << 40, ^uint64(0)} {
+		if st, err := Open(testCtx(t), Config{Keys: keys, Kind: runner.KindABDMax}); err == nil {
+			st.Close()
+			t.Fatalf("Open accepted a key-space of %d", keys)
+		}
+	}
+	st, err := Open(testCtx(t), Config{Keys: maxKeys, Kind: runner.KindABDMax})
+	if err != nil {
+		t.Fatalf("Open rejected the maximum key-space: %v", err)
+	}
+	defer st.Close()
+	if _, err := st.Writer(maxKeys-1, 0); err != nil {
+		t.Fatalf("the last key of the maximum key-space: %v", err)
+	}
+}
+
 // driveStore runs writers+readers over a set of keys from many goroutines
 // through the frontend and returns the expected last value per key. Each
 // (key, slot) pair is one logical client: its ops are issued from a single

@@ -110,13 +110,15 @@ func (h *History) SetDiscard(on bool) { h.discard.Store(on) }
 // discarded is the shared non-recording op of discard-mode handles.
 var discarded = &Op{ID: -1}
 
-// PendingWrite is the handle for an in-flight high-level write.
+// PendingWrite is the handle for an in-flight high-level write: two words,
+// passed by value so that beginning an op allocates nothing of its own.
 type PendingWrite struct {
 	h  *History
 	op *Op
 }
 
-// PendingRead is the handle for an in-flight high-level read.
+// PendingRead is the handle for an in-flight high-level read; a value, like
+// PendingWrite.
 type PendingRead struct {
 	h  *History
 	op *Op
@@ -126,20 +128,20 @@ type PendingRead struct {
 func (h *History) tick() int64 { return h.clock.Add(1) }
 
 // BeginWrite records the invocation of write(v) by client.
-func (h *History) BeginWrite(client types.ClientID, v types.Value) *PendingWrite {
+func (h *History) BeginWrite(client types.ClientID, v types.Value) PendingWrite {
 	if h.discard.Load() {
-		return &PendingWrite{h: h, op: discarded}
+		return PendingWrite{h: h, op: discarded}
 	}
 	op := &Op{Client: client, Kind: KindWrite, Arg: v, Start: h.tick()}
 	h.mu.Lock()
 	op.ID = len(h.ops)
 	h.ops = append(h.ops, op)
 	h.mu.Unlock()
-	return &PendingWrite{h: h, op: op}
+	return PendingWrite{h: h, op: op}
 }
 
 // End records the write's return.
-func (w *PendingWrite) End() {
+func (w PendingWrite) End() {
 	if w.op.ID < 0 {
 		return
 	}
@@ -151,20 +153,20 @@ func (w *PendingWrite) End() {
 }
 
 // BeginRead records the invocation of a read by client.
-func (h *History) BeginRead(client types.ClientID) *PendingRead {
+func (h *History) BeginRead(client types.ClientID) PendingRead {
 	if h.discard.Load() {
-		return &PendingRead{h: h, op: discarded}
+		return PendingRead{h: h, op: discarded}
 	}
 	op := &Op{Client: client, Kind: KindRead, Start: h.tick()}
 	h.mu.Lock()
 	op.ID = len(h.ops)
 	h.ops = append(h.ops, op)
 	h.mu.Unlock()
-	return &PendingRead{h: h, op: op}
+	return PendingRead{h: h, op: op}
 }
 
 // End records the read's return with the value it returned.
-func (r *PendingRead) End(v types.Value) {
+func (r PendingRead) End(v types.Value) {
 	if r.op.ID < 0 {
 		return
 	}
