@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke pairs allocs fabric-bench loadgen-smoke lint no-timers stress loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-lanes-mailbox1 race-routes race-shards race-churn race-coded race-resize
+.PHONY: all build vet test race bench bench-smoke pairs allocs fabric-bench loadgen-smoke lint no-timers stress loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-routes race-shards race-churn race-coded race-resize
 
 all: vet build test
 
@@ -126,21 +126,15 @@ fuzz-smoke:
 # suite by being named for what it tests — there is no name list to edit.
 
 # Lane-backend suite under the race detector: every fabric and runner test
-# with "Lane" in its name — latency lanes (event loop, coalescing, crash
-# windows, mailbox), the custom-backend seam, view changes under latency-lane
-# load, the chaos suites over the latency and TCP lanes (the TCP chaos suite
-# spawns real cmd/lanenode processes) — plus the snapshot-scan family. The
-# TCP lane's own package runs under race-lanenet.
+# with "Lane" in its name — latency lanes (the event loop, a delivery that
+# never blocks while the loop is parked, completions on the loop, crash
+# windows), the custom-backend seam, view changes under latency-lane load,
+# the chaos suites over the latency and TCP lanes (the TCP chaos suite spawns
+# real cmd/lanenode processes) — plus the snapshot-scan family. The TCP
+# lane's own package runs under race-lanenet.
 LANE_SUITE = -run 'Lane|TestScanSnapshot' ./internal/fabric ./internal/runner
 race-lanes:
 	$(GO) test -race -count 1 $(LANE_SUITE)
-
-# The same suite with every lane mailbox clamped to capacity 1: each
-# delivery blocks until the event loop dequeues the previous group, so the
-# backpressure path (instead of the buffered fast path) carries the whole
-# suite.
-race-lanes-mailbox1:
-	REPRO_LANE_MAILBOX=1 $(GO) test -race -count 1 $(LANE_SUITE)
 
 # Object-table suite under the race detector, repeated and at three
 # GOMAXPROCS settings: chunk-edge round-trips, tombstones and the used latch

@@ -69,7 +69,6 @@ func run() error {
 	asJSON := flag.Bool("json", false, "print the result as JSON")
 	out := flag.String("out", "", "also write the JSON result to this file")
 	timeout := flag.Duration("timeout", 5*time.Minute, "hard run timeout")
-	coalesce := flag.Duration("coalesce", 0, "latency-lane coalescing window (0 = fire exactly on schedule)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flag.Parse()
 
@@ -111,7 +110,6 @@ func run() error {
 		Seed:         *seed,
 		NoHistory:    *noHistory,
 		SampleChecks: *checks,
-		Coalesce:     *coalesce,
 	}
 	if *nodes != "" {
 		cfg.NodeAddrs = strings.Split(*nodes, ",")

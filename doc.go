@@ -51,16 +51,14 @@
 //     one consistent snapshot of that server's objects (inline under the
 //     objects' state locks in-process; inside the event loop or the
 //     node's exclusive section on the asynchronous backends).
-//   - The latency lane (fabric.LatencyLanes) is a single-goroutine event
-//     loop per server: deliveries enqueue into a bounded mailbox
-//     (WithMailboxCapacity, REPRO_LANE_MAILBOX), the loop draws seeded
-//     delay/jitter/straggler delivery times into a min-heap, and because
-//     the loop alone applies ops, it answers same-object reads that fall
-//     due in one pass from a single apply (read coalescing,
-//     CoalescedReads; widen the pass with WithCoalesceWindow), applies a
-//     scan group back-to-back as one snapshot, and hands completions to a
-//     separate completer goroutine so a completion that triggers new ops
-//     can never deadlock against a full mailbox.
+//   - The latency lane (fabric.LatencyLanes) is one goroutine per server,
+//     an event loop: a delivery appends to an unbounded mailbox and never
+//     blocks, the loop draws seeded delay/jitter/straggler delivery times
+//     into a min-heap, and when an op falls due it applies it and runs its
+//     completion, both on the loop — a completion that triggers new ops
+//     only posts, so it cannot deadlock. Because the loop alone applies
+//     ops, a scan group applied back-to-back is one snapshot. Nothing is
+//     tunable but the seed and the delay profile.
 //   - internal/lanenet + cmd/lanenode: the network lane backend — a
 //     length-prefixed TCP protocol between a lane and a per-server storage
 //     node process holding the authoritative base objects. The connection

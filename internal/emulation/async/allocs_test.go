@@ -20,13 +20,13 @@ import (
 func TestEnginePairAllocCeiling(t *testing.T) {
 	reg, hist := buildEnv(t, runner.KindABDMax, 1, 1, 3)
 	hist.SetDiscard(true)
-	eng := async.New(reg)
+	eng := async.NewDetached()
 	defer eng.Close()
-	w, err := eng.Writer(0)
+	w, err := eng.WriterOn(reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := eng.NewReader()
+	r := eng.ReaderOn(reg)
 	var v types.Value
 	done := make(chan struct{}, 1)
 	writeDone := func(err error) {

@@ -63,12 +63,10 @@ import (
 var ErrClosed = errors.New("async: engine closed")
 
 // Engine multiplexes completion-based clients of emulated registers over a
-// single event-loop goroutine. An engine built with New serves one bound
-// register (Writer/NewReader); a detached engine (NewDetached) serves
-// clients on any register via WriterOn/ReaderOn — the sharded store runs a
-// pool of detached loops over the registers of all its shards.
+// single event-loop goroutine. It is bound to no particular register: every
+// client names its own through WriterOn/ReaderOn — the sharded store runs a
+// pool of engine loops over the registers of all its shards.
 type Engine struct {
-	reg    emulation.Register
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -102,10 +100,12 @@ func WithContext(ctx context.Context) Option {
 	return func(e *Engine) { e.ctx = ctx }
 }
 
-// New creates an engine over the construction and starts its event loop.
-func New(reg emulation.Register, opts ...Option) *Engine {
+// NewDetached creates an engine and starts its event loop. Every client is
+// created through WriterOn/ReaderOn, naming its register explicitly: the
+// sharded store's M loops share the registers of its S shards, each key's
+// clients pinned to one loop by the store's key-affinity routing.
+func NewDetached(opts ...Option) *Engine {
 	e := &Engine{
-		reg:      reg,
 		ctx:      context.Background(),
 		writers:  make(map[writerKey]*Client),
 		notify:   make(chan struct{}, 1),
@@ -119,18 +119,8 @@ func New(reg emulation.Register, opts ...Option) *Engine {
 	return e
 }
 
-// NewDetached creates an engine bound to no particular construction: every
-// client is created through WriterOn/ReaderOn, naming its register
-// explicitly. This is the engine-pool form the sharded store uses — M
-// detached loops share the registers of S shards, each key's clients pinned
-// to one loop by the store's key-affinity routing.
-func NewDetached(opts ...Option) *Engine { return New(nil, opts...) }
-
-// Register returns the wrapped construction (nil for a detached engine).
-func (e *Engine) Register() emulation.Register { return e.reg }
-
-// writerKey identifies one writer slot of one register: detached engines
-// drive writers of many registers, so the slot index alone is not unique.
+// writerKey identifies one writer slot of one register: an engine drives
+// writers of many registers, so the slot index alone is not unique.
 type writerKey struct {
 	reg emulation.Register
 	i   int
@@ -221,20 +211,10 @@ type Client struct {
 // Client returns the logical client's ID.
 func (c *Client) Client() types.ClientID { return c.id }
 
-// Writer returns the engine client for writer i of the engine's own
-// register. Repeated calls return the same client: the underlying
-// per-writer state admits one driver.
-func (e *Engine) Writer(i int) (*Client, error) {
-	if e.reg == nil {
-		return nil, fmt.Errorf("async: detached engine has no bound register; use WriterOn")
-	}
-	return e.WriterOn(e.reg, i)
-}
-
-// WriterOn returns the engine client for writer i of reg, which need not be
-// the engine's own register: a detached engine drives clients of many
-// registers through one loop. Repeated calls with the same (reg, i) return
-// the same client.
+// WriterOn returns the engine client for writer i of reg; one engine drives
+// clients of many registers through one loop. Repeated calls with the same
+// (reg, i) return the same client: the underlying per-writer state admits
+// one driver.
 func (e *Engine) WriterOn(reg emulation.Register, i int) (*Client, error) {
 	key := writerKey{reg: reg, i: i}
 	e.mu.Lock()
@@ -252,17 +232,8 @@ func (e *Engine) WriterOn(reg emulation.Register, i int) (*Client, error) {
 	return c, nil
 }
 
-// NewReader returns a fresh reader client on the engine's own register.
-// Safe from any goroutine, including engine callbacks.
-func (e *Engine) NewReader() *Client {
-	if e.reg == nil {
-		panic("async: detached engine has no bound register; use ReaderOn")
-	}
-	return e.ReaderOn(e.reg)
-}
-
-// ReaderOn returns a fresh reader client on reg; like WriterOn, reg need
-// not be the engine's own register.
+// ReaderOn returns a fresh reader client on reg. Safe from any goroutine,
+// including engine callbacks.
 func (e *Engine) ReaderOn(reg emulation.Register) *Client {
 	r := reg.NewReader()
 	c := &Client{eng: e, id: r.Client(), r: r}

@@ -63,7 +63,7 @@ func TestAsyncAllConstructions(t *testing.T) {
 			)
 			n := runner.ChaosServers(kind)
 			reg, hist := buildEnv(t, kind, k, f, n, fabric.WithLanes(fabric.LatencyLanes(42, testProfile)))
-			eng := async.New(reg)
+			eng := async.NewDetached()
 			defer eng.Close()
 
 			var wrote atomic.Int64
@@ -97,14 +97,14 @@ func TestAsyncAllConstructions(t *testing.T) {
 				})
 			}
 			for i := 0; i < writers; i++ {
-				c, err := eng.Writer(i)
+				c, err := eng.WriterOn(reg, i)
 				if err != nil {
 					t.Fatal(err)
 				}
 				issueW(c, opsPerCli)
 			}
 			for i := 0; i < readers; i++ {
-				issueR(eng.NewReader(), opsPerCli)
+				issueR(eng.ReaderOn(reg), opsPerCli)
 			}
 			drain(t, eng)
 			st := eng.Stats()
@@ -137,7 +137,7 @@ func TestAsyncAtomicLinearizable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := async.New(reg)
+			eng := async.NewDetached()
 			defer eng.Close()
 			var val atomic.Int64
 			var issue func(c *async.Client, write bool, left int)
@@ -159,14 +159,14 @@ func TestAsyncAtomicLinearizable(t *testing.T) {
 				}
 			}
 			for i := 0; i < 4; i++ {
-				c, err := eng.Writer(i)
+				c, err := eng.WriterOn(reg, i)
 				if err != nil {
 					t.Fatal(err)
 				}
 				issue(c, true, 30)
 			}
 			for i := 0; i < 6; i++ {
-				issue(eng.NewReader(), false, 30)
+				issue(eng.ReaderOn(reg), false, 30)
 			}
 			drain(t, eng)
 			ops := hist.Snapshot()
@@ -210,7 +210,7 @@ func TestAsyncThousandInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := async.New(reg)
+	eng := async.NewDetached()
 	defer eng.Close()
 
 	var val atomic.Int64
@@ -238,14 +238,14 @@ func TestAsyncThousandInFlight(t *testing.T) {
 		}
 	}
 	for i := 0; i < writers; i++ {
-		c, err := eng.Writer(i)
+		c, err := eng.WriterOn(reg, i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		spin(c, true, rounds)
 	}
 	for i := 0; i < readers; i++ {
-		spin(eng.NewReader(), false, rounds)
+		spin(eng.ReaderOn(reg), false, rounds)
 	}
 	want := int64((writers + readers) * rounds)
 	// Released repeatedly: an op the gate decided to hold just before it
@@ -285,9 +285,9 @@ func TestAsyncPerClientSerialization(t *testing.T) {
 	const waves, burst = 3, 50
 	reg, hist := buildEnv(t, runner.KindRegEmu, 2, 1, 4,
 		fabric.WithLanes(fabric.LatencyLanes(3, testProfile)))
-	eng := async.New(reg)
+	eng := async.NewDetached()
 	defer eng.Close()
-	c, err := eng.Writer(0)
+	c, err := eng.WriterOn(reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,10 +337,10 @@ func TestAsyncCloseFailsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := async.New(reg)
+	eng := async.NewDetached()
 	var fired atomic.Int64
 	const ops = 20
-	c, err := eng.Writer(0)
+	c, err := eng.WriterOn(reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,10 +388,10 @@ func TestAsyncCrashDuringInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := async.New(reg)
+	eng := async.NewDetached()
 	defer eng.Close()
 	for i := 0; i < clients; i++ {
-		c, err := eng.Writer(i)
+		c, err := eng.WriterOn(reg, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,8 +431,8 @@ func TestAsyncContextCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	eng := async.New(reg, async.WithContext(ctx))
-	c, err := eng.Writer(1)
+	eng := async.NewDetached(async.WithContext(ctx))
+	c, err := eng.WriterOn(reg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,21 +455,21 @@ func TestAsyncContextCancellation(t *testing.T) {
 // TestAsyncWriterReaderMisuse checks the loud failures for role mix-ups.
 func TestAsyncWriterReaderMisuse(t *testing.T) {
 	reg, _ := buildEnv(t, runner.KindNaive, 2, 1, 3)
-	eng := async.New(reg)
+	eng := async.NewDetached()
 	defer eng.Close()
-	w, err := eng.Writer(0)
+	w, err := eng.WriterOn(reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := startReadErr(w); err == nil {
 		t.Fatal("StartRead on a writer client succeeded")
 	}
-	r := eng.NewReader()
+	r := eng.ReaderOn(reg)
 	if err := startWriteErr(r); err == nil {
 		t.Fatal("StartWrite on a reader client succeeded")
 	}
 	// Writer(i) is stable: the same client comes back.
-	w2, err := eng.Writer(0)
+	w2, err := eng.WriterOn(reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,8 +507,8 @@ func startWriteErr(c *async.Client) error {
 // the drain or Close would never return.
 func TestAsyncCloseDuringSelfSustainingLoop(t *testing.T) {
 	reg, _ := buildEnv(t, runner.KindABDMax, 1, 1, 3)
-	eng := async.New(reg)
-	w, err := eng.Writer(0)
+	eng := async.NewDetached()
+	w, err := eng.WriterOn(reg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

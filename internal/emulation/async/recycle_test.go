@@ -36,7 +36,7 @@ func TestShutdownNeverRecyclesAFailedOp(t *testing.T) {
 	}
 	start := func(eng *async.Engine, first int, done func(i int, err error)) {
 		for i := first; i < first+n; i++ {
-			c, err := eng.Writer(i)
+			c, err := eng.WriterOn(reg, i)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestShutdownNeverRecyclesAFailedOp(t *testing.T) {
 	}
 
 	var fired [2 * n]atomic.Int32
-	dead := async.New(reg)
+	dead := async.NewDetached()
 	start(dead, 0, func(i int, err error) {
 		if !errors.Is(err, async.ErrClosed) {
 			t.Errorf("write %d of the closed engine completed with %v, want ErrClosed", i, err)
@@ -56,7 +56,7 @@ func TestShutdownNeverRecyclesAFailedOp(t *testing.T) {
 	dead.Close()
 
 	var released atomic.Bool
-	live := async.New(reg)
+	live := async.NewDetached()
 	defer live.Close()
 	start(live, n, func(i int, err error) {
 		if !released.Load() {
@@ -73,7 +73,7 @@ func TestShutdownNeverRecyclesAFailedOp(t *testing.T) {
 	// The late completions ran inline, in ReleaseWhere; a misdelivered one
 	// sits in the second engine's mailbox. The mailbox is handled in order,
 	// so once one more write has started behind it, it has been handled.
-	barrier, err := live.Writer(2 * n)
+	barrier, err := live.WriterOn(reg, 2*n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,14 +53,13 @@ type LaneOp struct {
 
 // GroupLane is implemented by backends that accept a whole batch of
 // operations in one hand-off — an event-loop lane turns the group into a
-// single mailbox message, a network lane into a single buffered flush. The
+// single mailbox entry, a network lane into a single buffered flush. The
 // group carries no extra semantics: delivering it is equivalent to calling
 // Deliver once per op, just cheaper.
 type GroupLane interface {
 	Lane
 	// DeliverGroup delivers every op of the group. Like Deliver it must
-	// not block indefinitely on op completion; bounded-mailbox backends may
-	// block briefly for backpressure.
+	// not block.
 	//
 	// ops is the triggering round's own storage, not a copy made for the
 	// lane. The lane may rewrite it in place until DeliverGroup returns (a

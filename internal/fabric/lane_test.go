@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,33 +165,127 @@ func TestLatencyLaneSeededReplay(t *testing.T) {
 }
 
 // TestLatencyLaneParallelClients hammers a latency fabric from concurrent
-// clients (run under -race in CI): completions arrive on timer goroutines
-// while other clients trigger, release, and read.
+// clients (run under -race in CI): completions run on the lanes' loops
+// while other clients trigger, read, and — on one server hosting three
+// registers — take snapshot scans: nothing deadlocks, nothing is dropped.
 func TestLatencyLaneParallelClients(t *testing.T) {
-	fast := LatencyProfile{Jitter: 50 * time.Microsecond}
-	fab, objs := laneEnv(t, LatencyLanes(3, fast), nil)
-	var wg sync.WaitGroup
-	for cl := 0; cl < 8; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				obj := objs[(cl+i)%len(objs)]
-				var inv baseobj.Invocation
-				if i%2 == 0 {
-					inv = writeInv(uint64(i+1), types.Value(cl*100+i))
-				} else {
-					inv = readInv()
-				}
-				done := make(chan struct{})
-				fab.TriggerFn(types.ClientID(cl), obj, inv, func(Outcome) { close(done) })
-				<-done
+	for _, tc := range []struct {
+		name         string
+		env          func(*testing.T, LaneMaker) (*Fabric, []types.ObjectID)
+		clients, ops int
+		scans        bool // every third op a snapshot scan of all registers
+	}{
+		{"writes-reads", func(t *testing.T, m LaneMaker) (*Fabric, []types.ObjectID) { return laneEnv(t, m, nil) }, 8, 50, false},
+		{"writes-reads-scans", func(t *testing.T, m LaneMaker) (*Fabric, []types.ObjectID) { return scanEnv(t, 3, m) }, 6, 40, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fast := LatencyProfile{Jitter: 50 * time.Microsecond}
+			fab, objs := tc.env(t, LatencyLanes(3, fast))
+			kinds := 2
+			if tc.scans {
+				kinds = 3
 			}
-		}(cl)
+			var wg sync.WaitGroup
+			var triggered atomic.Uint64
+			for cl := 0; cl < tc.clients; cl++ {
+				wg.Add(1)
+				go func(cl int) {
+					defer wg.Done()
+					client := types.ClientID(cl)
+					for i := 0; i < tc.ops; i++ {
+						var o Outcome
+						switch i % kinds {
+						case 0:
+							o = waitOutcome(t, fab, client, objs[(cl+i)%len(objs)], writeInv(uint64(i+1), types.Value(cl*100+i)))
+						case 1:
+							o = waitOutcome(t, fab, client, objs[(cl+i)%len(objs)], readInv())
+						default:
+							awaitScan(t, fab, client, objs)
+							triggered.Add(uint64(len(objs)))
+							continue
+						}
+						if o.Err != nil {
+							t.Errorf("op %d: %v", i, o.Err)
+							return
+						}
+						triggered.Add(1)
+					}
+				}(cl)
+			}
+			wg.Wait()
+			if got, want := fab.Triggers(), triggered.Load(); got != want {
+				t.Fatalf("Triggers = %d, want %d", got, want)
+			}
+		})
 	}
-	wg.Wait()
-	if got := fab.Triggers(); got != 8*50 {
-		t.Fatalf("Triggers = %d, want %d", got, 8*50)
+}
+
+// TestLatencyLaneDeliverNeverBlocks parks the event loop on its first
+// dequeue and keeps delivering: every Deliver, DeliverGroup and DeliverScan
+// must return while the loop cannot drain, and once it is released every op
+// completes exactly once.
+func TestLatencyLaneDeliverNeverBlocks(t *testing.T) {
+	const singles, group = 2048, 4
+	lane := NewLatencyLane(1, LatencyProfile{})
+	t.Cleanup(func() { lane.Close() })
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	lane.testHook = func() { once.Do(func() { close(parked); <-release }) }
+
+	total := 1 + singles + 2*group
+	counts := make([]atomic.Int32, total)
+	var left sync.WaitGroup
+	left.Add(total)
+	op := func(i int) LaneOp {
+		return LaneOp{
+			Apply:    func() (baseobj.Response, error) { return baseobj.Response{}, nil },
+			Complete: func(baseobj.Response, error) { counts[i].Add(1); left.Done() },
+		}
+	}
+	ops := func(from int) []LaneOp {
+		g := make([]LaneOp, group)
+		for i := range g {
+			g[i] = op(from + i)
+		}
+		return g
+	}
+
+	first := op(0)
+	lane.Deliver(first.Ev, first.Apply, first.Complete)
+	<-parked
+	var delivered atomic.Int32
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		for i := 1; i <= singles; i++ {
+			o := op(i)
+			lane.Deliver(o.Ev, o.Apply, o.Complete)
+			delivered.Add(1)
+		}
+		lane.DeliverGroup(ops(1 + singles))
+		delivered.Add(1)
+		lane.DeliverScan(ops(1 + singles + group))
+		delivered.Add(1)
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatalf("delivery %d blocked while the loop was parked", delivered.Load()+2)
+	}
+
+	close(release)
+	done := make(chan struct{})
+	go func() { left.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ops never completed after the loop was released")
+	}
+	for i := range counts {
+		if n := counts[i].Load(); n != 1 {
+			t.Fatalf("op %d completed %d times, want once", i, n)
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ func awaitScan(t *testing.T, fab *Fabric, client types.ClientID, objs []types.Ob
 // the server's registers in placement order, bumping each to round r before
 // moving on, so at every instant the timestamps are non-increasing along
 // the placement order. Concurrent snapshot scans — including many queued
-// scans coalesced into one lane pass — must observe a consistent cut, never
+// scans taken in one mailbox drain — must observe a consistent cut, never
 // the torn shape (a later register ahead of an earlier one). Run under
 // -race: the scans race the writer by design.
 func TestScanSnapshotNoTornReads(t *testing.T) {
@@ -165,86 +165,5 @@ func TestLatencyLaneCrashBetweenDequeueAndSnapshot(t *testing.T) {
 	}
 	if dropped != len(objs) {
 		t.Fatalf("dropped = %d, want %d", dropped, len(objs))
-	}
-}
-
-// TestLatencyLaneMailboxCapacityOne forces every enqueue to block on the
-// loop's dequeue (mailbox capacity 1) and hammers the lane with concurrent
-// clients mixing writes, reads, and snapshot scans: backpressure must slow
-// delivery, never deadlock or drop it.
-func TestLatencyLaneMailboxCapacityOne(t *testing.T) {
-	fast := LatencyProfile{Jitter: 20 * time.Microsecond}
-	fab, objs := scanEnv(t, 3, LatencyLanes(7, fast, WithMailboxCapacity(1)))
-	var wg sync.WaitGroup
-	for cl := 0; cl < 6; cl++ {
-		wg.Add(1)
-		go func(cl int) {
-			defer wg.Done()
-			client := types.ClientID(cl)
-			for i := 0; i < 40; i++ {
-				switch i % 3 {
-				case 0:
-					if o := waitOutcome(t, fab, client, objs[cl%len(objs)], writeInv(uint64(cl*100+i+1), types.Value(i))); o.Err != nil {
-						t.Errorf("write: %v", o.Err)
-						return
-					}
-				case 1:
-					if o := waitOutcome(t, fab, client, objs[(cl+i)%len(objs)], readInv()); o.Err != nil {
-						t.Errorf("read: %v", o.Err)
-						return
-					}
-				default:
-					awaitScan(t, fab, client, objs)
-				}
-			}
-		}(cl)
-	}
-	wg.Wait()
-}
-
-// TestLatencyLaneCoalescesReads: reads of the same object that fall due in
-// one fire pass are answered from a single apply. The coalesced counter is
-// the observable; the responses must still be correct.
-func TestLatencyLaneCoalescesReads(t *testing.T) {
-	lane := NewLatencyLane(3, LatencyProfile{Base: 2 * time.Millisecond},
-		WithCoalesceWindow(2*time.Millisecond))
-	fab, objs := scanEnv(t, 1, func(types.ServerID) Lane { return lane })
-
-	if o := waitOutcome(t, fab, 0, objs[0], writeInv(1, 42)); o.Err != nil {
-		t.Fatalf("write: %v", o.Err)
-	}
-
-	const readers = 16
-	var wg sync.WaitGroup
-	var bad atomic.Int64
-	wg.Add(readers)
-	for i := 0; i < readers; i++ {
-		fab.TriggerFn(types.ClientID(i+1), objs[0], readInv(), func(o Outcome) {
-			if o.Err != nil || o.Resp.Val.Val != 42 {
-				bad.Add(1)
-			}
-			wg.Done()
-		})
-	}
-	wg.Wait()
-	if n := bad.Load(); n != 0 {
-		t.Fatalf("%d coalesced reads returned the wrong value", n)
-	}
-	if lane.CoalescedReads() == 0 {
-		t.Fatal("no reads coalesced: 16 same-object reads due in one pass should share an apply")
-	}
-	t.Logf("coalesced %d of %d reads", lane.CoalescedReads(), readers)
-}
-
-// TestLatencyLaneMailboxEnvOverride pins the REPRO_LANE_MAILBOX parsing
-// used by the race-lanes CI variant.
-func TestLatencyLaneMailboxEnvOverride(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want int
-	}{{"1", 1}, {"64", 64}, {"0", DefaultMailboxCapacity}, {"", DefaultMailboxCapacity}, {"junk", DefaultMailboxCapacity}} {
-		if got := parseMailboxCapacity(tc.in); got != tc.want {
-			t.Errorf("parseMailboxCapacity(%q) = %d, want %d", tc.in, got, tc.want)
-		}
 	}
 }

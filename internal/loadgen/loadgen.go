@@ -134,12 +134,6 @@ type Config struct {
 	// SampleChecks is how many independent linearizability samples to
 	// check per key on atomic builds (default 4).
 	SampleChecks int
-
-	// Coalesce widens the latency lanes' event-loop fire window so more
-	// queued reads merge per pass (0 = fire exactly on schedule). It only
-	// applies to LaneLatency — the knob loadgen sweeps use to find the
-	// batching knee.
-	Coalesce time.Duration
 }
 
 // Latency summarizes one histogram in nanoseconds.
@@ -319,7 +313,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Lane: cfg.Lane, Profile: cfg.Profile,
 		NodeAddrs: cfg.NodeAddrs, DialTimeout: cfg.DialTimeout,
 		Seed: cfg.Seed, NoHistory: cfg.NoHistory,
-		Coalesce: cfg.Coalesce,
 	})
 	if err != nil {
 		return nil, err

@@ -84,8 +84,9 @@ type ReadStep struct {
 // HoldStep arms a hold rule; it stays armed until a Clear step. Nil
 // selectors match everything.
 type HoldStep struct {
-	// Client restricts to one client; for reads, the reader index space
-	// is translated (reader i is client ReaderIDBase+i+1).
+	// Client restricts to one fabric client ID: writer i is client i;
+	// readers are numbered upward from emulation.ReaderIDBase in creation
+	// order (the first is ReaderIDBase+1).
 	Client *int `json:"client,omitempty"`
 	// Server restricts to one server.
 	Server *int `json:"server,omitempty"`
@@ -100,7 +101,8 @@ type HoldStep struct {
 // ClearStep disarms all hold rules.
 type ClearStep struct{}
 
-// ReleaseStep releases held ops matching the selectors (nil = all).
+// ReleaseStep releases held ops matching the selectors (nil = all); Client
+// is a fabric client ID, as in HoldStep.
 type ReleaseStep struct {
 	Client *int `json:"client,omitempty"`
 	Server *int `json:"server,omitempty"`
@@ -210,7 +212,7 @@ func (r *holdRule) matches(ev fabric.TriggerEvent, phase string) bool {
 	if r.step.Server != nil && int(ev.Server) != *r.step.Server {
 		return false
 	}
-	if r.step.Client != nil && ev.Client != translateClient(*r.step.Client) {
+	if r.step.Client != nil && ev.Client != types.ClientID(*r.step.Client) {
 		return false
 	}
 	switch r.step.Class {
@@ -254,14 +256,6 @@ func (g *gate) clear() {
 	g.mu.Lock()
 	g.rules = nil
 	g.mu.Unlock()
-}
-
-// translateClient maps scenario client indexes to fabric client IDs:
-// writer indexes pass through; reader index i (>= 1000) is not used — the
-// runner assigns ReaderIDBase+ordinal. Scenario hold selectors use writer
-// indexes or the special -1 for "any reader".
-func translateClient(c int) types.ClientID {
-	return types.ClientID(c)
 }
 
 // Run executes the scenario.
@@ -317,7 +311,7 @@ func (s *Scenario) Run(ctx context.Context) (*Result, error) {
 		case step.Release != nil:
 			rel := *step.Release
 			res.Released += env.Fabric.ReleaseWhere(func(op fabric.PendingOp) bool {
-				if rel.Client != nil && op.Event.Client != translateClient(*rel.Client) {
+				if rel.Client != nil && op.Event.Client != types.ClientID(*rel.Client) {
 					return false
 				}
 				if rel.Server != nil && int(op.Event.Server) != *rel.Server {

@@ -141,10 +141,6 @@ type Config struct {
 
 	// NoHistory disables history recording (and therefore CheckAll).
 	NoHistory bool
-
-	// Coalesce is the latency lanes' event-loop fire window
-	// (fabric.WithCoalesceWindow); 0 keeps the default.
-	Coalesce time.Duration
 }
 
 // Store is a sharded multi-register store: the routing frontend over S
@@ -282,13 +278,9 @@ func laneOptions(cfg Config, s int) ([]fabric.Option, error) {
 		if cfg.Profile != nil {
 			profile = *cfg.Profile
 		}
-		var latOpts []fabric.LatencyOption
-		if cfg.Coalesce > 0 {
-			latOpts = append(latOpts, fabric.WithCoalesceWindow(cfg.Coalesce))
-		}
 		// Each shard draws its delays from an independent sub-stream, so
 		// shards never share correlated spikes.
-		maker := fabric.LatencyLanes(seed.Sub(cfg.Seed, uint64(s)), profile, latOpts...)
+		maker := fabric.LatencyLanes(seed.Sub(cfg.Seed, uint64(s)), profile)
 		return []fabric.Option{fabric.WithLanes(maker)}, nil
 	case runner.LaneTCP:
 		if len(cfg.NodeAddrs) == 0 {
