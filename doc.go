@@ -218,10 +218,12 @@
 //     graph (atomicity.go) — wide-concurrency load histories included —
 //     and falls back to the Wing–Gong search (per-op precedence bitmasks,
 //     pooled memo) for general histories up to 64 ops.
-//   - internal/adversary, internal/scenario, internal/runner: the paper's
-//     experiments — covering runs, the stale-release separation attack,
-//     exhaustive schedule search, chaos runs — plus data-driven JSON
-//     scenarios (internal/scenario/testdata).
+//   - internal/adversary, internal/runner: the paper's experiments —
+//     covering runs, the stale-release separation attack, exhaustive
+//     schedule search, chaos runs. Every hand-built run is a step list run
+//     by runner.RunScript: the Lemma 4 attack, each schedule of the
+//     exhaustive class, and the JSON scripts of internal/runner/testdata
+//     (runner.LoadScript; examples/attacklab prints the Lemma 4 one).
 //
 // # The object table
 //

@@ -1,71 +1,56 @@
-// Attacklab: adversarial schedules as data. The same stale-release attack
-// (Lemma 4) is expressed once as a JSON scenario and replayed against three
-// constructions — only the base-object type changes, and only the plain
-// register baseline breaks. Edit the schedule below and re-run to explore
-// the environment's power yourself.
+// Attacklab: adversarial schedules as data. Lemma 4's stale-release run is
+// one runner.Script — the step list runner.RunSeparation executes — printed
+// here as JSON, loaded back with runner.LoadScript and replayed through
+// runner.RunScript against three constructions: only the base-object type
+// changes, and only the plain-register baseline breaks. Save the printed
+// document, edit its steps and load it the same way to explore the
+// environment's power yourself. The program exits 1 on an unexpected
+// outcome.
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
-	"strings"
 	"time"
 
-	"repro/internal/scenario"
+	"repro/internal/runner"
 )
-
-// attackTemplate is the Lemma 4 schedule with the construction and the
-// expected outcome left as placeholders.
-const attackTemplate = `{
-  "name": "stale-release-%KIND%",
-  "kind": "%KIND%", "k": 2, "f": 1, "n": 3,
-  "expect_safety_violation": %VIOLATED%,
-  "steps": [
-    {"hold":    {"client": 0, "server": 0, "phase": "apply", "class": "mutating"}},
-    {"write":   {"writer": 0, "value": 101}},
-    {"clear":   {}},
-    {"hold":    {"client": 1, "server": 1, "phase": "apply", "class": "mutating"}},
-    {"write":   {"writer": 1, "value": 202}},
-    {"clear":   {}},
-    {"release": {"client": 0}},
-    {"hold":    {"server": 2, "phase": "respond", "class": "read"}},
-    {"read":    {"reader": 0}}
-  ]
-}`
 
 func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	targets := []struct {
-		kind     string
-		violated bool
-	}{
-		{"naive", true},    // 3 plain registers: below the kf+f+1 bound
-		{"abd-max", false}, // 3 max-registers: Table 1 optimum
-		{"abd-cas", false}, // 3 CAS cells: Table 1 optimum
-	}
 	fmt.Println("one schedule, three base-object types (Lemma 4's run):")
-	for _, target := range targets {
-		doc := strings.ReplaceAll(attackTemplate, "%KIND%", target.kind)
-		doc = strings.ReplaceAll(doc, "%VIOLATED%", fmt.Sprintf("%v", target.violated))
-		s, err := scenario.Load(strings.NewReader(doc))
+	for _, kind := range []runner.Kind{
+		runner.KindNaive,  // 3 plain registers: below the kf+f+1 bound
+		runner.KindABDMax, // 3 max-registers: Table 1 optimum
+		runner.KindCASMax, // 3 CAS cells: Table 1 optimum
+	} {
+		doc, err := json.MarshalIndent(runner.StaleReleaseScript(kind, 1), "", "  ")
 		if err != nil {
-			log.Fatalf("%s: load: %v", target.kind, err)
+			log.Fatalf("%s: marshal: %v", kind, err)
 		}
-		res, err := s.Run(ctx)
+		if kind == runner.KindNaive {
+			fmt.Printf("%s\n", doc)
+		}
+		s, err := runner.LoadScript(bytes.NewReader(doc))
 		if err != nil {
-			log.Fatalf("%s: run: %v", target.kind, err)
+			log.Fatalf("%s: load: %v", kind, err)
+		}
+		res, err := runner.RunScript(ctx, s)
+		if err != nil {
+			log.Fatalf("%s: run: %v", kind, err)
 		}
 		status := "SAFE     (read the fresh value)"
-		if res.WSSafety != nil {
+		if res.Checks.WSSafety != nil {
 			status = "VIOLATED (read the stale value)"
 		}
-		fmt.Printf("  %-8s read=%v  %s  expectations met: %v\n",
-			target.kind, res.Reads, status, res.ExpectationsMet)
-		if !res.ExpectationsMet {
-			log.Fatalf("%s: unexpected outcome: %v", target.kind, res.Failures)
+		fmt.Printf("  %-8s read=%v  %s  expectations met: %v\n", kind, res.Reads, status, res.Met())
+		if !res.Met() {
+			log.Fatalf("%s: unexpected outcome: %v", kind, res.Failures)
 		}
 	}
 	fmt.Println("\nthe released covering write overwrites a plain register but cannot")

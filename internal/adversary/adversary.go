@@ -9,9 +9,11 @@
 //     size grows by f per completed write — Lemma 1(a) — while
 //     delta(Cov) ∩ F = ∅ — Lemma 1(b).
 //
-//   - Script is a mutable rule-based gate used by the stale-release attack
-//     (experiment E6) to drive the exact run of Lemma 4 / Figure 2 against
-//     a chosen construction.
+//   - Script is a mutable rule-based gate. runner.RunScript compiles a
+//     scripted run's armed holds into its two rules — so the Lemma 4 /
+//     Figure 2 run (experiment E6), the exhaustive schedule class (E13) and
+//     the JSON scripts all ride it — and the Theorem 5 partition swaps two
+//     rules between its write and its read.
 //
 // Gates make identity-based decisions only (client, server, object, op),
 // so experiments are deterministic.

@@ -105,20 +105,25 @@ func (c *Chaos) Holds() int {
 // released. It also reconciles the budget books against the fabric: ops a
 // reconfiguration drained out from under the gate (completed with
 // ErrViewChanged, no longer pending) are forgotten so they stop consuming
-// their writer's hold budget.
+// their writer's hold budget. Only holds booked before the snapshot can be
+// forgotten: a store may trigger from a completion on a lane goroutine
+// meanwhile, and a hold granted after the snapshot is still parked.
 func (c *Chaos) ReleaseSome(fab *fabric.Fabric, p float64) int {
-	pending := fab.Pending()
-	live := make(map[uint64]struct{}, len(pending))
-	for _, op := range pending {
-		live[op.Event.Token] = struct{}{}
-	}
 	c.mu.Lock()
-	for _, held := range c.outstanding {
+	gone := make(map[uint64]types.ClientID)
+	for client, held := range c.outstanding {
 		for tok := range held {
-			if _, ok := live[tok]; !ok {
-				delete(held, tok)
-			}
+			gone[tok] = client
 		}
+	}
+	c.mu.Unlock()
+	pending := fab.Pending()
+	c.mu.Lock()
+	for _, op := range pending {
+		delete(gone, op.Event.Token)
+	}
+	for tok, client := range gone {
+		delete(c.outstanding[client], tok)
 	}
 	var victims []fabric.PendingOp
 	for _, op := range pending {

@@ -35,8 +35,28 @@ type store struct {
 	regs   []types.ObjectID // regs[i] is writable only by writer i
 	scan   []rounds.Target  // read targets for all k registers, precomputed
 
-	mu   sync.Mutex
-	last map[types.ClientID]types.TSValue // client-side write-max floor
+	mu    sync.Mutex
+	cells []cell // cells[i] is writer i's side of regs[i]
+}
+
+// cell is one writer's side of its register on the server. A plain register
+// overwrites, so two writes of one writer in flight on it could land out of
+// order and the older erase the newer (a write held before it took effect
+// and released after the writer's next write completed). So at most one is
+// in flight: a write-max arriving meanwhile waits, the waiting ones are
+// coalesced into one write of their largest value, and each reports once a
+// write carrying a value no smaller than its own has landed.
+type cell struct {
+	last    types.TSValue // the largest value landed: the write-max floor
+	busy    bool          // a write is in flight
+	waiting []writeMax
+}
+
+// writeMax is a write-max waiting for the cell.
+type writeMax struct {
+	ctx    context.Context
+	v      types.TSValue
+	report func(types.TSValue, error)
 }
 
 // Compile-time interface compliance checks.
@@ -53,7 +73,7 @@ func place(fab *fabric.Fabric, k int, server types.ServerID) (abdcore.MaxStore, 
 		fab:    fab,
 		server: server,
 		regs:   make([]types.ObjectID, 0, k),
-		last:   make(map[types.ClientID]types.TSValue, k),
+		cells:  make([]cell, k),
 	}
 	for w := 0; w < k; w++ {
 		obj, err := fab.Cluster().PlaceRegister(server, baseobj.WithWriters([]types.ClientID{types.ClientID(w)}))
@@ -73,33 +93,78 @@ func (s *store) Server() types.ServerID { return s.server }
 func (s *store) Objects() []types.ObjectID { return s.regs }
 
 // StartWriteMax implements abdcore.WriteStarter: writer i writes its own base
-// register, skipping values no larger than what it already wrote there
-// (which makes the cell monotone, i.e. a genuine single-writer max).
-func (s *store) StartWriteMax(_ context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
+// register, skipping values no larger than what already landed there (which
+// makes the cell monotone, i.e. a genuine single-writer max) at once, and a
+// newer value waits while an earlier write of its is in flight there.
+func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
 	if int(client) < 0 || int(client) >= len(s.regs) {
 		report(types.ZeroTSValue, fmt.Errorf("aacmax: client %d is not a writer (k=%d)", client, len(s.regs)))
 		return
 	}
 	s.mu.Lock()
-	prev := s.last[client]
+	c := &s.cells[client]
+	if last := c.last; !last.Less(v) {
+		s.mu.Unlock()
+		report(last, nil)
+		return
+	}
+	c.waiting = append(c.waiting, writeMax{ctx, v, report})
 	s.mu.Unlock()
-	if !prev.Less(v) {
-		report(prev, nil)
+	s.next(client)
+}
+
+// next serves client's waiting write-maxes unless a write of its is in
+// flight: those the landed value satisfies report it, those whose context
+// ended fail, and the rest go out as one write of their largest value, whose
+// completion serves whoever waited meanwhile.
+func (s *store) next(client types.ClientID) {
+	s.mu.Lock()
+	c := &s.cells[client]
+	if c.busy {
+		s.mu.Unlock()
+		return
+	}
+	var v types.TSValue
+	var done []writeMax
+	rest := c.waiting[:0]
+	for _, w := range c.waiting {
+		if c.last.Less(w.v) && w.ctx.Err() == nil {
+			rest = append(rest, w)
+			if v.Less(w.v) {
+				v = w.v
+			}
+		} else {
+			done = append(done, w)
+		}
+	}
+	last := c.last
+	c.waiting, c.busy = nil, len(rest) > 0
+	s.mu.Unlock()
+	for _, w := range done {
+		if last.Less(w.v) {
+			w.report(types.ZeroTSValue, w.ctx.Err())
+		} else {
+			w.report(last, nil)
+		}
+	}
+	if len(rest) == 0 {
 		return
 	}
 	s.fab.TriggerFn(client, s.regs[client], baseobj.Invocation{Op: baseobj.OpWrite, Arg: v}, func(o fabric.Outcome) {
-		if o.Err == nil {
+		s.mu.Lock()
+		if o.Err == nil && c.last.Less(v) {
 			// The floor advances only once the write took effect: advancing
 			// it at trigger time would make a retried round (after a
 			// view-change completion, which guarantees the write never
 			// applied) skip the register and report success for a lost write.
-			s.mu.Lock()
-			if s.last[client].Less(v) {
-				s.last[client] = v
-			}
-			s.mu.Unlock()
+			c.last = v
 		}
-		report(o.Resp.Val, o.Err)
+		c.busy = false
+		s.mu.Unlock()
+		for _, w := range rest {
+			w.report(o.Resp.Val, o.Err)
+		}
+		s.next(client)
 	})
 }
 
@@ -126,8 +191,8 @@ func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
 		return err
 	}
 	s.mu.Lock()
-	if s.last[m.Writer].Less(m) {
-		s.last[m.Writer] = m
+	if c := &s.cells[m.Writer]; c.last.Less(m) {
+		c.last = m
 	}
 	s.mu.Unlock()
 	return nil

@@ -77,10 +77,11 @@ type Writer interface {
 	// complete (e.g. too many servers crashed for the failure threshold) and
 	// was abandoned: it starts no further round and stays pending in the
 	// history, like the paper's incomplete high-level ops. A round triggers
-	// in one batch, so nothing follows the return — except on a construction
-	// whose round is one loop per store (abd-cas's Algorithm 1): a store that
-	// checked ctx just before the abandonment still triggers the step it was
-	// about to, at most one per store (ROADMAP item 1(b)).
+	// in one batch, so nothing follows the return — except where a store
+	// takes its step later: abd-cas's Algorithm 1 loop, and an aac-max push
+	// waiting behind the writer's own earlier write on that server. A store
+	// that checked ctx just before the abandonment still triggers the step it
+	// was about to, at most one per store (ROADMAP item 1(b)).
 	Write(ctx context.Context, v types.Value) error
 	// StartWrite is the completion-based write: it triggers the high-level
 	// write and returns immediately; done fires exactly once when (and if)

@@ -4,10 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/adversary"
-	"repro/internal/emulation"
-	"repro/internal/fabric"
-	"repro/internal/spec"
 	"repro/internal/types"
 )
 
@@ -37,8 +33,11 @@ type AttackReport struct {
 // Violated reports whether the attack broke the construction.
 func (r *AttackReport) Violated() bool { return r.SafetyViolation != nil }
 
-// RunStaleReleaseAttack drives the adversarial schedule of Lemma 4 against
-// the chosen construction on n = 2f+1 servers with k = 2 writers:
+// The stale-release attack's two written values.
+const attackV1, attackV2 = 101, 202
+
+// StaleReleaseScript is the adversarial schedule of Lemma 4 against kind on
+// n = 2f+1 servers with k = 2 writers:
 //
 //  1. Writer 0 writes v1; its mutating op on server 0 is held before taking
 //     effect. The write still completes from the other 2f servers.
@@ -51,77 +50,49 @@ func (r *AttackReport) Violated() bool { return r.SafetyViolation != nil }
 //     holders of v2 for the naive construction) are delayed, so its quorum
 //     is servers 0..f.
 //
-// For KindNaive the read returns the stale v1 and WS-Safety is violated;
-// for KindABDMax and KindCASMax the identical schedule is harmless.
+// Only KindNaive is expected to violate WS-Safety.
+func StaleReleaseScript(kind Kind, f int) *Script {
+	writer0 := 0
+	s := &Script{
+		Name: "stale-release-" + string(kind), Kind: kind, K: 2, F: f, N: 2*f + 1,
+		ExpectSafetyViolation: kind == KindNaive,
+		Steps:                 []Step{holdWrites(0, 0, 0), writeStep(0, attackV1), clearStep},
+	}
+	for srv := 1; srv <= f; srv++ {
+		s.Steps = append(s.Steps, holdWrites(1, srv, 0))
+	}
+	s.Steps = append(s.Steps, writeStep(1, attackV2), clearStep, Step{Release: &ReleaseStep{Client: &writer0}})
+	for srv := f + 1; srv <= 2*f; srv++ {
+		s.Steps = append(s.Steps, delayReads(srv))
+	}
+	s.Steps = append(s.Steps, readStep)
+	return s
+}
+
+// RunStaleReleaseAttack runs StaleReleaseScript(kind, f). For KindNaive the
+// read returns the stale v1 and WS-Safety is violated; for KindABDMax and
+// KindCASMax the identical schedule is harmless.
 func RunStaleReleaseAttack(ctx context.Context, kind Kind, f int) (*AttackReport, error) {
 	switch kind {
 	case KindNaive, KindABDMax, KindCASMax:
 	default:
 		return nil, fmt.Errorf("runner: stale-release attack targets per-server single-object constructions, not %q", kind)
 	}
-	n := 2*f + 1
-	script := adversary.NewScript()
-	env, err := NewEnv(n, script)
+	s := StaleReleaseScript(kind, f)
+	res, err := RunScript(ctx, s)
 	if err != nil {
 		return nil, err
 	}
-	reg, hist, err := Build(kind, env.Fabric, 2, f)
-	if err != nil {
-		return nil, err
-	}
-	w0, err := reg.Writer(0)
-	if err != nil {
-		return nil, err
-	}
-	w1, err := reg.Writer(1)
-	if err != nil {
-		return nil, err
-	}
-	const v1, v2 = types.Value(101), types.Value(202)
-
-	// Step 1: hold writer 0's mutating op on server 0 before it applies.
-	script.SetApplyRule(func(ev fabric.TriggerEvent) bool {
-		return ev.Client == 0 && ev.Server == 0 && adversary.IsMutating(ev.Inv)
-	})
-	if err := w0.Write(ctx, v1); err != nil {
-		return nil, ctxErr(ctx, "attack write 1", err)
-	}
-
-	// Step 2: hold writer 1's mutating ops on servers 1..f.
-	script.SetApplyRule(func(ev fabric.TriggerEvent) bool {
-		return ev.Client == 1 && int(ev.Server) >= 1 && int(ev.Server) <= f && adversary.IsMutating(ev.Inv)
-	})
-	if err := w1.Write(ctx, v2); err != nil {
-		return nil, ctxErr(ctx, "attack write 2", err)
-	}
-	script.SetApplyRule(nil)
-
-	// Step 3: release writer 0's covering write — it takes effect NOW.
-	released := env.Fabric.ReleaseWhere(func(op fabric.PendingOp) bool {
-		return op.Event.Client == 0 && op.Phase == fabric.PhaseApply
-	})
-
-	// Step 4: delay read responses from servers f+1..2f so the reader's
-	// quorum is exactly servers 0..f.
-	script.SetRespondRule(func(ev fabric.TriggerEvent) bool {
-		return ev.Client >= emulation.ReaderIDBase && int(ev.Server) > f
-	})
-	got, err := reg.NewReader().Read(ctx)
-	if err != nil {
-		return nil, ctxErr(ctx, "attack read", err)
-	}
-	script.SetRespondRule(nil)
-
 	return &AttackReport{
 		Kind:            kind,
 		F:               f,
-		N:               n,
-		FirstValue:      v1,
-		SecondValue:     v2,
-		ReadValue:       got,
-		WantValue:       v2,
-		ReleasedOps:     released,
-		SafetyViolation: spec.CheckWSSafety(hist.Snapshot(), types.InitialValue),
+		N:               s.N,
+		FirstValue:      attackV1,
+		SecondValue:     attackV2,
+		ReadValue:       res.Reads[0],
+		WantValue:       attackV2,
+		ReleasedOps:     res.Released,
+		SafetyViolation: res.Checks.WSSafety,
 	}, nil
 }
 

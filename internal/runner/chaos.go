@@ -12,7 +12,6 @@ import (
 	"repro/internal/seed"
 	"repro/internal/spec"
 	"repro/internal/types"
-	"repro/internal/workload"
 )
 
 // Lane selects the fabric dispatch backend of a chaos run.
@@ -192,7 +191,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		crasher = &transitionCrasher{env: env, f: cfg.F, gate: gate}
 		crasher.install()
 	}
-	values := workload.NewValueGen()
+	values := NewValueGen()
 	readers := []emulation.Reader{reg.NewReader(), reg.NewReader()}
 	rep := &ChaosReport{Cfg: cfg}
 	for op := 0; op < cfg.Ops; op++ {

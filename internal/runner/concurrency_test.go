@@ -11,7 +11,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
-	"repro/internal/workload"
 )
 
 // TestAllKindsConcurrentStress hammers every construction with k concurrent
@@ -45,7 +44,7 @@ func TestAllKindsConcurrentStress(t *testing.T) {
 			}
 			var wg sync.WaitGroup
 			errs := make(chan error, writers+readers)
-			values := workload.NewValueGen()
+			values := NewValueGen()
 			for i := 0; i < writers; i++ {
 				w, err := reg.Writer(i)
 				if err != nil {
@@ -125,7 +124,7 @@ func TestConcurrentWritersLinearizable(t *testing.T) {
 			}
 			var wg sync.WaitGroup
 			errs := make(chan error, writers+readers)
-			values := workload.NewValueGen()
+			values := NewValueGen()
 			for i := 0; i < writers; i++ {
 				w, err := reg.Writer(i)
 				if err != nil {
@@ -216,7 +215,7 @@ func TestWriteSequentialWithConcurrentReaders(t *testing.T) {
 					}
 				}(rd)
 			}
-			values := workload.NewValueGen()
+			values := NewValueGen()
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

@@ -7,7 +7,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/bounds"
 	"repro/internal/types"
-	"repro/internal/workload"
 )
 
 // CoveringReport is the outcome of the Lemma 1 covering experiment
@@ -66,7 +65,7 @@ func RunCovering(ctx context.Context, kind Kind, k, f, n int) (*CoveringReport, 
 		return nil, err
 	}
 
-	values := workload.NewValueGen()
+	values := NewValueGen()
 	var last types.Value
 	for i := 0; i < k; i++ {
 		w, err := reg.Writer(i)

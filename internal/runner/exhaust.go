@@ -6,14 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 	"time"
-
-	"repro/internal/adversary"
-	"repro/internal/emulation"
-	"repro/internal/fabric"
-	"repro/internal/spec"
-	"repro/internal/types"
 )
 
 // This file implements a bounded exhaustive search over the f-bounded
@@ -201,11 +194,11 @@ func RunExhaustiveOpts(ctx context.Context, kind Kind, opts ExhaustOptions) (*Ex
 	workers := min(DefaultWorkers(opts.Workers), len(schedules))
 	violated, elapsed, err := Sweep(ctx, workers, len(schedules),
 		func(ctx context.Context, _, job int) (bool, error) {
-			v, err := runOneSchedule(ctx, kind, f, n, schedules[job])
+			res, err := RunScript(ctx, &Script{Kind: kind, K: 2, F: f, N: n, Steps: schedules[job].steps(n)})
 			if err != nil {
 				return false, fmt.Errorf("runner: exhaustive %s schedule {%s}: %w", kind, schedules[job], err)
 			}
-			return v, nil
+			return res.Checks.WSSafety != nil, nil
 		})
 	if err != nil {
 		return nil, err
@@ -229,111 +222,41 @@ func RunExhaustiveOpts(ctx context.Context, kind Kind, opts ExhaustOptions) (*Ex
 	return rep, nil
 }
 
-// runOneSchedule executes a single schedule and reports whether WS-Safety
-// was violated.
-func runOneSchedule(ctx context.Context, kind Kind, f, n int, s exhaustSchedule) (bool, error) {
-	script := adversary.NewScript()
-	env, err := NewEnv(n, script)
-	if err != nil {
-		return false, err
-	}
-	reg, hist, err := Build(kind, env.Fabric, 2, f)
-	if err != nil {
-		return false, err
-	}
-	w0, err := reg.Writer(0)
-	if err != nil {
-		return false, err
-	}
-	w1, err := reg.Writer(1)
-	if err != nil {
-		return false, err
-	}
-
-	// armHolds installs the covering rule for one writer: hold the first
-	// mutating op on each scheduled server (Lemma 1 covers each register
-	// at most once, so subsequent ops on a held server pass).
-	armHolds := func(client types.ClientID, servers []int) {
-		if len(servers) == 0 {
-			return
+// steps is the schedule as a script for n servers: one count-1 mutating
+// hold per held server (Lemma 1 covers each register at most once, so later
+// ops on a held server pass), the releases in the canonical server order —
+// releases on distinct objects commute, so a fixed order loses nothing; on a
+// server where both writers release, w1First picks which stale write lands
+// first — and the read under respond holds on its delayed servers.
+func (s exhaustSchedule) steps(n int) []Step {
+	var steps []Step
+	for w, v := range [2]int64{attackV1, attackV2} {
+		for _, srv := range s.holds[w] {
+			steps = append(steps, holdWrites(w, srv, 1))
 		}
-		want := make(map[int]bool, len(servers))
-		for _, srv := range servers {
-			want[srv] = true
-		}
-		var mu sync.Mutex
-		held := make(map[int]bool, len(servers))
-		script.SetApplyRule(func(ev fabric.TriggerEvent) bool {
-			if ev.Client != client || !want[int(ev.Server)] || !adversary.IsMutating(ev.Inv) {
-				return false
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if held[int(ev.Server)] {
-				return false
-			}
-			held[int(ev.Server)] = true
-			return true
-		})
+		steps = append(steps, writeStep(w, v), clearStep)
 	}
-
-	// Phases 0-1: the two writes, each under its covering holds.
-	armHolds(0, s.holds[0])
-	if err := w0.Write(ctx, 101); err != nil {
-		return false, fmt.Errorf("write 1: %w", err)
-	}
-	script.SetApplyRule(nil)
-	armHolds(1, s.holds[1])
-	if err := w1.Write(ctx, 202); err != nil {
-		return false, fmt.Errorf("write 2: %w", err)
-	}
-	script.SetApplyRule(nil)
-
-	// Phase 2: releases. Releases on distinct objects commute, so a fixed
-	// server order loses nothing; on servers where both writers release,
-	// w1First picks which stale write lands first.
-	release := func(client types.ClientID, server int) {
-		env.Fabric.ReleaseWhere(func(op fabric.PendingOp) bool {
-			return op.Event.Client == client && int(op.Event.Server) == server && op.Phase == fabric.PhaseApply
-		})
-	}
-	w1First := make(map[int]bool, len(s.w1First))
-	for _, srv := range s.w1First {
-		w1First[srv] = true
+	release := func(client, server int) {
+		steps = append(steps, Step{Release: &ReleaseStep{Client: &client, Server: &server}})
 	}
 	for srv := 0; srv < n; srv++ {
 		in0 := slices.Contains(s.releases[0], srv)
 		in1 := slices.Contains(s.releases[1], srv)
 		switch {
+		case in0 && in1 && slices.Contains(s.w1First, srv):
+			release(1, srv)
+			release(0, srv)
 		case in0 && in1:
-			if w1First[srv] {
-				release(1, srv)
-				release(0, srv)
-			} else {
-				release(0, srv)
-				release(1, srv)
-			}
+			release(0, srv)
+			release(1, srv)
 		case in0:
 			release(0, srv)
 		case in1:
 			release(1, srv)
 		}
 	}
-
-	// Phase 3: read with up to f servers' responses to the reader delayed.
-	if len(s.delayRead) > 0 {
-		delayed := make(map[int]bool, len(s.delayRead))
-		for _, srv := range s.delayRead {
-			delayed[srv] = true
-		}
-		script.SetRespondRule(func(ev fabric.TriggerEvent) bool {
-			return ev.Client >= emulation.ReaderIDBase && delayed[int(ev.Server)]
-		})
+	for _, srv := range s.delayRead {
+		steps = append(steps, delayReads(srv))
 	}
-	if _, err := reg.NewReader().Read(ctx); err != nil {
-		return false, fmt.Errorf("read: %w", err)
-	}
-	script.SetRespondRule(nil)
-
-	return spec.CheckWSSafety(hist.Snapshot(), types.InitialValue) != nil, nil
+	return append(steps, readStep)
 }

@@ -133,6 +133,24 @@ func TestExhaustiveFindsNaiveViolation(t *testing.T) {
 		rep.Violations, rep.Schedules, rep.FirstViolation)
 }
 
+// TestExhaustiveNaiveF1Pinned pins the f=1 sweep against its recorded
+// table, not only against itself run in parallel: the naive baseline is
+// violated by exactly these schedules of the 208, and the first of them is
+// Lemma 4's run.
+func TestExhaustiveNaiveF1Pinned(t *testing.T) {
+	rep, err := RunExhaustive(testCtx(t), KindNaive)
+	if err != nil {
+		t.Fatalf("RunExhaustive: %v", err)
+	}
+	want := []int{60, 63, 78, 100, 103, 137, 162, 177}
+	if rep.Schedules != 208 || !slices.Equal(rep.ViolationIndices, want) {
+		t.Errorf("naive violates %v of %d schedules, want %v of 208", rep.ViolationIndices, rep.Schedules, want)
+	}
+	if first := "hold0=s0 hold1=s1 rel0=s0 rel1=- w1first=- delayRead=-"; rep.FirstViolation != first {
+		t.Errorf("first violation %q, want %q", rep.FirstViolation, first)
+	}
+}
+
 // TestExhaustiveF2 is the grown sweep: the complete f=2 class (48256
 // schedules on n=5, two covering holds per write, subset releases with
 // per-collision orders, two delayed read servers) — Algorithm 2 must defeat

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/types"
-	"repro/internal/workload"
 )
 
 // TestReconfigureMidFlightAllKinds replaces every server of every
@@ -39,7 +38,7 @@ func TestReconfigureMidFlightAllKinds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			values := workload.NewValueGen()
+			values := NewValueGen()
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

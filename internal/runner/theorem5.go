@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/adversary"
 	"repro/internal/baseobj"
 	"repro/internal/emulation"
 	"repro/internal/emulation/rounds"
@@ -38,7 +39,13 @@ func RunTheorem5(ctx context.Context, f int) (*Theorem5Report, error) {
 		return nil, fmt.Errorf("runner: theorem5 needs f > 0")
 	}
 	n := 2 * f
-	script := newHalfGate(f)
+	// The partition is two rules swapped between the phases: during the
+	// write the writer's low-level writes on the upper half (servers
+	// f..2f-1) are held before taking effect, so those servers never learn
+	// the value; during the read the responses from the lower half are
+	// delayed, so its quorum is exactly the uninformed upper half.
+	script := adversary.NewScript()
+	script.SetApplyRule(func(ev fabric.TriggerEvent) bool { return ev.Inv.Op.IsWrite() && int(ev.Server) >= f })
 	env, err := NewEnv(n, script)
 	if err != nil {
 		return nil, err
@@ -93,7 +100,8 @@ func RunTheorem5(ctx context.Context, f int) (*Theorem5Report, error) {
 	// The read: collect from all, wait for n-f = f responses. The gate
 	// now holds responses from the first half, so the read sees only the
 	// second half — which the write never reached.
-	script.flip()
+	script.SetApplyRule(nil)
+	script.SetRespondRule(func(ev fabric.TriggerEvent) bool { return !ev.Inv.Op.IsWrite() && int(ev.Server) < f })
 	pr := hist.BeginRead(emulation.ReaderIDBase)
 	max, err := quorumMax("theorem5 read", emulation.ReaderIDBase, baseobj.Invocation{Op: baseobj.OpRead})
 	if err != nil {
@@ -108,55 +116,4 @@ func RunTheorem5(ctx context.Context, f int) (*Theorem5Report, error) {
 		ReadValue:       max.Val,
 		SafetyViolation: spec.CheckWSSafety(hist.Snapshot(), types.InitialValue),
 	}, nil
-}
-
-// halfGate drives the partition: during the write phase the writer's
-// low-level writes on the upper half (servers f..2f-1) are held before
-// taking effect (those servers never learn the value); during the read
-// phase the reader's responses from the lower half are delayed, so its
-// quorum is exactly the uninformed upper half.
-type halfGate struct {
-	f    int
-	mode chan int // capacity 1, holds the current phase (0 write, 1 read)
-}
-
-// Compile-time interface compliance check.
-var _ fabric.Gate = (*halfGate)(nil)
-
-// newHalfGate starts in the write phase.
-func newHalfGate(f int) *halfGate {
-	g := &halfGate{f: f, mode: make(chan int, 1)}
-	g.mode <- 0
-	return g
-}
-
-// phase reads the current phase without consuming it.
-func (g *halfGate) phase() int {
-	m := <-g.mode
-	g.mode <- m
-	return m
-}
-
-// flip switches to the read phase.
-func (g *halfGate) flip() {
-	<-g.mode
-	g.mode <- 1
-}
-
-// BeforeApply implements fabric.Gate: in the write phase, writes on the
-// upper half never take effect.
-func (g *halfGate) BeforeApply(ev fabric.TriggerEvent) fabric.Decision {
-	if g.phase() == 0 && ev.Inv.Op.IsWrite() && int(ev.Server) >= g.f {
-		return fabric.Hold
-	}
-	return fabric.Pass
-}
-
-// BeforeRespond implements fabric.Gate: in the read phase, responses from
-// the lower half are delayed.
-func (g *halfGate) BeforeRespond(ev fabric.TriggerEvent, _ baseobj.Response) fabric.Decision {
-	if g.phase() == 1 && !ev.Inv.Op.IsWrite() && int(ev.Server) < g.f {
-		return fabric.Hold
-	}
-	return fabric.Pass
 }

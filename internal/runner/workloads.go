@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/emulation"
 	"repro/internal/fabric"
-	"repro/internal/faults"
 	"repro/internal/spec"
 	"repro/internal/types"
-	"repro/internal/workload"
 )
 
 // BuildAtomic builds the max-register, CAS, or coded construction with read
@@ -26,66 +24,26 @@ func BuildAtomic(kind Kind, fab *fabric.Fabric, k, f int) (emulation.Register, *
 	}
 }
 
-// WorkloadReport is the outcome of a scripted workload run.
-type WorkloadReport struct {
-	Kind    Kind
-	K, F, N int
-	Writes  int
-	Reads   int
-	Crashes int
-	Checks  CheckResult
+// ValueGen hands out cluster-unique write values (the checkers require
+// them). Values encode the writer in the high bits and a per-writer sequence
+// number in the low bits, so two clients can never collide.
+type ValueGen struct {
+	mu   sync.Mutex
+	next map[types.ClientID]int64
 }
 
-// RunSequential executes a step schedule one operation at a time (so the
-// run is trivially write-sequential), injecting crashes from the optional
-// plan, and checks the history.
-func RunSequential(ctx context.Context, kind Kind, k, f, n int, steps []workload.Step, crashes *faults.Plan) (*WorkloadReport, error) {
-	env, err := NewEnv(n, nil)
-	if err != nil {
-		return nil, err
-	}
-	reg, hist, err := Build(kind, env.Fabric, k, f)
-	if err != nil {
-		return nil, err
-	}
-	if crashes != nil {
-		if err := crashes.Validate(f, n); err != nil {
-			return nil, err
-		}
-	}
-	values := workload.NewValueGen()
-	readers := make(map[int]emulation.Reader)
-	rep := &WorkloadReport{Kind: kind, K: k, F: f, N: n}
-	for i, step := range steps {
-		if crashes != nil {
-			if _, err := crashes.Step(env.Fabric, i); err != nil {
-				return nil, err
-			}
-		}
-		if step.IsRead {
-			rd, ok := readers[step.Client]
-			if !ok {
-				rd = reg.NewReader()
-				readers[step.Client] = rd
-			}
-			if _, err := rd.Read(ctx); err != nil {
-				return nil, ctxErr(ctx, fmt.Sprintf("sequential step %d read", i), err)
-			}
-			rep.Reads++
-		} else {
-			w, err := reg.Writer(step.Client)
-			if err != nil {
-				return nil, err
-			}
-			if err := w.Write(ctx, values.Next(types.ClientID(step.Client))); err != nil {
-				return nil, ctxErr(ctx, fmt.Sprintf("sequential step %d write", i), err)
-			}
-			rep.Writes++
-		}
-	}
-	rep.Crashes = env.Cluster.Crashes()
-	rep.Checks = Check(hist)
-	return rep, nil
+// NewValueGen creates a generator.
+func NewValueGen() *ValueGen {
+	return &ValueGen{next: make(map[types.ClientID]int64)}
+}
+
+// Next returns a fresh unique value for the given client.
+func (g *ValueGen) Next(client types.ClientID) types.Value {
+	g.mu.Lock()
+	g.next[client]++
+	seq := g.next[client]
+	g.mu.Unlock()
+	return types.Value((int64(client)+1)<<32 | seq)
 }
 
 // ConcurrentReport is the outcome of a concurrent stress run.
@@ -137,7 +95,7 @@ func RunConcurrent(ctx context.Context, cfg ConcurrentConfig) (*ConcurrentReport
 	if err != nil {
 		return nil, err
 	}
-	values := workload.NewValueGen()
+	values := NewValueGen()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, cfg.K+cfg.Readers)

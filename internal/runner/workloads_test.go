@@ -3,15 +3,16 @@ package runner
 import (
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/emulation"
 	"repro/internal/fabric"
-	"repro/internal/faults"
 	"repro/internal/spec"
 	"repro/internal/types"
-	"repro/internal/workload"
 )
 
+// A sequential run is a script of writes and reads, one step at a time:
+// every construction keeps WS-Safety and WS-Regularity on one.
 func TestRunSequentialAllKinds(t *testing.T) {
 	ctx := testCtx(t)
 	for _, kind := range Kinds() {
@@ -21,46 +22,52 @@ func TestRunSequentialAllKinds(t *testing.T) {
 			if kind == KindAACMax || kind == KindNaive || kind == KindABDMax || kind == KindCASMax {
 				n = 3 // the 2f+1 constructions default to servers 0..2f
 			}
-			steps := workload.Sequential(k, true)
-			rep, err := RunSequential(ctx, kind, k, f, n, steps, nil)
+			s := &Script{Kind: kind, K: k, F: f, N: n}
+			for i := 0; i < k; i++ {
+				s.Steps = append(s.Steps, writeStep(i, int64(100+i)), readStep)
+			}
+			res, err := RunScript(ctx, s)
 			if err != nil {
-				t.Fatalf("RunSequential: %v", err)
+				t.Fatalf("RunScript: %v", err)
 			}
-			if rep.Writes != k || rep.Reads != k {
-				t.Errorf("writes/reads = %d/%d, want %d/%d", rep.Writes, rep.Reads, k, k)
+			if len(res.Reads) != k || res.Reads[k-1] != types.Value(100+k-1) {
+				t.Errorf("reads = %v, want %d ending in the last write", res.Reads, k)
 			}
-			if !rep.Checks.OK() {
-				t.Errorf("checks failed: safety=%v regularity=%v", rep.Checks.WSSafety, rep.Checks.WSRegularity)
+			if !res.Checks.OK() {
+				t.Errorf("checks failed: safety=%v regularity=%v", res.Checks.WSSafety, res.Checks.WSRegularity)
 			}
 		})
 	}
 }
 
+// A crash plan is a script with crash steps: Algorithm 2 at f=2 loses two
+// servers mid-run, between round-robin writes by three writers, and stays
+// WS-Safe and WS-Regular.
 func TestRunSequentialWithCrashes(t *testing.T) {
-	ctx := testCtx(t)
-	steps := workload.RoundRobinWrites(3, 3)
-	// Interleave reads.
-	var all []workload.Step
-	for _, s := range steps {
-		all = append(all, s, workload.Step{Client: 0, IsRead: true})
+	s := &Script{Kind: KindRegEmu, K: 3, F: 2, N: 6}
+	for op := 0; op < 9; op++ {
+		switch op {
+		case 2:
+			s.Steps = append(s.Steps, Step{Crash: &CrashStep{Server: 0}})
+		case 5:
+			s.Steps = append(s.Steps, Step{Crash: &CrashStep{Server: 3}})
+		}
+		s.Steps = append(s.Steps, writeStep(op%3, int64(100+op)), readStep)
 	}
-	plan := faults.NewPlan(faults.Crash{AfterOp: 4, Server: 0}, faults.Crash{AfterOp: 10, Server: 3})
-	rep, err := RunSequential(ctx, KindRegEmu, 3, 2, 6, all, plan)
+	res, err := RunScript(testCtx(t), s)
 	if err != nil {
-		t.Fatalf("RunSequential with crashes: %v", err)
+		t.Fatalf("RunScript with crashes: %v", err)
 	}
-	if rep.Crashes != 2 {
-		t.Errorf("crashes = %d, want 2", rep.Crashes)
-	}
-	if !rep.Checks.OK() {
-		t.Errorf("checks failed after crashes: %+v", rep.Checks)
+	if !res.Met() || !res.Checks.OK() {
+		t.Errorf("checks failed after crashes: %v %+v", res.Failures, res.Checks)
 	}
 }
 
 func TestRunSequentialRejectsOverbudgetCrashPlan(t *testing.T) {
-	ctx := testCtx(t)
-	plan := faults.NewPlan(faults.Crash{AfterOp: 0, Server: 0}, faults.Crash{AfterOp: 1, Server: 1})
-	if _, err := RunSequential(ctx, KindRegEmu, 2, 1, 3, workload.Sequential(2, false), plan); err == nil {
+	s := &Script{Kind: KindRegEmu, K: 2, F: 1, N: 3, Steps: []Step{
+		{Crash: &CrashStep{Server: 0}}, writeStep(0, 1), {Crash: &CrashStep{Server: 1}}, writeStep(1, 2),
+	}}
+	if _, err := RunScript(testCtx(t), s); err == nil {
 		t.Fatal("crash plan beyond f accepted")
 	}
 }
@@ -177,7 +184,7 @@ func TestAllKindsUnderResponseLatency(t *testing.T) {
 			}
 			var wg sync.WaitGroup
 			errs := make(chan error, 5)
-			values := workload.NewValueGen()
+			values := NewValueGen()
 			for i := 0; i < 3; i++ {
 				w, err := reg.Writer(i)
 				if err != nil {
@@ -216,5 +223,39 @@ func TestAllKindsUnderResponseLatency(t *testing.T) {
 				t.Fatalf("read validity: %v", err)
 			}
 		})
+	}
+}
+
+func TestValueGenUnique(t *testing.T) {
+	g := NewValueGen()
+	seen := make(map[types.Value]bool)
+	for c := 0; c < 5; c++ {
+		for i := 0; i < 100; i++ {
+			v := g.Next(types.ClientID(c))
+			if seen[v] {
+				t.Fatalf("duplicate value %d", v)
+			}
+			seen[v] = true
+		}
+	}
+}
+
+func TestValueGenUniqueProperty(t *testing.T) {
+	// Values from different clients never collide, regardless of call
+	// interleaving.
+	err := quick.Check(func(calls []uint8) bool {
+		g := NewValueGen()
+		seen := make(map[types.Value]bool)
+		for _, c := range calls {
+			v := g.Next(types.ClientID(c % 16))
+			if seen[v] {
+				return false
+			}
+			seen[v] = true
+		}
+		return true
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 }
