@@ -196,9 +196,9 @@ race-resize:
 	$(GO) test -race -count 1 $(RESIZE_SUITE)
 
 # The two reconfiguration suites above, 50 times over at three GOMAXPROCS
-# settings. Long; its job is to report a failure rate for the schedules one
-# run never meets, so CI runs it as a non-blocking job. (150 passes of a
-# package outlast go test's default 10-minute timeout.)
+# settings. Long; it catches the schedules one run never meets, and CI's
+# stress job gates on it. (150 passes of a package outlast go test's default
+# 10-minute timeout.)
 STRESS = $(GO) test -race -count 50 -cpu 1,2,8 -timeout 3h
 stress:
 	$(STRESS) ./internal/cluster

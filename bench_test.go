@@ -290,9 +290,9 @@ func BenchmarkExhaustiveSearch(b *testing.B) {
 	ctx := context.Background()
 	var schedules int
 	for i := 0; i < b.N; i++ {
-		rep, err := runner.RunExhaustiveOpts(ctx, runner.KindRegEmu, runner.ExhaustOptions{F: 1, Workers: 1})
+		rep, err := runner.RunExhaustive(ctx, runner.KindRegEmu, runner.ExhaustOptions{F: 1, Workers: 1})
 		if err != nil {
-			b.Fatalf("RunExhaustiveOpts: %v", err)
+			b.Fatalf("RunExhaustive: %v", err)
 		}
 		if rep.Violations != 0 {
 			b.Fatalf("violations: %d", rep.Violations)
@@ -313,9 +313,9 @@ func BenchmarkExhaustiveParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var schedules int
 			for i := 0; i < b.N; i++ {
-				rep, err := runner.RunExhaustiveOpts(ctx, runner.KindRegEmu, runner.ExhaustOptions{F: 1, Workers: workers})
+				rep, err := runner.RunExhaustive(ctx, runner.KindRegEmu, runner.ExhaustOptions{F: 1, Workers: workers})
 				if err != nil {
-					b.Fatalf("RunExhaustiveOpts: %v", err)
+					b.Fatalf("RunExhaustive: %v", err)
 				}
 				if rep.Violations != 0 {
 					b.Fatalf("violations: %d", rep.Violations)
@@ -333,9 +333,9 @@ func BenchmarkExhaustiveParallel(b *testing.B) {
 func BenchmarkExhaustiveF2(b *testing.B) {
 	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		rep, err := runner.RunExhaustiveOpts(ctx, runner.KindRegEmu, runner.ExhaustOptions{F: 2})
+		rep, err := runner.RunExhaustive(ctx, runner.KindRegEmu, runner.ExhaustOptions{F: 2})
 		if err != nil {
-			b.Fatalf("RunExhaustiveOpts: %v", err)
+			b.Fatalf("RunExhaustive: %v", err)
 		}
 		if rep.Violations != 0 {
 			b.Fatalf("violations: %d", rep.Violations)

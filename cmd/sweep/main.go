@@ -271,7 +271,7 @@ func expExhaustive(ctx context.Context, f, workers int, jsonOut bool) error {
 	}
 	var reports []*runner.ExhaustReport
 	for _, kind := range runner.Kinds() {
-		rep, err := runner.RunExhaustiveOpts(ctx, kind, runner.ExhaustOptions{F: f, Workers: workers})
+		rep, err := runner.RunExhaustive(ctx, kind, runner.ExhaustOptions{F: f, Workers: workers})
 		if err != nil {
 			return err
 		}

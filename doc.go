@@ -42,8 +42,9 @@
 //     inline on the in-process lane — and never for an operation that
 //     stays pending; a Call is otherwise just the operation's token and,
 //     once complete, its outcome. The environment plugs in as a Gate
-//     (hold/release/crash), which is how the covering adversary of Lemma 1
-//     is realized. Each
+//     (hold/release/crash); outside the fabric there is one,
+//     adversary.Script, and every adversary — the covering adversary of
+//     Lemma 1 included — is a policy installed on it as a rule. Each
 //     lane's transport is a pluggable backend (the Lane interface): the
 //     in-process lane (default, synchronous, zero-regression hot path),
 //     the latency lane, and the network lane below. TriggerScan scatters
@@ -220,10 +221,16 @@
 //     pooled memo) for general histories up to 64 ops.
 //   - internal/adversary, internal/runner: the paper's experiments —
 //     covering runs, the stale-release separation attack, exhaustive
-//     schedule search, chaos runs. Every hand-built run is a step list run
-//     by runner.RunScript: the Lemma 4 attack, each schedule of the
-//     exhaustive class, and the JSON scripts of internal/runner/testdata
-//     (runner.LoadScript; examples/attacklab prints the Lemma 4 one).
+//     schedule search, torn stripes, chaos runs. The adversary is one gate,
+//     adversary.Script, whose two rules (apply, respond) are the policies:
+//     a scripted run's armed holds, or Chaos.Hold's seeded draw. Every
+//     hand-built run is a step list executed by runner.RunScript's step
+//     executor: the Lemma 1 covering run (runner.CoveringScript: per writer
+//     a hold of count f off the protected set F, once per register), the
+//     Lemma 4 attack, each schedule of the exhaustive class, and the JSON
+//     scripts of internal/runner/testdata (runner.LoadScript;
+//     examples/attacklab prints the Lemma 4 one); the torn-stripe attack
+//     drives the same executor with concurrent readers beside it.
 //
 // # The object table
 //

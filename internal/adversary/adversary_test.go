@@ -41,74 +41,6 @@ func TestIsMutating(t *testing.T) {
 	}
 }
 
-func TestCoveringBudgetAndFreshness(t *testing.T) {
-	adv := NewCovering([]types.ServerID{5, 6}, 2)
-
-	// Inactive: everything passes.
-	if adv.BeforeApply(writeEv(1, 0, 10, 0)) != fabric.Pass {
-		t.Fatal("inactive gate held an op")
-	}
-
-	adv.BeginWrite(0)
-	// Reads pass even when armed.
-	readEv := fabric.TriggerEvent{Client: 0, Server: 0, Inv: baseobj.Invocation{Op: baseobj.OpRead}}
-	if adv.BeforeApply(readEv) != fabric.Pass {
-		t.Fatal("armed gate held a read")
-	}
-	// Another client's writes pass.
-	if adv.BeforeApply(writeEv(2, 1, 11, 0)) != fabric.Pass {
-		t.Fatal("armed gate held a foreign client's write")
-	}
-	// The active writer's first two fresh off-F writes are held.
-	if adv.BeforeApply(writeEv(3, 0, 12, 0)) != fabric.Hold {
-		t.Fatal("first fresh write not held")
-	}
-	// Same object again: passes (already covered).
-	if adv.BeforeApply(writeEv(4, 0, 12, 1)) != fabric.Pass {
-		t.Fatal("already-covered object held twice")
-	}
-	// Protected server: passes.
-	if adv.BeforeApply(writeEv(5, 0, 13, 5)) != fabric.Pass {
-		t.Fatal("write on protected F held")
-	}
-	if adv.BeforeApply(writeEv(6, 0, 14, 1)) != fabric.Hold {
-		t.Fatal("second fresh write not held")
-	}
-	// Budget exhausted.
-	if adv.BeforeApply(writeEv(7, 0, 15, 2)) != fabric.Pass {
-		t.Fatal("write held beyond budget")
-	}
-	wc := adv.EndWrite()
-	if wc.NewlyCovered != 2 || wc.Cumulative != 2 || wc.Writer != 0 {
-		t.Fatalf("EndWrite = %+v", wc)
-	}
-
-	// Second write by another client: budget resets, covered set persists.
-	adv.BeginWrite(1)
-	if adv.BeforeApply(writeEv(8, 1, 12, 0)) != fabric.Pass {
-		t.Fatal("covered object held for new writer")
-	}
-	if adv.BeforeApply(writeEv(9, 1, 16, 0)) != fabric.Hold {
-		t.Fatal("fresh object for new writer not held")
-	}
-	wc = adv.EndWrite()
-	if wc.NewlyCovered != 1 || wc.Cumulative != 3 {
-		t.Fatalf("second EndWrite = %+v", wc)
-	}
-
-	per := adv.PerWrite()
-	if len(per) != 2 {
-		t.Fatalf("PerWrite len = %d, want 2", len(per))
-	}
-	if got := adv.CoveredObjects(); len(got) != 3 {
-		t.Fatalf("CoveredObjects = %v, want 3 objects", got)
-	}
-	// Responses always pass.
-	if adv.BeforeRespond(writeEv(10, 1, 17, 0), baseobj.Response{}) != fabric.Pass {
-		t.Fatal("BeforeRespond held")
-	}
-}
-
 func TestScriptRules(t *testing.T) {
 	s := NewScript()
 	ev := writeEv(1, 0, 10, 0)
@@ -131,5 +63,69 @@ func TestScriptRules(t *testing.T) {
 	s.SetRespondRule(nil)
 	if s.BeforeRespond(ev, baseobj.Response{}) != fabric.Pass {
 		t.Fatal("cleared respond rule still holds")
+	}
+	if got := s.Held(); got != 2 {
+		t.Fatalf("Held = %d, want 2 (one per phase)", got)
+	}
+}
+
+// TestScriptWhenHeld: the channel closes at once when the count is already
+// reached, and otherwise exactly when the n-th hold is counted.
+func TestScriptWhenHeld(t *testing.T) {
+	s := NewScript()
+	s.SetApplyRule(func(fabric.TriggerEvent) bool { return true })
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	if !closed(s.WhenHeld(0)) {
+		t.Fatal("WhenHeld(0) did not close at once")
+	}
+	s.BeforeApply(writeEv(1, 0, 10, 0))
+	if !closed(s.WhenHeld(1)) {
+		t.Fatal("WhenHeld(1) after one hold did not close at once")
+	}
+	ch := s.WhenHeld(3)
+	s.BeforeApply(writeEv(2, 0, 11, 0))
+	if closed(ch) {
+		t.Fatal("WhenHeld(3) closed at two holds")
+	}
+	s.BeforeApply(writeEv(3, 0, 12, 0))
+	if !closed(ch) {
+		t.Fatal("WhenHeld(3) did not close at the third hold")
+	}
+	s.BeforeApply(writeEv(4, 0, 13, 0)) // past the count: must not close twice
+	if got := s.Held(); got != 4 {
+		t.Fatalf("Held = %d, want 4", got)
+	}
+}
+
+// TestChaosHoldBudget: the chaos rule holds only mutating ops, at most its
+// budget per writer at a time, and a release frees budget.
+func TestChaosHoldBudget(t *testing.T) {
+	c := NewChaos(1, 1, 1) // hold every op the budget allows
+	if c.Hold(fabric.TriggerEvent{Inv: baseobj.Invocation{Op: baseobj.OpRead}}) {
+		t.Fatal("held a read")
+	}
+	if !c.Hold(writeEv(1, 0, 10, 0)) {
+		t.Fatal("first write not held")
+	}
+	if c.Hold(writeEv(2, 0, 11, 1)) {
+		t.Fatal("held beyond the writer's budget")
+	}
+	if !c.Hold(writeEv(3, 1, 12, 0)) {
+		t.Fatal("another writer's budget is its own")
+	}
+	c.Released(0, 1)
+	if !c.Hold(writeEv(4, 0, 13, 0)) {
+		t.Fatal("a release did not free budget")
+	}
+	c.Narrow(1)
+	if c.Hold(writeEv(5, 2, 14, 0)) {
+		t.Fatal("held with the budget narrowed to zero")
 	}
 }

@@ -4,34 +4,30 @@ import (
 	"math/rand"
 	"sync"
 
-	"repro/internal/baseobj"
 	"repro/internal/fabric"
 	"repro/internal/types"
 )
 
-// Chaos is a seeded randomized environment: it holds mutating low-level
-// operations with a fixed probability, subject to the liveness budget that
-// makes every construction's quorum math still work out — at most f of a
-// writer's operations are outstanding-held at any time.
+// Chaos is a seeded randomized environment: its Hold rule holds mutating
+// low-level operations with a fixed probability, subject to the liveness
+// budget that makes every construction's quorum math still work out — at
+// most f of a writer's operations are outstanding-held at any time.
 //
-// Combined with random releases between high-level operations (the driver's
-// job, via fabric.ReleaseWhere), Chaos explores a large space of legal
-// environment behaviours: delayed effects, stale overwrites landing late,
-// and responses that never arrive. Sound constructions must pass the
-// write-sequential checkers for every seed; the experiment suite runs many.
+// Installed as a Script's apply rule and combined with random releases
+// between high-level operations (RunChaos calls ReleaseSome), Chaos
+// explores a large space of legal environment behaviours: delayed effects,
+// stale overwrites landing late, and responses that never arrive. Sound
+// constructions must pass the write-sequential checkers for every seed; the
+// experiment suite runs many.
 type Chaos struct {
 	mu          sync.Mutex
 	rng         *rand.Rand
 	holdProb    float64
 	budget      int // max outstanding held ops per writer (f)
 	outstanding map[types.ClientID]map[uint64]struct{}
-	holds       int
 }
 
-// Compile-time interface compliance check.
-var _ fabric.Gate = (*Chaos)(nil)
-
-// NewChaos creates a chaos gate. holdProb is the per-op hold probability;
+// NewChaos creates the policy. holdProb is the per-op hold probability;
 // budget is the per-writer outstanding-hold cap (use f).
 func NewChaos(seed int64, holdProb float64, budget int) *Chaos {
 	return &Chaos{
@@ -42,35 +38,30 @@ func NewChaos(seed int64, holdProb float64, budget int) *Chaos {
 	}
 }
 
-// BeforeApply implements fabric.Gate.
-func (c *Chaos) BeforeApply(ev fabric.TriggerEvent) fabric.Decision {
+// Hold is the policy as a Script rule: hold a mutating op with the hold
+// probability while its writer is under budget.
+func (c *Chaos) Hold(ev fabric.TriggerEvent) bool {
 	if !IsMutating(ev.Inv) {
-		return fabric.Pass
+		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	held := c.outstanding[ev.Client]
 	if len(held) >= c.budget {
-		return fabric.Pass
+		return false
 	}
 	if c.rng.Float64() >= c.holdProb {
-		return fabric.Pass
+		return false
 	}
 	if held == nil {
 		held = make(map[uint64]struct{})
 		c.outstanding[ev.Client] = held
 	}
 	held[ev.Token] = struct{}{}
-	c.holds++
-	return fabric.Hold
+	return true
 }
 
-// BeforeRespond implements fabric.Gate.
-func (c *Chaos) BeforeRespond(fabric.TriggerEvent, baseobj.Response) fabric.Decision {
-	return fabric.Pass
-}
-
-// Released informs the gate that a held op was released, freeing budget.
+// Released informs the policy that a held op was released, freeing budget.
 func (c *Chaos) Released(client types.ClientID, token uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -93,15 +84,8 @@ func (c *Chaos) Narrow(n int) {
 	}
 }
 
-// Holds returns the total number of holds performed.
-func (c *Chaos) Holds() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.holds
-}
-
 // ReleaseSome releases each currently held op with probability p, drawing
-// from the gate's own PRNG for reproducibility, and returns how many were
+// from the policy's own PRNG for reproducibility, and returns how many were
 // released. It also reconciles the budget books against the fabric: ops a
 // reconfiguration drained out from under the gate (completed with
 // ErrViewChanged, no longer pending) are forgotten so they stop consuming

@@ -133,7 +133,7 @@ func TestAsyncAtomicLinearizable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg, hist, err := runner.BuildAtomic(kind, env.Fabric, 4, 1)
+			reg, hist, err := runner.BuildWith(kind, env.Fabric, 4, 1, runner.BuildOpts{Atomic: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,7 +24,17 @@ import (
 // writes would complete with every one of their own operations still held.
 func TestShutdownNeverRecyclesAFailedOp(t *testing.T) {
 	const n = 64 // writers 0..n-1 ride the first engine, n..2n-1 the second, 2n is the barrier
-	gate := fabric.GateFuncs{Apply: func(fabric.TriggerEvent) fabric.Decision { return fabric.Hold }}
+	// Everything is held until released is set; from then on everything
+	// passes. The barrier write's collect may reach the fabric only after
+	// the final release loop found nothing pending, and it must not be held
+	// forever then.
+	var released atomic.Bool
+	gate := fabric.GateFuncs{Apply: func(fabric.TriggerEvent) fabric.Decision {
+		if released.Load() {
+			return fabric.Pass
+		}
+		return fabric.Hold
+	}}
 	env, err := runner.NewEnv(3, gate)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +65,6 @@ func TestShutdownNeverRecyclesAFailedOp(t *testing.T) {
 	waitStarted(t, dead, n)
 	dead.Close()
 
-	var released atomic.Bool
 	live := async.NewDetached()
 	defer live.Close()
 	start(live, n, func(i int, err error) {

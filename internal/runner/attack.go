@@ -53,20 +53,20 @@ const attackV1, attackV2 = 101, 202
 // Only KindNaive is expected to violate WS-Safety.
 func StaleReleaseScript(kind Kind, f int) *Script {
 	writer0 := 0
-	s := &Script{
+	held, delayed := make([]int, f), make([]int, f)
+	for i := range f {
+		held[i], delayed[i] = 1+i, f+1+i
+	}
+	return &Script{
 		Name: "stale-release-" + string(kind), Kind: kind, K: 2, F: f, N: 2*f + 1,
 		ExpectSafetyViolation: kind == KindNaive,
-		Steps:                 []Step{holdWrites(0, 0, 0), writeStep(0, attackV1), clearStep},
+		Steps: []Step{
+			holdWrites(0, []int{0}, 0), writeStep(0, attackV1), clearStep,
+			holdWrites(1, held, 0), writeStep(1, attackV2), clearStep,
+			{Release: &ReleaseStep{Client: &writer0}},
+			delayReads(delayed...), readStep,
+		},
 	}
-	for srv := 1; srv <= f; srv++ {
-		s.Steps = append(s.Steps, holdWrites(1, srv, 0))
-	}
-	s.Steps = append(s.Steps, writeStep(1, attackV2), clearStep, Step{Release: &ReleaseStep{Client: &writer0}})
-	for srv := f + 1; srv <= 2*f; srv++ {
-		s.Steps = append(s.Steps, delayReads(srv))
-	}
-	s.Steps = append(s.Steps, readStep)
-	return s
 }
 
 // RunStaleReleaseAttack runs StaleReleaseScript(kind, f). For KindNaive the

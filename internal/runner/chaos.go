@@ -42,6 +42,12 @@ var chaosLatencyProfile = fabric.LatencyProfile{
 	Spike:     500 * time.Microsecond,
 }
 
+// The chaos environment's two probabilities: each mutating op is held with
+// chaosHoldProb (within the liveness budget), and between high-level ops
+// each held op is released with chaosReleaseProb, so stale covering writes
+// land late.
+const chaosHoldProb, chaosReleaseProb = 0.5, 0.3
+
 // Sub-stream indexes of a chaos run's seed. Every generator derives its
 // seed as seed.Sub(cfg.Seed, stream): deriving them as Seed, Seed+1, ...
 // made adjacent sweep seeds share entire streams (seed s's schedule
@@ -76,11 +82,6 @@ type ChaosConfig struct {
 	// Seed drives the gate, the schedule, and (for the latency lane) the
 	// delay distributions, through independent sub-streams.
 	Seed int64
-	// HoldProb is the per-op hold probability (default 0.5).
-	HoldProb float64
-	// ReleaseProb releases each held op with this probability between
-	// high-level ops (default 0.3), so stale covering writes land late.
-	ReleaseProb float64
 	// ChurnProb replaces one random live server between high-level ops
 	// with this probability (default 0 — no churn): a full fabric.Replace
 	// with state transfer, so the run additionally exercises view changes,
@@ -161,19 +162,13 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Ops <= 0 {
 		return nil, fmt.Errorf("runner: chaos needs ops > 0")
 	}
-	holdProb := cfg.HoldProb
-	if holdProb == 0 {
-		holdProb = 0.5
-	}
-	releaseProb := cfg.ReleaseProb
-	if releaseProb == 0 {
-		releaseProb = 0.3
-	}
 	laneOpts, err := laneOptions(cfg.Lane, cfg.LaneMaker, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	gate := adversary.NewChaos(seed.Sub(cfg.Seed, chaosStreamGate), holdProb, cfg.F)
+	chaos := adversary.NewChaos(seed.Sub(cfg.Seed, chaosStreamGate), chaosHoldProb, cfg.F)
+	gate := adversary.NewScript()
+	gate.SetApplyRule(chaos.Hold)
 	env, err := NewEnv(cfg.N, gate, laneOpts...)
 	if err != nil {
 		return nil, err
@@ -188,7 +183,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	churn := rand.New(rand.NewSource(seed.Sub(cfg.Seed, chaosStreamChurn)))
 	var crasher *transitionCrasher
 	if cfg.ResizeProb > 0 && cfg.TransitionCrashProb > 0 {
-		crasher = &transitionCrasher{env: env, f: cfg.F, gate: gate}
+		crasher = &transitionCrasher{env: env, f: cfg.F, chaos: chaos}
 		crasher.install()
 	}
 	values := NewValueGen()
@@ -212,7 +207,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			}
 			rep.Writes++
 		}
-		rep.Releases += gate.ReleaseSome(env.Fabric, releaseProb)
+		rep.Releases += chaos.ReleaseSome(env.Fabric, chaosReleaseProb)
 		if cfg.ChurnProb > 0 && churn.Float64() < cfg.ChurnProb {
 			replaced, err := churnReplace(ctx, env, churn)
 			if err != nil {
@@ -238,7 +233,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	if crasher != nil {
 		rep.TransitionCrashes = crasher.fired
 	}
-	rep.Holds = gate.Holds()
+	rep.Holds = gate.Held()
 	rep.Checks = Check(hist)
 	rep.History = hist
 	return rep, nil

@@ -4,10 +4,20 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/adversary"
 	"repro/internal/bounds"
 	"repro/internal/types"
 )
+
+// WriteCover summarizes the covering effect of one high-level write.
+type WriteCover struct {
+	// Writer is the client whose write was attacked.
+	Writer types.ClientID
+	// NewlyCovered is how many fresh registers the adversary covered
+	// during this write.
+	NewlyCovered int
+	// Cumulative is the total number of covered registers afterwards.
+	Cumulative int
+}
 
 // CoveringReport is the outcome of the Lemma 1 covering experiment
 // (Figure 2, experiments E1/E2/E3/E5/E10): k sequential writers run under
@@ -23,7 +33,7 @@ type CoveringReport struct {
 	// number of distinct base objects the run triggered operations on.
 	UsedObjects int
 	// PerWrite records the covering growth per completed write.
-	PerWrite []adversary.WriteCover
+	PerWrite []WriteCover
 	// TotalCovered is |Cov(t_k)| at the end of the run.
 	TotalCovered int
 	// CoveredOnF counts covered registers on the protected set F; the
@@ -41,7 +51,31 @@ type CoveringReport struct {
 	Checks CheckResult
 }
 
-// RunCovering executes the covering experiment for one construction. All
+// CoveringScript is the run of Lemma 1 against kind: writers 0..k-1 write
+// once each, in order, and during each write the adversary Ad_i holds up to
+// f of that writer's mutating ops before they take effect — never on the
+// protected set F (the last f+1 servers, fixed before the run) and never on
+// a register it covered before. Nothing is released, so every held write
+// stays pending, covering its register. A final read must return the last
+// value written.
+func CoveringScript(kind Kind, k, f, n int) *Script {
+	offF := make([]int, n-f-1)
+	for i := range offF {
+		offF[i] = i
+	}
+	s := &Script{Name: fmt.Sprintf("covering-%s-k%d-f%d-n%d", kind, k, f, n), Kind: kind, K: k, F: f, N: n}
+	for i := range k {
+		hold := holdWrites(i, offF, f)
+		hold.Hold.Once = true
+		s.Steps = append(s.Steps, hold, writeStep(i, int64(i+1)), clearStep)
+	}
+	last := int64(k)
+	s.Steps = append(s.Steps, Step{Read: &ReadStep{Expect: &last}})
+	return s
+}
+
+// RunCovering executes the covering experiment for one construction: it
+// runs CoveringScript and reads Cov(t) off the fabric after each write. All
 // constructions stay safe under pure covering (no releases); the point is
 // the covered-register count: register-based constructions accumulate ~f
 // newly covered registers per write (forcing the Theorem 1 space), while
@@ -50,75 +84,48 @@ func RunCovering(ctx context.Context, kind Kind, k, f, n int) (*CoveringReport, 
 	if err := bounds.Validate(k, f, n); err != nil {
 		return nil, err
 	}
-	// F = the last f+1 servers, fixed before the run as in Lemma 1.
-	protected := make([]types.ServerID, 0, f+1)
-	for s := n - f - 1; s < n; s++ {
-		protected = append(protected, types.ServerID(s))
-	}
-	adv := adversary.NewCovering(protected, f)
-	env, err := NewEnv(n, adv)
+	s := CoveringScript(kind, k, f, n)
+	r, err := newRun(s, BuildOpts{})
 	if err != nil {
 		return nil, err
 	}
-	reg, hist, err := Build(kind, env.Fabric, k, f)
-	if err != nil {
-		return nil, err
-	}
-
-	values := NewValueGen()
-	var last types.Value
-	for i := 0; i < k; i++ {
-		w, err := reg.Writer(i)
-		if err != nil {
-			return nil, err
-		}
-		v := values.Next(types.ClientID(i))
-		adv.BeginWrite(types.ClientID(i))
-		err = w.Write(ctx, v)
-		adv.EndWrite()
-		if err != nil {
-			return nil, ctxErr(ctx, fmt.Sprintf("covering write %d", i), err)
-		}
-		last = v
-	}
-
-	final, err := reg.NewReader().Read(ctx)
-	if err != nil {
-		return nil, ctxErr(ctx, "covering final read", err)
-	}
-
-	covered := env.Fabric.CoveredObjects()
-	onF := 0
-	protectedSet := make(map[types.ServerID]struct{}, len(protected))
-	for _, s := range protected {
-		protectedSet[s] = struct{}{}
-	}
-	for _, obj := range covered {
-		server, err := env.Cluster.Delta(obj)
-		if err != nil {
-			return nil, err
-		}
-		if _, bad := protectedSet[server]; bad {
-			onF++
-		}
-	}
-
-	return &CoveringReport{
-		Kind:               kind,
-		K:                  k,
-		F:                  f,
-		N:                  n,
-		Resources:          reg.ResourceComplexity(),
-		UsedObjects:        len(env.Fabric.UsedObjects()),
-		PerWrite:           adv.PerWrite(),
-		TotalCovered:       len(covered),
-		CoveredOnF:         onF,
+	rep := &CoveringReport{
+		Kind: kind, K: k, F: f, N: n,
+		Resources:          r.reg.ResourceComplexity(),
 		CoveringLowerBound: bounds.CoveredLower(k, f),
 		PointContention:    1,
-		FinalRead:          final,
-		LastWritten:        last,
-		Checks:             Check(hist),
-	}, nil
+	}
+	prev := 0
+	for _, st := range s.Steps {
+		if err := r.do(ctx, st); err != nil {
+			return nil, err
+		}
+		if st.Write != nil {
+			covered := len(r.env.Fabric.CoveredObjects())
+			rep.PerWrite = append(rep.PerWrite, WriteCover{
+				Writer:       types.ClientID(st.Write.Writer),
+				NewlyCovered: covered - prev,
+				Cumulative:   covered,
+			})
+			prev = covered
+			rep.LastWritten = types.Value(st.Write.Value)
+		}
+	}
+	res := r.finish()
+	rep.FinalRead, rep.Checks = res.Reads[0], res.Checks
+	rep.UsedObjects = len(r.env.Fabric.UsedObjects())
+	covered := r.env.Fabric.CoveredObjects()
+	rep.TotalCovered = len(covered)
+	for _, obj := range covered {
+		server, err := r.env.Cluster.Delta(obj)
+		if err != nil {
+			return nil, err
+		}
+		if int(server) >= n-f-1 { // F is the last f+1 servers
+			rep.CoveredOnF++
+		}
+	}
+	return rep, nil
 }
 
 // Table1Row is one measured row of Table 1: the formula bounds next to the

@@ -171,17 +171,11 @@ type ExhaustReport struct {
 	Elapsed time.Duration
 }
 
-// RunExhaustive enumerates the full f=1 schedule class against the given
-// construction (two writers, n = 3 servers) with one sweep worker per CPU
-// and reports the violation count.
-func RunExhaustive(ctx context.Context, kind Kind) (*ExhaustReport, error) {
-	return RunExhaustiveOpts(ctx, kind, ExhaustOptions{})
-}
-
-// RunExhaustiveOpts runs the exhaustive sweep with explicit adversary
-// budget and pool size: every schedule is an independent job on the Sweep
-// engine, each with its own cluster, fabric, gate, and emulation.
-func RunExhaustiveOpts(ctx context.Context, kind Kind, opts ExhaustOptions) (*ExhaustReport, error) {
+// RunExhaustive enumerates the full f-bounded schedule class against the
+// given construction (two writers, n = 2f+1 servers) and reports the
+// violations: every schedule is an independent job on the Sweep engine, each
+// with its own cluster, fabric, gate, and emulation.
+func RunExhaustive(ctx context.Context, kind Kind, opts ExhaustOptions) (*ExhaustReport, error) {
 	f := opts.F
 	if f == 0 {
 		f = 1
@@ -227,17 +221,17 @@ func RunExhaustiveOpts(ctx context.Context, kind Kind, opts ExhaustOptions) (*Ex
 // ops on a held server pass), the releases in the canonical server order —
 // releases on distinct objects commute, so a fixed order loses nothing; on a
 // server where both writers release, w1First picks which stale write lands
-// first — and the read under respond holds on its delayed servers.
+// first — and the read under one respond hold on its delayed servers.
 func (s exhaustSchedule) steps(n int) []Step {
 	var steps []Step
 	for w, v := range [2]int64{attackV1, attackV2} {
 		for _, srv := range s.holds[w] {
-			steps = append(steps, holdWrites(w, srv, 1))
+			steps = append(steps, holdWrites(w, []int{srv}, 1))
 		}
 		steps = append(steps, writeStep(w, v), clearStep)
 	}
 	release := func(client, server int) {
-		steps = append(steps, Step{Release: &ReleaseStep{Client: &client, Server: &server}})
+		steps = append(steps, Step{Release: &ReleaseStep{Client: &client, Servers: []int{server}}})
 	}
 	for srv := 0; srv < n; srv++ {
 		in0 := slices.Contains(s.releases[0], srv)
@@ -255,8 +249,8 @@ func (s exhaustSchedule) steps(n int) []Step {
 			release(1, srv)
 		}
 	}
-	for _, srv := range s.delayRead {
-		steps = append(steps, delayReads(srv))
+	if len(s.delayRead) > 0 {
+		steps = append(steps, delayReads(s.delayRead...))
 	}
 	return append(steps, readStep)
 }

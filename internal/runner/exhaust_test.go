@@ -102,7 +102,7 @@ func TestExhaustiveSoundConstructions(t *testing.T) {
 	for _, kind := range []Kind{KindRegEmu, KindABDMax, KindCASMax, KindAACMax} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			rep, err := RunExhaustive(ctx, kind)
+			rep, err := RunExhaustive(ctx, kind, ExhaustOptions{})
 			if err != nil {
 				t.Fatalf("RunExhaustive: %v", err)
 			}
@@ -122,7 +122,7 @@ func TestExhaustiveSoundConstructions(t *testing.T) {
 // exist, and the search must find them.
 func TestExhaustiveFindsNaiveViolation(t *testing.T) {
 	ctx := testCtx(t)
-	rep, err := RunExhaustive(ctx, KindNaive)
+	rep, err := RunExhaustive(ctx, KindNaive, ExhaustOptions{})
 	if err != nil {
 		t.Fatalf("RunExhaustive: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestExhaustiveFindsNaiveViolation(t *testing.T) {
 // violated by exactly these schedules of the 208, and the first of them is
 // Lemma 4's run.
 func TestExhaustiveNaiveF1Pinned(t *testing.T) {
-	rep, err := RunExhaustive(testCtx(t), KindNaive)
+	rep, err := RunExhaustive(testCtx(t), KindNaive, ExhaustOptions{})
 	if err != nil {
 		t.Fatalf("RunExhaustive: %v", err)
 	}
@@ -161,9 +161,9 @@ func TestExhaustiveF2(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 	t.Run("regemu-complete-class", func(t *testing.T) {
-		rep, err := RunExhaustiveOpts(ctx, KindRegEmu, ExhaustOptions{F: 2})
+		rep, err := RunExhaustive(ctx, KindRegEmu, ExhaustOptions{F: 2})
 		if err != nil {
-			t.Fatalf("RunExhaustiveOpts: %v", err)
+			t.Fatalf("RunExhaustive: %v", err)
 		}
 		if rep.Schedules != 48256 {
 			t.Fatalf("explored %d schedules, want 48256 — enumeration changed", rep.Schedules)
@@ -174,9 +174,9 @@ func TestExhaustiveF2(t *testing.T) {
 		}
 	})
 	t.Run("naive-violates", func(t *testing.T) {
-		rep, err := RunExhaustiveOpts(ctx, KindNaive, ExhaustOptions{F: 2})
+		rep, err := RunExhaustive(ctx, KindNaive, ExhaustOptions{F: 2})
 		if err != nil {
-			t.Fatalf("RunExhaustiveOpts: %v", err)
+			t.Fatalf("RunExhaustive: %v", err)
 		}
 		if rep.Violations == 0 {
 			t.Fatalf("no violating f=2 schedule found for the naive baseline in %d schedules", rep.Schedules)
@@ -188,7 +188,7 @@ func TestExhaustiveF2(t *testing.T) {
 
 // TestExhaustiveRejectsUnsupportedF covers the budget validation.
 func TestExhaustiveRejectsUnsupportedF(t *testing.T) {
-	if _, err := RunExhaustiveOpts(testCtx(t), KindRegEmu, ExhaustOptions{F: 3}); err == nil {
+	if _, err := RunExhaustive(testCtx(t), KindRegEmu, ExhaustOptions{F: 3}); err == nil {
 		t.Fatal("f=3 accepted; the schedule class is only defined for f=1,2")
 	}
 }

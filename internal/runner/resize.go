@@ -86,10 +86,10 @@ func churnResize(ctx context.Context, env *Env, reg emulation.Register, rng *ran
 type transitionCrasher struct {
 	env *Env
 	f   int
-	// gate, when set, has its hold budget narrowed by one per crash: the
+	// chaos, when set, has its hold budget narrowed by one per crash: the
 	// crash and the holds draw on the same fail-stop allowance of f, so
 	// together they never leave a quorum round short of its n-f threshold.
-	gate   *adversary.Chaos
+	chaos  *adversary.Chaos
 	armed  bool
 	victim types.ServerID
 	fired  int
@@ -123,8 +123,8 @@ func (tc *transitionCrasher) fire(victim types.ServerID) {
 	tc.armed = false
 	if err := tc.env.Fabric.Crash(victim); err == nil {
 		tc.fired++
-		if tc.gate != nil {
-			tc.gate.Narrow(1)
+		if tc.chaos != nil {
+			tc.chaos.Narrow(1)
 		}
 	}
 }

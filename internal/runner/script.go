@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/adversary"
 	"repro/internal/emulation"
 	"repro/internal/fabric"
+	"repro/internal/spec"
 	"repro/internal/types"
 )
 
@@ -17,15 +19,15 @@ import (
 // list of high-level operations (writes, reads) interleaved with
 // environment actions (holds, releases, crashes), run one step at a time —
 // so every scripted run is write-sequential and deterministic. Every
-// hand-built run of the repository is a Script: Lemma 4's stale release
-// (StaleReleaseScript; examples/attacklab prints it), each schedule of the
-// exhaustive class (exhaustSchedule.steps), and the JSON documents of
-// testdata/, such as
+// hand-built run of the repository is a Script: the Lemma 1 covering run
+// (CoveringScript), Lemma 4's stale release (StaleReleaseScript;
+// examples/attacklab prints it), each schedule of the exhaustive class
+// (exhaustSchedule.steps), and the JSON documents of testdata/, such as
 //
 //	{"name": "held-read-responses-abdcas", "kind": "abd-cas", "k": 2, "f": 1, "n": 3,
 //	 "steps": [
 //	   {"write": {"writer": 0, "value": 7}},
-//	   {"hold":  {"server": 2, "phase": "respond", "class": "read"}},
+//	   {"hold":  {"servers": [2], "phase": "respond", "class": "read"}},
 //	   {"read":  {"reader": 0, "expect": 7}}]}
 type Script struct {
 	// Name labels the script in reports.
@@ -67,30 +69,33 @@ type ReadStep struct {
 
 // HoldStep arms a hold rule; it stays armed until a Clear step. The armed
 // rules are tried in arming order and the first that selects an op holds
-// it. Nil selectors select everything.
+// it. Empty selectors select everything.
 type HoldStep struct {
 	// Client restricts to one fabric client ID: writer i is client i;
 	// readers are numbered upward from emulation.ReaderIDBase in creation
 	// order (the first is ReaderIDBase+1).
 	Client *int `json:"client,omitempty"`
-	// Server restricts to one server.
-	Server *int `json:"server,omitempty"`
+	// Servers restricts to the listed servers.
+	Servers []int `json:"servers,omitempty"`
 	// Phase is "apply" (held before taking effect) or "respond".
 	Phase string `json:"phase"`
 	// Class is "mutating", "read", or "any".
 	Class string `json:"class"`
 	// Count limits how many ops the rule holds (0 = unlimited).
 	Count int `json:"count,omitempty"`
+	// Once skips ops on an object the run already held an op on: Lemma 1's
+	// adversary never covers a register twice.
+	Once bool `json:"once,omitempty"`
 }
 
 // ClearStep disarms every hold rule.
 type ClearStep struct{}
 
-// ReleaseStep releases the held ops it selects (nil = all); Client is a
+// ReleaseStep releases the held ops it selects (empty = all); Client is a
 // fabric client ID, as in HoldStep.
 type ReleaseStep struct {
-	Client *int `json:"client,omitempty"`
-	Server *int `json:"server,omitempty"`
+	Client  *int  `json:"client,omitempty"`
+	Servers []int `json:"servers,omitempty"`
 }
 
 // CrashStep crashes a server.
@@ -175,7 +180,7 @@ func (s *Script) validate() error {
 
 // selects reports whether the rule picks the op ev (its phase aside).
 func (h *HoldStep) selects(ev fabric.TriggerEvent) bool {
-	if h.Client != nil && ev.Client != types.ClientID(*h.Client) || h.Server != nil && int(ev.Server) != *h.Server {
+	if h.Client != nil && ev.Client != types.ClientID(*h.Client) || !onServers(h.Servers, ev.Server) {
 		return false
 	}
 	switch h.Class {
@@ -189,8 +194,13 @@ func (h *HoldStep) selects(ev fabric.TriggerEvent) bool {
 
 // selects reports whether the release picks the held op.
 func (r *ReleaseStep) selects(op fabric.PendingOp) bool {
-	return (r.Client == nil || op.Event.Client == types.ClientID(*r.Client)) &&
-		(r.Server == nil || int(op.Event.Server) == *r.Server)
+	return (r.Client == nil || op.Event.Client == types.ClientID(*r.Client)) && onServers(r.Servers, op.Event.Server)
+}
+
+// onServers reports whether a server selector (empty = every server) picks
+// server.
+func onServers(servers []int, server types.ServerID) bool {
+	return len(servers) == 0 || slices.Contains(servers, int(server))
 }
 
 // armedHold is an armed HoldStep with what is left of its count.
@@ -199,12 +209,51 @@ type armedHold struct {
 	left int // -1 = unlimited
 }
 
+// run is one scripted run in progress: a fresh n-server environment behind
+// one adversary.Script gate, the register and its history, the armed holds
+// (compiled into the gate's apply and respond rules) and the readers made so
+// far. RunScript takes it through a script's steps; RunCovering and RunTorn
+// drive it a step at a time with observations of their own in between.
+type run struct {
+	s    *Script
+	env  *Env
+	reg  emulation.Register
+	hist *spec.History
+	gate *adversary.Script
+
+	armed []*armedHold
+	// mu guards the armed rules' counts and the held objects, which the
+	// rules of both phases share.
+	mu      sync.Mutex
+	held    map[types.ObjectID]bool
+	readers map[int]emulation.Reader
+	next    int // the index of the next step
+	res     ScriptResult
+}
+
+// newRun validates s and builds its environment: fabOpts select the lane
+// (the in-process one when empty), opts the construction's build knobs.
+func newRun(s *Script, opts BuildOpts, fabOpts ...fabric.Option) (*run, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	r := &run{s: s, gate: adversary.NewScript(), held: make(map[types.ObjectID]bool), readers: make(map[int]emulation.Reader)}
+	var err error
+	if r.env, err = NewEnv(s.N, r.gate, fabOpts...); err != nil {
+		return nil, err
+	}
+	if r.reg, r.hist, err = BuildWith(s.Kind, r.env.Fabric, s.K, s.F, opts); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 // holdRule compiles the armed rules of one phase into a gate rule: the
-// first rule that selects an op holds it and spends one of its count. mu
-// guards the counts, which the rules of both phases share.
-func holdRule(mu *sync.Mutex, armed []*armedHold, phase string) func(fabric.TriggerEvent) bool {
+// first rule that selects an op — on an object not held before, for a once
+// rule — holds it and spends one of its count.
+func (r *run) holdRule(phase string) func(fabric.TriggerEvent) bool {
 	var rules []*armedHold
-	for _, h := range armed {
+	for _, h := range r.armed {
 		if h.Phase == phase {
 			rules = append(rules, h)
 		}
@@ -213,13 +262,14 @@ func holdRule(mu *sync.Mutex, armed []*armedHold, phase string) func(fabric.Trig
 		return nil
 	}
 	return func(ev fabric.TriggerEvent) bool {
-		mu.Lock()
-		defer mu.Unlock()
+		r.mu.Lock()
+		defer r.mu.Unlock()
 		for _, h := range rules {
-			if h.left != 0 && h.selects(ev) {
+			if h.left != 0 && h.selects(ev) && !(h.Once && r.held[ev.Object]) {
 				if h.left > 0 {
 					h.left--
 				}
+				r.held[ev.Object] = true
 				return true
 			}
 		}
@@ -227,90 +277,97 @@ func holdRule(mu *sync.Mutex, armed []*armedHold, phase string) func(fabric.Trig
 	}
 }
 
-// RunScript runs the script's steps in order on a fresh n-server
-// environment behind one adversary.Script gate, whose apply and respond
-// rules are the armed holds, and checks the history. A step that fails —
-// an operation that cannot complete by ctx, a crash the fabric refuses —
-// ends the run with an error; unmet expectations are reported in the
-// result.
+// do runs the steps in order, numbering them on from the run's previous
+// steps. An operation that cannot complete by ctx or a crash the fabric
+// refuses ends it with an error; an unmet read expectation is recorded in
+// the result.
+func (r *run) do(ctx context.Context, steps ...Step) error {
+	for _, st := range steps {
+		if err := r.step(ctx, st); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// step runs one step.
+func (r *run) step(ctx context.Context, st Step) error {
+	i := r.next
+	r.next++
+	var err error
+	switch {
+	case st.Write != nil:
+		var w emulation.Writer
+		if w, err = r.reg.Writer(st.Write.Writer); err == nil {
+			err = w.Write(ctx, types.Value(st.Write.Value))
+		}
+	case st.Read != nil:
+		rd, ok := r.readers[st.Read.Reader]
+		if !ok {
+			rd = r.reg.NewReader()
+			r.readers[st.Read.Reader] = rd
+		}
+		var v types.Value
+		if v, err = rd.Read(ctx); err == nil {
+			r.res.Reads = append(r.res.Reads, v)
+			if want := st.Read.Expect; want != nil && v != types.Value(*want) {
+				r.res.Failures = append(r.res.Failures, fmt.Sprintf("step %d: read returned %d, expected %d", i, v, *want))
+			}
+		}
+	case st.Hold != nil:
+		left := -1
+		if st.Hold.Count > 0 {
+			left = st.Hold.Count
+		}
+		r.armed = append(r.armed, &armedHold{HoldStep: st.Hold, left: left})
+		r.gate.SetApplyRule(r.holdRule("apply"))
+		r.gate.SetRespondRule(r.holdRule("respond"))
+	case st.Clear != nil:
+		r.armed = nil
+		r.gate.SetApplyRule(nil)
+		r.gate.SetRespondRule(nil)
+	case st.Release != nil:
+		r.res.Released += r.env.Fabric.ReleaseWhere(st.Release.selects)
+	case st.Crash != nil:
+		err = r.env.Fabric.Crash(types.ServerID(st.Crash.Server))
+	}
+	return ctxErr(ctx, fmt.Sprintf("script %q step %d", r.s.Name, i), err)
+}
+
+// finish checks the run's history and the script's safety expectation.
+func (r *run) finish() *ScriptResult {
+	r.res.Checks = Check(r.hist)
+	if violated := r.res.Checks.WSSafety != nil; violated != r.s.ExpectSafetyViolation {
+		r.res.Failures = append(r.res.Failures, fmt.Sprintf("safety violation = %v, expected %v (verdict: %v)",
+			violated, r.s.ExpectSafetyViolation, r.res.Checks.WSSafety))
+	}
+	return &r.res
+}
+
+// RunScript runs the script's steps in order on a fresh in-process
+// environment and checks the history. A step that fails — an operation that
+// cannot complete by ctx, a crash the fabric refuses — ends the run with an
+// error; unmet expectations are reported in the result.
 func RunScript(ctx context.Context, s *Script) (*ScriptResult, error) {
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	gate := adversary.NewScript()
-	env, err := NewEnv(s.N, gate)
+	r, err := newRun(s, BuildOpts{})
 	if err != nil {
 		return nil, err
 	}
-	reg, hist, err := Build(s.Kind, env.Fabric, s.K, s.F)
-	if err != nil {
+	if err := r.do(ctx, s.Steps...); err != nil {
 		return nil, err
 	}
-	var (
-		mu      sync.Mutex
-		armed   []*armedHold
-		readers = make(map[int]emulation.Reader)
-		res     = &ScriptResult{}
-	)
-	for i, st := range s.Steps {
-		var err error
-		switch {
-		case st.Write != nil:
-			var w emulation.Writer
-			if w, err = reg.Writer(st.Write.Writer); err == nil {
-				err = w.Write(ctx, types.Value(st.Write.Value))
-			}
-		case st.Read != nil:
-			rd, ok := readers[st.Read.Reader]
-			if !ok {
-				rd = reg.NewReader()
-				readers[st.Read.Reader] = rd
-			}
-			var v types.Value
-			if v, err = rd.Read(ctx); err == nil {
-				res.Reads = append(res.Reads, v)
-				if want := st.Read.Expect; want != nil && v != types.Value(*want) {
-					res.Failures = append(res.Failures, fmt.Sprintf("step %d: read returned %d, expected %d", i, v, *want))
-				}
-			}
-		case st.Hold != nil:
-			left := -1
-			if st.Hold.Count > 0 {
-				left = st.Hold.Count
-			}
-			armed = append(armed, &armedHold{HoldStep: st.Hold, left: left})
-			gate.SetApplyRule(holdRule(&mu, armed, "apply"))
-			gate.SetRespondRule(holdRule(&mu, armed, "respond"))
-		case st.Clear != nil:
-			armed = nil
-			gate.SetApplyRule(nil)
-			gate.SetRespondRule(nil)
-		case st.Release != nil:
-			res.Released += env.Fabric.ReleaseWhere(st.Release.selects)
-		case st.Crash != nil:
-			err = env.Fabric.Crash(types.ServerID(st.Crash.Server))
-		}
-		if err != nil {
-			return nil, ctxErr(ctx, fmt.Sprintf("script %q step %d", s.Name, i), err)
-		}
-	}
-	res.Checks = Check(hist)
-	if violated := res.Checks.WSSafety != nil; violated != s.ExpectSafetyViolation {
-		res.Failures = append(res.Failures, fmt.Sprintf("safety violation = %v, expected %v (verdict: %v)",
-			violated, s.ExpectSafetyViolation, res.Checks.WSSafety))
-	}
-	return res, nil
+	return r.finish(), nil
 }
 
-// holdWrites is the step that holds client's mutating ops on server before
-// they take effect, count of them (0 = all).
-func holdWrites(client, server, count int) Step {
-	return Step{Hold: &HoldStep{Client: &client, Server: &server, Phase: "apply", Class: "mutating", Count: count}}
+// holdWrites is the step that holds client's mutating ops on servers
+// (empty = all) before they take effect, count of them (0 = all).
+func holdWrites(client int, servers []int, count int) Step {
+	return Step{Hold: &HoldStep{Client: &client, Servers: servers, Phase: "apply", Class: "mutating", Count: count}}
 }
 
-// delayReads is the step that holds every read response from server.
-func delayReads(server int) Step {
-	return Step{Hold: &HoldStep{Server: &server, Phase: "respond", Class: "read"}}
+// delayReads is the step that holds every read response from servers.
+func delayReads(servers ...int) Step {
+	return Step{Hold: &HoldStep{Servers: servers, Phase: "respond", Class: "read"}}
 }
 
 // writeStep, clearStep and readStep are the plain steps the built scripts

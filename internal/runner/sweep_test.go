@@ -75,14 +75,14 @@ func TestSweepHonorsContext(t *testing.T) {
 // jobs share nothing but the counter and the result slice.
 func TestSweepParallelMatchesSequential(t *testing.T) {
 	ctx := testCtx(t)
-	seq, err := RunExhaustiveOpts(ctx, KindNaive, ExhaustOptions{F: 1, Workers: 1})
+	seq, err := RunExhaustive(ctx, KindNaive, ExhaustOptions{F: 1, Workers: 1})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
 	if seq.Violations == 0 {
 		t.Fatal("sequential sweep found no violations — the parity check is vacuous")
 	}
-	par, err := RunExhaustiveOpts(ctx, KindNaive, ExhaustOptions{F: 1, Workers: 8})
+	par, err := RunExhaustive(ctx, KindNaive, ExhaustOptions{F: 1, Workers: 8})
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestDefaultWorkers(t *testing.T) {
 // Example-shaped smoke test: the report fields used by cmd/sweep -json stay
 // populated.
 func TestExhaustReportFields(t *testing.T) {
-	rep, err := RunExhaustiveOpts(testCtx(t), KindRegEmu, ExhaustOptions{F: 1, Workers: 2})
+	rep, err := RunExhaustive(testCtx(t), KindRegEmu, ExhaustOptions{F: 1, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,23 +6,9 @@ import (
 	"sync"
 
 	"repro/internal/emulation"
-	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
-
-// BuildAtomic builds the max-register, CAS, or coded construction with read
-// write-back enabled, upgrading reads to the atomic (linearizable)
-// protocol. Other kinds do not support atomic reads (their readers cannot
-// write), mirroring the paper's focus on regularity.
-func BuildAtomic(kind Kind, fab *fabric.Fabric, k, f int) (emulation.Register, *spec.History, error) {
-	switch kind {
-	case KindABDMax, KindCASMax, KindCoded:
-		return BuildWith(kind, fab, k, f, BuildOpts{Atomic: true})
-	default:
-		return nil, nil, fmt.Errorf("runner: %q has no atomic read mode (readers cannot write)", kind)
-	}
-}
 
 // ValueGen hands out cluster-unique write values (the checkers require
 // them). Values encode the writer in the high bits and a per-writer sequence
@@ -83,15 +69,7 @@ func RunConcurrent(ctx context.Context, cfg ConcurrentConfig) (*ConcurrentReport
 	if err != nil {
 		return nil, err
 	}
-	var (
-		reg  emulation.Register
-		hist *spec.History
-	)
-	if cfg.Atomic {
-		reg, hist, err = BuildAtomic(cfg.Kind, env.Fabric, cfg.K, cfg.F)
-	} else {
-		reg, hist, err = Build(cfg.Kind, env.Fabric, cfg.K, cfg.F)
-	}
+	reg, hist, err := BuildWith(cfg.Kind, env.Fabric, cfg.K, cfg.F, BuildOpts{Atomic: cfg.Atomic})
 	if err != nil {
 		return nil, err
 	}

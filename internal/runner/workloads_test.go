@@ -124,8 +124,8 @@ func TestBuildAtomicRejectsReadOnlyReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []Kind{KindRegEmu, KindAACMax, KindNaive} {
-		if _, _, err := BuildAtomic(kind, env.Fabric, 2, 1); err == nil {
-			t.Errorf("BuildAtomic(%s) succeeded; its readers cannot write", kind)
+		if _, _, err := BuildWith(kind, env.Fabric, 2, 1, BuildOpts{Atomic: true}); err == nil {
+			t.Errorf("atomic BuildWith(%s) succeeded; its readers cannot write", kind)
 		}
 	}
 }
