@@ -11,7 +11,10 @@
 // fault boundary — servers:
 //
 //   - internal/baseobj: the base-object types (register, max-register, CAS
-//     cell) with their sequential specifications.
+//     cell — one TSValue cell told apart by kind — and the coded fragment
+//     store) with their sequential specifications, behind one Object
+//     contract: apply, the external state lock of snapshot scans, seal and
+//     state transfer, and the space metric. baseobj.New builds any kind.
 //   - internal/cluster: the server set S, the membership View (epoch,
 //     members, f) and the delta: B -> S placement mapping, stored once: a
 //     dense, lock-free-read object table (see "The object table" below).

@@ -6,7 +6,9 @@
 // operations to atomically; the asynchrony between a client's trigger and
 // the object's response lives in package fabric, not here. Objects store
 // types.TSValue so that every emulation algorithm can layer timestamps on
-// top of the raw primitive.
+// top of the raw primitive; the three Table 1 types are one cell that
+// differs only in its apply rule, and package coded's FragStore is the
+// fourth kind. Every kind implements the whole Object contract.
 //
 // Registers optionally enforce a bounded writer set: Theorem 3 only needs
 // z-writer registers, and the enforcement lets tests prove that the upper
@@ -22,8 +24,9 @@ import (
 	"repro/internal/types"
 )
 
-// Kind enumerates the base object types of Table 1.
-type Kind int
+// Kind enumerates the base object types of Table 1. It is one byte: on the
+// wire and in a cell, where a wider field would push the cell up a size class.
+type Kind uint8
 
 const (
 	// KindRegister is a read/write register.
@@ -122,6 +125,23 @@ func (c OpCode) IsWrite() bool {
 // the only operations a snapshot scan (fabric.TriggerScan) may carry.
 func (c OpCode) IsRead() bool { return c == OpRead || c == OpReadMax }
 
+// opKinds is the object kind each op code applies to.
+var opKinds = [...]Kind{
+	OpRead: KindRegister, OpWrite: KindRegister,
+	OpReadMax: KindMaxRegister, OpWriteMax: KindMaxRegister,
+	OpCAS:     KindCAS,
+	OpPutFrag: KindFragStore, OpGetFrags: KindFragStore, OpCommitFrag: KindFragStore, OpFragTS: KindFragStore,
+}
+
+// kind returns the object kind the op code applies to, or 0 for an unknown
+// code.
+func (c OpCode) kind() Kind {
+	if c < 0 || int(c) >= len(opKinds) {
+		return 0
+	}
+	return opKinds[c]
+}
+
 // Invocation is a low-level operation invocation.
 type Invocation struct {
 	// Op selects the operation.
@@ -214,435 +234,225 @@ var (
 )
 
 // Object is a base object: a sequential state machine applied atomically.
-// Implementations are safe for concurrent use; Apply is the object's
-// linearization point.
+// Every kind implements the whole contract — apply, the external state lock
+// of snapshot scans, state transfer and the space metric — so no caller
+// asks an object what it supports. Implementations are safe for concurrent
+// use; Apply is the object's linearization point.
 type Object interface {
 	// ID returns the object's cluster-wide identifier.
 	ID() types.ObjectID
 	// Kind returns the object's type.
 	Kind() Kind
+	// Writers returns a register's declared writer set in ascending order,
+	// or nil when the writer set is unbounded (every other kind).
+	Writers() []types.ClientID
 	// Apply atomically applies inv on behalf of client and returns the
 	// response. It returns an error for malformed invocations; errors
 	// model protocol misuse, not failures (failures live in the fabric).
 	Apply(client types.ClientID, inv Invocation) (Response, error)
-	// Peek returns the current state without linearizing an operation.
-	// It exists for checkers and reports only; emulation algorithms must
-	// never call it.
-	Peek() types.TSValue
-}
-
-// Locker is implemented by objects whose state lock can be taken
-// externally, so a caller may apply a *group* of operations against several
-// objects as one consistent cut: lock every object (in ascending object-ID
-// order, the package-wide lock order), apply through ApplyLocked, unlock.
-// The fabric's snapshot scans (fabric.TriggerScan) are the only caller; the
-// single-object Apply path never pays for the seam.
-type Locker interface {
-	// LockState acquires the object's state lock.
+	// LockState and UnlockState take the object's state lock externally, so
+	// a caller may apply a group of operations against several objects as
+	// one consistent cut: lock every object in ascending object-ID order
+	// (the package-wide lock order), apply through ApplyLocked, unlock. The
+	// fabric's snapshot scans (fabric.TriggerScan) are the only caller.
 	LockState()
-	// UnlockState releases the object's state lock.
 	UnlockState()
 	// ApplyLocked is Apply with the state lock already held by the caller.
 	ApplyLocked(client types.ClientID, inv Invocation) (Response, error)
-}
-
-// StateSealer is a base object that supports state transfer: SealState
-// atomically snapshots everything the object stores (TSValue, payload bytes,
-// fragments) and rejects every later mutating operation with ErrSealed;
-// RestoreState loads transferred state into a fresh copy (setup/transfer
-// only — never concurrent with Apply traffic). All base-object types
-// implement it, so payload-carrying objects migrate losslessly.
-type StateSealer interface {
-	Object
-	SealState() State
-	RestoreState(State)
-}
-
-// StatePeeker returns the full current state without linearizing an
-// operation — the payload analogue of Object.Peek, used by lane backends
-// that mirror object state on placement.
-type StatePeeker interface {
+	// PeekState returns the full current state without linearizing an
+	// operation. It exists for checkers, reports and lane backends that
+	// mirror object state on placement; emulation algorithms never call it.
 	PeekState() State
-}
-
-// Sizer reports the payload bytes an object currently stores. The
-// cluster's bytes-per-server space metric sums it across each server's
-// object table; objects that hold no payload may omit it (they count as
-// their fixed TSValue footprint).
-type Sizer interface {
+	// SealState atomically snapshots everything the object stores and
+	// rejects every later mutating operation with ErrSealed.
+	SealState() State
+	// RestoreState loads transferred state into a fresh copy (setup and
+	// transfer only — never concurrent with Apply traffic).
+	RestoreState(State)
+	// SizeBytes reports the payload bytes the object stores — the
+	// bytes-per-server space metric; 0 for an object without payload.
 	SizeBytes() int
 }
 
-// Compile-time interface compliance checks.
-var (
-	_ Object      = (*Register)(nil)
-	_ Object      = (*MaxRegister)(nil)
-	_ Object      = (*CASCell)(nil)
-	_ Object      = (*FragStore)(nil)
-	_ Locker      = (*Register)(nil)
-	_ Locker      = (*MaxRegister)(nil)
-	_ Locker      = (*CASCell)(nil)
-	_ Locker      = (*FragStore)(nil)
-	_ StateSealer = (*Register)(nil)
-	_ StateSealer = (*MaxRegister)(nil)
-	_ StateSealer = (*CASCell)(nil)
-	_ StateSealer = (*FragStore)(nil)
-	_ StatePeeker = (*Register)(nil)
-	_ StatePeeker = (*MaxRegister)(nil)
-	_ StatePeeker = (*FragStore)(nil)
-	_ Sizer       = (*Register)(nil)
-	_ Sizer       = (*MaxRegister)(nil)
-	_ Sizer       = (*FragStore)(nil)
-)
+// New returns a fresh object of the given kind at the initial state. A
+// register is restricted to writers when the set is non-empty, modelling the
+// z-writer registers of Theorem 3; other kinds ignore it. New fails only for
+// an unknown kind (a wire placement names the kind).
+func New(kind Kind, id types.ObjectID, writers ...types.ClientID) (Object, error) {
+	switch kind {
+	case KindRegister, KindMaxRegister, KindCAS:
+		return newCell(id, kind, writers), nil
+	case KindFragStore:
+		return NewFragStore(id), nil
+	}
+	return nil, fmt.Errorf("baseobj: unknown object kind %v", kind)
+}
+
+// NewRegister returns a read/write register initialized to the zero TSValue,
+// restricted to writers when the set is non-empty.
+func NewRegister(id types.ObjectID, writers ...types.ClientID) Object {
+	return newCell(id, KindRegister, writers)
+}
+
+// NewMaxRegister returns a max-register initialized to the zero TSValue.
+func NewMaxRegister(id types.ObjectID) Object { return newCell(id, KindMaxRegister, nil) }
+
+// NewCASCell returns a CAS cell initialized to the zero TSValue.
+func NewCASCell(id types.ObjectID) Object { return newCell(id, KindCAS, nil) }
 
 // CloneAtState builds a fresh, unsealed object of the same identity (ID,
-// kind, and — for registers — writer set) holding the given full state.
-// Reconfiguration uses it to materialize a migrated object on its new server
-// while the sealed original keeps answering stale-route reads.
+// kind, writer set) holding the given full state. Reconfiguration uses it to
+// materialize a migrated object on its new server while the sealed original
+// keeps answering stale-route reads.
 func CloneAtState(o Object, st State) (Object, error) {
-	var clone StateSealer
-	switch src := o.(type) {
-	case *Register:
-		clone = NewRegister(src.id, WithWriters(src.Writers()))
-	case *MaxRegister:
-		clone = NewMaxRegister(src.id)
-	case *CASCell:
-		clone = NewCASCell(src.id)
-	case *FragStore:
-		clone = NewFragStore(src.id)
-	default:
-		return nil, fmt.Errorf("baseobj: cannot clone object %d of type %T", o.ID(), o)
+	clone, err := New(o.Kind(), o.ID(), o.Writers()...)
+	if err != nil {
+		return nil, err
 	}
 	clone.RestoreState(st)
 	return clone, nil
 }
 
-// Register is a multi-writer/multi-reader atomic read/write register,
-// optionally restricted to a bounded writer set.
-type Register struct {
+// cell is the one implementation of the three base objects that store a
+// TSValue (Table 1), told apart by kind:
+//
+//   - a read/write register, optionally restricted to a bounded writer set,
+//     whose writes overwrite unconditionally (last write wins): precisely
+//     the weakness the lower bound exploits, because a delayed old write can
+//     erase a newer value;
+//   - a max-register [Aspnes, Attiya, Censor 2009], whose write-max takes
+//     effect only when the written value exceeds the current one, so a
+//     delayed old write-max can never erase a newer value — the monotonicity
+//     that separates max-registers from plain registers in Table 1;
+//   - a compare-and-swap cell: CAS(exp, new) sets the value to new when the
+//     current value equals exp, and always returns the previous value (the
+//     semantics of Algorithm 1 in Appendix B). A CAS cell carries no payload
+//     — Apply compares TSValues with ==, so its state stays a bare TSValue.
+//
+// The layout is a per-key footprint cost (three cells per abd-max key): the
+// two one-byte fields sit last so a cell stays in the 80-byte size class.
+type cell struct {
 	id      types.ObjectID
-	writers map[types.ClientID]struct{} // nil means unbounded (MWMR)
+	writers map[types.ClientID]struct{} // registers only; nil means unbounded (MWMR)
 
 	mu     sync.Mutex
 	val    types.TSValue
 	data   types.Payload // payload bytes riding with val (payload mode)
+	kind   Kind
 	sealed bool
 }
 
-// RegisterOption configures a Register.
-type RegisterOption func(*Register)
-
-// WithWriters restricts the register to the given writer set, modelling the
-// z-writer registers of Theorem 3. A nil or empty set leaves the register
-// unbounded.
-func WithWriters(writers []types.ClientID) RegisterOption {
-	return func(r *Register) {
-		if len(writers) == 0 {
-			return
-		}
-		r.writers = make(map[types.ClientID]struct{}, len(writers))
+func newCell(id types.ObjectID, kind Kind, writers []types.ClientID) *cell {
+	c := &cell{id: id, kind: kind, val: types.ZeroTSValue}
+	if kind == KindRegister && len(writers) > 0 {
+		c.writers = make(map[types.ClientID]struct{}, len(writers))
 		for _, w := range writers {
-			r.writers[w] = struct{}{}
+			c.writers[w] = struct{}{}
 		}
 	}
-}
-
-// NewRegister returns a register initialized to the zero TSValue.
-func NewRegister(id types.ObjectID, opts ...RegisterOption) *Register {
-	r := &Register{id: id, val: types.ZeroTSValue}
-	for _, opt := range opts {
-		opt(r)
-	}
-	return r
+	return c
 }
 
 // ID implements Object.
-func (r *Register) ID() types.ObjectID { return r.id }
+func (c *cell) ID() types.ObjectID { return c.id }
 
 // Kind implements Object.
-func (r *Register) Kind() Kind { return KindRegister }
+func (c *cell) Kind() Kind { return c.kind }
 
-// WriterBound returns the size of the register's writer set, or 0 if the
-// register is unbounded.
-func (r *Register) WriterBound() int { return len(r.writers) }
-
-// Writers returns the register's declared writer set in ascending order,
-// or nil for an unbounded register. External-store lane backends use it to
-// replicate z-writer placement, so remote registers enforce the same bound.
-func (r *Register) Writers() []types.ClientID {
-	if r.writers == nil {
+// Writers implements Object.
+func (c *cell) Writers() []types.ClientID {
+	if c.writers == nil {
 		return nil
 	}
-	ws := make([]types.ClientID, 0, len(r.writers))
-	for w := range r.writers {
+	ws := make([]types.ClientID, 0, len(c.writers))
+	for w := range c.writers {
 		ws = append(ws, w)
 	}
 	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
 	return ws
 }
 
-// Apply implements Object. Writes overwrite unconditionally (last write
-// wins): this is precisely the weakness the lower bound exploits, because a
-// delayed old write can erase a newer value.
-func (r *Register) Apply(client types.ClientID, inv Invocation) (resp Response, err error) {
-	r.mu.Lock()
-	err = r.apply(client, &inv, &resp)
-	r.mu.Unlock()
+// Apply implements Object.
+func (c *cell) Apply(client types.ClientID, inv Invocation) (resp Response, err error) {
+	c.mu.Lock()
+	err = c.apply(client, &inv, &resp)
+	c.mu.Unlock()
 	return
 }
 
-// LockState implements Locker.
-func (r *Register) LockState() { r.mu.Lock() }
+// LockState implements Object.
+func (c *cell) LockState() { c.mu.Lock() }
 
-// UnlockState implements Locker.
-func (r *Register) UnlockState() { r.mu.Unlock() }
+// UnlockState implements Object.
+func (c *cell) UnlockState() { c.mu.Unlock() }
 
-// ApplyLocked implements Locker.
-func (r *Register) ApplyLocked(client types.ClientID, inv Invocation) (resp Response, err error) {
-	err = r.apply(client, &inv, &resp)
+// ApplyLocked implements Object.
+func (c *cell) ApplyLocked(client types.ClientID, inv Invocation) (resp Response, err error) {
+	err = c.apply(client, &inv, &resp)
 	return
 }
 
 // apply is the one body of both: the caller holds mu. Invocation and response
 // travel by pointer — they are a dozen words each, and a by-value hop through
 // a second frame costs the hot path a third of an uncontended apply.
-func (r *Register) apply(client types.ClientID, inv *Invocation, resp *Response) error {
-	switch inv.Op {
-	case OpRead:
-		*resp = Response{Op: OpRead, Val: r.val, Data: r.data}
-	case OpWrite:
-		if r.writers != nil {
-			if _, ok := r.writers[client]; !ok {
-				return fmt.Errorf("%w: client %d, register %d", ErrUnauthorizedWriter, client, r.id)
-			}
+func (c *cell) apply(client types.ClientID, inv *Invocation, resp *Response) error {
+	switch {
+	case inv.Op.kind() != c.kind:
+		return fmt.Errorf("%w: %v on %v %d", ErrWrongOp, inv.Op, c.kind, c.id)
+	case !inv.Op.IsWrite():
+		*resp = Response{Op: inv.Op, Val: c.val, Data: c.data}
+		return nil
+	case c.writers != nil && inv.Op == OpWrite:
+		if _, ok := c.writers[client]; !ok {
+			return fmt.Errorf("%w: client %d, register %d", ErrUnauthorizedWriter, client, c.id)
 		}
-		if r.sealed {
-			return fmt.Errorf("%w: register %d", ErrSealed, r.id)
-		}
-		r.val = inv.Arg
-		r.data = inv.Data
-		resp.Op = OpWrite
-	default:
-		return fmt.Errorf("%w: %v on register %d", ErrWrongOp, inv.Op, r.id)
-	}
-	return nil
-}
-
-// Peek implements Object.
-func (r *Register) Peek() types.TSValue {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.val
-}
-
-// SealState implements StateSealer.
-func (r *Register) SealState() State {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sealed = true
-	return State{Val: r.val, Data: r.data}
-}
-
-// RestoreState implements StateSealer.
-func (r *Register) RestoreState(st State) {
-	r.mu.Lock()
-	r.val = st.Val
-	r.data = st.Data
-	r.mu.Unlock()
-}
-
-// PeekState implements StatePeeker.
-func (r *Register) PeekState() State {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return State{Val: r.val, Data: r.data}
-}
-
-// SizeBytes implements Sizer.
-func (r *Register) SizeBytes() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.data)
-}
-
-// MaxRegister is a max-register [Aspnes, Attiya, Censor 2009]: write-max
-// only takes effect when the written value exceeds the current one, so a
-// delayed old write-max can never erase a newer value. This monotonicity is
-// what separates max-registers from plain registers in Table 1.
-type MaxRegister struct {
-	id types.ObjectID
-
-	mu     sync.Mutex
-	val    types.TSValue
-	data   types.Payload // payload of the current max (payload mode)
-	sealed bool
-}
-
-// NewMaxRegister returns a max-register initialized to the zero TSValue.
-func NewMaxRegister(id types.ObjectID) *MaxRegister {
-	return &MaxRegister{id: id, val: types.ZeroTSValue}
-}
-
-// ID implements Object.
-func (m *MaxRegister) ID() types.ObjectID { return m.id }
-
-// Kind implements Object.
-func (m *MaxRegister) Kind() Kind { return KindMaxRegister }
-
-// Apply implements Object.
-func (m *MaxRegister) Apply(_ types.ClientID, inv Invocation) (resp Response, err error) {
-	m.mu.Lock()
-	err = m.apply(&inv, &resp)
-	m.mu.Unlock()
-	return
-}
-
-// LockState implements Locker.
-func (m *MaxRegister) LockState() { m.mu.Lock() }
-
-// UnlockState implements Locker.
-func (m *MaxRegister) UnlockState() { m.mu.Unlock() }
-
-// ApplyLocked implements Locker.
-func (m *MaxRegister) ApplyLocked(_ types.ClientID, inv Invocation) (resp Response, err error) {
-	err = m.apply(&inv, &resp)
-	return
-}
-
-// apply is the one body of both (see Register.apply); the caller holds mu.
-func (m *MaxRegister) apply(inv *Invocation, resp *Response) error {
-	switch inv.Op {
-	case OpReadMax:
-		*resp = Response{Op: OpReadMax, Val: m.val, Data: m.data}
-	case OpWriteMax:
-		if m.sealed {
-			return fmt.Errorf("%w: max-register %d", ErrSealed, m.id)
-		}
-		if m.val.Less(inv.Arg) {
-			m.val = inv.Arg
-			m.data = inv.Data
-		}
-		resp.Op = OpWriteMax
-	default:
-		return fmt.Errorf("%w: %v on max-register %d", ErrWrongOp, inv.Op, m.id)
-	}
-	return nil
-}
-
-// Peek implements Object.
-func (m *MaxRegister) Peek() types.TSValue {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.val
-}
-
-// SealState implements StateSealer.
-func (m *MaxRegister) SealState() State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sealed = true
-	return State{Val: m.val, Data: m.data}
-}
-
-// RestoreState implements StateSealer.
-func (m *MaxRegister) RestoreState(st State) {
-	m.mu.Lock()
-	m.val = st.Val
-	m.data = st.Data
-	m.mu.Unlock()
-}
-
-// PeekState implements StatePeeker.
-func (m *MaxRegister) PeekState() State {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return State{Val: m.val, Data: m.data}
-}
-
-// SizeBytes implements Sizer.
-func (m *MaxRegister) SizeBytes() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.data)
-}
-
-// CASCell is a compare-and-swap object. CAS(exp, new) sets the value to new
-// when the current value equals exp, and always returns the previous value
-// (the semantics of Algorithm 1 in Appendix B).
-type CASCell struct {
-	id types.ObjectID
-
-	mu     sync.Mutex
-	val    types.TSValue
-	sealed bool
-}
-
-// NewCASCell returns a CAS cell initialized to the zero TSValue.
-func NewCASCell(id types.ObjectID) *CASCell {
-	return &CASCell{id: id, val: types.ZeroTSValue}
-}
-
-// ID implements Object.
-func (c *CASCell) ID() types.ObjectID { return c.id }
-
-// Kind implements Object.
-func (c *CASCell) Kind() Kind { return KindCAS }
-
-// Apply implements Object.
-func (c *CASCell) Apply(_ types.ClientID, inv Invocation) (resp Response, err error) {
-	c.mu.Lock()
-	err = c.apply(&inv, &resp)
-	c.mu.Unlock()
-	return
-}
-
-// LockState implements Locker.
-func (c *CASCell) LockState() { c.mu.Lock() }
-
-// UnlockState implements Locker.
-func (c *CASCell) UnlockState() { c.mu.Unlock() }
-
-// ApplyLocked implements Locker.
-func (c *CASCell) ApplyLocked(_ types.ClientID, inv Invocation) (resp Response, err error) {
-	err = c.apply(&inv, &resp)
-	return
-}
-
-// apply is the one body of both (see Register.apply); the caller holds mu.
-func (c *CASCell) apply(inv *Invocation, resp *Response) error {
-	if inv.Op != OpCAS {
-		return fmt.Errorf("%w: %v on cas cell %d", ErrWrongOp, inv.Op, c.id)
 	}
 	if c.sealed {
-		return fmt.Errorf("%w: cas cell %d", ErrSealed, c.id)
+		return fmt.Errorf("%w: %v %d", ErrSealed, c.kind, c.id)
 	}
-	*resp = Response{Op: OpCAS, Val: c.val}
-	if c.val == inv.Exp {
-		c.val = inv.New
+	resp.Op = inv.Op
+	switch inv.Op {
+	case OpWrite:
+		c.val, c.data = inv.Arg, inv.Data
+	case OpWriteMax:
+		if c.val.Less(inv.Arg) {
+			c.val, c.data = inv.Arg, inv.Data
+		}
+	case OpCAS:
+		resp.Val = c.val
+		if c.val == inv.Exp {
+			c.val = inv.New
+		}
 	}
 	return nil
 }
 
-// Peek implements Object.
-func (c *CASCell) Peek() types.TSValue {
+// PeekState implements Object.
+func (c *cell) PeekState() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.val
+	return State{Val: c.val, Data: c.data}
 }
 
-// SealState implements StateSealer. CAS cells carry no payload — their
-// comparability requirement (Apply compares TSValues with ==) keeps the
-// stored state a bare TSValue.
-func (c *CASCell) SealState() State {
+// SealState implements Object.
+func (c *cell) SealState() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sealed = true
-	return State{Val: c.val}
+	return State{Val: c.val, Data: c.data}
 }
 
-// RestoreState implements StateSealer.
-func (c *CASCell) RestoreState(st State) {
+// RestoreState implements Object.
+func (c *cell) RestoreState(st State) {
 	c.mu.Lock()
 	c.val = st.Val
+	c.data = st.Data
 	c.mu.Unlock()
+}
+
+// SizeBytes implements Object.
+func (c *cell) SizeBytes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.data)
 }

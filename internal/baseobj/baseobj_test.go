@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/types"
 )
@@ -44,15 +45,15 @@ func TestRegisterLastWriteWins(t *testing.T) {
 	if _, err := r.Apply(0, Invocation{Op: OpWrite, Arg: older}); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Peek(); got != older {
-		t.Fatalf("after stale overwrite Peek = %v, want %v", got, older)
+	if got := r.PeekState().Val; got != older {
+		t.Fatalf("after stale overwrite PeekState = %v, want %v", got, older)
 	}
 }
 
 func TestRegisterWriterSetEnforcement(t *testing.T) {
-	r := NewRegister(1, WithWriters([]types.ClientID{1, 2}))
-	if r.WriterBound() != 2 {
-		t.Fatalf("WriterBound = %d, want 2", r.WriterBound())
+	r := NewRegister(1, 2, 1)
+	if got := r.Writers(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("Writers = %v, want [1 2]", got)
 	}
 	if _, err := r.Apply(1, Invocation{Op: OpWrite, Arg: types.TSValue{TS: 1}}); err != nil {
 		t.Fatalf("authorized write: %v", err)
@@ -68,9 +69,9 @@ func TestRegisterWriterSetEnforcement(t *testing.T) {
 }
 
 func TestRegisterEmptyWriterSetIsUnbounded(t *testing.T) {
-	r := NewRegister(1, WithWriters(nil))
-	if r.WriterBound() != 0 {
-		t.Fatalf("WriterBound = %d, want 0 (unbounded)", r.WriterBound())
+	r := NewRegister(1, []types.ClientID{}...)
+	if got := r.Writers(); got != nil {
+		t.Fatalf("Writers = %v, want nil (unbounded)", got)
 	}
 	if _, err := r.Apply(99, Invocation{Op: OpWrite, Arg: types.TSValue{TS: 1}}); err != nil {
 		t.Fatalf("write on unbounded register: %v", err)
@@ -153,8 +154,8 @@ func TestCASSemantics(t *testing.T) {
 	if resp.Val != types.ZeroTSValue {
 		t.Fatalf("cas returned %v, want zero", resp.Val)
 	}
-	if c.Peek() != v1 {
-		t.Fatalf("after cas Peek = %v, want %v", c.Peek(), v1)
+	if got := c.PeekState().Val; got != v1 {
+		t.Fatalf("after cas PeekState = %v, want %v", got, v1)
 	}
 
 	// Failed CAS leaves the value and still returns the previous value.
@@ -165,8 +166,8 @@ func TestCASSemantics(t *testing.T) {
 	if resp.Val != v1 {
 		t.Fatalf("failed cas returned %v, want %v", resp.Val, v1)
 	}
-	if c.Peek() != v1 {
-		t.Fatalf("failed cas changed value to %v", c.Peek())
+	if got := c.PeekState().Val; got != v1 {
+		t.Fatalf("failed cas changed value to %v", got)
 	}
 
 	// The no-op CAS(x, x) is a read.
@@ -174,8 +175,8 @@ func TestCASSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Val != v1 || c.Peek() != v1 {
-		t.Fatalf("no-op cas: returned %v, state %v, want %v", resp.Val, c.Peek(), v1)
+	if got := c.PeekState().Val; resp.Val != v1 || got != v1 {
+		t.Fatalf("no-op cas: returned %v, state %v, want %v", resp.Val, got, v1)
 	}
 }
 
@@ -263,7 +264,84 @@ func TestConcurrentApplies(t *testing.T) {
 	}
 	wg.Wait()
 	// Max-register must hold a value with the highest timestamp written.
-	if got := max.Peek(); got.TS > 99 {
+	if got := max.PeekState().Val; got.TS > 99 {
 		t.Fatalf("max-register holds impossible timestamp %v", got)
+	}
+}
+
+// TestObjectContract runs every kind through the whole Object contract — the
+// one New, the external state lock, seal, state transfer and the space
+// metric — so no caller needs to ask an object what it supports.
+func TestObjectContract(t *testing.T) {
+	v := types.TSValue{TS: 4, Writer: 1, Val: 40}
+	p := types.PayloadFor(40, 32)
+	for _, tc := range []struct {
+		kind       Kind
+		read, muta Invocation
+		size       int
+	}{
+		{KindRegister, Invocation{Op: OpRead}, Invocation{Op: OpWrite, Arg: v, Data: p}, 32},
+		{KindMaxRegister, Invocation{Op: OpReadMax}, Invocation{Op: OpWriteMax, Arg: v, Data: p}, 32},
+		{KindCAS, Invocation{}, Invocation{Op: OpCAS, Exp: types.ZeroTSValue, New: v}, 0},
+		{KindFragStore, Invocation{Op: OpGetFrags}, Invocation{Op: OpCommitFrag, Arg: v}, 0},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			o, err := New(tc.kind, 11, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.ID() != 11 || o.Kind() != tc.kind {
+				t.Fatalf("identity %d/%v", o.ID(), o.Kind())
+			}
+			if ws := o.Writers(); (tc.kind == KindRegister) != (len(ws) == 1) {
+				t.Fatalf("Writers = %v", ws)
+			}
+			o.LockState()
+			_, err = o.ApplyLocked(1, tc.muta)
+			o.UnlockState()
+			if err != nil {
+				t.Fatalf("locked apply: %v", err)
+			}
+			if got := o.PeekState().Val; got != v {
+				t.Fatalf("PeekState = %v, want %v", got, v)
+			}
+			if got := o.SizeBytes(); got != tc.size {
+				t.Fatalf("SizeBytes = %d, want %d", got, tc.size)
+			}
+			st := o.SealState()
+			if _, err := o.Apply(1, tc.muta); !errors.Is(err, ErrSealed) {
+				t.Fatalf("sealed object accepted %v: %v", tc.muta.Op, err)
+			}
+			if tc.read.Op != 0 { // a CAS cell has no pure read
+				if _, err := o.Apply(1, tc.read); err != nil {
+					t.Fatalf("read of a sealed object: %v", err)
+				}
+			}
+			clone, err := CloneAtState(o, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clone.ID() != 11 || clone.Kind() != tc.kind || len(clone.Writers()) != len(o.Writers()) {
+				t.Fatalf("clone identity %d/%v/%v", clone.ID(), clone.Kind(), clone.Writers())
+			}
+			if got := clone.PeekState(); got.Val != v || len(got.Data) != len(st.Data) {
+				t.Fatalf("clone state %+v, want %+v", got, st)
+			}
+			if _, err := clone.Apply(1, tc.muta); err != nil {
+				t.Fatalf("clone is sealed: %v", err)
+			}
+		})
+	}
+	if _, err := New(Kind(99), 1); err == nil {
+		t.Fatal("New accepted an unknown kind")
+	}
+}
+
+// TestCellStaysInItsSizeClass: an abd-max key keeps three cells, so the
+// cell's size is a per-key footprint cost; a field that pushes it past 80
+// bytes moves every cell up a size class.
+func TestCellStaysInItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(cell{}); got > 80 {
+		t.Fatalf("cell is %d bytes, want at most 80", got)
 	}
 }

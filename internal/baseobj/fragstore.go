@@ -60,6 +60,9 @@ func (s *FragStore) ID() types.ObjectID { return s.id }
 // Kind implements Object.
 func (s *FragStore) Kind() Kind { return KindFragStore }
 
+// Writers implements Object: a fragment store has no writer set.
+func (s *FragStore) Writers() []types.ClientID { return nil }
+
 // Apply implements Object.
 func (s *FragStore) Apply(client types.ClientID, inv Invocation) (Response, error) {
 	s.mu.Lock()
@@ -67,13 +70,13 @@ func (s *FragStore) Apply(client types.ClientID, inv Invocation) (Response, erro
 	return s.ApplyLocked(client, inv)
 }
 
-// LockState implements Locker.
+// LockState implements Object.
 func (s *FragStore) LockState() { s.mu.Lock() }
 
-// UnlockState implements Locker.
+// UnlockState implements Object.
 func (s *FragStore) UnlockState() { s.mu.Unlock() }
 
-// ApplyLocked implements Locker.
+// ApplyLocked implements Object.
 func (s *FragStore) ApplyLocked(_ types.ClientID, inv Invocation) (Response, error) {
 	switch inv.Op {
 	case OpPutFrag:
@@ -161,14 +164,7 @@ func (s *FragStore) maxTS() types.TSValue {
 	return m
 }
 
-// Peek implements Object; it returns the commit watermark.
-func (s *FragStore) Peek() types.TSValue {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.watermark
-}
-
-// SealState implements StateSealer.
+// SealState implements Object.
 func (s *FragStore) SealState() State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,7 +172,7 @@ func (s *FragStore) SealState() State {
 	return State{Val: s.watermark, Frags: s.snapshot()}
 }
 
-// RestoreState implements StateSealer.
+// RestoreState implements Object.
 func (s *FragStore) RestoreState(st State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -195,14 +191,14 @@ func (s *FragStore) RestoreState(st State) {
 	}
 }
 
-// PeekState implements StatePeeker.
+// PeekState implements Object: Val is the commit watermark.
 func (s *FragStore) PeekState() State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return State{Val: s.watermark, Frags: s.snapshot()}
 }
 
-// SizeBytes implements Sizer: the payload bytes currently stored — the
+// SizeBytes implements Object: the payload bytes currently stored — the
 // quantity the space bounds are about.
 func (s *FragStore) SizeBytes() int {
 	s.mu.Lock()

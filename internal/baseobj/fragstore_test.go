@@ -17,7 +17,7 @@ func frag(ts uint64, w types.ClientID, v types.Value, idx int, data string) *Fra
 	}
 }
 
-func mustApply(t *testing.T, s *FragStore, inv Invocation) Response {
+func mustApply(t *testing.T, s Object, inv Invocation) Response {
 	t.Helper()
 	resp, err := s.Apply(1, inv)
 	if err != nil {
@@ -100,16 +100,15 @@ func TestFragStoreSealAndState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := clone.(*FragStore)
-	got := mustApply(t, cs, Invocation{Op: OpGetFrags})
+	got := mustApply(t, clone, Invocation{Op: OpGetFrags})
 	if len(got.Frags) != 2 {
 		t.Fatalf("clone has %d fragments, want 2", len(got.Frags))
 	}
-	if cs.Peek() != (types.TSValue{TS: 1, Writer: 1, Val: 10}) {
-		t.Fatalf("clone watermark %v", cs.Peek())
+	if wm := clone.PeekState().Val; wm != (types.TSValue{TS: 1, Writer: 1, Val: 10}) {
+		t.Fatalf("clone watermark %v", wm)
 	}
 	// The clone is unsealed: new puts land.
-	mustApply(t, cs, Invocation{Op: OpPutFrag, Frag: frag(4, 1, 40, 0, "dd")})
+	mustApply(t, clone, Invocation{Op: OpPutFrag, Frag: frag(4, 1, 40, 0, "dd")})
 }
 
 func TestFragStoreWrongOp(t *testing.T) {

@@ -408,9 +408,10 @@ func (c *Cluster) place(server types.ServerID, build func(id types.ObjectID) bas
 }
 
 // PlaceRegister creates a read/write register on the given server and
-// returns its ID. Options restrict the writer set (z-writer registers).
-func (c *Cluster) PlaceRegister(server types.ServerID, opts ...baseobj.RegisterOption) (types.ObjectID, error) {
-	return c.place(server, func(id types.ObjectID) baseobj.Object { return baseobj.NewRegister(id, opts...) })
+// returns its ID. A non-empty writers restricts the writer set (z-writer
+// registers).
+func (c *Cluster) PlaceRegister(server types.ServerID, writers ...types.ClientID) (types.ObjectID, error) {
+	return c.place(server, func(id types.ObjectID) baseobj.Object { return baseobj.NewRegister(id, writers...) })
 }
 
 // PlaceMaxRegister creates a max-register on the given server.
@@ -576,16 +577,14 @@ func (c *Cluster) PerServerCounts() []int {
 
 // PerServerBytes returns the payload bytes held by every server, indexed by
 // server ID — the bytes-per-server space axis measured against the
-// replication and coding bounds: the sum of baseobj.Sizer over the objects
-// implementing it. Objects without payload (CAS cells, plain TSValue
-// registers) count 0 — the metric is the *value bytes* axis the space
-// bounds are about, not per-object bookkeeping overhead.
+// replication and coding bounds: the sum of the objects' SizeBytes. Objects
+// without payload (CAS cells, plain TSValue registers) count 0 — the metric
+// is the *value bytes* axis the space bounds are about, not per-object
+// bookkeeping overhead.
 func (c *Cluster) PerServerBytes() []int64 {
 	bytes := make([]int64, c.N())
 	c.each(func(_ types.ObjectID, e *Entry) {
-		if sz, ok := e.obj.(baseobj.Sizer); ok {
-			bytes[e.srv.id] += int64(sz.SizeBytes())
-		}
+		bytes[e.srv.id] += int64(e.obj.SizeBytes())
 	})
 	return bytes
 }

@@ -76,7 +76,7 @@ func place(fab *fabric.Fabric, k int, server types.ServerID) (abdcore.MaxStore, 
 		cells:  make([]cell, k),
 	}
 	for w := 0; w < k; w++ {
-		obj, err := fab.Cluster().PlaceRegister(server, baseobj.WithWriters([]types.ClientID{types.ClientID(w)}))
+		obj, err := fab.Cluster().PlaceRegister(server, types.ClientID(w))
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseobj"
 	"repro/internal/bounds"
 	"repro/internal/cluster"
 	"repro/internal/emulation/quorumreg"
@@ -84,12 +85,11 @@ func TestPerWriterRegistersAreSingleWriter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg, ok := o.(interface{ WriterBound() int })
-		if !ok {
+		if o.Kind() != baseobj.KindRegister {
 			t.Fatalf("object %d is not a register", obj)
 		}
-		if reg.WriterBound() != 1 {
-			t.Errorf("object %d writer bound = %d, want 1", obj, reg.WriterBound())
+		if ws := o.Writers(); len(ws) != 1 {
+			t.Errorf("object %d writer set = %v, want one writer", obj, ws)
 		}
 	}
 }

@@ -232,7 +232,7 @@ func TestTimestampsGrowLinearly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := o.Peek().TS; got != writes {
+		if got := o.PeekState().Val.TS; got != writes {
 			t.Errorf("object %d ts = %d, want %d (one bump per write)", obj, got, writes)
 		}
 	}

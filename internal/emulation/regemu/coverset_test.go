@@ -140,7 +140,7 @@ func TestCoveredRegisterNotReusedUntilResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := obj.Peek(); got.Val != 30 {
+	if got := obj.PeekState().Val; got.Val != 30 {
 		t.Fatalf("covered register holds %v after re-trigger, want val 30", got)
 	}
 	// No low-level write is actually pending anymore (the re-triggered

@@ -155,7 +155,7 @@ func TestScatterFailsFastOnProtocolError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := c.PlaceRegister(0, baseobj.WithWriters([]types.ClientID{0}))
+	obj, err := c.PlaceRegister(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -871,31 +871,22 @@ func (f *Fabric) applyScanInline(group []*Call) {
 	byObj := make([]*Call, len(group))
 	copy(byObj, group)
 	sort.Slice(byObj, func(i, j int) bool { return byObj[i].ev.Object < byObj[j].ev.Object })
-	locked := make([]baseobj.Locker, 0, len(byObj))
+	locked := make([]baseobj.Object, 0, len(byObj))
 	for i, c := range byObj {
 		if i > 0 && c.ev.Object == byObj[i-1].ev.Object {
 			continue
 		}
-		if lk, ok := c.e.Object().(baseobj.Locker); ok {
-			lk.LockState()
-			locked = append(locked, lk)
-		}
+		o := c.e.Object()
+		o.LockState()
+		locked = append(locked, o)
 	}
 	outs := make([]Outcome, len(group))
 	for i, c := range group {
-		var resp baseobj.Response
-		var err error
-		if lk, ok := c.e.Object().(baseobj.Locker); ok {
-			resp, err = lk.ApplyLocked(c.ev.Client, c.ev.Inv)
-		} else {
-			// Non-Locker custom objects read under their own locking; they
-			// join the pass but not the snapshot guarantee.
-			resp, err = c.e.Object().Apply(c.ev.Client, c.ev.Inv)
-		}
+		resp, err := c.e.Object().ApplyLocked(c.ev.Client, c.ev.Inv)
 		outs[i] = Outcome{Resp: resp, Err: err}
 	}
-	for _, lk := range locked {
-		lk.UnlockState()
+	for _, o := range locked {
+		o.UnlockState()
 	}
 	for i, c := range group {
 		if !f.benign {

@@ -106,7 +106,7 @@ func TestLatencyLaneCrashDropsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := obj.Peek(); got != types.ZeroTSValue {
+	if got := obj.PeekState().Val; got != types.ZeroTSValue {
 		t.Fatalf("crashed server state mutated by late delivery: %v", got)
 	}
 }

@@ -300,13 +300,9 @@ func (f *Fabric) Resize(ctx context.Context, spec ResizeSpec, reshape ReshapeFun
 			if err != nil {
 				return nil, abort(err)
 			}
-			ss, ok := o.(baseobj.StateSealer)
-			if !ok {
-				return nil, abort(fmt.Errorf("object %d (%T) does not support state transfer", obj, o))
-			}
 			// fetchState seals before it can fail, so the rollback must
 			// restore the pre-seal state either way.
-			state, err := f.fetchState(ctx, fr.l, fr.srv, ss)
+			state, err := f.fetchState(ctx, fr.l, fr.srv, o)
 			sealed[obj] = state
 			if err != nil {
 				return nil, abort(fmt.Errorf("state fetch for object %d on server %d: %w", obj, old, err))
@@ -594,7 +590,7 @@ func (f *Fabric) awaitQuiesce(ctx context.Context, l *lane, srv *cluster.Server)
 // the node can receive no further write for this fabric's objects before
 // the connection closes. A server crashing mid-fetch fails the read
 // instead of hanging it — the caller rolls the seal back.
-func (f *Fabric) fetchState(ctx context.Context, l *lane, srv *cluster.Server, o baseobj.StateSealer) (baseobj.State, error) {
+func (f *Fabric) fetchState(ctx context.Context, l *lane, srv *cluster.Server, o baseobj.Object) (baseobj.State, error) {
 	local := o.SealState()
 	if l.mirror == nil {
 		return local, nil

@@ -193,7 +193,7 @@ func TestTriggerOnDepartingServerRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := obj.Peek(); v.Val != types.InitialValue {
+	if v := obj.PeekState().Val; v.Val != types.InitialValue {
 		t.Fatalf("rejected write applied anyway: %+v", v)
 	}
 }

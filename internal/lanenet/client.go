@@ -304,18 +304,9 @@ func (c *Client) enqueue(it outItem) {
 // any operation on the object is delivered. The placement rides the same
 // FIFO queue as invocations, preserving place-before-apply.
 func (c *Client) MirrorObject(obj baseobj.Object) {
-	p := placeReq{obj: obj.ID(), kind: obj.Kind()}
-	// Ship the full state when the object exposes it (payload registers,
-	// fragment stores); the timestamp alone loses payload bytes and
-	// fragments on reconfiguration.
-	if sp, ok := obj.(baseobj.StatePeeker); ok {
-		p.state = sp.PeekState()
-	} else {
-		p.state = baseobj.State{Val: obj.Peek()}
-	}
-	if reg, ok := obj.(*baseobj.Register); ok {
-		p.writers = reg.Writers()
-	}
+	// The full state ships, not the timestamp alone: that would lose payload
+	// bytes and fragments on reconfiguration.
+	p := placeReq{obj: obj.ID(), kind: obj.Kind(), writers: obj.Writers(), state: obj.PeekState()}
 	c.enqueue(outItem{kind: outPlace, body: appendPlace(nil, p)})
 }
 

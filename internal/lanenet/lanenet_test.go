@@ -222,7 +222,7 @@ func TestNetworkLaneReadYourWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := obj.Peek(); got != types.ZeroTSValue {
+	if got := obj.PeekState().Val; got != types.ZeroTSValue {
 		t.Fatalf("local mirror mutated: %v (state must live in the node)", got)
 	}
 }
@@ -239,7 +239,7 @@ func TestNetworkLaneProtocolErrorsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := c.PlaceRegister(0, baseobj.WithWriters([]types.ClientID{0}))
+	obj, err := c.PlaceRegister(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,9 +108,7 @@ func (n *Node) BytesStored() int64 {
 	for _, t := range n.tables {
 		t.mu.RLock()
 		for _, o := range t.objects {
-			if sz, ok := o.(baseobj.Sizer); ok {
-				total += int64(sz.SizeBytes())
-			}
+			total += int64(o.SizeBytes())
 		}
 		t.mu.RUnlock()
 	}
@@ -302,21 +300,8 @@ func (t *nodeTable) place(p placeReq) {
 	if _, ok := t.objects[p.obj]; ok {
 		return
 	}
-	var obj baseobj.StateSealer
-	switch p.kind {
-	case baseobj.KindRegister:
-		var opts []baseobj.RegisterOption
-		if len(p.writers) > 0 {
-			opts = append(opts, baseobj.WithWriters(p.writers))
-		}
-		obj = baseobj.NewRegister(p.obj, opts...)
-	case baseobj.KindMaxRegister:
-		obj = baseobj.NewMaxRegister(p.obj)
-	case baseobj.KindCAS:
-		obj = baseobj.NewCASCell(p.obj)
-	case baseobj.KindFragStore:
-		obj = baseobj.NewFragStore(p.obj)
-	default:
+	obj, err := baseobj.New(p.kind, p.obj, p.writers...)
+	if err != nil {
 		return
 	}
 	// A fresh placement materializes at the mirrored state — payload bytes

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/baseobj"
 	"repro/internal/bounds"
 	"repro/internal/cluster"
 	"repro/internal/types"
@@ -241,7 +240,7 @@ func Materialize(c *cluster.Cluster, p *Plan) (*Placement, error) {
 				return nil, err
 			}
 			server := members[i]
-			obj, err := c.PlaceRegister(server, baseobj.WithWriters(clientIDs))
+			obj, err := c.PlaceRegister(server, clientIDs...)
 			if err != nil {
 				return nil, err
 			}
