@@ -187,11 +187,11 @@ race-coded:
 # the sealed-but-not-activated window must roll the old view back intact, on
 # all three lane backends), grow/shrink under open client load with zero
 # failed ops, the quorum family's store recipe through a grow and a shrink,
-# the coded construction's restripe-or-reject on kData change, the resize
-# chaos net on its pinned seeds (E27: sound constructions clean, naive
-# caught), the transition-crash matrix (E28), and per-shard resizing through
-# the sharded store (in-process and over real cmd/lanenode processes).
-RESIZE_SUITE = -run 'Resize|TestTransitionCrash' ./internal/fabric ./internal/runner ./internal/emulation/quorumreg ./internal/emulation/coded ./internal/shardstore
+# the coded construction's restripe, the resize chaos net on its pinned
+# seeds (E27: sound constructions clean, naive caught), the transition-crash
+# matrix (E28), and per-shard resizing through the sharded store (in-process
+# and over real cmd/lanenode processes).
+RESIZE_SUITE = -run 'Resize|TestTransitionCrash' ./internal/fabric ./internal/runner ./internal/emulation/abdcore ./internal/emulation/coded ./internal/shardstore
 race-resize:
 	$(GO) test -race -count 1 $(RESIZE_SUITE)
 

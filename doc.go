@@ -109,7 +109,7 @@
 //     slice away for good.
 //     Retry is the one place a view-change retry is decided: a completion
 //     that raced a reconfiguration never applied, so the round (Scatter,
-//     abdcore's store-start rounds) or the single low-level write (regemu's
+//     abdcore's push over chain stores) or the single low-level write (regemu's
 //     re-trigger) runs again against the current placement — not after a
 //     delay but when the fabric's view stamp has moved past the value the
 //     attempt read before it planned. The stamp counts ended transitions:
@@ -129,17 +129,23 @@
 //   - internal/emulation/...: the constructions of Table 1 (abdmax,
 //     casmax, aacmax, regemu, and the under-provisioned naiveabd baseline)
 //     plus coded, each written once, as a completion-based chain of rounds:
-//     the four quorum constructions are store layers under abdcore's one
-//     collect and one push (a store's operation is either a direct fabric
-//     target scattered with the round or a chain the store starts itself),
-//     wired up by quorumreg from one store recipe per construction:
-//     Config.Place creates one server's store together with its base
-//     objects, quorumreg.New validates f and the 2f+1 hosts and calls it
-//     for each of them, and a view resize calls the same recipe for the
-//     servers it adds; a store names its base objects (Objects — the
-//     register's resource complexity is their count over the live
-//     placement) and folds a resize's maximum into itself (Seed). A new
-//     row of Table 1 is the store type and its recipe.
+//     the four quorum constructions are store recipes for one
+//     abdcore.Register, which owns the placement, the collect, the push,
+//     the writers' timestamp floors and the handles: Config.Place creates
+//     one server's store together with its base objects, abdcore.New
+//     validates f and the 2f+1 hosts once and calls it for each of them,
+//     and a view resize calls the same recipe for the servers it adds. A
+//     store names its base objects (Objects — the register's resource
+//     complexity is their count over the live placement) and appends its
+//     read-max ops (ReadMax), so every collect is one round: n−f responses
+//     when a store is one object, a server scan at f — regemu's shape —
+//     when it is several (aac-max's k registers). The write-max has the
+//     two shapes of Table 1, fixed by the recipe: one op (Config.WriteOp —
+//     a max-register's write-max, a plain register's overwrite), pushed as
+//     one round, or a chain the store runs itself (abdcore.Chain —
+//     Algorithm 1's CAS loop, aac-max's one-write-in-flight cell), which
+//     also folds a resize's maximum into the store (Seed). A new row of
+//     Table 1 is the store type and its recipe.
 //     Handles come from package emulation: StartWrite/StartRead run the
 //     chain under the caller's context (an in-flight op costs no
 //     goroutine), and Write/Read are one blocking adapter over the same

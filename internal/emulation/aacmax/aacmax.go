@@ -1,7 +1,7 @@
 // Package aacmax implements the paper's n = 2f+1 special-case construction
 // (Section 3.3 remark, Theorem 2 tightness): every server hosts a k-writer
 // max-register built from k single-writer base registers in the style of
-// Aspnes, Attiya, and Censor [4], and the ABD quorum engine runs on top.
+// Aspnes, Attiya, and Censor [4], and the ABD quorum register runs on top.
 //
 // The space cost is (2f+1)·k base registers, which matches the register
 // lower bound kf + k(f+1) = (2f+1)k exactly at n = 2f+1, while supporting
@@ -9,9 +9,9 @@
 // of a server is written only by writer i, whose timestamps are monotone,
 // so no covering write can ever erase another writer's value.
 //
-// read-max collects all k registers of the server; because they live on the
-// same server they crash together, so the collect either completes in full
-// or stalls like any faulty base object.
+// read-max reads all k registers of the server; because they live on the
+// same server they crash together, so the collect — one server-scan round
+// over all (2f+1)k registers — waits for all but f servers to answer in full.
 package aacmax
 
 import (
@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/baseobj"
 	"repro/internal/emulation/abdcore"
-	"repro/internal/emulation/quorumreg"
 	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
 	"repro/internal/spec"
@@ -33,7 +32,6 @@ type store struct {
 	fab    *fabric.Fabric
 	server types.ServerID
 	regs   []types.ObjectID // regs[i] is writable only by writer i
-	scan   []rounds.Target  // read targets for all k registers, precomputed
 
 	mu    sync.Mutex
 	cells []cell // cells[i] is writer i's side of regs[i]
@@ -59,15 +57,10 @@ type writeMax struct {
 	report func(types.TSValue, error)
 }
 
-// Compile-time interface compliance checks.
-var (
-	_ abdcore.MaxStore     = (*store)(nil)
-	_ abdcore.ReadStarter  = (*store)(nil)
-	_ abdcore.WriteStarter = (*store)(nil)
-)
+// Compile-time interface compliance check.
+var _ abdcore.Chain = (*store)(nil)
 
-// place creates the store of one server: k single-writer registers, with
-// their read targets precomputed for the per-server scan.
+// place creates the store of one server: k single-writer registers.
 func place(fab *fabric.Fabric, k int, server types.ServerID) (abdcore.MaxStore, error) {
 	st := &store{
 		fab:    fab,
@@ -81,7 +74,6 @@ func place(fab *fabric.Fabric, k int, server types.ServerID) (abdcore.MaxStore, 
 			return nil, err
 		}
 		st.regs = append(st.regs, obj)
-		st.scan = append(st.scan, rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}})
 	}
 	return st, nil
 }
@@ -92,7 +84,18 @@ func (s *store) Server() types.ServerID { return s.server }
 // Objects implements abdcore.MaxStore.
 func (s *store) Objects() []types.ObjectID { return s.regs }
 
-// StartWriteMax implements abdcore.WriteStarter: writer i writes its own base
+// ReadMax implements abdcore.MaxStore: a read of each of the k registers.
+// The registers live on the same server, so they crash together, and the
+// collect — a server scan over every store — counts the server once all k
+// answered.
+func (s *store) ReadMax(buf []rounds.Target) []rounds.Target {
+	for _, obj := range s.regs {
+		buf = append(buf, rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}})
+	}
+	return buf
+}
+
+// StartWriteMax implements abdcore.Chain: writer i writes its own base
 // register, skipping values no larger than what already landed there (which
 // makes the cell monotone, i.e. a genuine single-writer max) at once, and a
 // newer value waits while an earlier write of its is in flight there.
@@ -168,18 +171,7 @@ func (s *store) next(client types.ClientID) {
 	})
 }
 
-// StartReadMax implements abdcore.ReadStarter: scatter a read over all k
-// registers of the server in one batch and report their maximum once all
-// have responded. The registers live on the same server, so they crash
-// together: the fold either completes in full or stalls like any faulty
-// base object.
-func (s *store) StartReadMax(ctx context.Context, client types.ClientID, report func(types.TSValue, error)) {
-	rounds.Scatter(ctx, s.fab, client, rounds.Round{Max: report, Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
-		return append(buf, s.scan...), len(s.scan)
-	}})
-}
-
-// Seed implements abdcore.MaxStore: the folded maximum goes into its own
+// Seed implements abdcore.Chain: the folded maximum goes into its own
 // writer's register — carrying the writer's identity, since the base
 // registers are single-writer — and the store's client-side floor advances
 // with it so a later write-max by that writer still skips stale values.
@@ -208,8 +200,8 @@ type Options struct {
 // base registers in total) and returns the emulated k-register. Reads never
 // write, so only the regular (non-write-back) protocol is offered: the
 // k-register per-server max has no cell a reader could write.
-func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, error) {
-	return quorumreg.New(quorumreg.Config{
+func New(fab *fabric.Fabric, k, f int, opts Options) (*abdcore.Register, error) {
+	return abdcore.New(abdcore.Config{
 		Name: "aac-max",
 		K:    k,
 		F:    f,

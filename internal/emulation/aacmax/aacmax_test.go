@@ -2,19 +2,21 @@ package aacmax
 
 import (
 	"context"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/baseobj"
 	"repro/internal/bounds"
 	"repro/internal/cluster"
-	"repro/internal/emulation/quorumreg"
+	"repro/internal/emulation/abdcore"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-func newReg(t *testing.T, k, f int, hist *spec.History) (*quorumreg.Register, *fabric.Fabric) {
+func newReg(t *testing.T, k, f int, hist *spec.History) (*abdcore.Register, *fabric.Fabric) {
 	t.Helper()
 	c, err := cluster.New(2*f + 1)
 	if err != nil {
@@ -177,5 +179,85 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := New(fabric.New(two), 1, 1, Options{}); err == nil {
 		t.Error("a 2-member view accepted for f=1")
+	}
+}
+
+// TestReadWaitsForFPlusOneCompleteServers pins the collect's completion
+// condition: a read is one round over all (2f+1)k registers that counts a
+// server once all k of its reads answered. With one of the k reads held on
+// each of f+1 servers only f servers are complete, so the read stays
+// pending; releasing one server's held read completes it with the written
+// maximum. On both local lanes, n = 2f+1, k = 2.
+func TestReadWaitsForFPlusOneCompleteServers(t *testing.T) {
+	const k, f = 2, 1
+	for lane, opts := range map[string][]fabric.Option{
+		"inproc":  nil,
+		"latency": {fabric.WithLanes(fabric.LatencyLanes(5, fabric.LatencyProfile{Jitter: 50 * time.Microsecond}))},
+	} {
+		t.Run(lane, func(t *testing.T) {
+			ctx := testCtx(t)
+			c, err := cluster.New(2*f + 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var armed atomic.Bool
+			held := map[types.ObjectID]bool{} // writer 1's register on servers 0..f
+			gate := fabric.GateFuncs{Apply: func(ev fabric.TriggerEvent) fabric.Decision {
+				if armed.Load() && held[ev.Object] {
+					return fabric.Hold
+				}
+				return fabric.Pass
+			}}
+			fab := fabric.New(c, append(opts, fabric.WithGate(gate))...)
+			defer fab.Close()
+			reg, err := New(fab, k, f, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s <= f; s++ {
+				held[c.ObjectsOn(types.ServerID(s))[1]] = true
+			}
+			w, err := reg.Writer(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Write(ctx, 42); err != nil {
+				t.Fatal(err)
+			}
+
+			armed.Store(true)
+			type result struct {
+				v   types.Value
+				err error
+			}
+			done := make(chan result, 1)
+			reg.NewReader().StartRead(ctx, func(v types.Value, err error) { done <- result{v, err} })
+			// Pending lists every op from its trigger to its completion, so
+			// once it holds only the f+1 held reads every other read answered.
+			var pending []fabric.PendingOp
+			for pending = fab.Pending(); len(pending) != f+1 || !held[pending[0].Event.Object] || !held[pending[f].Event.Object]; pending = fab.Pending() {
+				if ctx.Err() != nil {
+					t.Fatalf("pending ops %+v, want the %d held reads alone", pending, f+1)
+				}
+				runtime.Gosched()
+			}
+			select {
+			case r := <-done:
+				t.Fatalf("read completed (%d, %v) with only %d complete servers", r.v, r.err, f)
+			default:
+			}
+
+			if err := fab.Release(pending[0].Event.Token); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case r := <-done:
+				if r.err != nil || r.v != 42 {
+					t.Fatalf("read after the release = %d, %v; want 42", r.v, r.err)
+				}
+			case <-ctx.Done():
+				t.Fatalf("read still pending after releasing server %d's held read", pending[0].Event.Server)
+			}
+		})
 	}
 }

@@ -1,67 +1,17 @@
-package quorumreg
+package abdcore
 
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 
+	"repro/internal/baseobj"
 	"repro/internal/cluster"
 	"repro/internal/emulation"
-	"repro/internal/emulation/abdcore"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
-
-// memStore is a minimal in-memory max-store whose both sides are started.
-// Its value lives in the struct; the base object it names exists only to be
-// counted, folded over (it stays at the zero value, so nothing is ever
-// seeded) and retired.
-type memStore struct {
-	server types.ServerID
-	obj    types.ObjectID
-
-	mu  sync.Mutex
-	val types.TSValue
-}
-
-var (
-	_ abdcore.ReadStarter  = (*memStore)(nil)
-	_ abdcore.WriteStarter = (*memStore)(nil)
-)
-
-func (s *memStore) Server() types.ServerID { return s.server }
-
-func (s *memStore) Objects() []types.ObjectID { return []types.ObjectID{s.obj} }
-
-func (s *memStore) Seed(*fabric.Reshaper, types.TSValue) error { return nil }
-
-func (s *memStore) StartWriteMax(_ context.Context, _ types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
-	s.mu.Lock()
-	s.val = types.MaxTSValue(s.val, v)
-	got := s.val
-	s.mu.Unlock()
-	report(got, nil)
-}
-
-func (s *memStore) StartReadMax(_ context.Context, _ types.ClientID, report func(types.TSValue, error)) {
-	s.mu.Lock()
-	got := s.val
-	s.mu.Unlock()
-	report(got, nil)
-}
-
-// placeMem is the memStore recipe on cluster c.
-func placeMem(c *cluster.Cluster) func(types.ServerID) (abdcore.MaxStore, error) {
-	return func(server types.ServerID) (abdcore.MaxStore, error) {
-		obj, err := c.PlaceMaxRegister(server)
-		if err != nil {
-			return nil, err
-		}
-		return &memStore{server: server, obj: obj}, nil
-	}
-}
 
 func newTestRegister(t *testing.T, k, f int, hist *spec.History) *Register {
 	t.Helper()
@@ -69,12 +19,15 @@ func newTestRegister(t *testing.T, k, f int, hist *spec.History) *Register {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fab := fabric.New(c)
+	var placed []*testStore
 	r, err := New(Config{
 		Name:    "test-reg",
 		K:       k,
 		F:       f,
-		Place:   placeMem(c),
-		Fabric:  fabric.New(c),
+		Place:   placeTest(fab, &placed),
+		WriteOp: baseobj.OpWriteMax,
+		Fabric:  fab,
 		History: hist,
 	})
 	if err != nil {
@@ -104,7 +57,7 @@ func TestConfigValidation(t *testing.T) {
 		{Name: "f=0", K: 1, F: 0},
 		{Name: "f=2 on a 3-member view", K: 1, F: 2},
 	} {
-		cfg.Fabric, cfg.Place = fab, placeMem(c)
+		cfg.Fabric, cfg.Place = fab, placeTest(fab, new([]*testStore))
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s accepted", cfg.Name)
 		}
@@ -114,11 +67,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// A failing recipe fails the build with its cause, naming the server.
 	noRoom := errors.New("no room")
-	_, err = New(Config{Name: "failing", K: 1, F: 1, Fabric: fab, Place: func(server types.ServerID) (abdcore.MaxStore, error) {
+	_, err = New(Config{Name: "failing", K: 1, F: 1, Fabric: fab, Place: func(server types.ServerID) (MaxStore, error) {
 		if server == 1 {
 			return nil, noRoom
 		}
-		return placeMem(c)(server)
+		return newTestStore(fab, server)
 	}})
 	if !errors.Is(err, noRoom) {
 		t.Errorf("failing Place: err = %v, want it to wrap the recipe's error", err)
@@ -137,11 +90,11 @@ func TestResizeAbortsOnPlaceError(t *testing.T) {
 	fab := fabric.New(c)
 	noRoom := errors.New("no room")
 	failOn := types.ServerID(-1)
-	r, err := New(Config{Name: "test-reg", K: 1, F: 1, Fabric: fab, Place: func(server types.ServerID) (abdcore.MaxStore, error) {
+	r, err := New(Config{Name: "test-reg", K: 1, F: 1, Fabric: fab, Place: func(server types.ServerID) (MaxStore, error) {
 		if server == failOn {
 			return nil, noRoom
 		}
-		return placeMem(c)(server)
+		return newTestStore(fab, server)
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -154,14 +107,14 @@ func TestResizeAbortsOnPlaceError(t *testing.T) {
 	if err := w.Write(ctx, 11); err != nil {
 		t.Fatal(err)
 	}
-	before := r.engine.Stores()
+	before := r.p.Load().stores
 
 	failOn = 4 // servers 3 and 4 join; the recipe fails on the second
 	_, err = fab.Resize(ctx, fabric.ResizeSpec{Join: make([]fabric.LaneMaker, 2), F: 2}, r.Reshape)
 	if !fabric.IsResizeAborted(err) || !errors.Is(err, noRoom) {
 		t.Fatalf("Resize err = %v, want an aborted transition wrapping the recipe's error", err)
 	}
-	after := r.engine.Stores()
+	after := r.p.Load().stores
 	if len(after) != len(before) {
 		t.Fatalf("placement has %d stores after the abort, want the old %d", len(after), len(before))
 	}

@@ -1,4 +1,4 @@
-package quorumreg_test
+package abdcore_test
 
 import (
 	"context"

@@ -13,32 +13,19 @@ package abdmax
 import (
 	"repro/internal/baseobj"
 	"repro/internal/emulation/abdcore"
-	"repro/internal/emulation/quorumreg"
 	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-// store is a single max-register base object on one server. Both of its
-// operations are single low-level ops, so it is a direct store: the quorum
-// engine scatters whole rounds over all stores in one TriggerBatch.
+// store is a single max-register base object on one server. Its write-max
+// is one low-level op too (abdcore.Config.WriteOp), so the register
+// scatters whole rounds over all stores in one TriggerBatch.
 type store struct {
 	obj    types.ObjectID
 	server types.ServerID
-	// valueSize, when positive, attaches a payload of that many bytes to
-	// every write-max — the replicated baseline of the bytes-per-server
-	// axis: each of the 2f+1 servers stores the full payload, where the
-	// coded construction stores a 1/kData fragment.
-	valueSize int
 }
-
-// Compile-time interface compliance checks.
-var (
-	_ abdcore.MaxStore    = (*store)(nil)
-	_ rounds.DirectReader = (*store)(nil)
-	_ rounds.DirectWriter = (*store)(nil)
-)
 
 // Server implements abdcore.MaxStore.
 func (s *store) Server() types.ServerID { return s.server }
@@ -46,26 +33,9 @@ func (s *store) Server() types.ServerID { return s.server }
 // Objects implements abdcore.MaxStore.
 func (s *store) Objects() []types.ObjectID { return []types.ObjectID{s.obj} }
 
-// ReadTarget implements rounds.DirectReader.
-func (s *store) ReadTarget() rounds.Target {
-	return rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpReadMax}}
-}
-
-// WriteTarget implements rounds.DirectWriter. When the store is sized the
-// write carries its payload rider.
-func (s *store) WriteTarget(v types.TSValue) rounds.Target {
-	inv := baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}
-	if s.valueSize > 0 {
-		inv.Data = types.PayloadFor(v.Val, s.valueSize)
-	}
-	return rounds.Target{Object: s.obj, Inv: inv}
-}
-
-// Seed implements abdcore.MaxStore: a write-max of the folded maximum,
-// whose monotonicity makes re-seeding a survivor idempotent.
-func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
-	_, err := rs.Apply(s.obj, s.WriteTarget(m).Inv)
-	return err
+// ReadMax implements abdcore.MaxStore.
+func (s *store) ReadMax(buf []rounds.Target) []rounds.Target {
+	return append(buf, rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpReadMax}})
 }
 
 // Options configure the construction.
@@ -77,19 +47,19 @@ type Options struct {
 	ReadWriteBack bool
 	// ValueSize, when positive, makes every write carry a payload of that
 	// many bytes into each replica — the replicated bytes-per-server
-	// baseline the coded construction is measured against.
+	// baseline the coded construction is measured against: each of the
+	// 2f+1 servers stores the full payload, where the coded construction
+	// stores a 1/kData fragment.
 	ValueSize int
 }
 
 // New places one max-register on each of 2f+1 servers of the fabric's
-// cluster and returns the emulated k-register.
-func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, error) {
-	c, valueSize := fab.Cluster(), opts.ValueSize
-	var engineOpts []abdcore.Option
-	if opts.ReadWriteBack {
-		engineOpts = append(engineOpts, abdcore.WithReadWriteBack())
-	}
-	return quorumreg.New(quorumreg.Config{
+// cluster and returns the emulated k-register. A resize seeds a store with
+// a write-max of the folded maximum, whose monotonicity makes re-seeding a
+// survivor idempotent.
+func New(fab *fabric.Fabric, k, f int, opts Options) (*abdcore.Register, error) {
+	c := fab.Cluster()
+	return abdcore.New(abdcore.Config{
 		Name: "abd-max",
 		K:    k,
 		F:    f,
@@ -98,10 +68,12 @@ func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, error
 			if err != nil {
 				return nil, err
 			}
-			return &store{obj: obj, server: server, valueSize: valueSize}, nil
+			return &store{obj: obj, server: server}, nil
 		},
-		Fabric:     fab,
-		History:    opts.History,
-		EngineOpts: engineOpts,
+		WriteOp:   baseobj.OpWriteMax,
+		ValueSize: opts.ValueSize,
+		Fabric:    fab,
+		History:   opts.History,
+		Atomic:    opts.ReadWriteBack,
 	})
 }

@@ -6,13 +6,13 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/emulation/quorumreg"
+	"repro/internal/emulation/abdcore"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-func newReg(t *testing.T, k, f, n int, opts Options) (*quorumreg.Register, *fabric.Fabric) {
+func newReg(t *testing.T, k, f, n int, opts Options) (*abdcore.Register, *fabric.Fabric) {
 	t.Helper()
 	c, err := cluster.New(n)
 	if err != nil {

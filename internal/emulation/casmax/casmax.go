@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/baseobj"
 	"repro/internal/emulation/abdcore"
-	"repro/internal/emulation/quorumreg"
 	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
 	"repro/internal/spec"
@@ -52,9 +51,8 @@ func (m *Metrics) Retries() int64 {
 // callback chains on the fabric: if any low-level CAS never responds (held
 // or crashed), the chain silently stalls — precisely a pending op.
 //
-// read-max is a single no-op CAS, so the store is a direct reader and read
-// rounds batch-scatter; write-max is Algorithm 1's retry loop and keeps the
-// per-store start/report path.
+// read-max is a single no-op CAS, scattered with the collect's round;
+// write-max is Algorithm 1's retry loop, an abdcore.Chain.
 type store struct {
 	fab     *fabric.Fabric
 	obj     types.ObjectID
@@ -62,12 +60,8 @@ type store struct {
 	metrics *Metrics
 }
 
-// Compile-time interface compliance checks.
-var (
-	_ abdcore.MaxStore     = (*store)(nil)
-	_ abdcore.WriteStarter = (*store)(nil)
-	_ rounds.DirectReader  = (*store)(nil)
-)
+// Compile-time interface compliance check.
+var _ abdcore.Chain = (*store)(nil)
 
 // Server implements abdcore.MaxStore.
 func (s *store) Server() types.ServerID { return s.server }
@@ -80,12 +74,12 @@ func readInv() baseobj.Invocation {
 	return baseobj.Invocation{Op: baseobj.OpCAS, Exp: types.ZeroTSValue, New: types.ZeroTSValue}
 }
 
-// ReadTarget implements rounds.DirectReader.
-func (s *store) ReadTarget() rounds.Target {
-	return rounds.Target{Object: s.obj, Inv: readInv()}
+// ReadMax implements abdcore.MaxStore.
+func (s *store) ReadMax(buf []rounds.Target) []rounds.Target {
+	return append(buf, rounds.Target{Object: s.obj, Inv: readInv()})
 }
 
-// StartWriteMax implements abdcore.WriteStarter with the Algorithm 1 loop as
+// StartWriteMax implements abdcore.Chain with the Algorithm 1 loop as
 // a callback chain; an abandoned write (ctx done) stops at its next step.
 func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
 	s.metrics.WriteMaxCalls.Add(1)
@@ -127,7 +121,7 @@ func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v type
 	attempt()
 }
 
-// Seed implements abdcore.MaxStore with one frozen-window compare-and-swap
+// Seed implements abdcore.Chain with one frozen-window compare-and-swap
 // from the cell's current content to the folded maximum — sound because
 // nothing else can touch the cell between the read and the swap.
 func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
@@ -152,13 +146,9 @@ type Options struct {
 
 // New places one CAS cell on each of 2f+1 servers and returns the emulated
 // k-register together with its retry metrics.
-func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, *Metrics, error) {
+func New(fab *fabric.Fabric, k, f int, opts Options) (*abdcore.Register, *Metrics, error) {
 	metrics := &Metrics{}
-	var engineOpts []abdcore.Option
-	if opts.ReadWriteBack {
-		engineOpts = append(engineOpts, abdcore.WithReadWriteBack())
-	}
-	reg, err := quorumreg.New(quorumreg.Config{
+	reg, err := abdcore.New(abdcore.Config{
 		Name: "abd-cas",
 		K:    k,
 		F:    f,
@@ -169,9 +159,9 @@ func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, *Metr
 			}
 			return &store{fab: fab, obj: obj, server: server, metrics: metrics}, nil
 		},
-		Fabric:     fab,
-		History:    opts.History,
-		EngineOpts: engineOpts,
+		Fabric:  fab,
+		History: opts.History,
+		Atomic:  opts.ReadWriteBack,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -8,13 +8,13 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/baseobj"
 	"repro/internal/cluster"
-	"repro/internal/emulation/quorumreg"
+	"repro/internal/emulation/abdcore"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-func newReg(t *testing.T, k, f, n int, gate fabric.Gate, opts Options) (*quorumreg.Register, *Metrics, *fabric.Fabric) {
+func newReg(t *testing.T, k, f, n int, gate fabric.Gate, opts Options) (*abdcore.Register, *Metrics, *fabric.Fabric) {
 	t.Helper()
 	c, err := cluster.New(n)
 	if err != nil {

@@ -46,12 +46,6 @@ import (
 	"repro/internal/types"
 )
 
-// ErrKDataChanged marks a resize rejected because the construction was
-// built with a pinned DataShards count that the new geometry cannot host:
-// kData must stay ≤ n−2f, and a pinned coder cannot restripe. Constructions
-// with a defaulted (n−2f) shard count restripe instead.
-var ErrKDataChanged = errors.New("coded: pinned data shards incompatible with resized view")
-
 // DefaultValueSize is the payload size used when Options.ValueSize is zero.
 const DefaultValueSize = 64
 
@@ -62,10 +56,6 @@ type Options struct {
 	// ValueSize is the payload size in bytes each write stores (default
 	// DefaultValueSize, minimum types.MinPayloadSize).
 	ValueSize int
-	// DataShards is the coder's k — the number of fragments that suffice
-	// to reconstruct. Defaults to n−2f, the largest safe value; anything
-	// above it is rejected.
-	DataShards int
 	// Atomic upgrades reads to the linearizable protocol at the cost of
 	// readers writing the stripe back.
 	Atomic bool
@@ -90,14 +80,10 @@ type Register struct {
 	k         int
 	valueSize int
 	atomic    bool
-	// pinned records an explicit Options.DataShards: a pinned coder cannot
-	// restripe, so a resize that would change kData is rejected
-	// (ErrKDataChanged) instead.
-	pinned  bool
-	p       atomic.Pointer[placement]
-	fab     *fabric.Fabric
-	hist    *spec.History
-	readers emulation.ReaderIDs
+	p         atomic.Pointer[placement]
+	fab       *fabric.Fabric
+	hist      *spec.History
+	readers   emulation.ReaderIDs
 }
 
 // Compile-time interface compliance checks.
@@ -121,14 +107,7 @@ func New(fab *fabric.Fabric, k, f int, opts Options) (*Register, error) {
 	if n < 2*f+1 {
 		return nil, fmt.Errorf("coded: need n ≥ 2f+1 = %d servers, got %d", 2*f+1, n)
 	}
-	kData := opts.DataShards
-	if kData == 0 {
-		kData = n - 2*f
-	}
-	if kData < 1 || kData > n-2*f {
-		return nil, fmt.Errorf("coded: data shards must be in [1, n−2f] = [1, %d], got %d (a reader's n−f stores only provably intersect a put quorum in n−2f)", n-2*f, kData)
-	}
-	coder, err := NewCoder(kData, n)
+	coder, err := NewCoder(n-2*f, n)
 	if err != nil {
 		return nil, fmt.Errorf("coded: %w", err)
 	}
@@ -155,7 +134,6 @@ func New(fab *fabric.Fabric, k, f int, opts Options) (*Register, error) {
 		k:         k,
 		valueSize: valueSize,
 		atomic:    opts.Atomic,
-		pinned:    opts.DataShards != 0,
 		fab:       fab,
 		hist:      hist,
 	}
@@ -439,10 +417,6 @@ func (p *placement) reconstruct(reps []rounds.Report) (types.TSValue, types.Payl
 // because their old stores hold fragments striped at the old kData, which
 // the new coder must never see. The placement swap happens before the old
 // stores retire, so an in-window retry can never route to a missing object.
-//
-// A register built with a pinned DataShards count cannot restripe to a
-// different kData: if the new geometry's ceiling n−2f falls below the pin,
-// the resize is rejected with ErrKDataChanged and the old view stays.
 func (r *Register) Reshape(rs *fabric.Reshaper) error {
 	old := r.p.Load()
 	members := rs.Members()
@@ -453,13 +427,6 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 	}
 	if newN < 2*newF+1 {
 		return fmt.Errorf("coded: need n ≥ 2f+1 = %d servers, got %d", 2*newF+1, newN)
-	}
-	newK := newN - 2*newF
-	if r.pinned {
-		if old.coder.K() > newN-2*newF {
-			return fmt.Errorf("coded: %w: pinned kData=%d, resized ceiling n−2f=%d", ErrKDataChanged, old.coder.K(), newN-2*newF)
-		}
-		newK = old.coder.K()
 	}
 	reps := make([]rounds.Report, 0, len(old.objs))
 	for i, obj := range old.objs {
@@ -473,7 +440,7 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 	if err != nil {
 		return fmt.Errorf("coded: restripe: %w", err)
 	}
-	coder, err := NewCoder(newK, newN)
+	coder, err := NewCoder(newN-2*newF, newN)
 	if err != nil {
 		return fmt.Errorf("coded: restripe: %w", err)
 	}
@@ -489,7 +456,7 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 	if ts != types.ZeroTSValue {
 		shards := coder.Encode(payload)
 		for i, obj := range objs {
-			frag := &baseobj.Fragment{TS: ts, Index: i, K: newK, Length: len(payload), Data: shards[i]}
+			frag := &baseobj.Fragment{TS: ts, Index: i, K: coder.K(), Length: len(payload), Data: shards[i]}
 			if _, err := rs.Apply(obj, baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: frag}); err != nil {
 				return fmt.Errorf("coded: seeding fragment %d: %w", i, err)
 			}

@@ -2,7 +2,6 @@ package coded
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -41,9 +40,6 @@ func TestCodedValidation(t *testing.T) {
 	}
 	if _, err := New(fab, 0, 1, Options{}); err == nil {
 		t.Error("k=0 writers accepted")
-	}
-	if _, err := New(fab, 2, 1, Options{DataShards: 4}); err == nil {
-		t.Error("data shards above n−2f accepted (a reader could miss the stripe)")
 	}
 	small := codedEnv(t, 3)
 	if _, err := New(small, 2, 2, Options{}); err == nil {
@@ -293,49 +289,6 @@ func TestCodedResizeRestripe(t *testing.T) {
 	}
 	if err := spec.CheckWSRegularity(reg.History().Snapshot(), 0); err != nil {
 		t.Errorf("WS-Regularity after restripe: %v", err)
-	}
-}
-
-// TestCodedResizeRejected pins the typed rejection: a register built with
-// an explicit DataShards count cannot restripe, so a resize whose new
-// ceiling n−2f falls below the pin aborts with ErrKDataChanged reachable
-// through the abort wrapper — and the old view keeps serving.
-func TestCodedResizeRejected(t *testing.T) {
-	ctx := testCtx(t)
-	fab := codedEnv(t, 5)
-	reg, err := New(fab, 1, 1, Options{DataShards: 3, ValueSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, _ := reg.Writer(0)
-	if err := w.Write(ctx, 61); err != nil {
-		t.Fatal(err)
-	}
-	epoch := fab.Cluster().Epoch()
-	// f 1→2 keeps n=5 but drops the ceiling to n−2f = 1 < pinned 3.
-	_, err = fab.Resize(ctx, fabric.ResizeSpec{F: 2},
-		func(rs *fabric.Reshaper) error { return reg.Reshape(rs) })
-	if !fabric.IsResizeAborted(err) {
-		t.Fatalf("pinned-shards resize returned %v, want ErrResizeAborted", err)
-	}
-	if !errors.Is(err, ErrKDataChanged) {
-		t.Fatalf("abort cause = %v, want ErrKDataChanged reachable", err)
-	}
-	view := fab.Cluster().View()
-	if view.F != 1 || view.N() != 5 {
-		t.Fatalf("view after rejected resize: n=%d f=%d, want n=5 f=1", view.N(), view.F)
-	}
-	if got := reg.DataShards(); got != 3 {
-		t.Fatalf("DataShards after rejected resize = %d, want the pinned 3", got)
-	}
-	if fab.Cluster().Epoch() == epoch {
-		t.Log("epoch unchanged after abort (no joiners to admit)")
-	}
-	if v, err := reg.NewReader().Read(ctx); err != nil || v != 61 {
-		t.Fatalf("read after rejected resize = %d, %v; want 61", v, err)
-	}
-	if err := w.Write(ctx, 62); err != nil {
-		t.Fatalf("write after rejected resize: %v", err)
 	}
 }
 

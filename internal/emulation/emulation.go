@@ -4,8 +4,8 @@
 // through per-client handles.
 //
 // Six constructions implement this interface, one per sub-package (abdmax,
-// casmax, aacmax, naiveabd — thin store layers under quorumreg — regemu and
-// coded; doc.go maps each to its row of the paper). Every one is written
+// casmax, aacmax, naiveabd — store recipes for abdcore's one quorum
+// register — regemu and coded; doc.go maps each to its row of the paper). Every one is written
 // once, as a completion-based chain (WriteChain / ReadChain), and hands out
 // the handles of this package (NewWriter / NewReader), which record the
 // history and turn the chain into the blocking Write / Read.

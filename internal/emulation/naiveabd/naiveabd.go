@@ -16,28 +16,21 @@ package naiveabd
 import (
 	"repro/internal/baseobj"
 	"repro/internal/emulation/abdcore"
-	"repro/internal/emulation/quorumreg"
 	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-// store exposes a plain register through the max-store interface: write-max
-// becomes a lossy overwrite — the flaw under adversarial asynchrony. Both
-// operations are single low-level ops, so the store is direct and the
-// engine batch-scatters its rounds.
+// store exposes a plain register as a max-store whose write-max is an
+// unconditional overwrite (abdcore.Config.WriteOp = OpWrite) — the flaw
+// under adversarial asynchrony. A resize seeds it with the same overwrite,
+// sound there because the window is frozen: the resize itself never loses a
+// value, only the construction's normal operation can.
 type store struct {
 	obj    types.ObjectID
 	server types.ServerID
 }
-
-// Compile-time interface compliance checks.
-var (
-	_ abdcore.MaxStore    = (*store)(nil)
-	_ rounds.DirectReader = (*store)(nil)
-	_ rounds.DirectWriter = (*store)(nil)
-)
 
 // Server implements abdcore.MaxStore.
 func (s *store) Server() types.ServerID { return s.server }
@@ -45,23 +38,9 @@ func (s *store) Server() types.ServerID { return s.server }
 // Objects implements abdcore.MaxStore.
 func (s *store) Objects() []types.ObjectID { return []types.ObjectID{s.obj} }
 
-// ReadTarget implements rounds.DirectReader.
-func (s *store) ReadTarget() rounds.Target {
-	return rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}}
-}
-
-// WriteTarget implements rounds.DirectWriter: the unconditional overwrite.
-func (s *store) WriteTarget(v types.TSValue) rounds.Target {
-	return rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: v}}
-}
-
-// Seed implements abdcore.MaxStore with an unconditional overwrite —
-// faithful to the baseline's (flawed) write-max, and sound here because the
-// window is frozen: the resize itself never loses a value, only the
-// construction's normal operation can.
-func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
-	_, err := rs.Apply(s.obj, s.WriteTarget(m).Inv)
-	return err
+// ReadMax implements abdcore.MaxStore.
+func (s *store) ReadMax(buf []rounds.Target) []rounds.Target {
+	return append(buf, rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}})
 }
 
 // Options configure the baseline.
@@ -72,9 +51,9 @@ type Options struct {
 
 // New places one plain register on each of 2f+1 servers and returns the
 // (unsound) emulated k-register.
-func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, error) {
+func New(fab *fabric.Fabric, k, f int, opts Options) (*abdcore.Register, error) {
 	c := fab.Cluster()
-	return quorumreg.New(quorumreg.Config{
+	return abdcore.New(abdcore.Config{
 		Name: "naive-abd",
 		K:    k,
 		F:    f,
@@ -85,6 +64,7 @@ func New(fab *fabric.Fabric, k, f int, opts Options) (*quorumreg.Register, error
 			}
 			return &store{obj: obj, server: server}, nil
 		},
+		WriteOp: baseobj.OpWrite,
 		Fabric:  fab,
 		History: opts.History,
 	})

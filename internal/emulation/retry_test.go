@@ -77,7 +77,7 @@ func (g *parkTwo) disarm() types.ServerID {
 }
 
 // TestViewChangeRetry drives the three users of rounds.Retry through a
-// Replace: a fabric-target round (abd-max's direct push), a store-start
+// Replace: a fabric-target round (abd-max's one-op push), a chain-store
 // round (abd-cas's Algorithm 1 write chains) and regemu's per-register
 // re-trigger. The write stalls with two low-level writes parked before
 // taking effect; replacing one of their servers completes that op with a

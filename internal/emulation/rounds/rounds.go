@@ -57,20 +57,6 @@ type Report struct {
 	Err error
 }
 
-// DirectReader is implemented by stores whose read-max is a single
-// low-level operation; the engine batch-scatters such rounds through the
-// fabric instead of starting each store individually.
-type DirectReader interface {
-	// ReadTarget returns the read-max invocation target.
-	ReadTarget() Target
-}
-
-// DirectWriter is the write-side analogue of DirectReader.
-type DirectWriter interface {
-	// WriteTarget returns the write-max(v) invocation target.
-	WriteTarget(v types.TSValue) Target
-}
-
 // Plan supplies one attempt's round geometry: it appends the targets to
 // scatter to buf — the round's recycled buffer, handed over empty — and
 // returns it with the threshold to complete at. The round keeps the result
@@ -254,7 +240,7 @@ func (s *attempt) recycle() {
 }
 
 // Retry is the one place a view-change retry is decided, for whole rounds
-// (Scatter, abdcore's store-start rounds) and for single low-level operations
+// (Scatter, abdcore's push over chain stores) and for single low-level operations
 // (regemu's per-register re-trigger) alike. It returns false when err is not
 // a view change: the caller reports err. Otherwise it takes the outcome over
 // through fab.AwaitView: again runs once the view stamp differs from seen —

@@ -16,7 +16,7 @@ import (
 // connection to a storage node (internal/lanenet).
 //
 // Everything above the lane is backend-agnostic: the Gate adversary, the
-// held-op and crash-drop accounting, the quorum round engine, and the five
+// held-op and crash-drop accounting, the quorum round engine, and the six
 // constructions all compose with any backend. The fabric keeps the paper's
 // fault model intact by wrapping every delivery: operations for crashed
 // servers are dropped (never delivered, never responded), whichever side of

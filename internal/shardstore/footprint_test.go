@@ -16,22 +16,23 @@ import (
 // and setup_s (PR 14: +3 objects and +200 B per key cost 12–18 % of
 // throughput). It materializes and first-writes 4,096 atomic abd-max keys on
 // one in-process shard and bounds what stays live per key — three base
-// objects with their table entries, the register, its engine, history and
-// writer client — by a runtime.MemStats delta between two forced
+// objects with their table entries, the register, its history and writer
+// client — by a runtime.MemStats delta between two forced
 // collections. With delta stored five times (PR 19) this read 24.05 objects
 // and 1,970 B per key; with the one object table 24.02 and 1,603–1,617 B (a
 // 32-byte table entry per base object where there were a 64-byte route and
 // three map entries). PR 27 reads 23.52 and 1,554–1,594 B: the key map's
 // buckets became table chunks, and the engine's bound read plan became the
 // register's per-writer timestamp floors (8 pointer-free bytes for the one
-// writer here, which share a tiny-allocator block). The object ceiling is
-// that reading plus slack, the byte ceiling PR 20's plus slack for size-class
-// drift.
+// writer here, which share a tiny-allocator block). With the quorum
+// register one object — its engine and the engine's list of one-op writers
+// gone — it reads 20.01 and 1,480–1,512 B. Each ceiling is that reading plus
+// slack for size-class drift.
 func TestKeyFootprintAllocCeiling(t *testing.T) {
 	const (
 		keys       = 4096
-		maxObjects = 23.60
-		maxBytes   = 1700
+		maxObjects = 20.10
+		maxBytes   = 1600
 	)
 	ctx := testCtx(t)
 	st, err := Open(ctx, Config{Keys: keys, Kind: runner.KindABDMax, Atomic: true, N: 3, F: 1})

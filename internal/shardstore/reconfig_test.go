@@ -1,12 +1,15 @@
 package shardstore
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/emulation"
+	"repro/internal/fabric"
 	"repro/internal/runner"
 	"repro/internal/types"
 )
@@ -292,6 +295,35 @@ func TestShardStoreResizeValidation(t *testing.T) {
 	}
 	if _, err := st.Resize(ctx, 0, ResizeSpec{Shrink: 99}); err == nil {
 		t.Fatal("shrink past the member count succeeded")
+	}
+}
+
+// TestShardStoreResizeRejectsRegEmuUndisturbed: a shard holding a regemu
+// key (no reshape path) rejects a resize with ErrResizeUnsupported itself,
+// not as an aborted transition, and the view is untouched — same stamp,
+// epoch and server count.
+func TestShardStoreResizeRejectsRegEmuUndisturbed(t *testing.T) {
+	ctx := testCtx(t)
+	st, err := Open(ctx, Config{Shards: 1, Keys: 2, Kind: runner.KindRegEmu})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	lateKey(ctx, t, st, 1, "Open")
+	env := st.Env(0)
+	stamp, epoch, n := env.Fabric.ViewStamp(), env.Cluster.Epoch(), env.Cluster.N()
+	_, err = st.Resize(ctx, 0, ResizeSpec{Grow: 1})
+	if !errors.Is(err, emulation.ErrResizeUnsupported) || fabric.IsResizeAborted(err) {
+		t.Fatalf("Resize of a regemu shard: %v, want ErrResizeUnsupported without a transition", err)
+	}
+	if got := env.Fabric.ViewStamp(); got != stamp {
+		t.Errorf("view stamp %d -> %d", stamp, got)
+	}
+	if got := env.Cluster.Epoch(); got != epoch {
+		t.Errorf("epoch %d -> %d", epoch, got)
+	}
+	if got := env.Cluster.N(); got != n {
+		t.Errorf("N() %d -> %d", n, got)
 	}
 }
 

@@ -392,8 +392,9 @@ type ResizeSpec struct {
 // and the f change activate together with re-derived quorum thresholds,
 // and every materialized register re-places its base objects against the
 // new geometry inside the frozen window (emulation.ViewResizable.Reshape).
-// Constructions without a reshape path (regemu) reject the resize before
-// the view is disturbed.
+// A shard holding a key of a construction without a reshape path (regemu)
+// is rejected with emulation.ErrResizeUnsupported before the view is
+// disturbed.
 //
 // The shard lock is held for the whole transition, so no key materializes
 // inside it; keys materializing afterwards read the new member set and the
@@ -411,6 +412,21 @@ func (st *Store) Resize(ctx context.Context, s int, spec ResizeSpec) (*fabric.Re
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
+	// No key materializes while the shard lock is held, so the shard's
+	// registers are collected now, before a joiner is dialed or a server
+	// frozen.
+	var keys []uint64
+	var regs []emulation.ViewResizable
+	for key, kr := range st.all() {
+		if st.ShardOf(key) != s {
+			continue
+		}
+		vr, ok := kr.reg.(emulation.ViewResizable)
+		if !ok {
+			return nil, fmt.Errorf("shardstore: shard %d key %d (%s): %w", s, key, kr.reg.Name(), emulation.ErrResizeUnsupported)
+		}
+		keys, regs = append(keys, key), append(regs, vr)
+	}
 	view := sh.env.Cluster.View()
 	if spec.Shrink > len(view.Members) {
 		return nil, fmt.Errorf("shardstore: shard %d cannot shed %d of %d members", s, spec.Shrink, len(view.Members))
@@ -424,16 +440,9 @@ func (st *Store) Resize(ctx context.Context, s int, spec ResizeSpec) (*fabric.Re
 		fspec.Join = append(fspec.Join, maker)
 	}
 	res, err := sh.env.Fabric.Resize(ctx, fspec, func(rs *fabric.Reshaper) error {
-		for key, kr := range st.all() {
-			if st.ShardOf(key) != s {
-				continue
-			}
-			vr, ok := kr.reg.(emulation.ViewResizable)
-			if !ok {
-				return fmt.Errorf("shardstore: key %d (%s): %w", key, kr.reg.Name(), emulation.ErrResizeUnsupported)
-			}
+		for i, vr := range regs {
 			if err := vr.Reshape(rs); err != nil {
-				return fmt.Errorf("shardstore: key %d: %w", key, err)
+				return fmt.Errorf("shardstore: key %d: %w", keys[i], err)
 			}
 		}
 		return nil
