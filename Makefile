@@ -69,8 +69,9 @@ pairs:
 # materialized keys; a materialized key's live heap objects and bytes; the
 # fabric's hand-off of a recycled batch to an asynchronous lane, its release
 # path and its single-op trigger; the TCP lane's in-place codecs, slot table
-# and pipelined client). A round, an op record, a hand-off, a codec or a
-# table that starts allocating again fails here by name.
+# and pipelined client; a coded 64 KiB write+read pair within 1.3x the value
+# size per op). A round, an op record, a hand-off, a codec or a table that
+# starts allocating again fails here by name.
 allocs:
 	$(GO) test -count 1 -run 'Alloc' ./...
 
@@ -117,9 +118,11 @@ race-lanenet:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/lanenet
 
 # Ten seconds of coverage-guided fuzzing over the frame reader and every
-# wire decoder.
+# wire decoder, then ten over the erasure coder: decode(encode(data)) must be
+# data for any payload and any recovery subset.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime 10s ./internal/lanenet
+	$(GO) test -run xxx -fuzz FuzzDecodeEncode -fuzztime 10s ./internal/emulation/coded
 
 # The five suites below select by package, or by the topic word a test
 # carries in its name (an unanchored -run pattern), so a new test joins its

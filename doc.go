@@ -178,8 +178,10 @@
 //     reconstructible. A gather is not instantaneous: one whose answers
 //     straddle commits may reconstruct nothing as new as a commit it
 //     saw, and is repeated — reads are FW-terminating (they finish once
-//     writes pause), never wrong. The stripe is verified against the
-//     payload's self-describing fill. At f=2, n=5 the safe shard count
+//     writes pause), never wrong. The stripe's data shards are verified
+//     where they lie against the payload's self-describing fill, so a
+//     gather holding all of them decodes nothing; parity comes from a
+//     word-wide table kernel. At f=2, n=5 the safe shard count
 //     collapses to 1 and the construction degenerates to replication,
 //     exactly where the paper's lower bound says coding cannot help.
 //   - internal/emulation/async: the completion-based client engine — a

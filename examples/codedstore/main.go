@@ -2,12 +2,13 @@
 // nodes serve fragment stores over TCP; a coded register (n=5, f=1,
 // kData=3) stripes each 64 KiB value into five timestamped fragments, one
 // per node, where the replicated constructions would put a full copy on
-// every server. Mid-run one node is killed — its connections drop, the
+// 2f+1 = 3 of the servers. Mid-run one node is killed — its connections drop, the
 // lane crashes (reconnect-as-crash), and an in-flight write still
 // completes on the surviving 4/5 quorum because any 3 fragments
 // reconstruct. The run ends by reading the value back through the torn
 // membership and printing what each node actually stores: ~a third of the
-// value, against the full copy replication would have cost.
+// value, against the full copy each of replication's 2f+1 replicas holds —
+// 1.8x less over the cluster.
 package main
 
 import (
@@ -121,8 +122,9 @@ func main() {
 	fmt.Println("read back value 2: reconstructed from 3 of the surviving fragments")
 
 	// The space axis, from the nodes' own counters: each live node holds
-	// one ceil(size/kData) fragment of the latest stripe where replication
-	// would hold the full value.
+	// one ceil(size/kData) fragment of the latest stripe, where each of
+	// replication's 2f+1 replicas would hold the full value (the replicated
+	// constructions place their stores on the first 2f+1 members only).
 	var total int64
 	for i, s := range nodes {
 		b := s.node.BytesStored()
@@ -131,10 +133,14 @@ func main() {
 		if i == 4 {
 			status = "killed"
 		}
-		fmt.Printf("node %d (%s): %6d bytes stored (full copy would be %d)\n",
-			i, status, b, valueSize)
+		replica := 0
+		if i < 2*faults+1 {
+			replica = valueSize
+		}
+		fmt.Printf("node %d (%s): %6d bytes stored (replicated: %d)\n",
+			i, status, b, replica)
 	}
-	replicated := int64(servers * valueSize)
+	replicated := int64((2*faults + 1) * valueSize)
 	fmt.Printf("cluster total: %d bytes vs %d replicated — %.1fx less for the same f=%d\n",
 		total, replicated, float64(replicated)/float64(total), faults)
 }

@@ -9,10 +9,11 @@
 //  2. put:      OpPutFrag of fragment i to server i, gather n−f acks;
 //  3. commit:   OpCommitFrag(ts) on all n, gather n−f acks.
 //
-// A read gathers OpGetFrags from n−f stores, reconstructs the highest
-// timestamp holding ≥ kData distinct fragments, and verifies the decoded
-// payload (types.Payload embeds its own value derivation, so a stripe mixed
-// from two writes can never decode silently). In atomic mode the reader
+// A read gathers OpGetFrags from n−f stores, picks the highest timestamp
+// holding ≥ kData distinct fragments, rebuilds whichever data shards the
+// gather missed, and verifies them against the payload of the timestamp's
+// value (types.Payload embeds its own value derivation, so a stripe mixed
+// from two writes can never verify silently). In atomic mode the reader
 // writes the stripe back (re-encoded put + commit) before returning, unless
 // every gathered store already committed it.
 //
@@ -36,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/baseobj"
@@ -84,6 +86,9 @@ type Register struct {
 	fab       *fabric.Fabric
 	hist      *spec.History
 	readers   emulation.ReaderIDs
+	// straddles counts the gathers reads repeated because the answers
+	// straddled a commit (errStraddled).
+	straddles atomic.Uint64
 }
 
 // Compile-time interface compliance checks.
@@ -159,6 +164,10 @@ func (r *Register) DataShards() int { return r.p.Load().coder.K() }
 // ValueSize returns the payload size each write stores.
 func (r *Register) ValueSize() int { return r.valueSize }
 
+// StraddledGathers returns how many gathers this register's reads repeated
+// because their answers straddled a commit.
+func (r *Register) StraddledGathers() uint64 { return r.straddles.Load() }
+
 // ResourceComplexity implements emulation.Register: one fragment store per
 // server. The paper's object-count measure is blind to the win here — the
 // bytes-per-server axis (cluster.PerServerBytes) is what separates coded
@@ -226,8 +235,7 @@ func (c *chain) StartWrite(ctx context.Context, client types.ClientID, v types.V
 			return
 		}
 		ts := types.TSValue{TS: cur.TS + 1, Writer: client, Val: v}
-		payload := types.PayloadFor(v, r.valueSize)
-		r.startPut(ctx, client, ts, payload, func(err error) {
+		r.startPut(ctx, client, ts, r.p.Load().payload(v, r.valueSize), func(err error) {
 			if err != nil {
 				done(fmt.Errorf("coded: write: %w", err))
 				return
@@ -235,6 +243,15 @@ func (c *chain) StartWrite(ctx context.Context, client types.ClientID, v types.V
 			done(nil)
 		})
 	}})
+}
+
+// payload builds v's payload in a buffer this placement's stripes can
+// alias (see Coder.Encode): room for the k·FragmentSize stripe, zero
+// padding past the value.
+func (p *placement) payload(v types.Value, size int) types.Payload {
+	buf := make(types.Payload, size, p.coder.K()*p.coder.FragmentSize(size))
+	types.PutPayload(buf, v)
+	return buf
 }
 
 // startPut stripes payload at timestamp ts across the stores and commits:
@@ -292,16 +309,17 @@ func (c *chain) StartRead(ctx context.Context, client types.ClientID, done func(
 					done(types.InitialValue, fmt.Errorf("coded: read gather: %w", err))
 					return
 				}
-				ts, payload, committed, err := gathered.Load().reconstruct(reps)
+				s, committed, err := gathered.Load().reconstruct(reps)
 				switch {
 				case errors.Is(err, errStraddled):
+					r.straddles.Add(1)
 					if !inScatter.CompareAndSwap(true, false) {
 						gather()
 					}
 				case err != nil:
 					done(types.InitialValue, fmt.Errorf("coded: read: %w", err))
 				default:
-					r.finishRead(ctx, client, ts, payload, committed, done)
+					r.finishRead(ctx, client, s, committed, done)
 				}
 			}})
 			if inScatter.CompareAndSwap(true, false) {
@@ -312,36 +330,69 @@ func (c *chain) StartRead(ctx context.Context, client types.ClientID, done func(
 	gather()
 }
 
-// finishRead turns a reconstructed stripe into the read's result.
-func (r *Register) finishRead(ctx context.Context, client types.ClientID, ts types.TSValue, payload types.Payload, committed bool, done func(types.Value, error)) {
-	if ts == types.ZeroTSValue {
+// finishRead turns a reconstructed stripe into the read's result. The
+// value is checked on the data shards where they lie; the payload is
+// assembled only for an atomic read's write-back.
+func (r *Register) finishRead(ctx context.Context, client types.ClientID, s stripe, committed bool, done func(types.Value, error)) {
+	if s.ts == types.ZeroTSValue {
 		done(types.InitialValue, nil)
 		return
 	}
-	v, err := payload.Value()
-	if err != nil {
+	if err := s.check(); err != nil {
 		done(types.InitialValue, fmt.Errorf("coded: read: %w", err))
 		return
 	}
-	if v != ts.Val {
-		done(types.InitialValue, fmt.Errorf("coded: read: stripe %v decodes to value %d", ts, v))
-		return
-	}
 	if !r.atomic || committed {
-		done(v, nil)
+		done(s.ts.Val, nil)
 		return
 	}
 	// Write-back: make the stripe as stable as a completed write, so a
 	// later reader cannot observe an older value (the ABD new/old
 	// inversion). Re-encoding regenerates the fragments the gather
 	// didn't see.
-	r.startPut(ctx, client, ts, payload, func(err error) {
+	r.startPut(ctx, client, s.ts, s.payload(), func(err error) {
 		if err != nil {
 			done(types.InitialValue, fmt.Errorf("coded: read write-back: %w", err))
 			return
 		}
-		done(v, nil)
+		done(s.ts.Val, nil)
 	})
+}
+
+// stripe is the write a gather reconstructed: its timestamp, its payload
+// length and its kData data shards, which alias the gathered fragments
+// wherever a store returned one. The zero stripe is the initial state.
+type stripe struct {
+	ts     types.TSValue
+	length int
+	shards [][]byte
+}
+
+// check verifies the data shards, where they lie, against the payload of the
+// value the stripe's timestamp names (types.PayloadFor): fragments mixed from
+// two writes, or a corrupt byte, fail here without the payload ever being
+// assembled.
+func (s stripe) check() error {
+	if s.length < types.MinPayloadSize {
+		return fmt.Errorf("stripe %v holds %d bytes, less than a payload", s.ts, s.length)
+	}
+	fs := len(s.shards[0])
+	for j, shard := range s.shards {
+		off := j * fs
+		if off >= s.length {
+			break
+		}
+		if i := types.PayloadMismatch(s.ts.Val, off, shard[:min(fs, s.length-off)]); i >= 0 {
+			return fmt.Errorf("stripe %v is not value %d's payload: corrupt at byte %d", s.ts, s.ts.Val, i)
+		}
+	}
+	return nil
+}
+
+// payload assembles the stripe's value bytes, in a buffer Encode can
+// restripe without copying: the data shards' zero padding follows them.
+func (s stripe) payload() types.Payload {
+	return slices.Concat(s.shards...)[:s.length]
 }
 
 // errStraddled reports a gather whose answers span commits: some report's
@@ -353,11 +404,12 @@ func (r *Register) finishRead(ctx context.Context, client types.ClientID, ts typ
 // reconstructs) could miss a completed write.
 var errStraddled = errors.New("gather straddled a commit")
 
-// reconstruct decodes the newest stripe with ≥ kData distinct fragments
-// among the gathered reports. committed reports whether every gathered
-// store's commit watermark already covers that stripe — the atomic-mode
-// fast path that skips the write-back. A zero timestamp means the register
-// is in its initial state: no report carries a commit.
+// reconstruct picks the newest stripe with ≥ kData distinct fragments
+// among the gathered reports and rebuilds whichever of its data shards the
+// gather missed (none, when the answers hold all of them). committed reports
+// whether every gathered store's commit watermark already covers that stripe
+// — the atomic-mode fast path that skips the write-back. The zero stripe
+// means the register is in its initial state: no report carries a commit.
 //
 // At any one instant the newest committed stripe is reconstructible from n−f
 // stores (retention rule + quorum intersection, see the package comment); a
@@ -367,46 +419,56 @@ var errStraddled = errors.New("gather straddled a commit")
 // newer pending stripe that happens to be reconstructible may win instead;
 // its write is concurrent, so returning it is regular — and the write-back
 // makes it stable before an atomic read returns.
-func (p *placement) reconstruct(reps []rounds.Report) (types.TSValue, types.Payload, bool, error) {
-	type stripe struct {
+func (p *placement) reconstruct(reps []rounds.Report) (stripe, bool, error) {
+	// found is one write's fragments by stripe position, nil where no
+	// answer held one; a gather spans a handful of writes at most.
+	type found struct {
+		ts     types.TSValue
 		length int
-		frags  map[int][]byte
+		frags  [][]byte
+		count  int
 	}
-	stripes := make(map[types.TSValue]*stripe)
+	k := p.coder.K()
+	var writes []found
 	for _, rep := range reps {
 		for _, f := range rep.Frags {
-			if f.K != p.coder.K() {
-				return types.ZeroTSValue, nil, false, fmt.Errorf("fragment of stripe %v has k=%d, coder has k=%d", f.TS, f.K, p.coder.K())
+			if f.K != k {
+				return stripe{}, false, fmt.Errorf("fragment of stripe %v has k=%d, coder has k=%d", f.TS, f.K, k)
 			}
-			s := stripes[f.TS]
-			if s == nil {
-				s = &stripe{length: f.Length, frags: make(map[int][]byte)}
-				stripes[f.TS] = s
+			if f.Index < 0 || f.Index >= p.n {
+				return stripe{}, false, fmt.Errorf("fragment of stripe %v has index %d, stripes have %d", f.TS, f.Index, p.n)
 			}
-			s.frags[f.Index] = f.Data
+			w := slices.IndexFunc(writes, func(w found) bool { return w.ts == f.TS })
+			if w < 0 {
+				writes = append(writes, found{ts: f.TS, length: f.Length, frags: make([][]byte, p.n)})
+				w = len(writes) - 1
+			}
+			if writes[w].frags[f.Index] == nil {
+				writes[w].count++
+			}
+			writes[w].frags[f.Index] = f.Data
 		}
 	}
-	best := types.ZeroTSValue
-	for ts, s := range stripes {
-		if len(s.frags) >= p.coder.K() && best.Less(ts) {
-			best = ts
+	var best found
+	for _, w := range writes {
+		if w.count >= k && best.ts.Less(w.ts) {
+			best = w
 		}
 	}
 	committed := true
 	for _, rep := range reps {
-		if best.Less(rep.Val) {
-			return types.ZeroTSValue, nil, false, errStraddled
+		if best.ts.Less(rep.Val) {
+			return stripe{}, false, errStraddled
 		}
-		committed = committed && !rep.Val.Less(best) // a watermark below the stripe: not yet committed there
+		committed = committed && !rep.Val.Less(best.ts) // a watermark below the stripe: not yet committed there
 	}
-	if best == types.ZeroTSValue {
-		return types.ZeroTSValue, nil, true, nil
+	if best.ts == types.ZeroTSValue {
+		return stripe{}, true, nil
 	}
-	data, err := p.coder.Decode(stripes[best].length, stripes[best].frags)
-	if err != nil {
-		return types.ZeroTSValue, nil, false, fmt.Errorf("decoding stripe %v: %w", best, err)
+	if err := p.coder.rebuild(best.frags, p.coder.FragmentSize(best.length), nil); err != nil {
+		return stripe{}, false, fmt.Errorf("decoding stripe %v: %w", best.ts, err)
 	}
-	return best, types.Payload(data), committed, nil
+	return stripe{ts: best.ts, length: best.length, shards: best.frags[:k]}, committed, nil
 }
 
 // Reshape implements emulation.ViewResizable by restriping: inside the
@@ -436,7 +498,7 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 		}
 		reps = append(reps, rounds.Report{Index: i, Object: obj, Val: st.Val, Frags: st.Frags})
 	}
-	ts, payload, _, err := old.reconstruct(reps)
+	s, _, err := old.reconstruct(reps)
 	if err != nil {
 		return fmt.Errorf("coded: restripe: %w", err)
 	}
@@ -453,14 +515,14 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 		}
 		objs = append(objs, obj)
 	}
-	if ts != types.ZeroTSValue {
-		shards := coder.Encode(payload)
+	if s.ts != types.ZeroTSValue {
+		shards := coder.Encode(s.payload())
 		for i, obj := range objs {
-			frag := &baseobj.Fragment{TS: ts, Index: i, K: coder.K(), Length: len(payload), Data: shards[i]}
+			frag := &baseobj.Fragment{TS: s.ts, Index: i, K: coder.K(), Length: s.length, Data: shards[i]}
 			if _, err := rs.Apply(obj, baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: frag}); err != nil {
 				return fmt.Errorf("coded: seeding fragment %d: %w", i, err)
 			}
-			if _, err := rs.Apply(obj, baseobj.Invocation{Op: baseobj.OpCommitFrag, Arg: ts}); err != nil {
+			if _, err := rs.Apply(obj, baseobj.Invocation{Op: baseobj.OpCommitFrag, Arg: s.ts}); err != nil {
 				return fmt.Errorf("coded: committing seeded stripe on store %d: %w", obj, err)
 			}
 		}

@@ -13,18 +13,31 @@
 // k ≤ n−2f. At n=5, f=1 coding stores |v|/3 bytes per server (beating
 // 2f+1 whole replicas); at f=2 the bound forces k=1 — whole-value
 // replication — which is exactly the coded lower bound's message.
+//
+// A coded op runs at memory speed: the parity rows come from a word-wide
+// table kernel (mulRowsAdd), a write's data shards alias its payload, and a
+// read whose gather holds every data shard checks the value on the shards
+// where they lie (types.PayloadMismatch) with no decode and no payload
+// buffer; only a missing data shard is rebuilt, and the payload is
+// assembled only for an atomic read's write-back.
 package coded
+
+import "encoding/binary"
 
 // GF(2^8) arithmetic with the AES-independent primitive polynomial
 // x^8+x^4+x^3+x^2+1 (0x11d), the conventional choice for storage codes.
 // Multiplication and inversion go through log/exp tables built once at
-// package init; the generator is 2.
+// package init; the generator is 2. The row kernel reads a full 256×256
+// product table, also built at init.
 
 const gfPoly = 0x11d
 
 var (
 	gfExp [510]byte // gfExp[i] = 2^i, doubled so mul can skip a mod 255
 	gfLog [256]byte // gfLog[x] for x != 0
+	// gfMulTable[c][x] = c·x, the rows the kernel builds its pair tables
+	// from.
+	gfMulTable [256][256]byte
 )
 
 func init() {
@@ -39,6 +52,11 @@ func init() {
 	}
 	for i := 255; i < 510; i++ {
 		gfExp[i] = gfExp[i-255]
+	}
+	for c := range gfMulTable {
+		for x := range gfMulTable[c] {
+			gfMulTable[c][x] = gfMul(byte(c), byte(x))
+		}
 	}
 }
 
@@ -75,23 +93,46 @@ func gfPow(base byte, exp int) byte {
 	return gfExp[(int(gfLog[base])*exp)%255]
 }
 
-// mulRowAdd accumulates dst ^= c * src over a whole row. This is the
-// encode/decode hot loop; fragments are a few tens of KiB so the simple
-// table walk is fine without SIMD.
-func mulRowAdd(dst, src []byte, c byte) {
-	if c == 0 {
-		return
-	}
-	if c == 1 {
-		for i := range src {
-			dst[i] ^= src[i]
+// mulRowsAdd accumulates dst[r] ^= coef[r]·src for every row r, the
+// encode/decode hot loop. Rows go two at a time, in one pass over src, through
+// a pair table: entry x holds both coefficients' products of the byte value
+// x, row r's in the low half and row r+1's in the high half, and shifted
+// copies of it place those products at byte 1, 2 or 3 of each half. Eight
+// lookups ORed together, one per byte of an 8-byte word of src, multiply the
+// word into both rows, and each row is XORed a word at a time. An odd last row pairs with the zero
+// coefficient and writes its own row twice. Every dst row must be at least as
+// long as src.
+func mulRowsAdd(dst [][]byte, coef []byte, src []byte) {
+	var pair [4][256]uint64
+	for r := 0; r < len(dst); r += 2 {
+		d0, d1 := dst[r], dst[r]
+		t0, t1 := &gfMulTable[coef[r]], &gfMulTable[0]
+		if r+1 < len(dst) {
+			d1, t1 = dst[r+1], &gfMulTable[coef[r+1]]
 		}
-		return
-	}
-	lc := int(gfLog[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= gfExp[lc+int(gfLog[s])]
+		for x := range pair[0] {
+			p := uint64(t0[x]) | uint64(t1[x])<<32
+			pair[0][x], pair[1][x], pair[2][x], pair[3][x] = p, p<<8, p<<16, p<<24
 		}
+		mulPairAdd(d0[:len(src)], d1[:len(src)], src, &pair)
+	}
+}
+
+// mulPairAdd is mulRowsAdd's pass over src for one pair of rows.
+func mulPairAdd(d0, d1, src []byte, pair *[4][256]uint64) {
+	t0, t1, t2, t3 := &pair[0], &pair[1], &pair[2], &pair[3]
+	words := len(src) &^ 7
+	for i := 0; i < words; i += 8 {
+		s := src[i : i+8 : i+8]
+		lo := t0[s[0]] | t1[s[1]] | t2[s[2]] | t3[s[3]]
+		hi := t0[s[4]] | t1[s[5]] | t2[s[6]] | t3[s[7]]
+		// d1 may alias d0 (an odd row): finish d0's word before reading d1's.
+		binary.LittleEndian.PutUint64(d0[i:], binary.LittleEndian.Uint64(d0[i:])^(lo&0xffffffff|hi<<32))
+		binary.LittleEndian.PutUint64(d1[i:], binary.LittleEndian.Uint64(d1[i:])^(lo>>32|hi&^0xffffffff))
+	}
+	for i := words; i < len(src); i++ {
+		p := t0[src[i]]
+		d0[i] ^= byte(p)
+		d1[i] ^= byte(p >> 32)
 	}
 }

@@ -69,15 +69,37 @@ func TestGFPow(t *testing.T) {
 	}
 }
 
+// TestMulRowAdd checks the word kernel against gfMul for every coefficient
+// over every row length from 0 to three words and seven bytes, so each
+// length reaches the word loop, its byte tail, or both. Each pass
+// accumulates three rows: a pair (the coefficient under test and its
+// complement, which must not leak into each other) and an odd last row.
 func TestMulRowAdd(t *testing.T) {
-	src := []byte{0, 1, 2, 0x53, 0xca, 0xff}
+	const maxLen = 3*8 + 7
+	src := make([]byte, maxLen)
+	for i := range src {
+		src[i] = byte(i*37 + 11)
+	}
+	src[3], src[17] = 0, 0xff
 	for c := 0; c < 256; c++ {
-		dst := []byte{9, 9, 9, 9, 9, 9}
-		mulRowAdd(dst, src, byte(c))
-		for i := range src {
-			want := byte(9) ^ gfMul(src[i], byte(c))
-			if dst[i] != want {
-				t.Fatalf("mulRowAdd c=%d idx=%d: got %d want %d", c, i, dst[i], want)
+		coef := []byte{byte(c), byte(255 - c), byte(c) ^ 0x5a}
+		for n := 0; n <= maxLen; n++ {
+			dst := [][]byte{make([]byte, n+1), make([]byte, n+1), make([]byte, n+1)}
+			for r := range dst {
+				for i := range dst[r] {
+					dst[r][i] = byte(9 * (i + r))
+				}
+			}
+			mulRowsAdd(dst, coef, src[:n])
+			for r, d := range dst {
+				for i := 0; i < n; i++ {
+					if want := byte(9*(i+r)) ^ gfMul(src[i], coef[r]); d[i] != want {
+						t.Fatalf("c=%d len=%d row %d idx %d: got %d want %d", coef[r], n, r, i, d[i], want)
+					}
+				}
+				if d[n] != byte(9*(n+r)) {
+					t.Fatalf("c=%d len=%d row %d: wrote past the row", coef[r], n, r)
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package coded
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Coder is a systematic k-of-n Reed–Solomon erasure coder over GF(2^8).
@@ -92,25 +93,42 @@ func (c *Coder) FragmentSize(length int) int {
 
 // Encode stripes data into n fragments of FragmentSize(len(data)) bytes
 // each. The first k fragments are the zero-padded data shards
-// (systematic); the rest are parity. data is not retained.
+// (systematic); the rest are parity.
+//
+// The data shards are consecutive FragmentSize pieces of the stripe: data,
+// extended to k·FragmentSize bytes when its capacity covers that and the
+// padding there is zero — a payload built for it, as the coded register's
+// are. Every shard that lies whole in the stripe aliases data's array; the
+// rest of the stripe, zero-padded, and the parity rows share one fresh
+// buffer, so a payload built for its stripe allocates only the parity rows.
+// Aliasing is safe because nobody writes either side afterwards: a payload
+// is immutable once built, and a fragment store owns the Data it is handed
+// (baseobj.Invocation.Frag) and never modifies it. A caller that goes on to
+// modify data must encode a copy.
 func (c *Coder) Encode(data []byte) [][]byte {
 	fs := c.FragmentSize(len(data))
-	shards := make([][]byte, c.k)
-	for j := 0; j < c.k; j++ {
-		shard := make([]byte, fs)
-		copy(shard, data[min(j*fs, len(data)):min((j+1)*fs, len(data))])
-		shards[j] = shard
+	stripe := data
+	if span := c.k * fs; cap(data) >= span && !slices.ContainsFunc(data[len(data):span], func(b byte) bool { return b != 0 }) {
+		stripe = data[:span]
 	}
+	whole := min(len(stripe)/fs, c.k)
+	rest := make([]byte, (c.n-whole)*fs)
+	copy(rest, stripe[whole*fs:])
 	frags := make([][]byte, c.n)
-	for j := 0; j < c.k; j++ {
-		frags[j] = shards[j]
-	}
-	for i := c.k; i < c.n; i++ {
-		row := make([]byte, fs)
-		for j := 0; j < c.k; j++ {
-			mulRowAdd(row, shards[j], c.matrix[i][j])
+	for i := range frags {
+		if i < whole {
+			frags[i] = stripe[i*fs : (i+1)*fs : (i+1)*fs]
+		} else {
+			o := (i - whole) * fs
+			frags[i] = rest[o : o+fs : o+fs]
 		}
-		frags[i] = row
+	}
+	var coef [255]byte
+	for j := 0; j < c.k; j++ {
+		for i := c.k; i < c.n; i++ {
+			coef[i-c.k] = c.matrix[i][j]
+		}
+		mulRowsAdd(frags[c.k:], coef[:c.n-c.k], frags[j])
 	}
 	return frags
 }
@@ -121,20 +139,78 @@ func (c *Coder) Encode(data []byte) [][]byte {
 // ignored deterministically (lowest indexes win).
 func (c *Coder) Decode(length int, frags map[int][]byte) ([]byte, error) {
 	fs := c.FragmentSize(length)
+	have := make([][]byte, c.n)
+	out := make([]byte, c.k*fs)
+	for i, f := range frags {
+		if i >= 0 && i < c.n {
+			have[i] = f
+		}
+		if i >= 0 && i < c.k {
+			copy(out[i*fs:(i+1)*fs], f)
+		}
+	}
+	if err := c.rebuild(have, fs, out); err != nil {
+		return nil, err
+	}
+	return out[:length], nil
+}
+
+// rebuild makes frags[:k] hold every data shard. frags is indexed by
+// fragment position, nil where absent; each missing data shard j is
+// computed from the lowest k present fragments into stripe[j·fs:(j+1)·fs]
+// (stripe holds k·fs zero bytes there; nil allocates one). The lowest k
+// fragments include every present data shard, so a stripe whose data shards
+// are all present takes no arithmetic and no memory. The fragments used must
+// be fs bytes long.
+func (c *Coder) rebuild(frags [][]byte, fs int, stripe []byte) error {
 	rows := make([]int, 0, c.k)
 	for i := 0; i < c.n && len(rows) < c.k; i++ {
-		if f, ok := frags[i]; ok {
+		if f := frags[i]; f != nil {
 			if len(f) != fs {
-				return nil, fmt.Errorf("coded: fragment %d has %d bytes, want %d", i, len(f), fs)
+				return fmt.Errorf("coded: fragment %d has %d bytes, want %d", i, len(f), fs)
 			}
 			rows = append(rows, i)
 		}
 	}
 	if len(rows) < c.k {
-		return nil, fmt.Errorf("%w: have %d of %d", ErrShort, len(rows), c.k)
+		return fmt.Errorf("%w: have %d of %d", ErrShort, len(rows), c.k)
 	}
-	// Invert the k×k submatrix of the chosen rows by Gauss–Jordan on
-	// [sub | I].
+	if rows[c.k-1] < c.k {
+		return nil
+	}
+	inv, err := c.invert(rows)
+	if err != nil {
+		return err
+	}
+	if stripe == nil {
+		stripe = make([]byte, c.k*fs)
+	}
+	var missing []int
+	var dst [][]byte
+	for j := 0; j < c.k; j++ {
+		if frags[j] == nil {
+			missing = append(missing, j)
+			dst = append(dst, stripe[j*fs:(j+1)*fs:(j+1)*fs])
+		}
+	}
+	// Missing shard j = row j of the inverse dotted with the chosen
+	// fragments: one pass over each fragment accumulates every missing shard.
+	coef := make([]byte, len(missing))
+	for r, ri := range rows {
+		for m, j := range missing {
+			coef[m] = inv[j][r]
+		}
+		mulRowsAdd(dst, coef, frags[ri])
+	}
+	for m, j := range missing {
+		frags[j] = dst[m]
+	}
+	return nil
+}
+
+// invert returns the inverse of the k×k submatrix of the encode matrix at
+// the given rows, by Gauss–Jordan on [sub | I].
+func (c *Coder) invert(rows []int) ([][]byte, error) {
 	aug := make([][]byte, c.k)
 	for r, ri := range rows {
 		aug[r] = make([]byte, 2*c.k)
@@ -167,13 +243,8 @@ func (c *Coder) Decode(length int, frags map[int][]byte) ([]byte, error) {
 			}
 		}
 	}
-	// shard j = inverse row j dotted with the supplied fragments.
-	out := make([]byte, c.k*fs)
-	for j := 0; j < c.k; j++ {
-		shard := out[j*fs : (j+1)*fs]
-		for r, ri := range rows {
-			mulRowAdd(shard, frags[ri], aug[j][c.k+r])
-		}
+	for r := range aug {
+		aug[r] = aug[r][c.k:]
 	}
-	return out[:length], nil
+	return aug, nil
 }

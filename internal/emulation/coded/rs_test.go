@@ -2,6 +2,8 @@ package coded
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 )
@@ -35,6 +37,52 @@ func TestCoderSystematic(t *testing.T) {
 		copy(want, data[j*fs:min(len(data), (j+1)*fs)])
 		if !bytes.Equal(frags[j], want) {
 			t.Fatalf("fragment %d is not the systematic data shard", j)
+		}
+	}
+}
+
+// TestCoderGoldenFragments pins the fragment bytes Encode produces — what
+// fragment stores hold and wire frames carry — as one SHA-256 per geometry
+// over the fragments of payloads from 0 bytes to 64 KiB. Each payload is
+// encoded twice: as a plain slice, and built in a buffer whose capacity
+// covers the stripe, whose data shards Encode must alias rather than copy.
+func TestCoderGoldenFragments(t *testing.T) {
+	golden := []struct {
+		k, n   int
+		digest string
+	}{
+		{3, 5, "a2e62f1a6585c3bcdb0c498aabb4c27391084c96440561a98c8ad7906c3267a9"},
+		{2, 4, "d1f55250245f7ece37ee939024a79da578226eb8cdfab17c76e79beaac6b6a98"},
+		{1, 3, "d5dfbfc1a1857ea513a69f9114ef421ae850a02feaec01fb3db76c79432c077a"},
+		{4, 7, "2f5a698ed51ff450c53b421fa0496e82c5d7a3a3f4010912af417e34e38691ef"},
+	}
+	for _, g := range golden {
+		c, err := NewCoder(g.k, g.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, built := sha256.New(), sha256.New()
+		for _, ln := range []int{0, 1, 8, 63, 1025, 64 << 10} {
+			data := payloadFor(int64(ln), ln)
+			for _, f := range c.Encode(data) {
+				plain.Write(f)
+			}
+			stripe := make([]byte, ln, g.k*c.FragmentSize(ln))
+			copy(stripe, data)
+			frags := c.Encode(stripe)
+			for _, f := range frags {
+				built.Write(f)
+			}
+			for j := 0; j < g.k && ln > 0; j++ {
+				if &frags[j][0] != &stripe[:cap(stripe)][j*len(frags[j])] {
+					t.Fatalf("k=%d n=%d len=%d: data shard %d does not alias the payload built for its stripe", g.k, g.n, ln, j)
+				}
+			}
+		}
+		for name, h := range map[string][]byte{"plain": plain.Sum(nil), "built": built.Sum(nil)} {
+			if got := hex.EncodeToString(h); got != g.digest {
+				t.Errorf("k=%d n=%d (%s payloads): fragment digest %s, want %s", g.k, g.n, name, got, g.digest)
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/baseobj"
+	"repro/internal/emulation/coded"
 	"repro/internal/fabric"
 	"repro/internal/lanenet"
 	"repro/internal/types"
@@ -128,9 +129,10 @@ func TestChaosCodedWithChurn(t *testing.T) {
 // answers that complete the gather hold two fragments of stripe 1 and one each
 // of stripes 2 and 3 — nothing reconstructs, although three writes completed.
 // The read must not take that for the initial state: it gathers again (the
-// gate holds nothing now) and returns a written value, and the history stays
-// WS-Regular. On every lane the schedule is driven by Pending alone: each step
-// waits until nothing but the held gets is outstanding.
+// gate holds nothing now, and the register counts the repeat) and returns a
+// written value, and the history stays WS-Regular. On every lane the schedule
+// is driven by Pending alone: each step waits until nothing but the held gets
+// is outstanding.
 func TestCodedStraddledGather(t *testing.T) {
 	t.Run("inproc", func(t *testing.T) { straddledGather(t, nil) })
 	t.Run("latency", func(t *testing.T) {
@@ -235,6 +237,9 @@ func straddledGather(t *testing.T, maker fabric.LaneMaker) {
 		}
 	case <-ctx.Done():
 		t.Fatal("read over a straddled gather never completed")
+	}
+	if n := reg.(*coded.Register).StraddledGathers(); n < 1 {
+		t.Errorf("read completed after %d repeated gathers, want at least 1: the straddled gather was not caught", n)
 	}
 	env.Fabric.ReleaseWhere(func(fabric.PendingOp) bool { return true })
 	settle(0)

@@ -3,6 +3,7 @@ package types
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Payload is the byte-slice value representation: the variable-length
@@ -27,9 +28,27 @@ func PayloadFor(v Value, size int) Payload {
 		size = MinPayloadSize
 	}
 	p := make(Payload, size)
-	binary.BigEndian.PutUint64(p, uint64(v))
-	fillPayload(p, v)
+	PutPayload(p, v)
 	return p
+}
+
+// PutPayload writes the payload for v into p in place, filling all of
+// len(p) ≥ MinPayloadSize bytes: what PayloadFor(v, len(p)) returns, in a
+// buffer the caller sized (the coded register builds its payloads in a
+// buffer its stripes can alias).
+func PutPayload(p []byte, v Value) {
+	binary.BigEndian.PutUint64(p, uint64(v))
+	x := fillSeed(v)
+	off := MinPayloadSize
+	for ; off+8 <= len(p); off += 8 {
+		x += fillGamma
+		binary.BigEndian.PutUint64(p[off:], fillMix(x))
+	}
+	if off < len(p) {
+		var tail [8]byte
+		binary.BigEndian.PutUint64(tail[:], fillMix(x+fillGamma))
+		copy(p[off:], tail[:])
+	}
 }
 
 // Value recovers the logical value, verifying the fill byte-for-byte. A
@@ -40,15 +59,43 @@ func (p Payload) Value() (Value, error) {
 		return 0, fmt.Errorf("types: payload too short (%d bytes)", len(p))
 	}
 	v := Value(binary.BigEndian.Uint64(p))
-	want := make(Payload, len(p))
-	binary.BigEndian.PutUint64(want, uint64(v))
-	fillPayload(want, v)
-	for i := range p {
-		if p[i] != want[i] {
-			return 0, fmt.Errorf("types: payload corrupt at byte %d (value %d)", i, v)
-		}
+	if i := PayloadMismatch(v, 0, p); i >= 0 {
+		return 0, fmt.Errorf("types: payload corrupt at byte %d (value %d)", i, v)
 	}
 	return v, nil
+}
+
+// PayloadMismatch compares b with bytes [off, off+len(b)) of v's payload and
+// returns the payload offset of the first byte that differs, or −1 when all
+// of them match. It allocates nothing, so a payload held in pieces — the
+// data shards of a stripe — is verified where it lies, piece by piece.
+func PayloadMismatch(v Value, off int, b []byte) int {
+	// A payload is a run of 8-byte big-endian words: word 0 is v, word w ≥ 1
+	// the fill's w-th output. The value word and a piece of a word the range
+	// starts inside go bytewise; whole fill words go as integers, the fill
+	// stream advanced a step per word.
+	for len(b) > 0 && (off < MinPayloadSize || off%8 != 0) {
+		n := min(8-off%8, len(b))
+		if i := wordMismatch(payloadWord(v, off/8), off%8, b[:n]); i >= 0 {
+			return off + i
+		}
+		off, b = off+n, b[n:]
+	}
+	if len(b) == 0 {
+		return -1
+	}
+	x := fillSeed(v) + uint64(off/8-1)*fillGamma
+	words := len(b) &^ 7
+	for i := 0; i < words; i += 8 {
+		x += fillGamma
+		if got, want := binary.BigEndian.Uint64(b[i:i+8]), fillMix(x); got != want {
+			return off + i + bits.LeadingZeros64(got^want)/8
+		}
+	}
+	if i := wordMismatch(fillMix(x+fillGamma), 0, b[words:]); i >= 0 {
+		return off + words + i
+	}
+	return -1
 }
 
 // Clone returns an independent copy (nil stays nil).
@@ -61,18 +108,35 @@ func (p Payload) Clone() Payload {
 	return c
 }
 
-// fillPayload writes the deterministic splitmix64 fill after the value
-// prefix.
-func fillPayload(p Payload, v Value) {
-	x := uint64(v) ^ 0x9e3779b97f4a7c15
-	var buf [8]byte
-	for off := MinPayloadSize; off < len(p); off += 8 {
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		binary.BigEndian.PutUint64(buf[:], z)
-		copy(p[off:], buf[:])
+// The fill is a splitmix64 stream seeded from the value: fill word w ≥ 1 is
+// fillMix(fillSeed(v) + w·fillGamma), so any word can be computed on its own.
+const fillGamma = 0x9e3779b97f4a7c15
+
+func fillSeed(v Value) uint64 { return uint64(v) ^ fillGamma }
+
+func fillMix(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// payloadWord returns word w of v's payload as a big-endian integer.
+func payloadWord(v Value, w int) uint64 {
+	if w == 0 {
+		return uint64(v)
 	}
+	return fillMix(fillSeed(v) + uint64(w)*fillGamma)
+}
+
+// wordMismatch compares b with the bytes of the big-endian word w from
+// byte lo on and returns the index into b of the first that differs, or −1.
+func wordMismatch(w uint64, lo int, b []byte) int {
+	var want [8]byte
+	binary.BigEndian.PutUint64(want[:], w)
+	for i := range b {
+		if b[i] != want[lo+i] {
+			return i
+		}
+	}
+	return -1
 }

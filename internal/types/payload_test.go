@@ -2,6 +2,10 @@ package types
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -65,5 +69,101 @@ func TestPayloadClone(t *testing.T) {
 	c[9] ^= 0xff
 	if p[9] == c[9] {
 		t.Fatal("clone aliases original")
+	}
+}
+
+// TestPayloadGoldenBytes pins the codec's bytes: per size, the SHA-256 of the
+// payloads of six values laid end to end. The sizes cover a bare value
+// prefix, one-byte and seven-byte tails, a word short of a cache line, a
+// 1 KiB payload with a one-byte tail and the 64 KiB value of the coded
+// workload. Fragments, stored bytes and wire frames all carry these bytes.
+func TestPayloadGoldenBytes(t *testing.T) {
+	golden := []struct {
+		size   int
+		digest string
+	}{
+		{8, "d2d301d704f18840c720e48b274afee04738f35a9a43ec588154de3d7e75e7e5"},
+		{9, "7b5a54d0b1b7a5279f210272552477c0f97daf3ad7229382d5364e5dc1c954e2"},
+		{15, "6ba35795bc476678208b2a0a915e2187affcfae29a249d65cc9bf20f9d74e251"},
+		{63, "0507d99141b89189598ea16a699d8bf82d1440edb4836ce7d4eefd37eb066230"},
+		{1025, "7fd8d2fffea55655d3a41ba6315e9c2c275494bd72e69760b09fe8e78e9c3d78"},
+		{64 << 10, "acec1533eb1323313ecdfec9a4f5def69baa748c17d5fb08b6ee6994f089027f"},
+	}
+	for _, g := range golden {
+		h := sha256.New()
+		for _, v := range []Value{0, 1, -1, 42, 1 << 40, -(1 << 40)} {
+			h.Write(PayloadFor(v, g.size))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != g.digest {
+			t.Errorf("size %d: payload digest %s, want %s", g.size, got, g.digest)
+		}
+	}
+}
+
+// TestPayloadValueNamesFirstCorruptByte checks that Value reports the first
+// corrupt byte exactly: a flip inside a fill word (with a later one that must
+// not be named) and a flip in the one-byte tail after the last whole word.
+func TestPayloadValueNamesFirstCorruptByte(t *testing.T) {
+	p := PayloadFor(7, 1025)
+	for _, c := range []struct {
+		flips []int
+		want  int
+	}{
+		{[]int{100, 200}, 100},
+		{[]int{203}, 203},
+		{[]int{1024}, 1024},
+	} {
+		q := p.Clone()
+		for _, i := range c.flips {
+			q[i] ^= 0x80
+		}
+		_, err := q.Value()
+		if err == nil {
+			t.Fatalf("flips at %v undetected", c.flips)
+		}
+		if want := fmt.Sprintf("corrupt at byte %d ", c.want); !strings.Contains(err.Error(), want) {
+			t.Errorf("flips at %v: %v, want it to name byte %d", c.flips, err, c.want)
+		}
+	}
+}
+
+// TestPayloadMismatchPieces verifies a payload cut into pieces at every
+// alignment: the pieces of a clean payload match, and a flipped byte is named
+// by the piece holding it, at its offset in the whole payload.
+func TestPayloadMismatchPieces(t *testing.T) {
+	p := PayloadFor(-5, 100)
+	for cut := 1; cut <= 17; cut++ {
+		for flip := -1; flip < len(p); flip += 7 {
+			q := p.Clone()
+			if flip >= 0 {
+				q[flip] ^= 0x10
+			}
+			got := -1
+			for off := 0; off < len(q) && got < 0; off += cut {
+				got = PayloadMismatch(-5, off, q[off:min(off+cut, len(q))])
+			}
+			if got != flip {
+				t.Fatalf("cut %d, flip at %d: PayloadMismatch named %d", cut, flip, got)
+			}
+		}
+	}
+}
+
+func BenchmarkPayloadFor64K(b *testing.B) {
+	b.SetBytes(64 << 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		PayloadFor(Value(i), 64<<10)
+	}
+}
+
+func BenchmarkPayloadValue64K(b *testing.B) {
+	p := PayloadFor(3, 64<<10)
+	b.SetBytes(64 << 10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Value(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
