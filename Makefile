@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke pairs allocs fabric-bench loadgen-smoke lint no-timers stress loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-routes race-shards race-churn race-coded race-resize
+.PHONY: all build vet test race bench bench-smoke pairs allocs examples fabric-bench loadgen-smoke lint no-timers stress loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-routes race-shards race-churn race-coded race-resize
 
 all: vet build test
 
@@ -74,6 +74,12 @@ pairs:
 # starts allocating again fails here by name.
 allocs:
 	$(GO) test -count 1 -run 'Alloc' ./...
+
+# Every example end to end, as in CI's "Examples smoke" step: each one exits
+# non-zero on an unexpected outcome. The directories are globbed, so a new
+# example joins without a list edit.
+examples:
+	@for ex in examples/*/; do echo "== $$ex"; $(GO) run ./$$ex || exit 1; done
 
 # End-to-end smoke: a short closed-loop run on the latency lane through
 # the async client engine — 1000 logical clients on one engine goroutine,

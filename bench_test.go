@@ -21,6 +21,7 @@ import (
 	"repro/internal/baseobj"
 	"repro/internal/bounds"
 	"repro/internal/cluster"
+	"repro/internal/emulation"
 	"repro/internal/emulation/casmax"
 	"repro/internal/fabric"
 	"repro/internal/lanenet"
@@ -168,7 +169,7 @@ func BenchmarkCASMaxRetries(b *testing.B) {
 				b.Fatalf("cluster: %v", err)
 			}
 			fab := fabric.New(c, fabric.WithGate(&fabric.YieldGate{Yields: 2}))
-			reg, metrics, err := casmax.New(fab, writers, 1, casmax.Options{})
+			reg, metrics, err := casmax.New(fab, writers, 1, emulation.Options{})
 			if err != nil {
 				b.Fatalf("casmax: %v", err)
 			}
@@ -226,7 +227,7 @@ func BenchmarkWriteLatency(b *testing.B) {
 					b.Fatalf("env: %v", err)
 				}
 			}
-			reg, _, err := runner.Build(kind, env.Fabric, k, f)
+			reg, _, err := runner.BuildWith(kind, env.Fabric, k, f, runner.BuildOpts{})
 			if err != nil {
 				b.Fatalf("build: %v", err)
 			}
@@ -258,7 +259,7 @@ func BenchmarkReadLatency(b *testing.B) {
 				if err != nil {
 					b.Fatalf("env: %v", err)
 				}
-				reg, _, err := runner.Build(kind, env.Fabric, k, 2)
+				reg, _, err := runner.BuildWith(kind, env.Fabric, k, 2, runner.BuildOpts{})
 				if err != nil {
 					b.Fatalf("build: %v", err)
 				}
@@ -383,7 +384,7 @@ func BenchmarkCheckers(b *testing.B) {
 	if err != nil {
 		b.Fatalf("env: %v", err)
 	}
-	reg, hist, err := runner.Build(runner.KindRegEmu, env.Fabric, 4, 2)
+	reg, hist, err := runner.BuildWith(runner.KindRegEmu, env.Fabric, 4, 2, runner.BuildOpts{})
 	if err != nil {
 		b.Fatalf("build: %v", err)
 	}
@@ -423,7 +424,7 @@ func BenchmarkCheckLinearizable(b *testing.B) {
 			if err != nil {
 				b.Fatalf("env: %v", err)
 			}
-			reg, hist, err := runner.Build(runner.KindRegEmu, env.Fabric, 2, 2)
+			reg, hist, err := runner.BuildWith(runner.KindRegEmu, env.Fabric, 2, 2, runner.BuildOpts{})
 			if err != nil {
 				b.Fatalf("build: %v", err)
 			}

@@ -128,10 +128,16 @@
 //     non-test code of these layers holds no timer (make no-timers).
 //   - internal/emulation/...: the constructions of Table 1 (abdmax,
 //     casmax, aacmax, regemu, and the under-provisioned naiveabd baseline)
-//     plus coded, each written once, as a completion-based chain of rounds:
-//     the four quorum constructions are store recipes for one
-//     abdcore.Register, which owns the placement, the collect, the push,
-//     the writers' timestamp floors and the handles: Config.Place creates
+//     plus coded, each written once, as a completion-based chain of rounds,
+//     and each built the same way: New(fab, k, f, emulation.Options), the
+//     one options type (Atomic, ValueSize — regemu, aac-max and naive refuse
+//     Atomic in their own New, the timestamp-only constructions ignore
+//     ValueSize), and every register records its own history
+//     (emulation.Register.History). The four quorum constructions are store
+//     recipes for one abdcore.Register, which owns the placement, the
+//     collect, the push, the writers' timestamp floor and the handles; three
+//     of them place the one one-object store (abdcore.Store — a
+//     max-register, a plain register, a CAS cell): Config.Place creates
 //     one server's store together with its base objects, abdcore.New
 //     validates f and the 2f+1 hosts once and calls it for each of them,
 //     and a view resize calls the same recipe for the servers it adds. A
@@ -155,8 +161,9 @@
 //     past its check, abd-cas's, takes that one step), its history entry
 //     stays pending (completion and abandonment race on a single latch, so
 //     the entry closes before the call returns or never), and the handle is
-//     reusable: a quorum register starts every timestamp above the last one
-//     the writer proposed, so an abandoned write cannot tie its next one.
+//     reusable: the quorum register and coded both stamp writes through one
+//     emulation.Floor, which starts every timestamp above the last one the
+//     writer proposed, so an abandoned write cannot tie its next one.
 //     Above the round an operation is three records — the engine's op, the
 //     handle's call (history entry and the caller's completion), abdcore's
 //     chain (context, value, what to push) — each pooled where it is born

@@ -18,6 +18,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/emulation"
 	"repro/internal/emulation/coded"
 	"repro/internal/fabric"
 	"repro/internal/lanenet"
@@ -80,7 +81,7 @@ func main() {
 		log.Fatalf("env: %v", err)
 	}
 	defer env.Fabric.Close()
-	reg, err := coded.New(env.Fabric, 1, faults, coded.Options{ValueSize: valueSize})
+	reg, err := coded.New(env.Fabric, 1, faults, emulation.Options{ValueSize: valueSize})
 	if err != nil {
 		log.Fatalf("coded: %v", err)
 	}

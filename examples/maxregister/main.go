@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/emulation"
 	"repro/internal/emulation/casmax"
 	"repro/internal/fabric"
 	"repro/internal/spec"
@@ -33,10 +34,9 @@ func main() {
 	// The yield gate models response latency, widening the interleaving
 	// windows so contention actually manifests.
 	fab := fabric.New(c, fabric.WithGate(&fabric.YieldGate{Yields: 2}))
-	hist := &spec.History{}
 
 	// 2f+1 CAS cells, each hosting one Algorithm 1 max-register.
-	reg, metrics, err := casmax.New(fab, k, f, casmax.Options{History: hist})
+	reg, metrics, err := casmax.New(fab, k, f, emulation.Options{})
 	if err != nil {
 		log.Fatalf("casmax: %v", err)
 	}
@@ -92,7 +92,7 @@ func main() {
 
 	// The concurrent history is not write-sequential, but every read
 	// must still return a written value.
-	if err := spec.CheckReadValidity(hist.Snapshot(), types.InitialValue); err != nil {
+	if err := spec.CheckReadValidity(reg.History().Snapshot(), types.InitialValue); err != nil {
 		log.Fatalf("read validity: %v", err)
 	}
 	fmt.Println("read validity holds across the concurrent run")

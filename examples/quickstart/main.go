@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/cluster"
+	"repro/internal/emulation"
 	"repro/internal/emulation/regemu"
 	"repro/internal/fabric"
 	"repro/internal/types"
@@ -34,7 +35,7 @@ func main() {
 	fab := fabric.New(c)
 
 	// The emulated f-tolerant k-register from plain read/write registers.
-	reg, err := regemu.New(fab, k, f, regemu.Options{})
+	reg, err := regemu.New(fab, k, f, emulation.Options{})
 	if err != nil {
 		log.Fatalf("regemu: %v", err)
 	}

@@ -20,10 +20,10 @@ import (
 	"sync"
 
 	"repro/internal/baseobj"
+	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
 	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
-	"repro/internal/spec"
 	"repro/internal/types"
 )
 
@@ -190,25 +190,23 @@ func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
 	return nil
 }
 
-// Options configure the construction.
-type Options struct {
-	// History receives the high-level operations (optional).
-	History *spec.History
-}
-
 // New places k single-writer registers on each of 2f+1 servers ((2f+1)k
 // base registers in total) and returns the emulated k-register. Reads never
-// write, so only the regular (non-write-back) protocol is offered: the
-// k-register per-server max has no cell a reader could write.
-func New(fab *fabric.Fabric, k, f int, opts Options) (*abdcore.Register, error) {
+// write, so only the regular (non-write-back) protocol is offered and
+// opts.Atomic is rejected: the k-register per-server max has no cell a
+// reader could write. Writes carry timestamps only (opts.ValueSize is
+// ignored).
+func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Register, error) {
+	if err := opts.RegularOnly("aac-max"); err != nil {
+		return nil, err
+	}
 	return abdcore.New(abdcore.Config{
-		Name: "aac-max",
-		K:    k,
-		F:    f,
+		Name:   "aac-max",
+		K:      k,
+		F:      f,
+		Fabric: fab,
 		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
 			return place(fab, k, server)
 		},
-		Fabric:  fab,
-		History: opts.History,
 	})
 }

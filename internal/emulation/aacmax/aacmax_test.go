@@ -10,20 +10,21 @@ import (
 	"repro/internal/baseobj"
 	"repro/internal/bounds"
 	"repro/internal/cluster"
+	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-func newReg(t *testing.T, k, f int, hist *spec.History) (*abdcore.Register, *fabric.Fabric) {
+func newReg(t *testing.T, k, f int) (*abdcore.Register, *fabric.Fabric) {
 	t.Helper()
 	c, err := cluster.New(2*f + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	reg, err := New(fab, k, f, Options{History: hist})
+	reg, err := New(fab, k, f, emulation.Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -39,7 +40,7 @@ func testCtx(t *testing.T) context.Context {
 
 func TestResourcesMatchSpecialCase(t *testing.T) {
 	for _, tc := range []struct{ k, f int }{{1, 1}, {3, 1}, {2, 2}, {4, 2}} {
-		reg, fab := newReg(t, tc.k, tc.f, nil)
+		reg, fab := newReg(t, tc.k, tc.f)
 		want, err := bounds.SpecialCaseRegisters(tc.k, tc.f)
 		if err != nil {
 			t.Fatal(err)
@@ -57,7 +58,7 @@ func TestResourcesMatchSpecialCase(t *testing.T) {
 }
 
 func TestWriteReadAcrossWriters(t *testing.T) {
-	reg, _ := newReg(t, 3, 1, nil)
+	reg, _ := newReg(t, 3, 1)
 	ctx := testCtx(t)
 	for i := 0; i < 3; i++ {
 		w, err := reg.Writer(i)
@@ -78,7 +79,7 @@ func TestWriteReadAcrossWriters(t *testing.T) {
 }
 
 func TestPerWriterRegistersAreSingleWriter(t *testing.T) {
-	_, fab := newReg(t, 2, 1, nil)
+	_, fab := newReg(t, 2, 1)
 	c := fab.Cluster()
 	// Every placed register must be restricted to exactly one writer:
 	// writing it as another client is rejected by the base layer.
@@ -97,14 +98,14 @@ func TestPerWriterRegistersAreSingleWriter(t *testing.T) {
 }
 
 func TestForeignWriterRejected(t *testing.T) {
-	reg, _ := newReg(t, 2, 1, nil)
+	reg, _ := newReg(t, 2, 1)
 	if _, err := reg.Writer(2); err == nil {
 		t.Fatal("writer index k accepted")
 	}
 }
 
 func TestSurvivesFCrashes(t *testing.T) {
-	reg, fab := newReg(t, 2, 2, nil)
+	reg, fab := newReg(t, 2, 2)
 	ctx := testCtx(t)
 	w0, err := reg.Writer(0)
 	if err != nil {
@@ -135,8 +136,8 @@ func TestSurvivesFCrashes(t *testing.T) {
 }
 
 func TestSequentialHistoryIsRegular(t *testing.T) {
-	hist := &spec.History{}
-	reg, _ := newReg(t, 3, 1, hist)
+	reg, _ := newReg(t, 3, 1)
+	hist := reg.History()
 	ctx := testCtx(t)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 3; i++ {
@@ -167,17 +168,17 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	if _, err := New(fab, 0, 1, Options{}); err == nil {
+	if _, err := New(fab, 0, 1, emulation.Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := New(fab, 1, 0, Options{}); err == nil {
+	if _, err := New(fab, 1, 0, emulation.Options{}); err == nil {
 		t.Error("f=0 accepted")
 	}
 	two, err := cluster.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(fabric.New(two), 1, 1, Options{}); err == nil {
+	if _, err := New(fabric.New(two), 1, 1, emulation.Options{}); err == nil {
 		t.Error("a 2-member view accepted for f=1")
 	}
 }
@@ -210,7 +211,7 @@ func TestReadWaitsForFPlusOneCompleteServers(t *testing.T) {
 			}}
 			fab := fabric.New(c, append(opts, fabric.WithGate(gate))...)
 			defer fab.Close()
-			reg, err := New(fab, k, f, Options{})
+			reg, err := New(fab, k, f, emulation.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,8 +11,11 @@
 // per server, placed by the construction's recipe. Plugging in different
 // stores yields the different quorum rows of Table 1; everything else —
 // which 2f+1 servers host a store, the collect and the push, the writers'
-// timestamp floors, the handles and the history, how a view resize
-// re-places the stores — is this package's Register.
+// timestamp floor (emulation.Floor, shared with the coded register), the
+// handles and the history, how a view resize re-places the stores — is this
+// package's Register. Store is the one-object store three of the four
+// recipes place: abd-max's max-register, naive's plain register, and
+// abd-cas's CAS cell under its Algorithm 1 chain.
 //
 // The round mechanics (scatter, quorum threshold, crash adaptivity,
 // view-change retry) live in the shared internal/emulation/rounds engine;
@@ -50,6 +53,59 @@ type MaxStore interface {
 	ReadMax(buf []rounds.Target) []rounds.Target
 }
 
+// Store is a one-object store: base object Obj on server Host, read with
+// R's invocation. The read is a type, not a field, so a store stays two
+// pointer-free words that the allocator packs two to a block — three per
+// abd-max key, and shardstore.TestKeyFootprintAllocCeiling counts them. A
+// register built with a Config.WriteOp writes the object with one op too.
+type Store[R StoreRead] struct {
+	Obj  types.ObjectID
+	Host types.ServerID
+}
+
+// StoreRead is a one-object store's read: ReadsMaxRegister, ReadsRegister or
+// ReadsCAS.
+type StoreRead interface{ Inv() baseobj.Invocation }
+
+// The three one-object reads.
+type (
+	// ReadsMaxRegister reads a max-register (abd-max).
+	ReadsMaxRegister struct{}
+	// ReadsRegister reads a plain register (naive).
+	ReadsRegister struct{}
+	// ReadsCAS reads a CAS cell with Algorithm 1's no-op CAS(v0, v0)
+	// (abd-cas).
+	ReadsCAS struct{}
+)
+
+// Inv implements StoreRead.
+func (ReadsMaxRegister) Inv() baseobj.Invocation { return baseobj.Invocation{Op: baseobj.OpReadMax} }
+
+// Inv implements StoreRead.
+func (ReadsRegister) Inv() baseobj.Invocation { return baseobj.Invocation{Op: baseobj.OpRead} }
+
+// Inv implements StoreRead.
+func (ReadsCAS) Inv() baseobj.Invocation {
+	return baseobj.Invocation{Op: baseobj.OpCAS, Exp: types.ZeroTSValue, New: types.ZeroTSValue}
+}
+
+// Server implements MaxStore.
+func (s *Store[R]) Server() types.ServerID { return s.Host }
+
+// Objects implements MaxStore.
+func (s *Store[R]) Objects() []types.ObjectID { return []types.ObjectID{s.Obj} }
+
+// ReadInv is the store's read invocation.
+func (s *Store[R]) ReadInv() baseobj.Invocation {
+	var r R
+	return r.Inv()
+}
+
+// ReadMax implements MaxStore: the one read.
+func (s *Store[R]) ReadMax(buf []rounds.Target) []rounds.Target {
+	return append(buf, rounds.Target{Object: s.Obj, Inv: s.ReadInv()})
+}
+
 // Chain is a store whose write-max is a chain of low-level operations it
 // runs itself (casmax's Algorithm 1 loop, aacmax's one-write-in-flight
 // cell), on a register built without a Config.WriteOp.
@@ -67,7 +123,8 @@ type Chain interface {
 	Seed(rs *fabric.Reshaper, m types.TSValue) error
 }
 
-// Config assembles a quorum register.
+// Config assembles a quorum register: the construction's options and its
+// store recipe. The register records its own history (Register.History).
 type Config struct {
 	// Name identifies the construction.
 	Name string
@@ -75,15 +132,10 @@ type Config struct {
 	K, F int
 	// Fabric is the fabric the stores trigger on.
 	Fabric *fabric.Fabric
-	// History receives the high-level operations; a fresh history is
-	// created when nil.
-	History *spec.History
-	// Atomic makes reads write the collected maximum back to a quorum
-	// before returning. This is the classic atomicity (linearizability)
-	// fix: it costs readers a write round, which is exactly why the paper's
-	// space bounds target regularity ("since atomicity usually requires
-	// readers to write", Section 1).
-	Atomic bool
+	// Options are the construction's: Atomic makes reads write the
+	// collected maximum back to a quorum before returning; ValueSize, when
+	// positive, sizes the payload a one-op write-max (WriteOp) carries.
+	emulation.Options
 	// Place is the construction's store recipe: it creates one server's
 	// store together with its base objects. New calls it for each of the
 	// 2f+1 hosts, Reshape for every server a view resize adds.
@@ -93,8 +145,7 @@ type Config struct {
 	// write-max, a plain register's overwrite), carrying a payload of
 	// ValueSize bytes when ValueSize is positive — and the push one round
 	// over every store. When it is zero every store is a Chain.
-	WriteOp   baseobj.OpCode
-	ValueSize int
+	WriteOp baseobj.OpCode
 }
 
 // placement is one epoch's worth of quorum geometry: the store set, the
@@ -126,14 +177,7 @@ type Register struct {
 	readers   emulation.ReaderIDs
 	place     func(server types.ServerID) (MaxStore, error)
 	p         atomic.Pointer[placement]
-
-	// proposed[i] is the highest timestamp writer i ever proposed. A write
-	// abandoned with its push on at most f servers can be missed by the
-	// writer's next collect, and types.TSValue.Less cannot order two values
-	// with the same (timestamp, writer) pair: every proposal starts above the
-	// last. Atomic, because an abandoned write's collect may still complete
-	// beside the next write's.
-	proposed []atomic.Uint64
+	floor     emulation.Floor
 }
 
 // Compile-time interface compliance checks.
@@ -156,12 +200,9 @@ func New(cfg Config) (*Register, error) {
 		writeOp:   cfg.WriteOp,
 		valueSize: cfg.ValueSize,
 		fab:       cfg.Fabric,
-		hist:      cfg.History,
+		hist:      &spec.History{},
 		place:     cfg.Place,
-		proposed:  make([]atomic.Uint64, cfg.K),
-	}
-	if r.hist == nil {
-		r.hist = &spec.History{}
+		floor:     emulation.NewFloor(cfg.K),
 	}
 	p, _, err := r.arrange(cfg.Fabric.Cluster().Members(), cfg.F, nil)
 	if err != nil {
@@ -249,7 +290,7 @@ func (r *Register) ResourceComplexity() int {
 	return total
 }
 
-// History returns the recorded high-level history.
+// History implements emulation.Register.
 func (r *Register) History() *spec.History { return r.hist }
 
 // Writer implements emulation.Register: the collect/push chain behind the
@@ -447,7 +488,7 @@ func (c *chain) collected(cur types.TSValue, err error) {
 	case err != nil:
 		c.finish("collect", err)
 	case c.onWrite != nil:
-		c.v.TS, c.v.Writer = c.r.propose(c.client, cur.TS), c.client
+		c.v.TS, c.v.Writer = c.r.floor.Propose(c.client, cur.TS), c.client
 		c.push()
 	case c.r.atomic:
 		c.v = cur
@@ -475,17 +516,6 @@ func (c *chain) finish(phase string, err error) {
 		onWrite(err)
 	} else {
 		onRead(v, err)
-	}
-}
-
-// propose returns writer's next timestamp and records it.
-func (r *Register) propose(writer types.ClientID, collected uint64) uint64 {
-	floor := &r.proposed[writer]
-	for {
-		last := floor.Load()
-		if ts := max(collected, last) + 1; floor.CompareAndSwap(last, ts) {
-			return ts
-		}
 	}
 }
 

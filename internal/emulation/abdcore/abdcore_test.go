@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/baseobj"
 	"repro/internal/cluster"
+	"repro/internal/emulation"
 	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
 	"repro/internal/types"
@@ -20,20 +21,11 @@ import (
 // completed — or, with more than f servers crashed, is pending forever — by
 // the time its Start returns.
 type testStore struct {
-	server types.ServerID
-	obj    types.ObjectID
-	fab    *fabric.Fabric
-	readOp baseobj.OpCode // OpReadMax; a failing store reads with an op the object rejects
+	Store[ReadsMaxRegister]
+	fab *fabric.Fabric
 
 	failErr error // a chain write-max reports it instead of writing
 	starts  atomic.Int64
-}
-
-func (s *testStore) Server() types.ServerID    { return s.server }
-func (s *testStore) Objects() []types.ObjectID { return []types.ObjectID{s.obj} }
-
-func (s *testStore) ReadMax(buf []rounds.Target) []rounds.Target {
-	return append(buf, rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: s.readOp}})
 }
 
 func (s *testStore) StartWriteMax(_ context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
@@ -42,13 +34,13 @@ func (s *testStore) StartWriteMax(_ context.Context, client types.ClientID, v ty
 		report(types.ZeroTSValue, s.failErr)
 		return
 	}
-	s.fab.TriggerFn(client, s.obj, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}, func(o fabric.Outcome) {
+	s.fab.TriggerFn(client, s.Obj, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}, func(o fabric.Outcome) {
 		report(o.Resp.Val, o.Err)
 	})
 }
 
 func (s *testStore) Seed(rs *fabric.Reshaper, m types.TSValue) error {
-	_, err := rs.Apply(s.obj, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: m})
+	_, err := rs.Apply(s.Obj, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: m})
 	return err
 }
 
@@ -58,7 +50,7 @@ func newTestStore(fab *fabric.Fabric, server types.ServerID) (*testStore, error)
 	if err != nil {
 		return nil, err
 	}
-	return &testStore{server: server, obj: obj, fab: fab, readOp: baseobj.OpReadMax}, nil
+	return &testStore{Store: Store[ReadsMaxRegister]{Obj: obj, Host: server}, fab: fab}, nil
 }
 
 // placeTest is the testStore recipe on fab; placed collects the stores in
@@ -92,7 +84,7 @@ func newTestReg(t *testing.T, f int, sh shape, atomicReads bool) (*Register, *fa
 	}
 	fab := fabric.New(c)
 	var stores []*testStore
-	cfg := Config{Name: "test-reg", K: 2, F: f, Fabric: fab, Atomic: atomicReads, Place: placeTest(fab, &stores)}
+	cfg := Config{Name: "test-reg", K: 2, F: f, Fabric: fab, Options: emulation.Options{Atomic: atomicReads}, Place: placeTest(fab, &stores)}
 	if sh == oneOp {
 		cfg.WriteOp = baseobj.OpWriteMax
 	}
@@ -122,7 +114,7 @@ func read(ctx context.Context, r *Register, client types.ClientID) (types.Value,
 // stateOf reads a test store's object directly.
 func stateOf(t *testing.T, fab *fabric.Fabric, s *testStore) types.TSValue {
 	t.Helper()
-	resp, err := fab.Cluster().Apply(s.obj, 0, baseobj.Invocation{Op: baseobj.OpReadMax})
+	resp, err := fab.Cluster().Apply(s.Obj, 0, baseobj.Invocation{Op: baseobj.OpReadMax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +155,8 @@ func TestEngineValidation(t *testing.T) {
 // twoStores reads two objects: no one-op write-max can cover it.
 type twoStores [2]*testStore
 
-func (s twoStores) Server() types.ServerID    { return s[0].server }
-func (s twoStores) Objects() []types.ObjectID { return []types.ObjectID{s[0].obj, s[1].obj} }
+func (s twoStores) Server() types.ServerID    { return s[0].Host }
+func (s twoStores) Objects() []types.ObjectID { return []types.ObjectID{s[0].Obj, s[1].Obj} }
 func (s twoStores) ReadMax(buf []rounds.Target) []rounds.Target {
 	return s[1].ReadMax(s[0].ReadMax(buf))
 }
@@ -246,7 +238,8 @@ func TestStoreErrorFailsFast(t *testing.T) {
 	r, err := New(Config{Name: "failing read", K: 1, F: 1, Fabric: fab, WriteOp: baseobj.OpWriteMax, Place: func(server types.ServerID) (MaxStore, error) {
 		s, err := newTestStore(fab, server)
 		if err == nil && server == 0 {
-			s.readOp = baseobj.OpCAS // rejected by a max-register
+			// A store reading its max-register with a CAS, which the object rejects.
+			return &Store[ReadsCAS]{Obj: s.Obj, Host: server}, nil
 		}
 		return s, err
 	}})
@@ -297,7 +290,7 @@ func TestReadWriteBack(t *testing.T) {
 func TestCollectReturnsMaximum(t *testing.T) {
 	r, fab, stores := newTestReg(t, 1, oneOp, false)
 	for i, v := range []types.TSValue{{TS: 3, Writer: 0, Val: 30}, {TS: 7, Writer: 1, Val: 70}, {TS: 5, Writer: 2, Val: 50}} {
-		if _, err := fab.Cluster().Apply(stores[i].obj, v.Writer, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}); err != nil {
+		if _, err := fab.Cluster().Apply(stores[i].Obj, v.Writer, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/types"
 )
 
-func newTestRegister(t *testing.T, k, f int, hist *spec.History) *Register {
+func newTestRegister(t *testing.T, k, f int) *Register {
 	t.Helper()
 	c, err := cluster.New(2*f + 1)
 	if err != nil {
@@ -28,7 +28,6 @@ func newTestRegister(t *testing.T, k, f int, hist *spec.History) *Register {
 		Place:   placeTest(fab, &placed),
 		WriteOp: baseobj.OpWriteMax,
 		Fabric:  fab,
-		History: hist,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -37,12 +36,12 @@ func newTestRegister(t *testing.T, k, f int, hist *spec.History) *Register {
 }
 
 func TestMetadata(t *testing.T) {
-	r := newTestRegister(t, 3, 1, nil)
+	r := newTestRegister(t, 3, 1)
 	if r.Name() != "test-reg" || r.K() != 3 || r.F() != 1 || r.ResourceComplexity() != 3 {
 		t.Fatalf("metadata = %s/%d/%d/%d", r.Name(), r.K(), r.F(), r.ResourceComplexity())
 	}
 	if r.History() == nil {
-		t.Fatal("nil history not replaced")
+		t.Fatal("the register records no history")
 	}
 }
 
@@ -135,7 +134,7 @@ func TestResizeAbortsOnPlaceError(t *testing.T) {
 }
 
 func TestWriterRange(t *testing.T) {
-	r := newTestRegister(t, 2, 1, nil)
+	r := newTestRegister(t, 2, 1)
 	for _, i := range []int{-1, 2, 99} {
 		if _, err := r.Writer(i); err == nil {
 			t.Errorf("Writer(%d) accepted", i)
@@ -151,7 +150,7 @@ func TestWriterRange(t *testing.T) {
 }
 
 func TestReaderIDsFreshAndDisjoint(t *testing.T) {
-	r := newTestRegister(t, 2, 1, nil)
+	r := newTestRegister(t, 2, 1)
 	r1, r2 := r.NewReader(), r.NewReader()
 	if r1.Client() == r2.Client() {
 		t.Error("two readers share a client ID")
@@ -162,8 +161,8 @@ func TestReaderIDsFreshAndDisjoint(t *testing.T) {
 }
 
 func TestHistoryRecording(t *testing.T) {
-	hist := &spec.History{}
-	r := newTestRegister(t, 2, 1, hist)
+	r := newTestRegister(t, 2, 1)
+	hist := r.History()
 	ctx := context.Background()
 	w, err := r.Writer(0)
 	if err != nil {
@@ -195,8 +194,8 @@ func TestHistoryRecording(t *testing.T) {
 }
 
 func TestFailedOpsStayPendingInHistory(t *testing.T) {
-	hist := &spec.History{}
-	r := newTestRegister(t, 1, 1, hist)
+	r := newTestRegister(t, 1, 1)
+	hist := r.History()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // everything fails immediately
 	w, err := r.Writer(0)

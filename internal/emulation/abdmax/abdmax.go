@@ -12,68 +12,37 @@ package abdmax
 
 import (
 	"repro/internal/baseobj"
+	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
-	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
-	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-// store is a single max-register base object on one server. Its write-max
-// is one low-level op too (abdcore.Config.WriteOp), so the register
-// scatters whole rounds over all stores in one TriggerBatch.
-type store struct {
-	obj    types.ObjectID
-	server types.ServerID
-}
-
-// Server implements abdcore.MaxStore.
-func (s *store) Server() types.ServerID { return s.server }
-
-// Objects implements abdcore.MaxStore.
-func (s *store) Objects() []types.ObjectID { return []types.ObjectID{s.obj} }
-
-// ReadMax implements abdcore.MaxStore.
-func (s *store) ReadMax(buf []rounds.Target) []rounds.Target {
-	return append(buf, rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpReadMax}})
-}
-
-// Options configure the construction.
-type Options struct {
-	// History receives the high-level operations (optional).
-	History *spec.History
-	// ReadWriteBack upgrades reads to the atomic (linearizable) protocol
-	// at the cost of readers writing.
-	ReadWriteBack bool
-	// ValueSize, when positive, makes every write carry a payload of that
-	// many bytes into each replica — the replicated bytes-per-server
-	// baseline the coded construction is measured against: each of the
-	// 2f+1 servers stores the full payload, where the coded construction
-	// stores a 1/kData fragment.
-	ValueSize int
-}
-
 // New places one max-register on each of 2f+1 servers of the fabric's
-// cluster and returns the emulated k-register. A resize seeds a store with
-// a write-max of the folded maximum, whose monotonicity makes re-seeding a
-// survivor idempotent.
-func New(fab *fabric.Fabric, k, f int, opts Options) (*abdcore.Register, error) {
+// cluster and returns the emulated k-register. Each store is an
+// abdcore.Store whose write-max is one low-level op too (Config.WriteOp), so
+// the register scatters whole rounds over all stores in one TriggerBatch. A
+// positive opts.ValueSize makes every write carry a payload of that many
+// bytes into each replica — the replicated bytes-per-server baseline the
+// coded construction is measured against: each of the 2f+1 servers stores
+// the full payload, where the coded construction stores a 1/kData fragment.
+// A resize seeds a store with a write-max of the folded maximum, whose
+// monotonicity makes re-seeding a survivor idempotent.
+func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Register, error) {
 	c := fab.Cluster()
 	return abdcore.New(abdcore.Config{
-		Name: "abd-max",
-		K:    k,
-		F:    f,
+		Name:    "abd-max",
+		K:       k,
+		F:       f,
+		Fabric:  fab,
+		Options: opts,
 		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
 			obj, err := c.PlaceMaxRegister(server)
 			if err != nil {
 				return nil, err
 			}
-			return &store{obj: obj, server: server}, nil
+			return &abdcore.Store[abdcore.ReadsMaxRegister]{Obj: obj, Host: server}, nil
 		},
-		WriteOp:   baseobj.OpWriteMax,
-		ValueSize: opts.ValueSize,
-		Fabric:    fab,
-		History:   opts.History,
-		Atomic:    opts.ReadWriteBack,
+		WriteOp: baseobj.OpWriteMax,
 	})
 }

@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-func newReg(t *testing.T, k, f, n int, opts Options) (*abdcore.Register, *fabric.Fabric) {
+func newReg(t *testing.T, k, f, n int, opts emulation.Options) (*abdcore.Register, *fabric.Fabric) {
 	t.Helper()
 	c, err := cluster.New(n)
 	if err != nil {
@@ -34,7 +35,7 @@ func testCtx(t *testing.T) context.Context {
 }
 
 func TestBasicsAndResources(t *testing.T) {
-	reg, fab := newReg(t, 4, 2, 6, Options{})
+	reg, fab := newReg(t, 4, 2, 6, emulation.Options{})
 	if reg.ResourceComplexity() != 5 {
 		t.Fatalf("resources = %d, want 2f+1 = 5", reg.ResourceComplexity())
 	}
@@ -76,17 +77,17 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	if _, err := New(fab, 1, 0, Options{}); err == nil {
+	if _, err := New(fab, 1, 0, emulation.Options{}); err == nil {
 		t.Error("f=0 accepted")
 	}
 	two, err := cluster.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(fabric.New(two), 1, 1, Options{}); err == nil {
+	if _, err := New(fabric.New(two), 1, 1, emulation.Options{}); err == nil {
 		t.Error("a 2-member view accepted for f=1")
 	}
-	if _, err := New(fab, 1, 3, Options{}); err == nil {
+	if _, err := New(fab, 1, 3, emulation.Options{}); err == nil {
 		t.Error("f=3 on a 5-member view accepted (needs 7)")
 	}
 	if got := c.ResourceComplexity(); got != 0 {
@@ -95,7 +96,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestSurvivesFCrashes(t *testing.T) {
-	reg, fab := newReg(t, 2, 2, 5, Options{})
+	reg, fab := newReg(t, 2, 2, 5, emulation.Options{})
 	ctx := testCtx(t)
 	w0, err := reg.Writer(0)
 	if err != nil {
@@ -126,7 +127,7 @@ func TestSurvivesFCrashes(t *testing.T) {
 }
 
 func TestBlocksBeyondFCrashes(t *testing.T) {
-	reg, fab := newReg(t, 1, 1, 3, Options{})
+	reg, fab := newReg(t, 1, 1, 3, emulation.Options{})
 	for _, s := range []types.ServerID{0, 1} { // f+1 crashes
 		if err := fab.Crash(s); err != nil {
 			t.Fatal(err)
@@ -144,8 +145,8 @@ func TestBlocksBeyondFCrashes(t *testing.T) {
 }
 
 func TestSequentialHistoryIsRegular(t *testing.T) {
-	hist := &spec.History{}
-	reg, _ := newReg(t, 3, 1, 3, Options{History: hist})
+	reg, _ := newReg(t, 3, 1, 3, emulation.Options{})
+	hist := reg.History()
 	ctx := testCtx(t)
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 3; i++ {
@@ -172,8 +173,8 @@ func TestSequentialHistoryIsRegular(t *testing.T) {
 
 func TestAtomicModeLinearizable(t *testing.T) {
 	// With read write-back, even write-concurrent histories linearize.
-	hist := &spec.History{}
-	reg, _ := newReg(t, 2, 1, 3, Options{History: hist, ReadWriteBack: true})
+	reg, _ := newReg(t, 2, 1, 3, emulation.Options{Atomic: true})
+	hist := reg.History()
 	ctx := testCtx(t)
 
 	done := make(chan error, 3)
@@ -214,7 +215,7 @@ func TestTimestampsGrowLinearly(t *testing.T) {
 	// The TSVal domain is N x V: timestamps are unbounded counters that
 	// advance once per write (the model's register size aside — the paper
 	// studies register COUNT, not size).
-	reg, fab := newReg(t, 2, 1, 3, Options{})
+	reg, fab := newReg(t, 2, 1, 3, emulation.Options{})
 	ctx := testCtx(t)
 	const writes = 7
 	for i := 0; i < writes; i++ {

@@ -30,7 +30,7 @@ func TestRoundAllocsCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Fabric.Close()
-	reg, hist, err := runner.Build(runner.KindABDMax, env.Fabric, 1, 1)
+	reg, hist, err := runner.BuildWith(runner.KindABDMax, env.Fabric, 1, 1, runner.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRoundAllocsCeilingLatencyLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Fabric.Close()
-	reg, hist, err := runner.Build(runner.KindABDMax, env.Fabric, 1, 1)
+	reg, hist, err := runner.BuildWith(runner.KindABDMax, env.Fabric, 1, 1, runner.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

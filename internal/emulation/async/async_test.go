@@ -30,7 +30,7 @@ func buildEnv(t *testing.T, kind runner.Kind, k, f, n int, opts ...fabric.Option
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, hist, err := runner.Build(kind, env.Fabric, k, f)
+	reg, hist, err := runner.BuildWith(kind, env.Fabric, k, f, runner.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestAsyncThousandInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, hist, err := runner.Build(runner.KindABDMax, env.Fabric, writers, 1)
+	reg, hist, err := runner.BuildWith(runner.KindABDMax, env.Fabric, writers, 1, runner.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestAsyncCloseFailsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, _, err := runner.Build(runner.KindABDMax, env.Fabric, 2, 1)
+	reg, _, err := runner.BuildWith(runner.KindABDMax, env.Fabric, 2, 1, runner.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestAsyncCrashDuringInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, hist, err := runner.Build(runner.KindABDMax, env.Fabric, clients, 2)
+	reg, hist, err := runner.BuildWith(runner.KindABDMax, env.Fabric, clients, 2, runner.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestAsyncContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, _, err := runner.Build(runner.KindCASMax, env.Fabric, 2, 1)
+	reg, _, err := runner.BuildWith(runner.KindCASMax, env.Fabric, 2, 1, runner.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

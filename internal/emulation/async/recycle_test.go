@@ -40,7 +40,7 @@ func TestShutdownNeverRecyclesAFailedOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Fabric.Close()
-	reg, _, err := runner.Build(runner.KindABDMax, env.Fabric, 2*n+1, 1)
+	reg, _, err := runner.BuildWith(runner.KindABDMax, env.Fabric, 2*n+1, 1, runner.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

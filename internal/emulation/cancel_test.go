@@ -118,7 +118,7 @@ func TestCancellationContract(t *testing.T) {
 					}
 					defer env.Fabric.Close()
 					fab := env.Fabric
-					reg, hist, err := runner.Build(kind, fab, k, f)
+					reg, hist, err := runner.BuildWith(kind, fab, k, f, runner.BuildOpts{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -226,7 +226,7 @@ func TestAbandonedWriteCannotTieTheHandlesNextWrite(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer env.Fabric.Close()
-			reg, _, err := runner.Build(kind, env.Fabric, 2, 1)
+			reg, _, err := runner.BuildWith(kind, env.Fabric, 2, 1, runner.BuildOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,6 +279,99 @@ func TestAbandonedWriteCannotTieTheHandlesNextWrite(t *testing.T) {
 	}
 }
 
+// TestAbandonedWriteCannotTieTheHandlesNextCodedWrite is the coded sibling
+// of TestAbandonedWriteCannotTieTheHandlesNextWrite, at n = 3, f = 1 (kData =
+// 1), on regular and atomic builds. A write is abandoned with its put applied
+// on server 0 only; the same handle's next write collects, puts and commits
+// on servers 1 and 2 while server 0 holds every op of writer 0. A write
+// stamped collected+1 would carry the abandoned write's (timestamp, writer)
+// pair, and a read whose gather includes server 0 would find two stripes it
+// cannot order, each reconstructible from one fragment — and return the
+// abandoned value after the fresh write completed (an atomic read would even
+// write it back). The reads run while server 0 still holds the fresh ops:
+// released, the fresh put would overwrite the stray fragment, whose store key
+// is that same pair, and hide the tie. Every coded geometry with n ≤ 3f has
+// kData = n−2f ≤ f, so the f stray fragments a collect can miss reconstruct
+// on their own — among them the sharded store's default at f ≥ 2 (n = 2f+1,
+// kData = 1).
+func TestAbandonedWriteCannotTieTheHandlesNextCodedWrite(t *testing.T) {
+	const abandoned, fresh types.Value = 7, 8
+	for _, atomicReads := range []bool{false, true} {
+		t.Run(fmt.Sprintf("atomic=%v", atomicReads), func(t *testing.T) {
+			// Stage 1: writer 0's puts and commits take effect on server 0
+			// only. Stage 2: server 0 holds every op of writer 0. Readers
+			// hear nothing from server `excluded` (-1: none).
+			var stage, excluded atomic.Int32
+			excluded.Store(-1)
+			gate := fabric.GateFuncs{
+				Apply: func(ev fabric.TriggerEvent) fabric.Decision {
+					switch {
+					case ev.Client != 0:
+					case stage.Load() == 1 && ev.Server != 0 && adversary.IsMutating(ev.Inv),
+						stage.Load() == 2 && ev.Server == 0:
+						return fabric.Hold
+					}
+					return fabric.Pass
+				},
+				Respond: func(ev fabric.TriggerEvent, _ baseobj.Response) fabric.Decision {
+					if ev.Client >= emulation.ReaderIDBase && int32(ev.Server) == excluded.Load() {
+						return fabric.Hold
+					}
+					return fabric.Pass
+				},
+			}
+			env, err := runner.NewEnv(3, gate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Fabric.Close()
+			reg, _, err := runner.BuildWith(runner.KindCoded, env.Fabric, 2, 1, runner.BuildOpts{Atomic: atomicReads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := reg.Writer(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			stage.Store(1)
+			var released atomic.Bool
+			ctx, cancel := context.WithCancel(context.Background())
+			w.StartWrite(ctx, abandoned, func(err error) {
+				if !released.Load() {
+					t.Errorf("the abandoned write completed with two of its three puts held: %v", err)
+				}
+			})
+			cancel()
+
+			stage.Store(2)
+			done := make(chan error, 1)
+			w.StartWrite(context.Background(), fresh, func(err error) { done <- err })
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("fresh write on the same handle: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the fresh write never completed")
+			}
+			for _, s := range []int32{2, 1} {
+				excluded.Store(s)
+				rctx, rcancel := context.WithTimeout(context.Background(), 10*time.Second)
+				got, err := reg.NewReader().Read(rctx)
+				rcancel()
+				if err != nil || got != fresh {
+					t.Errorf("read without server %d after the fresh write = %d, %v; want %d", s, got, err, fresh)
+				}
+			}
+			released.Store(true)
+			stage.Store(0)
+			excluded.Store(-1)
+			env.Fabric.ReleaseWhere(func(fabric.PendingOp) bool { return true })
+		})
+	}
+}
+
 // TestReleasedWriteCannotOverwriteItsWritersNext: a writer's write held
 // before it takes effect on one server, and released there after the same
 // writer's next write completed, must not erase the next write on that
@@ -297,7 +390,7 @@ func TestReleasedWriteCannotOverwriteItsWritersNext(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer env.Fabric.Close()
-			reg, hist, err := runner.Build(kind, env.Fabric, 1, 1)
+			reg, hist, err := runner.BuildWith(kind, env.Fabric, 1, 1, runner.BuildOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,10 +21,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/baseobj"
+	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
-	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
-	"repro/internal/spec"
 	"repro/internal/types"
 )
 
@@ -51,33 +50,17 @@ func (m *Metrics) Retries() int64 {
 // callback chains on the fabric: if any low-level CAS never responds (held
 // or crashed), the chain silently stalls — precisely a pending op.
 //
-// read-max is a single no-op CAS, scattered with the collect's round;
-// write-max is Algorithm 1's retry loop, an abdcore.Chain.
+// read-max is the one-object store's read, the no-op CAS(v0, v0) of
+// Algorithm 1 (lines 3/8), scattered with the collect's round; write-max is
+// Algorithm 1's retry loop, an abdcore.Chain.
 type store struct {
+	abdcore.Store[abdcore.ReadsCAS]
 	fab     *fabric.Fabric
-	obj     types.ObjectID
-	server  types.ServerID
 	metrics *Metrics
 }
 
 // Compile-time interface compliance check.
 var _ abdcore.Chain = (*store)(nil)
-
-// Server implements abdcore.MaxStore.
-func (s *store) Server() types.ServerID { return s.server }
-
-// Objects implements abdcore.MaxStore.
-func (s *store) Objects() []types.ObjectID { return []types.ObjectID{s.obj} }
-
-// readInv is the no-op CAS(v0, v0) used as a read (Algorithm 1, lines 3/8).
-func readInv() baseobj.Invocation {
-	return baseobj.Invocation{Op: baseobj.OpCAS, Exp: types.ZeroTSValue, New: types.ZeroTSValue}
-}
-
-// ReadMax implements abdcore.MaxStore.
-func (s *store) ReadMax(buf []rounds.Target) []rounds.Target {
-	return append(buf, rounds.Target{Object: s.obj, Inv: readInv()})
-}
 
 // StartWriteMax implements abdcore.Chain with the Algorithm 1 loop as
 // a callback chain; an abandoned write (ctx done) stops at its next step.
@@ -89,7 +72,7 @@ func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v type
 			report(types.ZeroTSValue, err)
 			return
 		}
-		s.fab.TriggerFn(client, s.obj, readInv(), func(o fabric.Outcome) {
+		s.fab.TriggerFn(client, s.Obj, s.ReadInv(), func(o fabric.Outcome) {
 			if o.Err != nil {
 				report(types.ZeroTSValue, o.Err)
 				return
@@ -106,7 +89,7 @@ func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v type
 				return
 			}
 			s.metrics.CASAttempts.Add(1)
-			s.fab.TriggerFn(client, s.obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: tmp, New: v}, func(o2 fabric.Outcome) {
+			s.fab.TriggerFn(client, s.Obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: tmp, New: v}, func(o2 fabric.Outcome) {
 				if o2.Err != nil {
 					report(types.ZeroTSValue, o2.Err)
 					return
@@ -125,43 +108,35 @@ func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v type
 // from the cell's current content to the folded maximum — sound because
 // nothing else can touch the cell between the read and the swap.
 func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
-	state, err := rs.State(s.obj)
+	state, err := rs.State(s.Obj)
 	if err != nil {
 		return err
 	}
 	if !state.Val.Less(m) {
 		return nil
 	}
-	_, err = rs.Apply(s.obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: state.Val, New: m})
+	_, err = rs.Apply(s.Obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: state.Val, New: m})
 	return err
 }
 
-// Options configure the construction.
-type Options struct {
-	// History receives the high-level operations (optional).
-	History *spec.History
-	// ReadWriteBack upgrades reads to the atomic protocol.
-	ReadWriteBack bool
-}
-
 // New places one CAS cell on each of 2f+1 servers and returns the emulated
-// k-register together with its retry metrics.
-func New(fab *fabric.Fabric, k, f int, opts Options) (*abdcore.Register, *Metrics, error) {
+// k-register together with its retry metrics. Writes carry timestamps only:
+// opts.ValueSize sizes nothing on a register whose write-max is a chain.
+func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Register, *Metrics, error) {
 	metrics := &Metrics{}
 	reg, err := abdcore.New(abdcore.Config{
-		Name: "abd-cas",
-		K:    k,
-		F:    f,
+		Name:    "abd-cas",
+		K:       k,
+		F:       f,
+		Fabric:  fab,
+		Options: opts,
 		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
 			obj, err := fab.Cluster().PlaceCASCell(server)
 			if err != nil {
 				return nil, err
 			}
-			return &store{fab: fab, obj: obj, server: server, metrics: metrics}, nil
+			return &store{Store: abdcore.Store[abdcore.ReadsCAS]{Obj: obj, Host: server}, fab: fab, metrics: metrics}, nil
 		},
-		Fabric:  fab,
-		History: opts.History,
-		Atomic:  opts.ReadWriteBack,
 	})
 	if err != nil {
 		return nil, nil, err

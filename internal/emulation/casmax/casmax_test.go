@@ -8,13 +8,14 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/baseobj"
 	"repro/internal/cluster"
+	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-func newReg(t *testing.T, k, f, n int, gate fabric.Gate, opts Options) (*abdcore.Register, *Metrics, *fabric.Fabric) {
+func newReg(t *testing.T, k, f, n int, gate fabric.Gate, opts emulation.Options) (*abdcore.Register, *Metrics, *fabric.Fabric) {
 	t.Helper()
 	c, err := cluster.New(n)
 	if err != nil {
@@ -40,7 +41,7 @@ func testCtx(t *testing.T) context.Context {
 }
 
 func TestBasicsAndResources(t *testing.T) {
-	reg, metrics, _ := newReg(t, 3, 1, 3, nil, Options{})
+	reg, metrics, _ := newReg(t, 3, 1, 3, nil, emulation.Options{})
 	if reg.ResourceComplexity() != 3 {
 		t.Fatalf("resources = %d, want 2f+1 = 3", reg.ResourceComplexity())
 	}
@@ -76,14 +77,14 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	if _, _, err := New(fab, 1, 0, Options{}); err == nil {
+	if _, _, err := New(fab, 1, 0, emulation.Options{}); err == nil {
 		t.Error("f=0 accepted")
 	}
 	two, err := cluster.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := New(fabric.New(two), 1, 1, Options{}); err == nil {
+	if _, _, err := New(fabric.New(two), 1, 1, emulation.Options{}); err == nil {
 		t.Error("a 2-member view accepted for f=1")
 	}
 }
@@ -95,7 +96,7 @@ func TestForcedRetryDeterministic(t *testing.T) {
 	// then fails (exp mismatch), the loop re-reads, sees ts2 >= ts1, and
 	// returns.
 	script := adversary.NewScript()
-	reg, metrics, fab := newReg(t, 2, 1, 3, script, Options{})
+	reg, metrics, fab := newReg(t, 2, 1, 3, script, emulation.Options{})
 	ctx := testCtx(t)
 
 	script.SetApplyRule(func(ev fabric.TriggerEvent) bool {
@@ -139,7 +140,7 @@ func TestForcedRetryDeterministic(t *testing.T) {
 }
 
 func TestSurvivesFCrashes(t *testing.T) {
-	reg, _, fab := newReg(t, 2, 1, 3, nil, Options{})
+	reg, _, fab := newReg(t, 2, 1, 3, nil, emulation.Options{})
 	ctx := testCtx(t)
 	w0, err := reg.Writer(0)
 	if err != nil {
@@ -168,8 +169,8 @@ func TestSurvivesFCrashes(t *testing.T) {
 }
 
 func TestSequentialHistoryIsRegular(t *testing.T) {
-	hist := &spec.History{}
-	reg, _, _ := newReg(t, 2, 1, 3, nil, Options{History: hist})
+	reg, _, _ := newReg(t, 2, 1, 3, nil, emulation.Options{})
+	hist := reg.History()
 	ctx := testCtx(t)
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 2; i++ {
@@ -219,7 +220,7 @@ func TestWriteCancelledMidChainThenReleaseRecovers(t *testing.T) {
 	gate := fabric.GateFuncs{Respond: func(ev fabric.TriggerEvent, _ baseobj.Response) fabric.Decision {
 		return fabric.Hold
 	}}
-	reg, _, fab := newReg(t, 2, 1, 3, gate, Options{})
+	reg, _, fab := newReg(t, 2, 1, 3, gate, emulation.Options{})
 	w, err := reg.Writer(0)
 	if err != nil {
 		t.Fatal(err)

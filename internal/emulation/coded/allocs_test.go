@@ -7,7 +7,7 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/spec"
+	"repro/internal/emulation"
 	"repro/internal/types"
 )
 
@@ -22,12 +22,11 @@ import (
 func TestCodedOpAllocCeiling(t *testing.T) {
 	const valueSize = 64 << 10
 	const ceiling = 1.3 * valueSize
-	hist := &spec.History{}
-	hist.SetDiscard(true) // as the sharded store runs it: no history growth in the count
-	reg, err := New(codedEnv(t, 5), 1, 1, Options{ValueSize: valueSize, History: hist})
+	reg, err := New(codedEnv(t, 5), 1, 1, emulation.Options{ValueSize: valueSize})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg.History().SetDiscard(true) // as the sharded store runs it: no history growth in the count
 	w, err := reg.Writer(0)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,15 @@
 //  2. put:      OpPutFrag of fragment i to server i, gather n−f acks;
 //  3. commit:   OpCommitFrag(ts) on all n, gather n−f acks.
 //
+// The collect's timestamp is proposed through the writers' floor
+// (emulation.Floor), as on abdcore's quorum register: a write abandoned with
+// its put on fewer than n−f stores can be missed by the same writer's next
+// collect, and proposing collected+1 would give the fresh write the abandoned
+// one's (timestamp, writer) pair — two stripes a gather cannot order, so a
+// read through a store holding the stray fragment could return the abandoned
+// value after the fresh write completed. Every geometry with n ≤ 3f (kData =
+// n−2f ≤ f) exposes that: a lone stray fragment reconstructs on its own.
+//
 // A read gathers OpGetFrags from n−f stores, picks the highest timestamp
 // holding ≥ kData distinct fragments, rebuilds whichever data shards the
 // gather missed, and verifies them against the payload of the timestamp's
@@ -41,6 +50,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/baseobj"
+	"repro/internal/cluster"
 	"repro/internal/emulation"
 	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
@@ -48,20 +58,9 @@ import (
 	"repro/internal/types"
 )
 
-// DefaultValueSize is the payload size used when Options.ValueSize is zero.
+// DefaultValueSize is the payload size used when emulation.Options.ValueSize
+// is zero.
 const DefaultValueSize = 64
-
-// Options configure the construction.
-type Options struct {
-	// History receives the high-level operations (optional).
-	History *spec.History
-	// ValueSize is the payload size in bytes each write stores (default
-	// DefaultValueSize, minimum types.MinPayloadSize).
-	ValueSize int
-	// Atomic upgrades reads to the linearizable protocol at the cost of
-	// readers writing the stripe back.
-	Atomic bool
-}
 
 // placement is one immutable striping geometry: the fragment stores, the
 // failure budget, and the coder whose kData matches them. Rounds derive
@@ -77,6 +76,33 @@ type placement struct {
 // need is the quorum size of every round under this placement.
 func (p *placement) need() int { return p.n - p.f }
 
+// arrange is the one place a striping geometry is checked and placed — by
+// New on the initial view, by Reshape on the post-resize members: f > 0,
+// n ≥ 2f+1, a coder with kData = n−2f, and a fresh fragment store on every
+// member.
+func arrange(c *cluster.Cluster, members []types.ServerID, f int) (*placement, error) {
+	n := len(members)
+	if f <= 0 {
+		return nil, fmt.Errorf("coded: f must be positive, got %d", f)
+	}
+	if n < 2*f+1 {
+		return nil, fmt.Errorf("coded: need n ≥ 2f+1 = %d servers, got %d", 2*f+1, n)
+	}
+	coder, err := NewCoder(n-2*f, n)
+	if err != nil {
+		return nil, fmt.Errorf("coded: %w", err)
+	}
+	objs := make([]types.ObjectID, 0, n)
+	for _, sid := range members {
+		obj, err := c.PlaceFragStore(sid)
+		if err != nil {
+			return nil, fmt.Errorf("coded: placing fragment store on server %d: %w", sid, err)
+		}
+		objs = append(objs, obj)
+	}
+	return &placement{objs: objs, n: n, f: f, coder: coder}, nil
+}
+
 // Register implements emulation.Register over striped fragment stores.
 type Register struct {
 	k         int
@@ -86,6 +112,7 @@ type Register struct {
 	fab       *fabric.Fabric
 	hist      *spec.History
 	readers   emulation.ReaderIDs
+	floor     emulation.Floor
 	// straddles counts the gathers reads repeated because the answers
 	// straddled a commit (errStraddled).
 	straddles atomic.Uint64
@@ -98,51 +125,32 @@ var (
 )
 
 // New places one fragment store on every member of the cluster's current
-// view and returns the emulated k-writer register.
-func New(fab *fabric.Fabric, k, f int, opts Options) (*Register, error) {
+// view and returns the emulated k-writer register. opts.ValueSize is the
+// payload size in bytes each write stores (DefaultValueSize when zero, at
+// least types.MinPayloadSize); opts.Atomic makes readers write the stripe
+// back.
+func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*Register, error) {
 	if err := emulation.ValidateWriters(k); err != nil {
 		return nil, fmt.Errorf("coded: %w", err)
 	}
-	if f <= 0 {
-		return nil, fmt.Errorf("coded: f must be positive, got %d", f)
-	}
 	c := fab.Cluster()
-	servers := c.Members()
-	n := len(servers)
-	if n < 2*f+1 {
-		return nil, fmt.Errorf("coded: need n ≥ 2f+1 = %d servers, got %d", 2*f+1, n)
-	}
-	coder, err := NewCoder(n-2*f, n)
+	p, err := arrange(c, c.Members(), f)
 	if err != nil {
-		return nil, fmt.Errorf("coded: %w", err)
+		return nil, err
 	}
 	valueSize := opts.ValueSize
 	if valueSize <= 0 {
 		valueSize = DefaultValueSize
 	}
-	if valueSize < types.MinPayloadSize {
-		valueSize = types.MinPayloadSize
-	}
-	objs := make([]types.ObjectID, 0, n)
-	for _, server := range servers {
-		obj, err := c.PlaceFragStore(server)
-		if err != nil {
-			return nil, fmt.Errorf("coded: placing fragment store: %w", err)
-		}
-		objs = append(objs, obj)
-	}
-	hist := opts.History
-	if hist == nil {
-		hist = &spec.History{}
-	}
 	r := &Register{
 		k:         k,
-		valueSize: valueSize,
+		valueSize: max(valueSize, types.MinPayloadSize),
 		atomic:    opts.Atomic,
 		fab:       fab,
-		hist:      hist,
+		hist:      &spec.History{},
+		floor:     emulation.NewFloor(k),
 	}
-	r.p.Store(&placement{objs: objs, n: n, f: f, coder: coder})
+	r.p.Store(p)
 	// Record the failure budget on the view: resize coordinators default
 	// their new threshold to it, and churn drivers guard shrinks with it.
 	c.SetF(f)
@@ -174,7 +182,7 @@ func (r *Register) StraddledGathers() uint64 { return r.straddles.Load() }
 // from replicated.
 func (r *Register) ResourceComplexity() int { return r.p.Load().n }
 
-// History returns the recorded high-level history.
+// History implements emulation.Register.
 func (r *Register) History() *spec.History { return r.hist }
 
 // Writer implements emulation.Register.
@@ -221,9 +229,9 @@ func (p *placement) putTargets(buf []rounds.Target, ts types.TSValue, length int
 type chain Register
 
 // StartWrite runs the three-round write as a completion chain: collect the
-// max timestamp, stripe the payload across the put quorum, commit. done
-// fires exactly once; it never fires if the failure assumption is violated,
-// like any pending op.
+// max timestamp and propose above it and above the writer's floor, stripe
+// the payload across the put quorum, commit. done fires exactly once; it
+// never fires if the failure assumption is violated, like any pending op.
 func (c *chain) StartWrite(ctx context.Context, client types.ClientID, v types.Value, done func(error)) {
 	r := (*Register)(c)
 	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
@@ -234,7 +242,7 @@ func (c *chain) StartWrite(ctx context.Context, client types.ClientID, v types.V
 			done(fmt.Errorf("coded: write collect: %w", err))
 			return
 		}
-		ts := types.TSValue{TS: cur.TS + 1, Writer: client, Val: v}
+		ts := types.TSValue{TS: r.floor.Propose(client, cur.TS), Writer: client, Val: v}
 		r.startPut(ctx, client, ts, r.p.Load().payload(v, r.valueSize), func(err error) {
 			if err != nil {
 				done(fmt.Errorf("coded: write: %w", err))
@@ -481,15 +489,6 @@ func (p *placement) reconstruct(reps []rounds.Report) (stripe, bool, error) {
 // stores retire, so an in-window retry can never route to a missing object.
 func (r *Register) Reshape(rs *fabric.Reshaper) error {
 	old := r.p.Load()
-	members := rs.Members()
-	newN := len(members)
-	newF := rs.F()
-	if newF <= 0 {
-		return fmt.Errorf("coded: f must be positive, got %d", newF)
-	}
-	if newN < 2*newF+1 {
-		return fmt.Errorf("coded: need n ≥ 2f+1 = %d servers, got %d", 2*newF+1, newN)
-	}
 	reps := make([]rounds.Report, 0, len(old.objs))
 	for i, obj := range old.objs {
 		st, err := rs.State(obj)
@@ -502,23 +501,14 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 	if err != nil {
 		return fmt.Errorf("coded: restripe: %w", err)
 	}
-	coder, err := NewCoder(newN-2*newF, newN)
+	p, err := arrange(r.fab.Cluster(), rs.Members(), rs.F())
 	if err != nil {
-		return fmt.Errorf("coded: restripe: %w", err)
-	}
-	c := r.fab.Cluster()
-	objs := make([]types.ObjectID, 0, newN)
-	for _, sid := range members {
-		obj, err := c.PlaceFragStore(sid)
-		if err != nil {
-			return fmt.Errorf("coded: placing fragment store on server %d: %w", sid, err)
-		}
-		objs = append(objs, obj)
+		return err
 	}
 	if s.ts != types.ZeroTSValue {
-		shards := coder.Encode(s.payload())
-		for i, obj := range objs {
-			frag := &baseobj.Fragment{TS: s.ts, Index: i, K: coder.K(), Length: s.length, Data: shards[i]}
+		shards := p.coder.Encode(s.payload())
+		for i, obj := range p.objs {
+			frag := &baseobj.Fragment{TS: s.ts, Index: i, K: p.coder.K(), Length: s.length, Data: shards[i]}
 			if _, err := rs.Apply(obj, baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: frag}); err != nil {
 				return fmt.Errorf("coded: seeding fragment %d: %w", i, err)
 			}
@@ -527,7 +517,7 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 			}
 		}
 	}
-	r.p.Store(&placement{objs: objs, n: newN, f: newF, coder: coder})
+	r.p.Store(p)
 	for _, obj := range old.objs {
 		if err := rs.Retire(obj); err != nil {
 			return fmt.Errorf("coded: retiring fragment store %d: %w", obj, err)

@@ -35,27 +35,27 @@ func testCtx(t *testing.T) context.Context {
 
 func TestCodedValidation(t *testing.T) {
 	fab := codedEnv(t, 5)
-	if _, err := New(fab, 2, 0, Options{}); err == nil {
+	if _, err := New(fab, 2, 0, emulation.Options{}); err == nil {
 		t.Error("f=0 accepted")
 	}
-	if _, err := New(fab, 0, 1, Options{}); err == nil {
+	if _, err := New(fab, 0, 1, emulation.Options{}); err == nil {
 		t.Error("k=0 writers accepted")
 	}
 	small := codedEnv(t, 3)
-	if _, err := New(small, 2, 2, Options{}); err == nil {
+	if _, err := New(small, 2, 2, emulation.Options{}); err == nil {
 		t.Error("n < 2f+1 accepted")
 	}
 }
 
 func TestCodedDefaultsToMaxSafeShards(t *testing.T) {
-	reg, err := New(codedEnv(t, 5), 2, 1, Options{})
+	reg, err := New(codedEnv(t, 5), 2, 1, emulation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.DataShards(); got != 3 {
 		t.Fatalf("DataShards = %d, want n−2f = 3", got)
 	}
-	reg2, err := New(codedEnv(t, 5), 2, 2, Options{})
+	reg2, err := New(codedEnv(t, 5), 2, 2, emulation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestCodedDefaultsToMaxSafeShards(t *testing.T) {
 func TestCodedSequentialReadYourWrites(t *testing.T) {
 	ctx := testCtx(t)
 	fab := codedEnv(t, 5)
-	reg, err := New(fab, 2, 1, Options{ValueSize: 256})
+	reg, err := New(fab, 2, 1, emulation.Options{ValueSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCodedSequentialReadYourWrites(t *testing.T) {
 func TestCodedCrashTolerance(t *testing.T) {
 	ctx := testCtx(t)
 	fab := codedEnv(t, 5)
-	reg, err := New(fab, 1, 1, Options{})
+	reg, err := New(fab, 1, 1, emulation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCodedConcurrent(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ctx := testCtx(t)
 			fab := codedEnv(t, 5)
-			reg, err := New(fab, 3, 1, Options{Atomic: atomic, ValueSize: 128})
+			reg, err := New(fab, 3, 1, emulation.Options{Atomic: atomic, ValueSize: 128})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func TestCodedBytesPerServer(t *testing.T) {
 	ctx := testCtx(t)
 	const size = 4096
 	fab := codedEnv(t, 5)
-	reg, err := New(fab, 1, 1, Options{ValueSize: size})
+	reg, err := New(fab, 1, 1, emulation.Options{ValueSize: size})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestCodedDegenerateReplication(t *testing.T) {
 	ctx := testCtx(t)
 	const size = 1024
 	fab := codedEnv(t, 5)
-	reg, err := New(fab, 1, 2, Options{ValueSize: size})
+	reg, err := New(fab, 1, 2, emulation.Options{ValueSize: size})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestCodedDegenerateReplication(t *testing.T) {
 func TestCodedResizeRestripe(t *testing.T) {
 	ctx := testCtx(t)
 	fab := codedEnv(t, 5)
-	reg, err := New(fab, 1, 1, Options{ValueSize: 512})
+	reg, err := New(fab, 1, 1, emulation.Options{ValueSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestCodedResizeRestripe(t *testing.T) {
 func TestCodedReplaceTransfersFragments(t *testing.T) {
 	ctx := testCtx(t)
 	fab := codedEnv(t, 5)
-	reg, err := New(fab, 1, 1, Options{ValueSize: 512})
+	reg, err := New(fab, 1, 1, emulation.Options{ValueSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,13 @@
 // the handles of this package (NewWriter / NewReader), which record the
 // history and turn the chain into the blocking Write / Read.
 //
+// Every construction is built the same way: New(fab, k, f, Options), where
+// Options carries the only two settings a construction takes (atomic reads,
+// payload size). The register owns its history (Register.History), and the
+// two constructions whose writers pick their own timestamps from a collect
+// (abdcore's quorum register, coded) stamp them through one Floor, so a
+// writer handle stays reusable after an abandoned write on every one of them.
+//
 // Handles are not safe for concurrent use; each client runs its own handle,
 // mirroring the paper's per-client deterministic state machines.
 package emulation
@@ -21,8 +28,58 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fabric"
+	"repro/internal/spec"
 	"repro/internal/types"
 )
+
+// Options are the settings every construction's New takes — the same two
+// for all six.
+type Options struct {
+	// Atomic upgrades reads to the linearizable protocol: a reader writes the
+	// value it returns back to a quorum first. This is the classic atomicity
+	// fix, and it costs readers a write — which is exactly why the paper's
+	// space bounds target regularity ("since atomicity usually requires
+	// readers to write", Section 1). The constructions whose readers cannot
+	// write (regemu, aac-max, naive) reject it (RegularOnly).
+	Atomic bool
+	// ValueSize, when positive, makes every write carry a payload of that
+	// many bytes: abd-max stores a full copy on each of its 2f+1 servers,
+	// coded a 1/kData fragment on each of its n (coded.DefaultValueSize when
+	// zero). The other constructions track timestamps only and ignore it.
+	ValueSize int
+}
+
+// RegularOnly rejects Atomic for a construction whose readers cannot write.
+func (o Options) RegularOnly(construction string) error {
+	if o.Atomic {
+		return fmt.Errorf("%s: no atomic read mode (readers cannot write)", construction)
+	}
+	return nil
+}
+
+// Floor is the timestamp floor of a register's writers: entry i is the
+// highest timestamp writer i ever proposed. A write abandoned before its last
+// round reached a quorum can be missed by the writer's next collect, and
+// types.TSValue.Less cannot order two values with the same (timestamp,
+// writer) pair — so every proposal starts above the writer's last, not just
+// above the collect. Entries are atomic because an abandoned write's collect
+// may still complete beside the next write's.
+type Floor []atomic.Uint64
+
+// NewFloor returns the floor of k writers, all at zero.
+func NewFloor(k int) Floor { return make(Floor, k) }
+
+// Propose returns writer's next timestamp — above collected and above
+// everything writer proposed before — and records it.
+func (fl Floor) Propose(writer types.ClientID, collected uint64) uint64 {
+	last := &fl[writer]
+	for {
+		prev := last.Load()
+		if ts := max(collected, prev) + 1; last.CompareAndSwap(prev, ts) {
+			return ts
+		}
+	}
+}
 
 // ErrResizeUnsupported marks a construction that cannot re-place its base
 // objects across a view resize (regemu's covering-proof placement is pinned
@@ -127,4 +184,6 @@ type Register interface {
 	// ResourceComplexity returns the number of base objects the
 	// construction placed — the paper's space measure.
 	ResourceComplexity() int
+	// History returns the high-level history the register's handles record.
+	History() *spec.History
 }

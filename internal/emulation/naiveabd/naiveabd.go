@@ -15,57 +15,37 @@ package naiveabd
 
 import (
 	"repro/internal/baseobj"
+	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
-	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
-	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-// store exposes a plain register as a max-store whose write-max is an
-// unconditional overwrite (abdcore.Config.WriteOp = OpWrite) — the flaw
-// under adversarial asynchrony. A resize seeds it with the same overwrite,
-// sound there because the window is frozen: the resize itself never loses a
-// value, only the construction's normal operation can.
-type store struct {
-	obj    types.ObjectID
-	server types.ServerID
-}
-
-// Server implements abdcore.MaxStore.
-func (s *store) Server() types.ServerID { return s.server }
-
-// Objects implements abdcore.MaxStore.
-func (s *store) Objects() []types.ObjectID { return []types.ObjectID{s.obj} }
-
-// ReadMax implements abdcore.MaxStore.
-func (s *store) ReadMax(buf []rounds.Target) []rounds.Target {
-	return append(buf, rounds.Target{Object: s.obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}})
-}
-
-// Options configure the baseline.
-type Options struct {
-	// History receives the high-level operations (optional).
-	History *spec.History
-}
-
 // New places one plain register on each of 2f+1 servers and returns the
-// (unsound) emulated k-register.
-func New(fab *fabric.Fabric, k, f int, opts Options) (*abdcore.Register, error) {
+// (unsound) emulated k-register. Each store is an abdcore.Store whose
+// write-max is an unconditional overwrite (Config.WriteOp = OpWrite) — the
+// flaw under adversarial asynchrony. A resize seeds it with the same
+// overwrite, sound there because the window is frozen: the resize itself
+// never loses a value, only the construction's normal operation can. Reads
+// never write (opts.Atomic is rejected) and writes carry timestamps only
+// (opts.ValueSize is ignored).
+func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Register, error) {
+	if err := opts.RegularOnly("naive-abd"); err != nil {
+		return nil, err
+	}
 	c := fab.Cluster()
 	return abdcore.New(abdcore.Config{
-		Name: "naive-abd",
-		K:    k,
-		F:    f,
+		Name:   "naive-abd",
+		K:      k,
+		F:      f,
+		Fabric: fab,
 		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
 			obj, err := c.PlaceRegister(server)
 			if err != nil {
 				return nil, err
 			}
-			return &store{obj: obj, server: server}, nil
+			return &abdcore.Store[abdcore.ReadsRegister]{Obj: obj, Host: server}, nil
 		},
 		WriteOp: baseobj.OpWrite,
-		Fabric:  fab,
-		History: opts.History,
 	})
 }

@@ -6,20 +6,21 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
 )
 
-func newReg(t *testing.T, k, f int, hist *spec.History) (*abdcore.Register, *fabric.Fabric) {
+func newReg(t *testing.T, k, f int) (*abdcore.Register, *fabric.Fabric) {
 	t.Helper()
 	c, err := cluster.New(2*f + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	reg, err := New(fab, k, f, Options{History: hist})
+	reg, err := New(fab, k, f, emulation.Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -30,8 +31,8 @@ func TestBenignRunsLookCorrect(t *testing.T) {
 	// The whole point of the baseline: under benign schedules it behaves
 	// like a correct emulation — the flaw only shows under the
 	// stale-release adversary (tested in internal/runner).
-	hist := &spec.History{}
-	reg, _ := newReg(t, 3, 1, hist)
+	reg, _ := newReg(t, 3, 1)
+	hist := reg.History()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for round := 0; round < 3; round++ {
@@ -60,7 +61,7 @@ func TestBenignRunsLookCorrect(t *testing.T) {
 func TestResourcesBelowTheBound(t *testing.T) {
 	// The baseline's space is 2f+1 — below Theorem 1's kf + f + 1 for
 	// k > 1, which is why it must be breakable.
-	reg, _ := newReg(t, 4, 1, nil)
+	reg, _ := newReg(t, 4, 1)
 	if reg.ResourceComplexity() != 3 {
 		t.Fatalf("resources = %d, want 3", reg.ResourceComplexity())
 	}
@@ -76,20 +77,20 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	if _, err := New(fab, 1, 0, Options{}); err == nil {
+	if _, err := New(fab, 1, 0, emulation.Options{}); err == nil {
 		t.Error("f=0 accepted")
 	}
 	two, err := cluster.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(fabric.New(two), 1, 1, Options{}); err == nil {
+	if _, err := New(fabric.New(two), 1, 1, emulation.Options{}); err == nil {
 		t.Error("a 2-member view accepted for f=1")
 	}
 }
 
 func TestSurvivesFCrashes(t *testing.T) {
-	reg, fab := newReg(t, 2, 1, nil)
+	reg, fab := newReg(t, 2, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	w0, err := reg.Writer(0)

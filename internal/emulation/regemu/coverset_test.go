@@ -21,7 +21,7 @@ func newAdversarial(t *testing.T, k, f, n int) (*Emulation, *fabric.Fabric, *adv
 	}
 	script := adversary.NewScript()
 	fab := fabric.New(c, fabric.WithGate(script))
-	em, err := New(fab, k, f, Options{})
+	em, err := New(fab, k, f, emulation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

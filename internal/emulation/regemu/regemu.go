@@ -51,15 +51,18 @@ type Emulation struct {
 // Compile-time interface compliance check.
 var _ emulation.Register = (*Emulation)(nil)
 
-// Options configure the construction.
-type Options struct {
-	// History receives the high-level operations (optional).
-	History *spec.History
-}
-
 // New builds the register-set layout over the members of the cluster's
-// current view (all n of them) and returns the emulated k-register.
-func New(fab *fabric.Fabric, k, f int, opts Options) (*Emulation, error) {
+// current view (all n of them) and returns the emulated k-register. Readers
+// never write, so opts.Atomic is rejected; writes carry timestamps only
+// (opts.ValueSize is ignored). Everything is checked before the first
+// register is placed.
+func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*Emulation, error) {
+	if err := opts.RegularOnly("regemu"); err != nil {
+		return nil, err
+	}
+	if err := emulation.ValidateWriters(k); err != nil {
+		return nil, fmt.Errorf("regemu: %w", err)
+	}
 	c := fab.Cluster()
 	plan, err := layout.NewPlan(k, f, c.View().N())
 	if err != nil {
@@ -72,16 +75,10 @@ func New(fab *fabric.Fabric, k, f int, opts Options) (*Emulation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("regemu: materializing layout: %w", err)
 	}
-	if err := emulation.ValidateWriters(k); err != nil {
-		return nil, fmt.Errorf("regemu: %w", err)
-	}
 	// Record the failure budget on the view (see cluster.SetF); regemu has
 	// no resize path, but the budget still drives crash accounting guards.
 	c.SetF(f)
-	hist := opts.History
-	if hist == nil {
-		hist = &spec.History{}
-	}
+	hist := &spec.History{}
 	e := &Emulation{
 		fab:       fab,
 		placement: placement,
@@ -143,7 +140,7 @@ func (e *Emulation) F() int { return e.f }
 // bounds.RegisterUpper(k, f, n) by layout.Plan.Verify.
 func (e *Emulation) ResourceComplexity() int { return e.placement.Plan.TotalRegisters() }
 
-// History returns the recorded high-level history.
+// History implements emulation.Register.
 func (e *Emulation) History() *spec.History { return e.hist }
 
 // Placement exposes the register layout for experiments.

@@ -2,11 +2,13 @@ package regemu
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bounds"
 	"repro/internal/cluster"
+	"repro/internal/emulation"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
@@ -21,7 +23,7 @@ func newEmulation(t *testing.T, k, f, n int) (*Emulation, *fabric.Fabric) {
 		t.Fatalf("cluster.New(%d): %v", n, err)
 	}
 	fab := fabric.New(c)
-	em, err := New(fab, k, f, Options{})
+	em, err := New(fab, k, f, emulation.Options{})
 	if err != nil {
 		t.Fatalf("New(k=%d f=%d n=%d): %v", k, f, n, err)
 	}
@@ -186,5 +188,23 @@ func TestToleratesCrashOfAnyHostingServer(t *testing.T) {
 				t.Fatalf("k=%d n=%d, server %d crashed: WS-Regularity: %v", tc.k, tc.n, crashed, err)
 			}
 		}
+	}
+}
+
+// TestWriterCountCheckedBeforePlacing: a writer count that collides with the
+// reader IDs is refused before a single register is placed — the layout of
+// k = ReaderIDBase writers on 3 servers is 3·2^20 registers.
+func TestWriterCountCheckedBeforePlacing(t *testing.T) {
+	c, err := cluster.New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := int(emulation.ReaderIDBase)
+	_, err = New(fabric.New(c), k, 1, emulation.Options{})
+	if err == nil || !strings.Contains(err.Error(), emulation.ValidateWriters(k).Error()) {
+		t.Fatalf("New(k=%d) = %v, want the writer-count error %q", k, err, emulation.ValidateWriters(k))
+	}
+	if got := c.ResourceComplexity(); got != 0 {
+		t.Fatalf("the refused register placed %d base objects first", got)
 	}
 }

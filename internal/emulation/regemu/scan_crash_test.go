@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/baseobj"
 	"repro/internal/cluster"
+	"repro/internal/emulation"
 	"repro/internal/fabric"
 	"repro/internal/types"
 )
@@ -29,7 +30,7 @@ func newGatedEmulation(t *testing.T, k, f, n int, gate fabric.Gate) (*Emulation,
 		t.Fatal(err)
 	}
 	fab := fabric.New(c, fabric.WithGate(gate))
-	em, err := New(fab, k, f, Options{})
+	em, err := New(fab, k, f, emulation.Options{})
 	if err != nil {
 		t.Fatalf("New(k=%d f=%d n=%d): %v", k, f, n, err)
 	}

@@ -53,7 +53,7 @@ func stalledWrite(t *testing.T, ctx context.Context, kind runner.Kind) (*fabric.
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { env.Fabric.Close() })
-	reg, _, err := runner.Build(kind, env.Fabric, 2, 1)
+	reg, _, err := runner.BuildWith(kind, env.Fabric, 2, 1, runner.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func abdMaxUnderHeldReplace(t *testing.T, ctx context.Context, release <-chan st
 	}
 	t.Cleanup(func() { env.Fabric.Close() })
 	fab = env.Fabric
-	reg, _, err := runner.Build(runner.KindABDMax, fab, 1, 1)
+	reg, _, err := runner.BuildWith(runner.KindABDMax, fab, 1, 1, runner.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, err
 	}
 	defer env.Fabric.Close()
-	reg, hist, err := Build(cfg.Kind, env.Fabric, cfg.K, cfg.F)
+	reg, hist, err := BuildWith(cfg.Kind, env.Fabric, cfg.K, cfg.F, BuildOpts{})
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/emulation"
-	"repro/internal/emulation/abdmax"
-	"repro/internal/emulation/casmax"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
@@ -38,7 +36,7 @@ func TestAllKindsConcurrentStress(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg, hist, err := Build(kind, env.Fabric, writers, 2)
+			reg, hist, err := BuildWith(kind, env.Fabric, writers, 2, BuildOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,24 +99,14 @@ func TestConcurrentWritersLinearizable(t *testing.T) {
 		ops     = 3 // (3+2)*3 = 15 ops, comfortably inside the 64-op search bound
 	)
 	ctx := testCtx(t)
-	builds := map[string]func(fab *fabric.Fabric, hist *spec.History) (emulation.Register, error){
-		"abd-max": func(fab *fabric.Fabric, hist *spec.History) (emulation.Register, error) {
-			return abdmax.New(fab, writers, 1, abdmax.Options{History: hist, ReadWriteBack: true})
-		},
-		"abd-cas": func(fab *fabric.Fabric, hist *spec.History) (emulation.Register, error) {
-			reg, _, err := casmax.New(fab, writers, 1, casmax.Options{History: hist, ReadWriteBack: true})
-			return reg, err
-		},
-	}
-	for name, build := range builds {
-		name, build := name, build
-		t.Run(name, func(t *testing.T) {
+	for _, kind := range []Kind{KindABDMax, KindCASMax} {
+		kind := kind
+		t.Run(string(kind), func(t *testing.T) {
 			env, err := NewEnv(3, &fabric.YieldGate{Yields: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			hist := &spec.History{}
-			reg, err := build(env.Fabric, hist)
+			reg, hist, err := BuildWith(kind, env.Fabric, writers, 1, BuildOpts{Atomic: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +178,7 @@ func TestWriteSequentialWithConcurrentReaders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg, hist, err := Build(kind, env.Fabric, writers, 2)
+			reg, hist, err := BuildWith(kind, env.Fabric, writers, 2, BuildOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

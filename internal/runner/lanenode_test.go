@@ -126,7 +126,7 @@ func TestTCPLaneNodeKillIsCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Fabric.Close()
-	reg, hist, err := Build(KindABDMax, env.Fabric, 2, 2)
+	reg, hist, err := BuildWith(KindABDMax, env.Fabric, 2, 2, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestReconfigureMidFlightAllKinds(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer env.Fabric.Close()
-			reg, hist, err := Build(kind, env.Fabric, 2, 2)
+			reg, hist, err := BuildWith(kind, env.Fabric, 2, 2, BuildOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

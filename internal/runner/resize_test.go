@@ -166,7 +166,7 @@ func TestResizeUnsupportedKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Fabric.Close()
-	reg, _, err := Build(KindRegEmu, env.Fabric, 2, 1)
+	reg, _, err := BuildWith(KindRegEmu, env.Fabric, 2, 1, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestResizeTransferWindowCrashTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Fabric.Close()
-	reg, hist, err := Build(KindABDMax, env.Fabric, 1, 1)
+	reg, hist, err := BuildWith(KindABDMax, env.Fabric, 1, 1, BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

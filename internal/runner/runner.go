@@ -77,58 +77,37 @@ func NewEnv(n int, gate fabric.Gate, extra ...fabric.Option) (*Env, error) {
 	return &Env{Cluster: c, Fabric: fabric.New(c, opts...)}, nil
 }
 
-// BuildOpts carry the cross-construction build knobs.
-type BuildOpts struct {
-	// ValueSize, when positive, makes writes carry payloads of that many
-	// bytes (abd-max replicates them, coded stripes them); the other
-	// constructions track timestamps only and ignore it.
-	ValueSize int
-	// Atomic upgrades reads to the linearizable protocol where supported
-	// (abd-max, abd-cas, coded).
-	Atomic bool
-}
+// BuildOpts are the construction options BuildWith passes through.
+type BuildOpts = emulation.Options
 
-// Build constructs the chosen emulation on the environment's fabric, wiring
-// a shared history for checking. The casmax retry metrics are discarded
-// here; call casmax.New directly when they matter.
-func Build(kind Kind, fab *fabric.Fabric, k, f int) (emulation.Register, *spec.History, error) {
-	return BuildWith(kind, fab, k, f, BuildOpts{})
-}
-
-// BuildWith is Build with explicit knobs.
+// BuildWith constructs the chosen emulation on the environment's fabric and
+// returns it with the history it records. A construction that cannot honour
+// an option (Atomic on regemu, aac-max and naive) refuses it in its own New.
+// The casmax retry metrics are discarded here; call casmax.New directly when
+// they matter.
 func BuildWith(kind Kind, fab *fabric.Fabric, k, f int, opts BuildOpts) (emulation.Register, *spec.History, error) {
-	hist := &spec.History{}
+	var reg emulation.Register
+	var err error
 	switch kind {
 	case KindRegEmu:
-		if opts.Atomic {
-			return nil, nil, fmt.Errorf("runner: %q has no atomic read mode (readers cannot write)", kind)
-		}
-		reg, err := regemu.New(fab, k, f, regemu.Options{History: hist})
-		return reg, hist, err
+		reg, err = regemu.New(fab, k, f, opts)
 	case KindABDMax:
-		reg, err := abdmax.New(fab, k, f, abdmax.Options{History: hist, ReadWriteBack: opts.Atomic, ValueSize: opts.ValueSize})
-		return reg, hist, err
+		reg, err = abdmax.New(fab, k, f, opts)
 	case KindCASMax:
-		reg, _, err := casmax.New(fab, k, f, casmax.Options{History: hist, ReadWriteBack: opts.Atomic})
-		return reg, hist, err
+		reg, _, err = casmax.New(fab, k, f, opts)
 	case KindAACMax:
-		if opts.Atomic {
-			return nil, nil, fmt.Errorf("runner: %q has no atomic read mode (readers cannot write)", kind)
-		}
-		reg, err := aacmax.New(fab, k, f, aacmax.Options{History: hist})
-		return reg, hist, err
+		reg, err = aacmax.New(fab, k, f, opts)
 	case KindNaive:
-		if opts.Atomic {
-			return nil, nil, fmt.Errorf("runner: %q has no atomic read mode (readers cannot write)", kind)
-		}
-		reg, err := naiveabd.New(fab, k, f, naiveabd.Options{History: hist})
-		return reg, hist, err
+		reg, err = naiveabd.New(fab, k, f, opts)
 	case KindCoded:
-		reg, err := coded.New(fab, k, f, coded.Options{History: hist, Atomic: opts.Atomic, ValueSize: opts.ValueSize})
-		return reg, hist, err
+		reg, err = coded.New(fab, k, f, opts)
 	default:
 		return nil, nil, fmt.Errorf("runner: unknown emulation kind %q", kind)
 	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return reg, reg.History(), nil
 }
 
 // CheckResult carries the outcome of the consistency checks on a history.

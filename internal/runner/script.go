@@ -11,7 +11,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/emulation"
 	"repro/internal/fabric"
-	"repro/internal/spec"
 	"repro/internal/types"
 )
 
@@ -218,7 +217,6 @@ type run struct {
 	s    *Script
 	env  *Env
 	reg  emulation.Register
-	hist *spec.History
 	gate *adversary.Script
 
 	armed []*armedHold
@@ -242,7 +240,7 @@ func newRun(s *Script, opts BuildOpts, fabOpts ...fabric.Option) (*run, error) {
 	if r.env, err = NewEnv(s.N, r.gate, fabOpts...); err != nil {
 		return nil, err
 	}
-	if r.reg, r.hist, err = BuildWith(s.Kind, r.env.Fabric, s.K, s.F, opts); err != nil {
+	if r.reg, _, err = BuildWith(s.Kind, r.env.Fabric, s.K, s.F, opts); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -336,7 +334,7 @@ func (r *run) step(ctx context.Context, st Step) error {
 
 // finish checks the run's history and the script's safety expectation.
 func (r *run) finish() *ScriptResult {
-	r.res.Checks = Check(r.hist)
+	r.res.Checks = Check(r.reg.History())
 	if violated := r.res.Checks.WSSafety != nil; violated != r.s.ExpectSafetyViolation {
 		r.res.Failures = append(r.res.Failures, fmt.Sprintf("safety violation = %v, expected %v (verdict: %v)",
 			violated, r.s.ExpectSafetyViolation, r.res.Checks.WSSafety))

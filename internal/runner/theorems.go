@@ -37,7 +37,7 @@ func RunTheorem2(ctx context.Context, k, f int) (*Theorem2Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := Build(KindAACMax, env.Fabric, k, f); err != nil {
+	if _, _, err := BuildWith(KindAACMax, env.Fabric, k, f, BuildOpts{}); err != nil {
 		return nil, err
 	}
 	totalWant, err := bounds.SpecialCaseRegisters(k, f)

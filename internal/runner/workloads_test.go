@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 
 	"repro/internal/emulation"
+	"repro/internal/emulation/aacmax"
+	"repro/internal/emulation/naiveabd"
+	"repro/internal/emulation/regemu"
 	"repro/internal/fabric"
 	"repro/internal/spec"
 	"repro/internal/types"
@@ -128,6 +131,39 @@ func TestBuildAtomicRejectsReadOnlyReaders(t *testing.T) {
 			t.Errorf("atomic BuildWith(%s) succeeded; its readers cannot write", kind)
 		}
 	}
+	// BuildWith passes the option through: each construction refuses it in
+	// its own New, before placing anything.
+	atomic := emulation.Options{Atomic: true}
+	for name, build := range map[string]func() error{
+		"regemu":   func() error { _, err := regemu.New(env.Fabric, 2, 1, atomic); return err },
+		"aacmax":   func() error { _, err := aacmax.New(env.Fabric, 2, 1, atomic); return err },
+		"naiveabd": func() error { _, err := naiveabd.New(env.Fabric, 2, 1, atomic); return err },
+	} {
+		if err := build(); err == nil {
+			t.Errorf("%s.New with Atomic succeeded; its readers cannot write", name)
+		}
+	}
+	if got := env.Cluster.ResourceComplexity(); got != 0 {
+		t.Errorf("the refused builds placed %d base objects", got)
+	}
+}
+
+// TestBuildReturnsTheRegistersHistory: the history BuildWith returns is the
+// one the register records into, for every construction.
+func TestBuildReturnsTheRegistersHistory(t *testing.T) {
+	for _, kind := range Kinds() {
+		env, err := NewEnv(ChaosServers(kind), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg, hist, err := BuildWith(kind, env.Fabric, 2, 1, BuildOpts{})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if hist == nil || hist != reg.History() {
+			t.Errorf("%s: BuildWith returned history %p, the register records into %p", kind, hist, reg.History())
+		}
+	}
 }
 
 func TestBuildUnknownKind(t *testing.T) {
@@ -135,7 +171,7 @@ func TestBuildUnknownKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Build(Kind("bogus"), env.Fabric, 1, 1); err == nil {
+	if _, _, err := BuildWith(Kind("bogus"), env.Fabric, 1, 1, BuildOpts{}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
@@ -178,7 +214,7 @@ func TestAllKindsUnderResponseLatency(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reg, hist, err := Build(kind, env.Fabric, 3, 2)
+			reg, hist, err := BuildWith(kind, env.Fabric, 3, 2, BuildOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -178,8 +178,7 @@ type shard struct {
 // keyreg is one key's materialized register, immutable once published: a
 // new client slot republishes a copy with the grown cache.
 type keyreg struct {
-	reg  emulation.Register
-	hist *spec.History
+	reg emulation.Register
 
 	// clients caches the key's engine clients — writer slots first, reader
 	// slots after them; nil where a slot has not been used yet.
@@ -286,20 +285,14 @@ func laneOptions(cfg Config, s int) ([]fabric.Option, error) {
 		if len(cfg.NodeAddrs) == 0 {
 			return nil, errors.New("shardstore: TCP lane needs NodeAddrs")
 		}
-		clients := make([]*lanenet.Client, cfg.N)
-		table := fmt.Sprintf("shard%d", s)
-		for j := 0; j < cfg.N; j++ {
-			addr := cfg.NodeAddrs[(s*cfg.N+j)%len(cfg.NodeAddrs)]
-			c, err := lanenet.Dial(addr, cfg.DialTimeout, lanenet.WithTable(table))
-			if err != nil {
-				for _, prev := range clients[:j] {
-					_ = prev.Close()
-				}
-				return nil, fmt.Errorf("shardstore: shard %d server %d: %w", s, j, err)
-			}
-			clients[j] = c
+		addrs := make([]string, cfg.N)
+		for j := range addrs {
+			addrs[j] = cfg.NodeAddrs[(s*cfg.N+j)%len(cfg.NodeAddrs)]
 		}
-		maker := func(server types.ServerID) fabric.Lane { return clients[server] }
+		maker, _, err := lanenet.Lanes(addrs, cfg.DialTimeout, lanenet.WithTable(fmt.Sprintf("shard%d", s)))
+		if err != nil {
+			return nil, fmt.Errorf("shardstore: shard %d: %w", s, err)
+		}
 		return []fabric.Option{fabric.WithLanes(maker)}, nil
 	default:
 		return nil, fmt.Errorf("shardstore: unknown lane %q", cfg.Lane)
@@ -523,13 +516,13 @@ func (st *Store) materialize(key uint64, i int) (*async.Client, error) {
 	if old := st.lookup(key); old != nil {
 		*kr = *old
 	} else {
-		kr.reg, kr.hist, err = runner.BuildWith(st.cfg.Kind, sh.env.Fabric, st.cfg.WritersPerKey, sh.env.Cluster.F(),
+		kr.reg, _, err = runner.BuildWith(st.cfg.Kind, sh.env.Fabric, st.cfg.WritersPerKey, sh.env.Cluster.F(),
 			runner.BuildOpts{ValueSize: st.cfg.ValueSize, Atomic: st.cfg.Atomic})
 		if err != nil {
 			return nil, fmt.Errorf("shardstore: materializing key %d: %w", key, err)
 		}
 		if st.cfg.NoHistory {
-			kr.hist.SetDiscard(true)
+			kr.reg.History().SetDiscard(true)
 		}
 	}
 	if i < len(kr.clients) && kr.clients[i] != nil {
@@ -695,7 +688,7 @@ func (st *Store) CheckAll(sampleChecks int, checkSeed int64) CheckReport {
 	}
 	for key, kr := range st.all() {
 		rep.Keys++
-		ops := kr.hist.Snapshot()
+		ops := kr.reg.History().Snapshot()
 		rep.HistoryOps += len(ops)
 		if err := spec.CheckReadValidity(ops, types.InitialValue); err != nil {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("key %d: %v", key, err))
