@@ -66,7 +66,8 @@ pairs:
 # every test with "Alloc" in its name (an abd-max write+read pair at 0
 # allocations through the handles — in process and across the latency lane —
 # through one async engine, and through the sharded store's frontend on
-# materialized keys; a materialized key's live heap objects and bytes; the
+# materialized keys; a materialized key's live heap objects and bytes, for
+# each construction, and the allocations materializing one costs; the
 # fabric's hand-off of a recycled batch to an asynchronous lane, its release
 # path and its single-op trigger; the TCP lane's in-place codecs, slot table
 # and pipelined client; a coded 64 KiB write+read pair within 1.3x the value
@@ -148,8 +149,11 @@ race-lanes:
 # Object-table suite under the race detector, repeated and at three
 # GOMAXPROCS settings: chunk-edge round-trips, tombstones and the used latch
 # across a move in the cluster's table, the linear placement bound, the
-# fabric's zero-allocation first-touch and post-transition sweeps, and
-# lookups racing two rolling Replaces (one slot store per moved object).
+# arena (blocks growing from small; a moved, rolled-back or removed arena
+# copy retired — ErrSealed, no payload pinned), PerServerBytes racing
+# joins, the fabric's zero-allocation first-touch and post-transition
+# sweeps, and lookups racing two rolling Replaces (one slot store per moved
+# object).
 # Selected by package and the TestObjectTable name prefix, so new table
 # tests join without a list edit.
 race-routes:

@@ -135,23 +135,26 @@
 //     ValueSize), and every register records its own history
 //     (emulation.Register.History). The four quorum constructions are store
 //     recipes for one abdcore.Register, which owns the placement, the
-//     collect, the push, the writers' timestamp floor and the handles; three
-//     of them place the one one-object store (abdcore.Store — a
-//     max-register, a plain register, a CAS cell): Config.Place creates
-//     one server's store together with its base objects, abdcore.New
-//     validates f and the 2f+1 hosts once and calls it for each of them,
-//     and a view resize calls the same recipe for the servers it adds. A
-//     store names its base objects (Objects — the register's resource
-//     complexity is their count over the live placement) and appends its
-//     read-max ops (ReadMax), so every collect is one round: n−f responses
-//     when a store is one object, a server scan at f — regemu's shape —
-//     when it is several (aac-max's k registers). The write-max has the
-//     two shapes of Table 1, fixed by the recipe: one op (Config.WriteOp —
+//     collect, the push, the writers' timestamp floor and the handles. A
+//     store is one server's base objects — one max-register, plain
+//     register or CAS cell, or aac-max's k single-writer registers —
+//     placed by the construction's recipe (Config.Place, a plain function);
+//     abdcore.New validates f and the 2f+1 hosts once and calls it for each
+//     of them, and a view resize calls the same recipe for the servers it
+//     adds. The placement keeps only each store's server and objects (the
+//     register's resource complexity is their count), and New's placement
+//     and the writer handles live inside the register: a register of three
+//     one-object stores is one heap object. The collect reads every object
+//     with the construction's one read (Config.Read), so every collect is
+//     one round: n−f responses when a store is one object, a server scan
+//     at f — regemu's shape — when it is several (aac-max's k registers).
+//     The write-max has the two shapes of Table 1: one op (Config.WriteOp —
 //     a max-register's write-max, a plain register's overwrite), pushed as
-//     one round, or a chain the store runs itself (abdcore.Chain —
-//     Algorithm 1's CAS loop, aac-max's one-write-in-flight cell), which
-//     also folds a resize's maximum into the store (Seed). A new row of
-//     Table 1 is the store type and its recipe.
+//     one round, or a chain the construction runs on each store
+//     (Config.Chain, one per register — Algorithm 1's CAS loop, aac-max's
+//     one-write-in-flight cell per base register), which also folds a
+//     resize's maximum into a store (Seed). A new row of Table 1 is a
+//     recipe, a read and a write-max.
 //     Handles come from package emulation: StartWrite/StartRead run the
 //     chain under the caller's context (an in-flight op costs no
 //     goroutine), and Write/Read are one blocking adapter over the same
@@ -161,9 +164,12 @@
 //     past its check, abd-cas's, takes that one step), its history entry
 //     stays pending (completion and abandonment race on a single latch, so
 //     the entry closes before the call returns or never), and the handle is
-//     reusable: the quorum register and coded both stamp writes through one
-//     emulation.Floor, which starts every timestamp above the last one the
-//     writer proposed, so an abandoned write cannot tie its next one.
+//     reusable: the quorum register and coded both keep their write handles
+//     in one emulation.Writers table and stamp writes through its floor,
+//     which starts every timestamp above the last one the writer proposed,
+//     so an abandoned write cannot tie its next one. Writers.At(i) is the
+//     same handle on every call, and a client engine claims it
+//     (Writer.Claim): one driver per writer, with no index in the engine.
 //     Above the round an operation is three records — the engine's op, the
 //     handle's call (history entry and the caller's completion), abdcore's
 //     chain (context, value, what to push) — each pooled where it is born
@@ -208,9 +214,10 @@
 //     to one engine loop, so per-client op serialization (well-formed
 //     histories) survives any number of calling goroutines. Registers
 //     materialize lazily on first touch, into the store's one key table in
-//     the object table's idiom (512-slot chunks of atomic pointers to
-//     immutable entries): an op on a materialized key takes no lock, only a
-//     first touch takes its shard's lock, which a transition holds. On the
+//     the object table's idiom (512-slot chunks of atomic pointers to each
+//     key's record, built once with a slot per client): an op on a
+//     materialized key takes no lock, only a first touch of a key or a
+//     client slot takes its shard's lock, which a transition holds. On the
 //     TCP lane, shards multiplex
 //     onto a flat pool of lanenode processes via per-connection named
 //     tables (msgBind / lanenet.WithTable): one process hosts many shards'
@@ -264,9 +271,17 @@
 // mutex, the same critical section that checks the target is a member of
 // the current view; a retired ID's slot holds one shared tombstone, which
 // reads as a retryable view-change completion and is never reclaimed. A
-// move needs no invalidation: a reader gets either the old entry — a sealed
-// copy on a frozen server, which answers with the same retryable error — or
-// the new one. The view epoch still names every membership or placement
+// move needs no invalidation: a reader gets either the old entry — a copy on
+// a frozen server, which answers with the same retryable error — or the new
+// one. A placed register, max-register or CAS cell is built in place inside
+// its entry, and the entry in an arena block the table owns (4 entries
+// first, then as many as the table holds, up to 512), so placing it costs
+// no heap object of its own; a fragment store and the clone a move or a
+// rollback publishes are heap entries. Whatever copy a slot stops serving —
+// moved, rolled back, removed — is retired (baseobj.Object.Retire): it
+// drops its payload and refuses every operation, reads too, with the
+// retryable ErrSealed, so an arena block that outlives a moved object pins
+// none of its bytes. The view epoch still names every membership or placement
 // change (AddServer, MoveObject, CommitView, a failure-budget change); it is
 // not a cache-coherence protocol. Placing n objects costs O(n) — a store's
 // set-up is linear in its keys (E29) — and per-server counts and the

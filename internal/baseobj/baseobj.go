@@ -272,6 +272,14 @@ type Object interface {
 	// SizeBytes reports the payload bytes the object stores — the
 	// bytes-per-server space metric; 0 for an object without payload.
 	SizeBytes() int
+	// Retire ends a copy whose object lives on elsewhere — moved, rolled
+	// back to a clone, or removed from the cluster: the copy is sealed,
+	// drops what it stores and refuses every later operation, reads
+	// included, with ErrSealed (retryable). The cluster's object table
+	// retires every copy it stops serving, so one that outlives its slot —
+	// in an arena block beside live neighbours, or held by a stale caller —
+	// pins no payload bytes.
+	Retire()
 }
 
 // New returns a fresh object of the given kind at the initial state. A
@@ -313,7 +321,7 @@ func CloneAtState(o Object, st State) (Object, error) {
 	return clone, nil
 }
 
-// cell is the one implementation of the three base objects that store a
+// Cell is the one implementation of the three base objects that store a
 // TSValue (Table 1), told apart by kind:
 //
 //   - a read/write register, optionally restricted to a bounded writer set,
@@ -329,38 +337,65 @@ func CloneAtState(o Object, st State) (Object, error) {
 //     semantics of Algorithm 1 in Appendix B). A CAS cell carries no payload
 //     — Apply compares TSValues with ==, so its state stays a bare TSValue.
 //
+// The type is exported so that an owner can embed a cell in a record of its
+// own and initialize it in place (InitCell): the cluster's object table keeps
+// each one inside its table entry. A zero Cell is not an object, and a Cell
+// must not be copied once initialized.
+//
 // The layout is a per-key footprint cost (three cells per abd-max key): the
-// two one-byte fields sit last so a cell stays in the 80-byte size class.
-type cell struct {
+// one-byte fields sit last so a cell stays in the 80-byte size class.
+type Cell struct {
 	id      types.ObjectID
 	writers map[types.ClientID]struct{} // registers only; nil means unbounded (MWMR)
 
-	mu     sync.Mutex
-	val    types.TSValue
-	data   types.Payload // payload bytes riding with val (payload mode)
-	kind   Kind
-	sealed bool
+	mu      sync.Mutex
+	val     types.TSValue
+	data    types.Payload // payload bytes riding with val (payload mode)
+	kind    Kind
+	sealed  bool
+	retired bool // Retire ran: reads are refused too
 }
 
-func newCell(id types.ObjectID, kind Kind, writers []types.ClientID) *cell {
-	c := &cell{id: id, kind: kind, val: types.ZeroTSValue}
+// InitCell initializes c in place as a fresh object of kind — a register
+// (restricted to writers when the set is non-empty), a max-register or a CAS
+// cell — at the initial state, as New would build it. It panics on any other
+// kind: a fragment store is not a cell.
+func InitCell(c *Cell, id types.ObjectID, kind Kind, writers []types.ClientID) {
+	switch kind {
+	case KindRegister, KindMaxRegister, KindCAS:
+	default:
+		panic(fmt.Sprintf("baseobj: InitCell of a %v", kind))
+	}
+	c.id, c.kind, c.val = id, kind, types.ZeroTSValue
 	if kind == KindRegister && len(writers) > 0 {
 		c.writers = make(map[types.ClientID]struct{}, len(writers))
 		for _, w := range writers {
 			c.writers[w] = struct{}{}
 		}
 	}
+}
+
+func newCell(id types.ObjectID, kind Kind, writers []types.ClientID) *Cell {
+	c := new(Cell)
+	InitCell(c, id, kind, writers)
 	return c
 }
 
+// Retire implements Object.
+func (c *Cell) Retire() {
+	c.mu.Lock()
+	c.sealed, c.retired, c.data = true, true, nil
+	c.mu.Unlock()
+}
+
 // ID implements Object.
-func (c *cell) ID() types.ObjectID { return c.id }
+func (c *Cell) ID() types.ObjectID { return c.id }
 
 // Kind implements Object.
-func (c *cell) Kind() Kind { return c.kind }
+func (c *Cell) Kind() Kind { return c.kind }
 
 // Writers implements Object.
-func (c *cell) Writers() []types.ClientID {
+func (c *Cell) Writers() []types.ClientID {
 	if c.writers == nil {
 		return nil
 	}
@@ -373,7 +408,7 @@ func (c *cell) Writers() []types.ClientID {
 }
 
 // Apply implements Object.
-func (c *cell) Apply(client types.ClientID, inv Invocation) (resp Response, err error) {
+func (c *Cell) Apply(client types.ClientID, inv Invocation) (resp Response, err error) {
 	c.mu.Lock()
 	err = c.apply(client, &inv, &resp)
 	c.mu.Unlock()
@@ -381,13 +416,13 @@ func (c *cell) Apply(client types.ClientID, inv Invocation) (resp Response, err 
 }
 
 // LockState implements Object.
-func (c *cell) LockState() { c.mu.Lock() }
+func (c *Cell) LockState() { c.mu.Lock() }
 
 // UnlockState implements Object.
-func (c *cell) UnlockState() { c.mu.Unlock() }
+func (c *Cell) UnlockState() { c.mu.Unlock() }
 
 // ApplyLocked implements Object.
-func (c *cell) ApplyLocked(client types.ClientID, inv Invocation) (resp Response, err error) {
+func (c *Cell) ApplyLocked(client types.ClientID, inv Invocation) (resp Response, err error) {
 	err = c.apply(client, &inv, &resp)
 	return
 }
@@ -395,11 +430,11 @@ func (c *cell) ApplyLocked(client types.ClientID, inv Invocation) (resp Response
 // apply is the one body of both: the caller holds mu. Invocation and response
 // travel by pointer — they are a dozen words each, and a by-value hop through
 // a second frame costs the hot path a third of an uncontended apply.
-func (c *cell) apply(client types.ClientID, inv *Invocation, resp *Response) error {
+func (c *Cell) apply(client types.ClientID, inv *Invocation, resp *Response) error {
 	switch {
 	case inv.Op.kind() != c.kind:
 		return fmt.Errorf("%w: %v on %v %d", ErrWrongOp, inv.Op, c.kind, c.id)
-	case !inv.Op.IsWrite():
+	case !inv.Op.IsWrite() && !c.retired:
 		*resp = Response{Op: inv.Op, Val: c.val, Data: c.data}
 		return nil
 	case c.writers != nil && inv.Op == OpWrite:
@@ -428,14 +463,14 @@ func (c *cell) apply(client types.ClientID, inv *Invocation, resp *Response) err
 }
 
 // PeekState implements Object.
-func (c *cell) PeekState() State {
+func (c *Cell) PeekState() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return State{Val: c.val, Data: c.data}
 }
 
 // SealState implements Object.
-func (c *cell) SealState() State {
+func (c *Cell) SealState() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sealed = true
@@ -443,7 +478,7 @@ func (c *cell) SealState() State {
 }
 
 // RestoreState implements Object.
-func (c *cell) RestoreState(st State) {
+func (c *Cell) RestoreState(st State) {
 	c.mu.Lock()
 	c.val = st.Val
 	c.data = st.Data
@@ -451,7 +486,7 @@ func (c *cell) RestoreState(st State) {
 }
 
 // SizeBytes implements Object.
-func (c *cell) SizeBytes() int {
+func (c *Cell) SizeBytes() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.data)

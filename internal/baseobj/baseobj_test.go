@@ -330,6 +330,16 @@ func TestObjectContract(t *testing.T) {
 			if _, err := clone.Apply(1, tc.muta); err != nil {
 				t.Fatalf("clone is sealed: %v", err)
 			}
+			// A retired copy refuses reads too, and keeps no payload.
+			o.Retire()
+			for _, inv := range []Invocation{tc.read, tc.muta} {
+				if _, err := o.Apply(1, inv); inv.Op != 0 && !errors.Is(err, ErrSealed) {
+					t.Fatalf("retired object answered %v: %v", inv.Op, err)
+				}
+			}
+			if got := o.SizeBytes(); got != 0 {
+				t.Fatalf("retired object holds %d payload bytes", got)
+			}
 		})
 	}
 	if _, err := New(Kind(99), 1); err == nil {
@@ -341,7 +351,7 @@ func TestObjectContract(t *testing.T) {
 // cell's size is a per-key footprint cost; a field that pushes it past 80
 // bytes moves every cell up a size class.
 func TestCellStaysInItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(cell{}); got > 80 {
-		t.Fatalf("cell is %d bytes, want at most 80", got)
+	if got := unsafe.Sizeof(Cell{}); got > 80 {
+		t.Fatalf("Cell is %d bytes, want at most 80", got)
 	}
 }

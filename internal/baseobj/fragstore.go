@@ -38,6 +38,7 @@ type FragStore struct {
 	// keyed by their write timestamp.
 	pending map[fragKey]*Fragment
 	sealed  bool
+	retired bool // Retire ran: reads are refused too
 }
 
 // fragKey identifies a stripe: the (counter, writer) pair is unique per
@@ -78,6 +79,9 @@ func (s *FragStore) UnlockState() { s.mu.Unlock() }
 
 // ApplyLocked implements Object.
 func (s *FragStore) ApplyLocked(_ types.ClientID, inv Invocation) (Response, error) {
+	if s.retired && inv.Op.kind() == KindFragStore {
+		return Response{}, fmt.Errorf("%w: retired frag store %d", ErrSealed, s.id)
+	}
 	switch inv.Op {
 	case OpPutFrag:
 		if inv.Frag == nil {
@@ -170,6 +174,14 @@ func (s *FragStore) SealState() State {
 	defer s.mu.Unlock()
 	s.sealed = true
 	return State{Val: s.watermark, Frags: s.snapshot()}
+}
+
+// Retire implements Object.
+func (s *FragStore) Retire() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sealed, s.retired = true, true
+	s.committed, s.pending = nil, nil
 }
 
 // RestoreState implements Object.

@@ -15,6 +15,15 @@
 // replacing and retiring an object are one slot store each, serialized with
 // membership changes by the cluster's one mutex. Which servers may host an
 // object is read from the same place: the current View.
+//
+// A placed register, max-register or CAS cell lives inside its entry, and
+// the entry in an arena block the table owns, so a first placement costs no
+// heap object of its own: blocks grow from a few entries to arenaMaxBlock as
+// the table grows. The clones a move or a rollback publishes, and fragment
+// stores, are heap entries. A copy the table stops serving — moved away,
+// rolled back, removed — is retired (baseobj.Object.Retire): it drops its
+// payload and refuses every later operation retryably, so an arena block
+// pins no payload bytes however long a neighbour keeps it alive.
 package cluster
 
 import (
@@ -107,6 +116,13 @@ type Entry struct {
 	mirrored atomic.Bool // hosted on its lane's external store (fabric.ObjectMirror)
 }
 
+// cellEntry is an arena entry: a table entry with its cell beside it (obj is
+// &cell).
+type cellEntry struct {
+	Entry
+	cell baseobj.Cell
+}
+
 // Object returns the hosted copy.
 func (e *Entry) Object() baseobj.Object { return e.obj }
 
@@ -138,6 +154,14 @@ const TableChunkSize = 512
 // tableChunk is one fixed block of slots. A chunk is allocated once and
 // never moves, so a slot can be stored into while readers load it.
 type tableChunk [TableChunkSize]atomic.Pointer[Entry]
+
+// arenaMinBlock and arenaMaxBlock bound an arena block in entries: a block
+// holds as many entries as the table has placed so far, within the bounds, so
+// a cluster of one register pays for a few hundred bytes and a large table
+// for one 56 KiB block per 512 objects — a whole number of 8 KiB pages, which
+// the allocator takes as it is, where a block just under a size class is
+// rounded up past it by the allocator's per-object header.
+const arenaMinBlock, arenaMaxBlock = 4, 512
 
 // View is one membership epoch: the ordered set of servers currently
 // eligible for placement and quorums. Epochs advance on every membership
@@ -188,11 +212,12 @@ type Cluster struct {
 	// mu guards the membership list and the view's failure budget, and
 	// serializes the table's writers: a placement checks membership and
 	// publishes its entry in one critical section. Table readers never take
-	// it.
+	// it. members is replaced, never written in place, so a View shares it.
 	mu      sync.RWMutex
 	members []types.ServerID
 	f       int
 	nextID  types.ObjectID
+	arena   []cellEntry // the current arena block's unused tail
 }
 
 // New creates a cluster of n servers with IDs 0..n-1 and no objects; all n
@@ -225,12 +250,14 @@ func (c *Cluster) Epoch() uint64 { return c.epoch.Load() }
 
 // View returns the current view: epoch plus member list. The snapshot is
 // internally consistent — members are read under the membership lock and
-// the epoch re-checked after, retrying on a concurrent change.
+// the epoch re-checked after, retrying on a concurrent change. Members is
+// shared with the cluster, which never writes a published list in place:
+// callers must not modify it.
 func (c *Cluster) View() View {
 	for {
 		e := c.epoch.Load()
 		c.mu.RLock()
-		members := slices.Clone(c.members)
+		members := c.members
 		f := c.f
 		c.mu.RUnlock()
 		if c.epoch.Load() == e {
@@ -260,7 +287,8 @@ func (c *Cluster) SetF(f int) {
 	}
 }
 
-// Members returns the current view's member IDs in ascending order.
+// Members returns the current view's member IDs in ascending order, shared
+// like View's: callers must not modify it.
 func (c *Cluster) Members() []types.ServerID { return c.View().Members }
 
 // AddServer appends a fresh server (the next unused ID) to the server list
@@ -272,8 +300,9 @@ func (c *Cluster) AddServer() *Server {
 	s := newServer(types.ServerID(len(old)))
 	grown := append(old[:len(old):len(old)], s)
 	c.servers.Store(&grown)
-	// IDs only grow, so appending keeps the member list ascending.
-	c.members = append(c.members, s.id)
+	// IDs only grow, so appending keeps the member list ascending; the full
+	// slice expression makes the append copy, never write a shared list.
+	c.members = append(c.members[:len(c.members):len(c.members)], s.id)
 	c.mu.Unlock()
 	c.epoch.Add(1)
 	return s
@@ -384,11 +413,12 @@ func (c *Cluster) each(visit func(obj types.ObjectID, e *Entry)) {
 	}
 }
 
-// place hands out the next object ID and publishes build(id) on the given
-// server — which must be a member of the current view — in one critical
-// section: no placement can land on a server a concurrent CommitView just
-// retired.
-func (c *Cluster) place(server types.ServerID, build func(id types.ObjectID) baseobj.Object) (types.ObjectID, error) {
+// place hands out the next object ID and publishes a fresh object of kind
+// on the given server — which must be a member of the current view — in one
+// critical section: no placement can land on a server a concurrent
+// CommitView just retired. A cell kind is built in place in the next arena
+// entry; a fragment store is a heap entry.
+func (c *Cluster) place(server types.ServerID, kind baseobj.Kind, writers []types.ClientID) (types.ObjectID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	srv, err := c.memberLocked(server)
@@ -401,7 +431,21 @@ func (c *Cluster) place(server types.ServerID, build func(id types.ObjectID) bas
 		grown := append(*c.chunks.Load(), new(tableChunk))
 		c.chunks.Store(&grown)
 	}
-	c.slot(id).Store(&Entry{obj: build(id), srv: srv})
+	var e *Entry
+	if kind == baseobj.KindFragStore {
+		e = &Entry{obj: baseobj.NewFragStore(id)}
+	} else {
+		if len(c.arena) == 0 {
+			c.arena = make([]cellEntry, min(max(int(id), arenaMinBlock), arenaMaxBlock))
+		}
+		ce := &c.arena[0]
+		c.arena = c.arena[1:]
+		baseobj.InitCell(&ce.cell, id, kind, writers)
+		ce.obj = &ce.cell
+		e = &ce.Entry
+	}
+	e.srv = srv
+	c.slot(id).Store(e)
 	srv.objects.Add(1)
 	c.live.Add(1)
 	return id, nil
@@ -411,29 +455,29 @@ func (c *Cluster) place(server types.ServerID, build func(id types.ObjectID) bas
 // returns its ID. A non-empty writers restricts the writer set (z-writer
 // registers).
 func (c *Cluster) PlaceRegister(server types.ServerID, writers ...types.ClientID) (types.ObjectID, error) {
-	return c.place(server, func(id types.ObjectID) baseobj.Object { return baseobj.NewRegister(id, writers...) })
+	return c.place(server, baseobj.KindRegister, writers)
 }
 
 // PlaceMaxRegister creates a max-register on the given server.
 func (c *Cluster) PlaceMaxRegister(server types.ServerID) (types.ObjectID, error) {
-	return c.place(server, func(id types.ObjectID) baseobj.Object { return baseobj.NewMaxRegister(id) })
+	return c.place(server, baseobj.KindMaxRegister, nil)
 }
 
 // PlaceCASCell creates a CAS cell on the given server.
 func (c *Cluster) PlaceCASCell(server types.ServerID) (types.ObjectID, error) {
-	return c.place(server, func(id types.ObjectID) baseobj.Object { return baseobj.NewCASCell(id) })
+	return c.place(server, baseobj.KindCAS, nil)
 }
 
 // PlaceFragStore creates an erasure-coded fragment store on the given
 // server.
 func (c *Cluster) PlaceFragStore(server types.ServerID) (types.ObjectID, error) {
-	return c.place(server, func(id types.ObjectID) baseobj.Object { return baseobj.NewFragStore(id) })
+	return c.place(server, baseobj.KindFragStore, nil)
 }
 
 // recloneLocked publishes a fresh unsealed clone of obj holding state on
-// target — on the object's current server when target is nil — and
-// activates a new epoch. The clone inherits the used latch. The caller
-// holds mu.
+// target — on the object's current server when target is nil — retires the
+// copy it replaced, and activates a new epoch. The clone is a heap entry and
+// inherits the used latch. The caller holds mu.
 func (c *Cluster) recloneLocked(obj types.ObjectID, target *Server, state baseobj.State) error {
 	old, err := c.Lookup(obj)
 	if err != nil {
@@ -452,6 +496,7 @@ func (c *Cluster) recloneLocked(obj types.ObjectID, target *Server, state baseob
 	e := &Entry{obj: clone, srv: target}
 	e.used.Store(old.used.Load())
 	c.slot(obj).Store(e)
+	old.obj.Retire()
 	old.srv.objects.Add(-1)
 	target.objects.Add(1)
 	c.epoch.Add(1)
@@ -464,7 +509,7 @@ func (c *Cluster) recloneLocked(obj types.ObjectID, target *Server, state baseob
 // reconfiguration coordinator) must have sealed the source copy first — the
 // clone's state is then final. There is no window where the object is
 // unreachable and nothing to invalidate: a reader gets the old entry (a
-// sealed copy on a frozen server: a retryable error) or the new one.
+// retired copy on a frozen server: a retryable error) or the new one.
 func (c *Cluster) MoveObject(obj types.ObjectID, to types.ServerID, state baseobj.State) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -504,6 +549,7 @@ func (c *Cluster) RemoveObject(obj types.ObjectID) error {
 		return err
 	}
 	c.slot(obj).Store(tombstone)
+	e.obj.Retire()
 	e.srv.objects.Add(-1)
 	c.live.Add(-1)
 	c.epoch.Add(1)
@@ -581,9 +627,15 @@ func (c *Cluster) PerServerCounts() []int {
 // without payload (CAS cells, plain TSValue registers) count 0 — the metric
 // is the *value bytes* axis the space bounds are about, not per-object
 // bookkeeping overhead.
+//
+// The slice grows with the scan: a server that joins while it runs may host
+// an entry the scan reaches.
 func (c *Cluster) PerServerBytes() []int64 {
 	bytes := make([]int64, c.N())
 	c.each(func(_ types.ObjectID, e *Entry) {
+		if grow := int(e.srv.id) + 1 - len(bytes); grow > 0 {
+			bytes = append(bytes, make([]int64, grow)...)
+		}
 		bytes[e.srv.id] += int64(e.obj.SizeBytes())
 	})
 	return bytes

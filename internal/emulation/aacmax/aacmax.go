@@ -20,21 +20,23 @@ import (
 	"sync"
 
 	"repro/internal/baseobj"
+	"repro/internal/cluster"
 	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
-	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
 	"repro/internal/types"
 )
 
-// store is one per-server k-writer max-register made of k base registers.
-type store struct {
-	fab    *fabric.Fabric
-	server types.ServerID
-	regs   []types.ObjectID // regs[i] is writable only by writer i
+// chain is the register's write-max over its stores — on each server, a
+// k-writer max-register made of k single-writer base registers, register i
+// writable only by writer i. Its state is one cell per base register, keyed
+// by the register's object ID: per (store, writer). The cells of a store a
+// resize dropped stay behind, k per dropped store.
+type chain struct {
+	fab *fabric.Fabric
 
 	mu    sync.Mutex
-	cells []cell // cells[i] is writer i's side of regs[i]
+	cells map[types.ObjectID]*cell
 }
 
 // cell is one writer's side of its register on the server. A plain register
@@ -58,73 +60,66 @@ type writeMax struct {
 }
 
 // Compile-time interface compliance check.
-var _ abdcore.Chain = (*store)(nil)
+var _ abdcore.Chain = (*chain)(nil)
 
-// place creates the store of one server: k single-writer registers.
-func place(fab *fabric.Fabric, k int, server types.ServerID) (abdcore.MaxStore, error) {
-	st := &store{
-		fab:    fab,
-		server: server,
-		regs:   make([]types.ObjectID, 0, k),
-		cells:  make([]cell, k),
-	}
+// place is the store recipe: k single-writer registers on server, register
+// w restricted to writer w. The collect reads all k (Config.Read); they live
+// on the same server, so they crash together, and the collect — a server
+// scan over every store — counts the server once all k answered.
+func place(c *cluster.Cluster, k int, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 	for w := 0; w < k; w++ {
-		obj, err := fab.Cluster().PlaceRegister(server, types.ClientID(w))
+		obj, err := c.PlaceRegister(server, types.ClientID(w))
 		if err != nil {
-			return nil, err
+			return objs, err
 		}
-		st.regs = append(st.regs, obj)
+		objs = append(objs, obj)
 	}
-	return st, nil
+	return objs, nil
 }
 
-// Server implements abdcore.MaxStore.
-func (s *store) Server() types.ServerID { return s.server }
-
-// Objects implements abdcore.MaxStore.
-func (s *store) Objects() []types.ObjectID { return s.regs }
-
-// ReadMax implements abdcore.MaxStore: a read of each of the k registers.
-// The registers live on the same server, so they crash together, and the
-// collect — a server scan over every store — counts the server once all k
-// answered.
-func (s *store) ReadMax(buf []rounds.Target) []rounds.Target {
-	for _, obj := range s.regs {
-		buf = append(buf, rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}})
+// cell returns the cell of base register obj, making it on first use. The
+// caller holds ch.mu.
+func (ch *chain) cell(obj types.ObjectID) *cell {
+	c := ch.cells[obj]
+	if c == nil {
+		c = new(cell)
+		ch.cells[obj] = c
 	}
-	return buf
+	return c
 }
 
 // StartWriteMax implements abdcore.Chain: writer i writes its own base
-// register, skipping values no larger than what already landed there (which
-// makes the cell monotone, i.e. a genuine single-writer max) at once, and a
-// newer value waits while an earlier write of its is in flight there.
-func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
-	if int(client) < 0 || int(client) >= len(s.regs) {
-		report(types.ZeroTSValue, fmt.Errorf("aacmax: client %d is not a writer (k=%d)", client, len(s.regs)))
+// register of the store, objs[i], skipping values no larger than what
+// already landed there (which makes the cell monotone, i.e. a genuine
+// single-writer max) at once, and a newer value waits while an earlier write
+// of its is in flight there.
+func (ch *chain) StartWriteMax(ctx context.Context, client types.ClientID, objs []types.ObjectID, v types.TSValue, report func(types.TSValue, error)) {
+	if int(client) < 0 || int(client) >= len(objs) {
+		report(types.ZeroTSValue, fmt.Errorf("aacmax: client %d is not a writer (k=%d)", client, len(objs)))
 		return
 	}
-	s.mu.Lock()
-	c := &s.cells[client]
+	obj := objs[client]
+	ch.mu.Lock()
+	c := ch.cell(obj)
 	if last := c.last; !last.Less(v) {
-		s.mu.Unlock()
+		ch.mu.Unlock()
 		report(last, nil)
 		return
 	}
 	c.waiting = append(c.waiting, writeMax{ctx, v, report})
-	s.mu.Unlock()
-	s.next(client)
+	ch.mu.Unlock()
+	ch.next(client, obj)
 }
 
-// next serves client's waiting write-maxes unless a write of its is in
-// flight: those the landed value satisfies report it, those whose context
-// ended fail, and the rest go out as one write of their largest value, whose
-// completion serves whoever waited meanwhile.
-func (s *store) next(client types.ClientID) {
-	s.mu.Lock()
-	c := &s.cells[client]
+// next serves client's waiting write-maxes on its register obj unless a
+// write of its is in flight: those the landed value satisfies report it,
+// those whose context ended fail, and the rest go out as one write of their
+// largest value, whose completion serves whoever waited meanwhile.
+func (ch *chain) next(client types.ClientID, obj types.ObjectID) {
+	ch.mu.Lock()
+	c := ch.cell(obj)
 	if c.busy {
-		s.mu.Unlock()
+		ch.mu.Unlock()
 		return
 	}
 	var v types.TSValue
@@ -142,7 +137,7 @@ func (s *store) next(client types.ClientID) {
 	}
 	last := c.last
 	c.waiting, c.busy = nil, len(rest) > 0
-	s.mu.Unlock()
+	ch.mu.Unlock()
 	for _, w := range done {
 		if last.Less(w.v) {
 			w.report(types.ZeroTSValue, w.ctx.Err())
@@ -153,8 +148,8 @@ func (s *store) next(client types.ClientID) {
 	if len(rest) == 0 {
 		return
 	}
-	s.fab.TriggerFn(client, s.regs[client], baseobj.Invocation{Op: baseobj.OpWrite, Arg: v}, func(o fabric.Outcome) {
-		s.mu.Lock()
+	ch.fab.TriggerFn(client, obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: v}, func(o fabric.Outcome) {
+		ch.mu.Lock()
 		if o.Err == nil && c.last.Less(v) {
 			// The floor advances only once the write took effect: advancing
 			// it at trigger time would make a retried round (after a
@@ -163,30 +158,32 @@ func (s *store) next(client types.ClientID) {
 			c.last = v
 		}
 		c.busy = false
-		s.mu.Unlock()
+		ch.mu.Unlock()
 		for _, w := range rest {
 			w.report(o.Resp.Val, o.Err)
 		}
-		s.next(client)
+		ch.next(client, obj)
 	})
 }
 
 // Seed implements abdcore.Chain: the folded maximum goes into its own
-// writer's register — carrying the writer's identity, since the base
-// registers are single-writer — and the store's client-side floor advances
-// with it so a later write-max by that writer still skips stale values.
-func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
-	if int(m.Writer) < 0 || int(m.Writer) >= len(s.regs) {
-		return fmt.Errorf("aacmax: folded maximum written by client %d, not a writer (k=%d)", m.Writer, len(s.regs))
+// writer's register of the store — carrying the writer's identity, since the
+// base registers are single-writer — and that register's client-side floor
+// advances with it so a later write-max by that writer still skips stale
+// values.
+func (ch *chain) Seed(rs *fabric.Reshaper, objs []types.ObjectID, m types.TSValue) error {
+	if int(m.Writer) < 0 || int(m.Writer) >= len(objs) {
+		return fmt.Errorf("aacmax: folded maximum written by client %d, not a writer (k=%d)", m.Writer, len(objs))
 	}
-	if _, err := rs.ApplyAs(m.Writer, s.regs[m.Writer], baseobj.Invocation{Op: baseobj.OpWrite, Arg: m}); err != nil {
+	obj := objs[m.Writer]
+	if _, err := rs.ApplyAs(m.Writer, obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: m}); err != nil {
 		return err
 	}
-	s.mu.Lock()
-	if c := &s.cells[m.Writer]; c.last.Less(m) {
+	ch.mu.Lock()
+	if c := ch.cell(obj); c.last.Less(m) {
 		c.last = m
 	}
-	s.mu.Unlock()
+	ch.mu.Unlock()
 	return nil
 }
 
@@ -205,8 +202,10 @@ func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Registe
 		K:      k,
 		F:      f,
 		Fabric: fab,
-		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
-			return place(fab, k, server)
+		Read:   baseobj.OpRead,
+		Place: func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
+			return place(c, k, server, objs)
 		},
+		Chain: &chain{fab: fab, cells: make(map[types.ObjectID]*cell)},
 	})
 }

@@ -7,15 +7,20 @@
 //
 // The paper observes (Section 1, "Results") that the per-server code of
 // multi-writer ABD is exactly the write-max / read-max interface of a
-// max-register, so the register is parameterized by a MaxStore: one store
-// per server, placed by the construction's recipe. Plugging in different
-// stores yields the different quorum rows of Table 1; everything else —
-// which 2f+1 servers host a store, the collect and the push, the writers'
-// timestamp floor (emulation.Floor, shared with the coded register), the
-// handles and the history, how a view resize re-places the stores — is this
-// package's Register. Store is the one-object store three of the four
-// recipes place: abd-max's max-register, naive's plain register, and
-// abd-cas's CAS cell under its Algorithm 1 chain.
+// max-register, so the register is parameterized by a store: one per server,
+// its base objects placed by the construction's recipe (Config.Place), read
+// with the construction's one read (Config.Read) and written with its
+// write-max — one op (Config.WriteOp: abd-max's max-register, naive's plain
+// register) or a chain the construction runs (Config.Chain: abd-cas's
+// Algorithm 1 loop on a CAS cell, aac-max's k single-writer registers).
+// Plugging in different stores yields the different quorum rows of Table 1;
+// everything else — which 2f+1 servers host a store, the collect and the
+// push, the writers' timestamp floor (emulation.Writers, shared with the
+// coded register), the handles and the history, how a view resize re-places
+// the stores — is this package's Register. A store is its server and its
+// base objects, kept inside the placement, and the register's first
+// placement is part of the register: a register of three one-object stores
+// is one heap object.
 //
 // The round mechanics (scatter, quorum threshold, crash adaptivity,
 // view-change retry) live in the shared internal/emulation/rounds engine;
@@ -30,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/baseobj"
+	"repro/internal/cluster"
 	"repro/internal/emulation"
 	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
@@ -37,94 +43,45 @@ import (
 	"repro/internal/types"
 )
 
-// MaxStore is one server's share of the register: a max-register over base
-// objects of that server. A store whose server crashed simply never
-// answers, like any faulty base object.
-type MaxStore interface {
-	// Server returns the hosting server.
-	Server() types.ServerID
-	// Objects returns the base objects backing the store — its share of
-	// the construction's resource complexity, read when a view resize folds
-	// the old placement's state and retired with a store the new one drops.
-	Objects() []types.ObjectID
-	// ReadMax appends the store's read-max to buf: one read of each of its
-	// base objects. The collect scatters every store's reads as one round,
-	// which completes once all but f stores answered all of theirs.
-	ReadMax(buf []rounds.Target) []rounds.Target
+// Place is a store recipe: it places the base objects of one server's store
+// on server — one for abd-max, naive and abd-cas, k for aac-max — appending
+// their IDs to objs. Every store of a register has the same number of
+// objects. A store whose server crashed simply never answers, like any
+// faulty base object.
+type Place func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error)
+
+// ReadInv is the read-max invocation of op on one base object: a
+// max-register's read-max, a plain register's read, or — OpCAS — Algorithm
+// 1's no-op CAS(v0, v0), whose response carries the cell's value.
+func ReadInv(op baseobj.OpCode) baseobj.Invocation {
+	inv := baseobj.Invocation{Op: op}
+	if op == baseobj.OpCAS {
+		inv.Exp, inv.New = types.ZeroTSValue, types.ZeroTSValue
+	}
+	return inv
 }
 
-// Store is a one-object store: base object Obj on server Host, read with
-// R's invocation. The read is a type, not a field, so a store stays two
-// pointer-free words that the allocator packs two to a block — three per
-// abd-max key, and shardstore.TestKeyFootprintAllocCeiling counts them. A
-// register built with a Config.WriteOp writes the object with one op too.
-type Store[R StoreRead] struct {
-	Obj  types.ObjectID
-	Host types.ServerID
-}
-
-// StoreRead is a one-object store's read: ReadsMaxRegister, ReadsRegister or
-// ReadsCAS.
-type StoreRead interface{ Inv() baseobj.Invocation }
-
-// The three one-object reads.
-type (
-	// ReadsMaxRegister reads a max-register (abd-max).
-	ReadsMaxRegister struct{}
-	// ReadsRegister reads a plain register (naive).
-	ReadsRegister struct{}
-	// ReadsCAS reads a CAS cell with Algorithm 1's no-op CAS(v0, v0)
-	// (abd-cas).
-	ReadsCAS struct{}
-)
-
-// Inv implements StoreRead.
-func (ReadsMaxRegister) Inv() baseobj.Invocation { return baseobj.Invocation{Op: baseobj.OpReadMax} }
-
-// Inv implements StoreRead.
-func (ReadsRegister) Inv() baseobj.Invocation { return baseobj.Invocation{Op: baseobj.OpRead} }
-
-// Inv implements StoreRead.
-func (ReadsCAS) Inv() baseobj.Invocation {
-	return baseobj.Invocation{Op: baseobj.OpCAS, Exp: types.ZeroTSValue, New: types.ZeroTSValue}
-}
-
-// Server implements MaxStore.
-func (s *Store[R]) Server() types.ServerID { return s.Host }
-
-// Objects implements MaxStore.
-func (s *Store[R]) Objects() []types.ObjectID { return []types.ObjectID{s.Obj} }
-
-// ReadInv is the store's read invocation.
-func (s *Store[R]) ReadInv() baseobj.Invocation {
-	var r R
-	return r.Inv()
-}
-
-// ReadMax implements MaxStore: the one read.
-func (s *Store[R]) ReadMax(buf []rounds.Target) []rounds.Target {
-	return append(buf, rounds.Target{Object: s.Obj, Inv: s.ReadInv()})
-}
-
-// Chain is a store whose write-max is a chain of low-level operations it
-// runs itself (casmax's Algorithm 1 loop, aacmax's one-write-in-flight
-// cell), on a register built without a Config.WriteOp.
+// Chain is a write-max that is a chain of low-level operations the
+// construction runs itself on a store (casmax's Algorithm 1 loop, aacmax's
+// one-write-in-flight cell), for a register built without a Config.WriteOp.
+// A register has one; the store is named by its base objects, so the chain
+// keeps whatever state it needs per object.
 type Chain interface {
-	MaxStore
-	// StartWriteMax must not block and must start nothing once ctx is done;
-	// report must be invoked at most once, when (and if) the write-max
-	// completes.
-	StartWriteMax(ctx context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error))
+	// StartWriteMax runs the write-max of v on the store of objs. It must
+	// not block and must start nothing once ctx is done; report must be
+	// invoked at most once, when (and if) the write-max completes.
+	StartWriteMax(ctx context.Context, client types.ClientID, objs []types.ObjectID, v types.TSValue, report func(types.TSValue, error))
 	// Seed folds m, the non-zero maximum over the old placement, into the
-	// store, so that every member of a resized placement holds at least
-	// the last committed value. It runs only inside a fabric transition's
-	// frozen window, where applying directly through rs cannot race client
-	// operations.
-	Seed(rs *fabric.Reshaper, m types.TSValue) error
+	// store of objs, so that every member of a resized placement holds at
+	// least the last committed value. It runs only inside a fabric
+	// transition's frozen window, where applying directly through rs cannot
+	// race client operations.
+	Seed(rs *fabric.Reshaper, objs []types.ObjectID, m types.TSValue) error
 }
 
-// Config assembles a quorum register: the construction's options and its
-// store recipe. The register records its own history (Register.History).
+// Config assembles a quorum register: the construction's options, its store
+// recipe and its write-max — one op (WriteOp) or a Chain, exactly one of the
+// two. The register records its own history (Register.History).
 type Config struct {
 	// Name identifies the construction.
 	Name string
@@ -136,31 +93,47 @@ type Config struct {
 	// collected maximum back to a quorum before returning; ValueSize, when
 	// positive, sizes the payload a one-op write-max (WriteOp) carries.
 	emulation.Options
-	// Place is the construction's store recipe: it creates one server's
-	// store together with its base objects. New calls it for each of the
-	// 2f+1 hosts, Reshape for every server a view resize adds.
-	Place func(server types.ServerID) (MaxStore, error)
-	// WriteOp, when set, makes a write-max one low-level operation — WriteOp
-	// of the value on the store's one base object (a max-register's
-	// write-max, a plain register's overwrite), carrying a payload of
-	// ValueSize bytes when ValueSize is positive — and the push one round
-	// over every store. When it is zero every store is a Chain.
+	// Read is the collect's op on every base object of every store: OpReadMax,
+	// OpRead or OpCAS (see ReadInv).
+	Read baseobj.OpCode
+	// Place is the store recipe. New calls it for each of the 2f+1 hosts,
+	// Reshape for every server a view resize adds. The register keeps only
+	// the stores' servers and objects, and a plain function as recipe —
+	// abd-max's, abd-cas's, naive's — costs a register nothing.
+	Place Place
+	// WriteOp makes a write-max one low-level operation — WriteOp of the
+	// value on the store's one base object (a max-register's write-max, a
+	// plain register's overwrite), carrying a payload of ValueSize bytes when
+	// ValueSize is positive — and the push one round over every store.
 	WriteOp baseobj.OpCode
+	// Chain is the write-max of a register built without a WriteOp.
+	Chain Chain
 }
 
-// placement is one epoch's worth of quorum geometry: the store set, the
-// failure budget, and the read-max ops of every store. It is immutable once
-// published — a resize installs a whole new placement — so every round
-// derives its targets and its threshold from ONE snapshot and can never
-// pair the new store set with the old budget or vice versa.
+// placement is one epoch's worth of quorum geometry: the stores' servers and
+// base objects, and the failure budget. It is immutable once published — a
+// resize installs a whole new placement — so every round derives its targets
+// and its threshold from ONE snapshot and can never pair the new store set
+// with the old budget or vice versa. A placement of up to three one-object
+// stores (f = 1) needs no storage beyond its own: its slices start on the
+// inline arrays — and the register's first placement is part of the
+// register.
 type placement struct {
-	stores []MaxStore
-	f      int
-	reads  []rounds.Target
-	chains []Chain // the stores again, when a write-max is a chain
+	f     int
+	hosts []types.ServerID // store i's server
+	reads []types.ObjectID // every store's base objects, store by store: what the collect reads
+
+	inlineHosts [3]types.ServerID
+	inlineReads [3]types.ObjectID
 }
 
-func (p *placement) quorum() int { return len(p.stores) - p.f }
+func (p *placement) quorum() int { return len(p.hosts) - p.f }
+
+// objects returns store i's base objects.
+func (p *placement) objects(i int) []types.ObjectID {
+	per := len(p.reads) / len(p.hosts)
+	return p.reads[i*per : (i+1)*per : (i+1)*per]
+}
 
 // Register implements emulation.Register over 2f+1 max-stores. It is safe
 // for concurrent use by multiple clients; Reshape swaps the placement
@@ -168,16 +141,21 @@ func (p *placement) quorum() int { return len(p.stores) - p.f }
 type Register struct {
 	name      string
 	k         int
+	per       int // base objects per store
 	atomic    bool
-	scan      bool // a store reads more than one object: the collect is a server scan
+	read      baseobj.OpCode
 	writeOp   baseobj.OpCode
 	valueSize int
 	fab       *fabric.Fabric
-	hist      *spec.History
 	readers   emulation.ReaderIDs
-	place     func(server types.ServerID) (MaxStore, error)
+	place     Place
+	chain     Chain
 	p         atomic.Pointer[placement]
-	floor     emulation.Floor
+	writers   emulation.Writers
+	hist      spec.History
+	// first is New's placement. A resize publishes a heap one and leaves
+	// this one as it was: a round that loaded it may still read it.
+	first placement
 }
 
 // Compile-time interface compliance checks.
@@ -193,22 +171,28 @@ func New(cfg Config) (*Register, error) {
 	if err := emulation.ValidateWriters(cfg.K); err != nil {
 		return nil, fmt.Errorf("abdcore: %s: %w", cfg.Name, err)
 	}
+	switch {
+	case cfg.Place == nil:
+		return nil, fmt.Errorf("abdcore: %s: no store recipe", cfg.Name)
+	case (cfg.WriteOp == 0) == (cfg.Chain == nil):
+		return nil, fmt.Errorf("abdcore: %s: the write-max is one op (WriteOp) or a chain (Chain), exactly one", cfg.Name)
+	}
 	r := &Register{
 		name:      cfg.Name,
 		k:         cfg.K,
 		atomic:    cfg.Atomic,
+		read:      cfg.Read,
 		writeOp:   cfg.WriteOp,
 		valueSize: cfg.ValueSize,
 		fab:       cfg.Fabric,
-		hist:      &spec.History{},
 		place:     cfg.Place,
-		floor:     emulation.NewFloor(cfg.K),
+		chain:     cfg.Chain,
 	}
-	p, _, err := r.arrange(cfg.Fabric.Cluster().Members(), cfg.F, nil)
-	if err != nil {
+	r.writers.Init(cfg.K, &r.hist, r)
+	p := &r.first
+	if _, err := r.arrange(p, cfg.Fabric.Cluster().Members(), cfg.F, nil); err != nil {
 		return nil, err
 	}
-	r.scan = len(p.reads) > len(p.stores)
 	r.p.Store(p)
 	// Record the failure budget on the view: resize coordinators default
 	// their new threshold to it, and churn drivers guard shrinks with it.
@@ -216,59 +200,60 @@ func New(cfg Config) (*Register, error) {
 	return r, nil
 }
 
-// arrange is the one place a placement is built and checked: it keeps the
-// stores of old hosted on members (in order, up to 2f+1), places fresh
-// stores on the next members hosting none, and returns the placement with
-// the old stores it dropped.
-func (r *Register) arrange(members []types.ServerID, f int, old []MaxStore) (*placement, []MaxStore, error) {
+// arrange is the one place a placement is built and checked: it fills p —
+// a zero placement — keeping the stores of old hosted on members (in order,
+// up to 2f+1) and placing fresh stores on the next members hosting none, and
+// returns the base objects of the old stores it dropped. The first store New
+// places fixes the register's objects per store.
+func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *placement) ([]types.ObjectID, error) {
 	need := 2*f + 1
 	if f <= 0 {
-		return nil, nil, fmt.Errorf("abdcore: %s: f must be positive, got %d", r.name, f)
+		return nil, fmt.Errorf("abdcore: %s: f must be positive, got %d", r.name, f)
 	}
 	if len(members) < need {
-		return nil, nil, fmt.Errorf("abdcore: %s: %d members cannot host 2f+1=%d stores", r.name, len(members), need)
+		return nil, fmt.Errorf("abdcore: %s: %d members cannot host 2f+1=%d stores", r.name, len(members), need)
 	}
-	p := &placement{stores: make([]MaxStore, 0, need), f: f}
-	var dropped []MaxStore
-	for _, s := range old {
-		if slices.Contains(members, s.Server()) && len(p.stores) < need {
-			p.stores = append(p.stores, s)
-		} else {
-			dropped = append(dropped, s)
+	p.f = f
+	p.hosts, p.reads = p.inlineHosts[:0], p.inlineReads[:0]
+	var dropped []types.ObjectID
+	var oldHosts []types.ServerID
+	if old != nil {
+		oldHosts = old.hosts
+		for i, host := range old.hosts {
+			if !slices.Contains(members, host) || len(p.hosts) == need {
+				dropped = append(dropped, old.objects(i)...)
+				continue
+			}
+			p.hosts, p.reads = append(p.hosts, host), append(p.reads, old.objects(i)...)
 		}
 	}
 	for _, sid := range members {
-		if len(p.stores) == need {
+		if len(p.hosts) == need {
 			break
 		}
-		if slices.ContainsFunc(old, func(s MaxStore) bool { return s.Server() == sid }) {
+		if slices.Contains(oldHosts, sid) {
 			continue
 		}
-		st, err := r.place(sid)
-		if err != nil {
-			return nil, nil, fmt.Errorf("abdcore: %s: placing store on server %d: %w", r.name, sid, err)
+		before := len(p.reads)
+		var err error
+		if p.reads, err = r.place(r.fab.Cluster(), sid, p.reads); err != nil {
+			return nil, fmt.Errorf("abdcore: %s: placing store on server %d: %w", r.name, sid, err)
 		}
-		p.stores = append(p.stores, st)
-	}
-	if len(p.stores) < need {
-		return nil, nil, fmt.Errorf("abdcore: %s: only %d of %d stores placeable on members %v", r.name, len(p.stores), need, members)
-	}
-	p.reads = make([]rounds.Target, 0, need)
-	for _, s := range p.stores {
-		p.reads = s.ReadMax(p.reads)
-		if r.writeOp != 0 {
-			continue
+		if r.per == 0 {
+			r.per = len(p.reads) - before
 		}
-		c, ok := s.(Chain)
-		if !ok {
-			return nil, nil, fmt.Errorf("abdcore: %s: the store on server %d has no write-max", r.name, s.Server())
+		if n := len(p.reads) - before; n == 0 || n != r.per {
+			return nil, fmt.Errorf("abdcore: %s: the store on server %d has %d base objects, want %d per store", r.name, sid, n, max(r.per, 1))
 		}
-		p.chains = append(p.chains, c)
+		p.hosts = append(p.hosts, sid)
 	}
-	if r.writeOp != 0 && len(p.reads) != len(p.stores) {
-		return nil, nil, fmt.Errorf("abdcore: %s: a one-op write-max needs one base object per store, have %d over %d stores", r.name, len(p.reads), len(p.stores))
+	if len(p.hosts) < need {
+		return nil, fmt.Errorf("abdcore: %s: only %d of %d stores placeable on members %v", r.name, len(p.hosts), need, members)
 	}
-	return p, dropped, nil
+	if r.writeOp != 0 && r.per != 1 {
+		return nil, fmt.Errorf("abdcore: %s: a one-op write-max needs one base object per store, have %d", r.name, r.per)
+	}
+	return dropped, nil
 }
 
 // Name implements emulation.Register.
@@ -282,30 +267,24 @@ func (r *Register) F() int { return r.p.Load().f }
 
 // ResourceComplexity implements emulation.Register: the base objects of
 // the live placement's stores.
-func (r *Register) ResourceComplexity() int {
-	total := 0
-	for _, s := range r.p.Load().stores {
-		total += len(s.Objects())
-	}
-	return total
-}
+func (r *Register) ResourceComplexity() int { return len(r.p.Load().reads) }
 
 // History implements emulation.Register.
-func (r *Register) History() *spec.History { return r.hist }
+func (r *Register) History() *spec.History { return &r.hist }
 
-// Writer implements emulation.Register: the collect/push chain behind the
-// shared handle.
+// Writer implements emulation.Register: writer i's one handle over the
+// collect/push chain.
 func (r *Register) Writer(i int) (emulation.Writer, error) {
 	if i < 0 || i >= r.k {
 		return nil, fmt.Errorf("abdcore: writer %d out of range (k=%d)", i, r.k)
 	}
-	return emulation.NewWriter(types.ClientID(i), r.hist, r), nil
+	return r.writers.At(i), nil
 }
 
 // NewReader implements emulation.Register. It is safe for concurrent
 // callers: reader IDs come from a shared atomic allocator.
 func (r *Register) NewReader() emulation.Reader {
-	return emulation.NewReader(r.readers.Next(), r.hist, r)
+	return emulation.NewReader(r.readers.Next(), &r.hist, r)
 }
 
 // Reshape implements emulation.ViewResizable: it re-places the register's
@@ -325,42 +304,39 @@ func (r *Register) NewReader() emulation.Reader {
 //  5. Retire dropped stores' objects LAST: retiring before the swap would
 //     expose in-window retries to a non-retryable missing-object error.
 func (r *Register) Reshape(rs *fabric.Reshaper) error {
-	old := r.p.Load().stores
+	old := r.p.Load()
 	var m types.TSValue
-	for _, s := range old {
-		for _, obj := range s.Objects() {
-			st, err := rs.State(obj)
-			if err != nil {
-				return fmt.Errorf("abdcore: %s: reading state on server %d: %w", r.name, s.Server(), err)
-			}
-			if m.Less(st.Val) {
-				m = st.Val
-			}
+	for _, obj := range old.reads {
+		st, err := rs.State(obj)
+		if err != nil {
+			return fmt.Errorf("abdcore: %s: reading state of object %d: %w", r.name, obj, err)
+		}
+		if m.Less(st.Val) {
+			m = st.Val
 		}
 	}
-	p, dropped, err := r.arrange(rs.Members(), rs.F(), old)
+	p := new(placement)
+	dropped, err := r.arrange(p, rs.Members(), rs.F(), old)
 	if err != nil {
 		return err
 	}
 	// No write ever committed: there is nothing to seed.
 	if types.ZeroTSValue.Less(m) {
-		for i, s := range p.stores {
-			if p.chains != nil {
-				err = p.chains[i].Seed(rs, m)
+		for i, host := range p.hosts {
+			if r.chain != nil {
+				err = r.chain.Seed(rs, p.objects(i), m)
 			} else {
-				_, err = rs.Apply(p.reads[i].Object, r.writeInv(m))
+				_, err = rs.Apply(p.reads[i], r.writeInv(m))
 			}
 			if err != nil {
-				return fmt.Errorf("abdcore: %s: seeding server %d: %w", r.name, s.Server(), err)
+				return fmt.Errorf("abdcore: %s: seeding server %d: %w", r.name, host, err)
 			}
 		}
 	}
 	r.p.Store(p)
-	for _, s := range dropped {
-		for _, obj := range s.Objects() {
-			if err := rs.Retire(obj); err != nil {
-				return fmt.Errorf("abdcore: %s: retiring object %d: %w", r.name, obj, err)
-			}
+	for _, obj := range dropped {
+		if err := rs.Retire(obj); err != nil {
+			return fmt.Errorf("abdcore: %s: retiring object %d: %w", r.name, obj, err)
 		}
 	}
 	return nil
@@ -417,18 +393,21 @@ func (r *Register) newChain(ctx context.Context, client types.ClientID) *chain {
 // afresh, so a retry that crosses a resize gathers against the new targets
 // at the new threshold, never a mixed view.
 func (c *chain) collect() {
-	scan := c.r.scan
+	scan := c.r.per > 1
 	rounds.Scatter(c.ctx, c.r.fab, c.client, rounds.Round{Max: c.onCollect, Plan: c.collectPlan, Scan: scan, Servers: scan})
 }
 
 // planCollect is the collect's plan: the live placement's read-max ops, at
 // its quorum (or, for a server scan, its f).
 func (c *chain) planCollect(buf []rounds.Target) ([]rounds.Target, int) {
-	p := c.r.p.Load()
-	if c.r.scan {
-		return append(buf, p.reads...), p.f
+	p, inv := c.r.p.Load(), ReadInv(c.r.read)
+	for _, obj := range p.reads {
+		buf = append(buf, rounds.Target{Object: obj, Inv: inv})
 	}
-	return append(buf, p.reads...), p.quorum()
+	if c.r.per > 1 {
+		return buf, p.f
+	}
+	return buf, p.quorum()
 }
 
 // push writes c.v to a quorum of stores, with collect's contract. Write-max
@@ -446,8 +425,8 @@ func (c *chain) push() {
 // object, at the quorum.
 func (c *chain) planPush(buf []rounds.Target) ([]rounds.Target, int) {
 	p := c.r.p.Load()
-	for i := range p.reads {
-		buf = append(buf, rounds.Target{Object: p.reads[i].Object, Inv: c.r.writeInv(c.v)})
+	for _, obj := range p.reads {
+		buf = append(buf, rounds.Target{Object: obj, Inv: c.r.writeInv(c.v)})
 	}
 	return buf, p.quorum()
 }
@@ -460,7 +439,7 @@ func (c *chain) planPush(buf []rounds.Target) ([]rounds.Target, int) {
 func (c *chain) startChains() {
 	// The quorum'th store may report inline and recycle c while the loop
 	// below still has stores to start: they run on copies.
-	report, ctx, fab, client, v := c.onPush, c.ctx, c.r.fab, c.client, c.v
+	report, ctx, fab, client, v, store := c.onPush, c.ctx, c.r.fab, c.client, c.v, c.r.chain
 	if err := types.CtxErr(ctx); err != nil {
 		report(types.ZeroTSValue, err)
 		return
@@ -475,8 +454,8 @@ func (c *chain) startChains() {
 		}
 		report(v, err)
 	})
-	for _, s := range p.chains {
-		s.StartWriteMax(ctx, client, v, j.Complete)
+	for i := range p.hosts {
+		store.StartWriteMax(ctx, client, p.objects(i), v, j.Complete)
 	}
 }
 
@@ -488,7 +467,7 @@ func (c *chain) collected(cur types.TSValue, err error) {
 	case err != nil:
 		c.finish("collect", err)
 	case c.onWrite != nil:
-		c.v.TS, c.v.Writer = c.r.floor.Propose(c.client, cur.TS), c.client
+		c.v.TS, c.v.Writer = c.r.writers.Propose(c.client, cur.TS), c.client
 		c.push()
 	case c.r.atomic:
 		c.v = cur

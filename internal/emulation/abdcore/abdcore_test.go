@@ -3,67 +3,65 @@ package abdcore
 import (
 	"context"
 	"errors"
-	"sync/atomic"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/baseobj"
 	"repro/internal/cluster"
 	"repro/internal/emulation"
-	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
 	"repro/internal/types"
 )
 
-// testStore is one max-register base object. On a register with a WriteOp
-// its write-max is that one op; otherwise it is a Chain whose write-max is
-// one triggered write-max, and it counts the chains it started. On the
-// in-process lane everything completes inline, so an operation has
+// testChain is a test register's write-max when it is a chain: one
+// triggered write-max on the store's one max-register. It counts the chains
+// it started on each object and fails those on an object it is told to. On
+// the in-process lane everything completes inline, so an operation has
 // completed — or, with more than f servers crashed, is pending forever — by
 // the time its Start returns.
-type testStore struct {
-	Store[ReadsMaxRegister]
+type testChain struct {
 	fab *fabric.Fabric
 
-	failErr error // a chain write-max reports it instead of writing
-	starts  atomic.Int64
+	mu     sync.Mutex
+	starts map[types.ObjectID]int
+	fail   map[types.ObjectID]error // a write-max on the object reports it instead of writing
 }
 
-func (s *testStore) StartWriteMax(_ context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
-	s.starts.Add(1)
-	if s.failErr != nil {
-		report(types.ZeroTSValue, s.failErr)
+func newTestChain(fab *fabric.Fabric) *testChain {
+	return &testChain{fab: fab, starts: make(map[types.ObjectID]int), fail: make(map[types.ObjectID]error)}
+}
+
+func (c *testChain) StartWriteMax(_ context.Context, client types.ClientID, objs []types.ObjectID, v types.TSValue, report func(types.TSValue, error)) {
+	c.mu.Lock()
+	c.starts[objs[0]]++
+	err := c.fail[objs[0]]
+	c.mu.Unlock()
+	if err != nil {
+		report(types.ZeroTSValue, err)
 		return
 	}
-	s.fab.TriggerFn(client, s.Obj, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}, func(o fabric.Outcome) {
+	c.fab.TriggerFn(client, objs[0], baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}, func(o fabric.Outcome) {
 		report(o.Resp.Val, o.Err)
 	})
 }
 
-func (s *testStore) Seed(rs *fabric.Reshaper, m types.TSValue) error {
-	_, err := rs.Apply(s.Obj, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: m})
+func (c *testChain) Seed(rs *fabric.Reshaper, objs []types.ObjectID, m types.TSValue) error {
+	_, err := rs.Apply(objs[0], baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: m})
 	return err
 }
 
-// newTestStore places a testStore on server.
-func newTestStore(fab *fabric.Fabric, server types.ServerID) (*testStore, error) {
-	obj, err := fab.Cluster().PlaceMaxRegister(server)
-	if err != nil {
-		return nil, err
-	}
-	return &testStore{Store: Store[ReadsMaxRegister]{Obj: obj, Host: server}, fab: fab}, nil
+// startsOn returns how many write-max chains started on obj.
+func (c *testChain) startsOn(obj types.ObjectID) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.starts[obj]
 }
 
-// placeTest is the testStore recipe on fab; placed collects the stores in
-// placement order.
-func placeTest(fab *fabric.Fabric, placed *[]*testStore) func(types.ServerID) (MaxStore, error) {
-	return func(server types.ServerID) (MaxStore, error) {
-		s, err := newTestStore(fab, server)
-		if err != nil {
-			return nil, err
-		}
-		*placed = append(*placed, s)
-		return s, nil
-	}
+// placeMax is the test recipe: one max-register per store.
+func placeMax(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
+	obj, err := c.PlaceMaxRegister(server)
+	return append(objs, obj), err
 }
 
 // shape selects the write-max of a test register: one op, or a chain.
@@ -75,24 +73,28 @@ const (
 )
 
 // newTestReg builds a 2-writer register at f over a fresh in-process cluster
-// of 2f+1 servers and returns it with its fabric and its stores.
-func newTestReg(t *testing.T, f int, sh shape, atomicReads bool) (*Register, *fabric.Fabric, []*testStore) {
+// of 2f+1 servers and returns it with its fabric, its chain (nil for a
+// one-op register) and its stores' objects in placement order.
+func newTestReg(t *testing.T, f int, sh shape, atomicReads bool) (*Register, *fabric.Fabric, *testChain, []types.ObjectID) {
 	t.Helper()
 	c, err := cluster.New(2*f + 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	var stores []*testStore
-	cfg := Config{Name: "test-reg", K: 2, F: f, Fabric: fab, Options: emulation.Options{Atomic: atomicReads}, Place: placeTest(fab, &stores)}
+	cfg := Config{Name: "test-reg", K: 2, F: f, Fabric: fab, Options: emulation.Options{Atomic: atomicReads}, Read: baseobj.OpReadMax, Place: placeMax}
+	var ch *testChain
 	if sh == oneOp {
 		cfg.WriteOp = baseobj.OpWriteMax
+	} else {
+		ch = newTestChain(fab)
+		cfg.Chain = ch
 	}
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return r, fab, stores
+	return r, fab, ch, slices.Clone(r.p.Load().reads)
 }
 
 // errPending marks an operation that did not complete inline: on the
@@ -112,9 +114,9 @@ func read(ctx context.Context, r *Register, client types.ClientID) (types.Value,
 }
 
 // stateOf reads a test store's object directly.
-func stateOf(t *testing.T, fab *fabric.Fabric, s *testStore) types.TSValue {
+func stateOf(t *testing.T, fab *fabric.Fabric, obj types.ObjectID) types.TSValue {
 	t.Helper()
-	resp, err := fab.Cluster().Apply(s.Obj, 0, baseobj.Invocation{Op: baseobj.OpReadMax})
+	resp, err := fab.Cluster().Apply(obj, 0, baseobj.Invocation{Op: baseobj.OpReadMax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,43 +124,51 @@ func stateOf(t *testing.T, fab *fabric.Fabric, s *testStore) types.TSValue {
 }
 
 // TestEngineValidation: the register's thresholds come from the placement,
-// and a recipe whose stores fit neither write shape is rejected.
+// and a config is rejected when it names no recipe, or no write-max or two,
+// or when its stores differ in size or a one-op write-max would have to
+// cover stores of two objects.
 func TestEngineValidation(t *testing.T) {
-	r, _, _ := newTestReg(t, 1, oneOp, false)
-	if p := r.p.Load(); p.quorum() != 2 || r.F() != 1 || r.scan {
-		t.Errorf("quorum=%d f=%d scan=%v, want 2, 1, false", p.quorum(), r.F(), r.scan)
+	r, _, _, _ := newTestReg(t, 1, oneOp, false)
+	if p := r.p.Load(); p.quorum() != 2 || r.F() != 1 || r.per != 1 {
+		t.Errorf("quorum=%d f=%d objects per store=%d, want 2, 1, 1", p.quorum(), r.F(), r.per)
 	}
 	c, err := cluster.New(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	type bare struct{ MaxStore } // no write-max of its own
-	if _, err := New(Config{Name: "bare", K: 1, F: 1, Fabric: fab, Place: func(server types.ServerID) (MaxStore, error) {
-		s, err := newTestStore(fab, server)
-		return bare{s}, err
-	}}); err == nil {
-		t.Error("a chain register over stores without a write-max was accepted")
-	}
-	if _, err := New(Config{Name: "two objects", K: 1, F: 1, Fabric: fab, WriteOp: baseobj.OpWriteMax, Place: func(server types.ServerID) (MaxStore, error) {
-		a, err := newTestStore(fab, server)
-		if err != nil {
-			return nil, err
+	for _, cfg := range []Config{
+		{Name: "no recipe", WriteOp: baseobj.OpWriteMax},
+		{Name: "no write-max", Place: placeMax},
+		{Name: "two write-maxes", Place: placeMax, WriteOp: baseobj.OpWriteMax, Chain: newTestChain(fab)},
+	} {
+		cfg.K, cfg.F, cfg.Fabric, cfg.Read = 1, 1, fab, baseobj.OpReadMax
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: accepted", cfg.Name)
 		}
-		b, err := newTestStore(fab, server)
-		return twoStores{a, b}, err
-	}}); err == nil {
+	}
+	if got := c.ResourceComplexity(); got != 0 {
+		t.Errorf("rejected configs placed %d base objects", got)
+	}
+	placeTwo := func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
+		objs, err := placeMax(c, server, objs)
+		if err != nil {
+			return objs, err
+		}
+		return placeMax(c, server, objs)
+	}
+	if _, err := New(Config{Name: "two objects", K: 1, F: 1, Fabric: fab, Read: baseobj.OpReadMax, WriteOp: baseobj.OpWriteMax, Place: placeTwo}); err == nil {
 		t.Error("a one-op write-max over stores of two objects was accepted")
 	}
-}
-
-// twoStores reads two objects: no one-op write-max can cover it.
-type twoStores [2]*testStore
-
-func (s twoStores) Server() types.ServerID    { return s[0].Host }
-func (s twoStores) Objects() []types.ObjectID { return []types.ObjectID{s[0].Obj, s[1].Obj} }
-func (s twoStores) ReadMax(buf []rounds.Target) []rounds.Target {
-	return s[1].ReadMax(s[0].ReadMax(buf))
+	uneven := func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
+		if server == 1 {
+			return placeTwo(c, server, objs)
+		}
+		return placeMax(c, server, objs)
+	}
+	if _, err := New(Config{Name: "uneven", K: 1, F: 1, Fabric: fab, Read: baseobj.OpReadMax, Chain: newTestChain(fab), Place: uneven}); err == nil {
+		t.Error("stores of one and two objects were accepted")
+	}
 }
 
 // TestWriteThenRead drives the chain on the in-process lane: the whole
@@ -166,7 +176,7 @@ func (s twoStores) ReadMax(buf []rounds.Target) []rounds.Target {
 // StartWrite returns — for both write shapes.
 func TestWriteThenRead(t *testing.T) {
 	for _, sh := range []shape{oneOp, chained} {
-		r, _, _ := newTestReg(t, 1, sh, false)
+		r, _, _, _ := newTestReg(t, 1, sh, false)
 		ctx := context.Background()
 		if err := write(ctx, r, 0, 42); err != nil {
 			t.Fatalf("chained=%v: write: %v", sh, err)
@@ -178,14 +188,14 @@ func TestWriteThenRead(t *testing.T) {
 }
 
 func TestTimestampsIncrease(t *testing.T) {
-	r, fab, stores := newTestReg(t, 1, oneOp, false)
+	r, fab, _, objs := newTestReg(t, 1, oneOp, false)
 	for i := 1; i <= 5; i++ {
 		if err := write(context.Background(), r, types.ClientID(i%2), types.Value(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, s := range stores {
-		if v := stateOf(t, fab, s); v.TS != 5 || v.Val != 5 {
+	for i, obj := range objs {
+		if v := stateOf(t, fab, obj); v.TS != 5 || v.Val != 5 {
 			t.Errorf("store %d holds %v, want ts 5 val 5", i, v)
 		}
 	}
@@ -193,7 +203,7 @@ func TestTimestampsIncrease(t *testing.T) {
 
 func TestToleratesFSilentStores(t *testing.T) {
 	for _, sh := range []shape{oneOp, chained} {
-		r, fab, _ := newTestReg(t, 2, sh, false)
+		r, fab, _, _ := newTestReg(t, 2, sh, false)
 		for _, s := range []types.ServerID{0, 3} { // f = 2 silent servers
 			if err := fab.Crash(s); err != nil {
 				t.Fatal(err)
@@ -212,7 +222,7 @@ func TestToleratesFSilentStores(t *testing.T) {
 // TestPendingBeyondFSilentStores checks the pending-op semantics: with f+1
 // silent stores done must never fire.
 func TestPendingBeyondFSilentStores(t *testing.T) {
-	r, fab, _ := newTestReg(t, 1, oneOp, false)
+	r, fab, _, _ := newTestReg(t, 1, oneOp, false)
 	for _, s := range []types.ServerID{0, 1} { // more than f = 1
 		if err := fab.Crash(s); err != nil {
 			t.Fatal(err)
@@ -235,13 +245,13 @@ func TestStoreErrorFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	r, err := New(Config{Name: "failing read", K: 1, F: 1, Fabric: fab, WriteOp: baseobj.OpWriteMax, Place: func(server types.ServerID) (MaxStore, error) {
-		s, err := newTestStore(fab, server)
-		if err == nil && server == 0 {
-			// A store reading its max-register with a CAS, which the object rejects.
-			return &Store[ReadsCAS]{Obj: s.Obj, Host: server}, nil
+	r, err := New(Config{Name: "failing read", K: 1, F: 1, Fabric: fab, Read: baseobj.OpReadMax, WriteOp: baseobj.OpWriteMax, Place: func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
+		if server == 0 {
+			// A store whose object is a CAS cell, which rejects the read-max.
+			obj, err := c.PlaceCASCell(server)
+			return append(objs, obj), err
 		}
-		return s, err
+		return placeMax(c, server, objs)
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -253,44 +263,44 @@ func TestStoreErrorFailsFast(t *testing.T) {
 		t.Fatalf("read over a failing read-max: %v, want its error at once", err)
 	}
 
-	r, _, stores := newTestReg(t, 1, chained, false)
+	r, _, ch, objs := newTestReg(t, 1, chained, false)
 	boom := errors.New("boom")
-	stores[0].failErr = boom
+	ch.fail[objs[0]] = boom
 	if err := write(context.Background(), r, 0, 7); !errors.Is(err, boom) {
 		t.Fatalf("write over a failing chain: %v, want boom", err)
 	}
 }
 
 func TestReadWriteBack(t *testing.T) {
-	r, _, stores := newTestReg(t, 1, chained, true)
+	r, _, ch, objs := newTestReg(t, 1, chained, true)
 	ctx := context.Background()
 	if err := write(ctx, r, 0, 9); err != nil {
 		t.Fatal(err)
 	}
-	before := stores[0].starts.Load()
+	before := ch.startsOn(objs[0])
 	if _, err := read(ctx, r, 100); err != nil {
 		t.Fatal(err)
 	}
-	if stores[0].starts.Load() <= before {
+	if ch.startsOn(objs[0]) <= before {
 		t.Error("read with write-back did not write")
 	}
 
 	// Without write-back, reads never write.
-	r, _, stores = newTestReg(t, 1, chained, false)
+	r, _, ch, objs = newTestReg(t, 1, chained, false)
 	if _, err := read(ctx, r, 100); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range stores {
-		if s.starts.Load() != 0 {
+	for i, obj := range objs {
+		if ch.startsOn(obj) != 0 {
 			t.Errorf("store %d: reader wrote without write-back", i)
 		}
 	}
 }
 
 func TestCollectReturnsMaximum(t *testing.T) {
-	r, fab, stores := newTestReg(t, 1, oneOp, false)
+	r, fab, _, objs := newTestReg(t, 1, oneOp, false)
 	for i, v := range []types.TSValue{{TS: 3, Writer: 0, Val: 30}, {TS: 7, Writer: 1, Val: 70}, {TS: 5, Writer: 2, Val: 50}} {
-		if _, err := fab.Cluster().Apply(stores[i].Obj, v.Writer, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}); err != nil {
+		if _, err := fab.Cluster().Apply(objs[i], v.Writer, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +324,7 @@ func TestCollectReturnsMaximum(t *testing.T) {
 // reports the context's error without triggering anything, and one cancelled
 // between its collect and its push never pushes.
 func TestCancelledContextStartsNoRound(t *testing.T) {
-	r, fab, stores := newTestReg(t, 1, chained, false)
+	r, fab, ch, objs := newTestReg(t, 1, chained, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := write(ctx, r, 0, 7); !errors.Is(err, context.Canceled) {
@@ -341,8 +351,8 @@ func TestCancelledContextStartsNoRound(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("push after cancel: %v", err)
 	}
-	for i, s := range stores {
-		if s.starts.Load() != 0 {
+	for i, obj := range objs {
+		if ch.startsOn(obj) != 0 {
 			t.Fatalf("store %d: push started after its context was cancelled", i)
 		}
 	}

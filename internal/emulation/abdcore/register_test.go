@@ -3,6 +3,7 @@ package abdcore
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/baseobj"
@@ -20,12 +21,12 @@ func newTestRegister(t *testing.T, k, f int) *Register {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	var placed []*testStore
 	r, err := New(Config{
 		Name:    "test-reg",
 		K:       k,
 		F:       f,
-		Place:   placeTest(fab, &placed),
+		Read:    baseobj.OpReadMax,
+		Place:   placeMax,
 		WriteOp: baseobj.OpWriteMax,
 		Fabric:  fab,
 	})
@@ -56,7 +57,7 @@ func TestConfigValidation(t *testing.T) {
 		{Name: "f=0", K: 1, F: 0},
 		{Name: "f=2 on a 3-member view", K: 1, F: 2},
 	} {
-		cfg.Fabric, cfg.Place = fab, placeTest(fab, new([]*testStore))
+		cfg.Fabric, cfg.Read, cfg.Place, cfg.WriteOp = fab, baseobj.OpReadMax, placeMax, baseobj.OpWriteMax
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s accepted", cfg.Name)
 		}
@@ -66,11 +67,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// A failing recipe fails the build with its cause, naming the server.
 	noRoom := errors.New("no room")
-	_, err = New(Config{Name: "failing", K: 1, F: 1, Fabric: fab, Place: func(server types.ServerID) (MaxStore, error) {
+	_, err = New(Config{Name: "failing", K: 1, F: 1, Fabric: fab, Read: baseobj.OpReadMax, Chain: newTestChain(fab), Place: func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 		if server == 1 {
-			return nil, noRoom
+			return objs, noRoom
 		}
-		return newTestStore(fab, server)
+		return placeMax(c, server, objs)
 	}})
 	if !errors.Is(err, noRoom) {
 		t.Errorf("failing Place: err = %v, want it to wrap the recipe's error", err)
@@ -89,11 +90,11 @@ func TestResizeAbortsOnPlaceError(t *testing.T) {
 	fab := fabric.New(c)
 	noRoom := errors.New("no room")
 	failOn := types.ServerID(-1)
-	r, err := New(Config{Name: "test-reg", K: 1, F: 1, Fabric: fab, Place: func(server types.ServerID) (MaxStore, error) {
+	r, err := New(Config{Name: "test-reg", K: 1, F: 1, Fabric: fab, Read: baseobj.OpReadMax, Chain: newTestChain(fab), Place: func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 		if server == failOn {
-			return nil, noRoom
+			return objs, noRoom
 		}
-		return newTestStore(fab, server)
+		return placeMax(c, server, objs)
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -106,21 +107,16 @@ func TestResizeAbortsOnPlaceError(t *testing.T) {
 	if err := w.Write(ctx, 11); err != nil {
 		t.Fatal(err)
 	}
-	before := r.p.Load().stores
+	before := r.p.Load()
 
 	failOn = 4 // servers 3 and 4 join; the recipe fails on the second
 	_, err = fab.Resize(ctx, fabric.ResizeSpec{Join: make([]fabric.LaneMaker, 2), F: 2}, r.Reshape)
 	if !fabric.IsResizeAborted(err) || !errors.Is(err, noRoom) {
 		t.Fatalf("Resize err = %v, want an aborted transition wrapping the recipe's error", err)
 	}
-	after := r.p.Load().stores
-	if len(after) != len(before) {
-		t.Fatalf("placement has %d stores after the abort, want the old %d", len(after), len(before))
-	}
-	for i := range before {
-		if after[i] != before[i] {
-			t.Errorf("store %d replaced by the aborted resize", i)
-		}
+	after := r.p.Load()
+	if !slices.Equal(after.hosts, before.hosts) || !slices.Equal(after.reads, before.reads) {
+		t.Fatalf("placement is stores on %v of objects %v after the abort, want the old %v of %v", after.hosts, after.reads, before.hosts, before.reads)
 	}
 	if r.F() != 1 || r.ResourceComplexity() != 3 {
 		t.Errorf("f=%d resources=%d after the abort, want 1 and 3", r.F(), r.ResourceComplexity())

@@ -78,7 +78,6 @@ type Engine struct {
 	outstanding  int64
 	waiters      []chan struct{}
 	clients      []*Client
-	writers      map[writerKey]*Client
 
 	notify   chan struct{}
 	loopDone chan struct{}
@@ -107,7 +106,6 @@ func WithContext(ctx context.Context) Option {
 func NewDetached(opts ...Option) *Engine {
 	e := &Engine{
 		ctx:      context.Background(),
-		writers:  make(map[writerKey]*Client),
 		notify:   make(chan struct{}, 1),
 		loopDone: make(chan struct{}),
 	}
@@ -117,13 +115,6 @@ func NewDetached(opts ...Option) *Engine {
 	e.ctx, e.cancel = context.WithCancel(e.ctx)
 	go e.loop()
 	return e
-}
-
-// writerKey identifies one writer slot of one register: an engine drives
-// writers of many registers, so the slot index alone is not unique.
-type writerKey struct {
-	reg emulation.Register
-	i   int
 }
 
 // Stats is a snapshot of the engine's operation counters.
@@ -214,21 +205,24 @@ func (c *Client) Client() types.ClientID { return c.id }
 // WriterOn returns the engine client for writer i of reg; one engine drives
 // clients of many registers through one loop. Repeated calls with the same
 // (reg, i) return the same client: the underlying per-writer state admits
-// one driver.
+// one driver, so the client claims writer i's handle (emulation.Writer.Claim)
+// and a repeated call finds it there — the engine keeps no index of its
+// writers. A handle another engine claimed is refused.
 func (e *Engine) WriterOn(reg emulation.Register, i int) (*Client, error) {
-	key := writerKey{reg: reg, i: i}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c, ok := e.writers[key]; ok {
-		return c, nil
-	}
 	w, err := reg.Writer(i)
 	if err != nil {
 		return nil, err
 	}
 	c := &Client{eng: e, id: w.Client(), w: w}
-	e.writers[key] = c
+	if prev := w.Claim(c).(*Client); prev != c {
+		if prev.eng != e {
+			return nil, fmt.Errorf("async: writer %d of %s is driven by another engine", i, reg.Name())
+		}
+		return prev, nil
+	}
+	e.mu.Lock()
 	e.clients = append(e.clients, c)
+	e.mu.Unlock()
 	return c, nil
 }
 

@@ -478,6 +478,35 @@ func TestAsyncWriterReaderMisuse(t *testing.T) {
 	}
 }
 
+// TestAsyncWriterOneDriver: a writer handle has one driver across engines
+// too. Every construction hands out the same handle for writer i, the first
+// engine to drive it claims it, and another engine asking for the same
+// writer is refused rather than handed a second driver of one writer's
+// state — while the first engine still gets its own client back.
+func TestAsyncWriterOneDriver(t *testing.T) {
+	for _, kind := range []runner.Kind{runner.KindABDMax, runner.KindCoded, runner.KindRegEmu} {
+		t.Run(string(kind), func(t *testing.T) {
+			reg, _ := buildEnv(t, kind, 2, 1, runner.ChaosServers(kind))
+			a, b := async.NewDetached(), async.NewDetached()
+			defer a.Close()
+			defer b.Close()
+			w, err := a.WriterOn(reg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.WriterOn(reg, 1); err == nil {
+				t.Fatal("a second engine got a client for a claimed writer")
+			}
+			if again, err := a.WriterOn(reg, 1); err != nil || again != w {
+				t.Fatalf("the claiming engine's repeat: %p, %v; want its client %p", again, err, w)
+			}
+			if _, err := b.WriterOn(reg, 0); err != nil {
+				t.Fatalf("another writer on the second engine: %v", err)
+			}
+		})
+	}
+}
+
 func startReadErr(c *async.Client) error {
 	ch := make(chan error, 1)
 	c.StartRead(func(_ types.Value, err error) { ch <- err })

@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/baseobj"
+	"repro/internal/cluster"
 	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
 	"repro/internal/fabric"
@@ -46,33 +47,37 @@ func (m *Metrics) Retries() int64 {
 	return r
 }
 
-// store emulates one max-register from a single CAS cell. Operations run as
-// callback chains on the fabric: if any low-level CAS never responds (held
-// or crashed), the chain silently stalls — precisely a pending op.
+// chain emulates a max-register from each store's single CAS cell.
+// Operations run as callback chains on the fabric: if any low-level CAS never
+// responds (held or crashed), the chain silently stalls — precisely a
+// pending op.
 //
-// read-max is the one-object store's read, the no-op CAS(v0, v0) of
-// Algorithm 1 (lines 3/8), scattered with the collect's round; write-max is
-// Algorithm 1's retry loop, an abdcore.Chain.
-type store struct {
-	abdcore.Store[abdcore.ReadsCAS]
+// read-max is the store's read, the no-op CAS(v0, v0) of Algorithm 1 (lines
+// 3/8), scattered with the collect's round (Config.Read); write-max is
+// Algorithm 1's retry loop, the register's abdcore.Chain.
+type chain struct {
 	fab     *fabric.Fabric
-	metrics *Metrics
+	metrics Metrics
 }
 
+// readCAS is Algorithm 1's read: the no-op CAS(v0, v0).
+var readCAS = abdcore.ReadInv(baseobj.OpCAS)
+
 // Compile-time interface compliance check.
-var _ abdcore.Chain = (*store)(nil)
+var _ abdcore.Chain = (*chain)(nil)
 
 // StartWriteMax implements abdcore.Chain with the Algorithm 1 loop as
 // a callback chain; an abandoned write (ctx done) stops at its next step.
-func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v types.TSValue, report func(types.TSValue, error)) {
-	s.metrics.WriteMaxCalls.Add(1)
+func (c *chain) StartWriteMax(ctx context.Context, client types.ClientID, objs []types.ObjectID, v types.TSValue, report func(types.TSValue, error)) {
+	obj := objs[0]
+	c.metrics.WriteMaxCalls.Add(1)
 	var attempt func()
 	attempt = func() {
 		if err := types.CtxErr(ctx); err != nil {
 			report(types.ZeroTSValue, err)
 			return
 		}
-		s.fab.TriggerFn(client, s.Obj, s.ReadInv(), func(o fabric.Outcome) {
+		c.fab.TriggerFn(client, obj, readCAS, func(o fabric.Outcome) {
 			if o.Err != nil {
 				report(types.ZeroTSValue, o.Err)
 				return
@@ -88,8 +93,8 @@ func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v type
 				report(types.ZeroTSValue, err)
 				return
 			}
-			s.metrics.CASAttempts.Add(1)
-			s.fab.TriggerFn(client, s.Obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: tmp, New: v}, func(o2 fabric.Outcome) {
+			c.metrics.CASAttempts.Add(1)
+			c.fab.TriggerFn(client, obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: tmp, New: v}, func(o2 fabric.Outcome) {
 				if o2.Err != nil {
 					report(types.ZeroTSValue, o2.Err)
 					return
@@ -107,15 +112,15 @@ func (s *store) StartWriteMax(ctx context.Context, client types.ClientID, v type
 // Seed implements abdcore.Chain with one frozen-window compare-and-swap
 // from the cell's current content to the folded maximum — sound because
 // nothing else can touch the cell between the read and the swap.
-func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
-	state, err := rs.State(s.Obj)
+func (c *chain) Seed(rs *fabric.Reshaper, objs []types.ObjectID, m types.TSValue) error {
+	state, err := rs.State(objs[0])
 	if err != nil {
 		return err
 	}
 	if !state.Val.Less(m) {
 		return nil
 	}
-	_, err = rs.Apply(s.Obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: state.Val, New: m})
+	_, err = rs.Apply(objs[0], baseobj.Invocation{Op: baseobj.OpCAS, Exp: state.Val, New: m})
 	return err
 }
 
@@ -123,23 +128,25 @@ func (s *store) Seed(rs *fabric.Reshaper, m types.TSValue) error {
 // k-register together with its retry metrics. Writes carry timestamps only:
 // opts.ValueSize sizes nothing on a register whose write-max is a chain.
 func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Register, *Metrics, error) {
-	metrics := &Metrics{}
+	c := &chain{fab: fab}
 	reg, err := abdcore.New(abdcore.Config{
 		Name:    "abd-cas",
 		K:       k,
 		F:       f,
 		Fabric:  fab,
 		Options: opts,
-		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
-			obj, err := fab.Cluster().PlaceCASCell(server)
-			if err != nil {
-				return nil, err
-			}
-			return &store{Store: abdcore.Store[abdcore.ReadsCAS]{Obj: obj, Host: server}, fab: fab, metrics: metrics}, nil
-		},
+		Read:    baseobj.OpCAS,
+		Place:   place,
+		Chain:   c,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return reg, metrics, nil
+	return reg, &c.metrics, nil
+}
+
+// place is the store recipe: one CAS cell.
+func place(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
+	obj, err := c.PlaceCASCell(server)
+	return append(objs, obj), err
 }

@@ -10,12 +10,12 @@
 //  3. commit:   OpCommitFrag(ts) on all n, gather n−f acks.
 //
 // The collect's timestamp is proposed through the writers' floor
-// (emulation.Floor), as on abdcore's quorum register: a write abandoned with
-// its put on fewer than n−f stores can be missed by the same writer's next
-// collect, and proposing collected+1 would give the fresh write the abandoned
-// one's (timestamp, writer) pair — two stripes a gather cannot order, so a
-// read through a store holding the stray fragment could return the abandoned
-// value after the fresh write completed. Every geometry with n ≤ 3f (kData =
+// (emulation.Writers.Propose), as on abdcore's quorum register: a write
+// abandoned with its put on fewer than n−f stores can be missed by the same
+// writer's next collect, and proposing collected+1 would give the fresh write
+// the abandoned one's (timestamp, writer) pair — two stripes a gather cannot
+// order, so a read through a store holding the stray fragment could return
+// the abandoned value after the fresh write completed. Every geometry with n ≤ 3f (kData =
 // n−2f ≤ f) exposes that: a lone stray fragment reconstructs on its own.
 //
 // A read gathers OpGetFrags from n−f stores, picks the highest timestamp
@@ -110,9 +110,9 @@ type Register struct {
 	atomic    bool
 	p         atomic.Pointer[placement]
 	fab       *fabric.Fabric
-	hist      *spec.History
 	readers   emulation.ReaderIDs
-	floor     emulation.Floor
+	writers   emulation.Writers
+	hist      spec.History
 	// straddles counts the gathers reads repeated because the answers
 	// straddled a commit (errStraddled).
 	straddles atomic.Uint64
@@ -147,9 +147,8 @@ func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*Register, error
 		valueSize: max(valueSize, types.MinPayloadSize),
 		atomic:    opts.Atomic,
 		fab:       fab,
-		hist:      &spec.History{},
-		floor:     emulation.NewFloor(k),
 	}
+	r.writers.Init(k, &r.hist, (*chain)(r))
 	r.p.Store(p)
 	// Record the failure budget on the view: resize coordinators default
 	// their new threshold to it, and churn drivers guard shrinks with it.
@@ -183,19 +182,19 @@ func (r *Register) StraddledGathers() uint64 { return r.straddles.Load() }
 func (r *Register) ResourceComplexity() int { return r.p.Load().n }
 
 // History implements emulation.Register.
-func (r *Register) History() *spec.History { return r.hist }
+func (r *Register) History() *spec.History { return &r.hist }
 
-// Writer implements emulation.Register.
+// Writer implements emulation.Register: writer i's one handle.
 func (r *Register) Writer(i int) (emulation.Writer, error) {
 	if i < 0 || i >= r.k {
 		return nil, fmt.Errorf("coded: writer %d out of range (k=%d)", i, r.k)
 	}
-	return emulation.NewWriter(types.ClientID(i), r.hist, (*chain)(r)), nil
+	return r.writers.At(i), nil
 }
 
 // NewReader implements emulation.Register.
 func (r *Register) NewReader() emulation.Reader {
-	return emulation.NewReader(r.readers.Next(), r.hist, (*chain)(r))
+	return emulation.NewReader(r.readers.Next(), &r.hist, (*chain)(r))
 }
 
 // targets appends (see rounds.Plan) a round that sends every store the same
@@ -242,7 +241,7 @@ func (c *chain) StartWrite(ctx context.Context, client types.ClientID, v types.V
 			done(fmt.Errorf("coded: write collect: %w", err))
 			return
 		}
-		ts := types.TSValue{TS: r.floor.Propose(client, cur.TS), Writer: client, Val: v}
+		ts := types.TSValue{TS: r.writers.Propose(client, cur.TS), Writer: client, Val: v}
 		r.startPut(ctx, client, ts, r.p.Load().payload(v, r.valueSize), func(err error) {
 			if err != nil {
 				done(fmt.Errorf("coded: write: %w", err))

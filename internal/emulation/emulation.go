@@ -14,8 +14,9 @@
 // Options carries the only two settings a construction takes (atomic reads,
 // payload size). The register owns its history (Register.History), and the
 // two constructions whose writers pick their own timestamps from a collect
-// (abdcore's quorum register, coded) stamp them through one Floor, so a
-// writer handle stays reusable after an abandoned write on every one of them.
+// (abdcore's quorum register, coded) keep their write handles in one Writers
+// table and stamp through its one floor (Writers.Propose), so a writer handle
+// stays reusable after an abandoned write on every one of them.
 //
 // Handles are not safe for concurrent use; each client runs its own handle,
 // mirroring the paper's per-client deterministic state machines.
@@ -55,30 +56,6 @@ func (o Options) RegularOnly(construction string) error {
 		return fmt.Errorf("%s: no atomic read mode (readers cannot write)", construction)
 	}
 	return nil
-}
-
-// Floor is the timestamp floor of a register's writers: entry i is the
-// highest timestamp writer i ever proposed. A write abandoned before its last
-// round reached a quorum can be missed by the writer's next collect, and
-// types.TSValue.Less cannot order two values with the same (timestamp,
-// writer) pair — so every proposal starts above the writer's last, not just
-// above the collect. Entries are atomic because an abandoned write's collect
-// may still complete beside the next write's.
-type Floor []atomic.Uint64
-
-// NewFloor returns the floor of k writers, all at zero.
-func NewFloor(k int) Floor { return make(Floor, k) }
-
-// Propose returns writer's next timestamp — above collected and above
-// everything writer proposed before — and records it.
-func (fl Floor) Propose(writer types.ClientID, collected uint64) uint64 {
-	last := &fl[writer]
-	for {
-		prev := last.Load()
-		if ts := max(collected, prev) + 1; last.CompareAndSwap(prev, ts) {
-			return ts
-		}
-	}
 }
 
 // ErrResizeUnsupported marks a construction that cannot re-place its base
@@ -154,6 +131,12 @@ type Writer interface {
 	StartWrite(ctx context.Context, v types.Value, done func(error))
 	// Client returns the writer's client ID.
 	Client() types.ClientID
+	// Claim records driver as the one party driving this handle, unless one
+	// was recorded before, and returns the recorded driver: driver itself, or
+	// the earlier claimant. A client engine claims a handle before it drives
+	// it (async.Engine.WriterOn), so a writer slot has one driver however
+	// often it is asked for.
+	Claim(driver any) any
 }
 
 // Reader is the read-side handle of an emulated register for one client;

@@ -31,6 +31,57 @@ func NewWriter(client types.ClientID, hist *spec.History, chain WriteChain) Writ
 	return &writer{client: client, hist: hist, chain: chain}
 }
 
+// Writers is a register's writer side: the write handles of writers 0..k-1
+// over one chain, and their timestamp floor (Propose). A register embeds it
+// and sets it up once (Init): At(i) is then the same handle on every call, as
+// Register.Writer promises, so the driver a client engine claims on it
+// (Writer.Claim) is found again. Writer 0 is held inline, so a one-writer
+// register allocates nothing for its writer side. A Writers must not be
+// copied once set up.
+type Writers struct {
+	first writer
+	rest  []writer // writers 1..k-1
+}
+
+// Init sets ws up for writers 0..k-1 (k ≥ 1) over chain, recording every
+// operation into hist.
+func (ws *Writers) Init(k int, hist *spec.History, chain WriteChain) {
+	if k > 1 {
+		ws.rest = make([]writer, k-1)
+	}
+	for i := range k {
+		w := ws.at(types.ClientID(i))
+		w.client, w.hist, w.chain = types.ClientID(i), hist, chain
+	}
+}
+
+func (ws *Writers) at(i types.ClientID) *writer {
+	if i == 0 {
+		return &ws.first
+	}
+	return &ws.rest[i-1]
+}
+
+// At returns writer i's handle; i must be in [0, k).
+func (ws *Writers) At(i int) Writer { return ws.at(types.ClientID(i)) }
+
+// Propose returns writer's next timestamp — above collected and above
+// everything writer proposed before — and records it. A write abandoned
+// before its last round reached a quorum can be missed by the writer's next
+// collect, and types.TSValue.Less cannot order two values with the same
+// (timestamp, writer) pair — so every proposal starts above the writer's
+// last, not just above the collect. The floor is atomic because an abandoned
+// write's collect may still complete beside the next write's.
+func (ws *Writers) Propose(writer types.ClientID, collected uint64) uint64 {
+	last := &ws.at(writer).floor
+	for {
+		prev := last.Load()
+		if ts := max(collected, prev) + 1; last.CompareAndSwap(prev, ts) {
+			return ts
+		}
+	}
+}
+
 // NewReader returns client's read handle over a construction's chain.
 func NewReader(client types.ClientID, hist *spec.History, chain ReadChain) Reader {
 	return &reader{client: client, hist: hist, chain: chain}
@@ -40,9 +91,22 @@ type writer struct {
 	client types.ClientID
 	hist   *spec.History
 	chain  WriteChain
+
+	floor  atomic.Uint64 // the highest timestamp this writer proposed (Writers.Propose)
+	mu     sync.Mutex
+	driver any // the first Claim's driver
 }
 
 func (w *writer) Client() types.ClientID { return w.client }
+
+func (w *writer) Claim(driver any) any {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.driver == nil {
+		w.driver = driver
+	}
+	return w.driver
+}
 
 func (w *writer) StartWrite(ctx context.Context, v types.Value, done func(error)) {
 	c := newCall()

@@ -15,6 +15,7 @@ package naiveabd
 
 import (
 	"repro/internal/baseobj"
+	"repro/internal/cluster"
 	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
 	"repro/internal/fabric"
@@ -22,30 +23,30 @@ import (
 )
 
 // New places one plain register on each of 2f+1 servers and returns the
-// (unsound) emulated k-register. Each store is an abdcore.Store whose
-// write-max is an unconditional overwrite (Config.WriteOp = OpWrite) — the
-// flaw under adversarial asynchrony. A resize seeds it with the same
-// overwrite, sound there because the window is frozen: the resize itself
-// never loses a value, only the construction's normal operation can. Reads
-// never write (opts.Atomic is rejected) and writes carry timestamps only
-// (opts.ValueSize is ignored).
+// (unsound) emulated k-register. Each store is its one plain register
+// (Config.Place), whose write-max is an unconditional overwrite
+// (Config.WriteOp = OpWrite) — the flaw under adversarial asynchrony. A
+// resize seeds it with the same overwrite, sound there because the window is
+// frozen: the resize itself never loses a value, only the construction's
+// normal operation can. Reads never write (opts.Atomic is rejected) and
+// writes carry timestamps only (opts.ValueSize is ignored).
 func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Register, error) {
 	if err := opts.RegularOnly("naive-abd"); err != nil {
 		return nil, err
 	}
-	c := fab.Cluster()
 	return abdcore.New(abdcore.Config{
-		Name:   "naive-abd",
-		K:      k,
-		F:      f,
-		Fabric: fab,
-		Place: func(server types.ServerID) (abdcore.MaxStore, error) {
-			obj, err := c.PlaceRegister(server)
-			if err != nil {
-				return nil, err
-			}
-			return &abdcore.Store[abdcore.ReadsRegister]{Obj: obj, Host: server}, nil
-		},
+		Name:    "naive-abd",
+		K:       k,
+		F:       f,
+		Fabric:  fab,
+		Read:    baseobj.OpRead,
+		Place:   place,
 		WriteOp: baseobj.OpWrite,
 	})
+}
+
+// place is the store recipe: one unrestricted plain register.
+func place(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
+	obj, err := c.PlaceRegister(server)
+	return append(objs, obj), err
 }

@@ -14,63 +14,121 @@ import (
 // footprint is throughput": on the in-process path the collector scans what
 // a register keeps, so live heap objects and bytes per key move ops_per_s
 // and setup_s (PR 14: +3 objects and +200 B per key cost 12–18 % of
-// throughput). It materializes and first-writes 4,096 atomic abd-max keys on
-// one in-process shard and bounds what stays live per key — three base
+// throughput). For each construction it materializes and first-writes 4,096
+// keys on one in-process shard and bounds what stays live per key — the base
 // objects with their table entries, the register, its history and writer
-// client — by a runtime.MemStats delta between two forced
-// collections. With delta stored five times (PR 19) this read 24.05 objects
-// and 1,970 B per key; with the one object table 24.02 and 1,603–1,617 B (a
-// 32-byte table entry per base object where there were a 64-byte route and
-// three map entries). PR 27 reads 23.52 and 1,554–1,594 B: the key map's
-// buckets became table chunks, and the engine's bound read plan became the
-// register's per-writer timestamp floors (8 pointer-free bytes for the one
-// writer here, which share a tiny-allocator block). With the quorum
-// register one object — its engine and the engine's list of one-op writers
-// gone — it reads 20.01 and 1,480–1,512 B. Each ceiling is that reading plus
-// slack for size-class drift.
+// client — by a runtime.MemStats delta between two forced collections.
+//
+// Atomic abd-max, the benchmark's construction, read 24.05 objects and
+// 1,970 B per key with delta stored five times (PR 19); 24.02 and
+// 1,603–1,617 B with the one object table; 23.52 and 1,554–1,594 B once the
+// key map's buckets became table chunks (PR 27); 20.01 and 1,474–1,512 B
+// with the quorum register one object. With table entries and their cells
+// in arena blocks, the register's first placement, writer handles and floor
+// inside the register, the engine's writer index gone and the key's record
+// built once, it reads 5.02 and 1,019–1,025 B — three heap objects per key
+// (register, key record, writer client) plus the write's two history
+// records. The other kinds read, before that change and after it: abd-cas
+// 23.51 / 1,648 B → 6.02 / 1,058–1,076 B (its write-max one chain per
+// register, no store values); aac-max 32.51 / 2,366–2,374 B → 18.02 /
+// 1,842–1,850 B; regemu 33.01 / 2,328–2,334 B → 26.02 / 2,284–2,290 B;
+// coded 40.02 / 2,971–2,979 B → 36.01 / 2,907–2,917 B. Each ceiling is the
+// later reading plus slack for size-class drift.
 func TestKeyFootprintAllocCeiling(t *testing.T) {
+	const keys = 4096
+	for _, tc := range []struct {
+		kind       runner.Kind
+		atomic     bool
+		n          int // 0: DefaultServers
+		maxObjects float64
+		maxBytes   float64
+	}{
+		{runner.KindABDMax, true, 3, 5.10, 1150},
+		{runner.KindCASMax, true, 3, 6.10, 1150},
+		{runner.KindAACMax, false, 3, 18.10, 1950},
+		{runner.KindRegEmu, false, 0, 26.10, 2380},
+		{runner.KindCoded, false, 0, 36.10, 3000},
+	} {
+		t.Run(string(tc.kind), func(t *testing.T) {
+			ctx := testCtx(t)
+			st, err := Open(ctx, Config{Keys: keys, Kind: tc.kind, Atomic: tc.atomic, N: tc.n, F: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			live := func() (objects, bytes uint64) {
+				runtime.GC()
+				runtime.GC() // the second cycle frees what the first one's sweep finalized
+				var m runtime.MemStats
+				runtime.ReadMemStats(&m)
+				return m.Mallocs - m.Frees, m.HeapAlloc
+			}
+			objs0, bytes0 := live()
+			errs := make(chan error, keys)
+			for key := uint64(0); key < keys; key++ {
+				st.StartWrite(key, 0, types.Value(key+1), func(err error) { errs <- err })
+			}
+			for i := 0; i < keys; i++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			objs1, bytes1 := live()
+			perKeyObjects := float64(objs1-objs0) / keys
+			perKeyBytes := float64(bytes1-bytes0) / keys
+			t.Logf("%.2f live heap objects and %.0f live bytes per key over %d keys", perKeyObjects, perKeyBytes, keys)
+			if perKeyObjects > tc.maxObjects {
+				t.Errorf("%.2f live heap objects per key, ceiling %.2f", perKeyObjects, tc.maxObjects)
+			}
+			if perKeyBytes > tc.maxBytes {
+				t.Errorf("%.0f live bytes per key, ceiling %.0f", perKeyBytes, tc.maxBytes)
+			}
+			runtime.KeepAlive(st)
+		})
+	}
+}
+
+// TestMaterializeAllocCeiling counts every allocation it takes to
+// materialize one atomic abd-max key's writer and reader clients on an
+// in-process shard — garbage included, which the live footprint above cannot
+// see — averaged over 4,096 keys, so the key table's chunks and the object
+// table's arena blocks and chunks are amortized in. With the key's record
+// and its client slice republished per slot, the member list cloned, a store
+// object per base object, a recipe closure, a placement of three slices and
+// a table entry and a cell per base object, it read 25.03; with the record
+// built once and the register one allocation it reads 5.03 — register, key
+// record, reader handle and the two engine clients. The ceiling is that
+// reading plus slack.
+func TestMaterializeAllocCeiling(t *testing.T) {
 	const (
-		keys       = 4096
-		maxObjects = 20.10
-		maxBytes   = 1600
+		keys      = 4096
+		maxAllocs = 5.2
 	)
 	ctx := testCtx(t)
-	st, err := Open(ctx, Config{Keys: keys, Kind: runner.KindABDMax, Atomic: true, N: 3, F: 1})
+	st, err := Open(ctx, Config{Keys: keys, Kind: runner.KindABDMax, Atomic: true, N: 3, F: 1, NoHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	live := func() (objects, bytes uint64) {
-		runtime.GC()
-		runtime.GC() // the second cycle frees what the first one's sweep finalized
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.Mallocs - m.Frees, m.HeapAlloc
-	}
-	objs0, bytes0 := live()
-	errs := make(chan error, keys)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for key := uint64(0); key < keys; key++ {
-		st.StartWrite(key, 0, types.Value(key+1), func(err error) { errs <- err })
-	}
-	for i := 0; i < keys; i++ {
-		if err := <-errs; err != nil {
+		if _, err := st.Writer(key, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Reader(key, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.Drain(ctx); err != nil {
-		t.Fatal(err)
+	runtime.ReadMemStats(&after)
+	perKey := float64(after.Mallocs-before.Mallocs) / keys
+	t.Logf("%.2f allocations to materialize a key's writer and reader", perKey)
+	if perKey > maxAllocs {
+		t.Errorf("%.2f allocations per materialized key, ceiling %.2f", perKey, maxAllocs)
 	}
-	objs1, bytes1 := live()
-	perKeyObjects := float64(objs1-objs0) / keys
-	perKeyBytes := float64(bytes1-bytes0) / keys
-	t.Logf("%.2f live heap objects and %.0f live bytes per key over %d keys", perKeyObjects, perKeyBytes, keys)
-	if perKeyObjects > maxObjects {
-		t.Errorf("%.2f live heap objects per key, ceiling %.2f", perKeyObjects, maxObjects)
-	}
-	if perKeyBytes > maxBytes {
-		t.Errorf("%.0f live bytes per key, ceiling %d", perKeyBytes, maxBytes)
-	}
-	runtime.KeepAlive(st)
 }
 
 // TestStorePairAllocCeiling pins the whole op path through the frontend: a

@@ -33,10 +33,11 @@
 // actually see traffic (plus one 4 KiB chunk per touched 512-key range).
 // The store has one key table, in the cluster's object-table idiom: a
 // directory of 512-slot chunks indexed by key, one atomic pointer per slot to
-// an immutable entry (register, history, engine clients). An op on a
-// materialized key and client slot takes no lock — a bounds check and two
+// the key's record (register, history, engine client slots). An op on a
+// materialized key and client slot takes no lock — a bounds check and three
 // loads; a miss (the first touch of a key, or of a client slot) takes the
-// key's shard lock and republishes the slot. Resize and
+// key's shard lock, builds the record once on a key's first touch and fills
+// the client slot in place. Resize and
 // Reconfigure hold that lock across their transition, so no register
 // materializes inside one, while ops on existing keys park on the fabric's
 // view stamp like any op caught by a freeze.
@@ -175,14 +176,35 @@ type shard struct {
 	mu sync.Mutex
 }
 
-// keyreg is one key's materialized register, immutable once published: a
-// new client slot republishes a copy with the grown cache.
+// keyreg is one key's materialized register and its engine clients, built
+// once when the key is first touched: every writer slot and the reader slots
+// asked for by then (at least one). A client slot is filled in place, under
+// the shard lock, the first time it is used; only a reader slot past the end
+// of clients republishes the key with a grown copy.
 type keyreg struct {
 	reg emulation.Register
 
-	// clients caches the key's engine clients — writer slots first, reader
-	// slots after them; nil where a slot has not been used yet.
-	clients []*async.Client
+	// clients holds the key's engine clients — writer slots first, reader
+	// slots after them; nil where a slot has not been used yet. It is inline
+	// when two slots do (one writer, one reader), so the record is one
+	// allocation.
+	clients []atomic.Pointer[async.Client]
+	inline  [2]atomic.Pointer[async.Client]
+}
+
+// newKeyreg returns reg's record with n client slots, the first ones copied
+// from prev.
+func newKeyreg(reg emulation.Register, n int, prev []atomic.Pointer[async.Client]) *keyreg {
+	kr := &keyreg{reg: reg}
+	if n <= len(kr.inline) {
+		kr.clients = kr.inline[:n]
+	} else {
+		kr.clients = make([]atomic.Pointer[async.Client], n)
+	}
+	for i := range prev {
+		kr.clients[i].Store(prev[i].Load())
+	}
+	return kr
 }
 
 // lookup reads key's table slot, lock-free: nil until the key materialized.
@@ -498,53 +520,61 @@ func (st *Store) client(key uint64, i int) (*async.Client, error) {
 	if key >= st.cfg.Keys {
 		return nil, fmt.Errorf("shardstore: key %d outside key-space [0, %d)", key, st.cfg.Keys)
 	}
-	if kr := st.lookup(key); kr != nil && i < len(kr.clients) && kr.clients[i] != nil {
-		return kr.clients[i], nil
+	if kr := st.lookup(key); kr != nil && i < len(kr.clients) {
+		if c := kr.clients[i].Load(); c != nil {
+			return c, nil
+		}
 	}
 	return st.materialize(key, i)
 }
 
 // materialize is the miss path, under the key's shard lock: it builds key's
-// register on first touch, creates engine client i, and republishes the
-// key's slot with a fresh immutable entry.
+// register and record on first touch (republishing a grown copy only for a
+// reader slot past the record's end) and fills client slot i in place.
 func (st *Store) materialize(key uint64, i int) (*async.Client, error) {
 	sh := st.shards[st.ShardOf(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	var err error
-	kr := new(keyreg)
-	if old := st.lookup(key); old != nil {
-		*kr = *old
-	} else {
-		kr.reg, _, err = runner.BuildWith(st.cfg.Kind, sh.env.Fabric, st.cfg.WritersPerKey, sh.env.Cluster.F(),
-			runner.BuildOpts{ValueSize: st.cfg.ValueSize, Atomic: st.cfg.Atomic})
-		if err != nil {
-			return nil, fmt.Errorf("shardstore: materializing key %d: %w", key, err)
+	kr := st.lookup(key)
+	if kr == nil || i >= len(kr.clients) {
+		var reg emulation.Register
+		var prev []atomic.Pointer[async.Client]
+		if kr != nil {
+			reg, prev = kr.reg, kr.clients
+		} else {
+			var err error
+			reg, _, err = runner.BuildWith(st.cfg.Kind, sh.env.Fabric, st.cfg.WritersPerKey, sh.env.Cluster.F(),
+				runner.BuildOpts{ValueSize: st.cfg.ValueSize, Atomic: st.cfg.Atomic})
+			if err != nil {
+				return nil, fmt.Errorf("shardstore: materializing key %d: %w", key, err)
+			}
+			if st.cfg.NoHistory {
+				reg.History().SetDiscard(true)
+			}
 		}
-		if st.cfg.NoHistory {
-			kr.reg.History().SetDiscard(true)
+		kr = newKeyreg(reg, max(st.cfg.WritersPerKey+1, i+1), prev)
+		// Another shard's miss may be installing the same chunk: first one wins.
+		ch := &st.dir[key/keyChunkSize]
+		if ch.Load() == nil {
+			ch.CompareAndSwap(nil, new(keyChunk))
 		}
+		ch.Load()[key%keyChunkSize].Store(kr)
 	}
-	if i < len(kr.clients) && kr.clients[i] != nil {
-		return kr.clients[i], nil // a racing miss published it first
+	if c := kr.clients[i].Load(); c != nil {
+		return c, nil // a racing miss filled it first
 	}
-	// kr.clients is still the published entry's cache: grow a copy.
-	clients := make([]*async.Client, max(i+1, len(kr.clients)))
-	copy(clients, kr.clients)
-	kr.clients = clients
 	eng := st.engines[st.EngineOf(key)]
+	var c *async.Client
 	if i >= st.cfg.WritersPerKey {
-		clients[i] = eng.ReaderOn(kr.reg)
-	} else if clients[i], err = eng.WriterOn(kr.reg, i); err != nil {
-		return nil, err
+		c = eng.ReaderOn(kr.reg)
+	} else {
+		var err error
+		if c, err = eng.WriterOn(kr.reg, i); err != nil {
+			return nil, err
+		}
 	}
-	// Another shard's miss may be installing the same chunk: first one wins.
-	ch := &st.dir[key/keyChunkSize]
-	if ch.Load() == nil {
-		ch.CompareAndSwap(nil, new(keyChunk))
-	}
-	ch.Load()[key%keyChunkSize].Store(kr)
-	return clients[i], nil
+	kr.clients[i].Store(c)
+	return c, nil
 }
 
 // StartWrite routes one high-level write through the frontend: key to
