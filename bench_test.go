@@ -583,13 +583,13 @@ func BenchmarkResizeTransition(b *testing.B) {
 					Join:  make([]fabric.LaneMaker, d.joins),
 					Leave: env.Cluster.View().Members[:d.leaves],
 				}
-				res, err := runner.ResizeRegister(ctx, env, reg, spec)
+				res, err := env.Fabric.Resize(ctx, spec, reg.Reshape)
 				if err != nil {
 					b.Fatalf("transition %d: %v", i, err)
 				}
 				frozen += res.Duration
 				if d.joins > d.leaves {
-					if _, err := runner.ResizeRegister(ctx, env, reg, fabric.ResizeSpec{Leave: res.Joined}); err != nil {
+					if _, err := env.Fabric.Resize(ctx, fabric.ResizeSpec{Leave: res.Joined}, reg.Reshape); err != nil {
 						b.Fatalf("restore %d: %v", i, err)
 					}
 				}

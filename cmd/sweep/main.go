@@ -372,12 +372,11 @@ func expChurn(ctx context.Context, workers int, churnProb float64, jsonOut bool)
 // sealed-but-not-activated window loses a server inside every other
 // transition (E28) — crashed transitions must abort back onto the old view.
 // Seeds are pinned at 0..23: sound constructions must report zero violating
-// seeds; the naive baseline is expected to be caught. regemu is excluded —
-// it has no reshape path and rejects resize by type.
+// seeds; the naive baseline is expected to be caught.
 func expResize(ctx context.Context, workers int, resizeProb float64, jsonOut bool) error {
 	kinds := []runner.Kind{
 		runner.KindABDMax, runner.KindCASMax, runner.KindAACMax,
-		runner.KindCoded, runner.KindNaive,
+		runner.KindCoded, runner.KindRegEmu, runner.KindNaive,
 	}
 	var reports []*runner.ChaosSweepReport
 	for _, crashProb := range []float64{0, 0.5} {

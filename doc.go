@@ -110,7 +110,8 @@
 //     Retry is the one place a view-change retry is decided: a completion
 //     that raced a reconfiguration never applied, so the round (Scatter,
 //     abdcore's push over chain stores) or the single low-level write (regemu's
-//     re-trigger) runs again against the current placement — not after a
+//     re-trigger; its whole push, with the same timestamp, when a reshape
+//     replaced the layout) runs again against the current placement — not after a
 //     delay but when the fabric's view stamp has moved past the value the
 //     attempt read before it planned. The stamp counts ended transitions:
 //     Resize advances it on both exits, commit and abort, after the
@@ -132,8 +133,11 @@
 //     and each built the same way: New(fab, k, f, emulation.Options), the
 //     one options type (Atomic, ValueSize — regemu, aac-max and naive refuse
 //     Atomic in their own New, the timestamp-only constructions ignore
-//     ValueSize), and every register records its own history
-//     (emulation.Register.History). The four quorum constructions are store
+//     ValueSize), every register records its own history
+//     (emulation.Register.History), and every one reshapes inside a view
+//     resize's frozen window (emulation.Register.Reshape — regemu re-plans
+//     its layout for the new n and f, so its register count follows Table
+//     1's row as servers join and leave). The four quorum constructions are store
 //     recipes for one abdcore.Register, which owns the placement, the
 //     collect, the push, the writers' timestamp floor and the handles. A
 //     store is one server's base objects — one max-register, plain
@@ -164,8 +168,9 @@
 //     past its check, abd-cas's, takes that one step), its history entry
 //     stays pending (completion and abandonment race on a single latch, so
 //     the entry closes before the call returns or never), and the handle is
-//     reusable: the quorum register and coded both keep their write handles
-//     in one emulation.Writers table and stamp writes through its floor,
+//     reusable: the quorum register, regemu and coded all keep their write
+//     handles in one emulation.Writers table and stamp writes through its
+//     floor,
 //     which starts every timestamp above the last one the writer proposed,
 //     so an abandoned write cannot tie its next one. Writers.At(i) is the
 //     same handle on every call, and a client engine claims it

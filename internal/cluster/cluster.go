@@ -173,19 +173,16 @@ type View struct {
 	Epoch uint64
 	// Members are the view's servers in ascending ID order.
 	Members []types.ServerID
-	// F is the view's failure budget. It lives in the view — not at call
-	// sites — so a resize that changes f can never race a quorum threshold
-	// computed from a caller's remembered budget: the threshold and the
-	// member set come from the same epoch snapshot.
+	// F is the view's failure budget: the budget a resize keeps unless it
+	// names a new one, and the one churn drivers guard shrinks with. Quorum
+	// thresholds are not derived from it: every register derives its own
+	// from the placement it publishes with its f, so a round's threshold and
+	// its targets come from one snapshot.
 	F int
 }
 
 // N returns the view's cardinality.
 func (v View) N() int { return len(v.Members) }
-
-// Quorum returns the view's quorum threshold n-f, derived entirely from
-// the snapshot: no caller-supplied f can go stale across a resize.
-func (v View) Quorum() int { return len(v.Members) - v.F }
 
 // Cluster is the set of servers plus the delta mapping.
 type Cluster struct {

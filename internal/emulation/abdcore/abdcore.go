@@ -158,11 +158,8 @@ type Register struct {
 	first placement
 }
 
-// Compile-time interface compliance checks.
-var (
-	_ emulation.Register      = (*Register)(nil)
-	_ emulation.ViewResizable = (*Register)(nil)
-)
+// Compile-time interface compliance check.
+var _ emulation.Register = (*Register)(nil)
 
 // New places one store on each of the first 2f+1 members of the cluster's
 // current view — servers 0..2f on an initial view, live members by
@@ -287,7 +284,7 @@ func (r *Register) NewReader() emulation.Reader {
 	return emulation.NewReader(r.readers.Next(), &r.hist, r)
 }
 
-// Reshape implements emulation.ViewResizable: it re-places the register's
+// Reshape implements emulation.Register: it re-places the register's
 // 2f+1 stores on the post-resize member set and swaps the placement
 // atomically. It runs inside the transition's frozen window, in a fixed
 // order whose every step keeps the register recoverable:

@@ -61,13 +61,13 @@ func TestResizeThroughPlace(t *testing.T) {
 				}
 			}
 			check("built", 1)
-			grown, err := runner.ResizeRegister(ctx, env, reg, fabric.ResizeSpec{Join: make([]fabric.LaneMaker, 2), F: 2})
+			grown, err := env.Fabric.Resize(ctx, fabric.ResizeSpec{Join: make([]fabric.LaneMaker, 2), F: 2}, reg.Reshape)
 			if err != nil {
 				t.Fatalf("grow: %v", err)
 			}
 			check("grown to n=5,f=2", 2)
 			// Shrink by two original members, so a joiner's store survives.
-			if _, err := runner.ResizeRegister(ctx, env, reg, fabric.ResizeSpec{Leave: []types.ServerID{0, 1}, F: 1}); err != nil {
+			if _, err := env.Fabric.Resize(ctx, fabric.ResizeSpec{Leave: []types.ServerID{0, 1}, F: 1}, reg.Reshape); err != nil {
 				t.Fatalf("shrink: %v", err)
 			}
 			check("shrunk to n=3,f=1", 1)

@@ -372,6 +372,92 @@ func TestAbandonedWriteCannotTieTheHandlesNextCodedWrite(t *testing.T) {
 	}
 }
 
+// TestAbandonedWriteCannotTieTheHandlesNextRegEmuWrite is the Algorithm 2
+// sibling of TestAbandonedWriteCannotTieTheHandlesNextWrite, at n = 3, k = 1,
+// f = 1: one set of three registers, one per server, written by a quorum of
+// two. A write is abandoned with its register write applied on server 0 only
+// (the writes on servers 1 and 2 held before they take effect); the same
+// handle's next write collects from servers 1 and 2 while server 0 holds
+// every op of writer 0, and pushes to register 0 only — the other two are
+// still covered by the abandoned write. Releasing just the held writes on
+// servers 1 and 2 lets them land and re-covers both registers with the fresh
+// write, which completes. A write stamped collected+1 would carry the
+// abandoned write's (timestamp, writer) pair, so a read whose scan includes
+// server 0 would find two values it cannot order and could return the
+// abandoned one.
+func TestAbandonedWriteCannotTieTheHandlesNextRegEmuWrite(t *testing.T) {
+	const abandoned, fresh types.Value = 7, 8
+	// Stage 1: writer 0's register writes take effect on server 0 only.
+	// Stage 2: server 0 holds every op of writer 0. Readers hear nothing
+	// from server `excluded` (-1: none).
+	var stage, excluded atomic.Int32
+	excluded.Store(-1)
+	gate := fabric.GateFuncs{
+		Apply: func(ev fabric.TriggerEvent) fabric.Decision {
+			switch {
+			case ev.Client != 0:
+			case stage.Load() == 1 && ev.Server != 0 && adversary.IsMutating(ev.Inv),
+				stage.Load() == 2 && ev.Server == 0:
+				return fabric.Hold
+			}
+			return fabric.Pass
+		},
+		Respond: func(ev fabric.TriggerEvent, _ baseobj.Response) fabric.Decision {
+			if ev.Client >= emulation.ReaderIDBase && int32(ev.Server) == excluded.Load() {
+				return fabric.Hold
+			}
+			return fabric.Pass
+		},
+	}
+	env, err := runner.NewEnv(3, gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Fabric.Close()
+	reg, _, err := runner.BuildWith(runner.KindRegEmu, env.Fabric, 1, 1, runner.BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := reg.Writer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stage.Store(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	w.StartWrite(ctx, abandoned, func(err error) {
+		if err == nil {
+			t.Error("the abandoned write reported success with two of its three register writes held")
+		}
+	})
+	cancel()
+
+	stage.Store(2)
+	done := make(chan error, 1)
+	w.StartWrite(context.Background(), fresh, func(err error) { done <- err })
+	env.Fabric.ReleaseWhere(func(op fabric.PendingOp) bool { return op.Event.Server != 0 })
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("fresh write on the same handle: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the fresh write never completed")
+	}
+	for _, s := range []int32{2, 1} {
+		excluded.Store(s)
+		rctx, rcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		got, err := reg.NewReader().Read(rctx)
+		rcancel()
+		if err != nil || got != fresh {
+			t.Errorf("read without server %d after the fresh write = %d, %v; want %d", s, got, err, fresh)
+		}
+	}
+	stage.Store(0)
+	excluded.Store(-1)
+	env.Fabric.ReleaseWhere(func(fabric.PendingOp) bool { return true })
+}
+
 // TestReleasedWriteCannotOverwriteItsWritersNext: a writer's write held
 // before it takes effect on one server, and released there after the same
 // writer's next write completed, must not erase the next write on that

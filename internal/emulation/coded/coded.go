@@ -118,11 +118,8 @@ type Register struct {
 	straddles atomic.Uint64
 }
 
-// Compile-time interface compliance checks.
-var (
-	_ emulation.Register      = (*Register)(nil)
-	_ emulation.ViewResizable = (*Register)(nil)
-)
+// Compile-time interface compliance check.
+var _ emulation.Register = (*Register)(nil)
 
 // New places one fragment store on every member of the cluster's current
 // view and returns the emulated k-writer register. opts.ValueSize is the
@@ -478,7 +475,7 @@ func (p *placement) reconstruct(reps []rounds.Report) (stripe, bool, error) {
 	return stripe{ts: best.ts, length: best.length, shards: best.frags[:k]}, committed, nil
 }
 
-// Reshape implements emulation.ViewResizable by restriping: inside the
+// Reshape implements emulation.Register by restriping: inside the
 // frozen window it reads every old store's full fragment state (the
 // authoritative whole — no quorum sampling needed), reconstructs the newest
 // reconstructible stripe, re-encodes it with the new geometry's coder, and

@@ -12,11 +12,12 @@
 //
 // Every construction is built the same way: New(fab, k, f, Options), where
 // Options carries the only two settings a construction takes (atomic reads,
-// payload size). The register owns its history (Register.History), and the
-// two constructions whose writers pick their own timestamps from a collect
-// (abdcore's quorum register, coded) keep their write handles in one Writers
-// table and stamp through its one floor (Writers.Propose), so a writer handle
-// stays reusable after an abandoned write on every one of them.
+// payload size), and every one reshapes across a view resize
+// (Register.Reshape). The register owns its history (Register.History), and
+// every construction whose writers pick their own timestamps from a collect
+// (abdcore's quorum register, regemu, coded) keeps its write handles in one
+// Writers table and stamps through its one floor (Writers.Propose), so a
+// writer handle stays reusable after an abandoned write on every one of them.
 //
 // Handles are not safe for concurrent use; each client runs its own handle,
 // mirroring the paper's per-client deterministic state machines.
@@ -24,7 +25,6 @@ package emulation
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -56,21 +56,6 @@ func (o Options) RegularOnly(construction string) error {
 		return fmt.Errorf("%s: no atomic read mode (readers cannot write)", construction)
 	}
 	return nil
-}
-
-// ErrResizeUnsupported marks a construction that cannot re-place its base
-// objects across a view resize (regemu's covering-proof placement is pinned
-// to the seed view). Callers that drive fabric.Resize with a reshape must
-// check for it and fall back to same-shape replacement.
-var ErrResizeUnsupported = errors.New("emulation: construction does not support view resizing")
-
-// ViewResizable is implemented by registers that can re-place and re-seed
-// their base objects during a fabric view transition. Reshape is invoked by
-// the transition coordinator inside the frozen window (every old member
-// departed and quiesced), so implementations may read authoritative state
-// and seed new placements directly without racing client operations.
-type ViewResizable interface {
-	Reshape(rs *fabric.Reshaper) error
 }
 
 // ReaderIDBase is the first client ID handed to readers, keeping them
@@ -169,4 +154,12 @@ type Register interface {
 	ResourceComplexity() int
 	// History returns the high-level history the register's handles record.
 	History() *spec.History
+	// Reshape re-places the register's base objects on the members of a
+	// view resize and seeds them, inside the transition's frozen window
+	// (fabric.Resize): every old member is departed and quiesced, so it may
+	// read authoritative state and seed the new placement directly without
+	// racing client operations. Every construction reshapes; an error — a
+	// geometry the new members and f cannot host — aborts the transition
+	// onto the intact old view.
+	Reshape(rs *fabric.Reshaper) error
 }

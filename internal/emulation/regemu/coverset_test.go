@@ -12,6 +12,23 @@ import (
 	"repro/internal/types"
 )
 
+// coveredBy returns the registers of writer w's set that currently have one
+// of its low-level writes pending — at most f after a completed write
+// (Observation 3).
+func coveredBy(em *Emulation, w types.ClientID) []types.ObjectID {
+	m := &em.machines[w]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	set, cover := em.p.Load().set(w)
+	var covered []types.ObjectID
+	for i, c := range cover {
+		if c {
+			covered = append(covered, set[i])
+		}
+	}
+	return covered
+}
+
 // newAdversarial builds an emulation behind a Script gate.
 func newAdversarial(t *testing.T, k, f, n int) (*Emulation, *fabric.Fabric, *adversary.Script) {
 	t.Helper()
@@ -58,9 +75,8 @@ func TestWriteCompletesDespiteFHeldWrites(t *testing.T) {
 	script.SetApplyRule(nil)
 
 	// Observation 3: at most f of the writer's registers stay covered.
-	wr := w.(*Writer)
-	if got := len(wr.CoveredByMe()); got != f {
-		t.Fatalf("CoveredByMe = %d, want f = %d", got, f)
+	if got := len(coveredBy(em, 0)); got != f {
+		t.Fatalf("covered by writer 0 = %d, want f = %d", got, f)
 	}
 	if got := len(fab.CoveredObjects()); got != f {
 		t.Fatalf("fabric covered = %d, want %d", got, f)
@@ -83,7 +99,6 @@ func TestCoveredRegisterNotReusedUntilResponse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr := w.(*Writer)
 
 	// Write 1: hold exactly one low-level write.
 	var mu sync.Mutex
@@ -104,7 +119,7 @@ func TestCoveredRegisterNotReusedUntilResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	script.SetApplyRule(nil)
-	covered := wr.CoveredByMe()
+	covered := coveredBy(em, 0)
 	if len(covered) != 1 {
 		t.Fatalf("covered = %v, want exactly 1", covered)
 	}
@@ -149,8 +164,8 @@ func TestCoveredRegisterNotReusedUntilResponse(t *testing.T) {
 	if got := fab.CoveredObjects(); len(got) != 0 {
 		t.Fatalf("fabric covered = %v, want none", got)
 	}
-	if got := wr.CoveredByMe(); len(got) > f {
-		t.Fatalf("CoveredByMe = %v, want at most f = %d", got, f)
+	if got := coveredBy(em, 0); len(got) > f {
+		t.Fatalf("covered by writer 0 = %v, want at most f = %d", got, f)
 	}
 
 	// The read sees the latest value throughout.
@@ -278,7 +293,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(i int, w *Writer) {
+		go func(i int, w emulation.Writer) {
 			defer wg.Done()
 			for op := 0; op < 15; op++ {
 				if err := w.Write(ctx, types.Value(int64(i+1)<<32|int64(op))); err != nil {
@@ -286,7 +301,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 					return
 				}
 			}
-		}(i, w.(*Writer))
+		}(i, w)
 	}
 	for r := 0; r < 2; r++ {
 		rd := em.NewReader()

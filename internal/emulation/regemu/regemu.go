@@ -9,7 +9,8 @@
 //     layout); writer w uses only set floor(w/z).
 //   - A write first collects: it reads every register and waits for all
 //     registers of n-f servers to respond, picking a fresh higher
-//     timestamp (lines 20–26 of Algorithm 2).
+//     timestamp (lines 20–26 of Algorithm 2) — above the collect and above
+//     everything the writer proposed before (emulation.Writers.Propose).
 //   - It then triggers writes on every register of its set except those
 //     still covered by its own previous writes (lines 6–10): a register
 //     with a pending write cannot be reliably reused, so the writer leaves
@@ -20,15 +21,18 @@
 //
 // Reads collect and return the value with the highest timestamp; readers
 // never write, so the space cost is independent of the number of readers.
+// A view resize re-plans the layout for the new n and f (Reshape), so the
+// register count follows Table 1's row as servers join and leave.
 package regemu
 
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/baseobj"
+	"repro/internal/cluster"
 	"repro/internal/emulation"
 	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
@@ -37,15 +41,73 @@ import (
 	"repro/internal/types"
 )
 
+// placement is one epoch's layout: every register set by set and
+// server-major, the set geometry and the failure budget. A resize installs
+// a whole new placement, so a round derives its targets and its threshold
+// from one snapshot. Its one mutable part is the writers' cover flags, each
+// writer's guarded by that writer's mutex: they cover this placement's
+// registers only, so a reshape starts every writer uncovered and a late
+// response from a retired register frees a flag nothing reads again.
+type placement struct {
+	f, z, y int              // failure budget, writers per set, registers per full set
+	objs    []types.ObjectID // R_0, R_1, ... back to back: R_j starts at j·y
+	scan    []types.ObjectID // the same registers server-major: what a collect reads
+	cover   []bool           // cover[w·y+i]: writer w has a write pending on register i of its set
+}
+
+// set returns writer w's register set and its cover flags.
+func (p *placement) set(w types.ClientID) ([]types.ObjectID, []bool) {
+	lo := int(w) / p.z * p.y
+	hi := min(lo+p.y, len(p.objs))
+	return p.objs[lo:hi], p.cover[int(w)*p.y:][:hi-lo]
+}
+
+// arrange is the one place a placement is built: it plans the layout of k
+// writers for f and the given members, verifies it, and materializes it on
+// them. Nothing is placed unless the plan fits.
+func arrange(c *cluster.Cluster, p *placement, k, f int, members []types.ServerID) error {
+	plan, err := layout.NewPlan(k, f, len(members))
+	if err != nil {
+		return fmt.Errorf("regemu: planning layout: %w", err)
+	}
+	if err := plan.Verify(); err != nil {
+		return fmt.Errorf("regemu: verifying layout: %w", err)
+	}
+	sets, err := layout.Materialize(c, plan, members)
+	if err != nil {
+		return fmt.Errorf("regemu: materializing layout: %w", err)
+	}
+	total := plan.TotalRegisters()
+	ids := make([]types.ObjectID, 0, 2*total)
+	for _, set := range sets {
+		ids = append(ids, set...)
+	}
+	for s := range members {
+		for j, set := range sets {
+			for idx, obj := range set {
+				if i, _ := plan.ServerFor(j, idx); int(i) == s {
+					ids = append(ids, obj)
+				}
+			}
+		}
+	}
+	p.f, p.z, p.y = f, plan.Z, plan.Y
+	p.objs, p.scan, p.cover = ids[:total], ids[total:], make([]bool, k*plan.Y)
+	return nil
+}
+
 // Emulation is the Algorithm 2 register.
 type Emulation struct {
-	fab       *fabric.Fabric
-	placement *layout.Placement
-	hist      *spec.History
-	k, f      int
-	scan      []rounds.Target // reads on every register, server-major order
-	writers   []*Writer
-	readers   emulation.ReaderIDs
+	fab      *fabric.Fabric
+	k        int
+	p        atomic.Pointer[placement]
+	writers  emulation.Writers
+	machines []machine // writer i's state machine
+	readers  emulation.ReaderIDs
+	hist     spec.History
+	// first is New's placement. A resize publishes a heap one and leaves
+	// this one as it was: a round that loaded it may still read it.
+	first placement
 }
 
 // Compile-time interface compliance check.
@@ -64,66 +126,15 @@ func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*Emulation, erro
 		return nil, fmt.Errorf("regemu: %w", err)
 	}
 	c := fab.Cluster()
-	plan, err := layout.NewPlan(k, f, c.View().N())
-	if err != nil {
-		return nil, fmt.Errorf("regemu: planning layout: %w", err)
+	e := &Emulation{fab: fab, k: k, machines: make([]machine, k)}
+	if err := arrange(c, &e.first, k, f, c.Members()); err != nil {
+		return nil, err
 	}
-	if err := plan.Verify(); err != nil {
-		return nil, fmt.Errorf("regemu: verifying layout: %w", err)
-	}
-	placement, err := layout.Materialize(c, plan)
-	if err != nil {
-		return nil, fmt.Errorf("regemu: materializing layout: %w", err)
-	}
-	// Record the failure budget on the view (see cluster.SetF); regemu has
-	// no resize path, but the budget still drives crash accounting guards.
+	e.p.Store(&e.first)
+	e.writers.Init(k, &e.hist, e)
+	// Record the failure budget on the view: resize coordinators default
+	// their new threshold to it, and churn drivers guard shrinks with it.
 	c.SetF(f)
-	hist := &spec.History{}
-	e := &Emulation{
-		fab:       fab,
-		placement: placement,
-		hist:      hist,
-		k:         k,
-		f:         f,
-	}
-	// Precompute the collect scan — a read on every register, in
-	// deterministic server-major order — once; every collect scatters it
-	// as a single batch.
-	byServer := placement.ObjectsByServer()
-	servers := make([]types.ServerID, 0, len(byServer))
-	for server := range byServer {
-		servers = append(servers, server)
-	}
-	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
-	for _, server := range servers {
-		for _, obj := range byServer[server] {
-			e.scan = append(e.scan, rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}})
-		}
-	}
-	e.writers = make([]*Writer, k)
-	for w := 0; w < k; w++ {
-		set, err := placement.SetOf(w)
-		if err != nil {
-			return nil, err
-		}
-		j, err := plan.SetForWriter(w)
-		if err != nil {
-			return nil, err
-		}
-		quorum, err := plan.WriteQuorumSize(j)
-		if err != nil {
-			return nil, err
-		}
-		wr := &Writer{
-			em:      e,
-			client:  types.ClientID(w),
-			set:     set,
-			quorum:  quorum,
-			pending: make(map[types.ObjectID]bool, len(set)),
-		}
-		wr.Writer = emulation.NewWriter(wr.client, hist, (*writeChain)(wr))
-		e.writers[w] = wr
-	}
 	return e, nil
 }
 
@@ -133,41 +144,84 @@ func (e *Emulation) Name() string { return "regemu" }
 // K implements emulation.Register.
 func (e *Emulation) K() int { return e.k }
 
-// F implements emulation.Register.
-func (e *Emulation) F() int { return e.f }
+// F implements emulation.Register: the live placement's failure budget.
+func (e *Emulation) F() int { return e.p.Load().f }
 
-// ResourceComplexity implements emulation.Register; it equals
-// bounds.RegisterUpper(k, f, n) by layout.Plan.Verify.
-func (e *Emulation) ResourceComplexity() int { return e.placement.Plan.TotalRegisters() }
+// ResourceComplexity implements emulation.Register: the registers of the
+// live placement, bounds.RegisterUpper(k, f, n) by layout.Plan.Verify.
+func (e *Emulation) ResourceComplexity() int { return len(e.p.Load().objs) }
 
 // History implements emulation.Register.
-func (e *Emulation) History() *spec.History { return e.hist }
+func (e *Emulation) History() *spec.History { return &e.hist }
 
-// Placement exposes the register layout for experiments.
-func (e *Emulation) Placement() *layout.Placement { return e.placement }
-
-// Writer implements emulation.Register. The returned handle carries the
-// writer's persistent cover-set state; it must be used by one goroutine at
-// a time.
+// Writer implements emulation.Register: writer i's one handle over its
+// cover-set state machine; it must be used by one goroutine at a time.
 func (e *Emulation) Writer(i int) (emulation.Writer, error) {
 	if i < 0 || i >= e.k {
 		return nil, fmt.Errorf("regemu: writer %d out of range (k=%d)", i, e.k)
 	}
-	return e.writers[i], nil
+	return e.writers.At(i), nil
 }
 
 // NewReader implements emulation.Register. It is safe for concurrent
 // callers: reader IDs come from a shared atomic allocator. A read is one
 // collect returning the freshest value (lines 17–19); readers never write.
 func (e *Emulation) NewReader() emulation.Reader {
-	return emulation.NewReader(e.readers.Next(), e.hist, (*readChain)(e))
+	return emulation.NewReader(e.readers.Next(), &e.hist, e)
 }
 
-// readChain is the Emulation seen as its readers' emulation.ReadChain.
-type readChain Emulation
+// Reshape implements emulation.Register: it re-plans the layout for the
+// resized view and swaps the placement atomically, inside the transition's
+// frozen window, in an order whose every step keeps the register
+// recoverable:
+//
+//  1. Fold the maximum timestamped value over every old register's
+//     authoritative state — the last completed write is ≤ m, and m is a
+//     completed or in-flight write, so seeding m is always regular.
+//  2. Plan, verify and materialize the layout of k writers for the new f on
+//     the new members; a plan that does not fit aborts the transition
+//     before anything is placed.
+//  3. Seed every new register with m, as a writer of its set (the
+//     registers are writer-restricted).
+//  4. Publish the placement — from here every collect scans the new
+//     registers at the new f, and a push caught by the window re-pushes
+//     its timestamp to its set in it.
+//  5. Retire the old registers LAST: retiring before the swap would expose
+//     in-window retries to a non-retryable missing-object error.
+func (e *Emulation) Reshape(rs *fabric.Reshaper) error {
+	old := e.p.Load()
+	var m types.TSValue
+	for _, obj := range old.objs {
+		st, err := rs.State(obj)
+		if err != nil {
+			return fmt.Errorf("regemu: reading register %d: %w", obj, err)
+		}
+		m = types.MaxTSValue(m, st.Val)
+	}
+	p := new(placement)
+	if err := arrange(e.fab.Cluster(), p, e.k, rs.F(), rs.Members()); err != nil {
+		return err
+	}
+	// No write ever took effect: there is nothing to seed.
+	if types.ZeroTSValue.Less(m) {
+		for i, obj := range p.objs {
+			seeder := types.ClientID(i / p.y * p.z) // the first writer of the register's set
+			if _, err := rs.ApplyAs(seeder, obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: m}); err != nil {
+				return fmt.Errorf("regemu: seeding register %d: %w", obj, err)
+			}
+		}
+	}
+	e.p.Store(p)
+	for _, obj := range old.objs {
+		if err := rs.Retire(obj); err != nil {
+			return fmt.Errorf("regemu: retiring register %d: %w", obj, err)
+		}
+	}
+	return nil
+}
 
-func (c *readChain) StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error)) {
-	e := (*Emulation)(c)
+// StartRead is the high-level read (emulation.ReadChain): one collect.
+func (e *Emulation) StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error)) {
 	e.collect(ctx, client, func(cur types.TSValue, err error) {
 		if err != nil {
 			done(types.InitialValue, fmt.Errorf("regemu: collect: %w", err))
@@ -184,10 +238,18 @@ func (c *readChain) StartRead(ctx context.Context, client types.ClientID, done f
 // nothing to answer and counts as responded, so the round engine waits for
 // all but f of the servers that do host registers — with the n the layout
 // was planned for, a layout spanning fewer than n servers would wait for
-// crashed ones, or for more servers than exist.
+// crashed ones, or for more servers than exist. Each attempt plans from the
+// live placement, so a collect retried across a reshape scans the new
+// registers at the new f.
 func (e *Emulation) collect(ctx context.Context, client types.ClientID, report func(types.TSValue, error)) {
 	rounds.Scatter(ctx, e.fab, client, rounds.Round{
-		Plan:    func(buf []rounds.Target) ([]rounds.Target, int) { return append(buf, e.scan...), e.f },
+		Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
+			p := e.p.Load()
+			for _, obj := range p.scan {
+				buf = append(buf, rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}})
+			}
+			return buf, p.f
+		},
 		Scan:    true,
 		Servers: true,
 		Max:     report,
@@ -201,219 +263,197 @@ type writeOp struct {
 	// ctx is the caller's context: once it is done the op is abandoned — it
 	// no longer owns the machine and triggers nothing further.
 	ctx context.Context
-	// ts is the write's timestamp, assigned when the collect phase
-	// completed; scattered reports that the push phase has started (only
-	// then do freed registers re-trigger with ts — during the collect the
-	// timestamp does not exist yet, so freed registers simply stay free
-	// and join the push batch).
-	ts        types.TSValue
-	scattered bool
-	// acked counts responses carrying ts (line 11).
+	// p is the placement the push writes to, nil until the collect
+	// completed (only then do freed registers re-trigger with ts — during
+	// the collect the timestamp does not exist yet, so freed registers
+	// simply stay free and join the push batch).
+	p  *placement
+	ts types.TSValue
+	// acked counts responses carrying ts from p's registers (line 11).
 	acked int
 	done  func(error)
 }
 
-// live reports whether op still owns the writer's machine; callers hold
-// the writer's mutex.
-func (w *Writer) live(op *writeOp) bool {
-	return op != nil && w.cur == op && op.ctx.Err() == nil
+// machine is the Algorithm 2 per-writer state: the one high-level write in
+// flight. Its cover set lives in the placement (placement.cover). The
+// machine is event-driven — low-level completions call onEvent on whatever
+// goroutine completes them (fabric, a retry's, or the caller's own for
+// synchronous lanes) — so one high-level write costs no goroutine, and
+// internal/emulation/async drives thousands of writers from one event loop.
+// Per the emulation contract a writer carries at most one in-flight
+// high-level write; starting a second while the previous one is live (not
+// completed, its context not done) is rejected loudly.
+type machine struct {
+	mu  sync.Mutex
+	cur *writeOp // the in-flight high-level write, nil when idle
+}
+
+// live reports whether op still owns the machine; callers hold the mutex.
+func (m *machine) live(op *writeOp) bool {
+	return op != nil && m.cur == op && op.ctx.Err() == nil
 }
 
 // reap is the step an abandoned op takes instead of its next one: it
 // reports its context's error (to whoever still listens) and frees the
 // machine. Called without the mutex, on an op that was found not live.
-func (w *Writer) reap(op *writeOp) {
+func (m *machine) reap(op *writeOp) {
 	if op != nil && op.ctx.Err() != nil {
-		w.finish(op, fmt.Errorf("regemu: write: %w", op.ctx.Err()))
+		m.finish(op, fmt.Errorf("regemu: write: %w", op.ctx.Err()))
 	}
-}
-
-// Writer is the Algorithm 2 per-writer state machine. pending[b] plays the
-// role of coverSet: it is true while b has a low-level write of ours
-// without a response. The machine is event-driven — low-level completions
-// call onEvent on whatever goroutine completes them (fabric, a retry's, or the
-// caller's own for synchronous lanes) — so one high-level write costs no
-// goroutine, and internal/emulation/async drives thousands of writers from
-// one event loop. Per the emulation contract a writer carries at most one
-// in-flight high-level write; starting a second while the previous one is
-// live (not completed, its context not done) is rejected loudly.
-type Writer struct {
-	// Writer is the shared handle (history, blocking adapter) over the
-	// machine's writeChain.
-	emulation.Writer
-
-	em     *Emulation
-	client types.ClientID
-	set    []types.ObjectID
-	quorum int
-
-	mu      sync.Mutex
-	pending map[types.ObjectID]bool
-	cur     *writeOp // the in-flight high-level write, nil when idle
-}
-
-// triggerLocked issues a low-level write of ts on register b and marks it
-// pending. The trigger itself runs after the caller released the mutex
-// (returned as a thunk), because on a synchronous lane the completion runs
-// inline and re-enters onEvent. The view stamp a completion reports is the
-// one read right before its own trigger looked the register up (rounds.Retry).
-func (w *Writer) triggerLocked(b types.ObjectID, ts types.TSValue) func() {
-	w.pending[b] = true
-	return func() {
-		seen := w.em.fab.ViewStamp()
-		w.em.fab.TriggerFn(w.client, b, baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts},
-			func(o fabric.Outcome) { w.onEvent(b, ts, seen, o.Err) })
-	}
-}
-
-// scatter batch-triggers a write of ts on every given register; the
-// registers must already be marked pending. Completions re-enter onEvent —
-// on a synchronous lane at the op's position in the batch, before the
-// registers after it are triggered.
-func (w *Writer) scatter(objs []types.ObjectID, ts types.TSValue) {
-	seen := w.em.fab.ViewStamp()
-	g := &fabric.Group{
-		Ops:  make([]fabric.BatchOp, len(objs)),
-		Done: func(i int, o fabric.Outcome) { w.onEvent(objs[i], ts, seen, o.Err) },
-	}
-	for i, b := range objs {
-		g.Ops[i] = fabric.BatchOp{Object: b, Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts}}
-	}
-	w.em.fab.TriggerBatch(w.client, g)
-}
-
-// onEvent lands one low-level write completion in the state machine: the
-// register is freed, and — when a push is in flight — a response for the
-// current timestamp counts toward the quorum (line 11) while a response
-// for an older one immediately re-covers the register with the current
-// value (lines 29–34). Events arriving while no live op owns the machine
-// (the op was abandoned, or the machine is between writes) just free the
-// register: the next write's push batch picks it up. Before the push phase
-// there is nothing to count or retry either — during the collect the
-// timestamp does not exist yet, so the freed register simply joins the push
-// batch. onEvent never blocks beyond the writer mutex, so it is safe on
-// fabric goroutines.
-func (w *Writer) onEvent(b types.ObjectID, ts types.TSValue, seen uint64, err error) {
-	w.mu.Lock()
-	w.pending[b] = false
-	op := w.cur
-	if !w.live(op) || !op.scattered {
-		w.mu.Unlock()
-		w.reap(op)
-		return
-	}
-	if err != nil {
-		// A low-level write that raced a reconfiguration never applied (the
-		// view-change contract), so it retries once the transition ended
-		// instead of failing the high-level write — re-checking ownership
-		// first: if the op finished or was abandoned meanwhile, the register
-		// stays free.
-		w.mu.Unlock()
-		if !rounds.Retry(op.ctx, w.em.fab, seen, err, func() {
-			w.mu.Lock()
-			if !w.live(op) {
-				w.mu.Unlock()
-				return
-			}
-			retrigger := w.triggerLocked(b, op.ts)
-			w.mu.Unlock()
-			retrigger()
-		}, func(err error) { w.finish(op, err) }) {
-			w.finish(op, fmt.Errorf("regemu: write: %w", err))
-		}
-		return
-	}
-	if ts != op.ts {
-		retrigger := w.triggerLocked(b, op.ts)
-		w.mu.Unlock()
-		retrigger()
-		return
-	}
-	op.acked++
-	done := op.acked >= w.quorum
-	w.mu.Unlock()
-	if done {
-		w.finish(op, nil)
-	}
-}
-
-// writeChain is the Writer seen as its own handle's emulation.WriteChain
-// (the handle's StartWrite, promoted onto Writer, takes no client).
-type writeChain Writer
-
-// StartWrite is the write chain behind the handle: collect, pick a higher
-// timestamp, push to the writer's register set avoiding self-covered
-// registers, and fire done after |R_j| - f acknowledgements. The whole
-// operation is a callback chain — nothing blocks, and done may fire inline
-// on a synchronous lane. If the failure assumption is violated, done never
-// fires (a pending high-level op); a caller that gives up cancels ctx, and
-// the abandoned op's already-triggered low-level writes keep covering their
-// registers until they respond, as in any abandoned write.
-func (c *writeChain) StartWrite(ctx context.Context, _ types.ClientID, v types.Value, done func(error)) {
-	w := (*Writer)(c)
-	op := &writeOp{ctx: ctx, done: done}
-	w.mu.Lock()
-	if w.live(w.cur) {
-		w.mu.Unlock()
-		done(fmt.Errorf("regemu: writer %d already has a write in flight", w.client))
-		return
-	}
-	w.cur = op
-	w.mu.Unlock()
-
-	// Lines 20–26: collect until n-f complete server scans responded, then
-	// (lines 6–10) scatter one batch over every register of R_j not
-	// currently covered by our own previous writes.
-	w.em.collect(ctx, w.client, func(cur types.TSValue, err error) {
-		if err != nil {
-			w.finish(op, fmt.Errorf("regemu: collect: %w", err))
-			return
-		}
-		w.mu.Lock()
-		if !w.live(op) {
-			w.mu.Unlock()
-			w.reap(op)
-			return
-		}
-		op.ts = types.TSValue{TS: cur.TS + 1, Writer: w.client, Val: v}
-		op.scattered = true
-		fresh := make([]types.ObjectID, 0, len(w.set))
-		for _, b := range w.set {
-			if !w.pending[b] {
-				fresh = append(fresh, b)
-				w.pending[b] = true
-			}
-		}
-		ts := op.ts
-		w.mu.Unlock()
-		w.scatter(fresh, ts)
-	})
 }
 
 // finish completes op with err (nil: acknowledged by its quorum), exactly
 // once and only while it still owns the machine.
-func (w *Writer) finish(op *writeOp, err error) {
-	w.mu.Lock()
-	if w.cur != op {
-		w.mu.Unlock()
+func (m *machine) finish(op *writeOp, err error) {
+	m.mu.Lock()
+	if m.cur != op {
+		m.mu.Unlock()
 		return
 	}
-	w.cur = nil
-	w.mu.Unlock()
+	m.cur = nil
+	m.mu.Unlock()
 	op.done(err)
 }
 
-// CoveredByMe returns the registers of the writer's set that currently
-// have one of its low-level writes pending — at most f after a completed
-// write (Observation 3). Exposed for the covering experiments.
-func (w *Writer) CoveredByMe() []types.ObjectID {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var covered []types.ObjectID
-	for _, b := range w.set {
-		if w.pending[b] {
-			covered = append(covered, b)
+// StartWrite is the high-level write (emulation.WriteChain): collect, stamp
+// through the writers' floor, push to the writer's register set avoiding
+// self-covered registers, and fire done after |R_j| - f acknowledgements.
+// The whole operation is a callback chain — nothing blocks, and done may
+// fire inline on a synchronous lane. If the failure assumption is violated,
+// done never fires (a pending high-level op); a caller that gives up
+// cancels ctx, and the abandoned op's already-triggered low-level writes
+// keep covering their registers until they respond, as in any abandoned
+// write.
+func (e *Emulation) StartWrite(ctx context.Context, client types.ClientID, v types.Value, done func(error)) {
+	m := &e.machines[client]
+	op := &writeOp{ctx: ctx, done: done}
+	m.mu.Lock()
+	if m.live(m.cur) {
+		m.mu.Unlock()
+		done(fmt.Errorf("regemu: writer %d already has a write in flight", client))
+		return
+	}
+	m.cur = op
+	m.mu.Unlock()
+
+	// Lines 20–26: collect until n-f complete server scans responded, then
+	// push (lines 6–10).
+	e.collect(ctx, client, func(cur types.TSValue, err error) {
+		if err != nil {
+			m.finish(op, fmt.Errorf("regemu: collect: %w", err))
+			return
+		}
+		m.mu.Lock()
+		if !m.live(op) {
+			m.mu.Unlock()
+			m.reap(op)
+			return
+		}
+		op.ts = types.TSValue{TS: e.writers.Propose(client, cur.TS), Writer: client, Val: v}
+		e.push(m, client, op)
+	})
+}
+
+// push scatters op.ts, as one batch, over every register of the writer's
+// set in the live placement that no earlier write of the writer still
+// covers, and counts acknowledgements from zero against that set's quorum.
+// It starts the push, and restarts it when a reshape published a new
+// placement under it. The caller holds m.mu; push releases it. The view
+// stamp is read before the placement is loaded, so it is older than every
+// lookup the batch makes (rounds.Retry).
+func (e *Emulation) push(m *machine, client types.ClientID, op *writeOp) {
+	seen := e.fab.ViewStamp()
+	p := e.p.Load()
+	op.p, op.acked = p, 0
+	set, cover := p.set(client)
+	fresh := make([]int, 0, len(set))
+	for i, covered := range cover {
+		if !covered {
+			cover[i] = true
+			fresh = append(fresh, i)
 		}
 	}
-	return covered
+	ts := op.ts
+	m.mu.Unlock()
+	g := &fabric.Group{
+		Ops:  make([]fabric.BatchOp, len(fresh)),
+		Done: func(b int, o fabric.Outcome) { e.onEvent(client, p, fresh[b], ts, seen, o.Err) },
+	}
+	for b, i := range fresh {
+		g.Ops[b] = fabric.BatchOp{Object: set[i], Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts}}
+	}
+	e.fab.TriggerBatch(client, g)
+}
+
+// retrigger re-covers register i of the writer's set in op.p with op.ts —
+// or, when a reshape published a new placement since op.p, restarts the
+// push there. The caller holds m.mu and read seen before checking that op
+// is live; retrigger releases the mutex. On a synchronous lane the
+// completion runs inline and re-enters onEvent.
+func (e *Emulation) retrigger(m *machine, client types.ClientID, op *writeOp, i int, seen uint64) {
+	p := op.p
+	if e.p.Load() != p {
+		e.push(m, client, op)
+		return
+	}
+	set, cover := p.set(client)
+	cover[i] = true
+	ts := op.ts
+	m.mu.Unlock()
+	e.fab.TriggerFn(client, set[i], baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts},
+		func(o fabric.Outcome) { e.onEvent(client, p, i, ts, seen, o.Err) })
+}
+
+// onEvent lands one low-level write completion — of ts, on register i of
+// the writer's set in p — in the state machine: the register is freed, and
+// — when the live op pushes to p — a response for the current timestamp
+// counts toward the quorum (line 11) while a response for an older one
+// immediately re-covers the register with the current value (lines 29–34).
+// Events arriving while no live op pushes to p (the op was abandoned, is
+// still collecting, moved to a newer placement, or the machine is between
+// writes) just free the register: the next push batch picks it up.
+// onEvent never blocks beyond the writer mutex, so it is safe on fabric
+// goroutines.
+func (e *Emulation) onEvent(client types.ClientID, p *placement, i int, ts types.TSValue, seen uint64, err error) {
+	m := &e.machines[client]
+	now := e.fab.ViewStamp()
+	m.mu.Lock()
+	_, cover := p.set(client)
+	cover[i] = false
+	op := m.cur
+	if !m.live(op) || op.p != p {
+		m.mu.Unlock()
+		m.reap(op)
+		return
+	}
+	switch {
+	case err != nil:
+		// A low-level write that raced a reconfiguration never applied (the
+		// view-change contract), so it retries once the transition ended
+		// instead of failing the high-level write — re-checking ownership
+		// first: if the op finished, was abandoned or moved on meanwhile,
+		// the register stays free.
+		m.mu.Unlock()
+		if !rounds.Retry(op.ctx, e.fab, seen, err, func() {
+			now := e.fab.ViewStamp()
+			m.mu.Lock()
+			if !m.live(op) || op.p != p {
+				m.mu.Unlock()
+				return
+			}
+			e.retrigger(m, client, op, i, now)
+		}, func(err error) { m.finish(op, err) }) {
+			m.finish(op, fmt.Errorf("regemu: write: %w", err))
+		}
+	case ts != op.ts:
+		e.retrigger(m, client, op, i, now)
+	default:
+		set, _ := p.set(client)
+		op.acked++
+		done := op.acked >= len(set)-p.f
+		m.mu.Unlock()
+		if done {
+			m.finish(op, nil)
+		}
+	}
 }

@@ -147,9 +147,14 @@ func TestSurvivesFServerCrashes(t *testing.T) {
 func TestToleratesCrashOfAnyHostingServer(t *testing.T) {
 	const f = 1
 	for _, tc := range []struct{ k, n int }{{1, 5}, {2, 7}, {4, 7}, {5, 7}, {1, 3}} {
-		probe, _ := newEmulation(t, tc.k, f, tc.n)
-		hosting := probe.Placement().ObjectsByServer()
-		for crashed := range hosting {
+		_, probe := newEmulation(t, tc.k, f, tc.n)
+		var hosting []types.ServerID
+		for _, s := range probe.Cluster().Members() {
+			if len(probe.Cluster().ObjectsOn(s)) > 0 {
+				hosting = append(hosting, s)
+			}
+		}
+		for _, crashed := range hosting {
 			em, fab := newEmulation(t, tc.k, f, tc.n)
 			ctx := testCtx(t)
 			w0, _ := em.Writer(0)

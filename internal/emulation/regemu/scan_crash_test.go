@@ -62,17 +62,17 @@ func TestCrashDuringScanNeverCompletesServer(t *testing.T) {
 	// Build the layout once (ungated) to learn which registers land on
 	// which server; object allocation is deterministic for fixed (k,f,n),
 	// so a rebuild on a gated fabric places identically.
-	probe, _ := newEmulation(t, 4, 1, 4)
-	byServer := probe.Placement().ObjectsByServer()
-	if len(byServer[0]) < 2 || len(byServer[1]) < 2 {
-		t.Fatalf("unexpected layout: %v", byServer)
+	_, probe := newEmulation(t, 4, 1, 4)
+	on0, on1 := probe.Cluster().ObjectsOn(0), probe.Cluster().ObjectsOn(1)
+	if len(on0) < 2 || len(on1) < 2 {
+		t.Fatalf("unexpected layout: server 0 hosts %v, server 1 %v", on0, on1)
 	}
 
 	// Hold one register response on server 0 and one on server 1: their
 	// scans stay partial (all their other registers respond).
-	em, fab := newGatedEmulation(t, 4, 1, 4, gateHoldObjects(byServer[0][0], byServer[1][0]))
-	if got := em.Placement().ObjectsByServer(); len(got[0]) != len(byServer[0]) {
-		t.Fatalf("layout diverged between probe and gated build: %v vs %v", got, byServer)
+	em, fab := newGatedEmulation(t, 4, 1, 4, gateHoldObjects(on0[0], on1[0]))
+	if got := fab.Cluster().ObjectsOn(0); len(got) != len(on0) {
+		t.Fatalf("layout diverged between probe and gated build: %v vs %v", got, on0)
 	}
 
 	// Seed a value from a helper goroutine, releasing held responses until

@@ -88,8 +88,9 @@ type Round struct {
 	// from the attempt's own resolved targets, never from a caller's
 	// remembered n, so it stays right when a layout spans fewer than n
 	// servers and when a reconfiguration re-homes registers between
-	// attempts. A partially-scanned crashed server never counts, because
-	// its remaining operations never respond.
+	// attempts; a plan whose objects a reshape retired before they resolved
+	// retries like any view-change bounce. A partially-scanned crashed
+	// server never counts, because its remaining operations never respond.
 	Servers bool
 	// Max reduces the round to the highest timestamped response.
 	Max func(types.TSValue, error)
@@ -165,6 +166,7 @@ func start(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Rou
 	if r.Reports != nil {
 		s.reports = make([]Report, 0, len(targets))
 	}
+	var stale error // a target a transition retired after the plan read it
 	if r.Servers || r.Reports != nil {
 		// Reports name their server, and the per-server countdown must exist
 		// before the batch fires: the in-process lane completes ops inside
@@ -176,7 +178,10 @@ func start(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Rou
 			s.owed = make(map[types.ServerID]int)
 		}
 		for i := range targets {
-			srv, _ := fab.ServerFor(targets[i].Object)
+			srv, err := fab.ServerFor(targets[i].Object)
+			if fabric.IsViewChange(err) {
+				stale = err
+			}
 			s.servers = append(s.servers, srv)
 			if r.Servers {
 				s.owed[srv]++
@@ -186,16 +191,22 @@ func start(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Rou
 	var err error
 	if r.Servers {
 		// need is f: wait for all but f of the hosting servers, and reject
-		// an f that leaves no server to wait for.
+		// an f that leaves no server to wait for — unless the plan was
+		// stale: a reshape that retired every object of the old placement
+		// leaves none of them a server, and the round retries against the
+		// new one like any view-change bounce.
 		s.left = len(s.owed) - need
 		if need < 0 || s.left <= 0 {
 			err = fmt.Errorf("scan round tolerating %d of %d hosting servers", need, len(s.owed))
+			if stale != nil {
+				err = stale
+			}
 		}
 	} else if need <= 0 || need > len(targets) {
 		err = fmt.Errorf("round needs %d of %d targets", need, len(targets))
 	}
 	if err != nil { // nothing was triggered, so no reference is out
-		r.report(&s.Fold, types.ZeroTSValue, err)
+		s.finish(types.ZeroTSValue, err)
 		s.recycle()
 		return
 	}

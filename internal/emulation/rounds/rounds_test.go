@@ -251,6 +251,45 @@ func TestScatterServers(t *testing.T) {
 	}
 }
 
+// TestScatterServersStalePlanRetries: a server-scan round planned over
+// objects a transition retired before the round resolved their servers — a
+// reshape that re-placed every object in between — finds no hosting server.
+// That is a stale plan, not a bad threshold: the round parks on the view
+// stamp like any view-change bounce, triggers nothing, and reports only its
+// context's end.
+func TestScatterServersStalePlanRetries(t *testing.T) {
+	fab, byServer := multiEnv(t, 3, 2, nil)
+	var all []types.ObjectID
+	for _, objs := range byServer {
+		all = append(all, objs...)
+	}
+	for _, obj := range all {
+		if err := fab.Cluster().RemoveObject(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	reported := make(chan error, 1)
+	before := fab.Triggers()
+	Scatter(ctx, fab, 1, Round{Plan: fixed(readTargets(all...), 1), Scan: true, Servers: true,
+		Max: func(_ types.TSValue, err error) { reported <- err }})
+	select {
+	case err := <-reported:
+		t.Fatalf("the stale round reported %v, want it parked on the view stamp", err)
+	default:
+	}
+	if got := fab.ViewWaiters(); got != 1 {
+		t.Fatalf("%d rounds parked on the view stamp, want the stale one", got)
+	}
+	cancel()
+	if err := <-reported; !errors.Is(err, context.Canceled) {
+		t.Fatalf("the parked round reported %v, want its context's error", err)
+	}
+	if got := fab.Triggers(); got != before {
+		t.Fatalf("the stale round triggered %d operations", got-before)
+	}
+}
+
 // TestScatterServersCrashedPartialScanNeverCounts: a crashed server's
 // remaining operations never respond, so with f=0 the round stays pending.
 func TestScatterServersCrashedPartialScanNeverCounts(t *testing.T) {

@@ -198,32 +198,17 @@ func (p *Plan) Render() string {
 	return b.String()
 }
 
-// Placement binds a plan to a concrete cluster: real base registers have
-// been created and placed according to the plan.
-type Placement struct {
-	// Plan is the abstract plan this placement realizes.
-	Plan *Plan
-	// Sets[j] lists the object IDs of R_j, in server-assignment order.
-	Sets [][]types.ObjectID
-	// ServerOf maps each placed register to its server.
-	ServerOf map[types.ObjectID]types.ServerID
-}
-
 // Materialize creates the plan's registers on the cluster, plan server i
-// being the i-th member of the current view — so a layout built after a
-// transition lands on live servers. Each register of set j is restricted to
-// the writers of set j (the z-writer registers of Theorem 3), so any write
-// by a foreign client is a detectable protocol violation.
-func Materialize(c *cluster.Cluster, p *Plan) (*Placement, error) {
-	members := c.Members()
+// being members[i] — the view's members, or inside a transition's frozen
+// window the members it activates — and returns the sets: sets[j] lists the
+// object IDs of R_j in server-assignment order. Each register of set j is
+// restricted to the writers of set j (the z-writer registers of Theorem 3),
+// so any write by a foreign client is a detectable protocol violation.
+func Materialize(c *cluster.Cluster, p *Plan, members []types.ServerID) ([][]types.ObjectID, error) {
 	if len(members) != p.N {
-		return nil, fmt.Errorf("layout: view has %d members, plan wants %d", len(members), p.N)
+		return nil, fmt.Errorf("layout: %d members, plan wants %d", len(members), p.N)
 	}
-	pl := &Placement{
-		Plan:     p,
-		Sets:     make([][]types.ObjectID, p.M),
-		ServerOf: make(map[types.ObjectID]types.ServerID),
-	}
+	sets := make([][]types.ObjectID, p.M)
 	for j, sz := range p.SetSizes {
 		writers, err := p.WritersOfSet(j)
 		if err != nil {
@@ -233,52 +218,18 @@ func Materialize(c *cluster.Cluster, p *Plan) (*Placement, error) {
 		for i, w := range writers {
 			clientIDs[i] = types.ClientID(w)
 		}
-		pl.Sets[j] = make([]types.ObjectID, 0, sz)
+		sets[j] = make([]types.ObjectID, 0, sz)
 		for idx := 0; idx < sz; idx++ {
 			i, err := p.ServerFor(j, idx)
 			if err != nil {
 				return nil, err
 			}
-			server := members[i]
-			obj, err := c.PlaceRegister(server, clientIDs...)
+			obj, err := c.PlaceRegister(members[i], clientIDs...)
 			if err != nil {
 				return nil, err
 			}
-			pl.Sets[j] = append(pl.Sets[j], obj)
-			pl.ServerOf[obj] = server
+			sets[j] = append(sets[j], obj)
 		}
 	}
-	return pl, nil
-}
-
-// AllObjects returns every placed register, set by set.
-func (pl *Placement) AllObjects() []types.ObjectID {
-	var all []types.ObjectID
-	for _, set := range pl.Sets {
-		all = append(all, set...)
-	}
-	return all
-}
-
-// ObjectsByServer groups every placed register by hosting server.
-func (pl *Placement) ObjectsByServer() map[types.ServerID][]types.ObjectID {
-	by := make(map[types.ServerID][]types.ObjectID)
-	for _, set := range pl.Sets {
-		for _, obj := range set {
-			s := pl.ServerOf[obj]
-			by[s] = append(by[s], obj)
-		}
-	}
-	return by
-}
-
-// SetOf returns the register set serving writer w.
-func (pl *Placement) SetOf(w int) ([]types.ObjectID, error) {
-	j, err := pl.Plan.SetForWriter(w)
-	if err != nil {
-		return nil, err
-	}
-	set := make([]types.ObjectID, len(pl.Sets[j]))
-	copy(set, pl.Sets[j])
-	return set, nil
+	return sets, nil
 }

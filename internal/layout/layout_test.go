@@ -194,7 +194,7 @@ func TestMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := Materialize(c, p)
+	sets, err := Materialize(c, p, c.Members())
 	if err != nil {
 		t.Fatalf("Materialize: %v", err)
 	}
@@ -202,7 +202,10 @@ func TestMaterialize(t *testing.T) {
 		t.Fatalf("cluster objects = %d, want %d", got, p.TotalRegisters())
 	}
 	// delta agrees with the plan.
-	for j, set := range pl.Sets {
+	for j, set := range sets {
+		if len(set) != p.SetSizes[j] {
+			t.Errorf("set %d has %d registers, want %d", j, len(set), p.SetSizes[j])
+		}
 		for idx, obj := range set {
 			want, err := p.ServerFor(j, idx)
 			if err != nil {
@@ -215,14 +218,11 @@ func TestMaterialize(t *testing.T) {
 			if got != want {
 				t.Errorf("set %d reg %d on server %d, want %d", j, idx, got, want)
 			}
-			if got != pl.ServerOf[obj] {
-				t.Errorf("ServerOf disagrees with delta for %d", obj)
-			}
 		}
 	}
 	// Writer-set enforcement: a writer of set 0 can write set 0 but not
 	// set 1, and a foreign client can write nothing.
-	set0, set1 := pl.Sets[0][0], pl.Sets[1][0]
+	set0, set1 := sets[0][0], sets[1][0]
 	okInv := baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1}}
 	if _, err := c.Apply(set0, 0, okInv); err != nil {
 		t.Errorf("writer 0 on own set: %v", err)
@@ -233,29 +233,28 @@ func TestMaterialize(t *testing.T) {
 	if _, err := c.Apply(set0, 1000, okInv); !errors.Is(err, baseobj.ErrUnauthorizedWriter) {
 		t.Errorf("foreign client err = %v, want ErrUnauthorizedWriter", err)
 	}
-	// AllObjects and ObjectsByServer agree on totals.
-	if got := len(pl.AllObjects()); got != p.TotalRegisters() {
-		t.Errorf("AllObjects = %d, want %d", got, p.TotalRegisters())
-	}
-	sum := 0
-	for _, objs := range pl.ObjectsByServer() {
-		sum += len(objs)
-	}
-	if sum != p.TotalRegisters() {
-		t.Errorf("ObjectsByServer total = %d, want %d", sum, p.TotalRegisters())
-	}
-	// SetOf returns a defensive copy.
-	s0, err := pl.SetOf(0)
+}
+
+// TestMaterializeOnMembers: plan server i is the i-th listed member, so a
+// layout lands on the servers it is given — here the upper four of six.
+func TestMaterializeOnMembers(t *testing.T) {
+	p := mustPlan(t, 2, 1, 4)
+	c, err := cluster.New(6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0[0] = 9999
-	s0b, err := pl.SetOf(0)
+	members := c.Members()[2:]
+	sets, err := Materialize(c, p, members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s0b[0] == 9999 {
-		t.Error("SetOf returned shared backing storage")
+	for j, set := range sets {
+		for idx, obj := range set {
+			i, _ := p.ServerFor(j, idx)
+			if got, err := c.Delta(obj); err != nil || got != members[i] {
+				t.Errorf("set %d reg %d on server %d (%v), want %d", j, idx, got, err, members[i])
+			}
+		}
 	}
 }
 
@@ -265,8 +264,8 @@ func TestMaterializeClusterSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Materialize(c, p); err == nil {
-		t.Fatal("Materialize with wrong cluster size succeeded")
+	if _, err := Materialize(c, p, c.Members()); err == nil {
+		t.Fatal("Materialize with wrong member count succeeded")
 	}
 }
 

@@ -91,7 +91,6 @@ type ChaosConfig struct {
 	// high-level ops with this probability (default 0): a fabric.Resize
 	// with a construction reshape — grow, shrink, or swap — so the run
 	// exercises quorum-geometry re-derivation and frozen-window seeding.
-	// Constructions without a reshape path (regemu) reject it.
 	ResizeProb float64
 	// TransitionCrashProb crashes one frozen server inside each resize
 	// transition with this probability (within the fail-stop budget):

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"repro/internal/adversary"
@@ -10,20 +9,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/types"
 )
-
-// ResizeRegister drives a batched view transition that also re-places the
-// register's base objects: the fabric freezes every old member, the
-// register's Reshape seeds the new placement inside the frozen window, and
-// the new view (with its re-derived quorum thresholds) activates under one
-// epoch bump. Constructions without a reshape path (regemu) are rejected
-// with emulation.ErrResizeUnsupported before anything is disturbed.
-func ResizeRegister(ctx context.Context, env *Env, reg emulation.Register, spec fabric.ResizeSpec) (*fabric.ResizeResult, error) {
-	vr, ok := reg.(emulation.ViewResizable)
-	if !ok {
-		return nil, fmt.Errorf("runner: %s: %w", reg.Name(), emulation.ErrResizeUnsupported)
-	}
-	return env.Fabric.Resize(ctx, spec, func(rs *fabric.Reshaper) error { return vr.Reshape(rs) })
-}
 
 // churnResize performs one random batched transition on a live run: a
 // member swap (join one, leave one), a grow by one, or — when the view has
@@ -69,7 +54,7 @@ func churnResize(ctx context.Context, env *Env, reg emulation.Register, rng *ran
 		tc.arm(victim)
 		defer tc.disarm()
 	}
-	if _, err := ResizeRegister(ctx, env, reg, spec); err != nil {
+	if _, err := env.Fabric.Resize(ctx, spec, reg.Reshape); err != nil {
 		if fabric.IsResizeAborted(err) {
 			return false, true, nil
 		}

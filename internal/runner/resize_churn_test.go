@@ -9,10 +9,10 @@ import (
 // construction stays clean and the naive baseline is caught.
 const resizeSeeds = 24
 
-// resizableKinds are the constructions with a live reshape path; regemu has
-// none and rejects resize with emulation.ErrResizeUnsupported (pinned by
-// TestResizeUnsupportedKind).
-var resizableKinds = []Kind{KindABDMax, KindCASMax, KindAACMax, KindCoded}
+// soundKinds are the constructions the resize nets hold to WS-Safety and
+// WS-Regularity: every construction reshapes, and naive, the one that is
+// unsound by design, has a net of its own (TestResizeChurnStillCatchesNaive).
+var soundKinds = []Kind{KindABDMax, KindCASMax, KindAACMax, KindCoded, KindRegEmu}
 
 // TestResizeChurnSoundConstructionsStaySafe is the E27 net: between
 // high-level ops, random batched view transitions fire — grows, shrinks,
@@ -23,7 +23,7 @@ var resizableKinds = []Kind{KindABDMax, KindCASMax, KindAACMax, KindCoded}
 // transitions must actually commit.
 func TestResizeChurnSoundConstructionsStaySafe(t *testing.T) {
 	ctx := testCtx(t)
-	for _, kind := range resizableKinds {
+	for _, kind := range soundKinds {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			resizes := 0
@@ -114,7 +114,7 @@ func TestTransitionCrashChaos(t *testing.T) {
 	for _, lane := range []Lane{LaneInProc, LaneLatency} {
 		lane := lane
 		t.Run(string(lane), func(t *testing.T) {
-			for _, kind := range resizableKinds {
+			for _, kind := range soundKinds {
 				kind := kind
 				t.Run(string(kind), func(t *testing.T) {
 					resizes, aborts, crashes := 0, 0, 0

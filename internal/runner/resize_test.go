@@ -3,12 +3,15 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/emulation"
+	"repro/internal/adversary"
+	"repro/internal/bounds"
 	"repro/internal/fabric"
 	"repro/internal/lanenet"
 	"repro/internal/seed"
@@ -87,7 +90,7 @@ func TestResizeGrowShrinkUnderLoad(t *testing.T) {
 			}
 			// Let traffic establish, then grow mid-flight.
 			waitOps(t, &done, 8)
-			grow, err := ResizeRegister(ctx, env, reg, fabric.ResizeSpec{Join: []fabric.LaneMaker{nil, nil}, F: 2})
+			grow, err := env.Fabric.Resize(ctx, fabric.ResizeSpec{Join: []fabric.LaneMaker{nil, nil}, F: 2}, reg.Reshape)
 			if err != nil {
 				t.Fatalf("grow: %v", err)
 			}
@@ -107,7 +110,7 @@ func TestResizeGrowShrinkUnderLoad(t *testing.T) {
 			// Traffic must flow against the new geometry before the shrink.
 			mark := done.Load()
 			waitOps(t, &done, mark+8)
-			shrink, err := ResizeRegister(ctx, env, reg, fabric.ResizeSpec{Leave: view.Members[:2], F: 1})
+			shrink, err := env.Fabric.Resize(ctx, fabric.ResizeSpec{Leave: view.Members[:2], F: 1}, reg.Reshape)
 			if err != nil {
 				t.Fatalf("shrink: %v", err)
 			}
@@ -157,26 +160,99 @@ func waitOps(t *testing.T, done *atomic.Int64, target int64) {
 	}
 }
 
-// TestResizeUnsupportedKind: regemu's covering-proof placement has no
-// reshape path; the resize is rejected before the view is disturbed.
-func TestResizeUnsupportedKind(t *testing.T) {
-	ctx := testCtx(t)
-	env, err := NewEnv(4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Fabric.Close()
-	reg, _, err := BuildWith(KindRegEmu, env.Fabric, 2, 1, BuildOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	epoch := env.Cluster.Epoch()
-	_, err = ResizeRegister(ctx, env, reg, fabric.ResizeSpec{Join: []fabric.LaneMaker{nil}})
-	if !errors.Is(err, emulation.ErrResizeUnsupported) {
-		t.Fatalf("regemu resize returned %v, want ErrResizeUnsupported", err)
-	}
-	if env.Cluster.Epoch() != epoch {
-		t.Fatal("rejected resize still disturbed the view")
+// TestResizeRegEmuFollowsTable1 is Table 1's register row in a running
+// register: Algorithm 2 with k=4, f=1 is grown 3 → 5 → 7 servers and shrunk
+// back to 3 under the chaos gate's holds and stale releases, with a
+// write-sequential schedule running between the steps. After every step the
+// register places exactly bounds.RegisterUpper(4, 1, n) registers — 12, 8,
+// 6, 8, 12 — and the cluster holds no others: the old layout was retired. An
+// f the members cannot host (n=3 < 2f+1=5) aborts onto the intact old view,
+// which keeps serving. The history stays WS-Safe and WS-Regular.
+func TestResizeRegEmuFollowsTable1(t *testing.T) {
+	const k, f, runSeed = 4, 1, 7
+	for _, lane := range []Lane{LaneInProc, LaneLatency} {
+		t.Run(string(lane), func(t *testing.T) {
+			ctx := testCtx(t)
+			laneOpts, err := laneOptions(lane, nil, runSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chaos := adversary.NewChaos(seed.Sub(runSeed, chaosStreamGate), chaosHoldProb, f)
+			gate := adversary.NewScript()
+			gate.SetApplyRule(chaos.Hold)
+			env, err := NewEnv(3, gate, laneOpts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Fabric.Close()
+			reg, hist, err := BuildWith(KindRegEmu, env.Fabric, k, f, BuildOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			schedule := rand.New(rand.NewSource(seed.Sub(runSeed, chaosStreamSchedule)))
+			values := NewValueGen()
+			rd := reg.NewReader()
+			run := func(step string) {
+				t.Helper()
+				for op := 0; op < 12; op++ {
+					if schedule.Float64() < 0.4 {
+						if _, err := rd.Read(ctx); err != nil {
+							t.Fatalf("%s: read %d: %v", step, op, err)
+						}
+					} else {
+						i := schedule.Intn(k)
+						w, err := reg.Writer(i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := w.Write(ctx, values.Next(types.ClientID(i))); err != nil {
+							t.Fatalf("%s: write %d by %d: %v", step, op, i, err)
+						}
+					}
+					chaos.ReleaseSome(env.Fabric, chaosReleaseProb)
+				}
+				n := env.Cluster.View().N()
+				want, err := bounds.RegisterUpper(k, f, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := reg.ResourceComplexity(); got != want {
+					t.Fatalf("%s (n=%d): ResourceComplexity = %d, want RegisterUpper = %d", step, n, got, want)
+				}
+				if got := env.Cluster.ResourceComplexity(); got != want {
+					t.Fatalf("%s (n=%d): the cluster holds %d registers, want the layout's %d", step, n, got, want)
+				}
+			}
+			run("open")
+			for _, step := range []struct {
+				grow, shrink int
+			}{{2, 0}, {2, 0}, {0, 2}, {0, 2}} {
+				spec := fabric.ResizeSpec{Join: make([]fabric.LaneMaker, step.grow), Leave: env.Cluster.View().Members[:step.shrink]}
+				if _, err := env.Fabric.Resize(ctx, spec, reg.Reshape); err != nil {
+					t.Fatalf("resize %+v: %v", step, err)
+				}
+				run(fmt.Sprintf("resize %+v", step))
+			}
+
+			before := env.Cluster.View()
+			_, err = env.Fabric.Resize(ctx, fabric.ResizeSpec{F: 2}, reg.Reshape)
+			if !fabric.IsResizeAborted(err) || !errors.Is(err, bounds.ErrTooFewServers) {
+				t.Fatalf("resize to f=2 on 3 servers: %v, want an abort for too few servers", err)
+			}
+			if after := env.Cluster.View(); after.Epoch != before.Epoch || after.F != f || !slices.Equal(after.Members, before.Members) {
+				t.Fatalf("the aborted resize left view %+v, want %+v", after, before)
+			}
+			if reg.F() != f {
+				t.Fatalf("register F after the abort = %d, want %d", reg.F(), f)
+			}
+			run("after the abort")
+			if gate.Held() == 0 {
+				t.Error("the chaos gate never held an op — the run was not under chaos")
+			}
+			if c := Check(hist); !c.OK() {
+				t.Fatalf("WS checks: safety=%v regularity=%v", c.WSSafety, c.WSRegularity)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/emulation"
-	"repro/internal/emulation/coded"
 	"repro/internal/fabric"
 )
 
@@ -66,15 +65,15 @@ func RunTorn(ctx context.Context, cfg TornConfig) (*TornReport, error) {
 		return nil, err
 	}
 	defer r.env.Fabric.Close()
-	reg := r.reg.(*coded.Register)
+	reg, kData := r.reg, cfg.N-2*cfg.F
 	allow := cfg.AllowFrags
 	if allow == 0 {
-		allow = reg.DataShards() - 1
+		allow = kData - 1
 	}
-	if allow >= reg.DataShards() {
-		return nil, fmt.Errorf("runner: torn stripe needs allowed fragments < kData=%d, got %d (the stripe would reconstruct)", reg.DataShards(), allow)
+	if allow >= kData {
+		return nil, fmt.Errorf("runner: torn stripe needs allowed fragments < kData=%d, got %d (the stripe would reconstruct)", kData, allow)
 	}
-	rep := &TornReport{Cfg: cfg, DataShards: reg.DataShards()}
+	rep := &TornReport{Cfg: cfg, DataShards: kData}
 	parked := make([]int, cfg.N-allow)
 	for i := range parked {
 		parked[i] = allow + i
@@ -137,7 +136,7 @@ func RunTorn(ctx context.Context, cfg TornConfig) (*TornReport, error) {
 	rep.WrongReads = int(wrong.Load())
 	rep.HeldOps = r.gate.Held()
 	if tornDone.Load() {
-		return nil, fmt.Errorf("runner: torn write completed with %d < %d fragments", allow, reg.DataShards())
+		return nil, fmt.Errorf("runner: torn write completed with %d < %d fragments", allow, kData)
 	}
 
 	// Phase 4: release the stragglers; the torn write completes late.

@@ -113,14 +113,11 @@ func TestLateKeyAfterTransitionReconfigure(t *testing.T) {
 	}
 }
 
-// TestLateKeyAfterTransitionResize: on every resizable construction and both
-// local lanes, a key first touched after a grow to f=2, and another after the
+// TestLateKeyAfterTransitionResize: on every construction and both local
+// lanes, a key first touched after a grow to f=2, and another after the
 // shrink back to f=1, is built on the view's members with the view's budget.
 func TestLateKeyAfterTransitionResize(t *testing.T) {
 	for _, kind := range runner.Kinds() {
-		if kind == runner.KindRegEmu {
-			continue // no reshape path: ErrResizeUnsupported
-		}
 		for _, lane := range []runner.Lane{runner.LaneInProc, runner.LaneLatency} {
 			t.Run(fmt.Sprintf("%s/%s", kind, lane), func(t *testing.T) {
 				ctx := testCtx(t)

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/emulation"
+	"repro/internal/bounds"
 	"repro/internal/fabric"
 	"repro/internal/runner"
 	"repro/internal/types"
@@ -298,32 +298,86 @@ func TestShardStoreResizeValidation(t *testing.T) {
 	}
 }
 
-// TestShardStoreResizeRejectsRegEmuUndisturbed: a shard holding a regemu
-// key (no reshape path) rejects a resize with ErrResizeUnsupported itself,
-// not as an aborted transition, and the view is untouched — same stamp,
-// epoch and server count.
-func TestShardStoreResizeRejectsRegEmuUndisturbed(t *testing.T) {
+// TestShardStoreResizeRegEmu takes a shard of Algorithm 2 keys (k=4, f=1)
+// from 3 servers to 5 and 7 and back to 3 under load: every step re-plans
+// every materialized key's layout, so each key places exactly
+// bounds.RegisterUpper(4, 1, n) registers — 12, 8, 6, 8, 12 — and the
+// shard's cluster holds no others. An f the three members cannot host
+// aborts the transition: the view is untouched and old and new keys keep
+// serving. Zero client ops may fail and the drained histories stay clean.
+func TestShardStoreResizeRegEmu(t *testing.T) {
+	const k, f = 4, 1
 	ctx := testCtx(t)
-	st, err := Open(ctx, Config{Shards: 1, Keys: 2, Kind: runner.KindRegEmu})
+	st, err := Open(ctx, Config{Shards: 1, Keys: 64, Kind: runner.KindRegEmu, WritersPerKey: k, N: 3, F: f, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	lateKey(ctx, t, st, 1, "Open")
 	env := st.Env(0)
-	stamp, epoch, n := env.Fabric.ViewStamp(), env.Cluster.Epoch(), env.Cluster.N()
-	_, err = st.Resize(ctx, 0, ResizeSpec{Grow: 1})
-	if !errors.Is(err, emulation.ErrResizeUnsupported) || fabric.IsResizeAborted(err) {
-		t.Fatalf("Resize of a regemu shard: %v, want ErrResizeUnsupported without a transition", err)
+	keys := st.BalancedKeys(4)
+	layout := func() (perKey int, err error) {
+		perKey, err = bounds.RegisterUpper(k, f, env.Cluster.View().N())
+		if err != nil {
+			return 0, err
+		}
+		for key, kr := range st.all() {
+			if got := kr.reg.ResourceComplexity(); got != perKey {
+				return 0, fmt.Errorf("key %d places %d registers at n=%d, want %d", key, got, env.Cluster.View().N(), perKey)
+			}
+		}
+		return perKey, nil
 	}
-	if got := env.Fabric.ViewStamp(); got != stamp {
-		t.Errorf("view stamp %d -> %d", stamp, got)
+
+	// Each step runs inside a client's completion hook, every 8th write,
+	// while the other clients' ops are in flight.
+	specs := []ResizeSpec{{Grow: 2}, {Grow: 2}, {Shrink: 2}, {Shrink: 2}}
+	steps := 0
+	hook := func(done int) {
+		if done%8 != 0 || steps == len(specs) {
+			return
+		}
+		spec := specs[steps]
+		steps++
+		if _, err := st.Resize(ctx, 0, spec); err != nil {
+			t.Errorf("Resize%+v: %v", spec, err)
+		} else if _, err := layout(); err != nil {
+			t.Errorf("after Resize%+v: %v", spec, err)
+		}
 	}
-	if got := env.Cluster.Epoch(); got != epoch {
-		t.Errorf("epoch %d -> %d", epoch, got)
+	driveStore(ctx, t, st, keys, 16, hook)
+	if steps != len(specs) {
+		t.Fatalf("%d of %d resize steps ran", steps, len(specs))
 	}
-	if got := env.Cluster.N(); got != n {
-		t.Errorf("N() %d -> %d", n, got)
+	perKey, err := layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := env.Cluster.View().N(); n != 3 || perKey != 12 {
+		t.Fatalf("back at n=%d with %d registers per key, want n=3 and 12", n, perKey)
+	}
+	if got, want := env.Cluster.ResourceComplexity(), perKey*len(keys); got != want {
+		t.Fatalf("the shard's cluster holds %d registers, want %d keys × %d", got, len(keys), perKey)
+	}
+
+	epoch := env.Cluster.Epoch()
+	_, err = st.Resize(ctx, 0, ResizeSpec{F: 2})
+	if !fabric.IsResizeAborted(err) || !errors.Is(err, bounds.ErrTooFewServers) {
+		t.Fatalf("Resize to f=2 on 3 servers: %v, want an abort for too few servers", err)
+	}
+	if view := env.Cluster.View(); view.Epoch != epoch || view.N() != 3 || view.F != f {
+		t.Fatalf("the aborted resize left epoch %d n=%d f=%d, want epoch %d n=3 f=%d", view.Epoch, view.N(), view.F, epoch, f)
+	}
+	late := uint64(0)
+	for st.ShardOf(late) != 0 || containsKey(keys, late) {
+		late++
+	}
+	lateKey(ctx, t, st, late, "an aborted resize")
+	driveStore(ctx, t, st, keys, 2, nil)
+	if err := st.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if rep := st.CheckAll(4, 47); len(rep.Violations) > 0 || rep.Keys != len(keys)+1 {
+		t.Fatalf("after resizing: %d keys checked, violations %v", rep.Keys, rep.Violations)
 	}
 }
 

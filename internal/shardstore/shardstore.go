@@ -406,10 +406,9 @@ type ResizeSpec struct {
 // Resize commits a batched view transition on shard s: all joins, leaves,
 // and the f change activate together with re-derived quorum thresholds,
 // and every materialized register re-places its base objects against the
-// new geometry inside the frozen window (emulation.ViewResizable.Reshape).
-// A shard holding a key of a construction without a reshape path (regemu)
-// is rejected with emulation.ErrResizeUnsupported before the view is
-// disturbed.
+// new geometry inside the frozen window (emulation.Register.Reshape). A
+// geometry some register cannot host aborts the transition onto the intact
+// old view.
 //
 // The shard lock is held for the whole transition, so no key materializes
 // inside it; keys materializing afterwards read the new member set and the
@@ -431,16 +430,11 @@ func (st *Store) Resize(ctx context.Context, s int, spec ResizeSpec) (*fabric.Re
 	// registers are collected now, before a joiner is dialed or a server
 	// frozen.
 	var keys []uint64
-	var regs []emulation.ViewResizable
+	var regs []emulation.Register
 	for key, kr := range st.all() {
-		if st.ShardOf(key) != s {
-			continue
+		if st.ShardOf(key) == s {
+			keys, regs = append(keys, key), append(regs, kr.reg)
 		}
-		vr, ok := kr.reg.(emulation.ViewResizable)
-		if !ok {
-			return nil, fmt.Errorf("shardstore: shard %d key %d (%s): %w", s, key, kr.reg.Name(), emulation.ErrResizeUnsupported)
-		}
-		keys, regs = append(keys, key), append(regs, vr)
 	}
 	view := sh.env.Cluster.View()
 	if spec.Shrink > len(view.Members) {
@@ -455,8 +449,8 @@ func (st *Store) Resize(ctx context.Context, s int, spec ResizeSpec) (*fabric.Re
 		fspec.Join = append(fspec.Join, maker)
 	}
 	res, err := sh.env.Fabric.Resize(ctx, fspec, func(rs *fabric.Reshaper) error {
-		for i, vr := range regs {
-			if err := vr.Reshape(rs); err != nil {
+		for i, reg := range regs {
+			if err := reg.Reshape(rs); err != nil {
 				return fmt.Errorf("shardstore: key %d: %w", keys[i], err)
 			}
 		}
