@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke pairs allocs examples fabric-bench loadgen-smoke lint no-timers stress loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-routes race-shards race-churn race-coded race-resize
+.PHONY: all build vet test race bench bench-smoke pairs allocs examples fabric-bench loadgen-smoke lint gofmt no-timers stress loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-routes race-shards race-churn race-coded race-resize
 
 all: vet build test
 
@@ -10,14 +10,21 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis: go vet and the no-timers gate always, staticcheck when
-# installed (the CI image has it; local checkouts without it still get a green
-# target).
-lint: vet no-timers
+# Static analysis: go vet, the gofmt gate and the no-timers gate always,
+# staticcheck when installed (the CI image has it; local checkouts without it
+# still get a green target).
+lint: vet gofmt no-timers
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
 		echo "staticcheck not installed; ran go vet only"; \
+	fi
+
+# Every Go file is gofmt-formatted: gofmt -l lists none.
+gofmt:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "$$unformatted"; echo "gofmt: run gofmt -w on the files above"; exit 1; \
 	fi
 
 # No outcome may depend on a wall-clock budget or a poll interval: non-test

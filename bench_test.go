@@ -471,7 +471,7 @@ func BenchmarkFabricParallelTrigger(b *testing.B) {
 			}
 			objs := make([]types.ObjectID, servers)
 			for s := 0; s < servers; s++ {
-				obj, err := c.PlaceRegister(types.ServerID(s))
+				obj, err := c.PlaceRegister(types.ServerID(s), baseobj.WriterRange{})
 				if err != nil {
 					b.Fatalf("place: %v", err)
 				}
@@ -623,7 +623,7 @@ func BenchmarkFabricLaneTrigger(b *testing.B) {
 			}
 			objs := make([]types.ObjectID, servers)
 			for s := 0; s < servers; s++ {
-				obj, err := c.PlaceRegister(types.ServerID(s))
+				obj, err := c.PlaceRegister(types.ServerID(s), baseobj.WriterRange{})
 				if err != nil {
 					b.Fatalf("place: %v", err)
 				}
@@ -692,7 +692,7 @@ func BenchmarkLanenetPipeline(b *testing.B) {
 			if err != nil {
 				b.Fatalf("cluster: %v", err)
 			}
-			obj, err := c.PlaceRegister(0)
+			obj, err := c.PlaceRegister(0, baseobj.WriterRange{})
 			if err != nil {
 				b.Fatalf("place: %v", err)
 			}

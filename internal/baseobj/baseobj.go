@@ -10,15 +10,16 @@
 // differs only in its apply rule, and package coded's FragStore is the
 // fourth kind. Every kind implements the whole Object contract.
 //
-// Registers optionally enforce a bounded writer set: Theorem 3 only needs
-// z-writer registers, and the enforcement lets tests prove that the upper
-// bound construction never exceeds its declared writer bound.
+// Registers optionally enforce a bounded writer set, one client-ID range
+// (WriterRange): Theorem 3 gives writer w the register set R_⌊w/z⌋, so every
+// set's writers — and an aac-max register's one writer — are a contiguous
+// run, and the enforcement lets tests prove that the upper bound
+// construction never exceeds its declared writer bound.
 package baseobj
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/types"
@@ -220,7 +221,7 @@ var (
 	// the object kind (e.g. OpCAS on a register).
 	ErrWrongOp = errors.New("baseobj: operation not supported by object kind")
 	// ErrUnauthorizedWriter is returned when a client outside a register's
-	// declared writer set attempts a write.
+	// writer range attempts a write.
 	ErrUnauthorizedWriter = errors.New("baseobj: client is not in the register's writer set")
 	// ErrSealed is returned when a mutating operation reaches an object that
 	// was sealed for state transfer (view reconfiguration). Sealing happens
@@ -233,6 +234,17 @@ var (
 	ErrSealed = errors.New("baseobj: object sealed for state transfer")
 )
 
+// WriterRange is a register's writer restriction: the half-open client-ID
+// range [Lo, Hi). The zero value is unrestricted — every client may write.
+type WriterRange struct {
+	Lo, Hi types.ClientID
+}
+
+// Admits reports whether client may write under r.
+func (r WriterRange) Admits(client types.ClientID) bool {
+	return r == WriterRange{} || r.Lo <= client && client < r.Hi
+}
+
 // Object is a base object: a sequential state machine applied atomically.
 // Every kind implements the whole contract — apply, the external state lock
 // of snapshot scans, state transfer and the space metric — so no caller
@@ -243,9 +255,9 @@ type Object interface {
 	ID() types.ObjectID
 	// Kind returns the object's type.
 	Kind() Kind
-	// Writers returns a register's declared writer set in ascending order,
-	// or nil when the writer set is unbounded (every other kind).
-	Writers() []types.ClientID
+	// Writers returns a register's writer range, or the zero (unrestricted)
+	// range when its writer set is unbounded and for every other kind.
+	Writers() WriterRange
 	// Apply atomically applies inv on behalf of client and returns the
 	// response. It returns an error for malformed invocations; errors
 	// model protocol misuse, not failures (failures live in the fabric).
@@ -283,10 +295,10 @@ type Object interface {
 }
 
 // New returns a fresh object of the given kind at the initial state. A
-// register is restricted to writers when the set is non-empty, modelling the
-// z-writer registers of Theorem 3; other kinds ignore it. New fails only for
-// an unknown kind (a wire placement names the kind).
-func New(kind Kind, id types.ObjectID, writers ...types.ClientID) (Object, error) {
+// register is restricted to the writers range unless it is the zero range,
+// modelling the z-writer registers of Theorem 3; other kinds ignore it. New
+// fails only for an unknown kind (a wire placement names the kind).
+func New(kind Kind, id types.ObjectID, writers WriterRange) (Object, error) {
 	switch kind {
 	case KindRegister, KindMaxRegister, KindCAS:
 		return newCell(id, kind, writers), nil
@@ -296,24 +308,22 @@ func New(kind Kind, id types.ObjectID, writers ...types.ClientID) (Object, error
 	return nil, fmt.Errorf("baseobj: unknown object kind %v", kind)
 }
 
-// NewRegister returns a read/write register initialized to the zero TSValue,
-// restricted to writers when the set is non-empty.
-func NewRegister(id types.ObjectID, writers ...types.ClientID) Object {
-	return newCell(id, KindRegister, writers)
-}
+// NewRegister returns an unrestricted read/write register initialized to the
+// zero TSValue.
+func NewRegister(id types.ObjectID) Object { return newCell(id, KindRegister, WriterRange{}) }
 
 // NewMaxRegister returns a max-register initialized to the zero TSValue.
-func NewMaxRegister(id types.ObjectID) Object { return newCell(id, KindMaxRegister, nil) }
+func NewMaxRegister(id types.ObjectID) Object { return newCell(id, KindMaxRegister, WriterRange{}) }
 
 // NewCASCell returns a CAS cell initialized to the zero TSValue.
-func NewCASCell(id types.ObjectID) Object { return newCell(id, KindCAS, nil) }
+func NewCASCell(id types.ObjectID) Object { return newCell(id, KindCAS, WriterRange{}) }
 
 // CloneAtState builds a fresh, unsealed object of the same identity (ID,
-// kind, writer set) holding the given full state. Reconfiguration uses it to
+// kind, writer range) holding the given full state. Reconfiguration uses it to
 // materialize a migrated object on its new server while the sealed original
 // keeps answering stale-route reads.
 func CloneAtState(o Object, st State) (Object, error) {
-	clone, err := New(o.Kind(), o.ID(), o.Writers()...)
+	clone, err := New(o.Kind(), o.ID(), o.Writers())
 	if err != nil {
 		return nil, err
 	}
@@ -324,9 +334,9 @@ func CloneAtState(o Object, st State) (Object, error) {
 // Cell is the one implementation of the three base objects that store a
 // TSValue (Table 1), told apart by kind:
 //
-//   - a read/write register, optionally restricted to a bounded writer set,
-//     whose writes overwrite unconditionally (last write wins): precisely
-//     the weakness the lower bound exploits, because a delayed old write can
+//   - a read/write register, optionally restricted to a writer range, whose
+//     writes overwrite unconditionally (last write wins): precisely the
+//     weakness the lower bound exploits, because a delayed old write can
 //     erase a newer value;
 //   - a max-register [Aspnes, Attiya, Censor 2009], whose write-max takes
 //     effect only when the written value exceeds the current one, so a
@@ -346,7 +356,7 @@ func CloneAtState(o Object, st State) (Object, error) {
 // one-byte fields sit last so a cell stays in the 80-byte size class.
 type Cell struct {
 	id      types.ObjectID
-	writers map[types.ClientID]struct{} // registers only; nil means unbounded (MWMR)
+	writers WriterRange // registers only; the zero range is unbounded (MWMR)
 
 	mu      sync.Mutex
 	val     types.TSValue
@@ -357,25 +367,22 @@ type Cell struct {
 }
 
 // InitCell initializes c in place as a fresh object of kind — a register
-// (restricted to writers when the set is non-empty), a max-register or a CAS
-// cell — at the initial state, as New would build it. It panics on any other
-// kind: a fragment store is not a cell.
-func InitCell(c *Cell, id types.ObjectID, kind Kind, writers []types.ClientID) {
+// (restricted to the writers range unless it is the zero range), a
+// max-register or a CAS cell — at the initial state, as New would build it.
+// It panics on any other kind: a fragment store is not a cell.
+func InitCell(c *Cell, id types.ObjectID, kind Kind, writers WriterRange) {
 	switch kind {
 	case KindRegister, KindMaxRegister, KindCAS:
 	default:
 		panic(fmt.Sprintf("baseobj: InitCell of a %v", kind))
 	}
 	c.id, c.kind, c.val = id, kind, types.ZeroTSValue
-	if kind == KindRegister && len(writers) > 0 {
-		c.writers = make(map[types.ClientID]struct{}, len(writers))
-		for _, w := range writers {
-			c.writers[w] = struct{}{}
-		}
+	if kind == KindRegister {
+		c.writers = writers
 	}
 }
 
-func newCell(id types.ObjectID, kind Kind, writers []types.ClientID) *Cell {
+func newCell(id types.ObjectID, kind Kind, writers WriterRange) *Cell {
 	c := new(Cell)
 	InitCell(c, id, kind, writers)
 	return c
@@ -395,17 +402,7 @@ func (c *Cell) ID() types.ObjectID { return c.id }
 func (c *Cell) Kind() Kind { return c.kind }
 
 // Writers implements Object.
-func (c *Cell) Writers() []types.ClientID {
-	if c.writers == nil {
-		return nil
-	}
-	ws := make([]types.ClientID, 0, len(c.writers))
-	for w := range c.writers {
-		ws = append(ws, w)
-	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	return ws
-}
+func (c *Cell) Writers() WriterRange { return c.writers }
 
 // Apply implements Object.
 func (c *Cell) Apply(client types.ClientID, inv Invocation) (resp Response, err error) {
@@ -437,10 +434,8 @@ func (c *Cell) apply(client types.ClientID, inv *Invocation, resp *Response) err
 	case !inv.Op.IsWrite() && !c.retired:
 		*resp = Response{Op: inv.Op, Val: c.val, Data: c.data}
 		return nil
-	case c.writers != nil && inv.Op == OpWrite:
-		if _, ok := c.writers[client]; !ok {
-			return fmt.Errorf("%w: client %d, register %d", ErrUnauthorizedWriter, client, c.id)
-		}
+	case inv.Op == OpWrite && !c.writers.Admits(client):
+		return fmt.Errorf("%w: client %d, register %d", ErrUnauthorizedWriter, client, c.id)
 	}
 	if c.sealed {
 		return fmt.Errorf("%w: %v %d", ErrSealed, c.kind, c.id)

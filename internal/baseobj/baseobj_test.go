@@ -51,27 +51,49 @@ func TestRegisterLastWriteWins(t *testing.T) {
 }
 
 func TestRegisterWriterSetEnforcement(t *testing.T) {
-	r := NewRegister(1, 2, 1)
-	if got := r.Writers(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Writers = %v, want [1 2]", got)
+	writers := WriterRange{Lo: 1, Hi: 3}
+	r, err := New(KindRegister, 1, writers)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := r.Apply(1, Invocation{Op: OpWrite, Arg: types.TSValue{TS: 1}}); err != nil {
-		t.Fatalf("authorized write: %v", err)
+	if got := r.Writers(); got != writers {
+		t.Fatalf("Writers = %v, want %v", got, writers)
 	}
-	_, err := r.Apply(3, Invocation{Op: OpWrite, Arg: types.TSValue{TS: 2}})
-	if !errors.Is(err, ErrUnauthorizedWriter) {
-		t.Fatalf("unauthorized write err = %v, want ErrUnauthorizedWriter", err)
+	// A clone made for a move keeps the range.
+	clone, err := CloneAtState(r, r.PeekState())
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Reads are never restricted.
-	if _, err := r.Apply(3, Invocation{Op: OpRead}); err != nil {
-		t.Fatalf("read by non-writer: %v", err)
+	if got := clone.Writers(); got != writers {
+		t.Fatalf("clone Writers = %v, want %v", got, writers)
+	}
+	for _, o := range []Object{r, clone} {
+		// Lo and Hi-1 are in the half-open range; Hi and Lo-1 are not.
+		for _, w := range []types.ClientID{1, 2} {
+			if _, err := o.Apply(w, Invocation{Op: OpWrite, Arg: types.TSValue{TS: 1, Writer: w}}); err != nil {
+				t.Fatalf("authorized write by %d: %v", w, err)
+			}
+		}
+		for _, w := range []types.ClientID{3, 0} {
+			_, err := o.Apply(w, Invocation{Op: OpWrite, Arg: types.TSValue{TS: 2, Writer: w}})
+			if !errors.Is(err, ErrUnauthorizedWriter) {
+				t.Fatalf("write by %d err = %v, want ErrUnauthorizedWriter", w, err)
+			}
+		}
+		// Reads are never restricted.
+		if _, err := o.Apply(3, Invocation{Op: OpRead}); err != nil {
+			t.Fatalf("read by non-writer: %v", err)
+		}
 	}
 }
 
 func TestRegisterEmptyWriterSetIsUnbounded(t *testing.T) {
-	r := NewRegister(1, []types.ClientID{}...)
-	if got := r.Writers(); got != nil {
-		t.Fatalf("Writers = %v, want nil (unbounded)", got)
+	r, err := New(KindRegister, 1, WriterRange{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Writers(); got != (WriterRange{}) {
+		t.Fatalf("Writers = %v, want the zero range (unbounded)", got)
 	}
 	if _, err := r.Apply(99, Invocation{Op: OpWrite, Arg: types.TSValue{TS: 1}}); err != nil {
 		t.Fatalf("write on unbounded register: %v", err)
@@ -286,14 +308,14 @@ func TestObjectContract(t *testing.T) {
 		{KindFragStore, Invocation{Op: OpGetFrags}, Invocation{Op: OpCommitFrag, Arg: v}, 0},
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
-			o, err := New(tc.kind, 11, 1)
+			o, err := New(tc.kind, 11, WriterRange{Lo: 1, Hi: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if o.ID() != 11 || o.Kind() != tc.kind {
 				t.Fatalf("identity %d/%v", o.ID(), o.Kind())
 			}
-			if ws := o.Writers(); (tc.kind == KindRegister) != (len(ws) == 1) {
+			if ws := o.Writers(); (tc.kind == KindRegister) != (ws != WriterRange{}) {
 				t.Fatalf("Writers = %v", ws)
 			}
 			o.LockState()
@@ -321,7 +343,7 @@ func TestObjectContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if clone.ID() != 11 || clone.Kind() != tc.kind || len(clone.Writers()) != len(o.Writers()) {
+			if clone.ID() != 11 || clone.Kind() != tc.kind || clone.Writers() != o.Writers() {
 				t.Fatalf("clone identity %d/%v/%v", clone.ID(), clone.Kind(), clone.Writers())
 			}
 			if got := clone.PeekState(); got.Val != v || len(got.Data) != len(st.Data) {
@@ -342,7 +364,7 @@ func TestObjectContract(t *testing.T) {
 			}
 		})
 	}
-	if _, err := New(Kind(99), 1); err == nil {
+	if _, err := New(Kind(99), 1, WriterRange{}); err == nil {
 		t.Fatal("New accepted an unknown kind")
 	}
 }

@@ -62,7 +62,7 @@ func (s *FragStore) ID() types.ObjectID { return s.id }
 func (s *FragStore) Kind() Kind { return KindFragStore }
 
 // Writers implements Object: a fragment store has no writer set.
-func (s *FragStore) Writers() []types.ClientID { return nil }
+func (s *FragStore) Writers() WriterRange { return WriterRange{} }
 
 // Apply implements Object.
 func (s *FragStore) Apply(client types.ClientID, inv Invocation) (Response, error) {

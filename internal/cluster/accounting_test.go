@@ -40,7 +40,7 @@ func TestAccountingAcrossMembershipChanges(t *testing.T) {
 			name: "place register on 0",
 			do: func(t *testing.T) {
 				var err error
-				if r0, err = c.PlaceRegister(0); err != nil {
+				if r0, err = c.PlaceRegister(0, baseobj.WriterRange{}); err != nil {
 					t.Fatal(err)
 				}
 			},

@@ -415,7 +415,7 @@ func (c *Cluster) each(visit func(obj types.ObjectID, e *Entry)) {
 // critical section: no placement can land on a server a concurrent
 // CommitView just retired. A cell kind is built in place in the next arena
 // entry; a fragment store is a heap entry.
-func (c *Cluster) place(server types.ServerID, kind baseobj.Kind, writers []types.ClientID) (types.ObjectID, error) {
+func (c *Cluster) place(server types.ServerID, kind baseobj.Kind, writers baseobj.WriterRange) (types.ObjectID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	srv, err := c.memberLocked(server)
@@ -449,26 +449,26 @@ func (c *Cluster) place(server types.ServerID, kind baseobj.Kind, writers []type
 }
 
 // PlaceRegister creates a read/write register on the given server and
-// returns its ID. A non-empty writers restricts the writer set (z-writer
-// registers).
-func (c *Cluster) PlaceRegister(server types.ServerID, writers ...types.ClientID) (types.ObjectID, error) {
+// returns its ID. Only clients in the writers range may write it (the
+// z-writer registers of Theorem 3); the zero range leaves it unrestricted.
+func (c *Cluster) PlaceRegister(server types.ServerID, writers baseobj.WriterRange) (types.ObjectID, error) {
 	return c.place(server, baseobj.KindRegister, writers)
 }
 
 // PlaceMaxRegister creates a max-register on the given server.
 func (c *Cluster) PlaceMaxRegister(server types.ServerID) (types.ObjectID, error) {
-	return c.place(server, baseobj.KindMaxRegister, nil)
+	return c.place(server, baseobj.KindMaxRegister, baseobj.WriterRange{})
 }
 
 // PlaceCASCell creates a CAS cell on the given server.
 func (c *Cluster) PlaceCASCell(server types.ServerID) (types.ObjectID, error) {
-	return c.place(server, baseobj.KindCAS, nil)
+	return c.place(server, baseobj.KindCAS, baseobj.WriterRange{})
 }
 
 // PlaceFragStore creates an erasure-coded fragment store on the given
 // server.
 func (c *Cluster) PlaceFragStore(server types.ServerID) (types.ObjectID, error) {
-	return c.place(server, baseobj.KindFragStore, nil)
+	return c.place(server, baseobj.KindFragStore, baseobj.WriterRange{})
 }
 
 // recloneLocked publishes a fresh unsealed clone of obj holding state on

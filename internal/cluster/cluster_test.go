@@ -32,7 +32,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestPlacementAndDelta(t *testing.T) {
 	c := mustCluster(t, 3)
-	r, err := c.PlaceRegister(0)
+	r, err := c.PlaceRegister(0, baseobj.WriterRange{})
 	if err != nil {
 		t.Fatalf("PlaceRegister: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestPlacementAndDelta(t *testing.T) {
 
 func TestPlacementErrors(t *testing.T) {
 	c := mustCluster(t, 2)
-	if _, err := c.PlaceRegister(5); !errors.Is(err, ErrNoSuchServer) {
+	if _, err := c.PlaceRegister(5, baseobj.WriterRange{}); !errors.Is(err, ErrNoSuchServer) {
 		t.Errorf("place on missing server err = %v, want ErrNoSuchServer", err)
 	}
 	if _, err := c.Delta(42); !errors.Is(err, ErrNoSuchObject) {
@@ -88,7 +88,7 @@ func TestPlacementErrors(t *testing.T) {
 
 func TestApplyRoutes(t *testing.T) {
 	c := mustCluster(t, 2)
-	obj, err := c.PlaceRegister(1)
+	obj, err := c.PlaceRegister(1, baseobj.WriterRange{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestApplyRoutes(t *testing.T) {
 
 func TestCrashSemantics(t *testing.T) {
 	c := mustCluster(t, 3)
-	onCrashed, err := c.PlaceRegister(0)
+	onCrashed, err := c.PlaceRegister(0, baseobj.WriterRange{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	onAlive, err := c.PlaceRegister(1)
+	onAlive, err := c.PlaceRegister(1, baseobj.WriterRange{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +149,10 @@ func TestCrashSemantics(t *testing.T) {
 
 func TestServerAccessors(t *testing.T) {
 	c := mustCluster(t, 2)
-	if _, err := c.PlaceRegister(0); err != nil {
+	if _, err := c.PlaceRegister(0, baseobj.WriterRange{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PlaceRegister(0); err != nil {
+	if _, err := c.PlaceRegister(0, baseobj.WriterRange{}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := c.Server(0)
@@ -172,7 +172,7 @@ func TestObjectIDsAreUniqueAcrossServers(t *testing.T) {
 	seen := make(map[types.ObjectID]bool)
 	for s := 0; s < 4; s++ {
 		for i := 0; i < 5; i++ {
-			id, err := c.PlaceRegister(types.ServerID(s))
+			id, err := c.PlaceRegister(types.ServerID(s), baseobj.WriterRange{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func TestPlacementRefusesDepartedServer(t *testing.T) {
 	}
 	epoch := c.Epoch()
 	for name, place := range map[string]func() (types.ObjectID, error){
-		"register":     func() (types.ObjectID, error) { return c.PlaceRegister(0) },
+		"register":     func() (types.ObjectID, error) { return c.PlaceRegister(0, baseobj.WriterRange{}) },
 		"max-register": func() (types.ObjectID, error) { return c.PlaceMaxRegister(0) },
 		"cas":          func() (types.ObjectID, error) { return c.PlaceCASCell(0) },
 		"frag-store":   func() (types.ObjectID, error) { return c.PlaceFragStore(0) },

@@ -68,7 +68,7 @@ var _ abdcore.Chain = (*chain)(nil)
 // scan over every store — counts the server once all k answered.
 func place(c *cluster.Cluster, k int, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 	for w := 0; w < k; w++ {
-		obj, err := c.PlaceRegister(server, types.ClientID(w))
+		obj, err := c.PlaceRegister(server, baseobj.WriterRange{Lo: types.ClientID(w), Hi: types.ClientID(w + 1)})
 		if err != nil {
 			return objs, err
 		}

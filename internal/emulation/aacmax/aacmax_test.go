@@ -81,9 +81,10 @@ func TestWriteReadAcrossWriters(t *testing.T) {
 func TestPerWriterRegistersAreSingleWriter(t *testing.T) {
 	_, fab := newReg(t, 2, 1)
 	c := fab.Cluster()
-	// Every placed register must be restricted to exactly one writer:
-	// writing it as another client is rejected by the base layer.
-	for _, obj := range c.AllObjects() {
+	// Every placed register must be restricted to exactly one writer — the
+	// w-th register of a store to writer w — so writing it as another client
+	// is rejected by the base layer.
+	for i, obj := range c.AllObjects() {
 		o, err := c.Object(obj)
 		if err != nil {
 			t.Fatal(err)
@@ -91,8 +92,9 @@ func TestPerWriterRegistersAreSingleWriter(t *testing.T) {
 		if o.Kind() != baseobj.KindRegister {
 			t.Fatalf("object %d is not a register", obj)
 		}
-		if ws := o.Writers(); len(ws) != 1 {
-			t.Errorf("object %d writer set = %v, want one writer", obj, ws)
+		w := types.ClientID(i % 2)
+		if ws := o.Writers(); ws != (baseobj.WriterRange{Lo: w, Hi: w + 1}) {
+			t.Errorf("object %d writer range = %v, want writer %d alone", obj, ws, w)
 		}
 	}
 }

@@ -47,6 +47,6 @@ func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Registe
 
 // place is the store recipe: one unrestricted plain register.
 func place(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
-	obj, err := c.PlaceRegister(server)
+	obj, err := c.PlaceRegister(server, baseobj.WriterRange{})
 	return append(objs, obj), err
 }

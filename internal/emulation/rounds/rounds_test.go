@@ -155,7 +155,7 @@ func TestScatterFailsFastOnProtocolError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := c.PlaceRegister(0, 0)
+	obj, err := c.PlaceRegister(0, baseobj.WriterRange{Lo: 0, Hi: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

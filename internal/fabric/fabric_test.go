@@ -21,7 +21,7 @@ func testEnv(t *testing.T, gate Gate) (*Fabric, []types.ObjectID) {
 	}
 	objs := make([]types.ObjectID, 3)
 	for s := 0; s < 3; s++ {
-		obj, err := c.PlaceRegister(types.ServerID(s))
+		obj, err := c.PlaceRegister(types.ServerID(s), baseobj.WriterRange{})
 		if err != nil {
 			t.Fatal(err)
 		}

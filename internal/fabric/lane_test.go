@@ -21,7 +21,7 @@ func laneEnv(t *testing.T, maker LaneMaker, gate Gate) (*Fabric, []types.ObjectI
 	}
 	objs := make([]types.ObjectID, 3)
 	for s := 0; s < 3; s++ {
-		obj, err := c.PlaceRegister(types.ServerID(s))
+		obj, err := c.PlaceRegister(types.ServerID(s), baseobj.WriterRange{})
 		if err != nil {
 			t.Fatal(err)
 		}

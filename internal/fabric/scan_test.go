@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseobj"
 	"repro/internal/cluster"
 	"repro/internal/types"
 )
@@ -20,7 +21,7 @@ func scanEnv(t *testing.T, k int, maker LaneMaker) (*Fabric, []types.ObjectID) {
 	}
 	objs := make([]types.ObjectID, k)
 	for i := range objs {
-		obj, err := c.PlaceRegister(0)
+		obj, err := c.PlaceRegister(0, baseobj.WriterRange{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func TestConcurrentHoldReleaseCrashStress(t *testing.T) {
 	var objs []types.ObjectID
 	for s := 0; s < servers; s++ {
 		for i := 0; i < objsPer; i++ {
-			obj, err := c.PlaceRegister(types.ServerID(s))
+			obj, err := c.PlaceRegister(types.ServerID(s), baseobj.WriterRange{})
 			if err != nil {
 				t.Fatal(err)
 			}

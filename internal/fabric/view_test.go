@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -44,11 +45,16 @@ func waitOutcome(t *testing.T, fab *Fabric, client types.ClientID, obj types.Obj
 
 // TestReplaceTransfersState pins the full freeze → drain → transfer →
 // activate sequence on the in-process lane: the written value survives the
-// move, routes re-resolve to the joiner, the view drops the departed
-// server, and a departure is not a crash.
+// move, routes re-resolve to the joiner, a moved register keeps its writer
+// range, the view drops the departed server, and a departure is not a
+// crash.
 func TestReplaceTransfersState(t *testing.T) {
 	fab, objs := testEnv(t, nil)
 	c := fab.Cluster()
+	restricted, err := c.PlaceRegister(0, baseobj.WriterRange{Lo: 0, Hi: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if o := mustOutcome(t, fab.Trigger(0, objs[0], writeInv(5, 42))); o.Err != nil {
 		t.Fatalf("write: %v", o.Err)
 	}
@@ -78,6 +84,15 @@ func TestReplaceTransfersState(t *testing.T) {
 	}
 	if o := mustOutcome(t, fab.Trigger(1, objs[0], readInv())); o.Err != nil || o.Resp.Val.Val != 42 {
 		t.Fatalf("read after transfer = %+v, want val 42", o)
+	}
+	if s, err := c.Delta(restricted); err != nil || s != newID {
+		t.Fatalf("Delta(%d) = %d, %v; want %d", restricted, s, err, newID)
+	}
+	if o := mustOutcome(t, fab.Trigger(1, restricted, writeInv(1, 7))); !errors.Is(o.Err, baseobj.ErrUnauthorizedWriter) {
+		t.Fatalf("foreign write on the moved register err = %v, want ErrUnauthorizedWriter", o.Err)
+	}
+	if o := mustOutcome(t, fab.Trigger(0, restricted, writeInv(1, 7))); o.Err != nil {
+		t.Fatalf("writer 0 on the moved register: %v", o.Err)
 	}
 	// Writes keep flowing to the migrated object through the old object ID.
 	if o := mustOutcome(t, fab.Trigger(0, objs[0], writeInv(6, 43))); o.Err != nil {

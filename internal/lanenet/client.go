@@ -300,7 +300,7 @@ func (c *Client) enqueue(it outItem) {
 }
 
 // MirrorObject implements fabric.ObjectMirror: it replicates the object's
-// kind (and, for registers, the declared writer set) to the node before
+// kind (and, for registers, the writer range) to the node before
 // any operation on the object is delivered. The placement rides the same
 // FIFO queue as invocations, preserving place-before-apply.
 func (c *Client) MirrorObject(obj baseobj.Object) {

@@ -54,13 +54,15 @@ var (
 		{req: 44, status: statusOK, resp: baseobj.Response{Op: baseobj.OpRead, Val: types.TSValue{TS: 6, Writer: 1, Val: 12}}},
 		{req: 44, status: statusUnknownObject, msg: "object 300 not hosted"},
 	}
-	samplePlace = placeReq{obj: 7, kind: baseobj.KindFragStore, writers: []types.ClientID{0, 3},
+	samplePlace = placeReq{obj: 7, kind: baseobj.KindFragStore, writers: baseobj.WriterRange{Lo: 1, Hi: 4},
 		state: baseobj.State{Val: types.TSValue{TS: 9, Writer: 2, Val: 77}, Data: types.Payload{5, 6, 7}, Frags: []baseobj.Fragment{sampleFrag}}}
 )
 
 // goldenFrames pins the wire bytes of one frame of every type. The hex was
 // produced by the pre-append encoders (encodeX + writeFrame at PR 15), so a
-// match is the check that the in-place encoders left the format alone.
+// match is the check that the in-place encoders left the format alone. The
+// place frame's hex was written by hand when its writer list became the
+// fixed writer range: Lo and Hi as two u32s after the kind byte.
 var goldenFrames = []struct {
 	name string
 	body func() []byte
@@ -77,7 +79,8 @@ var goldenFrames = []struct {
 	{"scanResp", func() []byte { return appendScanResp(nil, 44, sampleScanResp) },
 		"0000005c05000000000000002c00020001000000000000000600000001000000000000000c00000000000000000300000000000000000000000000000000000000000000156f626a65637420333030206e6f7420686f73746564000000000000"},
 	{"place", func() []byte { return appendPlace(nil, samplePlace) },
-		"0000005201000000070400020000000000000003000000000000000900000002000000000000004d000000030506070001000000000000000900000002000000000000004d00030003000100000100000004deadbeef"},
+		"0000005001000000070400000001000000040000000000000009" +
+			"00000002000000000000004d000000030506070001000000000000000900000002000000000000004d00030003000100000100000004deadbeef"},
 	{"bind", func() []byte { return appendBind(nil, "shard-17") },
 		"0000000b06000873686172642d3137"},
 }
@@ -282,7 +285,7 @@ func TestLargeValuesOverTCPLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := c.PlaceRegister(0)
+	reg, err := c.PlaceRegister(0, baseobj.WriterRange{})
 	if err != nil {
 		t.Fatal(err)
 	}

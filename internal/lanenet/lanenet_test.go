@@ -1,6 +1,7 @@
 package lanenet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -51,7 +52,7 @@ func netEnv(t *testing.T, n int) (*fabric.Fabric, []types.ObjectID, []*Client, [
 	}
 	objs := make([]types.ObjectID, n)
 	for s := 0; s < n; s++ {
-		obj, err := c.PlaceRegister(types.ServerID(s))
+		obj, err := c.PlaceRegister(types.ServerID(s), baseobj.WriterRange{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,12 +85,12 @@ func awaitDone(t *testing.T, call *fabric.Call, done <-chan fabric.Outcome) fabr
 
 // TestProtoRoundTrip pins the wire encoding of every message type.
 func TestProtoRoundTrip(t *testing.T) {
-	p := placeReq{obj: 7, kind: baseobj.KindRegister, writers: []types.ClientID{0, 3}}
+	p := placeReq{obj: 7, kind: baseobj.KindRegister, writers: baseobj.WriterRange{Lo: 0, Hi: 3}}
 	pd, err := decodePlace(appendPlace(nil, p)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pd.obj != p.obj || pd.kind != p.kind || len(pd.writers) != 2 || pd.writers[1] != 3 {
+	if pd.obj != p.obj || pd.kind != p.kind || pd.writers != p.writers {
 		t.Fatalf("place round trip = %+v, want %+v", pd, p)
 	}
 
@@ -239,23 +240,49 @@ func TestNetworkLaneProtocolErrorsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obj, err := c.PlaceRegister(0, 0)
+	obj, err := c.PlaceRegister(0, baseobj.WriterRange{Lo: 0, Hi: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c, fabric.WithLanes(maker))
 	t.Cleanup(func() { fab.Close() })
 
-	// Client 5 is not in the writer set: the remote register must enforce
-	// the mirrored bound.
-	o := await(t, fab, 5, obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Writer: 5}})
-	if !errors.Is(o.Err, baseobj.ErrUnauthorizedWriter) {
-		t.Fatalf("unauthorized write err = %v, want ErrUnauthorizedWriter", o.Err)
+	// Clients 5 and 1 — the range's Hi — are outside the writer range
+	// [0, 1): the remote register must enforce the mirrored bound, and let
+	// writer 0 through.
+	checkRange := func(where string) {
+		t.Helper()
+		for _, w := range []types.ClientID{5, 1} {
+			o := await(t, fab, w, obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Writer: w}})
+			if !errors.Is(o.Err, baseobj.ErrUnauthorizedWriter) {
+				t.Fatalf("%s: write by %d err = %v, want ErrUnauthorizedWriter", where, w, o.Err)
+			}
+		}
+		if o := await(t, fab, 0, obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Writer: 0}}); o.Err != nil {
+			t.Fatalf("%s: write by writer 0: %v", where, o.Err)
+		}
 	}
+	checkRange("placed")
 	// Wrong op kind round-trips too.
-	o = await(t, fab, 0, obj, baseobj.Invocation{Op: baseobj.OpCAS})
+	o := await(t, fab, 0, obj, baseobj.Invocation{Op: baseobj.OpCAS})
 	if !errors.Is(o.Err, baseobj.ErrWrongOp) {
 		t.Fatalf("wrong-op err = %v, want ErrWrongOp", o.Err)
+	}
+	// Moved by a Replace onto a fresh node, the register keeps its range: the
+	// stateful place frame carries it.
+	fresh, _ := startNodes(t, 1)
+	joiner, err := Dial(fresh[0], time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fab.Replace(context.Background(), 0, func(types.ServerID) fabric.Lane { return joiner }); err != nil {
+		t.Fatalf("Replace: %v", err)
+	}
+	checkRange("moved")
+	// A peer's place frame with an inverted range is refused.
+	inverted := appendPlace(nil, placeReq{obj: 2, kind: baseobj.KindRegister, writers: baseobj.WriterRange{Lo: 3, Hi: 2}})
+	if _, err := decodePlace(inverted[1:]); err == nil {
+		t.Fatal("decodePlace accepted the writer range [3, 2)")
 	}
 }
 
@@ -399,7 +426,7 @@ func TestMultiTableNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obj, err := c.PlaceRegister(0)
+		obj, err := c.PlaceRegister(0, baseobj.WriterRange{})
 		if err != nil {
 			t.Fatal(err)
 		}

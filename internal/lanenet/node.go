@@ -300,7 +300,7 @@ func (t *nodeTable) place(p placeReq) {
 	if _, ok := t.objects[p.obj]; ok {
 		return
 	}
-	obj, err := baseobj.New(p.kind, p.obj, p.writers...)
+	obj, err := baseobj.New(p.kind, p.obj, p.writers)
 	if err != nil {
 		return
 	}

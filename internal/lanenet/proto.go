@@ -83,7 +83,7 @@ const maxFrame = 8 << 20
 type placeReq struct {
 	obj     types.ObjectID
 	kind    baseobj.Kind
-	writers []types.ClientID
+	writers baseobj.WriterRange
 	// state is the object's full state at mirror time (TSValue plus
 	// payload bytes plus fragments). A fresh placement is materialized at
 	// this state, which is what carries transferred state onto a
@@ -318,15 +318,15 @@ func fragListAt(b []byte, off int) ([]baseobj.Fragment, int, error) {
 	return frags, off, nil
 }
 
-// appendPlace encodes a msgPlace body.
+// appendPlace encodes a msgPlace body: object id (u32), kind (u8), the
+// writer range's Lo and Hi (u32 each; 0, 0 is unrestricted), then the state
+// — TSValue, payload, fragment list.
 func appendPlace(b []byte, p placeReq) []byte {
 	b = append(b, msgPlace)
 	b = binary.BigEndian.AppendUint32(b, uint32(p.obj))
 	b = append(b, byte(p.kind))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(p.writers)))
-	for _, w := range p.writers {
-		b = binary.BigEndian.AppendUint32(b, uint32(w))
-	}
+	b = binary.BigEndian.AppendUint32(b, uint32(p.writers.Lo))
+	b = binary.BigEndian.AppendUint32(b, uint32(p.writers.Hi))
 	b = appendTSValue(b, p.state.Val)
 	b = appendPayload(b, p.state.Data)
 	return appendFragList(b, p.state.Frags)
@@ -334,22 +334,22 @@ func appendPlace(b []byte, p placeReq) []byte {
 
 // decodePlace decodes a msgPlace body (after the type byte).
 func decodePlace(b []byte) (placeReq, error) {
-	if len(b) < 7 {
+	if len(b) < 13 {
 		return placeReq{}, fmt.Errorf("lanenet: truncated place")
 	}
 	p := placeReq{
 		obj:  types.ObjectID(int32(binary.BigEndian.Uint32(b))),
 		kind: baseobj.Kind(b[4]),
+		writers: baseobj.WriterRange{
+			Lo: types.ClientID(int32(binary.BigEndian.Uint32(b[5:]))),
+			Hi: types.ClientID(int32(binary.BigEndian.Uint32(b[9:]))),
+		},
 	}
-	n := int(binary.BigEndian.Uint16(b[5:]))
-	if len(b) < 7+4*n+20 {
-		return placeReq{}, fmt.Errorf("lanenet: truncated place writer set")
-	}
-	for i := 0; i < n; i++ {
-		p.writers = append(p.writers, types.ClientID(int32(binary.BigEndian.Uint32(b[7+4*i:]))))
+	if p.writers.Hi < p.writers.Lo {
+		return placeReq{}, fmt.Errorf("lanenet: place writer range [%d, %d) is inverted", p.writers.Lo, p.writers.Hi)
 	}
 	var err error
-	off := 7 + 4*n
+	off := 13
 	if p.state.Val, off, err = tsValueAt(b, off); err != nil {
 		return placeReq{}, err
 	}

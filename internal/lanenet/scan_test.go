@@ -27,7 +27,7 @@ func scanNetEnv(t *testing.T, k int) (*fabric.Fabric, []types.ObjectID, []*Clien
 	}
 	objs := make([]types.ObjectID, k)
 	for i := range objs {
-		obj, err := c.PlaceRegister(0)
+		obj, err := c.PlaceRegister(0, baseobj.WriterRange{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestTCPLaneCrashBetweenDequeueAndWrite(t *testing.T) {
 	}
 	objs := make([]types.ObjectID, 3)
 	for i := range objs {
-		obj, err := c.PlaceRegister(0)
+		obj, err := c.PlaceRegister(0, baseobj.WriterRange{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,9 +9,11 @@
 //
 // where the last set is an overflow set of (k mod z)*f + f + 1 registers if
 // z does not divide k. Sets are pairwise disjoint, every register of a set
-// lives on a distinct server (|delta(R_i)| = |R_i|), writer w is mapped to
-// set floor(w/z), any |R_i|-f registers of R_i form a write quorum, and all
-// registers on any n-f servers form a read quorum.
+// lives on a distinct server (|delta(R_i)| = |R_i|), and writer w is mapped
+// to set floor(w/z): R_j's registers admit exactly the client-ID range
+// [j*z, min((j+1)*z, k)). A writer of R_j waits for |R_j|-f
+// acknowledgements and a collect for complete scans of all but f of the
+// servers hosting registers; package regemu derives both.
 package layout
 
 import (
@@ -19,18 +21,14 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/baseobj"
 	"repro/internal/bounds"
 	"repro/internal/cluster"
 	"repro/internal/types"
 )
 
-// Errors reported by the layout engine.
-var (
-	// ErrNoSuchSet is returned for set indices outside [0, m).
-	ErrNoSuchSet = errors.New("layout: no such register set")
-	// ErrNoSuchWriter is returned for writer indices outside [0, k).
-	ErrNoSuchWriter = errors.New("layout: no such writer")
-)
+// ErrNoSuchSet is returned for set indices outside [0, m).
+var ErrNoSuchSet = errors.New("layout: no such register set")
 
 // Plan is the abstract placement: set sizes, writer mapping, and the
 // register -> server assignment, independent of any concrete cluster.
@@ -60,13 +58,15 @@ func NewPlan(k, f, n int) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	last, err := bounds.OverflowSetSize(k, f, n)
+	if err != nil {
+		return nil, err
+	}
 	sizes := make([]int, m)
 	for j := range sizes {
 		sizes[j] = y
 	}
-	if rem := k % z; rem != 0 {
-		sizes[m-1] = rem*f + f + 1
-	}
+	sizes[m-1] = last
 	return &Plan{K: k, F: f, N: n, Z: z, Y: y, M: m, SetSizes: sizes}, nil
 }
 
@@ -78,31 +78,6 @@ func (p *Plan) TotalRegisters() int {
 		total += sz
 	}
 	return total
-}
-
-// SetForWriter returns the register set index floor(w/z) serving writer w.
-func (p *Plan) SetForWriter(w int) (int, error) {
-	if w < 0 || w >= p.K {
-		return 0, fmt.Errorf("%w: %d (k=%d)", ErrNoSuchWriter, w, p.K)
-	}
-	return w / p.Z, nil
-}
-
-// WritersOfSet returns the writer indices mapped to set j.
-func (p *Plan) WritersOfSet(j int) ([]int, error) {
-	if j < 0 || j >= p.M {
-		return nil, fmt.Errorf("%w: %d (m=%d)", ErrNoSuchSet, j, p.M)
-	}
-	lo := j * p.Z
-	hi := lo + p.Z
-	if hi > p.K {
-		hi = p.K
-	}
-	writers := make([]int, 0, hi-lo)
-	for w := lo; w < hi; w++ {
-		writers = append(writers, w)
-	}
-	return writers, nil
 }
 
 // ServerFor returns the server hosting register idx of set j. Registers of
@@ -131,19 +106,6 @@ func (p *Plan) PerServerCounts() []int {
 	}
 	return counts
 }
-
-// WriteQuorumSize returns |R_j| - f, the number of acknowledgements a
-// writer of set j waits for.
-func (p *Plan) WriteQuorumSize(j int) (int, error) {
-	if j < 0 || j >= p.M {
-		return 0, fmt.Errorf("%w: %d (m=%d)", ErrNoSuchSet, j, p.M)
-	}
-	return p.SetSizes[j] - p.F, nil
-}
-
-// ReadQuorumServers returns n - f, the number of complete server scans a
-// collect waits for.
-func (p *Plan) ReadQuorumServers() int { return p.N - p.F }
 
 // Verify checks the structural invariants the construction relies on:
 // every set size is between 2f+1 and n, set sizes sum to the Theorem 3
@@ -202,29 +164,23 @@ func (p *Plan) Render() string {
 // being members[i] — the view's members, or inside a transition's frozen
 // window the members it activates — and returns the sets: sets[j] lists the
 // object IDs of R_j in server-assignment order. Each register of set j is
-// restricted to the writers of set j (the z-writer registers of Theorem 3),
-// so any write by a foreign client is a detectable protocol violation.
+// restricted to the writers of set j, the range [j*z, min((j+1)*z, k)) (the
+// z-writer registers of Theorem 3), so any write by a foreign client is a
+// detectable protocol violation.
 func Materialize(c *cluster.Cluster, p *Plan, members []types.ServerID) ([][]types.ObjectID, error) {
 	if len(members) != p.N {
 		return nil, fmt.Errorf("layout: %d members, plan wants %d", len(members), p.N)
 	}
 	sets := make([][]types.ObjectID, p.M)
 	for j, sz := range p.SetSizes {
-		writers, err := p.WritersOfSet(j)
-		if err != nil {
-			return nil, err
-		}
-		clientIDs := make([]types.ClientID, len(writers))
-		for i, w := range writers {
-			clientIDs[i] = types.ClientID(w)
-		}
+		writers := baseobj.WriterRange{Lo: types.ClientID(j * p.Z), Hi: types.ClientID(min((j+1)*p.Z, p.K))}
 		sets[j] = make([]types.ObjectID, 0, sz)
 		for idx := 0; idx < sz; idx++ {
 			i, err := p.ServerFor(j, idx)
 			if err != nil {
 				return nil, err
 			}
-			obj, err := c.PlaceRegister(members[i], clientIDs...)
+			obj, err := c.PlaceRegister(members[i], writers)
 			if err != nil {
 				return nil, err
 			}

@@ -62,36 +62,54 @@ func TestOverflowSet(t *testing.T) {
 	}
 }
 
-func TestWriterMapping(t *testing.T) {
-	p := mustPlan(t, 5, 2, 7) // z = 2
-	wantSet := []int{0, 0, 1, 1, 2}
-	for w, want := range wantSet {
-		got, err := p.SetForWriter(w)
-		if err != nil {
-			t.Fatalf("SetForWriter(%d): %v", w, err)
-		}
-		if got != want {
-			t.Errorf("SetForWriter(%d) = %d, want %d", w, got, want)
-		}
+// materialize places p's registers on a fresh cluster of p.N servers.
+func materialize(t *testing.T, p *Plan) (*cluster.Cluster, [][]types.ObjectID) {
+	t.Helper()
+	c, err := cluster.New(p.N)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := p.SetForWriter(5); !errors.Is(err, ErrNoSuchWriter) {
-		t.Errorf("out-of-range writer err = %v", err)
+	sets, err := Materialize(c, p, c.Members())
+	if err != nil {
+		t.Fatalf("Materialize: %v", err)
 	}
-	// WritersOfSet inverts SetForWriter.
-	for j := 0; j < p.M; j++ {
-		writers, err := p.WritersOfSet(j)
-		if err != nil {
-			t.Fatalf("WritersOfSet(%d): %v", j, err)
-		}
-		for _, w := range writers {
-			set, _ := p.SetForWriter(w)
-			if set != j {
-				t.Errorf("writer %d in set %d but maps to %d", w, j, set)
+	return c, sets
+}
+
+// setRanges materializes p and returns each set's writer range, failing
+// unless every register of a set carries the same one.
+func setRanges(t *testing.T, p *Plan) []baseobj.WriterRange {
+	t.Helper()
+	c, sets := materialize(t, p)
+	ranges := make([]baseobj.WriterRange, len(sets))
+	for j, set := range sets {
+		for idx, obj := range set {
+			o, err := c.Object(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if idx == 0 {
+				ranges[j] = o.Writers()
+			} else if o.Writers() != ranges[j] {
+				t.Fatalf("set %d: register %d admits %v, register 0 %v", j, idx, o.Writers(), ranges[j])
 			}
 		}
 	}
-	if _, err := p.WritersOfSet(99); !errors.Is(err, ErrNoSuchSet) {
-		t.Errorf("out-of-range set err = %v", err)
+	return ranges
+}
+
+func TestWriterMapping(t *testing.T) {
+	p := mustPlan(t, 5, 2, 7) // z = 2
+	ranges := setRanges(t, p)
+	// Writer w's registers are those of set floor(w/z): exactly that set's
+	// range admits w. Writer k belongs to no set.
+	wantSet := []int{0, 0, 1, 1, 2, -1}
+	for w, want := range wantSet {
+		for j, r := range ranges {
+			if got := r.Admits(types.ClientID(w)); got != (j == want) {
+				t.Errorf("set %d %v admits writer %d: %v, want %v", j, r, w, got, j == want)
+			}
+		}
 	}
 }
 
@@ -104,25 +122,6 @@ func TestTheorem6PerServerCounts(t *testing.T) {
 				t.Errorf("k=%d f=%d: server %d hosts %d, want k=%d", tc.k, tc.f, s, c, tc.k)
 			}
 		}
-	}
-}
-
-func TestQuorumSizes(t *testing.T) {
-	p := mustPlan(t, 5, 2, 7)
-	for j := 0; j < p.M; j++ {
-		q, err := p.WriteQuorumSize(j)
-		if err != nil {
-			t.Fatalf("WriteQuorumSize(%d): %v", j, err)
-		}
-		if q != p.SetSizes[j]-p.F {
-			t.Errorf("write quorum of set %d = %d, want %d", j, q, p.SetSizes[j]-p.F)
-		}
-	}
-	if p.ReadQuorumServers() != p.N-p.F {
-		t.Errorf("read quorum = %d, want n-f = %d", p.ReadQuorumServers(), p.N-p.F)
-	}
-	if _, err := p.WriteQuorumSize(99); !errors.Is(err, ErrNoSuchSet) {
-		t.Errorf("quorum of missing set err = %v", err)
 	}
 }
 
@@ -154,27 +153,27 @@ func TestPlanPropertyInvariants(t *testing.T) {
 		if p.Verify() != nil {
 			return false
 		}
-		// Every writer has a set; every set has at most z writers.
-		for w := 0; w < k; w++ {
-			j, err := p.SetForWriter(w)
-			if err != nil || j < 0 || j >= p.M {
+		// The sets' writer ranges tile [0, k) in order — every writer has
+		// exactly one set — and every set has between 1 and z writers.
+		next := types.ClientID(0)
+		for j, r := range setRanges(t, p) {
+			writers := int(r.Hi - r.Lo)
+			if r.Lo != next || writers < 1 || writers > p.Z {
 				return false
 			}
-		}
-		for j := 0; j < p.M; j++ {
-			writers, err := p.WritersOfSet(j)
-			if err != nil || len(writers) == 0 || len(writers) > p.Z {
-				return false
-			}
+			next = r.Hi
 			// Theorem 3 set sizing: |R_j| = (#writers)*f + f + 1 for the
 			// overflow set, z*f + f + 1 otherwise.
-			want := len(writers)*f + f + 1
+			want := writers*f + f + 1
 			if j < p.M-1 {
 				want = p.Y
 			}
 			if p.SetSizes[j] != want {
 				return false
 			}
+		}
+		if next != types.ClientID(k) {
+			return false
 		}
 		// Per-server counts sum to the total.
 		sum := 0
@@ -190,14 +189,7 @@ func TestPlanPropertyInvariants(t *testing.T) {
 func TestMaterialize(t *testing.T) {
 	const k, f, n = 5, 2, 7
 	p := mustPlan(t, k, f, n)
-	c, err := cluster.New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets, err := Materialize(c, p, c.Members())
-	if err != nil {
-		t.Fatalf("Materialize: %v", err)
-	}
+	c, sets := materialize(t, p)
 	if got := c.ResourceComplexity(); got != p.TotalRegisters() {
 		t.Fatalf("cluster objects = %d, want %d", got, p.TotalRegisters())
 	}
@@ -232,6 +224,20 @@ func TestMaterialize(t *testing.T) {
 	}
 	if _, err := c.Apply(set0, 1000, okInv); !errors.Is(err, baseobj.ErrUnauthorizedWriter) {
 		t.Errorf("foreign client err = %v, want ErrUnauthorizedWriter", err)
+	}
+	// At the range boundaries: every register of R_j accepts R_j's last
+	// writer and refuses the first writer of R_{j+1} (k for the last set).
+	for j, set := range sets {
+		next := types.ClientID(min((j+1)*p.Z, k))
+		last := next - 1
+		for idx, obj := range set {
+			if _, err := c.Apply(obj, last, okInv); err != nil {
+				t.Errorf("set %d reg %d refused its last writer %d: %v", j, idx, last, err)
+			}
+			if _, err := c.Apply(obj, next, okInv); !errors.Is(err, baseobj.ErrUnauthorizedWriter) {
+				t.Errorf("set %d reg %d writer %d err = %v, want ErrUnauthorizedWriter", j, idx, next, err)
+			}
+		}
 	}
 }
 

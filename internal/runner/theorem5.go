@@ -52,7 +52,7 @@ func RunTheorem5(ctx context.Context, f int) (*Theorem5Report, error) {
 	}
 	objs := make([]types.ObjectID, n)
 	for s := 0; s < n; s++ {
-		obj, err := env.Cluster.PlaceRegister(types.ServerID(s))
+		obj, err := env.Cluster.PlaceRegister(types.ServerID(s), baseobj.WriterRange{})
 		if err != nil {
 			return nil, err
 		}

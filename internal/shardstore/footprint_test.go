@@ -36,9 +36,12 @@ import (
 // 26.02 / 2,304 B at k = 1, n = 7; with its first placement inside the
 // register and held in two slices (the layout's ServerOf map, the plan and
 // the set copies gone) and its writers in emulation.Writers (no per-writer
-// handle or cover map) it reads 14.02 / 1,410 B — six of them the
-// writer-restriction maps of its three registers. Each ceiling is the later reading plus slack for
-// size-class drift.
+// handle or cover map) it reads 14.02 / 1,400–1,410 B — six of them the
+// writer-restriction maps of its three registers. With a register's writer
+// restriction one client-ID range inside its cell instead of a map, regemu
+// reads 8.02 / 1,008–1,034 B and aac-max, whose k registers per server are
+// single-writer, 12.02 / 1,456–1,466 B (18.02 / 1,842–1,850 B before). Each
+// ceiling is the later reading plus slack for size-class drift.
 func TestKeyFootprintAllocCeiling(t *testing.T) {
 	const keys = 4096
 	for _, tc := range []struct {
@@ -50,8 +53,8 @@ func TestKeyFootprintAllocCeiling(t *testing.T) {
 	}{
 		{runner.KindABDMax, true, 3, 5.10, 1150},
 		{runner.KindCASMax, true, 3, 6.10, 1150},
-		{runner.KindAACMax, false, 3, 18.10, 1950},
-		{runner.KindRegEmu, false, 0, 14.10, 1500},
+		{runner.KindAACMax, false, 3, 12.10, 1550},
+		{runner.KindRegEmu, false, 0, 8.10, 1100},
 		{runner.KindCoded, false, 0, 36.10, 3000},
 	} {
 		t.Run(string(tc.kind), func(t *testing.T) {
