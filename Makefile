@@ -113,13 +113,14 @@ race-sweep:
 # async engine under the race detector, repeated and at three GOMAXPROCS
 # settings: every quorum condition and reducer of the one scatter, the
 # recycled round's lifetime (thousands of rounds with one responder delayed
-# past the quorum and a Replace mid-run: no report twice, none with another
+# past the quorum and a swap mid-run: no report twice, none with another
 # round's value) and, one layer up, the recycled op, handle and chain records'
 # (the same run through one engine: every completion once, with its own op's
 # value; an engine closed with ops in flight never recycles them), the
 # cancellation contract on all six constructions and both lanes, the reused
 # writer handle after an abandoned write (quorum register, regemu, coded),
-# and view-change retries through a Replace. Selected by package — no name list to rot.
+# and view-change retries through a one-for-one swap. Selected by package —
+# no name list to rot.
 race-rounds:
 	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/emulation ./internal/emulation/rounds ./internal/emulation/abdcore ./internal/emulation/async
 
@@ -159,8 +160,8 @@ race-lanes:
 # arena (blocks growing from small; a moved, rolled-back or removed arena
 # copy retired — ErrSealed, no payload pinned), PerServerBytes racing
 # joins, the fabric's zero-allocation first-touch and post-transition
-# sweeps, and lookups racing two rolling Replaces (one slot store per moved
-# object).
+# sweeps, and lookups racing two rolling one-for-one swaps (one slot store
+# per moved object).
 # Selected by package and the TestObjectTable name prefix, so new table
 # tests join without a list edit.
 race-routes:
@@ -178,12 +179,15 @@ race-shards:
 
 # Reconfiguration suite under the race detector: membership accounting (all
 # of internal/cluster), and every fabric, runner and shardstore test named
-# for a reconfiguration topic — Replace (freeze/drain/transfer/activate,
-# parked-op outcomes, refusals, rolling replacement under load), Reconfigure
-# (every server of every construction mid-flight; whole shards, in-process
-# and over real cmd/lanenode processes), Churn (the chaos net on its pinned
-# seeds, E24), Drain, Departing, ViewRetry. The stateful place frames and the
-# node drain on the TCP lane run under race-lanenet.
+# for a reconfiguration topic — Replace (the one-for-one swap, a Resize
+# that keeps n and f: freeze/drain/transfer/activate, parked-op outcomes,
+# refusals, rolling replacement under load), Reconfigure (every server of
+# every construction mid-flight; whole shards — a Resize{Grow: 1, Shrink: 1}
+# per member — in-process and over real cmd/lanenode processes), Churn (the
+# resize chaos nets on their pinned seeds, E27, whose swaps transfer and
+# whose grows and shrinks reshape, and the coded one), Drain, Departing,
+# ViewRetry. The stateful place frames and the node drain on the TCP lane
+# run under race-lanenet.
 CHURN_SUITE = -run 'Replace|Reconfigure|Churn|Drain|Departing|ViewRetry' ./internal/fabric ./internal/runner ./internal/shardstore
 race-churn:
 	$(GO) test -race -count 1 ./internal/cluster
@@ -202,17 +206,22 @@ race-coded:
 
 # Live view-resizing suite under the race detector: every test with
 # "Resize" in its name, plus the transition-crash family — batched
-# transitions (grow, shrink, f change) as single epoch bumps, the fabric
+# transitions (grow, shrink, f change, swap) as single epoch bumps, the
+# delta picking the protocol (a swap transfers without calling the reshape,
+# a grow reshapes with every member frozen, a shrink with nothing to
+# re-place aborts on a non-empty leaver), the fabric
 # coordinator and its abort path (a leaver or transfer target crashing inside
 # the sealed-but-not-activated window must roll the old view back intact, on
 # all three lane backends), grow/shrink under open client load with zero
-# failed ops, the quorum family's store recipe through a grow and a shrink,
+# failed ops, the quorum family's store recipe through a grow and a shrink
+# (and a swap before the grow, which keeps the moved store),
 # the coded construction's restripe, Algorithm 2's re-planned layout (Table
 # 1's register row through 3 → 5 → 7 → 3 servers, a write caught by the
 # window re-pushing its own timestamp), the resize chaos net on its pinned
-# seeds (E27: sound constructions clean, naive caught), the transition-crash
-# matrix (E28), and per-shard resizing through the sharded store (in-process
-# and over real cmd/lanenode processes).
+# seeds (E27: sound constructions clean, naive caught, both protocols
+# committed), the transition-crash matrix (E28), and per-shard resizing
+# through the sharded store (in-process and over real cmd/lanenode
+# processes).
 RESIZE_SUITE = -run 'Resize|TestTransitionCrash' ./internal/fabric ./internal/runner ./internal/emulation/abdcore ./internal/emulation/coded ./internal/emulation/regemu ./internal/shardstore
 race-resize:
 	$(GO) test -race -count 1 $(RESIZE_SUITE)

@@ -551,8 +551,8 @@ func BenchmarkObjectTablePlace(b *testing.B) {
 // the forward transition's ResizeResult.Duration — the window concurrent
 // clients retry through — is reported as ns/transition. A grow is undone by
 // an unmeasured shrink so every iteration starts from n=5. No client load
-// runs: this is the floor cost of the transition itself (freeze, drain,
-// reshape seeding, transfer, activation).
+// runs: this is the floor cost of the transition itself (freeze, drain, a
+// grow's reshape seeding or a swap's transfer, activation).
 func BenchmarkResizeTransition(b *testing.B) {
 	for _, d := range []struct {
 		name          string

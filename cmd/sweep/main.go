@@ -9,7 +9,7 @@
 //	sweep -exp table1                   # one experiment
 //	sweep -exp figure2 -k 6 -f 2 -n 8
 //	sweep -exp exhaustive -f 2 -workers 8 -json   # pooled f=2 model check
-//	sweep -exp churn -json                        # chaos + live membership churn
+//	sweep -exp resize -json                       # chaos + live view transitions
 package main
 
 import (
@@ -34,13 +34,12 @@ func main() {
 }
 
 func run() error {
-	exp := flag.String("exp", "all", "experiment: table1 | figure1 | figure2 | separation | theorem2 | theorem6 | theorem7 | theorem8 | coincidence | churn | resize | all")
+	exp := flag.String("exp", "all", "experiment: table1 | figure1 | figure2 | separation | theorem2 | theorem5 | theorem6 | theorem7 | theorem8 | coincidence | exhaustive | chaos | resize | all")
 	k := flag.Int("k", 5, "number of writers (single-experiment runs)")
 	f := flag.Int("f", 2, "failure threshold (exhaustive sweeps support 1 or 2)")
 	n := flag.Int("n", 6, "number of servers")
 	workers := flag.Int("workers", 0, "sweep pool size for exhaustive/chaos (0 = one per CPU)")
 	lane := flag.String("lane", "both", "chaos dispatch lane: inproc | latency | both")
-	churn := flag.Float64("churn", 0.25, "churn experiment: per-op server-replacement probability")
 	resizeProb := flag.Float64("resize", 0.25, "resize experiment: per-op batched-transition probability")
 	jsonOut := flag.Bool("json", false, "emit exhaustive/chaos reports as JSON instead of tables")
 	timeout := flag.Duration("timeout", 5*time.Minute, "total timeout")
@@ -78,7 +77,6 @@ func run() error {
 		"coincidence": func(context.Context) error { return expCoincidence() },
 		"exhaustive":  func(ctx context.Context) error { return expExhaustive(ctx, exhaustF, *workers, *jsonOut) },
 		"chaos":       func(ctx context.Context) error { return expChaos(ctx, *workers, *lane, *jsonOut) },
-		"churn":       func(ctx context.Context) error { return expChurn(ctx, *workers, *churn, *jsonOut) },
 		"resize":      func(ctx context.Context) error { return expResize(ctx, *workers, *resizeProb, *jsonOut) },
 	}
 	if *exp != "all" {
@@ -91,7 +89,7 @@ func run() error {
 	for _, name := range []string{
 		"table1", "figure1", "figure2", "separation", "theorem2", "theorem5",
 		"theorem6", "theorem7", "theorem8", "coincidence", "exhaustive", "chaos",
-		"churn", "resize",
+		"resize",
 	} {
 		fmt.Printf("==== %s ====\n", name)
 		if err := experiments[name](ctx); err != nil {
@@ -333,41 +331,11 @@ func expChaos(ctx context.Context, workers int, lane string, jsonOut bool) error
 	return w.Flush()
 }
 
-// expChurn sweeps the chaos net with live membership churn (experiment
-// E24): between high-level ops, random servers are replaced wholesale —
-// freeze, drain, state transfer, view activation — while the gate keeps
-// holding and releasing. Seeds are pinned at 0..23 so the run is
-// reproducible: sound constructions must report zero violating seeds; the
-// naive baseline is expected to be caught.
-func expChurn(ctx context.Context, workers int, churnProb float64, jsonOut bool) error {
-	var reports []*runner.ChaosSweepReport
-	for _, kind := range runner.Kinds() {
-		rep, err := runner.RunChaosSweep(ctx, runner.ChaosConfig{
-			Kind: kind, K: 3, F: 2, N: runner.ChaosServers(kind),
-			Ops: 30, ChurnProb: churnProb,
-		}, 24, workers)
-		if err != nil {
-			return err
-		}
-		reports = append(reports, rep)
-	}
-	if jsonOut {
-		return emitJSON(reports)
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "construction\tseeds\treplacements\tholds\treleases\tviolating seeds (expected: naive only)\twall-clock")
-	for _, rep := range reports {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%s\n",
-			rep.Kind, rep.Seeds, rep.Replacements, rep.Holds, rep.Releases,
-			rep.Violating, rep.Elapsed.Round(time.Millisecond))
-	}
-	return w.Flush()
-}
-
-// expResize sweeps the chaos net with live batched view transitions
-// (experiments E27 and E28): between high-level ops, random grows, shrinks,
-// and member swaps commit as single epoch bumps with the construction's
-// reshape re-deriving the quorum geometry. The first section runs clean
+// expResize sweeps the chaos net with live view transitions (experiments
+// E27 and E28): between high-level ops, random member swaps, grows and
+// shrinks commit as single epoch bumps — a swap transferring its leaver's
+// objects onto the joiner, a grow or shrink with the construction's reshape
+// re-deriving the quorum geometry. The first section runs clean
 // transitions (E27); the second arms the transition crasher so the
 // sealed-but-not-activated window loses a server inside every other
 // transition (E28) — crashed transitions must abort back onto the old view.
@@ -395,10 +363,10 @@ func expResize(ctx context.Context, workers int, resizeProb float64, jsonOut boo
 		return emitJSON(reports)
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "construction\tseeds\tresizes\taborts\ttransition crashes\tholds\tviolating seeds (expected: naive only)\twall-clock")
+	fmt.Fprintln(w, "construction\tseeds\tresizes\tswaps\tmoved\taborts\ttransition crashes\tholds\tviolating seeds (expected: naive only)\twall-clock")
 	for _, rep := range reports {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
-			rep.Kind, rep.Seeds, rep.Resizes, rep.ResizeAborts, rep.TransitionCrashes,
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
+			rep.Kind, rep.Seeds, rep.Resizes, rep.Swaps, rep.Moved, rep.ResizeAborts, rep.TransitionCrashes,
 			rep.Holds, rep.Violating, rep.Elapsed.Round(time.Millisecond))
 	}
 	return w.Flush()

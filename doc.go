@@ -54,7 +54,12 @@
 //     an all-read round whose per-server groups are each answered from
 //     one consistent snapshot of that server's objects (inline under the
 //     objects' state locks in-process; inside the event loop or the
-//     node's exclusive section on the asynchronous backends).
+//     node's exclusive section on the asynchronous backends). Every
+//     membership change is one Resize, committed under one epoch bump, and
+//     the delta picks the transition: a swap that keeps n and f freezes only
+//     its leavers and moves their objects, state included, onto the
+//     joiners; a delta that moves n or f freezes every member and has the
+//     constructions re-place their objects (the reshape).
 //   - The latency lane (fabric.LatencyLanes) is one goroutine per server,
 //     an event loop: a delivery appends to an unbounded mailbox and never
 //     blocks, the loop draws seeded delay/jitter/straggler delivery times
@@ -134,10 +139,12 @@
 //     one options type (Atomic, ValueSize — regemu, aac-max and naive refuse
 //     Atomic in their own New, the timestamp-only constructions ignore
 //     ValueSize), every register records its own history
-//     (emulation.Register.History), and every one reshapes inside a view
-//     resize's frozen window (emulation.Register.Reshape — regemu re-plans
-//     its layout for the new n and f, so its register count follows Table
-//     1's row as servers join and leave). The four quorum constructions are store
+//     (emulation.Register.History), and every one reshapes inside the
+//     frozen window of a view resize that moves n or f
+//     (emulation.Register.Reshape — regemu re-plans its layout for the new
+//     n and f, so its register count follows Table 1's row as servers join
+//     and leave); a swap that keeps both moves the objects and leaves the
+//     placement as it is. The four quorum constructions are store
 //     recipes for one abdcore.Register, which owns the placement, the
 //     collect, the push, the writers' timestamp floor and the handles. A
 //     store is one server's base objects — one max-register, plain
@@ -145,8 +152,10 @@
 //     placed by the construction's recipe (Config.Place, a plain function);
 //     abdcore.New validates f and the 2f+1 hosts once and calls it for each
 //     of them, and a view resize calls the same recipe for the servers it
-//     adds. The placement keeps only each store's server and objects (the
-//     register's resource complexity is their count), and New's placement
+//     adds. The placement keeps only each store's objects (the register's
+//     resource complexity is their count; which server hosts a store is
+//     the object table's to say, so a swapped store stays the same store),
+//     and New's placement
 //     and the writer handles live inside the register: a register of three
 //     one-object stores is one heap object. The collect reads every object
 //     with the construction's one read (Config.Read), so every collect is

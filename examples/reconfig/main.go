@@ -4,9 +4,12 @@
 //
 // A two-shard store (internal/shardstore) serves seeded random traffic
 // over a set of hot keys. A third of the way in, shard 0's three servers
-// are replaced one by one: for each, a fresh server joins the view, the
-// departing server freezes and drains, every base object it hosts moves —
-// state included — onto the joiner, and the old server leaves. Clients
+// are replaced one by one (shardstore.Reconfigure: one Resize{Grow: 1,
+// Shrink: 1} per server). A one-for-one swap keeps n and f, so only the
+// departing server freezes: a fresh server joins the view, the departing
+// one drains, every base object it hosts moves — state included — onto the
+// joiner, and the old server leaves; the registers keep their placements
+// and the other servers keep serving throughout. Clients
 // never stop: an operation caught in a freeze window completes with a
 // retryable view-change error (guaranteed never applied, so the retry is
 // exactly-once safe) and re-executes transparently in the new view. Zero

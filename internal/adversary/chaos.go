@@ -72,8 +72,11 @@ func (c *Chaos) Released(client types.ClientID, token uint64) {
 
 // Narrow permanently shrinks the liveness budget by n (not below zero).
 // A fail-stop crash consumes a unit of the same f budget the holds draw
-// from: after a crash, at most f-1 of a writer's ops may be held, so
-// crashed servers plus held responses never exceed f together and every
+// from: after a crash, Hold grants a writer at most f-1 outstanding holds.
+// Narrow bounds only holds granted from then on — ops already held stay
+// held — so a caller that crashes a server must first check that the
+// crashes plus the most ops one client already has held stay below f;
+// then crashed servers plus held ops never exceed f together and every
 // quorum round still reaches its n-f threshold.
 func (c *Chaos) Narrow(n int) {
 	c.mu.Lock()

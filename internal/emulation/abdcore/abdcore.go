@@ -17,10 +17,11 @@
 // everything else — which 2f+1 servers host a store, the collect and the
 // push, the writers' timestamp floor (emulation.Writers, shared with the
 // coded register), the handles and the history, how a view resize re-places
-// the stores — is this package's Register. A store is its server and its
-// base objects, kept inside the placement, and the register's first
-// placement is part of the register: a register of three one-object stores
-// is one heap object.
+// the stores — is this package's Register. A store is its base objects,
+// kept inside the placement — which server hosts them is the object table's
+// to say, so a store a swap moves onto a joiner stays the same store — and
+// the register's first placement is part of the register: a register of
+// three one-object stores is one heap object.
 //
 // The round mechanics (scatter, quorum threshold, crash adaptivity,
 // view-change retry) live in the shared internal/emulation/rounds engine;
@@ -110,28 +111,29 @@ type Config struct {
 	Chain Chain
 }
 
-// placement is one epoch's worth of quorum geometry: the stores' servers and
-// base objects, and the failure budget. It is immutable once published — a
-// resize installs a whole new placement — so every round derives its targets
-// and its threshold from ONE snapshot and can never pair the new store set
-// with the old budget or vice versa. A placement of up to three one-object
-// stores (f = 1) needs no storage beyond its own: its slices start on the
-// inline arrays — and the register's first placement is part of the
-// register.
+// placement is one epoch's worth of quorum geometry: the stores' base
+// objects and the failure budget. It is immutable once published — a resize
+// installs a whole new placement — so every round derives its targets and
+// its threshold from ONE snapshot and can never pair the new store set with
+// the old budget or vice versa. A placement of up to three one-object stores
+// (f = 1) needs no storage beyond its own: its slice starts on the inline
+// array — and the register's first placement is part of the register.
 type placement struct {
 	f     int
-	hosts []types.ServerID // store i's server
 	reads []types.ObjectID // every store's base objects, store by store: what the collect reads
 
-	inlineHosts [3]types.ServerID
 	inlineReads [3]types.ObjectID
 }
 
-func (p *placement) quorum() int { return len(p.hosts) - p.f }
+// stores returns the number of stores, of per base objects each.
+func (p *placement) stores(per int) int { return len(p.reads) / per }
+
+// quorum returns the push's and a one-object collect's threshold: all
+// stores but f.
+func (p *placement) quorum(per int) int { return p.stores(per) - p.f }
 
 // objects returns store i's base objects.
-func (p *placement) objects(i int) []types.ObjectID {
-	per := len(p.reads) / len(p.hosts)
+func (p *placement) objects(i, per int) []types.ObjectID {
 	return p.reads[i*per : (i+1)*per : (i+1)*per]
 }
 
@@ -198,10 +200,11 @@ func New(cfg Config) (*Register, error) {
 }
 
 // arrange is the one place a placement is built and checked: it fills p —
-// a zero placement — keeping the stores of old hosted on members (in order,
-// up to 2f+1) and placing fresh stores on the next members hosting none, and
-// returns the base objects of the old stores it dropped. The first store New
-// places fixes the register's objects per store.
+// a zero placement — keeping the stores of old whose server (the object
+// table's, read off each store's first object) is among members, in order,
+// up to 2f+1, and placing fresh stores on the next members hosting none,
+// and returns the base objects of the old stores it dropped. The first
+// store New places fixes the register's objects per store.
 func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *placement) ([]types.ObjectID, error) {
 	need := 2*f + 1
 	if f <= 0 {
@@ -211,24 +214,29 @@ func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *p
 		return nil, fmt.Errorf("abdcore: %s: %d members cannot host 2f+1=%d stores", r.name, len(members), need)
 	}
 	p.f = f
-	p.hosts, p.reads = p.inlineHosts[:0], p.inlineReads[:0]
+	p.reads = p.inlineReads[:0]
 	var dropped []types.ObjectID
-	var oldHosts []types.ServerID
+	var inline [3]types.ServerID
+	hosts := inline[:0] // the kept and placed stores' servers
 	if old != nil {
-		oldHosts = old.hosts
-		for i, host := range old.hosts {
-			if !slices.Contains(members, host) || len(p.hosts) == need {
-				dropped = append(dropped, old.objects(i)...)
+		for i := range old.stores(r.per) {
+			objs := old.objects(i, r.per)
+			host, err := r.fab.Cluster().Delta(objs[0])
+			if err != nil {
+				return nil, fmt.Errorf("abdcore: %s: locating store %d: %w", r.name, i, err)
+			}
+			if !slices.Contains(members, host) || len(hosts) == need {
+				dropped = append(dropped, objs...)
 				continue
 			}
-			p.hosts, p.reads = append(p.hosts, host), append(p.reads, old.objects(i)...)
+			hosts, p.reads = append(hosts, host), append(p.reads, objs...)
 		}
 	}
 	for _, sid := range members {
-		if len(p.hosts) == need {
+		if len(hosts) == need {
 			break
 		}
-		if slices.Contains(oldHosts, sid) {
+		if slices.Contains(hosts, sid) {
 			continue
 		}
 		before := len(p.reads)
@@ -242,10 +250,10 @@ func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *p
 		if n := len(p.reads) - before; n == 0 || n != r.per {
 			return nil, fmt.Errorf("abdcore: %s: the store on server %d has %d base objects, want %d per store", r.name, sid, n, max(r.per, 1))
 		}
-		p.hosts = append(p.hosts, sid)
+		hosts = append(hosts, sid)
 	}
-	if len(p.hosts) < need {
-		return nil, fmt.Errorf("abdcore: %s: only %d of %d stores placeable on members %v", r.name, len(p.hosts), need, members)
+	if len(hosts) < need {
+		return nil, fmt.Errorf("abdcore: %s: only %d of %d stores placeable on members %v", r.name, len(hosts), need, members)
 	}
 	if r.writeOp != 0 && r.per != 1 {
 		return nil, fmt.Errorf("abdcore: %s: a one-op write-max needs one base object per store, have %d", r.name, r.per)
@@ -319,14 +327,14 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 	}
 	// No write ever committed: there is nothing to seed.
 	if types.ZeroTSValue.Less(m) {
-		for i, host := range p.hosts {
+		for i := range p.stores(r.per) {
 			if r.chain != nil {
-				err = r.chain.Seed(rs, p.objects(i), m)
+				err = r.chain.Seed(rs, p.objects(i, r.per), m)
 			} else {
 				_, err = rs.Apply(p.reads[i], r.writeInv(m))
 			}
 			if err != nil {
-				return fmt.Errorf("abdcore: %s: seeding server %d: %w", r.name, host, err)
+				return fmt.Errorf("abdcore: %s: seeding store %d: %w", r.name, i, err)
 			}
 		}
 	}
@@ -404,7 +412,7 @@ func (c *chain) planCollect(buf []rounds.Target) ([]rounds.Target, int) {
 	if c.r.per > 1 {
 		return buf, p.f
 	}
-	return buf, p.quorum()
+	return buf, p.quorum(c.r.per)
 }
 
 // push writes c.v to a quorum of stores, with collect's contract. Write-max
@@ -425,7 +433,7 @@ func (c *chain) planPush(buf []rounds.Target) ([]rounds.Target, int) {
 	for _, obj := range p.reads {
 		buf = append(buf, rounds.Target{Object: obj, Inv: c.r.writeInv(c.v)})
 	}
-	return buf, p.quorum()
+	return buf, p.quorum(c.r.per)
 }
 
 // startChains is the push over chain stores: every store of the live
@@ -443,7 +451,8 @@ func (c *chain) startChains() {
 	}
 	seen := fab.ViewStamp()
 	p := c.r.p.Load()
-	j := rounds.NewFold(p.quorum(), func(v types.TSValue, err error) {
+	per := c.r.per
+	j := rounds.NewFold(p.quorum(per), func(v types.TSValue, err error) {
 		if err != nil && rounds.Retry(ctx, fab, seen, err,
 			c.startChains,
 			func(err error) { report(types.ZeroTSValue, err) }) {
@@ -451,8 +460,8 @@ func (c *chain) startChains() {
 		}
 		report(v, err)
 	})
-	for i := range p.hosts {
-		store.StartWriteMax(ctx, client, p.objects(i), v, j.Complete)
+	for i := range p.stores(per) {
+		store.StartWriteMax(ctx, client, p.objects(i, per), v, j.Complete)
 	}
 }
 

@@ -129,8 +129,8 @@ func stateOf(t *testing.T, fab *fabric.Fabric, obj types.ObjectID) types.TSValue
 // cover stores of two objects.
 func TestEngineValidation(t *testing.T) {
 	r, _, _, _ := newTestReg(t, 1, oneOp, false)
-	if p := r.p.Load(); p.quorum() != 2 || r.F() != 1 || r.per != 1 {
-		t.Errorf("quorum=%d f=%d objects per store=%d, want 2, 1, 1", p.quorum(), r.F(), r.per)
+	if p := r.p.Load(); p.quorum(r.per) != 2 || r.F() != 1 || r.per != 1 {
+		t.Errorf("quorum=%d f=%d objects per store=%d, want 2, 1, 1", p.quorum(r.per), r.F(), r.per)
 	}
 	c, err := cluster.New(3)
 	if err != nil {

@@ -115,8 +115,8 @@ func TestResizeAbortsOnPlaceError(t *testing.T) {
 		t.Fatalf("Resize err = %v, want an aborted transition wrapping the recipe's error", err)
 	}
 	after := r.p.Load()
-	if !slices.Equal(after.hosts, before.hosts) || !slices.Equal(after.reads, before.reads) {
-		t.Fatalf("placement is stores on %v of objects %v after the abort, want the old %v of %v", after.hosts, after.reads, before.hosts, before.reads)
+	if after.f != before.f || !slices.Equal(after.reads, before.reads) {
+		t.Fatalf("placement is f=%d over objects %v after the abort, want the old f=%d over %v", after.f, after.reads, before.f, before.reads)
 	}
 	if r.F() != 1 || r.ResourceComplexity() != 3 {
 		t.Errorf("f=%d resources=%d after the abort, want 1 and 3", r.F(), r.ResourceComplexity())

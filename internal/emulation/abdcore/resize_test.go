@@ -2,6 +2,7 @@ package abdcore_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -15,18 +16,28 @@ import (
 // objects the cluster holds — 2f+1 stores' worth, k registers per store for
 // aac-max: joiners were placed by the same recipe that built the register,
 // dropped stores' objects retired — and the last written value survived.
+// With swap set, server 0 is first swapped for a joiner, which keeps n and
+// f and so moves server 0's store there without a reshape: the grow that
+// follows keeps that store — the same objects, on the joiner — rather than
+// taking it for dropped and placing a fresh one beside it.
 func TestResizeThroughPlace(t *testing.T) {
 	const k = 2
 	for _, tc := range []struct {
 		kind     runner.Kind
 		perStore int
+		swap     bool
 	}{
-		{runner.KindABDMax, 1},
-		{runner.KindCASMax, 1},
-		{runner.KindAACMax, k},
-		{runner.KindNaive, 1},
+		{runner.KindABDMax, 1, false},
+		{runner.KindCASMax, 1, false},
+		{runner.KindAACMax, k, false},
+		{runner.KindNaive, 1, false},
+		{runner.KindAACMax, k, true},
 	} {
-		t.Run(string(tc.kind), func(t *testing.T) {
+		name := string(tc.kind)
+		if tc.swap {
+			name += "-swap"
+		}
+		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
 			env, err := runner.NewEnv(3, nil)
 			if err != nil {
@@ -61,18 +72,33 @@ func TestResizeThroughPlace(t *testing.T) {
 				}
 			}
 			check("built", 1)
+			var moved []types.ObjectID // the swapped store's objects
+			var joiner types.ServerID
+			if tc.swap {
+				moved = env.Cluster.ObjectsOn(0)
+				swapped, err := env.Fabric.Resize(ctx, fabric.ResizeSpec{Join: make([]fabric.LaneMaker, 1), Leave: []types.ServerID{0}}, reg.Reshape)
+				if err != nil {
+					t.Fatalf("swap: %v", err)
+				}
+				joiner = swapped.Joined[0]
+				check("swapped server 0", 1)
+			}
 			grown, err := env.Fabric.Resize(ctx, fabric.ResizeSpec{Join: make([]fabric.LaneMaker, 2), F: 2}, reg.Reshape)
 			if err != nil {
 				t.Fatalf("grow: %v", err)
 			}
 			check("grown to n=5,f=2", 2)
-			// Shrink by two original members, so a joiner's store survives.
-			if _, err := env.Fabric.Resize(ctx, fabric.ResizeSpec{Leave: []types.ServerID{0, 1}, F: 1}, reg.Reshape); err != nil {
+			if tc.swap && !slices.Equal(env.Cluster.ObjectsOn(joiner), moved) {
+				t.Fatalf("after the grow the swap's joiner hosts objects %v, want the moved store's %v", env.Cluster.ObjectsOn(joiner), moved)
+			}
+			// Shrink by the two longest-serving members, so a joiner's store
+			// survives.
+			if _, err := env.Fabric.Resize(ctx, fabric.ResizeSpec{Leave: env.Cluster.Members()[:2], F: 1}, reg.Reshape); err != nil {
 				t.Fatalf("shrink: %v", err)
 			}
 			check("shrunk to n=3,f=1", 1)
 			if got := env.Cluster.Members(); len(got) != 3 || got[1] != grown.Joined[0] || got[2] != grown.Joined[1] {
-				t.Fatalf("members after the shrink = %v, want server 2 and joiners %v", got, grown.Joined)
+				t.Fatalf("members after the shrink = %v, want one survivor and joiners %v", got, grown.Joined)
 			}
 		})
 	}

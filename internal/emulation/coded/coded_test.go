@@ -293,8 +293,9 @@ func TestCodedResizeRestripe(t *testing.T) {
 }
 
 // TestCodedReplaceTransfersFragments reconfigures a coded register live:
-// fabric.Replace moves a fragment store (with its fragments) onto a
-// joiner, and reads keep returning the last written value.
+// a one-for-one swap keeps n and f, so it moves a fragment store (with its
+// fragments) onto the joiner instead of restriping, and reads keep
+// returning the last written value.
 func TestCodedReplaceTransfersFragments(t *testing.T) {
 	ctx := testCtx(t)
 	fab := codedEnv(t, 5)
@@ -308,8 +309,8 @@ func TestCodedReplaceTransfersFragments(t *testing.T) {
 		t.Fatal(err)
 	}
 	for victim := types.ServerID(0); victim < 2; victim++ {
-		if _, err := fab.Replace(ctx, victim, nil); err != nil {
-			t.Fatalf("replace %d: %v", victim, err)
+		if _, err := fab.Resize(ctx, fabric.ResizeSpec{Join: []fabric.LaneMaker{nil}, Leave: []types.ServerID{victim}}, reg.Reshape); err != nil {
+			t.Fatalf("swap of server %d: %v", victim, err)
 		}
 		if v, err := rd.Read(ctx); err != nil || v != 31 {
 			t.Fatalf("read after replacing %d = %d, %v; want 31", victim, v, err)

@@ -18,7 +18,7 @@ import (
 // layer up: thousands of closed-loop operations from concurrent streams ride
 // one engine on the latency lane while server 2's every response is delayed
 // past its quorum — so the engine's op, the handle's record and the chain's
-// are recycled with a straggler of theirs only just in — and a Replace of
+// are recycled with a straggler of theirs only just in — and a swap of
 // server 1 lands in the middle, so operations caught by it retry. Every
 // stream owns its register and reads back each value it wrote, so a
 // completion delivered to another operation's record — another stream's, or
@@ -102,12 +102,12 @@ func TestOpRecyclingLateResponders(t *testing.T) {
 		pair(0)
 	}
 
-	// Replace server 1 once every stream is in full swing.
+	// Swap server 1 out once every stream is in full swing.
 	for past.Load() < streams && ctx.Err() == nil {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if _, err := fab.Replace(ctx, 1, nil); err != nil {
-		t.Fatalf("Replace(1): %v", err)
+	if _, err := fab.Resize(ctx, fabric.ResizeSpec{Join: []fabric.LaneMaker{nil}, Leave: []types.ServerID{1}}, nil); err != nil {
+		t.Fatalf("swap of server 1: %v", err)
 	}
 	wg.Wait()
 	close(quit)

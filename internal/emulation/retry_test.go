@@ -77,7 +77,7 @@ func (g *parkTwo) disarm() types.ServerID {
 }
 
 // TestViewChangeRetry drives the three users of rounds.Retry through a
-// Replace: a fabric-target round (abd-max's one-op push), a chain-store
+// one-for-one swap: a fabric-target round (abd-max's one-op push), a chain-store
 // round (abd-cas's Algorithm 1 write chains) and regemu's per-register
 // re-trigger. The write stalls with two low-level writes parked before
 // taking effect; replacing one of their servers completes that op with a
@@ -105,8 +105,9 @@ func TestViewChangeRetry(t *testing.T) {
 				before := fab.Triggers()
 				replaceCtx, stop := context.WithTimeout(context.Background(), 10*time.Second)
 				defer stop()
-				if _, err := fab.Replace(replaceCtx, leaver, nil); err != nil {
-					t.Fatalf("Replace(%d): %v", leaver, err)
+				spec := fabric.ResizeSpec{Join: []fabric.LaneMaker{nil}, Leave: []types.ServerID{leaver}}
+				if _, err := fab.Resize(replaceCtx, spec, reg.Reshape); err != nil {
+					t.Fatalf("swap of server %d: %v", leaver, err)
 				}
 				var err error
 				select {
@@ -188,11 +189,11 @@ func yield(n int) {
 	}
 }
 
-// abdMaxUnderHeldReplace builds a 3-server abd-max register (f=1) on the
-// in-process lane, opens a held Replace of server 0 and starts a blocking
+// abdMaxUnderHeldSwap builds a 3-server abd-max register (f=1) on the
+// in-process lane, opens a held swap of server 0 and starts a blocking
 // write of 5 into it, returning once the write's collect — three triggers,
 // the one at the frozen server bounced — is out and the write is parked.
-func abdMaxUnderHeldReplace(t *testing.T, ctx context.Context, release <-chan struct{}, atRelease func()) (fab *fabric.Fabric, read func() (types.Value, error), written, replaced <-chan error) {
+func abdMaxUnderHeldSwap(t *testing.T, ctx context.Context, release <-chan struct{}, atRelease func()) (fab *fabric.Fabric, read func() (types.Value, error), written, replaced <-chan error) {
 	t.Helper()
 	tap := make(triggerTap, 64)
 	env, err := runner.NewEnv(3, nil, fabric.WithTracer(tap))
@@ -219,7 +220,7 @@ func abdMaxUnderHeldReplace(t *testing.T, ctx context.Context, release <-chan st
 }
 
 // TestViewRetryCostsOneRescatter: a blocking abd-max write that meets a
-// Replace's frozen window costs exactly nine triggers — the bounced collect
+// the swap's frozen window costs exactly nine triggers — the bounced collect
 // (3), then in the new view one collect (3) and one push (3) — however long
 // the window stays open, because nothing re-triggers until the transition
 // ends.
@@ -227,7 +228,7 @@ func TestViewRetryCostsOneRescatter(t *testing.T) {
 	for _, hold := range holdLengths {
 		t.Run(fmt.Sprintf("hold=%d", hold), func(t *testing.T) {
 			release := make(chan struct{})
-			fab, read, written, replaced := abdMaxUnderHeldReplace(t, context.Background(), release, nil)
+			fab, read, written, replaced := abdMaxUnderHeldSwap(t, context.Background(), release, nil)
 			yield(hold)
 			if got := fab.Triggers(); got != 3 {
 				t.Fatalf("%d triggers inside the frozen window, want the 3 of the bounced collect", got)
@@ -237,7 +238,7 @@ func TestViewRetryCostsOneRescatter(t *testing.T) {
 			}
 			close(release)
 			if err := <-replaced; err != nil {
-				t.Fatalf("Replace: %v", err)
+				t.Fatalf("swap: %v", err)
 			}
 			if err := <-written; err != nil {
 				t.Fatalf("write across the replacement: %v (a view change must be invisible)", err)
@@ -254,7 +255,7 @@ func TestViewRetryCostsOneRescatter(t *testing.T) {
 
 // TestViewRetryTriggerCountIgnoresWindowLength is the same property for all
 // three users of rounds.Retry: a write stalls with two low-level writes parked
-// before taking effect, the Replace's drain bounces the one on the leaver into
+// before taking effect, the swap's drain bounces the one on the leaver into
 // a frozen window held open for each of holdLengths, and the retry costs the
 // same number of triggers every time — abd-max's re-scattered push 3; abd-cas's
 // re-started store chains 7 (one read on the store that already holds the
@@ -274,7 +275,7 @@ func TestViewRetryTriggerCountIgnoresWindowLength(t *testing.T) {
 				}
 				close(release)
 				if err := <-replaced; err != nil {
-					t.Fatalf("Replace: %v", err)
+					t.Fatalf("swap: %v", err)
 				}
 				if err := <-done; err != nil {
 					t.Fatalf("write across the replacement: %v", err)
@@ -301,7 +302,7 @@ func TestViewRetryCancelledInsideWindow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	release := make(chan struct{})
-	fab, _, written, replaced := abdMaxUnderHeldReplace(t, ctx, release, nil)
+	fab, _, written, replaced := abdMaxUnderHeldSwap(t, ctx, release, nil)
 	cancel()
 	if err := <-written; !errors.Is(err, context.Canceled) {
 		t.Fatalf("write cancelled inside the window returned %v, want the context's error", err)
@@ -315,7 +316,7 @@ func TestViewRetryCancelledInsideWindow(t *testing.T) {
 	}
 	close(release)
 	if err := <-replaced; err != nil {
-		t.Fatalf("Replace: %v", err)
+		t.Fatalf("swap: %v", err)
 	}
 	if got := fab.Triggers(); got != 3 {
 		t.Fatalf("the abandoned write triggered %d operations after its collect, want none", got-3)
@@ -334,10 +335,10 @@ func TestViewRetryAbortWakes(t *testing.T) {
 			t.Errorf("crash inside the frozen window: %v", err)
 		}
 	}
-	fab, read, written, replaced := abdMaxUnderHeldReplace(t, context.Background(), release, crash)
+	fab, read, written, replaced := abdMaxUnderHeldSwap(t, context.Background(), release, crash)
 	close(release)
 	if err := <-replaced; !fabric.IsResizeAborted(err) {
-		t.Fatalf("Replace with the leaver crashed mid-window returned %v, want ErrResizeAborted", err)
+		t.Fatalf("a swap with the leaver crashed mid-window returned %v, want ErrResizeAborted", err)
 	}
 	if err := <-written; err != nil {
 		t.Fatalf("write across the aborted replacement: %v", err)

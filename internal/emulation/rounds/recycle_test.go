@@ -81,7 +81,7 @@ type result struct {
 // TestRoundRecyclingLateResponders runs thousands of back-to-back rounds from
 // concurrent streams on the latency lane while one responder of every round
 // is delayed past its quorum, so each attempt object is recycled with a
-// straggler only just in — and a Replace of server 1 lands in the middle, so
+// straggler only just in — and a swap of server 1 lands in the middle, so
 // rounds caught by it retry on fresh objects. Every stream owns its
 // registers and raises their value by one before each read, so a response
 // folded into the wrong round — another stream's, or this stream's previous
@@ -168,14 +168,15 @@ func TestRoundRecyclingLateResponders(t *testing.T) {
 		}(s)
 	}
 
-	// Replace server 1 once every stream is in full swing.
+	// Swap server 1 out once every stream is in full swing.
 	for past.Load() < streams && ctx.Err() == nil {
 		time.Sleep(100 * time.Microsecond)
 	}
-	joiner, err := fab.Replace(ctx, 1, nil)
+	swapped, err := fab.Resize(ctx, fabric.ResizeSpec{Join: []fabric.LaneMaker{nil}, Leave: []types.ServerID{1}}, nil)
 	if err != nil {
-		t.Fatalf("Replace(1): %v", err)
+		t.Fatalf("swap of server 1: %v", err)
 	}
+	joiner := swapped.Joined[0]
 	wg.Wait()
 	stop()
 	for s := range fired {
@@ -192,7 +193,7 @@ func TestRoundRecyclingLateResponders(t *testing.T) {
 
 // TestRoundReplaceMidRoundRescatters pins the view-change retry on the
 // recycled path: a round stalled on a parked operation is caught by a
-// Replace of that operation's server; its retry must plan afresh and resolve
+// swap of that operation's server; its retry must plan afresh and resolve
 // the moved object under the new view, on an attempt object of its own while
 // the first one is recycled.
 func TestRoundReplaceMidRoundRescatters(t *testing.T) {
@@ -221,10 +222,11 @@ func TestRoundReplaceMidRoundRescatters(t *testing.T) {
 	armed.Store(false)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	joiner, err := fab.Replace(ctx, 0, nil)
+	swapped, err := fab.Resize(ctx, fabric.ResizeSpec{Join: []fabric.LaneMaker{nil}, Leave: []types.ServerID{0}}, nil)
 	if err != nil {
-		t.Fatalf("Replace(0): %v", err)
+		t.Fatalf("swap of server 0: %v", err)
 	}
+	joiner := swapped.Joined[0]
 	var res result
 	select {
 	case res = <-done:
@@ -448,7 +450,7 @@ func TestRoundCrashOnTheWireLeavesItsAttempt(t *testing.T) {
 
 // TestRoundReplaceMidRoundRescattersLatencyLane is
 // TestRoundReplaceMidRoundRescatters across the asynchronous hand-off: the
-// stalled op is parked on its attempt's slab record, the Replace completes it
+// stalled op is parked on its attempt's slab record, the swap completes it
 // with a view-change error without it ever reaching the lane, and the retry
 // re-scatters on an attempt of its own under the new view.
 func TestRoundReplaceMidRoundRescattersLatencyLane(t *testing.T) {
@@ -485,10 +487,11 @@ func TestRoundReplaceMidRoundRescattersLatencyLane(t *testing.T) {
 	armed.Store(false)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	joiner, err := fab.Replace(ctx, 0, nil)
+	swapped, err := fab.Resize(ctx, fabric.ResizeSpec{Join: []fabric.LaneMaker{nil}, Leave: []types.ServerID{0}}, nil)
 	if err != nil {
-		t.Fatalf("Replace(0): %v", err)
+		t.Fatalf("swap of server 0: %v", err)
 	}
+	joiner := swapped.Joined[0]
 	var res result
 	select {
 	case res = <-done:

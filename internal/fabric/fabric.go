@@ -56,15 +56,15 @@
 // Membership is dynamic: the fabric serves the cluster's current View
 // (epoch + ordered server set), AddServer admits a joiner as a brand-new
 // never-reused server identity (on the TCP lane, a fresh session is the
-// join), and Replace (see view.go for the protocol) migrates a departing
-// server's objects — state included — onto a joiner without stopping
-// clients. An operation caught in a view change completes with
+// join), and Resize (see view.go for the protocol) commits any membership
+// delta — a swap migrates a departing server's objects, state included,
+// onto its joiner — without stopping clients. An operation caught in a view change completes with
 // ErrViewChanged, which guarantees it never applied in the old view, so
 // retrying it is exactly-once safe even for CAS; the retry (rounds.Retry)
 // waits on the view stamp — the count of ended transitions — never on a
 // clock, so it costs one re-scatter however long the transition takes and
 // ends only with the transition or with the op's own context. A server
-// that leaves through Replace is a leave, not a crash: it never shows up
+// that leaves through Resize is a leave, not a crash: it never shows up
 // in crash accounting, and the paper's f budget is spent only on real
 // fail-stops.
 //
@@ -400,8 +400,7 @@ type Fabric struct {
 	lanes  atomic.Pointer[[]*lane]
 	laneMu sync.Mutex
 
-	// reconfMu serializes view changes (Replace/Resize/AddServer
-	// coordination).
+	// reconfMu serializes view changes (Resize/AddServer coordination).
 	reconfMu sync.Mutex
 
 	// viewStamp counts ended transitions (ViewStamp); viewMu orders its
@@ -488,7 +487,7 @@ func New(c *cluster.Cluster, opts ...Option) *Fabric {
 // activating a new view epoch. maker builds the lane backend (nil uses the
 // fabric's default maker — the one New ran, so latency-lane fabrics give
 // the joiner its own seeded delay sub-stream). The joiner starts empty;
-// Replace (or cluster.MoveObject) transfers state onto it.
+// a same-shape Resize (or cluster.MoveObject) transfers state onto it.
 func (f *Fabric) AddServer(maker LaneMaker) (types.ServerID, error) {
 	f.laneMu.Lock()
 	defer f.laneMu.Unlock()

@@ -387,7 +387,7 @@ func (l *tallyLane) DeliverScan(ops []LaneOp) {
 
 // TestGroupLaneResizeFreezesBetweenStagingAndHandoff freezes server 1 in the
 // middle of a dispatch pass: after the lookups counted a window for its lane,
-// before its op is admitted (op 0's apply gate opens the Replace and waits for
+// before its op is admitted (op 0's apply gate opens the swap and waits for
 // the freeze). The frozen lane's op completes with a view-change error and is
 // never handed to the lane — its window stays empty while its neighbours' are
 // delivered — and the retry, on the same recycled slabs, finds the object on
@@ -417,7 +417,7 @@ func TestGroupLaneResizeFreezesBetweenStagingAndHandoff(t *testing.T) {
 		if ev.Server == 0 && armed.CompareAndSwap(true, false) {
 			go func() {
 				var err error
-				joiner, err = fab.Replace(ctx, 1, nil)
+				joiner, err = swap(ctx, fab, 1)
 				replaced <- err
 			}()
 			<-frozen
@@ -435,7 +435,7 @@ func TestGroupLaneResizeFreezesBetweenStagingAndHandoff(t *testing.T) {
 	fab.TriggerBatch(1, &g.Group)
 	waitCount(t, "group releases", &g.released, 1)
 	if err := <-replaced; err != nil {
-		t.Fatalf("Replace(1): %v", err)
+		t.Fatalf("swap of server 1: %v", err)
 	}
 	if g.out[0].Err != nil || g.out[2].Err != nil || !IsViewChange(g.out[1].Err) {
 		t.Fatalf("outcomes %v / %v / %v, want a view-change error for the frozen lane's op only", g.out[0].Err, g.out[1].Err, g.out[2].Err)

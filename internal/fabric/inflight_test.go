@@ -101,7 +101,7 @@ func TestInflightCompletionsRaceCrashDrain(t *testing.T) {
 // the leaver crashing (its in-flight op is dropped, the transition aborts),
 // and the transition's context ending (abort, the lane back in service).
 func TestDrainEndsOnTheLaneIdleSignal(t *testing.T) {
-	// held opens a Replace of server 0 with n reads in flight on it and
+	// held opens a swap of server 0 with n reads in flight on it and
 	// returns once every departing lane froze.
 	held := func(t *testing.T, ctx context.Context, n int) (*Fabric, *parkingLane, []awaited, <-chan error) {
 		parked := &parkingLane{}
@@ -114,7 +114,7 @@ func TestDrainEndsOnTheLaneIdleSignal(t *testing.T) {
 		fab.HookTransition(func() { close(frozen) }, nil)
 		replaced := make(chan error, 1)
 		go func() {
-			_, err := fab.Replace(ctx, 0, nil)
+			_, err := swap(ctx, fab, 0)
 			replaced <- err
 		}()
 		<-frozen
@@ -126,12 +126,12 @@ func TestDrainEndsOnTheLaneIdleSignal(t *testing.T) {
 		parked.ops[0].Complete(parked.ops[0].Apply())
 		select {
 		case err := <-replaced:
-			t.Fatalf("Replace returned (%v) with an op still on the wire", err)
+			t.Fatalf("the swap returned (%v) with an op still on the wire", err)
 		default:
 		}
 		parked.ops[1].Complete(parked.ops[1].Apply())
 		if err := <-replaced; err != nil {
-			t.Fatalf("Replace: %v", err)
+			t.Fatalf("swap: %v", err)
 		}
 		for _, op := range ops {
 			if o := op.wait(t); o.Err != nil {
@@ -148,7 +148,7 @@ func TestDrainEndsOnTheLaneIdleSignal(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := <-replaced; !IsResizeAborted(err) {
-			t.Fatalf("Replace with the leaver crashed mid-drain returned %v, want ErrResizeAborted", err)
+			t.Fatalf("a swap with the leaver crashed mid-drain returned %v, want ErrResizeAborted", err)
 		}
 		if got := fab.Pending(); len(got) != 1 || got[0].Phase != PhaseDropped {
 			t.Fatalf("pending after the crash = %+v, want the in-flight op dropped", got)
@@ -162,7 +162,7 @@ func TestDrainEndsOnTheLaneIdleSignal(t *testing.T) {
 		fab, _, _, replaced := held(t, ctx, 1)
 		cancel()
 		if err := <-replaced; !IsResizeAborted(err) || !errors.Is(err, context.Canceled) {
-			t.Fatalf("Replace cancelled mid-drain returned %v, want ErrResizeAborted wrapping the context's error", err)
+			t.Fatalf("a swap cancelled mid-drain returned %v, want ErrResizeAborted wrapping the context's error", err)
 		}
 		srv, err := fab.Cluster().Server(0)
 		if err != nil {

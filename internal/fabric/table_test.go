@@ -56,7 +56,7 @@ func lookupAll(t *testing.T, fab *Fabric, objs []types.ObjectID) uint64 {
 // TestObjectTableSweepsAllocateNothing: the fabric keeps no placement of its
 // own, so an object's first touch allocates nothing in it, and neither does
 // the first sweep after a view change — a membership change, a failure-budget
-// change, or a Replace that moved a third of the objects: there is no route
+// change, or a swap that moved a third of the objects: there is no route
 // to build and none to rebuild. "Nothing" is read as less than one byte per
 // object in the quietest third of the sweep: the runtime's own goroutines
 // allocate a few dozen bytes now and then (more often under the race
@@ -72,7 +72,7 @@ func TestObjectTableSweepsAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab.Cluster().SetF(1)
-	if _, err := fab.Replace(context.Background(), 0, nil); err != nil {
+	if _, err := swap(context.Background(), fab, 0); err != nil {
 		t.Fatal(err)
 	}
 	bumps := fab.Cluster().Epoch() - epoch
@@ -108,7 +108,7 @@ func TestObjectTableUsedObjectsAscendingAcrossChunks(t *testing.T) {
 }
 
 // TestObjectTableConcurrentLookupDuringReplace has 8 goroutines look up and
-// trigger on overlapping object windows while two rolling Replaces store one
+// trigger on overlapping object windows while two rolling swaps store one
 // fresh entry per moved object. Run under -race. It pins: a lookup never
 // fails and never yields an object's older copy after a newer one (per
 // object, the hosting server only ever moves forward along its one move),
@@ -192,9 +192,9 @@ func TestObjectTableConcurrentLookupDuringReplace(t *testing.T) {
 	warm.Wait()
 	joiner := make(map[types.ServerID]types.ServerID)
 	for _, leaver := range []types.ServerID{0, 1} {
-		id, err := fab.Replace(ctx, leaver, nil)
+		id, err := swap(ctx, fab, leaver)
 		if err != nil {
-			t.Errorf("Replace(%d): %v", leaver, err)
+			t.Errorf("swap(%d): %v", leaver, err)
 		}
 		joiner[leaver] = id
 	}

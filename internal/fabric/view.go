@@ -2,32 +2,40 @@
 // shrink n, change f, swap any number of servers — with state transfer,
 // without stopping reads or writes.
 //
-// The protocol generalizes the PR 8 replacement into a batched transition,
-// committed as ONE activation:
+// Every membership delta is one Resize, committed as ONE activation, and
+// the delta alone picks the transition:
+//
+//   - Same shape — as many joiners as leavers, f unchanged: n and f, and
+//     with them every construction's quorum geometry, stay as they are.
+//     Only the leavers freeze, and each one's objects move with their state
+//     onto its joiner; the construction is never asked to re-place anything.
+//   - Shape change — n or f moves: every register's placement depends on
+//     both, so every old member freezes and the construction's reshape
+//     re-places its objects against the quiesced world.
+//
+// The steps:
 //
 //  1. Admit every joiner (Fabric.AddServer): fresh server IDs, empty
 //     of objects, new dispatch lanes. Joiners receive no traffic yet — the
 //     object table still holds the old placement.
-//  2. Freeze the departing servers together (Server.Depart +
-//     lane.setDeparting). A transition that reshapes quorum sets (a
-//     construction-level resize) freezes EVERY old member: thresholds
-//     derived from the old view must never gather concurrently with
-//     seeding of the new placement, or a write acked by an old quorum
-//     could miss every member of a new one. A same-shape transition (the
-//     1-for-1 Replace) freezes only the leavers.
+//  2. Freeze (Server.Depart + lane.setDeparting): the leavers, or on a shape
+//     change every old member — thresholds derived from the old view must
+//     never gather concurrently with seeding of the new placement, or a
+//     write acked by an old quorum could miss every member of a new one.
 //  3. Drain once: force-complete the gate-parked ops of every frozen lane
 //     (PhaseApply never applied → retryable error; PhaseRespond already
 //     linearized → its real response) and wait for on-the-wire ops to
 //     finish. A frozen server that crashes mid-drain is detected — its
 //     in-flight ops move to dropped, not completed — and the transition
 //     aborts cleanly instead of transferring unsound state.
-//  4. Transfer: the reshape callback (construction resize) re-places and
-//     re-seeds base objects against the quiesced state; any objects still
-//     hosted by leavers are then sealed, fetched, and moved one by one.
-//  5. Activate: cluster.CommitView retires every leaver and installs the
-//     new failure budget under a single epoch bump — no operation can
-//     ever observe a mixed view — then surviving frozen lanes unfreeze
-//     and leaver backends close.
+//  4. Transfer: a same-shape delta seals, fetches and moves each leaver's
+//     objects one by one onto its joiner; a shape change runs the reshape
+//     callback, which re-places and re-seeds base objects.
+//  5. Activate: cluster.CommitView retires every leaver — refusing one that
+//     still hosts an object (cluster.ErrServerNotEmpty) — and installs the
+//     new failure budget under a single epoch bump — no operation can ever
+//     observe a mixed view — then surviving frozen lanes unfreeze and
+//     leaver backends close.
 //
 // Clients never stop: ops caught in a freeze window complete with a
 // retryable ErrViewChanged (the error guarantees the op never applied, so
@@ -82,57 +90,43 @@ type ResizeResult struct {
 	Joined []types.ServerID
 	// Epoch is the activated view's epoch.
 	Epoch uint64
-	// Moved counts the objects transferred off leavers by the coordinator
-	// (objects re-placed by a reshape callback are not counted here).
+	// Moved counts the objects a same-shape transition transferred off its
+	// leavers (a reshape's re-placed objects are not counted here).
 	Moved int
 	// Duration is the freeze→activate wall-clock: how long operations
 	// routed at frozen servers had to retry.
 	Duration time.Duration
 }
 
-// ReshapeFunc is a construction-level resize run inside the frozen window:
-// every old member is quiesced, so the callback may read authoritative
-// state, create and seed base objects on the new placement, and retire old
-// ones through the Reshaper without racing any client operation. A nil
-// ReshapeFunc transfers leaver state 1-for-1 instead (the Replace shape).
+// ReshapeFunc is a construction-level resize, run inside the frozen window
+// of a transition that changes n or f: every old member is quiesced, so the
+// callback may read authoritative state, create and seed base objects on
+// the new placement, and retire old ones through the Reshaper without
+// racing any client operation. It must leave nothing on a leaver. A nil
+// ReshapeFunc says the fabric hosts nothing to re-place.
 type ReshapeFunc func(rs *Reshaper) error
 
-// Replace performs a live 1-for-1 replacement of server old: a fresh
-// server joins the view, the departing server freezes and drains, every
-// object it hosts transfers (with state) onto the joiner, and the old
-// server leaves the view. Reads and writes continue throughout. It is the
-// same-shape special case of Resize.
-//
-// maker builds the joiner's lane backend; nil uses the fabric's default
-// maker. Replace returns the joiner's server ID. Concurrent view changes
-// serialize; replacing a crashed or already-departing server fails.
-func (f *Fabric) Replace(ctx context.Context, old types.ServerID, maker LaneMaker) (types.ServerID, error) {
-	res, err := f.Resize(ctx, ResizeSpec{Join: []LaneMaker{maker}, Leave: []types.ServerID{old}}, nil)
-	if err != nil {
-		return 0, err
-	}
-	return res.Joined[0], nil
-}
-
 // Resize commits an arbitrary membership delta as one transition: admit
-// all joiners, freeze the departing set together, drain once, transfer
-// each object's state to its new placement, then activate the new view —
-// with its re-derived quorum thresholds — atomically. No operation ever
-// gathers against a mixed view: the old view serves until the freeze, the
-// new one from the single CommitView epoch bump.
+// all joiners, freeze, drain once, move each object's state to its new
+// placement, then activate the new view — with its re-derived quorum
+// thresholds — atomically. No operation ever gathers against a mixed view:
+// the old view serves until the freeze, the new one from the single
+// CommitView epoch bump.
 //
-// With a nil reshape the transition is placement-preserving: only the
-// leavers freeze, and their objects move 1-for-1 onto the joiners (round-
-// robin; onto surviving members if there are none). With a reshape the
-// transition is quorum-reshaping: every old member freezes, and the
-// callback re-places construction state against the quiesced world before
-// activation (see Reshaper).
+// The spec picks the transition. A delta that keeps n and f — as many
+// joiners as leavers, F zero or the current f — freezes only the leavers
+// and moves leaver i's objects onto joiner i, 1-for-1; reshape is never
+// called. Any other delta freezes every old member and calls reshape to
+// re-place construction state against the quiesced world (see Reshaper); a
+// leaver that still hosts an object then aborts the transition at
+// activation with cluster.ErrServerNotEmpty — which is what a nil reshape
+// gets for a leaver hosting anything.
 //
 // A frozen server crashing at any point before activation aborts the
 // transition (ErrResizeAborted): sealed-but-unmoved objects are restored,
 // surviving frozen lanes unfreeze, empty joiners retire, and the old view
 // stays active. The causing crash — and only it — is spent from the
-// fail-stop budget.
+// fail-stop budget. Concurrent view changes serialize.
 func (f *Fabric) Resize(ctx context.Context, spec ResizeSpec, reshape ReshapeFunc) (*ResizeResult, error) {
 	f.reconfMu.Lock()
 	defer f.reconfMu.Unlock()
@@ -169,6 +163,7 @@ func (f *Fabric) Resize(ctx context.Context, spec ResizeSpec, reshape ReshapeFun
 	if newF == 0 {
 		newF = f.cluster.F()
 	}
+	sameShape := len(spec.Join) == len(spec.Leave) && newF == f.cluster.F()
 	oldMembers := f.cluster.Members()
 
 	// 1. Admit every joiner before freezing anything: if an admission
@@ -183,13 +178,13 @@ func (f *Fabric) Resize(ctx context.Context, spec ResizeSpec, reshape ReshapeFun
 		joined = append(joined, id)
 	}
 
-	// 2. Freeze. A reshape must freeze every old member: a quorum gathered
-	// against the old thresholds concurrently with seeding could ack a
-	// write on old members only, and a new-view quorum might intersect
-	// that ack set nowhere. A placement-preserving transition keeps the
-	// old quorum geometry, so only the leavers freeze.
+	// 2. Freeze. A shape change must freeze every old member: a quorum
+	// gathered against the old thresholds concurrently with seeding could
+	// ack a write on old members only, and a new-view quorum might
+	// intersect that ack set nowhere. A same-shape transition keeps the old
+	// quorum geometry, so only the leavers freeze.
 	frozen := leavers
-	if reshape != nil {
+	if !sameShape {
 		for _, m := range oldMembers {
 			if seen[m] {
 				continue // already in the leaver set
@@ -258,8 +253,41 @@ func (f *Fabric) Resize(ctx context.Context, spec ResizeSpec, reshape ReshapeFun
 		}
 	}
 
-	// 4a. Construction-level reshape against the quiesced world.
-	if reshape != nil {
+	// 4. A shape change re-places construction state against the quiesced
+	// world; a same-shape one transfers whatever each leaver hosts onto its
+	// joiner, in ascending object order: seal + fetch the authoritative
+	// state, then move.
+	moved := 0
+	switch {
+	case sameShape:
+		for i, fr := range leavers {
+			old, to := fr.l.server, joined[i]
+			for _, obj := range f.cluster.ObjectsOn(old) {
+				if fr.srv.Crashed() {
+					return nil, abort(fmt.Errorf("server %d crashed before object %d transferred", old, obj))
+				}
+				o, err := f.cluster.Object(obj)
+				if err != nil {
+					return nil, abort(err)
+				}
+				// fetchState seals before it can fail, so the rollback must
+				// restore the pre-seal state either way.
+				state, err := f.fetchState(ctx, fr.l, fr.srv, o)
+				sealed[obj] = state
+				if err != nil {
+					return nil, abort(fmt.Errorf("state fetch for object %d on server %d: %w", obj, old, err))
+				}
+				if f.testBeforeMove != nil {
+					f.testBeforeMove(obj, to)
+				}
+				if err := f.cluster.MoveObject(obj, to, state); err != nil {
+					return nil, abort(fmt.Errorf("move object %d to server %d: %w", obj, to, err))
+				}
+				delete(sealed, obj)
+				moved++
+			}
+		}
+	case reshape != nil:
 		members := make([]types.ServerID, 0, len(oldMembers)+len(joined))
 		for _, m := range oldMembers {
 			if !seen[m] {
@@ -268,54 +296,9 @@ func (f *Fabric) Resize(ctx context.Context, spec ResizeSpec, reshape ReshapeFun
 		}
 		members = append(members, joined...)
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		rs := &Reshaper{f: f, ctx: ctx, members: members, joined: joined, newF: newF}
+		rs := &Reshaper{f: f, ctx: ctx, members: members, newF: newF}
 		if err := reshape(rs); err != nil {
 			return nil, abort(fmt.Errorf("reshape: %w", err))
-		}
-	}
-
-	// 4b. Transfer whatever the leavers still host, in ascending server
-	// then object order: seal + fetch the authoritative state, then move —
-	// onto the joiners round-robin, or onto surviving members when the
-	// view only shrinks.
-	targets := joined
-	if len(targets) == 0 {
-		for _, m := range oldMembers {
-			if !seen[m] {
-				targets = append(targets, m)
-			}
-		}
-	}
-	moved := 0
-	for _, fr := range leavers {
-		old := fr.l.server
-		for _, obj := range f.cluster.ObjectsOn(old) {
-			if fr.srv.Crashed() {
-				return nil, abort(fmt.Errorf("server %d crashed before object %d transferred", old, obj))
-			}
-			if len(targets) == 0 {
-				return nil, abort(fmt.Errorf("no transfer target for object %d (every member is leaving)", obj))
-			}
-			o, err := f.cluster.Object(obj)
-			if err != nil {
-				return nil, abort(err)
-			}
-			// fetchState seals before it can fail, so the rollback must
-			// restore the pre-seal state either way.
-			state, err := f.fetchState(ctx, fr.l, fr.srv, o)
-			sealed[obj] = state
-			if err != nil {
-				return nil, abort(fmt.Errorf("state fetch for object %d on server %d: %w", obj, old, err))
-			}
-			to := targets[moved%len(targets)]
-			if f.testBeforeMove != nil {
-				f.testBeforeMove(obj, to)
-			}
-			if err := f.cluster.MoveObject(obj, to, state); err != nil {
-				return nil, abort(fmt.Errorf("move object %d to server %d: %w", obj, to, err))
-			}
-			delete(sealed, obj)
-			moved++
 		}
 	}
 
@@ -355,25 +338,15 @@ type Reshaper struct {
 	f       *Fabric
 	ctx     context.Context
 	members []types.ServerID
-	joined  []types.ServerID
 	newF    int
 }
-
-// Context returns the transition's context.
-func (rs *Reshaper) Context() context.Context { return rs.ctx }
 
 // Members returns the post-activation member set in ascending ID order:
 // the servers a construction should place its resized quorum sets on.
 func (rs *Reshaper) Members() []types.ServerID { return rs.members }
 
-// Joined returns the admitted joiners' IDs.
-func (rs *Reshaper) Joined() []types.ServerID { return rs.joined }
-
 // F returns the post-activation failure budget.
 func (rs *Reshaper) F() int { return rs.newF }
-
-// Fabric returns the fabric, for cluster placement (Place*) calls.
-func (rs *Reshaper) Fabric() *Fabric { return rs.f }
 
 // State reads an object's authoritative state without sealing or retiring
 // it: local state for in-process/latency backends, a wire read for
@@ -477,7 +450,7 @@ func (f *Fabric) directApply(ctx context.Context, l *lane, srv *cluster.Server, 
 // sealed and no joiner bumps nothing. The stamp moves at a transition's end
 // only, never per moved object: a per-object wake re-fails every waiter whose
 // object has not moved yet. The price is that an op bounced once during a
-// long Replace waits for that server's whole roll, not for its own object.
+// long swap waits for that server's whole transfer, not for its own object.
 func (f *Fabric) ViewStamp() uint64 { return f.viewStamp.Load() }
 
 // ViewWaiters reports how many ops are parked on the view stamp: zero

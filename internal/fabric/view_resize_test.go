@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -77,29 +79,85 @@ func startRetryWriters(ctx context.Context, t *testing.T, fab *Fabric, objs []ty
 	return stop, errs, wg.Wait
 }
 
-// TestResizeGrowAndShrink commits a two-joiner grow and then a two-leaver
-// shrink, each as one epoch bump: values survive the transfers, no leave
-// costs a crash, and Moved/Duration report honestly.
+// TestResizeGrowAndShrink walks one fabric through each transition the
+// membership delta selects, with a counting reshape: a one-for-one swap
+// moves the leaver's objects onto its joiner without calling the reshape
+// while the other members keep serving; a two-joiner grow calls it once
+// with every old member frozen; a shrink with a nil reshape commits when
+// its leavers are empty and, when one still hosts an object, aborts with
+// cluster.ErrServerNotEmpty onto the intact old view. Values survive every
+// step, no leave costs a crash, and Moved/Duration report honestly.
 func TestResizeGrowAndShrink(t *testing.T) {
 	fab, objs := testEnv(t, nil)
 	c := fab.Cluster()
 	ctx := context.Background()
+	if _, err := c.PlaceRegister(0, baseobj.WriterRange{}); err != nil {
+		t.Fatal(err)
+	}
 	for i, obj := range objs {
 		if o := mustOutcome(t, fab.Trigger(0, obj, writeInv(uint64(i+1), types.Value(100+i)))); o.Err != nil {
 			t.Fatalf("seed write %d: %v", i, o.Err)
 		}
 	}
-	epochBefore := c.Epoch()
+	reshapes, frozenInReshape := 0, 0
+	reshape := func(*Reshaper) error {
+		reshapes++
+		for _, m := range c.Members() {
+			if srv, err := c.Server(m); err == nil && srv.Departing() {
+				frozenInReshape++
+			}
+		}
+		return nil
+	}
+	var inWindow func()
+	fab.HookTransition(func() {
+		if inWindow != nil {
+			inWindow()
+		}
+	}, nil)
 
-	grow, err := fab.Resize(ctx, ResizeSpec{Join: []LaneMaker{nil, nil}}, nil)
+	// A swap keeps n and f: only the leaver freezes, its two objects move.
+	epochBefore := c.Epoch()
+	leaverObjects := len(c.ObjectsOn(0))
+	served := false
+	inWindow = func() {
+		o := mustOutcome(t, fab.Trigger(1, objs[1], readInv()))
+		served = o.Err == nil && o.Resp.Val.Val == 101
+	}
+	swapped, err := fab.Resize(ctx, ResizeSpec{Join: []LaneMaker{nil}, Leave: []types.ServerID{0}}, reshape)
+	inWindow = nil
+	if err != nil {
+		t.Fatalf("swap: %v", err)
+	}
+	if reshapes != 0 {
+		t.Fatalf("a same-shape swap called the reshape %d times, want 0", reshapes)
+	}
+	if !served {
+		t.Fatal("an op on a member that stays did not complete inside the swap's window")
+	}
+	if swapped.Moved != leaverObjects || leaverObjects != 2 {
+		t.Fatalf("swap moved %d objects, want the leaver's 2 (had %d)", swapped.Moved, leaverObjects)
+	}
+	if s, err := c.Delta(objs[0]); err != nil || s != swapped.Joined[0] {
+		t.Fatalf("Delta(%d) = %d, %v after the swap, want joiner %d", objs[0], s, err, swapped.Joined[0])
+	}
+	if c.Epoch() <= epochBefore {
+		t.Fatal("epoch did not advance across the swap")
+	}
+
+	// A grow changes n: the reshape runs once, with every old member frozen.
+	grow, err := fab.Resize(ctx, ResizeSpec{Join: []LaneMaker{nil, nil}}, reshape)
 	if err != nil {
 		t.Fatalf("grow: %v", err)
 	}
-	if len(grow.Joined) != 2 || grow.Joined[0] != 3 || grow.Joined[1] != 4 {
-		t.Fatalf("grow joined %v, want [3 4]", grow.Joined)
+	if len(grow.Joined) != 2 || grow.Joined[0] != 4 || grow.Joined[1] != 5 {
+		t.Fatalf("grow joined %v, want [4 5]", grow.Joined)
+	}
+	if reshapes != 1 || frozenInReshape != 3 {
+		t.Fatalf("grow: reshape called %d times with %d members frozen, want once with all 3", reshapes, frozenInReshape)
 	}
 	if grow.Moved != 0 {
-		t.Fatalf("grow moved %d objects, want 0 (nobody left)", grow.Moved)
+		t.Fatalf("grow moved %d objects, want 0 (the reshape re-places)", grow.Moved)
 	}
 	if grow.Duration <= 0 {
 		t.Fatalf("grow duration %v, want > 0", grow.Duration)
@@ -107,29 +165,41 @@ func TestResizeGrowAndShrink(t *testing.T) {
 	if n := c.View().N(); n != 5 {
 		t.Fatalf("view N after grow = %d, want 5", n)
 	}
-	if c.Epoch() <= epochBefore {
-		t.Fatal("epoch did not advance across the grow")
-	}
 
-	shrink, err := fab.Resize(ctx, ResizeSpec{Leave: []types.ServerID{0, 1}}, nil)
-	if err != nil {
-		t.Fatalf("shrink: %v", err)
+	// A nil reshape has nothing to re-place: a shrink by a server hosting
+	// objects aborts at activation; one by the two empty joiners commits.
+	before := c.View()
+	_, err = fab.Resize(ctx, ResizeSpec{Leave: []types.ServerID{swapped.Joined[0], 1}}, nil)
+	if !IsResizeAborted(err) || !errors.Is(err, cluster.ErrServerNotEmpty) {
+		t.Fatalf("shrink by hosting servers with a nil reshape: %v, want an abort for a non-empty server", err)
 	}
-	if shrink.Moved != 2 {
-		t.Fatalf("shrink moved %d objects, want 2 (one per leaver)", shrink.Moved)
+	if after := c.View(); after.N() != before.N() || after.F != before.F {
+		t.Fatalf("the aborted shrink left view %+v, want %+v", after, before)
 	}
-	view := c.View()
-	if view.N() != 3 {
-		t.Fatalf("view N after shrink = %d, want 3", view.N())
-	}
-	for _, m := range view.Members {
-		if m == 0 || m == 1 {
-			t.Fatalf("retired server %d still in the view %v", m, view.Members)
+	for _, m := range before.Members {
+		if srv, _ := c.Server(m); srv.Departing() {
+			t.Fatalf("server %d still frozen after the abort", m)
 		}
 	}
-	// Both batched transitions were leaves, not failures.
+	for i, obj := range objs {
+		if o := mustOutcome(t, fab.Trigger(1, obj, readInv())); o.Err != nil || o.Resp.Val.Val != types.Value(100+i) {
+			t.Fatalf("read %d after the aborted shrink = %+v, want val %d", i, o, 100+i)
+		}
+	}
+	shrink, err := fab.Resize(ctx, ResizeSpec{Leave: grow.Joined}, nil)
+	if err != nil {
+		t.Fatalf("shrink by the empty joiners: %v", err)
+	}
+	if shrink.Moved != 0 || reshapes != 1 {
+		t.Fatalf("shrink moved %d objects and the reshape ran %d times, want 0 and still 1", shrink.Moved, reshapes)
+	}
+	view := c.View()
+	if view.N() != 3 || slices.Contains(view.Members, 0) || slices.Contains(view.Members, 4) || slices.Contains(view.Members, 5) {
+		t.Fatalf("view after the shrink = %v, want servers 1, 2 and 3", view.Members)
+	}
+	// Every transition was a leave or a join, never a failure.
 	if c.Crashes() != 0 {
-		t.Fatalf("Crashes = %d after two clean transitions, want 0", c.Crashes())
+		t.Fatalf("Crashes = %d after clean transitions, want 0", c.Crashes())
 	}
 	for i, obj := range objs {
 		if o := mustOutcome(t, fab.Trigger(1, obj, readInv())); o.Err != nil || o.Resp.Val.Val != types.Value(100+i) {

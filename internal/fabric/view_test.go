@@ -60,9 +60,9 @@ func TestReplaceTransfersState(t *testing.T) {
 	}
 	epochBefore := c.Epoch()
 
-	newID, err := fab.Replace(context.Background(), 0, nil)
+	newID, err := swap(context.Background(), fab, 0)
 	if err != nil {
-		t.Fatalf("Replace: %v", err)
+		t.Fatalf("swap: %v", err)
 	}
 	if newID != 3 {
 		t.Fatalf("joiner ID = %d, want 3 (IDs are never reused)", newID)
@@ -77,7 +77,7 @@ func TestReplaceTransfersState(t *testing.T) {
 		}
 	}
 	if c.Epoch() <= epochBefore {
-		t.Fatalf("epoch did not advance across Replace (%d -> %d)", epochBefore, c.Epoch())
+		t.Fatalf("epoch did not advance across the swap (%d -> %d)", epochBefore, c.Epoch())
 	}
 	if s, err := c.Delta(objs[0]); err != nil || s != newID {
 		t.Fatalf("Delta(%d) = %d, %v; want %d", objs[0], s, err, newID)
@@ -139,9 +139,9 @@ func TestReplaceDrainsParkedOps(t *testing.T) {
 		t.Fatal("apply-held op completed before the drain")
 	}
 
-	newID, err := fab.Replace(context.Background(), 0, nil)
+	newID, err := swap(context.Background(), fab, 0)
 	if err != nil {
-		t.Fatalf("Replace: %v", err)
+		t.Fatalf("swap: %v", err)
 	}
 
 	o := applyHeld.wait(t)
@@ -170,19 +170,19 @@ func TestReplaceRefusals(t *testing.T) {
 	if err := fab.Crash(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fab.Replace(ctx, 1, nil); err == nil {
-		t.Fatal("Replace of a crashed server succeeded")
+	if _, err := swap(ctx, fab, 1); err == nil {
+		t.Fatal("swap of a crashed server succeeded")
 	}
 	srv, err := fab.Cluster().Server(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Depart()
-	if _, err := fab.Replace(ctx, 2, nil); err == nil {
-		t.Fatal("Replace of an already-departing server succeeded")
+	if _, err := swap(ctx, fab, 2); err == nil {
+		t.Fatal("swap of an already-departing server succeeded")
 	}
-	if _, err := fab.Replace(ctx, 99, nil); err == nil {
-		t.Fatal("Replace of an unknown server succeeded")
+	if _, err := swap(ctx, fab, 99); err == nil {
+		t.Fatal("swap of an unknown server succeeded")
 	}
 }
 
@@ -262,8 +262,8 @@ func TestReplaceUnderLatencyLaneLoad(t *testing.T) {
 	}
 
 	for _, old := range c.View().Members {
-		if _, err := fab.Replace(ctx, old, nil); err != nil {
-			t.Fatalf("Replace(%d): %v", old, err)
+		if _, err := swap(ctx, fab, old); err != nil {
+			t.Fatalf("swap(%d): %v", old, err)
 		}
 	}
 	close(stop)
@@ -282,6 +282,16 @@ func TestReplaceUnderLatencyLaneLoad(t *testing.T) {
 			t.Fatalf("original server %d still in the view %v", m, view.Members)
 		}
 	}
+}
+
+// swap is the one-for-one Resize: a fresh joiner on the default lane takes
+// over every object of old. It returns the joiner's ID.
+func swap(ctx context.Context, fab *Fabric, old types.ServerID) (types.ServerID, error) {
+	res, err := fab.Resize(ctx, ResizeSpec{Join: []LaneMaker{nil}, Leave: []types.ServerID{old}}, nil)
+	if err != nil {
+		return 0, err
+	}
+	return res.Joined[0], nil
 }
 
 // retryView runs attempt until it stops failing with a view-change error,

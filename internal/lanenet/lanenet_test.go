@@ -268,15 +268,16 @@ func TestNetworkLaneProtocolErrorsRoundTrip(t *testing.T) {
 	if !errors.Is(o.Err, baseobj.ErrWrongOp) {
 		t.Fatalf("wrong-op err = %v, want ErrWrongOp", o.Err)
 	}
-	// Moved by a Replace onto a fresh node, the register keeps its range: the
+	// Moved by a swap onto a fresh node, the register keeps its range: the
 	// stateful place frame carries it.
 	fresh, _ := startNodes(t, 1)
 	joiner, err := Dial(fresh[0], time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fab.Replace(context.Background(), 0, func(types.ServerID) fabric.Lane { return joiner }); err != nil {
-		t.Fatalf("Replace: %v", err)
+	spec := fabric.ResizeSpec{Join: []fabric.LaneMaker{func(types.ServerID) fabric.Lane { return joiner }}, Leave: []types.ServerID{0}}
+	if _, err := fab.Resize(context.Background(), spec, nil); err != nil {
+		t.Fatalf("swap: %v", err)
 	}
 	checkRange("moved")
 	// A peer's place frame with an inverted range is refused.

@@ -43,7 +43,7 @@ func TestPlaceFrameCarriesState(t *testing.T) {
 
 // TestReplaceMigratesToFreshNode runs the full reconfiguration over the
 // network lane: a register's authoritative state lives in a storage node,
-// fabric.Replace reads it over the wire at the freeze point and re-places
+// a one-for-one Resize reads it over the wire at the freeze point and re-places
 // it — via a stateful place frame — on a different node dialed by a fresh
 // client. The new session identity is the join.
 func TestReplaceMigratesToFreshNode(t *testing.T) {
@@ -58,10 +58,11 @@ func TestReplaceMigratesToFreshNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	maker := func(types.ServerID) fabric.Lane { return joiner }
-	newID, err := fab.Replace(context.Background(), 0, maker)
+	res, err := fab.Resize(context.Background(), fabric.ResizeSpec{Join: []fabric.LaneMaker{maker}, Leave: []types.ServerID{0}}, nil)
 	if err != nil {
-		t.Fatalf("Replace: %v", err)
+		t.Fatalf("swap: %v", err)
 	}
+	newID := res.Joined[0]
 
 	if s, err := fab.Cluster().Delta(objs[0]); err != nil || s != newID {
 		t.Fatalf("Delta = %d, %v; want joiner %d", s, err, newID)

@@ -208,7 +208,12 @@ func TestOpenLoopCoordinatedOmission(t *testing.T) {
 }
 
 // TestRateSweepKnee sweeps a sustained and a saturating offered rate and
-// checks Knee lands on the sustained one.
+// checks Knee lands on the sustained one. Each point's window closes on
+// its 1,000th completion: the ops still in flight when it closes are not
+// counted, a shortfall of one op latency's worth of the offered rate, so
+// the sustained point spans a second — a 10 ms scheduler lag on a loaded
+// machine costs it 1 %, not the 5 % it cost a 200 ms window — while the
+// saturating point still closes after a fifth of a second.
 func TestRateSweepKnee(t *testing.T) {
 	profile := fabric.LatencyProfile{Base: 500 * time.Microsecond, Jitter: 100 * time.Microsecond}
 	results, err := RateSweep(context.Background(), Config{
@@ -217,7 +222,8 @@ func TestRateSweepKnee(t *testing.T) {
 		ReadFraction: 0.5,
 		Lane:         runner.LaneLatency,
 		Profile:      &profile,
-		Duration:     200 * time.Millisecond,
+		Duration:     5 * time.Second,
+		MaxOps:       1000,
 		Seed:         8,
 	}, []float64{1000, 100_000})
 	if err != nil {

@@ -82,15 +82,12 @@ type ChaosConfig struct {
 	// Seed drives the gate, the schedule, and (for the latency lane) the
 	// delay distributions, through independent sub-streams.
 	Seed int64
-	// ChurnProb replaces one random live server between high-level ops
-	// with this probability (default 0 — no churn): a full fabric.Replace
-	// with state transfer, so the run additionally exercises view changes,
-	// transparent retries, and coordinator drains of gate-held ops.
-	ChurnProb float64
-	// ResizeProb performs a random batched view transition between
-	// high-level ops with this probability (default 0): a fabric.Resize
-	// with a construction reshape — grow, shrink, or swap — so the run
-	// exercises quorum-geometry re-derivation and frozen-window seeding.
+	// ResizeProb performs a random view transition between high-level ops
+	// with this probability (default 0): a fabric.Resize — a member swap,
+	// whose state transfer drains gate-held ops off the leaver, or a grow or
+	// shrink, whose construction reshape re-derives the quorum geometry and
+	// seeds it in the frozen window — so the run additionally exercises
+	// view changes and transparent retries.
 	ResizeProb float64
 	// TransitionCrashProb crashes one frozen server inside each resize
 	// transition with this probability (within the fail-stop budget):
@@ -132,13 +129,15 @@ type ChaosReport struct {
 	Reads    int
 	Holds    int
 	Releases int
-	// Replacements counts the live server replacements churn performed.
-	Replacements int
-	// Resizes counts committed batched transitions; ResizeAborts counts
-	// transitions rolled back by an in-window crash (not errors — the old
-	// view stayed active); TransitionCrashes counts the crashes the run
-	// injected inside transitions (honest budget: each is a real crash).
+	// Resizes counts committed transitions; Swaps how many of them were
+	// member swaps, which transfer instead of reshaping, and Moved the
+	// objects those swaps transferred. ResizeAborts counts transitions
+	// rolled back by an in-window crash (not errors — the old view stayed
+	// active); TransitionCrashes counts the crashes the run injected inside
+	// transitions (honest budget: each is a real crash).
 	Resizes           int
+	Swaps             int
+	Moved             int
 	ResizeAborts      int
 	TransitionCrashes int
 	Checks            CheckResult
@@ -207,25 +206,9 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			rep.Writes++
 		}
 		rep.Releases += chaos.ReleaseSome(env.Fabric, chaosReleaseProb)
-		if cfg.ChurnProb > 0 && churn.Float64() < cfg.ChurnProb {
-			replaced, err := churnReplace(ctx, env, churn)
-			if err != nil {
-				return nil, fmt.Errorf("chaos op %d churn: %w", op, err)
-			}
-			if replaced {
-				rep.Replacements++
-			}
-		}
 		if cfg.ResizeProb > 0 && churn.Float64() < cfg.ResizeProb {
-			resized, aborted, err := churnResize(ctx, env, reg, churn, crasher, cfg.TransitionCrashProb)
-			if err != nil {
+			if err := churnResize(ctx, env, reg, churn, crasher, cfg.TransitionCrashProb, rep); err != nil {
 				return nil, fmt.Errorf("chaos op %d resize: %w", op, err)
-			}
-			if resized {
-				rep.Resizes++
-			}
-			if aborted {
-				rep.ResizeAborts++
 			}
 		}
 	}
@@ -236,31 +219,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	rep.Checks = Check(hist)
 	rep.History = hist
 	return rep, nil
-}
-
-// churnReplace replaces one random live member of the current view with a
-// fresh joiner via fabric.Replace (state transfer included), using the
-// fabric's default lane maker for the joiner's backend. Crashed and
-// already-departing members are not candidates; with none left the churn
-// tick is a no-op.
-func churnReplace(ctx context.Context, env *Env, rng *rand.Rand) (bool, error) {
-	view := env.Cluster.View()
-	var candidates []types.ServerID
-	for _, id := range view.Members {
-		srv, err := env.Cluster.Server(id)
-		if err != nil || srv.Crashed() || srv.Departing() {
-			continue
-		}
-		candidates = append(candidates, id)
-	}
-	if len(candidates) == 0 {
-		return false, nil
-	}
-	victim := candidates[rng.Intn(len(candidates))]
-	if _, err := env.Fabric.Replace(ctx, victim, nil); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // ChaosSweepReport aggregates a chaos sweep across consecutive seeds.
@@ -276,12 +234,11 @@ type ChaosSweepReport struct {
 	Violating int
 	// FirstViolatingSeed is the lowest violating seed, or -1 when none.
 	FirstViolatingSeed int64
-	// Writes, Reads, Holds, Releases, and Replacements are summed across
-	// all seeds.
-	Writes, Reads, Holds, Releases, Replacements int
-	// Resizes, ResizeAborts, and TransitionCrashes are summed across all
-	// seeds (see ChaosReport).
-	Resizes, ResizeAborts, TransitionCrashes int
+	// Writes, Reads, Holds, and Releases are summed across all seeds.
+	Writes, Reads, Holds, Releases int
+	// Resizes, Swaps, Moved, ResizeAborts, and TransitionCrashes are summed
+	// across all seeds (see ChaosReport).
+	Resizes, Swaps, Moved, ResizeAborts, TransitionCrashes int
 	// Elapsed is the sweep wall-clock time.
 	Elapsed time.Duration
 }
@@ -317,8 +274,9 @@ func RunChaosSweep(ctx context.Context, cfg ChaosConfig, seeds, workers int) (*C
 		rep.Reads += r.Reads
 		rep.Holds += r.Holds
 		rep.Releases += r.Releases
-		rep.Replacements += r.Replacements
 		rep.Resizes += r.Resizes
+		rep.Swaps += r.Swaps
+		rep.Moved += r.Moved
 		rep.ResizeAborts += r.ResizeAborts
 		rep.TransitionCrashes += r.TransitionCrashes
 		if !r.Checks.OK() {

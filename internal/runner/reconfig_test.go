@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/types"
 )
 
@@ -73,10 +74,12 @@ func TestReconfigureMidFlightAllKinds(t *testing.T) {
 				}()
 			}
 
-			// Rolling replacement of every original server, mid-flight.
+			// Rolling replacement of every original server, mid-flight: each
+			// one-for-one swap transfers, so the reshape is never called.
 			for _, old := range env.Cluster.View().Members {
-				if _, err := env.Fabric.Replace(ctx, old, nil); err != nil {
-					t.Fatalf("Replace(%d): %v", old, err)
+				spec := fabric.ResizeSpec{Join: []fabric.LaneMaker{nil}, Leave: []types.ServerID{old}}
+				if _, err := env.Fabric.Resize(ctx, spec, reg.Reshape); err != nil {
+					t.Fatalf("swap of server %d: %v", old, err)
 				}
 			}
 			close(stop)

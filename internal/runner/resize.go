@@ -10,15 +10,16 @@ import (
 	"repro/internal/types"
 )
 
-// churnResize performs one random batched transition on a live run: a
-// member swap (join one, leave one), a grow by one, or — when the view has
-// slack above 2f+1 — a shrink by one, each with a construction reshape so
-// the quorum geometry genuinely re-derives. The failure budget f is left
-// unchanged; explicit f changes are exercised by the dedicated
-// resize-under-load tests. An aborted transition (a concurrent crash won
-// the race) is not an error: the old view stayed active and the run
-// continues.
-func churnResize(ctx context.Context, env *Env, reg emulation.Register, rng *rand.Rand, tc *transitionCrasher, crashProb float64) (done, aborted bool, err error) {
+// churnResize performs one random transition on a live run and books it
+// on rep: a member swap (join one, leave one), which keeps n and f and so
+// transfers the leaver's objects onto the joiner; a grow by one; or — when
+// the view has slack above 2f+1 — a shrink by one. The grow and the shrink
+// change n, so the construction's reshape re-derives the quorum geometry.
+// The failure budget f is left unchanged; explicit f changes are exercised
+// by the dedicated resize-under-load tests. An aborted transition (a
+// concurrent crash won the race) is not an error: the old view stayed
+// active and the run continues.
+func churnResize(ctx context.Context, env *Env, reg emulation.Register, rng *rand.Rand, tc *transitionCrasher, crashProb float64, rep *ChaosReport) error {
 	view := env.Cluster.View()
 	var candidates []types.ServerID
 	for _, id := range view.Members {
@@ -29,7 +30,7 @@ func churnResize(ctx context.Context, env *Env, reg emulation.Register, rng *ran
 		candidates = append(candidates, id)
 	}
 	if len(candidates) == 0 {
-		return false, false, nil
+		return nil
 	}
 	var spec fabric.ResizeSpec
 	switch choice := rng.Intn(3); {
@@ -40,7 +41,7 @@ func churnResize(ctx context.Context, env *Env, reg emulation.Register, rng *ran
 		spec.Join = []fabric.LaneMaker{nil}
 	default:
 		if len(candidates) <= 2*view.F+1 {
-			return false, false, nil // no slack: a shrink would starve the quorums
+			return nil // no slack: a shrink would starve the quorums
 		}
 		spec.Leave = []types.ServerID{candidates[rng.Intn(len(candidates))]}
 	}
@@ -54,13 +55,20 @@ func churnResize(ctx context.Context, env *Env, reg emulation.Register, rng *ran
 		tc.arm(victim)
 		defer tc.disarm()
 	}
-	if _, err := env.Fabric.Resize(ctx, spec, reg.Reshape); err != nil {
-		if fabric.IsResizeAborted(err) {
-			return false, true, nil
-		}
-		return false, false, err
+	res, err := env.Fabric.Resize(ctx, spec, reg.Reshape)
+	switch {
+	case fabric.IsResizeAborted(err):
+		rep.ResizeAborts++
+		return nil
+	case err != nil:
+		return err
 	}
-	return true, false, nil
+	rep.Resizes++
+	if len(spec.Join) == len(spec.Leave) {
+		rep.Swaps++
+		rep.Moved += res.Moved
+	}
+	return nil
 }
 
 // transitionCrasher arms the fabric's transition hooks to crash one frozen
@@ -73,7 +81,8 @@ type transitionCrasher struct {
 	f   int
 	// chaos, when set, has its hold budget narrowed by one per crash: the
 	// crash and the holds draw on the same fail-stop allowance of f, so
-	// together they never leave a quorum round short of its n-f threshold.
+	// together they never leave a quorum round short of its n-f threshold
+	// (fire checks the holds already granted).
 	chaos  *adversary.Chaos
 	armed  bool
 	victim types.ServerID
@@ -102,7 +111,11 @@ func (tc *transitionCrasher) fire(victim types.ServerID) {
 	if !tc.armed {
 		return
 	}
-	if tc.env.Cluster.Crashes() >= tc.f {
+	// A swap freezes only its leaver, so a client may still hold ops on
+	// the other members: crash only while the crashes and the most ops one
+	// client has held stay below f, or that client's next round waits for
+	// a quorum that cannot form.
+	if tc.env.Cluster.Crashes()+maxHeld(tc.env.Fabric.Pending()) >= tc.f {
 		return // the fail-stop budget is spent; stay within the model
 	}
 	tc.armed = false
@@ -112,4 +125,18 @@ func (tc *transitionCrasher) fire(victim types.ServerID) {
 			tc.chaos.Narrow(1)
 		}
 	}
+}
+
+// maxHeld returns the most apply- or respond-held ops any one client has
+// among pending.
+func maxHeld(pending []fabric.PendingOp) int {
+	held := make(map[types.ClientID]int)
+	most := 0
+	for _, op := range pending {
+		if op.Phase == fabric.PhaseApply || op.Phase == fabric.PhaseRespond {
+			held[op.Event.Client]++
+			most = max(most, held[op.Event.Client])
+		}
+	}
+	return most
 }

@@ -15,18 +15,19 @@ const resizeSeeds = 24
 var soundKinds = []Kind{KindABDMax, KindCASMax, KindAACMax, KindCoded, KindRegEmu}
 
 // TestResizeChurnSoundConstructionsStaySafe is the E27 net: between
-// high-level ops, random batched view transitions fire — grows, shrinks,
-// and swaps, each one epoch bump with the construction's reshape seeding
-// the re-derived quorum geometry inside the frozen window — while the
-// chaos gate's holds and stale releases keep landing. Sound constructions
-// must stay WS-safe and WS-regular on every pinned seed, and the
-// transitions must actually commit.
+// high-level ops, random view transitions fire, each one epoch bump —
+// member swaps, which freeze the leaver and transfer its objects onto the
+// joiner, and grows and shrinks, whose construction reshape seeds the
+// re-derived quorum geometry inside the frozen window — while the chaos
+// gate's holds and stale releases keep landing. Sound constructions must
+// stay WS-safe and WS-regular on every pinned seed, and both kinds of
+// transition must actually commit, the swaps moving objects.
 func TestResizeChurnSoundConstructionsStaySafe(t *testing.T) {
 	ctx := testCtx(t)
 	for _, kind := range soundKinds {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			resizes := 0
+			resizes, swaps, moved := 0, 0, 0
 			for seed := int64(0); seed < resizeSeeds; seed++ {
 				cfg := ChaosConfig{
 					Kind: kind, K: 3, F: 2, N: ChaosServers(kind),
@@ -43,9 +44,14 @@ func TestResizeChurnSoundConstructionsStaySafe(t *testing.T) {
 					t.Errorf("seed %d: WS-Regularity: %v (resizes=%d)", seed, rep.Checks.WSRegularity, rep.Resizes)
 				}
 				resizes += rep.Resizes
+				swaps += rep.Swaps
+				moved += rep.Moved
 			}
-			if resizes == 0 {
-				t.Error("resize churn never committed a transition — the net is vacuous")
+			if swaps == 0 || moved == 0 {
+				t.Errorf("%d swaps moved %d objects — the transfer path is vacuous", swaps, moved)
+			}
+			if resizes == swaps {
+				t.Errorf("all %d committed transitions were swaps — the reshape path is vacuous", resizes)
 			}
 		})
 	}
@@ -92,12 +98,12 @@ func TestResizeChurnDeterministicPerSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Writes != b.Writes || a.Reads != b.Reads || a.Resizes != b.Resizes || a.Holds != b.Holds {
-		t.Fatalf("same seed diverged: %d/%d/%d/%d vs %d/%d/%d/%d (writes/reads/resizes/holds)",
-			a.Writes, a.Reads, a.Resizes, a.Holds, b.Writes, b.Reads, b.Resizes, b.Holds)
+	if a.Writes != b.Writes || a.Reads != b.Reads || a.Resizes != b.Resizes || a.Moved != b.Moved || a.Holds != b.Holds {
+		t.Fatalf("same seed diverged: %d/%d/%d/%d/%d vs %d/%d/%d/%d/%d (writes/reads/resizes/moved/holds)",
+			a.Writes, a.Reads, a.Resizes, a.Moved, a.Holds, b.Writes, b.Reads, b.Resizes, b.Moved, b.Holds)
 	}
-	if a.Resizes == 0 {
-		t.Error("pinned seed produced no committed transitions")
+	if a.Resizes == 0 || a.Moved == 0 {
+		t.Errorf("pinned seed committed %d transitions moving %d objects, want both non-zero", a.Resizes, a.Moved)
 	}
 }
 

@@ -101,22 +101,22 @@ func TestChaosCodedStaySafe(t *testing.T) {
 }
 
 // TestChaosCodedWithChurn adds live reconfiguration: fragment stores
-// migrate (with their fragments) mid-chaos and the checkers must stay
-// green.
+// migrate (with their fragments) onto swapped-in members and restripe
+// across grows and shrinks mid-chaos, and the checkers must stay green.
 func TestChaosCodedWithChurn(t *testing.T) {
 	ctx := testCtx(t)
 	for seed := int64(0); seed < 6; seed++ {
 		cfg := ChaosConfig{
 			Kind: KindCoded, K: 2, F: 1, N: 5,
-			Ops: 20, Seed: seed, ChurnProb: 0.2,
+			Ops: 20, Seed: seed, ResizeProb: 0.2,
 		}
 		rep, err := RunChaos(ctx, cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if !rep.Checks.OK() {
-			t.Errorf("seed %d: safety=%v regularity=%v (replacements=%d)",
-				seed, rep.Checks.WSSafety, rep.Checks.WSRegularity, rep.Replacements)
+			t.Errorf("seed %d: safety=%v regularity=%v (resizes=%d moved=%d)",
+				seed, rep.Checks.WSSafety, rep.Checks.WSRegularity, rep.Resizes, rep.Moved)
 		}
 	}
 }

@@ -89,23 +89,24 @@ func TestShardStoreFirstTouchIsLinear(t *testing.T) {
 	}
 }
 
-// TestShardStoreSweepAfterReplaceStaysCheap: a Replace bumps the epoch, so
-// the next op on every key re-resolves its base objects. That sweep may
-// allocate at most 3x what a warm sweep does — one fresh route per object —
-// where a table copy per re-resolution made it cost seconds.
+// TestShardStoreSweepAfterReplaceStaysCheap: a one-for-one swap moves
+// server 0's objects and bumps the epoch, so the next op on every key
+// re-resolves its base objects. That sweep may allocate at most 3x what a
+// warm sweep does — one fresh route per object — where a table copy per
+// re-resolution made it cost seconds.
 func TestShardStoreSweepAfterReplaceStaysCheap(t *testing.T) {
 	ctx := testCtx(t)
 	st, keys := openScaleStore(ctx, t, 8192)
 	sweepKeys(ctx, t, st, keys, 1)
 	warm := allocated(func() { sweepKeys(ctx, t, st, keys, 2) })
 	for s := 0; s < st.NumShards(); s++ {
-		if _, err := st.Env(s).Fabric.Replace(ctx, 0, nil); err != nil {
-			t.Fatalf("shard %d: Replace: %v", s, err)
+		if _, err := st.Resize(ctx, s, ResizeSpec{Grow: 1, Shrink: 1}); err != nil {
+			t.Fatalf("shard %d: swap: %v", s, err)
 		}
 	}
 	after := allocated(func() { sweepKeys(ctx, t, st, keys, 3) })
-	t.Logf("warm sweep %d B, first sweep after Replace %d B", warm, after)
+	t.Logf("warm sweep %d B, first sweep after the swap %d B", warm, after)
 	if after > 3*warm {
-		t.Fatalf("first sweep after a Replace allocated %d B against %d B warm (> 3x)", after, warm)
+		t.Fatalf("first sweep after a swap allocated %d B against %d B warm (> 3x)", after, warm)
 	}
 }

@@ -37,10 +37,10 @@
 // materialized key and client slot takes no lock — a bounds check and three
 // loads; a miss (the first touch of a key, or of a client slot) takes the
 // key's shard lock, builds the record once on a key's first touch and fills
-// the client slot in place. Resize and
-// Reconfigure hold that lock across their transition, so no register
-// materializes inside one, while ops on existing keys park on the fabric's
-// view stamp like any op caught by a freeze.
+// the client slot in place. Resize holds that lock across its transition
+// (Reconfigure is a series of them), so no register materializes inside
+// one, while ops on existing keys park on the fabric's view stamp like any
+// op caught by a freeze.
 //
 // # TCP shards over shared node processes
 //
@@ -353,38 +353,20 @@ func (st *Store) Crash(s int, server types.ServerID) error {
 }
 
 // Reconfigure performs a rolling replacement of every current member of
-// shard s: each server is replaced in turn (fabric.Replace) by a fresh
-// joiner with full state transfer, one at a time, while the shard keeps
-// serving — operations caught in a freeze window retry transparently. After
-// Reconfigure returns, none of the shard's original servers remain in the
-// view.
-//
-// On the TCP lane each joiner dials its own fresh connection into the node
-// pool (bound to the shard's table): the new session identity IS the join,
-// mirroring the reconnect-as-crash rule in reverse. Other lanes use the
-// fabric's default maker, so a latency-lane joiner gets its own seeded
-// delay sub-stream.
+// shard s: one Resize{Grow: 1, Shrink: 1} per original member, each
+// retiring the longest-serving member — an original one, since every
+// joiner takes a higher ID — while the shard keeps serving. A one-for-one
+// swap keeps n and f, so each step freezes only its leaver and transfers
+// its objects with their state onto the joiner; operations caught in a
+// freeze window retry transparently. After Reconfigure returns, none of
+// the shard's original servers remain in the view.
 func (st *Store) Reconfigure(ctx context.Context, s int) error {
 	if s < 0 || s >= len(st.shards) {
 		return fmt.Errorf("shardstore: shard %d outside [0, %d)", s, len(st.shards))
 	}
-	sh := st.shards[s]
-	// Like Resize, hold the shard lock for the whole roll: a key
-	// materializing mid-Replace would place a base object on the leaver
-	// after its objects were enumerated for transfer and strand it there —
-	// the cluster refuses a departed server, not yet a frozen one (ROADMAP
-	// item 2). One materializing afterwards reads the live view; ops on
-	// materialized keys never take the lock.
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	view := sh.env.Cluster.View()
-	for _, old := range view.Members {
-		maker, err := st.joinerMakerAt(s, st.Env(s).Cluster.N())
-		if err != nil {
-			return fmt.Errorf("shardstore: shard %d joiner for server %d: %w", s, old, err)
-		}
-		if _, err := sh.env.Fabric.Replace(ctx, old, maker); err != nil {
-			return fmt.Errorf("shardstore: shard %d replace server %d: %w", s, old, err)
+	for range st.shards[s].env.Cluster.View().N() {
+		if _, err := st.Resize(ctx, s, ResizeSpec{Grow: 1, Shrink: 1}); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -395,8 +377,8 @@ func (st *Store) Reconfigure(ctx context.Context, s int) error {
 // move the failure budget to F — all under a single epoch bump.
 type ResizeSpec struct {
 	// Grow is how many fresh servers join; Shrink how many current members
-	// leave (the lowest-ID members of the live view are chosen, mirroring
-	// Reconfigure's oldest-first order). Both may be zero.
+	// leave (the lowest-ID, so longest-serving, members of the live view).
+	// Both may be zero.
 	Grow, Shrink int
 	// F, when positive, is the shard's new failure budget; 0 keeps the
 	// current one.
@@ -404,17 +386,20 @@ type ResizeSpec struct {
 }
 
 // Resize commits a batched view transition on shard s: all joins, leaves,
-// and the f change activate together with re-derived quorum thresholds,
-// and every materialized register re-places its base objects against the
-// new geometry inside the frozen window (emulation.Register.Reshape). A
-// geometry some register cannot host aborts the transition onto the intact
-// old view.
+// and the f change activate together under one epoch bump. A spec that
+// keeps n and f (Grow == Shrink, F zero or unchanged) swaps members: the
+// leavers' objects move with their state onto the joiners, and the
+// registers keep their placements. Any other spec re-derives the quorum
+// thresholds, and every materialized register re-places its base objects
+// against the new geometry inside the frozen window
+// (emulation.Register.Reshape); a geometry some register cannot host
+// aborts the transition onto the intact old view.
 //
 // The shard lock is held for the whole transition, so no key materializes
 // inside it; keys materializing afterwards read the new member set and the
-// new f from the view. Ops on materialized keys do not take the lock: a
-// quorum-reshaping transition freezes every member, so they bounce and park
-// on the view stamp until it ends.
+// new f from the view. Ops on materialized keys do not take the lock: those
+// routed at a frozen server — a swap's leavers, every member of a reshaping
+// transition — bounce and park on the view stamp until it ends.
 func (st *Store) Resize(ctx context.Context, s int, spec ResizeSpec) (*fabric.ResizeResult, error) {
 	if s < 0 || s >= len(st.shards) {
 		return nil, fmt.Errorf("shardstore: shard %d outside [0, %d)", s, len(st.shards))
@@ -425,17 +410,6 @@ func (st *Store) Resize(ctx context.Context, s int, spec ResizeSpec) (*fabric.Re
 	sh := st.shards[s]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-
-	// No key materializes while the shard lock is held, so the shard's
-	// registers are collected now, before a joiner is dialed or a server
-	// frozen.
-	var keys []uint64
-	var regs []emulation.Register
-	for key, kr := range st.all() {
-		if st.ShardOf(key) == s {
-			keys, regs = append(keys, key), append(regs, kr.reg)
-		}
-	}
 	view := sh.env.Cluster.View()
 	if spec.Shrink > len(view.Members) {
 		return nil, fmt.Errorf("shardstore: shard %d cannot shed %d of %d members", s, spec.Shrink, len(view.Members))
@@ -448,10 +422,15 @@ func (st *Store) Resize(ctx context.Context, s int, spec ResizeSpec) (*fabric.Re
 		}
 		fspec.Join = append(fspec.Join, maker)
 	}
+	// The reshape runs only on a shape change. No key materializes while
+	// the shard lock is held, so it walks the shard's registers in place.
 	res, err := sh.env.Fabric.Resize(ctx, fspec, func(rs *fabric.Reshaper) error {
-		for i, reg := range regs {
-			if err := reg.Reshape(rs); err != nil {
-				return fmt.Errorf("shardstore: key %d: %w", keys[i], err)
+		for key, kr := range st.all() {
+			if st.ShardOf(key) != s {
+				continue
+			}
+			if err := kr.reg.Reshape(rs); err != nil {
+				return fmt.Errorf("shardstore: key %d: %w", key, err)
 			}
 		}
 		return nil
