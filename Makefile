@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-smoke pairs allocs examples fabric-bench loadgen-smoke lint gofmt no-timers stress loc race-sweep race-rounds race-lanenet fuzz-smoke race-lanes race-routes race-shards race-churn race-coded race-resize
+.PHONY: all build vet test race bench bench-smoke pairs allocs examples fabric-bench loadgen-smoke lint gofmt no-timers stress loc race-rounds race-lanenet fuzz-smoke race-routes
 
 all: vet build test
 
@@ -101,14 +101,6 @@ loadgen-smoke:
 fabric-bench:
 	$(GO) test -run xxx -bench BenchmarkFabricParallelTrigger -benchtime 2s .
 
-# Sweep-engine suite under the race detector: the exhaustive f=1 schedule
-# class over every construction and the parallel-vs-sequential parity test,
-# which doubles as the engine's data-race probe. Selected by package and the
-# TestExhaustive / TestSweep name prefixes, so new sweep tests join without
-# a list edit.
-race-sweep:
-	$(GO) test -race -count 1 -run 'TestExhaustive|TestSweep' ./internal/runner
-
 # The round engine, the blocking adapter, the collect/push chain and the
 # async engine under the race detector, repeated and at three GOMAXPROCS
 # settings: every quorum condition and reducer of the one scatter, the
@@ -139,21 +131,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime 10s ./internal/lanenet
 	$(GO) test -run xxx -fuzz FuzzDecodeEncode -fuzztime 10s ./internal/emulation/coded
 
-# The five suites below select by package, or by the topic word a test
-# carries in its name (an unanchored -run pattern), so a new test joins its
-# suite by being named for what it tests — there is no name list to edit.
-
-# Lane-backend suite under the race detector: every fabric and runner test
-# with "Lane" in its name — latency lanes (the event loop, a delivery that
-# never blocks while the loop is parked, completions on the loop, crash
-# windows), the custom-backend seam, view changes under latency-lane load,
-# the chaos suites over the latency and TCP lanes (the TCP chaos suite spawns
-# real cmd/lanenode processes) — plus the snapshot-scan family. The TCP
-# lane's own package runs under race-lanenet.
-LANE_SUITE = -run 'Lane|TestScanSnapshot' ./internal/fabric ./internal/runner
-race-lanes:
-	$(GO) test -race -count 1 $(LANE_SUITE)
-
 # Object-table suite under the race detector, repeated and at three
 # GOMAXPROCS settings: chunk-edge round-trips, tombstones and the used latch
 # across a move in the cluster's table, the linear placement bound, the
@@ -167,54 +144,33 @@ race-lanes:
 race-routes:
 	$(GO) test -race -count 20 -cpu 1,2,8 -run 'TestObjectTable' ./internal/cluster ./internal/fabric
 
-# Sharded-store suite under the race detector, selected by package: all of
-# internal/shardstore (deterministic shard routing, the multi-engine
-# frontend, crash-per-shard end-to-end runs, reconfiguration and resizing,
-# and the TCP-lane smokes over real cmd/lanenode processes, one of which
-# kills a node mid-run) and all of internal/loadgen (sharded, open-loop and
-# rate-sweep paths, the coded space axis). The multi-table lanenet node runs
-# under race-lanenet.
-race-shards:
-	$(GO) test -race -count 1 ./internal/shardstore ./internal/loadgen
-
-# Reconfiguration suite under the race detector: membership accounting (all
-# of internal/cluster), and every fabric, runner and shardstore test named
-# for a reconfiguration topic — Replace (the one-for-one swap, a Resize
-# that keeps n and f: freeze/drain/transfer/activate, parked-op outcomes,
-# refusals, rolling replacement under load), Reconfigure (every server of
-# every construction mid-flight; whole shards — a Resize{Grow: 1, Shrink: 1}
-# per member — in-process and over real cmd/lanenode processes), Churn (the
+# The reconfiguration suites stress repeats, selected by package or by the
+# topic word a test carries in its name (an unanchored -run pattern), so a
+# new test joins its suite by being named for what it tests — there is no
+# name list to edit.
+#
+# CHURN_SUITE: every fabric, runner and shardstore test named for a
+# reconfiguration topic — Replace (the one-for-one swap, a Resize that keeps
+# n and f: freeze/drain/transfer/activate, parked-op outcomes, refusals,
+# rolling replacement under load), Reconfigure (every server of every
+# construction mid-flight; whole shards — a Resize{Grow: 1, Shrink: 1} per
+# member — in-process and over real cmd/lanenode processes), Churn (the
 # resize chaos nets on their pinned seeds, E27, whose swaps transfer and
 # whose grows and shrinks reshape, and the coded one), Drain, Departing,
 # ViewRetry. The stateful place frames and the node drain on the TCP lane
 # run under race-lanenet.
 CHURN_SUITE = -run 'Replace|Reconfigure|Churn|Drain|Departing|ViewRetry' ./internal/fabric ./internal/runner ./internal/shardstore
-race-churn:
-	$(GO) test -race -count 1 ./internal/cluster
-	$(GO) test -race -count 1 $(CHURN_SUITE)
 
-# Erasure-coded suite under the race detector: all of the coded construction
-# (the GF(2^8) coder, concurrent writers/readers, crash tolerance, space
-# accounting, live replacement and restripe) and of internal/baseobj (the
-# fragment store), then the runner and loadgen tests named for it — the
-# torn-stripe adversary on all three lane backends (the TCP variant spawns
-# real cmd/lanenode processes), the coded chaos net on its pinned seeds
-# (E26), and the end-to-end space axis through the sharded store.
-race-coded:
-	$(GO) test -race -count 1 ./internal/emulation/coded ./internal/baseobj
-	$(GO) test -race -count 1 -run 'Coded|TestTornStripe' ./internal/runner ./internal/loadgen
-
-# Live view-resizing suite under the race detector: every test with
-# "Resize" in its name, plus the transition-crash family — batched
-# transitions (grow, shrink, f change, swap) as single epoch bumps, the
-# delta picking the protocol (a swap transfers without calling the reshape,
-# a grow reshapes with every member frozen, a shrink with nothing to
-# re-place aborts on a non-empty leaver), the fabric
-# coordinator and its abort path (a leaver or transfer target crashing inside
-# the sealed-but-not-activated window must roll the old view back intact, on
-# all three lane backends), grow/shrink under open client load with zero
-# failed ops, the quorum family's store recipe through a grow and a shrink
-# (and a swap before the grow, which keeps the moved store),
+# RESIZE_SUITE: every test with "Resize" in its name, plus the
+# transition-crash family — batched transitions (grow, shrink, f change,
+# swap) as single epoch bumps, the delta picking the protocol (a swap
+# transfers without calling the reshape, a grow reshapes with every member
+# frozen, a shrink with nothing to re-place aborts on a non-empty leaver),
+# the fabric coordinator and its abort path (a leaver or transfer target
+# crashing inside the sealed-but-not-activated window must roll the old view
+# back intact, on all three lane backends), grow/shrink under open client
+# load with zero failed ops, the quorum family's store recipe through a grow
+# and a shrink (and a swap before the grow, which keeps the moved store),
 # the coded construction's restripe, Algorithm 2's re-planned layout (Table
 # 1's register row through 3 → 5 → 7 → 3 servers, a write caught by the
 # window re-pushing its own timestamp), the resize chaos net on its pinned
@@ -223,13 +179,12 @@ race-coded:
 # through the sharded store (in-process and over real cmd/lanenode
 # processes).
 RESIZE_SUITE = -run 'Resize|TestTransitionCrash' ./internal/fabric ./internal/runner ./internal/emulation/abdcore ./internal/emulation/coded ./internal/emulation/regemu ./internal/shardstore
-race-resize:
-	$(GO) test -race -count 1 $(RESIZE_SUITE)
 
-# The two reconfiguration suites above, 50 times over at three GOMAXPROCS
-# settings. Long; it catches the schedules one run never meets, and CI's
-# stress job gates on it. (150 passes of a package outlast go test's default
-# 10-minute timeout.)
+# Membership accounting (all of internal/cluster) and the two
+# reconfiguration suites above, 50 times over at three GOMAXPROCS settings
+# under the race detector. Long; it catches the schedules one run never
+# meets, and CI's stress job gates on it. (150 passes of a package outlast
+# go test's default 10-minute timeout.)
 STRESS = $(GO) test -race -count 50 -cpu 1,2,8 -timeout 3h
 stress:
 	$(STRESS) ./internal/cluster

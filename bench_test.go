@@ -168,8 +168,9 @@ func BenchmarkCASMaxRetries(b *testing.B) {
 			if err != nil {
 				b.Fatalf("cluster: %v", err)
 			}
+			c.SetF(1)
 			fab := fabric.New(c, fabric.WithGate(&fabric.YieldGate{Yields: 2}))
-			reg, metrics, err := casmax.New(fab, writers, 1, emulation.Options{})
+			reg, metrics, err := casmax.New(fab, writers, emulation.Options{})
 			if err != nil {
 				b.Fatalf("casmax: %v", err)
 			}

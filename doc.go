@@ -135,10 +135,12 @@
 //   - internal/emulation/...: the constructions of Table 1 (abdmax,
 //     casmax, aacmax, regemu, and the under-provisioned naiveabd baseline)
 //     plus coded, each written once, as a completion-based chain of rounds,
-//     and each built the same way: New(fab, k, f, emulation.Options), the
-//     one options type (Atomic, ValueSize — regemu, aac-max and naive refuse
-//     Atomic in their own New, the timestamp-only constructions ignore
-//     ValueSize), every register records its own history
+//     and each built the same way: New(fab, k, emulation.Options), reading
+//     its hosts and its f from the fabric's view (runner.BuildWith is where
+//     an experiment sets the view's f), the one options type (Atomic,
+//     ValueSize — regemu, aac-max and naive refuse Atomic in their own New,
+//     the timestamp-only constructions ignore ValueSize), every register
+//     records its own history
 //     (emulation.Register.History), and every one reshapes inside the
 //     frozen window of a view resize that moves n or f
 //     (emulation.Register.Reshape — regemu re-plans its layout for the new
@@ -157,17 +159,20 @@
 //     the object table's to say, so a swapped store stays the same store),
 //     and New's placement
 //     and the writer handles live inside the register: a register of three
-//     one-object stores is one heap object. The collect reads every object
-//     with the construction's one read (Config.Read), so every collect is
-//     one round: n−f responses when a store is one object, a server scan
-//     at f — regemu's shape — when it is several (aac-max's k registers).
-//     The write-max has the two shapes of Table 1: one op (Config.WriteOp —
-//     a max-register's write-max, a plain register's overwrite), pushed as
-//     one round, or a chain the construction runs on each store
-//     (Config.Chain, one per register — Algorithm 1's CAS loop, aac-max's
-//     one-write-in-flight cell per base register), which also folds a
-//     resize's maximum into a store (Seed). A new row of Table 1 is a
-//     recipe, a read and a write-max.
+//     one-object stores is one heap object. The base-object kind fixes the
+//     store's read and write-max: the collect reads every object with its
+//     kind's state read (baseobj.Kind.StateRead — read-max, read,
+//     Algorithm 1's no-op CAS(v0, v0); the fabric's frozen-window state
+//     reads use the same table), so every collect is one round: n−f responses when a store is
+//     one object, a server scan at f — regemu's shape — when it is several
+//     (aac-max's k registers). The write-max has the two shapes of Table 1:
+//     one op where the kind has one (Kind.WriteMax: a max-register's
+//     write-max, a plain register's overwrite), pushed as one round, or a chain the
+//     construction runs on each store (Config.Chain, one per register —
+//     Algorithm 1's CAS loop, aac-max's one-write-in-flight cell per base
+//     register), which also folds a resize's maximum into a store (Seed). A
+//     new row of Table 1 is a recipe and, for a kind without a one-op
+//     write-max, a chain.
 //     Handles come from package emulation: StartWrite/StartRead run the
 //     chain under the caller's context (an in-flight op costs no
 //     goroutine), and Write/Read are one blocking adapter over the same

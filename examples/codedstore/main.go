@@ -81,7 +81,8 @@ func main() {
 		log.Fatalf("env: %v", err)
 	}
 	defer env.Fabric.Close()
-	reg, err := coded.New(env.Fabric, 1, faults, emulation.Options{ValueSize: valueSize})
+	env.Cluster.SetF(faults)
+	reg, err := coded.New(env.Fabric, 1, emulation.Options{ValueSize: valueSize})
 	if err != nil {
 		log.Fatalf("coded: %v", err)
 	}

@@ -35,8 +35,10 @@ func main() {
 	// windows so contention actually manifests.
 	fab := fabric.New(c, fabric.WithGate(&fabric.YieldGate{Yields: 2}))
 
-	// 2f+1 CAS cells, each hosting one Algorithm 1 max-register.
-	reg, metrics, err := casmax.New(fab, k, f, emulation.Options{})
+	// 2f+1 CAS cells, each hosting one Algorithm 1 max-register; f is the
+	// view's.
+	c.SetF(f)
+	reg, metrics, err := casmax.New(fab, k, emulation.Options{})
 	if err != nil {
 		log.Fatalf("casmax: %v", err)
 	}

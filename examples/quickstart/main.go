@@ -34,8 +34,10 @@ func main() {
 	}
 	fab := fabric.New(c)
 
-	// The emulated f-tolerant k-register from plain read/write registers.
-	reg, err := regemu.New(fab, k, f, emulation.Options{})
+	// The emulated f-tolerant k-register from plain read/write registers;
+	// the construction reads f off the view.
+	c.SetF(f)
+	reg, err := regemu.New(fab, k, emulation.Options{})
 	if err != nil {
 		log.Fatalf("regemu: %v", err)
 	}

@@ -44,18 +44,10 @@ const (
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
-	switch k {
-	case KindRegister:
-		return "register"
-	case KindMaxRegister:
-		return "max-register"
-	case KindCAS:
-		return "cas"
-	case KindFragStore:
-		return "frag-store"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if name := k.facts().name; name != "" {
+		return name
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // OpCode enumerates the low-level operations base objects support.
@@ -87,61 +79,88 @@ const (
 
 // String implements fmt.Stringer.
 func (c OpCode) String() string {
-	switch c {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpReadMax:
-		return "read-max"
-	case OpWriteMax:
-		return "write-max"
-	case OpCAS:
-		return "cas"
-	case OpPutFrag:
-		return "put-frag"
-	case OpGetFrags:
-		return "get-frags"
-	case OpCommitFrag:
-		return "commit-frag"
-	case OpFragTS:
-		return "frag-ts"
-	default:
-		return fmt.Sprintf("op(%d)", int(c))
+	if name := c.facts().name; name != "" {
+		return name
 	}
+	return fmt.Sprintf("op(%d)", int(c))
 }
 
 // IsWrite reports whether the op code mutates object state. Covering
 // arguments only care about mutating operations.
-func (c OpCode) IsWrite() bool {
-	switch c {
-	case OpWrite, OpWriteMax, OpCAS, OpPutFrag, OpCommitFrag:
-		return true
-	default:
-		return false
-	}
-}
+func (c OpCode) IsWrite() bool { return c.facts().write }
 
 // IsRead reports whether the op code is a pure read (OpRead / OpReadMax) —
 // the only operations a snapshot scan (fabric.TriggerScan) may carry.
 func (c OpCode) IsRead() bool { return c == OpRead || c == OpReadMax }
 
-// opKinds is the object kind each op code applies to.
-var opKinds = [...]Kind{
-	OpRead: KindRegister, OpWrite: KindRegister,
-	OpReadMax: KindMaxRegister, OpWriteMax: KindMaxRegister,
-	OpCAS:     KindCAS,
-	OpPutFrag: KindFragStore, OpGetFrags: KindFragStore, OpCommitFrag: KindFragStore, OpFragTS: KindFragStore,
+// opFacts is what an op code fixes: its name, the object kind it applies
+// to and whether it mutates the object.
+type opFacts struct {
+	name  string
+	kind  Kind
+	write bool
+}
+
+// ops is each op code's facts, by code.
+var ops = [...]opFacts{
+	OpRead:       {"read", KindRegister, false},
+	OpWrite:      {"write", KindRegister, true},
+	OpReadMax:    {"read-max", KindMaxRegister, false},
+	OpWriteMax:   {"write-max", KindMaxRegister, true},
+	OpCAS:        {"cas", KindCAS, true},
+	OpPutFrag:    {"put-frag", KindFragStore, true},
+	OpGetFrags:   {"get-frags", KindFragStore, false},
+	OpCommitFrag: {"commit-frag", KindFragStore, true},
+	OpFragTS:     {"frag-ts", KindFragStore, false},
+}
+
+// facts returns c's facts: the zero opFacts for an unknown code.
+func (c OpCode) facts() opFacts {
+	if c > 0 && int(c) < len(ops) {
+		return ops[c]
+	}
+	return opFacts{}
 }
 
 // kind returns the object kind the op code applies to, or 0 for an unknown
 // code.
-func (c OpCode) kind() Kind {
-	if c < 0 || int(c) >= len(opKinds) {
-		return 0
-	}
-	return opKinds[c]
+func (c OpCode) kind() Kind { return c.facts().kind }
+
+// kindFacts is what a kind fixes: its name, its full-state read and its
+// one-op write-max (0 where it has none).
+type kindFacts struct {
+	name           string
+	read, writeMax OpCode
 }
+
+// kinds is each kind's facts, by kind.
+var kinds = [...]kindFacts{
+	KindRegister:    {"register", OpRead, OpWrite},
+	KindMaxRegister: {"max-register", OpReadMax, OpWriteMax},
+	KindCAS:         {"cas", OpCAS, 0},
+	KindFragStore:   {"frag-store", OpGetFrags, 0},
+}
+
+// facts returns k's facts: the zero kindFacts for an unknown kind.
+func (k Kind) facts() kindFacts {
+	if int(k) < len(kinds) {
+		return kinds[k]
+	}
+	return kindFacts{}
+}
+
+// StateRead returns the op that reads the whole state of an object of kind
+// k and changes nothing, its invocation being the bare op: a register's
+// read, a max-register's read-max, a fragment store's OpGetFrags, and a CAS
+// cell's Algorithm 1 read, the no-op CAS(v0, v0) — the zero Exp and New —
+// whose response carries the cell's value. The response's Val, Data and
+// Frags are the object's State. It is 0 for an unknown kind.
+func (k Kind) StateRead() OpCode { return k.facts().read }
+
+// WriteMax returns the one low-level op that is a write-max on an object of
+// kind k: a max-register's write-max, a register's overwrite. It is 0 for a
+// kind without one (a CAS cell's is Algorithm 1's loop) or an unknown kind.
+func (k Kind) WriteMax() OpCode { return k.facts().writeMax }
 
 // Invocation is a low-level operation invocation.
 type Invocation struct {
@@ -167,8 +186,9 @@ type Response struct {
 	// Op echoes the invocation's op code.
 	Op OpCode
 	// Val carries the result of OpRead and OpReadMax, the previous value
-	// for OpCAS, and the maximum known stripe timestamp for OpGetFrags /
-	// OpFragTS. It is the zero TSValue for plain writes.
+	// for OpCAS, the commit watermark for OpGetFrags and the maximum known
+	// stripe timestamp for OpFragTS. It is the zero TSValue for plain
+	// writes.
 	Val types.TSValue
 	// Data is the stored payload returned by OpRead/OpReadMax on objects
 	// holding payload bytes. Callers must not mutate it.

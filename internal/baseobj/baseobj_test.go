@@ -3,6 +3,8 @@ package baseobj
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -376,4 +378,68 @@ func TestCellStaysInItsSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(Cell{}); got > 80 {
 		t.Fatalf("Cell is %d bytes, want at most 80", got)
 	}
+}
+
+// TestStateReadIsPeekState: each kind's state read answers with the
+// object's whole state — PeekState's — and changes nothing, on a fresh
+// object and on a written one: a CAS cell's no-op CAS(v0, v0) included, a
+// fragment store's committed and pending fragments (compared as a set: the
+// pending ones come from a map) included.
+func TestStateReadIsPeekState(t *testing.T) {
+	v1 := types.TSValue{TS: 1, Writer: 0, Val: 10}
+	v2 := types.TSValue{TS: 2, Writer: 1, Val: 20}
+	v3 := types.TSValue{TS: 3, Writer: 0, Val: 30}
+	frag := func(ts types.TSValue) Invocation {
+		return Invocation{Op: OpPutFrag, Frag: &Fragment{TS: ts, Index: 2, K: 3, Length: 48, Data: types.PayloadFor(ts.Val, 16)}}
+	}
+	for _, tc := range []struct {
+		kind   Kind
+		writes []Invocation
+	}{
+		{KindRegister, []Invocation{{Op: OpWrite, Arg: v2, Data: types.PayloadFor(v2.Val, 32)}}},
+		{KindMaxRegister, []Invocation{{Op: OpWriteMax, Arg: v2, Data: types.PayloadFor(v2.Val, 32)}}},
+		{KindCAS, []Invocation{{Op: OpCAS, Exp: types.ZeroTSValue, New: v2}}},
+		{KindFragStore, []Invocation{frag(v1), {Op: OpCommitFrag, Arg: v1}, frag(v2), frag(v3)}},
+	} {
+		if w := tc.kind.WriteMax(); w != 0 && (!w.IsWrite() || w.kind() != tc.kind) {
+			t.Errorf("%v: write-max %v is not a write on the kind", tc.kind, w)
+		}
+		for _, written := range []bool{false, true} {
+			o, err := New(tc.kind, 7, WriterRange{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if written {
+				for _, inv := range tc.writes {
+					if _, err := o.Apply(0, inv); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			want := o.PeekState()
+			resp, err := o.Apply(types.ClientID(-1), Invocation{Op: tc.kind.StateRead()})
+			if err != nil {
+				t.Fatalf("%v written=%v: state read: %v", tc.kind, written, err)
+			}
+			if got := (State{Val: resp.Val, Data: resp.Data, Frags: resp.Frags}); !sameState(got, want) {
+				t.Errorf("%v written=%v: state read answered %+v, PeekState is %+v", tc.kind, written, got, want)
+			}
+			if after := o.PeekState(); !sameState(after, want) {
+				t.Errorf("%v written=%v: the state read changed the object from %+v to %+v", tc.kind, written, want, after)
+			}
+			if tc.kind == KindFragStore && written && len(want.Frags) != 3 {
+				t.Fatalf("the written fragment store holds %d fragments, want a committed and two pending", len(want.Frags))
+			}
+		}
+	}
+	if op := Kind(99).StateRead(); op != 0 {
+		t.Fatalf("an unknown kind has state read %v", op)
+	}
+}
+
+// sameState compares two states, their fragments as a set.
+func sameState(a, b State) bool {
+	byTS := func(x, y Fragment) int { return x.TS.Compare(y.TS) }
+	a.Frags, b.Frags = slices.SortedFunc(slices.Values(a.Frags), byTS), slices.SortedFunc(slices.Values(b.Frags), byTS)
+	return reflect.DeepEqual(a, b)
 }

@@ -272,8 +272,9 @@ func (c *Cluster) F() int {
 
 // SetF records the view's failure budget, activating a new epoch when the
 // budget actually changes: new quorum thresholds are a view change even
-// when the member set is untouched. Whoever builds the view's registers sets
-// it once; resizes change it atomically through CommitView instead.
+// when the member set is untouched. It is set before the view's registers are
+// built (runner.BuildWith, a sharded store's shard), which read it off the
+// view; resizes change it atomically through CommitView instead.
 func (c *Cluster) SetF(f int) {
 	c.mu.Lock()
 	changed := c.f != f

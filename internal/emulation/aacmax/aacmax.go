@@ -63,7 +63,7 @@ type writeMax struct {
 var _ abdcore.Chain = (*chain)(nil)
 
 // place is the store recipe: k single-writer registers on server, register
-// w restricted to writer w. The collect reads all k (Config.Read); they live
+// w restricted to writer w. The collect reads all k; they live
 // on the same server, so they crash together, and the collect — a server
 // scan over every store — counts the server once all k answered.
 func place(c *cluster.Cluster, k int, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
@@ -188,21 +188,20 @@ func (ch *chain) Seed(rs *fabric.Reshaper, objs []types.ObjectID, m types.TSValu
 }
 
 // New places k single-writer registers on each of 2f+1 servers ((2f+1)k
-// base registers in total) and returns the emulated k-register. Reads never
+// base registers in total), f being the fabric's view's, and returns the
+// emulated k-register. Reads never
 // write, so only the regular (non-write-back) protocol is offered and
 // opts.Atomic is rejected: the k-register per-server max has no cell a
 // reader could write. Writes carry timestamps only (opts.ValueSize is
 // ignored).
-func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Register, error) {
+func New(fab *fabric.Fabric, k int, opts emulation.Options) (*abdcore.Register, error) {
 	if err := opts.RegularOnly("aac-max"); err != nil {
 		return nil, err
 	}
 	return abdcore.New(abdcore.Config{
 		Name:   "aac-max",
 		K:      k,
-		F:      f,
 		Fabric: fab,
-		Read:   baseobj.OpRead,
 		Place: func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 			return place(c, k, server, objs)
 		},

@@ -24,7 +24,8 @@ func newReg(t *testing.T, k, f int) (*abdcore.Register, *fabric.Fabric) {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	reg, err := New(fab, k, f, emulation.Options{})
+	fab.Cluster().SetF(f)
+	reg, err := New(fab, k, emulation.Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -170,17 +171,20 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	if _, err := New(fab, 0, 1, emulation.Options{}); err == nil {
+	fab.Cluster().SetF(1)
+	if _, err := New(fab, 0, emulation.Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := New(fab, 1, 0, emulation.Options{}); err == nil {
+	fab.Cluster().SetF(0)
+	if _, err := New(fab, 1, emulation.Options{}); err == nil {
 		t.Error("f=0 accepted")
 	}
 	two, err := cluster.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(fabric.New(two), 1, 1, emulation.Options{}); err == nil {
+	two.SetF(1)
+	if _, err := New(fabric.New(two), 1, emulation.Options{}); err == nil {
 		t.Error("a 2-member view accepted for f=1")
 	}
 }
@@ -213,7 +217,8 @@ func TestReadWaitsForFPlusOneCompleteServers(t *testing.T) {
 			}}
 			fab := fabric.New(c, append(opts, fabric.WithGate(gate))...)
 			defer fab.Close()
-			reg, err := New(fab, k, f, emulation.Options{})
+			fab.Cluster().SetF(f)
+			reg, err := New(fab, k, emulation.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

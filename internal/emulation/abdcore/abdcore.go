@@ -8,13 +8,15 @@
 // The paper observes (Section 1, "Results") that the per-server code of
 // multi-writer ABD is exactly the write-max / read-max interface of a
 // max-register, so the register is parameterized by a store: one per server,
-// its base objects placed by the construction's recipe (Config.Place), read
-// with the construction's one read (Config.Read) and written with its
-// write-max — one op (Config.WriteOp: abd-max's max-register, naive's plain
-// register) or a chain the construction runs (Config.Chain: abd-cas's
-// Algorithm 1 loop on a CAS cell, aac-max's k single-writer registers).
-// Plugging in different stores yields the different quorum rows of Table 1;
-// everything else — which 2f+1 servers host a store, the collect and the
+// its base objects placed by the construction's recipe (Config.Place). The
+// base-object kind fixes the rest: the collect reads every object with its
+// kind's state read (baseobj.Kind.StateRead: read-max, read, or Algorithm
+// 1's no-op CAS), and the write-max is one op where the kind has one (a
+// max-register's write-max, naive's plain-register overwrite) or else a
+// chain the construction runs (Config.Chain: abd-cas's Algorithm 1 loop on a
+// CAS cell, aac-max's k single-writer registers). Plugging in different
+// stores yields the different quorum rows of Table 1; everything else —
+// which 2f+1 servers host a store (f is the view's), the collect and the
 // push, the writers' timestamp floor (emulation.Writers, shared with the
 // coded register), the handles and the history, how a view resize re-places
 // the stores — is this package's Register. A store is its base objects,
@@ -46,26 +48,17 @@ import (
 
 // Place is a store recipe: it places the base objects of one server's store
 // on server — one for abd-max, naive and abd-cas, k for aac-max — appending
-// their IDs to objs. Every store of a register has the same number of
-// objects. A store whose server crashed simply never answers, like any
+// their IDs to objs, also when it fails part-way, so that a refused
+// placement can remove them. Every store of a register has the same number
+// of objects. A store whose server crashed simply never answers, like any
 // faulty base object.
 type Place func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error)
 
-// ReadInv is the read-max invocation of op on one base object: a
-// max-register's read-max, a plain register's read, or — OpCAS — Algorithm
-// 1's no-op CAS(v0, v0), whose response carries the cell's value.
-func ReadInv(op baseobj.OpCode) baseobj.Invocation {
-	inv := baseobj.Invocation{Op: op}
-	if op == baseobj.OpCAS {
-		inv.Exp, inv.New = types.ZeroTSValue, types.ZeroTSValue
-	}
-	return inv
-}
-
 // Chain is a write-max that is a chain of low-level operations the
 // construction runs itself on a store (casmax's Algorithm 1 loop, aacmax's
-// one-write-in-flight cell), for a register built without a Config.WriteOp.
-// A register has one; the store is named by its base objects, so the chain
+// one-write-in-flight cell): a register built with one writes through it,
+// one built without writes with its objects' one-op write-max. A register
+// has one; the store is named by its base objects, so the chain
 // keeps whatever state it needs per object.
 type Chain interface {
 	// StartWriteMax runs the write-max of v on the store of objs. It must
@@ -81,33 +74,30 @@ type Chain interface {
 }
 
 // Config assembles a quorum register: the construction's options, its store
-// recipe and its write-max — one op (WriteOp) or a Chain, exactly one of the
-// two. The register records its own history (Register.History).
+// recipe and, when the stores' base objects have no one-op write-max, its
+// Chain. The failure budget is the fabric's view's. The register records its
+// own history (Register.History).
 type Config struct {
 	// Name identifies the construction.
 	Name string
-	// K is the number of writers; F the failure threshold.
-	K, F int
+	// K is the number of writers.
+	K int
 	// Fabric is the fabric the stores trigger on.
 	Fabric *fabric.Fabric
 	// Options are the construction's: Atomic makes reads write the
 	// collected maximum back to a quorum before returning; ValueSize, when
-	// positive, sizes the payload a one-op write-max (WriteOp) carries.
+	// positive, sizes the payload a one-op write-max carries.
 	emulation.Options
-	// Read is the collect's op on every base object of every store: OpReadMax,
-	// OpRead or OpCAS (see ReadInv).
-	Read baseobj.OpCode
 	// Place is the store recipe. New calls it for each of the 2f+1 hosts,
 	// Reshape for every server a view resize adds. The register keeps only
 	// the stores' servers and objects, and a plain function as recipe —
 	// abd-max's, abd-cas's, naive's — costs a register nothing.
 	Place Place
-	// WriteOp makes a write-max one low-level operation — WriteOp of the
-	// value on the store's one base object (a max-register's write-max, a
-	// plain register's overwrite), carrying a payload of ValueSize bytes when
-	// ValueSize is positive — and the push one round over every store.
-	WriteOp baseobj.OpCode
-	// Chain is the write-max of a register built without a WriteOp.
+	// Chain is the write-max, when set. Without one, a write-max is one
+	// low-level operation on the store's one base object, by the kind of
+	// the first object placed — a max-register's write-max, a plain
+	// register's overwrite — carrying a payload of ValueSize bytes when
+	// ValueSize is positive, and the push is one round over every store.
 	Chain Chain
 }
 
@@ -145,8 +135,8 @@ type Register struct {
 	k         int
 	per       int // base objects per store
 	atomic    bool
-	read      baseobj.OpCode
-	writeOp   baseobj.OpCode
+	read      baseobj.OpCode // the objects' state read (Kind.StateRead)
+	writeOp   baseobj.OpCode // the one-op write-max (Kind.WriteMax); 0 with a chain
 	valueSize int
 	fab       *fabric.Fabric
 	readers   emulation.ReaderIDs
@@ -164,24 +154,20 @@ type Register struct {
 var _ emulation.Register = (*Register)(nil)
 
 // New places one store on each of the first 2f+1 members of the cluster's
-// current view — servers 0..2f on an initial view, live members by
-// construction after any transition — and builds the register over them.
+// current view, f being the view's — servers 0..2f on an initial view, live
+// members by construction after any transition — and builds the register
+// over them.
 func New(cfg Config) (*Register, error) {
 	if err := emulation.ValidateWriters(cfg.K); err != nil {
 		return nil, fmt.Errorf("abdcore: %s: %w", cfg.Name, err)
 	}
-	switch {
-	case cfg.Place == nil:
+	if cfg.Place == nil {
 		return nil, fmt.Errorf("abdcore: %s: no store recipe", cfg.Name)
-	case (cfg.WriteOp == 0) == (cfg.Chain == nil):
-		return nil, fmt.Errorf("abdcore: %s: the write-max is one op (WriteOp) or a chain (Chain), exactly one", cfg.Name)
 	}
 	r := &Register{
 		name:      cfg.Name,
 		k:         cfg.K,
 		atomic:    cfg.Atomic,
-		read:      cfg.Read,
-		writeOp:   cfg.WriteOp,
 		valueSize: cfg.ValueSize,
 		fab:       cfg.Fabric,
 		place:     cfg.Place,
@@ -189,13 +175,11 @@ func New(cfg Config) (*Register, error) {
 	}
 	r.writers.Init(cfg.K, &r.hist, r)
 	p := &r.first
-	if _, err := r.arrange(p, cfg.Fabric.Cluster().Members(), cfg.F, nil); err != nil {
+	view := cfg.Fabric.Cluster().View()
+	if _, err := r.arrange(p, view.Members, view.F, nil); err != nil {
 		return nil, err
 	}
 	r.p.Store(p)
-	// Record the failure budget on the view: resize coordinators default
-	// their new threshold to it, and churn drivers guard shrinks with it.
-	cfg.Fabric.Cluster().SetF(cfg.F)
 	return r, nil
 }
 
@@ -204,8 +188,10 @@ func New(cfg Config) (*Register, error) {
 // table's, read off each store's first object) is among members, in order,
 // up to 2f+1, and placing fresh stores on the next members hosting none,
 // and returns the base objects of the old stores it dropped. The first
-// store New places fixes the register's objects per store.
-func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *placement) ([]types.ObjectID, error) {
+// store New places fixes the register's objects per store and, by its first
+// object's kind, the collect's read and the one-op write-max. A refused
+// placement leaves no object behind: it removes the stores it placed.
+func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *placement) (dropped []types.ObjectID, err error) {
 	need := 2*f + 1
 	if f <= 0 {
 		return nil, fmt.Errorf("abdcore: %s: f must be positive, got %d", r.name, f)
@@ -215,7 +201,6 @@ func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *p
 	}
 	p.f = f
 	p.reads = p.inlineReads[:0]
-	var dropped []types.ObjectID
 	var inline [3]types.ServerID
 	hosts := inline[:0] // the kept and placed stores' servers
 	if old != nil {
@@ -232,6 +217,14 @@ func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *p
 			hosts, p.reads = append(hosts, host), append(p.reads, objs...)
 		}
 	}
+	kept := len(p.reads)
+	defer func() {
+		if err != nil {
+			for _, obj := range p.reads[kept:] {
+				r.fab.Cluster().RemoveObject(obj)
+			}
+		}
+	}()
 	for _, sid := range members {
 		if len(hosts) == need {
 			break
@@ -240,12 +233,14 @@ func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *p
 			continue
 		}
 		before := len(p.reads)
-		var err error
 		if p.reads, err = r.place(r.fab.Cluster(), sid, p.reads); err != nil {
 			return nil, fmt.Errorf("abdcore: %s: placing store on server %d: %w", r.name, sid, err)
 		}
 		if r.per == 0 {
 			r.per = len(p.reads) - before
+			if err = r.ops(p.reads[0]); err != nil {
+				return nil, err
+			}
 		}
 		if n := len(p.reads) - before; n == 0 || n != r.per {
 			return nil, fmt.Errorf("abdcore: %s: the store on server %d has %d base objects, want %d per store", r.name, sid, n, max(r.per, 1))
@@ -255,10 +250,27 @@ func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *p
 	if len(hosts) < need {
 		return nil, fmt.Errorf("abdcore: %s: only %d of %d stores placeable on members %v", r.name, len(hosts), need, members)
 	}
-	if r.writeOp != 0 && r.per != 1 {
+	if r.chain == nil && r.per != 1 {
 		return nil, fmt.Errorf("abdcore: %s: a one-op write-max needs one base object per store, have %d", r.name, r.per)
 	}
 	return dropped, nil
+}
+
+// ops derives the register's low-level ops from the kind of obj, the first
+// object placed: the collect's state read and, without a chain, the one-op
+// write-max.
+func (r *Register) ops(obj types.ObjectID) error {
+	o, err := r.fab.Cluster().Object(obj)
+	if err != nil {
+		return fmt.Errorf("abdcore: %s: %w", r.name, err)
+	}
+	r.read = o.Kind().StateRead()
+	if r.chain == nil {
+		if r.writeOp = o.Kind().WriteMax(); r.writeOp == 0 {
+			return fmt.Errorf("abdcore: %s: a %v has no one-op write-max: the register needs a Chain", r.name, o.Kind())
+		}
+	}
+	return nil
 }
 
 // Name implements emulation.Register.
@@ -347,7 +359,7 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 	return nil
 }
 
-// writeInv is the one-op write-max of v (Config.WriteOp).
+// writeInv is the one-op write-max of v.
 func (r *Register) writeInv(v types.TSValue) baseobj.Invocation {
 	inv := baseobj.Invocation{Op: r.writeOp, Arg: v}
 	if r.valueSize > 0 {
@@ -402,10 +414,10 @@ func (c *chain) collect() {
 	rounds.Scatter(c.ctx, c.r.fab, c.client, rounds.Round{Max: c.onCollect, Plan: c.collectPlan, Scan: scan, Servers: scan})
 }
 
-// planCollect is the collect's plan: the live placement's read-max ops, at
+// planCollect is the collect's plan: the live placement's state reads, at
 // its quorum (or, for a server scan, its f).
 func (c *chain) planCollect(buf []rounds.Target) ([]rounds.Target, int) {
-	p, inv := c.r.p.Load(), ReadInv(c.r.read)
+	p, inv := c.r.p.Load(), baseobj.Invocation{Op: c.r.read}
 	for _, obj := range p.reads {
 		buf = append(buf, rounds.Target{Object: obj, Inv: inv})
 	}
@@ -419,7 +431,7 @@ func (c *chain) planCollect(buf []rounds.Target) ([]rounds.Target, int) {
 // is idempotent, so on a view-change retry the already-acknowledged members
 // absorb the replay.
 func (c *chain) push() {
-	if c.r.writeOp == 0 {
+	if c.r.chain != nil {
 		c.startChains()
 		return
 	}

@@ -61,7 +61,10 @@ func (c *testChain) startsOn(obj types.ObjectID) int {
 // placeMax is the test recipe: one max-register per store.
 func placeMax(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 	obj, err := c.PlaceMaxRegister(server)
-	return append(objs, obj), err
+	if err != nil {
+		return objs, err
+	}
+	return append(objs, obj), nil
 }
 
 // shape selects the write-max of a test register: one op, or a chain.
@@ -81,12 +84,11 @@ func newTestReg(t *testing.T, f int, sh shape, atomicReads bool) (*Register, *fa
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetF(f)
 	fab := fabric.New(c)
-	cfg := Config{Name: "test-reg", K: 2, F: f, Fabric: fab, Options: emulation.Options{Atomic: atomicReads}, Read: baseobj.OpReadMax, Place: placeMax}
+	cfg := Config{Name: "test-reg", K: 2, Fabric: fab, Options: emulation.Options{Atomic: atomicReads}, Place: placeMax}
 	var ch *testChain
-	if sh == oneOp {
-		cfg.WriteOp = baseobj.OpWriteMax
-	} else {
+	if sh == chained {
 		ch = newTestChain(fab)
 		cfg.Chain = ch
 	}
@@ -124,9 +126,11 @@ func stateOf(t *testing.T, fab *fabric.Fabric, obj types.ObjectID) types.TSValue
 }
 
 // TestEngineValidation: the register's thresholds come from the placement,
-// and a config is rejected when it names no recipe, or no write-max or two,
-// or when its stores differ in size or a one-op write-max would have to
-// cover stores of two objects.
+// and a config is rejected when it names no recipe, or when its stores'
+// objects have no one-op write-max and it has no chain, or when its recipe
+// fails, or when its stores differ in size or a one-op write-max would have
+// to cover stores of two objects — and a rejected config leaves no base
+// object behind.
 func TestEngineValidation(t *testing.T) {
 	r, _, _, _ := newTestReg(t, 1, oneOp, false)
 	if p := r.p.Load(); p.quorum(r.per) != 2 || r.F() != 1 || r.per != 1 {
@@ -136,19 +140,20 @@ func TestEngineValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetF(1)
 	fab := fabric.New(c)
-	for _, cfg := range []Config{
-		{Name: "no recipe", WriteOp: baseobj.OpWriteMax},
-		{Name: "no write-max", Place: placeMax},
-		{Name: "two write-maxes", Place: placeMax, WriteOp: baseobj.OpWriteMax, Chain: newTestChain(fab)},
-	} {
-		cfg.K, cfg.F, cfg.Fabric, cfg.Read = 1, 1, fab, baseobj.OpReadMax
-		if _, err := New(cfg); err == nil {
-			t.Errorf("%s: accepted", cfg.Name)
+	placeCAS := func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
+		obj, err := c.PlaceCASCell(server)
+		if err != nil {
+			return objs, err
 		}
+		return append(objs, obj), nil
 	}
-	if got := c.ResourceComplexity(); got != 0 {
-		t.Errorf("rejected configs placed %d base objects", got)
+	failOn1 := func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
+		if server == 1 {
+			return objs, errors.New("server 1 refuses")
+		}
+		return placeMax(c, server, objs)
 	}
 	placeTwo := func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 		objs, err := placeMax(c, server, objs)
@@ -157,17 +162,26 @@ func TestEngineValidation(t *testing.T) {
 		}
 		return placeMax(c, server, objs)
 	}
-	if _, err := New(Config{Name: "two objects", K: 1, F: 1, Fabric: fab, Read: baseobj.OpReadMax, WriteOp: baseobj.OpWriteMax, Place: placeTwo}); err == nil {
-		t.Error("a one-op write-max over stores of two objects was accepted")
-	}
 	uneven := func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 		if server == 1 {
 			return placeTwo(c, server, objs)
 		}
 		return placeMax(c, server, objs)
 	}
-	if _, err := New(Config{Name: "uneven", K: 1, F: 1, Fabric: fab, Read: baseobj.OpReadMax, Chain: newTestChain(fab), Place: uneven}); err == nil {
-		t.Error("stores of one and two objects were accepted")
+	for _, cfg := range []Config{
+		{Name: "no recipe"},
+		{Name: "CAS cells without a chain", Place: placeCAS},
+		{Name: "a recipe that fails on server 1", Place: failOn1},
+		{Name: "a one-op write-max over stores of two objects", Place: placeTwo},
+		{Name: "stores of one and two objects", Chain: newTestChain(fab), Place: uneven},
+	} {
+		cfg.K, cfg.Fabric = 1, fab
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: accepted", cfg.Name)
+		}
+		if got := c.ResourceComplexity(); got != 0 {
+			t.Fatalf("%s: the rejected config left %d base objects", cfg.Name, got)
+		}
 	}
 }
 
@@ -244,10 +258,13 @@ func TestStoreErrorFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetF(1)
 	fab := fabric.New(c)
-	r, err := New(Config{Name: "failing read", K: 1, F: 1, Fabric: fab, Read: baseobj.OpReadMax, WriteOp: baseobj.OpWriteMax, Place: func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
-		if server == 0 {
-			// A store whose object is a CAS cell, which rejects the read-max.
+	r, err := New(Config{Name: "failing read", K: 1, Fabric: fab, Place: func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
+		if server == 1 {
+			// A store whose object is a CAS cell, which rejects the read-max
+			// of the first store's max-register. It answers second, before
+			// the quorum.
 			obj, err := c.PlaceCASCell(server)
 			return append(objs, obj), err
 		}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/baseobj"
 	"repro/internal/cluster"
 	"repro/internal/emulation"
 	"repro/internal/fabric"
@@ -20,15 +19,13 @@ func newTestRegister(t *testing.T, k, f int) *Register {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetF(f)
 	fab := fabric.New(c)
 	r, err := New(Config{
-		Name:    "test-reg",
-		K:       k,
-		F:       f,
-		Read:    baseobj.OpReadMax,
-		Place:   placeMax,
-		WriteOp: baseobj.OpWriteMax,
-		Fabric:  fab,
+		Name:   "test-reg",
+		K:      k,
+		Place:  placeMax,
+		Fabric: fab,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -52,14 +49,17 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	for _, cfg := range []Config{
-		{Name: "k=0", K: 0, F: 1},
-		{Name: "f=0", K: 1, F: 0},
-		{Name: "f=2 on a 3-member view", K: 1, F: 2},
+	for _, tc := range []struct {
+		name string
+		k, f int // f is the view's
+	}{
+		{"k=0", 0, 1},
+		{"f=0", 1, 0},
+		{"f=2 on a 3-member view", 1, 2},
 	} {
-		cfg.Fabric, cfg.Read, cfg.Place, cfg.WriteOp = fab, baseobj.OpReadMax, placeMax, baseobj.OpWriteMax
-		if _, err := New(cfg); err == nil {
-			t.Errorf("%s accepted", cfg.Name)
+		c.SetF(tc.f)
+		if _, err := New(Config{Name: tc.name, K: tc.k, Fabric: fab, Place: placeMax}); err == nil {
+			t.Errorf("%s accepted", tc.name)
 		}
 	}
 	if got := c.ResourceComplexity(); got != 0 {
@@ -67,7 +67,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 	// A failing recipe fails the build with its cause, naming the server.
 	noRoom := errors.New("no room")
-	_, err = New(Config{Name: "failing", K: 1, F: 1, Fabric: fab, Read: baseobj.OpReadMax, Chain: newTestChain(fab), Place: func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
+	c.SetF(1)
+	_, err = New(Config{Name: "failing", K: 1, Fabric: fab, Chain: newTestChain(fab), Place: func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 		if server == 1 {
 			return objs, noRoom
 		}
@@ -87,10 +88,11 @@ func TestResizeAbortsOnPlaceError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetF(1)
 	fab := fabric.New(c)
 	noRoom := errors.New("no room")
 	failOn := types.ServerID(-1)
-	r, err := New(Config{Name: "test-reg", K: 1, F: 1, Fabric: fab, Read: baseobj.OpReadMax, Chain: newTestChain(fab), Place: func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
+	r, err := New(Config{Name: "test-reg", K: 1, Fabric: fab, Chain: newTestChain(fab), Place: func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 		if server == failOn {
 			return objs, noRoom
 		}

@@ -11,7 +11,6 @@
 package abdmax
 
 import (
-	"repro/internal/baseobj"
 	"repro/internal/cluster"
 	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
@@ -20,30 +19,30 @@ import (
 )
 
 // New places one max-register on each of 2f+1 servers of the fabric's
-// cluster and returns the emulated k-register. Each store is its one
-// max-register (Config.Place), whose write-max is one low-level op too
-// (Config.WriteOp), so the register scatters whole rounds over all stores in
+// cluster, f being its view's, and returns the emulated k-register. Each
+// store is its one max-register (Config.Place), whose write-max is one
+// low-level op too, so the register scatters whole rounds over all stores in
 // one TriggerBatch. A positive opts.ValueSize makes every write carry a
 // payload of that many bytes into each replica — the replicated
 // bytes-per-server baseline the coded construction is measured against: each
 // of the 2f+1 servers stores the full payload, where the coded construction
 // stores a 1/kData fragment. A resize seeds a store with a write-max of the
 // folded maximum, whose monotonicity makes re-seeding a survivor idempotent.
-func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Register, error) {
+func New(fab *fabric.Fabric, k int, opts emulation.Options) (*abdcore.Register, error) {
 	return abdcore.New(abdcore.Config{
 		Name:    "abd-max",
 		K:       k,
-		F:       f,
 		Fabric:  fab,
 		Options: opts,
-		Read:    baseobj.OpReadMax,
 		Place:   place,
-		WriteOp: baseobj.OpWriteMax,
 	})
 }
 
 // place is the store recipe: one max-register.
 func place(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 	obj, err := c.PlaceMaxRegister(server)
-	return append(objs, obj), err
+	if err != nil {
+		return objs, err
+	}
+	return append(objs, obj), nil
 }

@@ -20,7 +20,8 @@ func newReg(t *testing.T, k, f, n int, opts emulation.Options) (*abdcore.Registe
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	reg, err := New(fab, k, f, opts)
+	fab.Cluster().SetF(f)
+	reg, err := New(fab, k, opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -77,17 +78,20 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	if _, err := New(fab, 1, 0, emulation.Options{}); err == nil {
+	fab.Cluster().SetF(0)
+	if _, err := New(fab, 1, emulation.Options{}); err == nil {
 		t.Error("f=0 accepted")
 	}
 	two, err := cluster.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(fabric.New(two), 1, 1, emulation.Options{}); err == nil {
+	two.SetF(1)
+	if _, err := New(fabric.New(two), 1, emulation.Options{}); err == nil {
 		t.Error("a 2-member view accepted for f=1")
 	}
-	if _, err := New(fab, 1, 3, emulation.Options{}); err == nil {
+	fab.Cluster().SetF(3)
+	if _, err := New(fab, 1, emulation.Options{}); err == nil {
 		t.Error("f=3 on a 5-member view accepted (needs 7)")
 	}
 	if got := c.ResourceComplexity(); got != 0 {

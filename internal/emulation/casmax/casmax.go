@@ -53,15 +53,13 @@ func (m *Metrics) Retries() int64 {
 // pending op.
 //
 // read-max is the store's read, the no-op CAS(v0, v0) of Algorithm 1 (lines
-// 3/8), scattered with the collect's round (Config.Read); write-max is
-// Algorithm 1's retry loop, the register's abdcore.Chain.
+// 3/8) — a CAS cell's state read (Kind.StateRead), which the collect's
+// round scatters; write-max is Algorithm 1's retry loop, the register's
+// abdcore.Chain.
 type chain struct {
 	fab     *fabric.Fabric
 	metrics Metrics
 }
-
-// readCAS is Algorithm 1's read: the no-op CAS(v0, v0).
-var readCAS = abdcore.ReadInv(baseobj.OpCAS)
 
 // Compile-time interface compliance check.
 var _ abdcore.Chain = (*chain)(nil)
@@ -77,7 +75,8 @@ func (c *chain) StartWriteMax(ctx context.Context, client types.ClientID, objs [
 			report(types.ZeroTSValue, err)
 			return
 		}
-		c.fab.TriggerFn(client, obj, readCAS, func(o fabric.Outcome) {
+		// Algorithm 1's read: the no-op CAS(v0, v0), zero Exp and New.
+		c.fab.TriggerFn(client, obj, baseobj.Invocation{Op: baseobj.OpCAS}, func(o fabric.Outcome) {
 			if o.Err != nil {
 				report(types.ZeroTSValue, o.Err)
 				return
@@ -124,18 +123,17 @@ func (c *chain) Seed(rs *fabric.Reshaper, objs []types.ObjectID, m types.TSValue
 	return err
 }
 
-// New places one CAS cell on each of 2f+1 servers and returns the emulated
-// k-register together with its retry metrics. Writes carry timestamps only:
-// opts.ValueSize sizes nothing on a register whose write-max is a chain.
-func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Register, *Metrics, error) {
+// New places one CAS cell on each of 2f+1 servers, f being the fabric's
+// view's, and returns the emulated k-register together with its retry
+// metrics. Writes carry timestamps only: opts.ValueSize sizes nothing on a
+// register whose write-max is a chain.
+func New(fab *fabric.Fabric, k int, opts emulation.Options) (*abdcore.Register, *Metrics, error) {
 	c := &chain{fab: fab}
 	reg, err := abdcore.New(abdcore.Config{
 		Name:    "abd-cas",
 		K:       k,
-		F:       f,
 		Fabric:  fab,
 		Options: opts,
-		Read:    baseobj.OpCAS,
 		Place:   place,
 		Chain:   c,
 	})
@@ -148,5 +146,8 @@ func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Registe
 // place is the store recipe: one CAS cell.
 func place(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 	obj, err := c.PlaceCASCell(server)
-	return append(objs, obj), err
+	if err != nil {
+		return objs, err
+	}
+	return append(objs, obj), nil
 }

@@ -26,7 +26,8 @@ func newReg(t *testing.T, k, f, n int, gate fabric.Gate, opts emulation.Options)
 		fopts = append(fopts, fabric.WithGate(gate))
 	}
 	fab := fabric.New(c, fopts...)
-	reg, metrics, err := New(fab, k, f, opts)
+	fab.Cluster().SetF(f)
+	reg, metrics, err := New(fab, k, opts)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -77,14 +78,16 @@ func TestValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab := fabric.New(c)
-	if _, _, err := New(fab, 1, 0, emulation.Options{}); err == nil {
+	fab.Cluster().SetF(0)
+	if _, _, err := New(fab, 1, emulation.Options{}); err == nil {
 		t.Error("f=0 accepted")
 	}
 	two, err := cluster.New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := New(fabric.New(two), 1, 1, emulation.Options{}); err == nil {
+	two.SetF(1)
+	if _, _, err := New(fabric.New(two), 1, emulation.Options{}); err == nil {
 		t.Error("a 2-member view accepted for f=1")
 	}
 }

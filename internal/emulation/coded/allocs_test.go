@@ -22,7 +22,9 @@ import (
 func TestCodedOpAllocCeiling(t *testing.T) {
 	const valueSize = 64 << 10
 	const ceiling = 1.3 * valueSize
-	reg, err := New(codedEnv(t, 5), 1, 1, emulation.Options{ValueSize: valueSize})
+	fab := codedEnv(t, 5)
+	fab.Cluster().SetF(1)
+	reg, err := New(fab, 1, emulation.Options{ValueSize: valueSize})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func (p *placement) need() int { return p.n - p.f }
 // arrange is the one place a striping geometry is checked and placed — by
 // New on the initial view, by Reshape on the post-resize members: f > 0,
 // n ≥ 2f+1, a coder with kData = n−2f, and a fresh fragment store on every
-// member.
+// member. A refused geometry leaves no fragment store behind.
 func arrange(c *cluster.Cluster, members []types.ServerID, f int) (*placement, error) {
 	n := len(members)
 	if f <= 0 {
@@ -96,6 +96,9 @@ func arrange(c *cluster.Cluster, members []types.ServerID, f int) (*placement, e
 	for _, sid := range members {
 		obj, err := c.PlaceFragStore(sid)
 		if err != nil {
+			for _, obj := range objs {
+				c.RemoveObject(obj)
+			}
 			return nil, fmt.Errorf("coded: placing fragment store on server %d: %w", sid, err)
 		}
 		objs = append(objs, obj)
@@ -122,16 +125,17 @@ type Register struct {
 var _ emulation.Register = (*Register)(nil)
 
 // New places one fragment store on every member of the cluster's current
-// view and returns the emulated k-writer register. opts.ValueSize is the
-// payload size in bytes each write stores (DefaultValueSize when zero, at
-// least types.MinPayloadSize); opts.Atomic makes readers write the stripe
-// back.
-func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*Register, error) {
+// view, striped for the view's f, and returns the emulated k-writer
+// register. opts.ValueSize is the payload size in bytes each write stores
+// (DefaultValueSize when zero, at least types.MinPayloadSize); opts.Atomic
+// makes readers write the stripe back.
+func New(fab *fabric.Fabric, k int, opts emulation.Options) (*Register, error) {
 	if err := emulation.ValidateWriters(k); err != nil {
 		return nil, fmt.Errorf("coded: %w", err)
 	}
 	c := fab.Cluster()
-	p, err := arrange(c, c.Members(), f)
+	view := c.View()
+	p, err := arrange(c, view.Members, view.F)
 	if err != nil {
 		return nil, err
 	}
@@ -147,9 +151,6 @@ func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*Register, error
 	}
 	r.writers.Init(k, &r.hist, (*chain)(r))
 	r.p.Store(p)
-	// Record the failure budget on the view: resize coordinators default
-	// their new threshold to it, and churn drivers guard shrinks with it.
-	c.SetF(f)
 	return r, nil
 }
 

@@ -35,27 +35,34 @@ func testCtx(t *testing.T) context.Context {
 
 func TestCodedValidation(t *testing.T) {
 	fab := codedEnv(t, 5)
-	if _, err := New(fab, 2, 0, emulation.Options{}); err == nil {
+	fab.Cluster().SetF(0)
+	if _, err := New(fab, 2, emulation.Options{}); err == nil {
 		t.Error("f=0 accepted")
 	}
-	if _, err := New(fab, 0, 1, emulation.Options{}); err == nil {
+	fab.Cluster().SetF(1)
+	if _, err := New(fab, 0, emulation.Options{}); err == nil {
 		t.Error("k=0 writers accepted")
 	}
 	small := codedEnv(t, 3)
-	if _, err := New(small, 2, 2, emulation.Options{}); err == nil {
+	small.Cluster().SetF(2)
+	if _, err := New(small, 2, emulation.Options{}); err == nil {
 		t.Error("n < 2f+1 accepted")
 	}
 }
 
 func TestCodedDefaultsToMaxSafeShards(t *testing.T) {
-	reg, err := New(codedEnv(t, 5), 2, 1, emulation.Options{})
+	fab := codedEnv(t, 5)
+	fab.Cluster().SetF(1)
+	reg, err := New(fab, 2, emulation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.DataShards(); got != 3 {
 		t.Fatalf("DataShards = %d, want n−2f = 3", got)
 	}
-	reg2, err := New(codedEnv(t, 5), 2, 2, emulation.Options{})
+	fab = codedEnv(t, 5)
+	fab.Cluster().SetF(2)
+	reg2, err := New(fab, 2, emulation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +74,8 @@ func TestCodedDefaultsToMaxSafeShards(t *testing.T) {
 func TestCodedSequentialReadYourWrites(t *testing.T) {
 	ctx := testCtx(t)
 	fab := codedEnv(t, 5)
-	reg, err := New(fab, 2, 1, emulation.Options{ValueSize: 256})
+	fab.Cluster().SetF(1)
+	reg, err := New(fab, 2, emulation.Options{ValueSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +110,8 @@ func TestCodedSequentialReadYourWrites(t *testing.T) {
 func TestCodedCrashTolerance(t *testing.T) {
 	ctx := testCtx(t)
 	fab := codedEnv(t, 5)
-	reg, err := New(fab, 1, 1, emulation.Options{})
+	fab.Cluster().SetF(1)
+	reg, err := New(fab, 1, emulation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +143,8 @@ func TestCodedConcurrent(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ctx := testCtx(t)
 			fab := codedEnv(t, 5)
-			reg, err := New(fab, 3, 1, emulation.Options{Atomic: atomic, ValueSize: 128})
+			fab.Cluster().SetF(1)
+			reg, err := New(fab, 3, emulation.Options{Atomic: atomic, ValueSize: 128})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +205,8 @@ func TestCodedBytesPerServer(t *testing.T) {
 	ctx := testCtx(t)
 	const size = 4096
 	fab := codedEnv(t, 5)
-	reg, err := New(fab, 1, 1, emulation.Options{ValueSize: size})
+	fab.Cluster().SetF(1)
+	reg, err := New(fab, 1, emulation.Options{ValueSize: size})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +239,8 @@ func TestCodedDegenerateReplication(t *testing.T) {
 	ctx := testCtx(t)
 	const size = 1024
 	fab := codedEnv(t, 5)
-	reg, err := New(fab, 1, 2, emulation.Options{ValueSize: size})
+	fab.Cluster().SetF(2)
+	reg, err := New(fab, 1, emulation.Options{ValueSize: size})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +267,8 @@ func TestCodedDegenerateReplication(t *testing.T) {
 func TestCodedResizeRestripe(t *testing.T) {
 	ctx := testCtx(t)
 	fab := codedEnv(t, 5)
-	reg, err := New(fab, 1, 1, emulation.Options{ValueSize: 512})
+	fab.Cluster().SetF(1)
+	reg, err := New(fab, 1, emulation.Options{ValueSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +312,8 @@ func TestCodedResizeRestripe(t *testing.T) {
 func TestCodedReplaceTransfersFragments(t *testing.T) {
 	ctx := testCtx(t)
 	fab := codedEnv(t, 5)
-	reg, err := New(fab, 1, 1, emulation.Options{ValueSize: 512})
+	fab.Cluster().SetF(1)
+	reg, err := New(fab, 1, emulation.Options{ValueSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}

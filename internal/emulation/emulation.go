@@ -7,12 +7,13 @@
 // casmax, aacmax, naiveabd — store recipes for abdcore's one quorum
 // register — regemu and coded; doc.go maps each to its row of the paper). Every one is written
 // once, as a completion-based chain (WriteChain / ReadChain), and hands out
-// the handles of this package (NewWriter / NewReader), which record the
+// the handles of this package (Writers / NewReader), which record the
 // history and turn the chain into the blocking Write / Read.
 //
-// Every construction is built the same way: New(fab, k, f, Options), where
+// Every construction is built the same way: New(fab, k, Options), where
 // Options carries the only two settings a construction takes (atomic reads,
-// payload size), and every one reshapes across a view resize
+// payload size); the failure budget f, like the members, is read off the
+// fabric's view (cluster.View). Every one reshapes across a view resize
 // (Register.Reshape). The register owns its history (Register.History), and
 // every construction whose writers pick their own timestamps from a collect
 // (abdcore's quorum register, regemu, coded) keeps its write handles in one

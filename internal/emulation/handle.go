@@ -25,12 +25,6 @@ type ReadChain interface {
 	StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error))
 }
 
-// NewWriter returns client's write handle over a construction's chain,
-// recording every operation into hist.
-func NewWriter(client types.ClientID, hist *spec.History, chain WriteChain) Writer {
-	return &writer{client: client, hist: hist, chain: chain}
-}
-
 // Writers is a register's writer side: the write handles of writers 0..k-1
 // over one chain, and their timestamp floor (Propose). A register embeds it
 // and sets it up once (Init): At(i) is then the same handle on every call, as

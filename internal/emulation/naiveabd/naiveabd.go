@@ -22,31 +22,31 @@ import (
 	"repro/internal/types"
 )
 
-// New places one plain register on each of 2f+1 servers and returns the
-// (unsound) emulated k-register. Each store is its one plain register
-// (Config.Place), whose write-max is an unconditional overwrite
-// (Config.WriteOp = OpWrite) — the flaw under adversarial asynchrony. A
+// New places one plain register on each of 2f+1 servers, f being the
+// fabric's view's, and returns the (unsound) emulated k-register. Each store
+// is its one plain register (Config.Place), whose one-op write-max is an
+// unconditional overwrite (OpWrite) — the flaw under adversarial asynchrony. A
 // resize seeds it with the same overwrite, sound there because the window is
 // frozen: the resize itself never loses a value, only the construction's
 // normal operation can. Reads never write (opts.Atomic is rejected) and
 // writes carry timestamps only (opts.ValueSize is ignored).
-func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*abdcore.Register, error) {
+func New(fab *fabric.Fabric, k int, opts emulation.Options) (*abdcore.Register, error) {
 	if err := opts.RegularOnly("naive-abd"); err != nil {
 		return nil, err
 	}
 	return abdcore.New(abdcore.Config{
-		Name:    "naive-abd",
-		K:       k,
-		F:       f,
-		Fabric:  fab,
-		Read:    baseobj.OpRead,
-		Place:   place,
-		WriteOp: baseobj.OpWrite,
+		Name:   "naive-abd",
+		K:      k,
+		Fabric: fab,
+		Place:  place,
 	})
 }
 
 // place is the store recipe: one unrestricted plain register.
 func place(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID) ([]types.ObjectID, error) {
 	obj, err := c.PlaceRegister(server, baseobj.WriterRange{})
-	return append(objs, obj), err
+	if err != nil {
+		return objs, err
+	}
+	return append(objs, obj), nil
 }

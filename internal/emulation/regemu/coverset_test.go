@@ -38,7 +38,8 @@ func newAdversarial(t *testing.T, k, f, n int) (*Emulation, *fabric.Fabric, *adv
 	}
 	script := adversary.NewScript()
 	fab := fabric.New(c, fabric.WithGate(script))
-	em, err := New(fab, k, f, emulation.Options{})
+	fab.Cluster().SetF(f)
+	em, err := New(fab, k, emulation.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

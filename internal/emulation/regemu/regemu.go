@@ -114,11 +114,11 @@ type Emulation struct {
 var _ emulation.Register = (*Emulation)(nil)
 
 // New builds the register-set layout over the members of the cluster's
-// current view (all n of them) and returns the emulated k-register. Readers
-// never write, so opts.Atomic is rejected; writes carry timestamps only
-// (opts.ValueSize is ignored). Everything is checked before the first
-// register is placed.
-func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*Emulation, error) {
+// current view (all n of them) for the view's f and returns the emulated
+// k-register. Readers never write, so opts.Atomic is rejected; writes carry
+// timestamps only (opts.ValueSize is ignored). Everything is checked before
+// the first register is placed.
+func New(fab *fabric.Fabric, k int, opts emulation.Options) (*Emulation, error) {
 	if err := opts.RegularOnly("regemu"); err != nil {
 		return nil, err
 	}
@@ -126,15 +126,13 @@ func New(fab *fabric.Fabric, k, f int, opts emulation.Options) (*Emulation, erro
 		return nil, fmt.Errorf("regemu: %w", err)
 	}
 	c := fab.Cluster()
+	view := c.View()
 	e := &Emulation{fab: fab, k: k, machines: make([]machine, k)}
-	if err := arrange(c, &e.first, k, f, c.Members()); err != nil {
+	if err := arrange(c, &e.first, k, view.F, view.Members); err != nil {
 		return nil, err
 	}
 	e.p.Store(&e.first)
 	e.writers.Init(k, &e.hist, e)
-	// Record the failure budget on the view: resize coordinators default
-	// their new threshold to it, and churn drivers guard shrinks with it.
-	c.SetF(f)
 	return e, nil
 }
 

@@ -23,7 +23,8 @@ func newEmulation(t *testing.T, k, f, n int) (*Emulation, *fabric.Fabric) {
 		t.Fatalf("cluster.New(%d): %v", n, err)
 	}
 	fab := fabric.New(c)
-	em, err := New(fab, k, f, emulation.Options{})
+	fab.Cluster().SetF(f)
+	em, err := New(fab, k, emulation.Options{})
 	if err != nil {
 		t.Fatalf("New(k=%d f=%d n=%d): %v", k, f, n, err)
 	}
@@ -205,7 +206,8 @@ func TestWriterCountCheckedBeforePlacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := int(emulation.ReaderIDBase)
-	_, err = New(fabric.New(c), k, 1, emulation.Options{})
+	c.SetF(1)
+	_, err = New(fabric.New(c), k, emulation.Options{})
 	if err == nil || !strings.Contains(err.Error(), emulation.ValidateWriters(k).Error()) {
 		t.Fatalf("New(k=%d) = %v, want the writer-count error %q", k, err, emulation.ValidateWriters(k))
 	}

@@ -30,7 +30,8 @@ func newGatedEmulation(t *testing.T, k, f, n int, gate fabric.Gate) (*Emulation,
 		t.Fatal(err)
 	}
 	fab := fabric.New(c, fabric.WithGate(gate))
-	em, err := New(fab, k, f, emulation.Options{})
+	fab.Cluster().SetF(f)
+	em, err := New(fab, k, emulation.Options{})
 	if err != nil {
 		t.Fatalf("New(k=%d f=%d n=%d): %v", k, f, n, err)
 	}

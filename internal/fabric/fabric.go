@@ -54,13 +54,14 @@
 // hold, reorder or observe half-way: it applies inline, unrecorded.
 //
 // Membership is dynamic: the fabric serves the cluster's current View
-// (epoch + ordered server set), AddServer admits a joiner as a brand-new
-// never-reused server identity (on the TCP lane, a fresh session is the
-// join), and Resize (see view.go for the protocol) commits any membership
-// delta — a swap migrates a departing server's objects, state included,
-// onto its joiner — without stopping clients. An operation caught in a view change completes with
-// ErrViewChanged, which guarantees it never applied in the old view, so
-// retrying it is exactly-once safe even for CAS; the retry (rounds.Retry)
+// (epoch + ordered server set), and Resize (see view.go for the protocol) —
+// the one way to change it — commits any membership delta without stopping
+// clients: it admits each joiner as a brand-new never-reused server identity
+// (on the TCP lane, a fresh session is the join), and a swap migrates a
+// departing server's objects, state included, onto its joiner. An operation
+// caught in a view change completes with ErrViewChanged, which guarantees it
+// never applied in the old view, so retrying it is exactly-once safe even
+// for CAS; the retry (rounds.Retry)
 // waits on the view stamp — the count of ended transitions — never on a
 // clock, so it costs one re-scatter however long the transition takes and
 // ends only with the transition or with the op's own context. A server
@@ -395,12 +396,12 @@ type Fabric struct {
 
 	laneMaker LaneMaker
 	// lanes is the dispatch lane list, indexed by ServerID and published
-	// copy-on-write: AddServer appends under laneMu while the dispatch hot
+	// copy-on-write: addServer appends under laneMu while the dispatch hot
 	// path reads the published snapshot lock-free.
 	lanes  atomic.Pointer[[]*lane]
 	laneMu sync.Mutex
 
-	// reconfMu serializes view changes (Resize/AddServer coordination).
+	// reconfMu serializes view changes (Resize).
 	reconfMu sync.Mutex
 
 	// viewStamp counts ended transitions (ViewStamp); viewMu orders its
@@ -483,12 +484,12 @@ func New(c *cluster.Cluster, opts ...Option) *Fabric {
 	return f
 }
 
-// AddServer grows the cluster by one server and wires its dispatch lane,
-// activating a new view epoch. maker builds the lane backend (nil uses the
-// fabric's default maker — the one New ran, so latency-lane fabrics give
-// the joiner its own seeded delay sub-stream). The joiner starts empty;
-// a same-shape Resize (or cluster.MoveObject) transfers state onto it.
-func (f *Fabric) AddServer(maker LaneMaker) (types.ServerID, error) {
+// addServer grows the cluster by one server and wires its dispatch lane,
+// activating a new view epoch: Resize's admission of a joiner. maker builds
+// the lane backend (nil uses the fabric's default maker — the one New ran,
+// so latency-lane fabrics give the joiner its own seeded delay sub-stream).
+// The joiner starts empty; the transition fills it.
+func (f *Fabric) addServer(maker LaneMaker) (types.ServerID, error) {
 	f.laneMu.Lock()
 	defer f.laneMu.Unlock()
 	if maker == nil {

@@ -68,7 +68,7 @@ func TestObjectTableSweepsAllocateNothing(t *testing.T) {
 		t.Errorf("first touch of %d objects allocated %d B per third in the fabric, want none per object", len(objs), got)
 	}
 	epoch, moving := fab.Cluster().Epoch(), len(fab.Cluster().ObjectsOn(0))
-	if _, err := fab.AddServer(nil); err != nil {
+	if _, err := fab.addServer(nil); err != nil {
 		t.Fatal(err)
 	}
 	fab.Cluster().SetF(1)

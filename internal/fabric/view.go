@@ -15,7 +15,7 @@
 //
 // The steps:
 //
-//  1. Admit every joiner (Fabric.AddServer): fresh server IDs, empty
+//  1. Admit every joiner (Fabric.addServer): fresh server IDs, empty
 //     of objects, new dispatch lanes. Joiners receive no traffic yet — the
 //     object table still holds the old placement.
 //  2. Freeze (Server.Depart + lane.setDeparting): the leavers, or on a shape
@@ -53,7 +53,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -171,7 +170,7 @@ func (f *Fabric) Resize(ctx context.Context, spec ResizeSpec, reshape ReshapeFun
 	// empty members; the caller may retire them with another Resize).
 	joined := make([]types.ServerID, 0, len(spec.Join))
 	for _, maker := range spec.Join {
-		id, err := f.AddServer(maker)
+		id, err := f.addServer(maker)
 		if err != nil {
 			return nil, fmt.Errorf("fabric: admitting joiner: %w", err)
 		}
@@ -392,11 +391,7 @@ func (rs *Reshaper) Retire(obj types.ObjectID) error {
 // mutating it, as one frozen-window operation under the coordinator's
 // synthetic identity.
 func (f *Fabric) readState(ctx context.Context, l *lane, srv *cluster.Server, obj baseobj.Object) (baseobj.State, error) {
-	inv, err := stateReadInv(obj.Kind())
-	if err != nil {
-		return baseobj.State{}, err
-	}
-	resp, err := f.directApply(ctx, l, srv, obj, types.ClientID(-1), inv)
+	resp, err := f.directApply(ctx, l, srv, obj, types.ClientID(-1), baseobj.Invocation{Op: obj.Kind().StateRead()})
 	if err != nil {
 		return baseobj.State{}, err
 	}
@@ -576,27 +571,4 @@ func (f *Fabric) fetchState(ctx context.Context, l *lane, srv *cluster.Server, o
 		return local, err
 	}
 	return state, nil
-}
-
-// stateReadInv builds the invocation that reads an object's full state
-// without mutating it. Registers and max-registers have plain reads (their
-// responses carry the payload bytes alongside the TSValue); a fragment
-// store's OpGetFrags returns its commit watermark plus every fragment; a
-// CAS cell's state is observed via a compare that can never succeed (no
-// writer ID is negative), whose response carries the previous — i.e.
-// current — value.
-func stateReadInv(kind baseobj.Kind) (baseobj.Invocation, error) {
-	switch kind {
-	case baseobj.KindRegister:
-		return baseobj.Invocation{Op: baseobj.OpRead}, nil
-	case baseobj.KindMaxRegister:
-		return baseobj.Invocation{Op: baseobj.OpReadMax}, nil
-	case baseobj.KindCAS:
-		probe := types.TSValue{TS: math.MaxUint64, Writer: -1, Val: -1}
-		return baseobj.Invocation{Op: baseobj.OpCAS, Exp: probe, New: probe}, nil
-	case baseobj.KindFragStore:
-		return baseobj.Invocation{Op: baseobj.OpGetFrags}, nil
-	default:
-		return baseobj.Invocation{}, fmt.Errorf("fabric: no state read for object kind %v", kind)
-	}
 }

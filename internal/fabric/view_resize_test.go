@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"errors"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -228,6 +229,87 @@ func TestResizeChangesF(t *testing.T) {
 	if c.Epoch() <= epochBefore {
 		t.Fatal("epoch did not advance across an f-only resize")
 	}
+}
+
+// TestResizeReshaperStateIsPeekState: on the in-process lane a reshape's
+// state read of an object — fresh or written, of every kind — is the
+// object's whole state, PeekState's, and leaves it as it was: a CAS cell is
+// read by the no-op CAS(v0, v0), a fragment store with its committed and
+// pending fragments (compared as a set: the pending ones come from a map).
+func TestResizeReshaperStateIsPeekState(t *testing.T) {
+	c, err := cluster.New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := New(c)
+	v1, v2, v3 := types.TSValue{TS: 1, Val: 10}, types.TSValue{TS: 2, Writer: 1, Val: 20}, types.TSValue{TS: 3, Val: 30}
+	frag := func(ts types.TSValue) baseobj.Invocation {
+		return baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: &baseobj.Fragment{TS: ts, Index: 1, K: 1, Length: 16, Data: types.PayloadFor(ts.Val, 16)}}
+	}
+	var objs []types.ObjectID
+	for _, tc := range []struct {
+		place  func(types.ServerID) (types.ObjectID, error)
+		writes []baseobj.Invocation
+	}{
+		{func(s types.ServerID) (types.ObjectID, error) { return c.PlaceRegister(s, baseobj.WriterRange{}) },
+			[]baseobj.Invocation{{Op: baseobj.OpWrite, Arg: v2, Data: types.PayloadFor(v2.Val, 32)}}},
+		{c.PlaceMaxRegister, []baseobj.Invocation{{Op: baseobj.OpWriteMax, Arg: v2, Data: types.PayloadFor(v2.Val, 32)}}},
+		{c.PlaceCASCell, []baseobj.Invocation{{Op: baseobj.OpCAS, Exp: types.ZeroTSValue, New: v2}}},
+		{c.PlaceFragStore, []baseobj.Invocation{frag(v1), {Op: baseobj.OpCommitFrag, Arg: v1}, frag(v2), frag(v3)}},
+	} {
+		fresh, err := tc.place(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written, err := tc.place(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, inv := range tc.writes {
+			if _, err := c.Apply(written, 1, inv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		objs = append(objs, fresh, written)
+	}
+	peek := func(obj types.ObjectID) baseobj.State {
+		o, err := c.Object(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o.PeekState()
+	}
+	before := make([]baseobj.State, len(objs))
+	for i, obj := range objs {
+		before[i] = peek(obj)
+	}
+	reshape := func(rs *Reshaper) error {
+		for i, obj := range objs {
+			got, err := rs.State(obj)
+			if err != nil {
+				return err
+			}
+			if !sameState(got, before[i]) {
+				t.Errorf("object %d: Reshaper.State = %+v, PeekState = %+v", obj, got, before[i])
+			}
+		}
+		return nil
+	}
+	if _, err := fab.Resize(context.Background(), ResizeSpec{F: 1}, reshape); err != nil {
+		t.Fatal(err)
+	}
+	for i, obj := range objs {
+		if after := peek(obj); !sameState(after, before[i]) {
+			t.Errorf("object %d: the state read changed it from %+v to %+v", obj, before[i], after)
+		}
+	}
+}
+
+// sameState compares two states, their fragments as a set.
+func sameState(a, b baseobj.State) bool {
+	byTS := func(x, y baseobj.Fragment) int { return x.TS.Compare(y.TS) }
+	a.Frags, b.Frags = slices.SortedFunc(slices.Values(a.Frags), byTS), slices.SortedFunc(slices.Values(b.Frags), byTS)
+	return reflect.DeepEqual(a, b)
 }
 
 // TestResizeAbortsWhenLeaverCrashesMidDrain is the no-escape regression:

@@ -74,9 +74,6 @@ const (
 	ModeOpen Mode = "open"
 )
 
-// DefaultProfile is the latency-lane delay distribution of load runs.
-var DefaultProfile = shardstore.DefaultProfile
-
 // Config parameterizes a load run.
 type Config struct {
 	// Kind is the construction; K defaults to the writer population per

@@ -80,27 +80,37 @@ func NewEnv(n int, gate fabric.Gate, extra ...fabric.Option) (*Env, error) {
 // BuildOpts are the construction options BuildWith passes through.
 type BuildOpts = emulation.Options
 
-// BuildWith constructs the chosen emulation on the environment's fabric and
-// returns it with the history it records. A construction that cannot honour
-// an option (Atomic on regemu, aac-max and naive) refuses it in its own New.
-// The casmax retry metrics are discarded here; call casmax.New directly when
-// they matter.
-func BuildWith(kind Kind, fab *fabric.Fabric, k, f int, opts BuildOpts) (emulation.Register, *spec.History, error) {
-	var reg emulation.Register
-	var err error
+// BuildWith sets the fabric's view's failure budget to f — the one place an
+// experiment sets it; a construction reads it off the view, resize
+// coordinators default their new threshold to it, and churn drivers guard
+// shrinks with it — then constructs the chosen emulation on the fabric and
+// returns it with the history it records. A refused build puts the view's
+// old f back. A construction that cannot honour an option (Atomic on
+// regemu, aac-max and naive) refuses it in its own New. The casmax retry
+// metrics are discarded here; call casmax.New directly when they matter.
+func BuildWith(kind Kind, fab *fabric.Fabric, k, f int, opts BuildOpts) (reg emulation.Register, hist *spec.History, err error) {
+	c := fab.Cluster()
+	if old := c.F(); old != f {
+		c.SetF(f)
+		defer func() {
+			if err != nil {
+				c.SetF(old)
+			}
+		}()
+	}
 	switch kind {
 	case KindRegEmu:
-		reg, err = regemu.New(fab, k, f, opts)
+		reg, err = regemu.New(fab, k, opts)
 	case KindABDMax:
-		reg, err = abdmax.New(fab, k, f, opts)
+		reg, err = abdmax.New(fab, k, opts)
 	case KindCASMax:
-		reg, _, err = casmax.New(fab, k, f, opts)
+		reg, _, err = casmax.New(fab, k, opts)
 	case KindAACMax:
-		reg, err = aacmax.New(fab, k, f, opts)
+		reg, err = aacmax.New(fab, k, opts)
 	case KindNaive:
-		reg, err = naiveabd.New(fab, k, f, opts)
+		reg, err = naiveabd.New(fab, k, opts)
 	case KindCoded:
-		reg, err = coded.New(fab, k, f, opts)
+		reg, err = coded.New(fab, k, opts)
 	default:
 		return nil, nil, fmt.Errorf("runner: unknown emulation kind %q", kind)
 	}

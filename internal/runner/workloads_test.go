@@ -7,6 +7,9 @@ import (
 
 	"repro/internal/emulation"
 	"repro/internal/emulation/aacmax"
+	"repro/internal/emulation/abdmax"
+	"repro/internal/emulation/casmax"
+	"repro/internal/emulation/coded"
 	"repro/internal/emulation/naiveabd"
 	"repro/internal/emulation/regemu"
 	"repro/internal/fabric"
@@ -135,9 +138,9 @@ func TestBuildAtomicRejectsReadOnlyReaders(t *testing.T) {
 	// its own New, before placing anything.
 	atomic := emulation.Options{Atomic: true}
 	for name, build := range map[string]func() error{
-		"regemu":   func() error { _, err := regemu.New(env.Fabric, 2, 1, atomic); return err },
-		"aacmax":   func() error { _, err := aacmax.New(env.Fabric, 2, 1, atomic); return err },
-		"naiveabd": func() error { _, err := naiveabd.New(env.Fabric, 2, 1, atomic); return err },
+		"regemu":   func() error { _, err := regemu.New(env.Fabric, 2, atomic); return err },
+		"aacmax":   func() error { _, err := aacmax.New(env.Fabric, 2, atomic); return err },
+		"naiveabd": func() error { _, err := naiveabd.New(env.Fabric, 2, atomic); return err },
 	} {
 		if err := build(); err == nil {
 			t.Errorf("%s.New with Atomic succeeded; its readers cannot write", name)
@@ -162,6 +165,84 @@ func TestBuildReturnsTheRegistersHistory(t *testing.T) {
 		}
 		if hist == nil || hist != reg.History() {
 			t.Errorf("%s: BuildWith returned history %p, the register records into %p", kind, hist, reg.History())
+		}
+	}
+}
+
+// TestBuildSetsTheViewsF: BuildWith sets the view's f and every
+// construction takes its f from the view — on a 7-member view at f = 1, 2
+// and 3 in turn.
+func TestBuildSetsTheViewsF(t *testing.T) {
+	for _, kind := range Kinds() {
+		env, err := NewEnv(7, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := 1; f <= 3; f++ {
+			reg, _, err := BuildWith(kind, env.Fabric, 2, f, BuildOpts{})
+			if err != nil {
+				t.Fatalf("%s at f=%d: %v", kind, f, err)
+			}
+			if view := env.Cluster.View(); view.F != f || reg.F() != view.F {
+				t.Errorf("%s: built at f=%d, the view's f is %d and the register's %d", kind, f, view.F, reg.F())
+			}
+		}
+	}
+}
+
+// TestRefusedBuildKeepsTheViewsF: a build BuildWith refuses — f = 3 on 5
+// members — puts the view's f back and leaves no object behind, and a build
+// at the view's own f starts no new epoch.
+func TestRefusedBuildKeepsTheViewsF(t *testing.T) {
+	for _, kind := range Kinds() {
+		env, err := NewEnv(5, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := BuildWith(kind, env.Fabric, 2, 1, BuildOpts{}); err != nil {
+			t.Fatalf("%s at f=1: %v", kind, err)
+		}
+		objects := env.Cluster.ResourceComplexity()
+		if _, _, err := BuildWith(kind, env.Fabric, 2, 3, BuildOpts{}); err == nil {
+			t.Fatalf("%s: f=3 on 5 members was accepted", kind)
+		}
+		if f, got := env.Cluster.F(), env.Cluster.ResourceComplexity(); f != 1 || got != objects {
+			t.Errorf("%s: after the refused build f=%d with %d objects, want 1 with %d", kind, f, got, objects)
+		}
+		epoch := env.Cluster.View().Epoch
+		if _, _, err := BuildWith(kind, env.Fabric, 2, 1, BuildOpts{}); err != nil {
+			t.Fatalf("%s at f=1 again: %v", kind, err)
+		}
+		if e := env.Cluster.View().Epoch; e != epoch {
+			t.Errorf("%s: a build at the view's own f moved the epoch from %d to %d", kind, epoch, e)
+		}
+	}
+}
+
+// TestNewRefusesAViewWithoutF: a fresh view's f is 0, and each
+// construction's New refuses it before placing a single object.
+func TestNewRefusesAViewWithoutF(t *testing.T) {
+	opts := emulation.Options{}
+	for name, build := range map[string]func(*fabric.Fabric) error{
+		"regemu":   func(fab *fabric.Fabric) error { _, err := regemu.New(fab, 2, opts); return err },
+		"abdmax":   func(fab *fabric.Fabric) error { _, err := abdmax.New(fab, 2, opts); return err },
+		"casmax":   func(fab *fabric.Fabric) error { _, _, err := casmax.New(fab, 2, opts); return err },
+		"aacmax":   func(fab *fabric.Fabric) error { _, err := aacmax.New(fab, 2, opts); return err },
+		"naiveabd": func(fab *fabric.Fabric) error { _, err := naiveabd.New(fab, 2, opts); return err },
+		"coded":    func(fab *fabric.Fabric) error { _, err := coded.New(fab, 2, opts); return err },
+	} {
+		env, err := NewEnv(5, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := env.Cluster.F(); f != 0 {
+			t.Fatalf("a fresh view has f=%d, want 0", f)
+		}
+		if err := build(env.Fabric); err == nil {
+			t.Errorf("%s.New accepted a view with f=0", name)
+		}
+		if got := env.Cluster.ResourceComplexity(); got != 0 {
+			t.Errorf("%s.New placed %d base objects before refusing f=0", name, got)
 		}
 	}
 }
