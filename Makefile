@@ -111,10 +111,11 @@ fabric-bench:
 # value; an engine closed with ops in flight never recycles them), the
 # cancellation contract on all six constructions and both lanes, the reused
 # writer handle after an abandoned write (quorum register, regemu, coded),
-# and view-change retries through a one-for-one swap. Selected by package —
-# no name list to rot.
+# view-change retries through a one-for-one swap, and abd-cas's Algorithm 1
+# loop, whose retries run on lane goroutines under contention. Selected by
+# package — no name list to rot.
 race-rounds:
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/emulation ./internal/emulation/rounds ./internal/emulation/abdcore ./internal/emulation/async
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/emulation ./internal/emulation/rounds ./internal/emulation/abdcore ./internal/emulation/async ./internal/emulation/casmax
 
 # The TCP lane under the race detector, repeated and at three GOMAXPROCS
 # settings: frame reader and codecs (golden wire bytes, aliasing, hostile

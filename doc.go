@@ -172,14 +172,28 @@
 //     Algorithm 1's CAS loop, aac-max's one-write-in-flight cell per base
 //     register), which also folds a resize's maximum into a store (Seed). A
 //     new row of Table 1 is a recipe and, for a kind without a one-op
-//     write-max, a chain.
+//     write-max, a chain. A chain starts from the collect's maximum:
+//     Algorithm 1 expects the cell to hold it, so a settled abd-cas store
+//     takes one CAS per write, and a failed CAS's returned value is the
+//     retry's expected value — no CAS is followed by a re-read. An atomic
+//     read writes its collected maximum back before it returns; on chain
+//     stores the write-back skips the collect's agreement set — the stores
+//     whose response was that maximum, which rounds' Max reducer reports
+//     with it; a store's cells only grow, so each holds it already — while
+//     the placement the collect planned against is still live. When those
+//     stores alone are a quorum the read returns after its collect (a
+//     settled abd-cas read is one round), and a view-change retry of the
+//     write-back pushes in full. The one-op push (abd-max, naive) writes
+//     back to every store.
 //     Handles come from package emulation: StartWrite/StartRead run the
 //     chain under the caller's context (an in-flight op costs no
 //     goroutine), and Write/Read are one blocking adapter over the same
 //     chain, which owns the cancellation contract — an already-cancelled
 //     context fails before any trigger; an operation cancelled mid-flight
-//     is abandoned: it starts no further round (a per-store loop already
-//     past its check, abd-cas's, takes that one step), its history entry
+//     is abandoned: it starts no further round (abd-cas's loop checks the
+//     context before each CAS, so a store already past its check takes that
+//     one CAS: at most ResourceComplexity() triggers after the call
+//     returned, ROADMAP item 1(b)), its history entry
 //     stays pending (completion and abandonment race on a single latch, so
 //     the entry closes before the call returns or never), and the handle is
 //     reusable: the quorum register, regemu and coded all keep their write

@@ -59,9 +59,10 @@ func main() {
 	fmt.Printf("sequential: %d write-max calls, %d CAS attempts, %d retries\n",
 		metrics.WriteMaxCalls.Load(), metrics.CASAttempts.Load(), metrics.Retries())
 
-	// Concurrent phase: k writers race; colliding CAS attempts force the
-	// Algorithm 1 loop to re-read and retry — the time cost of the
-	// single-object space optimum.
+	// Concurrent phase: k writers race. A CAS fails when another writer's
+	// landed first or when its expected value, the collect's maximum, went
+	// stale, and the Algorithm 1 loop retries from the value the failed CAS
+	// returned — the time cost of the single-object space optimum.
 	before := metrics.Retries()
 	done := make(chan error, k)
 	for i := 0; i < k; i++ {

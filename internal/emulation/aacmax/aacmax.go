@@ -92,8 +92,9 @@ func (ch *chain) cell(obj types.ObjectID) *cell {
 // register of the store, objs[i], skipping values no larger than what
 // already landed there (which makes the cell monotone, i.e. a genuine
 // single-writer max) at once, and a newer value waits while an earlier write
-// of its is in flight there.
-func (ch *chain) StartWriteMax(ctx context.Context, client types.ClientID, objs []types.ObjectID, v types.TSValue, report func(types.TSValue, error)) {
+// of its is in flight there. A plain write needs no expected value: the
+// hint goes unused.
+func (ch *chain) StartWriteMax(ctx context.Context, client types.ClientID, objs []types.ObjectID, v, _ types.TSValue, report func(types.TSValue, error)) {
 	if int(client) < 0 || int(client) >= len(objs) {
 		report(types.ZeroTSValue, fmt.Errorf("aacmax: client %d is not a writer (k=%d)", client, len(objs)))
 		return

@@ -25,6 +25,19 @@
 // the register's first placement is part of the register: a register of
 // three one-object stores is one heap object.
 //
+// A chain's write-max starts from the collect's maximum (Chain's hint): a
+// store that holds it — every store of a settled register — takes one CAS
+// on abd-cas. An atomic read writes its maximum back before it returns, and
+// on chain stores skips the stores that answered its collect with that
+// maximum (the round's agreement set): a store's cells only grow, so each
+// still holds at least it. The set names stores by their index in the
+// placement the collect planned against, so it counts only while that
+// placement is live, and a view-change retry of the write-back pushes to
+// every store. When the set alone is a quorum, the read is its collect. The
+// one-op push writes back to every store. Abd-cas's loop checks the
+// context before each CAS, so an abandoned write takes at most one CAS per
+// store, ≤ ResourceComplexity() triggers, after its caller returned.
+//
 // The round mechanics (scatter, quorum threshold, crash adaptivity,
 // view-change retry) live in the shared internal/emulation/rounds engine;
 // this package is the collect/push chain on top of it.
@@ -33,6 +46,7 @@ package abdcore
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -61,10 +75,13 @@ type Place func(c *cluster.Cluster, server types.ServerID, objs []types.ObjectID
 // has one; the store is named by its base objects, so the chain
 // keeps whatever state it needs per object.
 type Chain interface {
-	// StartWriteMax runs the write-max of v on the store of objs. It must
-	// not block and must start nothing once ctx is done; report must be
-	// invoked at most once, when (and if) the write-max completes.
-	StartWriteMax(ctx context.Context, client types.ClientID, objs []types.ObjectID, v types.TSValue, report func(types.TSValue, error))
+	// StartWriteMax runs the write-max of v on the store of objs. hint is
+	// the collect's maximum, never above v: a guess at the store's content
+	// that the chain may start from (casmax's first expected value) but
+	// must not trust. It must not block and must start nothing once ctx is
+	// done; report must be invoked at most once, when (and if) the
+	// write-max completes.
+	StartWriteMax(ctx context.Context, client types.ClientID, objs []types.ObjectID, v, hint types.TSValue, report func(types.TSValue, error))
 	// Seed folds m, the non-zero maximum over the old placement, into the
 	// store of objs, so that every member of a resized placement holds at
 	// least the last committed value. It runs only inside a fabric
@@ -378,11 +395,14 @@ type chain struct {
 	ctx     context.Context
 	client  types.ClientID
 	v       types.TSValue // what the push carries; until the collect, a write's value
+	hint    types.TSValue // the collect's maximum: where a chain store's write-max starts
+	agree   uint64        // an atomic read's write-back: the stores whose collect response was v
+	planned *placement    // the placement the collect's last attempt planned against
 	onWrite func(error)
 	onRead  func(types.Value, error)
 
-	onCollect, onPush     func(types.TSValue, error) // c.collected, c.pushed
-	collectPlan, pushPlan rounds.Plan                // c.planCollect, c.planPush
+	onCollect, onPush     func(types.TSValue, uint64, error) // c.collected, c.pushed
+	collectPlan, pushPlan rounds.Plan                        // c.planCollect, c.planPush
 }
 
 // chains has no New: it would close an initialization cycle through finish.
@@ -415,9 +435,11 @@ func (c *chain) collect() {
 }
 
 // planCollect is the collect's plan: the live placement's state reads, at
-// its quorum (or, for a server scan, its f).
+// its quorum (or, for a server scan, its f). It notes the placement, which
+// the agreement set the collect reports indexes.
 func (c *chain) planCollect(buf []rounds.Target) ([]rounds.Target, int) {
 	p, inv := c.r.p.Load(), baseobj.Invocation{Op: c.r.read}
+	c.planned = p
 	for _, obj := range p.reads {
 		buf = append(buf, rounds.Target{Object: obj, Inv: inv})
 	}
@@ -449,46 +471,69 @@ func (c *chain) planPush(buf []rounds.Target) ([]rounds.Target, int) {
 }
 
 // startChains is the push over chain stores: every store of the live
-// placement runs its own write-max of c.v, the quorum'th report completes
-// the push, and a view-change completion re-starts every store once the
-// transition ended, through rounds.Retry — the view stamp is read before
-// the placement, so it is older than every table lookup the chains make.
+// placement runs its own write-max of c.v from the collect's maximum, the
+// quorum'th report completes the push, and a view-change completion
+// re-starts every store once the transition ended, through rounds.Retry —
+// the view stamp is read before the placement, so it is older than every
+// table lookup the chains make.
+//
+// An atomic read's write-back skips the stores of its agreement set: each
+// answered the collect with v itself, and a store's cells only grow, so it
+// holds at least v already and counts toward the quorum without a chain.
+// Store i is the collect's target i only under the placement the collect
+// planned against, so the set counts only while that placement is live, and
+// only on the first push: a view-change retry pushes in full. When the set
+// alone is a quorum, the read returns after its collect.
 func (c *chain) startChains() {
 	// The quorum'th store may report inline and recycle c while the loop
 	// below still has stores to start: they run on copies.
-	report, ctx, fab, client, v, store := c.onPush, c.ctx, c.r.fab, c.client, c.v, c.r.chain
+	report, ctx, fab, client, v, hint, store := c.onPush, c.ctx, c.r.fab, c.client, c.v, c.hint, c.r.chain
 	if err := types.CtxErr(ctx); err != nil {
-		report(types.ZeroTSValue, err)
+		report(types.ZeroTSValue, 0, err)
 		return
 	}
 	seen := fab.ViewStamp()
 	p := c.r.p.Load()
 	per := c.r.per
-	j := rounds.NewFold(p.quorum(per), func(v types.TSValue, err error) {
+	var agree uint64
+	if p == c.planned && per == 1 {
+		agree = c.agree
+	}
+	c.agree = 0
+	need := p.quorum(per) - bits.OnesCount64(agree)
+	if need <= 0 {
+		report(v, 0, nil)
+		return
+	}
+	j := rounds.NewFold(need, func(v types.TSValue, _ uint64, err error) {
 		if err != nil && rounds.Retry(ctx, fab, seen, err,
 			c.startChains,
-			func(err error) { report(types.ZeroTSValue, err) }) {
+			func(err error) { report(types.ZeroTSValue, 0, err) }) {
 			return
 		}
-		report(v, err)
+		report(v, 0, err)
 	})
 	for i := range p.stores(per) {
-		store.StartWriteMax(ctx, client, p.objects(i, per), v, j.Complete)
+		if agree>>i&1 == 0 {
+			store.StartWriteMax(ctx, client, p.objects(i, per), v, hint, j.Complete)
+		}
 	}
 }
 
 // collected is the collect's reducer: a write stamps its value above the
 // collected maximum and above everything its writer ever proposed, and
-// pushes; a read returns the maximum, written back first on an atomic build.
-func (c *chain) collected(cur types.TSValue, err error) {
+// pushes; a read returns the maximum, written back first on an atomic build
+// — to the stores outside the collect's agreement set, on chain stores.
+func (c *chain) collected(cur types.TSValue, agree uint64, err error) {
 	switch {
 	case err != nil:
 		c.finish("collect", err)
 	case c.onWrite != nil:
 		c.v.TS, c.v.Writer = c.r.writers.Propose(c.client, cur.TS), c.client
+		c.hint = cur
 		c.push()
 	case c.r.atomic:
-		c.v = cur
+		c.v, c.hint, c.agree = cur, cur, agree
 		c.push()
 	default:
 		c.v = cur
@@ -497,14 +542,14 @@ func (c *chain) collected(cur types.TSValue, err error) {
 }
 
 // pushed is the push's reducer.
-func (c *chain) pushed(_ types.TSValue, err error) { c.finish("push", err) }
+func (c *chain) pushed(_ types.TSValue, _ uint64, err error) { c.finish("push", err) }
 
 // finish fires the operation's one completion (a read returns c.v's value)
 // and is the one place a record returns to the pool: copy out what the
 // completion needs, clear the rest, put, then call.
 func (c *chain) finish(phase string, err error) {
 	onWrite, onRead, v := c.onWrite, c.onRead, c.v.Val
-	c.r, c.ctx, c.onWrite, c.onRead = nil, nil, nil, nil
+	c.r, c.ctx, c.planned, c.agree, c.onWrite, c.onRead = nil, nil, nil, 0, nil, nil
 	chains.Put(c)
 	if err != nil {
 		err, v = fmt.Errorf("abdcore: %s: %w", phase, err), types.InitialValue

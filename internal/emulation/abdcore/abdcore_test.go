@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/baseobj"
 	"repro/internal/cluster"
@@ -32,7 +33,7 @@ func newTestChain(fab *fabric.Fabric) *testChain {
 	return &testChain{fab: fab, starts: make(map[types.ObjectID]int), fail: make(map[types.ObjectID]error)}
 }
 
-func (c *testChain) StartWriteMax(_ context.Context, client types.ClientID, objs []types.ObjectID, v types.TSValue, report func(types.TSValue, error)) {
+func (c *testChain) StartWriteMax(_ context.Context, client types.ClientID, objs []types.ObjectID, v, _ types.TSValue, report func(types.TSValue, error)) {
 	c.mu.Lock()
 	c.starts[objs[0]]++
 	err := c.fail[objs[0]]
@@ -288,21 +289,55 @@ func TestStoreErrorFailsFast(t *testing.T) {
 	}
 }
 
+// TestReadWriteBack: an atomic read writes back only to the stores outside
+// its collect's agreement set, at n = 3, f = 1 on chain stores. A read of a
+// settled register starts no chain. After a write that reached store 0 only,
+// a read whose collect folds stores 0 and 1 (the in-process lane answers in
+// order) agrees on store 0 alone and starts chains on stores 1 and 2, never
+// on store 0; with store 0's server crashed, a later read still sees the
+// value. A regular read never writes.
 func TestReadWriteBack(t *testing.T) {
-	r, _, ch, objs := newTestReg(t, 1, chained, true)
+	r, fab, ch, objs := newTestReg(t, 1, chained, true)
 	ctx := context.Background()
+	starts := func() []int {
+		var n []int
+		for _, obj := range objs {
+			n = append(n, ch.startsOn(obj))
+		}
+		return n
+	}
 	if err := write(ctx, r, 0, 9); err != nil {
 		t.Fatal(err)
 	}
-	before := ch.startsOn(objs[0])
-	if _, err := read(ctx, r, 100); err != nil {
-		t.Fatal(err)
+	before := starts()
+	if got, err := read(ctx, r, 100); err != nil || got != 9 {
+		t.Fatalf("settled read = %d, %v; want 9", got, err)
 	}
-	if ch.startsOn(objs[0]) <= before {
-		t.Error("read with write-back did not write")
+	if after := starts(); !slices.Equal(after, before) {
+		t.Errorf("a read of a settled register started chains: %v -> %v", before, after)
 	}
 
-	// Without write-back, reads never write.
+	v := types.TSValue{TS: 50, Writer: 1, Val: 11}
+	if _, err := fab.Cluster().Apply(objs[0], v.Writer, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}); err != nil {
+		t.Fatal(err)
+	}
+	before = starts()
+	if got, err := read(ctx, r, 100); err != nil || got != 11 {
+		t.Fatalf("read after a write on store 0 only = %d, %v; want 11", got, err)
+	}
+	after := starts()
+	for i, want := range []int{0, 1, 1} {
+		if got := after[i] - before[i]; got != want {
+			t.Errorf("store %d: the write-back started %d chains, want %d", i, got, want)
+		}
+	}
+	if err := fab.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := read(ctx, r, 100); err != nil || got != 11 {
+		t.Fatalf("read without store 0 = %d, %v; want 11", got, err)
+	}
+
 	r, _, ch, objs = newTestReg(t, 1, chained, false)
 	if _, err := read(ctx, r, 100); err != nil {
 		t.Fatal(err)
@@ -310,6 +345,91 @@ func TestReadWriteBack(t *testing.T) {
 	for i, obj := range objs {
 		if ch.startsOn(obj) != 0 {
 			t.Errorf("store %d: reader wrote without write-back", i)
+		}
+	}
+}
+
+// TestWriteBackAfterReshapeRunsEveryChain: an atomic read's agreement set
+// names stores by their index in the placement its collect planned against,
+// so once a reshape published another placement — here a grow by one
+// member, which keeps all three stores — the write-back ignores the set and
+// runs every store's chain, where the same read without the reshape runs
+// none.
+func TestWriteBackAfterReshapeRunsEveryChain(t *testing.T) {
+	r, fab, ch, objs := newTestReg(t, 1, chained, true)
+	ctx := context.Background()
+	if err := write(ctx, r, 0, 9); err != nil {
+		t.Fatal(err)
+	}
+	var before []int
+	for _, obj := range objs {
+		before = append(before, ch.startsOn(obj))
+	}
+	got, readErr := types.InitialValue, errPending
+	c := r.newChain(ctx, 100)
+	c.onRead = func(v types.Value, err error) { got, readErr = v, err }
+	c.onCollect = func(cur types.TSValue, agree uint64, err error) {
+		c.onCollect = c.collected // the record goes back to the pool
+		if agree != 0b11 {
+			t.Errorf("agreement set %b, want stores 0 and 1", agree)
+		}
+		resized := make(chan error, 1)
+		go func() {
+			_, err := fab.Resize(ctx, fabric.ResizeSpec{Join: make([]fabric.LaneMaker, 1)}, r.Reshape)
+			resized <- err
+		}()
+		select {
+		case err := <-resized:
+			if err != nil {
+				t.Fatalf("grow: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("grow did not finish")
+		}
+		if r.p.Load() == c.planned {
+			t.Fatal("the grow kept the collect's placement")
+		}
+		c.collected(cur, agree, err)
+	}
+	c.collect()
+	if readErr != nil || got != 9 {
+		t.Fatalf("read = %d, %v; want 9", got, readErr)
+	}
+	for i, obj := range objs {
+		if n := ch.startsOn(obj) - before[i]; n != 1 {
+			t.Errorf("store %d: the write-back started %d chains, want 1", i, n)
+		}
+	}
+}
+
+// TestWriteStartsEveryChainAfterAnAtomicRead: an operation record comes
+// from a pool shared by every register, and an atomic read's agreement set
+// must not outlive its read. A one-op register's atomic read of a settled
+// value agrees on its collect's stores and pushes without consuming the set;
+// a chain register's next write — on the record the read just returned,
+// wherever the pool keeps it — still starts a chain on every store and lands
+// on all of them.
+func TestWriteStartsEveryChainAfterAnAtomicRead(t *testing.T) {
+	oneOpReg, _, _, _ := newTestReg(t, 1, oneOp, true)
+	r, fab, ch, objs := newTestReg(t, 1, chained, false)
+	ctx := context.Background()
+	if err := write(ctx, oneOpReg, 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	for v := types.Value(1); v <= 3; v++ {
+		if got, err := read(ctx, oneOpReg, 100); err != nil || got != 5 {
+			t.Fatalf("atomic read = %d, %v; want 5", got, err)
+		}
+		if err := write(ctx, r, 0, v); err != nil {
+			t.Fatal(err)
+		}
+		for i, obj := range objs {
+			if n := ch.startsOn(obj); n != int(v) {
+				t.Errorf("write %d: %d chains on store %d, want %d", v, n, i, v)
+			}
+			if st := stateOf(t, fab, obj); st.Val != v {
+				t.Errorf("write %d: store %d holds %v", v, i, st)
+			}
 		}
 	}
 }
@@ -325,7 +445,7 @@ func TestCollectReturnsMaximum(t *testing.T) {
 	// lane answers inline in order, so it folds stores 0 and 1.
 	var got types.TSValue
 	c := r.newChain(context.Background(), 0)
-	c.onCollect = func(v types.TSValue, err error) {
+	c.onCollect = func(v types.TSValue, _ uint64, err error) {
 		if err != nil {
 			t.Errorf("collect: %v", err)
 		}
@@ -358,12 +478,12 @@ func TestCancelledContextStartsNoRound(t *testing.T) {
 	defer cancel()
 	var err error
 	c := r.newChain(ctx, 0)
-	c.onCollect = func(cur types.TSValue, _ error) {
+	c.onCollect = func(cur types.TSValue, _ uint64, _ error) {
 		cancel() // the caller gives up while the collect completes
 		c.v = types.TSValue{TS: cur.TS + 1, Val: 7}
 		c.push()
 	}
-	c.onPush = func(_ types.TSValue, pushErr error) { err = pushErr }
+	c.onPush = func(_ types.TSValue, _ uint64, pushErr error) { err = pushErr }
 	c.collect()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("push after cancel: %v", err)

@@ -4,6 +4,7 @@ package emulation_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -14,62 +15,82 @@ import (
 	"repro/internal/types"
 )
 
-// TestRoundAllocsCeiling pins what an operation costs the allocator: nothing.
-// An abd-max write and read on the in-process lane are three rounds (collect,
-// push; collect) and run to completion inline, so AllocsPerRun counts the
-// whole op path below the handles. The rounds — fold, op batch, call slab —
-// come recycled from their pool (before they did, the pair cost 32), and so do
-// the handle's record and the construction's chain, callbacks bound once, with
-// the history's pending-op entry handed back by value (before they did, 8:
-// two pending-op records, two completion closures, four reducers and plans).
+// TestRoundAllocsCeiling pins what an operation costs the allocator, per
+// construction. An abd-max write and read on the in-process lane are three
+// rounds (collect, push; collect) and run to completion inline, so
+// AllocsPerRun counts the whole op path below the handles: nothing. The
+// rounds — fold, op batch, call slab — come recycled from their pool (before
+// they did, the pair cost 32), and so do the handle's record and the
+// construction's chain, callbacks bound once, with the history's pending-op
+// entry handed back by value (before they did, 8: two pending-op records,
+// two completion closures, four reducers and plans).
+//
+// An abd-cas pair is the same three rounds with the push run as one
+// Algorithm 1 chain per store: one CAS each from the collected maximum,
+// through Fabric.TriggerFn, whose call is allocated per trigger, on a
+// per-store loop record with its completion bound once, and the push's fold.
+// The atomic read of a settled register writes nothing back, so both builds
+// cost the same 14; ROADMAP item 19 takes them to 0.
+//
 // The file is excluded under -race, where sync.Pool drops items on purpose.
 func TestRoundAllocsCeiling(t *testing.T) {
-	const ceiling = 0
-	env, err := runner.NewEnv(runner.ChaosServers(runner.KindABDMax), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Fabric.Close()
-	reg, hist, err := runner.BuildWith(runner.KindABDMax, env.Fabric, 1, 1, runner.BuildOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist.SetDiscard(true) // as the sharded store runs it: no history growth in the count
-	w, err := reg.Writer(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := reg.NewReader()
-	ctx := context.Background()
-	// The completion callbacks are built once, outside the measured pair, so
-	// the count holds nothing of the test's own.
-	var v types.Value
-	completed := 0
-	writeDone := func(err error) {
-		if err != nil {
-			t.Errorf("write %d: %v", v, err)
-		}
-		completed++
-	}
-	readDone := func(got types.Value, err error) {
-		if err != nil || got != v {
-			t.Errorf("read = %d, %v; want %d", got, err, v)
-		}
-		completed++
-	}
-	pair := func() {
-		v++
-		w.StartWrite(ctx, v, writeDone)
-		r.StartRead(ctx, readDone)
-	}
-	pair() // warm the pool and the route table
-	if got := testing.AllocsPerRun(1000, pair); got > ceiling {
-		t.Fatalf("abd-max write+read pair allocates %.1f objects, ceiling %d: a round or an op record is allocating again", got, ceiling)
-	} else {
-		t.Logf("abd-max write+read pair: %.1f allocations", got)
-	}
-	if completed != 2*1002 {
-		t.Fatalf("%d operations completed inline on the in-process lane, want %d", completed, 2*1002)
+	for _, tc := range []struct {
+		kind    runner.Kind
+		atomic  bool
+		ceiling float64
+	}{
+		{runner.KindABDMax, false, 0},
+		{runner.KindCASMax, false, 14},
+		{runner.KindCASMax, true, 14},
+	} {
+		t.Run(fmt.Sprintf("%s/atomic=%v", tc.kind, tc.atomic), func(t *testing.T) {
+			env, err := runner.NewEnv(runner.ChaosServers(tc.kind), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Fabric.Close()
+			reg, hist, err := runner.BuildWith(tc.kind, env.Fabric, 1, 1, runner.BuildOpts{Atomic: tc.atomic})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hist.SetDiscard(true) // as the sharded store runs it: no history growth in the count
+			w, err := reg.Writer(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := reg.NewReader()
+			ctx := context.Background()
+			// The completion callbacks are built once, outside the measured
+			// pair, so the count holds nothing of the test's own.
+			var v types.Value
+			completed := 0
+			writeDone := func(err error) {
+				if err != nil {
+					t.Errorf("write %d: %v", v, err)
+				}
+				completed++
+			}
+			readDone := func(got types.Value, err error) {
+				if err != nil || got != v {
+					t.Errorf("read = %d, %v; want %d", got, err, v)
+				}
+				completed++
+			}
+			pair := func() {
+				v++
+				w.StartWrite(ctx, v, writeDone)
+				r.StartRead(ctx, readDone)
+			}
+			pair() // warm the pool and the route table
+			if got := testing.AllocsPerRun(1000, pair); got > tc.ceiling {
+				t.Fatalf("%s write+read pair allocates %.1f objects, ceiling %.0f: a round, an op record or a store chain is allocating more", tc.kind, got, tc.ceiling)
+			} else {
+				t.Logf("%s write+read pair: %.1f allocations", tc.kind, got)
+			}
+			if completed != 2*1002 {
+				t.Fatalf("%d operations completed inline on the in-process lane, want %d", completed, 2*1002)
+			}
+		})
 	}
 }
 

@@ -3,12 +3,27 @@
 // server.
 //
 // Each per-server max-register is emulated from a single CAS cell with
-// Algorithm 1 (Appendix B):
+// Algorithm 1 (Appendix B), its first read replaced by the collect's
+// maximum h, which the register hands every store's write-max as a guess:
 //
-//	write-max(v):  loop { tmp <- CAS(v0, v0)      // read via no-op CAS
-//	                      if tmp >= v: return ok
-//	                      CAS(tmp, v) }
-//	read-max():    return CAS(v0, v0)
+//	write-max(v, h):  tmp <- min(h, v)
+//	                  loop { prev <- CAS(tmp, v)
+//	                         if prev = tmp or prev >= v: return ok
+//	                         tmp <- prev }
+//	read-max():       return CAS(v0, v0)      // read via no-op CAS
+//
+// A CAS returns the cell's content before it, so a failed CAS is the read
+// the paper's loop would do next, taken at the same step: the loop carries
+// it into the next attempt instead of re-reading. A store that holds h —
+// every store of a settled register — takes one CAS per write-max; a stale
+// guess costs one failed CAS, after which the loop is the paper's.
+// Observation 2 still holds: every CAS expects a value no larger than v and
+// installs v, so a cell only grows, and a CAS fails only when the cell
+// differs from tmp — after the first attempt, only when another write-max
+// installed its value since prev was returned. Each write-max installs at
+// most once per cell, so the loop ends, once the cell reaches v or passes
+// it, after at most one retry per concurrent write-max plus one for the
+// guess.
 //
 // The loop makes the construction's space cost match the max-register row
 // (2f+1) while its time cost grows with contention — the tradeoff the
@@ -32,8 +47,8 @@ import (
 type Metrics struct {
 	// WriteMaxCalls counts write-max invocations.
 	WriteMaxCalls atomic.Int64
-	// CASAttempts counts conditional CAS(tmp, v) attempts; attempts
-	// beyond the first per write-max are retries caused by contention.
+	// CASAttempts counts CAS(tmp, v) attempts; attempts beyond the first
+	// per write-max are retries, caused by contention or a stale guess.
 	CASAttempts atomic.Int64
 }
 
@@ -52,9 +67,9 @@ func (m *Metrics) Retries() int64 {
 // responds (held or crashed), the chain silently stalls — precisely a
 // pending op.
 //
-// read-max is the store's read, the no-op CAS(v0, v0) of Algorithm 1 (lines
-// 3/8) — a CAS cell's state read (Kind.StateRead), which the collect's
-// round scatters; write-max is Algorithm 1's retry loop, the register's
+// read-max is the store's read, the no-op CAS(v0, v0) of Algorithm 1 (line
+// 8) — a CAS cell's state read (Kind.StateRead), which the collect's round
+// scatters; write-max is Algorithm 1's retry loop, the register's
 // abdcore.Chain.
 type chain struct {
 	fab     *fabric.Fabric
@@ -64,48 +79,58 @@ type chain struct {
 // Compile-time interface compliance check.
 var _ abdcore.Chain = (*chain)(nil)
 
-// StartWriteMax implements abdcore.Chain with the Algorithm 1 loop as
-// a callback chain; an abandoned write (ctx done) stops at its next step.
-func (c *chain) StartWriteMax(ctx context.Context, client types.ClientID, objs []types.ObjectID, v types.TSValue, report func(types.TSValue, error)) {
-	obj := objs[0]
+// StartWriteMax implements abdcore.Chain with the Algorithm 1 loop as a
+// callback chain starting from hint; an abandoned write (ctx done) stops
+// before its next CAS, so it takes at most the one CAS in flight after its
+// caller returned.
+func (c *chain) StartWriteMax(ctx context.Context, client types.ClientID, objs []types.ObjectID, v, hint types.TSValue, report func(types.TSValue, error)) {
 	c.metrics.WriteMaxCalls.Add(1)
-	var attempt func()
-	attempt = func() {
-		if err := types.CtxErr(ctx); err != nil {
-			report(types.ZeroTSValue, err)
-			return
-		}
-		// Algorithm 1's read: the no-op CAS(v0, v0), zero Exp and New.
-		c.fab.TriggerFn(client, obj, baseobj.Invocation{Op: baseobj.OpCAS}, func(o fabric.Outcome) {
-			if o.Err != nil {
-				report(types.ZeroTSValue, o.Err)
-				return
-			}
-			tmp := o.Resp.Val
-			if !tmp.Less(v) {
-				// tmp >= v: the register already holds a value at
-				// least as large; write-max is done (line 4-5).
-				report(tmp, nil)
-				return
-			}
-			if err := types.CtxErr(ctx); err != nil {
-				report(types.ZeroTSValue, err)
-				return
-			}
-			c.metrics.CASAttempts.Add(1)
-			c.fab.TriggerFn(client, obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: tmp, New: v}, func(o2 fabric.Outcome) {
-				if o2.Err != nil {
-					report(types.ZeroTSValue, o2.Err)
-					return
-				}
-				// Whether or not the CAS succeeded, re-read and
-				// re-check (line 2): termination follows from the
-				// monotonically increasing values (Observation 2).
-				attempt()
-			})
-		})
+	w := &writeMax{c: c, ctx: ctx, client: client, obj: objs[0], v: v, tmp: hint, report: report}
+	// Never expect more than v: a CAS from above v would lower the cell.
+	if v.Less(w.tmp) {
+		w.tmp = v
 	}
-	attempt()
+	w.next = w.swapped
+	w.attempt()
+}
+
+// writeMax is one store's Algorithm 1 loop: the cell, the value it installs,
+// the value its next CAS expects, and its completion, bound once.
+type writeMax struct {
+	c      *chain
+	ctx    context.Context
+	client types.ClientID
+	obj    types.ObjectID
+	v, tmp types.TSValue
+	report func(types.TSValue, error)
+	next   func(fabric.Outcome) // w.swapped
+}
+
+// attempt is one CAS(tmp, v), unless the write was abandoned.
+func (w *writeMax) attempt() {
+	if err := types.CtxErr(w.ctx); err != nil {
+		w.report(types.ZeroTSValue, err)
+		return
+	}
+	w.c.metrics.CASAttempts.Add(1)
+	w.c.fab.TriggerFn(w.client, w.obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: w.tmp, New: w.v}, w.next)
+}
+
+// swapped is a CAS's completion: the returned previous value ends the loop
+// or is what the next attempt expects.
+func (w *writeMax) swapped(o fabric.Outcome) {
+	prev := o.Resp.Val
+	switch {
+	case o.Err != nil:
+		w.report(types.ZeroTSValue, o.Err)
+	case prev == w.tmp: // the CAS installed v
+		w.report(w.v, nil)
+	case !prev.Less(w.v): // the cell already holds v or more
+		w.report(prev, nil)
+	default: // retry from what the cell held (line 2)
+		w.tmp = prev
+		w.attempt()
+	}
 }
 
 // Seed implements abdcore.Chain with one frozen-window compare-and-swap

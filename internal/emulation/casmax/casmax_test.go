@@ -2,6 +2,7 @@ package casmax
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -32,6 +33,16 @@ func newReg(t *testing.T, k, f, n int, gate fabric.Gate, opts emulation.Options)
 		t.Fatalf("New: %v", err)
 	}
 	return reg, metrics, fab
+}
+
+// cellOf reads a CAS cell's content straight off the cluster, no trigger.
+func cellOf(t *testing.T, c *cluster.Cluster, obj types.ObjectID) types.TSValue {
+	t.Helper()
+	o, err := c.Object(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o.PeekState().Val
 }
 
 func testCtx(t *testing.T) context.Context {
@@ -96,8 +107,8 @@ func TestForcedRetryDeterministic(t *testing.T) {
 	// Force the Algorithm 1 retry path deterministically: hold writer 0's
 	// conditional CAS on server 0 before it applies; writer 1 updates the
 	// cell meanwhile with a value that is LARGER; releasing writer 0's CAS
-	// then fails (exp mismatch), the loop re-reads, sees ts2 >= ts1, and
-	// returns.
+	// then fails (exp mismatch) and returns writer 1's value, ts2 >= ts1, so
+	// the loop ends without another CAS.
 	script := adversary.NewScript()
 	reg, metrics, fab := newReg(t, 2, 1, 3, script, emulation.Options{})
 	ctx := testCtx(t)
@@ -127,8 +138,8 @@ func TestForcedRetryDeterministic(t *testing.T) {
 	if released != 1 {
 		t.Fatalf("released %d ops, want 1", released)
 	}
-	// Writer 0's chain resumed: its failed CAS re-read the cell. The
-	// value must still be writer 1's (the stale CAS failed).
+	// Writer 0's chain resumed: its failed CAS returned the cell's content.
+	// The value must still be writer 1's (the stale CAS failed).
 	got, err := reg.NewReader().Read(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +223,7 @@ func TestMetricsRetriesNeverNegative(t *testing.T) {
 
 // TestWriteCancelledMidChainThenReleaseRecovers is the completion-leak
 // regression test for the Algorithm 1 callback chains: every store's
-// write-max is a multi-step read/CAS chain reporting into one shared
+// write-max is a chain of CASes reporting into one shared
 // quorum-gather channel, and a Write abandoned by ctx cancellation leaves
 // those chains running on fabric goroutines. Releasing every held op must
 // let each chain finish and report late — into a channel nobody drains —
@@ -235,7 +246,7 @@ func TestWriteCancelledMidChainThenReleaseRecovers(t *testing.T) {
 		}
 		cancel()
 		// Release everything repeatedly: each release advances the
-		// abandoned chains one step (read -> CAS -> re-read ...), and
+		// abandoned chains one step (CAS -> retried CAS ...), and
 		// every chain's final report lands in an abandoned buffer.
 		for i := 0; i < 20; i++ {
 			if fab.ReleaseWhere(func(fabric.PendingOp) bool { return true }) == 0 {
@@ -275,4 +286,159 @@ func TestWriteCancelledMidChainThenReleaseRecovers(t *testing.T) {
 			fab.ReleaseWhere(func(fabric.PendingOp) bool { return true })
 		}
 	}
+}
+
+// TestWriteMaxStartsFromTheHint: a store's write-max is one CAS when the
+// cell holds the collect's maximum it starts from, and a stale guess costs
+// one failed CAS, whose returned value the retry expects — never a re-read.
+// A cell already at or past v takes the one CAS that shows it and keeps its
+// value, also when the guess lies above v.
+func TestWriteMaxStartsFromTheHint(t *testing.T) {
+	ts := func(n uint64) types.TSValue { return types.TSValue{TS: n, Writer: 1, Val: types.Value(10 * n)} }
+	for _, tc := range []struct {
+		name                string
+		cell, hint, v, want types.TSValue
+		triggers, retries   int64
+	}{
+		{"cell holds the hint", ts(5), ts(5), ts(7), ts(7), 1, 0},
+		{"stale hint", ts(5), ts(3), ts(7), ts(7), 2, 1},
+		{"cell past v", ts(9), ts(3), ts(7), ts(9), 1, 0},
+		{"hint above v", ts(9), ts(9), ts(7), ts(9), 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := cluster.New(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab := fabric.New(c)
+			obj, err := c.PlaceCASCell(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Apply(obj, 1, baseobj.Invocation{Op: baseobj.OpCAS, New: tc.cell}); err != nil {
+				t.Fatal(err)
+			}
+			ch := &chain{fab: fab}
+			var got types.TSValue
+			reported := 0
+			ch.StartWriteMax(context.Background(), 1, []types.ObjectID{obj}, tc.v, tc.hint, func(v types.TSValue, err error) {
+				if err != nil {
+					t.Errorf("write-max: %v", err)
+				}
+				got = v
+				reported++
+			})
+			if reported != 1 {
+				t.Fatalf("reported %d times, want once (inline on the in-process lane)", reported)
+			}
+			if n := int64(fab.Triggers()); n != tc.triggers {
+				t.Errorf("triggers = %d, want %d", n, tc.triggers)
+			}
+			if r := ch.metrics.Retries(); r != tc.retries {
+				t.Errorf("Retries() = %d, want %d", r, tc.retries)
+			}
+			if cell := cellOf(t, c, obj); cell != tc.want || got != tc.want {
+				t.Errorf("cell = %v, reported %v; want %v", cell, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestPairTriggerCount: on the in-process lane a write + read pair is 6 + 3
+// triggers, regular and atomic alike: the write's collect reads the three
+// cells and its push is one CAS per store from the collected maximum, which
+// every cell of a settled register holds; the read's collect agrees on the
+// value, so an atomic read writes nothing back.
+func TestPairTriggerCount(t *testing.T) {
+	for _, atomic := range []bool{false, true} {
+		t.Run(fmt.Sprintf("atomic=%v", atomic), func(t *testing.T) {
+			reg, metrics, fab := newReg(t, 1, 1, 3, nil, emulation.Options{Atomic: atomic})
+			ctx := testCtx(t)
+			w, err := reg.Writer(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := reg.NewReader()
+			for v := types.Value(1); v <= 3; v++ {
+				before := fab.Triggers()
+				if err := w.Write(ctx, v); err != nil {
+					t.Fatal(err)
+				}
+				if n := fab.Triggers() - before; n != 6 {
+					t.Errorf("write %d: %d triggers, want 6", v, n)
+				}
+				before = fab.Triggers()
+				if got, err := r.Read(ctx); err != nil || got != v {
+					t.Fatalf("read = %d, %v; want %d", got, err, v)
+				}
+				if n := fab.Triggers() - before; n != 3 {
+					t.Errorf("read after write %d: %d triggers, want 3", v, n)
+				}
+			}
+			if metrics.Retries() != 0 {
+				t.Errorf("Retries() = %d on sequential writes, want 0", metrics.Retries())
+			}
+		})
+	}
+}
+
+// TestConcurrentWriteMaxesReachTheMaximum: k writers run write-maxes of
+// interleaved values on the same three cells at once over latency lanes, so
+// CASes race on the lanes' goroutines and fail against each other; every
+// write-max reports, and every cell ends at the largest value any of them
+// installs. Under -race (make race-rounds) this is the loop's data-race net.
+func TestConcurrentWriteMaxesReachTheMaximum(t *testing.T) {
+	const k, rounds = 4, 20
+	c, err := cluster.New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := fabric.New(c, fabric.WithLanes(fabric.LatencyLanes(1, fabric.LatencyProfile{Jitter: 200 * time.Microsecond})))
+	defer fab.Close()
+	var objs []types.ObjectID
+	for s := range 3 {
+		obj, err := c.PlaceCASCell(types.ServerID(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs = append(objs, obj)
+	}
+	ch := &chain{fab: fab}
+	ctx := testCtx(t)
+	errs := make(chan error, k)
+	for i := range k {
+		go func() {
+			done := make(chan error, len(objs))
+			var hint types.TSValue
+			for n := range rounds {
+				v := types.TSValue{TS: uint64(n + 1), Writer: types.ClientID(i), Val: types.Value(100*n + i)}
+				for _, obj := range objs {
+					ch.StartWriteMax(ctx, types.ClientID(i), []types.ObjectID{obj}, v, hint, func(_ types.TSValue, err error) { done <- err })
+				}
+				for range objs {
+					if err := <-done; err != nil {
+						errs <- err
+						return
+					}
+				}
+				hint = v
+			}
+			errs <- nil
+		}()
+	}
+	for range k {
+		if err := <-errs; err != nil {
+			t.Fatalf("write-max: %v", err)
+		}
+	}
+	want := types.TSValue{TS: rounds, Writer: k - 1, Val: 100*(rounds-1) + k - 1}
+	for i, obj := range objs {
+		if cell := cellOf(t, c, obj); cell != want {
+			t.Errorf("cell %d = %v, want the maximum %v", i, cell, want)
+		}
+	}
+	if calls := ch.metrics.WriteMaxCalls.Load(); calls != k*rounds*3 {
+		t.Errorf("%d write-max calls, want %d", calls, k*rounds*3)
+	}
+	t.Logf("%d CAS attempts for %d write-maxes (%d retries)", ch.metrics.CASAttempts.Load(), ch.metrics.WriteMaxCalls.Load(), ch.metrics.Retries())
 }

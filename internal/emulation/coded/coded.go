@@ -234,7 +234,7 @@ func (c *chain) StartWrite(ctx context.Context, client types.ClientID, v types.V
 	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
 		p := r.p.Load()
 		return p.targets(buf, baseobj.Invocation{Op: baseobj.OpFragTS}), p.need()
-	}, Max: func(cur types.TSValue, err error) {
+	}, Max: func(cur types.TSValue, _ uint64, err error) {
 		if err != nil {
 			done(fmt.Errorf("coded: write collect: %w", err))
 			return
@@ -267,7 +267,7 @@ func (r *Register) startPut(ctx context.Context, client types.ClientID, ts types
 	rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
 		p := r.p.Load()
 		return p.putTargets(buf, ts, len(payload), p.coder.Encode(payload)), p.need()
-	}, Max: func(_ types.TSValue, err error) {
+	}, Max: func(_ types.TSValue, _ uint64, err error) {
 		if err != nil {
 			done(fmt.Errorf("stripe put: %w", err))
 			return
@@ -275,7 +275,7 @@ func (r *Register) startPut(ctx context.Context, client types.ClientID, ts types
 		rounds.Scatter(ctx, r.fab, client, rounds.Round{Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
 			p := r.p.Load()
 			return p.targets(buf, baseobj.Invocation{Op: baseobj.OpCommitFrag, Arg: ts}), p.need()
-		}, Max: func(_ types.TSValue, err error) {
+		}, Max: func(_ types.TSValue, _ uint64, err error) {
 			if err != nil {
 				done(fmt.Errorf("stripe commit: %w", err))
 				return

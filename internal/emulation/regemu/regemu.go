@@ -220,7 +220,7 @@ func (e *Emulation) Reshape(rs *fabric.Reshaper) error {
 
 // StartRead is the high-level read (emulation.ReadChain): one collect.
 func (e *Emulation) StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error)) {
-	e.collect(ctx, client, func(cur types.TSValue, err error) {
+	e.collect(ctx, client, func(cur types.TSValue, _ uint64, err error) {
 		if err != nil {
 			done(types.InitialValue, fmt.Errorf("regemu: collect: %w", err))
 			return
@@ -239,7 +239,7 @@ func (e *Emulation) StartRead(ctx context.Context, client types.ClientID, done f
 // crashed ones, or for more servers than exist. Each attempt plans from the
 // live placement, so a collect retried across a reshape scans the new
 // registers at the new f.
-func (e *Emulation) collect(ctx context.Context, client types.ClientID, report func(types.TSValue, error)) {
+func (e *Emulation) collect(ctx context.Context, client types.ClientID, report func(types.TSValue, uint64, error)) {
 	rounds.Scatter(ctx, e.fab, client, rounds.Round{
 		Plan: func(buf []rounds.Target) ([]rounds.Target, int) {
 			p := e.p.Load()
@@ -336,7 +336,7 @@ func (e *Emulation) StartWrite(ctx context.Context, client types.ClientID, v typ
 
 	// Lines 20–26: collect until n-f complete server scans responded, then
 	// push (lines 6–10).
-	e.collect(ctx, client, func(cur types.TSValue, err error) {
+	e.collect(ctx, client, func(cur types.TSValue, _ uint64, err error) {
 		if err != nil {
 			m.finish(op, fmt.Errorf("regemu: collect: %w", err))
 			return

@@ -110,12 +110,12 @@ func TestRoundRecyclingLateResponders(t *testing.T) {
 				r := Round{Plan: fixed(targets, 2)}
 				switch flavour {
 				case 0:
-					r.Max = func(v types.TSValue, err error) { count(result{max: v, err: err}) }
+					r.Max = func(v types.TSValue, _ uint64, err error) { count(result{max: v, err: err}) }
 				case 1:
 					r.Reports = func(reps []Report, err error) { count(result{reps: reps, err: err}) }
 				case 2:
 					r.Plan, r.Servers = fixed(targets, 1), true
-					r.Max = func(v types.TSValue, err error) { count(result{max: v, err: err}) }
+					r.Max = func(v types.TSValue, _ uint64, err error) { count(result{max: v, err: err}) }
 				}
 				Scatter(ctx, fab, client, r)
 				select {
@@ -317,7 +317,7 @@ func awaitPending(t *testing.T, fab *fabric.Fabric, phase fabric.Phase) fabric.P
 func awaitRound(t *testing.T, fab *fabric.Fabric, fired *atomic.Int32, plan Plan) types.TSValue {
 	t.Helper()
 	results := make(chan result, 2) // room for a second firing, so it cannot block its lane
-	Scatter(context.Background(), fab, 1, Round{Plan: plan, Max: func(v types.TSValue, err error) {
+	Scatter(context.Background(), fab, 1, Round{Plan: plan, Max: func(v types.TSValue, _ uint64, err error) {
 		fired.Add(1)
 		results <- result{max: v, err: err}
 	}})

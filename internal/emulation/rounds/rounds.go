@@ -92,8 +92,13 @@ type Round struct {
 	// retries like any view-change bounce. A partially-scanned crashed
 	// server never counts, because its remaining operations never respond.
 	Servers bool
-	// Max reduces the round to the highest timestamped response.
-	Max func(types.TSValue, error)
+	// Max reduces the round to the highest timestamped response and its
+	// agreement set: bit i is set when target i's response, one of those
+	// that completed the round, equalled that maximum (targets past the
+	// 64th never set a bit, so the set may be smaller than the truth,
+	// never larger). abdcore's atomic read skips the write-back to the
+	// stores in it; every other reducer ignores it.
+	Max func(max types.TSValue, agree uint64, err error)
 	// Reports hands over the raw responses that completed the round, in
 	// arrival order (the coded construction needs fragment lists and
 	// payload bytes, not a fold). The slice is the reducer's to keep.
@@ -109,18 +114,18 @@ type Round struct {
 // reconfiguration re-scatters whole through Retry.
 func Scatter(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Round) {
 	if err := types.CtxErr(ctx); err != nil {
-		r.report(nil, types.ZeroTSValue, err)
+		r.report(nil, types.ZeroTSValue, 0, err)
 		return
 	}
 	start(ctx, fab, client, r)
 }
 
-func (r *Round) report(j *Fold, v types.TSValue, err error) {
+func (r *Round) report(j *Fold, v types.TSValue, agree uint64, err error) {
 	if err != nil {
 		err = fmt.Errorf("rounds: %w", err)
 	}
 	if r.Reports == nil {
-		r.Max(v, err)
+		r.Max(v, agree, err)
 		return
 	}
 	var reps []Report
@@ -162,7 +167,7 @@ func start(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Rou
 	s.ctx, s.fab, s.client, s.round, s.stamp = ctx, fab, client, r, fab.ViewStamp()
 	targets, need := r.Plan(s.group.Ops[:0])
 	s.group.Ops = targets
-	s.left, s.max, s.done = need, types.ZeroTSValue, false
+	s.left, s.max, s.agree, s.done = need, types.ZeroTSValue, 0, false
 	if r.Reports != nil {
 		s.reports = make([]Report, 0, len(targets))
 	}
@@ -206,7 +211,7 @@ func start(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Rou
 		err = fmt.Errorf("round needs %d of %d targets", need, len(targets))
 	}
 	if err != nil { // nothing was triggered, so no reference is out
-		s.finish(types.ZeroTSValue, err)
+		s.finish(types.ZeroTSValue, 0, err)
 		s.recycle()
 		return
 	}
@@ -220,7 +225,7 @@ func start(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Rou
 // complete is the group's Done: one response into the fold.
 func (s *attempt) complete(i int, o fabric.Outcome) {
 	if len(s.servers) == 0 { // the count-threshold max-fold: every ABD collect and push
-		s.Complete(o.Resp.Val, o.Err)
+		s.add(&Report{Index: i, Val: o.Resp.Val, Err: o.Err})
 		return
 	}
 	s.add(&Report{Index: i, Object: s.group.Ops[i].Object, Server: s.servers[i], Val: o.Resp.Val, Data: o.Resp.Data, Frags: o.Resp.Frags, Err: o.Err})
@@ -229,16 +234,16 @@ func (s *attempt) complete(i int, o fabric.Outcome) {
 // finish is the fold's report, fired inside a completion (s is alive): retry
 // the whole round on a view change, otherwise reduce. The next attempt
 // outlives s, so a retry runs on copies of the parameters.
-func (s *attempt) finish(v types.TSValue, err error) {
+func (s *attempt) finish(v types.TSValue, agree uint64, err error) {
 	if err != nil {
 		ctx, fab, client, r := s.ctx, s.fab, s.client, s.round
 		if Retry(ctx, fab, s.stamp, err,
 			func() { start(ctx, fab, client, r) },
-			func(err error) { r.report(nil, types.ZeroTSValue, err) }) {
+			func(err error) { r.report(nil, types.ZeroTSValue, 0, err) }) {
 			return
 		}
 	}
-	s.round.report(&s.Fold, v, err)
+	s.round.report(&s.Fold, v, agree, err)
 }
 
 // recycle is the group's Released: nothing can reach s any more. The report
@@ -278,8 +283,9 @@ func Retry(ctx context.Context, fab *fabric.Fabric, seen uint64, err error, agai
 }
 
 // Fold is a round's accumulator: it counts responses toward the threshold,
-// folding the maximum timestamped value, and fires its report exactly once
-// — on the completing response or the first error. Complete never blocks,
+// folding the maximum timestamped value and the indices of the responses
+// that carry it, and fires its report exactly once — on the completing
+// response or the first error. Complete never blocks,
 // so folds are safe to feed from fabric goroutines; late completions after
 // the report fired are absorbed silently. If the threshold is never reached
 // (held or crashed operations), the report simply never fires, exactly like
@@ -288,8 +294,9 @@ type Fold struct {
 	mu     sync.Mutex
 	left   int // responses — or, with owed, complete server scans — still needed
 	max    types.TSValue
+	agree  uint64 // bit i: report Index i carried max (indices < 64)
 	done   bool
-	report func(types.TSValue, error)
+	report func(max types.TSValue, agree uint64, err error)
 
 	// Set by Scatter for the rounds that need them, empty otherwise.
 	owed    map[types.ServerID]int // responses each hosting server still owes (server-scan rounds)
@@ -298,8 +305,9 @@ type Fold struct {
 
 // NewFold creates a count-threshold fold firing report after need
 // successful responses — the accumulator for rounds whose members are
-// multi-step store chains rather than single scattered operations.
-func NewFold(need int, report func(types.TSValue, error)) *Fold {
+// multi-step store chains rather than single scattered operations. Its
+// responses carry no index, so the agreement set it reports is meaningless.
+func NewFold(need int, report func(types.TSValue, uint64, error)) *Fold {
 	return &Fold{left: need, report: report}
 }
 
@@ -331,10 +339,15 @@ func (j *Fold) add(rep *Report) {
 	if err != nil {
 		j.done = true
 		j.mu.Unlock()
-		j.report(types.ZeroTSValue, err)
+		j.report(types.ZeroTSValue, 0, err)
 		return
 	}
-	j.max = types.MaxTSValue(j.max, rep.Val)
+	switch bit := uint64(1) << rep.Index; { // 0 past the 64th target
+	case j.max.Less(rep.Val):
+		j.max, j.agree = rep.Val, bit
+	case j.max == rep.Val:
+		j.agree |= bit
+	}
 	if j.reports != nil {
 		j.reports = append(j.reports, *rep)
 	}
@@ -346,7 +359,7 @@ func (j *Fold) add(rep *Report) {
 		return
 	}
 	j.done = true
-	max := j.max
+	max, agree := j.max, j.agree
 	j.mu.Unlock()
-	j.report(max, nil)
+	j.report(max, agree, nil)
 }

@@ -70,6 +70,7 @@ func fixed(targets []Target, need int) Plan {
 type outcome struct {
 	fired int
 	max   types.TSValue
+	agree uint64
 	reps  []Report
 	err   error
 }
@@ -78,7 +79,10 @@ type outcome struct {
 // that can complete completes inline, and returns what was reported so far.
 func scatter(fab *fabric.Fabric, client types.ClientID, r Round) *outcome {
 	out := &outcome{}
-	r.Max = func(v types.TSValue, err error) { out.fired++; out.max, out.err = v, err }
+	r.Max = func(v types.TSValue, agree uint64, err error) {
+		out.fired++
+		out.max, out.agree, out.err = v, agree, err
+	}
 	Scatter(context.Background(), fab, client, r)
 	return out
 }
@@ -107,6 +111,39 @@ func TestScatterMaxFold(t *testing.T) {
 		if fab.Triggers() != before {
 			t.Fatalf("need=%d: a rejected round triggered operations", need)
 		}
+	}
+}
+
+// TestScatterAgreementSet: a max-fold reports, with the maximum, the target
+// indices whose response — among those that completed the round — carried
+// it; a response that arrived after the report counts for nothing, and
+// targets past the 64th never set a bit.
+func TestScatterAgreementSet(t *testing.T) {
+	fab, objs := testEnv(t, 3, nil)
+	v, w := types.TSValue{TS: 7, Writer: 1, Val: 42}, types.TSValue{TS: 9, Writer: 1, Val: 43}
+	if r := scatter(fab, 1, Round{Plan: fixed(writeTargets(v, objs...), 3)}); r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r := scatter(fab, 2, Round{Plan: fixed(readTargets(objs...), 3)}); r.max != v || r.agree != 0b111 {
+		t.Fatalf("settled read: max %v agree %b, want %v and 111", r.max, r.agree, v)
+	}
+	if r := scatter(fab, 1, Round{Plan: fixed(writeTargets(w, objs[2]), 1)}); r.err != nil {
+		t.Fatal(r.err)
+	}
+	// The in-process lane answers in target order: at need 2 the round
+	// folds targets 0 and 1; target 2's newer value arrives too late.
+	if r := scatter(fab, 2, Round{Plan: fixed(readTargets(objs...), 2)}); r.max != v || r.agree != 0b011 {
+		t.Fatalf("quorum read: max %v agree %b, want %v and 11", r.max, r.agree, v)
+	}
+	if r := scatter(fab, 2, Round{Plan: fixed(readTargets(objs[2], objs[0], objs[1]), 3)}); r.max != w || r.agree != 0b001 {
+		t.Fatalf("full read: max %v agree %b, want %v and 1", r.max, r.agree, w)
+	}
+	var many []types.ObjectID
+	for range 70 {
+		many = append(many, objs[0])
+	}
+	if r := scatter(fab, 2, Round{Plan: fixed(readTargets(many...), 70)}); r.max != v || r.agree != ^uint64(0) {
+		t.Fatalf("70-target read: max %v agree %x, want %v and every one of the first 64", r.max, r.agree, v)
 	}
 }
 
@@ -272,7 +309,7 @@ func TestScatterServersStalePlanRetries(t *testing.T) {
 	reported := make(chan error, 1)
 	before := fab.Triggers()
 	Scatter(ctx, fab, 1, Round{Plan: fixed(readTargets(all...), 1), Scan: true, Servers: true,
-		Max: func(_ types.TSValue, err error) { reported <- err }})
+		Max: func(_ types.TSValue, _ uint64, err error) { reported <- err }})
 	select {
 	case err := <-reported:
 		t.Fatalf("the stale round reported %v, want it parked on the view stamp", err)
@@ -317,7 +354,7 @@ func TestFoldOverDelivery(t *testing.T) {
 		"unknown server": {7},
 	} {
 		var errs []error
-		j := &Fold{left: 2, owed: map[types.ServerID]int{0: 1, 1: 1}, report: func(_ types.TSValue, err error) { errs = append(errs, err) }}
+		j := &Fold{left: 2, owed: map[types.ServerID]int{0: 1, 1: 1}, report: func(_ types.TSValue, _ uint64, err error) { errs = append(errs, err) }}
 		for _, srv := range reports {
 			j.add(&Report{Server: srv})
 		}
@@ -332,7 +369,7 @@ func TestFoldOverDelivery(t *testing.T) {
 func TestFoldExactDeliveryCompletes(t *testing.T) {
 	var got types.TSValue
 	fired := 0
-	j := &Fold{left: 2, owed: map[types.ServerID]int{0: 2, 1: 1}, report: func(v types.TSValue, err error) {
+	j := &Fold{left: 2, owed: map[types.ServerID]int{0: 2, 1: 1}, report: func(v types.TSValue, _ uint64, err error) {
 		if err != nil {
 			t.Errorf("fold: %v", err)
 		}
@@ -354,7 +391,7 @@ func TestFoldExactDeliveryCompletes(t *testing.T) {
 // report must fire exactly once.
 func TestFoldLateCompletionsAbsorbed(t *testing.T) {
 	fired := 0
-	j := NewFold(1, func(types.TSValue, error) { fired++ })
+	j := NewFold(1, func(types.TSValue, uint64, error) { fired++ })
 	j.Complete(types.TSValue{TS: 1}, nil)
 	j.Complete(types.TSValue{TS: 2}, nil)
 	j.Complete(types.ZeroTSValue, errors.New("late error"))
@@ -377,7 +414,7 @@ func TestAbandonedRoundReleaseCannotBlock(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		fired := 0
-		Scatter(ctx, fab, 1, Round{Plan: fixed(readTargets(objs...), len(objs)), Max: func(types.TSValue, error) { fired++ }})
+		Scatter(ctx, fab, 1, Round{Plan: fixed(readTargets(objs...), len(objs)), Max: func(types.TSValue, uint64, error) { fired++ }})
 		cancel() // abandon the round before any response arrives
 		if released := releaseAll(fab); released != len(objs) {
 			t.Fatalf("round %d: released %d, want %d", round, released, len(objs))
@@ -387,7 +424,7 @@ func TestAbandonedRoundReleaseCannotBlock(t *testing.T) {
 		}
 		before := fab.Triggers()
 		var got error
-		Scatter(ctx, fab, 1, Round{Plan: fixed(readTargets(objs...), 1), Max: func(_ types.TSValue, err error) { got = err }})
+		Scatter(ctx, fab, 1, Round{Plan: fixed(readTargets(objs...), 1), Max: func(_ types.TSValue, _ uint64, err error) { got = err }})
 		if !errors.Is(got, context.Canceled) || fab.Triggers() != before {
 			t.Fatalf("round %d: scatter on a cancelled context: err=%v, triggers %d -> %d", round, got, before, fab.Triggers())
 		}

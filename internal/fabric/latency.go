@@ -76,6 +76,16 @@ type completion struct {
 // posts, so it cannot deadlock. Because the loop is the only goroutine that
 // ever applies, a DeliverScan group applied back-to-back with nothing
 // interleaved is a consistent snapshot without per-object locking.
+//
+// A delay is a floor, not a schedule: the loop sleeps on a Go timer, and
+// when no goroutine is runnable the runtime's netpoller sleeps in whole
+// milliseconds. Measured on a 2-vCPU Linux VM with go1.24, an idle timer
+// set for 50–300 µs fires after ≈1.1 ms (p50 1.09–1.11 ms for 200 µs),
+// and one set for 1.5 ms after ≈2.2 ms. So on a lightly loaded fabric
+// every sequential round trip costs about 1.2 ms whatever the profile's
+// Base below a millisecond, and a latency workload's time moves with the
+// number of round trips an operation makes, not with the delays
+// themselves.
 type LatencyLane struct {
 	profile LatencyProfile
 	rng     *rand.Rand // drawn on the loop only

@@ -75,7 +75,7 @@ func RunTheorem5(ctx context.Context, f int) (*Theorem5Report, error) {
 				}
 				return buf, n - f
 			},
-			Max: func(max types.TSValue, err error) { done <- result{max, err} },
+			Max: func(max types.TSValue, _ uint64, err error) { done <- result{max, err} },
 		})
 		select {
 		case r := <-done:
