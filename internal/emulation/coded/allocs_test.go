@@ -57,3 +57,21 @@ func TestCodedOpAllocCeiling(t *testing.T) {
 	}
 	t.Logf("%.0f B/op over %d write+read pairs", perOp, pairs)
 }
+
+// TestCoderEncodeAllocs pins Coder.Encode at two allocations per 64 KiB
+// stripe at the coded workload's geometry (3 of 5): the buffer holding the
+// parity rows and the fragment slice. A payload built for its stripe, as the
+// coded register builds it, has its data shards aliased; the kernels' tables
+// and every staging buffer stay off the heap.
+func TestCoderEncodeAllocs(t *testing.T) {
+	c, err := NewCoder(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const valueSize = 64 << 10
+	data := make([]byte, valueSize, 3*c.FragmentSize(valueSize))
+	types.PutPayload(data, 7)
+	if got := testing.AllocsPerRun(50, func() { c.Encode(data) }); got > 2 {
+		t.Errorf("Encode of a 64 KiB stripe allocates %.0f times, want at most 2", got)
+	}
+}

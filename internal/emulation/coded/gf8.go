@@ -14,12 +14,19 @@
 // 2f+1 whole replicas); at f=2 the bound forces k=1 — whole-value
 // replication — which is exactly the coded lower bound's message.
 //
-// A coded op runs at memory speed: the parity rows come from a word-wide
-// table kernel (mulRowsAdd), a write's data shards alias its payload, and a
-// read whose gather holds every data shard checks the value on the shards
-// where they lie (types.PayloadMismatch) with no decode and no payload
-// buffer; only a missing data shard is rebuilt, and the payload is
-// assembled only for an atomic read's write-back.
+// A coded op runs at memory speed: a write's data shards alias its payload,
+// and a read whose gather holds every data shard checks the value on the
+// shards where they lie (types.PayloadMismatch) with no decode and no payload
+// buffer; only a missing data shard is rebuilt, and the payload is assembled
+// only for an atomic read's write-back. The parity rows and the rebuilt
+// shards come from one multiply-accumulate, mulRowsAdd, with two kernels
+// behind it. On amd64 machines with AVX2 it runs a vector kernel that
+// multiplies 32 bytes per step through two 16-entry nibble tables per
+// coefficient (VPSHUFB); everywhere else it runs a word-wide table kernel in
+// plain Go. The choice is made once, when the package initialises, from
+// CPUID and XGETBV — there is nothing to configure. The Go kernel stays as
+// the fallback and as the oracle the vector kernel is tested against byte
+// for byte (TestMulRowsAddKernelsAgree, FuzzMulRowsAdd).
 package coded
 
 import "encoding/binary"
@@ -27,8 +34,10 @@ import "encoding/binary"
 // GF(2^8) arithmetic with the AES-independent primitive polynomial
 // x^8+x^4+x^3+x^2+1 (0x11d), the conventional choice for storage codes.
 // Multiplication and inversion go through log/exp tables built once at
-// package init; the generator is 2. The row kernel reads a full 256×256
-// product table, also built at init.
+// package init; the generator is 2. The Go row kernel reads a full 256×256
+// product table, also built at init; the AVX2 kernel (gf8_amd64.go) reads
+// its own nibble tables, derived without these, so a wrong entry in either
+// set shows as a disagreement between the kernels.
 
 const gfPoly = 0x11d
 
@@ -93,16 +102,16 @@ func gfPow(base byte, exp int) byte {
 	return gfExp[(int(gfLog[base])*exp)%255]
 }
 
-// mulRowsAdd accumulates dst[r] ^= coef[r]·src for every row r, the
-// encode/decode hot loop. Rows go two at a time, in one pass over src, through
-// a pair table: entry x holds both coefficients' products of the byte value
-// x, row r's in the low half and row r+1's in the high half, and shifted
-// copies of it place those products at byte 1, 2 or 3 of each half. Eight
-// lookups ORed together, one per byte of an 8-byte word of src, multiply the
-// word into both rows, and each row is XORed a word at a time. An odd last row pairs with the zero
-// coefficient and writes its own row twice. Every dst row must be at least as
-// long as src.
-func mulRowsAdd(dst [][]byte, coef []byte, src []byte) {
+// mulRowsAddGo is the portable kernel: it accumulates dst[r] ^= coef[r]·src
+// for every row r, the encode/decode hot loop, in plain Go. Rows go two at a
+// time, in one pass over src, through a pair table: entry x holds both
+// coefficients' products of the byte value x, row r's in the low half and row
+// r+1's in the high half, and shifted copies of it place those products at
+// byte 1, 2 or 3 of each half. Eight lookups ORed together, one per byte of an
+// 8-byte word of src, multiply the word into both rows, and each row is XORed
+// a word at a time. An odd last row pairs with the zero coefficient and writes
+// its own row twice. Every dst row must be at least as long as src.
+func mulRowsAddGo(dst [][]byte, coef []byte, src []byte) {
 	var pair [4][256]uint64
 	for r := 0; r < len(dst); r += 2 {
 		d0, d1 := dst[r], dst[r]
@@ -118,7 +127,7 @@ func mulRowsAdd(dst [][]byte, coef []byte, src []byte) {
 	}
 }
 
-// mulPairAdd is mulRowsAdd's pass over src for one pair of rows.
+// mulPairAdd is mulRowsAddGo's pass over src for one pair of rows.
 func mulPairAdd(d0, d1, src []byte, pair *[4][256]uint64) {
 	t0, t1, t2, t3 := &pair[0], &pair[1], &pair[2], &pair[3]
 	words := len(src) &^ 7

@@ -1,6 +1,9 @@
 package coded
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func TestGFTables(t *testing.T) {
 	// exp/log are inverse bijections on the non-zero elements.
@@ -69,38 +72,123 @@ func TestGFPow(t *testing.T) {
 	}
 }
 
-// TestMulRowAdd checks the word kernel against gfMul for every coefficient
-// over every row length from 0 to three words and seven bytes, so each
-// length reaches the word loop, its byte tail, or both. Each pass
+// TestMulRowAdd checks both kernels — the Go kernel and the one mulRowsAdd
+// picked for this machine — against gfMul for every coefficient over every
+// row length from 0 to three 32-byte vector steps and seven bytes, so each
+// length reaches the word or vector loop, its byte tail, or both. Each pass
 // accumulates three rows: a pair (the coefficient under test and its
 // complement, which must not leak into each other) and an odd last row.
 func TestMulRowAdd(t *testing.T) {
-	const maxLen = 3*8 + 7
+	const maxLen = 3*32 + 7
 	src := make([]byte, maxLen)
 	for i := range src {
 		src[i] = byte(i*37 + 11)
 	}
-	src[3], src[17] = 0, 0xff
-	for c := 0; c < 256; c++ {
-		coef := []byte{byte(c), byte(255 - c), byte(c) ^ 0x5a}
-		for n := 0; n <= maxLen; n++ {
-			dst := [][]byte{make([]byte, n+1), make([]byte, n+1), make([]byte, n+1)}
-			for r := range dst {
-				for i := range dst[r] {
-					dst[r][i] = byte(9 * (i + r))
-				}
-			}
-			mulRowsAdd(dst, coef, src[:n])
-			for r, d := range dst {
-				for i := 0; i < n; i++ {
-					if want := byte(9*(i+r)) ^ gfMul(src[i], coef[r]); d[i] != want {
-						t.Fatalf("c=%d len=%d row %d idx %d: got %d want %d", coef[r], n, r, i, d[i], want)
+	src[3], src[17], src[40] = 0, 0xff, 0xf0
+	for _, k := range []struct {
+		name string
+		fn   func(dst [][]byte, coef []byte, src []byte)
+	}{{"go", mulRowsAddGo}, {"picked", mulRowsAdd}} {
+		for c := 0; c < 256; c++ {
+			coef := []byte{byte(c), byte(255 - c), byte(c) ^ 0x5a}
+			for n := 0; n <= maxLen; n++ {
+				dst := [][]byte{make([]byte, n+1), make([]byte, n+1), make([]byte, n+1)}
+				for r := range dst {
+					for i := range dst[r] {
+						dst[r][i] = byte(9 * (i + r))
 					}
 				}
-				if d[n] != byte(9*(n+r)) {
-					t.Fatalf("c=%d len=%d row %d: wrote past the row", coef[r], n, r)
+				k.fn(dst, coef, src[:n])
+				for r, d := range dst {
+					for i := 0; i < n; i++ {
+						if want := byte(9*(i+r)) ^ gfMul(src[i], coef[r]); d[i] != want {
+							t.Fatalf("%s: c=%d len=%d row %d idx %d: got %d want %d", k.name, coef[r], n, r, i, d[i], want)
+						}
+					}
+					if d[n] != byte(9*(n+r)) {
+						t.Fatalf("%s: c=%d len=%d row %d: wrote past the row", k.name, coef[r], n, r)
+					}
 				}
 			}
 		}
 	}
+}
+
+// kernelsAgree runs the Go kernel and mulRowsAdd on copies of the same rows
+// — each row placed dstOff bytes into its buffer, src srcOff bytes into its
+// own, with guard bytes on both sides — and fails unless every buffer ends
+// byte-for-byte equal and the guards are untouched.
+func kernelsAgree(t *testing.T, coef []byte, src []byte, srcOff, dstOff int) {
+	t.Helper()
+	const guard = 40
+	sbuf := make([]byte, srcOff+len(src)+guard)
+	copy(sbuf[srcOff:], src)
+	s := sbuf[srcOff : srcOff+len(src)]
+	fresh := func() ([][]byte, [][]byte) {
+		bufs, rows := make([][]byte, len(coef)), make([][]byte, len(coef))
+		for r := range bufs {
+			bufs[r] = make([]byte, dstOff+len(src)+guard)
+			for i := range bufs[r] {
+				bufs[r][i] = byte(i*13 + r*71 + 5)
+			}
+			rows[r] = bufs[r][dstOff : dstOff+len(src)]
+		}
+		return bufs, rows
+	}
+	want, wantRows := fresh()
+	got, gotRows := fresh()
+	mulRowsAddGo(wantRows, coef, s)
+	mulRowsAdd(gotRows, coef, s)
+	for r := range want {
+		if !bytes.Equal(got[r], want[r]) {
+			j := 0
+			for got[r][j] == want[r][j] {
+				j++
+			}
+			t.Fatalf("coef %v len %d src+%d dst+%d: row %d differs at buffer byte %d (row byte %d): got %#x, Go kernel %#x",
+				coef, len(src), srcOff, dstOff, r, j, j-dstOff, got[r][j], want[r][j])
+		}
+	}
+}
+
+// TestMulRowsAddKernelsAgree compares the kernel mulRowsAdd picked for this
+// machine with the Go kernel byte for byte: every coefficient, at every
+// length from 0 to 130 bytes and at 64 KiB + 5, with source and destination
+// offsets 0–31 (the source offset steps with the coefficient, the
+// destination offset with the length, so every pair of offsets is met), on
+// three rows — an odd count, the Go kernel's aliased last row.
+func TestMulRowsAddKernelsAgree(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no vector kernel on this machine: mulRowsAdd is the Go kernel")
+	}
+	lengths := make([]int, 0, 132)
+	for n := 0; n <= 130; n++ {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 64<<10+5)
+	src := payloadFor(11, 64<<10+5)
+	for c := 0; c < 256; c++ {
+		coef := []byte{byte(c), byte(c + 85), byte(c + 170)}
+		for _, n := range lengths {
+			kernelsAgree(t, coef, src[:n], c%32, (c/32+n)%32)
+		}
+	}
+}
+
+// FuzzMulRowsAdd cross-checks the picked kernel against the Go kernel on
+// fuzzed source bytes, coefficients (one row each, up to eight rows) and
+// offsets.
+func FuzzMulRowsAdd(f *testing.F) {
+	f.Add([]byte("a coded stripe's parity rows"), []byte{2, 0, 255}, uint8(0), uint8(0))
+	f.Add(payloadFor(5, 100), []byte{0x1d}, uint8(31), uint8(7))
+	f.Add(payloadFor(6, 300), []byte{1, 2, 3, 4, 5}, uint8(3), uint8(29))
+	if !haveAVX2 {
+		f.Skip("no vector kernel on this machine: mulRowsAdd is the Go kernel")
+	}
+	f.Fuzz(func(t *testing.T, src, coef []byte, srcOff, dstOff uint8) {
+		if len(coef) == 0 || len(coef) > 8 {
+			return
+		}
+		kernelsAgree(t, coef, src, int(srcOff%32), int(dstOff%32))
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"repro/internal/adversary"
@@ -191,7 +192,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		if schedule.Float64() < 0.4 {
 			rd := readers[schedule.Intn(len(readers))]
 			if _, err := rd.Read(ctx); err != nil {
-				return nil, ctxErr(ctx, fmt.Sprintf("chaos op %d read", op), err)
+				return nil, abandoned(ctx, env, fmt.Sprintf("chaos op %d read", op), err)
 			}
 			rep.Reads++
 		} else {
@@ -201,14 +202,14 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 				return nil, err
 			}
 			if err := w.Write(ctx, values.Next(types.ClientID(i))); err != nil {
-				return nil, ctxErr(ctx, fmt.Sprintf("chaos op %d write by %d", op, i), err)
+				return nil, abandoned(ctx, env, fmt.Sprintf("chaos op %d write by %d", op, i), err)
 			}
 			rep.Writes++
 		}
 		rep.Releases += chaos.ReleaseSome(env.Fabric, chaosReleaseProb)
 		if cfg.ResizeProb > 0 && churn.Float64() < cfg.ResizeProb {
 			if err := churnResize(ctx, env, reg, churn, crasher, cfg.TransitionCrashProb, rep); err != nil {
-				return nil, fmt.Errorf("chaos op %d resize: %w", op, err)
+				return nil, abandoned(ctx, env, fmt.Sprintf("chaos op %d resize", op), err)
 			}
 		}
 	}
@@ -219,6 +220,26 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	rep.Checks = Check(hist)
 	rep.History = hist
 	return rep, nil
+}
+
+// abandoned is the error of a chaos step the run gave up on: the step's own
+// error, then what the fabric held when it returned — the view stamp, the
+// crashed servers and every pending low-level op (token, server, op, phase)
+// — so a hang names what it waited for, not only its deadline.
+func abandoned(ctx context.Context, env *Env, stage string, err error) error {
+	var crashed []types.ServerID
+	for id := types.ServerID(0); int(id) < env.Cluster.N(); id++ {
+		if srv, err := env.Cluster.Server(id); err == nil && srv.Crashed() {
+			crashed = append(crashed, id)
+		}
+	}
+	pending := env.Fabric.Pending()
+	var b strings.Builder
+	fmt.Fprintf(&b, "view stamp %d, crashed servers %v, %d pending ops", env.Fabric.ViewStamp(), crashed, len(pending))
+	for _, p := range pending {
+		fmt.Fprintf(&b, "; token %d server %d %s %s", p.Event.Token, p.Event.Server, p.Event.Inv.Op, p.Phase)
+	}
+	return fmt.Errorf("%w [%s]", ctxErr(ctx, stage, err), b.String())
 }
 
 // ChaosSweepReport aggregates a chaos sweep across consecutive seeds.

@@ -1,8 +1,15 @@
 package runner
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/fabric"
+	"repro/internal/types"
 )
 
 // TestChaosSoundConstructionsStaySafe drives every sound construction
@@ -202,4 +209,38 @@ func TestChaosDeterministicPerSeed(t *testing.T) {
 		fmt.Sprintf("%d/%d/%d/%d", b.Writes, b.Reads, b.Holds, b.Releases); got != want {
 		t.Fatalf("same seed diverged: %s vs %s", got, want)
 	}
+}
+
+// silentLane accepts every op and never answers, like a server that stopped
+// responding without crashing.
+type silentLane struct{}
+
+func (silentLane) Deliver(fabric.TriggerEvent, fabric.ApplyFunc, fabric.CompleteFunc) {}
+func (silentLane) Close() error                                                       { return nil }
+
+// TestChaosAbandonedOpNamesPendingOps silences f+1 of the 2f+1 servers, so
+// the run's first op can never gather a quorum and is abandoned at its
+// context's deadline: the error must say so and name what the op waited on
+// — its pending ops on the silent servers, with token, op and phase — the
+// crashed servers (none) and the view stamp.
+func TestChaosAbandonedOpNamesPendingOps(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	maker := func(id types.ServerID) fabric.Lane {
+		if id <= 1 {
+			return silentLane{}
+		}
+		return fabric.InProcLane{}
+	}
+	_, err := RunChaos(ctx, ChaosConfig{Kind: KindABDMax, K: 2, F: 1, N: 3, Ops: 5, Seed: 1, LaneMaker: maker})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunChaos = %v, want the op abandoned at the deadline", err)
+	}
+	msg := err.Error()
+	for _, want := range []string{"chaos op 0", "view stamp", "crashed servers []", "server 0 ", "server 1 ", "token ", "in-flight"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("abandoned-op error lacks %q:\n%s", want, msg)
+		}
+	}
+	t.Log(msg)
 }

@@ -114,15 +114,18 @@ func TestResizeChurnDeterministicPerSeed(t *testing.T) {
 // holds never starve a quorum round). Crashed transitions must abort
 // cleanly back onto the old view, later transitions and client ops must
 // keep completing, and the histories must stay clean on every pinned seed,
-// on both the in-process and the latency lane.
+// on both the in-process and the latency lane. Each cell has its own
+// context, so a hang fails that cell alone, with the pending ops it waited
+// on named (RunChaos's abandoned-op error), and leaves the next cell its
+// whole budget.
 func TestTransitionCrashChaos(t *testing.T) {
-	ctx := testCtx(t)
 	for _, lane := range []Lane{LaneInProc, LaneLatency} {
 		lane := lane
 		t.Run(string(lane), func(t *testing.T) {
 			for _, kind := range soundKinds {
 				kind := kind
 				t.Run(string(kind), func(t *testing.T) {
+					ctx := testCtx(t)
 					resizes, aborts, crashes := 0, 0, 0
 					for seed := int64(0); seed < resizeSeeds; seed++ {
 						cfg := ChaosConfig{

@@ -40,6 +40,19 @@ func PutPayload(p []byte, v Value) {
 	binary.BigEndian.PutUint64(p, uint64(v))
 	x := fillSeed(v)
 	off := MinPayloadSize
+	// Four words a step, one bounds check for the four; then a word at a
+	// time.
+	for ; off+32 <= len(p); off += 32 {
+		q := p[off : off+32 : off+32]
+		x0 := x + fillGamma
+		x1 := x0 + fillGamma
+		x2 := x1 + fillGamma
+		x = x2 + fillGamma
+		binary.BigEndian.PutUint64(q, fillMix(x0))
+		binary.BigEndian.PutUint64(q[8:], fillMix(x1))
+		binary.BigEndian.PutUint64(q[16:], fillMix(x2))
+		binary.BigEndian.PutUint64(q[24:], fillMix(x))
+	}
 	for ; off+8 <= len(p); off += 8 {
 		x += fillGamma
 		binary.BigEndian.PutUint64(p[off:], fillMix(x))
@@ -86,7 +99,22 @@ func PayloadMismatch(v Value, off int, b []byte) int {
 	}
 	x := fillSeed(v) + uint64(off/8-1)*fillGamma
 	words := len(b) &^ 7
-	for i := 0; i < words; i += 8 {
+	// Four words a step while all of them match; the word loop below resumes
+	// at a step holding a mismatch and names its byte.
+	i := 0
+	for ; i+32 <= words; i += 32 {
+		q := b[i : i+32 : i+32]
+		x0 := x + fillGamma
+		x1 := x0 + fillGamma
+		x2 := x1 + fillGamma
+		x3 := x2 + fillGamma
+		if (binary.BigEndian.Uint64(q)^fillMix(x0))|(binary.BigEndian.Uint64(q[8:])^fillMix(x1))|
+			(binary.BigEndian.Uint64(q[16:])^fillMix(x2))|(binary.BigEndian.Uint64(q[24:])^fillMix(x3)) != 0 {
+			break
+		}
+		x = x3
+	}
+	for ; i < words; i += 8 {
 		x += fillGamma
 		if got, want := binary.BigEndian.Uint64(b[i:i+8]), fillMix(x); got != want {
 			return off + i + bits.LeadingZeros64(got^want)/8
