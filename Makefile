@@ -74,13 +74,14 @@ pairs:
 
 # Allocation ceilings, as plain tests — NOT under -race, where sync.Pool
 # drops items on purpose and every pooled path would read as a regression:
-# every test with "Alloc" in its name (an abd-max write+read pair at 0
-# allocations through the handles — in process and across the latency lane —
+# every test with "Alloc" in its name (a write+read pair through the handles
+# per construction, abd-max at 0 allocations — in process and across the
+# latency lane —
 # through one async engine, and through the sharded store's frontend on
 # materialized keys; a materialized key's live heap objects and bytes, for
 # each construction, and the allocations materializing one costs; the
-# fabric's hand-off of a recycled batch to an asynchronous lane, its release
-# path and its single-op trigger; the TCP lane's in-place codecs, slot table
+# fabric's hand-off of a recycled batch — three ops or one — to an
+# asynchronous lane and its release path; the TCP lane's in-place codecs, slot table
 # and pipelined client; a coded 64 KiB write+read pair within 1.3x the value
 # size per op, and the coder's encode of a 64 KiB stripe at 2 allocations). A round, an op record, a hand-off, a codec or a table that
 # starts allocating again fails here by name.
@@ -115,11 +116,13 @@ fabric-bench:
 # value; an engine closed with ops in flight never recycles them), the
 # cancellation contract on all six constructions and both lanes, the reused
 # writer handle after an abandoned write (quorum register, regemu, coded),
-# view-change retries through a one-for-one swap, and abd-cas's Algorithm 1
-# loop, whose retries run on lane goroutines under contention. Selected by
-# package — no name list to rot.
+# view-change retries through a one-for-one swap, abd-cas's Algorithm 1
+# loop, whose retries run on lane goroutines under contention, and the other
+# two constructions whose low-level ops ride recycled one-op groups: aac-max's
+# cell writes and regemu's re-cover triggers. Selected by package — no name
+# list to rot.
 race-rounds:
-	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/emulation ./internal/emulation/rounds ./internal/emulation/abdcore ./internal/emulation/async ./internal/emulation/casmax
+	$(GO) test -race -count 20 -cpu 1,2,8 ./internal/emulation ./internal/emulation/rounds ./internal/emulation/abdcore ./internal/emulation/async ./internal/emulation/casmax ./internal/emulation/aacmax ./internal/emulation/regemu
 
 # The TCP lane under the race detector, repeated and at three GOMAXPROCS
 # settings: frame reader and codecs (golden wire bytes, aliasing, hostile

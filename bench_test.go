@@ -485,15 +485,25 @@ func BenchmarkFabricParallelTrigger(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				client := types.ClientID(nextClient.Add(1))
 				obj := objs[int(client)%len(objs)]
+				// One recycled one-op group per goroutine: the in-process
+				// lane completes and releases it inside TriggerBatch.
+				var failed error
+				released := 0
+				g := &fabric.Group{
+					Ops:      make([]fabric.BatchOp, 1),
+					Done:     func(_ int, o fabric.Outcome) { failed = o.Err },
+					Released: func() { released++ },
+				}
 				i := 0
 				for pb.Next() {
 					i++
-					call := fab.Trigger(client, obj, baseobj.Invocation{
+					g.Ops[0] = fabric.BatchOp{Object: obj, Inv: baseobj.Invocation{
 						Op:  baseobj.OpWrite,
 						Arg: types.TSValue{TS: uint64(i), Writer: client},
-					})
-					if o, ok := call.Outcome(); !ok || o.Err != nil {
-						b.Fatalf("trigger outcome = %+v ok=%v", o, ok)
+					}}
+					fab.TriggerBatch(client, g)
+					if failed != nil || released != i {
+						b.Fatalf("trigger %d: %v, %d releases", i, failed, released)
 					}
 				}
 			})
@@ -501,6 +511,19 @@ func BenchmarkFabricParallelTrigger(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "triggers/sec")
 		})
 	}
+}
+
+// oneOpGroups returns n recycled one-op groups on a free list, every
+// completion landing in done: a group goes back on the list when the fabric
+// releases it, so taking one waits while all n are in flight.
+func oneOpGroups(n int, done func(int, fabric.Outcome)) chan *fabric.Group {
+	free := make(chan *fabric.Group, n)
+	for i := 0; i < n; i++ {
+		g := &fabric.Group{Ops: make([]fabric.BatchOp, 1), Done: done}
+		g.Released = func() { free <- g }
+		free <- g
+	}
+	return free
 }
 
 // BenchmarkObjectTablePlace is the cold-path rung of the cost ladder: placing
@@ -604,8 +627,8 @@ func BenchmarkResizeTransition(b *testing.B) {
 // BenchmarkFabricLaneTrigger measures trigger-to-completion throughput on
 // the in-process lane vs the latency lane, side by side: the price of real
 // asynchrony (timer dispatch, cross-goroutine completion) relative to the
-// synchronous hot path. Completions are awaited in batches so the latency
-// lane's in-flight population stays bounded.
+// synchronous hot path. Each goroutine triggers on 256 recycled one-op
+// groups, so the latency lane's in-flight population stays bounded.
 func BenchmarkFabricLaneTrigger(b *testing.B) {
 	const servers = 8
 	lanes := []struct {
@@ -639,26 +662,26 @@ func BenchmarkFabricLaneTrigger(b *testing.B) {
 			var nextClient atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
+				const depth = 256
 				client := types.ClientID(nextClient.Add(1))
 				obj := objs[int(client)%len(objs)]
-				var wg sync.WaitGroup
-				// One completion callback for the whole run: the benchmark
-				// measures the fabric's dispatch cost, not a per-op closure
-				// allocation in the harness.
-				complete := func(fabric.Outcome) { wg.Done() }
+				// The groups and their completion are made once for the whole
+				// run: the benchmark measures the fabric's dispatch cost, not
+				// the harness's allocations.
+				free := oneOpGroups(depth, func(int, fabric.Outcome) {})
 				i := 0
 				for pb.Next() {
 					i++
-					wg.Add(1)
-					fab.TriggerFn(client, obj, baseobj.Invocation{
+					g := <-free
+					g.Ops[0] = fabric.BatchOp{Object: obj, Inv: baseobj.Invocation{
 						Op:  baseobj.OpWrite,
 						Arg: types.TSValue{TS: uint64(i), Writer: client},
-					}, complete)
-					if i%256 == 0 {
-						wg.Wait()
-					}
+					}}
+					fab.TriggerBatch(client, g)
 				}
-				wg.Wait()
+				for j := 0; j < depth; j++ {
+					<-free
+				}
 			})
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "triggers/sec")
@@ -702,26 +725,39 @@ func BenchmarkLanenetPipeline(b *testing.B) {
 
 			// Warm the route and seed a value for the measured reads.
 			warm := make(chan fabric.Outcome, 1)
-			fab.TriggerFn(0, obj, baseobj.Invocation{
-				Op:  baseobj.OpWrite,
-				Arg: types.TSValue{TS: 1, Writer: 0, Val: 7},
-			}, func(o fabric.Outcome) { warm <- o })
+			fab.TriggerBatch(0, &fabric.Group{
+				Ops: []fabric.BatchOp{{Object: obj, Inv: baseobj.Invocation{
+					Op:  baseobj.OpWrite,
+					Arg: types.TSValue{TS: 1, Writer: 0, Val: 7},
+				}}},
+				Done: func(_ int, o fabric.Outcome) { warm <- o },
+			})
 			if o := <-warm; o.Err != nil {
 				b.Fatalf("warm write: %v", o.Err)
 			}
 
-			sem := make(chan struct{}, depth)
-			var wg sync.WaitGroup
-			complete := func(fabric.Outcome) { <-sem; wg.Done() }
+			// depth recycled one-op groups bound the pipeline: taking one
+			// waits while all are in flight.
+			var failed atomic.Int64
+			free := oneOpGroups(depth, func(_ int, o fabric.Outcome) {
+				if o.Err != nil {
+					failed.Add(1)
+				}
+			})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sem <- struct{}{}
-				wg.Add(1)
-				fab.TriggerFn(0, obj, baseobj.Invocation{Op: baseobj.OpRead}, complete)
+				g := <-free
+				g.Ops[0] = fabric.BatchOp{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}}
+				fab.TriggerBatch(0, g)
 			}
-			wg.Wait()
+			for j := 0; j < depth; j++ {
+				<-free
+			}
 			b.StopTimer()
+			if n := failed.Load(); n != 0 {
+				b.Fatalf("%d round trips failed", n)
+			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "roundtrips/sec")
 			b.ReportMetric(float64(clients[0].CoalescedReads())/float64(b.N), "coalesced/op")
 		})

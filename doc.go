@@ -26,7 +26,7 @@
 //     the cluster's table on every trigger (nothing is cached), each lane
 //     owns its held-op, in-flight, and crash-drop state, and TriggerBatch
 //     scatters a whole quorum round in one call, over storage the caller
-//     owns (a Group: ops and one slab of Calls). A Call is the operation's
+//     owns (a Group: ops and one slab of calls). A call is the operation's
 //     one record from trigger to completion, on every lane: listed in
 //     flight, asked both gates while listed, parked or dropped in the
 //     critical section that unlists it — so Pending is exact at every
@@ -39,12 +39,12 @@
 //     exactly as long as its round. What that asks of a backend: at most
 //     one completion per delivery, and no reading of a handed slice after
 //     its last op completed (fabric.GroupLane).
-//     A completion is heard in exactly one way: through the
-//     callback handed over with the trigger (TriggerFn, Group.Done),
-//     which fires once, on whatever goroutine completes the operation —
-//     inline on the in-process lane — and never for an operation that
-//     stays pending; a Call is otherwise just the operation's token and,
-//     once complete, its outcome. The environment plugs in as a Gate
+//     An operation is triggered in exactly one way, as a slot of a
+//     Group (a lone operation is a one-op group), and its completion is
+//     heard in exactly one way: through the group's Done, which fires
+//     once per operation, on whatever goroutine completes it — inline on
+//     the in-process lane — and never for an operation that stays
+//     pending. The environment plugs in as a Gate
 //     (hold/release/crash); outside the fabric there is one,
 //     adversary.Script, and every adversary — the covering adversary of
 //     Lemma 1 included — is a policy installed on it as a rule. Each

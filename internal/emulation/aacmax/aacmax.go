@@ -149,22 +149,58 @@ func (ch *chain) next(client types.ClientID, obj types.ObjectID) {
 	if len(rest) == 0 {
 		return
 	}
-	ch.fab.TriggerFn(client, obj, baseobj.Invocation{Op: baseobj.OpWrite, Arg: v}, func(o fabric.Outcome) {
-		ch.mu.Lock()
-		if o.Err == nil && c.last.Less(v) {
-			// The floor advances only once the write took effect: advancing
-			// it at trigger time would make a retried round (after a
-			// view-change completion, which guarantees the write never
-			// applied) skip the register and report success for a lost write.
-			c.last = v
-		}
-		c.busy = false
-		ch.mu.Unlock()
-		for _, w := range rest {
-			w.report(o.Resp.Val, o.Err)
-		}
-		ch.next(client, obj)
-	})
+	w := writes.Get().(*write)
+	w.ch, w.c, w.client, w.obj, w.v, w.rest = ch, c, client, obj, v, rest
+	w.op[0] = fabric.BatchOp{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: v}}
+	ch.fab.TriggerBatch(client, &w.Group)
+}
+
+// write is a cell's one write in flight, on the record's own one-op group:
+// Done keeps the outcome, and Released — the fabric done with the group —
+// lands it. The record comes from writes and goes back before the reports.
+type write struct {
+	fabric.Group
+	op     [1]fabric.BatchOp
+	out    fabric.Outcome
+	ch     *chain
+	c      *cell
+	client types.ClientID
+	obj    types.ObjectID
+	v      types.TSValue
+	rest   []writeMax // the write-maxes the write serves
+}
+
+var writes sync.Pool
+
+func init() {
+	writes.New = func() any {
+		w := new(write)
+		w.Ops, w.Released = w.op[:], w.landed
+		w.Done = func(_ int, o fabric.Outcome) { w.out = o }
+		return w
+	}
+}
+
+// landed serves the write-maxes a write carried and then whoever waited
+// meanwhile.
+func (w *write) landed() {
+	ch, c, o, rest, client, obj := w.ch, w.c, w.out, w.rest, w.client, w.obj
+	ch.mu.Lock()
+	if o.Err == nil && c.last.Less(w.v) {
+		// The floor advances only once the write took effect: advancing
+		// it at trigger time would make a retried round (after a
+		// view-change completion, which guarantees the write never
+		// applied) skip the register and report success for a lost write.
+		c.last = w.v
+	}
+	c.busy = false
+	ch.mu.Unlock()
+	w.ch, w.c, w.rest, w.out = nil, nil, nil, fabric.Outcome{}
+	writes.Put(w)
+	for _, wm := range rest {
+		wm.report(o.Resp.Val, o.Err)
+	}
+	ch.next(client, obj)
 }
 
 // Seed implements abdcore.Chain: the folded maximum goes into its own

@@ -42,8 +42,9 @@ func (c *testChain) StartWriteMax(_ context.Context, client types.ClientID, objs
 		report(types.ZeroTSValue, err)
 		return
 	}
-	c.fab.TriggerFn(client, objs[0], baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}, func(o fabric.Outcome) {
-		report(o.Resp.Val, o.Err)
+	c.fab.TriggerBatch(client, &fabric.Group{
+		Ops:  []fabric.BatchOp{{Object: objs[0], Inv: baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}}},
+		Done: func(_ int, o fabric.Outcome) { report(o.Resp.Val, o.Err) },
 	})
 }
 

@@ -26,11 +26,17 @@ import (
 // two completion closures, four reducers and plans).
 //
 // An abd-cas pair is the same three rounds with the push run as one
-// Algorithm 1 chain per store: one CAS each from the collected maximum,
-// through Fabric.TriggerFn, whose call is allocated per trigger, on a
-// per-store loop record with its completion bound once, and the push's fold.
-// The atomic read of a settled register writes nothing back, so both builds
-// cost the same 14; ROADMAP item 19 takes them to 0.
+// Algorithm 1 chain per store: one CAS each from the collected maximum, on a
+// pooled per-store loop record whose CAS rides the record's own recycled
+// one-op group. What is left is abdcore's push over the chains: its fold and
+// the fold's closure, and one method value per store for the chains'
+// reports. The atomic read of a settled register writes nothing back, so
+// both builds cost the same 5; ROADMAP item 19 takes them to 0. An aac-max
+// pair is the same push over k-writer cells, whose writes ride pooled records
+// the same way, plus each cell's queue of waiting write-maxes, made anew per
+// write: 8. A regemu pair is Algorithm 2 — scan collects, a push batch made
+// per write, per-writer state — and costs 42. Coded is pinned apart
+// (TestCodedOpAllocCeiling), by bytes.
 //
 // The file is excluded under -race, where sync.Pool drops items on purpose.
 func TestRoundAllocsCeiling(t *testing.T) {
@@ -40,8 +46,10 @@ func TestRoundAllocsCeiling(t *testing.T) {
 		ceiling float64
 	}{
 		{runner.KindABDMax, false, 0},
-		{runner.KindCASMax, false, 14},
-		{runner.KindCASMax, true, 14},
+		{runner.KindCASMax, false, 5},
+		{runner.KindCASMax, true, 5},
+		{runner.KindAACMax, false, 8},
+		{runner.KindRegEmu, false, 42},
 	} {
 		t.Run(fmt.Sprintf("%s/atomic=%v", tc.kind, tc.atomic), func(t *testing.T) {
 			env, err := runner.NewEnv(runner.ChaosServers(tc.kind), nil)
@@ -109,60 +117,74 @@ func TestRoundAllocsCeiling(t *testing.T) {
 // goroutine can go unscheduled for a whole time slice while the others
 // ping-pong). So the pair also waits, spinning on a passing gate's count,
 // until every low-level response is in: what is pinned is the steady state.
+//
+// An abd-cas pair costs what it costs in process, 5: each store's CAS rides
+// its loop record's recycled one-op group across the lane like a round's op.
 func TestRoundAllocsCeilingLatencyLane(t *testing.T) {
-	const ceiling = 0
-	var responses atomic.Int64
-	counting := fabric.GateFuncs{Respond: func(fabric.TriggerEvent, baseobj.Response) fabric.Decision {
-		responses.Add(1)
-		return fabric.Pass
-	}}
-	env, err := runner.NewEnv(runner.ChaosServers(runner.KindABDMax), counting,
-		fabric.WithLanes(fabric.LatencyLanes(1, fabric.LatencyProfile{})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Fabric.Close()
-	reg, hist, err := runner.BuildWith(runner.KindABDMax, env.Fabric, 1, 1, runner.BuildOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist.SetDiscard(true)
-	w, err := reg.Writer(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := reg.NewReader()
-	ctx := context.Background()
-	var v types.Value
-	done := make(chan struct{}, 1)
-	writeDone := func(err error) {
-		if err != nil {
-			t.Errorf("write %d: %v", v, err)
-		}
-		done <- struct{}{}
-	}
-	readDone := func(got types.Value, err error) {
-		if err != nil || got != v {
-			t.Errorf("read = %d, %v; want %d", got, err, v)
-		}
-		done <- struct{}{}
-	}
-	pair := func() {
-		v++
-		w.StartWrite(ctx, v, writeDone)
-		<-done
-		r.StartRead(ctx, readDone)
-		<-done
-		for want := env.Fabric.Triggers(); uint64(responses.Load()) != want; {
-			runtime.Gosched()
-		}
-	}
-	for i := 0; i < 10; i++ { // warm the pool, the lanes' heaps and their buffers
-		pair()
-	}
-	if got := testing.AllocsPerRun(1000, pair); got > ceiling {
-		t.Fatalf("abd-max write+read pair on the latency lane allocates %.1f objects, ceiling %d: the lane hand-off or an op record is allocating again", got, ceiling)
-	} else {
-		t.Logf("abd-max write+read pair on the latency lane: %.1f allocations", got)
+	for _, tc := range []struct {
+		kind    runner.Kind
+		atomic  bool
+		ceiling float64
+	}{
+		{runner.KindABDMax, false, 0},
+		{runner.KindCASMax, false, 5},
+		{runner.KindCASMax, true, 5},
+	} {
+		t.Run(fmt.Sprintf("%s/atomic=%v", tc.kind, tc.atomic), func(t *testing.T) {
+			var responses atomic.Int64
+			counting := fabric.GateFuncs{Respond: func(fabric.TriggerEvent, baseobj.Response) fabric.Decision {
+				responses.Add(1)
+				return fabric.Pass
+			}}
+			env, err := runner.NewEnv(runner.ChaosServers(tc.kind), counting,
+				fabric.WithLanes(fabric.LatencyLanes(1, fabric.LatencyProfile{})))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Fabric.Close()
+			reg, hist, err := runner.BuildWith(tc.kind, env.Fabric, 1, 1, runner.BuildOpts{Atomic: tc.atomic})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hist.SetDiscard(true)
+			w, err := reg.Writer(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := reg.NewReader()
+			ctx := context.Background()
+			var v types.Value
+			done := make(chan struct{}, 1)
+			writeDone := func(err error) {
+				if err != nil {
+					t.Errorf("write %d: %v", v, err)
+				}
+				done <- struct{}{}
+			}
+			readDone := func(got types.Value, err error) {
+				if err != nil || got != v {
+					t.Errorf("read = %d, %v; want %d", got, err, v)
+				}
+				done <- struct{}{}
+			}
+			pair := func() {
+				v++
+				w.StartWrite(ctx, v, writeDone)
+				<-done
+				r.StartRead(ctx, readDone)
+				<-done
+				for want := env.Fabric.Triggers(); uint64(responses.Load()) != want; {
+					runtime.Gosched()
+				}
+			}
+			for i := 0; i < 10; i++ { // warm the pool, the lanes' heaps and their buffers
+				pair()
+			}
+			if got := testing.AllocsPerRun(1000, pair); got > tc.ceiling {
+				t.Fatalf("%s write+read pair on the latency lane allocates %.1f objects, ceiling %.0f: the lane hand-off or an op record is allocating again", tc.kind, got, tc.ceiling)
+			} else {
+				t.Logf("%s write+read pair on the latency lane: %.1f allocations", tc.kind, got)
+			}
+		})
 	}
 }

@@ -25,6 +25,9 @@
 // it, after at most one retry per concurrent write-max plus one for the
 // guess.
 //
+// Each store's loop is one pooled record, and its CASes ride the record's
+// own recycled one-op fabric.Group, so a settled write-max allocates nothing.
+//
 // The loop makes the construction's space cost match the max-register row
 // (2f+1) while its time cost grows with contention — the tradeoff the
 // paper's discussion section calls out. Metrics counts the retries so the
@@ -33,6 +36,7 @@ package casmax
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/baseobj"
@@ -85,52 +89,78 @@ var _ abdcore.Chain = (*chain)(nil)
 // caller returned.
 func (c *chain) StartWriteMax(ctx context.Context, client types.ClientID, objs []types.ObjectID, v, hint types.TSValue, report func(types.TSValue, error)) {
 	c.metrics.WriteMaxCalls.Add(1)
-	w := &writeMax{c: c, ctx: ctx, client: client, obj: objs[0], v: v, tmp: hint, report: report}
+	w := writeMaxes.Get().(*writeMax)
+	w.c, w.ctx, w.client, w.obj, w.v, w.tmp, w.report = c, ctx, client, objs[0], v, hint, report
 	// Never expect more than v: a CAS from above v would lower the cell.
 	if v.Less(w.tmp) {
 		w.tmp = v
 	}
-	w.next = w.swapped
 	w.attempt()
 }
 
 // writeMax is one store's Algorithm 1 loop: the cell, the value it installs,
-// the value its next CAS expects, and its completion, bound once.
+// the value its next CAS expects, and its completion. Its CASes ride the
+// record's own one-op group: Done keeps the outcome, and Released — the
+// fabric done with the group — takes the loop's next step, which re-triggers
+// the same group. The record comes from writeMaxes and goes back at its one
+// report.
 type writeMax struct {
+	fabric.Group
+	op     [1]fabric.BatchOp
+	out    fabric.Outcome
 	c      *chain
 	ctx    context.Context
 	client types.ClientID
 	obj    types.ObjectID
 	v, tmp types.TSValue
 	report func(types.TSValue, error)
-	next   func(fabric.Outcome) // w.swapped
+}
+
+var writeMaxes sync.Pool
+
+func init() {
+	writeMaxes.New = func() any {
+		w := new(writeMax)
+		w.Ops, w.Released = w.op[:], w.swapped
+		w.Done = func(_ int, o fabric.Outcome) { w.out = o }
+		return w
+	}
 }
 
 // attempt is one CAS(tmp, v), unless the write was abandoned.
 func (w *writeMax) attempt() {
 	if err := types.CtxErr(w.ctx); err != nil {
-		w.report(types.ZeroTSValue, err)
+		w.finish(types.ZeroTSValue, err)
 		return
 	}
 	w.c.metrics.CASAttempts.Add(1)
-	w.c.fab.TriggerFn(w.client, w.obj, baseobj.Invocation{Op: baseobj.OpCAS, Exp: w.tmp, New: w.v}, w.next)
+	w.op[0] = fabric.BatchOp{Object: w.obj, Inv: baseobj.Invocation{Op: baseobj.OpCAS, Exp: w.tmp, New: w.v}}
+	w.c.fab.TriggerBatch(w.client, &w.Group)
 }
 
-// swapped is a CAS's completion: the returned previous value ends the loop
-// or is what the next attempt expects.
-func (w *writeMax) swapped(o fabric.Outcome) {
-	prev := o.Resp.Val
+// swapped is a CAS's released group: the returned previous value ends the
+// loop or is what the next attempt expects.
+func (w *writeMax) swapped() {
+	prev := w.out.Resp.Val
 	switch {
-	case o.Err != nil:
-		w.report(types.ZeroTSValue, o.Err)
+	case w.out.Err != nil:
+		w.finish(types.ZeroTSValue, w.out.Err)
 	case prev == w.tmp: // the CAS installed v
-		w.report(w.v, nil)
+		w.finish(w.v, nil)
 	case !prev.Less(w.v): // the cell already holds v or more
-		w.report(prev, nil)
+		w.finish(prev, nil)
 	default: // retry from what the cell held (line 2)
 		w.tmp = prev
 		w.attempt()
 	}
+}
+
+// finish hands the record back and reports, its last step.
+func (w *writeMax) finish(v types.TSValue, err error) {
+	report := w.report
+	w.ctx, w.report, w.out = nil, nil, fabric.Outcome{}
+	writeMaxes.Put(w)
+	report(v, err)
 }
 
 // Seed implements abdcore.Chain with one frozen-window compare-and-swap

@@ -23,8 +23,24 @@ import (
 // stream owns its register and reads back each value it wrote, so a
 // completion delivered to another operation's record — another stream's, or
 // this stream's previous one — shows as a wrong value, a failure, or a second
-// firing.
+// firing. It runs on abd-max, whose stores take one op of a round, and on
+// the two kinds whose stores recycle records of their own, each riding its
+// own one-op group: abd-cas's loop records and aac-max's cell writes
+// (aac-max is regular-only).
 func TestOpRecyclingLateResponders(t *testing.T) {
+	for _, tc := range []struct {
+		kind   runner.Kind
+		atomic bool
+	}{
+		{runner.KindABDMax, true},
+		{runner.KindCASMax, true},
+		{runner.KindAACMax, false},
+	} {
+		t.Run(string(tc.kind), func(t *testing.T) { opRecyclingLateResponders(t, tc.kind, tc.atomic) })
+	}
+}
+
+func opRecyclingLateResponders(t *testing.T, kind runner.Kind, atomicReads bool) {
 	const streams, pairs = 8, 300
 	lateServer2 := fabric.GateFuncs{Respond: func(ev fabric.TriggerEvent, _ baseobj.Response) fabric.Decision {
 		if ev.Server == 2 {
@@ -64,7 +80,7 @@ func TestOpRecyclingLateResponders(t *testing.T) {
 	var past atomic.Int32 // streams past the halfway mark
 	var wg sync.WaitGroup
 	for s := 0; s < streams; s++ {
-		reg, _, err := runner.BuildWith(runner.KindABDMax, fab, 1, 1, runner.BuildOpts{Atomic: true})
+		reg, _, err := runner.BuildWith(kind, fab, 1, 1, runner.BuildOpts{Atomic: atomicReads})
 		if err != nil {
 			t.Fatal(err)
 		}

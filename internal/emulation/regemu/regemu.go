@@ -373,11 +373,17 @@ func (e *Emulation) push(m *machine, client types.ClientID, op *writeOp) {
 	}
 	ts := op.ts
 	m.mu.Unlock()
+	e.scatter(client, p, set, fresh, ts, seen)
+}
+
+// scatter writes ts, as one batch, to the registers set[i] for each i in idx,
+// and lands each completion in onEvent.
+func (e *Emulation) scatter(client types.ClientID, p *placement, set []types.ObjectID, idx []int, ts types.TSValue, seen uint64) {
 	g := &fabric.Group{
-		Ops:  make([]fabric.BatchOp, len(fresh)),
-		Done: func(b int, o fabric.Outcome) { e.onEvent(client, p, fresh[b], ts, seen, o.Err) },
+		Ops:  make([]fabric.BatchOp, len(idx)),
+		Done: func(b int, o fabric.Outcome) { e.onEvent(client, p, idx[b], ts, seen, o.Err) },
 	}
-	for b, i := range fresh {
+	for b, i := range idx {
 		g.Ops[b] = fabric.BatchOp{Object: set[i], Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts}}
 	}
 	e.fab.TriggerBatch(client, g)
@@ -398,8 +404,7 @@ func (e *Emulation) retrigger(m *machine, client types.ClientID, op *writeOp, i 
 	cover[i] = true
 	ts := op.ts
 	m.mu.Unlock()
-	e.fab.TriggerFn(client, set[i], baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts},
-		func(o fabric.Outcome) { e.onEvent(client, p, i, ts, seen, o.Err) })
+	e.scatter(client, p, set, []int{i}, ts, seen)
 }
 
 // onEvent lands one low-level write completion — of ts, on register i of

@@ -256,8 +256,8 @@ func (s *attempt) recycle() {
 }
 
 // Retry is the one place a view-change retry is decided, for whole rounds
-// (Scatter, abdcore's push over chain stores) and for single low-level operations
-// (regemu's per-register re-trigger) alike. It returns false when err is not
+// (Scatter, abdcore's push over chain stores) and for the one-op groups of a
+// single register's re-trigger (regemu's) alike. It returns false when err is not
 // a view change: the caller reports err. Otherwise it takes the outcome over
 // through fab.AwaitView: again runs once the view stamp differs from seen —
 // the stamp read before the failed attempt looked any object up — which is at

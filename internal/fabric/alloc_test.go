@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/baseobj"
 	"repro/internal/types"
 )
 
@@ -53,19 +52,22 @@ func (l *loopLane) Close() error              { l.once.Do(func() { close(l.stop)
 // stages them in the group's own []LaneOp and completes through callbacks
 // bound when the slab was made. At the parent commit the same batch cost 13:
 // a record and two method values per op, the per-lane table and its slices.
+// A lone op is a recycled one-op group, and costs the same nothing.
 func TestGroupHandoffAllocCeiling(t *testing.T) {
 	lane := newLoopLane()
 	fab, objs := laneEnv(t, func(types.ServerID) Lane { return lane }, nil)
-	released := make(chan struct{}, 1)
-	g := &Group{Released: func() { released <- struct{}{} }}
-	batch := func() {
-		fillReads(g, objs)
-		fab.TriggerBatch(1, g)
-		<-released
-	}
-	batch() // make the slabs
-	if got := testing.AllocsPerRun(1000, batch); got != 0 {
-		t.Fatalf("a recycled 3-op batch on an asynchronous lane allocates %.1f objects, want 0", got)
+	for _, n := range []int{3, 1} {
+		released := make(chan struct{}, 1)
+		g := &Group{Released: func() { released <- struct{}{} }}
+		batch := func() {
+			fillReads(g, objs[:n])
+			fab.TriggerBatch(1, g)
+			<-released
+		}
+		batch() // make the slabs
+		if got := testing.AllocsPerRun(1000, batch); got != 0 {
+			t.Fatalf("a recycled %d-op batch on an asynchronous lane allocates %.1f objects, want 0", n, got)
+		}
 	}
 	if n := len(fab.Pending()); n != 0 {
 		t.Fatalf("%d operations still pending", n)
@@ -116,25 +118,5 @@ func TestGroupInProcHoldAllocCeiling(t *testing.T) {
 		if got := testing.AllocsPerRun(1000, cycle); got != 0 {
 			t.Fatalf("scatter, %v hold and release of a recycled in-process batch allocates %.1f objects, want 0", phase, got)
 		}
-	}
-}
-
-// TestTriggerFnLaneAllocCeiling: a single operation on an asynchronous lane
-// is one object — the call handed back and its in-flight record — plus the
-// record's two bound callbacks.
-func TestTriggerFnLaneAllocCeiling(t *testing.T) {
-	const ceiling = 3
-	lane := newLoopLane()
-	fab, objs := laneEnv(t, func(types.ServerID) Lane { return lane }, nil)
-	done := make(chan struct{}, 1)
-	fn := func(Outcome) { done <- struct{}{} }
-	inv := baseobj.Invocation{Op: baseobj.OpRead}
-	one := func() {
-		fab.TriggerFn(1, objs[0], inv, fn)
-		<-done
-	}
-	one()
-	if got := testing.AllocsPerRun(1000, one); got > ceiling {
-		t.Fatalf("a single trigger on an asynchronous lane allocates %.1f objects, ceiling %d", got, ceiling)
 	}
 }

@@ -13,15 +13,15 @@ import (
 // dropThreeWays loses one op to a crash of server 0 along each path that
 // fills lane.dropped — a gate-held op and an in-flight op swept up by the
 // Crash drain, and an op triggered on the already dead server — and returns
-// what Pending must report for them plus weak handles on their calls. The
-// calls themselves go out of scope with this frame, the way a client's do
-// once its quorum round completed without the dead server.
+// what Pending must report for them plus weak handles on their one-op groups.
+// The groups themselves go out of scope with this frame, the way a client's
+// do once its quorum round completed without the dead server.
 //
 //go:noinline
-func dropThreeWays(t *testing.T, fab *Fabric, obj types.ObjectID) (want []PendingOp, calls []weak.Pointer[Call]) {
+func dropThreeWays(t *testing.T, fab *Fabric, obj types.ObjectID) (want []PendingOp, ops []weak.Pointer[testOp]) {
 	t.Helper()
-	held := fab.Trigger(0, obj, writeInv(1, 10))     // client 0's writes are gate-held
-	inflight := fab.Trigger(1, obj, writeInv(2, 20)) // on the wire of a slow lane
+	held := trigger(fab, 0, obj, writeInv(1, 10))     // client 0's writes are gate-held
+	inflight := trigger(fab, 1, obj, writeInv(2, 20)) // on the wire of a slow lane
 	before := fab.Pending()
 	if len(before) != 2 || before[0].Phase != PhaseApply || before[1].Phase != PhaseInFlight {
 		t.Fatalf("Pending before the crash = %+v, want a held and an in-flight op", before)
@@ -29,20 +29,20 @@ func dropThreeWays(t *testing.T, fab *Fabric, obj types.ObjectID) (want []Pendin
 	if err := fab.Crash(0); err != nil {
 		t.Fatal(err)
 	}
-	late := fab.Trigger(2, obj, readInv())
-	for _, call := range []*Call{held, inflight, late} {
-		want = append(want, PendingOp{Event: call.Event(), Phase: PhaseDropped})
-		calls = append(calls, weak.Make(call))
+	late := trigger(fab, 2, obj, readInv())
+	for _, op := range []*testOp{held, inflight, late} {
+		want = append(want, PendingOp{Event: op.Event(), Phase: PhaseDropped})
+		ops = append(ops, weak.Make(op))
 	}
-	return want, calls
+	return want, ops
 }
 
 // TestDroppedOpsKeepOnlyTheirEvent pins both halves of the dropped-op
 // contract: Pending and CoveredObjects report a crashed server's ops exactly
 // as before — same events, token order, PhaseDropped — and the fabric holds
-// nothing else of them, so a dropped op's Call (and with it the slab, route
-// and completion closures it pins) is collectable as soon as its client
-// lets go.
+// nothing else of them, so a dropped op's call (and with it its group, the
+// route and the completion closures it pins) is collectable as soon as its
+// client lets go.
 func TestDroppedOpsKeepOnlyTheirEvent(t *testing.T) {
 	gate := GateFuncs{Apply: func(ev TriggerEvent) Decision {
 		if ev.Client == 0 {
@@ -51,7 +51,7 @@ func TestDroppedOpsKeepOnlyTheirEvent(t *testing.T) {
 		return Pass
 	}}
 	fab, objs := laneEnv(t, LatencyLanes(1, LatencyProfile{Base: 20 * time.Millisecond}), gate)
-	want, calls := dropThreeWays(t, fab, objs[0])
+	want, ops := dropThreeWays(t, fab, objs[0])
 
 	if got := fab.Pending(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Pending after the crash =\n%+v\nwant\n%+v", got, want)
@@ -65,15 +65,15 @@ func TestDroppedOpsKeepOnlyTheirEvent(t *testing.T) {
 	// than assert after one cycle.
 	deadline := time.Now().Add(10 * time.Second)
 	for i, name := range []string{"held", "in-flight", "triggered after the crash"} {
-		for calls[i].Value() != nil {
+		for ops[i].Value() != nil {
 			if time.Now().After(deadline) {
-				t.Fatalf("the %s op's Call is still reachable: the fabric pins dropped ops", name)
+				t.Fatalf("the %s op's group is still reachable: the fabric pins dropped ops", name)
 			}
 			time.Sleep(5 * time.Millisecond)
 			runtime.GC()
 		}
 	}
 	if got := fab.Pending(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Pending after the calls were collected =\n%+v\nwant\n%+v", got, want)
+		t.Fatalf("Pending after the groups were collected =\n%+v\nwant\n%+v", got, want)
 	}
 }

@@ -8,11 +8,11 @@
 // taking effect for arbitrarily long" [Aguilera, Englert, Gafni 2003]. The
 // fabric realizes both powers:
 //
-//   - TriggerFn returns a *Call immediately; the response arrives later (or
-//     never) at the callback handed over with the trigger — the one way to
-//     hear a completion. TriggerBatch scatters a whole quorum round in one
-//     dispatch pass over caller-owned, recyclable storage (Group), every
-//     completion landing at the group's one callback (Group.Done).
+//   - TriggerBatch returns at once; each op's response arrives later (or
+//     never) at the one callback of the caller-owned, recyclable Group the op
+//     is a slot of (Group.Done) — the one way to trigger an op and to hear it
+//     complete. A quorum round is a group scattered in one dispatch pass, a
+//     lone op a one-op group.
 //   - A Gate — the environment — may Hold any operation either before it
 //     takes effect (phase apply: the op has NOT linearized; releasing it
 //     later applies it then, possibly erasing a newer value) or before its
@@ -46,7 +46,7 @@
 // adversary, held/release/drop accounting, and everything above the fabric
 // compose with any backend.
 //
-// A triggered operation is one record — its Call — with one lifecycle on
+// A triggered operation is one record — its call — with one lifecycle on
 // every lane: listed in flight (admit), both gates asked while it is listed,
 // filed by its verdict in the critical section that unlists it (lane.settle),
 // so Pending reports it at every moment from trigger to completion. The one
@@ -201,39 +201,29 @@ type Outcome struct {
 	Err  error
 }
 
-// Call completion states.
-const (
-	callPending uint32 = iota
-	callWriting        // a completer won the race and is writing the outcome
-	callDone
-)
-
-// Call is a triggered low-level operation: the handle its client holds and,
-// from trigger to completion, the fabric's one record of it — what Pending
-// reports, what a gate parks, what a lane's hand-off calls back into. It is
-// never allocated per batch op: a batch op's Call is slot i of its group's
-// slab, a single op's the object TriggerFn returns.
+// call is a triggered low-level operation: from trigger to completion, the
+// fabric's one record of it — what Pending reports, what a gate parks, what a
+// lane's hand-off calls back into. It is never allocated per op: op i's call
+// is slot i of its group's slab.
 //
 // Completion is one atomic claim, so completing calls never serializes
-// concurrent quorum rounds. A group's call lives exactly as long as its group:
-// listed in flight, parked by a gate or unlisted by a crash drain, its op has
-// not completed, so the op's reference pins the group and nobody reuses the
-// slot. Completion drops that reference, so nothing touches a call after
-// complete returned.
-type Call struct {
-	ev  TriggerEvent
-	out Outcome // written once by the completer, published by state
+// concurrent quorum rounds. A call lives exactly as long as its group: listed
+// in flight, parked by a gate or unlisted by a crash drain, its op has not
+// completed, so the op's reference pins the group and nobody reuses the slot.
+// Completion drops that reference, so nothing touches a call after complete
+// returned.
+type call struct {
+	ev TriggerEvent
+	// resp is a respond-held op's response, waiting for its release.
+	resp baseobj.Response
 
-	// fn is the completion callback registered at trigger time (TriggerFn);
-	// a group's call (TriggerBatch, TriggerScan) completes into g.Done at
-	// index idx instead. All three are written before the op is handed to
-	// any lane and read by the completer after the hand-off's
-	// happens-before edge, so they need no atomics.
-	fn  func(Outcome)
+	// g and idx are where the op completes: g.Done at index idx. Both are
+	// written before the op is handed to any lane and read by the completer
+	// after the hand-off's happens-before edge, so they need no atomics.
 	g   *Group
 	idx int32
 
-	state atomic.Uint32
+	claimed atomic.Bool
 
 	// Where the op runs: the table entry it was triggered through and that
 	// entry's lane, never a copy of either. f is set once the op is recorded
@@ -241,12 +231,11 @@ type Call struct {
 	e    *cluster.Entry
 	lane *lane
 	f    *Fabric
-	// phase is guarded by lane.mu once the op is listed. A respond-held op's
-	// response waits in out.Resp, which nothing else uses before completion.
+	// phase is guarded by lane.mu once the op is listed.
 	phase Phase
 	// prev and next thread the op through its lane's in-flight index
 	// (lane.inflight); both are nil whenever the op is not in it.
-	prev, next *Call
+	prev, next *call
 	// applyFn and completeFn are c.applyOp and c.completeOp as func values —
 	// what a lane is handed. They are bound once per slot, at the slot's first
 	// admission (the only allocations a recorded op ever causes), and outlive
@@ -255,47 +244,24 @@ type Call struct {
 	completeFn CompleteFunc
 }
 
-// Event returns the call's trigger event.
-func (c *Call) Event() TriggerEvent { return c.ev }
-
-// Token returns the operation token.
-func (c *Call) Token() uint64 { return c.ev.Token }
-
-// Outcome returns the call's outcome, if it has completed.
-func (c *Call) Outcome() (Outcome, bool) {
-	if c.state.Load() != callDone {
-		return Outcome{}, false
-	}
-	return c.out, true
-}
-
-// complete delivers the outcome, firing the callback at most once.
-func (c *Call) complete(o Outcome) {
-	if c.state.CompareAndSwap(callPending, callWriting) {
+// complete delivers the outcome, firing the group's Done at most once.
+func (c *call) complete(o Outcome) {
+	if c.claimed.CompareAndSwap(false, true) {
 		c.completeUnshared(o)
 	}
 }
 
 // completeUnshared delivers the outcome of a call no other completer can
-// race: one that has not escaped the triggering goroutine yet (the
-// synchronous in-process fast path completes the call before Trigger returns
-// it), or one whose claim complete just won. A group's call is never handed
-// out, so its outcome goes straight to the group's Done; the op's reference
-// is dropped only after Done returned, and the call — recycled with its
-// group — must not be touched past that point.
-func (c *Call) completeUnshared(o Outcome) {
-	if g := c.g; g != nil {
-		if g.Done != nil {
-			g.Done(int(c.idx), o)
-		}
-		g.unref()
-		return
+// race: one still inside its dispatch pass (the synchronous in-process fast
+// path completes it there), or one whose claim complete just won. The op's
+// reference is dropped only after Done returned, and the call — recycled with
+// its group — must not be touched past that point.
+func (c *call) completeUnshared(o Outcome) {
+	g := c.g
+	if g.Done != nil {
+		g.Done(int(c.idx), o)
 	}
-	c.out = o
-	c.state.Store(callDone)
-	if c.fn != nil {
-		c.fn(o)
-	}
+	g.unref()
 }
 
 // PendingOp describes a low-level operation that was triggered but has not
@@ -308,7 +274,7 @@ type PendingOp struct {
 
 // applyOp is the op's ApplyFunc: linearize against the server's base object
 // unless the server crashed while the op was on its way.
-func (c *Call) applyOp() (baseobj.Response, error) {
+func (c *call) applyOp() (baseobj.Response, error) {
 	if c.e.Server().Crashed() {
 		return baseobj.Response{}, errCrashedDrop
 	}
@@ -323,7 +289,7 @@ func (c *Call) applyOp() (baseobj.Response, error) {
 // parked the op is its releaser's — and, recycled with its group, anyone's —
 // so a held op is traced before it is settled, and nothing of c is touched
 // after complete returned.
-func (c *Call) completeOp(resp baseobj.Response, err error) {
+func (c *call) completeOp(resp baseobj.Response, err error) {
 	f, l, ev := c.f, c.lane, &c.ev
 	switch {
 	case errors.Is(err, errCrashedDrop) || c.e.Server().Crashed():
@@ -337,7 +303,7 @@ func (c *Call) completeOp(resp baseobj.Response, err error) {
 	case !f.benign && f.gate.BeforeRespond(*ev, resp) == Hold:
 		f.emit(TraceApply, ev, ev.Server)
 		f.emit(TraceHoldRespond, ev, ev.Server)
-		c.out.Resp = resp
+		c.resp = resp
 		l.settle(c, PhaseRespond)
 	case l.settle(c, PhaseInFlight):
 		f.emit(TraceApply, ev, ev.Server)
@@ -573,67 +539,6 @@ func (f *Fabric) lookup(obj types.ObjectID) (*cluster.Entry, *lane, error) {
 	return e, l, nil
 }
 
-// Trigger issues a low-level operation asynchronously and returns its call
-// handle. The call completes when (and if) the environment lets the
-// operation take effect and respond; operations on crashed servers remain
-// pending forever, exactly like the paper's faulty base objects.
-func (f *Fabric) Trigger(client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) *Call {
-	return f.TriggerFn(client, obj, inv, nil)
-}
-
-// TriggerFn is Trigger with a completion callback, the single-op analogue
-// of Group.Done: fn fires exactly once when the call completes — with the
-// operation's response, its protocol error, or a view-change error when the
-// server is departing — and never if the operation stays pending. fn must
-// be non-blocking; it runs on whatever goroutine completes the operation (a
-// lane's, a releaser's), and on the in-process lane inline before TriggerFn
-// returns.
-func (f *Fabric) TriggerFn(client types.ClientID, obj types.ObjectID, inv baseobj.Invocation, fn func(Outcome)) *Call {
-	e, l, err := f.lookup(obj)
-	if err != nil {
-		// Unknown object: a programming error, delivered as an error
-		// response so tests can catch it.
-		call := &Call{ev: TriggerEvent{Client: client, Object: obj, Inv: inv}, fn: fn}
-		call.completeUnshared(Outcome{Err: err})
-		return call
-	}
-	call := &Call{e: e, lane: l, fn: fn}
-	call.ev = TriggerEvent{Token: f.nextToken.Add(1), Client: client, Object: obj, Server: l.server, Inv: inv}
-	if f.start(call, false) {
-		l.backend.Deliver(call.ev, call.applyFn, call.completeFn)
-	}
-	return call
-}
-
-// start takes a triggered op — event, entry and lane filled in — up to its
-// lane, the one step TriggerFn and a batch's dispatch pass share. It reports
-// whether the caller is to hand the op on now: to its lane's backend, or, a
-// member of an in-process scan, to its server's snapshot. Only a benign
-// in-process op runs inline — the gate never holds and the apply is the
-// linearization point, so it runs to completion here with no record and no
-// lock, and since its call has not escaped yet, with no claim CAS either.
-// Every other op is recorded from here to its completion (admit).
-func (f *Fabric) start(c *Call, scan bool) bool {
-	l, srv := c.lane, c.e.Server()
-	c.e.MarkUsed()
-	f.emit(TraceTrigger, &c.ev, l.server)
-	switch {
-	case srv.Crashed():
-		f.drop(l, &c.ev)
-	case srv.Departing():
-		// Frozen for a view change: the op never reaches the object, so it
-		// completes retryably instead of pending forever (unlike a crash).
-		c.completeUnshared(Outcome{Err: viewChangedErr(l.server)})
-	case !l.inproc || !f.benign:
-		return f.admit(c, true)
-	case scan:
-		return true
-	default:
-		f.applyInline(c)
-	}
-	return false
-}
-
 // BatchOp is one operation of a Group.
 type BatchOp struct {
 	// Object is the target base object.
@@ -664,15 +569,18 @@ type BatchOp struct {
 type Group struct {
 	// Ops are the round's operations, filled by the caller.
 	Ops []BatchOp
-	// Done, when non-nil, hears every completion with TriggerFn's contract
-	// per op (i is the op's index in Ops): non-blocking, exactly once, from
-	// a lane goroutine — or inline, on the in-process lane, at the op's
-	// position in the batch, before the ops after it are dispatched.
+	// Done, when non-nil, hears op i's completion exactly once — with its
+	// response, its protocol error, or a view-change error when its server is
+	// departing — and never while the op stays pending (held, or dropped with
+	// a crashed server). It must not block: it runs on whatever goroutine
+	// completes the op (a lane's, a releaser's), or inline, on the in-process
+	// lane, at the op's position in the batch, before the ops after it are
+	// dispatched.
 	Done func(i int, o Outcome)
 	// Released, when non-nil, fires once when the last reference is gone.
 	Released func()
 
-	calls   []Call
+	calls   []call
 	staging []LaneOp     // asynchronous rounds only, like windows
 	windows []laneWindow // indexed by server
 	refs    atomic.Int32
@@ -689,7 +597,7 @@ func (g *Group) unref() {
 	clear(g.Ops)
 	for i := range g.calls {
 		c := &g.calls[i]
-		*c = Call{applyFn: c.applyFn, completeFn: c.completeFn}
+		*c = call{applyFn: c.applyFn, completeFn: c.completeFn}
 	}
 	clear(g.staging)
 	g.staging = g.staging[:0]
@@ -699,16 +607,14 @@ func (g *Group) unref() {
 }
 
 // TriggerBatch scatters a whole round of low-level operations in one
-// dispatch pass. It is semantically identical to calling TriggerFn once per
-// op — each op gets its own token, gate decisions (consulted in input
-// order), and lifecycle — but the batch shape lets the fabric amortize the
-// machinery: one token-block allocation instead of n atomic increments, a
-// caller-owned (and so recyclable) call slab instead of n calls, and one
-// hand-off per lane to backends that accept groups (GroupLane), so an
-// event-loop lane sees a whole round in one mailbox message. In-process
-// operations still apply synchronously at their input position, exactly as
-// a loop of Trigger calls would — the exhaustive sweeps depend on that
-// order.
+// dispatch pass. Each op gets its own token, gate decisions (consulted in
+// input order) and lifecycle, exactly as a loop of one-op groups would give
+// it, but the batch shape lets the fabric amortize the machinery: one
+// token-block allocation instead of n atomic increments, and one hand-off per
+// lane to backends that accept groups (GroupLane), so an event-loop lane sees
+// a whole round in one mailbox message. In-process operations apply
+// synchronously at their input position — the exhaustive sweeps depend on
+// that order.
 func (f *Fabric) TriggerBatch(client types.ClientID, g *Group) {
 	f.triggerGroup(client, g, false)
 }
@@ -733,7 +639,7 @@ func (f *Fabric) TriggerScan(client types.ClientID, g *Group) {
 func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 	n := len(g.Ops)
 	if cap(g.calls) < n {
-		g.calls = make([]Call, n)
+		g.calls = make([]call, n)
 	}
 	calls := g.calls[:n]
 	g.calls = calls
@@ -776,7 +682,7 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 	if async {
 		windows = g.stage(lanes)
 	}
-	var scanGroups [][]*Call
+	var scanGroups [][]*call
 	for i := range calls {
 		c := &calls[i]
 		if c.e == nil {
@@ -785,10 +691,22 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 		token++
 		l, op := c.lane, &g.Ops[i]
 		c.ev = TriggerEvent{Token: token, Client: client, Object: op.Object, Server: l.server, Inv: op.Inv}
-		if !f.start(c, scan) {
-			continue
-		}
-		switch {
+		c.e.MarkUsed()
+		f.emit(TraceTrigger, &c.ev, l.server)
+		// Only a benign in-process op runs unrecorded: the gate never holds
+		// and the apply is the linearization point, so it runs to completion
+		// here (a scan's, under its server's snapshot) with no record, no lock
+		// and, since its call is still the pass's alone, no claim CAS. Every
+		// other op is recorded from here to its completion (admit).
+		switch srv := c.e.Server(); {
+		case srv.Crashed():
+			f.drop(l, &c.ev)
+		case srv.Departing():
+			// Frozen for a view change: the op never reaches the object, so it
+			// completes retryably instead of pending forever (unlike a crash).
+			c.completeUnshared(Outcome{Err: viewChangedErr(l.server)})
+		case (!l.inproc || !f.benign) && !f.admit(c, true):
+			// Frozen, crashed or held on its way in: it goes no further now.
 		case !l.inproc:
 			w := &windows[l.server]
 			lop := &g.staging[w.end]
@@ -796,9 +714,11 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 			w.end++
 		case scan:
 			if scanGroups == nil {
-				scanGroups = make([][]*Call, len(lanes))
+				scanGroups = make([][]*call, len(lanes))
 			}
 			scanGroups[l.server] = append(scanGroups[l.server], c)
+		case f.benign:
+			f.applyInline(c)
 		default:
 			l.backend.Deliver(c.ev, c.applyFn, c.completeFn)
 		}
@@ -867,8 +787,8 @@ func (g *Group) stage(lanes []*lane) []laneWindow {
 // whole cut, so no scan can observe object j's newer write but miss the
 // same writer's earlier write to object i — the torn read that per-object
 // locking allows.
-func (f *Fabric) applyScanInline(group []*Call) {
-	byObj := make([]*Call, len(group))
+func (f *Fabric) applyScanInline(group []*call) {
+	byObj := make([]*call, len(group))
 	copy(byObj, group)
 	sort.Slice(byObj, func(i, j int) bool { return byObj[i].ev.Object < byObj[j].ev.Object })
 	locked := make([]baseobj.Object, 0, len(byObj))
@@ -904,8 +824,8 @@ func (f *Fabric) applyScanInline(group []*Call) {
 }
 
 // applyInline runs a benign in-process op to completion on the triggering
-// goroutine. The call must not have escaped yet (completeUnshared).
-func (f *Fabric) applyInline(c *Call) {
+// goroutine, inside its dispatch pass (completeUnshared).
+func (f *Fabric) applyInline(c *call) {
 	resp, err := c.e.Object().Apply(c.ev.Client, c.ev.Inv)
 	if err != nil {
 		c.completeUnshared(Outcome{Err: err})
@@ -926,7 +846,7 @@ func (f *Fabric) applyInline(c *Call) {
 // to the other in one critical section. It returns false when the op goes no
 // further now: the lane froze, the server crashed around the insert, or the
 // gate holds it.
-func (f *Fabric) admit(c *Call, gated bool) bool {
+func (f *Fabric) admit(c *call, gated bool) bool {
 	l := c.lane
 	if c.applyFn == nil {
 		c.applyFn, c.completeFn = c.applyOp, c.completeOp
@@ -959,7 +879,7 @@ func (f *Fabric) admit(c *Call, gated bool) bool {
 
 // drop records an operation that will never respond. Only its trigger
 // event is kept — all Pending ever reports of a dropped op — so the op's
-// Call and completion closures are not pinned for the life of the
+// call and completion closures are not pinned for the life of the
 // fabric by a server that will never answer.
 func (f *Fabric) drop(l *lane, ev *TriggerEvent) {
 	f.emit(TraceDrop, ev, ev.Server)
@@ -971,7 +891,7 @@ func (f *Fabric) drop(l *lane, ev *TriggerEvent) {
 // take removes and returns the held op with the given token, if any lane
 // holds it. Tokens do not encode their lane, so this scans the (small,
 // fixed) lane set; Release is an adversary-path operation, never a hot one.
-func (f *Fabric) take(token uint64) (*Call, bool) {
+func (f *Fabric) take(token uint64) (*call, bool) {
 	for _, l := range f.laneList() {
 		l.mu.Lock()
 		h, ok := l.held[token]
@@ -1021,14 +941,14 @@ func (f *Fabric) Release(token uint64) error {
 // the transferred state and it must complete with its real response — a
 // view-change error would make the client re-apply an op that already
 // happened.
-func (f *Fabric) bounce(h *Call) {
+func (f *Fabric) bounce(h *call) {
 	f.emit(TraceRelease, &h.ev, h.ev.Server)
 	if h.phase == PhaseApply {
 		h.complete(Outcome{Err: viewChangedErr(h.ev.Server)})
 		return
 	}
 	f.emit(TraceRespond, &h.ev, h.ev.Server)
-	h.complete(Outcome{Resp: h.out.Resp})
+	h.complete(Outcome{Resp: h.resp})
 }
 
 // ReleaseWhere releases every held op matching pred, in ascending token

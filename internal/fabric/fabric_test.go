@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,23 +43,90 @@ func readInv() baseobj.Invocation {
 	return baseobj.Invocation{Op: baseobj.OpRead}
 }
 
-func mustOutcome(t *testing.T, call *Call) Outcome {
+// testOp is one op a test triggers: a one-op group whose Done keeps the op's
+// event and outcome and feeds the outcome to a channel, so a test can wait for
+// an op that completes asynchronously (latency lane, frozen lane, a later
+// release) or check that one has not completed.
+type testOp struct {
+	g    Group
+	ch   chan Outcome
+	mu   sync.Mutex
+	ev   TriggerEvent
+	out  Outcome
+	done bool
+}
+
+// trigger triggers inv on obj as a one-op group.
+func trigger(fab *Fabric, client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) *testOp {
+	op := &testOp{ch: make(chan Outcome, 1)}
+	op.g.Ops = []BatchOp{{Object: obj, Inv: inv}}
+	op.g.Done = func(_ int, o Outcome) {
+		op.mu.Lock()
+		op.ev, op.out, op.done = op.g.calls[0].ev, o, true
+		op.mu.Unlock()
+		op.ch <- o
+	}
+	fab.TriggerBatch(client, &op.g)
+	return op
+}
+
+// Event returns the op's trigger event. The group's slab is read only under
+// mu while the op has not completed: Done takes mu before the op's completion
+// can release the group, so the slot is still the op's.
+func (op *testOp) Event() TriggerEvent {
+	op.mu.Lock()
+	defer op.mu.Unlock()
+	if op.done {
+		return op.ev
+	}
+	return op.g.calls[0].ev
+}
+
+// Token returns the op's token.
+func (op *testOp) Token() uint64 { return op.Event().Token }
+
+// Outcome returns the op's outcome, if it has completed.
+func (op *testOp) Outcome() (Outcome, bool) {
+	op.mu.Lock()
+	defer op.mu.Unlock()
+	return op.out, op.done
+}
+
+// wait blocks until the op completes.
+func (op *testOp) wait(t *testing.T) Outcome {
 	t.Helper()
-	o, ok := call.Outcome()
+	select {
+	case o := <-op.ch:
+		return o
+	case <-time.After(10 * time.Second):
+		t.Fatalf("op %d never completed", op.Token())
+		return Outcome{}
+	}
+}
+
+// waitOutcome triggers an op and blocks until it completes.
+func waitOutcome(t *testing.T, fab *Fabric, client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) Outcome {
+	t.Helper()
+	return trigger(fab, client, obj, inv).wait(t)
+}
+
+func mustOutcome(t *testing.T, op *testOp) Outcome {
+	t.Helper()
+	o, ok := op.Outcome()
 	if !ok {
-		t.Fatalf("call %d has no outcome", call.Token())
+		t.Fatalf("op %d has no outcome", op.Token())
 	}
 	return o
 }
 
 func TestPassThrough(t *testing.T) {
 	fab, objs := testEnv(t, nil)
-	w := fab.Trigger(0, objs[0], writeInv(1, 10))
+	w := trigger(fab, 0, objs[0], writeInv(1, 10))
 	o := mustOutcome(t, w)
 	if o.Err != nil {
 		t.Fatalf("write: %v", o.Err)
 	}
-	r := fab.Trigger(1, objs[0], readInv())
+	r := trigger(fab, 1, objs[0], readInv())
 	o = mustOutcome(t, r)
 	if o.Err != nil || o.Resp.Val.Val != 10 {
 		t.Fatalf("read = %+v, want val 10", o)
@@ -80,17 +148,17 @@ func TestHoldApplyDefersEffect(t *testing.T) {
 	}}
 	fab, objs := testEnv(t, gate)
 
-	held := fab.Trigger(0, objs[0], writeInv(1, 10))
+	held := trigger(fab, 0, objs[0], writeInv(1, 10))
 	if _, ok := held.Outcome(); ok {
 		t.Fatal("held write completed")
 	}
 	// The held write has NOT taken effect.
-	read1 := mustOutcome(t, fab.Trigger(1, objs[0], readInv()))
+	read1 := mustOutcome(t, trigger(fab, 1, objs[0], readInv()))
 	if read1.Resp.Val.Val != 0 {
 		t.Fatalf("read saw held write: %v", read1.Resp.Val)
 	}
 	// A newer write lands.
-	if o := mustOutcome(t, fab.Trigger(1, objs[0], writeInv(2, 20))); o.Err != nil {
+	if o := mustOutcome(t, trigger(fab, 1, objs[0], writeInv(2, 20))); o.Err != nil {
 		t.Fatal(o.Err)
 	}
 	// Releasing the held write applies it NOW, erasing the newer value:
@@ -101,7 +169,7 @@ func TestHoldApplyDefersEffect(t *testing.T) {
 	if o := mustOutcome(t, held); o.Err != nil {
 		t.Fatalf("released write outcome: %v", o.Err)
 	}
-	read2 := mustOutcome(t, fab.Trigger(1, objs[0], readInv()))
+	read2 := mustOutcome(t, trigger(fab, 1, objs[0], readInv()))
 	if read2.Resp.Val.Val != 10 {
 		t.Fatalf("after release read = %v, want the stale 10", read2.Resp.Val)
 	}
@@ -115,12 +183,12 @@ func TestHoldRespondAppliesButDelays(t *testing.T) {
 		return Pass
 	}}
 	fab, objs := testEnv(t, gate)
-	held := fab.Trigger(0, objs[0], writeInv(1, 10))
+	held := trigger(fab, 0, objs[0], writeInv(1, 10))
 	if _, ok := held.Outcome(); ok {
 		t.Fatal("held-respond write completed")
 	}
 	// The op HAS taken effect, its client just doesn't know.
-	read := mustOutcome(t, fab.Trigger(1, objs[0], readInv()))
+	read := mustOutcome(t, trigger(fab, 1, objs[0], readInv()))
 	if read.Resp.Val.Val != 10 {
 		t.Fatalf("read = %v, want 10 (respond-held write must be applied)", read.Resp.Val)
 	}
@@ -140,9 +208,9 @@ func TestPendingAndCoveredAccounting(t *testing.T) {
 		return Pass
 	}}
 	fab, objs := testEnv(t, gate)
-	fab.Trigger(0, objs[0], writeInv(1, 10))
-	fab.Trigger(0, objs[1], writeInv(1, 10))
-	fab.Trigger(0, objs[2], readInv()) // reads pass
+	trigger(fab, 0, objs[0], writeInv(1, 10))
+	trigger(fab, 0, objs[1], writeInv(1, 10))
+	trigger(fab, 0, objs[2], readInv()) // reads pass
 
 	pending := fab.Pending()
 	if len(pending) != 2 {
@@ -174,8 +242,8 @@ func TestReleaseWhere(t *testing.T) {
 		return Pass
 	}}
 	fab, objs := testEnv(t, gate)
-	c0 := fab.Trigger(0, objs[0], writeInv(1, 10))
-	c1 := fab.Trigger(1, objs[1], writeInv(1, 11))
+	c0 := trigger(fab, 0, objs[0], writeInv(1, 10))
+	c1 := trigger(fab, 1, objs[1], writeInv(1, 11))
 	released := fab.ReleaseWhere(func(op PendingOp) bool { return op.Event.Client == 0 })
 	if released != 1 {
 		t.Fatalf("released %d, want 1", released)
@@ -196,7 +264,7 @@ func TestCrashDropsHeldAndFutureOps(t *testing.T) {
 		return Pass
 	}}
 	fab, objs := testEnv(t, gate)
-	held := fab.Trigger(0, objs[0], writeInv(1, 10))
+	held := trigger(fab, 0, objs[0], writeInv(1, 10))
 	if err := fab.Crash(0); err != nil {
 		t.Fatalf("Crash: %v", err)
 	}
@@ -209,7 +277,7 @@ func TestCrashDropsHeldAndFutureOps(t *testing.T) {
 		t.Error("op on crashed server completed")
 	}
 	// New ops on the crashed server never complete either.
-	late := fab.Trigger(1, objs[0], readInv())
+	late := trigger(fab, 1, objs[0], readInv())
 	if _, ok := late.Outcome(); ok {
 		t.Error("trigger on crashed server completed")
 	}
@@ -224,39 +292,41 @@ func TestCrashDropsHeldAndFutureOps(t *testing.T) {
 		t.Errorf("dropped writes = %d, want 1", droppedWrites)
 	}
 	// Other servers still work.
-	if o := mustOutcome(t, fab.Trigger(1, objs[1], readInv())); o.Err != nil {
+	if o := mustOutcome(t, trigger(fab, 1, objs[1], readInv())); o.Err != nil {
 		t.Errorf("live server read: %v", o.Err)
 	}
 }
 
 func TestTriggerUnknownObject(t *testing.T) {
 	fab, _ := testEnv(t, nil)
-	call := fab.Trigger(0, 999, readInv())
+	call := trigger(fab, 0, 999, readInv())
 	o, ok := call.Outcome()
 	if !ok || o.Err == nil {
 		t.Fatalf("unknown object outcome = %+v ok=%v, want error", o, ok)
 	}
 }
 
-// TestTriggerFnFiresInlineOnInProcLane: the in-process lane applies
-// synchronously, so the callback has run by the time TriggerFn returns.
-func TestTriggerFnFiresInlineOnInProcLane(t *testing.T) {
+// TestGroupDoneFiresInlineOnInProcLane: the in-process lane applies
+// synchronously, so a one-op group's Done has run, and the group has been
+// released, by the time TriggerBatch returns.
+func TestGroupDoneFiresInlineOnInProcLane(t *testing.T) {
 	fab, objs := testEnv(t, nil)
 	var got []Outcome
-	call := fab.TriggerFn(0, objs[0], writeInv(1, 10), func(o Outcome) { got = append(got, o) })
-	if len(got) != 1 || got[0].Err != nil {
-		t.Fatalf("callback outcomes at return = %+v, want exactly one success", got)
-	}
-	if o, ok := call.Outcome(); !ok || o.Err != nil || o.Resp.Val != got[0].Resp.Val {
-		t.Fatalf("Outcome = %+v ok=%v, want the callback's %+v", o, ok, got[0])
+	released := 0
+	fab.TriggerBatch(0, &Group{
+		Ops:      []BatchOp{{Object: objs[0], Inv: writeInv(1, 10)}},
+		Done:     func(_ int, o Outcome) { got = append(got, o) },
+		Released: func() { released++ },
+	})
+	if len(got) != 1 || got[0].Err != nil || released != 1 {
+		t.Fatalf("at return: outcomes %+v, %d releases; want exactly one success and one release", got, released)
 	}
 }
 
-// TestTriggerFnFiresExactlyOnce: a held op's callback stays silent while the
-// op is parked, fires once on release, and nothing that happens to the
-// completed op afterwards — a second release, a crash of its server — fires
-// it again.
-func TestTriggerFnFiresExactlyOnce(t *testing.T) {
+// TestGroupDoneFiresExactlyOnce: a held op's Done stays silent while the op
+// is parked, fires once on release, and nothing that happens to the completed
+// op afterwards — a second release, a crash of its server — fires it again.
+func TestGroupDoneFiresExactlyOnce(t *testing.T) {
 	gate := GateFuncs{Respond: func(ev TriggerEvent, _ baseobj.Response) Decision {
 		if ev.Inv.Op.IsWrite() {
 			return Hold
@@ -265,41 +335,48 @@ func TestTriggerFnFiresExactlyOnce(t *testing.T) {
 	}}
 	fab, objs := testEnv(t, gate)
 	fired := 0
-	held := fab.TriggerFn(0, objs[0], writeInv(1, 10), func(Outcome) { fired++ })
+	fab.TriggerBatch(0, &Group{
+		Ops:  []BatchOp{{Object: objs[0], Inv: writeInv(1, 10)}},
+		Done: func(int, Outcome) { fired++ },
+	})
 	if fired != 0 {
-		t.Fatalf("callback fired %d times while the op is held", fired)
+		t.Fatalf("Done fired %d times while the op is held", fired)
 	}
-	if err := fab.Release(held.Token()); err != nil {
+	token := fab.Pending()[0].Event.Token
+	if err := fab.Release(token); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 1 {
-		t.Fatalf("callback fired %d times after release, want 1", fired)
+		t.Fatalf("Done fired %d times after release, want 1", fired)
 	}
-	if err := fab.Release(held.Token()); !errors.Is(err, ErrNotHeld) {
+	if err := fab.Release(token); !errors.Is(err, ErrNotHeld) {
 		t.Fatalf("second release err = %v, want ErrNotHeld", err)
 	}
 	if err := fab.Crash(0); err != nil {
 		t.Fatal(err)
 	}
 	if fired != 1 {
-		t.Fatalf("callback fired %d times in total, want 1", fired)
+		t.Fatalf("Done fired %d times in total, want 1", fired)
 	}
 }
 
-// TestTriggerFnFiresFromLaneGoroutine: on the latency lane TriggerFn returns
-// before the delivery delay elapsed, and the callback then runs on the
-// lane's goroutine — the triggering goroutine does nothing but wait.
-func TestTriggerFnFiresFromLaneGoroutine(t *testing.T) {
+// TestGroupDoneFiresFromLaneGoroutine: on the latency lane TriggerBatch
+// returns before the delivery delay elapsed, and Done then runs on the lane's
+// goroutine — the triggering goroutine does nothing but wait.
+func TestGroupDoneFiresFromLaneGoroutine(t *testing.T) {
 	slow := LatencyProfile{Base: 20 * time.Millisecond}
 	fab, objs := laneEnv(t, LatencyLanes(1, slow), nil)
 	var fired atomic.Int32
 	done := make(chan Outcome, 1)
-	fab.TriggerFn(0, objs[0], writeInv(1, 10), func(o Outcome) {
-		fired.Add(1)
-		done <- o
+	fab.TriggerBatch(0, &Group{
+		Ops: []BatchOp{{Object: objs[0], Inv: writeInv(1, 10)}},
+		Done: func(_ int, o Outcome) {
+			fired.Add(1)
+			done <- o
+		},
 	})
 	if n := fired.Load(); n != 0 {
-		t.Fatalf("callback fired %d times before TriggerFn returned, %v ahead of its delivery", n, slow.Base)
+		t.Fatalf("Done fired %d times before TriggerBatch returned, %v ahead of its delivery", n, slow.Base)
 	}
 	select {
 	case o := <-done:
@@ -307,10 +384,10 @@ func TestTriggerFnFiresFromLaneGoroutine(t *testing.T) {
 			t.Fatal(o.Err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("callback never fired")
+		t.Fatal("Done never fired")
 	}
 	if n := fired.Load(); n != 1 {
-		t.Fatalf("callback fired %d times, want 1", n)
+		t.Fatalf("Done fired %d times, want 1", n)
 	}
 }
 
@@ -322,7 +399,7 @@ func TestReleasedOpOnCrashedServerIsDropped(t *testing.T) {
 		return Pass
 	}}
 	fab, objs := testEnv(t, gate)
-	held := fab.Trigger(0, objs[0], writeInv(1, 10))
+	held := trigger(fab, 0, objs[0], writeInv(1, 10))
 	// Crash the server through the cluster directly, bypassing the
 	// fabric's own bookkeeping, then release: the fabric must notice.
 	if err := fab.Cluster().Crash(0); err != nil {
@@ -339,7 +416,7 @@ func TestReleasedOpOnCrashedServerIsDropped(t *testing.T) {
 func TestYieldGatePasses(t *testing.T) {
 	g := &YieldGate{Yields: 1}
 	fab, objs := testEnv(t, g)
-	if o := mustOutcome(t, fab.Trigger(0, objs[0], writeInv(1, 10))); o.Err != nil {
+	if o := mustOutcome(t, trigger(fab, 0, objs[0], writeInv(1, 10))); o.Err != nil {
 		t.Fatalf("write through yield gate: %v", o.Err)
 	}
 	if g.Ops() != 1 {

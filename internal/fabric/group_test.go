@@ -239,7 +239,7 @@ func newRecordedGroup() *recordedGroup {
 }
 
 // heldRecord returns the record lane server holds under token, nil if none.
-func heldRecord(fab *Fabric, server types.ServerID, token uint64) *Call {
+func heldRecord(fab *Fabric, server types.ServerID, token uint64) *call {
 	l := fab.laneFor(server)
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -294,7 +294,7 @@ func TestGroupLaneRespondHeldRecordLifetime(t *testing.T) {
 	recs, staging := g.calls, g.staging
 	finish(token)
 	for i := range recs {
-		if h := &recs[i]; h.e != nil || h.lane != nil || h.g != nil || h.f != nil || h.next != nil || h.out.Resp.Op != 0 || h.applyFn == nil || h.completeFn == nil {
+		if h := &recs[i]; h.e != nil || h.lane != nil || h.g != nil || h.f != nil || h.next != nil || h.resp.Op != 0 || h.applyFn == nil || h.completeFn == nil {
 			t.Fatalf("record %d at release: %+v, want it zeroed but for its bound callbacks", i, h)
 		}
 		if op := &staging[i]; op.Ev.Token != 0 || op.Apply != nil || op.Complete != nil {
@@ -501,7 +501,7 @@ func TestGroupInProcHoldRidesItsCall(t *testing.T) {
 		t.Run(phase.String(), func(t *testing.T) {
 			fab, objs := laneEnv(t, groupLanes["inproc"], gate)
 			g, done, released := countedGroup(objs)
-			var slot *Call
+			var slot *call
 			for round := int32(1); round <= 3; round++ {
 				fillReads(g, objs)
 				fab.TriggerBatch(1, g)

@@ -36,9 +36,9 @@ func TestInflightCompletionsRaceCrashDrain(t *testing.T) {
 	parked := &parkingLane{}
 	fab, objs := laneEnv(t, func(types.ServerID) Lane { return parked }, nil)
 
-	calls := make([]*Call, n)
+	calls := make([]*testOp, n)
 	for i := range calls {
-		calls[i] = fab.Trigger(types.ClientID(i), objs[0], readInv())
+		calls[i] = trigger(fab, types.ClientID(i), objs[0], readInv())
 	}
 	l := fab.laneFor(0)
 	if got := l.inflightCount(); got != n {
@@ -103,12 +103,12 @@ func TestInflightCompletionsRaceCrashDrain(t *testing.T) {
 func TestDrainEndsOnTheLaneIdleSignal(t *testing.T) {
 	// held opens a swap of server 0 with n reads in flight on it and
 	// returns once every departing lane froze.
-	held := func(t *testing.T, ctx context.Context, n int) (*Fabric, *parkingLane, []awaited, <-chan error) {
+	held := func(t *testing.T, ctx context.Context, n int) (*Fabric, *parkingLane, []*testOp, <-chan error) {
 		parked := &parkingLane{}
 		fab, objs := laneEnv(t, func(types.ServerID) Lane { return parked }, nil)
-		ops := make([]awaited, n)
+		ops := make([]*testOp, n)
 		for i := range ops {
-			ops[i] = triggerAwaited(fab, types.ClientID(i), objs[0], readInv())
+			ops[i] = trigger(fab, types.ClientID(i), objs[0], readInv())
 		}
 		frozen := make(chan struct{})
 		fab.HookTransition(func() { close(frozen) }, nil)
@@ -194,7 +194,7 @@ func pendingWhileGateDecides(t *testing.T, prefix string, maker LaneMaker) {
 	for _, phase := range []Phase{PhaseRespond, PhaseApply} {
 		// blocked runs one write up to the gate's decision and returns with
 		// the gate blocked inside it.
-		blocked := func(t *testing.T) (fab *Fabric, obj types.ObjectID, verdict chan<- Decision, op func() awaited) {
+		blocked := func(t *testing.T) (fab *Fabric, obj types.ObjectID, verdict chan<- Decision, op func() *testOp) {
 			entered, decide := make(chan struct{}), make(chan Decision)
 			ask := func() Decision { entered <- struct{}{}; return <-decide }
 			var gate GateFuncs
@@ -204,8 +204,8 @@ func pendingWhileGateDecides(t *testing.T, prefix string, maker LaneMaker) {
 				gate.Respond = func(TriggerEvent, baseobj.Response) Decision { return ask() }
 			}
 			fab, objs := laneEnv(t, maker, gate)
-			triggered := make(chan awaited, 1)
-			go func() { triggered <- triggerAwaited(fab, 0, objs[0], writeInv(1, 7)) }()
+			triggered := make(chan *testOp, 1)
+			go func() { triggered <- trigger(fab, 0, objs[0], writeInv(1, 7)) }()
 			<-entered
 			if got := fab.Pending(); len(got) != 1 || got[0].Phase != PhaseInFlight || got[0].Event.Object != objs[0] {
 				t.Fatalf("Pending while the %v gate decides = %+v, want the op listed in flight", phase, got)
@@ -213,7 +213,7 @@ func pendingWhileGateDecides(t *testing.T, prefix string, maker LaneMaker) {
 			if got := fab.CoveredObjects(); len(got) != 1 || got[0] != objs[0] {
 				t.Fatalf("CoveredObjects while the %v gate decides = %v, want [%d]", phase, got, objs[0])
 			}
-			return fab, objs[0], decide, func() awaited { return <-triggered }
+			return fab, objs[0], decide, func() *testOp { return <-triggered }
 		}
 
 		t.Run(prefix+phase.String()+"/held", func(t *testing.T) {

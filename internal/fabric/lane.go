@@ -94,7 +94,7 @@ type ApplyFunc func() (baseobj.Response, error)
 
 // CompleteFunc delivers an operation's response back into the fabric, which
 // routes it through the respond gate. It must be invoked at most once per
-// delivery: it is a method value of the op's Call, which lives in recycled
+// delivery: it is a method value of the op's call, which lives in recycled
 // round storage — once it ran and the op completed, the same func belongs to
 // whatever op that slot carries next.
 type CompleteFunc func(resp baseobj.Response, err error)
@@ -134,7 +134,7 @@ func WithLanes(maker LaneMaker) Option {
 }
 
 // InProcLane is the default backend: the operation reaches the base object
-// by a function call, synchronously inside Trigger. It is the backend the
+// by a function call, synchronously inside the dispatch pass. It is the backend the
 // exhaustive sweeps and the dispatch-throughput benchmarks run on. Under the
 // benign gate the fabric does not even call it — nothing can hold or reorder
 // the op, so it applies inline with no record and no lock, identical to a
@@ -166,11 +166,11 @@ type lane struct {
 	mirror ObjectMirror
 
 	mu   sync.Mutex
-	held map[uint64]*Call
+	held map[uint64]*call
 	// inflight is the index of recorded ops between their trigger and their
 	// completion, on every backend (only a benign in-process op is never
 	// recorded): a circular doubly linked list threaded through the ops
-	// themselves (Call.prev/next; inflight is the sentinel, oldest op first)
+	// themselves (call.prev/next; inflight is the sentinel, oldest op first)
 	// plus a count, so indexing an op costs two pointer writes and no lookup.
 	// An op is linked exactly when its next is non-nil. Four rules, all under
 	// mu:
@@ -185,12 +185,12 @@ type lane struct {
 	//   - the crash drain empties the list through unlinkInflight like any
 	//     completion, so whoever takes the last op out closes idle — the
 	//     signal awaitQuiesce parks on.
-	inflight  Call
+	inflight  call
 	inflightN int
 	idle      chan struct{} // non-nil while a coordinator waits for inflightN == 0
 	// dropped holds the trigger events of ops lost to a crash — events, not
-	// *Call records: a dropped op is never released or completed, so
-	// keeping its Call would only pin it forever.
+	// *call records: a dropped op is never released or completed, so
+	// keeping its call would only pin it forever.
 	dropped map[uint64]TriggerEvent
 	// departing freezes the lane for a view change. It lives under mu —
 	// not in an atomic — deliberately: putInflight checks it under the
@@ -210,7 +210,7 @@ func newLane(server types.ServerID, backend Lane) *lane {
 		backend: backend,
 		inproc:  inproc,
 		mirror:  mirror,
-		held:    make(map[uint64]*Call),
+		held:    make(map[uint64]*call),
 		dropped: make(map[uint64]TriggerEvent),
 	}
 	l.inflight.prev, l.inflight.next = &l.inflight, &l.inflight
@@ -220,7 +220,7 @@ func newLane(server types.ServerID, backend Lane) *lane {
 // putInflight lists an op in flight. It returns false when the lane is frozen
 // for a view change: the op was not recorded and must complete as a retryable
 // view-change error instead.
-func (l *lane) putInflight(h *Call) bool {
+func (l *lane) putInflight(h *call) bool {
 	l.mu.Lock()
 	if l.departing {
 		l.mu.Unlock()
@@ -236,7 +236,7 @@ func (l *lane) putInflight(h *Call) bool {
 
 // unlinkInflight removes h from the in-flight index if it is still there
 // and reports whether it was. The caller holds mu.
-func (l *lane) unlinkInflight(h *Call) bool {
+func (l *lane) unlinkInflight(h *call) bool {
 	if h.next == nil {
 		return false
 	}
@@ -252,10 +252,10 @@ func (l *lane) unlinkInflight(h *Call) bool {
 
 // setDeparting freezes the lane for a view change and returns the ops
 // parked by the gate (held) for the coordinator to force-complete.
-func (l *lane) setDeparting() []*Call {
+func (l *lane) setDeparting() []*call {
 	l.mu.Lock()
 	l.departing = true
-	parked := make([]*Call, 0, len(l.held))
+	parked := make([]*call, 0, len(l.held))
 	for token, h := range l.held {
 		delete(l.held, token)
 		parked = append(parked, h)
@@ -303,7 +303,7 @@ func (l *lane) whenIdle() <-chan struct{} {
 // gone — a crash drain already moved it to dropped — in which case the
 // caller must discard the completion and whatever the gate said: the claim
 // is what makes completion and crash-drop mutually exclusive.
-func (l *lane) settle(h *Call, to Phase) bool {
+func (l *lane) settle(h *call, to Phase) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if !l.unlinkInflight(h) {

@@ -61,7 +61,7 @@ func TestLatencyLaneDeliversAsynchronously(t *testing.T) {
 func TestLatencyLaneInFlightPending(t *testing.T) {
 	slow := LatencyProfile{Base: 200 * time.Millisecond}
 	fab, objs := laneEnv(t, LatencyLanes(1, slow), nil)
-	call := triggerAwaited(fab, 0, objs[0], writeInv(1, 10))
+	call := trigger(fab, 0, objs[0], writeInv(1, 10))
 	pending := fab.Pending()
 	if len(pending) != 1 || pending[0].Phase != PhaseInFlight {
 		t.Fatalf("Pending = %+v, want one in-flight op", pending)
@@ -83,7 +83,7 @@ func TestLatencyLaneInFlightPending(t *testing.T) {
 func TestLatencyLaneCrashDropsInFlight(t *testing.T) {
 	slow := LatencyProfile{Base: 50 * time.Millisecond}
 	fab, objs := laneEnv(t, LatencyLanes(1, slow), nil)
-	call := fab.Trigger(0, objs[0], writeInv(1, 10))
+	call := trigger(fab, 0, objs[0], writeInv(1, 10))
 	if err := fab.Crash(0); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestLatencyLaneComposesWithGate(t *testing.T) {
 		return Pass
 	}}
 	fab, objs := laneEnv(t, LatencyLanes(7, testProfile), gate)
-	held := triggerAwaited(fab, 0, objs[0], writeInv(1, 10))
+	held := trigger(fab, 0, objs[0], writeInv(1, 10))
 	if _, ok := held.Outcome(); ok {
 		t.Fatal("held write completed")
 	}
@@ -309,10 +309,10 @@ func TestCustomLaneBackend(t *testing.T) {
 		lanes[s] = l
 		return l
 	}, nil)
-	if o := mustOutcome(t, fab.Trigger(0, objs[1], writeInv(1, 5))); o.Err != nil {
+	if o := mustOutcome(t, trigger(fab, 0, objs[1], writeInv(1, 5))); o.Err != nil {
 		t.Fatal(o.Err)
 	}
-	if o := mustOutcome(t, fab.Trigger(1, objs[1], readInv())); o.Resp.Val.Val != 5 {
+	if o := mustOutcome(t, trigger(fab, 1, objs[1], readInv())); o.Resp.Val.Val != 5 {
 		t.Fatalf("read = %v, want 5", o.Resp.Val)
 	}
 	if lanes[1].delivered != 2 {

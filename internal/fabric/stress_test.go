@@ -50,7 +50,7 @@ func TestConcurrentHoldReleaseCrashStress(t *testing.T) {
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex
-		calls []*Call
+		calls []*testOp
 	)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -59,14 +59,14 @@ func TestConcurrentHoldReleaseCrashStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < opsEach; i++ {
 				obj := objs[rng.Intn(len(objs))]
-				var call *Call
+				var call *testOp
 				if rng.Intn(2) == 0 {
-					call = fab.Trigger(types.ClientID(g), obj, baseobj.Invocation{
+					call = trigger(fab, types.ClientID(g), obj, baseobj.Invocation{
 						Op:  baseobj.OpWrite,
 						Arg: types.TSValue{TS: uint64(i + 1), Writer: types.ClientID(g)},
 					})
 				} else {
-					call = fab.Trigger(types.ClientID(g), obj, baseobj.Invocation{Op: baseobj.OpRead})
+					call = trigger(fab, types.ClientID(g), obj, baseobj.Invocation{Op: baseobj.OpRead})
 				}
 				mu.Lock()
 				calls = append(calls, call)

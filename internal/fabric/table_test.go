@@ -92,7 +92,7 @@ func TestObjectTableUsedObjectsAscendingAcrossChunks(t *testing.T) {
 	fab, objs := tableEnv(t, 2*chunk+2)
 	touched := []types.ObjectID{objs[513], objs[2*chunk], objs[511], objs[0], objs[512], objs[2*chunk+1]}
 	for _, obj := range touched {
-		if o := mustOutcome(t, fab.Trigger(0, obj, readMaxInv())); o.Err != nil {
+		if o := mustOutcome(t, trigger(fab, 0, obj, readMaxInv())); o.Err != nil {
 			t.Fatalf("read %d: %v", obj, o.Err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestObjectTableConcurrentLookupDuringReplace(t *testing.T) {
 	fab, objs := tableEnv(t, objects)
 	c := fab.Cluster()
 	for _, obj := range objs {
-		if o := mustOutcome(t, fab.Trigger(0, obj, writeMaxInv(1, 1))); o.Err != nil {
+		if o := mustOutcome(t, trigger(fab, 0, obj, writeMaxInv(1, 1))); o.Err != nil {
 			t.Fatalf("seed write %d: %v", obj, o.Err)
 		}
 	}
@@ -173,8 +173,8 @@ func TestObjectTableConcurrentLookupDuringReplace(t *testing.T) {
 					// out, and looking up between its slot stores is the test.
 					inv := writeMaxInv(ts, types.Value(g))
 					for {
-						// The in-process lane completes inside Trigger.
-						o, _ := fab.Trigger(types.ClientID(g), obj, inv).Outcome()
+						// The in-process lane completes inside TriggerBatch.
+						o, _ := trigger(fab, types.ClientID(g), obj, inv).Outcome()
 						if o.Err == nil {
 							break
 						}

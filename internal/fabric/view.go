@@ -519,7 +519,7 @@ func (f *Fabric) advanceView() {
 
 // drainParked force-completes the ops the gate had parked on a now-frozen
 // lane, in ascending token order.
-func (f *Fabric) drainParked(parked []*Call) {
+func (f *Fabric) drainParked(parked []*call) {
 	sort.Slice(parked, func(i, j int) bool { return parked[i].ev.Token < parked[j].ev.Token })
 	for _, h := range parked {
 		f.bounce(h)

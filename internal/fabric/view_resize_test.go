@@ -96,7 +96,7 @@ func TestResizeGrowAndShrink(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, obj := range objs {
-		if o := mustOutcome(t, fab.Trigger(0, obj, writeInv(uint64(i+1), types.Value(100+i)))); o.Err != nil {
+		if o := mustOutcome(t, trigger(fab, 0, obj, writeInv(uint64(i+1), types.Value(100+i)))); o.Err != nil {
 			t.Fatalf("seed write %d: %v", i, o.Err)
 		}
 	}
@@ -122,7 +122,7 @@ func TestResizeGrowAndShrink(t *testing.T) {
 	leaverObjects := len(c.ObjectsOn(0))
 	served := false
 	inWindow = func() {
-		o := mustOutcome(t, fab.Trigger(1, objs[1], readInv()))
+		o := mustOutcome(t, trigger(fab, 1, objs[1], readInv()))
 		served = o.Err == nil && o.Resp.Val.Val == 101
 	}
 	swapped, err := fab.Resize(ctx, ResizeSpec{Join: []LaneMaker{nil}, Leave: []types.ServerID{0}}, reshape)
@@ -183,7 +183,7 @@ func TestResizeGrowAndShrink(t *testing.T) {
 		}
 	}
 	for i, obj := range objs {
-		if o := mustOutcome(t, fab.Trigger(1, obj, readInv())); o.Err != nil || o.Resp.Val.Val != types.Value(100+i) {
+		if o := mustOutcome(t, trigger(fab, 1, obj, readInv())); o.Err != nil || o.Resp.Val.Val != types.Value(100+i) {
 			t.Fatalf("read %d after the aborted shrink = %+v, want val %d", i, o, 100+i)
 		}
 	}
@@ -203,7 +203,7 @@ func TestResizeGrowAndShrink(t *testing.T) {
 		t.Fatalf("Crashes = %d after clean transitions, want 0", c.Crashes())
 	}
 	for i, obj := range objs {
-		if o := mustOutcome(t, fab.Trigger(1, obj, readInv())); o.Err != nil || o.Resp.Val.Val != types.Value(100+i) {
+		if o := mustOutcome(t, trigger(fab, 1, obj, readInv())); o.Err != nil || o.Resp.Val.Val != types.Value(100+i) {
 			t.Fatalf("read %d after resize = %+v, want val %d", i, o, 100+i)
 		}
 	}
@@ -353,7 +353,7 @@ func TestResizeAbortsWhenLeaverCrashesMidDrain(t *testing.T) {
 		if srv.Departing() {
 			t.Fatalf("survivor %d still departing after abort", s)
 		}
-		if o := mustOutcome(t, fab.Trigger(0, objs[s], writeInv(9, 77))); o.Err != nil {
+		if o := mustOutcome(t, trigger(fab, 0, objs[s], writeInv(9, 77))); o.Err != nil {
 			t.Fatalf("write on survivor %d after abort: %v", s, o.Err)
 		}
 	}

@@ -12,37 +12,6 @@ import (
 	"repro/internal/types"
 )
 
-// awaited is a triggered op together with the channel its completion
-// callback feeds: the way a test waits for an op that completes
-// asynchronously (latency lane, frozen lane, a later release).
-type awaited struct {
-	*Call
-	ch chan Outcome
-}
-
-func triggerAwaited(fab *Fabric, client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) awaited {
-	ch := make(chan Outcome, 1)
-	return awaited{Call: fab.TriggerFn(client, obj, inv, func(o Outcome) { ch <- o }), ch: ch}
-}
-
-// wait blocks until the op completes.
-func (a awaited) wait(t *testing.T) Outcome {
-	t.Helper()
-	select {
-	case o := <-a.ch:
-		return o
-	case <-time.After(10 * time.Second):
-		t.Fatalf("call %d never completed", a.Token())
-		return Outcome{}
-	}
-}
-
-// waitOutcome triggers an op and blocks until it completes.
-func waitOutcome(t *testing.T, fab *Fabric, client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) Outcome {
-	t.Helper()
-	return triggerAwaited(fab, client, obj, inv).wait(t)
-}
-
 // TestReplaceTransfersState pins the full freeze → drain → transfer →
 // activate sequence on the in-process lane: the written value survives the
 // move, routes re-resolve to the joiner, a moved register keeps its writer
@@ -55,7 +24,7 @@ func TestReplaceTransfersState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o := mustOutcome(t, fab.Trigger(0, objs[0], writeInv(5, 42))); o.Err != nil {
+	if o := mustOutcome(t, trigger(fab, 0, objs[0], writeInv(5, 42))); o.Err != nil {
 		t.Fatalf("write: %v", o.Err)
 	}
 	epochBefore := c.Epoch()
@@ -82,23 +51,23 @@ func TestReplaceTransfersState(t *testing.T) {
 	if s, err := c.Delta(objs[0]); err != nil || s != newID {
 		t.Fatalf("Delta(%d) = %d, %v; want %d", objs[0], s, err, newID)
 	}
-	if o := mustOutcome(t, fab.Trigger(1, objs[0], readInv())); o.Err != nil || o.Resp.Val.Val != 42 {
+	if o := mustOutcome(t, trigger(fab, 1, objs[0], readInv())); o.Err != nil || o.Resp.Val.Val != 42 {
 		t.Fatalf("read after transfer = %+v, want val 42", o)
 	}
 	if s, err := c.Delta(restricted); err != nil || s != newID {
 		t.Fatalf("Delta(%d) = %d, %v; want %d", restricted, s, err, newID)
 	}
-	if o := mustOutcome(t, fab.Trigger(1, restricted, writeInv(1, 7))); !errors.Is(o.Err, baseobj.ErrUnauthorizedWriter) {
+	if o := mustOutcome(t, trigger(fab, 1, restricted, writeInv(1, 7))); !errors.Is(o.Err, baseobj.ErrUnauthorizedWriter) {
 		t.Fatalf("foreign write on the moved register err = %v, want ErrUnauthorizedWriter", o.Err)
 	}
-	if o := mustOutcome(t, fab.Trigger(0, restricted, writeInv(1, 7))); o.Err != nil {
+	if o := mustOutcome(t, trigger(fab, 0, restricted, writeInv(1, 7))); o.Err != nil {
 		t.Fatalf("writer 0 on the moved register: %v", o.Err)
 	}
 	// Writes keep flowing to the migrated object through the old object ID.
-	if o := mustOutcome(t, fab.Trigger(0, objs[0], writeInv(6, 43))); o.Err != nil {
+	if o := mustOutcome(t, trigger(fab, 0, objs[0], writeInv(6, 43))); o.Err != nil {
 		t.Fatalf("write after transfer: %v", o.Err)
 	}
-	if o := mustOutcome(t, fab.Trigger(1, objs[0], readInv())); o.Err != nil || o.Resp.Val.Val != 43 {
+	if o := mustOutcome(t, trigger(fab, 1, objs[0], readInv())); o.Err != nil || o.Resp.Val.Val != 43 {
 		t.Fatalf("read after post-transfer write = %+v, want val 43", o)
 	}
 	if c.Crashes() != 0 {
@@ -133,8 +102,8 @@ func TestReplaceDrainsParkedOps(t *testing.T) {
 		},
 	}
 	fab, objs := testEnv(t, gate)
-	applyHeld := triggerAwaited(fab, 0, objs[0], writeInv(1, 10))
-	respondHeld := triggerAwaited(fab, 1, objs[0], writeInv(2, 11))
+	applyHeld := trigger(fab, 0, objs[0], writeInv(1, 10))
+	respondHeld := trigger(fab, 1, objs[0], writeInv(2, 11))
 	if _, done := applyHeld.Outcome(); done {
 		t.Fatal("apply-held op completed before the drain")
 	}
@@ -154,7 +123,7 @@ func TestReplaceDrainsParkedOps(t *testing.T) {
 	}
 	// The respond-held write linearized before the freeze, so its effect is
 	// part of the transferred state on the joiner.
-	if r := mustOutcome(t, fab.Trigger(2, objs[0], readInv())); r.Err != nil || r.Resp.Val.Val != 11 {
+	if r := mustOutcome(t, trigger(fab, 2, objs[0], readInv())); r.Err != nil || r.Resp.Val.Val != 11 {
 		t.Fatalf("read after drain = %+v, want val 11 (respond-held write transferred)", r)
 	}
 	if s, _ := fab.Cluster().Delta(objs[0]); s != newID {
@@ -196,10 +165,13 @@ func TestTriggerOnDepartingServerRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Depart()
-	// The callback hears the error inline and exactly once: the op neither
-	// pends nor reaches a lane.
+	// Done hears the error inline and exactly once: the op neither pends nor
+	// reaches a lane.
 	var got []Outcome
-	fab.TriggerFn(0, objs[0], writeInv(1, 7), func(o Outcome) { got = append(got, o) })
+	fab.TriggerBatch(0, &Group{
+		Ops:  []BatchOp{{Object: objs[0], Inv: writeInv(1, 7)}},
+		Done: func(_ int, o Outcome) { got = append(got, o) },
+	})
 	if len(got) != 1 || !IsViewChange(got[0].Err) {
 		t.Fatalf("trigger on departing server = %+v, want exactly one view-change error", got)
 	}

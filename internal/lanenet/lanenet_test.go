@@ -63,22 +63,25 @@ func netEnv(t *testing.T, n int) (*fabric.Fabric, []types.ObjectID, []*Client, [
 	return fab, objs, clients, nodes
 }
 
+// trigger triggers an op as a one-op group and returns the channel its
+// completion is fed to.
+func trigger(fab *fabric.Fabric, client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) <-chan fabric.Outcome {
+	done := make(chan fabric.Outcome, 1)
+	fab.TriggerBatch(client, &fabric.Group{
+		Ops:  []fabric.BatchOp{{Object: obj, Inv: inv}},
+		Done: func(_ int, o fabric.Outcome) { done <- o },
+	})
+	return done
+}
+
 // await triggers an op and blocks until it completes or times out.
 func await(t *testing.T, fab *fabric.Fabric, client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) fabric.Outcome {
 	t.Helper()
-	done := make(chan fabric.Outcome, 1)
-	call := fab.TriggerFn(client, obj, inv, func(o fabric.Outcome) { done <- o })
-	return awaitDone(t, call, done)
-}
-
-// awaitDone blocks until call's completion callback fed done.
-func awaitDone(t *testing.T, call *fabric.Call, done <-chan fabric.Outcome) fabric.Outcome {
-	t.Helper()
 	select {
-	case o := <-done:
+	case o := <-trigger(fab, client, obj, inv):
 		return o
 	case <-time.After(5 * time.Second):
-		t.Fatalf("call %d never completed over the network lane", call.Token())
+		t.Fatalf("op on object %d never completed over the network lane", obj)
 		return fabric.Outcome{}
 	}
 }
@@ -304,7 +307,7 @@ func TestDisconnectIsCrash(t *testing.T) {
 	if err := clients[2].conn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	late := fab.Trigger(0, objs[2], baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Writer: 0, Val: 5}})
+	late := trigger(fab, 0, objs[2], baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Writer: 0, Val: 5}})
 
 	// The crash hook fires from the read loop; wait for the fabric to
 	// observe it.
@@ -322,8 +325,10 @@ func TestDisconnectIsCrash(t *testing.T) {
 	// The late op must never complete (dropped or never delivered), and
 	// must be visible as pending.
 	time.Sleep(10 * time.Millisecond)
-	if _, ok := late.Outcome(); ok {
+	select {
+	case <-late:
 		t.Fatal("op on disconnected lane completed")
+	default:
 	}
 
 	// The other servers still serve a quorum.

@@ -232,29 +232,26 @@ func TestTCPLanePipelinedReadsCoalesce(t *testing.T) {
 func TestTCPLanePipelineManyInFlight(t *testing.T) {
 	fab, objs, _ := scanNetEnv(t, 1)
 	const writers = 64
-	var wg sync.WaitGroup
-	var failed atomic.Int64
-	wg.Add(writers)
-	for i := 1; i <= writers; i++ {
-		fab.TriggerFn(0, objs[0], baseobj.Invocation{
+	done := make([]<-chan fabric.Outcome, writers)
+	for i := range done {
+		done[i] = trigger(fab, 0, objs[0], baseobj.Invocation{
 			Op:  baseobj.OpWrite,
-			Arg: types.TSValue{TS: uint64(i), Writer: 0, Val: types.Value(i)},
-		}, func(o fabric.Outcome) {
-			if o.Err != nil {
-				failed.Add(1)
-			}
-			wg.Done()
+			Arg: types.TSValue{TS: uint64(i + 1), Writer: 0, Val: types.Value(i + 1)},
 		})
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("pipelined writes never completed")
+	failed, timeout := 0, time.After(10*time.Second)
+	for _, d := range done {
+		select {
+		case o := <-d:
+			if o.Err != nil {
+				failed++
+			}
+		case <-timeout:
+			t.Fatal("pipelined writes never completed")
+		}
 	}
-	if n := failed.Load(); n != 0 {
-		t.Fatalf("%d pipelined writes failed", n)
+	if failed != 0 {
+		t.Fatalf("%d pipelined writes failed", failed)
 	}
 	o := await(t, fab, 1, objs[0], baseobj.Invocation{Op: baseobj.OpRead})
 	if o.Err != nil || o.Resp.Val.TS != writers {
