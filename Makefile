@@ -75,18 +75,22 @@ pairs:
 # Allocation ceilings, as plain tests — NOT under -race, where sync.Pool
 # drops items on purpose and every pooled path would read as a regression:
 # every test with "Alloc" in its name (a write+read pair through the handles
-# per construction, abd-max at 0 allocations — in process and across the
-# latency lane —
+# per construction — abd-max, abd-cas and aac-max at 0 allocations, in
+# process and abd-max and abd-cas across the latency lane too, a payload-mode
+# abd-max pair at its value bytes —
 # through one async engine, and through the sharded store's frontend on
 # materialized keys; a materialized key's live heap objects and bytes, for
 # each construction, and the allocations materializing one costs; the
 # fabric's hand-off of a recycled batch — three ops or one — to an
 # asynchronous lane and its release path; the TCP lane's in-place codecs, slot table
 # and pipelined client; a coded 64 KiB write+read pair within 1.3x the value
-# size per op, and the coder's encode of a 64 KiB stripe at 2 allocations). A round, an op record, a hand-off, a codec or a table that
-# starts allocating again fails here by name.
+# size per op, and the coder's encode of a 64 KiB stripe at 2 allocations),
+# and every test with "Sizeof" in its name (the widths of what a trigger
+# copies: the 64-byte invocation and each record that carries it). A round,
+# an op record, a hand-off, a codec or a table that starts allocating again,
+# or a record that grows, fails here by name.
 allocs:
-	$(GO) test -count 1 -run 'Alloc' ./...
+	$(GO) test -count 1 -run 'Alloc|Sizeof' ./...
 
 # Every example end to end, as in CI's "Examples smoke" step: each one exits
 # non-zero on an unexpected outcome. The directories are globbed, so a new

@@ -491,7 +491,7 @@ func BenchmarkFabricParallelTrigger(b *testing.B) {
 				released := 0
 				g := &fabric.Group{
 					Ops:      make([]fabric.BatchOp, 1),
-					Done:     func(_ int, o fabric.Outcome) { failed = o.Err },
+					Done:     func(_ int, o *fabric.Outcome) { failed = o.Err },
 					Released: func() { released++ },
 				}
 				i := 0
@@ -516,7 +516,7 @@ func BenchmarkFabricParallelTrigger(b *testing.B) {
 // oneOpGroups returns n recycled one-op groups on a free list, every
 // completion landing in done: a group goes back on the list when the fabric
 // releases it, so taking one waits while all n are in flight.
-func oneOpGroups(n int, done func(int, fabric.Outcome)) chan *fabric.Group {
+func oneOpGroups(n int, done func(int, *fabric.Outcome)) chan *fabric.Group {
 	free := make(chan *fabric.Group, n)
 	for i := 0; i < n; i++ {
 		g := &fabric.Group{Ops: make([]fabric.BatchOp, 1), Done: done}
@@ -668,7 +668,7 @@ func BenchmarkFabricLaneTrigger(b *testing.B) {
 				// The groups and their completion are made once for the whole
 				// run: the benchmark measures the fabric's dispatch cost, not
 				// the harness's allocations.
-				free := oneOpGroups(depth, func(int, fabric.Outcome) {})
+				free := oneOpGroups(depth, func(int, *fabric.Outcome) {})
 				i := 0
 				for pb.Next() {
 					i++
@@ -730,7 +730,7 @@ func BenchmarkLanenetPipeline(b *testing.B) {
 					Op:  baseobj.OpWrite,
 					Arg: types.TSValue{TS: 1, Writer: 0, Val: 7},
 				}}},
-				Done: func(_ int, o fabric.Outcome) { warm <- o },
+				Done: func(_ int, o *fabric.Outcome) { warm <- *o },
 			})
 			if o := <-warm; o.Err != nil {
 				b.Fatalf("warm write: %v", o.Err)
@@ -739,7 +739,7 @@ func BenchmarkLanenetPipeline(b *testing.B) {
 			// depth recycled one-op groups bound the pipeline: taking one
 			// waits while all are in flight.
 			var failed atomic.Int64
-			free := oneOpGroups(depth, func(_ int, o fabric.Outcome) {
+			free := oneOpGroups(depth, func(_ int, o *fabric.Outcome) {
 				if o.Err != nil {
 					failed.Add(1)
 				}

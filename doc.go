@@ -15,6 +15,14 @@
 //     store) with their sequential specifications, behind one Object
 //     contract: apply, the external state lock of snapshot scans, seal and
 //     state transfer, and the space metric. baseobj.New builds any kind.
+//     An invocation is what the paper's model lets a low-level op carry:
+//     an op code and at most two values — a CAS's expected value in Exp and
+//     its new one in Arg, a write's one value in Arg — plus one body
+//     pointer for what is not a value (a put's fragment, a replicated
+//     write's payload as the body's Data, built once per push and shared by
+//     every store's op). That is 64 bytes, the widest struct copied without
+//     a duffcopy call, and Apply takes it by pointer: the caller's record —
+//     the trigger's event, a decoded frame — is read in place.
 //   - internal/cluster: the server set S, the membership View (epoch,
 //     members, f) and the delta: B -> S placement mapping, stored once: a
 //     dense, lock-free-read object table (see "The object table" below).
@@ -44,7 +52,8 @@
 //     heard in exactly one way: through the group's Done, which fires
 //     once per operation, on whatever goroutine completes it — inline on
 //     the in-process lane — and never for an operation that stays
-//     pending. The environment plugs in as a Gate
+//     pending. Done is lent the outcome by pointer, into the op's record,
+//     where the response was written once. The environment plugs in as a Gate
 //     (hold/release/crash); outside the fabric there is one,
 //     adversary.Script, and every adversary — the covering adversary of
 //     Lemma 1 included — is a policy installed on it as a rule. Each
@@ -75,7 +84,9 @@
 //     coalesces everything queued into one deadline-bounded write as soon
 //     as the queue is non-empty — no linger, no timer (identical queued
 //     reads collapse onto one request; a scan group travels as one msgScan
-//     frame answered under the node's exclusive lock) — and the node
+//     frame answered under the node's exclusive lock; a group is queued as
+//     one item, the window the fabric lent, and encoded from it in place)
+//     — and the node
 //     handles each already-buffered burst before writing its responses in
 //     one go. Both ends read through the same 64 KiB buffered frame reader,
 //     so a burst of frames costs one read(2), and decode each frame in

@@ -32,7 +32,7 @@ func IsMutating(inv baseobj.Invocation) bool {
 	case baseobj.OpWrite, baseobj.OpWriteMax, baseobj.OpPutFrag, baseobj.OpCommitFrag:
 		return true
 	case baseobj.OpCAS:
-		return inv.Exp != inv.New
+		return inv.Exp != inv.Arg
 	default:
 		return false
 	}

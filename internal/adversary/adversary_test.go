@@ -29,8 +29,8 @@ func TestIsMutating(t *testing.T) {
 		{"write-max", baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: one}, true},
 		{"read", baseobj.Invocation{Op: baseobj.OpRead}, false},
 		{"read-max", baseobj.Invocation{Op: baseobj.OpReadMax}, false},
-		{"cas update", baseobj.Invocation{Op: baseobj.OpCAS, Exp: types.ZeroTSValue, New: one}, true},
-		{"cas no-op read", baseobj.Invocation{Op: baseobj.OpCAS, Exp: one, New: one}, false},
+		{"cas update", baseobj.Invocation{Op: baseobj.OpCAS, Exp: types.ZeroTSValue, Arg: one}, true},
+		{"cas no-op read", baseobj.Invocation{Op: baseobj.OpCAS, Exp: one, Arg: one}, false},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

@@ -50,8 +50,10 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// OpCode enumerates the low-level operations base objects support.
-type OpCode int
+// OpCode enumerates the low-level operations base objects support. Like
+// Kind it is one byte: on the wire and in an Invocation, whose size every
+// trigger copies.
+type OpCode uint8
 
 const (
 	// OpRead reads a register.
@@ -64,7 +66,7 @@ const (
 	OpWriteMax
 	// OpCAS performs compare-and-swap and returns the previous value.
 	OpCAS
-	// OpPutFrag stores one erasure-coded fragment (Invocation.Frag) in a
+	// OpPutFrag stores one erasure-coded fragment (Invocation.Body) in a
 	// fragment store.
 	OpPutFrag
 	// OpGetFrags reads every fragment a store holds (committed + pending).
@@ -152,7 +154,7 @@ func (k Kind) facts() kindFacts {
 // StateRead returns the op that reads the whole state of an object of kind
 // k and changes nothing, its invocation being the bare op: a register's
 // read, a max-register's read-max, a fragment store's OpGetFrags, and a CAS
-// cell's Algorithm 1 read, the no-op CAS(v0, v0) — the zero Exp and New —
+// cell's Algorithm 1 read, the no-op CAS(v0, v0) — the zero Exp and Arg —
 // whose response carries the cell's value. The response's Val, Data and
 // Frags are the object's State. It is 0 for an unknown kind.
 func (k Kind) StateRead() OpCode { return k.facts().read }
@@ -162,23 +164,33 @@ func (k Kind) StateRead() OpCode { return k.facts().read }
 // kind without one (a CAS cell's is Algorithm 1's loop) or an unknown kind.
 func (k Kind) WriteMax() OpCode { return k.facts().writeMax }
 
-// Invocation is a low-level operation invocation.
+// Invocation is a low-level operation invocation: an op code and at most
+// two values, as in the paper's model — a read carries none, a write or a
+// write-max one, CAS(exp, new) two. It is 64 bytes, copied into every
+// trigger's event, so it holds nothing else.
 type Invocation struct {
 	// Op selects the operation.
 	Op OpCode
-	// Arg is the argument of OpWrite and OpWriteMax, and the commit
-	// watermark of OpCommitFrag.
+	// Arg is the value an op writes: the argument of OpWrite and OpWriteMax,
+	// the new value of OpCAS, and the commit watermark of OpCommitFrag.
 	Arg types.TSValue
-	// Exp and New are the arguments of OpCAS.
+	// Exp is OpCAS's expected value.
 	Exp types.TSValue
-	New types.TSValue
-	// Data is the payload riding with OpWrite/OpWriteMax when the
-	// emulation stores real value bytes (replicated payload mode). The
-	// object takes ownership; callers must not mutate it after Apply.
-	Data types.Payload
-	// Frag is the fragment stored by OpPutFrag (nil for every other op).
-	// The object takes ownership of Frag.Data.
-	Frag *Fragment
+	// Body is what an op carries besides its values, nil when nothing: the
+	// fragment OpPutFrag stores, or — in replicated payload mode — the value
+	// bytes riding with OpWrite / OpWriteMax, as Body.Data (the fragment's
+	// other fields unused). One body may be shared by the ops of a whole
+	// push: the object takes ownership of Body.Data, and nobody mutates a
+	// body once it was triggered.
+	Body *Fragment
+}
+
+// Payload returns the value bytes a write carries: Body.Data, or nil.
+func (inv *Invocation) Payload() types.Payload {
+	if inv.Body == nil {
+		return nil
+	}
+	return inv.Body.Data
 }
 
 // Response is a low-level operation response.
@@ -281,7 +293,12 @@ type Object interface {
 	// Apply atomically applies inv on behalf of client and returns the
 	// response. It returns an error for malformed invocations; errors
 	// model protocol misuse, not failures (failures live in the fabric).
-	Apply(client types.ClientID, inv Invocation) (Response, error)
+	// inv is read, never kept or written: the caller's record — a trigger's
+	// event, a decoded frame — is lent for the call, so the 64 bytes are not
+	// copied on the way in. A CAS's new value is inv.Arg; a write's payload
+	// and a put's fragment are inv.Body, of which the object keeps Body.Data
+	// (a fragment store keeps the fragment).
+	Apply(client types.ClientID, inv *Invocation) (Response, error)
 	// LockState and UnlockState take the object's state lock externally, so
 	// a caller may apply a group of operations against several objects as
 	// one consistent cut: lock every object in ascending object-ID order
@@ -290,7 +307,7 @@ type Object interface {
 	LockState()
 	UnlockState()
 	// ApplyLocked is Apply with the state lock already held by the caller.
-	ApplyLocked(client types.ClientID, inv Invocation) (Response, error)
+	ApplyLocked(client types.ClientID, inv *Invocation) (Response, error)
 	// PeekState returns the full current state without linearizing an
 	// operation. It exists for checkers, reports and lane backends that
 	// mirror object state on placement; emulation algorithms never call it.
@@ -425,9 +442,9 @@ func (c *Cell) Kind() Kind { return c.kind }
 func (c *Cell) Writers() WriterRange { return c.writers }
 
 // Apply implements Object.
-func (c *Cell) Apply(client types.ClientID, inv Invocation) (resp Response, err error) {
+func (c *Cell) Apply(client types.ClientID, inv *Invocation) (resp Response, err error) {
 	c.mu.Lock()
-	err = c.apply(client, &inv, &resp)
+	err = c.apply(client, inv, &resp)
 	c.mu.Unlock()
 	return
 }
@@ -439,20 +456,21 @@ func (c *Cell) LockState() { c.mu.Lock() }
 func (c *Cell) UnlockState() { c.mu.Unlock() }
 
 // ApplyLocked implements Object.
-func (c *Cell) ApplyLocked(client types.ClientID, inv Invocation) (resp Response, err error) {
-	err = c.apply(client, &inv, &resp)
+func (c *Cell) ApplyLocked(client types.ClientID, inv *Invocation) (resp Response, err error) {
+	err = c.apply(client, inv, &resp)
 	return
 }
 
-// apply is the one body of both: the caller holds mu. Invocation and response
-// travel by pointer — they are a dozen words each, and a by-value hop through
-// a second frame costs the hot path a third of an uncontended apply.
+// apply is the one body of both: the caller holds mu, and resp arrives zero.
+// Invocation and response travel by pointer — they are eight and ten words,
+// and a by-value hop through a second frame costs the hot path a third of an
+// uncontended apply.
 func (c *Cell) apply(client types.ClientID, inv *Invocation, resp *Response) error {
 	switch {
 	case inv.Op.kind() != c.kind:
 		return fmt.Errorf("%w: %v on %v %d", ErrWrongOp, inv.Op, c.kind, c.id)
 	case !inv.Op.IsWrite() && !c.retired:
-		*resp = Response{Op: inv.Op, Val: c.val, Data: c.data}
+		resp.Op, resp.Val, resp.Data = inv.Op, c.val, c.data // field by field: no block copy
 		return nil
 	case inv.Op == OpWrite && !c.writers.Admits(client):
 		return fmt.Errorf("%w: client %d, register %d", ErrUnauthorizedWriter, client, c.id)
@@ -463,15 +481,15 @@ func (c *Cell) apply(client types.ClientID, inv *Invocation, resp *Response) err
 	resp.Op = inv.Op
 	switch inv.Op {
 	case OpWrite:
-		c.val, c.data = inv.Arg, inv.Data
+		c.val, c.data = inv.Arg, inv.Payload()
 	case OpWriteMax:
 		if c.val.Less(inv.Arg) {
-			c.val, c.data = inv.Arg, inv.Data
+			c.val, c.data = inv.Arg, inv.Payload()
 		}
 	case OpCAS:
 		resp.Val = c.val
 		if c.val == inv.Exp {
-			c.val = inv.New
+			c.val = inv.Arg
 		}
 	}
 	return nil

@@ -15,7 +15,7 @@ import (
 
 func TestRegisterReadWrite(t *testing.T) {
 	r := NewRegister(1)
-	resp, err := r.Apply(0, Invocation{Op: OpRead})
+	resp, err := r.Apply(0, &Invocation{Op: OpRead})
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -23,10 +23,10 @@ func TestRegisterReadWrite(t *testing.T) {
 		t.Fatalf("initial read = %v, want zero", resp.Val)
 	}
 	v := types.TSValue{TS: 3, Writer: 1, Val: 7}
-	if _, err := r.Apply(1, Invocation{Op: OpWrite, Arg: v}); err != nil {
+	if _, err := r.Apply(1, &Invocation{Op: OpWrite, Arg: v}); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	resp, err = r.Apply(2, Invocation{Op: OpRead})
+	resp, err = r.Apply(2, &Invocation{Op: OpRead})
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -41,10 +41,10 @@ func TestRegisterLastWriteWins(t *testing.T) {
 	r := NewRegister(1)
 	newer := types.TSValue{TS: 5, Writer: 1, Val: 50}
 	older := types.TSValue{TS: 2, Writer: 0, Val: 20}
-	if _, err := r.Apply(1, Invocation{Op: OpWrite, Arg: newer}); err != nil {
+	if _, err := r.Apply(1, &Invocation{Op: OpWrite, Arg: newer}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Apply(0, Invocation{Op: OpWrite, Arg: older}); err != nil {
+	if _, err := r.Apply(0, &Invocation{Op: OpWrite, Arg: older}); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.PeekState().Val; got != older {
@@ -72,18 +72,18 @@ func TestRegisterWriterSetEnforcement(t *testing.T) {
 	for _, o := range []Object{r, clone} {
 		// Lo and Hi-1 are in the half-open range; Hi and Lo-1 are not.
 		for _, w := range []types.ClientID{1, 2} {
-			if _, err := o.Apply(w, Invocation{Op: OpWrite, Arg: types.TSValue{TS: 1, Writer: w}}); err != nil {
+			if _, err := o.Apply(w, &Invocation{Op: OpWrite, Arg: types.TSValue{TS: 1, Writer: w}}); err != nil {
 				t.Fatalf("authorized write by %d: %v", w, err)
 			}
 		}
 		for _, w := range []types.ClientID{3, 0} {
-			_, err := o.Apply(w, Invocation{Op: OpWrite, Arg: types.TSValue{TS: 2, Writer: w}})
+			_, err := o.Apply(w, &Invocation{Op: OpWrite, Arg: types.TSValue{TS: 2, Writer: w}})
 			if !errors.Is(err, ErrUnauthorizedWriter) {
 				t.Fatalf("write by %d err = %v, want ErrUnauthorizedWriter", w, err)
 			}
 		}
 		// Reads are never restricted.
-		if _, err := o.Apply(3, Invocation{Op: OpRead}); err != nil {
+		if _, err := o.Apply(3, &Invocation{Op: OpRead}); err != nil {
 			t.Fatalf("read by non-writer: %v", err)
 		}
 	}
@@ -97,7 +97,7 @@ func TestRegisterEmptyWriterSetIsUnbounded(t *testing.T) {
 	if got := r.Writers(); got != (WriterRange{}) {
 		t.Fatalf("Writers = %v, want the zero range (unbounded)", got)
 	}
-	if _, err := r.Apply(99, Invocation{Op: OpWrite, Arg: types.TSValue{TS: 1}}); err != nil {
+	if _, err := r.Apply(99, &Invocation{Op: OpWrite, Arg: types.TSValue{TS: 1}}); err != nil {
 		t.Fatalf("write on unbounded register: %v", err)
 	}
 }
@@ -105,7 +105,7 @@ func TestRegisterEmptyWriterSetIsUnbounded(t *testing.T) {
 func TestRegisterRejectsWrongOps(t *testing.T) {
 	r := NewRegister(1)
 	for _, op := range []OpCode{OpReadMax, OpWriteMax, OpCAS} {
-		if _, err := r.Apply(0, Invocation{Op: op}); !errors.Is(err, ErrWrongOp) {
+		if _, err := r.Apply(0, &Invocation{Op: op}); !errors.Is(err, ErrWrongOp) {
 			t.Errorf("register %v err = %v, want ErrWrongOp", op, err)
 		}
 	}
@@ -115,14 +115,14 @@ func TestMaxRegisterMonotone(t *testing.T) {
 	m := NewMaxRegister(1)
 	hi := types.TSValue{TS: 9, Writer: 1, Val: 90}
 	lo := types.TSValue{TS: 4, Writer: 0, Val: 40}
-	if _, err := m.Apply(1, Invocation{Op: OpWriteMax, Arg: hi}); err != nil {
+	if _, err := m.Apply(1, &Invocation{Op: OpWriteMax, Arg: hi}); err != nil {
 		t.Fatal(err)
 	}
 	// A stale write-max has no effect — the separation from registers.
-	if _, err := m.Apply(0, Invocation{Op: OpWriteMax, Arg: lo}); err != nil {
+	if _, err := m.Apply(0, &Invocation{Op: OpWriteMax, Arg: lo}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := m.Apply(2, Invocation{Op: OpReadMax})
+	resp, err := m.Apply(2, &Invocation{Op: OpReadMax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +143,12 @@ func TestMaxRegisterHoldsMaxProperty(t *testing.T) {
 				w = types.ClientID(writers[i%len(writers)] % 4)
 			}
 			v := types.TSValue{TS: uint64(ts % 16), Writer: w, Val: types.Value(i)}
-			if _, err := m.Apply(w, Invocation{Op: OpWriteMax, Arg: v}); err != nil {
+			if _, err := m.Apply(w, &Invocation{Op: OpWriteMax, Arg: v}); err != nil {
 				return false
 			}
 			max = types.MaxTSValue(max, v)
 		}
-		resp, err := m.Apply(0, Invocation{Op: OpReadMax})
+		resp, err := m.Apply(0, &Invocation{Op: OpReadMax})
 		return err == nil && resp.Val == max
 	}, nil)
 	if err != nil {
@@ -159,7 +159,7 @@ func TestMaxRegisterHoldsMaxProperty(t *testing.T) {
 func TestMaxRegisterRejectsWrongOps(t *testing.T) {
 	m := NewMaxRegister(1)
 	for _, op := range []OpCode{OpRead, OpWrite, OpCAS} {
-		if _, err := m.Apply(0, Invocation{Op: op}); !errors.Is(err, ErrWrongOp) {
+		if _, err := m.Apply(0, &Invocation{Op: op}); !errors.Is(err, ErrWrongOp) {
 			t.Errorf("max-register %v err = %v, want ErrWrongOp", op, err)
 		}
 	}
@@ -171,7 +171,7 @@ func TestCASSemantics(t *testing.T) {
 	v2 := types.TSValue{TS: 2, Writer: 1, Val: 20}
 
 	// Successful CAS from the initial value; returns the previous value.
-	resp, err := c.Apply(0, Invocation{Op: OpCAS, Exp: types.ZeroTSValue, New: v1})
+	resp, err := c.Apply(0, &Invocation{Op: OpCAS, Exp: types.ZeroTSValue, Arg: v1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCASSemantics(t *testing.T) {
 	}
 
 	// Failed CAS leaves the value and still returns the previous value.
-	resp, err = c.Apply(1, Invocation{Op: OpCAS, Exp: types.ZeroTSValue, New: v2})
+	resp, err = c.Apply(1, &Invocation{Op: OpCAS, Exp: types.ZeroTSValue, Arg: v2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCASSemantics(t *testing.T) {
 	}
 
 	// The no-op CAS(x, x) is a read.
-	resp, err = c.Apply(2, Invocation{Op: OpCAS, Exp: types.ZeroTSValue, New: types.ZeroTSValue})
+	resp, err = c.Apply(2, &Invocation{Op: OpCAS, Exp: types.ZeroTSValue, Arg: types.ZeroTSValue})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestCASSemantics(t *testing.T) {
 func TestCASRejectsWrongOps(t *testing.T) {
 	c := NewCASCell(1)
 	for _, op := range []OpCode{OpRead, OpWrite, OpReadMax, OpWriteMax} {
-		if _, err := c.Apply(0, Invocation{Op: op}); !errors.Is(err, ErrWrongOp) {
+		if _, err := c.Apply(0, &Invocation{Op: op}); !errors.Is(err, ErrWrongOp) {
 			t.Errorf("cas %v err = %v, want ErrWrongOp", op, err)
 		}
 	}
@@ -266,20 +266,20 @@ func TestConcurrentApplies(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < opsEach; i++ {
 				v := types.TSValue{TS: uint64(rng.Intn(100)), Writer: types.ClientID(g), Val: types.Value(i)}
-				if _, err := reg.Apply(types.ClientID(g), Invocation{Op: OpWrite, Arg: v}); err != nil {
+				if _, err := reg.Apply(types.ClientID(g), &Invocation{Op: OpWrite, Arg: v}); err != nil {
 					t.Errorf("register write: %v", err)
 					return
 				}
-				if _, err := max.Apply(types.ClientID(g), Invocation{Op: OpWriteMax, Arg: v}); err != nil {
+				if _, err := max.Apply(types.ClientID(g), &Invocation{Op: OpWriteMax, Arg: v}); err != nil {
 					t.Errorf("write-max: %v", err)
 					return
 				}
-				prev, err := cas.Apply(types.ClientID(g), Invocation{Op: OpCAS, Exp: types.ZeroTSValue, New: types.ZeroTSValue})
+				prev, err := cas.Apply(types.ClientID(g), &Invocation{Op: OpCAS, Exp: types.ZeroTSValue, Arg: types.ZeroTSValue})
 				if err != nil {
 					t.Errorf("cas read: %v", err)
 					return
 				}
-				if _, err := cas.Apply(types.ClientID(g), Invocation{Op: OpCAS, Exp: prev.Val, New: v}); err != nil {
+				if _, err := cas.Apply(types.ClientID(g), &Invocation{Op: OpCAS, Exp: prev.Val, Arg: v}); err != nil {
 					t.Errorf("cas: %v", err)
 					return
 				}
@@ -304,9 +304,9 @@ func TestObjectContract(t *testing.T) {
 		read, muta Invocation
 		size       int
 	}{
-		{KindRegister, Invocation{Op: OpRead}, Invocation{Op: OpWrite, Arg: v, Data: p}, 32},
-		{KindMaxRegister, Invocation{Op: OpReadMax}, Invocation{Op: OpWriteMax, Arg: v, Data: p}, 32},
-		{KindCAS, Invocation{}, Invocation{Op: OpCAS, Exp: types.ZeroTSValue, New: v}, 0},
+		{KindRegister, Invocation{Op: OpRead}, Invocation{Op: OpWrite, Arg: v, Body: &Fragment{Data: p}}, 32},
+		{KindMaxRegister, Invocation{Op: OpReadMax}, Invocation{Op: OpWriteMax, Arg: v, Body: &Fragment{Data: p}}, 32},
+		{KindCAS, Invocation{}, Invocation{Op: OpCAS, Exp: types.ZeroTSValue, Arg: v}, 0},
 		{KindFragStore, Invocation{Op: OpGetFrags}, Invocation{Op: OpCommitFrag, Arg: v}, 0},
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
@@ -321,7 +321,7 @@ func TestObjectContract(t *testing.T) {
 				t.Fatalf("Writers = %v", ws)
 			}
 			o.LockState()
-			_, err = o.ApplyLocked(1, tc.muta)
+			_, err = o.ApplyLocked(1, &tc.muta)
 			o.UnlockState()
 			if err != nil {
 				t.Fatalf("locked apply: %v", err)
@@ -333,11 +333,11 @@ func TestObjectContract(t *testing.T) {
 				t.Fatalf("SizeBytes = %d, want %d", got, tc.size)
 			}
 			st := o.SealState()
-			if _, err := o.Apply(1, tc.muta); !errors.Is(err, ErrSealed) {
+			if _, err := o.Apply(1, &tc.muta); !errors.Is(err, ErrSealed) {
 				t.Fatalf("sealed object accepted %v: %v", tc.muta.Op, err)
 			}
 			if tc.read.Op != 0 { // a CAS cell has no pure read
-				if _, err := o.Apply(1, tc.read); err != nil {
+				if _, err := o.Apply(1, &tc.read); err != nil {
 					t.Fatalf("read of a sealed object: %v", err)
 				}
 			}
@@ -351,13 +351,13 @@ func TestObjectContract(t *testing.T) {
 			if got := clone.PeekState(); got.Val != v || len(got.Data) != len(st.Data) {
 				t.Fatalf("clone state %+v, want %+v", got, st)
 			}
-			if _, err := clone.Apply(1, tc.muta); err != nil {
+			if _, err := clone.Apply(1, &tc.muta); err != nil {
 				t.Fatalf("clone is sealed: %v", err)
 			}
 			// A retired copy refuses reads too, and keeps no payload.
 			o.Retire()
 			for _, inv := range []Invocation{tc.read, tc.muta} {
-				if _, err := o.Apply(1, inv); inv.Op != 0 && !errors.Is(err, ErrSealed) {
+				if _, err := o.Apply(1, &inv); inv.Op != 0 && !errors.Is(err, ErrSealed) {
 					t.Fatalf("retired object answered %v: %v", inv.Op, err)
 				}
 			}
@@ -390,15 +390,15 @@ func TestStateReadIsPeekState(t *testing.T) {
 	v2 := types.TSValue{TS: 2, Writer: 1, Val: 20}
 	v3 := types.TSValue{TS: 3, Writer: 0, Val: 30}
 	frag := func(ts types.TSValue) Invocation {
-		return Invocation{Op: OpPutFrag, Frag: &Fragment{TS: ts, Index: 2, K: 3, Length: 48, Data: types.PayloadFor(ts.Val, 16)}}
+		return Invocation{Op: OpPutFrag, Body: &Fragment{TS: ts, Index: 2, K: 3, Length: 48, Data: types.PayloadFor(ts.Val, 16)}}
 	}
 	for _, tc := range []struct {
 		kind   Kind
 		writes []Invocation
 	}{
-		{KindRegister, []Invocation{{Op: OpWrite, Arg: v2, Data: types.PayloadFor(v2.Val, 32)}}},
-		{KindMaxRegister, []Invocation{{Op: OpWriteMax, Arg: v2, Data: types.PayloadFor(v2.Val, 32)}}},
-		{KindCAS, []Invocation{{Op: OpCAS, Exp: types.ZeroTSValue, New: v2}}},
+		{KindRegister, []Invocation{{Op: OpWrite, Arg: v2, Body: &Fragment{Data: types.PayloadFor(v2.Val, 32)}}}},
+		{KindMaxRegister, []Invocation{{Op: OpWriteMax, Arg: v2, Body: &Fragment{Data: types.PayloadFor(v2.Val, 32)}}}},
+		{KindCAS, []Invocation{{Op: OpCAS, Exp: types.ZeroTSValue, Arg: v2}}},
 		{KindFragStore, []Invocation{frag(v1), {Op: OpCommitFrag, Arg: v1}, frag(v2), frag(v3)}},
 	} {
 		if w := tc.kind.WriteMax(); w != 0 && (!w.IsWrite() || w.kind() != tc.kind) {
@@ -411,13 +411,13 @@ func TestStateReadIsPeekState(t *testing.T) {
 			}
 			if written {
 				for _, inv := range tc.writes {
-					if _, err := o.Apply(0, inv); err != nil {
+					if _, err := o.Apply(0, &inv); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 			want := o.PeekState()
-			resp, err := o.Apply(types.ClientID(-1), Invocation{Op: tc.kind.StateRead()})
+			resp, err := o.Apply(types.ClientID(-1), &Invocation{Op: tc.kind.StateRead()})
 			if err != nil {
 				t.Fatalf("%v written=%v: state read: %v", tc.kind, written, err)
 			}

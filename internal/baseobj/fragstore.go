@@ -65,7 +65,7 @@ func (s *FragStore) Kind() Kind { return KindFragStore }
 func (s *FragStore) Writers() WriterRange { return WriterRange{} }
 
 // Apply implements Object.
-func (s *FragStore) Apply(client types.ClientID, inv Invocation) (Response, error) {
+func (s *FragStore) Apply(client types.ClientID, inv *Invocation) (Response, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.ApplyLocked(client, inv)
@@ -78,19 +78,19 @@ func (s *FragStore) LockState() { s.mu.Lock() }
 func (s *FragStore) UnlockState() { s.mu.Unlock() }
 
 // ApplyLocked implements Object.
-func (s *FragStore) ApplyLocked(_ types.ClientID, inv Invocation) (Response, error) {
+func (s *FragStore) ApplyLocked(_ types.ClientID, inv *Invocation) (Response, error) {
 	if s.retired && inv.Op.kind() == KindFragStore {
 		return Response{}, fmt.Errorf("%w: retired frag store %d", ErrSealed, s.id)
 	}
 	switch inv.Op {
 	case OpPutFrag:
-		if inv.Frag == nil {
+		if inv.Body == nil {
 			return Response{}, fmt.Errorf("baseobj: put-frag without fragment on store %d", s.id)
 		}
 		if s.sealed {
 			return Response{}, fmt.Errorf("%w: frag store %d", ErrSealed, s.id)
 		}
-		s.putFrag(inv.Frag)
+		s.putFrag(inv.Body)
 		return Response{Op: OpPutFrag}, nil
 	case OpCommitFrag:
 		if s.sealed {

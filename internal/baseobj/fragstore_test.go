@@ -19,7 +19,7 @@ func frag(ts uint64, w types.ClientID, v types.Value, idx int, data string) *Fra
 
 func mustApply(t *testing.T, s Object, inv Invocation) Response {
 	t.Helper()
-	resp, err := s.Apply(1, inv)
+	resp, err := s.Apply(1, &inv)
 	if err != nil {
 		t.Fatalf("apply %v: %v", inv.Op, err)
 	}
@@ -38,8 +38,8 @@ func TestFragStoreLifecycle(t *testing.T) {
 	}
 
 	// Put two pending stripes; max ts reflects the newest.
-	mustApply(t, s, Invocation{Op: OpPutFrag, Frag: frag(1, 1, 10, 0, "aa")})
-	mustApply(t, s, Invocation{Op: OpPutFrag, Frag: frag(2, 1, 20, 0, "bb")})
+	mustApply(t, s, Invocation{Op: OpPutFrag, Body: frag(1, 1, 10, 0, "aa")})
+	mustApply(t, s, Invocation{Op: OpPutFrag, Body: frag(2, 1, 20, 0, "bb")})
 	resp = mustApply(t, s, Invocation{Op: OpFragTS})
 	if resp.Val.TS != 2 {
 		t.Fatalf("max ts %v", resp.Val)
@@ -58,7 +58,7 @@ func TestFragStoreLifecycle(t *testing.T) {
 		t.Fatalf("after commit: %+v", got.Frags)
 	}
 	// Stale put (ts=1) is acked but dropped.
-	mustApply(t, s, Invocation{Op: OpPutFrag, Frag: frag(1, 2, 11, 0, "zz")})
+	mustApply(t, s, Invocation{Op: OpPutFrag, Body: frag(1, 2, 11, 0, "zz")})
 	if got := mustApply(t, s, Invocation{Op: OpGetFrags}); len(got.Frags) != 1 {
 		t.Fatalf("stale put stored: %+v", got.Frags)
 	}
@@ -73,7 +73,7 @@ func TestFragStoreCommitBeforePut(t *testing.T) {
 	if got := mustApply(t, s, Invocation{Op: OpGetFrags}); len(got.Frags) != 0 {
 		t.Fatalf("commit materialized fragments: %+v", got.Frags)
 	}
-	mustApply(t, s, Invocation{Op: OpPutFrag, Frag: &Fragment{TS: ts, Index: 1, K: 2, Length: 4, Data: types.Payload("xy")}})
+	mustApply(t, s, Invocation{Op: OpPutFrag, Body: &Fragment{TS: ts, Index: 1, K: 2, Length: 4, Data: types.Payload("xy")}})
 	got := mustApply(t, s, Invocation{Op: OpGetFrags})
 	if len(got.Frags) != 1 || !got.Frags[0].Committed {
 		t.Fatalf("straggler not committed: %+v", got.Frags)
@@ -82,15 +82,15 @@ func TestFragStoreCommitBeforePut(t *testing.T) {
 
 func TestFragStoreSealAndState(t *testing.T) {
 	s := NewFragStore(2)
-	mustApply(t, s, Invocation{Op: OpPutFrag, Frag: frag(1, 1, 10, 0, "aa")})
+	mustApply(t, s, Invocation{Op: OpPutFrag, Body: frag(1, 1, 10, 0, "aa")})
 	mustApply(t, s, Invocation{Op: OpCommitFrag, Arg: types.TSValue{TS: 1, Writer: 1, Val: 10}})
-	mustApply(t, s, Invocation{Op: OpPutFrag, Frag: frag(3, 2, 30, 0, "cc")})
+	mustApply(t, s, Invocation{Op: OpPutFrag, Body: frag(3, 2, 30, 0, "cc")})
 
 	st := s.SealState()
-	if _, err := s.Apply(1, Invocation{Op: OpPutFrag, Frag: frag(4, 1, 40, 0, "dd")}); !errors.Is(err, ErrSealed) {
+	if _, err := s.Apply(1, &Invocation{Op: OpPutFrag, Body: frag(4, 1, 40, 0, "dd")}); !errors.Is(err, ErrSealed) {
 		t.Fatalf("sealed store accepted put: %v", err)
 	}
-	if _, err := s.Apply(1, Invocation{Op: OpCommitFrag, Arg: types.TSValue{TS: 4}}); !errors.Is(err, ErrSealed) {
+	if _, err := s.Apply(1, &Invocation{Op: OpCommitFrag, Arg: types.TSValue{TS: 4}}); !errors.Is(err, ErrSealed) {
 		t.Fatalf("sealed store accepted commit: %v", err)
 	}
 	// Reads still work on a sealed store.
@@ -108,16 +108,16 @@ func TestFragStoreSealAndState(t *testing.T) {
 		t.Fatalf("clone watermark %v", wm)
 	}
 	// The clone is unsealed: new puts land.
-	mustApply(t, clone, Invocation{Op: OpPutFrag, Frag: frag(4, 1, 40, 0, "dd")})
+	mustApply(t, clone, Invocation{Op: OpPutFrag, Body: frag(4, 1, 40, 0, "dd")})
 }
 
 func TestFragStoreWrongOp(t *testing.T) {
 	s := NewFragStore(3)
-	if _, err := s.Apply(1, Invocation{Op: OpRead}); !errors.Is(err, ErrWrongOp) {
+	if _, err := s.Apply(1, &Invocation{Op: OpRead}); !errors.Is(err, ErrWrongOp) {
 		t.Fatalf("OpRead on frag store: %v", err)
 	}
 	r := NewRegister(4)
-	if _, err := r.Apply(1, Invocation{Op: OpPutFrag, Frag: frag(1, 1, 1, 0, "a")}); !errors.Is(err, ErrWrongOp) {
+	if _, err := r.Apply(1, &Invocation{Op: OpPutFrag, Body: frag(1, 1, 1, 0, "a")}); !errors.Is(err, ErrWrongOp) {
 		t.Fatalf("OpPutFrag on register: %v", err)
 	}
 }
@@ -125,10 +125,10 @@ func TestFragStoreWrongOp(t *testing.T) {
 func TestRegisterPayload(t *testing.T) {
 	r := NewRegister(5)
 	p := types.PayloadFor(42, 128)
-	if _, err := r.Apply(1, Invocation{Op: OpWrite, Arg: types.TSValue{TS: 1, Writer: 1, Val: 42}, Data: p}); err != nil {
+	if _, err := r.Apply(1, &Invocation{Op: OpWrite, Arg: types.TSValue{TS: 1, Writer: 1, Val: 42}, Body: &Fragment{Data: p}}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := r.Apply(2, Invocation{Op: OpRead})
+	resp, err := r.Apply(2, &Invocation{Op: OpRead})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRegisterPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, _ = clone.Apply(2, Invocation{Op: OpRead})
+	resp, _ = clone.Apply(2, &Invocation{Op: OpRead})
 	if v, err := resp.Data.Value(); err != nil || v != 42 {
 		t.Fatalf("clone payload: %v %v", v, err)
 	}
@@ -152,17 +152,17 @@ func TestRegisterPayload(t *testing.T) {
 func TestMaxRegisterPayload(t *testing.T) {
 	m := NewMaxRegister(6)
 	w := func(ts uint64, v types.Value) {
-		if _, err := m.Apply(1, Invocation{
+		if _, err := m.Apply(1, &Invocation{
 			Op:   OpWriteMax,
 			Arg:  types.TSValue{TS: ts, Writer: 1, Val: v},
-			Data: types.PayloadFor(v, 64),
+			Body: &Fragment{Data: types.PayloadFor(v, 64)},
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w(2, 20)
 	w(1, 10) // loses the max: payload must NOT replace ts=2's
-	resp, err := m.Apply(2, Invocation{Op: OpReadMax})
+	resp, err := m.Apply(2, &Invocation{Op: OpReadMax})
 	if err != nil {
 		t.Fatal(err)
 	}

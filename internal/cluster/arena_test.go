@@ -58,7 +58,7 @@ func payloadEnv(t *testing.T) (*Cluster, types.ObjectID, *Entry, baseobj.State, 
 		t.Fatal(err)
 	}
 	data := types.PayloadFor(1, 4096)
-	if _, err := c.Apply(obj, 0, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: types.TSValue{TS: 1, Val: 1}, Data: data}); err != nil {
+	if _, err := c.Apply(obj, 0, baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: types.TSValue{TS: 1, Val: 1}, Body: &baseobj.Fragment{Data: data}}); err != nil {
 		t.Fatal(err)
 	}
 	e, err := c.Lookup(obj)
@@ -95,11 +95,11 @@ func TestObjectTableArenaMoveRetiresOldCopy(t *testing.T) {
 		t.Error("the clone lost the used latch")
 	}
 	newer := types.TSValue{TS: 2, Val: 2}
-	write := baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: newer, Data: types.PayloadFor(2, 16)}
-	if _, err := old.Object().Apply(0, write); !errors.Is(err, baseobj.ErrSealed) {
+	write := baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: newer, Body: &baseobj.Fragment{Data: types.PayloadFor(2, 16)}}
+	if _, err := old.Object().Apply(0, &write); !errors.Is(err, baseobj.ErrSealed) {
 		t.Errorf("write through the old entry: %v, want ErrSealed", err)
 	}
-	if _, err := old.Object().Apply(0, baseobj.Invocation{Op: baseobj.OpReadMax}); !errors.Is(err, baseobj.ErrSealed) {
+	if _, err := old.Object().Apply(0, &baseobj.Invocation{Op: baseobj.OpReadMax}); !errors.Is(err, baseobj.ErrSealed) {
 		t.Errorf("read through the old entry: %v, want ErrSealed", err)
 	}
 	if _, err := c.Apply(obj, 0, write); err != nil {
@@ -137,7 +137,7 @@ func TestObjectTableArenaRollbackAndRemove(t *testing.T) {
 	if _, err := c.Apply(obj, 0, write); err != nil {
 		t.Errorf("the rolled-back clone is sealed: %v", err)
 	}
-	if _, err := old.Object().Apply(0, baseobj.Invocation{Op: baseobj.OpReadMax}); !errors.Is(err, baseobj.ErrSealed) {
+	if _, err := old.Object().Apply(0, &baseobj.Invocation{Op: baseobj.OpReadMax}); !errors.Is(err, baseobj.ErrSealed) {
 		t.Errorf("read through the rolled-back copy: %v, want ErrSealed", err)
 	}
 	state = baseobj.State{}
@@ -162,7 +162,7 @@ func TestObjectTableArenaRollbackAndRemove(t *testing.T) {
 	if _, err := c.Lookup(other); !errors.Is(err, ErrObjectRetired) {
 		t.Errorf("Lookup of a removed object: %v, want ErrObjectRetired", err)
 	}
-	if _, err := gone.Object().Apply(0, write); !errors.Is(err, baseobj.ErrSealed) {
+	if _, err := gone.Object().Apply(0, &write); !errors.Is(err, baseobj.ErrSealed) {
 		t.Errorf("write through a removed copy: %v, want ErrSealed", err)
 	}
 	if got := c.ResourceComplexity(); got != 1 {
@@ -187,7 +187,7 @@ func TestObjectTablePerServerBytesDuringJoin(t *testing.T) {
 		if objs[i], err = c.PlaceMaxRegister(types.ServerID(i % 3)); err != nil {
 			t.Fatal(err)
 		}
-		inv := baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: types.TSValue{TS: 1, Val: 1}, Data: types.PayloadFor(1, size)}
+		inv := baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: types.TSValue{TS: 1, Val: 1}, Body: &baseobj.Fragment{Data: types.PayloadFor(1, size)}}
 		if _, err := c.Apply(objs[i], 0, inv); err != nil {
 			t.Fatal(err)
 		}

@@ -585,7 +585,7 @@ func (c *Cluster) Apply(obj types.ObjectID, client types.ClientID, inv baseobj.I
 		return baseobj.Response{}, fmt.Errorf("%w: server %d", ErrServerCrashed, e.srv.id)
 	}
 	// The object's own mutex is the linearization point.
-	return e.obj.Apply(client, inv)
+	return e.obj.Apply(client, &inv)
 }
 
 // Crash crashes the given server and all objects mapped to it.

@@ -49,7 +49,7 @@ type chain struct {
 type cell struct {
 	last    types.TSValue // the largest value landed: the write-max floor
 	busy    bool          // a write is in flight
-	waiting []writeMax
+	waiting *write        // the write the waiting write-maxes go out as; nil while none wait
 }
 
 // writeMax is a write-max waiting for the cell.
@@ -107,7 +107,10 @@ func (ch *chain) StartWriteMax(ctx context.Context, client types.ClientID, objs 
 		report(last, nil)
 		return
 	}
-	c.waiting = append(c.waiting, writeMax{ctx, v, report})
+	if c.waiting == nil {
+		c.waiting = writes.Get().(*write)
+	}
+	c.waiting.wms = append(c.waiting.wms, writeMax{ctx, v, report})
 	ch.mu.Unlock()
 	ch.next(client, obj)
 }
@@ -119,55 +122,60 @@ func (ch *chain) StartWriteMax(ctx context.Context, client types.ClientID, objs 
 func (ch *chain) next(client types.ClientID, obj types.ObjectID) {
 	ch.mu.Lock()
 	c := ch.cell(obj)
-	if c.busy {
+	w := c.waiting
+	if c.busy || w == nil {
 		ch.mu.Unlock()
 		return
 	}
 	var v types.TSValue
 	var done []writeMax
-	rest := c.waiting[:0]
-	for _, w := range c.waiting {
-		if c.last.Less(w.v) && w.ctx.Err() == nil {
-			rest = append(rest, w)
-			if v.Less(w.v) {
-				v = w.v
+	rest := w.wms[:0]
+	for _, wm := range w.wms {
+		if c.last.Less(wm.v) && wm.ctx.Err() == nil {
+			rest = append(rest, wm)
+			if v.Less(wm.v) {
+				v = wm.v
 			}
 		} else {
-			done = append(done, w)
+			done = append(done, wm)
 		}
 	}
 	last := c.last
-	c.waiting, c.busy = nil, len(rest) > 0
+	w.wms, c.waiting, c.busy = rest, nil, len(rest) > 0
 	ch.mu.Unlock()
-	for _, w := range done {
-		if last.Less(w.v) {
-			w.report(types.ZeroTSValue, w.ctx.Err())
+	for _, wm := range done {
+		if last.Less(wm.v) {
+			wm.report(types.ZeroTSValue, wm.ctx.Err())
 		} else {
-			w.report(last, nil)
+			wm.report(last, nil)
 		}
 	}
 	if len(rest) == 0 {
+		w.put()
 		return
 	}
-	w := writes.Get().(*write)
-	w.ch, w.c, w.client, w.obj, w.v, w.rest = ch, c, client, obj, v, rest
+	w.ch, w.c, w.client, w.obj, w.v = ch, c, client, obj, v
 	w.op[0] = fabric.BatchOp{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: v}}
 	ch.fab.TriggerBatch(client, &w.Group)
 }
 
-// write is a cell's one write in flight, on the record's own one-op group:
-// Done keeps the outcome, and Released — the fabric done with the group —
-// lands it. The record comes from writes and goes back before the reports.
+// write is a cell's next write while write-maxes wait for it, then its one
+// write in flight, on the record's own one-op group: Done keeps the response
+// value and error, and Released — the fabric done with the group — lands it.
+// The record comes from writes and goes back once it served its write-maxes,
+// their queue emptied but kept: a write-max allocates no queue, and an idle
+// cell — one per store and writer of every key — holds none.
 type write struct {
 	fabric.Group
 	op     [1]fabric.BatchOp
-	out    fabric.Outcome
+	prev   types.TSValue // the write's response value
+	err    error         // the write's protocol error
 	ch     *chain
 	c      *cell
 	client types.ClientID
 	obj    types.ObjectID
 	v      types.TSValue
-	rest   []writeMax // the write-maxes the write serves
+	wms    []writeMax // the write-maxes the write serves
 }
 
 var writes sync.Pool
@@ -176,7 +184,7 @@ func init() {
 	writes.New = func() any {
 		w := new(write)
 		w.Ops, w.Released = w.op[:], w.landed
-		w.Done = func(_ int, o fabric.Outcome) { w.out = o }
+		w.Done = func(_ int, o *fabric.Outcome) { w.prev, w.err = o.Resp.Val, o.Err }
 		return w
 	}
 }
@@ -184,9 +192,9 @@ func init() {
 // landed serves the write-maxes a write carried and then whoever waited
 // meanwhile.
 func (w *write) landed() {
-	ch, c, o, rest, client, obj := w.ch, w.c, w.out, w.rest, w.client, w.obj
+	ch, c, prev, err, client, obj := w.ch, w.c, w.prev, w.err, w.client, w.obj
 	ch.mu.Lock()
-	if o.Err == nil && c.last.Less(w.v) {
+	if err == nil && c.last.Less(w.v) {
 		// The floor advances only once the write took effect: advancing
 		// it at trigger time would make a retried round (after a
 		// view-change completion, which guarantees the write never
@@ -195,12 +203,18 @@ func (w *write) landed() {
 	}
 	c.busy = false
 	ch.mu.Unlock()
-	w.ch, w.c, w.rest, w.out = nil, nil, nil, fabric.Outcome{}
-	writes.Put(w)
-	for _, wm := range rest {
-		wm.report(o.Resp.Val, o.Err)
+	for _, wm := range w.wms {
+		wm.report(prev, err)
 	}
+	w.put()
 	ch.next(client, obj)
+}
+
+// put empties w and hands it back.
+func (w *write) put() {
+	clear(w.wms[:cap(w.wms)])
+	w.ch, w.c, w.wms, w.err = nil, nil, w.wms[:0], nil
+	writes.Put(w)
 }
 
 // Seed implements abdcore.Chain: the folded maximum goes into its own

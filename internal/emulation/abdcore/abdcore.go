@@ -356,11 +356,12 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 	}
 	// No write ever committed: there is nothing to seed.
 	if types.ZeroTSValue.Less(m) {
+		inv := baseobj.Invocation{Op: r.writeOp, Arg: m, Body: r.body(m)} // without a chain
 		for i := range p.stores(r.per) {
 			if r.chain != nil {
 				err = r.chain.Seed(rs, p.objects(i, r.per), m)
 			} else {
-				_, err = rs.Apply(p.reads[i], r.writeInv(m))
+				_, err = rs.Apply(p.reads[i], inv)
 			}
 			if err != nil {
 				return fmt.Errorf("abdcore: %s: seeding store %d: %w", r.name, i, err)
@@ -376,45 +377,65 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 	return nil
 }
 
-// writeInv is the one-op write-max of v.
-func (r *Register) writeInv(v types.TSValue) baseobj.Invocation {
-	inv := baseobj.Invocation{Op: r.writeOp, Arg: v}
-	if r.valueSize > 0 {
-		inv.Data = types.PayloadFor(v.Val, r.valueSize)
+// body is what the one-op write-max of v carries besides v: its payload of
+// ValueSize bytes, or nil without one. It is built once per push and shared
+// by every store's op — nobody mutates it, and each cell keeps the bytes —
+// and never recycled: a late op still carries it after the push reported.
+func (r *Register) body(v types.TSValue) *baseobj.Fragment {
+	if r.valueSize <= 0 {
+		return nil
 	}
-	return inv
+	return &baseobj.Fragment{Data: types.PayloadFor(v.Val, r.valueSize)}
 }
 
 // chain is one high-level operation above its rounds — collect, push, done
-// as methods on one pooled record, reducers and plans bound once, so an
-// operation allocates nothing of its own. The record returns to the pool in
-// one place, finish; a chain whose quorum never forms keeps its record, which
-// becomes ordinary garbage (ROADMAP, Op storage lifetime).
+// as methods on one pooled record, reducers, plans and the push's fold over
+// chain stores bound once, so an operation allocates nothing of its own. The
+// record returns to the pool with its last reference: the operation's,
+// dropped in finish, and one per chain store still to report — a store may
+// report after the push did. A chain whose quorum never forms keeps its
+// record, which becomes ordinary garbage (ROADMAP, Op storage lifetime).
 type chain struct {
 	r       *Register
 	ctx     context.Context
 	client  types.ClientID
-	v       types.TSValue // what the push carries; until the collect, a write's value
-	hint    types.TSValue // the collect's maximum: where a chain store's write-max starts
-	agree   uint64        // an atomic read's write-back: the stores whose collect response was v
-	planned *placement    // the placement the collect's last attempt planned against
+	v       types.TSValue     // what the push carries; until the collect, a write's value
+	body    *baseobj.Fragment // the one-op push's payload, when it carries one (Register.body)
+	hint    types.TSValue     // the collect's maximum: where a chain store's write-max starts
+	agree   uint64            // an atomic read's write-back: the stores whose collect response was v
+	planned *placement        // the placement the collect's last attempt planned against
 	onWrite func(error)
 	onRead  func(types.Value, error)
 
 	onCollect, onPush     func(types.TSValue, uint64, error) // c.collected, c.pushed
 	collectPlan, pushPlan rounds.Plan                        // c.planCollect, c.planPush
+
+	stores   rounds.Fold // the push over chain stores
+	seen     uint64      // fab.ViewStamp() before that push read the placement (rounds.Retry)
+	refs     atomic.Int32
+	onStore  func(types.TSValue, error)         // c.stored
+	onStores func(types.TSValue, uint64, error) // c.storesDone
 }
 
 // chains has no New: it would close an initialization cycle through finish.
 var chains sync.Pool
+
+// unref drops one reference; the last one recycles the record.
+func (c *chain) unref() {
+	if c.refs.Add(-1) == 0 {
+		chains.Put(c)
+	}
+}
 
 func (r *Register) newChain(ctx context.Context, client types.ClientID) *chain {
 	c, _ := chains.Get().(*chain)
 	if c == nil {
 		c = new(chain)
 		c.onCollect, c.onPush, c.collectPlan, c.pushPlan = c.collected, c.pushed, c.planCollect, c.planPush
+		c.onStore, c.onStores = c.stored, c.storesDone
 	}
 	c.r, c.ctx, c.client = r, ctx, client
+	c.refs.Store(1)
 	return c
 }
 
@@ -457,15 +478,16 @@ func (c *chain) push() {
 		c.startChains()
 		return
 	}
+	c.body = c.r.body(c.v)
 	rounds.Scatter(c.ctx, c.r.fab, c.client, rounds.Round{Max: c.onPush, Plan: c.pushPlan})
 }
 
 // planPush is the one-op push's plan: the write-max of c.v on every store's
-// object, at the quorum.
+// object, at the quorum, every op carrying the push's one body.
 func (c *chain) planPush(buf []rounds.Target) ([]rounds.Target, int) {
-	p := c.r.p.Load()
+	p, inv := c.r.p.Load(), baseobj.Invocation{Op: c.r.writeOp, Arg: c.v, Body: c.body}
 	for _, obj := range p.reads {
-		buf = append(buf, rounds.Target{Object: obj, Inv: c.r.writeInv(c.v)})
+		buf = append(buf, rounds.Target{Object: obj, Inv: inv})
 	}
 	return buf, p.quorum(c.r.per)
 }
@@ -485,39 +507,62 @@ func (c *chain) planPush(buf []rounds.Target) ([]rounds.Target, int) {
 // only on the first push: a view-change retry pushes in full. When the set
 // alone is a quorum, the read returns after its collect.
 func (c *chain) startChains() {
-	// The quorum'th store may report inline and recycle c while the loop
-	// below still has stores to start: they run on copies.
-	report, ctx, fab, client, v, hint, store := c.onPush, c.ctx, c.r.fab, c.client, c.v, c.hint, c.r.chain
+	// The quorum'th store may report inline and finish the operation while
+	// the loop below still has stores to start: they run on copies.
+	ctx, client, v, hint, store := c.ctx, c.client, c.v, c.hint, c.r.chain
 	if err := types.CtxErr(ctx); err != nil {
-		report(types.ZeroTSValue, 0, err)
+		c.onPush(types.ZeroTSValue, 0, err)
 		return
 	}
-	seen := fab.ViewStamp()
+	c.seen = c.r.fab.ViewStamp()
 	p := c.r.p.Load()
 	per := c.r.per
 	var agree uint64
 	if p == c.planned && per == 1 {
 		agree = c.agree
 	}
-	c.agree = 0
 	need := p.quorum(per) - bits.OnesCount64(agree)
 	if need <= 0 {
-		report(v, 0, nil)
+		c.onPush(v, 0, nil)
 		return
 	}
-	j := rounds.NewFold(need, func(v types.TSValue, _ uint64, err error) {
-		if err != nil && rounds.Retry(ctx, fab, seen, err,
-			c.startChains,
-			func(err error) { report(types.ZeroTSValue, 0, err) }) {
-			return
-		}
-		report(v, 0, err)
-	})
+	c.stores.Init(need, c.onStores)
+	c.refs.Add(1) // the loop's own
 	for i := range p.stores(per) {
 		if agree>>i&1 == 0 {
-			store.StartWriteMax(ctx, client, p.objects(i, per), v, hint, j.Complete)
+			c.refs.Add(1)
+			store.StartWriteMax(ctx, client, p.objects(i, per), v, hint, c.onStore)
 		}
 	}
+	c.unref()
+}
+
+// stored is a chain store's report: into the push's fold, then the store's
+// reference on the record goes.
+func (c *chain) stored(v types.TSValue, err error) {
+	c.stores.Complete(v, err)
+	c.unref()
+}
+
+// storesDone is the fold's one report: the push's, unless a view change
+// bounced it.
+func (c *chain) storesDone(v types.TSValue, _ uint64, err error) {
+	if err != nil && rounds.Retry(c.ctx, c.r.fab, c.seen, err,
+		c.retryChains,
+		func(err error) { c.onPush(types.ZeroTSValue, 0, err) }) {
+		return
+	}
+	c.onPush(v, 0, err)
+}
+
+// retryChains restarts every store of a push a view change bounced, on a
+// fresh record: this attempt's stores may still report into this record's
+// fold, which is never reused — the operation's reference moves with it, so
+// this record is never recycled, and the collector takes it.
+func (c *chain) retryChains() {
+	next := c.r.newChain(c.ctx, c.client)
+	next.v, next.hint, next.onWrite, next.onRead = c.v, c.hint, c.onWrite, c.onRead
+	next.startChains()
 }
 
 // collected is the collect's reducer: a write stamps its value above the
@@ -545,12 +590,12 @@ func (c *chain) collected(cur types.TSValue, agree uint64, err error) {
 func (c *chain) pushed(_ types.TSValue, _ uint64, err error) { c.finish("push", err) }
 
 // finish fires the operation's one completion (a read returns c.v's value)
-// and is the one place a record returns to the pool: copy out what the
-// completion needs, clear the rest, put, then call.
+// and drops the operation's reference: copy out what the completion needs,
+// clear the rest, unref, then call.
 func (c *chain) finish(phase string, err error) {
 	onWrite, onRead, v := c.onWrite, c.onRead, c.v.Val
-	c.r, c.ctx, c.planned, c.agree, c.onWrite, c.onRead = nil, nil, nil, 0, nil, nil
-	chains.Put(c)
+	c.r, c.ctx, c.planned, c.agree, c.body, c.onWrite, c.onRead = nil, nil, nil, 0, nil, nil, nil
+	c.unref()
 	if err != nil {
 		err, v = fmt.Errorf("abdcore: %s: %w", phase, err), types.InitialValue
 	}

@@ -3,6 +3,7 @@ package abdcore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -44,7 +45,7 @@ func (c *testChain) StartWriteMax(_ context.Context, client types.ClientID, objs
 	}
 	c.fab.TriggerBatch(client, &fabric.Group{
 		Ops:  []fabric.BatchOp{{Object: objs[0], Inv: baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: v}}},
-		Done: func(_ int, o fabric.Outcome) { report(o.Resp.Val, o.Err) },
+		Done: func(_ int, o *fabric.Outcome) { report(o.Resp.Val, o.Err) },
 	})
 }
 
@@ -493,5 +494,92 @@ func TestCancelledContextStartsNoRound(t *testing.T) {
 		if ch.startsOn(obj) != 0 {
 			t.Fatalf("store %d: push started after its context was cancelled", i)
 		}
+	}
+}
+
+// heldChain is a chain whose store write-maxes the test reports by hand: it
+// records each start's report and signals it.
+type heldChain struct {
+	mu      sync.Mutex
+	reports []func(types.TSValue, error)
+	started chan struct{}
+}
+
+func (c *heldChain) StartWriteMax(_ context.Context, _ types.ClientID, _ []types.ObjectID, _, _ types.TSValue, report func(types.TSValue, error)) {
+	c.mu.Lock()
+	c.reports = append(c.reports, report)
+	c.mu.Unlock()
+	c.started <- struct{}{}
+}
+
+func (c *heldChain) Seed(rs *fabric.Reshaper, objs []types.ObjectID, m types.TSValue) error {
+	_, err := rs.Apply(objs[0], baseobj.Invocation{Op: baseobj.OpWriteMax, Arg: m})
+	return err
+}
+
+// report runs start i's report.
+func (c *heldChain) report(i int, v types.TSValue, err error) {
+	c.mu.Lock()
+	report := c.reports[i]
+	c.mu.Unlock()
+	report(v, err)
+}
+
+// TestChainPushRetryIgnoresBouncedStragglers: a push over chain stores that
+// a view change bounced restarts every store, and the stores of the bounced
+// attempt that report afterwards — successes against the old placement —
+// must not count toward the retry's quorum: the write completes only once
+// the retry's own stores reported.
+func TestChainPushRetryIgnoresBouncedStragglers(t *testing.T) {
+	c, err := cluster.New(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetF(1)
+	fab := fabric.New(c)
+	ch := &heldChain{started: make(chan struct{}, 16)}
+	r, err := New(Config{Name: "held", K: 1, Fabric: fab, Place: placeMax, Chain: ch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	awaitStarts := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			select {
+			case <-ch.started:
+			case <-ctx.Done():
+				t.Fatalf("%d of %d store write-maxes started", i, n)
+			}
+		}
+	}
+	done := make(chan error, 1)
+	r.StartWrite(ctx, 0, 9, func(err error) { done <- err })
+	awaitStarts(3)
+	v := types.TSValue{TS: 1, Writer: 0, Val: 9}
+	ch.report(0, types.ZeroTSValue, fmt.Errorf("%w: store 0", fabric.ErrViewChanged))
+	// The bounced push parks on the view stamp; a grow by one member ends a
+	// transition and lets it restart every store.
+	if _, err := fab.Resize(ctx, fabric.ResizeSpec{Join: make([]fabric.LaneMaker, 1)}, r.Reshape); err != nil {
+		t.Fatalf("grow: %v", err)
+	}
+	awaitStarts(3)
+	ch.report(1, v, nil) // the bounced attempt's stragglers
+	ch.report(2, v, nil)
+	select {
+	case err := <-done:
+		t.Fatalf("the write completed (%v) on the bounced attempt's reports", err)
+	default:
+	}
+	ch.report(3, v, nil)
+	ch.report(4, v, nil)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	case <-ctx.Done():
+		t.Fatal("the write did not complete on the retry's quorum")
 	}
 }

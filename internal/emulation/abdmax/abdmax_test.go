@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseobj"
 	"repro/internal/cluster"
 	"repro/internal/emulation"
 	"repro/internal/emulation/abdcore"
@@ -239,6 +240,41 @@ func TestTimestampsGrowLinearly(t *testing.T) {
 		}
 		if got := o.PeekState().Val.TS; got != writes {
 			t.Errorf("object %d ts = %d, want %d (one bump per write)", obj, got, writes)
+		}
+	}
+}
+
+// TestPayloadWriteReachesEveryStore: in payload mode a push builds its value
+// bytes once and every store's write-max carries them, so after a write each
+// store — read directly, not through a quorum — holds the write's value and
+// its payload, byte for byte.
+func TestPayloadWriteReachesEveryStore(t *testing.T) {
+	const size = 32
+	reg, fab := newReg(t, 1, 1, 3, emulation.Options{ValueSize: size})
+	w, err := reg.Writer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	for _, v := range []types.Value{7, 8} {
+		if err := w.Write(ctx, v); err != nil {
+			t.Fatal(err)
+		}
+		objs := fab.UsedObjects()
+		if len(objs) != reg.ResourceComplexity() {
+			t.Fatalf("%d stores used, want all %d", len(objs), reg.ResourceComplexity())
+		}
+		for _, obj := range objs {
+			resp, err := fab.Cluster().Apply(obj, 0, baseobj.Invocation{Op: baseobj.OpReadMax})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.Val.Val != v || len(resp.Data) != size {
+				t.Fatalf("store %d holds %d with %d payload bytes after writing %d, want %d bytes", obj, resp.Val.Val, len(resp.Data), v, size)
+			}
+			if at := types.PayloadMismatch(v, 0, resp.Data); at >= 0 {
+				t.Fatalf("store %d's payload for %d differs at byte %d", obj, v, at)
+			}
 		}
 	}
 }

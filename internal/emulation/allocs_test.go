@@ -25,39 +25,50 @@ import (
 // entry handed back by value (before they did, 8: two pending-op records,
 // two completion closures, four reducers and plans).
 //
+// In payload mode (ValueSize 32) an abd-max pair costs the write's value
+// bytes: one payload and the one body that carries it, shared by every
+// store's write-max (three payloads, one per store, before).
+//
 // An abd-cas pair is the same three rounds with the push run as one
 // Algorithm 1 chain per store: one CAS each from the collected maximum, on a
 // pooled per-store loop record whose CAS rides the record's own recycled
-// one-op group. What is left is abdcore's push over the chains: its fold and
-// the fold's closure, and one method value per store for the chains'
-// reports. The atomic read of a settled register writes nothing back, so
-// both builds cost the same 5; ROADMAP item 19 takes them to 0. An aac-max
-// pair is the same push over k-writer cells, whose writes ride pooled records
-// the same way, plus each cell's queue of waiting write-maxes, made anew per
-// write: 8. A regemu pair is Algorithm 2 — scan collects, a push batch made
-// per write, per-writer state — and costs 42. Coded is pinned apart
-// (TestCodedOpAllocCeiling), by bytes.
+// one-op group. abdcore's push over the chains is a pooled attempt with its
+// fold and callbacks bound once (before, a fold, its closure and a method
+// value per store cost 5). The atomic read of a settled register writes
+// nothing back, so both builds cost the same 0. An aac-max pair is the same
+// push over k-writer cells, whose writes ride pooled records the same way,
+// and whose queues of waiting write-maxes are pooled too: 0 (8 before). A
+// regemu pair is Algorithm 2 — scan collects, a push batch made per write,
+// per-writer state — and costs 36 (42 while the in-process scan made a slice
+// of outcomes per server). Coded is pinned apart (TestCodedOpAllocCeiling),
+// by bytes.
 //
 // The file is excluded under -race, where sync.Pool drops items on purpose.
 func TestRoundAllocsCeiling(t *testing.T) {
 	for _, tc := range []struct {
-		kind    runner.Kind
-		atomic  bool
-		ceiling float64
+		kind      runner.Kind
+		atomic    bool
+		valueSize int
+		ceiling   float64
 	}{
-		{runner.KindABDMax, false, 0},
-		{runner.KindCASMax, false, 5},
-		{runner.KindCASMax, true, 5},
-		{runner.KindAACMax, false, 8},
-		{runner.KindRegEmu, false, 42},
+		{runner.KindABDMax, false, 0, 0},
+		{runner.KindABDMax, false, 32, 2},
+		{runner.KindCASMax, false, 0, 0},
+		{runner.KindCASMax, true, 0, 0},
+		{runner.KindAACMax, false, 0, 0},
+		{runner.KindRegEmu, false, 0, 36},
 	} {
-		t.Run(fmt.Sprintf("%s/atomic=%v", tc.kind, tc.atomic), func(t *testing.T) {
+		name := fmt.Sprintf("%s/atomic=%v", tc.kind, tc.atomic)
+		if tc.valueSize > 0 {
+			name += fmt.Sprintf("/payload=%d", tc.valueSize)
+		}
+		t.Run(name, func(t *testing.T) {
 			env, err := runner.NewEnv(runner.ChaosServers(tc.kind), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer env.Fabric.Close()
-			reg, hist, err := runner.BuildWith(tc.kind, env.Fabric, 1, 1, runner.BuildOpts{Atomic: tc.atomic})
+			reg, hist, err := runner.BuildWith(tc.kind, env.Fabric, 1, 1, runner.BuildOpts{Atomic: tc.atomic, ValueSize: tc.valueSize})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,8 +129,9 @@ func TestRoundAllocsCeiling(t *testing.T) {
 // ping-pong). So the pair also waits, spinning on a passing gate's count,
 // until every low-level response is in: what is pinned is the steady state.
 //
-// An abd-cas pair costs what it costs in process, 5: each store's CAS rides
-// its loop record's recycled one-op group across the lane like a round's op.
+// An abd-cas pair costs what it costs in process, 0 (5 before the push over
+// the chains was pooled): each store's CAS rides its loop record's recycled
+// one-op group across the lane like a round's op.
 func TestRoundAllocsCeilingLatencyLane(t *testing.T) {
 	for _, tc := range []struct {
 		kind    runner.Kind
@@ -127,8 +139,8 @@ func TestRoundAllocsCeilingLatencyLane(t *testing.T) {
 		ceiling float64
 	}{
 		{runner.KindABDMax, false, 0},
-		{runner.KindCASMax, false, 5},
-		{runner.KindCASMax, true, 5},
+		{runner.KindCASMax, false, 0},
+		{runner.KindCASMax, true, 0},
 	} {
 		t.Run(fmt.Sprintf("%s/atomic=%v", tc.kind, tc.atomic), func(t *testing.T) {
 			var responses atomic.Int64

@@ -100,14 +100,15 @@ func (c *chain) StartWriteMax(ctx context.Context, client types.ClientID, objs [
 
 // writeMax is one store's Algorithm 1 loop: the cell, the value it installs,
 // the value its next CAS expects, and its completion. Its CASes ride the
-// record's own one-op group: Done keeps the outcome, and Released — the
+// record's own one-op group: Done keeps the response value and error, and Released — the
 // fabric done with the group — takes the loop's next step, which re-triggers
 // the same group. The record comes from writeMaxes and goes back at its one
 // report.
 type writeMax struct {
 	fabric.Group
 	op     [1]fabric.BatchOp
-	out    fabric.Outcome
+	prev   types.TSValue // the last CAS's response: the cell's content before it
+	err    error         // the last CAS's protocol error
 	c      *chain
 	ctx    context.Context
 	client types.ClientID
@@ -122,7 +123,7 @@ func init() {
 	writeMaxes.New = func() any {
 		w := new(writeMax)
 		w.Ops, w.Released = w.op[:], w.swapped
-		w.Done = func(_ int, o fabric.Outcome) { w.out = o }
+		w.Done = func(_ int, o *fabric.Outcome) { w.prev, w.err = o.Resp.Val, o.Err }
 		return w
 	}
 }
@@ -134,17 +135,17 @@ func (w *writeMax) attempt() {
 		return
 	}
 	w.c.metrics.CASAttempts.Add(1)
-	w.op[0] = fabric.BatchOp{Object: w.obj, Inv: baseobj.Invocation{Op: baseobj.OpCAS, Exp: w.tmp, New: w.v}}
+	w.op[0] = fabric.BatchOp{Object: w.obj, Inv: baseobj.Invocation{Op: baseobj.OpCAS, Exp: w.tmp, Arg: w.v}}
 	w.c.fab.TriggerBatch(w.client, &w.Group)
 }
 
 // swapped is a CAS's released group: the returned previous value ends the
 // loop or is what the next attempt expects.
 func (w *writeMax) swapped() {
-	prev := w.out.Resp.Val
+	prev := w.prev
 	switch {
-	case w.out.Err != nil:
-		w.finish(types.ZeroTSValue, w.out.Err)
+	case w.err != nil:
+		w.finish(types.ZeroTSValue, w.err)
 	case prev == w.tmp: // the CAS installed v
 		w.finish(w.v, nil)
 	case !prev.Less(w.v): // the cell already holds v or more
@@ -158,7 +159,7 @@ func (w *writeMax) swapped() {
 // finish hands the record back and reports, its last step.
 func (w *writeMax) finish(v types.TSValue, err error) {
 	report := w.report
-	w.ctx, w.report, w.out = nil, nil, fabric.Outcome{}
+	w.ctx, w.report, w.err = nil, nil, nil
 	writeMaxes.Put(w)
 	report(v, err)
 }
@@ -174,7 +175,7 @@ func (c *chain) Seed(rs *fabric.Reshaper, objs []types.ObjectID, m types.TSValue
 	if !state.Val.Less(m) {
 		return nil
 	}
-	_, err = rs.Apply(objs[0], baseobj.Invocation{Op: baseobj.OpCAS, Exp: state.Val, New: m})
+	_, err = rs.Apply(objs[0], baseobj.Invocation{Op: baseobj.OpCAS, Exp: state.Val, Arg: m})
 	return err
 }
 

@@ -315,7 +315,7 @@ func TestWriteMaxStartsFromTheHint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Apply(obj, 1, baseobj.Invocation{Op: baseobj.OpCAS, New: tc.cell}); err != nil {
+			if _, err := c.Apply(obj, 1, baseobj.Invocation{Op: baseobj.OpCAS, Arg: tc.cell}); err != nil {
 				t.Fatal(err)
 			}
 			ch := &chain{fab: fab}

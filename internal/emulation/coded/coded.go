@@ -215,7 +215,7 @@ func (p *placement) putTargets(buf []rounds.Target, ts types.TSValue, length int
 			Length: length,
 			Data:   shards[i],
 		}
-		buf = append(buf, rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: frag}})
+		buf = append(buf, rounds.Target{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpPutFrag, Body: frag}})
 	}
 	return buf
 }
@@ -506,7 +506,7 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 		shards := p.coder.Encode(s.payload())
 		for i, obj := range p.objs {
 			frag := &baseobj.Fragment{TS: s.ts, Index: i, K: p.coder.K(), Length: s.length, Data: shards[i]}
-			if _, err := rs.Apply(obj, baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: frag}); err != nil {
+			if _, err := rs.Apply(obj, baseobj.Invocation{Op: baseobj.OpPutFrag, Body: frag}); err != nil {
 				return fmt.Errorf("coded: seeding fragment %d: %w", i, err)
 			}
 			if _, err := rs.Apply(obj, baseobj.Invocation{Op: baseobj.OpCommitFrag, Arg: s.ts}); err != nil {

@@ -103,7 +103,7 @@ func (c *Coder) FragmentSize(length int) int {
 // buffer, so a payload built for its stripe allocates only the parity rows.
 // Aliasing is safe because nobody writes either side afterwards: a payload
 // is immutable once built, and a fragment store owns the Data it is handed
-// (baseobj.Invocation.Frag) and never modifies it. A caller that goes on to
+// (baseobj.Invocation.Body) and never modifies it. A caller that goes on to
 // modify data must encode a copy.
 func (c *Coder) Encode(data []byte) [][]byte {
 	fs := c.FragmentSize(len(data))

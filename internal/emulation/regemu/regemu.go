@@ -381,7 +381,7 @@ func (e *Emulation) push(m *machine, client types.ClientID, op *writeOp) {
 func (e *Emulation) scatter(client types.ClientID, p *placement, set []types.ObjectID, idx []int, ts types.TSValue, seen uint64) {
 	g := &fabric.Group{
 		Ops:  make([]fabric.BatchOp, len(idx)),
-		Done: func(b int, o fabric.Outcome) { e.onEvent(client, p, idx[b], ts, seen, o.Err) },
+		Done: func(b int, o *fabric.Outcome) { e.onEvent(client, p, idx[b], ts, seen, o.Err) },
 	}
 	for b, i := range idx {
 		g.Ops[b] = fabric.BatchOp{Object: set[i], Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts}}

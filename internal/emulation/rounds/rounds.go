@@ -223,7 +223,7 @@ func start(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Rou
 }
 
 // complete is the group's Done: one response into the fold.
-func (s *attempt) complete(i int, o fabric.Outcome) {
+func (s *attempt) complete(i int, o *fabric.Outcome) {
 	if len(s.servers) == 0 { // the count-threshold max-fold: every ABD collect and push
 		s.add(&Report{Index: i, Val: o.Resp.Val, Err: o.Err})
 		return
@@ -303,12 +303,14 @@ type Fold struct {
 	reports []Report               // the raw responses so far (report rounds)
 }
 
-// NewFold creates a count-threshold fold firing report after need
-// successful responses — the accumulator for rounds whose members are
-// multi-step store chains rather than single scattered operations. Its
-// responses carry no index, so the agreement set it reports is meaningless.
-func NewFold(need int, report func(types.TSValue, uint64, error)) *Fold {
-	return &Fold{left: need, report: report}
+// Init readies a fold — fresh, or recycled once its last response came in —
+// as a count-threshold fold firing report after need successful responses:
+// the accumulator for rounds whose members are multi-step store chains
+// rather than single scattered operations. Its responses carry no index, so
+// the agreement set it reports is meaningless. A pooled owner passes a
+// report bound once, so Init allocates nothing.
+func (j *Fold) Init(need int, report func(types.TSValue, uint64, error)) {
+	j.left, j.max, j.agree, j.done, j.report = need, types.ZeroTSValue, 0, false, report
 }
 
 // Complete accumulates one response, firing the report on the need'th

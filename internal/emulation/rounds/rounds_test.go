@@ -391,7 +391,8 @@ func TestFoldExactDeliveryCompletes(t *testing.T) {
 // report must fire exactly once.
 func TestFoldLateCompletionsAbsorbed(t *testing.T) {
 	fired := 0
-	j := NewFold(1, func(types.TSValue, uint64, error) { fired++ })
+	var j Fold
+	j.Init(1, func(types.TSValue, uint64, error) { fired++ })
 	j.Complete(types.TSValue{TS: 1}, nil)
 	j.Complete(types.TSValue{TS: 2}, nil)
 	j.Complete(types.ZeroTSValue, errors.New("late error"))

@@ -214,8 +214,11 @@ type Outcome struct {
 // returned.
 type call struct {
 	ev TriggerEvent
-	// resp is a respond-held op's response, waiting for its release.
-	resp baseobj.Response
+	// out is the op's outcome, written once by whoever owns the op at its
+	// completion — the in-process apply, the completer that won settle, the
+	// releaser of a respond-held op (whose response waits here) — and lent to
+	// Done by pointer.
+	out Outcome
 
 	// g and idx are where the op completes: g.Done at index idx. Both are
 	// written before the op is handed to any lane and read by the completer
@@ -244,10 +247,13 @@ type call struct {
 	completeFn CompleteFunc
 }
 
-// complete delivers the outcome, firing the group's Done at most once.
-func (c *call) complete(o Outcome) {
+// complete delivers the outcome — c.out's response and err — firing the
+// group's Done at most once. Its caller owns the op — it won settle, took it
+// from the held index, or never listed it — so a response it wrote into
+// c.out first races nobody.
+func (c *call) complete(err error) {
 	if c.claimed.CompareAndSwap(false, true) {
-		c.completeUnshared(o)
+		c.completeUnshared(err)
 	}
 }
 
@@ -256,10 +262,11 @@ func (c *call) complete(o Outcome) {
 // path completes it there), or one whose claim complete just won. The op's
 // reference is dropped only after Done returned, and the call — recycled with
 // its group — must not be touched past that point.
-func (c *call) completeUnshared(o Outcome) {
+func (c *call) completeUnshared(err error) {
 	g := c.g
+	c.out.Err = err
 	if g.Done != nil {
-		g.Done(int(c.idx), o)
+		g.Done(int(c.idx), &c.out)
 	}
 	g.unref()
 }
@@ -278,7 +285,7 @@ func (c *call) applyOp() (baseobj.Response, error) {
 	if c.e.Server().Crashed() {
 		return baseobj.Response{}, errCrashedDrop
 	}
-	return c.e.Object().Apply(c.ev.Client, c.ev.Inv)
+	return c.e.Object().Apply(c.ev.Client, &c.ev.Inv)
 }
 
 // completeOp is the op's CompleteFunc. The respond gate is asked while the op
@@ -298,17 +305,18 @@ func (c *call) completeOp(resp baseobj.Response, err error) {
 		}
 	case err != nil:
 		if l.settle(c, PhaseInFlight) {
-			c.complete(Outcome{Err: err})
+			c.complete(err)
 		}
 	case !f.benign && f.gate.BeforeRespond(*ev, resp) == Hold:
 		f.emit(TraceApply, ev, ev.Server)
 		f.emit(TraceHoldRespond, ev, ev.Server)
-		c.resp = resp
+		c.out.Resp = resp
 		l.settle(c, PhaseRespond)
 	case l.settle(c, PhaseInFlight):
 		f.emit(TraceApply, ev, ev.Server)
 		f.emit(TraceRespond, ev, ev.Server)
-		c.complete(Outcome{Resp: resp})
+		c.out.Resp = resp
+		c.complete(nil)
 	}
 }
 
@@ -575,8 +583,10 @@ type Group struct {
 	// a crashed server). It must not block: it runs on whatever goroutine
 	// completes the op (a lane's, a releaser's), or inline, on the in-process
 	// lane, at the op's position in the batch, before the ops after it are
-	// dispatched.
-	Done func(i int, o Outcome)
+	// dispatched. o points into the op's record, where the response was
+	// written once: Done reads it, and copies what it keeps, before it
+	// returns.
+	Done func(i int, o *Outcome)
 	// Released, when non-nil, fires once when the last reference is gone.
 	Released func()
 
@@ -655,8 +665,8 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 			err = fmt.Errorf("fabric: scan op %v on object %d is not a read", op.Inv.Op, op.Object)
 		}
 		if err != nil {
-			c.ev = TriggerEvent{Client: client, Object: op.Object, Inv: op.Inv}
-			c.completeUnshared(Outcome{Err: err})
+			c.ev.Client, c.ev.Object, c.ev.Inv = client, op.Object, op.Inv
+			c.completeUnshared(err)
 			continue
 		}
 		c.e, c.lane = e, l
@@ -690,7 +700,10 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 		}
 		token++
 		l, op := c.lane, &g.Ops[i]
-		c.ev = TriggerEvent{Token: token, Client: client, Object: op.Object, Server: l.server, Inv: op.Inv}
+		// Field by field: the 64-byte invocation is the only wide copy.
+		ev := &c.ev
+		ev.Token, ev.Client, ev.Object, ev.Server = token, client, op.Object, l.server
+		ev.Inv = op.Inv
 		c.e.MarkUsed()
 		f.emit(TraceTrigger, &c.ev, l.server)
 		// Only a benign in-process op runs unrecorded: the gate never holds
@@ -704,7 +717,7 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 		case srv.Departing():
 			// Frozen for a view change: the op never reaches the object, so it
 			// completes retryably instead of pending forever (unlike a crash).
-			c.completeUnshared(Outcome{Err: viewChangedErr(l.server)})
+			c.completeUnshared(viewChangedErr(l.server))
 		case (!l.inproc || !f.benign) && !f.admit(c, true):
 			// Frozen, crashed or held on its way in: it goes no further now.
 		case !l.inproc:
@@ -800,40 +813,36 @@ func (f *Fabric) applyScanInline(group []*call) {
 		o.LockState()
 		locked = append(locked, o)
 	}
-	outs := make([]Outcome, len(group))
-	for i, c := range group {
-		resp, err := c.e.Object().ApplyLocked(c.ev.Client, c.ev.Inv)
-		outs[i] = Outcome{Resp: resp, Err: err}
+	// Each member's outcome goes straight into its record: until it is
+	// completed below, nothing else completes it.
+	for _, c := range group {
+		c.out.Resp, c.out.Err = c.e.Object().ApplyLocked(c.ev.Client, &c.ev.Inv)
 	}
 	for _, o := range locked {
 		o.UnlockState()
 	}
-	for i, c := range group {
+	for _, c := range group {
 		if !f.benign {
-			c.completeOp(outs[i].Resp, outs[i].Err) // a gated member is listed in flight
+			c.completeOp(c.out.Resp, c.out.Err) // a gated member is listed in flight
 			continue
 		}
-		if outs[i].Err != nil {
-			c.completeUnshared(Outcome{Err: outs[i].Err})
-			continue
+		if c.out.Err == nil {
+			f.emit(TraceApply, &c.ev, c.ev.Server)
+			f.emit(TraceRespond, &c.ev, c.ev.Server)
 		}
-		f.emit(TraceApply, &c.ev, c.ev.Server)
-		f.emit(TraceRespond, &c.ev, c.ev.Server)
-		c.completeUnshared(Outcome{Resp: outs[i].Resp})
+		c.completeUnshared(c.out.Err)
 	}
 }
 
 // applyInline runs a benign in-process op to completion on the triggering
 // goroutine, inside its dispatch pass (completeUnshared).
 func (f *Fabric) applyInline(c *call) {
-	resp, err := c.e.Object().Apply(c.ev.Client, c.ev.Inv)
-	if err != nil {
-		c.completeUnshared(Outcome{Err: err})
-		return
+	c.out.Resp, c.out.Err = c.e.Object().Apply(c.ev.Client, &c.ev.Inv)
+	if c.out.Err == nil {
+		f.emit(TraceApply, &c.ev, c.ev.Server)
+		f.emit(TraceRespond, &c.ev, c.ev.Server)
 	}
-	f.emit(TraceApply, &c.ev, c.ev.Server)
-	f.emit(TraceRespond, &c.ev, c.ev.Server)
-	c.completeUnshared(Outcome{Resp: resp})
+	c.completeUnshared(c.out.Err)
 }
 
 // admit lists an op in flight on its lane — from here to its completion
@@ -857,7 +866,7 @@ func (f *Fabric) admit(c *call, gated bool) bool {
 		// never handed to the backend, so it completes retryably. This check
 		// runs under the same lock the coordinator's freeze takes, which is
 		// what keeps the op from writing a frame behind the state fetch.
-		c.complete(Outcome{Err: viewChangedErr(l.server)})
+		c.complete(viewChangedErr(l.server))
 		return false
 	}
 	if c.e.Server().Crashed() {
@@ -944,11 +953,11 @@ func (f *Fabric) Release(token uint64) error {
 func (f *Fabric) bounce(h *call) {
 	f.emit(TraceRelease, &h.ev, h.ev.Server)
 	if h.phase == PhaseApply {
-		h.complete(Outcome{Err: viewChangedErr(h.ev.Server)})
+		h.complete(viewChangedErr(h.ev.Server))
 		return
 	}
 	f.emit(TraceRespond, &h.ev, h.ev.Server)
-	h.complete(Outcome{Resp: h.resp})
+	h.complete(nil) // the response waited in h.out
 }
 
 // ReleaseWhere releases every held op matching pred, in ascending token

@@ -60,11 +60,11 @@ type testOp struct {
 func trigger(fab *Fabric, client types.ClientID, obj types.ObjectID, inv baseobj.Invocation) *testOp {
 	op := &testOp{ch: make(chan Outcome, 1)}
 	op.g.Ops = []BatchOp{{Object: obj, Inv: inv}}
-	op.g.Done = func(_ int, o Outcome) {
+	op.g.Done = func(_ int, o *Outcome) {
 		op.mu.Lock()
-		op.ev, op.out, op.done = op.g.calls[0].ev, o, true
+		op.ev, op.out, op.done = op.g.calls[0].ev, *o, true
 		op.mu.Unlock()
-		op.ch <- o
+		op.ch <- *o
 	}
 	fab.TriggerBatch(client, &op.g)
 	return op
@@ -315,7 +315,7 @@ func TestGroupDoneFiresInlineOnInProcLane(t *testing.T) {
 	released := 0
 	fab.TriggerBatch(0, &Group{
 		Ops:      []BatchOp{{Object: objs[0], Inv: writeInv(1, 10)}},
-		Done:     func(_ int, o Outcome) { got = append(got, o) },
+		Done:     func(_ int, o *Outcome) { got = append(got, *o) },
 		Released: func() { released++ },
 	})
 	if len(got) != 1 || got[0].Err != nil || released != 1 {
@@ -337,7 +337,7 @@ func TestGroupDoneFiresExactlyOnce(t *testing.T) {
 	fired := 0
 	fab.TriggerBatch(0, &Group{
 		Ops:  []BatchOp{{Object: objs[0], Inv: writeInv(1, 10)}},
-		Done: func(int, Outcome) { fired++ },
+		Done: func(int, *Outcome) { fired++ },
 	})
 	if fired != 0 {
 		t.Fatalf("Done fired %d times while the op is held", fired)
@@ -370,9 +370,9 @@ func TestGroupDoneFiresFromLaneGoroutine(t *testing.T) {
 	done := make(chan Outcome, 1)
 	fab.TriggerBatch(0, &Group{
 		Ops: []BatchOp{{Object: objs[0], Inv: writeInv(1, 10)}},
-		Done: func(_ int, o Outcome) {
+		Done: func(_ int, o *Outcome) {
 			fired.Add(1)
-			done <- o
+			done <- *o
 		},
 	})
 	if n := fired.Load(); n != 0 {

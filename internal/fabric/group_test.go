@@ -41,7 +41,7 @@ var holdServer2Apply = GateFuncs{Apply: func(ev TriggerEvent) Decision {
 func countedGroup(objs []types.ObjectID) (g *Group, done, released *atomic.Int32) {
 	done, released = new(atomic.Int32), new(atomic.Int32)
 	g = &Group{
-		Done:     func(int, Outcome) { done.Add(1) },
+		Done:     func(int, *Outcome) { done.Add(1) },
 		Released: func() { released.Add(1) },
 	}
 	fillReads(g, objs)
@@ -233,7 +233,7 @@ type recordedGroup struct {
 
 func newRecordedGroup() *recordedGroup {
 	g := new(recordedGroup)
-	g.Done = func(i int, o Outcome) { g.out[i] = o; g.hits[i].Add(1) }
+	g.Done = func(i int, o *Outcome) { g.out[i] = *o; g.hits[i].Add(1) }
 	g.Released = func() { g.released.Add(1) }
 	return g
 }
@@ -294,7 +294,7 @@ func TestGroupLaneRespondHeldRecordLifetime(t *testing.T) {
 	recs, staging := g.calls, g.staging
 	finish(token)
 	for i := range recs {
-		if h := &recs[i]; h.e != nil || h.lane != nil || h.g != nil || h.f != nil || h.next != nil || h.resp.Op != 0 || h.applyFn == nil || h.completeFn == nil {
+		if h := &recs[i]; h.e != nil || h.lane != nil || h.g != nil || h.f != nil || h.next != nil || h.out.Resp.Op != 0 || h.applyFn == nil || h.completeFn == nil {
 			t.Fatalf("record %d at release: %+v, want it zeroed but for its bound callbacks", i, h)
 		}
 		if op := &staging[i]; op.Ev.Token != 0 || op.Apply != nil || op.Complete != nil {

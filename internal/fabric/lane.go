@@ -67,8 +67,11 @@ type GroupLane interface {
 	// until the last op of the slice has completed — forever, if one never
 	// does: an uncompleted op keeps its round from being recycled. Past that
 	// completion the slice is another round's, so a backend that retains it
-	// (a mailbox message, a queued frame) reads all of it before it completes
-	// any member.
+	// (a mailbox message, a queued group of frames) is done reading it by the
+	// time its last op completes: the latency lane reads all of it before it
+	// completes any member, the TCP lane encodes each op in place and
+	// completes none before its whole window is encoded, but for one whose
+	// frame is too large, which fails while the ops after it still pend.
 	DeliverGroup(ops []LaneOp)
 }
 

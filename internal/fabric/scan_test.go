@@ -43,7 +43,7 @@ func awaitScan(t *testing.T, fab *Fabric, client types.ClientID, objs []types.Ob
 	ts := make([]uint64, len(objs))
 	var wg sync.WaitGroup
 	wg.Add(len(objs))
-	g := &Group{Ops: make([]BatchOp, len(objs)), Done: func(i int, o Outcome) {
+	g := &Group{Ops: make([]BatchOp, len(objs)), Done: func(i int, o *Outcome) {
 		if o.Err != nil {
 			t.Errorf("scan read: %v", o.Err)
 		}
@@ -144,7 +144,7 @@ func TestLatencyLaneCrashBetweenDequeueAndSnapshot(t *testing.T) {
 	}
 
 	var completed atomic.Int32
-	g := &Group{Ops: make([]BatchOp, len(objs)), Done: func(int, Outcome) { completed.Add(1) }}
+	g := &Group{Ops: make([]BatchOp, len(objs)), Done: func(int, *Outcome) { completed.Add(1) }}
 	for i, obj := range objs {
 		g.Ops[i] = BatchOp{Object: obj, Inv: readInv()}
 	}

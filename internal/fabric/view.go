@@ -407,7 +407,7 @@ func (f *Fabric) directApply(ctx context.Context, l *lane, srv *cluster.Server, 
 		return baseobj.Response{}, fmt.Errorf("fabric: server %d crashed", l.server)
 	}
 	if l.mirror == nil {
-		return obj.Apply(client, inv)
+		return obj.Apply(client, &inv)
 	}
 	ev := TriggerEvent{
 		Token:  f.nextToken.Add(1),

@@ -244,7 +244,7 @@ func TestResizeReshaperStateIsPeekState(t *testing.T) {
 	fab := New(c)
 	v1, v2, v3 := types.TSValue{TS: 1, Val: 10}, types.TSValue{TS: 2, Writer: 1, Val: 20}, types.TSValue{TS: 3, Val: 30}
 	frag := func(ts types.TSValue) baseobj.Invocation {
-		return baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: &baseobj.Fragment{TS: ts, Index: 1, K: 1, Length: 16, Data: types.PayloadFor(ts.Val, 16)}}
+		return baseobj.Invocation{Op: baseobj.OpPutFrag, Body: &baseobj.Fragment{TS: ts, Index: 1, K: 1, Length: 16, Data: types.PayloadFor(ts.Val, 16)}}
 	}
 	var objs []types.ObjectID
 	for _, tc := range []struct {
@@ -252,9 +252,9 @@ func TestResizeReshaperStateIsPeekState(t *testing.T) {
 		writes []baseobj.Invocation
 	}{
 		{func(s types.ServerID) (types.ObjectID, error) { return c.PlaceRegister(s, baseobj.WriterRange{}) },
-			[]baseobj.Invocation{{Op: baseobj.OpWrite, Arg: v2, Data: types.PayloadFor(v2.Val, 32)}}},
-		{c.PlaceMaxRegister, []baseobj.Invocation{{Op: baseobj.OpWriteMax, Arg: v2, Data: types.PayloadFor(v2.Val, 32)}}},
-		{c.PlaceCASCell, []baseobj.Invocation{{Op: baseobj.OpCAS, Exp: types.ZeroTSValue, New: v2}}},
+			[]baseobj.Invocation{{Op: baseobj.OpWrite, Arg: v2, Body: &baseobj.Fragment{Data: types.PayloadFor(v2.Val, 32)}}}},
+		{c.PlaceMaxRegister, []baseobj.Invocation{{Op: baseobj.OpWriteMax, Arg: v2, Body: &baseobj.Fragment{Data: types.PayloadFor(v2.Val, 32)}}}},
+		{c.PlaceCASCell, []baseobj.Invocation{{Op: baseobj.OpCAS, Exp: types.ZeroTSValue, Arg: v2}}},
 		{c.PlaceFragStore, []baseobj.Invocation{frag(v1), {Op: baseobj.OpCommitFrag, Arg: v1}, frag(v2), frag(v3)}},
 	} {
 		fresh, err := tc.place(0)

@@ -170,7 +170,7 @@ func TestTriggerOnDepartingServerRetries(t *testing.T) {
 	var got []Outcome
 	fab.TriggerBatch(0, &Group{
 		Ops:  []BatchOp{{Object: objs[0], Inv: writeInv(1, 7)}},
-		Done: func(_ int, o Outcome) { got = append(got, o) },
+		Done: func(_ int, o *Outcome) { got = append(got, *o) },
 	})
 	if len(got) != 1 || !IsViewChange(got[0].Err) {
 		t.Fatalf("trigger on departing server = %+v, want exactly one view-change error", got)

@@ -35,17 +35,17 @@ type outKind uint8
 
 const (
 	outPlace outKind = iota // pre-encoded no-reply frame body (placement, table bind)
-	outApply                // one invocation
+	outApply                // a group of invocations, one frame each
 	outScan                 // an all-read snapshot group
 )
 
-// outItem is one queued frame awaiting the flusher.
+// outItem is one queued hand-off awaiting the flusher: a frame body, or a
+// group of ops — the window a GroupLane or ScanLane hand-off lent, read in
+// place by the flusher, which is done with it before any member completes.
 type outItem struct {
-	kind     outKind
-	body     []byte // outPlace
-	ev       fabric.TriggerEvent
-	complete fabric.CompleteFunc // outApply
-	ops      []fabric.LaneOp     // outScan
+	kind outKind
+	body []byte          // outPlace
+	ops  []fabric.LaneOp // outApply, outScan
 }
 
 // slot is one request awaiting its response. A plain apply keeps its
@@ -313,38 +313,27 @@ func (c *Client) MirrorObject(obj baseobj.Object) {
 // Deliver implements fabric.Lane. A crashed lane never delivers and never
 // completes: the op stays pending forever, exactly like an op triggered on
 // a crashed server. The local apply closure is unused — the authoritative
-// object state lives in the node.
+// object state lives in the node. A lone op — a released op's re-delivery,
+// a transition's state fetch; every trigger arrives as a group — travels as
+// a group of one of its own.
 func (c *Client) Deliver(ev fabric.TriggerEvent, _ fabric.ApplyFunc, complete fabric.CompleteFunc) {
-	if c.crashed.Load() {
-		return
-	}
-	c.enqueue(outItem{kind: outApply, ev: ev, complete: complete})
+	c.DeliverGroup([]fabric.LaneOp{{Ev: ev, Complete: complete}})
 }
 
 // DeliverGroup implements fabric.GroupLane: the whole scattered group
-// enters the queue together, so one flush carries it in one Write.
-func (c *Client) DeliverGroup(ops []fabric.LaneOp) {
-	if c.crashed.Load() {
-		return
-	}
-	c.qmu.Lock()
-	for _, op := range ops {
-		c.queue = append(c.queue, outItem{kind: outApply, ev: op.Ev, complete: op.Complete})
-	}
-	c.qmu.Unlock()
-	select {
-	case c.qsig <- struct{}{}:
-	default:
-	}
-}
+// enters the queue as one item, so one flush carries it in one Write. The
+// item is the lent window itself, not a copy of its ops.
+func (c *Client) DeliverGroup(ops []fabric.LaneOp) { c.deliver(outApply, ops) }
 
 // DeliverScan implements fabric.ScanLane: the group travels as one msgScan
 // frame and the node answers every member from one consistent snapshot.
-func (c *Client) DeliverScan(ops []fabric.LaneOp) {
-	if c.crashed.Load() || len(ops) == 0 {
-		return
+func (c *Client) DeliverScan(ops []fabric.LaneOp) { c.deliver(outScan, ops) }
+
+// deliver queues a group of kind, unless the lane crashed.
+func (c *Client) deliver(kind outKind, ops []fabric.LaneOp) {
+	if !c.crashed.Load() && len(ops) > 0 {
+		c.enqueue(outItem{kind: kind, ops: ops})
 	}
-	c.enqueue(outItem{kind: outScan, ops: ops})
 }
 
 // flusher drains the outbound queue: it registers each request's pending
@@ -422,31 +411,37 @@ func (c *Client) encodeBatch(buf []byte, batch []outItem) (_ []byte, ok bool) {
 				return buf, false
 			}
 		case outApply:
-			isRead := it.ev.Inv.Op.IsRead()
-			k := readKey{obj: it.ev.Object, op: it.ev.Inv.Op}
-			if isRead {
-				if j, dup := c.reads[k]; dup {
-					c.coalesced.Add(1)
-					s := &slots[j]
-					if s.more == nil {
-						s.more = c.spareMore()
+			for j := range it.ops {
+				op := &it.ops[j]
+				ev := &op.Ev
+				isRead := ev.Inv.Op.IsRead()
+				k := readKey{obj: ev.Object, op: ev.Inv.Op}
+				if isRead {
+					if d, dup := c.reads[k]; dup {
+						c.coalesced.Add(1)
+						s := &slots[d]
+						if s.more == nil {
+							s.more = c.spareMore()
+						}
+						s.more = append(s.more, op.Complete)
+						continue
 					}
-					s.more = append(s.more, it.complete)
+				}
+				req := c.nextReq + 1
+				buf, start = beginFrame(buf)
+				buf = appendApply(buf, req, ev.Object, ev.Client, &ev.Inv)
+				if buf, err = endFrame(buf, start); err != nil {
+					op.Complete(baseobj.Response{}, err)
 					continue
 				}
+				c.nextReq = req
+				if isRead {
+					c.reads[k] = len(slots)
+				}
+				slots = append(slots, slot{req: req, first: op.Complete})
+				frames++
 			}
-			req := c.nextReq + 1
-			buf, start = beginFrame(buf)
-			buf = appendApply(buf, applyReq{req: req, obj: it.ev.Object, client: it.ev.Client, inv: it.ev.Inv})
-			if buf, err = endFrame(buf, start); err != nil {
-				it.complete(baseobj.Response{}, err)
-				continue
-			}
-			c.nextReq = req
-			if isRead {
-				c.reads[k] = len(slots)
-			}
-			slots = append(slots, slot{req: req, first: it.complete})
+			continue
 		case outScan:
 			req := c.nextReq + 1
 			entries, completes := c.scanBuf[:0], c.spareMore()
@@ -510,6 +505,7 @@ func (c *Client) take(req uint64) (slot, bool) {
 // keeps a reference into it (the decoders copy).
 func (c *Client) readLoop() {
 	fr := newFrameReader(c.conn)
+	var r applyResp // every response decodes into this one record
 	for {
 		frame, err := fr.next()
 		if err != nil {
@@ -524,8 +520,7 @@ func (c *Client) readLoop() {
 		c.bytesIn.Add(uint64(len(frame)) + 4) // + the frame header
 		switch frame[0] {
 		case msgResp:
-			r, err := decodeResp(frame[1:])
-			if err != nil {
+			if err := decodeResp(frame[1:], &r); err != nil {
 				c.fail()
 				return
 			}
@@ -537,7 +532,7 @@ func (c *Client) readLoop() {
 				c.fail()
 				return // protocol violation: a plain response to a scan
 			}
-			rerr := respError(r)
+			rerr := respError(&r)
 			s.first(r.resp, rerr)
 			for _, complete := range s.more {
 				complete(r.resp, rerr)
@@ -556,8 +551,8 @@ func (c *Client) readLoop() {
 				c.fail()
 				return // protocol violation: member count mismatch
 			}
-			for i, r := range results {
-				s.more[i](r.resp, respError(r))
+			for i := range results {
+				s.more[i](results[i].resp, respError(&results[i]))
 			}
 		default:
 			c.fail()
@@ -568,7 +563,7 @@ func (c *Client) readLoop() {
 
 // respError rehydrates the canonical sentinel errors so errors.Is works
 // across the wire.
-func respError(r applyResp) error {
+func respError(r *applyResp) error {
 	switch r.status {
 	case statusOK:
 		return nil

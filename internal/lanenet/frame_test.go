@@ -26,6 +26,23 @@ func frameOf(t testing.TB, body []byte) []byte {
 	return b
 }
 
+// encodeApply is appendApply of a whole request record.
+func encodeApply(b []byte, a applyReq) []byte {
+	return appendApply(b, a.req, a.obj, a.client, &a.inv)
+}
+
+// decodedApply is decodeApply into a fresh record.
+func decodedApply(b []byte) (a applyReq, err error) {
+	err = decodeApply(b, &a)
+	return a, err
+}
+
+// decodedResp is decodeResp into a fresh record.
+func decodedResp(b []byte) (r applyResp, err error) {
+	err = decodeResp(b, &r)
+	return r, err
+}
+
 // Sample messages: one of every type, with and without the payload and
 // fragment carriers.
 var (
@@ -37,14 +54,17 @@ var (
 		TS: types.TSValue{TS: 9, Writer: 2, Val: 77}, Index: 4, K: 3, Length: 1 << 16,
 		Data: types.Payload{0xde, 0xad, 0xbe, 0xef},
 	}
-	sampleApply = applyReq{req: 42, obj: 7, client: 3, inv: baseobj.Invocation{
-		Op:   baseobj.OpCAS,
-		Arg:  types.TSValue{TS: 1, Writer: 2, Val: 3},
-		Exp:  types.TSValue{TS: 4, Writer: -1, Val: -9},
-		New:  types.TSValue{TS: 5, Writer: 0, Val: 11},
-		Data: types.Payload{1, 2, 3},
+	sampleApplyCAS = applyReq{req: 42, obj: 7, client: 3, inv: baseobj.Invocation{
+		Op:  baseobj.OpCAS,
+		Exp: types.TSValue{TS: 4, Writer: -1, Val: -9},
+		Arg: types.TSValue{TS: 5, Writer: 0, Val: 11},
 	}}
-	sampleApplyFrag = applyReq{req: 43, obj: 5, client: 2, inv: baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: &sampleFrag}}
+	sampleApplyWriteMax = applyReq{req: 45, obj: 8, client: 1, inv: baseobj.Invocation{
+		Op:   baseobj.OpWriteMax,
+		Arg:  types.TSValue{TS: 1, Writer: 2, Val: 3},
+		Body: &baseobj.Fragment{Data: types.Payload{1, 2, 3}},
+	}}
+	sampleApplyFrag = applyReq{req: 43, obj: 5, client: 2, inv: baseobj.Invocation{Op: baseobj.OpPutFrag, Body: &sampleFrag}}
 	sampleResp      = applyResp{req: 42, status: statusOther, msg: "boom", resp: baseobj.Response{
 		Op: baseobj.OpGetFrags, Val: types.TSValue{TS: 9, Writer: 2, Val: 77},
 		Data: types.Payload{9, 8}, Frags: []baseobj.Fragment{sampleFrag, samplePending},
@@ -62,17 +82,24 @@ var (
 // produced by the pre-append encoders (encodeX + writeFrame at PR 15), so a
 // match is the check that the in-place encoders left the format alone. The
 // place frame's hex was written by hand when its writer list became the
-// fixed writer range: Lo and Hi as two u32s after the kind byte.
+// fixed writer range: Lo and Hi as two u32s after the kind byte. The two
+// plain apply frames' hex was produced by the encoder of the three-value
+// invocation (Arg, Exp, New and a payload field) for the same CAS and
+// write-max, so a match is the check that the two-value invocation kept the
+// wire layout: a CAS's new value in the New slot, a write's payload in the
+// payload field.
 var goldenFrames = []struct {
 	name string
 	body func() []byte
 	hex  string
 }{
-	{"apply", func() []byte { return appendApply(nil, sampleApply) },
-		"0000005602000000000000002a00000007000000030500000000000000010000000200000000000000030000000000000004fffffffffffffffffffffff7000000000000000500000000000000000000000b0000000301020300"},
-	{"apply+fragment", func() []byte { return appendApply(nil, sampleApplyFrag) },
+	{"apply cas", func() []byte { return encodeApply(nil, sampleApplyCAS) },
+		"0000005302000000000000002a00000007000000030500000000000000000000000000000000000000000000000000000004fffffffffffffffffffffff7000000000000000500000000000000000000000b0000000000"},
+	{"apply write-max+payload", func() []byte { return encodeApply(nil, sampleApplyWriteMax) },
+		"0000005602000000000000002d0000000800000001040000000000000001000000020000000000000003000000000000000000000000000000000000000000000000000000000000000000000000000000000000000301020300"},
+	{"apply+fragment", func() []byte { return encodeApply(nil, sampleApplyFrag) },
 		"0000007802000000000000002b0000000500000002060000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000000000000900000002000000000000004d00030003000100000100000004deadbeef"},
-	{"resp", func() []byte { return appendResp(nil, sampleResp) },
+	{"resp", func() []byte { return appendResp(nil, &sampleResp) },
 		"0000007703000000000000002a0407000000000000000900000002000000000000004d0004626f6f6d0000000209080002000000000000000900000002000000000000004d00030003000100000100000004deadbeef000000000000000900000002000000000000004d00040003000100000000000004deadbeef"},
 	{"scan", func() []byte { return appendScan(nil, 44, sampleScan) },
 		"0000001d04000000000000002c00020000000100000002010000012cffffffff03"},
@@ -121,9 +148,9 @@ func decodeFrame(body []byte) (d decoded, ok bool) {
 	case msgPlace:
 		d.place, err = decodePlace(body[1:])
 	case msgApply:
-		d.apply, err = decodeApply(body[1:])
+		err = decodeApply(body[1:], &d.apply)
 	case msgResp:
-		d.resp, err = decodeResp(body[1:])
+		err = decodeResp(body[1:], &d.resp)
 	case msgScan:
 		d.scanReq, d.scan, err = decodeScan(body[1:])
 	case msgScanResp:
@@ -142,9 +169,9 @@ func reencode(typ byte, d decoded) []byte {
 	case msgPlace:
 		return appendPlace(nil, d.place)
 	case msgApply:
-		return appendApply(nil, d.apply)
+		return encodeApply(nil, d.apply)
 	case msgResp:
-		return appendResp(nil, d.resp)
+		return appendResp(nil, &d.resp)
 	case msgScan:
 		return appendScan(nil, d.scanReq, d.scan)
 	case msgScanResp:
@@ -163,7 +190,7 @@ func TestGoldenWireBytes(t *testing.T) {
 		}
 	}
 	want := []decoded{
-		{apply: sampleApply}, {apply: sampleApplyFrag}, {resp: sampleResp},
+		{apply: sampleApplyCAS}, {apply: sampleApplyWriteMax}, {apply: sampleApplyFrag}, {resp: sampleResp},
 		{scanReq: 44, scan: sampleScan}, {scanReq: 44, scanResp: sampleScanResp},
 		{place: samplePlace}, {bind: "shard-17"},
 	}
@@ -192,6 +219,9 @@ func FuzzFrameDecode(f *testing.F) {
 		off += n
 	}
 	f.Add([]byte{0, 0, 0, 11, msgScanResp, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff}) // count-lying scan response
+	for _, u := range unholdableApplies {
+		f.Add(u.frame)
+	}
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		fr := newFrameReader(bytes.NewReader(stream))
 		for {
@@ -248,12 +278,12 @@ func TestDecodeDoesNotAliasWindow(t *testing.T) {
 // buffer takes the copied path and leaves the reader in sync for the
 // in-place frames around it.
 func TestFrameLargerThanBufferFallsBack(t *testing.T) {
-	big := sampleApply
-	big.inv.Data = types.PayloadFor(5, frameBufSize)
-	small := frameOf(t, appendResp(nil, sampleResp))
+	big := sampleApplyWriteMax
+	big.inv.Body = &baseobj.Fragment{Data: types.PayloadFor(5, frameBufSize)}
+	small := frameOf(t, appendResp(nil, &sampleResp))
 	var stream []byte
 	stream = append(stream, small...)
-	stream = append(stream, frameOf(t, appendApply(nil, big))...)
+	stream = append(stream, frameOf(t, encodeApply(nil, big))...)
 	stream = append(stream, small...)
 
 	fr := newFrameReader(bytes.NewReader(stream))
@@ -298,7 +328,7 @@ func TestLargeValuesOverTCPLane(t *testing.T) {
 
 	value := types.PayloadFor(7, 64<<10)
 	ts := types.TSValue{TS: 1, Writer: 0, Val: 7}
-	if o := await(t, fab, 0, reg, baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts, Data: value}); o.Err != nil {
+	if o := await(t, fab, 0, reg, baseobj.Invocation{Op: baseobj.OpWrite, Arg: ts, Body: &baseobj.Fragment{Data: value}}); o.Err != nil {
 		t.Fatalf("64 KiB write: %v", o.Err)
 	}
 	if o := await(t, fab, 1, reg, baseobj.Invocation{Op: baseobj.OpRead}); o.Err != nil || !bytes.Equal(o.Resp.Data, value) {
@@ -311,7 +341,7 @@ func TestLargeValuesOverTCPLane(t *testing.T) {
 	}
 	sent := frag
 	sent.Data = frag.Data.Clone()
-	if o := await(t, fab, 0, store, baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: &sent}); o.Err != nil {
+	if o := await(t, fab, 0, store, baseobj.Invocation{Op: baseobj.OpPutFrag, Body: &sent}); o.Err != nil {
 		t.Fatalf("put-frag: %v", o.Err)
 	}
 	o := await(t, fab, 1, store, baseobj.Invocation{Op: baseobj.OpGetFrags})
@@ -329,16 +359,16 @@ func TestCodecAllocations(t *testing.T) {
 	buf := make([]byte, 0, 256)
 	if n := testing.AllocsPerRun(200, func() {
 		b, start := beginFrame(buf[:0])
-		b, _ = endFrame(appendApply(b, a), start)
+		b, _ = endFrame(appendApply(b, a.req, a.obj, a.client, &a.inv), start)
 		allocSink = b
 	}); n != 0 {
 		t.Errorf("appendApply into a sized buffer: %v allocs, want 0", n)
 	}
 
-	window := appendResp(nil, applyResp{req: 9, status: statusOK, resp: baseobj.Response{Op: baseobj.OpRead, Val: types.TSValue{TS: 4, Val: 2}}})
+	window := appendResp(nil, &applyResp{req: 9, status: statusOK, resp: baseobj.Response{Op: baseobj.OpRead, Val: types.TSValue{TS: 4, Val: 2}}})
+	var r applyResp
 	if n := testing.AllocsPerRun(200, func() {
-		r, err := decodeResp(window[1:])
-		if err != nil || r.req != 9 {
+		if err := decodeResp(window[1:], &r); err != nil || r.req != 9 {
 			t.Fatal("response did not decode")
 		}
 	}); n != 0 {

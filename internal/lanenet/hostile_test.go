@@ -2,6 +2,7 @@ package lanenet
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -21,6 +22,68 @@ var (
 	hostileUnknown   = []byte{0, 0, 0, 2, 0x7f, 0}
 	hostileTruncated = []byte{0, 0, 0, 40, msgResp, 1, 2, 3} // 40 promised, 4 sent, then EOF
 )
+
+// threeValueCAS is the apply frame that sampled msgApply while an
+// invocation carried three values and a payload: a CAS with an Arg (1, 2, 3),
+// an Exp, a New and the payload 01 02 03. No op ever sent it, and the
+// two-value invocation cannot hold it.
+const threeValueCAS = "0000005602000000000000002a00000007000000030500000000000000010000000200000000000000030000000000000004fffffffffffffffffffffff7000000000000000500000000000000000000000b0000000301020300"
+
+// rawApply frames a msgApply of request 42 on object 7 by client 3 slot by
+// slot — op, the Arg, Exp and New slots, a payload and an optional fragment —
+// including combinations no encoder of the two-value invocation writes.
+func rawApply(op baseobj.OpCode, arg, exp, nw types.TSValue, payload types.Payload, frag *baseobj.Fragment) []byte {
+	b, start := beginFrame(nil)
+	b = append(b, msgApply)
+	b = binary.BigEndian.AppendUint64(b, 42)
+	b = binary.BigEndian.AppendUint32(b, 7)
+	b = binary.BigEndian.AppendUint32(b, 3)
+	b = append(b, byte(op))
+	b = appendPayload(appendTSValue(appendTSValue(appendTSValue(b, arg), exp), nw), payload)
+	if frag == nil {
+		b = append(b, 0)
+	} else {
+		b = appendFragment(append(b, 1), frag)
+	}
+	b, _ = endFrame(b, start)
+	return b
+}
+
+// unholdable is an apply frame an invocation of an op code and two values
+// cannot hold: decodeApply rejects it with an error, and a node drops the
+// connection that sent it.
+type unholdable struct {
+	name  string
+	frame []byte
+}
+
+var unholdableApplies = func() []unholdable {
+	one, two, zero := types.TSValue{TS: 1, Writer: 2, Val: 3}, types.TSValue{TS: 5, Val: 11}, types.ZeroTSValue
+	return []unholdable{
+		{"three-value cas with a payload", rawApply(baseobj.OpCAS, one, types.TSValue{TS: 4, Writer: -1, Val: -9}, two, types.Payload{1, 2, 3}, nil)},
+		{"cas with an arg", rawApply(baseobj.OpCAS, one, zero, two, nil, nil)},
+		{"cas with a payload", rawApply(baseobj.OpCAS, zero, one, two, types.Payload{1}, nil)},
+		{"write with a new value", rawApply(baseobj.OpWrite, one, zero, two, nil, nil)},
+		{"read-max with a payload", rawApply(baseobj.OpReadMax, zero, zero, zero, types.Payload{1}, nil)},
+		{"write-max with a fragment", rawApply(baseobj.OpWriteMax, one, zero, zero, nil, &sampleFrag)},
+		{"put-frag with a payload and a fragment", rawApply(baseobj.OpPutFrag, zero, zero, zero, types.Payload{1}, &sampleFrag)},
+	}
+}()
+
+// TestDecodeRejectsUnholdableApply: every frame an invocation cannot hold is
+// an error, not a silently dropped value or body. The first is the
+// three-value sample byte for byte.
+func TestDecodeRejectsUnholdableApply(t *testing.T) {
+	if got := hex.EncodeToString(unholdableApplies[0].frame); got != threeValueCAS {
+		t.Fatalf("rawApply wrote the three-value sample as\n%s\nwant\n%s", got, threeValueCAS)
+	}
+	for _, u := range unholdableApplies {
+		var a applyReq
+		if err := decodeApply(u.frame[5:], &a); err == nil {
+			t.Errorf("%s decoded as %+v, want an error", u.name, a.inv)
+		}
+	}
+}
 
 // lyingFrame frames a body whose u16 count at countOff claims 65,535
 // entries that the remaining bytes cannot hold.
@@ -44,7 +107,10 @@ func TestHostileClientCannotHurtNode(t *testing.T) {
 		"truncated":           hostileTruncated,
 		"lying scan count":    lyingFrame(t, appendScan(nil, 1, sampleScan), 9),
 		"lying fragment list": lyingFrame(t, placeNoFrags, len(placeNoFrags)-2),
-		"lying payload size":  frameOf(t, append(appendApply(nil, applyReq{req: 1})[:1+8+4+4+1+60], 0x00, 0x7f, 0xff, 0xff)),
+		"lying payload size":  frameOf(t, append(encodeApply(nil, applyReq{req: 1})[:1+8+4+4+1+60], 0x00, 0x7f, 0xff, 0xff)),
+	}
+	for _, u := range unholdableApplies {
+		cases[u.name] = u.frame
 	}
 	for name, bytes := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -74,14 +140,14 @@ func TestHostileClientCannotHurtNode(t *testing.T) {
 	go node.ServeConn(served)
 	defer peer.Close()
 	good := append(frameOf(t, appendPlace(nil, placeReq{obj: 9, kind: baseobj.KindMaxRegister})),
-		frameOf(t, appendApply(nil, applyReq{req: 1, obj: 9, inv: baseobj.Invocation{Op: baseobj.OpReadMax}}))...)
+		frameOf(t, encodeApply(nil, applyReq{req: 1, obj: 9, inv: baseobj.Invocation{Op: baseobj.OpReadMax}}))...)
 	go func() { _, _ = peer.Write(good) }()
 	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
 	body, err := newFrameReader(peer).next()
 	if err != nil {
 		t.Fatalf("node stopped serving after the hostile connections: %v", err)
 	}
-	if r, err := decodeResp(body[1:]); err != nil || r.req != 1 || r.status != statusOK {
+	if r, err := decodedResp(body[1:]); err != nil || r.req != 1 || r.status != statusOK {
 		t.Fatalf("response after the hostile connections = %+v, %v", r, err)
 	}
 }
@@ -162,13 +228,13 @@ func TestHostileNodeCrashesOnlyTheLane(t *testing.T) {
 		"unknown type":    func(*testing.T, *pipeClient, uint64) []byte { return hostileUnknown },
 		"truncated frame": func(*testing.T, *pipeClient, uint64) []byte { return hostileTruncated },
 		"truncated body": func(t *testing.T, _ *pipeClient, req uint64) []byte {
-			return frameOf(t, appendResp(nil, applyResp{req: req})[:20])
+			return frameOf(t, appendResp(nil, &applyResp{req: req})[:20])
 		},
 		"lying result count": func(t *testing.T, _ *pipeClient, req uint64) []byte {
 			return lyingFrame(t, appendScanResp(nil, req, nil), 9)
 		},
 		"lying fragment list": func(t *testing.T, _ *pipeClient, req uint64) []byte {
-			body := appendResp(nil, applyResp{req: req})
+			body := appendResp(nil, &applyResp{req: req})
 			return lyingFrame(t, body, len(body)-2)
 		},
 		"scan answer to a plain request": func(t *testing.T, _ *pipeClient, req uint64) []byte {
@@ -179,7 +245,7 @@ func TestHostileNodeCrashesOnlyTheLane(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			pc := newPipeClient(t, nil)
 			done := pc.deliverRead(1)
-			a, err := decodeApply(pc.request(t)[1:])
+			a, err := decodedApply(pc.request(t)[1:])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +294,7 @@ func TestHostileNodeCrashesOnlyTheLane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc.send(t, frameOf(t, appendResp(nil, applyResp{req: req})))
+		pc.send(t, frameOf(t, appendResp(nil, &applyResp{req: req})))
 		pc.awaitCrash(t)
 	})
 }
@@ -239,12 +305,12 @@ func TestHostileNodeCrashesOnlyTheLane(t *testing.T) {
 func TestUnknownRequestIDIsIgnored(t *testing.T) {
 	pc := newPipeClient(t, nil)
 	done := pc.deliverRead(1)
-	a, err := decodeApply(pc.request(t)[1:])
+	a, err := decodedApply(pc.request(t)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	answer := frameOf(t, appendResp(nil, applyResp{req: a.req, resp: baseobj.Response{Op: baseobj.OpRead}}))
-	never := frameOf(t, appendResp(nil, applyResp{req: a.req + 64}))
+	answer := frameOf(t, appendResp(nil, &applyResp{req: a.req, resp: baseobj.Response{Op: baseobj.OpRead}}))
+	never := frameOf(t, appendResp(nil, &applyResp{req: a.req + 64}))
 	pc.send(t, append(append(append([]byte(nil), never...), answer...), answer...)) // never-issued, real, already-taken
 	select {
 	case <-done:
@@ -252,11 +318,11 @@ func TestUnknownRequestIDIsIgnored(t *testing.T) {
 		t.Fatal("the real response never completed its op")
 	}
 	again := pc.deliverRead(2)
-	b, err := decodeApply(pc.request(t)[1:])
+	b, err := decodedApply(pc.request(t)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc.send(t, frameOf(t, appendResp(nil, applyResp{req: b.req, resp: baseobj.Response{Op: baseobj.OpRead}})))
+	pc.send(t, frameOf(t, appendResp(nil, &applyResp{req: b.req, resp: baseobj.Response{Op: baseobj.OpRead}})))
 	select {
 	case <-again:
 	case <-time.After(5 * time.Second):
@@ -273,7 +339,7 @@ func TestUnknownRequestIDIsIgnored(t *testing.T) {
 // budget, and the lane keeps serving.
 func TestOversizedInvocationFailsOnlyItself(t *testing.T) {
 	fab, objs, clients, _ := netEnv(t, 1)
-	huge := baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Val: 1}, Data: make(types.Payload, maxFrame+1)}
+	huge := baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1, Val: 1}, Body: &baseobj.Fragment{Data: make(types.Payload, maxFrame+1)}}
 	if o := await(t, fab, 0, objs[0], huge); !errors.Is(o.Err, ErrFrameTooLarge) {
 		t.Fatalf("oversized write completed with %v, want ErrFrameTooLarge", o.Err)
 	}
@@ -329,11 +395,11 @@ func TestResponseBurstCostsOneRead(t *testing.T) {
 	}
 	var burst []byte
 	for i := 0; i < k; i++ {
-		a, err := decodeApply(pc.request(t)[1:])
+		a, err := decodedApply(pc.request(t)[1:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		burst = append(burst, frameOf(t, appendResp(nil, applyResp{req: a.req, resp: baseobj.Response{Op: baseobj.OpWrite}}))...)
+		burst = append(burst, frameOf(t, appendResp(nil, &applyResp{req: a.req, resp: baseobj.Response{Op: baseobj.OpWrite}}))...)
 	}
 	if len(burst) >= frameBufSize {
 		t.Fatalf("burst of %d bytes does not fit one buffer fill", len(burst))
@@ -356,7 +422,7 @@ func TestResponseBurstCostsOneRead(t *testing.T) {
 func TestOversizedPlacementCrashesLane(t *testing.T) {
 	pc := newPipeClient(t, nil)
 	reg := baseobj.NewRegister(1)
-	if _, err := reg.Apply(0, baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1}, Data: make(types.Payload, maxFrame+1)}); err != nil {
+	if _, err := reg.Apply(0, &baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1}, Body: &baseobj.Fragment{Data: make(types.Payload, maxFrame+1)}}); err != nil {
 		t.Fatal(err)
 	}
 	pc.c.MirrorObject(reg)

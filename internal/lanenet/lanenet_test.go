@@ -69,7 +69,7 @@ func trigger(fab *fabric.Fabric, client types.ClientID, obj types.ObjectID, inv 
 	done := make(chan fabric.Outcome, 1)
 	fab.TriggerBatch(client, &fabric.Group{
 		Ops:  []fabric.BatchOp{{Object: obj, Inv: inv}},
-		Done: func(_ int, o fabric.Outcome) { done <- o },
+		Done: func(_ int, o *fabric.Outcome) { done <- *o },
 	})
 	return done
 }
@@ -101,12 +101,11 @@ func TestProtoRoundTrip(t *testing.T) {
 		req: 42, obj: 7, client: 3,
 		inv: baseobj.Invocation{
 			Op:  baseobj.OpCAS,
-			Arg: types.TSValue{TS: 1, Writer: 2, Val: 3},
 			Exp: types.TSValue{TS: 4, Writer: -1, Val: -9},
-			New: types.TSValue{TS: 5, Writer: 0, Val: 11},
+			Arg: types.TSValue{TS: 5, Writer: 0, Val: 11},
 		},
 	}
-	ad, err := decodeApply(appendApply(nil, a)[1:])
+	ad, err := decodedApply(encodeApply(nil, a)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestProtoRoundTrip(t *testing.T) {
 	}
 
 	r := applyResp{req: 42, status: statusOther, resp: baseobj.Response{Op: baseobj.OpCAS, Val: a.inv.Exp}, msg: "boom"}
-	rd, err := decodeResp(appendResp(nil, r)[1:])
+	rd, err := decodedResp(appendResp(nil, &r)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +141,10 @@ func TestProtoPayloadRoundTrip(t *testing.T) {
 		inv: baseobj.Invocation{
 			Op:   baseobj.OpWrite,
 			Arg:  types.TSValue{TS: 3, Writer: 2, Val: 44},
-			Data: types.PayloadFor(44, 64),
+			Body: &baseobj.Fragment{Data: types.PayloadFor(44, 64)},
 		},
 	}
-	ad, err := decodeApply(appendApply(nil, a)[1:])
+	ad, err := decodedApply(encodeApply(nil, a)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +155,9 @@ func TestProtoPayloadRoundTrip(t *testing.T) {
 	// Apply carrying a fragment put.
 	af := applyReq{
 		req: 2, obj: 5, client: 2,
-		inv: baseobj.Invocation{Op: baseobj.OpPutFrag, Frag: &frag},
+		inv: baseobj.Invocation{Op: baseobj.OpPutFrag, Body: &frag},
 	}
-	afd, err := decodeApply(appendApply(nil, af)[1:])
+	afd, err := decodedApply(encodeApply(nil, af)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestProtoPayloadRoundTrip(t *testing.T) {
 			Frags: []baseobj.Fragment{frag, pending},
 		},
 	}
-	rd, err := decodeResp(appendResp(nil, r)[1:])
+	rd, err := decodedResp(appendResp(nil, &r)[1:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +383,7 @@ func TestCrashDuringRemoteScan(t *testing.T) {
 	// server 0's reads must stay pending, others must respond.
 	clients[0].conn.Close()
 	done := make([]chan fabric.Outcome, len(objs))
-	g := &fabric.Group{Ops: make([]fabric.BatchOp, len(objs)), Done: func(i int, o fabric.Outcome) { done[i] <- o }}
+	g := &fabric.Group{Ops: make([]fabric.BatchOp, len(objs)), Done: func(i int, o *fabric.Outcome) { done[i] <- *o }}
 	for i, obj := range objs {
 		done[i] = make(chan fabric.Outcome, 1)
 		g.Ops[i] = fabric.BatchOp{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}}

@@ -222,6 +222,10 @@ type servedConn struct {
 	tbl *nodeTable
 	// out collects encoded response frames until the next flush.
 	out []byte
+	// req and resp are the one record every msgApply decodes into and is
+	// answered from: the invocation is applied in place.
+	req  applyReq
+	resp applyResp
 }
 
 // flush writes the collected responses in one Write; false drops the
@@ -270,13 +274,13 @@ func (sc *servedConn) handleFrame(frame []byte) bool {
 		sc.tbl.place(p)
 		return true
 	case msgApply:
-		a, err := decodeApply(frame[1:])
-		if err != nil {
+		if err := decodeApply(frame[1:], &sc.req); err != nil {
 			return false
 		}
+		sc.tbl.apply(&sc.req, &sc.resp)
 		var start int
 		sc.out, start = beginFrame(sc.out)
-		sc.out = appendResp(sc.out, sc.tbl.apply(a))
+		sc.out = appendResp(sc.out, &sc.resp)
 		return sc.respond(start)
 	case msgScan:
 		req, ops, err := decodeScan(frame[1:])
@@ -311,19 +315,20 @@ func (t *nodeTable) place(p placeReq) {
 	t.objects[p.obj] = obj
 }
 
-// apply runs one invocation and maps its outcome onto the wire statuses.
-// The read lock is held across the object apply so a concurrent scan's
+// apply runs one invocation and maps its outcome onto the wire statuses in
+// r. The read lock is held across the object apply so a concurrent scan's
 // write lock cannot slot between lookup and apply — scans see every apply
 // entirely before or entirely after their snapshot.
-func (t *nodeTable) apply(a applyReq) applyResp {
+func (t *nodeTable) apply(a *applyReq, r *applyResp) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	obj, ok := t.objects[a.obj]
 	if !ok {
-		return applyResp{req: a.req, status: statusUnknownObject, msg: fmt.Sprintf("object %d not hosted", a.obj)}
+		*r = applyResp{req: a.req, status: statusUnknownObject, msg: fmt.Sprintf("object %d not hosted", a.obj)}
+		return
 	}
-	resp, err := obj.Apply(a.client, a.inv)
-	return outcomeResp(a.req, resp, err)
+	resp, err := obj.Apply(a.client, &a.inv)
+	outcomeResp(r, a.req, &resp, err)
 }
 
 // scan answers a whole all-read group under the table's write lock: with
@@ -339,22 +344,23 @@ func (t *nodeTable) scan(req uint64, ops []scanEntry) []applyResp {
 			results[i] = applyResp{req: req, status: statusUnknownObject, msg: fmt.Sprintf("object %d not hosted", e.obj)}
 			continue
 		}
-		resp, err := obj.Apply(e.client, baseobj.Invocation{Op: e.op})
-		results[i] = outcomeResp(req, resp, err)
+		resp, err := obj.Apply(e.client, &baseobj.Invocation{Op: e.op})
+		outcomeResp(&results[i], req, &resp, err)
 	}
 	return results
 }
 
-// outcomeResp maps one apply outcome onto the wire statuses.
-func outcomeResp(req uint64, resp baseobj.Response, err error) applyResp {
+// outcomeResp maps one apply outcome onto the wire statuses, into r.
+func outcomeResp(r *applyResp, req uint64, resp *baseobj.Response, err error) {
+	r.req, r.resp, r.msg = req, baseobj.Response{}, ""
 	switch {
 	case err == nil:
-		return applyResp{req: req, status: statusOK, resp: resp}
+		r.status, r.resp = statusOK, *resp
 	case errors.Is(err, baseobj.ErrWrongOp):
-		return applyResp{req: req, status: statusWrongOp, msg: err.Error()}
+		r.status, r.msg = statusWrongOp, err.Error()
 	case errors.Is(err, baseobj.ErrUnauthorizedWriter):
-		return applyResp{req: req, status: statusUnauthorizedWriter, msg: err.Error()}
+		r.status, r.msg = statusUnauthorizedWriter, err.Error()
 	default:
-		return applyResp{req: req, status: statusOther, msg: err.Error()}
+		r.status, r.msg = statusOther, err.Error()
 	}
 }

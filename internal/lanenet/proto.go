@@ -251,7 +251,7 @@ const minFragmentSize = 20 + 9 + 4
 
 // appendFragment encodes one erasure-coded fragment: TSValue (20) +
 // index u16 + k u16 + stripe length u32 + committed flag + payload.
-func appendFragment(b []byte, f baseobj.Fragment) []byte {
+func appendFragment(b []byte, f *baseobj.Fragment) []byte {
 	b = appendTSValue(b, f.TS)
 	b = binary.BigEndian.AppendUint16(b, uint16(f.Index))
 	b = binary.BigEndian.AppendUint16(b, uint16(f.K))
@@ -264,31 +264,28 @@ func appendFragment(b []byte, f baseobj.Fragment) []byte {
 	return appendPayload(b, f.Data)
 }
 
-// fragmentAt decodes one fragment at offset off.
-func fragmentAt(b []byte, off int) (baseobj.Fragment, int, error) {
-	var f baseobj.Fragment
+// fragmentAt decodes one fragment at offset off into f.
+func fragmentAt(b []byte, off int, f *baseobj.Fragment) (int, error) {
 	var err error
 	if f.TS, off, err = tsValueAt(b, off); err != nil {
-		return f, 0, err
+		return 0, err
 	}
 	if len(b) < off+9 {
-		return f, 0, fmt.Errorf("lanenet: truncated fragment header")
+		return 0, fmt.Errorf("lanenet: truncated fragment header")
 	}
 	f.Index = int(binary.BigEndian.Uint16(b[off:]))
 	f.K = int(binary.BigEndian.Uint16(b[off+2:]))
 	f.Length = int(binary.BigEndian.Uint32(b[off+4:]))
 	f.Committed = b[off+8] == 1
-	if f.Data, off, err = payloadAt(b, off+9); err != nil {
-		return f, 0, err
-	}
-	return f, off, nil
+	f.Data, off, err = payloadAt(b, off+9)
+	return off, err
 }
 
 // appendFragList encodes a fragment list: u16 count + fragments.
 func appendFragList(b []byte, frags []baseobj.Fragment) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(frags)))
-	for _, f := range frags {
-		b = appendFragment(b, f)
+	for i := range frags {
+		b = appendFragment(b, &frags[i])
 	}
 	return b
 }
@@ -311,7 +308,7 @@ func fragListAt(b []byte, off int) ([]baseobj.Fragment, int, error) {
 	frags := make([]baseobj.Fragment, n)
 	var err error
 	for i := 0; i < n; i++ {
-		if frags[i], off, err = fragmentAt(b, off); err != nil {
+		if off, err = fragmentAt(b, off, &frags[i]); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -362,62 +359,84 @@ func decodePlace(b []byte) (placeReq, error) {
 	return p, nil
 }
 
-// appendApply encodes a msgApply body: the fixed header and TSValue
-// arguments, the invocation payload, and (for OpPutFrag) the fragment,
-// flagged by a presence byte.
-func appendApply(b []byte, a applyReq) []byte {
+// appendApply encodes a msgApply body for inv, triggered by client on obj
+// as request req: the fixed header, three value slots — Arg, Exp and New —
+// a payload and a fragment flagged by a presence byte. The layout predates
+// the two-value invocation and is kept byte for byte: a CAS's new value
+// (inv.Arg) goes in the New slot and its Arg slot is zero; a write's
+// payload (inv.Body.Data) is the payload; OpPutFrag's body is the fragment.
+// inv is read in place — the trigger's own event, not a copy.
+func appendApply(b []byte, req uint64, obj types.ObjectID, client types.ClientID, inv *baseobj.Invocation) []byte {
 	b = append(b, msgApply)
-	b = binary.BigEndian.AppendUint64(b, a.req)
-	b = binary.BigEndian.AppendUint32(b, uint32(a.obj))
-	b = binary.BigEndian.AppendUint32(b, uint32(a.client))
-	b = append(b, byte(a.inv.Op))
-	b = appendTSValue(b, a.inv.Arg)
-	b = appendTSValue(b, a.inv.Exp)
-	b = appendTSValue(b, a.inv.New)
-	b = appendPayload(b, a.inv.Data)
-	if a.inv.Frag == nil {
-		return append(b, 0)
+	b = binary.BigEndian.AppendUint64(b, req)
+	b = binary.BigEndian.AppendUint32(b, uint32(obj))
+	b = binary.BigEndian.AppendUint32(b, uint32(client))
+	b = append(b, byte(inv.Op))
+	arg, nw := inv.Arg, types.ZeroTSValue
+	if inv.Op == baseobj.OpCAS {
+		arg, nw = nw, arg
 	}
+	b = appendTSValue(b, arg)
+	b = appendTSValue(b, inv.Exp)
+	b = appendTSValue(b, nw)
+	if inv.Op != baseobj.OpPutFrag || inv.Body == nil {
+		return append(appendPayload(b, inv.Payload()), 0)
+	}
+	b = appendPayload(b, nil)
 	b = append(b, 1)
-	return appendFragment(b, *a.inv.Frag)
+	return appendFragment(b, inv.Body)
 }
 
-// decodeApply decodes a msgApply body (after the type byte).
-func decodeApply(b []byte) (applyReq, error) {
+// decodeApply decodes a msgApply body (after the type byte) into a, mapping
+// the frame's slots back onto the invocation. A frame the invocation cannot
+// hold is an error: a non-zero Arg slot on a CAS or New slot on any other
+// op, a payload on an op other than a write or write-max, a fragment on an
+// op other than OpPutFrag, or both.
+func decodeApply(b []byte, a *applyReq) error {
 	if len(b) < 8+4+4+1+3*20 {
-		return applyReq{}, fmt.Errorf("lanenet: truncated apply")
+		return fmt.Errorf("lanenet: truncated apply")
 	}
-	a := applyReq{
-		req:    binary.BigEndian.Uint64(b),
-		obj:    types.ObjectID(int32(binary.BigEndian.Uint32(b[8:]))),
-		client: types.ClientID(int32(binary.BigEndian.Uint32(b[12:]))),
-	}
-	a.inv.Op = baseobj.OpCode(b[16])
-	var err error
-	off := 17
-	if a.inv.Arg, off, err = tsValueAt(b, off); err != nil {
-		return applyReq{}, err
+	a.req = binary.BigEndian.Uint64(b)
+	a.obj = types.ObjectID(int32(binary.BigEndian.Uint32(b[8:])))
+	a.client = types.ClientID(int32(binary.BigEndian.Uint32(b[12:])))
+	a.inv = baseobj.Invocation{Op: baseobj.OpCode(b[16])}
+	arg, off, err := tsValueAt(b, 17)
+	if err != nil {
+		return err
 	}
 	if a.inv.Exp, off, err = tsValueAt(b, off); err != nil {
-		return applyReq{}, err
+		return err
 	}
-	if a.inv.New, off, err = tsValueAt(b, off); err != nil {
-		return applyReq{}, err
+	nw, off, err := tsValueAt(b, off)
+	if err != nil {
+		return err
 	}
-	if a.inv.Data, off, err = payloadAt(b, off); err != nil {
-		return applyReq{}, err
+	switch cas := a.inv.Op == baseobj.OpCAS; {
+	case cas && arg == types.ZeroTSValue:
+		a.inv.Arg = nw
+	case !cas && nw == types.ZeroTSValue:
+		a.inv.Arg = arg
+	default:
+		return fmt.Errorf("lanenet: %v carries a value its invocation cannot hold", a.inv.Op)
+	}
+	payload, off, err := payloadAt(b, off)
+	if err != nil {
+		return err
 	}
 	if len(b) < off+1 {
-		return applyReq{}, fmt.Errorf("lanenet: truncated apply fragment flag")
+		return fmt.Errorf("lanenet: truncated apply fragment flag")
 	}
-	if b[off] == 1 {
-		var f baseobj.Fragment
-		if f, _, err = fragmentAt(b, off+1); err != nil {
-			return applyReq{}, err
-		}
-		a.inv.Frag = &f
+	switch frag := b[off] == 1; {
+	case frag && a.inv.Op == baseobj.OpPutFrag && payload == nil:
+		a.inv.Body = new(baseobj.Fragment)
+		_, err = fragmentAt(b, off+1, a.inv.Body)
+	case !frag && payload == nil:
+	case !frag && (a.inv.Op == baseobj.OpWrite || a.inv.Op == baseobj.OpWriteMax):
+		a.inv.Body = &baseobj.Fragment{Data: payload}
+	default:
+		err = fmt.Errorf("lanenet: %v carries a body its invocation cannot hold", a.inv.Op)
 	}
-	return a, nil
+	return err
 }
 
 // minRespBodySize is the encoding of a response body with no message, no
@@ -431,7 +450,7 @@ const maxRespMsg = 1024
 // appendRespBody encodes one response body (shared by msgResp and
 // msgScanResp members): status, op, TSValue, message, payload bytes,
 // fragment list.
-func appendRespBody(b []byte, r applyResp) []byte {
+func appendRespBody(b []byte, r *applyResp) []byte {
 	msg := r.msg
 	if len(msg) > maxRespMsg {
 		msg = msg[:maxRespMsg]
@@ -444,37 +463,38 @@ func appendRespBody(b []byte, r applyResp) []byte {
 	return appendFragList(b, r.resp.Frags)
 }
 
-// respBodyAt decodes one response body at offset off.
-func respBodyAt(b []byte, off int) (applyResp, int, error) {
+// respBodyAt decodes one response body at offset off into r, every field
+// but req, and returns the offset past it.
+func respBodyAt(b []byte, off int, r *applyResp) (int, error) {
 	if len(b) < off+minRespBodySize {
-		return applyResp{}, 0, fmt.Errorf("lanenet: truncated response body")
+		return 0, fmt.Errorf("lanenet: truncated response body")
 	}
-	r := applyResp{status: b[off]}
-	r.resp.Op = baseobj.OpCode(b[off+1])
+	r.status = b[off]
+	r.resp = baseobj.Response{Op: baseobj.OpCode(b[off+1])}
 	var err error
 	if r.resp.Val, off, err = tsValueAt(b, off+2); err != nil {
-		return applyResp{}, 0, err
+		return 0, err
 	}
 	if len(b) < off+2 {
-		return applyResp{}, 0, fmt.Errorf("lanenet: truncated response message length")
+		return 0, fmt.Errorf("lanenet: truncated response message length")
 	}
 	m := int(binary.BigEndian.Uint16(b[off:]))
 	if len(b) < off+2+m {
-		return applyResp{}, 0, fmt.Errorf("lanenet: truncated response message")
+		return 0, fmt.Errorf("lanenet: truncated response message")
 	}
 	r.msg = string(b[off+2 : off+2+m])
 	off += 2 + m
 	if r.resp.Data, off, err = payloadAt(b, off); err != nil {
-		return applyResp{}, 0, err
+		return 0, err
 	}
 	if r.resp.Frags, off, err = fragListAt(b, off); err != nil {
-		return applyResp{}, 0, err
+		return 0, err
 	}
-	return r, off, nil
+	return off, nil
 }
 
 // appendResp encodes a msgResp body.
-func appendResp(b []byte, r applyResp) []byte {
+func appendResp(b []byte, r *applyResp) []byte {
 	b = append(b, msgResp)
 	b = binary.BigEndian.AppendUint64(b, r.req)
 	return appendRespBody(b, r)
@@ -531,8 +551,8 @@ func appendScanResp(b []byte, req uint64, results []applyResp) []byte {
 	b = append(b, msgScanResp)
 	b = binary.BigEndian.AppendUint64(b, req)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(results)))
-	for _, r := range results {
-		b = appendRespBody(b, r)
+	for i := range results {
+		b = appendRespBody(b, &results[i])
 	}
 	return b
 }
@@ -548,16 +568,16 @@ func decodeScanResp(b []byte) (uint64, []applyResp, error) {
 	if len(b)-10 < n*minRespBodySize {
 		return 0, nil, fmt.Errorf("lanenet: scan response claims %d results in %d bytes", n, len(b)-10)
 	}
-	results := make([]applyResp, 0, n)
+	results := make([]applyResp, n)
 	off := 10
-	for i := 0; i < n; i++ {
-		r, next, err := respBodyAt(b, off)
+	for i := range results {
+		r := &results[i]
+		next, err := respBodyAt(b, off, r)
 		if err != nil {
 			return 0, nil, fmt.Errorf("lanenet: scan result %d: %w", i, err)
 		}
 		r.req = req
 		off = next
-		results = append(results, r)
 	}
 	return req, results, nil
 }
@@ -581,15 +601,15 @@ func decodeBind(b []byte) (string, error) {
 	return string(b[2 : 2+n]), nil
 }
 
-// decodeResp decodes a msgResp body (after the type byte).
-func decodeResp(b []byte) (applyResp, error) {
+// decodeResp decodes a msgResp body (after the type byte) into r, the
+// caller's record: the read loop decodes every response into one.
+func decodeResp(b []byte, r *applyResp) error {
 	if len(b) < 8 {
-		return applyResp{}, fmt.Errorf("lanenet: truncated response")
+		return fmt.Errorf("lanenet: truncated response")
 	}
-	r, _, err := respBodyAt(b, 8)
-	if err != nil {
-		return applyResp{}, err
+	if _, err := respBodyAt(b, 8, r); err != nil {
+		return err
 	}
 	r.req = binary.BigEndian.Uint64(b)
-	return r, nil
+	return nil
 }

@@ -29,13 +29,14 @@ func TestPlaceFrameCarriesState(t *testing.T) {
 	node := NewNode()
 	tbl := node.table("")
 	tbl.place(p)
-	resp := tbl.apply(applyReq{req: 1, obj: 7, client: 0, inv: baseobj.Invocation{Op: baseobj.OpReadMax}})
+	var resp applyResp
+	tbl.apply(&applyReq{req: 1, obj: 7, client: 0, inv: baseobj.Invocation{Op: baseobj.OpReadMax}}, &resp)
 	if resp.status != statusOK || resp.resp.Val.Val != 42 {
 		t.Fatalf("read after stateful place = %+v, want val 42", resp)
 	}
 	// Re-placing must not roll the object back.
 	tbl.place(placeReq{obj: 7, kind: baseobj.KindMaxRegister, state: baseobj.State{Val: types.TSValue{TS: 99, Val: -5}}})
-	resp = tbl.apply(applyReq{req: 2, obj: 7, client: 0, inv: baseobj.Invocation{Op: baseobj.OpReadMax}})
+	tbl.apply(&applyReq{req: 2, obj: 7, client: 0, inv: baseobj.Invocation{Op: baseobj.OpReadMax}}, &resp)
 	if resp.status != statusOK || resp.resp.Val.Val != 42 {
 		t.Fatalf("read after re-place = %+v, want the original val 42", resp)
 	}

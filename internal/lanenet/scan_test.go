@@ -45,7 +45,7 @@ func awaitNetScan(t *testing.T, fab *fabric.Fabric, client types.ClientID, objs 
 	ts := make([]uint64, len(objs))
 	var wg sync.WaitGroup
 	wg.Add(len(objs))
-	g := &fabric.Group{Ops: make([]fabric.BatchOp, len(objs)), Done: func(i int, o fabric.Outcome) {
+	g := &fabric.Group{Ops: make([]fabric.BatchOp, len(objs)), Done: func(i int, o *fabric.Outcome) {
 		if o.Err != nil {
 			t.Errorf("scan read: %v", o.Err)
 		}
@@ -161,7 +161,7 @@ func TestTCPLaneCrashBetweenDequeueAndWrite(t *testing.T) {
 
 	armed.Store(true)
 	var completed atomic.Int32
-	g := &fabric.Group{Ops: make([]fabric.BatchOp, len(objs)), Done: func(int, fabric.Outcome) { completed.Add(1) }}
+	g := &fabric.Group{Ops: make([]fabric.BatchOp, len(objs)), Done: func(int, *fabric.Outcome) { completed.Add(1) }}
 	for i, obj := range objs {
 		g.Ops[i] = fabric.BatchOp{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpRead}}
 	}

@@ -116,7 +116,7 @@ func TestFailDiscardsLiveSlots(t *testing.T) {
 	for i := range reqs {
 		pc.c.Deliver(fabric.TriggerEvent{Object: 1, Inv: baseobj.Invocation{Op: baseobj.OpWrite}}, nil,
 			func(baseobj.Response, error) { completed <- struct{}{} })
-		a, err := decodeApply(pc.request(t)[1:])
+		a, err := decodedApply(pc.request(t)[1:])
 		if err != nil {
 			t.Fatal(err)
 		}
