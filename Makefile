@@ -195,13 +195,15 @@ CHURN_SUITE = -run 'Replace|Reconfigure|Churn|Drain|Departing|ViewRetry' ./inter
 # processes).
 RESIZE_SUITE = -run 'Resize|TestTransitionCrash' ./internal/fabric ./internal/runner ./internal/emulation/abdcore ./internal/emulation/coded ./internal/emulation/regemu ./internal/shardstore
 
-# Membership accounting (all of internal/cluster) and the two
-# reconfiguration suites above, 50 times over at three GOMAXPROCS settings
-# under the race detector. Long; it catches the schedules one run never
-# meets, and CI's stress job gates on it. (150 passes of a package outlast
-# go test's default 10-minute timeout.)
+# Membership accounting (all of internal/cluster), the adversary package —
+# the chaos gate's one fault budget, whose Hold/Released and Crash race in
+# TestChaosBudgetRace — and the two reconfiguration suites above, 50 times
+# over at three GOMAXPROCS settings under the race detector. Long; it catches
+# the schedules one run never meets, and CI's stress job gates on it. (150
+# passes of a package outlast go test's default 10-minute timeout.)
 STRESS = $(GO) test -race -count 50 -cpu 1,2,8 -timeout 3h
 stress:
 	$(STRESS) ./internal/cluster
+	$(STRESS) ./internal/adversary
 	$(STRESS) $(CHURN_SUITE)
 	$(STRESS) $(RESIZE_SUITE)

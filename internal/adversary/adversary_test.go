@@ -1,9 +1,12 @@
 package adversary
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/baseobj"
+	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/types"
 )
@@ -104,28 +107,201 @@ func TestScriptWhenHeld(t *testing.T) {
 	}
 }
 
-// TestChaosHoldBudget: the chaos rule holds only mutating ops, at most its
-// budget per writer at a time, and a release frees budget.
+// chaosEnv returns an n-server in-process fabric gated by c's Hold rule,
+// with one register on each server.
+func chaosEnv(t *testing.T, c *Chaos, n int) (*fabric.Fabric, []types.ObjectID) {
+	t.Helper()
+	cl, err := cluster.New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := make([]types.ObjectID, n)
+	for s := range objs {
+		if objs[s], err = cl.PlaceRegister(types.ServerID(s), baseobj.WriterRange{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate := NewScript()
+	gate.SetApplyRule(c.Hold)
+	fab := fabric.New(cl, fabric.WithGate(gate))
+	t.Cleanup(func() { fab.Close() })
+	return fab, objs
+}
+
+// write triggers client's write on obj and reports whether the gate parked
+// it: on the in-process lane an op that is not held has completed on return.
+func write(fab *fabric.Fabric, client types.ClientID, obj types.ObjectID) bool {
+	g := &fabric.Group{Ops: []fabric.BatchOp{{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpWrite, Arg: types.TSValue{TS: 1}}}}}
+	held := true
+	g.Done = func(int, *fabric.Outcome) { held = false }
+	fab.TriggerBatch(client, g)
+	return held
+}
+
+// heldBy returns the tokens of client's apply-held ops.
+func heldBy(fab *fabric.Fabric, client types.ClientID) []uint64 {
+	var tokens []uint64
+	for _, op := range fab.Pending() {
+		if op.Event.Client == client && op.Phase == fabric.PhaseApply {
+			tokens = append(tokens, op.Event.Token)
+		}
+	}
+	return tokens
+}
+
+// crashed reports whether server has crashed.
+func crashed(t *testing.T, fab *fabric.Fabric, server types.ServerID) bool {
+	t.Helper()
+	srv, err := fab.Cluster().Server(server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv.Crashed()
+}
+
+// TestChaosHoldBudget: crashes and holds draw on one budget of f. The rule
+// holds only mutating ops, at most f − crashes per writer at a time, and a
+// release frees budget; Crash is refused while the crashes plus the most
+// holds one writer has booked plus one exceed f; and a hold drained out from
+// under the gate stops blocking a crash once Crash has reconciled the books.
 func TestChaosHoldBudget(t *testing.T) {
-	c := NewChaos(1, 1, 1) // hold every op the budget allows
+	const f = 2
+	c := NewChaos(1, 1, f) // hold every op the budget allows
+	fab, objs := chaosEnv(t, c, 5)
 	if c.Hold(fabric.TriggerEvent{Inv: baseobj.Invocation{Op: baseobj.OpRead}}) {
 		t.Fatal("held a read")
 	}
-	if !c.Hold(writeEv(1, 0, 10, 0)) {
-		t.Fatal("first write not held")
+	if !write(fab, 0, objs[0]) || !write(fab, 0, objs[1]) {
+		t.Fatal("writer 0's first two writes not held")
 	}
-	if c.Hold(writeEv(2, 0, 11, 1)) {
+	if write(fab, 0, objs[2]) {
 		t.Fatal("held beyond the writer's budget")
 	}
-	if !c.Hold(writeEv(3, 1, 12, 0)) {
+	if !write(fab, 1, objs[0]) {
 		t.Fatal("another writer's budget is its own")
 	}
-	c.Released(0, 1)
-	if !c.Hold(writeEv(4, 0, 13, 0)) {
-		t.Fatal("a release did not free budget")
+	if c.Crash(fab, 4) || crashed(t, fab, 4) {
+		t.Fatal("crashed with 0 crashes + 2 held by writer 0 + 1 > f")
 	}
-	c.Narrow(1)
-	if c.Hold(writeEv(5, 2, 14, 0)) {
-		t.Fatal("held with the budget narrowed to zero")
+
+	tok := heldBy(fab, 0)[0]
+	if err := fab.Release(tok); err != nil {
+		t.Fatal(err)
+	}
+	c.Released(0, tok)
+	if !c.Crash(fab, 4) || !crashed(t, fab, 4) {
+		t.Fatal("crash refused with 0 crashes + 1 held + 1 = f")
+	}
+	if c.Crash(fab, 3) {
+		t.Fatal("crashed with 1 crash + 1 held + 1 > f")
+	}
+	// f − crashes = 1: writers 0 and 1 each hold one op, so their second
+	// hold is refused, and a fresh writer gets exactly one.
+	if write(fab, 0, objs[2]) || write(fab, 1, objs[2]) {
+		t.Fatal("a writer held its (f − crashes + 1)th op")
+	}
+	if !write(fab, 2, objs[2]) || write(fab, 2, objs[3]) {
+		t.Fatal("a fresh writer's budget after one crash is not f − 1")
+	}
+
+	// Every hold leaves the fabric without the gate hearing of it, as a
+	// reconfiguration's drain takes them: the books still list three.
+	for _, w := range []types.ClientID{0, 1, 2} {
+		for _, tok := range heldBy(fab, w) {
+			if err := fab.Release(tok); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !c.Crash(fab, 3) || !crashed(t, fab, 3) {
+		t.Fatal("a drained hold still blocks the crash after Crash reconciled")
+	}
+	if got := c.Crashes(); got != f {
+		t.Fatalf("Crashes = %d, want %d", got, f)
+	}
+	if c.Crash(fab, 2) || write(fab, 3, objs[2]) {
+		t.Fatal("the budget is spent, yet a crash or a hold was granted")
+	}
+}
+
+// TestChaosForgetsHoldsOnCrashedServer: a held op whose server crashes is
+// dropped, and the crash already pays for its missing response, so the next
+// reconcile takes it off its writer's books: the writer holds again up to
+// f − 1.
+func TestChaosForgetsHoldsOnCrashedServer(t *testing.T) {
+	const f = 2
+	c := NewChaos(1, 1, f)
+	fab, objs := chaosEnv(t, c, 5)
+	if !write(fab, 0, objs[0]) {
+		t.Fatal("write on server 0 not held")
+	}
+	if !c.Crash(fab, 0) {
+		t.Fatal("crash refused with 0 crashes + 1 held + 1 = f")
+	}
+	c.ReleaseSome(fab, 0) // releases nothing; reconciles the books
+	if !write(fab, 0, objs[1]) {
+		t.Fatal("the dropped hold still counts against its writer")
+	}
+	if write(fab, 0, objs[2]) {
+		t.Fatal("writer held more than f − 1 ops after one crash")
+	}
+}
+
+// TestChaosBudgetRace: writers hold and release while another goroutine
+// crashes servers, and after every step the books keep the invariant
+// crashes + most holds one writer has booked ≤ f. Run under -race.
+func TestChaosBudgetRace(t *testing.T) {
+	const f, n, writers, steps = 3, 8, 4, 200
+	c := NewChaos(1, 0.5, f)
+	fab, objs := chaosEnv(t, c, n)
+	check := func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		most := 0
+		for _, held := range c.outstanding {
+			most = max(most, len(held))
+		}
+		if c.crashes+most > c.f {
+			t.Errorf("crashes %d + most held %d > f = %d", c.crashes, most, c.f)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := types.ClientID(0); w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < steps; i++ {
+				write(fab, w, objs[(int(w)+i)%n])
+				check()
+				if tokens := heldBy(fab, w); len(tokens) > 1 {
+					if fab.Release(tokens[0]) == nil {
+						c.Released(w, tokens[0])
+					}
+					check()
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	crasher := make(chan struct{})
+	go func() {
+		defer close(crasher)
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			c.Crash(fab, types.ServerID(i%n))
+			check()
+			runtime.Gosched()
+		}
+	}()
+	wg.Wait()
+	close(done)
+	<-crasher
+	if c.Crashes() == 0 {
+		t.Error("no crash was granted: the race never met the crash check")
 	}
 }

@@ -9,9 +9,13 @@ import (
 )
 
 // Chaos is a seeded randomized environment: its Hold rule holds mutating
-// low-level operations with a fixed probability, subject to the liveness
-// budget that makes every construction's quorum math still work out — at
-// most f of a writer's operations are outstanding-held at any time.
+// low-level operations with a fixed probability, and it is the run's one
+// fault budget. The model gives the adversary one allowance, f: the servers
+// it crashed plus the responses it withholds from any one writer never
+// exceed f, or that writer's next (n−f)-quorum round waits for ever. Chaos
+// books both under one mutex — every hold it grants, per writer, and every
+// crash it makes (Crash) — and grants either only while the crashes plus the
+// most holds any one writer has booked stay within f.
 //
 // Installed as a Script's apply rule and combined with random releases
 // between high-level operations (RunChaos calls ReleaseSome), Chaos
@@ -23,23 +27,24 @@ type Chaos struct {
 	mu          sync.Mutex
 	rng         *rand.Rand
 	holdProb    float64
-	budget      int // max outstanding held ops per writer (f)
+	f           int // the fault budget: crashes + one writer's holds ≤ f
+	crashes     int // servers Crash crashed
 	outstanding map[types.ClientID]map[uint64]struct{}
 }
 
-// NewChaos creates the policy. holdProb is the per-op hold probability;
-// budget is the per-writer outstanding-hold cap (use f).
-func NewChaos(seed int64, holdProb float64, budget int) *Chaos {
+// NewChaos creates the policy. holdProb is the per-op hold probability; f is
+// the fault budget that crashes and each writer's outstanding holds share.
+func NewChaos(seed int64, holdProb float64, f int) *Chaos {
 	return &Chaos{
 		rng:         rand.New(rand.NewSource(seed)),
 		holdProb:    holdProb,
-		budget:      budget,
+		f:           f,
 		outstanding: make(map[types.ClientID]map[uint64]struct{}),
 	}
 }
 
 // Hold is the policy as a Script rule: hold a mutating op with the hold
-// probability while its writer is under budget.
+// probability while its writer's holds plus the crashes stay within f.
 func (c *Chaos) Hold(ev fabric.TriggerEvent) bool {
 	if !IsMutating(ev.Inv) {
 		return false
@@ -47,7 +52,7 @@ func (c *Chaos) Hold(ev fabric.TriggerEvent) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	held := c.outstanding[ev.Client]
-	if len(held) >= c.budget {
+	if c.crashes+len(held)+1 > c.f {
 		return false
 	}
 	if c.rng.Float64() >= c.holdProb {
@@ -70,32 +75,49 @@ func (c *Chaos) Released(client types.ClientID, token uint64) {
 	}
 }
 
-// Narrow permanently shrinks the liveness budget by n (not below zero).
-// A fail-stop crash consumes a unit of the same f budget the holds draw
-// from: after a crash, Hold grants a writer at most f-1 outstanding holds.
-// Narrow bounds only holds granted from then on — ops already held stay
-// held — so a caller that crashes a server must first check that the
-// crashes plus the most ops one client already has held stay below f;
-// then crashed servers plus held ops never exceed f together and every
-// quorum round still reaches its n-f threshold.
-func (c *Chaos) Narrow(n int) {
-	c.mu.Lock()
+// Crash crashes server on fab if the budget has a unit left for it, and
+// reports whether it did: only while the crashes plus the most holds any one
+// writer has booked, plus this crash, stay within f. The books are first
+// reconciled against the fabric (see reconcile), then checked and the server
+// crashed under the gate's lock, so no hold is granted between the check and
+// the crash. A hold granted but not yet parked is booked, so it counts too.
+// Holding the lock across fab.Crash is safe: the fabric asks its gate outside
+// every lane lock, and Fabric.Crash never calls back into the gate.
+func (c *Chaos) Crash(fab *fabric.Fabric, server types.ServerID) bool {
+	c.reconcile(fab)
 	defer c.mu.Unlock()
-	c.budget -= n
-	if c.budget < 0 {
-		c.budget = 0
+	most := 0
+	for _, held := range c.outstanding {
+		most = max(most, len(held))
 	}
+	if c.crashes+most+1 > c.f {
+		return false
+	}
+	if srv, err := fab.Cluster().Server(server); err != nil || srv.Crashed() {
+		return false // only a live server's crash costs a unit
+	}
+	if fab.Crash(server) != nil {
+		return false
+	}
+	c.crashes++
+	return true
 }
 
-// ReleaseSome releases each currently held op with probability p, drawing
-// from the policy's own PRNG for reproducibility, and returns how many were
-// released. It also reconciles the budget books against the fabric: ops a
-// reconfiguration drained out from under the gate (completed with
-// ErrViewChanged, no longer pending) are forgotten so they stop consuming
-// their writer's hold budget. Only holds booked before the snapshot can be
-// forgotten: a store may trigger from a completion on a lane goroutine
-// meanwhile, and a hold granted after the snapshot is still parked.
-func (c *Chaos) ReleaseSome(fab *fabric.Fabric, p float64) int {
+// Crashes returns how many servers Crash has crashed.
+func (c *Chaos) Crashes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.crashes
+}
+
+// reconcile forgets the booked holds that no longer withhold a response:
+// ops a reconfiguration drained out from under the gate (completed with
+// ErrViewChanged, no longer pending) and ops whose server crashed (dropped:
+// the crash already paid for the missing response). Only holds booked before
+// the snapshot can be forgotten: a store may trigger from a completion on a
+// lane goroutine meanwhile, and a hold granted after the snapshot is still
+// parked. It returns the snapshot with c.mu held.
+func (c *Chaos) reconcile(fab *fabric.Fabric) []fabric.PendingOp {
 	c.mu.Lock()
 	gone := make(map[uint64]types.ClientID)
 	for client, held := range c.outstanding {
@@ -107,11 +129,21 @@ func (c *Chaos) ReleaseSome(fab *fabric.Fabric, p float64) int {
 	pending := fab.Pending()
 	c.mu.Lock()
 	for _, op := range pending {
-		delete(gone, op.Event.Token)
+		if op.Phase != fabric.PhaseDropped {
+			delete(gone, op.Event.Token)
+		}
 	}
 	for tok, client := range gone {
 		delete(c.outstanding[client], tok)
 	}
+	return pending
+}
+
+// ReleaseSome releases each currently held op with probability p, drawing
+// from the policy's own PRNG for reproducibility, and returns how many were
+// released. It reconciles the books first (see reconcile).
+func (c *Chaos) ReleaseSome(fab *fabric.Fabric, p float64) int {
+	pending := c.reconcile(fab)
 	var victims []fabric.PendingOp
 	for _, op := range pending {
 		if op.Phase != fabric.PhaseApply && op.Phase != fabric.PhaseRespond {

@@ -91,7 +91,8 @@ type ChaosConfig struct {
 	// view changes and transparent retries.
 	ResizeProb float64
 	// TransitionCrashProb crashes one frozen server inside each resize
-	// transition with this probability (within the fail-stop budget):
+	// transition with this probability, when the chaos gate's fault budget
+	// has a unit left (adversary.Chaos.Crash):
 	// the sealed-but-not-activated window of E28. The crashed transition
 	// aborts cleanly and the run continues on the restored old view.
 	TransitionCrashProb float64
@@ -182,8 +183,8 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	churn := rand.New(rand.NewSource(seed.Sub(cfg.Seed, chaosStreamChurn)))
 	var crasher *transitionCrasher
 	if cfg.ResizeProb > 0 && cfg.TransitionCrashProb > 0 {
-		crasher = &transitionCrasher{env: env, f: cfg.F, chaos: chaos}
-		crasher.install()
+		crasher = &transitionCrasher{}
+		crasher.install(env.Fabric, chaos)
 	}
 	values := NewValueGen()
 	readers := []emulation.Reader{reg.NewReader(), reg.NewReader()}
@@ -213,9 +214,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 			}
 		}
 	}
-	if crasher != nil {
-		rep.TransitionCrashes = crasher.fired
-	}
+	rep.TransitionCrashes = chaos.Crashes()
 	rep.Holds = gate.Held()
 	rep.Checks = Check(hist)
 	rep.History = hist

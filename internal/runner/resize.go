@@ -73,28 +73,20 @@ func churnResize(ctx context.Context, env *Env, reg emulation.Register, rng *ran
 
 // transitionCrasher arms the fabric's transition hooks to crash one frozen
 // server (or a transfer target) inside the sealed-but-not-activated window,
-// within the fail-stop budget. It is armed per transition by the chaos
-// loop — the loop is synchronous, so the hook draws race nothing — and
-// disarms itself after firing once.
+// drawing the crash from the chaos gate's fault budget. It is armed per
+// transition by the chaos loop — the loop is synchronous, so the hook draws
+// race nothing — and disarms itself after firing once.
 type transitionCrasher struct {
-	env *Env
-	f   int
-	// chaos, when set, has its hold budget narrowed by one per crash: the
-	// crash and the holds draw on the same fail-stop allowance of f, so
-	// together they never leave a quorum round short of its n-f threshold
-	// (fire checks the holds already granted).
-	chaos  *adversary.Chaos
 	armed  bool
 	victim types.ServerID
-	fired  int
 }
 
 // install wires the hooks once, before any transition starts (the hook
 // fields are read unsynchronized).
-func (tc *transitionCrasher) install() {
-	tc.env.Fabric.HookTransition(
-		func() { tc.fire(tc.victim) },
-		func(_ types.ObjectID, to types.ServerID) { tc.fire(to) },
+func (tc *transitionCrasher) install(fab *fabric.Fabric, chaos *adversary.Chaos) {
+	fab.HookTransition(
+		func() { tc.fire(fab, chaos, tc.victim) },
+		func(_ types.ObjectID, to types.ServerID) { tc.fire(fab, chaos, to) },
 	)
 }
 
@@ -107,36 +99,12 @@ func (tc *transitionCrasher) arm(victim types.ServerID) {
 
 func (tc *transitionCrasher) disarm() { tc.armed = false }
 
-func (tc *transitionCrasher) fire(victim types.ServerID) {
-	if !tc.armed {
-		return
+// fire crashes victim if armed and the budget allows it. A swap freezes only
+// its leaver, so a client may still hold ops on the other members: the gate
+// refuses the crash while it would leave that client's next round short of
+// its quorum.
+func (tc *transitionCrasher) fire(fab *fabric.Fabric, chaos *adversary.Chaos, victim types.ServerID) {
+	if tc.armed && chaos.Crash(fab, victim) {
+		tc.disarm()
 	}
-	// A swap freezes only its leaver, so a client may still hold ops on
-	// the other members: crash only while the crashes and the most ops one
-	// client has held stay below f, or that client's next round waits for
-	// a quorum that cannot form.
-	if tc.env.Cluster.Crashes()+maxHeld(tc.env.Fabric.Pending()) >= tc.f {
-		return // the fail-stop budget is spent; stay within the model
-	}
-	tc.armed = false
-	if err := tc.env.Fabric.Crash(victim); err == nil {
-		tc.fired++
-		if tc.chaos != nil {
-			tc.chaos.Narrow(1)
-		}
-	}
-}
-
-// maxHeld returns the most apply- or respond-held ops any one client has
-// among pending.
-func maxHeld(pending []fabric.PendingOp) int {
-	held := make(map[types.ClientID]int)
-	most := 0
-	for _, op := range pending {
-		if op.Phase == fabric.PhaseApply || op.Phase == fabric.PhaseRespond {
-			held[op.Event.Client]++
-			most = max(most, held[op.Event.Client])
-		}
-	}
-	return most
 }

@@ -1,7 +1,12 @@
 package runner
 
 import (
+	"sync/atomic"
 	"testing"
+
+	"repro/internal/adversary"
+	"repro/internal/fabric"
+	"repro/internal/types"
 )
 
 // resizeSeeds is the pinned seed range of the resize chaos net
@@ -109,9 +114,9 @@ func TestResizeChurnDeterministicPerSeed(t *testing.T) {
 
 // TestTransitionCrashChaos is the E28 matrix: every resize transition may
 // lose one frozen server inside the sealed-but-not-activated window — after
-// the freeze, or as a transfer target mid-move — within the fail-stop
-// budget (each crash also narrows the gate's hold budget, so crashes plus
-// holds never starve a quorum round). Crashed transitions must abort
+// the freeze, or as a transfer target mid-move — when the chaos gate's one
+// fault budget allows it (crashes plus the most holds one writer has booked
+// stay within f, so no quorum round starves). Crashed transitions must abort
 // cleanly back onto the old view, later transitions and client ops must
 // keep completing, and the histories must stay clean on every pinned seed,
 // on both the in-process and the latency lane. Each cell has its own
@@ -159,5 +164,57 @@ func TestTransitionCrashChaos(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestTransitionCrashCountsUnparkedHold pins the window of the hang where a
+// transition crash and a hold together overdrew the fault budget: the gate
+// grants a hold, and before the fabric parks the op — Pending still lists it
+// in flight — the transition crasher fires. With f = 2 and one server
+// already crashed, a second crash would leave crashes plus holds at 3 > f,
+// and the held write's quorum of n − f = 3 could never form (server 0
+// crashed, server 1 held, server 4 crashed). The hold is booked in the same
+// budget the crash draws on, so the crash is refused and the write
+// completes.
+func TestTransitionCrashCountsUnparkedHold(t *testing.T) {
+	const f, victim = 2, types.ServerID(4)
+	chaos := adversary.NewChaos(1, 1, f) // hold every op the budget allows
+	gate := adversary.NewScript()
+	env, err := NewEnv(5, gate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer env.Fabric.Close()
+	reg, _, err := BuildWith(KindABDMax, env.Fabric, 1, f, BuildOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !chaos.Crash(env.Fabric, 0) {
+		t.Fatal("the first crash was refused")
+	}
+	tc := &transitionCrasher{}
+	tc.arm(victim)
+	var fired atomic.Bool
+	gate.SetApplyRule(func(ev fabric.TriggerEvent) bool {
+		if !chaos.Hold(ev) {
+			return false
+		}
+		if ev.Server != victim && fired.CompareAndSwap(false, true) {
+			tc.fire(env.Fabric, chaos, victim)
+		}
+		return true
+	})
+	w, err := reg.Writer(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(testCtx(t), NewValueGen().Next(0)); err != nil {
+		t.Fatalf("write: %v (crashes %d of f = %d)", err, env.Cluster.Crashes(), f)
+	}
+	if !fired.Load() {
+		t.Fatal("no hold was granted: the crasher never fired")
+	}
+	if got := env.Cluster.Crashes(); got != 1 {
+		t.Fatalf("Crashes = %d, want 1: the crash overdrew the budget", got)
 	}
 }
