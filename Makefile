@@ -74,8 +74,8 @@ pairs:
 
 # Allocation ceilings, as plain tests — NOT under -race, where sync.Pool
 # drops items on purpose and every pooled path would read as a regression:
-# every test with "Alloc" in its name (a write+read pair through the handles
-# per construction — abd-max, abd-cas and aac-max at 0 allocations, in
+# every test with "Alloc" in its name (a write+read pair through the
+# register's emulation.Writer / Reader handles per construction — abd-max, abd-cas and aac-max at 0 allocations, in
 # process and abd-max and abd-cas across the latency lane too, a payload-mode
 # abd-max pair at its value bytes —
 # through one async engine, and through the sharded store's frontend on

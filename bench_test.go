@@ -169,7 +169,7 @@ func BenchmarkCASMaxRetries(b *testing.B) {
 				b.Fatalf("cluster: %v", err)
 			}
 			c.SetF(1)
-			fab := fabric.New(c, fabric.WithGate(&fabric.YieldGate{Yields: 2}))
+			fab := fabric.New(c, fabric.WithGate(&fabric.YieldGate{}))
 			reg, metrics, err := casmax.New(fab, writers, emulation.Options{})
 			if err != nil {
 				b.Fatalf("casmax: %v", err)

@@ -196,10 +196,13 @@
 //     settled abd-cas read is one round), and a view-change retry of the
 //     write-back pushes in full. The one-op push (abd-max, naive) writes
 //     back to every store.
-//     Handles come from package emulation: StartWrite/StartRead run the
-//     chain under the caller's context (an in-flight op costs no
-//     goroutine), and Write/Read are one blocking adapter over the same
-//     chain, which owns the cancellation contract — an already-cancelled
+//     Handles come from package emulation: every construction embeds one
+//     emulation.Handles (name, k, writer handles, reader IDs, history, and
+//     the construction's one Protocol), and its Writer and Reader are
+//     concrete types. StartWrite/StartRead run the protocol under the
+//     caller's context (an in-flight op costs no goroutine), and Write/Read
+//     are one blocking adapter over the same protocol, which owns the
+//     cancellation contract — an already-cancelled
 //     context fails before any trigger; an operation cancelled mid-flight
 //     is abandoned: it starts no further round (abd-cas's loop checks the
 //     context before each CAS, so a store already past its check takes that
@@ -207,13 +210,12 @@
 //     returned, ROADMAP item 1(b)), its history entry
 //     stays pending (completion and abandonment race on a single latch, so
 //     the entry closes before the call returns or never), and the handle is
-//     reusable: the quorum register, regemu and coded all keep their write
-//     handles in one emulation.Writers table and stamp writes through its
-//     floor,
-//     which starts every timestamp above the last one the writer proposed,
-//     so an abandoned write cannot tie its next one. Writers.At(i) is the
-//     same handle on every call, and a client engine claims it
-//     (Writer.Claim): one driver per writer, with no index in the engine.
+//     reusable: the quorum register, regemu and coded all stamp writes
+//     through the floor of their Handles (Handles.Propose), which starts
+//     every timestamp above the last one the writer proposed, so an
+//     abandoned write cannot tie its next one. Writer(i) is the same handle
+//     on every call, and a client engine claims it (Writer.Claim): one
+//     driver per writer, with no index in the engine.
 //     Above the round an operation is three records — the engine's op, the
 //     handle's call (history entry and the caller's completion), abdcore's
 //     chain (context, value, what to push) — each pooled where it is born

@@ -33,7 +33,7 @@ func main() {
 	}
 	// The yield gate models response latency, widening the interleaving
 	// windows so contention actually manifests.
-	fab := fabric.New(c, fabric.WithGate(&fabric.YieldGate{Yields: 2}))
+	fab := fabric.New(c, fabric.WithGate(&fabric.YieldGate{}))
 
 	// 2f+1 CAS cells, each hosting one Algorithm 1 max-register; f is the
 	// view's.

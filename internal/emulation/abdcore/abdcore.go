@@ -17,9 +17,9 @@
 // CAS cell, aac-max's k single-writer registers). Plugging in different
 // stores yields the different quorum rows of Table 1; everything else —
 // which 2f+1 servers host a store (f is the view's), the collect and the
-// push, the writers' timestamp floor (emulation.Writers, shared with the
-// coded register), the handles and the history, how a view resize re-places
-// the stores — is this package's Register. A store is its base objects,
+// push, how a view resize re-places the stores — is this package's Register,
+// which embeds the handles, the history and the writers' timestamp floor
+// every register shares (emulation.Handles). A store is its base objects,
 // kept inside the placement — which server hosts them is the object table's
 // to say, so a store a swap moves onto a joiner stays the same store — and
 // the register's first placement is part of the register: a register of
@@ -56,7 +56,6 @@ import (
 	"repro/internal/emulation"
 	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
-	"repro/internal/spec"
 	"repro/internal/types"
 )
 
@@ -148,20 +147,16 @@ func (p *placement) objects(i, per int) []types.ObjectID {
 // for concurrent use by multiple clients; Reshape swaps the placement
 // atomically while operations are in flight.
 type Register struct {
-	name      string
-	k         int
+	emulation.Handles
 	per       int // base objects per store
 	atomic    bool
 	read      baseobj.OpCode // the objects' state read (Kind.StateRead)
 	writeOp   baseobj.OpCode // the one-op write-max (Kind.WriteMax); 0 with a chain
 	valueSize int
 	fab       *fabric.Fabric
-	readers   emulation.ReaderIDs
 	place     Place
 	chain     Chain
 	p         atomic.Pointer[placement]
-	writers   emulation.Writers
-	hist      spec.History
 	// first is New's placement. A resize publishes a heap one and leaves
 	// this one as it was: a round that loaded it may still read it.
 	first placement
@@ -175,22 +170,19 @@ var _ emulation.Register = (*Register)(nil)
 // members by construction after any transition — and builds the register
 // over them.
 func New(cfg Config) (*Register, error) {
-	if err := emulation.ValidateWriters(cfg.K); err != nil {
-		return nil, fmt.Errorf("abdcore: %s: %w", cfg.Name, err)
-	}
-	if cfg.Place == nil {
-		return nil, fmt.Errorf("abdcore: %s: no store recipe", cfg.Name)
-	}
 	r := &Register{
-		name:      cfg.Name,
-		k:         cfg.K,
 		atomic:    cfg.Atomic,
 		valueSize: cfg.ValueSize,
 		fab:       cfg.Fabric,
 		place:     cfg.Place,
 		chain:     cfg.Chain,
 	}
-	r.writers.Init(cfg.K, &r.hist, r)
+	if err := r.Init(cfg.Name, cfg.K, r); err != nil {
+		return nil, fmt.Errorf("abdcore: %w", err)
+	}
+	if cfg.Place == nil {
+		return nil, fmt.Errorf("abdcore: %s: no store recipe", cfg.Name)
+	}
 	p := &r.first
 	view := cfg.Fabric.Cluster().View()
 	if _, err := r.arrange(p, view.Members, view.F, nil); err != nil {
@@ -211,10 +203,10 @@ func New(cfg Config) (*Register, error) {
 func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *placement) (dropped []types.ObjectID, err error) {
 	need := 2*f + 1
 	if f <= 0 {
-		return nil, fmt.Errorf("abdcore: %s: f must be positive, got %d", r.name, f)
+		return nil, fmt.Errorf("abdcore: %s: f must be positive, got %d", r.Name(), f)
 	}
 	if len(members) < need {
-		return nil, fmt.Errorf("abdcore: %s: %d members cannot host 2f+1=%d stores", r.name, len(members), need)
+		return nil, fmt.Errorf("abdcore: %s: %d members cannot host 2f+1=%d stores", r.Name(), len(members), need)
 	}
 	p.f = f
 	p.reads = p.inlineReads[:0]
@@ -225,7 +217,7 @@ func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *p
 			objs := old.objects(i, r.per)
 			host, err := r.fab.Cluster().Delta(objs[0])
 			if err != nil {
-				return nil, fmt.Errorf("abdcore: %s: locating store %d: %w", r.name, i, err)
+				return nil, fmt.Errorf("abdcore: %s: locating store %d: %w", r.Name(), i, err)
 			}
 			if !slices.Contains(members, host) || len(hosts) == need {
 				dropped = append(dropped, objs...)
@@ -251,7 +243,7 @@ func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *p
 		}
 		before := len(p.reads)
 		if p.reads, err = r.place(r.fab.Cluster(), sid, p.reads); err != nil {
-			return nil, fmt.Errorf("abdcore: %s: placing store on server %d: %w", r.name, sid, err)
+			return nil, fmt.Errorf("abdcore: %s: placing store on server %d: %w", r.Name(), sid, err)
 		}
 		if r.per == 0 {
 			r.per = len(p.reads) - before
@@ -260,15 +252,15 @@ func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *p
 			}
 		}
 		if n := len(p.reads) - before; n == 0 || n != r.per {
-			return nil, fmt.Errorf("abdcore: %s: the store on server %d has %d base objects, want %d per store", r.name, sid, n, max(r.per, 1))
+			return nil, fmt.Errorf("abdcore: %s: the store on server %d has %d base objects, want %d per store", r.Name(), sid, n, max(r.per, 1))
 		}
 		hosts = append(hosts, sid)
 	}
 	if len(hosts) < need {
-		return nil, fmt.Errorf("abdcore: %s: only %d of %d stores placeable on members %v", r.name, len(hosts), need, members)
+		return nil, fmt.Errorf("abdcore: %s: only %d of %d stores placeable on members %v", r.Name(), len(hosts), need, members)
 	}
 	if r.chain == nil && r.per != 1 {
-		return nil, fmt.Errorf("abdcore: %s: a one-op write-max needs one base object per store, have %d", r.name, r.per)
+		return nil, fmt.Errorf("abdcore: %s: a one-op write-max needs one base object per store, have %d", r.Name(), r.per)
 	}
 	return dropped, nil
 }
@@ -279,22 +271,16 @@ func (r *Register) arrange(p *placement, members []types.ServerID, f int, old *p
 func (r *Register) ops(obj types.ObjectID) error {
 	o, err := r.fab.Cluster().Object(obj)
 	if err != nil {
-		return fmt.Errorf("abdcore: %s: %w", r.name, err)
+		return fmt.Errorf("abdcore: %s: %w", r.Name(), err)
 	}
 	r.read = o.Kind().StateRead()
 	if r.chain == nil {
 		if r.writeOp = o.Kind().WriteMax(); r.writeOp == 0 {
-			return fmt.Errorf("abdcore: %s: a %v has no one-op write-max: the register needs a Chain", r.name, o.Kind())
+			return fmt.Errorf("abdcore: %s: a %v has no one-op write-max: the register needs a Chain", r.Name(), o.Kind())
 		}
 	}
 	return nil
 }
-
-// Name implements emulation.Register.
-func (r *Register) Name() string { return r.name }
-
-// K implements emulation.Register.
-func (r *Register) K() int { return r.k }
 
 // F implements emulation.Register: the live placement's failure budget.
 func (r *Register) F() int { return r.p.Load().f }
@@ -302,24 +288,6 @@ func (r *Register) F() int { return r.p.Load().f }
 // ResourceComplexity implements emulation.Register: the base objects of
 // the live placement's stores.
 func (r *Register) ResourceComplexity() int { return len(r.p.Load().reads) }
-
-// History implements emulation.Register.
-func (r *Register) History() *spec.History { return &r.hist }
-
-// Writer implements emulation.Register: writer i's one handle over the
-// collect/push chain.
-func (r *Register) Writer(i int) (emulation.Writer, error) {
-	if i < 0 || i >= r.k {
-		return nil, fmt.Errorf("abdcore: writer %d out of range (k=%d)", i, r.k)
-	}
-	return r.writers.At(i), nil
-}
-
-// NewReader implements emulation.Register. It is safe for concurrent
-// callers: reader IDs come from a shared atomic allocator.
-func (r *Register) NewReader() emulation.Reader {
-	return emulation.NewReader(r.readers.Next(), &r.hist, r)
-}
 
 // Reshape implements emulation.Register: it re-places the register's
 // 2f+1 stores on the post-resize member set and swaps the placement
@@ -343,7 +311,7 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 	for _, obj := range old.reads {
 		st, err := rs.State(obj)
 		if err != nil {
-			return fmt.Errorf("abdcore: %s: reading state of object %d: %w", r.name, obj, err)
+			return fmt.Errorf("abdcore: %s: reading state of object %d: %w", r.Name(), obj, err)
 		}
 		if m.Less(st.Val) {
 			m = st.Val
@@ -364,14 +332,14 @@ func (r *Register) Reshape(rs *fabric.Reshaper) error {
 				_, err = rs.Apply(p.reads[i], inv)
 			}
 			if err != nil {
-				return fmt.Errorf("abdcore: %s: seeding store %d: %w", r.name, i, err)
+				return fmt.Errorf("abdcore: %s: seeding store %d: %w", r.Name(), i, err)
 			}
 		}
 	}
 	r.p.Store(p)
 	for _, obj := range dropped {
 		if err := rs.Retire(obj); err != nil {
-			return fmt.Errorf("abdcore: %s: retiring object %d: %w", r.name, obj, err)
+			return fmt.Errorf("abdcore: %s: retiring object %d: %w", r.Name(), obj, err)
 		}
 	}
 	return nil
@@ -452,7 +420,7 @@ func (r *Register) newChain(ctx context.Context, client types.ClientID) *chain {
 // at the new threshold, never a mixed view.
 func (c *chain) collect() {
 	scan := c.r.per > 1
-	rounds.Scatter(c.ctx, c.r.fab, c.client, rounds.Round{Max: c.onCollect, Plan: c.collectPlan, Scan: scan, Servers: scan})
+	rounds.Scatter(c.ctx, c.r.fab, c.client, rounds.Round{Max: c.onCollect, Plan: c.collectPlan, Scan: scan})
 }
 
 // planCollect is the collect's plan: the live placement's state reads, at
@@ -574,7 +542,7 @@ func (c *chain) collected(cur types.TSValue, agree uint64, err error) {
 	case err != nil:
 		c.finish("collect", err)
 	case c.onWrite != nil:
-		c.v.TS, c.v.Writer = c.r.writers.Propose(c.client, cur.TS), c.client
+		c.v.TS, c.v.Writer = c.r.Propose(c.client, cur.TS), c.client
 		c.hint = cur
 		c.push()
 	case c.r.atomic:
@@ -606,7 +574,7 @@ func (c *chain) finish(phase string, err error) {
 	}
 }
 
-// StartWrite is the high-level write (emulation.WriteChain): collect, bump
+// StartWrite is the high-level write (emulation.Protocol): collect, bump
 // the timestamp, push. The phases run as a callback chain on whatever
 // goroutines complete the low-level operations, so nothing ever blocks — one
 // caller goroutine can keep thousands of writes in flight. done fires
@@ -619,7 +587,7 @@ func (r *Register) StartWrite(ctx context.Context, client types.ClientID, v type
 	c.collect()
 }
 
-// StartRead is the high-level read (emulation.ReadChain): collect,
+// StartRead is the high-level read (emulation.Protocol): collect,
 // optionally write back (on an Atomic register the push chains in before
 // done fires), return the freshest value.
 func (r *Register) StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error)) {

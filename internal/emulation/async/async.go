@@ -189,8 +189,8 @@ type event struct {
 type Client struct {
 	eng *Engine
 	id  types.ClientID
-	w   emulation.Writer
-	r   emulation.Reader
+	w   *emulation.Writer
+	r   *emulation.Reader
 
 	// active and the queue are owned by the engine loop; queue[head:] are
 	// the ops waiting behind active, in invocation order.

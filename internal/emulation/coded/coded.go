@@ -10,7 +10,7 @@
 //  3. commit:   OpCommitFrag(ts) on all n, gather n−f acks.
 //
 // The collect's timestamp is proposed through the writers' floor
-// (emulation.Writers.Propose), as on abdcore's quorum register: a write
+// (emulation.Handles.Propose), as on abdcore's quorum register: a write
 // abandoned with its put on fewer than n−f stores can be missed by the same
 // writer's next collect, and proposing collected+1 would give the fresh write
 // the abandoned one's (timestamp, writer) pair — two stripes a gather cannot
@@ -54,7 +54,6 @@ import (
 	"repro/internal/emulation"
 	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
-	"repro/internal/spec"
 	"repro/internal/types"
 )
 
@@ -108,14 +107,11 @@ func arrange(c *cluster.Cluster, members []types.ServerID, f int) (*placement, e
 
 // Register implements emulation.Register over striped fragment stores.
 type Register struct {
-	k         int
+	emulation.Handles
 	valueSize int
 	atomic    bool
 	p         atomic.Pointer[placement]
 	fab       *fabric.Fabric
-	readers   emulation.ReaderIDs
-	writers   emulation.Writers
-	hist      spec.History
 	// straddles counts the gathers reads repeated because the answers
 	// straddled a commit (errStraddled).
 	straddles atomic.Uint64
@@ -130,8 +126,17 @@ var _ emulation.Register = (*Register)(nil)
 // (DefaultValueSize when zero, at least types.MinPayloadSize); opts.Atomic
 // makes readers write the stripe back.
 func New(fab *fabric.Fabric, k int, opts emulation.Options) (*Register, error) {
-	if err := emulation.ValidateWriters(k); err != nil {
-		return nil, fmt.Errorf("coded: %w", err)
+	valueSize := opts.ValueSize
+	if valueSize <= 0 {
+		valueSize = DefaultValueSize
+	}
+	r := &Register{
+		valueSize: max(valueSize, types.MinPayloadSize),
+		atomic:    opts.Atomic,
+		fab:       fab,
+	}
+	if err := r.Init("coded", k, (*chain)(r)); err != nil {
+		return nil, err
 	}
 	c := fab.Cluster()
 	view := c.View()
@@ -139,26 +144,9 @@ func New(fab *fabric.Fabric, k int, opts emulation.Options) (*Register, error) {
 	if err != nil {
 		return nil, err
 	}
-	valueSize := opts.ValueSize
-	if valueSize <= 0 {
-		valueSize = DefaultValueSize
-	}
-	r := &Register{
-		k:         k,
-		valueSize: max(valueSize, types.MinPayloadSize),
-		atomic:    opts.Atomic,
-		fab:       fab,
-	}
-	r.writers.Init(k, &r.hist, (*chain)(r))
 	r.p.Store(p)
 	return r, nil
 }
-
-// Name implements emulation.Register.
-func (r *Register) Name() string { return "coded" }
-
-// K implements emulation.Register.
-func (r *Register) K() int { return r.k }
 
 // F implements emulation.Register.
 func (r *Register) F() int { return r.p.Load().f }
@@ -178,22 +166,6 @@ func (r *Register) StraddledGathers() uint64 { return r.straddles.Load() }
 // bytes-per-server axis (cluster.PerServerBytes) is what separates coded
 // from replicated.
 func (r *Register) ResourceComplexity() int { return r.p.Load().n }
-
-// History implements emulation.Register.
-func (r *Register) History() *spec.History { return &r.hist }
-
-// Writer implements emulation.Register: writer i's one handle.
-func (r *Register) Writer(i int) (emulation.Writer, error) {
-	if i < 0 || i >= r.k {
-		return nil, fmt.Errorf("coded: writer %d out of range (k=%d)", i, r.k)
-	}
-	return r.writers.At(i), nil
-}
-
-// NewReader implements emulation.Register.
-func (r *Register) NewReader() emulation.Reader {
-	return emulation.NewReader(r.readers.Next(), &r.hist, (*chain)(r))
-}
 
 // targets appends (see rounds.Plan) a round that sends every store the same
 // invocation: the timestamp collect (OpFragTS), the gather (OpGetFrags), the
@@ -220,9 +192,9 @@ func (p *placement) putTargets(buf []rounds.Target, ts types.TSValue, length int
 	return buf
 }
 
-// chain is the Register seen as its handles' emulation.WriteChain and
-// ReadChain: the same pointer under another method set, so the raw,
-// history-less chains stay off the Register's public surface.
+// chain is the Register seen as its handles' emulation.Protocol: the same
+// pointer under another method set, so the raw, history-less protocol stays
+// off the Register's public surface.
 type chain Register
 
 // StartWrite runs the three-round write as a completion chain: collect the
@@ -239,7 +211,7 @@ func (c *chain) StartWrite(ctx context.Context, client types.ClientID, v types.V
 			done(fmt.Errorf("coded: write collect: %w", err))
 			return
 		}
-		ts := types.TSValue{TS: r.writers.Propose(client, cur.TS), Writer: client, Val: v}
+		ts := types.TSValue{TS: r.Propose(client, cur.TS), Writer: client, Val: v}
 		r.startPut(ctx, client, ts, r.p.Load().payload(v, r.valueSize), func(err error) {
 			if err != nil {
 				done(fmt.Errorf("coded: write: %w", err))

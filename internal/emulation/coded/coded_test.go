@@ -157,7 +157,7 @@ func TestCodedConcurrent(t *testing.T) {
 					t.Fatal(err)
 				}
 				wg.Add(1)
-				go func(i int, w emulation.Writer) {
+				go func(i int, w *emulation.Writer) {
 					defer wg.Done()
 					for op := 0; op < perWriter; op++ {
 						if err := w.Write(ctx, types.Value(1+i*perWriter+op)); err != nil {
@@ -170,7 +170,7 @@ func TestCodedConcurrent(t *testing.T) {
 			for r := 0; r < readers; r++ {
 				rd := reg.NewReader()
 				wg.Add(1)
-				go func(rd emulation.Reader) {
+				go func(rd *emulation.Reader) {
 					defer wg.Done()
 					for op := 0; op < perReader; op++ {
 						if _, err := rd.Read(ctx); err != nil {

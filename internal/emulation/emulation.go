@@ -5,29 +5,29 @@
 //
 // Six constructions implement this interface, one per sub-package (abdmax,
 // casmax, aacmax, naiveabd — store recipes for abdcore's one quorum
-// register — regemu and coded; doc.go maps each to its row of the paper). Every one is written
-// once, as a completion-based chain (WriteChain / ReadChain), and hands out
-// the handles of this package (Writers / NewReader), which record the
-// history and turn the chain into the blocking Write / Read.
+// register — regemu and coded; doc.go maps each to its row of the paper).
+// Only the base objects and the protocol differ between them: every one is
+// written once, as a completion-based Protocol, and embeds this package's
+// Handles, which holds the client half they share — the name and k, the
+// Writer and Reader handles that record the history and turn the protocol
+// into the blocking Write / Read, and the writers' timestamp floor
+// (Handles.Propose), through which every construction stamps its writes, so
+// a writer handle stays reusable after an abandoned write on every one of
+// them.
 //
 // Every construction is built the same way: New(fab, k, Options), where
 // Options carries the only two settings a construction takes (atomic reads,
 // payload size); the failure budget f, like the members, is read off the
 // fabric's view (cluster.View). Every one reshapes across a view resize
-// (Register.Reshape). The register owns its history (Register.History), and
-// every construction whose writers pick their own timestamps from a collect
-// (abdcore's quorum register, regemu, coded) keeps its write handles in one
-// Writers table and stamps through its one floor (Writers.Propose), so a
-// writer handle stays reusable after an abandoned write on every one of them.
+// (Register.Reshape).
 //
-// Handles are not safe for concurrent use; each client runs its own handle,
-// mirroring the paper's per-client deterministic state machines.
+// A Writer or Reader handle is not safe for concurrent use; each client runs
+// its own handle, mirroring the paper's per-client deterministic state
+// machines.
 package emulation
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/fabric"
 	"repro/internal/spec"
@@ -60,13 +60,14 @@ func (o Options) RegularOnly(construction string) error {
 }
 
 // ReaderIDBase is the first client ID handed to readers, keeping them
-// disjoint from writer IDs 0..k-1. Constructions must reject k >=
-// ReaderIDBase (ValidateWriters) or the two ID spaces would collide.
+// disjoint from writer IDs 0..k-1. A register must reject k >= ReaderIDBase
+// (Handles.Init does, through ValidateWriters) or the two ID spaces would
+// collide.
 const ReaderIDBase types.ClientID = 1 << 20
 
 // ValidateWriters checks that a requested writer count fits the client-ID
 // scheme: writers occupy IDs 0..k-1, so k must be positive and stay below
-// ReaderIDBase. Every construction calls this before allocating handles.
+// ReaderIDBase. Handles.Init calls it before allocating handles.
 func ValidateWriters(k int) error {
 	if k <= 0 {
 		return fmt.Errorf("emulation: k must be positive, got %d", k)
@@ -77,66 +78,9 @@ func ValidateWriters(k int) error {
 	return nil
 }
 
-// ReaderIDs allocates fresh reader client IDs above ReaderIDBase. The zero
-// value is ready to use; Next is safe for concurrent callers (the async
-// engine creates readers from its event loop while tests create them from
-// their own goroutines).
-type ReaderIDs struct {
-	ctr atomic.Int64
-}
-
-// Next returns the next unused reader client ID.
-func (r *ReaderIDs) Next() types.ClientID {
-	return ReaderIDBase + types.ClientID(r.ctr.Add(1))
-}
-
-// Writer is the write-side handle of an emulated register for one client.
-type Writer interface {
-	// Write performs a high-level write of v. It blocks until the write
-	// returns or ctx is done; a ctx error means the operation could not
-	// complete (e.g. too many servers crashed for the failure threshold) and
-	// was abandoned: it starts no further round and stays pending in the
-	// history, like the paper's incomplete high-level ops. A round triggers
-	// in one batch, so nothing follows the return — except where a store
-	// takes its step later: abd-cas's Algorithm 1 loop, and an aac-max push
-	// waiting behind the writer's own earlier write on that server. A store
-	// that checked ctx just before the abandonment still triggers the step it
-	// was about to, at most one per store (ROADMAP item 1(b)).
-	Write(ctx context.Context, v types.Value) error
-	// StartWrite is the completion-based write: it triggers the high-level
-	// write and returns immediately; done fires exactly once when (and if)
-	// the write completes — possibly inline, on the in-process lane, or
-	// later on a fabric goroutine. If the failure assumption is violated
-	// (more than f servers crash, or the environment holds responses
-	// forever) done never fires, exactly like a pending high-level op;
-	// callers bound the wait with ctx or their own clocks. Once ctx is done
-	// the operation starts no further round. done must not block. A handle
-	// serializes: the caller must not start a second operation before the
-	// previous one completed or its ctx ended (the paper's well-formed
-	// histories); internal/emulation/async enforces this per logical client.
-	StartWrite(ctx context.Context, v types.Value, done func(error))
-	// Client returns the writer's client ID.
-	Client() types.ClientID
-	// Claim records driver as the one party driving this handle, unless one
-	// was recorded before, and returns the recorded driver: driver itself, or
-	// the earlier claimant. A client engine claims a handle before it drives
-	// it (async.Engine.WriterOn), so a writer slot has one driver however
-	// often it is asked for.
-	Claim(driver any) any
-}
-
-// Reader is the read-side handle of an emulated register for one client;
-// the same contracts as Writer apply.
-type Reader interface {
-	// Read performs a high-level read.
-	Read(ctx context.Context) (types.Value, error)
-	// StartRead is the completion-based read.
-	StartRead(ctx context.Context, done func(types.Value, error))
-	// Client returns the reader's client ID.
-	Client() types.ClientID
-}
-
-// Register is an emulated fault-tolerant k-register.
+// Register is an emulated fault-tolerant k-register. A construction
+// implements it by embedding Handles (Name, K, Writer, NewReader, History)
+// and adding the rest.
 type Register interface {
 	// Name identifies the construction (for reports and benches).
 	Name() string
@@ -147,9 +91,9 @@ type Register interface {
 	// Writer returns the handle for writer i in [0, k). Each call
 	// returns the same underlying per-client state; the handle must be
 	// used from one goroutine at a time.
-	Writer(i int) (Writer, error)
+	Writer(i int) (*Writer, error)
 	// NewReader returns a fresh reader handle with a fresh client ID.
-	NewReader() Reader
+	NewReader() *Reader
 	// ResourceComplexity returns the number of base objects the
 	// construction placed — the paper's space measure.
 	ResourceComplexity() int

@@ -20,11 +20,15 @@ func TestValidateWriters(t *testing.T) {
 	}
 }
 
-// TestReaderIDsConcurrent allocates reader IDs from many goroutines and
-// demands uniqueness above ReaderIDBase — the async engine creates readers
-// from its event loop while other goroutines hold handles too.
+// TestReaderIDsConcurrent creates readers (Handles.NewReader) from many
+// goroutines and demands unique IDs above ReaderIDBase — the async engine
+// creates readers from its event loop while other goroutines hold handles
+// too.
 func TestReaderIDsConcurrent(t *testing.T) {
-	var alloc ReaderIDs
+	var h Handles
+	if err := h.Init("test", 1, nil); err != nil {
+		t.Fatal(err)
+	}
 	const goroutines, per = 8, 200
 	ids := make(chan types.ClientID, goroutines*per)
 	var wg sync.WaitGroup
@@ -33,7 +37,7 @@ func TestReaderIDsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				ids <- alloc.Next()
+				ids <- h.NewReader().Client()
 			}
 		}()
 	}

@@ -10,54 +10,84 @@ import (
 	"repro/internal/types"
 )
 
-// WriteChain is a construction's high-level write: a completion-based chain
-// of quorum rounds that never blocks and fires done exactly once when (and
-// if) the write completes. It must check ctx before starting each round
-// (rounds.Scatter does) and record nothing — the handle owns the history.
-// It is an interface over the construction's own state, not a func, so the
-// thousands of handles of a large store carry no closure each.
-type WriteChain interface {
+// Protocol is a construction's high-level write and read: completion-based
+// chains of quorum rounds that never block and fire done exactly once when
+// (and if) the operation completes. Each must check ctx before starting each
+// round (rounds.Scatter does) and record nothing — the handles own the
+// history. It is an interface over the construction's own state, not a pair
+// of funcs, so the thousands of handles of a large store carry no closure
+// each.
+type Protocol interface {
 	StartWrite(ctx context.Context, client types.ClientID, v types.Value, done func(error))
-}
-
-// ReadChain is the read-side analogue of WriteChain.
-type ReadChain interface {
 	StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error))
 }
 
-// Writers is a register's writer side: the write handles of writers 0..k-1
-// over one chain, and their timestamp floor (Propose). A register embeds it
-// and sets it up once (Init): At(i) is then the same handle on every call, as
-// Register.Writer promises, so the driver a client engine claims on it
+// Handles is the client half every register shares: its name and k, the
+// write handles of writers 0..k-1 and their timestamp floor (Propose), the
+// reader-ID counter, the history, and the Protocol every handle drives. A
+// register embeds it and sets it up once (Init), and so implements every
+// method of Register but F, ResourceComplexity and Reshape. Writer(i) is the
+// same handle on every call, so the driver a client engine claims on it
 // (Writer.Claim) is found again. Writer 0 is held inline, so a one-writer
-// register allocates nothing for its writer side. A Writers must not be
+// register allocates nothing for its writer side. A Handles must not be
 // copied once set up.
-type Writers struct {
-	first writer
-	rest  []writer // writers 1..k-1
+type Handles struct {
+	name    string
+	proto   Protocol
+	first   Writer
+	rest    []Writer     // writers 1..k-1
+	readers atomic.Int64 // reader IDs handed out
+	hist    spec.History
 }
 
-// Init sets ws up for writers 0..k-1 (k ≥ 1) over chain, recording every
-// operation into hist.
-func (ws *Writers) Init(k int, hist *spec.History, chain WriteChain) {
+// Init checks k (ValidateWriters) and sets h up as register name's handles
+// for writers 0..k-1 over proto.
+func (h *Handles) Init(name string, k int, proto Protocol) error {
+	if err := ValidateWriters(k); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	h.name, h.proto = name, proto
 	if k > 1 {
-		ws.rest = make([]writer, k-1)
+		h.rest = make([]Writer, k-1)
 	}
 	for i := range k {
-		w := ws.at(types.ClientID(i))
-		w.client, w.hist, w.chain = types.ClientID(i), hist, chain
+		w := h.at(types.ClientID(i))
+		w.h, w.client = h, types.ClientID(i)
 	}
+	return nil
 }
 
-func (ws *Writers) at(i types.ClientID) *writer {
+// Name identifies the construction (for reports and benches).
+func (h *Handles) Name() string { return h.name }
+
+// K returns the number of supported writers.
+func (h *Handles) K() int { return len(h.rest) + 1 }
+
+// History returns the high-level history the register's handles record.
+func (h *Handles) History() *spec.History { return &h.hist }
+
+func (h *Handles) at(i types.ClientID) *Writer {
 	if i == 0 {
-		return &ws.first
+		return &h.first
 	}
-	return &ws.rest[i-1]
+	return &h.rest[i-1]
 }
 
-// At returns writer i's handle; i must be in [0, k).
-func (ws *Writers) At(i int) Writer { return ws.at(types.ClientID(i)) }
+// Writer returns the handle for writer i in [0, k): the same handle on
+// every call; it must be used from one goroutine at a time.
+func (h *Handles) Writer(i int) (*Writer, error) {
+	if i < 0 || i >= h.K() {
+		return nil, fmt.Errorf("%s: writer %d out of range (k=%d)", h.name, i, h.K())
+	}
+	return h.at(types.ClientID(i)), nil
+}
+
+// NewReader returns a fresh reader handle with a fresh client ID above
+// ReaderIDBase. It is safe for concurrent callers: the async engine creates
+// readers from its event loop while other goroutines hold handles too.
+func (h *Handles) NewReader() *Reader {
+	return &Reader{h: h, client: ReaderIDBase + types.ClientID(h.readers.Add(1))}
+}
 
 // Propose returns writer's next timestamp — above collected and above
 // everything writer proposed before — and records it. A write abandoned
@@ -66,8 +96,8 @@ func (ws *Writers) At(i int) Writer { return ws.at(types.ClientID(i)) }
 // (timestamp, writer) pair — so every proposal starts above the writer's
 // last, not just above the collect. The floor is atomic because an abandoned
 // write's collect may still complete beside the next write's.
-func (ws *Writers) Propose(writer types.ClientID, collected uint64) uint64 {
-	last := &ws.at(writer).floor
+func (h *Handles) Propose(writer types.ClientID, collected uint64) uint64 {
+	last := &h.at(writer).floor
 	for {
 		prev := last.Load()
 		if ts := max(collected, prev) + 1; last.CompareAndSwap(prev, ts) {
@@ -76,63 +106,83 @@ func (ws *Writers) Propose(writer types.ClientID, collected uint64) uint64 {
 	}
 }
 
-// NewReader returns client's read handle over a construction's chain.
-func NewReader(client types.ClientID, hist *spec.History, chain ReadChain) Reader {
-	return &reader{client: client, hist: hist, chain: chain}
-}
-
-type writer struct {
+// Writer is the write-side handle of an emulated register for one client.
+type Writer struct {
+	h      *Handles
+	floor  atomic.Uint64 // the highest timestamp this writer proposed (Handles.Propose)
+	driver atomic.Value  // the first Claim's driver
 	client types.ClientID
-	hist   *spec.History
-	chain  WriteChain
-
-	floor  atomic.Uint64 // the highest timestamp this writer proposed (Writers.Propose)
-	mu     sync.Mutex
-	driver any // the first Claim's driver
 }
 
-func (w *writer) Client() types.ClientID { return w.client }
+// Client returns the writer's client ID.
+func (w *Writer) Client() types.ClientID { return w.client }
 
-func (w *writer) Claim(driver any) any {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.driver == nil {
-		w.driver = driver
-	}
-	return w.driver
+// Claim records driver as the one party driving this handle, unless one was
+// recorded before, and returns the recorded driver: driver itself, or the
+// earlier claimant. A client engine claims a handle before it drives it
+// (async.Engine.WriterOn), so a writer slot has one driver however often it
+// is asked for. Every driver of a handle has the same type.
+func (w *Writer) Claim(driver any) any {
+	w.driver.CompareAndSwap(nil, driver)
+	return w.driver.Load()
 }
 
-func (w *writer) StartWrite(ctx context.Context, v types.Value, done func(error)) {
+// StartWrite is the completion-based write: it triggers the high-level
+// write and returns immediately; done fires exactly once when (and if) the
+// write completes — possibly inline, on the in-process lane, or later on a
+// fabric goroutine. If the failure assumption is violated (more than f
+// servers crash, or the environment holds responses forever) done never
+// fires, exactly like a pending high-level op; callers bound the wait with
+// ctx or their own clocks. Once ctx is done the operation starts no further
+// round. done must not block. A handle serializes: the caller must not start
+// a second operation before the previous one completed or its ctx ended (the
+// paper's well-formed histories); internal/emulation/async enforces this per
+// logical client.
+func (w *Writer) StartWrite(ctx context.Context, v types.Value, done func(error)) {
 	c := newCall()
-	c.pw, c.onWrite = w.hist.BeginWrite(w.client, v), done
-	w.chain.StartWrite(ctx, w.client, v, c.writeDone)
+	c.pw, c.onWrite = w.h.hist.BeginWrite(w.client, v), done
+	w.h.proto.StartWrite(ctx, w.client, v, c.writeDone)
 }
 
-func (w *writer) Write(ctx context.Context, v types.Value) error {
-	b := &blocked{pw: w.hist.BeginWrite(w.client, v)}
+// Write performs a high-level write of v. It blocks until the write returns
+// or ctx is done; a ctx error means the operation could not complete (e.g.
+// too many servers crashed for the failure threshold) and was abandoned: it
+// starts no further round and stays pending in the history, like the
+// paper's incomplete high-level ops. A round triggers in one batch, so
+// nothing follows the return — except where a store takes its step later:
+// abd-cas's Algorithm 1 loop, and an aac-max push waiting behind the
+// writer's own earlier write on that server. A store that checked ctx just
+// before the abandonment still triggers the step it was about to, at most
+// one per store (ROADMAP item 1(b)).
+func (w *Writer) Write(ctx context.Context, v types.Value) error {
+	b := &blocked{pw: w.h.hist.BeginWrite(w.client, v)}
 	_, err := b.wait(ctx, func() {
-		w.chain.StartWrite(ctx, w.client, v, func(err error) { b.done(v, err) })
+		w.h.proto.StartWrite(ctx, w.client, v, func(err error) { b.done(v, err) })
 	})
 	return err
 }
 
-type reader struct {
+// Reader is the read-side handle of an emulated register for one client;
+// the same contracts as Writer's apply.
+type Reader struct {
+	h      *Handles
 	client types.ClientID
-	hist   *spec.History
-	chain  ReadChain
 }
 
-func (r *reader) Client() types.ClientID { return r.client }
+// Client returns the reader's client ID.
+func (r *Reader) Client() types.ClientID { return r.client }
 
-func (r *reader) StartRead(ctx context.Context, done func(types.Value, error)) {
+// StartRead is the completion-based read.
+func (r *Reader) StartRead(ctx context.Context, done func(types.Value, error)) {
 	c := newCall()
-	c.pr, c.onRead = r.hist.BeginRead(r.client), done
-	r.chain.StartRead(ctx, r.client, c.readDone)
+	c.pr, c.onRead = r.h.hist.BeginRead(r.client), done
+	r.h.proto.StartRead(ctx, r.client, c.readDone)
 }
 
-func (r *reader) Read(ctx context.Context) (types.Value, error) {
-	b := &blocked{pr: r.hist.BeginRead(r.client)}
-	return b.wait(ctx, func() { r.chain.StartRead(ctx, r.client, b.done) })
+// Read performs a high-level read.
+func (r *Reader) Read(ctx context.Context) (types.Value, error) {
+	b := &blocked{pr: r.h.hist.BeginRead(r.client)}
+	return b.wait(ctx, func() { r.h.proto.StartRead(ctx, r.client, b.done) })
 }
 
 // call is one completion-based operation through a handle: its history

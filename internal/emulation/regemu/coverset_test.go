@@ -294,7 +294,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(i int, w emulation.Writer) {
+		go func(i int, w *emulation.Writer) {
 			defer wg.Done()
 			for op := 0; op < 15; op++ {
 				if err := w.Write(ctx, types.Value(int64(i+1)<<32|int64(op))); err != nil {
@@ -307,7 +307,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		rd := em.NewReader()
 		wg.Add(1)
-		go func(rd emulation.Reader) {
+		go func(rd *emulation.Reader) {
 			defer wg.Done()
 			for op := 0; op < 15; op++ {
 				if _, err := rd.Read(ctx); err != nil {

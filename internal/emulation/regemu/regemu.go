@@ -10,7 +10,7 @@
 //   - A write first collects: it reads every register and waits for all
 //     registers of n-f servers to respond, picking a fresh higher
 //     timestamp (lines 20–26 of Algorithm 2) — above the collect and above
-//     everything the writer proposed before (emulation.Writers.Propose).
+//     everything the writer proposed before (emulation.Handles.Propose).
 //   - It then triggers writes on every register of its set except those
 //     still covered by its own previous writes (lines 6–10): a register
 //     with a pending write cannot be reliably reused, so the writer leaves
@@ -37,7 +37,6 @@ import (
 	"repro/internal/emulation/rounds"
 	"repro/internal/fabric"
 	"repro/internal/layout"
-	"repro/internal/spec"
 	"repro/internal/types"
 )
 
@@ -98,13 +97,10 @@ func arrange(c *cluster.Cluster, p *placement, k, f int, members []types.ServerI
 
 // Emulation is the Algorithm 2 register.
 type Emulation struct {
+	emulation.Handles
 	fab      *fabric.Fabric
-	k        int
 	p        atomic.Pointer[placement]
-	writers  emulation.Writers
 	machines []machine // writer i's state machine
-	readers  emulation.ReaderIDs
-	hist     spec.History
 	// first is New's placement. A resize publishes a heap one and leaves
 	// this one as it was: a round that loaded it may still read it.
 	first placement
@@ -122,25 +118,19 @@ func New(fab *fabric.Fabric, k int, opts emulation.Options) (*Emulation, error) 
 	if err := opts.RegularOnly("regemu"); err != nil {
 		return nil, err
 	}
-	if err := emulation.ValidateWriters(k); err != nil {
-		return nil, fmt.Errorf("regemu: %w", err)
+	e := &Emulation{fab: fab}
+	if err := e.Init("regemu", k, e); err != nil {
+		return nil, err
 	}
+	e.machines = make([]machine, k)
 	c := fab.Cluster()
 	view := c.View()
-	e := &Emulation{fab: fab, k: k, machines: make([]machine, k)}
 	if err := arrange(c, &e.first, k, view.F, view.Members); err != nil {
 		return nil, err
 	}
 	e.p.Store(&e.first)
-	e.writers.Init(k, &e.hist, e)
 	return e, nil
 }
-
-// Name implements emulation.Register.
-func (e *Emulation) Name() string { return "regemu" }
-
-// K implements emulation.Register.
-func (e *Emulation) K() int { return e.k }
 
 // F implements emulation.Register: the live placement's failure budget.
 func (e *Emulation) F() int { return e.p.Load().f }
@@ -148,25 +138,6 @@ func (e *Emulation) F() int { return e.p.Load().f }
 // ResourceComplexity implements emulation.Register: the registers of the
 // live placement, bounds.RegisterUpper(k, f, n) by layout.Plan.Verify.
 func (e *Emulation) ResourceComplexity() int { return len(e.p.Load().objs) }
-
-// History implements emulation.Register.
-func (e *Emulation) History() *spec.History { return &e.hist }
-
-// Writer implements emulation.Register: writer i's one handle over its
-// cover-set state machine; it must be used by one goroutine at a time.
-func (e *Emulation) Writer(i int) (emulation.Writer, error) {
-	if i < 0 || i >= e.k {
-		return nil, fmt.Errorf("regemu: writer %d out of range (k=%d)", i, e.k)
-	}
-	return e.writers.At(i), nil
-}
-
-// NewReader implements emulation.Register. It is safe for concurrent
-// callers: reader IDs come from a shared atomic allocator. A read is one
-// collect returning the freshest value (lines 17–19); readers never write.
-func (e *Emulation) NewReader() emulation.Reader {
-	return emulation.NewReader(e.readers.Next(), &e.hist, e)
-}
 
 // Reshape implements emulation.Register: it re-plans the layout for the
 // resized view and swaps the placement atomically, inside the transition's
@@ -197,7 +168,7 @@ func (e *Emulation) Reshape(rs *fabric.Reshaper) error {
 		m = types.MaxTSValue(m, st.Val)
 	}
 	p := new(placement)
-	if err := arrange(e.fab.Cluster(), p, e.k, rs.F(), rs.Members()); err != nil {
+	if err := arrange(e.fab.Cluster(), p, e.K(), rs.F(), rs.Members()); err != nil {
 		return err
 	}
 	// No write ever took effect: there is nothing to seed.
@@ -218,7 +189,7 @@ func (e *Emulation) Reshape(rs *fabric.Reshaper) error {
 	return nil
 }
 
-// StartRead is the high-level read (emulation.ReadChain): one collect.
+// StartRead is the high-level read (emulation.Protocol): one collect.
 func (e *Emulation) StartRead(ctx context.Context, client types.ClientID, done func(types.Value, error)) {
 	e.collect(ctx, client, func(cur types.TSValue, _ uint64, err error) {
 		if err != nil {
@@ -248,9 +219,8 @@ func (e *Emulation) collect(ctx context.Context, client types.ClientID, report f
 			}
 			return buf, p.f
 		},
-		Scan:    true,
-		Servers: true,
-		Max:     report,
+		Scan: true,
+		Max:  report,
 	})
 }
 
@@ -313,7 +283,7 @@ func (m *machine) finish(op *writeOp, err error) {
 	op.done(err)
 }
 
-// StartWrite is the high-level write (emulation.WriteChain): collect, stamp
+// StartWrite is the high-level write (emulation.Protocol): collect, stamp
 // through the writers' floor, push to the writer's register set avoiding
 // self-covered registers, and fire done after |R_j| - f acknowledgements.
 // The whole operation is a callback chain — nothing blocks, and done may
@@ -347,7 +317,7 @@ func (e *Emulation) StartWrite(ctx context.Context, client types.ClientID, v typ
 			m.reap(op)
 			return
 		}
-		op.ts = types.TSValue{TS: e.writers.Propose(client, cur.TS), Writer: client, Val: v}
+		op.ts = types.TSValue{TS: e.Propose(client, cur.TS), Writer: client, Val: v}
 		e.push(m, client, op)
 	})
 }

@@ -114,7 +114,7 @@ func TestRoundRecyclingLateResponders(t *testing.T) {
 				case 1:
 					r.Reports = func(reps []Report, err error) { count(result{reps: reps, err: err}) }
 				case 2:
-					r.Plan, r.Servers = fixed(targets, 1), true
+					r.Plan, r.Scan = fixed(targets, 1), true
 					r.Max = func(v types.TSValue, _ uint64, err error) { count(result{max: v, err: err}) }
 				}
 				Scatter(ctx, fab, client, r)
@@ -289,7 +289,7 @@ func TestReportsSliceIsTheReducers(t *testing.T) {
 		case 1:
 			Scatter(context.Background(), fab, 2, Round{Plan: fixed(readTargets(all...), 2), Reports: func([]Report, error) {}})
 		case 2:
-			scatter(fab, 2, Round{Plan: fixed(readTargets(all...), 1), Scan: true, Servers: true})
+			scatter(fab, 2, Round{Plan: fixed(readTargets(all...), 1), Scan: true})
 		}
 	}
 	if !reflect.DeepEqual(kept, snapshot) {

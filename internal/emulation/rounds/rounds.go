@@ -74,24 +74,24 @@ type Plan func(buf []Target) (targets []Target, need int)
 type Round struct {
 	// Plan supplies each attempt's targets and threshold.
 	Plan Plan
-	// Scan dispatches through TriggerScan: every server's members of an
-	// all-read round are answered from one consistent snapshot of that
-	// server's objects (backends without snapshot support fall back to
-	// per-op delivery — same responses, no cut guarantee).
+	// Scan makes the round a server scan, Algorithm 2's collect. It
+	// dispatches through TriggerScan: every server's members of an all-read
+	// round are answered from one consistent snapshot of that server's
+	// objects (backends without snapshot support fall back to per-op
+	// delivery — same responses, no cut guarantee). It completes when all
+	// but f of the servers hosting a target delivered complete scans, every
+	// operation aimed at them responded, instead of at a response count;
+	// Plan's int is then f. A server hosting none of the round's registers
+	// has vacuously completed its scan, so of the n−f servers the paper
+	// waits for exactly (hosting servers)−f have anything to say. The
+	// threshold is derived from the attempt's own resolved targets, never
+	// from a caller's remembered n, so it stays right when a layout spans
+	// fewer than n servers and when a reconfiguration re-homes registers
+	// between attempts; a plan whose objects a reshape retired before they
+	// resolved retries like any view-change bounce. A partially-scanned
+	// crashed server never counts, because its remaining operations never
+	// respond.
 	Scan bool
-	// Servers selects Algorithm 2's completion condition — all but f of the
-	// servers hosting a target delivered complete scans, every operation
-	// aimed at them responded — instead of a response count; Plan's int is
-	// then f. A server hosting none of the round's registers has vacuously
-	// completed its scan, so of the n−f servers the paper waits for exactly
-	// (hosting servers)−f have anything to say. The threshold is derived
-	// from the attempt's own resolved targets, never from a caller's
-	// remembered n, so it stays right when a layout spans fewer than n
-	// servers and when a reconfiguration re-homes registers between
-	// attempts; a plan whose objects a reshape retired before they resolved
-	// retries like any view-change bounce. A partially-scanned crashed
-	// server never counts, because its remaining operations never respond.
-	Servers bool
 	// Max reduces the round to the highest timestamped response and its
 	// agreement set: bit i is set when target i's response, one of those
 	// that completed the round, equalled that maximum (targets past the
@@ -172,14 +172,14 @@ func start(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Rou
 		s.reports = make([]Report, 0, len(targets))
 	}
 	var stale error // a target a transition retired after the plan read it
-	if r.Servers || r.Reports != nil {
+	if r.Scan || r.Reports != nil {
 		// Reports name their server, and the per-server countdown must exist
 		// before the batch fires: the in-process lane completes ops inside
 		// the dispatch call. ServerFor resolves under the current epoch, so
 		// on a retry migrated objects count under their new server; an
 		// unroutable target counts under server 0 and reports its routing
 		// error through its completion.
-		if r.Servers && s.owed == nil {
+		if r.Scan && s.owed == nil {
 			s.owed = make(map[types.ServerID]int)
 		}
 		for i := range targets {
@@ -188,13 +188,13 @@ func start(ctx context.Context, fab *fabric.Fabric, client types.ClientID, r Rou
 				stale = err
 			}
 			s.servers = append(s.servers, srv)
-			if r.Servers {
+			if r.Scan {
 				s.owed[srv]++
 			}
 		}
 	}
 	var err error
-	if r.Servers {
+	if r.Scan {
 		// need is f: wait for all but f of the hosting servers, and reject
 		// an f that leaves no server to wait for — unless the plan was
 		// stale: a reshape that retired every object of the old placement

@@ -201,7 +201,8 @@ func TestScatterFailsFastOnProtocolError(t *testing.T) {
 	if r := scatter(fab, 5, Round{Plan: fixed(targets, 1)}); r.fired != 1 || r.err == nil {
 		t.Fatalf("max fold: fired=%d err=%v, want the protocol error", r.fired, r.err)
 	}
-	if r := scatter(fab, 5, Round{Plan: fixed(targets, 0), Servers: true}); r.fired != 1 || r.err == nil {
+	wrongRead := []Target{{Object: obj, Inv: baseobj.Invocation{Op: baseobj.OpReadMax}}}
+	if r := scatter(fab, 5, Round{Plan: fixed(wrongRead, 0), Scan: true}); r.fired != 1 || r.err == nil {
 		t.Fatalf("server scan: fired=%d err=%v, want the protocol error", r.fired, r.err)
 	}
 	fired := 0
@@ -243,47 +244,45 @@ func TestScatterReports(t *testing.T) {
 	}
 }
 
-// TestScatterServers exercises Algorithm 2's condition on both dispatch
-// forms: a server counts only when every one of its operations responded,
+// TestScatterServers exercises Algorithm 2's condition on a server-scan
+// round: a server counts only when every one of its operations responded,
 // and the threshold is all but f of the hosting servers.
 func TestScatterServers(t *testing.T) {
-	for _, scan := range []bool{false, true} {
-		var heldObj types.ObjectID = -1
-		gate := fabric.GateFuncs{Respond: func(ev fabric.TriggerEvent, _ baseobj.Response) fabric.Decision {
-			if ev.Object == heldObj {
-				return fabric.Hold
-			}
-			return fabric.Pass
-		}}
-		fab, byServer := multiEnv(t, 3, 2, gate)
-		var all []types.ObjectID
-		for _, objs := range byServer {
-			all = append(all, objs...)
+	var heldObj types.ObjectID = -1
+	gate := fabric.GateFuncs{Respond: func(ev fabric.TriggerEvent, _ baseobj.Response) fabric.Decision {
+		if ev.Object == heldObj {
+			return fabric.Hold
 		}
-		v := types.TSValue{TS: 3, Writer: 0, Val: 9}
-		scatter(fab, 0, Round{Plan: fixed(writeTargets(v, byServer[1][1]), 1)})
+		return fabric.Pass
+	}}
+	fab, byServer := multiEnv(t, 3, 2, gate)
+	var all []types.ObjectID
+	for _, objs := range byServer {
+		all = append(all, objs...)
+	}
+	v := types.TSValue{TS: 3, Writer: 0, Val: 9}
+	scatter(fab, 0, Round{Plan: fixed(writeTargets(v, byServer[1][1]), 1)})
 
-		if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 0), Scan: scan, Servers: true}); r.fired != 1 || r.err != nil || r.max != v {
-			t.Fatalf("scan=%v: three complete scans: fired=%d max=%v err=%v", scan, r.fired, r.max, r.err)
-		}
-		// Server 0's scan stays partial while one of its registers is held.
-		heldObj = byServer[0][0]
-		if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 1), Scan: scan, Servers: true}); r.fired != 1 || r.err != nil {
-			t.Fatalf("scan=%v: two of three scans, f=1: fired=%d err=%v", scan, r.fired, r.err)
-		}
-		r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 0), Scan: scan, Servers: true})
-		if r.fired != 0 {
-			t.Fatalf("scan=%v: round fired with server 0's scan still partial", scan)
-		}
-		releaseAll(fab)
-		if r.fired != 1 || r.err != nil {
-			t.Fatalf("scan=%v: after release: fired=%d err=%v", scan, r.fired, r.err)
-		}
-		// An f that leaves no hosting server to wait for is rejected.
-		for _, f := range []int{3, -1} {
-			if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), f), Scan: scan, Servers: true}); r.fired != 1 || r.err == nil {
-				t.Fatalf("scan=%v f=%d: fired=%d err=%v, want an error", scan, f, r.fired, r.err)
-			}
+	if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 0), Scan: true}); r.fired != 1 || r.err != nil || r.max != v {
+		t.Fatalf("three complete scans: fired=%d max=%v err=%v", r.fired, r.max, r.err)
+	}
+	// Server 0's scan stays partial while one of its registers is held.
+	heldObj = byServer[0][0]
+	if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 1), Scan: true}); r.fired != 1 || r.err != nil {
+		t.Fatalf("two of three scans, f=1: fired=%d err=%v", r.fired, r.err)
+	}
+	r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 0), Scan: true})
+	if r.fired != 0 {
+		t.Fatal("round fired with server 0's scan still partial")
+	}
+	releaseAll(fab)
+	if r.fired != 1 || r.err != nil {
+		t.Fatalf("after release: fired=%d err=%v", r.fired, r.err)
+	}
+	// An f that leaves no hosting server to wait for is rejected.
+	for _, f := range []int{3, -1} {
+		if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), f), Scan: true}); r.fired != 1 || r.err == nil {
+			t.Fatalf("f=%d: fired=%d err=%v, want an error", f, r.fired, r.err)
 		}
 	}
 }
@@ -308,7 +307,7 @@ func TestScatterServersStalePlanRetries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	reported := make(chan error, 1)
 	before := fab.Triggers()
-	Scatter(ctx, fab, 1, Round{Plan: fixed(readTargets(all...), 1), Scan: true, Servers: true,
+	Scatter(ctx, fab, 1, Round{Plan: fixed(readTargets(all...), 1), Scan: true,
 		Max: func(_ types.TSValue, _ uint64, err error) { reported <- err }})
 	select {
 	case err := <-reported:
@@ -335,10 +334,10 @@ func TestScatterServersCrashedPartialScanNeverCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := append(append([]types.ObjectID{}, byServer[0]...), byServer[1]...)
-	if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 0), Servers: true}); r.fired != 0 {
+	if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 0), Scan: true}); r.fired != 0 {
 		t.Fatalf("round over a crashed server reported (%v)", r.err)
 	}
-	if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 1), Servers: true}); r.fired != 1 || r.err != nil {
+	if r := scatter(fab, 1, Round{Plan: fixed(readTargets(all...), 1), Scan: true}); r.fired != 1 || r.err != nil {
 		t.Fatalf("f=1 round: fired=%d err=%v", r.fired, r.err)
 	}
 }

@@ -414,7 +414,7 @@ func TestReleasedOpOnCrashedServerIsDropped(t *testing.T) {
 }
 
 func TestYieldGatePasses(t *testing.T) {
-	g := &YieldGate{Yields: 1}
+	g := &YieldGate{}
 	fab, objs := testEnv(t, g)
 	if o := mustOutcome(t, trigger(fab, 0, objs[0], writeInv(1, 10))); o.Err != nil {
 		t.Fatalf("write through yield gate: %v", o.Err)

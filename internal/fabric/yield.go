@@ -8,15 +8,12 @@ import (
 )
 
 // YieldGate passes every operation but deschedules the calling goroutine
-// between an operation's apply and its response delivery. It models benign
-// asynchrony — responses take time — which widens the interleaving windows
-// that are nanoseconds wide under the synchronous default. Contention
+// twice between an operation's apply and its response delivery. It models
+// benign asynchrony — responses take time — which widens the interleaving
+// windows that are nanoseconds wide under the synchronous default. Contention
 // experiments (e.g. the Algorithm 1 CAS retry measurements) use it to make
 // races actually happen.
 type YieldGate struct {
-	// Yields is how many scheduler yields to insert per response.
-	Yields int
-
 	ops atomic.Int64
 }
 
@@ -26,16 +23,11 @@ var _ Gate = (*YieldGate)(nil)
 // BeforeApply implements Gate.
 func (g *YieldGate) BeforeApply(TriggerEvent) Decision { return Pass }
 
-// BeforeRespond implements Gate: yield, then pass.
+// BeforeRespond implements Gate: yield twice, then pass.
 func (g *YieldGate) BeforeRespond(TriggerEvent, baseobj.Response) Decision {
 	g.ops.Add(1)
-	yields := g.Yields
-	if yields <= 0 {
-		yields = 1
-	}
-	for i := 0; i < yields; i++ {
-		runtime.Gosched()
-	}
+	runtime.Gosched()
+	runtime.Gosched()
 	return Pass
 }
 

@@ -166,12 +166,22 @@ func (p *Plan) Render() string {
 // object IDs of R_j in server-assignment order. Each register of set j is
 // restricted to the writers of set j, the range [j*z, min((j+1)*z, k)) (the
 // z-writer registers of Theorem 3), so any write by a foreign client is a
-// detectable protocol violation.
-func Materialize(c *cluster.Cluster, p *Plan, members []types.ServerID) ([][]types.ObjectID, error) {
+// detectable protocol violation. A refused placement leaves no register
+// behind: it removes the ones it placed.
+func Materialize(c *cluster.Cluster, p *Plan, members []types.ServerID) (_ [][]types.ObjectID, err error) {
 	if len(members) != p.N {
 		return nil, fmt.Errorf("layout: %d members, plan wants %d", len(members), p.N)
 	}
 	sets := make([][]types.ObjectID, p.M)
+	defer func() {
+		if err != nil {
+			for _, set := range sets {
+				for _, obj := range set {
+					c.RemoveObject(obj)
+				}
+			}
+		}
+	}()
 	for j, sz := range p.SetSizes {
 		writers := baseobj.WriterRange{Lo: types.ClientID(j * p.Z), Hi: types.ClientID(min((j+1)*p.Z, p.K))}
 		sets[j] = make([]types.ObjectID, 0, sz)

@@ -275,6 +275,26 @@ func TestMaterializeClusterSizeMismatch(t *testing.T) {
 	}
 }
 
+// TestMaterializeRefusedLeavesNothing: a placement refused part-way removes
+// the registers it placed. Server 3 has left the view, so the (k=2, f=1,
+// n=4) plan's one set of 4 on servers 0–3 fails after three registers.
+func TestMaterializeRefusedLeavesNothing(t *testing.T) {
+	p := mustPlan(t, 2, 1, 4)
+	c, err := cluster.New(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CommitView([]types.ServerID{3}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Materialize(c, p, []types.ServerID{0, 1, 2, 3}); err == nil {
+		t.Fatal("Materialize onto a departed server succeeded")
+	}
+	if got := c.ResourceComplexity(); got != 0 {
+		t.Errorf("a refused Materialize left %d registers behind, want 0", got)
+	}
+}
+
 func TestNewPlanValidation(t *testing.T) {
 	if _, err := NewPlan(0, 1, 3); err == nil {
 		t.Error("k=0 accepted")

@@ -187,7 +187,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 		crasher.install(env.Fabric, chaos)
 	}
 	values := NewValueGen()
-	readers := []emulation.Reader{reg.NewReader(), reg.NewReader()}
+	readers := []*emulation.Reader{reg.NewReader(), reg.NewReader()}
 	rep := &ChaosReport{Cfg: cfg}
 	for op := 0; op < cfg.Ops; op++ {
 		if schedule.Float64() < 0.4 {

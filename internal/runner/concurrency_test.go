@@ -32,7 +32,7 @@ func TestAllKindsConcurrentStress(t *testing.T) {
 			if kind != KindRegEmu {
 				n = 5 // aacmax requires n = 2f+1; the quorum kinds only use 2f+1 servers
 			}
-			env, err := NewEnv(n, &fabric.YieldGate{Yields: 2})
+			env, err := NewEnv(n, &fabric.YieldGate{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func TestAllKindsConcurrentStress(t *testing.T) {
 					t.Fatal(err)
 				}
 				wg.Add(1)
-				go func(i int, w emulation.Writer) {
+				go func(i int, w *emulation.Writer) {
 					defer wg.Done()
 					for op := 0; op < ops; op++ {
 						if err := w.Write(ctx, values.Next(types.ClientID(i))); err != nil {
@@ -62,7 +62,7 @@ func TestAllKindsConcurrentStress(t *testing.T) {
 			for r := 0; r < readers; r++ {
 				rd := reg.NewReader()
 				wg.Add(1)
-				go func(rd emulation.Reader) {
+				go func(rd *emulation.Reader) {
 					defer wg.Done()
 					for op := 0; op < ops; op++ {
 						if _, err := rd.Read(ctx); err != nil {
@@ -102,7 +102,7 @@ func TestConcurrentWritersLinearizable(t *testing.T) {
 	for _, kind := range []Kind{KindABDMax, KindCASMax} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			env, err := NewEnv(3, &fabric.YieldGate{Yields: 2})
+			env, err := NewEnv(3, &fabric.YieldGate{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestConcurrentWritersLinearizable(t *testing.T) {
 					t.Fatal(err)
 				}
 				wg.Add(1)
-				go func(i int, w emulation.Writer) {
+				go func(i int, w *emulation.Writer) {
 					defer wg.Done()
 					for op := 0; op < ops; op++ {
 						if err := w.Write(ctx, values.Next(types.ClientID(i))); err != nil {
@@ -132,7 +132,7 @@ func TestConcurrentWritersLinearizable(t *testing.T) {
 			for r := 0; r < readers; r++ {
 				rd := reg.NewReader()
 				wg.Add(1)
-				go func(rd emulation.Reader) {
+				go func(rd *emulation.Reader) {
 					defer wg.Done()
 					for op := 0; op < ops; op++ {
 						if _, err := rd.Read(ctx); err != nil {
@@ -174,7 +174,7 @@ func TestWriteSequentialWithConcurrentReaders(t *testing.T) {
 			if kind != KindRegEmu {
 				n = 5
 			}
-			env, err := NewEnv(n, &fabric.YieldGate{Yields: 2})
+			env, err := NewEnv(n, &fabric.YieldGate{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +182,7 @@ func TestWriteSequentialWithConcurrentReaders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			handles := make([]emulation.Writer, writers)
+			handles := make([]*emulation.Writer, writers)
 			for i := range handles {
 				if handles[i], err = reg.Writer(i); err != nil {
 					t.Fatal(err)
@@ -193,7 +193,7 @@ func TestWriteSequentialWithConcurrentReaders(t *testing.T) {
 			for r := 0; r < readers; r++ {
 				rd := reg.NewReader()
 				wg.Add(1)
-				go func(rd emulation.Reader) {
+				go func(rd *emulation.Reader) {
 					defer wg.Done()
 					for op := 0; op < readerOps; op++ {
 						if _, err := rd.Read(ctx); err != nil {

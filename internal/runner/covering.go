@@ -27,8 +27,10 @@ type CoveringReport struct {
 	Kind    Kind
 	K, F, N int
 
-	// Resources is the construction's placed base-object count.
+	// Resources is the construction's placed base-object count, and
+	// PerServer its base objects on each server.
 	Resources int
+	PerServer []int
 	// UsedObjects is the paper's resource consumption of the run: the
 	// number of distinct base objects the run triggered operations on.
 	UsedObjects int
@@ -92,6 +94,7 @@ func RunCovering(ctx context.Context, kind Kind, k, f, n int) (*CoveringReport, 
 	rep := &CoveringReport{
 		Kind: kind, K: k, F: f, N: n,
 		Resources:          r.reg.ResourceComplexity(),
+		PerServer:          r.env.Cluster.PerServerCounts(),
 		CoveringLowerBound: bounds.CoveredLower(k, f),
 		PointContention:    1,
 	}

@@ -224,7 +224,7 @@ type run struct {
 	// rules of both phases share.
 	mu      sync.Mutex
 	held    map[types.ObjectID]bool
-	readers map[int]emulation.Reader
+	readers map[int]*emulation.Reader
 	next    int // the index of the next step
 	res     ScriptResult
 }
@@ -235,7 +235,7 @@ func newRun(s *Script, opts BuildOpts, fabOpts ...fabric.Option) (*run, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	r := &run{s: s, gate: adversary.NewScript(), held: make(map[types.ObjectID]bool), readers: make(map[int]emulation.Reader)}
+	r := &run{s: s, gate: adversary.NewScript(), held: make(map[types.ObjectID]bool), readers: make(map[int]*emulation.Reader)}
 	var err error
 	if r.env, err = NewEnv(s.N, r.gate, fabOpts...); err != nil {
 		return nil, err
@@ -295,7 +295,7 @@ func (r *run) step(ctx context.Context, st Step) error {
 	var err error
 	switch {
 	case st.Write != nil:
-		var w emulation.Writer
+		var w *emulation.Writer
 		if w, err = r.reg.Writer(st.Write.Writer); err == nil {
 			err = w.Write(ctx, types.Value(st.Write.Value))
 		}

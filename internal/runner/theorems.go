@@ -30,16 +30,6 @@ func RunTheorem2(ctx context.Context, k, f int) (*Theorem2Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Rebuild the environment to inspect per-server counts (RunCovering
-	// owns its env); placement is deterministic, so a fresh build has
-	// identical counts.
-	env, err := NewEnv(n, nil)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := BuildWith(KindAACMax, env.Fabric, k, f, BuildOpts{}); err != nil {
-		return nil, err
-	}
 	totalWant, err := bounds.SpecialCaseRegisters(k, f)
 	if err != nil {
 		return nil, err
@@ -51,7 +41,7 @@ func RunTheorem2(ctx context.Context, k, f int) (*Theorem2Report, error) {
 	return &Theorem2Report{
 		K:              k,
 		F:              f,
-		PerServer:      env.Cluster.PerServerCounts(),
+		PerServer:      rep.PerServer,
 		PerServerWant:  perWant,
 		Total:          rep.Resources,
 		TotalWant:      totalWant,

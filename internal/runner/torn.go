@@ -112,7 +112,7 @@ func RunTorn(ctx context.Context, cfg TornConfig) (*TornReport, error) {
 	for range tornReaders {
 		rd := reg.NewReader()
 		wg.Add(1)
-		go func(rd emulation.Reader) {
+		go func(rd *emulation.Reader) {
 			defer wg.Done()
 			for range tornReadsPerReader {
 				v, err := rd.Read(ctx)

@@ -83,7 +83,7 @@ func RunConcurrent(ctx context.Context, cfg ConcurrentConfig) (*ConcurrentReport
 			return nil, err
 		}
 		wg.Add(1)
-		go func(i int, w emulation.Writer) {
+		go func(i int, w *emulation.Writer) {
 			defer wg.Done()
 			for op := 0; op < cfg.WritesPerWriter; op++ {
 				if err := w.Write(ctx, values.Next(types.ClientID(i))); err != nil {
@@ -96,7 +96,7 @@ func RunConcurrent(ctx context.Context, cfg ConcurrentConfig) (*ConcurrentReport
 	for r := 0; r < cfg.Readers; r++ {
 		rd := reg.NewReader()
 		wg.Add(1)
-		go func(r int, rd emulation.Reader) {
+		go func(r int, rd *emulation.Reader) {
 			defer wg.Done()
 			for op := 0; op < cfg.ReadsPerReader; op++ {
 				if _, err := rd.Read(ctx); err != nil {

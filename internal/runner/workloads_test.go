@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -13,7 +12,6 @@ import (
 	"repro/internal/emulation/naiveabd"
 	"repro/internal/emulation/regemu"
 	"repro/internal/fabric"
-	"repro/internal/spec"
 	"repro/internal/types"
 )
 
@@ -152,19 +150,39 @@ func TestBuildAtomicRejectsReadOnlyReaders(t *testing.T) {
 }
 
 // TestBuildReturnsTheRegistersHistory: the history BuildWith returns is the
-// one the register records into, for every construction.
+// one the register records into, for every construction, and every one keeps
+// the handle contract: Writer(i) is the same handle on every call, Writer(k)
+// and Writer(-1) are refused, and readers get distinct IDs above
+// ReaderIDBase.
 func TestBuildReturnsTheRegistersHistory(t *testing.T) {
+	const k = 2
 	for _, kind := range Kinds() {
 		env, err := NewEnv(ChaosServers(kind), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg, hist, err := BuildWith(kind, env.Fabric, 2, 1, BuildOpts{})
+		reg, hist, err := BuildWith(kind, env.Fabric, k, 1, BuildOpts{})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		if hist == nil || hist != reg.History() {
 			t.Errorf("%s: BuildWith returned history %p, the register records into %p", kind, hist, reg.History())
+		}
+		for i := range k {
+			w1, err1 := reg.Writer(i)
+			w2, err2 := reg.Writer(i)
+			if err1 != nil || err2 != nil || w1 != w2 || w1.Client() != types.ClientID(i) {
+				t.Errorf("%s: Writer(%d) twice = %p (%v), %p (%v), want one handle of client %d", kind, i, w1, err1, w2, err2, i)
+			}
+		}
+		for _, i := range []int{k, -1} {
+			if w, err := reg.Writer(i); err == nil || w != nil {
+				t.Errorf("%s: Writer(%d) = %p, %v, want a refusal", kind, i, w, err)
+			}
+		}
+		r1, r2 := reg.NewReader(), reg.NewReader()
+		if r1.Client() == r2.Client() || r1.Client() <= emulation.ReaderIDBase || r2.Client() <= emulation.ReaderIDBase {
+			t.Errorf("%s: readers got IDs %d and %d, want distinct IDs above %d", kind, r1.Client(), r2.Client(), emulation.ReaderIDBase)
 		}
 	}
 }
@@ -276,70 +294,6 @@ func TestKindMetadata(t *testing.T) {
 	}
 	if BaseObjectOf(Kind("bogus")) != "unknown" {
 		t.Error("unknown kind not reported")
-	}
-}
-
-// TestAllKindsUnderResponseLatency runs every construction concurrently
-// behind the yield gate (modeled response latency), exercising the truly
-// asynchronous interleavings the synchronous default hides.
-func TestAllKindsUnderResponseLatency(t *testing.T) {
-	ctx := testCtx(t)
-	for _, kind := range []Kind{KindRegEmu, KindABDMax, KindCASMax, KindAACMax} {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			n := 6
-			if kind != KindRegEmu {
-				n = 5
-			}
-			env, err := NewEnv(n, &fabric.YieldGate{Yields: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			reg, hist, err := BuildWith(kind, env.Fabric, 3, 2, BuildOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			errs := make(chan error, 5)
-			values := NewValueGen()
-			for i := 0; i < 3; i++ {
-				w, err := reg.Writer(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wg.Add(1)
-				go func(i int, w emulation.Writer) {
-					defer wg.Done()
-					for op := 0; op < 20; op++ {
-						if err := w.Write(ctx, values.Next(types.ClientID(i))); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}(i, w)
-			}
-			for r := 0; r < 2; r++ {
-				rd := reg.NewReader()
-				wg.Add(1)
-				go func(rd emulation.Reader) {
-					defer wg.Done()
-					for op := 0; op < 20; op++ {
-						if _, err := rd.Read(ctx); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}(rd)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatalf("op under latency: %v", err)
-			}
-			if err := spec.CheckReadValidity(hist.Snapshot(), types.InitialValue); err != nil {
-				t.Fatalf("read validity: %v", err)
-			}
-		})
 	}
 }
 

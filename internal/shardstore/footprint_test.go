@@ -35,8 +35,8 @@ import (
 // coded 40.02 / 2,971–2,979 B → 36.01 / 2,907–2,917 B. Regemu then read
 // 26.02 / 2,304 B at k = 1, n = 7; with its first placement inside the
 // register and held in two slices (the layout's ServerOf map, the plan and
-// the set copies gone) and its writers in emulation.Writers (no per-writer
-// handle or cover map) it reads 14.02 / 1,400–1,410 B — six of them the
+// the set copies gone) and its writers in the register's handle table, now
+// emulation.Handles (no per-writer handle or cover map) it reads 14.02 / 1,400–1,410 B — six of them the
 // writer-restriction maps of its three registers. With a register's writer
 // restriction one client-ID range inside its cell instead of a map, regemu
 // reads 8.02 / 1,008–1,034 B and aac-max, whose k registers per server are
