@@ -12,12 +12,13 @@ vet:
 
 # Static analysis: go vet, the gofmt gate and the no-timers gate always,
 # staticcheck when installed (the CI image has it; local checkouts without it
-# still get a green target). The erasure coder's amd64 assembly has a pure-Go
-# stand-in on every other architecture, so the coder and the payload codec
-# are vetted for arm64 too: a declaration that drifts between the two builds
-# fails here, not only on a machine that builds the other one.
+# still get a green target). The CPU-feature probe, the erasure coder and the
+# payload codec have amd64 assembly and a pure-Go stand-in on every other
+# architecture, so all three are vetted for arm64 too: a declaration that
+# drifts between the two builds fails here, not only on a machine that builds
+# the other one.
 lint: vet gofmt no-timers
-	GOARCH=arm64 $(GO) vet ./internal/emulation/coded ./internal/types
+	GOARCH=arm64 $(GO) vet ./internal/cpufeat ./internal/emulation/coded ./internal/types
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -138,13 +139,18 @@ race-lanenet:
 
 # Ten seconds of coverage-guided fuzzing over the frame reader and every
 # wire decoder, then ten over the erasure coder: decode(encode(data)) must be
-# data for any payload and any recovery subset. Then ten over the GF(2^8)
-# kernels: the one picked for the machine (AVX2 where present) must match the
-# Go kernel byte for byte at any length, coefficients and offsets.
+# data for any payload and any recovery subset. Then ten over each pair of
+# kernels, where the machine has AVX-512 with GFNI (the log line of
+# TestKernelChoice says whether it does, and so which kernels ran): the GF(2^8)
+# multiply-accumulate (VGF2P8AFFINEQB) must match the Go kernel byte for byte
+# at any length, coefficients and offsets, and the payload check (VPMULLQ)
+# must name the same first bad byte as the Go loop on any corrupted payload.
 fuzz-smoke:
+	$(GO) test -count 1 -v -run TestKernelChoice ./internal/cpufeat
 	$(GO) test -run xxx -fuzz FuzzFrameDecode -fuzztime 10s ./internal/lanenet
 	$(GO) test -run xxx -fuzz FuzzDecodeEncode -fuzztime 10s ./internal/emulation/coded
 	$(GO) test -run xxx -fuzz FuzzMulRowsAdd -fuzztime 10s ./internal/emulation/coded
+	$(GO) test -run xxx -fuzz FuzzPayloadMismatch -fuzztime 10s ./internal/types
 
 # Object-table suite under the race detector, repeated and at three
 # GOMAXPROCS settings: chunk-edge round-trips, tombstones and the used latch

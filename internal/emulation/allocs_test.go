@@ -37,28 +37,36 @@ import (
 // value per store cost 5). The atomic read of a settled register writes
 // nothing back, so both builds cost the same 0. An aac-max pair is the same
 // push over k-writer cells, whose writes ride pooled records the same way,
-// and whose queues of waiting write-maxes are pooled too: 0 (8 before). A
-// regemu pair is Algorithm 2 — scan collects, a push batch made per write,
-// per-writer state — and costs 36 (42 while the in-process scan made a slice
-// of outcomes per server). Coded is pinned apart (TestCodedOpAllocCeiling),
-// by bytes.
+// and whose queues of waiting write-maxes are pooled too: 0 (8 before). At
+// k = 2 an aac-max collect is a server scan, whose in-process snapshot keeps
+// its member lists, sorted copy and locks in the group's own storage: 0 (38
+// while the scan made them per call). A regemu pair is Algorithm 2 — scan
+// collects, a push batch made per write, per-writer state — and costs 10 (36
+// while the scan made its scratch per call, 42 while it also made a slice of
+// outcomes per server). Coded is pinned apart (TestCodedOpAllocCeiling), by
+// bytes.
 //
 // The file is excluded under -race, where sync.Pool drops items on purpose.
 func TestRoundAllocsCeiling(t *testing.T) {
 	for _, tc := range []struct {
 		kind      runner.Kind
+		k         int
 		atomic    bool
 		valueSize int
 		ceiling   float64
 	}{
-		{runner.KindABDMax, false, 0, 0},
-		{runner.KindABDMax, false, 32, 2},
-		{runner.KindCASMax, false, 0, 0},
-		{runner.KindCASMax, true, 0, 0},
-		{runner.KindAACMax, false, 0, 0},
-		{runner.KindRegEmu, false, 0, 36},
+		{runner.KindABDMax, 1, false, 0, 0},
+		{runner.KindABDMax, 1, false, 32, 2},
+		{runner.KindCASMax, 1, false, 0, 0},
+		{runner.KindCASMax, 1, true, 0, 0},
+		{runner.KindAACMax, 1, false, 0, 0},
+		{runner.KindAACMax, 2, false, 0, 0},
+		{runner.KindRegEmu, 1, false, 0, 10},
 	} {
 		name := fmt.Sprintf("%s/atomic=%v", tc.kind, tc.atomic)
+		if tc.k > 1 {
+			name += fmt.Sprintf("/k=%d", tc.k)
+		}
 		if tc.valueSize > 0 {
 			name += fmt.Sprintf("/payload=%d", tc.valueSize)
 		}
@@ -68,7 +76,7 @@ func TestRoundAllocsCeiling(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer env.Fabric.Close()
-			reg, hist, err := runner.BuildWith(tc.kind, env.Fabric, 1, 1, runner.BuildOpts{Atomic: tc.atomic, ValueSize: tc.valueSize})
+			reg, hist, err := runner.BuildWith(tc.kind, env.Fabric, tc.k, 1, runner.BuildOpts{Atomic: tc.atomic, ValueSize: tc.valueSize})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,11 +20,11 @@
 // buffer; only a missing data shard is rebuilt, and the payload is assembled
 // only for an atomic read's write-back. The parity rows and the rebuilt
 // shards come from one multiply-accumulate, mulRowsAdd, with two kernels
-// behind it. On amd64 machines with AVX2 it runs a vector kernel that
-// multiplies 32 bytes per step through two 16-entry nibble tables per
-// coefficient (VPSHUFB); everywhere else it runs a word-wide table kernel in
-// plain Go. The choice is made once, when the package initialises, from
-// CPUID and XGETBV — there is nothing to configure. The Go kernel stays as
+// behind it. On amd64 machines with AVX-512 and GFNI it runs a vector kernel
+// that multiplies 64 bytes per step by one 8×8 bit matrix per coefficient
+// (VGF2P8AFFINEQB); everywhere else it runs a word-wide table kernel in plain
+// Go. The choice is made once, when the program starts, by
+// cpufeat.AVX512GFNI — there is nothing to configure. The Go kernel stays as
 // the fallback and as the oracle the vector kernel is tested against byte
 // for byte (TestMulRowsAddKernelsAgree, FuzzMulRowsAdd).
 package coded
@@ -35,17 +35,17 @@ import "encoding/binary"
 // x^8+x^4+x^3+x^2+1 (0x11d), the conventional choice for storage codes.
 // Multiplication and inversion go through log/exp tables built once at
 // package init; the generator is 2. The Go row kernel reads a full 256×256
-// product table, also built at init; the AVX2 kernel (gf8_amd64.go) reads
-// its own nibble tables, derived without these, so a wrong entry in either
-// set shows as a disagreement between the kernels.
+// product table, also built at init; the GFNI kernel (gf8_amd64.go) reads its
+// own bit matrices, derived without these, so a wrong entry in either set
+// shows as a disagreement between the kernels.
 
 const gfPoly = 0x11d
 
 var (
 	gfExp [510]byte // gfExp[i] = 2^i, doubled so mul can skip a mod 255
 	gfLog [256]byte // gfLog[x] for x != 0
-	// gfMulTable[c][x] = c·x, the rows the kernel builds its pair tables
-	// from.
+	// gfMulTable[c][x] = c·x: the rows the Go kernel builds its pair tables
+	// from, and the GFNI kernel's byte tail.
 	gfMulTable [256][256]byte
 )
 

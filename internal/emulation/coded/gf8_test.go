@@ -3,6 +3,8 @@ package coded
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/cpufeat"
 )
 
 func TestGFTables(t *testing.T) {
@@ -74,12 +76,12 @@ func TestGFPow(t *testing.T) {
 
 // TestMulRowAdd checks both kernels — the Go kernel and the one mulRowsAdd
 // picked for this machine — against gfMul for every coefficient over every
-// row length from 0 to three 32-byte vector steps and seven bytes, so each
+// row length from 0 to three 64-byte vector steps and seven bytes, so each
 // length reaches the word or vector loop, its byte tail, or both. Each pass
 // accumulates three rows: a pair (the coefficient under test and its
 // complement, which must not leak into each other) and an odd last row.
 func TestMulRowAdd(t *testing.T) {
-	const maxLen = 3*32 + 7
+	const maxLen = 3*64 + 7
 	src := make([]byte, maxLen)
 	for i := range src {
 		src[i] = byte(i*37 + 11)
@@ -158,7 +160,7 @@ func kernelsAgree(t *testing.T, coef []byte, src []byte, srcOff, dstOff int) {
 // destination offset with the length, so every pair of offsets is met), on
 // three rows — an odd count, the Go kernel's aliased last row.
 func TestMulRowsAddKernelsAgree(t *testing.T) {
-	if !haveAVX2 {
+	if !cpufeat.AVX512GFNI {
 		t.Skip("no vector kernel on this machine: mulRowsAdd is the Go kernel")
 	}
 	lengths := make([]int, 0, 132)
@@ -182,7 +184,7 @@ func FuzzMulRowsAdd(f *testing.F) {
 	f.Add([]byte("a coded stripe's parity rows"), []byte{2, 0, 255}, uint8(0), uint8(0))
 	f.Add(payloadFor(5, 100), []byte{0x1d}, uint8(31), uint8(7))
 	f.Add(payloadFor(6, 300), []byte{1, 2, 3, 4, 5}, uint8(3), uint8(29))
-	if !haveAVX2 {
+	if !cpufeat.AVX512GFNI {
 		f.Skip("no vector kernel on this machine: mulRowsAdd is the Go kernel")
 	}
 	f.Fuzz(func(t *testing.T, src, coef []byte, srcOff, dstOff uint8) {

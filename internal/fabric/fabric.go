@@ -75,8 +75,10 @@
 package fabric
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -593,7 +595,13 @@ type Group struct {
 	calls   []call
 	staging []LaneOp     // asynchronous rounds only, like windows
 	windows []laneWindow // indexed by server
-	refs    atomic.Int32
+	// A scan's in-process members, in input order (scan), and one server's
+	// members in object order with the objects they lock (byObj, locked):
+	// the pass's scratch, kept like staging.
+	scan   []*call
+	byObj  []*call
+	locked []baseobj.Object
+	refs   atomic.Int32
 }
 
 // laneWindow is one lane's share of a group's staging: staging[start:end].
@@ -611,6 +619,10 @@ func (g *Group) unref() {
 	}
 	clear(g.staging)
 	g.staging = g.staging[:0]
+	clear(g.scan[:cap(g.scan)])
+	clear(g.byObj[:cap(g.byObj)])
+	clear(g.locked[:cap(g.locked)])
+	g.scan, g.byObj, g.locked = g.scan[:0], g.byObj[:0], g.locked[:0]
 	if g.Released != nil {
 		g.Released()
 	}
@@ -692,7 +704,6 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 	if async {
 		windows = g.stage(lanes)
 	}
-	var scanGroups [][]*call
 	for i := range calls {
 		c := &calls[i]
 		if c.e == nil {
@@ -726,20 +737,15 @@ func (f *Fabric) triggerGroup(client types.ClientID, g *Group, scan bool) {
 			lop.Ev, lop.Apply, lop.Complete = c.ev, c.applyFn, c.completeFn
 			w.end++
 		case scan:
-			if scanGroups == nil {
-				scanGroups = make([][]*call, len(lanes))
-			}
-			scanGroups[l.server] = append(scanGroups[l.server], c)
+			g.scan = append(g.scan, c)
 		case f.benign:
 			f.applyInline(c)
 		default:
 			l.backend.Deliver(c.ev, c.applyFn, c.completeFn)
 		}
 	}
-	for _, sg := range scanGroups {
-		if len(sg) > 0 {
-			f.applyScanInline(sg)
-		}
+	if len(g.scan) > 0 {
+		f.applyScansInline(g)
 	}
 	for s, w := range windows {
 		lg := g.staging[w.start:w.end]
@@ -792,6 +798,21 @@ func (g *Group) stage(lanes []*lane) []laneWindow {
 	return windows
 }
 
+// applyScansInline answers a scan's in-process members (g.scan), server by
+// server in ascending order, each server's in input order.
+func (f *Fabric) applyScansInline(g *Group) {
+	// Stable, so each server's members keep their input order.
+	slices.SortStableFunc(g.scan, func(a, b *call) int { return cmp.Compare(a.ev.Server, b.ev.Server) })
+	for rest := g.scan; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && rest[n].ev.Server == rest[0].ev.Server {
+			n++
+		}
+		f.applyScanInline(g, rest[:n])
+		rest = rest[n:]
+	}
+}
+
 // applyScanInline answers one in-process server's all-read scan group from a
 // single consistent snapshot: every distinct target object's state lock is
 // taken in ascending object order (the package-wide lock order — concurrent
@@ -799,12 +820,11 @@ func (g *Group) stage(lanes []*lane) []laneWindow {
 // only then do responses flow. A concurrent writer serializes against the
 // whole cut, so no scan can observe object j's newer write but miss the
 // same writer's earlier write to object i — the torn read that per-object
-// locking allows.
-func (f *Fabric) applyScanInline(group []*call) {
-	byObj := make([]*call, len(group))
-	copy(byObj, group)
-	sort.Slice(byObj, func(i, j int) bool { return byObj[i].ev.Object < byObj[j].ev.Object })
-	locked := make([]baseobj.Object, 0, len(byObj))
+// locking allows. The sorted copy and the lock list are g's scratch.
+func (f *Fabric) applyScanInline(g *Group, group []*call) {
+	byObj := append(g.byObj[:0], group...)
+	slices.SortFunc(byObj, func(a, b *call) int { return cmp.Compare(a.ev.Object, b.ev.Object) })
+	locked := g.locked[:0]
 	for i, c := range byObj {
 		if i > 0 && c.ev.Object == byObj[i-1].ev.Object {
 			continue
@@ -813,6 +833,7 @@ func (f *Fabric) applyScanInline(group []*call) {
 		o.LockState()
 		locked = append(locked, o)
 	}
+	g.byObj, g.locked = byObj, locked
 	// Each member's outcome goes straight into its record: until it is
 	// completed below, nothing else completes it.
 	for _, c := range group {

@@ -35,11 +35,23 @@ func PayloadFor(v Value, size int) Payload {
 // PutPayload writes the payload for v into p in place, filling all of
 // len(p) ≥ MinPayloadSize bytes: what PayloadFor(v, len(p)) returns, in a
 // buffer the caller sized (the coded register builds its payloads in a
-// buffer its stripes can alias).
-func PutPayload(p []byte, v Value) {
+// buffer its stripes can alias). On amd64 machines with AVX-512
+// (cpufeat.AVX512GFNI) the fill's whole 64-byte blocks come from a vector
+// kernel, eight words a step (payload_amd64.s); the Go loops write the rest,
+// and everything on other machines, byte for byte the same.
+func PutPayload(p []byte, v Value) { putPayload(p, v, true) }
+
+// putPayload is PutPayload; with vector false it leaves every block to the Go
+// loops, the vector kernel's test oracle.
+func putPayload(p []byte, v Value, vector bool) {
 	binary.BigEndian.PutUint64(p, uint64(v))
 	x := fillSeed(v)
-	off := MinPayloadSize
+	blocks := 0
+	if vector {
+		blocks = fillWide(p[MinPayloadSize:], x)
+	}
+	off := MinPayloadSize + 64*blocks
+	x += uint64(8*blocks) * fillGamma
 	// Four words a step, one bounds check for the four; then a word at a
 	// time.
 	for ; off+32 <= len(p); off += 32 {
@@ -81,8 +93,15 @@ func (p Payload) Value() (Value, error) {
 // PayloadMismatch compares b with bytes [off, off+len(b)) of v's payload and
 // returns the payload offset of the first byte that differs, or −1 when all
 // of them match. It allocates nothing, so a payload held in pieces — the
-// data shards of a stripe — is verified where it lies, piece by piece.
-func PayloadMismatch(v Value, off int, b []byte) int {
+// data shards of a stripe — is verified where it lies, piece by piece. On
+// amd64 machines with AVX-512 a vector kernel compares whole 64-byte blocks
+// of fill words first (payload_amd64.s) and stops at the first block that
+// differs; the Go loops resume there and name the byte.
+func PayloadMismatch(v Value, off int, b []byte) int { return payloadMismatch(v, off, b, true) }
+
+// payloadMismatch is PayloadMismatch; with vector false it leaves every block
+// to the Go loops, the vector kernel's test oracle.
+func payloadMismatch(v Value, off int, b []byte, vector bool) int {
 	// A payload is a run of 8-byte big-endian words: word 0 is v, word w ≥ 1
 	// the fill's w-th output. The value word and a piece of a word the range
 	// starts inside go bytewise; whole fill words go as integers, the fill
@@ -99,9 +118,14 @@ func PayloadMismatch(v Value, off int, b []byte) int {
 	}
 	x := fillSeed(v) + uint64(off/8-1)*fillGamma
 	words := len(b) &^ 7
+	blocks := 0
+	if vector {
+		blocks = matchWide(b, x)
+	}
+	i := 64 * blocks
+	x += uint64(8*blocks) * fillGamma
 	// Four words a step while all of them match; the word loop below resumes
 	// at a step holding a mismatch and names its byte.
-	i := 0
 	for ; i+32 <= words; i += 32 {
 		q := b[i : i+32 : i+32]
 		x0 := x + fillGamma

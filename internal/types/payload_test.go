@@ -5,8 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/cpufeat"
 )
 
 func TestPayloadRoundTrip(t *testing.T) {
@@ -147,6 +150,80 @@ func TestPayloadMismatchPieces(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPayloadKernelsAgree compares the payload kernels picked for this
+// machine with the Go loops alone (vector false), byte for byte and offset for
+// offset. The fill: every length from 0 to 200 bytes and 64 KiB + 5. The
+// check: pieces starting at payload offsets 0–15, clean and with one byte
+// corrupted — at every position of the first three 64-byte blocks of the
+// piece and at random later ones — must be named at the same offset by both.
+func TestPayloadKernelsAgree(t *testing.T) {
+	if !cpufeat.AVX512GFNI {
+		t.Skip("no vector kernel on this machine: the payload codec runs the Go loops")
+	}
+	const v = Value(-77)
+	for _, n := range append(seq(0, 200), 64<<10+5) {
+		got, want := make([]byte, n+MinPayloadSize), make([]byte, n+MinPayloadSize)
+		PutPayload(got, v)
+		putPayload(want, v, false)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("fill of %d bytes differs from the Go loop's at byte %d", len(got), payloadMismatch(v, 0, got, false))
+		}
+	}
+	p := PayloadFor(v, 64<<10+5)
+	rng := rand.New(rand.NewSource(1))
+	for off := 0; off < 16; off++ {
+		piece := p[off:]
+		flips := append([]int{-1}, seq(0, 3*64-1)...)
+		for range 64 {
+			flips = append(flips, 3*64+rng.Intn(len(piece)-3*64))
+		}
+		for _, flip := range flips {
+			b := bytes.Clone(piece)
+			if flip >= 0 {
+				b[flip] ^= byte(1 + rng.Intn(255))
+			}
+			got, want := PayloadMismatch(v, off, b), payloadMismatch(v, off, b, false)
+			if got != want {
+				t.Fatalf("piece at offset %d, byte %d corrupted: the kernel names %d, the Go loop %d", off, flip, got, want)
+			}
+			if flip >= 0 && got != off+flip || flip < 0 && got != -1 {
+				t.Fatalf("piece at offset %d, byte %d corrupted: PayloadMismatch named %d", off, flip, got)
+			}
+		}
+	}
+}
+
+// FuzzPayloadMismatch cross-checks PayloadMismatch, as picked for this
+// machine, against the Go loops alone on fuzzed bytes laid over a payload: a
+// piece of v's payload starting at off, with the fuzzed bytes written over it
+// from at.
+func FuzzPayloadMismatch(f *testing.F) {
+	f.Add(int64(3), uint16(0), uint16(300), uint16(64), []byte{0})
+	f.Add(int64(-1), uint16(13), uint16(1000), uint16(700), []byte("stray"))
+	f.Add(int64(1<<40), uint16(8), uint16(129), uint16(200), []byte{})
+	if !cpufeat.AVX512GFNI {
+		f.Skip("no vector kernel on this machine: the payload codec runs the Go loops")
+	}
+	f.Fuzz(func(t *testing.T, v int64, off, n, at uint16, over []byte) {
+		b := PayloadFor(Value(v), int(off)+int(n))[off:]
+		if int(at) < len(b) {
+			copy(b[at:], over)
+		}
+		got, want := PayloadMismatch(Value(v), int(off), b), payloadMismatch(Value(v), int(off), b, false)
+		if got != want {
+			t.Fatalf("%d bytes at offset %d: the kernel names %d, the Go loop %d", len(b), off, got, want)
+		}
+	})
+}
+
+func seq(lo, hi int) []int {
+	s := make([]int, 0, hi-lo+1)
+	for i := lo; i <= hi; i++ {
+		s = append(s, i)
+	}
+	return s
 }
 
 func BenchmarkPayloadFor64K(b *testing.B) {
